@@ -11,6 +11,7 @@
 package alex_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -597,7 +598,7 @@ func BenchmarkFedJoinReorder(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := federation.Execute(query); err != nil {
+				if _, err := federation.ExecuteContext(context.Background(), query); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -606,13 +607,14 @@ func BenchmarkFedJoinReorder(b *testing.B) {
 }
 
 // BenchmarkFedQueryEndToEnd is the federated hot path end to end: a
-// cross-data-set join on the default (serial, reordered) configuration,
-// exercising bound joins through the compiled batch matchers and sameAs
-// rewriting through the id-level substitution path.
+// cross-data-set join (bound joins plus sameAs rewriting) on the
+// federation sparqld assembles — serial, reordered, with the default
+// resilience policy installed — so the bench gate pins the served path.
 func BenchmarkFedQueryEndToEnd(b *testing.B) {
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(0.5, benchSeed))
 	federation := fed.New(pair.Dict, pair.DS1, pair.DS2)
 	federation.SetLinks(pair.Truth)
+	federation.SetResilience(fed.DefaultResilience())
 	query := `SELECT ?p ?name WHERE {
 		?p <http://dbpedia.sim/ontology/position> "PG" .
 		?p <http://nytimes.sim/ontology/prefLabel> ?name .
@@ -620,7 +622,7 @@ func BenchmarkFedQueryEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := federation.Execute(query); err != nil {
+		if _, err := federation.ExecuteContext(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -36,6 +37,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
 	"alex/internal/store"
 )
 
@@ -183,16 +185,18 @@ func loadLinks(dict *rdf.Dict, path string) (*linkset.Set, error) {
 }
 
 func runQuery(federation *fed.Federation, query string, trace bool, stdout, stderr io.Writer) error {
-	var res *fed.Result
-	var err error
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return err
+	}
+	var tr *obs.Trace
 	if trace {
-		var tr *obs.Trace
-		res, tr, err = federation.ExecuteTrace(query)
-		if tr != nil {
-			fmt.Fprintln(stderr, tr.String())
-		}
-	} else {
-		res, err = federation.Execute(query)
+		tr = obs.NewTrace("query")
+	}
+	res, err := federation.EvalContext(context.Background(), q, tr)
+	if tr != nil {
+		// Printed on failure too: the recorded prefix shows how far it got.
+		fmt.Fprintln(stderr, tr.String())
 	}
 	if err != nil {
 		return err

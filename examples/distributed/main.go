@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -22,6 +23,7 @@ import (
 
 func main() {
 	pair := datagen.GeneratePair(datagen.NBADBpediaNYTimes(1, 31))
+	ctx := context.Background()
 
 	// Serve each data set on its own localhost endpoint.
 	dbpediaURL := serve(pair, 1)
@@ -55,7 +57,7 @@ func main() {
 	}
 	for _, q := range queries {
 		fmt.Println("query:", q)
-		res, err := federation.Execute(q)
+		res, err := federation.ExecuteContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,7 +77,7 @@ func main() {
 	}
 
 	// Source-selection plan against live endpoints (ASK probes over HTTP).
-	plan, err := federation.PlanDescription(`SELECT ?p ?name WHERE {
+	plan, err := federation.PlanDescriptionContext(ctx, `SELECT ?p ?name WHERE {
 		?p <http://dbpedia.sim/ontology/position> "C" .
 		?p <http://nytimes.sim/ontology/prefLabel> ?name .
 	}`)

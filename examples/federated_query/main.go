@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A scaled-down DBpedia/NYTimes pair with known ground-truth links.
 	pair := datagen.GeneratePair(datagen.NBADBpediaNYTimes(1, 7))
 	fmt.Println(pair.DS1.Stats())
@@ -52,7 +54,7 @@ func main() {
 	}
 	for _, q := range queries {
 		fmt.Printf("== %s ==\n", q.title)
-		res, err := federation.Execute(q.text)
+		res, err := federation.ExecuteContext(ctx, q.text)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -243,7 +243,7 @@ func (c *Client) SizeContext(ctx context.Context) (int, error) {
 
 // MatchPattern evaluates one triple pattern (with the binding's variables
 // substituted as constants) against the endpoint and returns the extended
-// bindings — the remote counterpart of sparql.MatchPattern.
+// bindings — what a federation's remote source sends per bound-join row.
 func (c *Client) MatchPattern(tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
 	return c.MatchPatternContext(context.Background(), tp, binding)
 }

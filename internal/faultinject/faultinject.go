@@ -50,7 +50,7 @@ type Target interface {
 	HasPredicate(ctx context.Context, pred rdf.Term) (bool, error)
 	PredicateCount(ctx context.Context, pred rdf.Term) (int, error)
 	Size(ctx context.Context) (int, error)
-	Match(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error)
+	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 }
 
 // Source wraps a Target, injecting faults per its Config. It satisfies
@@ -151,11 +151,11 @@ func (s *Source) Size(ctx context.Context) (int, error) {
 	return s.inner.Size(ctx)
 }
 
-func (s *Source) Match(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
+func (s *Source) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	if err := s.inject(ctx, "match"); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return s.inner.Match(ctx, tp, binding)
+	return s.inner.Match(ctx, ids, sub, pred, obj, dst)
 }
 
 // RoundTripper wraps an http.RoundTripper with the same fault model, for

@@ -21,8 +21,8 @@ func (stubTarget) HasPredicate(context.Context, rdf.Term) (bool, error) {
 }
 func (stubTarget) PredicateCount(context.Context, rdf.Term) (int, error) { return 3, nil }
 func (stubTarget) Size(context.Context) (int, error)                     { return 9, nil }
-func (stubTarget) Match(_ context.Context, _ sparql.TriplePattern, b sparql.Binding) ([]sparql.Binding, error) {
-	return []sparql.Binding{b}, nil
+func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	return append(dst, rdf.TripleID{S: s, P: p, O: o}), nil
 }
 
 func TestZeroConfigPassesThrough(t *testing.T) {
@@ -68,7 +68,7 @@ func TestErrorRateIsDeterministicPerSeed(t *testing.T) {
 
 func TestInjectedErrorsAreMarked(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{ErrorRate: 1, Seed: 1})
-	_, err := s.Match(context.Background(), sparql.TriplePattern{}, sparql.Binding{})
+	_, err := s.Match(context.Background(), nil, 0, 0, 0, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

@@ -17,8 +17,8 @@ func (t nullTarget) HasPredicate(context.Context, rdf.Term) (bool, error) {
 }
 func (t nullTarget) PredicateCount(context.Context, rdf.Term) (int, error) { return 0, nil }
 func (t nullTarget) Size(context.Context) (int, error)                     { return 0, nil }
-func (t nullTarget) Match(context.Context, sparql.TriplePattern, sparql.Binding) ([]sparql.Binding, error) {
-	return nil, nil
+func (t nullTarget) Match(_ context.Context, _ *sparql.IDSpace, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	return dst, nil
 }
 
 func TestScheduleDownAt(t *testing.T) {
@@ -67,13 +67,12 @@ func TestScheduleApplyDrivesSources(t *testing.T) {
 	s := NewSchedule(Window{Source: "flaky", From: 1, To: 3})
 	ctx := context.Background()
 
-	tp := sparql.TriplePattern{}
 	for tick, wantDown := range []bool{false, true, true, false} {
 		s.Apply(tick, map[string]*Source{"flaky": src})
 		if got := src.Down(); got != wantDown {
 			t.Fatalf("tick %d: Down() = %v, want %v", tick, got, wantDown)
 		}
-		_, err := src.Match(ctx, tp, nil)
+		_, err := src.Match(ctx, nil, 0, 0, 0, nil)
 		if wantDown && !errors.Is(err, ErrInjected) {
 			t.Fatalf("tick %d: Match err = %v, want injected outage", tick, err)
 		}

@@ -12,6 +12,12 @@
 // data-set boundaries. A federation can itself be served as an endpoint
 // (EndpointQueryFunc), enabling hierarchical federation.
 //
+// There is one SPARQL evaluator: internal/sparql's slot engine. The
+// federation is that engine's second sparql.Solver (solver.go) — it answers
+// basic graph patterns from many sources where the store-backed solver
+// answers them from one — so every operator above a BGP (OPTIONAL, UNION,
+// FILTER, aggregates, ORDER BY, DISTINCT …) is the single-store code.
+//
 // Every answer row carries provenance: the exact links that were used to
 // produce it. ALEX interprets user feedback on an answer as feedback on
 // those links (§1, §3.2).
@@ -19,9 +25,7 @@ package fed
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +43,11 @@ type Federation struct {
 	dict    *rdf.Dict
 	stores  []*store.Store
 	sources []Source
-	links   *linkset.Set
-	// equiv maps an entity to the entities it is linked to, with the
-	// canonical Link that justifies each equivalence.
-	equiv map[rdf.TermID][]equivEdge
+	// links is the active link set with its equivalence index, published
+	// as one immutable snapshot: SetLinks may run (the feedback path calls
+	// it) while queries are in flight, and each evaluation loads the
+	// snapshot once, so it sees one consistent link set throughout.
+	links atomic.Pointer[linkSnapshot]
 	// reorder enables greedy selectivity-based join reordering (default).
 	reorder bool
 	// parallel is the worker count for bound joins; 1 disables parallelism.
@@ -50,8 +55,8 @@ type Federation struct {
 
 	// Data-generation tracking (see DataGeneration). linksGen counts
 	// SetLinks calls; genSources holds the generation counters of every
-	// member source that exposes one. Both are written only during setup
-	// and link refresh, never during query evaluation.
+	// member source that exposes one. genSources is written only during
+	// setup, never during query evaluation.
 	linksGen   atomic.Uint64
 	genSources []func() uint64
 
@@ -95,6 +100,15 @@ type Federation struct {
 	cSkips        *obs.Counter
 }
 
+// linkSnapshot is one published link set: the set itself plus equiv, which
+// maps an entity to the entities it is linked to, each with the canonical
+// Link that justifies the equivalence. equiv is never written after
+// SetLinks stores the snapshot.
+type linkSnapshot struct {
+	links *linkset.Set
+	equiv map[rdf.TermID][]equivEdge
+}
+
 type equivEdge struct {
 	to   rdf.TermID
 	link linkset.Link
@@ -105,11 +119,10 @@ func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 	f := &Federation{
 		dict:     dict,
 		stores:   stores,
-		links:    linkset.New(),
-		equiv:    make(map[rdf.TermID][]equivEdge),
 		reorder:  true,
 		parallel: 1,
 	}
+	f.links.Store(&linkSnapshot{links: linkset.New()})
 	for _, st := range stores {
 		f.sources = append(f.sources, LocalSource(st))
 		f.genSources = append(f.genSources, st.Generation)
@@ -201,21 +214,25 @@ func (f *Federation) Stores() []*store.Store { return f.stores }
 
 // SetLinks replaces the active sameAs link set. The federation reads the
 // set once; call SetLinks again after the candidate set changes to refresh
-// the equivalence index (ALEX does this after every episode).
+// the equivalence index (ALEX does this after every episode). Safe to call
+// while queries run: a query in flight keeps the snapshot it started with.
 func (f *Federation) SetLinks(links *linkset.Set) {
-	f.linksGen.Add(1)
-	f.links = links
-	f.equiv = make(map[rdf.TermID][]equivEdge, links.Len()*2)
+	snap := &linkSnapshot{links: links, equiv: make(map[rdf.TermID][]equivEdge, links.Len()*2)}
 	for _, l := range links.Links() {
-		f.equiv[l.Left] = append(f.equiv[l.Left], equivEdge{to: l.Right, link: l})
-		f.equiv[l.Right] = append(f.equiv[l.Right], equivEdge{to: l.Left, link: l})
+		snap.equiv[l.Left] = append(snap.equiv[l.Left], equivEdge{to: l.Right, link: l})
+		snap.equiv[l.Right] = append(snap.equiv[l.Right], equivEdge{to: l.Left, link: l})
 	}
+	// Publish before bumping the generation: a result cache that reads the
+	// new generation must never pair it with answers from the old links.
+	f.links.Store(snap)
+	f.linksGen.Add(1)
 }
 
 // Links returns the active link set.
-func (f *Federation) Links() *linkset.Set { return f.links }
+func (f *Federation) Links() *linkset.Set { return f.links.Load().links }
 
-// Answer is one solution row with the links used to produce it.
+// Answer is one solution row with the links used to produce it, sorted by
+// (Left, Right).
 type Answer struct {
 	Binding sparql.Binding
 	Used    []linkset.Link
@@ -245,604 +262,67 @@ type Result struct {
 // may be incomplete.
 func (r *Result) Partial() bool { return len(r.Skipped) > 0 }
 
-// Execute parses and evaluates query against the federation.
-func (f *Federation) Execute(query string) (*Result, error) {
-	return f.ExecuteContext(context.Background(), query)
-}
+// AskResult interprets a federated ASK result. The witness answer carries
+// the links that make the ASK true.
+func (r *Result) AskResult() bool { return len(r.Answers) > 0 }
 
-// ExecuteContext is Execute with a context: cancellation and deadline are
-// propagated into every source call (including remote HTTP requests), so a
-// whole federated query can be bounded by one per-request timeout.
+// ExecuteContext parses and evaluates query against the federation.
+// Cancellation and deadline are propagated into every source call
+// (including remote HTTP requests), so a whole federated query can be
+// bounded by one per-request timeout.
 func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return f.EvalContext(ctx, q)
+	return f.EvalContext(ctx, q, nil)
 }
 
-// ExecuteTrace parses and evaluates query, recording an EXPLAIN-style
-// span tree: per-pattern spans with source names, join input/output
-// cardinalities, sameAs rewrites fired, and per-stage durations. The
-// trace is returned even when evaluation fails partway (the recorded
-// prefix is often exactly what one wants to see).
-func (f *Federation) ExecuteTrace(query string) (*Result, *obs.Trace, error) {
-	return f.ExecuteTraceContext(context.Background(), query)
-}
-
-// ExecuteTraceContext is ExecuteTrace with a context (see ExecuteContext).
-func (f *Federation) ExecuteTraceContext(ctx context.Context, query string) (*Result, *obs.Trace, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := obs.NewTrace("query")
-	res, err := f.EvalTraceContext(ctx, q, tr)
-	return res, tr, err
-}
-
-// row is a solution under construction: bindings plus link provenance.
-type row struct {
-	b    sparql.Binding
-	used map[linkset.Link]struct{}
-}
-
-func (r row) clone() row {
-	nr := row{b: r.b.Clone(), used: make(map[linkset.Link]struct{}, len(r.used))}
-	for l := range r.used {
-		nr.used[l] = struct{}{}
-	}
-	return nr
-}
-
-// Eval evaluates a parsed query against the federation.
-func (f *Federation) Eval(q *sparql.Query) (*Result, error) {
-	return f.EvalTrace(q, nil)
-}
-
-// EvalContext is Eval with a context (see ExecuteContext).
-func (f *Federation) EvalContext(ctx context.Context, q *sparql.Query) (*Result, error) {
-	return f.EvalTraceContext(ctx, q, nil)
-}
-
-// EvalTrace evaluates a parsed query, recording spans into tr (nil
-// disables tracing; metrics are still recorded when an observer is set).
-func (f *Federation) EvalTrace(q *sparql.Query, tr *obs.Trace) (*Result, error) {
-	return f.EvalTraceContext(context.Background(), q, tr)
-}
-
-// EvalTraceContext evaluates a parsed query under ctx, recording spans
-// into tr (nil disables tracing). With Resilience.PartialResults enabled,
-// skipped sources are annotated on the root span ("partial", "skipped")
-// and returned in Result.Skipped.
-func (f *Federation) EvalTraceContext(ctx context.Context, q *sparql.Query, tr *obs.Trace) (*Result, error) {
+// EvalContext evaluates a parsed query under ctx, recording an
+// EXPLAIN-style span tree into tr: per-pattern spans with source names,
+// join input/output cardinalities, sameAs rewrites fired, and per-stage
+// durations (nil disables tracing; metrics are still recorded when an
+// observer is set). The recorded prefix survives an evaluation that fails
+// partway — often exactly what one wants to see. With
+// Resilience.PartialResults enabled, skipped sources are annotated on the
+// root span ("partial", "skipped") and returned in Result.Skipped.
+func (f *Federation) EvalContext(ctx context.Context, q *sparql.Query, tr *obs.Trace) (*Result, error) {
 	var t0 time.Time
 	if f.obsReg != nil {
 		t0 = time.Now() //lint:ignore nodeterminism query latency histogram only; never feeds query results
 	}
-	es := newEvalState(ctx)
-	sp := tr.Root()
-	rows, err := f.evalPatterns(es, q.Patterns, []row{{b: sparql.Binding{}, used: map[linkset.Link]struct{}{}}}, sp)
+	es := f.newEvalState(ctx)
+	rows, err := sparql.EvalSolver(es, q, tr)
 	if err != nil {
-		tr.Finish()
 		return nil, err
 	}
-	fin := sp.Child("finalize")
-	fin.SetInt("in", int64(len(rows)))
-	res, err := f.finalize(q, rows)
-	if err == nil {
-		fin.SetInt("out", int64(len(res.Answers)+len(res.Triples)))
-		if skips := es.skips(); len(skips) > 0 {
-			res.Skipped = skips
-			f.cPartial.Inc()
-			sp.SetInt("partial", 1)
-			names := ""
-			for i, sk := range skips {
-				if i > 0 {
-					names += ","
-				}
-				names += sk.Source
-			}
-			sp.SetStr("skipped", names)
+	bindings := rows.Materialize()
+	res := &Result{Vars: bindings.Vars, Triples: bindings.Triples}
+	if rows.Len() > 0 {
+		res.Answers = make([]Answer, rows.Len())
+		for i, b := range bindings.Rows {
+			res.Answers[i] = Answer{Binding: b, Used: es.linksOf(rows.Provenance(i))}
 		}
 	}
-	fin.End()
-	tr.Finish()
+	if skips := es.skips(); len(skips) > 0 {
+		res.Skipped = skips
+		f.cPartial.Inc()
+		sp := tr.Root()
+		sp.SetInt("partial", 1)
+		names := ""
+		for i, sk := range skips {
+			if i > 0 {
+				names += ","
+			}
+			names += sk.Source
+		}
+		sp.SetStr("skipped", names)
+	}
 	f.cQueries.Inc()
 	if f.obsReg != nil {
 		f.hQueryNS.Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism query latency histogram only; never feeds query results
 	}
-	return res, err
-}
-
-// AskResult interprets a federated ASK result.
-func (r *Result) AskResult() bool { return len(r.Answers) > 0 }
-
-func (f *Federation) finalize(q *sparql.Query, rows []row) (*Result, error) {
-	if q.Ask {
-		if len(rows) == 0 {
-			return &Result{}, nil
-		}
-		// Keep the witness row's provenance: the links that make the ASK true.
-		links := make([]linkset.Link, 0, len(rows[0].used))
-		for l := range rows[0].used {
-			links = append(links, l)
-		}
-		return &Result{Answers: []Answer{{Binding: sparql.Binding{}, Used: links}}}, nil
-	}
-	if q.Construct != nil {
-		bindings := make([]sparql.Binding, len(rows))
-		for i, r := range rows {
-			bindings[i] = r.b
-		}
-		return &Result{Triples: sparql.InstantiateTemplate(q.Construct, bindings)}, nil
-	}
-	if len(q.Aggregates) > 0 {
-		return f.finalizeAggregates(q, rows)
-	}
-	vars := q.Vars
-	if len(vars) == 0 {
-		vars = q.AllVars()
-	}
-	// Project, then apply DISTINCT / OFFSET / LIMIT over projected rows.
-	answers := make([]Answer, 0, len(rows))
-	for _, r := range rows {
-		b := make(sparql.Binding, len(vars))
-		for _, v := range vars {
-			if t, ok := r.b[v]; ok {
-				b[v] = t
-			}
-		}
-		links := make([]linkset.Link, 0, len(r.used))
-		for l := range r.used {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i].Left != links[j].Left {
-				return links[i].Left < links[j].Left
-			}
-			return links[i].Right < links[j].Right
-		})
-		answers = append(answers, Answer{Binding: b, Used: links})
-	}
-	if len(q.OrderBy) > 0 {
-		sortAnswers(answers, q.OrderBy)
-	}
-	if q.Distinct {
-		answers = dedupeAnswers(vars, answers)
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(answers) {
-			answers = nil
-		} else {
-			answers = answers[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(answers) {
-		answers = answers[:q.Limit]
-	}
-	return &Result{Vars: vars, Answers: answers}, nil
-}
-
-// finalizeAggregates groups the federated rows, evaluates the aggregates
-// per group, and merges link provenance: feedback on an aggregated answer
-// implicates every link that contributed a row to its group.
-func (f *Federation) finalizeAggregates(q *sparql.Query, rows []row) (*Result, error) {
-	type group struct {
-		bindings []sparql.Binding
-		used     map[linkset.Link]struct{}
-	}
-	byKey := map[string]*group{}
-	var order []string
-	for _, r := range rows {
-		k := sparql.GroupKey(q.GroupBy, r.b)
-		g, ok := byKey[k]
-		if !ok {
-			g = &group{used: map[linkset.Link]struct{}{}}
-			byKey[k] = g
-			order = append(order, k)
-		}
-		g.bindings = append(g.bindings, r.b)
-		for l := range r.used {
-			g.used[l] = struct{}{}
-		}
-	}
-	if len(order) == 0 && len(q.GroupBy) == 0 {
-		byKey[""] = &group{used: map[linkset.Link]struct{}{}}
-		order = append(order, "")
-	}
-	sort.Strings(order)
-	res := &Result{Vars: sparql.AggregateVars(q)}
-	for _, k := range order {
-		g := byKey[k]
-		b, err := sparql.AggregateGroup(q, g.bindings)
-		if err != nil {
-			return nil, err
-		}
-		links := make([]linkset.Link, 0, len(g.used))
-		for l := range g.used {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i].Left != links[j].Left {
-				return links[i].Left < links[j].Left
-			}
-			return links[i].Right < links[j].Right
-		})
-		res.Answers = append(res.Answers, Answer{Binding: b, Used: links})
-	}
-	if len(q.OrderBy) > 0 {
-		sortAnswers(res.Answers, q.OrderBy)
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(res.Answers) {
-			res.Answers = nil
-		} else {
-			res.Answers = res.Answers[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(res.Answers) {
-		res.Answers = res.Answers[:q.Limit]
-	}
 	return res, nil
-}
-
-func sortAnswers(answers []Answer, keys []sparql.OrderKey) {
-	sort.SliceStable(answers, func(i, j int) bool {
-		for _, k := range keys {
-			a, aok := answers[i].Binding[k.Var]
-			b, bok := answers[j].Binding[k.Var]
-			if !aok && !bok {
-				continue
-			}
-			if !aok || !bok {
-				less := !aok
-				if k.Desc {
-					less = !less
-				}
-				return less
-			}
-			if a == b {
-				continue
-			}
-			less := a.String() < b.String()
-			if k.Desc {
-				return !less
-			}
-			return less
-		}
-		return false
-	})
-}
-
-func dedupeAnswers(vars []string, answers []Answer) []Answer {
-	seen := make(map[string]struct{}, len(answers))
-	// Per-call term interner: dedupe keys are fixed-width tuples of small
-	// ids (0 = unbound) instead of concatenated term strings.
-	intern := make(map[rdf.Term]uint32, len(answers))
-	key := make([]byte, 0, 4*len(vars))
-	out := answers[:0]
-	for _, a := range answers {
-		key = key[:0]
-		for _, v := range vars {
-			var id uint32
-			if t, ok := a.Binding[v]; ok {
-				iid, hit := intern[t]
-				if !hit {
-					iid = uint32(len(intern)) + 1
-					intern[t] = iid
-				}
-				id = iid
-			}
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		out = append(out, a)
-	}
-	return out
-}
-
-func (f *Federation) evalPatterns(es *evalState, patterns []sparql.Pattern, in []row, sp *obs.Span) ([]row, error) {
-	rows := in
-	for _, p := range patterns {
-		if err := es.ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		stage := stageSpan(sp, p)
-		stage.SetInt("in", int64(len(rows)))
-		switch p := p.(type) {
-		case sparql.BGP:
-			rows, err = f.evalBGP(es, p, rows, stage)
-		case sparql.Filter:
-			rows = f.applyFilter(p.Expr, rows)
-		case sparql.Optional:
-			rows, err = f.evalOptional(es, p, rows, stage)
-		case sparql.Union:
-			rows, err = f.evalUnion(es, p, rows, stage)
-		case sparql.Values:
-			rows = f.evalValues(p, rows)
-		case sparql.Exists:
-			rows, err = f.evalExists(es, p, rows, stage)
-		case sparql.Bind:
-			rows = f.evalBind(p, rows)
-		case sparql.PathPattern:
-			err = fmt.Errorf("fed: property paths are not supported in federated queries (path %s)", sparql.PathString(p.P))
-		default:
-			err = fmt.Errorf("fed: unknown pattern type %T", p)
-		}
-		stage.SetInt("out", int64(len(rows)))
-		stage.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// stageSpan opens a child span named after the pattern type.
-func stageSpan(sp *obs.Span, p sparql.Pattern) *obs.Span {
-	if sp == nil {
-		return nil
-	}
-	switch p.(type) {
-	case sparql.BGP:
-		return sp.Child("bgp")
-	case sparql.Filter:
-		return sp.Child("filter")
-	case sparql.Optional:
-		return sp.Child("optional")
-	case sparql.Union:
-		return sp.Child("union")
-	case sparql.Values:
-		return sp.Child("values")
-	case sparql.Exists:
-		return sp.Child("exists")
-	case sparql.Bind:
-		return sp.Child("bind")
-	default:
-		return sp.Child("pattern-group")
-	}
-}
-
-func (f *Federation) applyFilter(expr sparql.Expr, rows []row) []row {
-	out := rows[:0]
-	for _, r := range rows {
-		t, err := expr.Eval(r.b)
-		if err != nil {
-			continue
-		}
-		v, err := sparql.EBV(t)
-		if err == nil && v {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (f *Federation) evalOptional(es *evalState, opt sparql.Optional, rows []row, sp *obs.Span) ([]row, error) {
-	var out []row
-	for _, r := range rows {
-		extended, err := f.evalPatterns(es, opt.Patterns, []row{r.clone()}, sp)
-		if err != nil {
-			return nil, err
-		}
-		if len(extended) == 0 {
-			out = append(out, r)
-		} else {
-			out = append(out, extended...)
-		}
-	}
-	return out, nil
-}
-
-// evalBind extends each row with the bound expression value, mirroring the
-// single-store semantics; provenance is untouched.
-func (f *Federation) evalBind(bd sparql.Bind, rows []row) []row {
-	out := rows[:0]
-	for _, r := range rows {
-		v, err := bd.Expr.Eval(r.b)
-		if err != nil {
-			out = append(out, r)
-			continue
-		}
-		if prev, bound := r.b[bd.As]; bound {
-			if prev == v {
-				out = append(out, r)
-			}
-			continue
-		}
-		nr := r.clone()
-		nr.b[bd.As] = v
-		out = append(out, nr)
-	}
-	return out
-}
-
-// evalValues joins current rows with a VALUES inline data block, keeping
-// provenance untouched (inline data uses no links).
-func (f *Federation) evalValues(v sparql.Values, rows []row) []row {
-	var out []row
-	for _, r := range rows {
-		for _, data := range v.Rows {
-			nr := r.clone()
-			ok := true
-			for i, name := range v.Vars {
-				t := data[i]
-				if t.IsZero() {
-					continue
-				}
-				if prev, bound := nr.b[name]; bound {
-					if prev != t {
-						ok = false
-						break
-					}
-					continue
-				}
-				nr.b[name] = t
-			}
-			if ok {
-				out = append(out, nr)
-			}
-		}
-	}
-	return out
-}
-
-// evalExists filters rows by the existence (or absence) of a compatible
-// inner-group solution. The probe's link provenance is discarded: an
-// existence check constrains the answer but does not produce it, so
-// feedback on the answer should not implicate the probe's links.
-func (f *Federation) evalExists(es *evalState, e sparql.Exists, rows []row, sp *obs.Span) ([]row, error) {
-	out := rows[:0]
-	for _, r := range rows {
-		matches, err := f.evalPatterns(es, e.Patterns, []row{r.clone()}, sp)
-		if err != nil {
-			return nil, err
-		}
-		if (len(matches) > 0) != e.Not {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-func (f *Federation) evalUnion(es *evalState, u sparql.Union, rows []row, sp *obs.Span) ([]row, error) {
-	var out []row
-	for _, r := range rows {
-		left, err := f.evalPatterns(es, u.Left, []row{r.clone()}, sp)
-		if err != nil {
-			return nil, err
-		}
-		right, err := f.evalPatterns(es, u.Right, []row{r.clone()}, sp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, left...)
-		out = append(out, right...)
-	}
-	return out, nil
-}
-
-// evalBGP is a bound join: each pattern extends the current rows, with the
-// pattern matched against every store selected for it. Patterns run in the
-// order chosen by the selectivity-based optimizer (optimize.go); within a
-// pattern, rows are processed by SetParallelism workers (FedX's "bound
-// joins in parallel"), preserving row order.
-func (f *Federation) evalBGP(es *evalState, bgp sparql.BGP, rows []row, sp *obs.Span) ([]row, error) {
-	plan, err := f.planBGP(es, bgp, boundVarsOf(rows))
-	if err != nil {
-		return nil, err
-	}
-	for _, pp := range plan {
-		var psp *obs.Span
-		if sp != nil {
-			psp = sp.Child("pattern")
-			psp.SetStr("tp", pp.tp.String())
-			psp.SetStr("sources", sourceNames(pp.sources))
-			if pp.exclusive {
-				psp.SetInt("exclusive", 1)
-			}
-			psp.SetInt("in", int64(len(rows)))
-		}
-		next, err := f.extendRows(es, pp, rows, psp)
-		if err != nil {
-			psp.End()
-			return nil, err
-		}
-		rows = next
-		psp.SetInt("out", int64(len(rows)))
-		psp.End()
-		if len(rows) == 0 {
-			return nil, nil
-		}
-	}
-	return rows, nil
-}
-
-// sourceNames renders a source list compactly for span attributes.
-func sourceNames(sources []Source) string {
-	names := ""
-	for i, src := range sources {
-		if i > 0 {
-			names += ","
-		}
-		names += src.Name()
-	}
-	return names
-}
-
-// extendRows applies one planned pattern to every row, in parallel when
-// configured. Results keep the input row order for determinism.
-func (f *Federation) extendRows(es *evalState, pp plannedPattern, rows []row, psp *obs.Span) ([]row, error) {
-	f.cBatches.Inc()
-	f.hBatchRows.Observe(int64(len(rows)))
-	workers := f.parallel
-	if workers <= 1 || len(rows) < 2*workers {
-		// Serial batch: compile the pattern once per capable source so
-		// constant resolution and bound-term interning amortize over the
-		// whole row batch. Only without resilience or metrics — the batch
-		// matcher bypasses the retry/timing wrappers, and its memo cache is
-		// unsynchronized (which is also why the parallel branch passes nil).
-		var matchers map[Source]func(sparql.Binding) []sparql.Binding
-		if !f.resOn && f.obsReg == nil {
-			for _, src := range pp.sources {
-				bm, ok := src.(BatchMatcher)
-				if !ok {
-					continue
-				}
-				if matchers == nil {
-					matchers = make(map[Source]func(sparql.Binding) []sparql.Binding, len(pp.sources))
-				}
-				matchers[src] = bm.BatchMatcher(pp.tp)
-			}
-		}
-		var next []row
-		for _, r := range rows {
-			if err := es.ctx.Err(); err != nil {
-				return nil, err
-			}
-			matched, err := f.matchAcross(es, pp.sources, pp.tp, r, matchers, psp)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, matched...)
-		}
-		f.cRowsOut.Add(int64(len(next)))
-		return next, nil
-	}
-	type chunk struct {
-		rows []row
-		err  error
-	}
-	results := make([]chunk, len(rows))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, r := range rows {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, r row) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f.gWorkersBusy.Add(1)
-			defer f.gWorkersBusy.Add(-1)
-			matched, err := f.matchAcross(es, pp.sources, pp.tp, r, nil, psp)
-			results[i] = chunk{rows: matched, err: err}
-		}(i, r)
-	}
-	wg.Wait()
-	var next []row
-	for _, c := range results {
-		if c.err != nil {
-			return nil, c.err
-		}
-		next = append(next, c.rows...)
-	}
-	f.cRowsOut.Add(int64(len(next)))
-	return next, nil
 }
 
 // SetParallelism sets the bound-join worker count (minimum 1). Parallelism
@@ -853,216 +333,4 @@ func (f *Federation) SetParallelism(workers int) {
 		workers = 1
 	}
 	f.parallel = workers
-}
-
-// selectSources picks the sources that can possibly answer a pattern,
-// using a predicate-presence probe (FedX's ASK-based source selection).
-// Patterns with a variable predicate go to every source. Probe errors from
-// remote sources conservatively keep the source selected — the later
-// bound-join call will surface (or degrade) the failure. Sources whose
-// circuit breaker is open, or that were already skipped earlier in this
-// query, are ejected up front.
-func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]Source, error) {
-	var out []Source
-	for _, src := range f.sources {
-		if f.resOn {
-			if es.isSkipped(src.Name()) {
-				continue
-			}
-			if !f.breakers[src.Name()].allow() {
-				err := f.degrade(es, src, &SourceUnavailableError{Source: src.Name(), Err: ErrCircuitOpen})
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		if tp.P.IsVar() {
-			out = append(out, src)
-			continue
-		}
-		f.cSourceProbes.Inc()
-		has, err := f.hasPredicate(es, src, tp.P.Term)
-		if err != nil || has {
-			out = append(out, src)
-		}
-	}
-	return out, nil
-}
-
-// hasPredicate is src.HasPredicate under the fault-tolerance policy: the
-// ASK probe gets the same timeout/retry/breaker treatment as bound joins.
-func (f *Federation) hasPredicate(es *evalState, src Source, pred rdf.Term) (bool, error) {
-	var has bool
-	err := f.callSource(es.ctx, src, func(ctx context.Context) error {
-		var err error
-		has, err = src.HasPredicate(ctx, pred)
-		return err
-	})
-	return has, err
-}
-
-// matchAcross extends one row through one pattern over the selected
-// sources, applying sameAs rewriting to bound subject/object entity terms.
-// Under Resilience.PartialResults a source that fails past its retry
-// budget is skipped for the remainder of the query instead of failing it.
-func (f *Federation) matchAcross(es *evalState, sources []Source, tp sparql.TriplePattern, r row, matchers map[Source]func(sparql.Binding) []sparql.Binding, psp *obs.Span) ([]row, error) {
-	var out []row
-	for _, src := range sources {
-		if f.resOn && es.isSkipped(src.Name()) {
-			continue
-		}
-		// Direct match, no link used. A batch matcher (serial bound joins
-		// only, see extendRows) skips the per-call pattern recompilation.
-		var bs []sparql.Binding
-		var err error
-		if m := matchers[src]; m != nil {
-			bs = m(r.b)
-		} else {
-			bs, err = f.timedMatch(es, src, tp, r.b)
-		}
-		if err != nil {
-			if err = f.degrade(es, src, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for _, b := range bs {
-			nr := row{b: b, used: r.used}
-			out = append(out, nr.clone())
-		}
-		// sameAs-rewritten matches for bound subject and object.
-		rewritten, err := f.rewrittenMatches(es, src, tp, r, psp)
-		if err != nil {
-			if err = f.degrade(es, src, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out = append(out, rewritten...)
-	}
-	return out, nil
-}
-
-// timedMatch is src.Match under the fault-tolerance policy (callSource)
-// plus the per-source latency histogram. The clock is only read when an
-// observer is attached.
-func (f *Federation) timedMatch(es *evalState, src Source, tp sparql.TriplePattern, b sparql.Binding) ([]sparql.Binding, error) {
-	if !f.resOn && f.obsReg == nil {
-		// Fast path: no policy and no observer means no retry loop and no
-		// timing, so skip the closure the retry machinery needs.
-		return src.Match(es.ctx, tp, b)
-	}
-	var bs []sparql.Binding
-	match := func(ctx context.Context) error {
-		var err error
-		bs, err = src.Match(ctx, tp, b)
-		return err
-	}
-	if f.obsReg == nil {
-		return bs, f.callSource(es.ctx, src, match)
-	}
-	t0 := time.Now() //lint:ignore nodeterminism per-source latency metric only; never feeds query results
-	err := f.callSource(es.ctx, src, match)
-	if h := f.sourceNS[src.Name()]; h != nil {
-		h.Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism latency histogram only; never feeds query results
-	}
-	return bs, err
-}
-
-// rewrittenMatches substitutes sameAs-equivalent entities for the bound
-// subject and/or object of the pattern and records the links used.
-func (f *Federation) rewrittenMatches(es *evalState, src Source, tp sparql.TriplePattern, r row, psp *obs.Span) ([]row, error) {
-	var out []row
-	// Sources sharing the federation dictionary accept the equivalence
-	// edge's id directly (MatchSubst), skipping the id → term → pattern →
-	// id round trip. Only without resilience or metrics: MatchSubst
-	// bypasses the retry/timing wrappers of timedMatch.
-	sm, smOK := src.(SubstMatcher)
-	smOK = smOK && !f.resOn && f.obsReg == nil && sm.SubstDict() == f.dict
-	trySubst := func(pos int, orig rdf.Term, edge equivEdge) error {
-		// The matched rows keep the variable's ORIGINAL binding (the user
-		// sees one entity; the link supplied the alias).
-		f.cRewrites.Inc()
-		var varName string
-		switch pos {
-		case 0:
-			varName = tp.S.Var
-		case 2:
-			varName = tp.O.Var
-		}
-		var bs []sparql.Binding
-		var err error
-		if smOK {
-			var sSub, oSub rdf.TermID
-			if pos == 0 {
-				sSub = edge.to
-			} else {
-				oSub = edge.to
-			}
-			bs, err = sm.MatchSubst(es.ctx, tp, r.b, sSub, oSub)
-		} else {
-			substTerm := f.dict.Term(edge.to)
-			np := tp
-			switch pos {
-			case 0:
-				np.S = sparql.TermNode(substTerm)
-			case 2:
-				np.O = sparql.TermNode(substTerm)
-			}
-			bs, err = f.timedMatch(es, src, np, r.b)
-		}
-		if err != nil {
-			return err
-		}
-		if len(bs) > 0 {
-			f.cRewriteRows.Add(int64(len(bs)))
-			psp.AddInt("rewrites", int64(len(bs)))
-		}
-		for _, b := range bs {
-			nr := row{b: b, used: r.used}.clone()
-			if varName != "" {
-				nr.b[varName] = orig
-			}
-			nr.used[edge.link] = struct{}{}
-			out = append(out, nr)
-		}
-		return nil
-	}
-	// Subject position: variable already bound to an IRI, or constant IRI.
-	if term, ok := boundEntity(tp.S, r.b); ok {
-		if id, found := f.dict.Lookup(term); found {
-			for _, e := range f.equiv[id] {
-				if err := trySubst(0, term, e); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Object position.
-	if term, ok := boundEntity(tp.O, r.b); ok {
-		if id, found := f.dict.Lookup(term); found {
-			for _, e := range f.equiv[id] {
-				if err := trySubst(2, term, e); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// boundEntity returns the concrete IRI a node denotes under the binding.
-func boundEntity(n sparql.Node, b sparql.Binding) (rdf.Term, bool) {
-	if n.IsVar() {
-		t, ok := b[n.Var]
-		if !ok || !t.IsIRI() {
-			return rdf.Term{}, false
-		}
-		return t, true
-	}
-	if n.Term.IsIRI() {
-		return n.Term, true
-	}
-	return rdf.Term{}, false
 }

@@ -48,9 +48,9 @@ func motivatingFederation(t *testing.T) (*Federation, linkset.Link) {
 
 func TestFederatedMotivatingExample(t *testing.T) {
 	f, link := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -68,9 +68,9 @@ func TestFederatedMotivatingExample(t *testing.T) {
 func TestFederatedNoLinkNoAnswer(t *testing.T) {
 	f, _ := motivatingFederation(t)
 	f.SetLinks(linkset.New()) // remove all links
-	res, err := f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestFederatedNoLinkNoAnswer(t *testing.T) {
 
 func TestFederatedSingleSourceNoProvenance(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?p WHERE { ?p <` + dbo + `award> "NBA MVP 2013" }`)
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?p WHERE { ?p <`+dbo+`award> "NBA MVP 2013" }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +96,9 @@ func TestFederatedSingleSourceNoProvenance(t *testing.T) {
 
 func TestFederatedVariableKeepsOriginalBinding(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?player ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?player ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestFederatedVariableKeepsOriginalBinding(t *testing.T) {
 func TestFederatedConstantSubjectRewrite(t *testing.T) {
 	f, link := motivatingFederation(t)
 	// Constant DBpedia IRI in object position of a NYT pattern.
-	res, err := f.Execute(`SELECT ?article WHERE {
-		?article <` + nyo + `about> <` + dbp + `LeBron_James> .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?article <`+nyo+`about> <`+dbp+`LeBron_James> .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +132,9 @@ func TestFederatedConstantSubjectRewrite(t *testing.T) {
 func TestFederatedReverseDirectionLink(t *testing.T) {
 	f, link := motivatingFederation(t)
 	// Start from the NYT side: what awards does the subject of article1 hold?
-	res, err := f.Execute(`SELECT ?award WHERE {
-		<` + nyt + `article1> <` + nyo + `about> ?who .
-		?who <` + dbo + `award> ?award .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?award WHERE {
+		<`+nyt+`article1> <`+nyo+`about> ?who .
+		?who <`+dbo+`award> ?award .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +149,9 @@ func TestFederatedReverseDirectionLink(t *testing.T) {
 
 func TestFederatedDistinctAndLimit(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT DISTINCT ?player WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT DISTINCT ?player WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +159,9 @@ func TestFederatedDistinctAndLimit(t *testing.T) {
 	if len(res.Answers) != 1 {
 		t.Errorf("distinct answers = %d, want 1", len(res.Answers))
 	}
-	res, err = f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err = f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +173,8 @@ func TestFederatedDistinctAndLimit(t *testing.T) {
 
 func TestFederatedFilter(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?p ?a WHERE {
-		?p <` + dbo + `award> ?a . FILTER(CONTAINS(?a, "2014"))
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?p ?a WHERE {
+		?p <`+dbo+`award> ?a . FILTER(CONTAINS(?a, "2014"))
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +186,9 @@ func TestFederatedFilter(t *testing.T) {
 
 func TestFederatedOptionalAndUnion(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?p ?label WHERE {
-		?p <` + dbo + `award> ?a .
-		OPTIONAL { ?p <` + rdf.RDFSLabel + `> ?label }
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?p ?label WHERE {
+		?p <`+dbo+`award> ?a .
+		OPTIONAL { ?p <`+rdf.RDFSLabel+`> ?label }
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestFederatedOptionalAndUnion(t *testing.T) {
 		t.Errorf("labeled = %d, want 1", labeled)
 	}
 
-	res, err = f.Execute(`SELECT ?x WHERE {
-		{ ?x <` + dbo + `award> "NBA MVP 2013" } UNION { ?x <` + dbo + `award> "NBA MVP 2014" }
+	res, err = f.ExecuteContext(context.Background(), `SELECT ?x WHERE {
+		{ ?x <`+dbo+`award> "NBA MVP 2013" } UNION { ?x <`+dbo+`award> "NBA MVP 2014" }
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestFederatedOptionalAndUnion(t *testing.T) {
 
 func TestFederatedParseError(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	if _, err := f.Execute(`SELECT WHERE`); err == nil {
+	if _, err := f.ExecuteContext(context.Background(), `SELECT WHERE`); err == nil {
 		t.Error("expected parse error")
 	}
 }
@@ -231,7 +231,7 @@ func TestSelectSources(t *testing.T) {
 		P: sparql.TermNode(rdf.NewIRI(nyo + "about")),
 		O: sparql.VarNode("w"),
 	}
-	es := newEvalState(context.Background())
+	es := f.newEvalState(context.Background())
 	srcs, err := f.selectSources(es, aboutPattern)
 	if err != nil {
 		t.Fatal(err)

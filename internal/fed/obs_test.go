@@ -1,10 +1,12 @@
 package fed
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"alex/internal/obs"
+	"alex/internal/sparql"
 )
 
 // motivatingQuery is the introduction example: articles about the 2013 NBA
@@ -13,6 +15,17 @@ const motivatingQuery = `SELECT ?article WHERE {
 	?player <` + dbo + `award> "NBA MVP 2013" .
 	?article <` + nyo + `about> ?player .
 }`
+
+// executeTrace parses and evaluates query with a fresh trace.
+func executeTrace(f *Federation, query string) (*Result, *obs.Trace, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr := obs.NewTrace("query")
+	res, err := f.EvalContext(context.Background(), q, tr)
+	return res, tr, err
+}
 
 // TestObsFederatedQuery runs the motivating example with an observer
 // attached and checks that the metrics and the span tree describe what the
@@ -23,7 +36,7 @@ func TestObsFederatedQuery(t *testing.T) {
 	reg := obs.NewRegistry()
 	f.SetObserver(reg)
 
-	res, tr, err := f.ExecuteTrace(motivatingQuery)
+	res, tr, err := executeTrace(f, motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +140,7 @@ func TestObsParallelBoundJoin(t *testing.T) {
 	f.SetObserver(reg)
 	f.SetParallelism(4)
 
-	res, tr, err := f.ExecuteTrace(motivatingQuery)
+	res, tr, err := executeTrace(f, motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +163,7 @@ func TestObsParallelBoundJoin(t *testing.T) {
 // records nothing.
 func TestObsDisabled(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(motivatingQuery)
+	res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,17 +136,6 @@ func (f *Federation) sourceSize(es *evalState, src Source) (int, error) {
 	return n, err
 }
 
-// boundVarsOf extracts the variables already bound in any current row.
-func boundVarsOf(rows []row) map[string]bool {
-	out := map[string]bool{}
-	for _, r := range rows {
-		for v := range r.b {
-			out[v] = true
-		}
-	}
-	return out
-}
-
 // DisableReorder turns off join reordering (naive written order), for the
 // optimizer ablation benchmark.
 func (f *Federation) DisableReorder() { f.reorder = false }
@@ -154,15 +143,10 @@ func (f *Federation) DisableReorder() { f.reorder = false }
 // EnableReorder restores the default greedy reordering.
 func (f *Federation) EnableReorder() { f.reorder = true }
 
-// PlanDescription reports, for diagnostics and tests, the evaluation order
-// and per-pattern source names the optimizer chose for a query's first BGP.
-func (f *Federation) PlanDescription(query string) ([]string, error) {
-	return f.PlanDescriptionContext(context.Background(), query)
-}
-
-// PlanDescriptionContext is PlanDescription with a caller-supplied context
-// bounding the cost-model probes (ASK/COUNT against remote sources) that
-// planning can issue.
+// PlanDescriptionContext reports, for diagnostics and tests, the evaluation
+// order and per-pattern source names the optimizer chose for a query's
+// first BGP. ctx bounds the cost-model probes (ASK/COUNT against remote
+// sources) that planning can issue.
 func (f *Federation) PlanDescriptionContext(ctx context.Context, query string) ([]string, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
@@ -173,24 +157,17 @@ func (f *Federation) PlanDescriptionContext(ctx context.Context, query string) (
 		if !ok {
 			continue
 		}
-		plan, err := f.planBGP(newEvalState(ctx), bgp, map[string]bool{})
+		plan, err := f.planBGP(f.newEvalState(ctx), bgp, map[string]bool{})
 		if err != nil {
 			return nil, err
 		}
 		out := make([]string, len(plan))
 		for i, pp := range plan {
-			names := ""
-			for j, st := range pp.sources {
-				if j > 0 {
-					names += ","
-				}
-				names += st.Name()
-			}
 			marker := ""
 			if pp.exclusive {
 				marker = " [exclusive]"
 			}
-			out[i] = pp.tp.String() + " @ {" + names + "}" + marker
+			out[i] = pp.tp.String() + " @ {" + sourceNames(pp.sources) + "}" + marker
 		}
 		return out, nil
 	}

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestPlanReordersBySelectivity(t *testing.T) {
 	f := skewedFederation(t)
 	// Written order puts the huge pattern first; the optimizer must run
 	// the rare (1-triple) pattern first.
-	plan, err := f.PlanDescription(`SELECT ?s ?v WHERE {
+	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`)
@@ -68,7 +69,7 @@ func TestPlanReordersBySelectivity(t *testing.T) {
 func TestPlanRespectsDisableReorder(t *testing.T) {
 	f := skewedFederation(t)
 	f.DisableReorder()
-	plan, err := f.PlanDescription(`SELECT ?s ?v WHERE {
+	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`)
@@ -79,7 +80,7 @@ func TestPlanRespectsDisableReorder(t *testing.T) {
 		t.Errorf("naive order not preserved: %v", plan)
 	}
 	f.EnableReorder()
-	plan, _ = f.PlanDescription(`SELECT ?s ?v WHERE {
+	plan, _ = f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`)
@@ -94,12 +95,12 @@ func TestPlanSameResultsEitherOrder(t *testing.T) {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`
-	ordered, err := f.Execute(q)
+	ordered, err := f.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.DisableReorder()
-	naive, err := f.Execute(q)
+	naive, err := f.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestPlanSameResultsEitherOrder(t *testing.T) {
 
 func TestEstimateCostBoundPositions(t *testing.T) {
 	f := skewedFederation(t)
-	plan, err := f.PlanDescription(`SELECT ?a ?b WHERE {
+	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?a ?b WHERE {
 		?a <http://x/common> ?b .
 		<http://x/e7> <http://x/common> ?b .
 	}`)
@@ -128,10 +129,10 @@ func TestEstimateCostBoundPositions(t *testing.T) {
 
 func TestPlanDescriptionErrors(t *testing.T) {
 	f := skewedFederation(t)
-	if _, err := f.PlanDescription("NOT SPARQL"); err == nil {
+	if _, err := f.PlanDescriptionContext(context.Background(), "NOT SPARQL"); err == nil {
 		t.Error("expected parse error")
 	}
-	plan, err := f.PlanDescription(`SELECT * WHERE { FILTER(1 = 1) }`)
+	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT * WHERE { FILTER(1 = 1) }`)
 	if err != nil || plan != nil {
 		t.Errorf("no-BGP query: plan=%v err=%v", plan, err)
 	}
@@ -139,9 +140,9 @@ func TestPlanDescriptionErrors(t *testing.T) {
 
 func TestFederatedAsk(t *testing.T) {
 	f, link := motivatingFederation(t)
-	res, err := f.Execute(`ASK {
-		?p <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?p .
+	res, err := f.ExecuteContext(context.Background(), `ASK {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestFederatedAsk(t *testing.T) {
 	if len(res.Answers[0].Used) != 1 || res.Answers[0].Used[0] != link {
 		t.Errorf("ASK provenance = %v", res.Answers[0].Used)
 	}
-	res, err = f.Execute(`ASK { ?p <` + dbo + `award> "NBA MVP 1901" }`)
+	res, err = f.ExecuteContext(context.Background(), `ASK { ?p <`+dbo+`award> "NBA MVP 1901" }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +165,9 @@ func TestFederatedAsk(t *testing.T) {
 
 func TestFederatedValues(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?article WHERE {
-		VALUES ?p { <` + dbp + `LeBron_James> }
-		?article <` + nyo + `about> ?p .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		VALUES ?p { <`+dbp+`LeBron_James> }
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -183,9 +184,9 @@ func TestFederatedValues(t *testing.T) {
 
 func TestFederatedAggregateProvenance(t *testing.T) {
 	f, link := motivatingFederation(t)
-	res, err := f.Execute(`SELECT ?p (COUNT(?article) AS ?n) WHERE {
-		?p <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?p .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?p (COUNT(?article) AS ?n) WHERE {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?p .
 	} GROUP BY ?p`)
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +206,8 @@ func TestFederatedAggregateProvenance(t *testing.T) {
 
 func TestFederatedAggregateEmptyGroup(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	res, err := f.Execute(`SELECT (COUNT(?x) AS ?n) WHERE {
-		?x <` + dbo + `award> "never awarded" .
+	res, err := f.ExecuteContext(context.Background(), `SELECT (COUNT(?x) AS ?n) WHERE {
+		?x <`+dbo+`award> "never awarded" .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +220,9 @@ func TestFederatedAggregateEmptyGroup(t *testing.T) {
 func TestFederatedNotExists(t *testing.T) {
 	f, _ := motivatingFederation(t)
 	// Players with an award but no NYT article about them.
-	res, err := f.Execute(`SELECT ?p WHERE {
-		?p <` + dbo + `award> ?a .
-		FILTER NOT EXISTS { ?article <` + nyo + `about> ?p }
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?p WHERE {
+		?p <`+dbo+`award> ?a .
+		FILTER NOT EXISTS { ?article <`+nyo+`about> ?p }
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -231,9 +232,9 @@ func TestFederatedNotExists(t *testing.T) {
 	}
 	// EXISTS: the LeBron entity has articles (through the link), and the
 	// probe's provenance is NOT attached to the answer.
-	res, err = f.Execute(`SELECT ?p WHERE {
-		?p <` + dbo + `award> ?a .
-		FILTER EXISTS { ?article <` + nyo + `about> ?p }
+	res, err = f.ExecuteContext(context.Background(), `SELECT ?p WHERE {
+		?p <`+dbo+`award> ?a .
+		FILTER EXISTS { ?article <`+nyo+`about> ?p }
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +251,9 @@ func TestFederatedConstruct(t *testing.T) {
 	f, _ := motivatingFederation(t)
 	// Materialize cross-data-set facts: which DBpedia players have NYT
 	// coverage.
-	res, err := f.Execute(`CONSTRUCT { ?p <http://out/coveredBy> ?article } WHERE {
-		?p <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?p .
+	res, err := f.ExecuteContext(context.Background(), `CONSTRUCT { ?p <http://out/coveredBy> ?article } WHERE {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -42,9 +43,9 @@ func remoteFederation(t *testing.T) (*Federation, linkset.Link) {
 
 func TestRemoteFederatedJoin(t *testing.T) {
 	f, link := remoteFederation(t)
-	res, err := f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article`)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestRemoteFederatedJoin(t *testing.T) {
 
 func TestRemoteSourceSelection(t *testing.T) {
 	f, _ := remoteFederation(t)
-	plan, err := f.PlanDescription(`SELECT ?a WHERE { ?a <` + nyo + `about> ?p }`)
+	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?a WHERE { ?a <`+nyo+`about> ?p }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,9 @@ func TestRemoteSourceSelection(t *testing.T) {
 
 func TestRemoteFederatedAggregate(t *testing.T) {
 	f, _ := remoteFederation(t)
-	res, err := f.Execute(`SELECT (COUNT(?article) AS ?n) WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT (COUNT(?article) AS ?n) WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestRemoteEndpointDownSurfacesError(t *testing.T) {
 	f.AddSource(RemoteSource(endpoint.NewClient("dead", "http://127.0.0.1:1/sparql", nil)))
 	// Patterns with a variable predicate are routed to every source,
 	// including the dead one; the error must surface, not be swallowed.
-	if _, err := f.Execute(`SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
+	if _, err := f.ExecuteContext(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
 		t.Error("dead endpoint error swallowed")
 	}
 }
@@ -123,9 +124,9 @@ func TestHierarchicalFederation(t *testing.T) {
 	outer := New(rdf.NewDict())
 	outer.AddSource(RemoteSource(endpoint.NewClient("inner-fed", srv.URL+"/sparql", srv.Client())))
 
-	res, err := outer.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := outer.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article`)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +141,9 @@ func TestHierarchicalFederation(t *testing.T) {
 func TestParallelBoundJoins(t *testing.T) {
 	f, _ := remoteFederation(t)
 	f.SetParallelism(4)
-	res, err := f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article`)
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +153,9 @@ func TestParallelBoundJoins(t *testing.T) {
 	}
 	// Determinism: results equal the serial run.
 	f.SetParallelism(1)
-	serial, err := f.Execute(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	serial, err := f.ExecuteContext(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article`)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestParallelBoundJoins(t *testing.T) {
 	}
 	// Invalid worker counts coerce to 1.
 	f.SetParallelism(-3)
-	if _, err := f.Execute(`ASK { ?s ?p ?o }`); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), `ASK { ?s ?p ?o }`); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,9 +28,11 @@ import (
 // disables everything; DefaultResilience returns production-shaped
 // settings. Install with Federation.SetResilience.
 type Resilience struct {
-	// Timeout bounds each individual source call (one ASK/COUNT probe or
-	// one bound-join batch). Zero means no per-call timeout; the caller's
-	// context deadline still applies.
+	// Timeout bounds each individual source call: one ASK/COUNT probe, or
+	// one match of one row against one source for one pattern (a bound
+	// join makes rows × sources of them, plus one per sameAs alias). Zero
+	// means no per-call timeout; the caller's context deadline still
+	// applies.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed source call is retried beyond
 	// the first attempt.
@@ -330,20 +332,6 @@ func (f *Federation) callSource(ctx context.Context, src Source, op func(ctx con
 	}
 	f.cGiveups.Inc()
 	return &SourceUnavailableError{Source: src.Name(), Err: err}
-}
-
-// evalState carries one query evaluation's context and graceful-degradation
-// bookkeeping. skip is called from parallel bound-join workers, hence the
-// mutex.
-type evalState struct {
-	ctx context.Context
-
-	mu      sync.Mutex
-	skipped map[string]string // source name -> reason
-}
-
-func newEvalState(ctx context.Context) *evalState {
-	return &evalState{ctx: ctx}
 }
 
 // skip records that a source was dropped from this query; the first

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -51,7 +52,7 @@ func TestRemoteRetriesOverFaultyTransport(t *testing.T) {
 		rounds = 5
 	}
 	for i := 0; i < rounds; i++ {
-		res, err := f.Execute(motivatingQuery)
+		res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -76,7 +77,7 @@ func TestRemoteOutagePartialResults(t *testing.T) {
 	f.SetResilience(r)
 	rt.SetDown(true)
 
-	res, err := f.Execute(motivatingQuery)
+	res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestRetriesSurviveTransientErrors(t *testing.T) {
 		rounds = 10
 	}
 	for i := 0; i < rounds; i++ {
-		res, err := f.Execute(motivatingQuery)
+		res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 		if err != nil {
 			t.Fatalf("round %d: query failed despite retries: %v", i, err)
 		}
@@ -113,7 +113,7 @@ func TestBreakerTripsAndPartialResults(t *testing.T) {
 	f.SetObserver(reg)
 	fiDBP.SetDown(true)
 
-	res, tr, err := f.ExecuteTrace(motivatingQuery)
+	res, tr, err := executeTrace(f, motivatingQuery)
 	if err != nil {
 		t.Fatalf("partial-results query failed: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestBreakerTripsAndPartialResults(t *testing.T) {
 	// Second query: the open breaker must eject the source during source
 	// selection, without a single call reaching the injector.
 	calls0 := fiDBP.Calls.Load()
-	res2, err := f.Execute(motivatingQuery)
+	res2, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err != nil {
 		t.Fatalf("second query failed: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestBreakerRecoversThroughHalfOpen(t *testing.T) {
 	f.SetResilience(r)
 
 	fiDBP.SetDown(true)
-	if _, err := f.Execute(motivatingQuery); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.BreakerState("dbpedia"); st != BreakerOpen {
@@ -193,7 +193,7 @@ func TestBreakerRecoversThroughHalfOpen(t *testing.T) {
 	// moves the breaker to half-open, the trial call succeeds and closes it.
 	fiDBP.SetDown(false)
 	time.Sleep(15 * time.Millisecond)
-	res, err := f.Execute(motivatingQuery)
+	res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestHalfOpenFailureReopens(t *testing.T) {
 	f.SetResilience(r)
 
 	fiDBP.SetDown(true)
-	if _, err := f.Execute(motivatingQuery); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond) // cooldown elapses, source still down
-	if _, err := f.Execute(motivatingQuery); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.BreakerState("dbpedia"); st != BreakerOpen {
@@ -242,7 +242,7 @@ func TestPerCallTimeout(t *testing.T) {
 		Seed:           1,
 	}
 	f.SetResilience(r)
-	res, err := f.Execute(motivatingQuery)
+	res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestNoPartialResultsFailsHard(t *testing.T) {
 	r.MaxRetries = 1
 	f.SetResilience(r)
 	fiDBP.SetDown(true)
-	_, err := f.Execute(motivatingQuery)
+	_, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	var su *SourceUnavailableError
 	if !errors.As(err, &su) {
 		t.Fatalf("err = %v, want *SourceUnavailableError", err)
@@ -308,7 +308,7 @@ func TestQueryDeadlineBoundsSlowSource(t *testing.T) {
 func TestResilienceDisabledPassthrough(t *testing.T) {
 	f, fiDBP, _ := faultyFederation(t, faultinject.Config{}, faultinject.Config{})
 	fiDBP.SetDown(true)
-	_, err := f.Execute(motivatingQuery)
+	_, err := f.ExecuteContext(context.Background(), motivatingQuery)
 	if err == nil {
 		t.Fatal("want raw error with resilience disabled")
 	}
@@ -377,12 +377,12 @@ func TestSourceSkippedOnceStaysSkipped(t *testing.T) {
 	f.SetResilience(r)
 	fiDBP.SetDown(true)
 
-	if _, err := f.Execute(motivatingQuery); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
 		t.Fatal(err)
 	}
 	calls := fiDBP.Calls.Load()
 	// No breaker configured: a new query probes the source again.
-	if _, err := f.Execute(motivatingQuery); err != nil {
+	if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
 		t.Fatal(err)
 	}
 	if got := fiDBP.Calls.Load(); got <= calls {
@@ -403,7 +403,7 @@ func TestParallelBoundJoinUnderFaults(t *testing.T) {
 		rounds = 5
 	}
 	for i := 0; i < rounds; i++ {
-		res, err := f.Execute(motivatingQuery)
+		res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -439,7 +439,7 @@ func TestSoakMixedFaults(t *testing.T) {
 			fiDBP.SetDown(false)
 			time.Sleep(10 * time.Millisecond) // let the cooldown elapse
 		}
-		res, err := f.Execute(motivatingQuery)
+		res, err := f.ExecuteContext(context.Background(), motivatingQuery)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}

@@ -28,35 +28,13 @@ type Source interface {
 	PredicateCount(ctx context.Context, pred rdf.Term) (int, error)
 	// Size is the source's total triple count.
 	Size(ctx context.Context) (int, error)
-	// Match extends binding through one triple pattern, returning the
-	// extended bindings.
-	Match(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error)
-}
-
-// SubstMatcher is an optional Source capability: matching with the
-// subject and/or object position overridden by an already-resolved
-// dictionary id. The federation uses it for sameAs rewriting — the
-// equivalence closure stores alias ids, so a source that shares the
-// federation's dictionary can match the alias without a term round trip.
-type SubstMatcher interface {
-	// SubstDict returns the dictionary whose ids MatchSubst accepts. The
-	// federation only takes this path when it is identical (same pointer)
-	// to its own shared dictionary.
-	SubstDict() *rdf.Dict
-	// MatchSubst is Match with the subject and/or object overridden by a
-	// resolved id (rdf.NoTerm means no override). An overridden position
-	// matches the id without binding any pattern variable there.
-	MatchSubst(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding, sSubst, oSubst rdf.TermID) ([]sparql.Binding, error)
-}
-
-// BatchMatcher is an optional Source capability: a per-batch compiled
-// matcher for one triple pattern. Bound joins call the same pattern once
-// per input row; a compiled matcher resolves the pattern's constants once
-// and memoizes bound-term lookups across the whole batch. The returned
-// function is not safe for concurrent use, so the federation only uses it
-// on the serial bound-join path.
-type BatchMatcher interface {
-	BatchMatcher(tp sparql.TriplePattern) func(sparql.Binding) []sparql.Binding
+	// Match appends to dst the triples matching (s, p, o) and returns the
+	// extended slice; rdf.NoTerm is a wildcard. Ids are those of the
+	// evaluation's id space: a source whose triples do not live in the
+	// federation's dictionary (a remote endpoint) converts ids to terms
+	// and back through ids at its wire boundary, and a source that does
+	// can never match an id outside the dictionary.
+	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 }
 
 // localSource adapts an in-process store.
@@ -87,23 +65,17 @@ func (s localSource) PredicateCount(_ context.Context, pred rdf.Term) (int, erro
 
 func (s localSource) Size(context.Context) (int, error) { return s.st.Len(), nil }
 
-func (s localSource) Match(_ context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
-	return sparql.MatchPattern(s.st, tp, binding), nil
+func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	if !ids.InDict(sub) || !ids.InDict(pred) || !ids.InDict(obj) {
+		return dst, nil
+	}
+	s.st.MatchEach(sub, pred, obj, func(t rdf.TripleID) { dst = append(dst, t) })
+	return dst, nil
 }
-
-func (s localSource) SubstDict() *rdf.Dict { return s.st.Dict() }
 
 // Generation exposes the backing store's mutation counter, making every
 // local source a GenerationSource for Federation.DataGeneration.
 func (s localSource) Generation() uint64 { return s.st.Generation() }
-
-func (s localSource) MatchSubst(_ context.Context, tp sparql.TriplePattern, binding sparql.Binding, sSubst, oSubst rdf.TermID) ([]sparql.Binding, error) {
-	return sparql.MatchPatternSubst(s.st, tp, binding, sSubst, oSubst), nil
-}
-
-func (s localSource) BatchMatcher(tp sparql.TriplePattern) func(sparql.Binding) []sparql.Binding {
-	return sparql.NewPatternMatcher(s.st, tp).Match
-}
 
 // EndpointQueryFunc adapts the federation as an endpoint.QueryFunc, so a
 // whole federation can itself be served as a SPARQL endpoint with
@@ -115,7 +87,7 @@ func EndpointQueryFunc(f *Federation) endpoint.QueryFunc {
 		if err != nil {
 			return nil, &endpoint.BadQueryError{Err: err}
 		}
-		res, err := f.EvalContext(ctx, q)
+		res, err := f.EvalContext(ctx, q, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +105,7 @@ func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
 		return cache.Do(query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
 			q := prep.Query()
-			res, err := f.EvalContext(ctx, q)
+			res, err := f.EvalContext(ctx, q, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -169,21 +141,11 @@ func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 			return nil, nil, &endpoint.BadQueryError{Err: err}
 		}
 		tr := obs.NewTrace("query")
-		res, err := f.EvalTraceContext(ctx, q, tr)
+		res, err := f.EvalContext(ctx, q, tr)
 		if err != nil {
 			return nil, tr, err
 		}
-		out := &endpoint.Result{Triples: res.Triples}
-		if q.Ask {
-			out.IsAsk = true
-			out.Boolean = res.AskResult()
-			return out, tr, nil
-		}
-		out.Vars = res.Vars
-		for _, a := range res.Answers {
-			out.Rows = append(out.Rows, a.Binding)
-		}
-		return out, tr, nil
+		return toEndpointResult(q, res), tr, nil
 	}
 }
 
@@ -207,6 +169,30 @@ func (s remoteSource) PredicateCount(ctx context.Context, pred rdf.Term) (int, e
 
 func (s remoteSource) Size(ctx context.Context) (int, error) { return s.c.SizeContext(ctx) }
 
-func (s remoteSource) Match(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
-	return s.c.MatchPatternContext(ctx, tp, binding)
+// Match renders the bound ids as terms into a one-pattern query over ?s ?p
+// ?o and interns the reply's terms back into the evaluation's id space.
+func (s remoteSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	q := [3]rdf.TermID{sub, pred, obj}
+	var nodes [3]sparql.Node
+	for i, name := range [3]string{"s", "p", "o"} {
+		if q[i] == rdf.NoTerm {
+			nodes[i] = sparql.VarNode(name)
+		} else {
+			nodes[i] = sparql.TermNode(ids.Term(q[i]))
+		}
+	}
+	rows, err := s.c.MatchPatternContext(ctx, sparql.TriplePattern{S: nodes[0], P: nodes[1], O: nodes[2]}, nil)
+	if err != nil {
+		return dst, err
+	}
+	for _, row := range rows {
+		t := q
+		for i, n := range nodes {
+			if n.IsVar() {
+				t[i] = ids.ID(row[n.Var])
+			}
+		}
+		dst = append(dst, rdf.TripleID{S: t[0], P: t[1], O: t[2]})
+	}
+	return dst, nil
 }

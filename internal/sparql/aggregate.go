@@ -20,7 +20,7 @@ func aggregateRows(q *Query, rows []Binding) ([]Binding, error) {
 	byKey := map[string]*group{}
 	var order []string
 	for _, row := range rows {
-		k := GroupKey(q.GroupBy, row)
+		k := rowKey(q.GroupBy, row)
 		g, ok := byKey[k]
 		if !ok {
 			g = &group{key: k}
@@ -39,7 +39,7 @@ func aggregateRows(q *Query, rows []Binding) ([]Binding, error) {
 	sort.Strings(order)
 	out := make([]Binding, 0, len(order))
 	for _, k := range order {
-		result, err := AggregateGroup(q, byKey[k].rows)
+		result, err := aggregateGroup(q, byKey[k].rows)
 		if err != nil {
 			return nil, err
 		}
@@ -48,15 +48,9 @@ func aggregateRows(q *Query, rows []Binding) ([]Binding, error) {
 	return out, nil
 }
 
-// GroupKey renders the grouping key of a binding over the given variables.
-// Equal keys mean the bindings fall into the same GROUP BY group.
-func GroupKey(vars []string, b Binding) string { return rowKey(vars, b) }
-
-// AggregateGroup evaluates a query's aggregates over one group of rows,
+// aggregateGroup evaluates a query's aggregates over one group of rows,
 // returning the group's output binding (group keys + aggregate aliases).
-// It is exported for the federated executor, which must additionally merge
-// link provenance per group.
-func AggregateGroup(q *Query, rows []Binding) (Binding, error) {
+func aggregateGroup(q *Query, rows []Binding) (Binding, error) {
 	result := Binding{}
 	if len(rows) > 0 {
 		for _, gv := range q.GroupBy {
@@ -162,9 +156,9 @@ func numericTerm(v float64) rdf.Term {
 	return rdf.NewTyped(strconv.FormatFloat(v, 'g', -1, 64), rdf.XSDDouble)
 }
 
-// AggregateVars lists the output variables of an aggregate query: group
+// aggregateVars lists the output variables of an aggregate query: group
 // keys then aliases.
-func AggregateVars(q *Query) []string {
+func aggregateVars(q *Query) []string {
 	out := append([]string{}, q.Vars...)
 	for _, a := range q.Aggregates {
 		out = append(out, a.As)

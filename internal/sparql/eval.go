@@ -69,7 +69,7 @@ func finalize(q *Query, rows []Binding) (*Result, error) {
 	}
 	if q.Construct != nil {
 		rows = sliceRows(rows, q.Offset, q.Limit)
-		return &Result{Triples: InstantiateTemplate(q.Construct, rows)}, nil
+		return &Result{Triples: instantiateTemplate(q.Construct, rows)}, nil
 	}
 	if len(q.Aggregates) > 0 {
 		grouped, err := aggregateRows(q, rows)
@@ -77,7 +77,7 @@ func finalize(q *Query, rows []Binding) (*Result, error) {
 			return nil, err
 		}
 		rows = grouped
-		res := &Result{Vars: AggregateVars(q)}
+		res := &Result{Vars: aggregateVars(q)}
 		if len(q.OrderBy) > 0 {
 			sortRows(rows, q.OrderBy)
 		}
@@ -108,13 +108,13 @@ func finalize(q *Query, rows []Binding) (*Result, error) {
 	return &Result{Vars: vars, Rows: projected}, nil
 }
 
-// InstantiateTemplate substitutes each solution into the template triples,
+// instantiateTemplate substitutes each solution into the template triples,
 // dropping instantiations with unbound variables or ill-formed positions
 // (literal subjects, non-IRI predicates), and deduplicating the output.
 // Template constants are validated once up front, and duplicates are
 // detected on compact interned-id keys instead of hashing three full
 // terms per row-triple.
-func InstantiateTemplate(template []TriplePattern, rows []Binding) []rdf.Triple {
+func instantiateTemplate(template []TriplePattern, rows []Binding) []rdf.Triple {
 	// Pre-validate the constant-only checks: a template triple with a
 	// literal constant subject or non-IRI constant predicate never
 	// instantiates, whatever the row.
@@ -487,7 +487,7 @@ func evalBGP(st *store.Store, bgp BGP, rows []Binding, sp *obs.Span) ([]Binding,
 		}
 		var next []Binding
 		for _, row := range rows {
-			matches := MatchPattern(st, tp, row)
+			matches := matchPattern(st, tp, row)
 			next = append(next, matches...)
 		}
 		rows = next
@@ -500,9 +500,53 @@ func evalBGP(st *store.Store, bgp BGP, rows []Binding, sp *obs.Span) ([]Binding,
 	return rows, nil
 }
 
-// MatchPattern returns the extensions of binding through one triple pattern
-// against a store. It is exported for use by the federated executor; batch
-// callers should compile the pattern once with NewPatternMatcher instead.
-func MatchPattern(st *store.Store, tp TriplePattern, binding Binding) []Binding {
-	return NewPatternMatcher(st, tp).Match(binding)
+// matchPattern returns the extensions of binding through one triple
+// pattern against a store, in store insertion order: the legacy engine's
+// join step, one Binding map per match.
+func matchPattern(st *store.Store, tp TriplePattern, binding Binding) []Binding {
+	dict := st.Dict()
+	// resolve turns a pattern position into a store query id, or names the
+	// variable a match binds there. ok is false when the position can
+	// never match: a constant or bound term unknown to the dictionary.
+	resolve := func(n Node) (id rdf.TermID, v string, ok bool) {
+		t := n.Term
+		if n.IsVar() {
+			bound, has := binding[n.Var]
+			if !has {
+				return rdf.NoTerm, n.Var, true
+			}
+			t = bound
+		}
+		id, ok = dict.Lookup(t)
+		return id, "", ok
+	}
+	sID, sVar, okS := resolve(tp.S)
+	pID, pVar, okP := resolve(tp.P)
+	oID, oVar, okO := resolve(tp.O)
+	if !okS || !okP || !okO {
+		return nil
+	}
+	var out []Binding
+	st.MatchEach(sID, pID, oID, func(t rdf.TripleID) {
+		// Same variable twice in one pattern (e.g. ?x ?p ?x): the matched
+		// positions must agree. Id equality is term equality.
+		if sVar != "" && (sVar == pVar && t.S != t.P || sVar == oVar && t.S != t.O) {
+			return
+		}
+		if pVar != "" && pVar == oVar && t.P != t.O {
+			return
+		}
+		nb := binding.Clone()
+		if sVar != "" {
+			nb[sVar] = dict.Term(t.S)
+		}
+		if pVar != "" {
+			nb[pVar] = dict.Term(t.P)
+		}
+		if oVar != "" {
+			nb[oVar] = dict.Term(t.O)
+		}
+		out = append(out, nb)
+	})
+	return out
 }

@@ -1,29 +1,27 @@
 package sparql
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"alex/internal/rdf"
 	"alex/internal/store"
 )
 
-// peopleStore builds a small store of people facts.
+// peopleStore loads testdata/people.nt, the fixture internal/fed's
+// one-source-federation test shares.
 func peopleStore(t *testing.T) *store.Store {
 	t.Helper()
-	s := store.New("people", rdf.NewDict())
-	add := func(subj, pred string, obj rdf.Term) {
-		s.Add(rdf.Triple{S: rdf.NewIRI("http://x/" + subj), P: rdf.NewIRI("http://x/" + pred), O: obj})
+	f, err := os.Open(filepath.Join("testdata", "people.nt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	add("alice", "name", rdf.NewString("Alice"))
-	add("alice", "age", rdf.NewInt(30))
-	add("alice", "knows", rdf.NewIRI("http://x/bob"))
-	add("bob", "name", rdf.NewString("Bob"))
-	add("bob", "age", rdf.NewInt(17))
-	add("carol", "name", rdf.NewString("Carol"))
-	add("carol", "age", rdf.NewInt(65))
-	add("carol", "knows", rdf.NewIRI("http://x/alice"))
-	s.Add(rdf.Triple{S: rdf.NewIRI("http://x/alice"), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://x/Person")})
-	s.Add(rdf.Triple{S: rdf.NewIRI("http://x/bob"), P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://x/Person")})
+	defer f.Close()
+	s := store.New("people", rdf.NewDict())
+	if _, err := store.LoadNTriples(s, f, store.LoadOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 

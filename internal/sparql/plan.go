@@ -22,9 +22,9 @@ type EvalOptions struct {
 // picking a pattern marks its variables bound for subsequent estimates,
 // which is what makes star joins chain through their selective entry
 // point. Ties keep written order, so the plan is deterministic.
-func (p *slotProg) planBGP(tps []TriplePattern, bound []bool) []int {
+func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, bound []bool) []int {
 	order := make([]int, 0, len(tps))
-	if p.opts.DisablePlan || len(tps) < 2 {
+	if s.opts.DisablePlan || len(tps) < 2 {
 		for i := range tps {
 			order = append(order, i)
 		}
@@ -39,7 +39,7 @@ func (p *slotProg) planBGP(tps []TriplePattern, bound []bool) []int {
 			if chosen[i] {
 				continue
 			}
-			c := p.estimatePattern(tp, b)
+			c := s.estimatePattern(lay, tp, b)
 			if best == -1 || c < bestCost {
 				best, bestCost = i, c
 			}
@@ -47,8 +47,8 @@ func (p *slotProg) planBGP(tps []TriplePattern, bound []bool) []int {
 		order = append(order, best)
 		chosen[best] = true
 		for _, v := range tps[best].Vars() {
-			if s := p.slot(v); s >= 0 {
-				b[s] = true
+			if sl := lay.Slot(v); sl >= 0 {
+				b[sl] = true
 			}
 		}
 	}
@@ -61,8 +61,8 @@ func (p *slotProg) planBGP(tps []TriplePattern, bound []bool) []int {
 // is not even in the dictionary), and a variable already bound by an
 // earlier pattern discounts it, subject position hardest (subjects are
 // near-keys in typical RDF data).
-func (p *slotProg) estimatePattern(tp TriplePattern, bound []bool) float64 {
-	est := float64(p.st.Len())
+func (s *storeSolver) estimatePattern(lay *SlotLayout, tp TriplePattern, bound []bool) float64 {
+	est := float64(s.st.Len())
 	capBy := func(n int) {
 		if float64(n) < est {
 			est = float64(n)
@@ -72,7 +72,7 @@ func (p *slotProg) estimatePattern(tp TriplePattern, bound []bool) float64 {
 		if n.IsVar() {
 			return rdf.NoTerm, false
 		}
-		id, ok := p.st.Dict().Lookup(n.Term)
+		id, ok := s.st.Dict().Lookup(n.Term)
 		if !ok {
 			return rdf.NoTerm, true // unknown constant: zero matches
 		}
@@ -82,24 +82,24 @@ func (p *slotProg) estimatePattern(tp TriplePattern, bound []bool) float64 {
 		if !n.IsVar() {
 			return false
 		}
-		s := p.slot(n.Var)
-		return s >= 0 && bound[s]
+		sl := lay.Slot(n.Var)
+		return sl >= 0 && bound[sl]
 	}
 
 	if id, miss := constID(tp.P); miss {
 		return 0
 	} else if id != rdf.NoTerm {
-		capBy(p.st.PredicateCount(id))
+		capBy(s.st.PredicateCount(id))
 	}
 	if id, miss := constID(tp.S); miss {
 		return 0
 	} else if id != rdf.NoTerm {
-		capBy(p.st.SubjectCount(id))
+		capBy(s.st.SubjectCount(id))
 	}
 	if id, miss := constID(tp.O); miss {
 		return 0
 	} else if id != rdf.NoTerm {
-		capBy(p.st.ObjectCount(id))
+		capBy(s.st.ObjectCount(id))
 	}
 	if boundVar(tp.S) {
 		est /= 16

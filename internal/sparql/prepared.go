@@ -49,5 +49,5 @@ func (p *Prepared) EvalSlots(st *store.Store) (*SlotResult, error) {
 
 // EvalSlotsTrace is EvalSlots with span recording and options.
 func (p *Prepared) EvalSlotsTrace(st *store.Store, tr *obs.Trace, opts EvalOptions) (*SlotResult, error) {
-	return newSlotProg(st, p.layout, opts).run(p.query, tr)
+	return newStoreProg(st, p.layout, opts).run(p.query, tr)
 }

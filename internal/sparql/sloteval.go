@@ -38,26 +38,31 @@ func EvalSlots(st *store.Store, q *Query) (*SlotResult, error) {
 
 // EvalSlotsTrace is EvalSlots with span recording and options.
 func EvalSlotsTrace(st *store.Store, q *Query, tr *obs.Trace, opts EvalOptions) (*SlotResult, error) {
-	return compileSlots(st, q, opts).run(q, tr)
+	return newStoreProg(st, CompileLayout(q), opts).run(q, tr)
+}
+
+// EvalSolver evaluates a parsed query against any Solver: the same
+// operators and finalization as EvalSlots, with basic graph patterns
+// answered by s instead of a store.
+func EvalSolver(s Solver, q *Query, tr *obs.Trace) (*SlotResult, error) {
+	return newSlotProg(s, CompileLayout(q)).run(q, tr)
 }
 
 // run executes one evaluation of q through a bound slot program.
 func (p *slotProg) run(q *Query, tr *obs.Trace) (*SlotResult, error) {
-	reg := p.st.Registry()
-	p.reorders = reg.Counter(obs.SparqlPlanReorders)
-	p.reg = reg
 	sp := tr.Root()
-	in := newRowSet(p.width(), 1)
+	in := NewRows(p.width(), 1)
 	in.pushEmpty()
 	rows, err := p.evalSlotPatterns(q.Patterns, in, sp)
 	if err != nil {
+		tr.Finish()
 		return nil, err
 	}
 	fin := sp.Child("finalize")
 	fin.SetInt("in", int64(rows.n))
 	res, err := p.finalizeSlots(q, rows)
 	if err == nil {
-		res.materialized = reg.Counter(obs.SparqlRowsMaterialized)
+		res.materialized = p.materialized
 		fin.SetInt("out", int64(res.Len()+len(res.Triples)))
 	}
 	fin.End()
@@ -75,8 +80,8 @@ type SlotResult struct {
 	Triples []rdf.Triple
 
 	rowVars      []string
-	rows         *rowSet
-	ids          *idSpace
+	rows         *Rows
+	ids          *IDSpace
 	materialized *obs.Counter
 }
 
@@ -91,12 +96,21 @@ func (r *SlotResult) Len() int {
 // AskResult interprets the result of an ASK query.
 func (r *SlotResult) AskResult() bool { return r.Len() > 0 }
 
+// Provenance returns row i's provenance column: rdf.NoTerm when the
+// solver has none or the row used nothing.
+func (r *SlotResult) Provenance(i int) rdf.TermID {
+	if r.rows.w == len(r.rowVars) {
+		return rdf.NoTerm
+	}
+	return r.rows.Row(i)[len(r.rowVars)]
+}
+
 // EachBinding decodes row i, calling fn once per bound variable.
 func (r *SlotResult) EachBinding(i int, fn func(v string, t rdf.Term)) {
-	row := r.rows.row(i)
+	row := r.rows.Row(i)[:len(r.rowVars)]
 	for j, id := range row {
 		if id != rdf.NoTerm {
-			fn(r.rowVars[j], r.ids.term(id))
+			fn(r.rowVars[j], r.ids.Term(id))
 		}
 	}
 }
@@ -109,11 +123,11 @@ func (r *SlotResult) Materialize() *Result {
 	}
 	res.Rows = make([]Binding, 0, r.rows.n)
 	for i := 0; i < r.rows.n; i++ {
-		row := r.rows.row(i)
+		row := r.rows.Row(i)[:len(r.rowVars)]
 		b := make(Binding, len(row))
 		for j, id := range row {
 			if id != rdf.NoTerm {
-				b[r.rowVars[j]] = r.ids.term(id)
+				b[r.rowVars[j]] = r.ids.Term(id)
 			}
 		}
 		res.Rows = append(res.Rows, b)
@@ -125,7 +139,7 @@ func (r *SlotResult) Materialize() *Result {
 // evalSlotPatterns folds each group element over the current solution
 // set, mirroring the legacy evalPatterns stage for stage (same span names
 // and attributes) and recording each stage's output cardinality.
-func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *rowSet, sp *obs.Span) (*rowSet, error) {
+func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *Rows, sp *obs.Span) (*Rows, error) {
 	rows := in
 	for _, pat := range patterns {
 		var err error
@@ -133,7 +147,7 @@ func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *rowSet, sp *obs.Span
 		stage.SetInt("in", int64(rows.n))
 		switch pat := pat.(type) {
 		case BGP:
-			rows, err = p.evalSlotBGP(pat, rows, stage)
+			rows, err = p.solver.SolveBGP(p.lay, p.ids, pat, rows, stage)
 		case Filter:
 			rows = p.applySlotFilter(pat.Expr, rows)
 		case Optional:
@@ -145,7 +159,7 @@ func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *rowSet, sp *obs.Span
 		case Exists:
 			rows, err = p.evalSlotExists(pat, rows, stage)
 		case PathPattern:
-			rows = p.evalSlotPath(pat, rows)
+			rows, err = p.solver.SolvePath(p.lay, p.ids, pat, rows)
 		case Bind:
 			rows = p.evalSlotBind(pat, rows)
 		default:
@@ -182,51 +196,24 @@ func (p *slotProg) observeStage(pat Pattern, n int) {
 	h.Observe(int64(n))
 }
 
-// compiledNode is one position of a compiled triple pattern: a variable's
-// slot index, or (slot == -1) a constant resolved to its dictionary id.
-type compiledNode struct {
-	slot int
-	id   rdf.TermID
+// storeSolver answers basic graph patterns and property paths from one
+// store's indexes: the single-store Solver.
+type storeSolver struct {
+	st       *store.Store
+	opts     EvalOptions
+	reorders *obs.Counter
 }
 
-type compiledTP struct {
-	s, p, o compiledNode
-}
+func (s *storeSolver) Dict() *rdf.Dict                         { return s.st.Dict() }
+func (s *storeSolver) Provenance() bool                        { return false }
+func (s *storeSolver) MergeProvenance([]rdf.TermID) rdf.TermID { return rdf.NoTerm }
 
-// compileTP resolves a triple pattern's constants against the dictionary
-// once. ok is false when a constant is not in the dictionary at all — the
-// pattern can then never match.
-func (p *slotProg) compileTP(tp TriplePattern) (compiledTP, bool) {
-	conv := func(n Node) (compiledNode, bool) {
-		if n.IsVar() {
-			return compiledNode{slot: p.slots[n.Var]}, true
-		}
-		id, ok := p.st.Dict().Lookup(n.Term)
-		if !ok {
-			return compiledNode{}, false
-		}
-		return compiledNode{slot: -1, id: id}, true
-	}
-	var c compiledTP
-	var ok bool
-	if c.s, ok = conv(tp.S); !ok {
-		return c, false
-	}
-	if c.p, ok = conv(tp.P); !ok {
-		return c, false
-	}
-	if c.o, ok = conv(tp.O); !ok {
-		return c, false
-	}
-	return c, true
-}
-
-// boundSlots reports which slots are bound in at least one input row —
+// boundSlots reports which columns are bound in at least one input row —
 // the planner's notion of "already bound" entering a BGP.
-func (p *slotProg) boundSlots(rows *rowSet) []bool {
-	bound := make([]bool, p.width())
+func boundSlots(rows *Rows) []bool {
+	bound := make([]bool, rows.w)
 	for i := 0; i < rows.n; i++ {
-		for j, id := range rows.row(i) {
+		for j, id := range rows.Row(i) {
 			if id != rdf.NoTerm {
 				bound[j] = true
 			}
@@ -235,13 +222,13 @@ func (p *slotProg) boundSlots(rows *rowSet) []bool {
 	return bound
 }
 
-// evalSlotBGP extends each solution through every triple pattern in
+// SolveBGP extends each solution through every triple pattern in
 // planned order, recording one "pattern" span per triple pattern plus a
 // "plan" span when the planner reordered.
-func (p *slotProg) evalSlotBGP(bgp BGP, in *rowSet, sp *obs.Span) (*rowSet, error) {
-	order := p.planBGP(bgp.Triples, p.boundSlots(in))
+func (s *storeSolver) SolveBGP(lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error) {
+	order := s.planBGP(lay, bgp.Triples, boundSlots(in))
 	if planReordered(order) {
-		p.reorders.Inc()
+		s.reorders.Inc()
 		if sp != nil {
 			ps := sp.Child("plan")
 			idx, text := renderPlan(bgp.Triples, order)
@@ -261,22 +248,19 @@ func (p *slotProg) evalSlotBGP(bgp BGP, in *rowSet, sp *obs.Span) (*rowSet, erro
 			psp.SetStr("tp", tp.String())
 			psp.SetInt("in", int64(rows.n))
 		}
-		next := newRowSet(p.width(), rows.n)
-		ctp, ok := p.compileTP(tp)
-		if ok {
-			exec.out = next
-			exec.c = ctp
-			for i := 0; i < rows.n; i++ {
-				r := rows.row(i)
-				sQ, okS := queryID(ctp.s, r)
-				pQ, okP := queryID(ctp.p, r)
-				oQ, okO := queryID(ctp.o, r)
-				if !okS || !okP || !okO {
-					continue
-				}
-				exec.r = r
-				p.st.MatchEach(sQ, pQ, oQ, emit)
+		next := NewRows(in.w, rows.n)
+		exec.out = next
+		exec.c = lay.Compile(ids, tp)
+		for i := 0; i < rows.n; i++ {
+			r := rows.Row(i)
+			sQ, pQ, oQ := exec.c.Query(r)
+			// An overflow id (an unknown constant, a term the query
+			// minted) is in no stored triple.
+			if sQ >= overflowBase || pQ >= overflowBase || oQ >= overflowBase {
+				continue
 			}
+			exec.r = r
+			s.st.MatchEach(sQ, pQ, oQ, emit)
 		}
 		rows = next
 		psp.SetInt("out", int64(rows.n))
@@ -288,59 +272,25 @@ func (p *slotProg) evalSlotBGP(bgp BGP, in *rowSet, sp *obs.Span) (*rowSet, erro
 	return rows, nil
 }
 
-// queryID turns a compiled node plus the current row into a store query
-// id: a constant's id, a bound slot's id, or the wildcard. ok is false
-// when the slot holds a query-overflow id, which no stored triple can
-// match (the map engine's dictionary-lookup failure on a bound term).
-func queryID(n compiledNode, r []rdf.TermID) (rdf.TermID, bool) {
-	if n.slot < 0 {
-		return n.id, true
-	}
-	id := r[n.slot]
-	if id >= overflowBase {
-		return rdf.NoTerm, false
-	}
-	return id, true
-}
-
 // bgpExec is the per-pattern match sink: emit appends the current row
 // extended by one matched triple. A struct (rather than a closure over
 // the row) so the callback is allocated once per pattern, not once per
 // row.
 type bgpExec struct {
-	out *rowSet
+	out *Rows
 	r   []rdf.TermID
-	c   compiledTP
+	c   SlotPattern
 }
 
-func (e *bgpExec) emit(t rdf.TripleID) {
-	nr := e.out.push(e.r)
-	if !setSlot(nr, e.c.s.slot, t.S) || !setSlot(nr, e.c.p.slot, t.P) || !setSlot(nr, e.c.o.slot, t.O) {
-		e.out.pop()
-	}
-}
-
-// setSlot binds a matched position into the row; a slot already bound
-// (the queried position, or the same variable appearing twice in one
-// pattern) must agree.
-func setSlot(nr []rdf.TermID, slot int, v rdf.TermID) bool {
-	if slot < 0 {
-		return true
-	}
-	if nr[slot] == rdf.NoTerm {
-		nr[slot] = v
-		return true
-	}
-	return nr[slot] == v
-}
+func (e *bgpExec) emit(t rdf.TripleID) { e.c.Extend(e.out, e.r, t) }
 
 // applySlotFilter compacts rows in place, keeping those whose expression
 // evaluates to true (errors reject, per SPARQL).
-func (p *slotProg) applySlotFilter(e Expr, rows *rowSet) *rowSet {
+func (p *slotProg) applySlotFilter(e Expr, rows *Rows) *Rows {
 	w := rows.w
 	out := 0
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		v, err := p.evalBoolRow(e, r)
 		if err == nil && v {
 			if out != i {
@@ -357,23 +307,23 @@ func (p *slotProg) applySlotFilter(e Expr, rows *rowSet) *rowSet {
 // resetSingle reuses a one-row scratch set for per-row sub-evaluation
 // (OPTIONAL/UNION/EXISTS). The row is copied, so in-place operators in
 // the sub-group cannot corrupt the parent set.
-func resetSingle(single *rowSet, r []rdf.TermID) *rowSet {
+func resetSingle(single *Rows, r []rdf.TermID) *Rows {
 	single.n = 0
 	single.data = single.data[:0]
-	single.push(r)
+	single.Push(r)
 	return single
 }
 
-func (p *slotProg) evalSlotOptional(opt Optional, rows *rowSet, sp *obs.Span) (*rowSet, error) {
-	out := newRowSet(p.width(), rows.n)
-	single := newRowSet(p.width(), 1)
+func (p *slotProg) evalSlotOptional(opt Optional, rows *Rows, sp *obs.Span) (*Rows, error) {
+	out := NewRows(p.width(), rows.n)
+	single := NewRows(p.width(), 1)
 	for i := 0; i < rows.n; i++ {
-		extended, err := p.evalSlotPatterns(opt.Patterns, resetSingle(single, rows.row(i)), sp)
+		extended, err := p.evalSlotPatterns(opt.Patterns, resetSingle(single, rows.Row(i)), sp)
 		if err != nil {
 			return nil, err
 		}
 		if extended.n == 0 {
-			out.push(rows.row(i))
+			out.Push(rows.Row(i))
 		} else {
 			out.data = append(out.data, extended.data...)
 			out.n += extended.n
@@ -382,12 +332,12 @@ func (p *slotProg) evalSlotOptional(opt Optional, rows *rowSet, sp *obs.Span) (*
 	return out, nil
 }
 
-func (p *slotProg) evalSlotUnion(u Union, rows *rowSet, sp *obs.Span) (*rowSet, error) {
-	out := newRowSet(p.width(), 2*rows.n)
-	single := newRowSet(p.width(), 1)
+func (p *slotProg) evalSlotUnion(u Union, rows *Rows, sp *obs.Span) (*Rows, error) {
+	out := NewRows(p.width(), 2*rows.n)
+	single := NewRows(p.width(), 1)
 	for i := 0; i < rows.n; i++ {
 		for _, branch := range [2][]Pattern{u.Left, u.Right} {
-			res, err := p.evalSlotPatterns(branch, resetSingle(single, rows.row(i)), sp)
+			res, err := p.evalSlotPatterns(branch, resetSingle(single, rows.Row(i)), sp)
 			if err != nil {
 				return nil, err
 			}
@@ -398,10 +348,10 @@ func (p *slotProg) evalSlotUnion(u Union, rows *rowSet, sp *obs.Span) (*rowSet, 
 	return out, nil
 }
 
-func (p *slotProg) evalSlotValues(v Values, rows *rowSet) *rowSet {
+func (p *slotProg) evalSlotValues(v Values, rows *Rows) *Rows {
 	slots := make([]int, len(v.Vars))
 	for i, name := range v.Vars {
-		slots[i] = p.slots[name]
+		slots[i] = p.lay.slots[name]
 	}
 	// Intern the data block once; UNDEF stays the zero id.
 	dataIDs := make([][]rdf.TermID, len(v.Rows))
@@ -409,16 +359,16 @@ func (p *slotProg) evalSlotValues(v Values, rows *rowSet) *rowSet {
 		ids := make([]rdf.TermID, len(data))
 		for i, t := range data {
 			if !t.IsZero() {
-				ids[i] = p.ids.id(t)
+				ids[i] = p.ids.ID(t)
 			}
 		}
 		dataIDs[j] = ids
 	}
-	out := newRowSet(p.width(), rows.n*len(v.Rows))
+	out := NewRows(p.width(), rows.n*len(v.Rows))
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		for _, data := range dataIDs {
-			nr := out.push(r)
+			nr := out.Push(r)
 			ok := true
 			for k, s := range slots {
 				id := data[k]
@@ -442,12 +392,12 @@ func (p *slotProg) evalSlotValues(v Values, rows *rowSet) *rowSet {
 	return out
 }
 
-func (p *slotProg) evalSlotExists(e Exists, rows *rowSet, sp *obs.Span) (*rowSet, error) {
-	single := newRowSet(p.width(), 1)
+func (p *slotProg) evalSlotExists(e Exists, rows *Rows, sp *obs.Span) (*Rows, error) {
+	single := NewRows(p.width(), 1)
 	w := rows.w
 	out := 0
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		matches, err := p.evalSlotPatterns(e.Patterns, resetSingle(single, r), sp)
 		if err != nil {
 			return nil, err
@@ -467,16 +417,16 @@ func (p *slotProg) evalSlotExists(e Exists, rows *rowSet, sp *obs.Span) (*rowSet
 // evalSlotBind mirrors the legacy BIND semantics: an evaluation error
 // leaves the variable unbound, a BIND onto an already-bound variable
 // filters for equality.
-func (p *slotProg) evalSlotBind(bd Bind, rows *rowSet) *rowSet {
-	s := p.slots[bd.As]
+func (p *slotProg) evalSlotBind(bd Bind, rows *Rows) *Rows {
+	s := p.lay.slots[bd.As]
 	w := rows.w
 	out := 0
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		v, err := p.evalExprRow(bd.Expr, r)
 		keep := true
 		if err == nil {
-			id := p.ids.id(v)
+			id := p.ids.ID(v)
 			if r[s] != rdf.NoTerm {
 				keep = r[s] == id
 			} else {
@@ -495,26 +445,26 @@ func (p *slotProg) evalSlotBind(bd Bind, rows *rowSet) *rowSet {
 	return rows
 }
 
-// evalSlotPath extends each solution through a property path, reusing the
+// SolvePath extends each solution through a property path, reusing the
 // id-space BFS of pathTargets and binding ids directly into slots.
-func (p *slotProg) evalSlotPath(pp PathPattern, rows *rowSet) *rowSet {
-	out := newRowSet(p.width(), rows.n)
+func (s *storeSolver) SolvePath(lay *SlotLayout, _ *IDSpace, pp PathPattern, rows *Rows) (*Rows, error) {
+	out := NewRows(rows.w, rows.n)
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
-		sID, sSlot, okS := p.resolvePathEnd(pp.S, r)
-		oID, oSlot, okO := p.resolvePathEnd(pp.O, r)
+		r := rows.Row(i)
+		sID, sSlot, okS := s.resolvePathEnd(lay, pp.S, r)
+		oID, oSlot, okO := s.resolvePathEnd(lay, pp.O, r)
 		if !okS || !okO {
 			continue
 		}
-		emit := func(s, o rdf.TermID) {
-			nr := out.push(r)
+		emit := func(sub, o rdf.TermID) {
+			nr := out.Push(r)
 			if sSlot >= 0 {
-				nr[sSlot] = s
+				nr[sSlot] = sub
 			}
 			if oSlot >= 0 {
 				if oSlot == sSlot {
 					// Same variable at both ends: require a self-loop.
-					if s != o {
+					if sub != o {
 						out.pop()
 						return
 					}
@@ -525,25 +475,25 @@ func (p *slotProg) evalSlotPath(pp PathPattern, rows *rowSet) *rowSet {
 		}
 		switch {
 		case sID != rdf.NoTerm:
-			for _, o := range pathTargets(p.st, pp.P, sID, false) {
+			for _, o := range pathTargets(s.st, pp.P, sID, false) {
 				if oID != rdf.NoTerm && o != oID {
 					continue
 				}
 				emit(sID, o)
 			}
 		case oID != rdf.NoTerm:
-			for _, s := range pathTargets(p.st, pp.P, oID, true) {
-				emit(s, oID)
+			for _, sub := range pathTargets(s.st, pp.P, oID, true) {
+				emit(sub, oID)
 			}
 		default:
-			for _, s := range p.st.Subjects() {
-				for _, o := range pathTargets(p.st, pp.P, s, false) {
-					emit(s, o)
+			for _, sub := range s.st.Subjects() {
+				for _, o := range pathTargets(s.st, pp.P, sub, false) {
+					emit(sub, o)
 				}
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // resolvePathEnd resolves one end of a path pattern: a bound dictionary
@@ -551,18 +501,18 @@ func (p *slotProg) evalSlotPath(pp PathPattern, rows *rowSet) *rowSet {
 // end is a constant or bound term outside the dictionary — the map engine
 // yields no rows there, and closures over the store could not reach it
 // anyway.
-func (p *slotProg) resolvePathEnd(n Node, r []rdf.TermID) (id rdf.TermID, slot int, ok bool) {
+func (s *storeSolver) resolvePathEnd(lay *SlotLayout, n Node, r []rdf.TermID) (id rdf.TermID, slot int, ok bool) {
 	if n.IsVar() {
-		s := p.slots[n.Var]
-		if got := r[s]; got != rdf.NoTerm {
+		sl := lay.slots[n.Var]
+		if got := r[sl]; got != rdf.NoTerm {
 			if got >= overflowBase {
 				return rdf.NoTerm, -1, false
 			}
 			return got, -1, true
 		}
-		return rdf.NoTerm, s, true
+		return rdf.NoTerm, sl, true
 	}
-	cid, cok := p.st.Dict().Lookup(n.Term)
+	cid, cok := s.st.Dict().Lookup(n.Term)
 	if !cok {
 		return rdf.NoTerm, -1, false
 	}
@@ -571,11 +521,13 @@ func (p *slotProg) resolvePathEnd(n Node, r []rdf.TermID) (id rdf.TermID, slot i
 
 // finalizeSlots applies aggregation, ORDER BY, projection, DISTINCT,
 // OFFSET and LIMIT — all still on slot rows.
-func (p *slotProg) finalizeSlots(q *Query, rows *rowSet) (*SlotResult, error) {
+func (p *slotProg) finalizeSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	if q.Ask {
 		res := &SlotResult{ids: p.ids}
 		if rows.n > 0 {
-			res.rows = &rowSet{n: 1}
+			// The witness row: no variables, only its provenance.
+			res.rows = NewRows(p.hidden, 1)
+			res.rows.Push(rows.Row(0)[len(p.lay.vars):])
 		}
 		return res, nil
 	}
@@ -591,24 +543,25 @@ func (p *slotProg) finalizeSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 		vars = q.AllVars()
 	}
 	if len(q.OrderBy) > 0 {
-		rows = p.sortSlots(rows, q.OrderBy, p.slot)
+		rows = p.sortSlots(rows, q.OrderBy, p.lay.Slot)
 	}
 	cols := make([]int, len(vars))
 	for i, v := range vars {
-		cols[i] = p.slot(v)
+		cols[i] = p.lay.Slot(v)
 	}
-	proj := newRowSet(len(vars), rows.n)
+	proj := NewRows(len(vars)+p.hidden, rows.n)
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		nr := proj.pushEmpty()
 		for j, c := range cols {
 			if c >= 0 {
 				nr[j] = r[c]
 			}
 		}
+		copy(nr[len(vars):], r[len(p.lay.vars):])
 	}
 	if q.Distinct {
-		proj = distinctSlots(proj)
+		proj = distinctSlots(proj, len(vars))
 	}
 	proj = sliceSlots(proj, q.Offset, q.Limit)
 	return &SlotResult{Vars: vars, rowVars: vars, rows: proj, ids: p.ids}, nil
@@ -617,7 +570,7 @@ func (p *slotProg) finalizeSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 // sortSlots applies ORDER BY with the exact comparator of the legacy
 // sortRows (unbound first, numeric when both numeric, stable), decoding
 // key terms through the id space on demand.
-func (p *slotProg) sortSlots(rows *rowSet, keys []OrderKey, slotOf func(string) int) *rowSet {
+func (p *slotProg) sortSlots(rows *Rows, keys []OrderKey, slotOf func(string) int) *Rows {
 	cols := make([]int, len(keys))
 	for i, k := range keys {
 		cols[i] = slotOf(k.Var)
@@ -627,7 +580,7 @@ func (p *slotProg) sortSlots(rows *rowSet, keys []OrderKey, slotOf func(string) 
 		perm[i] = i
 	}
 	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := rows.row(perm[a]), rows.row(perm[b])
+		ra, rb := rows.Row(perm[a]), rows.Row(perm[b])
 		for ki, k := range keys {
 			var ia, ib rdf.TermID
 			if c := cols[ki]; c >= 0 {
@@ -647,7 +600,7 @@ func (p *slotProg) sortSlots(rows *rowSet, keys []OrderKey, slotOf func(string) 
 			if ia == ib {
 				continue
 			}
-			c := compareTerms(p.ids.term(ia), p.ids.term(ib))
+			c := compareTerms(p.ids.Term(ia), p.ids.Term(ib))
 			if c == 0 {
 				continue
 			}
@@ -658,23 +611,25 @@ func (p *slotProg) sortSlots(rows *rowSet, keys []OrderKey, slotOf func(string) 
 		}
 		return false
 	})
-	out := newRowSet(rows.w, rows.n)
+	out := NewRows(rows.w, rows.n)
 	for _, i := range perm {
-		out.push(rows.row(i))
+		out.Push(rows.Row(i))
 	}
 	return out
 }
 
-// distinctSlots dedupes rows in place by their raw slot tuple — 4 bytes
-// per slot, no term decoding or stringification.
-func distinctSlots(rows *rowSet) *rowSet {
+// distinctSlots dedupes rows in place by the raw tuple of their first
+// keyW slots — 4 bytes per slot, no term decoding or stringification. A
+// provenance column beyond keyW is not part of the key: the first row of
+// each distinct tuple is kept, with its own provenance.
+func distinctSlots(rows *Rows, keyW int) *Rows {
 	seen := make(map[string]struct{}, rows.n)
-	key := make([]byte, 4*rows.w)
+	key := make([]byte, 4*keyW)
 	w := rows.w
 	out := 0
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
-		for j, id := range r {
+		r := rows.Row(i)
+		for j, id := range r[:keyW] {
 			binary.LittleEndian.PutUint32(key[4*j:], uint32(id))
 		}
 		if _, dup := seen[string(key)]; dup {
@@ -692,10 +647,10 @@ func distinctSlots(rows *rowSet) *rowSet {
 }
 
 // sliceSlots applies OFFSET then LIMIT.
-func sliceSlots(rows *rowSet, offset, limit int) *rowSet {
+func sliceSlots(rows *Rows, offset, limit int) *Rows {
 	if offset > 0 {
 		if offset >= rows.n {
-			return &rowSet{w: rows.w}
+			return &Rows{w: rows.w}
 		}
 		rows.data = rows.data[offset*rows.w:]
 		rows.n -= offset
@@ -712,10 +667,10 @@ func sliceSlots(rows *rowSet, offset, limit int) *rowSet {
 // the aliases (like the map engine's group bindings); groups are emitted
 // in the legacy order — sorted by the stringified group key — so results
 // match EvalCompat row for row.
-func (p *slotProg) aggregateSlots(q *Query, rows *rowSet) (*SlotResult, error) {
+func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	gSlots := make([]int, len(q.GroupBy))
 	for i, v := range q.GroupBy {
-		gSlots[i] = p.slot(v)
+		gSlots[i] = p.lay.Slot(v)
 	}
 	type group struct {
 		sortKey string
@@ -726,7 +681,7 @@ func (p *slotProg) aggregateSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 	var order []*group
 	key := make([]byte, 4*len(gSlots))
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		for j, s := range gSlots {
 			var id rdf.TermID
 			if s >= 0 {
@@ -765,11 +720,19 @@ func (p *slotProg) aggregateSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 		addCol(a.As)
 	}
 
-	proj := newRowSet(len(rowVars), len(order))
+	proj := NewRows(len(rowVars)+p.hidden, len(order))
+	var provs []rdf.TermID
 	for _, g := range order {
 		nr := proj.pushEmpty()
+		if p.hidden > 0 {
+			provs = provs[:0]
+			for _, i := range g.rows {
+				provs = append(provs, rows.Row(i)[len(p.lay.vars)])
+			}
+			nr[len(rowVars)] = p.solver.MergeProvenance(provs)
+		}
 		if g.first >= 0 {
-			first := rows.row(g.first)
+			first := rows.Row(g.first)
 			for gi, v := range q.GroupBy {
 				if s := gSlots[gi]; s >= 0 && first[s] != rdf.NoTerm {
 					nr[cols[v]] = first[s]
@@ -782,7 +745,7 @@ func (p *slotProg) aggregateSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 				return nil, err
 			}
 			if !t.IsZero() {
-				nr[cols[agg.As]] = p.ids.id(t)
+				nr[cols[agg.As]] = p.ids.ID(t)
 			}
 		}
 	}
@@ -795,7 +758,7 @@ func (p *slotProg) aggregateSlots(q *Query, rows *rowSet) (*SlotResult, error) {
 		})
 	}
 	proj = sliceSlots(proj, q.Offset, q.Limit)
-	return &SlotResult{Vars: AggregateVars(q), rowVars: rowVars, rows: proj, ids: p.ids}, nil
+	return &SlotResult{Vars: aggregateVars(q), rowVars: rowVars, rows: proj, ids: p.ids}, nil
 }
 
 // groupSortKey renders the legacy string group key (term N-Triples forms
@@ -805,7 +768,7 @@ func (p *slotProg) groupSortKey(vars []string, r []rdf.TermID) string {
 	var b []byte
 	for _, v := range vars {
 		if id := p.get(r, v); id != rdf.NoTerm {
-			b = append(b, p.ids.term(id).String()...)
+			b = append(b, p.ids.Term(id).String()...)
 		}
 		b = append(b, 0x1f)
 	}
@@ -815,10 +778,10 @@ func (p *slotProg) groupSortKey(vars []string, r []rdf.TermID) string {
 // evalAggregateSlots computes one aggregate over a group, staying in id
 // space for COUNT (including DISTINCT, since id equality is term
 // equality) and decoding only the values MIN/MAX/SUM/AVG actually fold.
-func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) (rdf.Term, error) {
+func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *Rows, group []int) (rdf.Term, error) {
 	s := -1
 	if agg.Var != "" {
-		s = p.slot(agg.Var)
+		s = p.lay.Slot(agg.Var)
 	}
 	if agg.Func == "COUNT" {
 		n := 0
@@ -829,7 +792,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) 
 			seen := map[rdf.TermID]struct{}{}
 			for _, i := range group {
 				if s >= 0 {
-					if id := rows.row(i)[s]; id != rdf.NoTerm {
+					if id := rows.Row(i)[s]; id != rdf.NoTerm {
 						seen[id] = struct{}{}
 					}
 				}
@@ -837,7 +800,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) 
 			n = len(seen)
 		default:
 			for _, i := range group {
-				if s >= 0 && rows.row(i)[s] != rdf.NoTerm {
+				if s >= 0 && rows.Row(i)[s] != rdf.NoTerm {
 					n++
 				}
 			}
@@ -851,7 +814,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) 
 		if s < 0 {
 			break
 		}
-		id := rows.row(i)[s]
+		id := rows.Row(i)[s]
 		if id == rdf.NoTerm {
 			continue
 		}
@@ -861,7 +824,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) 
 			}
 			seen[id] = struct{}{}
 		}
-		terms = append(terms, p.ids.term(id))
+		terms = append(terms, p.ids.Term(id))
 	}
 	if len(terms) == 0 {
 		return rdf.Term{}, nil
@@ -900,7 +863,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *rowSet, group []int) 
 // instantiateSlots substitutes each solution into the CONSTRUCT template,
 // deduplicating on id triples (constants interned into the query's id
 // space once) and decoding each distinct triple a single time.
-func (p *slotProg) instantiateSlots(template []TriplePattern, rows *rowSet) []rdf.Triple {
+func (p *slotProg) instantiateSlots(template []TriplePattern, rows *Rows) []rdf.Triple {
 	type tNode struct {
 		slot int
 		id   rdf.TermID
@@ -908,9 +871,9 @@ func (p *slotProg) instantiateSlots(template []TriplePattern, rows *rowSet) []rd
 	ctpl := make([]struct{ s, p, o tNode }, len(template))
 	conv := func(n Node) tNode {
 		if n.IsVar() {
-			return tNode{slot: p.slot(n.Var)}
+			return tNode{slot: p.lay.Slot(n.Var)}
 		}
-		return tNode{slot: -1, id: p.ids.id(n.Term)}
+		return tNode{slot: -1, id: p.ids.ID(n.Term)}
 	}
 	for i, tp := range template {
 		ctpl[i].s, ctpl[i].p, ctpl[i].o = conv(tp.S), conv(tp.P), conv(tp.O)
@@ -924,7 +887,7 @@ func (p *slotProg) instantiateSlots(template []TriplePattern, rows *rowSet) []rd
 	var out []rdf.Triple
 	seen := map[[3]rdf.TermID]struct{}{}
 	for i := 0; i < rows.n; i++ {
-		r := rows.row(i)
+		r := rows.Row(i)
 		for _, tp := range ctpl {
 			k := [3]rdf.TermID{resolve(tp.s, r), resolve(tp.p, r), resolve(tp.o, r)}
 			if k[0] == rdf.NoTerm || k[1] == rdf.NoTerm || k[2] == rdf.NoTerm {
@@ -934,7 +897,7 @@ func (p *slotProg) instantiateSlots(template []TriplePattern, rows *rowSet) []rd
 				continue
 			}
 			seen[k] = struct{}{}
-			s, pt, o := p.ids.term(k[0]), p.ids.term(k[1]), p.ids.term(k[2])
+			s, pt, o := p.ids.Term(k[0]), p.ids.Term(k[1]), p.ids.Term(k[2])
 			if s.IsLiteral() || !pt.IsIRI() || o.IsZero() || s.IsZero() {
 				continue
 			}

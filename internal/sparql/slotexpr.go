@@ -16,7 +16,7 @@ func (p *slotProg) evalExprRow(e Expr, r []rdf.TermID) (rdf.Term, error) {
 	switch e := e.(type) {
 	case VarExpr:
 		if id := p.get(r, e.Name); id != rdf.NoTerm {
-			return p.ids.term(id), nil
+			return p.ids.Term(id), nil
 		}
 		return rdf.Term{}, fmt.Errorf("unbound variable ?%s", e.Name)
 	case ConstExpr:
@@ -87,10 +87,10 @@ func (p *slotProg) evalBoolRow(e Expr, r []rdf.TermID) (bool, error) {
 // materializeRow decodes a slot row into a Binding map (fallback for
 // foreign Expr implementations and the final result materialization).
 func (p *slotProg) materializeRow(r []rdf.TermID) Binding {
-	b := make(Binding, len(r))
-	for i, id := range r {
-		if id != rdf.NoTerm {
-			b[p.vars[i]] = p.ids.term(id)
+	b := make(Binding, len(p.lay.vars))
+	for i, v := range p.lay.vars {
+		if id := r[i]; id != rdf.NoTerm {
+			b[v] = p.ids.Term(id)
 		}
 	}
 	return b
