@@ -13,9 +13,11 @@ GO ?= go
 # replaces — the pair whose ratio README's durability section quotes)
 # and streaming maintenance (the Space rebuild/upsert pair whose ratio is
 # the incremental-delta win README's streaming section quotes, plus the
-# live POST /feedback round trip).
+# live POST /feedback round trip), and feature-space construction with
+# its string kernel (FeatureSpaceBuild, SimilarityStringSim — what
+# link_batch's core.New spends its time in; see PERF.md).
 # Keep this list in sync with the "Performance" section of README.md.
-BENCH_GATE_RE   = ^(BenchmarkLoadNTriples|BenchmarkLoadIncremental|BenchmarkStoreRecover|BenchmarkDictIntern(Parallel)?|BenchmarkFeatureExplore|BenchmarkEngineEpisode|BenchmarkSpaceRebuild|BenchmarkSpaceUpsert|BenchmarkEvalSlotRows|BenchmarkEvalPlanOrder|BenchmarkFedJoinReorder|BenchmarkFedQueryEndToEnd|BenchmarkEndpointRepeatQuery(Cold|Hit)|BenchmarkEndpointSaturation|BenchmarkEndpointFeedback)$$
+BENCH_GATE_RE   = ^(BenchmarkLoadNTriples|BenchmarkLoadIncremental|BenchmarkStoreRecover|BenchmarkDictIntern(Parallel)?|BenchmarkFeatureExplore|BenchmarkFeatureSpaceBuild|BenchmarkSimilarityStringSim|BenchmarkEngineEpisode|BenchmarkSpaceRebuild|BenchmarkSpaceUpsert|BenchmarkEvalSlotRows|BenchmarkEvalPlanOrder|BenchmarkFedJoinReorder|BenchmarkFedQueryEndToEnd|BenchmarkEndpointRepeatQuery(Cold|Hit)|BenchmarkEndpointSaturation|BenchmarkEndpointFeedback)$$
 BENCH_GATE_PKGS = .,./internal/store,./internal/rdf,./internal/endpoint
 BENCH_COUNT    ?= 5
 # Time-based so sub-millisecond benchmarks average many iterations (one
@@ -42,7 +44,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/feature/... ./internal/experiment/...
+	$(GO) test -race ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
 
 fuzz:
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzNTriples$$' -fuzztime 10s
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzNormalizeQuery$$' -fuzztime 10s
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
+	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s
 
 cover:
 	$(GO) test -cover ./...

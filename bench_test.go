@@ -14,6 +14,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"alex/internal/core"
@@ -21,6 +22,7 @@ import (
 	"alex/internal/experiment"
 	"alex/internal/feature"
 	"alex/internal/fed"
+	"alex/internal/feedback"
 	"alex/internal/linkset"
 	"alex/internal/paris"
 	"alex/internal/rdf"
@@ -395,6 +397,7 @@ func BenchmarkSimilarityStringSim(b *testing.B) {
 		{"Global Pacific Media", "Global Pacific Media Group"},
 		{"completely different", "nothing alike here"},
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		sim.StringSim(p[0], p[1])
@@ -412,9 +415,42 @@ func BenchmarkParisLink(b *testing.B) {
 func BenchmarkFeatureSpaceBuild(b *testing.B) {
 	pair := datagen.GeneratePair(datagen.NBADBpediaNYTimes(1, benchSeed))
 	subjects := pair.DS1.Subjects()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		feature.Build(pair.DS1, subjects, pair.DS2, feature.DefaultOptions())
+	}
+}
+
+// BenchmarkLinkBatchOp replays the op of the end-to-end benchmark's
+// link_batch workload (bench/w_link.go) — PARIS, core.New with 8
+// partitions, Engine.Run against a perfect oracle until convergence — over
+// its first four data sets, with data generation outside the timer. It is
+// the harness PERF.md's profiles come from:
+//
+//	go test -run '^$' -bench LinkBatchOp -benchtime 30x -cpuprofile cpu.prof .
+func BenchmarkLinkBatchOp(b *testing.B) {
+	var pairs []*datagen.Pair
+	for s := int64(1000); s < 1004; s++ {
+		pairs = append(pairs, datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, s)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair := pairs[i%len(pairs)]
+		scored := paris.Link(pair.DS1, pair.DS2, paris.DefaultConfig())
+		cfg := core.Defaults()
+		cfg.Partitions = 8
+		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Seed = benchSeed + int64(i%len(pairs))
+		engine := core.New(pair.DS1, pair.DS2, cfg)
+		initial := make([]linkset.Link, len(scored))
+		for j, s := range scored {
+			initial[j] = s.Link
+		}
+		engine.SetInitialLinks(initial)
+		oracle := feedback.NewOracle(pair.Truth, 0, rand.New(rand.NewSource(cfg.Seed)))
+		engine.Run(core.SerialJudge(oracle.JudgeFunc()), nil)
 	}
 }
 
@@ -443,7 +479,7 @@ func BenchmarkSpaceUpsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.UpsertSubject(pair.DS1, subjects[i%len(subjects)], pair.DS2)
+		sp.UpsertSubject(pair.DS1, subjects[i%len(subjects)])
 	}
 }
 

@@ -28,6 +28,10 @@ type Engine struct {
 	cfg        Config
 	ds1, ds2   *store.Store
 	partitions []*partition
+	// right is the DS2 side of every partition's feature space: built once,
+	// read by all of them, and written only by applyObjectDeltasLocked,
+	// under the write lock, before the partitions' rescoring fans out.
+	right *feature.RightSide
 	// subjectPartition routes a ds1 subject to its owning partition.
 	subjectPartition map[rdf.TermID]int
 	// assigned counts subjects ever assigned to partitions; new subjects
@@ -65,10 +69,11 @@ type engineObs struct {
 // New builds an engine: it partitions the first data set round-robin
 // (§6.2) and pre-computes each partition's feature space against the
 // second data set (§3.2). ds1 should be the larger data set, as in the
-// paper. Construction is the expensive pre-processing step; it runs on a
-// worker pool bounded by Config.Workers, with any surplus workers handed
-// down into the per-partition feature.Build scans. The result is
-// independent of the worker count.
+// paper. Construction is the expensive pre-processing step: what depends
+// on ds2 alone (its terms' profiles and the blocking index) is built once
+// and shared, then the partitions' spaces are built on a worker pool
+// bounded by Config.Workers, with any surplus workers handed down into
+// the per-partition scans. The result is independent of the worker count.
 func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	subjects := ds1.Subjects()
@@ -86,6 +91,7 @@ func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 		ds2:              ds2,
 		partitions:       make([]*partition, len(parts)),
 		subjectPartition: make(map[rdf.TermID]int, len(subjects)),
+		right:            feature.NewRightSide(ds2, cfg.SpaceOptions),
 	}
 	for i, sub := range parts {
 		for _, s := range sub {
@@ -101,7 +107,7 @@ func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	e.lastGen1 = ds1.Generation()
 	e.lastGen2 = ds2.Generation()
 	runBounded(len(parts), cfg.Workers, func(i int) {
-		space := feature.Build(ds1, parts[i], ds2, cfg.SpaceOptions)
+		space := feature.BuildOn(e.right, ds1, parts[i], cfg.SpaceOptions)
 		e.partitions[i] = newPartition(i, space, cfg, cfg.Seed+int64(i)*7919)
 	})
 	return e

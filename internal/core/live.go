@@ -42,7 +42,7 @@ func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 	}
 	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
 		for _, s := range perPartition[i] {
-			e.partitions[i].space.UpsertSubject(e.ds1, s, e.ds2)
+			e.partitions[i].space.UpsertSubject(e.ds1, s)
 		}
 	})
 	e.lastGen1 = e.ds1.Generation()
@@ -72,8 +72,9 @@ func (e *Engine) RemoveSubjects(subjects ...rdf.TermID) {
 
 // ApplyObjectDeltas rescores every pair a DS2-side change can touch:
 // changed lists the ds2 subjects whose entities were added, extended or
-// retracted. Every partition applies the delta against its own space
-// (partitions pair their subjects with all of DS2).
+// retracted. The engine applies the delta to the shared DS2 side once;
+// every partition then rescores the subjects of its own space the delta
+// can reach (partitions pair their subjects with all of DS2).
 func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -81,8 +82,9 @@ func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 }
 
 func (e *Engine) applyObjectDeltasLocked(changed []rdf.TermID) {
+	delta := e.right.Apply(e.ds2, changed)
 	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
-		e.partitions[i].space.ApplyObjectDelta(e.ds1, e.ds2, changed)
+		e.partitions[i].space.ApplyObjectDelta(e.ds1, delta)
 	})
 	for _, s := range changed {
 		if _, ok := e.ds2.Entity(s); ok {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"alex/internal/feature"
 	"alex/internal/rdf"
 )
 
@@ -121,5 +123,88 @@ func TestSyncStoresDS2Growth(t *testing.T) {
 	// A second sync with no store change is a no-op.
 	if st := e.SyncStores(); st.NewSubjects != 0 || st.NewObjects != 0 {
 		t.Errorf("idle SyncStores ingested %+v", st)
+	}
+}
+
+// TestEngineSharesOneDS2Side pins the shared DS2 side: an engine with 8
+// partitions makes one feature.RightSide — one blocking index, one set of
+// DS2 term profiles — that all 8 spaces read, and DS2-side and DS1-side
+// deltas driven through the engine (the side updated once, by the engine,
+// then the partitions rescoring in parallel) leave every partition's space
+// byte-identical to a from-scratch Build over the final stores. Run under
+// -race it also checks that nothing writes the side while partitions read.
+func TestEngineSharesOneDS2Side(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			p := testPair(43)
+			cfg := smallConfig(43)
+			cfg.Partitions = 8
+			cfg.Workers = workers
+			e := New(p.DS1, p.DS2, cfg)
+
+			sides := map[*feature.RightSide]int{}
+			for _, pt := range e.partitions {
+				sides[pt.space.Right()]++
+			}
+			if len(sides) != 1 || sides[e.right] != len(e.partitions) {
+				t.Fatalf("%d partitions read %d DS2 sides (%d of them the engine's), want 1 shared by all",
+					len(e.partitions), len(sides), sides[e.right])
+			}
+
+			// DS2: extend an entity with token-moving and IRI-valued
+			// attributes, add a new one, retract another whole.
+			ds2subs := p.DS2.Subjects()
+			r0, r1 := ds2subs[0], ds2subs[len(ds2subs)/2]
+			p.DS2.Add(rdf.Triple{S: p.Dict.Term(r0), P: rdf.NewIRI("http://share.test/p/alias"), O: rdf.NewString("golden state warriors")})
+			p.DS2.Add(rdf.Triple{S: p.Dict.Term(r0), P: rdf.NewIRI("http://share.test/p/seeAlso"), O: rdf.NewIRI("http://share.test/other")})
+			novel := rdf.NewIRI("http://share.test/novel")
+			p.DS2.Add(rdf.Triple{S: novel, P: rdf.NewIRI("http://share.test/p/name"), O: rdf.NewString("los angeles lakers 1984")})
+			novelID, _ := p.Dict.Lookup(novel)
+			gone, _ := p.DS2.Entity(r1)
+			for j := range gone.Preds {
+				p.DS2.RetractID(rdf.TripleID{S: r1, P: gone.Preds[j], O: gone.Objs[j]})
+			}
+			e.ApplyObjectDeltas(r0, novelID, r1)
+
+			// DS1: new subjects (one per partition and then some) and an
+			// edit to an existing one.
+			ds1subs := p.DS1.Subjects()
+			changed := []rdf.TermID{ds1subs[3]}
+			p.DS1.Add(rdf.Triple{S: p.Dict.Term(ds1subs[3]), P: rdf.NewIRI("http://share.test/p/nick"), O: rdf.NewString("golden state")})
+			for i := 0; i < 11; i++ {
+				iri := rdf.NewIRI(fmt.Sprintf("http://share.test/e%d", i))
+				p.DS1.Add(rdf.Triple{S: iri, P: rdf.NewIRI("http://share.test/p/name"), O: rdf.NewString(fmt.Sprintf("lakers warriors %d", 1980+i))})
+				id, _ := p.Dict.Lookup(iri)
+				changed = append(changed, id)
+			}
+			e.UpsertSubjects(changed...)
+
+			members := make([][]rdf.TermID, len(e.partitions))
+			for _, s := range p.DS1.Subjects() {
+				pi, ok := e.PartitionOf(s)
+				if !ok {
+					t.Fatalf("subject %d not routed", s)
+				}
+				members[pi] = append(members[pi], s)
+			}
+			for i, pt := range e.partitions {
+				var got bytes.Buffer
+				if err := pt.space.DumpCanonical(&got); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 4} {
+					opt := e.cfg.SpaceOptions
+					opt.Workers = w
+					var want bytes.Buffer
+					if err := feature.Build(p.DS1, members[i], p.DS2, opt).DumpCanonical(&want); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Errorf("partition %d: space after engine deltas differs from a fresh Build at %d workers (%d vs %d bytes)",
+							i, w, got.Len(), want.Len())
+					}
+				}
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func buildTestPartition(t *testing.T, cfg Config) (*partition, *datagen.Pair) {
 		fx.theta = cfg.SpaceOptions.Theta
 	})
 	pair, space := fx.pair, fx.space
-	if cfg.SpaceOptions.Theta != fx.theta || cfg.SpaceOptions.Similarity != nil {
+	if cfg.SpaceOptions.Theta != fx.theta {
 		// A test with non-default space options pays for its own build.
 		scale := 0.6
 		if testing.Short() {

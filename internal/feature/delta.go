@@ -37,16 +37,14 @@ func (sp *Space) SetObserver(reg *obs.Registry) {
 }
 
 // UpsertSubject adds subj to the partition (or refreshes it after its
-// DS1 entity changed) and rescores exactly its candidate pairs. ds1 and
-// ds2 must be the stores the Space was built over.
-func (sp *Space) UpsertSubject(ds1 *store.Store, subj rdf.TermID, ds2 *store.Store) {
+// DS1 entity changed) and rescores exactly its candidate pairs. ds1 must
+// be the store the Space was built over.
+func (sp *Space) UpsertSubject(ds1 *store.Store, subj rdf.TermID) {
 	sp.cUpserts.Inc()
-	if _, ok := sp.members[subj]; !ok {
-		sp.members[subj] = struct{}{}
-		sp.totalPairs = len(sp.members) * sp.ds2Count
-	}
-	sp.setLeftTokens(subj, subjectTokens(ds1, subj))
-	sp.rescoreSubject(ds1, subj, ds2)
+	sp.members[subj] = struct{}{}
+	e := sp.prof.entity(ds1, subj)
+	sp.setLeftTokens(subj, e.tokens())
+	sp.rescoreSubject(subj, e)
 }
 
 // RemoveSubject drops subj and all its pairs from the partition.
@@ -56,7 +54,6 @@ func (sp *Space) RemoveSubject(subj rdf.TermID) {
 	}
 	sp.cRemoves.Inc()
 	delete(sp.members, subj)
-	sp.totalPairs = len(sp.members) * sp.ds2Count
 	sp.setLeftTokens(subj, nil)
 	for _, l := range sp.leftPairs[subj] {
 		sp.removePair(l)
@@ -64,59 +61,71 @@ func (sp *Space) RemoveSubject(subj rdf.TermID) {
 	delete(sp.leftPairs, subj)
 }
 
-// ApplyObjectDelta ingests DS2-side changes: changed lists the ds2
+// ObjectDelta is what one RightSide.Apply changed, as far as the spaces
+// reading the side need to know to catch up.
+type ObjectDelta struct {
+	// changed is the number of ds2 subjects the delta reported.
+	changed int
+	// tokens holds every blocking token a changed subject held before the
+	// delta or holds after it (with repeats).
+	tokens []string
+}
+
+// Apply ingests DS2-side changes into the side: changed lists the ds2
 // subjects whose entities were added, extended or retracted since the
-// last delta. It rewrites their posting lists and rescores every
-// partition subject sharing a blocking token with a changed subject's
-// old or new token set — the exact set of lefts whose candidate lists
-// or feature sets can differ. Returns the number of rescored subjects.
-func (sp *Space) ApplyObjectDelta(ds1, ds2 *store.Store, changed []rdf.TermID) int {
-	count := len(ds2.Subjects())
-	if len(changed) == 0 {
-		if count != sp.ds2Count {
-			sp.ds2Count = count
-			sp.totalPairs = len(sp.members) * sp.ds2Count
-		}
+// last delta. It re-reads them from ds2 — the store the side was made
+// over — profiles any new object terms and rewrites their posting lists.
+// Every space reading the side must then be handed the returned delta
+// (Space.ApplyObjectDelta) before it is used again. Apply is the side's
+// only writer: call it once per delta, from one goroutine, while no space
+// is scoring against the side.
+func (r *RightSide) Apply(ds2 *store.Store, changed []rdf.TermID) ObjectDelta {
+	r.subjects = len(ds2.Subjects())
+	d := ObjectDelta{changed: len(changed)}
+	for _, subj := range changed {
+		oldToks, newToks := r.set(subj, r.prof.entity(ds2, subj))
+		d.tokens = append(append(d.tokens, oldToks...), newToks...)
+	}
+	return d
+}
+
+// ApplyObjectDelta catches the space up with a delta already applied to
+// its right side: it rescores every partition subject sharing a blocking
+// token with a changed ds2 subject's old or new token set — the exact set
+// of lefts whose candidate lists or feature sets can differ. Returns the
+// number of rescored subjects.
+func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
+	if d.changed == 0 {
 		return 0
 	}
 	sp.cObjDeltas.Inc()
 	affected := map[rdf.TermID]struct{}{}
-	mark := func(toks []string) {
-		for _, tok := range toks {
-			for l := range sp.tokLeft[tok] {
-				affected[l] = struct{}{}
-			}
+	for _, tok := range d.tokens {
+		for l := range sp.tokLeft[tok] {
+			affected[l] = struct{}{}
 		}
 	}
-	for _, r := range changed {
-		oldToks := sp.block.bySubject[r]
-		newToks := subjectTokens(ds2, r)
-		mark(oldToks)
-		mark(newToks)
-		sp.block.update(r, oldToks, newToks)
-	}
-	sp.ds2Count = count
-	sp.totalPairs = len(sp.members) * sp.ds2Count
 	lefts := make([]rdf.TermID, 0, len(affected))
 	for l := range affected {
 		lefts = append(lefts, l)
 	}
 	sort.Slice(lefts, func(i, j int) bool { return lefts[i] < lefts[j] })
 	for _, l := range lefts {
-		sp.rescoreSubject(ds1, l, ds2)
+		sp.rescoreSubject(l, sp.prof.entity(ds1, l))
 	}
 	return len(lefts)
 }
 
 // rescoreSubject replaces every pair of one partition subject: old pairs
 // are spliced out of the per-feature indexes, the subject is rescored
-// against the live blocks, and the surviving pairs spliced back in.
-func (sp *Space) rescoreSubject(ds1 *store.Store, subj rdf.TermID, ds2 *store.Store) {
+// against the right side as it stands, and the surviving pairs spliced
+// back in.
+func (sp *Space) rescoreSubject(subj rdf.TermID, e entity) {
 	for _, l := range sp.leftPairs[subj] {
 		sp.removePair(l)
 	}
 	delete(sp.leftPairs, subj)
-	scored := scoreSubject(ds1, subj, ds2, sp.block, sp.opt)
+	scored := sp.sc.scoreSubject(subj, e, sp.right)
 	if len(scored) == 0 {
 		return
 	}
@@ -233,7 +242,7 @@ func (sp *Space) setLeftTokens(subj rdf.TermID, toks []string) {
 // equality means bit-equality.
 func (sp *Space) DumpCanonical(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "space total=%d pairs=%d features=%d\n", sp.totalPairs, len(sp.pairs), len(sp.index))
+	fmt.Fprintf(bw, "space total=%d pairs=%d features=%d\n", sp.TotalPairs(), len(sp.pairs), len(sp.index))
 	for _, l := range sp.Links() {
 		fs := sp.pairs[l]
 		fmt.Fprintf(bw, "pair %d %d", l.Left, l.Right)

@@ -51,7 +51,7 @@ func TestUpsertSubjectEquivalence(t *testing.T) {
 	// Build over all but the last two subjects, then stream them in.
 	sp := Build(p.DS1, subjects[:len(subjects)-2], p.DS2, opt)
 	for _, subj := range subjects[len(subjects)-2:] {
-		sp.UpsertSubject(p.DS1, subj, p.DS2)
+		sp.UpsertSubject(p.DS1, subj)
 	}
 	requireEquivalent(t, "grow-by-upsert", sp, p.DS1, subjects, p.DS2, opt)
 }
@@ -87,7 +87,7 @@ func TestApplyObjectDeltaEquivalence(t *testing.T) {
 		P: rdf.NewIRI("http://delta.test/p/alias"),
 		O: rdf.NewString("golden state warriors"),
 	})
-	sp.ApplyObjectDelta(p.DS1, p.DS2, []rdf.TermID{r0})
+	sp.ApplyObjectDelta(p.DS1, sp.Right().Apply(p.DS2, []rdf.TermID{r0}))
 	requireEquivalent(t, "ds2-extend", sp, p.DS1, subjects, p.DS2, opt)
 
 	// Brand-new DS2 entity: totalPairs must grow and blocking must see it.
@@ -97,7 +97,7 @@ func TestApplyObjectDeltaEquivalence(t *testing.T) {
 	if !ok {
 		t.Fatal("novel subject not interned")
 	}
-	sp.ApplyObjectDelta(p.DS1, p.DS2, []rdf.TermID{novelID})
+	sp.ApplyObjectDelta(p.DS1, sp.Right().Apply(p.DS2, []rdf.TermID{novelID}))
 	requireEquivalent(t, "ds2-new-subject", sp, p.DS1, subjects, p.DS2, opt)
 
 	// IRI-valued attribute: contributes no blocking token but reshapes
@@ -107,7 +107,7 @@ func TestApplyObjectDeltaEquivalence(t *testing.T) {
 		P: rdf.NewIRI("http://delta.test/p/seeAlso"),
 		O: rdf.NewIRI("http://delta.test/other"),
 	})
-	sp.ApplyObjectDelta(p.DS1, p.DS2, []rdf.TermID{r0})
+	sp.ApplyObjectDelta(p.DS1, sp.Right().Apply(p.DS2, []rdf.TermID{r0}))
 	requireEquivalent(t, "ds2-iri-attr", sp, p.DS1, subjects, p.DS2, opt)
 }
 
@@ -169,7 +169,7 @@ func (w *deltaWorld) step() string {
 	case 0: // new DS1 subject
 		subj := w.newSubject(w.ds1, "left")
 		w.partition = append(w.partition, subj)
-		w.sp.UpsertSubject(w.ds1, subj, w.ds2)
+		w.sp.UpsertSubject(w.ds1, subj)
 		return "add-left"
 	case 1: // extend an existing DS1 subject
 		if len(w.partition) == 0 {
@@ -177,7 +177,7 @@ func (w *deltaWorld) step() string {
 		}
 		subj := w.partition[w.rng.Intn(len(w.partition))]
 		w.addTriple(w.ds1, w.dict.Term(subj))
-		w.sp.UpsertSubject(w.ds1, subj, w.ds2)
+		w.sp.UpsertSubject(w.ds1, subj)
 		return "mutate-left"
 	case 2: // remove a DS1 subject from the partition
 		if len(w.partition) < 2 {
@@ -191,7 +191,7 @@ func (w *deltaWorld) step() string {
 	case 3: // new DS2 subject
 		subj := w.newSubject(w.ds2, "right")
 		w.ds2subs = append(w.ds2subs, subj)
-		w.sp.ApplyObjectDelta(w.ds1, w.ds2, []rdf.TermID{subj})
+		w.sp.ApplyObjectDelta(w.ds1, w.sp.Right().Apply(w.ds2, []rdf.TermID{subj}))
 		return "add-right"
 	case 4: // extend an existing DS2 subject
 		if len(w.ds2subs) == 0 {
@@ -199,7 +199,7 @@ func (w *deltaWorld) step() string {
 		}
 		subj := w.ds2subs[w.rng.Intn(len(w.ds2subs))]
 		w.addTriple(w.ds2, w.dict.Term(subj))
-		w.sp.ApplyObjectDelta(w.ds1, w.ds2, []rdf.TermID{subj})
+		w.sp.ApplyObjectDelta(w.ds1, w.sp.Right().Apply(w.ds2, []rdf.TermID{subj}))
 		return "mutate-right"
 	default: // retract a whole DS2 entity
 		if len(w.ds2subs) < 2 {
@@ -215,7 +215,7 @@ func (w *deltaWorld) step() string {
 			w.ds2.RetractID(rdf.TripleID{S: subj, P: e.Preds[j], O: e.Objs[j]})
 		}
 		w.ds2subs = append(w.ds2subs[:i], w.ds2subs[i+1:]...)
-		w.sp.ApplyObjectDelta(w.ds1, w.ds2, []rdf.TermID{subj})
+		w.sp.ApplyObjectDelta(w.ds1, w.sp.Right().Apply(w.ds2, []rdf.TermID{subj}))
 		return "retract-right"
 	}
 }
@@ -264,7 +264,7 @@ func TestDeltaCountersAndTotals(t *testing.T) {
 	opt := Options{Theta: 0.3, MaxBlockSize: 64, Workers: 1}
 	sp := Build(p.DS1, subjects[:len(subjects)-1], p.DS2, opt)
 	before := sp.TotalPairs()
-	sp.UpsertSubject(p.DS1, subjects[len(subjects)-1], p.DS2)
+	sp.UpsertSubject(p.DS1, subjects[len(subjects)-1])
 	if got, want := sp.TotalPairs(), before+len(p.DS2.Subjects()); got != want {
 		t.Errorf("TotalPairs after upsert = %d, want %d", got, want)
 	}

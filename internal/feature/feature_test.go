@@ -7,6 +7,7 @@ import (
 	"alex/internal/datagen"
 	"alex/internal/linkset"
 	"alex/internal/rdf"
+	"alex/internal/sim"
 	"alex/internal/store"
 )
 
@@ -260,15 +261,27 @@ func TestBlockingKeys(t *testing.T) {
 		term rdf.Term
 		want []string
 	}{
-		{rdf.NewString("LeBron James"), []string{"lebron", "james"}},
+		{rdf.NewString("LeBron James"), []string{"james", "lebron"}}, // sorted
+		{rdf.NewString("to be or not to be"), []string{"be", "not", "or", "to"}},
 		{rdf.NewInt(1984), []string{"#1984"}},
 		{rdf.NewFloat(2.75), []string{"#2"}},
+		{rdf.NewFloat(-2.75), []string{"#-2"}},
 		{rdf.NewTyped("1984-12-30", rdf.XSDDate), []string{"#1984"}},
 		{rdf.NewIRI("http://x/y"), nil},
-		{rdf.NewString("a b"), nil}, // single-char tokens dropped
+		{rdf.NewIRI("http://x/LeBron_James"), nil}, // local names do not block
+		{rdf.NewString("a b"), nil},                // single-char tokens dropped
+		// A float with no int64 integer part, and non-finite spellings,
+		// block by their words: int64(1e300) and int64(NaN) are
+		// platform-defined.
+		{rdf.NewFloat(1e300), []string{"1e", "300"}}, // lexical form 1e+300
+		{rdf.NewString("1e300"), []string{"1e300"}},
+		{rdf.NewString("NaN"), []string{"nan"}},
+		{rdf.NewString("-Infinity"), []string{"infinity"}},
+		{rdf.NewTyped("INF", rdf.XSDDouble), []string{"inf"}},
+		{rdf.NewFloat(9.3e18), []string{"18", "3e"}}, // 9.3e+18 ≥ 2^63
 	}
 	for _, c := range cases {
-		got := blockingKeys(c.term)
+		got := blockingKeys(sim.NewProfile(c.term))
 		if len(got) != len(c.want) {
 			t.Errorf("blockingKeys(%v) = %v, want %v", c.term, got, c.want)
 			continue
@@ -294,31 +307,56 @@ func min(a, b int) int {
 	return b
 }
 
-func TestComputeWithCustomSimilarity(t *testing.T) {
-	ds1, ds2, dict := pairStores()
-	e1, _ := ds1.Entity(id(t, dict, "http://a/e1"))
-	e2, _ := ds2.Entity(id(t, dict, "http://b/f1"))
-	// A constant metric makes every feature score 1.
-	all1 := func(a, b rdf.Term) float64 { return 1 }
-	fs := ComputeWith(dict, e1, e2, 0.3, all1)
-	for i := range fs.Scores {
-		if fs.Scores[i] != 1 {
-			t.Errorf("score %d = %g under constant metric", i, fs.Scores[i])
-		}
+// TestNonFiniteLiteralsScoreAsStrings: "NaN" used to parse as a float, so
+// every matrix cell it touched was NaN and `s > bestS` dropped them all; as
+// strings, equal spellings match.
+func TestNonFiniteLiteralsScoreAsStrings(t *testing.T) {
+	dict := rdf.NewDict()
+	ds1, ds2 := store.New("a", dict), store.New("b", dict)
+	p1, p2 := rdf.NewIRI("http://a/p/code"), rdf.NewIRI("http://b/p/code")
+	s1, s2 := rdf.NewIRI("http://a/e"), rdf.NewIRI("http://b/f")
+	ds1.Add(rdf.Triple{S: s1, P: p1, O: rdf.NewString("NaN")})
+	ds2.Add(rdf.Triple{S: s2, P: p2, O: rdf.NewString("nan")})
+	ds2.Add(rdf.Triple{S: s2, P: rdf.NewIRI("http://b/p/count"), O: rdf.NewInt(12)})
+	e1, _ := ds1.Entity(id(t, dict, "http://a/e"))
+	e2, _ := ds2.Entity(id(t, dict, "http://b/f"))
+	fs := Compute(dict, e1, e2, 0.3)
+	f := Feature{P1: id(t, dict, "http://a/p/code"), P2: id(t, dict, "http://b/p/code")}
+	if s, ok := fs.Score(f); !ok || s != 1 {
+		t.Errorf("(code,code) = %g, %v; want 1, true (NaN matches nan); set %+v", s, ok, fs)
 	}
-	// A zero metric leaves nothing above theta.
-	all0 := func(a, b rdf.Term) float64 { return 0 }
-	if got := ComputeWith(dict, e1, e2, 0.3, all0); got.Len() != 0 {
-		t.Errorf("zero metric kept %d features", got.Len())
+	// The pair blocks on the shared word, so Build finds it too.
+	sp := Build(ds1, ds1.Subjects(), ds2, DefaultOptions())
+	if sp.Len() != 1 {
+		t.Errorf("space has %d pairs, want the one blocked on \"nan\"", sp.Len())
 	}
 }
 
-func TestBuildWithCustomSimilarity(t *testing.T) {
-	ds1, ds2, _ := pairStores()
-	opt := DefaultOptions()
-	opt.Similarity = func(a, b rdf.Term) float64 { return 0 } // kill all features
-	sp := Build(ds1, ds1.Subjects(), ds2, opt)
-	if sp.Len() != 0 {
-		t.Errorf("space with zero metric has %d pairs", sp.Len())
+// TestScoreAllocatesOnlyItsSet pins the mechanism: with the two entities'
+// profiles made, scoring the pair derives nothing per value — no parsing,
+// lower-casing, tokenising or rune conversion — and reuses the scorer's
+// buffers, so the only allocations are the returned Set's two slices.
+func TestScoreAllocatesOnlyItsSet(t *testing.T) {
+	p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, 1000))
+	ps := profiles{}
+	sc := scorer{theta: 0.3}
+	checked := 0
+	for _, l := range p.Truth.Links()[:20] {
+		e1, e2 := ps.entity(p.DS1, l.Left), ps.entity(p.DS2, l.Right)
+		want := sc.score(e1, e2) // also grows the buffers to this pair's size
+		if want.Len() == 0 {
+			continue
+		}
+		checked++
+		var got Set
+		if allocs := testing.AllocsPerRun(50, func() { got = sc.score(e1, e2) }); allocs > 2 {
+			t.Errorf("pair %v (%d×%d attributes): %.0f allocations per score, want <= 2", l, len(e1.objs), len(e2.objs), allocs)
+		}
+		if got.Len() != want.Len() {
+			t.Errorf("pair %v: rescoring changed the set: %+v vs %+v", l, got, want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no truth pair produced a feature set")
 	}
 }

@@ -62,7 +62,9 @@ func Infer(t rdf.Term) ValueType {
 		if _, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return TypeInt
 		}
-		if _, err := strconv.ParseFloat(v, 64); err == nil {
+		// ParseFloat also accepts "NaN", "Inf" and "Infinity" in any case;
+		// those are words, not measurements, and compare as strings.
+		if f, err := strconv.ParseFloat(v, 64); err == nil && finite(f) {
 			return TypeFloat
 		}
 		if _, err := time.Parse("2006-01-02", v); err == nil {
@@ -73,6 +75,8 @@ func Infer(t rdf.Term) ValueType {
 		return TypeString
 	}
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // NumericSim returns a relative-difference similarity for two numbers:
 // 1 - |a-b| / max(|a|, |b|), floored at 0. Equal values (including 0, 0)
@@ -145,59 +149,126 @@ func IRISim(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	la := strings.ReplaceAll(iriLocalName(a), "_", " ")
-	lb := strings.ReplaceAll(iriLocalName(b), "_", " ")
-	// Distinct IRIs never score a perfect 1 even with equal local names:
-	// different namespaces may reuse names for different resources.
-	s := StringSim(la, lb)
+	la, lb := newText(iriLocalText(a)), newText(iriLocalText(b))
+	var sc Scratch
+	return iriSim(&la, &lb, &sc)
+}
+
+// iriLocalText is the text IRIs are compared by: the local name with
+// underscores as spaces.
+func iriLocalText(iri string) string {
+	return strings.ReplaceAll(iriLocalName(iri), "_", " ")
+}
+
+// iriSim is IRISim over the local-name texts of two distinct IRIs. They
+// never score a perfect 1 even with equal local names: different
+// namespaces may reuse names for different resources.
+func iriSim(la, lb *text, sc *Scratch) float64 {
+	s := stringSim(la, lb, sc)
 	if s > 0.99 {
 		s = 0.99
 	}
 	return s
 }
 
+// Profile is everything Generic derives from one term alone — its inferred
+// type, its parsed value, and its lexical form prepared for the string
+// kernels — computed once so that scoring a term against many others
+// re-derives nothing. A Profile is immutable and safe to share between
+// goroutines.
+type Profile struct {
+	// Type is Infer's classification of the term.
+	Type  ValueType
+	value string // Term.Value: IRI identity
+
+	// The parsed value, by Type: i and f for TypeInt, f for TypeFloat, date
+	// for TypeDate. An ok flag is false when the lexical form does not
+	// parse (a datatype can promise more than the lexical form holds) or,
+	// for f, is not finite; such a term compares as a string.
+	i             int64
+	f             float64
+	date          time.Time
+	okI, okF, okD bool
+
+	lower text // the lower-cased lexical form, for the string fallback
+	local text // TypeIRI only: the local name, for IRI-to-IRI comparison
+}
+
+// NewProfile derives a term's profile.
+func NewProfile(t rdf.Term) *Profile {
+	p := &Profile{Type: Infer(t), value: t.Value, lower: newText(strings.ToLower(t.Value))}
+	switch p.Type {
+	case TypeIRI:
+		p.local = newText(iriLocalText(t.Value))
+	case TypeInt:
+		p.i, p.okI = t.AsInt()
+		p.f, p.okF = t.AsFloat()
+	case TypeFloat:
+		p.f, p.okF = t.AsFloat()
+	case TypeDate:
+		p.date, p.okD = t.AsDate()
+	}
+	p.okF = p.okF && finite(p.f)
+	return p
+}
+
+// Int returns the value of a TypeInt term; ok is false for any other type
+// or an unparsable lexical form.
+func (p *Profile) Int() (v int64, ok bool) { return p.i, p.okI }
+
+// Float returns the finite value of a TypeInt or TypeFloat term.
+func (p *Profile) Float() (v float64, ok bool) { return p.f, p.okF }
+
+// Year returns the calendar year of a TypeDate term.
+func (p *Profile) Year() (y int, ok bool) { return p.date.Year(), p.okD }
+
+// Tokens returns the sorted, de-duplicated lower-case word tokens of the
+// term's lexical form. The slice is shared: callers must not modify it.
+func (p *Profile) Tokens() []string { return p.lower.tokens }
+
 // Generic is the paper's type-dispatched similarity: it infers the types of
 // both values and applies the matching metric. Mixed types that are both
 // numeric compare numerically; a date and a bare year compare by year;
 // anything else falls back to string similarity over lexical forms.
 func Generic(a, b rdf.Term) float64 {
-	ta, tb := Infer(a), Infer(b)
-	switch {
-	case ta == TypeIRI && tb == TypeIRI:
-		return IRISim(a.Value, b.Value)
-	case (ta == TypeInt || ta == TypeFloat) && (tb == TypeInt || tb == TypeFloat):
-		if ta == TypeInt && tb == TypeInt {
-			ia, okA := a.AsInt()
-			ib, okB := b.AsInt()
-			if okA && okB && isYear(ia) && isYear(ib) {
-				return YearSim(ia, ib)
-			}
-		}
-		fa, okA := a.AsFloat()
-		fb, okB := b.AsFloat()
-		if okA && okB {
-			return NumericSim(fa, fb)
-		}
-	case ta == TypeDate && tb == TypeDate:
-		da, okA := a.AsDate()
-		db, okB := b.AsDate()
-		if okA && okB {
-			return DateSim(da, db)
-		}
-	case ta == TypeDate && tb == TypeInt:
-		return yearSim(a, b)
-	case ta == TypeInt && tb == TypeDate:
-		return yearSim(b, a)
-	}
-	return StringSim(strings.ToLower(a.Value), strings.ToLower(b.Value))
+	var sc Scratch
+	return NewProfile(a).Sim(NewProfile(b), &sc)
 }
 
-// yearSim compares a date literal against a bare integer year.
-func yearSim(date, year rdf.Term) float64 {
-	d, okD := date.AsDate()
-	y, okY := year.AsInt()
-	if !okD || !okY {
+// Sim is Generic over two profiles, with the kernels' buffers supplied by
+// the caller: Generic(a, b) == NewProfile(a).Sim(NewProfile(b), sc), bit
+// for bit.
+func (p *Profile) Sim(q *Profile, sc *Scratch) float64 {
+	tp, tq := p.Type, q.Type
+	switch {
+	case tp == TypeIRI && tq == TypeIRI:
+		if p.value == q.value {
+			return 1
+		}
+		return iriSim(&p.local, &q.local, sc)
+	case (tp == TypeInt || tp == TypeFloat) && (tq == TypeInt || tq == TypeFloat):
+		if p.okI && q.okI && isYear(p.i) && isYear(q.i) {
+			return YearSim(p.i, q.i)
+		}
+		if p.okF && q.okF {
+			return NumericSim(p.f, q.f)
+		}
+	case tp == TypeDate && tq == TypeDate:
+		if p.okD && q.okD {
+			return DateSim(p.date, q.date)
+		}
+	case tp == TypeDate && tq == TypeInt:
+		return dateYearSim(p, q)
+	case tp == TypeInt && tq == TypeDate:
+		return dateYearSim(q, p)
+	}
+	return stringSim(&p.lower, &q.lower, sc)
+}
+
+// dateYearSim compares a date against a bare integer year.
+func dateYearSim(date, year *Profile) float64 {
+	if !date.okD || !year.okI {
 		return 0
 	}
-	return YearSim(int64(d.Year()), y)
+	return YearSim(int64(date.date.Year()), year.i)
 }

@@ -25,6 +25,15 @@ func TestInfer(t *testing.T) {
 		{rdf.NewString("hello world"), TypeString},
 		{rdf.NewString(""), TypeString},
 		{rdf.NewLangString("bonjour", "fr"), TypeString},
+		// Spellings strconv.ParseFloat accepts that are not finite numbers.
+		{rdf.NewString("NaN"), TypeString},
+		{rdf.NewString("nan"), TypeString},
+		{rdf.NewString("Inf"), TypeString},
+		{rdf.NewString("-inf"), TypeString},
+		{rdf.NewString("+Infinity"), TypeString},
+		{rdf.NewString("INFINITY"), TypeString},
+		{rdf.NewString("1e999"), TypeString}, // out of range
+		{rdf.NewString("1e300"), TypeFloat},
 	}
 	for _, tt := range tests {
 		if got := Infer(tt.term); got != tt.want {
@@ -188,4 +197,104 @@ func TestGenericYearVsYear(t *testing.T) {
 	if got := Generic(rdf.NewInt(100), rdf.NewInt(99)); got != 0.99 {
 		t.Errorf("Generic(100, 99) = %g, want 0.99", got)
 	}
+}
+
+// TestNonFiniteNumbersAreStrings: "NaN" and "Infinity" parse as floats but
+// are words. They used to classify as TypeFloat, which made Generic return
+// NaN — a score that every comparison silently drops.
+func TestNonFiniteNumbersAreStrings(t *testing.T) {
+	tests := []struct {
+		name string
+		a, b rdf.Term
+		want float64
+	}{
+		{"nan-nan", rdf.NewString("Nan"), rdf.NewString("Nan"), 1},
+		{"nan-NaN", rdf.NewString("nan"), rdf.NewString("NaN"), 1},
+		{"inf-inf", rdf.NewString("Infinity"), rdf.NewString("Infinity"), 1},
+		{"infinity-number", rdf.NewString("Infinity"), rdf.NewString("12"), 0},
+		{"number-inf", rdf.NewString("12"), rdf.NewString("-Inf"), 0},
+		{"typed NaN", rdf.NewTyped("NaN", rdf.XSDDouble), rdf.NewTyped("NaN", rdf.XSDDouble), 1},
+		{"typed INF-number", rdf.NewTyped("INF", rdf.XSDDouble), rdf.NewFloat(12), 0},
+		{"typed INF-INF", rdf.NewTyped("INF", rdf.XSDDouble), rdf.NewTyped("-INF", rdf.XSDDouble), StringSim("inf", "-inf")},
+		{"typed integer NaN", rdf.NewTyped("NaN", rdf.XSDInteger), rdf.NewInt(3), 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := Generic(tt.a, tt.b); got != tt.want {
+				t.Errorf("Generic(%v, %v) = %g, want %g", tt.a, tt.b, got, tt.want)
+			}
+		})
+	}
+}
+
+// fuzzTerm builds a term of the given shape from fuzz input.
+func fuzzTerm(kind uint8, value string) rdf.Term {
+	switch kind % 8 {
+	case 0:
+		return rdf.NewIRI(value)
+	case 1:
+		return rdf.NewBlank(value)
+	case 2:
+		return rdf.NewTyped(value, rdf.XSDInteger)
+	case 3:
+		return rdf.NewTyped(value, rdf.XSDDouble)
+	case 4:
+		return rdf.NewTyped(value, rdf.XSDDate)
+	case 5:
+		return rdf.NewLangString(value, "en")
+	default:
+		return rdf.NewString(value)
+	}
+}
+
+// metricSymmetric reports whether Generic dispatches the pair to a metric
+// that is symmetric by construction: anything but the string fallback and
+// IRI local names, which go through Jaro.
+func metricSymmetric(p, q *Profile) bool {
+	num := func(p *Profile) bool { return p.Type == TypeInt || p.Type == TypeFloat }
+	switch {
+	case num(p) && num(q):
+		return p.okF && q.okF
+	case p.Type == TypeDate && q.Type == TypeDate:
+		return p.okD && q.okD
+	case p.Type == TypeDate && q.Type == TypeInt, p.Type == TypeInt && q.Type == TypeDate:
+		return true
+	}
+	return false
+}
+
+// FuzzGeneric: over arbitrary strings, typed literals and IRIs a score is
+// never NaN, always in [0, 1], 1 against itself, the same through the
+// profile form, and symmetric wherever the metric is — everywhere but
+// through Jaro, whose greedy matching depends on which side it scans.
+func FuzzGeneric(f *testing.F) {
+	for _, v := range []string{
+		"", "abc", "LeBron James", "42", "-7", "3.25", "1984", "1984-12-30", "NaN", "nan", "Inf",
+		"-Infinity", "1e300", "1e999", "0x1p-2", " 12 ", "http://x/A_b", "http://x#", "\xff", "İstanbul",
+	} {
+		for kind := uint8(0); kind < 8; kind++ {
+			f.Add(kind, v, kind+3, "1984")
+			f.Add(kind, v, kind, v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, va string, kb uint8, vb string) {
+		a, b := fuzzTerm(ka, va), fuzzTerm(kb, vb)
+		ab, ba := Generic(a, b), Generic(b, a)
+		for _, s := range []float64{ab, ba} {
+			if math.IsNaN(s) || s < 0 || s > 1 {
+				t.Fatalf("Generic(%v, %v) = %g / reversed %g: outside [0, 1]", a, b, ab, ba)
+			}
+		}
+		if self := Generic(a, a); self != 1 {
+			t.Fatalf("Generic(%v, itself) = %g, want 1", a, self)
+		}
+		pa, pb := NewProfile(a), NewProfile(b)
+		var sc Scratch
+		if got := pa.Sim(pb, &sc); math.Float64bits(got) != math.Float64bits(ab) {
+			t.Fatalf("profile form of Generic(%v, %v) = %x, want %x", a, b, got, ab)
+		}
+		if metricSymmetric(pa, pb) && ab != ba {
+			t.Fatalf("Generic(%v, %v) = %g but reversed %g", a, b, ab, ba)
+		}
+	})
 }

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -55,15 +56,38 @@ func min3(a, b, c int) int {
 	return a
 }
 
+// Scratch holds the buffers the string kernels reuse from one call to the
+// next, so a caller scoring many pairs allocates them once. The zero value
+// is ready to use; a Scratch must not be shared between goroutines.
+type Scratch struct {
+	matchA, matchB []bool
+}
+
+// flags returns two cleared match-flag slices of lengths la and lb.
+func (sc *Scratch) flags(la, lb int) (a, b []bool) {
+	if cap(sc.matchA) < la {
+		sc.matchA = make([]bool, la)
+	}
+	if cap(sc.matchB) < lb {
+		sc.matchB = make([]bool, lb)
+	}
+	a, b = sc.matchA[:la], sc.matchB[:lb]
+	clear(a)
+	clear(b)
+	return a, b
+}
+
 // Jaro returns the Jaro similarity between two strings.
 func Jaro(a, b string) float64 {
 	if a == b {
-		if a == "" {
-			return 1
-		}
 		return 1
 	}
-	ra, rb := []rune(a), []rune(b)
+	var sc Scratch
+	return jaro([]rune(a), []rune(b), &sc)
+}
+
+// jaro is Jaro over two distinct strings' runes.
+func jaro(ra, rb []rune, sc *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 || lb == 0 {
 		return 0
@@ -72,8 +96,7 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	matchA, matchB := sc.flags(la, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := max2(0, i-window)
@@ -113,12 +136,20 @@ func Jaro(a, b string) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
 // scale of 0.1 over at most 4 common prefix runes.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
+	if a == b {
+		return 1
+	}
+	var sc Scratch
+	return jaroWinkler([]rune(a), []rune(b), &sc)
+}
+
+// jaroWinkler is JaroWinkler over two distinct strings' runes.
+func jaroWinkler(ra, rb []rune, sc *Scratch) float64 {
+	j := jaro(ra, rb, sc)
 	if j == 0 {
 		return 0
 	}
 	prefix := 0
-	ra, rb := []rune(a), []rune(b)
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
@@ -132,31 +163,40 @@ func Tokenize(s string) []string {
 	})
 }
 
+// tokenSet returns the tokens of s sorted and de-duplicated.
+func tokenSet(s string) []string {
+	toks := Tokenize(s)
+	slices.Sort(toks)
+	return slices.Compact(toks)
+}
+
 // TokenJaccard returns the Jaccard similarity of the token sets of a and b.
 func TokenJaccard(a, b string) float64 {
-	ta, tb := Tokenize(a), Tokenize(b)
+	return tokenJaccard(tokenSet(a), tokenSet(b))
+}
+
+// tokenJaccard is TokenJaccard over two sorted, de-duplicated token sets.
+func tokenJaccard(ta, tb []string) float64 {
 	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
 	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	set := make(map[string]struct{}, len(ta))
-	for _, t := range ta {
-		set[t] = struct{}{}
-	}
 	inter := 0
-	seen := make(map[string]struct{}, len(tb))
-	for _, t := range tb {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		if _, ok := set[t]; ok {
+	for i, j := 0, 0; i < len(ta) && j < len(tb); {
+		switch {
+		case ta[i] == tb[j]:
 			inter++
+			i++
+			j++
+		case ta[i] < tb[j]:
+			i++
+		default:
+			j++
 		}
 	}
-	union := len(set) + len(seen) - inter
+	union := len(ta) + len(tb) - inter
 	return float64(inter) / float64(union)
 }
 
@@ -191,6 +231,18 @@ func TrigramJaccard(a, b string) float64 {
 	return float64(inter) / float64(union)
 }
 
+// text is a string prepared for StringSim: its runes and its sorted,
+// de-duplicated token set, each derived once.
+type text struct {
+	s      string
+	runes  []rune
+	tokens []string
+}
+
+func newText(s string) text {
+	return text{s: s, runes: []rune(s), tokens: tokenSet(s)}
+}
+
 // StringSim is the default string metric: the maximum of Jaro-Winkler and
 // token Jaccard. Jaro-Winkler captures near-identical surface forms with
 // typos; token Jaccard captures reordered or partially overlapping names
@@ -199,8 +251,18 @@ func StringSim(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	jw := JaroWinkler(a, b)
-	tj := TokenJaccard(a, b)
+	ta, tb := newText(a), newText(b)
+	var sc Scratch
+	return stringSim(&ta, &tb, &sc)
+}
+
+// stringSim is StringSim over prepared texts.
+func stringSim(a, b *text, sc *Scratch) float64 {
+	if a.s == b.s {
+		return 1
+	}
+	jw := jaroWinkler(a.runes, b.runes, sc)
+	tj := tokenJaccard(a.tokens, b.tokens)
 	if tj > jw {
 		return tj
 	}
