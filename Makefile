@@ -15,9 +15,11 @@ GO ?= go
 # the incremental-delta win README's streaming section quotes, plus the
 # live POST /feedback round trip), and feature-space construction with
 # its string kernel (FeatureSpaceBuild, SimilarityStringSim — what
-# link_batch's core.New spends its time in; see PERF.md).
+# link_batch's core.New spends its time in; see PERF.md), and link
+# republication (Republish: Engine.Candidates + fed.SetLinks after one
+# applied feedback batch — feedback_loop's judgement-to-visible-link step).
 # Keep this list in sync with the "Performance" section of README.md.
-BENCH_GATE_RE   = ^(BenchmarkLoadNTriples|BenchmarkLoadIncremental|BenchmarkStoreRecover|BenchmarkDictIntern(Parallel)?|BenchmarkFeatureExplore|BenchmarkFeatureSpaceBuild|BenchmarkSimilarityStringSim|BenchmarkEngineEpisode|BenchmarkSpaceRebuild|BenchmarkSpaceUpsert|BenchmarkEvalSlotRows|BenchmarkEvalPlanOrder|BenchmarkFedJoinReorder|BenchmarkFedQueryEndToEnd|BenchmarkEndpointRepeatQuery(Cold|Hit)|BenchmarkEndpointSaturation|BenchmarkEndpointFeedback)$$
+BENCH_GATE_RE   = ^(BenchmarkLoadNTriples|BenchmarkLoadIncremental|BenchmarkStoreRecover|BenchmarkDictIntern(Parallel)?|BenchmarkFeatureExplore|BenchmarkFeatureSpaceBuild|BenchmarkSimilarityStringSim|BenchmarkEngineEpisode|BenchmarkRepublish|BenchmarkSpaceRebuild|BenchmarkSpaceUpsert|BenchmarkEvalSlotRows|BenchmarkEvalPlanOrder|BenchmarkFedJoinReorder|BenchmarkFedQueryEndToEnd|BenchmarkEndpointRepeatQuery(Cold|Hit)|BenchmarkEndpointSaturation|BenchmarkEndpointFeedback)$$
 BENCH_GATE_PKGS = .,./internal/store,./internal/rdf,./internal/endpoint
 BENCH_COUNT    ?= 5
 # Time-based so sub-millisecond benchmarks average many iterations (one
@@ -44,7 +46,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
+	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
 
 fuzz:
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzNTriples$$' -fuzztime 10s

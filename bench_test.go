@@ -12,13 +12,20 @@ package alex_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"strings"
 	"testing"
 
 	"alex/internal/core"
 	"alex/internal/datagen"
+	"alex/internal/endpoint"
 	"alex/internal/experiment"
 	"alex/internal/feature"
 	"alex/internal/fed"
@@ -451,6 +458,157 @@ func BenchmarkLinkBatchOp(b *testing.B) {
 		engine.SetInitialLinks(initial)
 		oracle := feedback.NewOracle(pair.Truth, 0, rand.New(rand.NewSource(cfg.Seed)))
 		engine.Run(core.SerialJudge(oracle.JudgeFunc()), nil)
+	}
+}
+
+// feedbackWorld is the feedback_loop workload's stack (bench/w_feedback.go)
+// assembled in process, the way `sparqld -feedback -feedback-batch 16`
+// assembles it: a four-partition engine over the DBpedia–NYTimes pair at
+// scale 0.5 seeded with the truth links plus one decoy per two (|C| ≈ 2.4 k),
+// its candidates published as the federation's sameAs links, a feedback
+// stream behind POST /feedback and a cached federated /sparql.
+type feedbackWorld struct {
+	pair    *datagen.Pair
+	engine  *core.Engine
+	stream  *core.FeedbackStream
+	fed     *fed.Federation
+	handler *endpoint.Handler
+	oracle  *feedback.Oracle
+	rng     *rand.Rand
+	added   int
+}
+
+func newFeedbackWorld(seed int64) *feedbackWorld {
+	w := &feedbackWorld{pair: datagen.GeneratePair(datagen.DBpediaNYTimes(0.5, 1)), rng: rand.New(rand.NewSource(seed))}
+	pair := w.pair
+	initial := pair.Truth.Links()
+	s1, s2 := pair.DS1.Subjects(), pair.DS2.Subjects()
+	for i := len(initial) / 2; i > 0; i-- {
+		initial = append(initial, linkset.Link{Left: s1[w.rng.Intn(len(s1))], Right: s2[w.rng.Intn(len(s2))]})
+	}
+	cfg := core.Defaults()
+	cfg.Seed = seed
+	cfg.Partitions = 4
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	cfg.EpisodeSize = 16
+	cfg.MaxEpisodes = 1 << 20
+	w.engine = core.New(pair.DS1, pair.DS2, cfg)
+	w.engine.SetInitialLinks(initial)
+	w.fed = fed.New(pair.Dict, pair.DS1, pair.DS2)
+	w.fed.SetResilience(fed.DefaultResilience())
+	w.republish(core.EpisodeStats{})
+	w.stream = w.engine.FeedbackStream(core.StreamConfig{BatchSize: 16})
+	cache := endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), w.fed.DataGeneration)
+	w.handler = endpoint.NewQueryHandler(fed.CachedEndpointQueryFunc(w.fed, cache), nil)
+	w.handler.SetFeedbackFunc(endpoint.EngineFeedbackFunc(w.engine, w.stream, pair.Dict, w.republish))
+	w.oracle = feedback.NewOracle(pair.Truth, 0.10, rand.New(rand.NewSource(seed+1)))
+	return w
+}
+
+// republish is sparqld's onApplied: the refreshed candidates become the
+// federation's links.
+func (w *feedbackWorld) republish(core.EpisodeStats) { w.fed.SetLinks(w.engine.Candidates()) }
+
+// judgements draws 16 links from the partitions that still take feedback
+// (all of them once every partition has converged) and has the oracle
+// judge them.
+func (w *feedbackWorld) judgements() []core.Feedback {
+	var cands []linkset.Link
+	for pi := 0; pi < w.engine.Partitions(); pi++ {
+		if !w.engine.PartitionConverged(pi) {
+			cands = append(cands, w.engine.PartitionCandidates(pi)...)
+		}
+	}
+	if len(cands) == 0 {
+		cands = w.engine.Candidates().Links()
+	}
+	items := make([]core.Feedback, 16)
+	for j := range items {
+		l := cands[w.rng.Intn(len(cands))]
+		items[j] = core.Feedback{Link: l, Approved: w.oracle.Judge(l)}
+	}
+	return items
+}
+
+func (w *feedbackWorld) post(b *testing.B, path, contentType, body string) {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	w.handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+}
+
+// op is one feedback_loop op: a five-triple newcomer joins DS1, 16
+// judgements go through the handler with flush (store sync, feature delta,
+// episode, republish), and one federated re-read follows the judged link.
+func (w *feedbackWorld) op(b *testing.B) {
+	subj := rdf.NewIRI(fmt.Sprintf("http://bench.invalid/new/e%d", w.added))
+	w.added++
+	label := rdf.NewString(fmt.Sprintf("newcomer %d", w.added))
+	for _, t := range []rdf.Triple{
+		{S: subj, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://dbpedia.sim/class/Person")},
+		{S: subj, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI(rdf.OWLThing)},
+		{S: subj, P: rdf.NewIRI("http://dbpedia.sim/ontology/label"), O: label},
+		{S: subj, P: rdf.NewIRI(rdf.RDFSLabel), O: label},
+		{S: subj, P: rdf.NewIRI("http://dbpedia.sim/ontology/position"), O: rdf.NewString("PG")},
+	} {
+		w.pair.DS1.Add(t)
+	}
+	dict := w.pair.Dict
+	items := w.judgements()
+	req := endpoint.FeedbackRequest{Flush: true}
+	for _, it := range items {
+		req.Items = append(req.Items, endpoint.FeedbackItem{
+			Left: dict.Term(it.Link.Left).Value, Right: dict.Term(it.Link.Right).Value, Approved: it.Approved,
+		})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.post(b, "/feedback", "application/json", string(body))
+	query := fmt.Sprintf("SELECT ?pl WHERE { %s <http://nytimes.sim/ontology/prefLabel> ?pl }", dict.Term(items[0].Link.Left))
+	w.post(b, "/sparql", "application/x-www-form-urlencoded", "query="+url.QueryEscape(query))
+}
+
+// feedbackOpsPerWorld is how many ops one world serves before the benchmarks
+// below rebuild it (untimed), as the workload rebuilds its stack every
+// round: the candidate set drifts and partitions converge as ops pile up.
+const feedbackOpsPerWorld = 100
+
+// BenchmarkFeedbackOp is the feedback_loop workload's op in process — the
+// twin of BenchmarkLinkBatchOp, there so `-cpuprofile` works on the op
+// (PERF.md's PR 15 profiles). Not gated: the workload itself is the gate.
+func BenchmarkFeedbackOp(b *testing.B) {
+	var w *feedbackWorld
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%feedbackOpsPerWorld == 0 {
+			b.StopTimer()
+			w = newFeedbackWorld(benchSeed + int64(i))
+			b.StartTimer()
+		}
+		w.op(b)
+	}
+}
+
+// BenchmarkRepublish is the judgement-to-visible-link step alone: after
+// one applied 16-judgement batch (untimed), merge the partitions' views
+// into the candidate set and publish it as the federation's links. Pinned
+// by the CI bench gate.
+func BenchmarkRepublish(b *testing.B) {
+	var w *feedbackWorld
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%feedbackOpsPerWorld == 0 {
+			w = newFeedbackWorld(benchSeed + int64(i))
+		}
+		w.stream.Submit(w.judgements()...)
+		b.StartTimer()
+		w.fed.SetLinks(w.engine.Candidates())
 	}
 }
 

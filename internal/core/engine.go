@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,19 +197,43 @@ func (e *Engine) SetInitialLinks(links []linkset.Link) {
 		}
 		e.partitions[pi].addCandidate(l)
 	}
+	e.foldLocked()
 }
 
-// Candidates returns the current global candidate link set.
+// foldLocked brings every partition's sorted view up to date after
+// candidates changed outside an episode (episodes fold themselves).
+func (e *Engine) foldLocked() {
+	for _, p := range e.partitions {
+		p.fold()
+	}
+}
+
+// Candidates returns the current global candidate link set: a new set the
+// caller owns, built by merging the partitions' sorted views (each is kept
+// current at episode boundaries), so it costs one pass over the links and
+// no sort, and arrives with its sorted view in place — Sorted, Links,
+// fed.SetLinks and linkset.Evaluate on it do not sort either. For the size
+// alone use CandidateCount.
 func (e *Engine) Candidates() *linkset.Set {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := linkset.New()
-	for _, p := range e.partitions {
-		for l := range p.candidates {
-			out.Add(l)
-		}
+	runs := make([][]linkset.Link, len(e.partitions))
+	for i, p := range e.partitions {
+		runs[i] = p.view
 	}
-	return out
+	return linkset.FromSorted(linkset.Merge(runs...))
+}
+
+// CandidateCount returns the size of the global candidate set — what
+// Candidates().Len() would, without building the set.
+func (e *Engine) CandidateCount() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	for _, p := range e.partitions {
+		n += len(p.view)
+	}
+	return n
 }
 
 // EpisodeStats summarizes one episode across partitions.
@@ -402,12 +427,13 @@ func (e *Engine) Run(judge feedback.Judge, observe func(EpisodeStats)) []Episode
 	return out
 }
 
-// PartitionCandidates returns partition i's candidate links (for the Fig 7
-// per-partition analysis).
+// PartitionCandidates returns partition i's candidate links sorted by
+// (Left, Right) (for the Fig 7 per-partition analysis): a copy of the
+// partition's sorted view, which the caller owns.
 func (e *Engine) PartitionCandidates(i int) []linkset.Link {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.partitions[i].links()
+	return slices.Clone(e.partitions[i].view)
 }
 
 // PartitionConverged reports partition i's convergence.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"alex/internal/feature"
 	"alex/internal/linkset"
@@ -139,34 +141,26 @@ func (e *Engine) SaveState(w io.Writer) error {
 // byte-identical so checkpoints can be compared, deduplicated and tested
 // against golden files.
 func sortPartitionState(ps *partitionState) {
-	linkKey := func(l wireLink) string { return l.Left + "\x00" + l.Right }
-	featKey := func(f wireFeature) string { return f.P1 + "\x00" + f.P2 }
-	sort.Slice(ps.Candidates, func(i, j int) bool { return linkKey(ps.Candidates[i]) < linkKey(ps.Candidates[j]) })
-	sort.Slice(ps.Blacklist, func(i, j int) bool { return linkKey(ps.Blacklist[i]) < linkKey(ps.Blacklist[j]) })
-	sort.Slice(ps.NegByLink, func(i, j int) bool { return linkKey(ps.NegByLink[i].L) < linkKey(ps.NegByLink[j].L) })
-	sort.Slice(ps.PosConfirmed, func(i, j int) bool { return linkKey(ps.PosConfirmed[i]) < linkKey(ps.PosConfirmed[j]) })
-	sort.Slice(ps.RolledBack, func(i, j int) bool {
-		a, b := ps.RolledBack[i], ps.RolledBack[j]
-		if k1, k2 := linkKey(a.S), linkKey(b.S); k1 != k2 {
-			return k1 < k2
+	byLink := func(a, b wireLink) int {
+		return strings.Compare(a.Left+"\x00"+a.Right, b.Left+"\x00"+b.Right)
+	}
+	byFeature := func(a, b wireFeature) int {
+		return strings.Compare(a.P1+"\x00"+a.P2, b.P1+"\x00"+b.P2)
+	}
+	byLinkThenFeature := func(s1 wireLink, a1 wireFeature, s2 wireLink, a2 wireFeature) int {
+		if c := byLink(s1, s2); c != 0 {
+			return c
 		}
-		return featKey(a.A) < featKey(b.A)
-	})
-	sort.Slice(ps.Q, func(i, j int) bool {
-		a, b := ps.Q[i], ps.Q[j]
-		if k1, k2 := linkKey(a.S), linkKey(b.S); k1 != k2 {
-			return k1 < k2
-		}
-		return featKey(a.A) < featKey(b.A)
-	})
-	sort.Slice(ps.FQ, func(i, j int) bool {
-		a, b := ps.FQ[i], ps.FQ[j]
-		if k1, k2 := featKey(a.A), featKey(b.A); k1 != k2 {
-			return k1 < k2
-		}
-		return a.Bucket < b.Bucket
-	})
-	sort.Slice(ps.Greedy, func(i, j int) bool { return linkKey(ps.Greedy[i].S) < linkKey(ps.Greedy[j].S) })
+		return byFeature(a1, a2)
+	}
+	slices.SortFunc(ps.Candidates, byLink)
+	slices.SortFunc(ps.Blacklist, byLink)
+	slices.SortFunc(ps.NegByLink, func(a, b wireLinkCount) int { return byLink(a.L, b.L) })
+	slices.SortFunc(ps.PosConfirmed, byLink)
+	slices.SortFunc(ps.RolledBack, func(a, b wireSA) int { return byLinkThenFeature(a.S, a.A, b.S, b.A) })
+	slices.SortFunc(ps.Q, func(a, b wireQ) int { return byLinkThenFeature(a.S, a.A, b.S, b.A) })
+	slices.SortFunc(ps.FQ, func(a, b wireFQ) int { return cmp.Or(byFeature(a.A, b.A), cmp.Compare(a.Bucket, b.Bucket)) })
+	slices.SortFunc(ps.Greedy, func(a, b wireGreedy) int { return byLink(a.S, b.S) })
 }
 
 // LoadState restores state saved by SaveState into an engine built over
@@ -257,5 +251,6 @@ func (e *Engine) LoadState(r io.Reader) error {
 		p.converged = ps.Converged
 		p.rollbacks = ps.Rollbacks
 	}
+	e.foldLocked()
 	return nil
 }

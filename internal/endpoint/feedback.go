@@ -130,7 +130,7 @@ func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf
 				onApplied(st)
 			}
 		}
-		resp.Candidates = eng.Candidates().Len()
+		resp.Candidates = eng.CandidateCount()
 		return resp, nil
 	}
 }

@@ -119,6 +119,56 @@ func TestFeedbackUnknownIRIs(t *testing.T) {
 	}
 }
 
+// TestFeedbackCandidatesIsTheCount: resp.Candidates comes from the
+// engine's count accessor, and must equal the size of the set a caller
+// would get from Candidates() whether the request applied a batch (here
+// with rejections, so the set shrinks as well as grows), only buffered, or
+// named nothing the engine knows.
+func TestFeedbackCandidatesIsTheCount(t *testing.T) {
+	w := newFeedbackWorld(t, 4)
+	links := w.pair.Truth.Links()
+	check := func(name string, resp *FeedbackResponse) {
+		t.Helper()
+		if resp == nil {
+			t.Fatalf("%s: request failed", name)
+		}
+		if want := w.engine.Candidates().Len(); resp.Candidates != want || w.engine.CandidateCount() != want {
+			t.Errorf("%s: response reports %d candidates, CandidateCount %d, Candidates().Len() %d",
+				name, resp.Candidates, w.engine.CandidateCount(), want)
+		}
+	}
+	before := w.engine.CandidateCount()
+
+	var applied FeedbackRequest
+	if err := json.Unmarshal(w.requestFor(links[:8], true), &applied); err != nil {
+		t.Fatal(err)
+	}
+	for i := range applied.Items {
+		applied.Items[i].Approved = i%2 == 0
+	}
+	body, _ := json.Marshal(applied)
+	_, resp := w.post(t, body)
+	check("applied", resp)
+	if resp.Batches == 0 || resp.Candidates == before {
+		t.Errorf("applied request left the count at %d after %d batches; the test needs it to move", before, resp.Batches)
+	}
+
+	_, resp = w.post(t, w.requestFor(links[8:10], false))
+	check("unapplied", resp)
+	if resp.Batches != 0 || resp.Pending != 2 {
+		t.Errorf("unapplied request = %+v, want 0 batches, 2 pending", resp)
+	}
+
+	body, _ = json.Marshal(FeedbackRequest{Items: []FeedbackItem{
+		{Left: "http://nowhere.test/a", Right: "http://nowhere.test/b"},
+	}})
+	_, resp = w.post(t, body)
+	check("unknown-only", resp)
+	if resp.Unknown != 1 || resp.Accepted != 0 {
+		t.Errorf("unknown-only request = %+v, want 1 unknown, 0 accepted", resp)
+	}
+}
+
 func TestFeedbackRouteErrors(t *testing.T) {
 	w := newFeedbackWorld(t, 4)
 

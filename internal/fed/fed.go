@@ -43,10 +43,10 @@ type Federation struct {
 	dict    *rdf.Dict
 	stores  []*store.Store
 	sources []Source
-	// links is the active link set with its equivalence index, published
-	// as one immutable snapshot: SetLinks may run (the feedback path calls
-	// it) while queries are in flight, and each evaluation loads the
-	// snapshot once, so it sees one consistent link set throughout.
+	// links is the active link set with its alias index, published as one
+	// immutable snapshot: SetLinks may run (the feedback path calls it)
+	// while queries are in flight, and each evaluation loads the snapshot
+	// once, so it sees one consistent link set throughout.
 	links atomic.Pointer[linkSnapshot]
 	// reorder enables greedy selectivity-based join reordering (default).
 	reorder bool
@@ -100,18 +100,44 @@ type Federation struct {
 	cSkips        *obs.Counter
 }
 
-// linkSnapshot is one published link set: the set itself plus equiv, which
-// maps an entity to the entities it is linked to, each with the canonical
-// Link that justifies the equivalence. equiv is never written after
-// SetLinks stores the snapshot.
+// linkSnapshot is one published link set: the set itself plus the alias
+// index over it, two runs (linkset.Compare order) looked up by binary
+// search. byLeft holds the links as they are — it is the set's own sorted
+// view — and byRight holds every link reversed, so the entities linked to x
+// are the Right ends of linkset.WithLeft(run, x) in both. Neither array is
+// written after SetLinks stores the snapshot.
 type linkSnapshot struct {
-	links *linkset.Set
-	equiv map[rdf.TermID][]equivEdge
+	links           *linkset.Set
+	byLeft, byRight []linkset.Link
 }
 
-type equivEdge struct {
-	to   rdf.TermID
-	link linkset.Link
+// aliases lists the links that mention one entity, as sub-slices of a
+// snapshot's two runs: out are those it is the Left end of, in — reversed,
+// so the entity leads there too — those it is the Right end of.
+type aliases struct{ out, in []linkset.Link }
+
+// aliasesOf finds x's aliases; it allocates nothing.
+func (s *linkSnapshot) aliasesOf(x rdf.TermID) aliases {
+	return aliases{out: linkset.WithLeft(s.byLeft, x), in: linkset.WithLeft(s.byRight, x)}
+}
+
+// more reports whether an alias is left.
+func (a *aliases) more() bool { return len(a.out)+len(a.in) > 0 }
+
+// next pops the alias whose justifying link is smallest in (Left, Right)
+// order — the order query evaluation has always rewritten in, also for an
+// entity on both sides of a chain a~b, b~c — and returns the aliased
+// entity with that link. Call it only while more reports true.
+func (a *aliases) next() (to rdf.TermID, link linkset.Link) {
+	if len(a.in) > 0 {
+		if link = a.in[0].Reversed(); len(a.out) == 0 || linkset.Compare(link, a.out[0]) < 0 {
+			a.in = a.in[1:]
+			return link.Left, link
+		}
+	}
+	link = a.out[0]
+	a.out = a.out[1:]
+	return link.Right, link
 }
 
 // New returns a federation over the given stores, which must share dict.
@@ -214,13 +240,24 @@ func (f *Federation) Stores() []*store.Store { return f.stores }
 
 // SetLinks replaces the active sameAs link set. The federation reads the
 // set once; call SetLinks again after the candidate set changes to refresh
-// the equivalence index (ALEX does this after every episode). Safe to call
-// while queries run: a query in flight keeps the snapshot it started with.
+// the alias index (ALEX does this after every episode). Safe to call while
+// queries run: a query in flight keeps the snapshot it started with.
+//
+// Cost: the set's sorted view (free when the set came from
+// core.Engine.Candidates or linkset.FromSorted, one sort otherwise) is
+// diffed against the published one in a single walk, and only the links
+// that changed are sorted and merged into a newly allocated by-right run —
+// linear in the set, n·log n only in the delta. The published arrays are
+// never written again, and the view of links is taken now: later Add or
+// Remove calls on links show in Links() but reach queries only through the
+// next SetLinks.
 func (f *Federation) SetLinks(links *linkset.Set) {
-	snap := &linkSnapshot{links: links, equiv: make(map[rdf.TermID][]equivEdge, links.Len()*2)}
-	for _, l := range links.Links() {
-		snap.equiv[l.Left] = append(snap.equiv[l.Left], equivEdge{to: l.Right, link: l})
-		snap.equiv[l.Right] = append(snap.equiv[l.Right], equivEdge{to: l.Left, link: l})
+	old, next := f.links.Load(), links.Sorted()
+	added, removed := linkset.Diff(old.byLeft, next)
+	snap := &linkSnapshot{
+		links:   links,
+		byLeft:  next,
+		byRight: linkset.Patch(make([]linkset.Link, 0, len(next)), old.byRight, reversedRun(added), reversedRun(removed)),
 	}
 	// Publish before bumping the generation: a result cache that reads the
 	// new generation must never pair it with answers from the old links.
@@ -228,7 +265,18 @@ func (f *Federation) SetLinks(links *linkset.Set) {
 	f.linksGen.Add(1)
 }
 
-// Links returns the active link set.
+// reversedRun reverses every link of links in place and returns them as a
+// run.
+func reversedRun(links []linkset.Link) []linkset.Link {
+	for i, l := range links {
+		links[i] = l.Reversed()
+	}
+	return linkset.Sort(links)
+}
+
+// Links returns the active link set — the very set passed to SetLinks, not
+// a copy. Treat it as read-only: queries run against the snapshot SetLinks
+// took, so changing the set changes what Links reports and nothing else.
 func (f *Federation) Links() *linkset.Set { return f.links.Load().links }
 
 // Answer is one solution row with the links used to produce it, sorted by

@@ -3,7 +3,7 @@ package fed
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,13 +53,6 @@ func (f *Federation) newEvalState(ctx context.Context) *evalState {
 func (es *evalState) Dict() *rdf.Dict  { return es.f.dict }
 func (es *evalState) Provenance() bool { return true }
 
-func linkLess(a, b linkset.Link) bool {
-	if a.Left != b.Left {
-		return a.Left < b.Left
-	}
-	return a.Right < b.Right
-}
-
 // linksOf returns the link set a provenance id names. Callers share the
 // slice and must not modify it.
 func (es *evalState) linksOf(set rdf.TermID) []linkset.Link {
@@ -84,9 +77,8 @@ func (es *evalState) extend(set rdf.TermID, link linkset.Link) rdf.TermID {
 		return id
 	}
 	old := es.sets[set]
-	at := sort.Search(len(old), func(i int) bool { return !linkLess(old[i], link) })
 	id := set
-	if at == len(old) || old[at] != link {
+	if at, has := slices.BinarySearchFunc(old, link, linkset.Compare); !has {
 		grown := make([]linkset.Link, 0, len(old)+1)
 		grown = append(append(append(grown, old[:at]...), link), old[at:]...)
 		id = es.addSet(grown)
@@ -121,14 +113,7 @@ func (es *evalState) MergeProvenance(sets []rdf.TermID) rdf.TermID {
 	if all == nil {
 		return first
 	}
-	sort.Slice(all, func(i, j int) bool { return linkLess(all[i], all[j]) })
-	uniq := all[:1]
-	for _, l := range all[1:] {
-		if l != uniq[len(uniq)-1] {
-			uniq = append(uniq, l)
-		}
-	}
-	return es.addSet(uniq)
+	return es.addSet(linkset.Sort(all))
 }
 
 // SolvePath rejects property paths: closures over a federation would need
@@ -277,10 +262,13 @@ func (es *evalState) matchAcross(c sparql.SlotPattern, sources []Source, ids *sp
 	prov := r[len(r)-1]
 	// The sameAs aliases of the bound subject and object entities (IRIs
 	// only: a link never stands in for a literal).
-	var aliases [3][]equivEdge
+	var alias [3]aliases
 	for _, pos := range [2]int{0, 2} {
-		if edges := es.links.equiv[q[pos]]; len(edges) > 0 && f.dict.Term(q[pos]).IsIRI() {
-			aliases[pos] = edges
+		if q[pos] == rdf.NoTerm {
+			continue
+		}
+		if a := es.links.aliasesOf(q[pos]); a.more() && f.dict.Term(q[pos]).IsIRI() {
+			alias[pos] = a
 		}
 	}
 sources:
@@ -299,10 +287,11 @@ sources:
 			c.Extend(out, r, t)
 		}
 		for _, pos := range [2]int{0, 2} {
-			for _, e := range aliases[pos] {
+			for a := alias[pos]; a.more(); {
+				to, link := a.next()
 				f.cRewrites.Inc()
 				probe := q
-				probe[pos] = e.to
+				probe[pos] = to
 				if buf, err = f.timedMatch(es, src, ids, probe, buf[:0]); err != nil {
 					if err = f.degrade(es, src, err); err != nil {
 						return buf, err
@@ -312,7 +301,7 @@ sources:
 				if len(buf) == 0 {
 					continue
 				}
-				via, n := es.extend(prov, e.link), 0
+				via, n := es.extend(prov, link), 0
 				for _, t := range buf {
 					// The alias matched; the row keeps the entity asked about.
 					if pos == 0 {

@@ -5,7 +5,8 @@ package linkset
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"alex/internal/rdf"
@@ -29,9 +30,23 @@ type Scored struct {
 }
 
 // Set is a mutable set of candidate links. It is safe for concurrent use.
+//
+// A set holds its links in one or both of two forms: a hash index, which
+// Add and Remove need, and a run (see Compare), which everything that reads
+// the set in order needs. Each form is built from the other the first time
+// it is asked for, so a set that is built from a run, published and only
+// read — the engine's candidates on their way to the federation — never
+// pays for the index.
 type Set struct {
-	mu    sync.RWMutex
+	mu sync.RWMutex
+	// links is the hash index; nil means not built, and sorted is then
+	// current.
 	links map[Link]struct{}
+	// sorted is the run; nil means stale, and links is then current. The
+	// array is never written after it is stored — Add and Remove drop the
+	// reference instead — so callers of Sorted may keep reading it without
+	// the lock.
+	sorted []Link
 }
 
 // New returns an empty set.
@@ -39,23 +54,53 @@ func New() *Set {
 	return &Set{links: make(map[Link]struct{})}
 }
 
-// FromLinks builds a set from a slice.
+// FromLinks builds a set from a slice, which may repeat links and is not
+// retained.
 func FromLinks(links []Link) *Set {
-	s := New()
+	s := &Set{links: make(map[Link]struct{}, len(links))}
 	for _, l := range links {
-		s.Add(l)
+		s.links[l] = struct{}{}
 	}
 	return s
+}
+
+// FromSorted builds a set around a run — links in strictly ascending
+// Compare order — which becomes the set's sorted view: no copy, no sort,
+// no hashing. The set takes ownership; the caller must not modify run
+// afterwards. A slice that is not a run is accepted and costs what
+// FromLinks costs.
+func FromSorted(run []Link) *Set {
+	if !isRun(run) {
+		return FromLinks(run)
+	}
+	if run == nil {
+		run = []Link{} // nil would read as "stale"
+	}
+	return &Set{sorted: run}
+}
+
+// index returns the hash index, building it from the run if need be. The
+// caller holds the write lock.
+func (s *Set) index() map[Link]struct{} {
+	if s.links == nil {
+		s.links = make(map[Link]struct{}, len(s.sorted))
+		for _, l := range s.sorted {
+			s.links[l] = struct{}{}
+		}
+	}
+	return s.links
 }
 
 // Add inserts the link, reporting whether it was absent.
 func (s *Set) Add(l Link) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.links[l]; dup {
+	links := s.index()
+	if _, dup := links[l]; dup {
 		return false
 	}
-	s.links[l] = struct{}{}
+	links[l] = struct{}{}
+	s.sorted = nil
 	return true
 }
 
@@ -63,10 +108,12 @@ func (s *Set) Add(l Link) bool {
 func (s *Set) Remove(l Link) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.links[l]; !ok {
+	links := s.index()
+	if _, ok := links[l]; !ok {
 		return false
 	}
-	delete(s.links, l)
+	delete(links, l)
+	s.sorted = nil
 	return true
 }
 
@@ -74,6 +121,10 @@ func (s *Set) Remove(l Link) bool {
 func (s *Set) Contains(l Link) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.links == nil {
+		_, ok := slices.BinarySearchFunc(s.sorted, l, Compare)
+		return ok
+	}
 	_, ok := s.links[l]
 	return ok
 }
@@ -82,57 +133,54 @@ func (s *Set) Contains(l Link) bool {
 func (s *Set) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if s.links == nil {
+		return len(s.sorted)
+	}
 	return len(s.links)
 }
 
-// Links returns the links sorted by (Left, Right) for determinism.
-func (s *Set) Links() []Link {
+// Sorted returns the links as a run: ascending Compare order, no
+// duplicates. The slice is the set's remembered view, shared with every
+// other caller and READ-ONLY; it stays valid (a snapshot of the set as it
+// was) when the set changes afterwards. The first call after a change
+// sorts, later ones return the remembered run.
+func (s *Set) Sorted() []Link {
 	s.mu.RLock()
-	out := make([]Link, 0, len(s.links))
-	for l := range s.links {
-		out = append(out, l)
-	}
+	run := s.sorted
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
+	if run != nil {
+		return run
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sorted == nil {
+		run = make([]Link, 0, len(s.links))
+		for l := range s.links {
+			run = append(run, l)
 		}
-		return out[i].Right < out[j].Right
-	})
-	return out
+		s.sorted = Sort(run)
+	}
+	return s.sorted
 }
+
+// Links returns a copy of the links sorted by (Left, Right), which the
+// caller owns.
+func (s *Set) Links() []Link { return slices.Clone(s.Sorted()) }
 
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := &Set{links: make(map[Link]struct{}, len(s.links))}
-	for l := range s.links {
-		c.links[l] = struct{}{}
-	}
-	return c
+	return &Set{links: maps.Clone(s.links), sorted: s.sorted}
 }
 
 // DiffCount returns the size of the symmetric difference with other.
 // ALEX's convergence test is DiffCount == 0 (strict) or
-// DiffCount < 5% of Len (relaxed).
+// DiffCount < 5% of Len (relaxed). Each set is read under its own lock,
+// one after the other, so any two sets — the same one included — can be
+// compared while writers wait on either.
 func (s *Set) DiffCount(other *Set) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	other.mu.RLock()
-	defer other.mu.RUnlock()
-	diff := 0
-	for l := range s.links {
-		if _, ok := other.links[l]; !ok {
-			diff++
-		}
-	}
-	for l := range other.links {
-		if _, ok := s.links[l]; !ok {
-			diff++
-		}
-	}
-	return diff
+	return diffCount(s.Sorted(), other.Sorted())
 }
 
 // Quality holds the paper's evaluation metrics for one candidate set.
@@ -154,18 +202,13 @@ func (q Quality) String() string {
 
 // Evaluate computes precision P = |C∩G|/|C|, recall R = |C∩G|/|G| and
 // F = 2PR/(P+R) of candidates against truth. Empty candidate sets have
-// precision 0 by convention; empty truth has recall 0.
+// precision 0 by convention; empty truth has recall 0. Like DiffCount it
+// never holds two sets' locks at once.
 func Evaluate(candidates, truth *Set) Quality {
-	candidates.mu.RLock()
-	defer candidates.mu.RUnlock()
-	truth.mu.RLock()
-	defer truth.mu.RUnlock()
-	q := Quality{Candidates: len(candidates.links), Truth: len(truth.links)}
-	for l := range candidates.links {
-		if _, ok := truth.links[l]; ok {
-			q.Correct++
-		}
-	}
+	c, g := candidates.Sorted(), truth.Sorted()
+	q := Quality{Candidates: len(c), Truth: len(g)}
+	// |C ∩ G| from the one merge walk: |C| + |G| = 2|C ∩ G| + |C △ G|.
+	q.Correct = (len(c) + len(g) - diffCount(c, g)) / 2
 	if q.Candidates > 0 {
 		q.Precision = float64(q.Correct) / float64(q.Candidates)
 	}

@@ -1,6 +1,7 @@
 package linkset
 
 import (
+	"slices"
 	"sort"
 
 	"alex/internal/rdf"
@@ -23,10 +24,7 @@ func MutualBest(scored []Scored) []Scored {
 		if a.Score != b.Score {
 			return a.Score > b.Score
 		}
-		if a.Link.Left != b.Link.Left {
-			return a.Link.Left < b.Link.Left
-		}
-		return a.Link.Right < b.Link.Right
+		return Compare(a.Link, b.Link) < 0
 	}
 	// Dedupe the input by link first (keeping the best score), so a link
 	// appearing twice cannot appear twice in the output.
@@ -50,12 +48,7 @@ func MutualBest(scored []Scored) []Scored {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.Left != out[j].Link.Left {
-			return out[i].Link.Left < out[j].Link.Left
-		}
-		return out[i].Link.Right < out[j].Link.Right
-	})
+	slices.SortFunc(out, func(a, b Scored) int { return Compare(a.Link, b.Link) })
 	return out
 }
 
@@ -76,7 +69,7 @@ type Conflict struct {
 func Conflicts(s *Set) []Conflict {
 	byLeft := map[rdf.TermID][]rdf.TermID{}
 	byRight := map[rdf.TermID][]rdf.TermID{}
-	for _, l := range s.Links() {
+	for _, l := range s.Sorted() {
 		byLeft[l.Left] = append(byLeft[l.Left], l.Right)
 		byRight[l.Right] = append(byRight[l.Right], l.Left)
 	}
