@@ -461,6 +461,63 @@ func BenchmarkLinkBatchOp(b *testing.B) {
 	}
 }
 
+// BenchmarkSparqlColdOp replays the op of the end-to-end benchmark's
+// sparql_cold workload (bench/w_sparql.go) in process: DS1 at scale 4
+// behind endpoint.NewHandler — no cache, no admission — and, per op, the
+// five templates about one seeded person: star, join + ORDER BY + LIMIT,
+// regex, optional, group. The third twin of BenchmarkLinkBatchOp and
+// BenchmarkFeedbackOp, and the harness PERF.md's PR 16 profiles come from:
+//
+//	go test -run '^$' -bench SparqlColdOp -benchtime 5000x -cpuprofile cpu.prof -memprofile mem.prof .
+func BenchmarkSparqlColdOp(b *testing.B) {
+	const dbo = "http://dbpedia.sim/ontology/"
+	ds1 := datagen.GeneratePair(datagen.DBpediaNYTimes(4, 1)).DS1
+	dict := ds1.Dict()
+	object := func(s rdf.TermID, pred string) string {
+		p, ok := dict.Lookup(rdf.NewIRI(pred))
+		if !ok {
+			return ""
+		}
+		for _, t := range ds1.Match(s, p, rdf.NoTerm) {
+			return dict.Term(t.O).String()
+		}
+		return ""
+	}
+	var sessions [][]string
+	for _, id := range ds1.Subjects() {
+		s, team, pos := dict.Term(id).String(), object(id, dbo+"team"), object(id, dbo+"position")
+		if team == "" || pos == "" || object(id, rdf.RDFSLabel) == "" {
+			continue
+		}
+		sessions = append(sessions, []string{
+			fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", s),
+			fmt.Sprintf("SELECT ?o ?l WHERE { %s <%steam> ?t . ?o <%steam> ?t . ?o <%s> ?l } ORDER BY ?l ?o LIMIT 10", s, dbo, dbo, rdf.RDFSLabel),
+			fmt.Sprintf("SELECT ?s ?l WHERE { ?s <%steam> %s . ?s <%s> ?l . FILTER regex(?l, \"^[A-M]\") }", dbo, team, rdf.RDFSLabel),
+			fmt.Sprintf("SELECT ?o ?b WHERE { ?o <%steam> %s . ?o <%sposition> %s . OPTIONAL { ?o <%sbirthDate> ?b } }", dbo, team, dbo, pos, dbo),
+			fmt.Sprintf("SELECT ?pos (COUNT(?o) AS ?n) WHERE { ?o <%steam> %s . ?o <%sposition> ?pos } GROUP BY ?pos", dbo, team, dbo),
+		})
+	}
+	if len(sessions) == 0 {
+		b.Fatal("no subject with label, team and position")
+	}
+	rng := rand.New(rand.NewSource(benchSeed))
+	rng.Shuffle(len(sessions), func(i, j int) { sessions[i], sessions[j] = sessions[j], sessions[i] })
+	h := endpoint.NewHandler(ds1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, query := range sessions[i%len(sessions)] {
+			req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader("query="+url.QueryEscape(query)))
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s: status %d: %s", query, rec.Code, rec.Body.String())
+			}
+		}
+	}
+}
+
 // feedbackWorld is the feedback_loop workload's stack (bench/w_feedback.go)
 // assembled in process, the way `sparqld -feedback -feedback-batch 16`
 // assembles it: a four-partition engine over the DBpedia–NYTimes pair at

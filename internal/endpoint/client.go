@@ -141,6 +141,47 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error
 	return out, nil
 }
 
+// Wire documents, as the client decodes them; wire.go writes them.
+
+type headDocument struct {
+	Vars []string `json:"vars,omitempty"`
+}
+
+type termDocument struct {
+	Type     string `json:"type"`
+	Value    string `json:"value"`
+	Lang     string `json:"xml:lang,omitempty"`
+	Datatype string `json:"datatype,omitempty"`
+}
+
+type selectDocument struct {
+	Head    headDocument `json:"head"`
+	Results struct {
+		Bindings []map[string]termDocument `json:"bindings"`
+	} `json:"results"`
+}
+
+// decodeTerm is the inverse of appendTerm.
+func decodeTerm(d termDocument) (rdf.Term, error) {
+	switch d.Type {
+	case "uri":
+		return rdf.NewIRI(d.Value), nil
+	case "bnode":
+		return rdf.NewBlank(d.Value), nil
+	case "literal", "typed-literal":
+		switch {
+		case d.Lang != "":
+			return rdf.NewLangString(d.Value, d.Lang), nil
+		case d.Datatype != "":
+			return rdf.NewTyped(d.Value, d.Datatype), nil
+		default:
+			return rdf.NewString(d.Value), nil
+		}
+	default:
+		return rdf.Term{}, fmt.Errorf("endpoint: unknown term type %q", d.Type)
+	}
+}
+
 // Ask runs an ASK query, cached by query text.
 func (c *Client) Ask(query string) (bool, error) {
 	return c.AskContext(context.Background(), query)

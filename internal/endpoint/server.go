@@ -209,15 +209,7 @@ func (h *Handler) serveQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	if res.IsAsk {
-		writeJSON(w, askDocument{Head: headDocument{}, Boolean: res.Boolean})
-		return
-	}
-	if res.slots != nil {
-		writeJSON(w, encodeSelectSlots(res.Vars, res.slots))
-		return
-	}
-	writeJSON(w, encodeSelect(res.Vars, res.Rows))
+	writeResults(w, res)
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -284,99 +276,10 @@ func extractQuery(r *http.Request) (string, error) {
 	return q, nil
 }
 
+// writeJSON serves the diagnostic routes (/stats, /metrics, /debug/trace);
+// query replies are written by writeResults.
 func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// Wire documents.
-
-type headDocument struct {
-	Vars []string `json:"vars,omitempty"`
-}
-
-type termDocument struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
-}
-
-type selectDocument struct {
-	Head    headDocument `json:"head"`
-	Results struct {
-		Bindings []map[string]termDocument `json:"bindings"`
-	} `json:"results"`
-}
-
-type askDocument struct {
-	Head    headDocument `json:"head"`
-	Boolean bool         `json:"boolean"`
-}
-
-// encodeSelectSlots builds the results document straight from a slot
-// result: each term is decoded exactly once, here at the JSON boundary,
-// with no intermediate Binding maps.
-func encodeSelectSlots(vars []string, sr *sparql.SlotResult) selectDocument {
-	doc := selectDocument{Head: headDocument{Vars: vars}}
-	doc.Results.Bindings = make([]map[string]termDocument, 0, sr.Len())
-	for i := 0; i < sr.Len(); i++ {
-		b := make(map[string]termDocument)
-		sr.EachBinding(i, func(v string, t rdf.Term) {
-			b[v] = encodeTerm(t)
-		})
-		doc.Results.Bindings = append(doc.Results.Bindings, b)
-	}
-	return doc
-}
-
-func encodeSelect(vars []string, rows []sparql.Binding) selectDocument {
-	doc := selectDocument{Head: headDocument{Vars: vars}}
-	doc.Results.Bindings = make([]map[string]termDocument, 0, len(rows))
-	for _, row := range rows {
-		b := make(map[string]termDocument, len(row))
-		for v, t := range row {
-			b[v] = encodeTerm(t)
-		}
-		doc.Results.Bindings = append(doc.Results.Bindings, b)
-	}
-	return doc
-}
-
-func encodeTerm(t rdf.Term) termDocument {
-	switch t.Kind {
-	case rdf.KindIRI:
-		return termDocument{Type: "uri", Value: t.Value}
-	case rdf.KindBlank:
-		return termDocument{Type: "bnode", Value: t.Value}
-	default:
-		return termDocument{
-			Type:     "literal",
-			Value:    t.Value,
-			Lang:     t.Lang,
-			Datatype: t.Datatype,
-		}
-	}
-}
-
-// decodeTerm is the inverse of encodeTerm.
-func decodeTerm(d termDocument) (rdf.Term, error) {
-	switch d.Type {
-	case "uri":
-		return rdf.NewIRI(d.Value), nil
-	case "bnode":
-		return rdf.NewBlank(d.Value), nil
-	case "literal", "typed-literal":
-		switch {
-		case d.Lang != "":
-			return rdf.NewLangString(d.Value, d.Lang), nil
-		case d.Datatype != "":
-			return rdf.NewTyped(d.Value, d.Datatype), nil
-		default:
-			return rdf.NewString(d.Value), nil
-		}
-	default:
-		return rdf.Term{}, fmt.Errorf("endpoint: unknown term type %q", d.Type)
-	}
 }

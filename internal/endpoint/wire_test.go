@@ -3,13 +3,17 @@ package endpoint
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"alex/internal/rdf"
@@ -231,4 +235,85 @@ func firstWireDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("line counts differ: got %d, want %d", len(gl), len(wl))
+}
+
+// TestAppendStringMatchesEncodingJSON holds the string escaper against the
+// encoder it replaced: every single byte, every rune the old encoder
+// treats specially, and random mixtures of both.
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	reference := func(s string) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(b.String(), "\n")
+	}
+	check := func(s string) {
+		t.Helper()
+		if got, want := string(appendString(nil, s)), reference(s); got != want {
+			t.Fatalf("appendString(%q) = %s, encoding/json gives %s", s, got, want)
+		}
+	}
+	var pieces []string
+	for c := 0; c < 256; c++ {
+		pieces = append(pieces, string([]byte{byte(c)}))
+	}
+	pieces = append(pieces, "\u2027", "\u2028", "\u2029", "\u202a", "\ufffd", "é", "\u4e16", "\U0001F600",
+		"\xe2\x80", "\xf0\x9f\x98", "\xc0\xaf", "\xed\xa0\x80", "plain ascii ", "<>&'/")
+	for _, p := range pieces {
+		check(p)
+		check("a" + p + "z")
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 5000; i++ {
+		var s string
+		for n := rng.Intn(8); n > 0; n-- {
+			s += pieces[rng.Intn(len(pieces))]
+		}
+		check(s)
+	}
+}
+
+// TestInvalidRegexIsNoRowsNotAnError: REGEX with a pattern that does not
+// compile rejects every row; the reply is an empty result, not a 400 or a
+// 500.
+func TestInvalidRegexIsNoRowsNotAnError(t *testing.T) {
+	slots, rows := wireHandlers(wireStore())
+	for name, h := range map[string]*Handler{"slots": slots, "rows": rows} {
+		code, body := wireReply(h, `SELECT ?s WHERE { ?s <http://w/g> ?v . FILTER(REGEX(?v, "(")) }`)
+		if want := `{"head":{"vars":["s"]},"results":{"bindings":[]}}` + "\n"; code != 200 || string(body) != want {
+			t.Errorf("%s: status %d, body %q; want 200 and %q", name, code, body, want)
+		}
+	}
+}
+
+// TestWireBufferReuse answers different queries from 8 goroutines at
+// once: replies share pooled buffers, and each must still be its own
+// golden bytes. Run under -race.
+func TestWireBufferReuse(t *testing.T) {
+	slots, rows := wireHandlers(wireStore())
+	want := make([][2][]byte, len(wireQueries))
+	for i, q := range wireQueries {
+		_, want[i][0] = wireReply(slots, q)
+		_, want[i][1] = wireReply(rows, q)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (g + n) % len(wireQueries)
+				for k, h := range []*Handler{slots, rows} {
+					if _, got := wireReply(h, wireQueries[i]); !bytes.Equal(got, want[i][k]) {
+						t.Errorf("concurrent reply to %s differs from the serial one", wireQueries[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -130,7 +130,7 @@ func evalAggregate(agg Aggregate, rows []Binding) (rdf.Term, error) {
 		sum := 0.0
 		n := 0
 		for _, t := range terms {
-			if v, ok := t.AsFloat(); ok && looksNumeric(t.Value) {
+			if v, ok := numericValue(t); ok {
 				sum += v
 				n++
 			}

@@ -217,11 +217,12 @@ func sortRows(rows []Binding, keys []OrderKey) {
 }
 
 // compareTerms orders terms: numeric by value when both numeric, otherwise
-// by kind then lexical value.
+// by kind then lexical value. It is the definition of the order: the slot
+// engine sorts by sortKey.compare, which is tested against it pair by pair.
 func compareTerms(a, b rdf.Term) int {
-	af, aok := a.AsFloat()
-	bf, bok := b.AsFloat()
-	if aok && bok && looksNumeric(a.Value) && looksNumeric(b.Value) {
+	af, aok := numericValue(a)
+	bf, bok := numericValue(b)
+	if aok && bok {
 		switch {
 		case af < bf:
 			return -1

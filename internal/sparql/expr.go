@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -48,8 +47,8 @@ func EBV(t rdf.Term) (bool, error) {
 		if t.Datatype == rdf.XSDBoolean {
 			return t.Value == "true" || t.Value == "1", nil
 		}
-		if f, ok := t.AsFloat(); ok && (t.Datatype == rdf.XSDInteger || t.Datatype == rdf.XSDDouble || t.Datatype == "") {
-			if _, isNum := t.AsFloat(); isNum && looksNumeric(t.Value) {
+		if t.Datatype == rdf.XSDInteger || t.Datatype == rdf.XSDDouble || t.Datatype == "" {
+			if f, ok := numericValue(t); ok {
 				return f != 0, nil
 			}
 		}
@@ -58,21 +57,44 @@ func EBV(t rdf.Term) (bool, error) {
 	return false, fmt.Errorf("no effective boolean value for %s", t)
 }
 
+// numericValue is the one test for "this term is a number" that equality,
+// arithmetic, effective boolean values, ORDER BY and the numeric
+// aggregates share: a literal in plain decimal notation. The shape is
+// checked before the parse, so a label or an IRI costs a scan of its
+// first characters and never a strconv error value.
+func numericValue(t rdf.Term) (float64, bool) {
+	if t.Kind != rdf.KindLiteral || !looksNumeric(t.Value) {
+		return 0, false
+	}
+	// Digits past float64's range still fail here, and are then no number.
+	if f, ok := t.AsFloat(); ok {
+		return f, true
+	}
+	return 0, false
+}
+
+// looksNumeric reports whether s, spaces trimmed, is an optional sign and
+// decimal digits around at most one point, with at least one digit:
+// exactly the strings of that alphabet strconv.ParseFloat accepts.
+// Exponents, hex, underscores, "Inf" and "NaN" are deliberately not
+// numbers here.
 func looksNumeric(s string) bool {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return false
+	if s != "" && (s[0] == '-' || s[0] == '+') {
+		s = s[1:]
 	}
-	for i, c := range s {
-		if c >= '0' && c <= '9' || c == '.' {
-			continue
+	digits, point := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			digits++
+		case c == '.' && !point:
+			point = true
+		default:
+			return false
 		}
-		if i == 0 && (c == '-' || c == '+') {
-			continue
-		}
-		return false
 	}
-	return true
+	return digits > 0
 }
 
 // VarExpr references a variable.
@@ -165,10 +187,10 @@ func termsEqual(l, r rdf.Term) bool {
 		return true
 	}
 	if l.Kind == rdf.KindLiteral && r.Kind == rdf.KindLiteral {
-		lf, lok := l.AsFloat()
-		rf, rok := r.AsFloat()
-		if lok && rok && looksNumeric(l.Value) && looksNumeric(r.Value) {
-			return lf == rf
+		if lf, lok := numericValue(l); lok {
+			if rf, rok := numericValue(r); rok {
+				return lf == rf
+			}
 		}
 		// Plain vs xsd:string literals are the same value.
 		if l.Lang == r.Lang && l.Value == r.Value {
@@ -208,9 +230,9 @@ func (e ArithExpr) Eval(b Binding) (rdf.Term, error) {
 // arithTerms applies an arithmetic operator to two evaluated terms. Shared
 // by the map-based and slot-based expression evaluators.
 func arithTerms(op byte, l, r rdf.Term) (rdf.Term, error) {
-	lf, lok := l.AsFloat()
-	rf, rok := r.AsFloat()
-	if !lok || !rok || !looksNumeric(l.Value) || !looksNumeric(r.Value) {
+	lf, lok := numericValue(l)
+	rf, rok := numericValue(r)
+	if !lok || !rok {
 		return rdf.Term{}, fmt.Errorf("non-numeric operand for %c", op)
 	}
 	var v float64
@@ -348,18 +370,13 @@ func (e CallExpr) Eval(b Binding) (rdf.Term, error) {
 func callBuiltin(name string, args []rdf.Term) (rdf.Term, error) {
 	switch name {
 	case "REGEX":
-		if len(args) < 2 {
-			return rdf.Term{}, fmt.Errorf("REGEX takes 2 or 3 arguments")
-		}
-		pat := args[1].Value
-		if len(args) == 3 && strings.Contains(args[2].Value, "i") {
-			pat = "(?i)" + pat
-		}
-		re, err := regexp.Compile(pat)
+		// The map engine has no evaluation state to memoise in: it is the
+		// reference the slot engine's compiled patterns are tested against.
+		text, k, err := regexArgs(args)
 		if err != nil {
-			return rdf.Term{}, fmt.Errorf("REGEX: %w", err)
+			return rdf.Term{}, err
 		}
-		return boolTerm(re.MatchString(args[0].Value)), nil
+		return compileRegex(k).match(text)
 	case "CONTAINS":
 		if len(args) != 2 {
 			return rdf.Term{}, fmt.Errorf("CONTAINS takes 2 arguments")

@@ -7,7 +7,8 @@ import (
 
 // Prepared is one parse-and-compile of a query, reusable across
 // evaluations: the normalized key, the parsed algebra and the slot layout
-// are all immutable after Prepare, so a cached Prepared may be evaluated
+// (with the query's constant REGEX patterns compiled into it) are all
+// immutable after Prepare, so a cached Prepared may be evaluated
 // concurrently from many goroutines against any store. Each evaluation
 // still gets its own id space, row sets and BGP plan — the plan depends
 // on the store's live statistics, so it is deliberately not frozen into

@@ -13,8 +13,8 @@ import (
 // This file is the slot-based evaluation engine: the whole pipeline from
 // pattern matching through DISTINCT runs on fixed-width []rdf.TermID rows
 // over the store's dictionary ids, and terms are decoded only where a
-// lexical form is genuinely needed (expression evaluation, ORDER BY
-// comparisons, and the final materialization). The legacy map-based
+// lexical form is genuinely needed (expression evaluation, ORDER BY keys,
+// and the final materialization). The legacy map-based
 // engine is retained as EvalCompat for the equivalence harness.
 
 // EvalWithOptions evaluates a parsed query through the slot-based engine
@@ -105,14 +105,19 @@ func (r *SlotResult) Provenance(i int) rdf.TermID {
 	return r.rows.Row(i)[len(r.rowVars)]
 }
 
-// EachBinding decodes row i, calling fn once per bound variable.
-func (r *SlotResult) EachBinding(i int, fn func(v string, t rdf.Term)) {
-	row := r.rows.Row(i)[:len(r.rowVars)]
-	for j, id := range row {
-		if id != rdf.NoTerm {
-			fn(r.rowVars[j], r.ids.Term(id))
-		}
+// RowVars names the columns of every row: the projection, plus the
+// grouping variables an aggregate query carries. A serializer reads rows
+// through RowVars and Term without materializing Bindings.
+func (r *SlotResult) RowVars() []string { return r.rowVars }
+
+// Term decodes column j of row i; ok is false where the row leaves the
+// variable unbound.
+func (r *SlotResult) Term(i, j int) (t rdf.Term, ok bool) {
+	id := r.rows.data[i*r.rows.w+j]
+	if id == rdf.NoTerm {
+		return rdf.Term{}, false
 	}
+	return r.ids.Term(id), true
 }
 
 // Materialize decodes every row into the public Binding representation.
@@ -567,57 +572,6 @@ func (p *slotProg) finalizeSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	return &SlotResult{Vars: vars, rowVars: vars, rows: proj, ids: p.ids}, nil
 }
 
-// sortSlots applies ORDER BY with the exact comparator of the legacy
-// sortRows (unbound first, numeric when both numeric, stable), decoding
-// key terms through the id space on demand.
-func (p *slotProg) sortSlots(rows *Rows, keys []OrderKey, slotOf func(string) int) *Rows {
-	cols := make([]int, len(keys))
-	for i, k := range keys {
-		cols[i] = slotOf(k.Var)
-	}
-	perm := make([]int, rows.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := rows.Row(perm[a]), rows.Row(perm[b])
-		for ki, k := range keys {
-			var ia, ib rdf.TermID
-			if c := cols[ki]; c >= 0 {
-				ia, ib = ra[c], rb[c]
-			}
-			if ia == rdf.NoTerm && ib == rdf.NoTerm {
-				continue
-			}
-			// Unbound sorts first.
-			if ia == rdf.NoTerm || ib == rdf.NoTerm {
-				less := ia == rdf.NoTerm
-				if k.Desc {
-					less = !less
-				}
-				return less
-			}
-			if ia == ib {
-				continue
-			}
-			c := compareTerms(p.ids.Term(ia), p.ids.Term(ib))
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	out := NewRows(rows.w, rows.n)
-	for _, i := range perm {
-		out.Push(rows.Row(i))
-	}
-	return out
-}
-
 // distinctSlots dedupes rows in place by the raw tuple of their first
 // keyW slots — 4 bytes per slot, no term decoding or stringification. A
 // provenance column beyond keyW is not part of the key: the first row of
@@ -831,11 +785,12 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *Rows, group []int) (r
 	}
 	switch agg.Func {
 	case "MIN", "MAX":
-		best := terms[0]
+		best, bestKey := terms[0], newSortKey(terms[0])
 		for _, t := range terms[1:] {
-			c := compareTerms(t, best)
+			k := newSortKey(t)
+			c := k.compare(&bestKey)
 			if (agg.Func == "MIN" && c < 0) || (agg.Func == "MAX" && c > 0) {
-				best = t
+				best, bestKey = t, k
 			}
 		}
 		return best, nil
@@ -843,7 +798,7 @@ func (p *slotProg) evalAggregateSlots(agg Aggregate, rows *Rows, group []int) (r
 		sum := 0.0
 		n := 0
 		for _, t := range terms {
-			if v, ok := t.AsFloat(); ok && looksNumeric(t.Value) {
+			if v, ok := numericValue(t); ok {
 				sum += v
 				n++
 			}

@@ -62,13 +62,23 @@ func (p *slotProg) evalExprRow(e Expr, r []rdf.TermID) (rdf.Term, error) {
 			}
 			return boolTerm(p.get(r, v.Name) != rdf.NoTerm), nil
 		}
-		args := make([]rdf.Term, len(e.Args))
-		for i, a := range e.Args {
+		// No builtin takes more than three arguments: a longer call is an
+		// arity error callBuiltin reports, and the only one that allocates.
+		var buf [3]rdf.Term
+		args := buf[:0]
+		for _, a := range e.Args {
 			t, err := p.evalExprRow(a, r)
 			if err != nil {
 				return rdf.Term{}, err
 			}
-			args[i] = t
+			args = append(args, t)
+		}
+		if e.Name == "REGEX" {
+			text, k, err := regexArgs(args)
+			if err != nil {
+				return rdf.Term{}, err
+			}
+			return p.regex(k).match(text)
 		}
 		return callBuiltin(e.Name, args)
 	default:

@@ -169,6 +169,11 @@ type slotProg struct {
 	reg          *obs.Registry
 	materialized *obs.Counter
 	stageHists   map[string]*obs.Histogram
+
+	// regexMemo holds the patterns this evaluation compiled because a
+	// variable supplied them. Expressions run on the evaluation's own
+	// goroutine, so it needs no lock.
+	regexMemo map[regexKey]regexProg
 }
 
 func (p *slotProg) width() int { return len(p.lay.vars) + p.hidden }
@@ -181,6 +186,9 @@ func (p *slotProg) width() int { return len(p.lay.vars) + p.hidden }
 type SlotLayout struct {
 	vars  []string
 	slots map[string]int
+	// regex holds the compiled form of every REGEX call whose pattern and
+	// flags the query text fixes; nil when there is none.
+	regex map[regexKey]regexProg
 }
 
 // Slot returns the slot index of a variable, or -1 when the query's
@@ -275,10 +283,10 @@ func newStoreProg(st *store.Store, lay *SlotLayout, opts EvalOptions) *slotProg 
 }
 
 // CompileLayout assigns a dense slot index to every variable the query's
-// patterns can bind. Variables that appear only in projections, ORDER BY,
-// GROUP BY or expressions (never bound by a pattern) need no slot: a
-// missing slot reads as unbound everywhere, matching the map engine's
-// missing-key semantics.
+// patterns can bind, and compiles the constant REGEX patterns. Variables
+// that appear only in projections, ORDER BY, GROUP BY or expressions (never
+// bound by a pattern) need no slot: a missing slot reads as unbound
+// everywhere, matching the map engine's missing-key semantics.
 func CompileLayout(q *Query) *SlotLayout {
 	lay := &SlotLayout{slots: map[string]int{}}
 	addVar := func(v string) {
@@ -316,6 +324,9 @@ func CompileLayout(q *Query) *SlotLayout {
 				}
 			case Bind:
 				addVar(pat.As)
+				lay.compileRegexes(pat.Expr)
+			case Filter:
+				lay.compileRegexes(pat.Expr)
 			}
 		}
 	}
