@@ -473,20 +473,10 @@ func BenchmarkSparqlColdOp(b *testing.B) {
 	const dbo = "http://dbpedia.sim/ontology/"
 	ds1 := datagen.GeneratePair(datagen.DBpediaNYTimes(4, 1)).DS1
 	dict := ds1.Dict()
-	object := func(s rdf.TermID, pred string) string {
-		p, ok := dict.Lookup(rdf.NewIRI(pred))
-		if !ok {
-			return ""
-		}
-		for _, t := range ds1.Match(s, p, rdf.NoTerm) {
-			return dict.Term(t.O).String()
-		}
-		return ""
-	}
 	var sessions [][]string
 	for _, id := range ds1.Subjects() {
-		s, team, pos := dict.Term(id).String(), object(id, dbo+"team"), object(id, dbo+"position")
-		if team == "" || pos == "" || object(id, rdf.RDFSLabel) == "" {
+		s, team, pos := dict.Term(id).String(), firstObject(ds1, id, dbo+"team"), firstObject(ds1, id, dbo+"position")
+		if team == "" || pos == "" || firstObject(ds1, id, rdf.RDFSLabel) == "" {
 			continue
 		}
 		sessions = append(sessions, []string{
@@ -497,12 +487,73 @@ func BenchmarkSparqlColdOp(b *testing.B) {
 			fmt.Sprintf("SELECT ?pos (COUNT(?o) AS ?n) WHERE { ?o <%steam> %s . ?o <%sposition> ?pos } GROUP BY ?pos", dbo, team, dbo),
 		})
 	}
+	serveSessions(b, endpoint.NewHandler(ds1), sessions)
+}
+
+// BenchmarkFedSameasOp replays the op of the end-to-end benchmark's
+// fed_sameas workload (bench/w_fed.go) in process: the DBpedia–NYTimes pair
+// at scale 4 federated with truth ∪ decoy links under the default
+// resilience policy, served uncached through fed.CachedEndpointQueryFunc,
+// and, per op, the four templates about one linked person: xjoin, const,
+// ask, agg. The harness PERF.md's PR 17 profiles come from; not gated:
+//
+//	go test -run '^$' -bench FedSameasOp -benchtime 5000x -cpuprofile cpu.prof -memprofile mem.prof .
+func BenchmarkFedSameasOp(b *testing.B) {
+	const dbo, nyt = "http://dbpedia.sim/ontology/", "http://nytimes.sim/ontology/"
+	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(4, 1))
+	ds1, dict := pair.DS1, pair.Dict
+	links := linkset.FromLinks(pair.Truth.Links())
+	s1, s2 := ds1.Subjects(), pair.DS2.Subjects()
+	rng := rand.New(rand.NewSource(benchSeed))
+	for i := pair.Truth.Len() / 2; i > 0; i-- {
+		links.Add(linkset.Link{Left: s1[rng.Intn(len(s1))], Right: s2[rng.Intn(len(s2))]})
+	}
+	linked := map[rdf.TermID]bool{}
+	for _, l := range pair.Truth.Links() {
+		linked[l.Left] = true
+	}
+	var sessions [][]string
+	for _, id := range s1 {
+		s, team := dict.Term(id).String(), firstObject(ds1, id, dbo+"team")
+		if !linked[id] || team == "" || firstObject(ds1, id, dbo+"position") == "" || firstObject(ds1, id, rdf.RDFSLabel) == "" {
+			continue
+		}
+		sessions = append(sessions, []string{
+			fmt.Sprintf("SELECT ?s ?l ?pl WHERE { ?s <%steam> %s . ?s <%s> ?l . ?s <%sprefLabel> ?pl }", dbo, team, rdf.RDFSLabel, nyt),
+			fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", s),
+			fmt.Sprintf("ASK { %s <%sprefLabel> ?x }", s, nyt),
+			fmt.Sprintf("SELECT ?pos (COUNT(?s) AS ?n) WHERE { ?s <%steam> %s . ?s <%sposition> ?pos } GROUP BY ?pos", dbo, team, nyt),
+		})
+	}
+	f := fed.New(dict, ds1, pair.DS2)
+	f.SetLinks(links)
+	f.SetResilience(fed.DefaultResilience())
+	serveSessions(b, endpoint.NewQueryHandler(fed.CachedEndpointQueryFunc(f, nil), nil), sessions)
+}
+
+// firstObject is the first object of (s, pred) in st in SPARQL surface
+// syntax, "" when there is none.
+func firstObject(st *store.Store, s rdf.TermID, pred string) string {
+	dict := st.Dict()
+	p, ok := dict.Lookup(rdf.NewIRI(pred))
+	if !ok {
+		return ""
+	}
+	for _, t := range st.Match(s, p, rdf.NoTerm) {
+		return dict.Term(t.O).String()
+	}
+	return ""
+}
+
+// serveSessions is the timed loop of the *Op benchmarks over HTTP
+// workloads: one op posts every query of one session, sessions taken in a
+// seeded shuffle, to /sparql through an httptest recorder.
+func serveSessions(b *testing.B, h http.Handler, sessions [][]string) {
 	if len(sessions) == 0 {
 		b.Fatal("no subject with label, team and position")
 	}
 	rng := rand.New(rand.NewSource(benchSeed))
 	rng.Shuffle(len(sessions), func(i, j int) { sessions[i], sessions[j] = sessions[j], sessions[i] })
-	h := endpoint.NewHandler(ds1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,8 @@
 // a JSON metrics snapshot on exit.
 //
 // Remote endpoints (-remote) are queried under a fault-tolerance policy:
-// -timeout bounds each source call, -retries retries transient failures
+// -timeout bounds each call to one (calls into the in-process -data stores
+// cannot block and are not timed), -retries retries transient failures
 // with exponential backoff, and -partial-ok degrades gracefully — when an
 // endpoint stays unavailable past its retry budget the query still
 // answers, flagged with the skipped sources, instead of failing.
@@ -61,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	linksFile := fs.String("links", "", "owl:sameAs N-Triples link file")
 	query := fs.String("query", "", "SPARQL query (default: read from stdin)")
 	trace := fs.Bool("trace", false, "print each query's execution span tree and a final metrics snapshot to stderr")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-source-call timeout (0 disables)")
+	timeout := fs.Duration("timeout", 10*time.Second, "timeout of each call to a source that can wait (-remote endpoints); in-process -data stores cannot, their queries are bounded by the caller's context (0 disables)")
 	retries := fs.Int("retries", 2, "retries per failed source call")
 	partialOK := fs.Bool("partial-ok", false, "tolerate unavailable sources: answer with partial results instead of failing")
 	if err := fs.Parse(args); err != nil {

@@ -18,9 +18,11 @@
 // and CONSTRUCT via GET/POST, JSON / N-Triples results.
 //
 // When serving a federation, -timeout and -partial-ok install the fed
-// fault-tolerance policy (per-source-call timeouts, retries, breakers, and
-// graceful degradation); request contexts propagate so a disconnected
-// client aborts its query.
+// fault-tolerance policy (retries, breakers, graceful degradation, and a
+// timeout on each call to a source that can wait — the in-process stores
+// sparqld federates cannot, so their queries are bounded by the request's
+// context alone); request contexts propagate so a disconnected client
+// aborts its query.
 package main
 
 import (
@@ -90,7 +92,7 @@ func main() {
 	fs.Var(&dataFiles, "data", "N-Triples or Turtle file to serve (repeatable)")
 	linksFile := fs.String("links", "", "owl:sameAs link file (used with multiple -data files)")
 	addr := fs.String("addr", ":8181", "listen address")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-source-call timeout for federated serving (0 disables)")
+	timeout := fs.Duration("timeout", 10*time.Second, "timeout of each call to a federated source that can wait; in-process stores cannot, their queries are bounded by the request's context (0 disables)")
 	retries := fs.Int("retries", 2, "retries per failed source call for federated serving")
 	partialOK := fs.Bool("partial-ok", false, "federated serving tolerates unavailable sources (partial results)")
 	preparedCache := fs.Int("prepared-cache", 1024, "prepared-query LRU size in entries (0 disables)")

@@ -40,9 +40,13 @@ import (
 // Federation is a set of member sources (in-process stores and/or remote
 // endpoints) plus sameAs links.
 type Federation struct {
-	dict    *rdf.Dict
-	stores  []*store.Store
-	sources []Source
+	dict   *rdf.Dict
+	stores []*store.Store
+	// sources holds one member per source, in the order they were added.
+	// Like genSources it is written only during setup (New, AddSource,
+	// SetResilience, SetObserver), never during query evaluation, so
+	// queries read it without locking.
+	sources []*member
 	// links is the active link set with its alias index, published as one
 	// immutable snapshot: SetLinks may run (the feedback path calls it)
 	// while queries are in flight, and each evaluation loads the snapshot
@@ -60,15 +64,12 @@ type Federation struct {
 	linksGen   atomic.Uint64
 	genSources []func() uint64
 
-	// Fault tolerance (resilience.go). res holds the active policy, resOn
-	// caches whether any of it is enabled, breakers maps source name to
-	// its circuit breaker. Like sourceNS, breakers is (re)built by
-	// SetResilience and AddSource, never during query evaluation, so
-	// queries read it without locking; the breakers themselves are
-	// internally synchronized.
-	res      Resilience
-	resOn    bool
-	breakers map[string]*breaker
+	// Fault tolerance (resilience.go). res holds the active policy and
+	// resOn caches whether any of it is enabled; what the policy means for
+	// one source — its per-call timeout, its breaker — lives in that
+	// source's member.
+	res   Resilience
+	resOn bool
 	// jitterRNG randomizes retry backoff; guarded by jitterMu because
 	// parallel bound-join workers retry concurrently.
 	jitterMu  sync.Mutex
@@ -76,10 +77,8 @@ type Federation struct {
 
 	// Observability. obsReg is nil when disabled; the individual
 	// instruments are nil-safe so hot paths call them unconditionally
-	// (one branch inside the instrument). sourceNS maps source name to
-	// its match-latency histogram; it is (re)built by SetObserver and
-	// AddSource, never during query evaluation, so queries read it
-	// without locking.
+	// (one branch inside the instrument). The per-source match-latency
+	// histograms live in the members.
 	obsReg        *obs.Registry
 	cQueries      *obs.Counter
 	hQueryNS      *obs.Histogram
@@ -90,7 +89,6 @@ type Federation struct {
 	hBatchRows    *obs.Histogram
 	cRowsOut      *obs.Counter
 	gWorkersBusy  *obs.Gauge
-	sourceNS      map[string]*obs.Histogram
 
 	// Resilience instruments (resilience.go).
 	cSourceErrors *obs.Counter
@@ -140,6 +138,42 @@ func (a *aliases) next() (to rdf.TermID, link linkset.Link) {
 	return link.Right, link
 }
 
+// member is one source of the federation together with everything a probe
+// of it consults — its breaker, its match-latency histogram and the per-call
+// timeout that applies to it — resolved when the source, the policy or the
+// observer is installed, so that a probe looks nothing up by name.
+type member struct {
+	src  Source
+	name string // src.Name()
+	// idx is the member's position in Federation.sources, and its slot in
+	// an evaluation's skip flags.
+	idx int
+	// timeout is Resilience.Timeout for a source that can wait, and zero for
+	// a localSource: its calls cannot block and never look at their context,
+	// so a deadline on it would only arm and disarm a timer.
+	timeout time.Duration
+	br      *breaker       // nil without a breaker policy
+	matchNS *obs.Histogram // nil without an observer
+}
+
+// addMember appends src's member, wired to the current policy and observer.
+func (f *Federation) addMember(src Source) {
+	m := &member{src: src, name: src.Name(), idx: len(f.sources)}
+	f.sources = append(f.sources, m)
+	if g, ok := src.(GenerationSource); ok {
+		f.genSources = append(f.genSources, g.Generation)
+	}
+	f.applyPolicy(m)
+	f.bindMember(m)
+}
+
+// bindMember (re)binds a member's instruments to the current registry,
+// keeping its breaker's state; nil-safe on a detached registry.
+func (f *Federation) bindMember(m *member) {
+	m.matchNS = f.obsReg.Histogram(obs.FedSourceMatchNS(m.name))
+	m.br.bind(f.obsReg.Counter(obs.FedBreakerOpens), f.obsReg.Gauge(obs.FedBreakerState(m.name)))
+}
+
 // New returns a federation over the given stores, which must share dict.
 func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 	f := &Federation{
@@ -150,8 +184,7 @@ func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 	}
 	f.links.Store(&linkSnapshot{links: linkset.New()})
 	for _, st := range stores {
-		f.sources = append(f.sources, LocalSource(st))
-		f.genSources = append(f.genSources, st.Generation)
+		f.addMember(LocalSource(st))
 	}
 	return f
 }
@@ -183,19 +216,7 @@ func (f *Federation) DataGeneration() uint64 {
 
 // AddSource adds a member source (e.g. a remote endpoint) to the
 // federation.
-func (f *Federation) AddSource(src Source) {
-	f.sources = append(f.sources, src)
-	if g, ok := src.(GenerationSource); ok {
-		f.genSources = append(f.genSources, g.Generation)
-	}
-	if f.obsReg != nil {
-		f.sourceNS[src.Name()] = f.obsReg.Histogram(obs.FedSourceMatchNS(src.Name()))
-	}
-	if f.breakers != nil {
-		f.breakers[src.Name()] = newBreaker(f.res)
-		f.bindResilienceObs()
-	}
-}
+func (f *Federation) AddSource(src Source) { f.addMember(src) }
 
 // SetObserver attaches a metrics registry. Federated-query instruments:
 // fed.queries / fed.query_ns (count and latency of Eval calls),
@@ -205,9 +226,9 @@ func (f *Federation) AddSource(src Source) {
 // (bound-join batches and their input cardinalities),
 // fed.workers_busy (in-flight bound-join workers under SetParallelism),
 // fed.rows (total rows emitted by pattern extension), and per-source
-// fed.source.<name>.match_ns latency histograms. Call after all
-// AddSource calls, or re-call to pick up new sources; a nil registry
-// detaches. Not safe to call concurrently with query evaluation.
+// fed.source.<name>.match_ns latency histograms. Sources added later are
+// observed too; a nil registry detaches. Not safe to call concurrently with
+// query evaluation.
 func (f *Federation) SetObserver(reg *obs.Registry) {
 	f.obsReg = reg
 	f.cQueries = reg.Counter(obs.FedQueries)
@@ -219,18 +240,20 @@ func (f *Federation) SetObserver(reg *obs.Registry) {
 	f.hBatchRows = reg.Histogram(obs.FedBoundJoinRows)
 	f.cRowsOut = reg.Counter(obs.FedRows)
 	f.gWorkersBusy = reg.Gauge(obs.FedWorkersBusy)
-	f.sourceNS = nil
-	if reg != nil {
-		f.sourceNS = make(map[string]*obs.Histogram, len(f.sources))
-		for _, src := range f.sources {
-			f.sourceNS[src.Name()] = reg.Histogram(obs.FedSourceMatchNS(src.Name()))
-		}
-	}
 	f.bindResilienceObs()
+	for _, m := range f.sources {
+		f.bindMember(m)
+	}
 }
 
 // Sources returns the member sources.
-func (f *Federation) Sources() []Source { return f.sources }
+func (f *Federation) Sources() []Source {
+	out := make([]Source, len(f.sources))
+	for i, m := range f.sources {
+		out[i] = m.src
+	}
+	return out
+}
 
 // Dict returns the shared dictionary.
 func (f *Federation) Dict() *rdf.Dict { return f.dict }

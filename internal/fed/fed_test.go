@@ -236,8 +236,8 @@ func TestSelectSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srcs) != 1 || srcs[0].Name() != "nytimes" {
-		t.Errorf("sources for nyt:about = %v", names(srcs))
+	if len(srcs) != 1 || srcs[0].name != "nytimes" {
+		t.Errorf("sources for nyt:about = %v", sourceNames(srcs))
 	}
 	varPred := sparql.TriplePattern{S: sparql.VarNode("s"), P: sparql.VarNode("p"), O: sparql.VarNode("o")}
 	if got, err := f.selectSources(es, varPred); err != nil || len(got) != 2 {
@@ -251,14 +251,6 @@ func TestSelectSources(t *testing.T) {
 	if got, err := f.selectSources(es, unknown); err != nil || len(got) != 0 {
 		t.Errorf("sources for unknown predicate = %d (err %v), want 0", len(got), err)
 	}
-}
-
-func names(ss []Source) []string {
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Name()
-	}
-	return out
 }
 
 func TestFederationAccessors(t *testing.T) {

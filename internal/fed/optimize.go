@@ -16,7 +16,7 @@ import (
 // cost estimate used for ordering.
 type plannedPattern struct {
 	tp      sparql.TriplePattern
-	sources []Source
+	sources []*member
 	// exclusive marks patterns answerable by exactly one source — FedX's
 	// exclusive groups; they never multiply intermediate results across
 	// sources.
@@ -31,14 +31,14 @@ type plannedPattern struct {
 func (f *Federation) planBGP(es *evalState, bgp sparql.BGP, bound map[string]bool) ([]plannedPattern, error) {
 	remaining := make([]plannedPattern, 0, len(bgp.Triples))
 	for _, tp := range bgp.Triples {
-		src, err := f.selectSources(es, tp)
+		sources, err := f.selectSources(es, tp)
 		if err != nil {
 			return nil, err
 		}
 		remaining = append(remaining, plannedPattern{
 			tp:        tp,
-			sources:   src,
-			exclusive: len(src) == 1,
+			sources:   sources,
+			exclusive: len(sources) == 1,
 		})
 	}
 	if !f.reorder {
@@ -75,8 +75,8 @@ func (f *Federation) planBGP(es *evalState, bgp sparql.BGP, bound map[string]boo
 func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[string]bool) float64 {
 	base := 0.0
 	if !p.tp.P.IsVar() {
-		for _, src := range p.sources {
-			n, err := f.predicateCount(es, src, p.tp.P.Term)
+		for _, m := range p.sources {
+			n, err := f.predicateCount(es, m, p.tp.P.Term)
 			if err != nil {
 				// Remote estimate unavailable: assume expensive.
 				n = 1 << 20
@@ -84,8 +84,8 @@ func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[str
 			base += float64(n)
 		}
 	} else {
-		for _, src := range p.sources {
-			n, err := f.sourceSize(es, src)
+		for _, m := range p.sources {
+			n, err := f.sourceSize(es, m)
 			if err != nil {
 				n = 1 << 20
 			}
@@ -116,21 +116,21 @@ func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[str
 // the fault-tolerance policy (retries, timeouts, breaker accounting); on
 // a healthy passthrough they are plain source calls.
 
-func (f *Federation) predicateCount(es *evalState, src Source, pred rdf.Term) (int, error) {
+func (f *Federation) predicateCount(es *evalState, m *member, pred rdf.Term) (int, error) {
 	var n int
-	err := f.callSource(es.ctx, src, func(ctx context.Context) error {
+	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
 		var err error
-		n, err = src.PredicateCount(ctx, pred)
+		n, err = m.src.PredicateCount(ctx, pred)
 		return err
 	})
 	return n, err
 }
 
-func (f *Federation) sourceSize(es *evalState, src Source) (int, error) {
+func (f *Federation) sourceSize(es *evalState, m *member) (int, error) {
 	var n int
-	err := f.callSource(es.ctx, src, func(ctx context.Context) error {
+	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
 		var err error
-		n, err = src.Size(ctx)
+		n, err = m.src.Size(ctx)
 		return err
 	})
 	return n, err

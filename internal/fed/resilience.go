@@ -2,15 +2,18 @@ package fed
 
 // This file is the federation's fault-tolerance layer. Remote sources are
 // routinely slow, flaky or down (Umbrich et al., "Improving the Recall of
-// Decentralised Linked Data Querying"), so every source call can be
-// wrapped with a per-call timeout, bounded retries with exponential
-// backoff and jitter, and a per-source circuit breaker that quarantines a
-// failing endpoint: after BreakerFailures consecutive failures the breaker
-// opens and the source is ejected from source selection until
-// BreakerCooldown elapses, then a half-open trial call decides between
-// closing it again and re-opening. With PartialResults enabled a source
-// that stays unavailable past its retry budget is skipped instead of
-// failing the query, and the result is annotated with the skipped sources.
+// Decentralised Linked Data Querying"), so every source call runs under
+// bounded retries with exponential backoff and jitter and a per-source
+// circuit breaker, and every call to a source that can wait also under a
+// per-call timeout. The breaker quarantines a failing endpoint: after
+// BreakerFailures consecutive failures it opens and the source is ejected
+// from source selection until BreakerCooldown elapses, then a half-open
+// trial call decides between closing it again and re-opening. With
+// PartialResults enabled a source that stays unavailable past its retry
+// budget is skipped instead of failing the query, and the result is
+// annotated with the skipped sources. What the policy means for one source
+// is resolved into its member (fed.go) when either is installed, so a
+// healthy probe pays a branch and two atomic loads for it.
 
 import (
 	"context"
@@ -19,6 +22,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alex/internal/obs"
@@ -28,11 +32,14 @@ import (
 // disables everything; DefaultResilience returns production-shaped
 // settings. Install with Federation.SetResilience.
 type Resilience struct {
-	// Timeout bounds each individual source call: one ASK/COUNT probe, or
-	// one match of one row against one source for one pattern (a bound
-	// join makes rows × sources of them, plus one per sameAs alias). Zero
-	// means no per-call timeout; the caller's context deadline still
-	// applies.
+	// Timeout bounds each individual call to a source that can wait — a
+	// remote endpoint, or any Source handed to AddSource: one ASK/COUNT
+	// probe, or one match of one row against one source for one pattern (a
+	// bound join makes rows × sources of them, plus one per sameAs alias).
+	// A call into an in-process store (the sources New builds, LocalSource)
+	// cannot block and is not timed: a query over such stores is bounded by
+	// the caller's context, checked between rows. Zero means no per-call
+	// timeout; the caller's context deadline still applies.
 	Timeout time.Duration
 	// MaxRetries is how many times a failed source call is retried beyond
 	// the first attempt.
@@ -114,6 +121,12 @@ const (
 type breaker struct {
 	cfg Resilience
 
+	// troubled is false exactly while the breaker is closed with no failure
+	// streak — the state a healthy source keeps it in, where admitting a
+	// call and recording its success change nothing and so take one atomic
+	// load each instead of mu. Written under mu.
+	troubled atomic.Bool
+
 	mu        sync.Mutex
 	state     int
 	failures  int // consecutive failures while closed
@@ -129,7 +142,7 @@ func newBreaker(cfg Resilience) *breaker { return &breaker{cfg: cfg} }
 // allow reports whether a call may proceed, transitioning open → half-open
 // once the cooldown has elapsed.
 func (b *breaker) allow() bool {
-	if b == nil {
+	if b == nil || !b.troubled.Load() {
 		return true
 	}
 	b.mu.Lock()
@@ -144,7 +157,7 @@ func (b *breaker) allow() bool {
 // onSuccess records a successful call: it resets the failure streak, and
 // in half-open counts toward closing.
 func (b *breaker) onSuccess() {
-	if b == nil {
+	if b == nil || !b.troubled.Load() {
 		return
 	}
 	b.mu.Lock()
@@ -163,6 +176,7 @@ func (b *breaker) onSuccess() {
 	default:
 		b.failures = 0
 	}
+	b.troubled.Store(b.state != BreakerClosed)
 }
 
 // onFailure records a failed call: half-open re-opens immediately; closed
@@ -173,6 +187,7 @@ func (b *breaker) onFailure() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.troubled.Store(true)
 	switch b.state {
 	case BreakerHalfOpen:
 		b.open()
@@ -199,6 +214,17 @@ func (b *breaker) setState(s int) {
 	b.gState.Set(int64(s))
 }
 
+// bind (re)binds the breaker's instruments, keeping its state.
+func (b *breaker) bind(opens *obs.Counter, state *obs.Gauge) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.cOpens, b.gState = opens, state
+	b.gState.Set(int64(b.state))
+}
+
 // currentState returns the breaker state without side effects.
 func (b *breaker) currentState() int {
 	if b == nil {
@@ -215,17 +241,15 @@ func (b *breaker) currentState() int {
 // results. Metrics (when an observer is attached): fed.source_errors,
 // fed.retries, fed.retry_giveups, fed.breaker_opens and per-source
 // fed.breaker.<name>.state gauges, fed.partial_queries and
-// fed.skipped_sources. Like SetObserver, call it after AddSource and never
-// concurrently with query evaluation.
+// fed.skipped_sources. Every source — added before or after — is under the
+// policy; installing one starts every breaker closed. Like SetObserver,
+// never call it concurrently with query evaluation.
 func (f *Federation) SetResilience(r Resilience) {
 	f.res = r
 	f.resOn = r != (Resilience{})
-	f.breakers = nil
-	if f.resOn && r.BreakerFailures > 0 {
-		f.breakers = make(map[string]*breaker, len(f.sources))
-		for _, src := range f.sources {
-			f.breakers[src.Name()] = newBreaker(r)
-		}
+	for _, m := range f.sources {
+		f.applyPolicy(m)
+		f.bindMember(m)
 	}
 	seed := r.Seed
 	if seed == 0 {
@@ -241,29 +265,39 @@ func (f *Federation) SetResilience(r Resilience) {
 // value when disabled).
 func (f *Federation) Resilience() Resilience { return f.res }
 
+// applyPolicy resolves the active policy for one member: a fresh breaker
+// when the policy has one, and the per-call timeout when the source can
+// wait (see member.timeout).
+func (f *Federation) applyPolicy(m *member) {
+	m.br, m.timeout = nil, 0
+	if f.res.BreakerFailures > 0 {
+		m.br = newBreaker(f.res)
+	}
+	if _, inProcess := m.src.(localSource); !inProcess {
+		m.timeout = f.res.Timeout
+	}
+}
+
 // BreakerState reports a source's circuit-breaker state (BreakerClosed,
 // BreakerOpen or BreakerHalfOpen). Sources without a breaker — unknown
 // names, breaker disabled — report BreakerClosed.
 func (f *Federation) BreakerState(source string) int {
-	return f.breakers[source].currentState()
+	for _, m := range f.sources {
+		if m.name == source {
+			return m.br.currentState()
+		}
+	}
+	return BreakerClosed
 }
 
-// bindResilienceObs (re)binds the resilience instruments to the current
-// registry; nil-safe on a detached registry.
+// bindResilienceObs (re)binds the federation-wide resilience instruments to
+// the current registry; nil-safe on a detached registry.
 func (f *Federation) bindResilienceObs() {
 	f.cSourceErrors = f.obsReg.Counter(obs.FedSourceErrors)
 	f.cRetries = f.obsReg.Counter(obs.FedRetries)
 	f.cGiveups = f.obsReg.Counter(obs.FedRetryGiveups)
 	f.cPartial = f.obsReg.Counter(obs.FedPartialQueries)
 	f.cSkips = f.obsReg.Counter(obs.FedSkippedSources)
-	cOpens := f.obsReg.Counter(obs.FedBreakerOpens)
-	for name, br := range f.breakers {
-		br.mu.Lock()
-		br.cOpens = cOpens
-		br.gState = f.obsReg.Gauge(obs.FedBreakerState(name))
-		br.gState.Set(int64(br.state))
-		br.mu.Unlock()
-	}
 }
 
 // backoff returns the jittered exponential delay before retry attempt
@@ -289,35 +323,40 @@ func (f *Federation) backoff(attempt int) time.Duration {
 	return d
 }
 
-// callSource runs one source operation under the fault-tolerance policy:
-// breaker admission, per-call timeout, bounded retries with backoff. The
-// error returned after exhaustion is a *SourceUnavailableError. With
-// resilience disabled it is a plain passthrough.
-func (f *Federation) callSource(ctx context.Context, src Source, op func(ctx context.Context) error) error {
+// callSource runs one operation on a member's source under the
+// fault-tolerance policy: breaker admission, the member's per-call timeout,
+// bounded retries with backoff. The error returned after exhaustion is a
+// *SourceUnavailableError. With resilience disabled it is a plain
+// passthrough.
+func (f *Federation) callSource(ctx context.Context, m *member, op func(ctx context.Context) error) error {
 	if !f.resOn {
 		return op(ctx)
 	}
-	br := f.breakers[src.Name()]
-	if !br.allow() {
-		return &SourceUnavailableError{Source: src.Name(), Err: ErrCircuitOpen}
+	if !m.br.allow() {
+		return &SourceUnavailableError{Source: m.name, Err: ErrCircuitOpen}
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		cctx, cancel := ctx, context.CancelFunc(func() {})
-		if f.res.Timeout > 0 {
-			cctx, cancel = context.WithTimeout(ctx, f.res.Timeout)
+		if m.timeout > 0 {
+			cctx, cancel := context.WithTimeout(ctx, m.timeout)
+			err = op(cctx)
+			cancel()
+		} else {
+			err = op(ctx)
 		}
-		err = op(cctx)
-		cancel()
 		if err == nil {
-			br.onSuccess()
+			m.br.onSuccess()
 			return nil
 		}
+		// When the caller's own context is done — a client that went away,
+		// a request deadline — the failure is ours, not the source's: it
+		// is neither counted against the source nor retried.
+		if ctx.Err() != nil {
+			break
+		}
 		f.cSourceErrors.Inc()
-		br.onFailure()
-		// Never retry when the caller's own context is done (the failure
-		// is ours, not the source's) or the budget is spent.
-		if ctx.Err() != nil || attempt >= f.res.MaxRetries {
+		m.br.onFailure()
+		if attempt >= f.res.MaxRetries {
 			break
 		}
 		f.cRetries.Inc()
@@ -326,46 +365,41 @@ func (f *Federation) callSource(ctx context.Context, src Source, op func(ctx con
 			case <-time.After(d):
 			case <-ctx.Done():
 				f.cGiveups.Inc()
-				return &SourceUnavailableError{Source: src.Name(), Err: ctx.Err()}
+				return &SourceUnavailableError{Source: m.name, Err: ctx.Err()}
 			}
 		}
 	}
 	f.cGiveups.Inc()
-	return &SourceUnavailableError{Source: src.Name(), Err: err}
+	return &SourceUnavailableError{Source: m.name, Err: err}
 }
 
-// skip records that a source was dropped from this query; the first
-// recorded reason wins.
-func (es *evalState) skip(source, reason string) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if es.skipped == nil {
-		es.skipped = make(map[string]string)
-	}
-	if _, dup := es.skipped[source]; !dup {
-		es.skipped[source] = reason
-	}
+// Why a source was dropped from a query, as an evaluation's per-member
+// skip flag holds it; zero means it was not.
+const (
+	skipUnavailable uint32 = iota + 1
+	skipCircuitOpen
+	skipTimeout
+)
+
+var skipReasons = [...]string{
+	skipUnavailable: "unavailable",
+	skipCircuitOpen: "circuit open",
+	skipTimeout:     "timeout",
 }
 
-// isSkipped reports whether the source has already been dropped from this
+// isSkipped reports whether the member has already been dropped from this
 // query — once unavailable, it is not re-tried for later patterns.
-func (es *evalState) isSkipped(source string) bool {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	_, ok := es.skipped[source]
-	return ok
+func (es *evalState) isSkipped(m *member) bool {
+	return es.skipped != nil && es.skipped[m.idx].Load() != 0
 }
 
 // skips returns the recorded skips, sorted by source name.
 func (es *evalState) skips() []SourceSkip {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if len(es.skipped) == 0 {
-		return nil
-	}
-	out := make([]SourceSkip, 0, len(es.skipped))
-	for s, r := range es.skipped {
-		out = append(out, SourceSkip{Source: s, Reason: r})
+	var out []SourceSkip
+	for i := range es.skipped {
+		if r := es.skipped[i].Load(); r != 0 {
+			out = append(out, SourceSkip{Source: es.f.sources[i].name, Reason: skipReasons[r]})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
@@ -373,20 +407,21 @@ func (es *evalState) skips() []SourceSkip {
 
 // degrade decides what to do with a failed source call: with
 // PartialResults on, the source is skipped (recorded in the result and the
-// trace) and evaluation continues; otherwise the error fails the query.
-func (f *Federation) degrade(es *evalState, src Source, err error) error {
+// trace) and evaluation continues; otherwise the error fails the query. The
+// first recorded reason wins, and only the worker that records it counts
+// the skip.
+func (f *Federation) degrade(es *evalState, m *member, err error) error {
 	if !f.res.PartialResults {
 		return err
 	}
-	reason := "unavailable"
+	reason := skipUnavailable
 	if errors.Is(err, ErrCircuitOpen) {
-		reason = "circuit open"
+		reason = skipCircuitOpen
 	} else if errors.Is(err, context.DeadlineExceeded) {
-		reason = "timeout"
+		reason = skipTimeout
 	}
-	if !es.isSkipped(src.Name()) {
+	if es.skipped[m.idx].CompareAndSwap(0, reason) {
 		f.cSkips.Inc()
 	}
-	es.skip(src.Name(), reason)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alex/internal/linkset"
@@ -23,7 +24,7 @@ import (
 // evalState is one query evaluation: its context, the link snapshot it
 // runs against, the link sets its rows have used and its
 // graceful-degradation bookkeeping. It implements sparql.Solver. mu guards
-// sets, withLink and skipped, which parallel bound-join workers share.
+// sets and withLink, which parallel bound-join workers share.
 type evalState struct {
 	f     *Federation
 	ctx   context.Context
@@ -37,7 +38,11 @@ type evalState struct {
 	// withLink memoizes set ∪ {link}: the rows of one bound join mostly
 	// extend the same few sets by the same few links.
 	withLink map[setLink]rdf.TermID
-	skipped  map[string]string // source name -> reason
+
+	// skipped[i] is non-zero — the reason, see degrade — once member i has
+	// been dropped from this query. Allocated only under
+	// Resilience.PartialResults, the one policy that drops sources.
+	skipped []atomic.Uint32
 }
 
 type setLink struct {
@@ -47,7 +52,11 @@ type setLink struct {
 
 // newEvalState starts an evaluation against the links published now.
 func (f *Federation) newEvalState(ctx context.Context) *evalState {
-	return &evalState{f: f, ctx: ctx, links: f.links.Load(), sets: make([][]linkset.Link, 1)}
+	es := &evalState{f: f, ctx: ctx, links: f.links.Load(), sets: make([][]linkset.Link, 1)}
+	if f.res.PartialResults {
+		es.skipped = make([]atomic.Uint32, len(f.sources))
+	}
+	return es
 }
 
 func (es *evalState) Dict() *rdf.Dict  { return es.f.dict }
@@ -184,20 +193,20 @@ func boundVarsOf(lay *sparql.SlotLayout, bgp sparql.BGP, rows *sparql.Rows) map[
 }
 
 // sourceNames renders a source list compactly for span attributes.
-func sourceNames(sources []Source) string {
+func sourceNames(sources []*member) string {
 	names := ""
-	for i, src := range sources {
+	for i, m := range sources {
 		if i > 0 {
 			names += ","
 		}
-		names += src.Name()
+		names += m.name
 	}
 	return names
 }
 
 // extendRows applies one planned pattern to every row, in parallel when
 // configured. Results keep the input row order for determinism.
-func (es *evalState) extendRows(c sparql.SlotPattern, sources []Source, ids *sparql.IDSpace, rows *sparql.Rows, psp *obs.Span) (*sparql.Rows, error) {
+func (es *evalState) extendRows(c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, rows *sparql.Rows, psp *obs.Span) (*sparql.Rows, error) {
 	f := es.f
 	f.cBatches.Inc()
 	f.hBatchRows.Observe(int64(rows.Len()))
@@ -255,7 +264,7 @@ func (es *evalState) extendRows(c sparql.SlotPattern, sources []Source, ids *spa
 // that fails past its retry budget is skipped for the remainder of the
 // query instead of failing it. buf is scratch for the sources' matches,
 // returned for reuse.
-func (es *evalState) matchAcross(c sparql.SlotPattern, sources []Source, ids *sparql.IDSpace, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
+func (es *evalState) matchAcross(c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
 	f := es.f
 	var q [3]rdf.TermID
 	q[0], q[1], q[2] = c.Query(r)
@@ -272,13 +281,13 @@ func (es *evalState) matchAcross(c sparql.SlotPattern, sources []Source, ids *sp
 		}
 	}
 sources:
-	for _, src := range sources {
-		if f.resOn && es.isSkipped(src.Name()) {
+	for _, m := range sources {
+		if es.isSkipped(m) {
 			continue
 		}
 		var err error
-		if buf, err = f.timedMatch(es, src, ids, q, buf[:0]); err != nil {
-			if err = f.degrade(es, src, err); err != nil {
+		if buf, err = f.timedMatch(es, m, ids, q, buf[:0]); err != nil {
+			if err = f.degrade(es, m, err); err != nil {
 				return buf, err
 			}
 			continue
@@ -292,8 +301,8 @@ sources:
 				f.cRewrites.Inc()
 				probe := q
 				probe[pos] = to
-				if buf, err = f.timedMatch(es, src, ids, probe, buf[:0]); err != nil {
-					if err = f.degrade(es, src, err); err != nil {
+				if buf, err = f.timedMatch(es, m, ids, probe, buf[:0]); err != nil {
+					if err = f.degrade(es, m, err); err != nil {
 						return buf, err
 					}
 					continue sources
@@ -324,25 +333,23 @@ sources:
 	return buf, nil
 }
 
-// timedMatch is src.Match under the fault-tolerance policy (callSource)
-// plus the per-source latency histogram. The clock is only read when an
-// observer is attached. Matches are appended to dst.
-func (f *Federation) timedMatch(es *evalState, src Source, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+// timedMatch is the member's Match under the fault-tolerance policy
+// (callSource) plus the per-source latency histogram. The clock is only
+// read when an observer is attached. Matches are appended to dst.
+func (f *Federation) timedMatch(es *evalState, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	var t0 time.Time
-	if f.obsReg != nil {
+	if m.matchNS != nil {
 		t0 = time.Now() //lint:ignore nodeterminism per-source latency metric only; never feeds query results
 	}
 	out := dst
-	err := f.callSource(es.ctx, src, func(ctx context.Context) error {
+	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
 		var err error
 		// Every attempt appends to dst, not out: a retry starts over.
-		out, err = src.Match(ctx, ids, q[0], q[1], q[2], dst)
+		out, err = m.src.Match(ctx, ids, q[0], q[1], q[2], dst)
 		return err
 	})
-	if f.obsReg != nil {
-		if h := f.sourceNS[src.Name()]; h != nil {
-			h.Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism latency histogram only; never feeds query results
-		}
+	if m.matchNS != nil {
+		m.matchNS.Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism latency histogram only; never feeds query results
 	}
 	if err != nil {
 		return dst, err
@@ -357,41 +364,40 @@ func (f *Federation) timedMatch(es *evalState, src Source, ids *sparql.IDSpace, 
 // bound-join call will surface (or degrade) the failure. Sources whose
 // circuit breaker is open, or that were already skipped earlier in this
 // query, are ejected up front.
-func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]Source, error) {
-	var out []Source
-	for _, src := range f.sources {
-		if f.resOn {
-			if es.isSkipped(src.Name()) {
-				continue
+func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]*member, error) {
+	var out []*member
+	for _, m := range f.sources {
+		if es.isSkipped(m) {
+			continue
+		}
+		if f.resOn && !m.br.allow() {
+			err := f.degrade(es, m, &SourceUnavailableError{Source: m.name, Err: ErrCircuitOpen})
+			if err != nil {
+				return nil, err
 			}
-			if !f.breakers[src.Name()].allow() {
-				err := f.degrade(es, src, &SourceUnavailableError{Source: src.Name(), Err: ErrCircuitOpen})
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
+			continue
 		}
 		if tp.P.IsVar() {
-			out = append(out, src)
+			out = append(out, m)
 			continue
 		}
 		f.cSourceProbes.Inc()
-		has, err := f.hasPredicate(es, src, tp.P.Term)
+		has, err := f.hasPredicate(es, m, tp.P.Term)
 		if err != nil || has {
-			out = append(out, src)
+			out = append(out, m)
 		}
 	}
 	return out, nil
 }
 
-// hasPredicate is src.HasPredicate under the fault-tolerance policy: the
-// ASK probe gets the same timeout/retry/breaker treatment as bound joins.
-func (f *Federation) hasPredicate(es *evalState, src Source, pred rdf.Term) (bool, error) {
+// hasPredicate is the member's HasPredicate under the fault-tolerance
+// policy: the ASK probe gets the same timeout/retry/breaker treatment as
+// bound joins.
+func (f *Federation) hasPredicate(es *evalState, m *member, pred rdf.Term) (bool, error) {
 	var has bool
-	err := f.callSource(es.ctx, src, func(ctx context.Context) error {
+	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
 		var err error
-		has, err = src.HasPredicate(ctx, pred)
+		has, err = m.src.HasPredicate(ctx, pred)
 		return err
 	})
 	return has, err
