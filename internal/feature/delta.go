@@ -18,7 +18,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"alex/internal/linkset"
@@ -109,7 +109,7 @@ func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 	for l := range affected {
 		lefts = append(lefts, l)
 	}
-	sort.Slice(lefts, func(i, j int) bool { return lefts[i] < lefts[j] })
+	slices.Sort(lefts)
 	for _, l := range lefts {
 		sp.rescoreSubject(l, sp.prof.entity(ds1, l))
 	}
@@ -137,7 +137,7 @@ func (sp *Space) rescoreSubject(subj rdf.TermID, e entity) {
 		}
 		links = append(links, e.link)
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].Right < links[j].Right })
+	slices.SortFunc(links, linkset.Compare)
 	sp.leftPairs[subj] = links
 }
 
@@ -154,30 +154,12 @@ func (sp *Space) removePair(l linkset.Link) {
 	}
 }
 
-// entryAfter reports whether index entry e sorts strictly after the
-// (score, link) key in the per-feature order: score asc, then Left,
-// then Right. The order is total and unique — a link appears at most
-// once per feature index — so binary-search splices land exactly where
-// Build's final sort would have put the entry.
-func entryAfter(e scoredLink, score float64, l linkset.Link) bool {
-	if e.score != score {
-		return e.score > score
-	}
-	if e.link.Left != l.Left {
-		return e.link.Left > l.Left
-	}
-	return e.link.Right > l.Right
-}
-
 // spliceIn binary-search-inserts one entry into a feature's score index.
 func (sp *Space) spliceIn(f Feature, score float64, l linkset.Link) {
 	sp.cSplices.Inc()
-	entries := sp.index[f]
-	i := sort.Search(len(entries), func(i int) bool { return entryAfter(entries[i], score, l) })
-	entries = append(entries, scoredLink{})
-	copy(entries[i+1:], entries[i:])
-	entries[i] = scoredLink{score: score, link: l}
-	sp.index[f] = entries
+	entries, e := sp.index[f], scoredLink{score: score, link: l}
+	i, _ := slices.BinarySearchFunc(entries, e, compareEntries)
+	sp.index[f] = slices.Insert(entries, i, e)
 }
 
 // spliceOut binary-search-removes one entry from a feature's score
@@ -186,8 +168,8 @@ func (sp *Space) spliceIn(f Feature, score float64, l linkset.Link) {
 func (sp *Space) spliceOut(f Feature, score float64, l linkset.Link) {
 	sp.cSplices.Inc()
 	entries := sp.index[f]
-	i := sort.Search(len(entries), func(i int) bool { return !less(entries[i], score, l) })
-	if i >= len(entries) || entries[i].score != score || entries[i].link != l {
+	i, found := slices.BinarySearchFunc(entries, scoredLink{score: score, link: l}, compareEntries)
+	if !found {
 		return
 	}
 	entries = append(entries[:i], entries[i+1:]...)
@@ -196,17 +178,6 @@ func (sp *Space) spliceOut(f Feature, score float64, l linkset.Link) {
 		return
 	}
 	sp.index[f] = entries
-}
-
-// less reports whether entry e sorts strictly before the (score, link) key.
-func less(e scoredLink, score float64, l linkset.Link) bool {
-	if e.score != score {
-		return e.score < score
-	}
-	if e.link.Left != l.Left {
-		return e.link.Left < l.Left
-	}
-	return e.link.Right < l.Right
 }
 
 // setLeftTokens rewrites the DS1-side token index entries of one

@@ -17,6 +17,7 @@
 package feature
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -96,6 +97,20 @@ func (o Options) withDefaults() Options {
 type scoredLink struct {
 	score float64
 	link  linkset.Link
+}
+
+// compareEntries is the order of a per-feature index: score ascending, then
+// link. A link appears at most once per index, so the order is total and
+// unique — a binary-search splice (delta.go) lands exactly where Build's
+// sort puts the entry.
+func compareEntries(a, b scoredLink) int {
+	switch {
+	case a.score < b.score:
+		return -1
+	case a.score > b.score:
+		return 1
+	}
+	return linkset.Compare(a.link, b.link)
 }
 
 // Space is the pre-processed exploration space of one partition: the
@@ -183,21 +198,11 @@ func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Opt
 			}
 		}
 	}
-	for f := range sp.index {
-		entries := sp.index[f]
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].score != entries[j].score {
-				return entries[i].score < entries[j].score
-			}
-			if entries[i].link.Left != entries[j].link.Left {
-				return entries[i].link.Left < entries[j].link.Left
-			}
-			return entries[i].link.Right < entries[j].link.Right
-		})
+	for _, entries := range sp.index {
+		slices.SortFunc(entries, compareEntries)
 	}
-	for subj := range sp.leftPairs {
-		links := sp.leftPairs[subj]
-		sort.Slice(links, func(i, j int) bool { return links[i].Right < links[j].Right })
+	for _, links := range sp.leftPairs {
+		slices.SortFunc(links, linkset.Compare)
 	}
 	return sp
 }
@@ -310,11 +315,19 @@ func (e entity) tokens() []string {
 // from pair to pair, so that scoring a pair allocates only the Set it
 // returns. The zero buffers are ready to use.
 type scorer struct {
-	theta  float64
-	sim    sim.Scratch
-	feats  []Feature // the pair under way: sorted, one entry per feature
-	scores []float64
-	seen   map[rdf.TermID]struct{} // the subject under way: candidates met
+	theta   float64
+	sim     sim.Scratch
+	feats   []Feature // the pair under way: sorted, one entry per feature
+	scores  []float64
+	rowBest []bestCell              // the pair under way, per-row arm: one entry per e1 attribute
+	seen    map[rdf.TermID]struct{} // the subject under way: candidates met
+}
+
+// bestCell is the best-scoring cell met so far in one matrix row or column.
+type bestCell struct {
+	ok    bool
+	at    int // the cell's index along the row or column
+	score float64
 }
 
 // scoreSubject scores every blocked candidate of one partition subject —
@@ -349,35 +362,43 @@ func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []s
 
 // score builds the θ-filtered feature set of one entity pair (§4.1): a
 // similarity matrix over attribute pairs, then per-row maxima when
-// |e1| > |e2|, per-column maxima otherwise. Duplicate predicates keep the
-// maximal score.
+// |e1| > |e2|, per-column maxima otherwise; among equal scores the first
+// cell in row (column) order wins. Duplicate predicates keep the maximal
+// score. Either way the matrix is walked column by column, because the
+// string kernel prepares a table of the e2 value and reuses it for as long
+// as that value stays (sim.Scratch).
 func (sc *scorer) score(e1, e2 entity) Set {
-	n, m := len(e1.objs), len(e2.objs)
 	sc.feats, sc.scores = sc.feats[:0], sc.scores[:0]
-	if n > m {
-		// Per row: each attribute of e1 maps to its best match in e2.
+	perRow := len(e1.objs) > len(e2.objs)
+	if perRow {
+		sc.rowBest = append(sc.rowBest[:0], make([]bestCell, len(e1.objs))...)
+	}
+	for j, o2 := range e2.objs {
+		col, s := bestCell{}, 0.0
 		for i, o1 := range e1.objs {
-			bestJ, bestS := -1, -1.0
-			for j, o2 := range e2.objs {
-				if s := o1.Sim(o2.Profile, &sc.sim); s > bestS {
-					bestS, bestJ = s, j
-				}
+			// An entity often holds one term under two predicates (a label
+			// that is also a name), side by side: the cell repeats.
+			if i == 0 || o1 != e1.objs[i-1] {
+				s = o1.Sim(o2.Profile, &sc.sim)
 			}
-			if bestJ >= 0 {
-				sc.record(Feature{P1: e1.preds[i], P2: e2.preds[bestJ]}, bestS)
+			if perRow {
+				// Each attribute of e1 maps to its best match in e2.
+				if b := &sc.rowBest[i]; !b.ok || s > b.score {
+					*b = bestCell{ok: true, at: j, score: s}
+				}
+			} else if !col.ok || s > col.score {
+				col = bestCell{ok: true, at: i, score: s}
 			}
 		}
-	} else {
-		// Per column: each attribute of e2 maps to its best match in e1.
-		for j, o2 := range e2.objs {
-			bestI, bestS := -1, -1.0
-			for i, o1 := range e1.objs {
-				if s := o1.Sim(o2.Profile, &sc.sim); s > bestS {
-					bestS, bestI = s, i
-				}
-			}
-			if bestI >= 0 {
-				sc.record(Feature{P1: e1.preds[bestI], P2: e2.preds[j]}, bestS)
+		if col.ok {
+			// Each attribute of e2 maps to its best match in e1.
+			sc.record(Feature{P1: e1.preds[col.at], P2: e2.preds[j]}, col.score)
+		}
+	}
+	if perRow {
+		for i, b := range sc.rowBest {
+			if b.ok {
+				sc.record(Feature{P1: e1.preds[i], P2: e2.preds[b.at]}, b.score)
 			}
 		}
 	}
@@ -398,7 +419,7 @@ func (sc *scorer) record(f Feature, s float64) {
 		return
 	}
 	i := len(sc.feats)
-	for i > 0 && featureLess(f, sc.feats[i-1]) {
+	for i > 0 && compareFeatures(f, sc.feats[i-1]) < 0 {
 		i--
 	}
 	if i > 0 && sc.feats[i-1] == f {
@@ -414,11 +435,12 @@ func (sc *scorer) record(f Feature, s float64) {
 	sc.feats[i], sc.scores[i] = f, s
 }
 
-func featureLess(a, b Feature) bool {
-	if a.P1 != b.P1 {
-		return a.P1 < b.P1
+// compareFeatures orders features by P1, then P2.
+func compareFeatures(a, b Feature) int {
+	if c := cmp.Compare(a.P1, b.P1); c != 0 {
+		return c
 	}
-	return a.P2 < b.P2
+	return cmp.Compare(a.P2, b.P2)
 }
 
 // Compute builds the θ-filtered feature set for one entity pair (§4.1)
@@ -458,10 +480,7 @@ func (sp *Space) ExploreN(f Feature, v, delta float64, n int) []linkset.Link {
 	entries := sp.index[f]
 	lo, hi := v-delta, v+delta
 	start := sort.Search(len(entries), func(i int) bool { return entries[i].score >= lo })
-	end := start
-	for end < len(entries) && entries[end].score <= hi {
-		end++
-	}
+	end := start + sort.Search(len(entries)-start, func(i int) bool { return entries[start+i].score > hi })
 	if n <= 0 || end-start <= n {
 		out := make([]linkset.Link, 0, end-start)
 		for i := start; i < end; i++ {
@@ -516,7 +535,7 @@ func (sp *Space) Features() []Feature {
 	for f := range sp.index {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return featureLess(out[i], out[j]) })
+	slices.SortFunc(out, compareFeatures)
 	return out
 }
 
@@ -526,12 +545,7 @@ func (sp *Space) Links() []linkset.Link {
 	for l := range sp.pairs {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
-		}
-		return out[i].Right < out[j].Right
-	})
+	slices.SortFunc(out, linkset.Compare)
 	return out
 }
 

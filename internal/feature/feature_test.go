@@ -335,8 +335,12 @@ func TestNonFiniteLiteralsScoreAsStrings(t *testing.T) {
 // TestScoreAllocatesOnlyItsSet pins the mechanism: with the two entities'
 // profiles made, scoring the pair derives nothing per value — no parsing,
 // lower-casing, tokenising or rune conversion — and reuses the scorer's
-// buffers, so the only allocations are the returned Set's two slices.
+// buffers (the string kernel's table and bit sets among them), so the only
+// allocations are the returned Set's two slices.
 func TestScoreAllocatesOnlyItsSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, 1000))
 	ps := profiles{}
 	sc := scorer{theta: 0.3}

@@ -1,80 +1,57 @@
 // Package sim implements the similarity functions ALEX uses to score
 // feature values. All functions return a score in [0, 1], where 1 means
-// identical. The package provides string metrics (Levenshtein, Jaro,
-// Jaro-Winkler, token and trigram Jaccard), numeric and date metrics, and a
-// type-dispatched Generic function that picks a metric from the inferred
-// value types, matching the paper's "generic similarity function that
-// depends on the type of the attributes" (§4.1).
+// identical. The package provides string metrics (Jaro, Jaro-Winkler, token
+// Jaccard and their maximum, StringSim), numeric, year and date metrics, an
+// IRI metric over local names, and a type-dispatched Generic function that
+// picks a metric from the inferred value types, matching the paper's
+// "generic similarity function that depends on the type of the attributes"
+// (§4.1).
 package sim
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"unicode"
 )
 
-// Levenshtein returns 1 - editDistance/maxLen, a normalized edit similarity.
-func Levenshtein(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(prev[lb])/float64(maxLen)
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// Scratch holds the buffers the string kernels reuse from one call to the
-// next, so a caller scoring many pairs allocates them once. The zero value
-// is ready to use; a Scratch must not be shared between goroutines.
+// Scratch holds the Jaro kernel's working set, reused from one call to the
+// next so that a caller scoring many pairs allocates it once. The table of
+// the second ("table") string stays filled between calls and is refilled
+// only when that string changes, so scoring many strings against one costs
+// one fill; the strings passed must therefore not be modified while the
+// Scratch lives. The zero value is ready to use; a Scratch must not be
+// shared between goroutines.
 type Scratch struct {
-	matchA, matchB []bool
+	// mask[w][c] has bit k set when table[64*w+k] has low byte c. Runes that
+	// share a low byte share an entry; jaro checks the rune itself on the
+	// bit it picks.
+	mask  [][256]uint64
+	table []rune   // the string mask is filled for
+	wide  uint32   // nonzero when table has a rune past U+00FF
+	used  []uint64 // the table positions the matcher has paired off
+	hits  []rune   // the runes of the other string it paired them with, in order
 }
 
-// flags returns two cleared match-flag slices of lengths la and lb.
-func (sc *Scratch) flags(la, lb int) (a, b []bool) {
-	if cap(sc.matchA) < la {
-		sc.matchA = make([]bool, la)
+// load makes rb the table string: it clears the entries the previous table
+// string set and sets rb's. A call with the string already loaded does
+// nothing.
+func (sc *Scratch) load(rb []rune) {
+	if len(rb) == len(sc.table) && &rb[0] == &sc.table[0] {
+		return
 	}
-	if cap(sc.matchB) < lb {
-		sc.matchB = make([]bool, lb)
+	for j, r := range sc.table {
+		sc.mask[j>>6][uint8(r)] = 0
 	}
-	a, b = sc.matchA[:la], sc.matchB[:lb]
-	clear(a)
-	clear(b)
-	return a, b
+	if words := (len(rb) + 63) / 64; len(sc.mask) < words {
+		sc.mask = make([][256]uint64, words)
+		sc.used = make([]uint64, words)
+	}
+	sc.table, sc.wide = rb, 0
+	for j, r := range rb {
+		sc.mask[j>>6][uint8(r)] |= 1 << (j & 63)
+		sc.wide |= uint32(r) >> 8
+	}
 }
 
 // Jaro returns the Jaro similarity between two strings.
@@ -86,49 +63,64 @@ func Jaro(a, b string) float64 {
 	return jaro([]rune(a), []rune(b), &sc)
 }
 
-// jaro is Jaro over two distinct strings' runes.
+// jaro is Jaro over two distinct strings' runes: the greedy matcher (each
+// a[i], in order, takes the first unused equal rune of b within the window)
+// run on bit sets. The candidates of a[i] are one AND of its mask entry with
+// the window and the unused positions; the match is the lowest set bit.
 func jaro(ra, rb []rune, sc *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := max2(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
+	window := max(max(la, lb)/2-1, 0)
+	sc.load(rb)
+	if cap(sc.hits) < la {
+		sc.hits = make([]rune, la)
 	}
-	matchA, matchB := sc.flags(la, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := max2(0, i-window)
-		hi := min2(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
+	hits, n, wide := sc.hits[:la], 0, sc.wide
+	used := sc.used[:(lb+63)/64]
+	clear(used)
+	// Whether a[i] finds a partner is a coin toss the branch predictor
+	// loses, so the loop body decides it in arithmetic: bit is the match or
+	// zero, a[i] is written to hits either way and kept only by the count.
+	// The branches left go one way on the data this runs on (PERF.md "PR 19").
+	for i, r := range ra {
+		lo, hi := max(0, i-window), min(lb-1, i+window)
+		var bit uint64
+		for w := lo >> 6; w <= hi>>6 && bit == 0; w++ {
+			m := sc.mask[w][uint8(r)] &^ used[w]
+			if w == lo>>6 {
+				m &= ^uint64(0) << (lo & 63)
 			}
-			matchA[i] = true
-			matchB[j] = true
-			matches++
-			break
+			if w == hi>>6 {
+				m &= ^uint64(0) >> (^hi & 63)
+			}
+			if wide|uint32(r)>>8 != 0 {
+				// Runes that share a low byte share an entry: skip the others'.
+				for m != 0 && rb[w<<6+bits.TrailingZeros64(m)] != r {
+					m &= m - 1
+				}
+			}
+			bit = m & -m
+			used[w] |= bit
 		}
+		hits[n] = r
+		n += int((bit | -bit) >> 63) // 1 when a[i] found a partner
 	}
-	if matches == 0 {
+	if n == 0 {
 		return 0
 	}
-	transpositions := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
+	// The k-th matched rune of a against the k-th matched rune of b.
+	transpositions, k := 0, 0
+	for w, m := range used {
+		for ; m != 0; m &= m - 1 {
+			if hits[k] != rb[w<<6+bits.TrailingZeros64(m)] {
+				transpositions++
+			}
+			k++
 		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
 	}
-	m := float64(matches)
+	m := float64(n)
 	t := float64(transpositions) / 2
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
@@ -200,37 +192,6 @@ func tokenJaccard(ta, tb []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Trigrams returns the padded character trigram multiset of s as a set.
-func Trigrams(s string) map[string]struct{} {
-	s = "  " + strings.ToLower(s) + "  "
-	out := make(map[string]struct{})
-	runes := []rune(s)
-	for i := 0; i+3 <= len(runes); i++ {
-		out[string(runes[i:i+3])] = struct{}{}
-	}
-	return out
-}
-
-// TrigramJaccard returns the Jaccard similarity of padded character trigram
-// sets, a metric robust to token reordering and small edits.
-func TrigramJaccard(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	ga, gb := Trigrams(a), Trigrams(b)
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ga {
-		if _, ok := gb[g]; ok {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	return float64(inter) / float64(union)
-}
-
 // text is a string prepared for StringSim: its runes and its sorted,
 // de-duplicated token set, each derived once.
 type text struct {
@@ -267,18 +228,4 @@ func stringSim(a, b *text, sc *Scratch) float64 {
 		return tj
 	}
 	return jw
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,25 +8,6 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b string
-		want float64
-	}{
-		{"", "", 1},
-		{"abc", "abc", 1},
-		{"abc", "", 0},
-		{"", "abc", 0},
-		{"kitten", "sitting", 1 - 3.0/7},
-		{"abc", "abd", 1 - 1.0/3},
-	}
-	for _, tt := range tests {
-		if got := Levenshtein(tt.a, tt.b); !almostEq(got, tt.want) {
-			t.Errorf("Levenshtein(%q,%q) = %g, want %g", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
 func TestJaro(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -90,19 +71,6 @@ func TestTokenJaccard(t *testing.T) {
 	}
 }
 
-func TestTrigramJaccard(t *testing.T) {
-	if got := TrigramJaccard("abc", "abc"); got != 1 {
-		t.Errorf("identical = %g", got)
-	}
-	if got := TrigramJaccard("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint = %g", got)
-	}
-	near := TrigramJaccard("university of waterloo", "univeristy of waterloo")
-	if near < 0.5 || near >= 1 {
-		t.Errorf("typo trigram sim = %g, want in [0.5, 1)", near)
-	}
-}
-
 func TestStringSim(t *testing.T) {
 	if got := StringSim("x", "x"); got != 1 {
 		t.Errorf("identical = %g", got)
@@ -120,12 +88,10 @@ func TestStringSim(t *testing.T) {
 // Properties shared by all string metrics: range [0,1], symmetry, identity.
 func TestStringMetricProperties(t *testing.T) {
 	metrics := map[string]func(a, b string) float64{
-		"Levenshtein":    Levenshtein,
-		"Jaro":           Jaro,
-		"JaroWinkler":    JaroWinkler,
-		"TokenJaccard":   TokenJaccard,
-		"TrigramJaccard": TrigramJaccard,
-		"StringSim":      StringSim,
+		"Jaro":         Jaro,
+		"JaroWinkler":  JaroWinkler,
+		"TokenJaccard": TokenJaccard,
+		"StringSim":    StringSim,
 	}
 	for name, m := range metrics {
 		m := m
