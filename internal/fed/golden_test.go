@@ -22,10 +22,17 @@ import (
 // slot engine behind the solver seam must reproduce it byte for byte.
 // Regenerate with `go test ./internal/fed -run TestAnswersGolden -update`
 // only when an answer is meant to change, and say why in CHANGES.md.
+//
+// plans.golden pins the other half: the join order and the sources the
+// optimizer chose for the same queries, recorded at the commit before the
+// greedy ordering loop moved into internal/sparql.
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/answers.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/answers.golden and testdata/plans.golden")
 
-const goldenPath = "testdata/answers.golden"
+const (
+	goldenPath      = "testdata/answers.golden"
+	plansGoldenPath = "testdata/plans.golden"
+)
 
 // goldenCase is one recorded query: the fixture it runs against and its text.
 type goldenCase struct {
@@ -191,9 +198,36 @@ func renderResult(b *strings.Builder, f *Federation, res *Result) {
 	}
 }
 
+// allGoldenCases is goldenCases followed by the sameAs templates.
+func allGoldenCases(t *testing.T) []goldenCase {
+	return append(append([]goldenCase{}, goldenCases...), sameAsCases(t)...)
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s (rerun with -update only for an intended change):\n%s", path, firstDiff(got, string(want)))
+	}
+}
+
 func TestAnswersGolden(t *testing.T) {
 	var b strings.Builder
-	for _, c := range append(append([]goldenCase{}, goldenCases...), sameAsCases(t)...) {
+	for _, c := range allGoldenCases(t) {
 		f := c.fed(t)
 		res, err := f.ExecuteContext(context.Background(), c.query)
 		if err != nil {
@@ -202,22 +236,24 @@ func TestAnswersGolden(t *testing.T) {
 		fmt.Fprintf(&b, "== %s\nquery: %s\n", c.name, c.query)
 		renderResult(&b, f, res)
 	}
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	checkGolden(t, goldenPath, b.String())
+}
+
+// TestPlansGolden pins, per golden case, the evaluation order and the
+// sources chosen for the query's first basic graph pattern.
+func TestPlansGolden(t *testing.T) {
+	var b strings.Builder
+	for _, c := range allGoldenCases(t) {
+		plan, err := c.fed(t).PlanDescriptionContext(context.Background(), c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
+		fmt.Fprintf(&b, "== %s\nquery: %s\n", c.name, c.query)
+		for _, line := range plan {
+			fmt.Fprintf(&b, "plan: %s\n", line)
 		}
-		return
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("answers differ from %s (rerun with -update only for an intended change):\n%s", goldenPath, firstDiff(got, string(want)))
-	}
+	checkGolden(t, plansGoldenPath, b.String())
 }
 
 // firstDiff names the first line where got and want part.
