@@ -5,8 +5,8 @@ GO ?= go
 
 # The benchmarks pinned by the CI regression gate: bulk loading, dictionary
 # interning, exploration (feature-space range scans and engine episodes),
-# the single-store slot engine (A/B vs the legacy evaluator, planned vs
-# written join order), the federated processor (join reorderer plus an
+# the single-store engine (its headline join, planned vs written join
+# order), the federated processor (join reorderer plus an
 # end-to-end cross-source join), the serving layer (repeat-query
 # cold/hit pair whose ratio is the cache win, and the saturated-endpoint
 # latency), durable recovery (snapshot reload vs the re-parse it
@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzParse$$'    -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzNormalizeQuery$$' -fuzztime 10s
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzEvalEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzJaro$$'     -fuzztime 10s

@@ -194,7 +194,7 @@ func runQuery(federation *fed.Federation, query string, trace bool, stdout, stde
 	if trace {
 		tr = obs.NewTrace("query")
 	}
-	res, err := federation.EvalContext(context.Background(), q, tr)
+	res, err := federation.EvalContext(context.Background(), sparql.Compile(q), tr)
 	if tr != nil {
 		// Printed on failure too: the recorded prefix shows how far it got.
 		fmt.Fprintln(stderr, tr.String())

@@ -97,16 +97,12 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 // evaluation leaves the stored entry permanently stale — it can never be
 // served — rather than ever serving a pre-mutation answer as current.
 func (c *QueryCache) Do(query string, eval func(*sparql.Prepared) (*Result, error)) (*Result, error) {
-	if c == nil {
-		prep, err := sparql.Prepare(query)
-		if err != nil {
-			return nil, &BadQueryError{Err: err}
-		}
-		return eval(prep)
-	}
 	prep, err := c.Prepare(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
+	}
+	if c == nil {
+		return eval(prep)
 	}
 	gen := c.gen()
 	if res, ok := c.lookupResult(prep.Key, gen); ok {
@@ -189,18 +185,9 @@ func (c *QueryCache) storeResult(key string, gen uint64, res *Result) {
 // Cached results are served only at the exact store generation they were
 // computed at; the cache-off path (nil cache) is answer-identical.
 func CachedStoreQueryFunc(st *store.Store, cache *QueryCache) QueryFunc {
-	return func(_ context.Context, query string) (*Result, error) {
+	return func(ctx context.Context, query string) (*Result, error) {
 		return cache.Do(query, func(prep *sparql.Prepared) (*Result, error) {
-			res, err := prep.EvalSlots(st)
-			if err != nil {
-				return nil, err
-			}
-			out := &Result{Vars: res.Vars, Triples: res.Triples, slots: res}
-			if prep.Query().Ask {
-				out.IsAsk = true
-				out.Boolean = res.AskResult()
-			}
-			return out, nil
+			return storeEval(ctx, st, prep, nil)
 		})
 	}
 }
@@ -209,22 +196,7 @@ func CachedStoreQueryFunc(st *store.Store, cache *QueryCache) QueryFunc {
 // store's evaluator. A nil cache yields an uncached (but still
 // prepared-path) handler.
 func NewCachedHandler(st *store.Store, cache *QueryCache) *Handler {
-	h := NewQueryHandler(
-		CachedStoreQueryFunc(st, cache),
-		func() map[string]any {
-			s := st.Stats()
-			return map[string]any{
-				"name":       s.Name,
-				"triples":    s.Triples,
-				"subjects":   s.Subjects,
-				"predicates": s.Predicates,
-			}
-		},
-	)
-	h.SetTraceFunc(func(_ context.Context, query string) (*Result, *obs.Trace, error) {
-		return storeTraceQuery(st, query)
-	})
-	return h
+	return newStoreHandler(st, CachedStoreQueryFunc(st, cache))
 }
 
 // lruCache is a minimal string-keyed LRU over container/list: most

@@ -86,13 +86,9 @@ func (r *Result) rowCount() int {
 	return len(r.Rows)
 }
 
-// Query sends a SPARQL query and decodes the JSON response.
-func (c *Client) Query(query string) (*Result, error) {
-	return c.QueryContext(context.Background(), query)
-}
-
-// QueryContext is Query with a context: the HTTP request carries ctx, so a
-// caller's deadline or cancellation aborts the in-flight round trip.
+// QueryContext sends a SPARQL query and decodes the JSON response. The
+// HTTP request carries ctx, so a caller's deadline or cancellation aborts
+// the in-flight round trip.
 func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error) {
 	form := url.Values{"query": {query}}.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base, strings.NewReader(form))
@@ -182,12 +178,7 @@ func decodeTerm(d termDocument) (rdf.Term, error) {
 	}
 }
 
-// Ask runs an ASK query, cached by query text.
-func (c *Client) Ask(query string) (bool, error) {
-	return c.AskContext(context.Background(), query)
-}
-
-// AskContext is Ask with a context (see QueryContext).
+// AskContext runs an ASK query, cached by query text.
 func (c *Client) AskContext(ctx context.Context, query string) (bool, error) {
 	c.mu.Lock()
 	if v, ok := c.askCache[query]; ok {
@@ -208,24 +199,14 @@ func (c *Client) AskContext(ctx context.Context, query string) (bool, error) {
 	return res.Boolean, nil
 }
 
-// HasPredicate probes whether the endpoint holds any triple with the given
-// predicate — the FedX ASK-based source-selection probe, cached.
-func (c *Client) HasPredicate(pred rdf.Term) (bool, error) {
-	return c.HasPredicateContext(context.Background(), pred)
-}
-
-// HasPredicateContext is HasPredicate with a context (see QueryContext).
+// HasPredicateContext probes whether the endpoint holds any triple with
+// the given predicate — the FedX ASK-based source-selection probe, cached.
 func (c *Client) HasPredicateContext(ctx context.Context, pred rdf.Term) (bool, error) {
 	return c.AskContext(ctx, fmt.Sprintf("ASK { ?s %s ?o }", pred))
 }
 
-// PredicateCount returns the number of triples with the given predicate,
-// cached. Used by the federated join optimizer's cost model.
-func (c *Client) PredicateCount(pred rdf.Term) (int, error) {
-	return c.PredicateCountContext(context.Background(), pred)
-}
-
-// PredicateCountContext is PredicateCount with a context (see QueryContext).
+// PredicateCountContext returns the number of triples with the given
+// predicate, cached. Used by the federated join optimizer's cost model.
 func (c *Client) PredicateCountContext(ctx context.Context, pred rdf.Term) (int, error) {
 	key := pred.String()
 	c.mu.Lock()
@@ -252,13 +233,8 @@ func (c *Client) PredicateCountContext(ctx context.Context, pred rdf.Term) (int,
 	return n, nil
 }
 
-// Size returns the endpoint's total triple count (from /stats if the base
-// URL ends in /sparql, else via COUNT), cached under the empty key.
-func (c *Client) Size() (int, error) {
-	return c.SizeContext(context.Background())
-}
-
-// SizeContext is Size with a context (see QueryContext).
+// SizeContext returns the endpoint's total triple count (from /stats if
+// the base URL ends in /sparql, else via COUNT), cached under the empty key.
 func (c *Client) SizeContext(ctx context.Context) (int, error) {
 	c.mu.Lock()
 	if v, ok := c.countCache[""]; ok {
@@ -282,20 +258,12 @@ func (c *Client) SizeContext(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// MatchPattern evaluates one triple pattern (with the binding's variables
-// substituted as constants) against the endpoint and returns the extended
-// bindings — what a federation's remote source sends per bound-join row.
-func (c *Client) MatchPattern(tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
-	return c.MatchPatternContext(context.Background(), tp, binding)
-}
-
-// MatchPatternContext is MatchPattern with a context (see QueryContext).
-func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePattern, binding sparql.Binding) ([]sparql.Binding, error) {
+// MatchPatternContext evaluates one triple pattern against the endpoint
+// and returns one binding of the pattern's variables per match — what a
+// federation's remote source sends per bound-join row.
+func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePattern) ([]sparql.Binding, error) {
 	render := func(n sparql.Node) (string, string) {
 		if n.IsVar() {
-			if t, ok := binding[n.Var]; ok {
-				return t.String(), ""
-			}
 			return "?" + n.Var, n.Var
 		}
 		return n.Term.String(), ""
@@ -320,7 +288,7 @@ func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePatter
 		if !ok {
 			return nil, nil
 		}
-		return []sparql.Binding{binding.Clone()}, nil
+		return []sparql.Binding{{}}, nil
 	}
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -332,13 +300,5 @@ func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePatter
 	if err != nil {
 		return nil, err
 	}
-	out := make([]sparql.Binding, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		nb := binding.Clone()
-		for v, t := range row {
-			nb[v] = t
-		}
-		out = append(out, nb)
-	}
-	return out, nil
+	return res.Rows, nil
 }

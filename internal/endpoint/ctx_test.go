@@ -3,10 +3,15 @@ package endpoint
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
+
+	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // TestQueryContextDeadline: a context deadline aborts an in-flight request
@@ -72,5 +77,49 @@ func TestServerPropagatesRequestContext(t *testing.T) {
 		}
 	default:
 		t.Fatal("QueryFunc never called")
+	}
+}
+
+// TestStoreQueryHonoursCancellation: a single-store query ends with its
+// request's context, mid-join, whichever handler serves it. The query
+// counts a three-way cross product over 200 triples: eight million rows, a
+// few hundred milliseconds of work if left to finish (sized, and counted
+// rather than selected, so that an evaluator deaf to its context still
+// finishes, in memory a test may use), against a 20 ms deadline. Over HTTP
+// the failure is a 504.
+func TestStoreQueryHonoursCancellation(t *testing.T) {
+	st := store.New("cross", rdf.NewDict())
+	for i := 0; i < 200; i++ {
+		st.Add(rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)),
+			P: rdf.NewIRI(fmt.Sprintf("http://x/p%d", i%7)),
+			O: rdf.NewInt(int64(i)),
+		})
+	}
+	const cross = `SELECT (COUNT(*) AS ?n) WHERE { ?a ?p ?o . ?b ?q ?r . ?c ?s ?t }`
+	for name, h := range map[string]*Handler{
+		"NewHandler":       NewHandler(st),
+		"NewCachedHandler": NewCachedHandler(st, NewQueryCache(DefaultCacheConfig(), st.Generation)),
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		t0 := time.Now()
+		_, err := h.query(ctx, cross)
+		took := time.Since(t0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v after %v, want DeadlineExceeded", name, err, took)
+		}
+		if took > time.Second {
+			t.Errorf("%s: deadline not honoured: took %v", name, took)
+		}
+
+		ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+		req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(cross), nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s: status %d over HTTP, want 504", name, rec.Code)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -135,7 +136,7 @@ func TestServerStats(t *testing.T) {
 
 func TestClientQuery(t *testing.T) {
 	_, c := newTestServer(t)
-	res, err := c.Query(`SELECT ?s ?n WHERE { ?s <http://x/name> ?n } ORDER BY ?s`)
+	res, err := c.QueryContext(context.Background(), `SELECT ?s ?n WHERE { ?s <http://x/name> ?n } ORDER BY ?s`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestClientQuery(t *testing.T) {
 
 func TestClientTypedLiteralRoundTrip(t *testing.T) {
 	_, c := newTestServer(t)
-	res, err := c.Query(`SELECT ?a WHERE { <http://x/alice> <http://x/age> ?a }`)
+	res, err := c.QueryContext(context.Background(), `SELECT ?a WHERE { <http://x/alice> <http://x/age> ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,24 +165,24 @@ func TestClientTypedLiteralRoundTrip(t *testing.T) {
 
 func TestClientAskAndCaches(t *testing.T) {
 	_, c := newTestServer(t)
-	has, err := c.HasPredicate(rdf.NewIRI("http://x/name"))
+	has, err := c.HasPredicateContext(context.Background(), rdf.NewIRI("http://x/name"))
 	if err != nil || !has {
 		t.Fatalf("HasPredicate = %v, %v", has, err)
 	}
-	has, err = c.HasPredicate(rdf.NewIRI("http://x/nonexistent"))
+	has, err = c.HasPredicateContext(context.Background(), rdf.NewIRI("http://x/nonexistent"))
 	if err != nil || has {
 		t.Fatalf("HasPredicate absent = %v, %v", has, err)
 	}
-	n, err := c.PredicateCount(rdf.NewIRI("http://x/name"))
+	n, err := c.PredicateCountContext(context.Background(), rdf.NewIRI("http://x/name"))
 	if err != nil || n != 2 {
 		t.Fatalf("PredicateCount = %d, %v", n, err)
 	}
-	total, err := c.Size()
+	total, err := c.SizeContext(context.Background())
 	if err != nil || total != 4 {
 		t.Fatalf("Size = %d, %v", total, err)
 	}
 	// Cached lookups answer identically.
-	if n2, _ := c.PredicateCount(rdf.NewIRI("http://x/name")); n2 != n {
+	if n2, _ := c.PredicateCountContext(context.Background(), rdf.NewIRI("http://x/name")); n2 != n {
 		t.Errorf("cached count = %d", n2)
 	}
 }
@@ -190,24 +191,24 @@ func TestClientMatchPattern(t *testing.T) {
 	_, c := newTestServer(t)
 	// Unbound subject/object.
 	tp := mustPattern(t, "?s", "http://x/name", "?n")
-	rows, err := c.MatchPattern(tp, sparql.Binding{})
+	rows, err := c.MatchPatternContext(context.Background(), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
 	}
-	// Bound variable is substituted and preserved in the result.
-	rows, err = c.MatchPattern(tp, sparql.Binding{"s": rdf.NewIRI("http://x/alice")})
+	// A constant subject is sent as one; only the variable comes back.
+	rows, err = c.MatchPatternContext(context.Background(), mustPattern(t, "http://x/alice", "http://x/name", "?n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0]["s"].Value != "http://x/alice" || rows[0]["n"].Value != "Alice" {
+	if len(rows) != 1 || len(rows[0]) != 1 || rows[0]["n"].Value != "Alice" {
 		t.Errorf("bound rows = %v", rows)
 	}
 	// Fully bound: ASK semantics.
 	full := mustPattern(t, "http://x/alice", "http://x/knows", "http://x/bob")
-	rows, err = c.MatchPattern(full, sparql.Binding{})
+	rows, err = c.MatchPatternContext(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestClientMatchPattern(t *testing.T) {
 		t.Errorf("fully-bound match = %v", rows)
 	}
 	missing := mustPattern(t, "http://x/bob", "http://x/knows", "http://x/alice")
-	rows, err = c.MatchPattern(missing, sparql.Binding{})
+	rows, err = c.MatchPatternContext(context.Background(), missing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestClientMatchPattern(t *testing.T) {
 
 func TestClientServerDown(t *testing.T) {
 	c := NewClient("gone", "http://127.0.0.1:1/sparql", nil)
-	if _, err := c.Query("SELECT ?s WHERE { ?s ?p ?o }"); err == nil {
+	if _, err := c.QueryContext(context.Background(), "SELECT ?s WHERE { ?s ?p ?o }"); err == nil {
 		t.Error("expected connection error")
 	}
 }

@@ -60,22 +60,30 @@ type Handler struct {
 }
 
 // NewHandler returns a handler over a single store, with /debug/trace
-// pre-wired to the store's query evaluator.
+// pre-wired to the store's query evaluator. Every request is parsed and
+// compiled afresh — without the normalisation a cache would key on.
 func NewHandler(st *store.Store) *Handler {
-	h := NewQueryHandler(
-		func(_ context.Context, query string) (*Result, error) { return storeQuery(st, query) },
-		func() map[string]any {
-			s := st.Stats()
-			return map[string]any{
-				"name":       s.Name,
-				"triples":    s.Triples,
-				"subjects":   s.Subjects,
-				"predicates": s.Predicates,
-			}
-		},
-	)
-	h.SetTraceFunc(func(_ context.Context, query string) (*Result, *obs.Trace, error) {
-		return storeTraceQuery(st, query)
+	return newStoreHandler(st, func(ctx context.Context, query string) (*Result, error) {
+		return storeQuery(ctx, st, query, nil)
+	})
+}
+
+// newStoreHandler serves query over st's statistics, with /debug/trace
+// wired to an uncached, traced evaluation against st.
+func newStoreHandler(st *store.Store, query QueryFunc) *Handler {
+	h := NewQueryHandler(query, func() map[string]any {
+		s := st.Stats()
+		return map[string]any{
+			"name":       s.Name,
+			"triples":    s.Triples,
+			"subjects":   s.Subjects,
+			"predicates": s.Predicates,
+		}
+	})
+	h.SetTraceFunc(func(ctx context.Context, query string) (*Result, *obs.Trace, error) {
+		tr := obs.NewTrace("query")
+		res, err := storeQuery(ctx, st, query, tr)
+		return res, tr, err
 	})
 	return h
 }
@@ -108,41 +116,29 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 // ?format=json). Call before serving.
 func (h *Handler) SetTraceFunc(fn TraceFunc) { h.trace = fn }
 
-// storeQuery evaluates a query against one store and adapts the result.
-func storeQuery(st *store.Store, query string) (*Result, error) {
+// storeQuery parses and compiles a query as written and evaluates it.
+func storeQuery(ctx context.Context, st *store.Store, query string, tr *obs.Trace) (*Result, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-	res, err := sparql.EvalSlots(st, q)
+	return storeEval(ctx, st, sparql.Compile(q), tr)
+}
+
+// storeEval evaluates a compiled query against one store under the
+// request's context and adapts the result, rows still in id space; tr, when
+// set, records the evaluation's spans.
+func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared, tr *obs.Trace) (*Result, error) {
+	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{Trace: tr})
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Vars: res.Vars, Triples: res.Triples, slots: res}
-	if q.Ask {
+	if prep.Query().Ask {
 		out.IsAsk = true
 		out.Boolean = res.AskResult()
 	}
 	return out, nil
-}
-
-// storeTraceQuery is storeQuery with span recording, for /debug/trace.
-func storeTraceQuery(st *store.Store, query string) (*Result, *obs.Trace, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, nil, &BadQueryError{Err: err}
-	}
-	tr := obs.NewTrace("query")
-	res, err := sparql.EvalSlotsTrace(st, q, tr, sparql.EvalOptions{})
-	if err != nil {
-		return nil, tr, err
-	}
-	out := &Result{Vars: res.Vars, Triples: res.Triples, slots: res}
-	if q.Ask {
-		out.IsAsk = true
-		out.Boolean = res.AskResult()
-	}
-	return out, tr, nil
 }
 
 // BadQueryError marks client errors (malformed queries) so the handler can
@@ -151,6 +147,20 @@ type BadQueryError struct{ Err error }
 
 func (e *BadQueryError) Error() string { return e.Err.Error() }
 func (e *BadQueryError) Unwrap() error { return e.Err }
+
+// errorStatus is the reply status of a failed query: 400 for a query the
+// client got wrong, 504 for one that outlived its deadline, 500 otherwise.
+func errorStatus(err error) int {
+	var bad *BadQueryError
+	switch {
+	case errors.As(err, &bad):
+		return http.StatusBadRequest
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusInternalServerError
+	}
+}
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -189,12 +199,7 @@ func (h *Handler) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := h.query(r.Context(), query)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var bad *BadQueryError
-		if errors.As(err, &bad) {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
 	if res.Triples != nil {
@@ -229,12 +234,7 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	res, tr, err := h.trace(r.Context(), query)
 	if err != nil {
-		status := http.StatusInternalServerError
-		var bad *BadQueryError
-		if errors.As(err, &bad) {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
 	if r.Form.Get("format") == "json" {

@@ -119,7 +119,7 @@ func wireHandlers(st *store.Store) (slots, rows *Handler) {
 		if err != nil {
 			return nil, &BadQueryError{Err: err}
 		}
-		res, err := sparql.Eval(st, q)
+		res, err := sparql.Execute(st, query)
 		if err != nil {
 			return nil, err
 		}
@@ -186,11 +186,11 @@ func TestWireGoldenDecodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sparql.Eval(st, q)
+			want, err := sparql.Execute(st, query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.Query(query)
+			got, err := c.QueryContext(context.Background(), query)
 			if err != nil {
 				t.Errorf("%s: %s: %v", name, query, err)
 				continue

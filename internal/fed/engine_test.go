@@ -152,7 +152,7 @@ func TestSingleStoreIsOneSourceFederation(t *testing.T) {
 			continue
 		}
 		if hasPath(q.Patterns) {
-			if _, err := planned.EvalContext(ctx, q, nil); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
+			if _, err := planned.EvalContext(ctx, sparql.Compile(q), nil); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
 				t.Errorf("%q: err = %v, want the property-path rejection", query, err)
 			}
 			continue
@@ -163,11 +163,13 @@ func TestSingleStoreIsOneSourceFederation(t *testing.T) {
 			opts  sparql.EvalOptions
 			exact bool
 		}{{planned, sparql.EvalOptions{}, len(q.OrderBy) > 0}, {written, sparql.EvalOptions{DisablePlan: true}, true}} {
-			want, wantErr := sparql.EvalWithOptions(st, q, nil, c.opts)
-			got, gotErr := c.f.EvalContext(ctx, q, nil)
+			prep := sparql.Compile(q)
+			slots, wantErr := prep.Eval(ctx, sparql.StoreSolver(st), c.opts)
+			got, gotErr := c.f.EvalContext(ctx, prep, nil)
 			if wantErr != nil || gotErr != nil {
 				t.Fatalf("%q: store err %v, fed err %v", query, wantErr, gotErr)
 			}
+			want := slots.Materialize()
 			if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Triples, want.Triples) {
 				t.Errorf("%q: fed vars %v triples %v, store vars %v triples %v", query, got.Vars, got.Triples, want.Vars, want.Triples)
 			}
@@ -452,15 +454,11 @@ func driftStore(t *testing.T) (*Federation, *store.Store) {
 
 func assertSameAsStore(t *testing.T, f *Federation, st *store.Store, query string) *Result {
 	t.Helper()
-	q, err := sparql.Parse(query)
+	want, err := sparql.Execute(st, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sparql.Eval(st, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.EvalContext(context.Background(), q, nil)
+	got, err := f.ExecuteContext(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}

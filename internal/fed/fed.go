@@ -10,7 +10,7 @@
 // bound joins optionally run in parallel, and bound entity terms are
 // transparently rewritten through sameAs links so a join can cross
 // data-set boundaries. A federation can itself be served as an endpoint
-// (EndpointQueryFunc), enabling hierarchical federation.
+// (CachedEndpointQueryFunc), enabling hierarchical federation.
 //
 // There is one SPARQL evaluator: internal/sparql's slot engine. The
 // federation is that engine's second sparql.Solver (solver.go) — it answers
@@ -40,8 +40,7 @@ import (
 // Federation is a set of member sources (in-process stores and/or remote
 // endpoints) plus sameAs links.
 type Federation struct {
-	dict   *rdf.Dict
-	stores []*store.Store
+	dict *rdf.Dict
 	// sources holds one member per source, in the order they were added.
 	// Like genSources it is written only during setup (New, AddSource,
 	// SetResilience, SetObserver), never during query evaluation, so
@@ -178,7 +177,6 @@ func (f *Federation) bindMember(m *member) {
 func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 	f := &Federation{
 		dict:     dict,
-		stores:   stores,
 		reorder:  true,
 		parallel: 1,
 	}
@@ -257,9 +255,6 @@ func (f *Federation) Sources() []Source {
 
 // Dict returns the shared dictionary.
 func (f *Federation) Dict() *rdf.Dict { return f.dict }
-
-// Stores returns the member stores.
-func (f *Federation) Stores() []*store.Store { return f.stores }
 
 // SetLinks replaces the active sameAs link set. The federation reads the
 // set once; call SetLinks again after the candidate set changes to refresh
@@ -346,10 +341,10 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return f.EvalContext(ctx, q, nil)
+	return f.EvalContext(ctx, sparql.Compile(q), nil)
 }
 
-// EvalContext evaluates a parsed query under ctx, recording an
+// EvalContext evaluates a compiled query under ctx, recording an
 // EXPLAIN-style span tree into tr: per-pattern spans with source names,
 // join input/output cardinalities, sameAs rewrites fired, and per-stage
 // durations (nil disables tracing; metrics are still recorded when an
@@ -357,13 +352,13 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 // partway — often exactly what one wants to see. With
 // Resilience.PartialResults enabled, skipped sources are annotated on the
 // root span ("partial", "skipped") and returned in Result.Skipped.
-func (f *Federation) EvalContext(ctx context.Context, q *sparql.Query, tr *obs.Trace) (*Result, error) {
+func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*Result, error) {
 	var t0 time.Time
 	if f.obsReg != nil {
 		t0 = time.Now() //lint:ignore nodeterminism query latency histogram only; never feeds query results
 	}
-	es := f.newEvalState(ctx)
-	rows, err := sparql.EvalSolver(es, q, tr)
+	es := f.newEvalState()
+	rows, err := prep.Eval(ctx, es, sparql.EvalOptions{Trace: tr})
 	if err != nil {
 		return nil, err
 	}

@@ -231,8 +231,8 @@ func TestSelectSources(t *testing.T) {
 		P: sparql.TermNode(rdf.NewIRI(nyo + "about")),
 		O: sparql.VarNode("w"),
 	}
-	es := f.newEvalState(context.Background())
-	srcs, err := f.selectSources(es, aboutPattern)
+	ctx, es := context.Background(), f.newEvalState()
+	srcs, err := f.selectSources(ctx, es, aboutPattern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSelectSources(t *testing.T) {
 		t.Errorf("sources for nyt:about = %v", sourceNames(srcs))
 	}
 	varPred := sparql.TriplePattern{S: sparql.VarNode("s"), P: sparql.VarNode("p"), O: sparql.VarNode("o")}
-	if got, err := f.selectSources(es, varPred); err != nil || len(got) != 2 {
+	if got, err := f.selectSources(ctx, es, varPred); err != nil || len(got) != 2 {
 		t.Errorf("sources for variable predicate = %d (err %v), want 2", len(got), err)
 	}
 	unknown := sparql.TriplePattern{
@@ -248,14 +248,14 @@ func TestSelectSources(t *testing.T) {
 		P: sparql.TermNode(rdf.NewIRI("http://never/seen")),
 		O: sparql.VarNode("o"),
 	}
-	if got, err := f.selectSources(es, unknown); err != nil || len(got) != 0 {
+	if got, err := f.selectSources(ctx, es, unknown); err != nil || len(got) != 0 {
 		t.Errorf("sources for unknown predicate = %d (err %v), want 0", len(got), err)
 	}
 }
 
 func TestFederationAccessors(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	if f.Dict() == nil || len(f.Stores()) != 2 || f.Links().Len() != 1 {
+	if f.Dict() == nil || len(f.Sources()) != 2 || f.Links().Len() != 1 {
 		t.Error("accessors inconsistent")
 	}
 }

@@ -66,7 +66,7 @@ func remoteParallel(t *testing.T) *Federation {
 // hierarchical is the motivating federation served over HTTP and queried
 // through a second-level federation.
 func hierarchical(t *testing.T) *Federation {
-	srv := httptest.NewServer(endpoint.NewQueryHandler(EndpointQueryFunc(motivating(t)), nil))
+	srv := httptest.NewServer(endpoint.NewQueryHandler(CachedEndpointQueryFunc(motivating(t), nil), nil))
 	t.Cleanup(srv.Close)
 	outer := New(rdf.NewDict())
 	outer.AddSource(RemoteSource(endpoint.NewClient("inner-fed", srv.URL+"/sparql", srv.Client())))

@@ -70,8 +70,8 @@ func (s *recordingSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, p
 func recordedFederation(t *testing.T) (*Federation, *recordingSource) {
 	t.Helper()
 	whole, _ := motivatingFederation(t)
-	f := New(whole.Dict(), whole.Stores()[0])
-	rec := newRecordingSource(LocalSource(whole.Stores()[1]))
+	f := New(whole.Dict(), storeOf(whole, 0))
+	rec := newRecordingSource(LocalSource(storeOf(whole, 1)))
 	f.AddSource(rec)
 	f.SetLinks(whole.Links())
 	return f, rec
@@ -116,6 +116,9 @@ func TestAddedSourceIsTimedPerCall(t *testing.T) {
 	}
 }
 
+// storeOf returns the in-process store behind member i.
+func storeOf(f *Federation, i int) *store.Store { return f.sources[i].src.(localSource).st }
+
 // probeSolver hands the arguments of the evaluation's first SolveBGP call
 // to probe: a layout and an id space cannot be built outside the engine.
 type probeSolver struct {
@@ -123,12 +126,12 @@ type probeSolver struct {
 	probe func(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows)
 }
 
-func (p *probeSolver) SolveBGP(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
+func (p *probeSolver) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
 	if p.probe != nil {
 		p.probe(lay, ids, bgp, in)
 		p.probe = nil
 	}
-	return p.evalState.SolveBGP(lay, ids, bgp, in, sp)
+	return p.evalState.SolveBGP(ctx, lay, ids, bgp, in, sp)
 }
 
 // TestHealthyLocalProbeAllocatesNothing is the invariant the members exist
@@ -148,15 +151,15 @@ func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 	}
 	const runs = 100
 	probed := false
-	es := f.newEvalState(context.Background())
-	_, err = sparql.EvalSolver(&probeSolver{evalState: es, probe: func(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows) {
+	ctx, es := context.Background(), f.newEvalState()
+	_, err = sparql.Compile(q).Eval(ctx, &probeSolver{evalState: es, probe: func(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows) {
 		probed = true
 		c := lay.Compile(ids, bgp.Triples[0])
 		out := sparql.NewRows(in.Width(), 2*(runs+1))
 		buf := make([]rdf.TripleID, 0, 8)
 		allocs := testing.AllocsPerRun(runs, func() {
 			var err error
-			if buf, err = es.matchAcross(c, f.sources, ids, in.Row(0), out, buf, nil); err != nil {
+			if buf, err = es.matchAcross(ctx, c, f.sources, ids, in.Row(0), out, buf, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -166,7 +169,7 @@ func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 		if out.Len() != 2*(runs+1) {
 			t.Errorf("probes produced %d rows, want %d: the base match no longer answers", out.Len(), 2*(runs+1))
 		}
-	}}, q, nil)
+	}}, sparql.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +197,10 @@ func TestMemberWiringIsOrderIndependent(t *testing.T) {
 		{"SetObserver", "SetResilience", "AddSource"},
 	} {
 		whole, _ := motivatingFederation(t)
-		f := New(whole.Dict(), whole.Stores()[0])
+		f := New(whole.Dict(), storeOf(whole, 0))
 		f.SetLinks(whole.Links())
 		reg := obs.NewRegistry()
-		rec := newRecordingSource(LocalSource(whole.Stores()[1]))
+		rec := newRecordingSource(LocalSource(storeOf(whole, 1)))
 		for _, step := range order {
 			steps[step](f, rec, reg)
 		}

@@ -23,7 +23,7 @@ func executeTrace(f *Federation, query string) (*Result, *obs.Trace, error) {
 		return nil, nil, err
 	}
 	tr := obs.NewTrace("query")
-	res, err := f.EvalContext(context.Background(), q, tr)
+	res, err := f.EvalContext(context.Background(), sparql.Compile(q), tr)
 	return res, tr, err
 }
 

@@ -9,8 +9,10 @@ import (
 
 // This file implements the FedX-style query optimizations the paper's
 // substrate relies on (Schwarte et al., ISWC 2011): source selection by
-// predicate probe (in fed.go) and greedy selectivity-based join reordering,
-// so bound joins touch the smallest intermediate results first.
+// predicate probe (selectSources, solver.go) and greedy selectivity-based
+// join reordering, so bound joins touch the smallest intermediate results
+// first. The ordering loop is internal/sparql's, shared with the store
+// solver; the cost model below is the federation's own.
 
 // plannedPattern is one triple pattern with its selected sources and the
 // cost estimate used for ordering.
@@ -23,47 +25,41 @@ type plannedPattern struct {
 	exclusive bool
 }
 
-// planBGP orders the patterns of a basic graph pattern greedily by
-// estimated cost: starting from the externally bound variables, repeatedly
-// pick the cheapest pattern given what is bound so far, then mark its
-// variables bound. This is the classic variable-counting heuristic FedX
-// uses; it needs no data statistics beyond predicate counts.
-func (f *Federation) planBGP(es *evalState, bgp sparql.BGP, bound map[string]bool) ([]plannedPattern, error) {
-	remaining := make([]plannedPattern, 0, len(bgp.Triples))
+// planBGP selects the sources of every pattern of a basic graph pattern
+// and orders the patterns by sparql.GreedyOrder over estimateCost: starting
+// from the externally bound variables, the cheapest pattern given what is
+// bound so far runs next. This is the
+// classic variable-counting heuristic FedX uses; it needs no data
+// statistics beyond predicate counts.
+func (f *Federation) planBGP(ctx context.Context, es *evalState, bgp sparql.BGP, bound map[string]bool) ([]plannedPattern, error) {
+	written := make([]plannedPattern, 0, len(bgp.Triples))
 	for _, tp := range bgp.Triples {
-		sources, err := f.selectSources(es, tp)
+		sources, err := f.selectSources(ctx, es, tp)
 		if err != nil {
 			return nil, err
 		}
-		remaining = append(remaining, plannedPattern{
+		written = append(written, plannedPattern{
 			tp:        tp,
 			sources:   sources,
 			exclusive: len(sources) == 1,
 		})
 	}
 	if !f.reorder {
-		return remaining, nil
+		return written, nil
 	}
 	boundVars := make(map[string]bool, len(bound))
 	for v := range bound {
 		boundVars[v] = true
 	}
-	ordered := make([]plannedPattern, 0, len(remaining))
-	for len(remaining) > 0 {
-		bestIdx := 0
-		bestCost := f.estimateCost(es, remaining[0], boundVars)
-		for i := 1; i < len(remaining); i++ {
-			if c := f.estimateCost(es, remaining[i], boundVars); c < bestCost {
-				bestCost, bestIdx = c, i
+	ordered := make([]plannedPattern, 0, len(written))
+	sparql.GreedyOrder(len(written),
+		func(i int) float64 { return f.estimateCost(ctx, written[i], boundVars) },
+		func(i int) {
+			ordered = append(ordered, written[i])
+			for _, v := range written[i].tp.Vars() {
+				boundVars[v] = true
 			}
-		}
-		chosen := remaining[bestIdx]
-		ordered = append(ordered, chosen)
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		for _, v := range chosen.tp.Vars() {
-			boundVars[v] = true
-		}
-	}
+		})
 	return ordered, nil
 }
 
@@ -72,11 +68,11 @@ func (f *Federation) planBGP(es *evalState, bgp sparql.BGP, bound map[string]boo
 // predicate across its sources (or all triples for a variable predicate),
 // discounted heavily for a bound subject and moderately for a bound object,
 // with a penalty per candidate source.
-func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[string]bool) float64 {
+func (f *Federation) estimateCost(ctx context.Context, p plannedPattern, bound map[string]bool) float64 {
 	base := 0.0
 	if !p.tp.P.IsVar() {
 		for _, m := range p.sources {
-			n, err := f.predicateCount(es, m, p.tp.P.Term)
+			n, err := f.predicateCount(ctx, m, p.tp.P.Term)
 			if err != nil {
 				// Remote estimate unavailable: assume expensive.
 				n = 1 << 20
@@ -85,7 +81,7 @@ func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[str
 		}
 	} else {
 		for _, m := range p.sources {
-			n, err := f.sourceSize(es, m)
+			n, err := f.sourceSize(ctx, m)
 			if err != nil {
 				n = 1 << 20
 			}
@@ -116,9 +112,9 @@ func (f *Federation) estimateCost(es *evalState, p plannedPattern, bound map[str
 // the fault-tolerance policy (retries, timeouts, breaker accounting); on
 // a healthy passthrough they are plain source calls.
 
-func (f *Federation) predicateCount(es *evalState, m *member, pred rdf.Term) (int, error) {
+func (f *Federation) predicateCount(ctx context.Context, m *member, pred rdf.Term) (int, error) {
 	var n int
-	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
+	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		n, err = m.src.PredicateCount(ctx, pred)
 		return err
@@ -126,9 +122,9 @@ func (f *Federation) predicateCount(es *evalState, m *member, pred rdf.Term) (in
 	return n, err
 }
 
-func (f *Federation) sourceSize(es *evalState, m *member) (int, error) {
+func (f *Federation) sourceSize(ctx context.Context, m *member) (int, error) {
 	var n int
-	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
+	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		n, err = m.src.Size(ctx)
 		return err
@@ -139,9 +135,6 @@ func (f *Federation) sourceSize(es *evalState, m *member) (int, error) {
 // DisableReorder turns off join reordering (naive written order), for the
 // optimizer ablation benchmark.
 func (f *Federation) DisableReorder() { f.reorder = false }
-
-// EnableReorder restores the default greedy reordering.
-func (f *Federation) EnableReorder() { f.reorder = true }
 
 // PlanDescriptionContext reports, for diagnostics and tests, the evaluation
 // order and per-pattern source names the optimizer chose for a query's
@@ -157,7 +150,7 @@ func (f *Federation) PlanDescriptionContext(ctx context.Context, query string) (
 		if !ok {
 			continue
 		}
-		plan, err := f.planBGP(f.newEvalState(ctx), bgp, map[string]bool{})
+		plan, err := f.planBGP(ctx, f.newEvalState(), bgp, map[string]bool{})
 		if err != nil {
 			return nil, err
 		}

@@ -79,7 +79,7 @@ func TestPlanRespectsDisableReorder(t *testing.T) {
 	if !strings.Contains(plan[0], "common") {
 		t.Errorf("naive order not preserved: %v", plan)
 	}
-	f.EnableReorder()
+	f.reorder = true
 	plan, _ = f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .

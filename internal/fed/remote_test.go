@@ -117,7 +117,7 @@ func contains(haystack, needle string) bool {
 func TestHierarchicalFederation(t *testing.T) {
 	// Level 0: the motivating federation served over HTTP.
 	inner, _ := motivatingFederation(t)
-	srv := httptest.NewServer(endpoint.NewQueryHandler(EndpointQueryFunc(inner), nil))
+	srv := httptest.NewServer(endpoint.NewQueryHandler(CachedEndpointQueryFunc(inner, nil), nil))
 	t.Cleanup(srv.Close)
 
 	// Level 1: a fresh federation whose only source is the inner one.

@@ -21,13 +21,13 @@ import (
 // engine's fixed-width []rdf.TermID rows plus one trailing provenance
 // column: the id of the interned, sorted set of links the row has used.
 
-// evalState is one query evaluation: its context, the link snapshot it
-// runs against, the link sets its rows have used and its
-// graceful-degradation bookkeeping. It implements sparql.Solver. mu guards
-// sets and withLink, which parallel bound-join workers share.
+// evalState is one query evaluation: the link snapshot it runs against,
+// the link sets its rows have used and its graceful-degradation
+// bookkeeping. It implements sparql.Solver; the evaluation's context
+// arrives with every SolveBGP call. mu guards sets and withLink, which
+// parallel bound-join workers share.
 type evalState struct {
 	f     *Federation
-	ctx   context.Context
 	links *linkSnapshot
 
 	mu sync.Mutex
@@ -51,8 +51,8 @@ type setLink struct {
 }
 
 // newEvalState starts an evaluation against the links published now.
-func (f *Federation) newEvalState(ctx context.Context) *evalState {
-	es := &evalState{f: f, ctx: ctx, links: f.links.Load(), sets: make([][]linkset.Link, 1)}
+func (f *Federation) newEvalState() *evalState {
+	es := &evalState{f: f, links: f.links.Load(), sets: make([][]linkset.Link, 1)}
 	if f.res.PartialResults {
 		es.skipped = make([]atomic.Uint32, len(f.sources))
 	}
@@ -61,6 +61,10 @@ func (f *Federation) newEvalState(ctx context.Context) *evalState {
 
 func (es *evalState) Dict() *rdf.Dict  { return es.f.dict }
 func (es *evalState) Provenance() bool { return true }
+
+// Registry is nil: the federation times and counts a query itself
+// (SetObserver), under fed.* names.
+func (es *evalState) Registry() *obs.Registry { return nil }
 
 // linksOf returns the link set a provenance id names. Callers share the
 // slice and must not modify it.
@@ -127,7 +131,7 @@ func (es *evalState) MergeProvenance(sets []rdf.TermID) rdf.TermID {
 
 // SolvePath rejects property paths: closures over a federation would need
 // link-aware reachability across sources, which nothing implements.
-func (es *evalState) SolvePath(_ *sparql.SlotLayout, _ *sparql.IDSpace, pp sparql.PathPattern, _ *sparql.Rows) (*sparql.Rows, error) {
+func (es *evalState) SolvePath(_ context.Context, _ *sparql.SlotLayout, _ *sparql.IDSpace, pp sparql.PathPattern, _ *sparql.Rows) (*sparql.Rows, error) {
 	return nil, fmt.Errorf("fed: property paths are not supported in federated queries (path %s)", sparql.PathString(pp.P))
 }
 
@@ -136,11 +140,11 @@ func (es *evalState) SolvePath(_ *sparql.SlotLayout, _ *sparql.IDSpace, pp sparq
 // order chosen by the selectivity-based optimizer (optimize.go); within a
 // pattern, rows are processed by SetParallelism workers (FedX's "bound
 // joins in parallel"), preserving row order.
-func (es *evalState) SolveBGP(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
-	if err := es.ctx.Err(); err != nil {
+func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := es.f.planBGP(es, bgp, boundVarsOf(lay, bgp, in))
+	plan, err := es.f.planBGP(ctx, es, bgp, boundVarsOf(lay, bgp, in))
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +160,7 @@ func (es *evalState) SolveBGP(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp s
 			}
 			psp.SetInt("in", int64(rows.Len()))
 		}
-		next, err := es.extendRows(lay.Compile(ids, pp.tp), pp.sources, ids, rows, psp)
+		next, err := es.extendRows(ctx, lay.Compile(ids, pp.tp), pp.sources, ids, rows, psp)
 		if err != nil {
 			psp.End()
 			return nil, err
@@ -206,7 +210,7 @@ func sourceNames(sources []*member) string {
 
 // extendRows applies one planned pattern to every row, in parallel when
 // configured. Results keep the input row order for determinism.
-func (es *evalState) extendRows(c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, rows *sparql.Rows, psp *obs.Span) (*sparql.Rows, error) {
+func (es *evalState) extendRows(ctx context.Context, c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, rows *sparql.Rows, psp *obs.Span) (*sparql.Rows, error) {
 	f := es.f
 	f.cBatches.Inc()
 	f.hBatchRows.Observe(int64(rows.Len()))
@@ -215,11 +219,11 @@ func (es *evalState) extendRows(c sparql.SlotPattern, sources []*member, ids *sp
 	if workers <= 1 || rows.Len() < 2*workers {
 		var buf []rdf.TripleID
 		for i := 0; i < rows.Len(); i++ {
-			if err := es.ctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			var err error
-			if buf, err = es.matchAcross(c, sources, ids, rows.Row(i), next, buf, psp); err != nil {
+			if buf, err = es.matchAcross(ctx, c, sources, ids, rows.Row(i), next, buf, psp); err != nil {
 				return nil, err
 			}
 		}
@@ -239,7 +243,7 @@ func (es *evalState) extendRows(c sparql.SlotPattern, sources []*member, ids *sp
 			f.gWorkersBusy.Add(1)
 			defer f.gWorkersBusy.Add(-1)
 			chunks[i] = sparql.NewRows(rows.Width(), 1)
-			_, errs[i] = es.matchAcross(c, sources, ids, rows.Row(i), chunks[i], nil, psp)
+			_, errs[i] = es.matchAcross(ctx, c, sources, ids, rows.Row(i), chunks[i], nil, psp)
 		}(i)
 	}
 	wg.Wait()
@@ -264,7 +268,7 @@ func (es *evalState) extendRows(c sparql.SlotPattern, sources []*member, ids *sp
 // that fails past its retry budget is skipped for the remainder of the
 // query instead of failing it. buf is scratch for the sources' matches,
 // returned for reuse.
-func (es *evalState) matchAcross(c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
+func (es *evalState) matchAcross(ctx context.Context, c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
 	f := es.f
 	var q [3]rdf.TermID
 	q[0], q[1], q[2] = c.Query(r)
@@ -286,7 +290,7 @@ sources:
 			continue
 		}
 		var err error
-		if buf, err = f.timedMatch(es, m, ids, q, buf[:0]); err != nil {
+		if buf, err = f.timedMatch(ctx, m, ids, q, buf[:0]); err != nil {
 			if err = f.degrade(es, m, err); err != nil {
 				return buf, err
 			}
@@ -301,7 +305,7 @@ sources:
 				f.cRewrites.Inc()
 				probe := q
 				probe[pos] = to
-				if buf, err = f.timedMatch(es, m, ids, probe, buf[:0]); err != nil {
+				if buf, err = f.timedMatch(ctx, m, ids, probe, buf[:0]); err != nil {
 					if err = f.degrade(es, m, err); err != nil {
 						return buf, err
 					}
@@ -336,13 +340,13 @@ sources:
 // timedMatch is the member's Match under the fault-tolerance policy
 // (callSource) plus the per-source latency histogram. The clock is only
 // read when an observer is attached. Matches are appended to dst.
-func (f *Federation) timedMatch(es *evalState, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (f *Federation) timedMatch(ctx context.Context, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	var t0 time.Time
 	if m.matchNS != nil {
 		t0 = time.Now() //lint:ignore nodeterminism per-source latency metric only; never feeds query results
 	}
 	out := dst
-	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
+	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		// Every attempt appends to dst, not out: a retry starts over.
 		out, err = m.src.Match(ctx, ids, q[0], q[1], q[2], dst)
@@ -364,7 +368,7 @@ func (f *Federation) timedMatch(es *evalState, m *member, ids *sparql.IDSpace, q
 // bound-join call will surface (or degrade) the failure. Sources whose
 // circuit breaker is open, or that were already skipped earlier in this
 // query, are ejected up front.
-func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]*member, error) {
+func (f *Federation) selectSources(ctx context.Context, es *evalState, tp sparql.TriplePattern) ([]*member, error) {
 	var out []*member
 	for _, m := range f.sources {
 		if es.isSkipped(m) {
@@ -382,7 +386,7 @@ func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]*m
 			continue
 		}
 		f.cSourceProbes.Inc()
-		has, err := f.hasPredicate(es, m, tp.P.Term)
+		has, err := f.hasPredicate(ctx, m, tp.P.Term)
 		if err != nil || has {
 			out = append(out, m)
 		}
@@ -393,9 +397,9 @@ func (f *Federation) selectSources(es *evalState, tp sparql.TriplePattern) ([]*m
 // hasPredicate is the member's HasPredicate under the fault-tolerance
 // policy: the ASK probe gets the same timeout/retry/breaker treatment as
 // bound joins.
-func (f *Federation) hasPredicate(es *evalState, m *member, pred rdf.Term) (bool, error) {
+func (f *Federation) hasPredicate(ctx context.Context, m *member, pred rdf.Term) (bool, error) {
 	var has bool
-	err := f.callSource(es.ctx, m, func(ctx context.Context) error {
+	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		has, err = m.src.HasPredicate(ctx, pred)
 		return err

@@ -77,39 +77,22 @@ func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, sub, pred, ob
 // local source a GenerationSource for Federation.DataGeneration.
 func (s localSource) Generation() uint64 { return s.st.Generation() }
 
-// EndpointQueryFunc adapts the federation as an endpoint.QueryFunc, so a
-// whole federation can itself be served as a SPARQL endpoint with
-// endpoint.NewQueryHandler — hierarchical federation. Link provenance is
-// not representable in the SPARQL results format and is dropped.
-func EndpointQueryFunc(f *Federation) endpoint.QueryFunc {
-	return func(ctx context.Context, query string) (*endpoint.Result, error) {
-		q, err := sparql.Parse(query)
-		if err != nil {
-			return nil, &endpoint.BadQueryError{Err: err}
-		}
-		res, err := f.EvalContext(ctx, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		return toEndpointResult(q, res), nil
-	}
-}
-
-// CachedEndpointQueryFunc is EndpointQueryFunc with a query cache in
-// front: prepared forms are reused across spellings of one query, and —
-// because cache is expected to be built over f.DataGeneration — whole
-// sameAs-expanded answer sets are served from the result cache until any
-// member store mutates or the link set is swapped. A nil cache degrades
-// to the uncached behaviour.
+// CachedEndpointQueryFunc adapts the federation as an endpoint.QueryFunc,
+// so a whole federation can itself be served as a SPARQL endpoint with
+// endpoint.NewQueryHandler — hierarchical federation — with a query cache
+// in front: prepared forms are reused across spellings of one query and
+// evaluated as cached, layout included, and — because cache is expected to
+// be built over f.DataGeneration — whole sameAs-expanded answer sets are
+// served from the result cache until any member store mutates or the link
+// set is swapped. A nil cache prepares and evaluates every request.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
 		return cache.Do(query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
-			q := prep.Query()
-			res, err := f.EvalContext(ctx, q, nil)
+			res, err := f.EvalContext(ctx, prep, nil)
 			if err != nil {
 				return nil, err
 			}
-			return toEndpointResult(q, res), nil
+			return toEndpointResult(prep.Query(), res), nil
 		})
 	}
 }
@@ -132,8 +115,8 @@ func toEndpointResult(q *sparql.Query, res *Result) *endpoint.Result {
 }
 
 // EndpointTraceFunc adapts the federation as an endpoint.TraceFunc, backing
-// the /debug/trace route of a served federation (see EndpointQueryFunc for
-// the plain query adapter).
+// the /debug/trace route of a served federation (see
+// CachedEndpointQueryFunc for the query adapter).
 func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, *obs.Trace, error) {
 		q, err := sparql.Parse(query)
@@ -141,7 +124,7 @@ func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 			return nil, nil, &endpoint.BadQueryError{Err: err}
 		}
 		tr := obs.NewTrace("query")
-		res, err := f.EvalContext(ctx, q, tr)
+		res, err := f.EvalContext(ctx, sparql.Compile(q), tr)
 		if err != nil {
 			return nil, tr, err
 		}
@@ -181,7 +164,7 @@ func (s remoteSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred,
 			nodes[i] = sparql.TermNode(ids.Term(q[i]))
 		}
 	}
-	rows, err := s.c.MatchPatternContext(ctx, sparql.TriplePattern{S: nodes[0], P: nodes[1], O: nodes[2]}, nil)
+	rows, err := s.c.MatchPatternContext(ctx, sparql.TriplePattern{S: nodes[0], P: nodes[1], O: nodes[2]})
 	if err != nil {
 		return dst, err
 	}

@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -8,20 +10,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"alex/internal/rdf"
 	"alex/internal/store"
 )
 
-// This file is the slot-engine equivalence harness: every query in the
-// corpus (plus every parseable fuzz seed) runs through both the legacy
-// map-based engine (EvalCompat) and the slot engine (Eval), with and
-// without the selectivity planner, and the results must be identical up
-// to row order. The slot engine is the production path; the legacy engine
-// is its executable specification.
+// This file is the equivalence harness: every query in the corpus (plus
+// every parseable fuzz seed) runs through both the reference model
+// (EvalCompat, reference_test.go) and the engine's one entry point, with
+// and without the selectivity planner, and the results must be identical
+// up to row order. The engine is what ships; the reference model is its
+// executable specification.
 
 // loadLines returns the non-comment lines of a testdata file.
-func loadLines(t *testing.T, path string) []string {
+func loadLines(t testing.TB, path string) []string {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -102,23 +105,37 @@ func canonTriples(ts []rdf.Triple) []string {
 	return out
 }
 
-// checkEquivalence runs q through the legacy engine and one slot-engine
-// configuration and fails on any observable difference.
-func checkEquivalence(t *testing.T, st *store.Store, query string, q *Query, opts EvalOptions, label string) {
+// checkEquivalence runs q through the reference model and one
+// configuration of the engine and fails on any observable difference. A
+// positive limit bounds each side by its own deadline; when either deadline
+// fires there is nothing to compare and the check reports false.
+func checkEquivalence(t *testing.T, st *store.Store, query string, q *Query, opts EvalOptions, label string, limit time.Duration) bool {
 	t.Helper()
-	want, wantErr := EvalCompat(st, q)
-	got, gotErr := EvalWithOptions(st, q, nil, opts)
+	bounded := func(eval func(ctx context.Context) (*Result, error)) (*Result, error) {
+		ctx := context.Background()
+		if limit > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, limit)
+			defer cancel()
+		}
+		return eval(ctx)
+	}
+	want, wantErr := bounded(func(ctx context.Context) (*Result, error) { return EvalCompat(ctx, st, q) })
+	got, gotErr := bounded(func(ctx context.Context) (*Result, error) { return evalStore(ctx, st, q, opts) })
+	if errors.Is(wantErr, context.DeadlineExceeded) || errors.Is(gotErr, context.DeadlineExceeded) {
+		return false
+	}
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("%s: %q: legacy err=%v, slot err=%v", label, query, wantErr, gotErr)
 	}
 	if wantErr != nil {
-		return
+		return true
 	}
 	if q.Ask {
 		if want.AskResult() != got.AskResult() {
 			t.Fatalf("%s: %q: legacy ask=%v, slot ask=%v", label, query, want.AskResult(), got.AskResult())
 		}
-		return
+		return true
 	}
 	if strings.Join(want.Vars, ",") != strings.Join(got.Vars, ",") {
 		t.Fatalf("%s: %q: legacy vars=%v, slot vars=%v", label, query, want.Vars, got.Vars)
@@ -146,6 +163,7 @@ func checkEquivalence(t *testing.T, st *store.Store, query string, q *Query, opt
 	if strings.Join(wantTs, "\n") != strings.Join(gotTs, "\n") {
 		t.Fatalf("%s: %q: constructed graphs differ\nlegacy: %v\nslot:   %v", label, query, wantTs, gotTs)
 	}
+	return true
 }
 
 // TestSlotEngineEquivalence is the harness entry point: the curated
@@ -162,8 +180,8 @@ func TestSlotEngineEquivalence(t *testing.T) {
 			continue // parse rejects before either engine runs
 		}
 		parsed++
-		checkEquivalence(t, st, query, q, EvalOptions{}, "planned")
-		checkEquivalence(t, st, query, q, EvalOptions{DisablePlan: true}, "unplanned")
+		checkEquivalence(t, st, query, q, EvalOptions{}, "planned", 0)
+		checkEquivalence(t, st, query, q, EvalOptions{DisablePlan: true}, "unplanned", 0)
 	}
 	if parsed < len(corpus) || len(corpus) < 60 {
 		t.Fatalf("only %d/%d corpus queries parsed — corpus is stale", parsed, len(corpus))
@@ -192,7 +210,7 @@ func TestEvalConcurrentSharedStore(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := Eval(st, q); err != nil {
+				if _, err := evalStore(context.Background(), st, q, EvalOptions{}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // peopleStore loads testdata/people.nt, the fixture internal/fed's
 // one-source-federation test shares.
-func peopleStore(t *testing.T) *store.Store {
+func peopleStore(t testing.TB) *store.Store {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "people.nt"))
 	if err != nil {
@@ -23,6 +24,46 @@ func peopleStore(t *testing.T) *store.Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// evalStore evaluates a parsed query over one store through the one entry
+// point and decodes the rows.
+func evalStore(ctx context.Context, st *store.Store, q *Query, opts EvalOptions) (*Result, error) {
+	res, err := Compile(q).Eval(ctx, StoreSolver(st), opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Materialize(), nil
+}
+
+// storeProg binds a layout to one store the way (*Prepared).Eval does, for
+// tests that look inside an evaluation.
+func storeProg(st *store.Store, lay *SlotLayout) *slotProg {
+	return &slotProg{solver: StoreSolver(st), ids: newIDSpace(st.Dict()), lay: lay}
+}
+
+// evalExpr evaluates e under b through the engine's expression evaluator —
+// b's variables laid out as one slot row over an empty store — and checks
+// that the reference model's Eval method agrees on value and error-ness.
+func evalExpr(t *testing.T, e Expr, b Binding) (rdf.Term, error) {
+	t.Helper()
+	lay := &SlotLayout{slots: map[string]int{}}
+	for v := range b {
+		lay.slots[v] = len(lay.vars)
+		lay.vars = append(lay.vars, v)
+	}
+	lay.compileRegexes(e)
+	p := storeProg(store.New("expr", rdf.NewDict()), lay)
+	row := make([]rdf.TermID, len(lay.vars))
+	for i, v := range lay.vars {
+		row[i] = p.ids.ID(b[v])
+	}
+	got, err := p.evalExprRow(e, row)
+	want, wantErr := e.(refExpr).Eval(b)
+	if (err != nil) != (wantErr != nil) || got != want {
+		t.Errorf("%s: engine gives (%v, %v), reference model (%v, %v)", e, got, err, want, wantErr)
+	}
+	return got, err
 }
 
 func exec(t *testing.T, s *store.Store, q string) *Result {
@@ -244,7 +285,7 @@ func TestLogicExprErrorTolerance(t *testing.T) {
 		Left:  CmpExpr{Op: "=", Left: VarExpr{"x"}, Right: ConstExpr{rdf.NewInt(1)}},
 		Right: VarExpr{"unbound"},
 	}
-	v, err := e.Eval(b)
+	v, err := evalExpr(t, e, b)
 	if err != nil {
 		t.Fatalf("true||error: %v", err)
 	}
@@ -256,7 +297,7 @@ func TestLogicExprErrorTolerance(t *testing.T) {
 		Left:  CmpExpr{Op: "=", Left: VarExpr{"x"}, Right: ConstExpr{rdf.NewInt(2)}},
 		Right: VarExpr{"unbound"},
 	}
-	v2, err := e2.Eval(b)
+	v2, err := evalExpr(t, e2, b)
 	if err != nil {
 		t.Fatalf("false&&error: %v", err)
 	}
@@ -266,7 +307,7 @@ func TestLogicExprErrorTolerance(t *testing.T) {
 	// error && true => error
 	e3 := LogicExpr{Op: "&&", Left: VarExpr{"unbound"},
 		Right: CmpExpr{Op: "=", Left: VarExpr{"x"}, Right: ConstExpr{rdf.NewInt(1)}}}
-	if _, err := e3.Eval(b); err == nil {
+	if _, err := evalExpr(t, e3, b); err == nil {
 		t.Error("error&&true should error")
 	}
 }
@@ -281,7 +322,7 @@ func TestCallExprErrors(t *testing.T) {
 		{Name: "STR", Args: nil},
 	}
 	for _, e := range bad {
-		if _, err := e.Eval(b); err == nil {
+		if _, err := evalExpr(t, e, b); err == nil {
 			t.Errorf("%s: expected error", e)
 		}
 	}
@@ -294,7 +335,7 @@ func TestCallExprFunctions(t *testing.T) {
 	}
 	check := func(e CallExpr, want bool) {
 		t.Helper()
-		v, err := e.Eval(b)
+		v, err := evalExpr(t, e, b)
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
@@ -308,7 +349,7 @@ func TestCallExprFunctions(t *testing.T) {
 	check(CallExpr{Name: "ISLITERAL", Args: []Expr{VarExpr{"lit"}}}, true)
 	check(CallExpr{Name: "STRSTARTS", Args: []Expr{VarExpr{"lit"}, ConstExpr{rdf.NewString("he")}}}, true)
 
-	lang, err := CallExpr{Name: "LANG", Args: []Expr{VarExpr{"lit"}}}.Eval(b)
+	lang, err := evalExpr(t, CallExpr{Name: "LANG", Args: []Expr{VarExpr{"lit"}}}, b)
 	if err != nil || lang.Value != "en" {
 		t.Errorf("LANG = %v, %v", lang, err)
 	}
@@ -319,7 +360,7 @@ func TestRegexCaseInsensitive(t *testing.T) {
 	e := CallExpr{Name: "REGEX", Args: []Expr{
 		VarExpr{"n"}, ConstExpr{rdf.NewString("^lebron$")}, ConstExpr{rdf.NewString("i")},
 	}}
-	v, err := e.Eval(b)
+	v, err := evalExpr(t, e, b)
 	if err != nil {
 		t.Fatal(err)
 	}

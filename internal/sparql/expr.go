@@ -2,32 +2,31 @@ package sparql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"alex/internal/rdf"
 )
 
-// Expr is a FILTER expression. Eval returns the effective boolean value of
-// the expression under a binding; evaluation errors (unbound variables,
-// type mismatches) make the filter reject the binding, per SPARQL
-// error-as-false semantics for FILTER.
+// Expr is a FILTER or BIND expression: one of VarExpr, ConstExpr, CmpExpr,
+// ArithExpr, LogicExpr, NotExpr and CallExpr, evaluated against a row by
+// the engine (slotexpr.go). Evaluation errors (unbound variables, type
+// mismatches) make a filter reject the row, per SPARQL error-as-false
+// semantics for FILTER.
 type Expr interface {
-	Eval(b Binding) (rdf.Term, error)
 	String() string
+	expr()
 }
+
+func (VarExpr) expr()   {}
+func (ConstExpr) expr() {}
+func (CmpExpr) expr()   {}
+func (ArithExpr) expr() {}
+func (LogicExpr) expr() {}
+func (NotExpr) expr()   {}
+func (CallExpr) expr()  {}
 
 // Binding maps variable names to terms.
 type Binding map[string]rdf.Term
-
-// Clone returns a copy of the binding.
-func (b Binding) Clone() Binding {
-	out := make(Binding, len(b)+1)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
 
 var (
 	termTrue  = rdf.NewTyped("true", rdf.XSDBoolean)
@@ -100,22 +99,10 @@ func looksNumeric(s string) bool {
 // VarExpr references a variable.
 type VarExpr struct{ Name string }
 
-// Eval returns the bound term or an error when unbound.
-func (e VarExpr) Eval(b Binding) (rdf.Term, error) {
-	t, ok := b[e.Name]
-	if !ok {
-		return rdf.Term{}, fmt.Errorf("unbound variable ?%s", e.Name)
-	}
-	return t, nil
-}
-
 func (e VarExpr) String() string { return "?" + e.Name }
 
 // ConstExpr is a constant term.
 type ConstExpr struct{ Term rdf.Term }
-
-// Eval returns the constant.
-func (e ConstExpr) Eval(Binding) (rdf.Term, error) { return e.Term, nil }
 
 func (e ConstExpr) String() string { return e.Term.String() }
 
@@ -125,22 +112,9 @@ type CmpExpr struct {
 	Left, Right Expr
 }
 
-// Eval compares numerically when both sides are numeric, otherwise by
-// string value (with full term equality for = / !=).
-func (e CmpExpr) Eval(b Binding) (rdf.Term, error) {
-	l, err := e.Left.Eval(b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	r, err := e.Right.Eval(b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	return cmpTerms(e.Op, l, r)
-}
-
-// cmpTerms applies a comparison operator to two evaluated terms. Shared by
-// the map-based and slot-based expression evaluators.
+// cmpTerms applies a comparison operator to two evaluated terms:
+// numerically when both sides are numeric, otherwise by string value (with
+// full term equality for = / !=).
 func cmpTerms(op string, l, r rdf.Term) (rdf.Term, error) {
 	switch op {
 	case "=":
@@ -213,22 +187,9 @@ type ArithExpr struct {
 	Left, Right Expr
 }
 
-// Eval evaluates both sides as numbers; non-numeric operands or division by
-// zero are evaluation errors (error-as-false in FILTER, unbound in BIND).
-func (e ArithExpr) Eval(b Binding) (rdf.Term, error) {
-	l, err := e.Left.Eval(b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	r, err := e.Right.Eval(b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	return arithTerms(e.Op, l, r)
-}
-
-// arithTerms applies an arithmetic operator to two evaluated terms. Shared
-// by the map-based and slot-based expression evaluators.
+// arithTerms applies an arithmetic operator to two evaluated terms;
+// non-numeric operands or division by zero are evaluation errors
+// (error-as-false in FILTER, unbound in BIND).
 func arithTerms(op byte, l, r rdf.Term) (rdf.Term, error) {
 	lf, lok := numericValue(l)
 	rf, rok := numericValue(r)
@@ -251,10 +212,7 @@ func arithTerms(op byte, l, r rdf.Term) (rdf.Term, error) {
 	default:
 		return rdf.Term{}, fmt.Errorf("unknown arithmetic op %c", op)
 	}
-	if v == float64(int64(v)) {
-		return rdf.NewInt(int64(v)), nil
-	}
-	return rdf.NewTyped(strconv.FormatFloat(v, 'g', -1, 64), rdf.XSDDouble), nil
+	return numericTerm(v), nil
 }
 
 func (e ArithExpr) String() string {
@@ -267,17 +225,9 @@ type LogicExpr struct {
 	Left, Right Expr
 }
 
-// Eval applies SPARQL's error-tolerant boolean logic: for ||, a true side
-// wins even if the other errors; for &&, a false side wins likewise.
-func (e LogicExpr) Eval(b Binding) (rdf.Term, error) {
-	lv, lerr := evalBool(e.Left, b)
-	rv, rerr := evalBool(e.Right, b)
-	return logicCombine(e.Op, lv, lerr, rv, rerr)
-}
-
 // logicCombine merges independently evaluated operand results under
-// SPARQL's error-tolerant boolean logic. Shared by the map-based and
-// slot-based expression evaluators.
+// SPARQL's error-tolerant boolean logic: for ||, a true side wins even if
+// the other errors; for &&, a false side wins likewise.
 func logicCombine(op string, lv bool, lerr error, rv bool, rerr error) (rdf.Term, error) {
 	switch op {
 	case "&&":
@@ -311,25 +261,8 @@ func (e LogicExpr) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.Left, e.Op, e.Right)
 }
 
-func evalBool(e Expr, b Binding) (bool, error) {
-	t, err := e.Eval(b)
-	if err != nil {
-		return false, err
-	}
-	return EBV(t)
-}
-
 // NotExpr is logical negation.
 type NotExpr struct{ Inner Expr }
-
-// Eval negates the effective boolean value of the inner expression.
-func (e NotExpr) Eval(b Binding) (rdf.Term, error) {
-	v, err := evalBool(e.Inner, b)
-	if err != nil {
-		return rdf.Term{}, err
-	}
-	return boolTerm(!v), nil
-}
 
 func (e NotExpr) String() string { return "!" + e.Inner.String() }
 
@@ -340,43 +273,11 @@ type CallExpr struct {
 	Args []Expr
 }
 
-// Eval dispatches on the builtin name.
-func (e CallExpr) Eval(b Binding) (rdf.Term, error) {
-	if e.Name == "BOUND" {
-		if len(e.Args) != 1 {
-			return rdf.Term{}, fmt.Errorf("BOUND takes 1 argument")
-		}
-		v, ok := e.Args[0].(VarExpr)
-		if !ok {
-			return rdf.Term{}, fmt.Errorf("BOUND requires a variable")
-		}
-		_, bound := b[v.Name]
-		return boolTerm(bound), nil
-	}
-	args := make([]rdf.Term, len(e.Args))
-	for i, a := range e.Args {
-		t, err := a.Eval(b)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		args[i] = t
-	}
-	return callBuiltin(e.Name, args)
-}
-
-// callBuiltin dispatches a builtin call (BOUND excepted, which needs the
-// binding itself) over evaluated arguments. Shared by the map-based and
-// slot-based expression evaluators.
+// callBuiltin dispatches a builtin call over evaluated arguments — BOUND
+// excepted, which needs the row itself, and REGEX, whose compiled pattern
+// the caller holds.
 func callBuiltin(name string, args []rdf.Term) (rdf.Term, error) {
 	switch name {
-	case "REGEX":
-		// The map engine has no evaluation state to memoise in: it is the
-		// reference the slot engine's compiled patterns are tested against.
-		text, k, err := regexArgs(args)
-		if err != nil {
-			return rdf.Term{}, err
-		}
-		return compileRegex(k).match(text)
 	case "CONTAINS":
 		if len(args) != 2 {
 			return rdf.Term{}, fmt.Errorf("CONTAINS takes 2 arguments")

@@ -2,7 +2,9 @@ package sparql
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
+	"time"
 )
 
 func FuzzParse(f *testing.F) {
@@ -67,6 +69,30 @@ a ; , * ( ) { } <`,
 			if tok.pos < 0 || tok.pos > len(in) {
 				t.Fatalf("token position %d outside input of length %d", tok.pos, len(in))
 			}
+		}
+	})
+}
+
+// FuzzEvalEquivalence is the equivalence harness with the fuzzer writing
+// the corpus: any input that parses runs through the engine's one entry
+// point, planner on and off, and through the reference model on people.nt,
+// and the two must agree on error-ness, Vars, the row multiset, the row
+// sequence under ORDER BY and the constructed graph. Each side runs under
+// a short deadline of its own so that a fuzzed cross product ends instead
+// of hanging; an input on which a deadline fires is not compared.
+func FuzzEvalEquivalence(f *testing.F) {
+	st := peopleStore(f)
+	for _, query := range loadLines(f, filepath.Join("testdata", "equiv_corpus.rq")) {
+		f.Add(query)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		q, err := Parse(in)
+		if err != nil {
+			return
+		}
+		const limit = 50 * time.Millisecond
+		if checkEquivalence(t, st, in, q, EvalOptions{}, "planned", limit) {
+			checkEquivalence(t, st, in, q, EvalOptions{DisablePlan: true}, "unplanned", limit)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -93,7 +94,8 @@ func TestEvalGolden(t *testing.T) {
 		}{{"planned", EvalOptions{}}, {"written", EvalOptions{DisablePlan: true}}} {
 			fmt.Fprintf(&b, "-- %s\n", c.label)
 			tr := obs.NewTrace("query")
-			res, err := EvalWithOptions(st, q, tr, c.opts)
+			c.opts.Trace = tr
+			res, err := evalStore(context.Background(), st, q, c.opts)
 			renderEval(&b, res, tr, err)
 		}
 	}

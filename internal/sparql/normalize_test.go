@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -107,8 +108,8 @@ func checkNormalizedEquivalence(t *testing.T, st *store.Store, orig, variant str
 	if err1 != nil {
 		return
 	}
-	r1, err1 := Eval(st, q1)
-	r2, err2 := Eval(st, q2)
+	r1, err1 := evalStore(context.Background(), st, q1, EvalOptions{})
+	r2, err2 := evalStore(context.Background(), st, q2, EvalOptions{})
 	if (err1 != nil) != (err2 != nil) {
 		t.Fatalf("eval divergence: %q err=%v, %q err=%v", orig, err1, variant, err2)
 	}
@@ -196,12 +197,12 @@ func FuzzNormalizeQuery(f *testing.F) {
 		if err != nil {
 			t.Fatalf("original parses but normalized form %q does not: %v", norm, err)
 		}
-		if !reflect.DeepEqual(CompileLayout(q), CompileLayout(qn)) {
+		if !reflect.DeepEqual(Compile(q).layout, Compile(qn).layout) {
 			t.Fatalf("slot layouts differ between %q and %q", in, norm)
 		}
 		st := fuzzStore()
-		r1, err1 := Eval(st, q)
-		r2, err2 := Eval(st, qn)
+		r1, err1 := evalStore(context.Background(), st, q, EvalOptions{})
+		r2, err2 := evalStore(context.Background(), st, qn, EvalOptions{})
 		if (err1 != nil) != (err2 != nil) {
 			t.Fatalf("eval divergence on %q vs %q: %v vs %v", in, norm, err1, err2)
 		}

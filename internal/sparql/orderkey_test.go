@@ -152,8 +152,7 @@ func TestKeyedSortMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := CompileLayout(q)
-	p := newStoreProg(st, lay, EvalOptions{})
+	p := storeProg(st, &Compile(q).layout)
 	pool := []rdf.TermID{rdf.NoTerm}
 	overflow := 0
 	for _, term := range terms {
@@ -184,8 +183,8 @@ func TestKeyedSortMatchesNaive(t *testing.T) {
 		for i := range keys {
 			keys[i] = OrderKey{Var: vars[rng.Intn(len(vars))], Desc: rng.Intn(2) == 0}
 		}
-		want := naiveSortSlots(p, rows, keys, lay.Slot)
-		got := p.sortSlots(rows, keys, lay.Slot)
+		want := naiveSortSlots(p, rows, keys, p.lay.Slot)
+		got := p.sortSlots(rows, keys, p.lay.Slot)
 		if !slices.Equal(got.data, want.data) {
 			t.Fatalf("round %d: ORDER BY %v over %d rows: keyed sort and reference disagree\n got %v\nwant %v",
 				round, keys, n, got.data, want.data)
@@ -202,22 +201,21 @@ func TestSortAllocatesNoPerComparisonGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := CompileLayout(q)
-	p := newStoreProg(st, lay, EvalOptions{})
+	p := storeProg(st, &Compile(q).layout)
 	rng := rand.New(rand.NewSource(16))
 	build := func(n int) *Rows {
 		rows := NewRows(p.width(), n)
 		for i := 0; i < n; i++ {
 			label := rdf.NewString("Player " + strings.Repeat("x", rng.Intn(5)) + string(rune('A'+rng.Intn(26))))
 			st.Add(rdf.Triple{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/l"), O: label})
-			rows.pushEmpty()[lay.Slot("l")] = p.ids.ID(label)
+			rows.pushEmpty()[p.lay.Slot("l")] = p.ids.ID(label)
 		}
 		return rows
 	}
 	keys := []OrderKey{{Var: "l"}, {Var: "s"}}
 	small, large := build(50), build(800)
 	allocs := func(rows *Rows) float64 {
-		return testing.AllocsPerRun(20, func() { p.sortSlots(rows, keys, lay.Slot) })
+		return testing.AllocsPerRun(20, func() { p.sortSlots(rows, keys, p.lay.Slot) })
 	}
 	a50, a800 := allocs(small), allocs(large)
 	if a800 > a50+2 || a50 > 12 {

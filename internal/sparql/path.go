@@ -78,79 +78,6 @@ type PathPattern struct {
 
 func (PathPattern) pattern() {}
 
-// evalPathPattern extends each solution through the path.
-func evalPathPattern(st *store.Store, pp PathPattern, rows []Binding) ([]Binding, error) {
-	var out []Binding
-	for _, row := range rows {
-		out = append(out, matchPath(st, pp, row)...)
-	}
-	return out, nil
-}
-
-// matchPath enumerates the (subject, object) pairs connected by the path
-// that are compatible with the binding, preferring the bound end as the
-// starting point.
-func matchPath(st *store.Store, pp PathPattern, row Binding) []Binding {
-	dict := st.Dict()
-	resolveEnd := func(n Node) (rdf.TermID, string, bool) {
-		if n.IsVar() {
-			if t, bound := row[n.Var]; bound {
-				id, ok := dict.Lookup(t)
-				return id, "", ok
-			}
-			return rdf.NoTerm, n.Var, true
-		}
-		id, ok := dict.Lookup(n.Term)
-		return id, "", ok
-	}
-	sID, sVar, okS := resolveEnd(pp.S)
-	oID, oVar, okO := resolveEnd(pp.O)
-	if !okS || !okO {
-		return nil
-	}
-	var out []Binding
-	emit := func(s, o rdf.TermID) {
-		nb := row.Clone()
-		if sVar != "" {
-			nb[sVar] = dict.Term(s)
-		}
-		if oVar != "" {
-			if sVar == oVar {
-				// Same variable at both ends: require a self-loop.
-				if s != o {
-					return
-				}
-			} else {
-				nb[oVar] = dict.Term(o)
-			}
-		}
-		out = append(out, nb)
-	}
-	switch {
-	case sID != rdf.NoTerm:
-		targets := pathTargets(st, pp.P, sID, false)
-		for _, o := range targets {
-			if oID != rdf.NoTerm && o != oID {
-				continue
-			}
-			emit(sID, o)
-		}
-	case oID != rdf.NoTerm:
-		sources := pathTargets(st, pp.P, oID, true)
-		for _, s := range sources {
-			emit(s, oID)
-		}
-	default:
-		// Both ends unbound: start from every subject in the store.
-		for _, s := range st.Subjects() {
-			for _, o := range pathTargets(st, pp.P, s, false) {
-				emit(s, o)
-			}
-		}
-	}
-	return out
-}
-
 // pathTargets returns the nodes reachable from `from` along the path
 // (deduplicated, deterministic order). inverse=true walks the path
 // backwards (used when only the object end is bound).

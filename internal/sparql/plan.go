@@ -7,51 +7,59 @@ import (
 	"alex/internal/rdf"
 )
 
-// EvalOptions tunes the slot-based evaluator.
-type EvalOptions struct {
-	// DisablePlan keeps each BGP's written pattern order instead of
-	// reordering by estimated selectivity — the ablation switch for
-	// measuring what the planner buys.
-	DisablePlan bool
-}
-
-// planBGP returns the evaluation order of a BGP's triple patterns as
-// indexes into tps, greedily picking the pattern with the lowest
-// estimated cardinality next (the single-store analogue of fed's join
-// reordering). bound marks the slots already bound when the BGP starts;
-// picking a pattern marks its variables bound for subsequent estimates,
-// which is what makes star joins chain through their selective entry
-// point. Ties keep written order, so the plan is deterministic.
-func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, bound []bool) []int {
-	order := make([]int, 0, len(tps))
-	if s.opts.DisablePlan || len(tps) < 2 {
-		for i := range tps {
-			order = append(order, i)
-		}
-		return order
+// GreedyOrder is the join-order rule both solvers share: of the patterns
+// not yet placed, the one with the lowest estimate runs next, and ties
+// keep written order (strict <), so an order is deterministic. It calls
+// place(i), i an index into the n patterns, once per pattern in the order
+// chosen. estimate is asked about every unplaced pattern in every round,
+// because placing one changes the others' estimates: place is where the
+// solver marks the pattern's variables bound, which is what makes star
+// joins chain through their selective entry point. What a pattern costs is
+// the solver's own business — the store solver reads exact posting counts,
+// the federation cached COUNT probes across its sources.
+func GreedyOrder(n int, estimate func(i int) float64, place func(i int)) {
+	// A BGP rarely has more patterns than this; one that does pays an
+	// allocation.
+	var few [16]bool
+	placed := few[:0]
+	if n <= len(few) {
+		placed = few[:n]
+	} else {
+		placed = make([]bool, n)
 	}
-	b := make([]bool, len(bound))
-	copy(b, bound)
-	chosen := make([]bool, len(tps))
-	for len(order) < len(tps) {
+	for range placed {
 		best, bestCost := -1, 0.0
-		for i, tp := range tps {
-			if chosen[i] {
+		for i, done := range placed {
+			if done {
 				continue
 			}
-			c := s.estimatePattern(lay, tp, b)
-			if best == -1 || c < bestCost {
+			if c := estimate(i); best == -1 || c < bestCost {
 				best, bestCost = i, c
 			}
 		}
-		order = append(order, best)
-		chosen[best] = true
-		for _, v := range tps[best].Vars() {
-			if sl := lay.Slot(v); sl >= 0 {
-				b[sl] = true
-			}
-		}
+		placed[best] = true
+		place(best)
 	}
+}
+
+// planBGP returns the evaluation order of a BGP's triple patterns as
+// indexes into tps. bound marks the slots already bound when the BGP
+// starts, and is updated as patterns are placed.
+func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, bound []bool) []int {
+	if len(tps) < 2 {
+		return make([]int, len(tps))
+	}
+	order := make([]int, 0, len(tps))
+	GreedyOrder(len(tps),
+		func(i int) float64 { return s.estimatePattern(lay, tps[i], bound) },
+		func(i int) {
+			order = append(order, i)
+			for _, v := range tps[i].Vars() {
+				if sl := lay.Slot(v); sl >= 0 {
+					bound[sl] = true
+				}
+			}
+		})
 	return order
 }
 

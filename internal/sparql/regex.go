@@ -8,7 +8,7 @@ import (
 )
 
 // REGEX(text, pattern [, flags]) compiles a pattern once per distinct
-// (pattern, flags) value, never per row: CompileLayout compiles the calls
+// (pattern, flags) value, never per row: Compile compiles the calls
 // whose pattern and flags are constants, so a Prepared carries them into
 // every evaluation, and an evaluation memoises the values a variable
 // pattern takes. The compile error is kept like the program is, so an

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func TestRegexFlags(t *testing.T) {
 }
 
 // TestRegexConstantCompiledWithTheQuery: a constant pattern — the invalid
-// one too — is compiled by CompileLayout, so that evaluations compile
+// one too — is compiled with the query, so that evaluations compile
 // nothing.
 func TestRegexConstantCompiledWithTheQuery(t *testing.T) {
 	st := regexStore(40)
@@ -78,8 +79,8 @@ func TestRegexConstantCompiledWithTheQuery(t *testing.T) {
 	if rp := prep.layout.regex[regexKey{pattern: "("}]; rp.err == nil {
 		t.Error("the invalid pattern's compile error is not kept")
 	}
-	p := newStoreProg(st, prep.layout, EvalOptions{})
-	if _, err := p.run(prep.query, nil); err != nil {
+	p := storeProg(st, &prep.layout)
+	if _, err := p.run(context.Background(), prep.query, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.regexMemo) != 0 {
@@ -96,13 +97,13 @@ func TestRegexVariablePatternCompiledOncePerValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := CompileLayout(q)
+	lay := &Compile(q).layout
 	if lay.regex != nil {
 		t.Fatalf("a variable pattern was compiled with the query: %v", lay.regex)
 	}
 	run := func(st *store.Store) (rows int, compiled int) {
-		p := newStoreProg(st, lay, EvalOptions{})
-		res, err := p.run(q, nil)
+		p := storeProg(st, lay)
+		res, err := p.run(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -10,50 +11,19 @@ import (
 	"alex/internal/store"
 )
 
-// This file is the slot-based evaluation engine: the whole pipeline from
-// pattern matching through DISTINCT runs on fixed-width []rdf.TermID rows
-// over the store's dictionary ids, and terms are decoded only where a
-// lexical form is genuinely needed (expression evaluation, ORDER BY keys,
-// and the final materialization). The legacy map-based
-// engine is retained as EvalCompat for the equivalence harness.
-
-// EvalWithOptions evaluates a parsed query through the slot-based engine
-// with explicit options, materializing the result rows into the public
-// Binding representation.
-func EvalWithOptions(st *store.Store, q *Query, tr *obs.Trace, opts EvalOptions) (*Result, error) {
-	res, err := EvalSlotsTrace(st, q, tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Materialize(), nil
-}
-
-// EvalSlots evaluates a parsed query and returns the un-materialized slot
-// result: callers that only serialize (the SPARQL protocol endpoint)
-// decode terms straight at their output boundary instead of building one
-// map per row first.
-func EvalSlots(st *store.Store, q *Query) (*SlotResult, error) {
-	return EvalSlotsTrace(st, q, nil, EvalOptions{})
-}
-
-// EvalSlotsTrace is EvalSlots with span recording and options.
-func EvalSlotsTrace(st *store.Store, q *Query, tr *obs.Trace, opts EvalOptions) (*SlotResult, error) {
-	return newStoreProg(st, CompileLayout(q), opts).run(q, tr)
-}
-
-// EvalSolver evaluates a parsed query against any Solver: the same
-// operators and finalization as EvalSlots, with basic graph patterns
-// answered by s instead of a store.
-func EvalSolver(s Solver, q *Query, tr *obs.Trace) (*SlotResult, error) {
-	return newSlotProg(s, CompileLayout(q)).run(q, tr)
-}
+// This file is the evaluation engine: the whole pipeline from pattern
+// matching through DISTINCT runs on fixed-width []rdf.TermID rows over the
+// solver's dictionary ids, and terms are decoded only where a lexical form
+// is genuinely needed (expression evaluation, ORDER BY keys, and the final
+// materialization). The map-row engine it replaced is the reference model
+// the tests compare it against (reference_test.go).
 
 // run executes one evaluation of q through a bound slot program.
-func (p *slotProg) run(q *Query, tr *obs.Trace) (*SlotResult, error) {
+func (p *slotProg) run(ctx context.Context, q *Query, tr *obs.Trace) (*SlotResult, error) {
 	sp := tr.Root()
 	in := NewRows(p.width(), 1)
 	in.pushEmpty()
-	rows, err := p.evalSlotPatterns(q.Patterns, in, sp)
+	rows, err := p.evalSlotPatterns(ctx, q.Patterns, in, sp)
 	if err != nil {
 		tr.Finish()
 		return nil, err
@@ -73,8 +43,8 @@ func (p *slotProg) run(q *Query, tr *obs.Trace) (*SlotResult, error) {
 // SlotResult is a query result still in id space: fixed-width rows of
 // dictionary (or query-overflow) ids plus the id space to decode them.
 // Vars is the projection; row columns are named by rowVars, which adds the
-// grouping variables of aggregate queries (the map engine also carries
-// those through).
+// grouping variables of aggregate queries (the reference model also
+// carries those through).
 type SlotResult struct {
 	Vars    []string
 	Triples []rdf.Triple
@@ -142,9 +112,9 @@ func (r *SlotResult) Materialize() *Result {
 }
 
 // evalSlotPatterns folds each group element over the current solution
-// set, mirroring the legacy evalPatterns stage for stage (same span names
-// and attributes) and recording each stage's output cardinality.
-func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *Rows, sp *obs.Span) (*Rows, error) {
+// set, recording one child span per element under sp (nil disables
+// tracing) and each stage's output cardinality.
+func (p *slotProg) evalSlotPatterns(ctx context.Context, patterns []Pattern, in *Rows, sp *obs.Span) (*Rows, error) {
 	rows := in
 	for _, pat := range patterns {
 		var err error
@@ -152,19 +122,19 @@ func (p *slotProg) evalSlotPatterns(patterns []Pattern, in *Rows, sp *obs.Span) 
 		stage.SetInt("in", int64(rows.n))
 		switch pat := pat.(type) {
 		case BGP:
-			rows, err = p.solver.SolveBGP(p.lay, p.ids, pat, rows, stage)
+			rows, err = p.solveBGP(ctx, pat, rows, stage)
 		case Filter:
 			rows = p.applySlotFilter(pat.Expr, rows)
 		case Optional:
-			rows, err = p.evalSlotOptional(pat, rows, stage)
+			rows, err = p.evalSlotOptional(ctx, pat, rows, stage)
 		case Union:
-			rows, err = p.evalSlotUnion(pat, rows, stage)
+			rows, err = p.evalSlotUnion(ctx, pat, rows, stage)
 		case Values:
 			rows = p.evalSlotValues(pat, rows)
 		case Exists:
-			rows, err = p.evalSlotExists(pat, rows, stage)
+			rows, err = p.evalSlotExists(ctx, pat, rows, stage)
 		case PathPattern:
-			rows, err = p.solver.SolvePath(p.lay, p.ids, pat, rows)
+			rows, err = p.solver.SolvePath(ctx, p.lay, p.ids, pat, rows)
 		case Bind:
 			rows = p.evalSlotBind(pat, rows)
 		default:
@@ -201,15 +171,45 @@ func (p *slotProg) observeStage(pat Pattern, n int) {
 	h.Observe(int64(n))
 }
 
+// solveBGP hands a basic graph pattern to the solver: whole, for the solver
+// to order, or under DisablePlan one pattern at a time in written order,
+// which leaves it nothing to reorder.
+func (p *slotProg) solveBGP(ctx context.Context, bgp BGP, rows *Rows, sp *obs.Span) (*Rows, error) {
+	if !p.written || len(bgp.Triples) < 2 {
+		return p.solver.SolveBGP(ctx, p.lay, p.ids, bgp, rows, sp)
+	}
+	for i := range bgp.Triples {
+		var err error
+		rows, err = p.solver.SolveBGP(ctx, p.lay, p.ids, BGP{Triples: bgp.Triples[i : i+1]}, rows, sp)
+		if err != nil || rows.n == 0 {
+			return rows, err
+		}
+	}
+	return rows, nil
+}
+
 // storeSolver answers basic graph patterns and property paths from one
 // store's indexes: the single-store Solver.
 type storeSolver struct {
 	st       *store.Store
-	opts     EvalOptions
 	reorders *obs.Counter
 }
 
+// StoreSolver returns the Solver that answers from st's indexes, recording
+// into st's registry.
+func StoreSolver(st *store.Store) Solver {
+	return &storeSolver{st: st, reorders: st.Registry().Counter(obs.SparqlPlanReorders)}
+}
+
+// cancelStride is how many rows the store solver reads and writes between
+// looks at its context: a request's cancelCtx.Err() takes a mutex, so not
+// every row. Written rows count because one input row of a cross product
+// writes as many as the store has triples; what a single input row writes
+// is the one stretch that is not interrupted.
+const cancelStride = 1024
+
 func (s *storeSolver) Dict() *rdf.Dict                         { return s.st.Dict() }
+func (s *storeSolver) Registry() *obs.Registry                 { return s.st.Registry() }
 func (s *storeSolver) Provenance() bool                        { return false }
 func (s *storeSolver) MergeProvenance([]rdf.TermID) rdf.TermID { return rdf.NoTerm }
 
@@ -230,7 +230,7 @@ func boundSlots(rows *Rows) []bool {
 // SolveBGP extends each solution through every triple pattern in
 // planned order, recording one "pattern" span per triple pattern plus a
 // "plan" span when the planner reordered.
-func (s *storeSolver) SolveBGP(lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error) {
+func (s *storeSolver) SolveBGP(ctx context.Context, lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error) {
 	order := s.planBGP(lay, bgp.Triples, boundSlots(in))
 	if planReordered(order) {
 		s.reorders.Inc()
@@ -256,7 +256,14 @@ func (s *storeSolver) SolveBGP(lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows,
 		next := NewRows(in.w, rows.n)
 		exec.out = next
 		exec.c = lay.Compile(ids, tp)
+		due := 0 // rows read + written at which to look at ctx next
 		for i := 0; i < rows.n; i++ {
+			if i+next.n >= due {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				due = i + next.n + cancelStride
+			}
 			r := rows.Row(i)
 			sQ, pQ, oQ := exec.c.Query(r)
 			// An overflow id (an unknown constant, a term the query
@@ -292,21 +299,10 @@ func (e *bgpExec) emit(t rdf.TripleID) { e.c.Extend(e.out, e.r, t) }
 // applySlotFilter compacts rows in place, keeping those whose expression
 // evaluates to true (errors reject, per SPARQL).
 func (p *slotProg) applySlotFilter(e Expr, rows *Rows) *Rows {
-	w := rows.w
-	out := 0
-	for i := 0; i < rows.n; i++ {
-		r := rows.Row(i)
+	return rows.retain(func(r []rdf.TermID) bool {
 		v, err := p.evalBoolRow(e, r)
-		if err == nil && v {
-			if out != i {
-				copy(rows.data[out*w:(out+1)*w], r)
-			}
-			out++
-		}
-	}
-	rows.n = out
-	rows.data = rows.data[:out*w]
-	return rows
+		return err == nil && v
+	})
 }
 
 // resetSingle reuses a one-row scratch set for per-row sub-evaluation
@@ -319,11 +315,11 @@ func resetSingle(single *Rows, r []rdf.TermID) *Rows {
 	return single
 }
 
-func (p *slotProg) evalSlotOptional(opt Optional, rows *Rows, sp *obs.Span) (*Rows, error) {
+func (p *slotProg) evalSlotOptional(ctx context.Context, opt Optional, rows *Rows, sp *obs.Span) (*Rows, error) {
 	out := NewRows(p.width(), rows.n)
 	single := NewRows(p.width(), 1)
 	for i := 0; i < rows.n; i++ {
-		extended, err := p.evalSlotPatterns(opt.Patterns, resetSingle(single, rows.Row(i)), sp)
+		extended, err := p.evalSlotPatterns(ctx, opt.Patterns, resetSingle(single, rows.Row(i)), sp)
 		if err != nil {
 			return nil, err
 		}
@@ -337,12 +333,12 @@ func (p *slotProg) evalSlotOptional(opt Optional, rows *Rows, sp *obs.Span) (*Ro
 	return out, nil
 }
 
-func (p *slotProg) evalSlotUnion(u Union, rows *Rows, sp *obs.Span) (*Rows, error) {
+func (p *slotProg) evalSlotUnion(ctx context.Context, u Union, rows *Rows, sp *obs.Span) (*Rows, error) {
 	out := NewRows(p.width(), 2*rows.n)
 	single := NewRows(p.width(), 1)
 	for i := 0; i < rows.n; i++ {
 		for _, branch := range [2][]Pattern{u.Left, u.Right} {
-			res, err := p.evalSlotPatterns(branch, resetSingle(single, rows.Row(i)), sp)
+			res, err := p.evalSlotPatterns(ctx, branch, resetSingle(single, rows.Row(i)), sp)
 			if err != nil {
 				return nil, err
 			}
@@ -397,64 +393,54 @@ func (p *slotProg) evalSlotValues(v Values, rows *Rows) *Rows {
 	return out
 }
 
-func (p *slotProg) evalSlotExists(e Exists, rows *Rows, sp *obs.Span) (*Rows, error) {
+func (p *slotProg) evalSlotExists(ctx context.Context, e Exists, rows *Rows, sp *obs.Span) (*Rows, error) {
 	single := NewRows(p.width(), 1)
-	w := rows.w
-	out := 0
-	for i := 0; i < rows.n; i++ {
-		r := rows.Row(i)
-		matches, err := p.evalSlotPatterns(e.Patterns, resetSingle(single, r), sp)
+	var err error
+	rows.retain(func(r []rdf.TermID) bool {
 		if err != nil {
-			return nil, err
+			return false
 		}
-		if (matches.n > 0) != e.Not {
-			if out != i {
-				copy(rows.data[out*w:(out+1)*w], r)
-			}
-			out++
-		}
+		var matches *Rows
+		matches, err = p.evalSlotPatterns(ctx, e.Patterns, resetSingle(single, r), sp)
+		return err == nil && (matches.n > 0) != e.Not
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows.n = out
-	rows.data = rows.data[:out*w]
 	return rows, nil
 }
 
-// evalSlotBind mirrors the legacy BIND semantics: an evaluation error
-// leaves the variable unbound, a BIND onto an already-bound variable
-// filters for equality.
+// evalSlotBind extends each solution with the bound expression value; an
+// evaluation error leaves the variable unbound for that solution, and a
+// BIND onto an already-bound variable filters for equality (a simplified
+// reading of the SPARQL restriction that the variable be fresh).
 func (p *slotProg) evalSlotBind(bd Bind, rows *Rows) *Rows {
 	s := p.lay.slots[bd.As]
-	w := rows.w
-	out := 0
-	for i := 0; i < rows.n; i++ {
-		r := rows.Row(i)
+	return rows.retain(func(r []rdf.TermID) bool {
 		v, err := p.evalExprRow(bd.Expr, r)
-		keep := true
-		if err == nil {
-			id := p.ids.ID(v)
-			if r[s] != rdf.NoTerm {
-				keep = r[s] == id
-			} else {
-				r[s] = id
-			}
+		if err != nil {
+			return true
 		}
-		if keep {
-			if out != i {
-				copy(rows.data[out*w:(out+1)*w], r)
-			}
-			out++
+		id := p.ids.ID(v)
+		if r[s] == rdf.NoTerm {
+			r[s] = id
 		}
-	}
-	rows.n = out
-	rows.data = rows.data[:out*w]
-	return rows
+		return r[s] == id
+	})
 }
 
 // SolvePath extends each solution through a property path, reusing the
 // id-space BFS of pathTargets and binding ids directly into slots.
-func (s *storeSolver) SolvePath(lay *SlotLayout, _ *IDSpace, pp PathPattern, rows *Rows) (*Rows, error) {
+func (s *storeSolver) SolvePath(ctx context.Context, lay *SlotLayout, _ *IDSpace, pp PathPattern, rows *Rows) (*Rows, error) {
 	out := NewRows(rows.w, rows.n)
+	due := 0
 	for i := 0; i < rows.n; i++ {
+		if i+out.n >= due {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			due = i + out.n + cancelStride
+		}
 		r := rows.Row(i)
 		sID, sSlot, okS := s.resolvePathEnd(lay, pp.S, r)
 		oID, oSlot, okO := s.resolvePathEnd(lay, pp.O, r)
@@ -503,9 +489,8 @@ func (s *storeSolver) SolvePath(lay *SlotLayout, _ *IDSpace, pp PathPattern, row
 
 // resolvePathEnd resolves one end of a path pattern: a bound dictionary
 // id (slot == -1), or an unbound variable's slot. ok is false when the
-// end is a constant or bound term outside the dictionary — the map engine
-// yields no rows there, and closures over the store could not reach it
-// anyway.
+// end is a constant or bound term outside the dictionary — closures over
+// the store cannot reach it.
 func (s *storeSolver) resolvePathEnd(lay *SlotLayout, n Node, r []rdf.TermID) (id rdf.TermID, slot int, ok bool) {
 	if n.IsVar() {
 		sl := lay.slots[n.Var]
@@ -579,25 +564,16 @@ func (p *slotProg) finalizeSlots(q *Query, rows *Rows) (*SlotResult, error) {
 func distinctSlots(rows *Rows, keyW int) *Rows {
 	seen := make(map[string]struct{}, rows.n)
 	key := make([]byte, 4*keyW)
-	w := rows.w
-	out := 0
-	for i := 0; i < rows.n; i++ {
-		r := rows.Row(i)
+	return rows.retain(func(r []rdf.TermID) bool {
 		for j, id := range r[:keyW] {
 			binary.LittleEndian.PutUint32(key[4*j:], uint32(id))
 		}
 		if _, dup := seen[string(key)]; dup {
-			continue
+			return false
 		}
 		seen[string(key)] = struct{}{}
-		if out != i {
-			copy(rows.data[out*w:(out+1)*w], r)
-		}
-		out++
-	}
-	rows.n = out
-	rows.data = rows.data[:out*w]
-	return rows
+		return true
+	})
 }
 
 // sliceSlots applies OFFSET then LIMIT.
@@ -618,9 +594,8 @@ func sliceSlots(rows *Rows, offset, limit int) *Rows {
 
 // aggregateSlots groups rows by their GROUP BY slot tuple and evaluates
 // the aggregates per group. Row columns cover the grouping variables plus
-// the aliases (like the map engine's group bindings); groups are emitted
-// in the legacy order — sorted by the stringified group key — so results
-// match EvalCompat row for row.
+// the aliases; groups are emitted sorted by the stringified group key —
+// the reference model's order, which eval.golden pins row for row.
 func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	gSlots := make([]int, len(q.GroupBy))
 	for i, v := range q.GroupBy {
@@ -715,9 +690,8 @@ func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	return &SlotResult{Vars: aggregateVars(q), rowVars: rowVars, rows: proj, ids: p.ids}, nil
 }
 
-// groupSortKey renders the legacy string group key (term N-Triples forms
-// joined by 0x1f) used only to order group emission identically to the
-// map engine — once per group, not per row.
+// groupSortKey renders the string group key (term N-Triples forms joined
+// by 0x1f) that orders group emission — once per group, not per row.
 func (p *slotProg) groupSortKey(vars []string, r []rdf.TermID) string {
 	var b []byte
 	for _, v := range vars {

@@ -8,10 +8,7 @@ import (
 
 // evalExprRow evaluates an expression against a slot row, decoding
 // variable slots through the id space only when the expression actually
-// reads them. It mirrors Expr.Eval exactly (the shared cmpTerms /
-// arithTerms / logicCombine / callBuiltin cores do the semantics); an
-// Expr implementation the switch does not know falls back to a
-// materialized map binding.
+// reads them.
 func (p *slotProg) evalExprRow(e Expr, r []rdf.TermID) (rdf.Term, error) {
 	switch e := e.(type) {
 	case VarExpr:
@@ -82,7 +79,7 @@ func (p *slotProg) evalExprRow(e Expr, r []rdf.TermID) (rdf.Term, error) {
 		}
 		return callBuiltin(e.Name, args)
 	default:
-		return e.Eval(p.materializeRow(r))
+		return rdf.Term{}, fmt.Errorf("sparql: unknown expression type %T", e)
 	}
 }
 
@@ -92,16 +89,4 @@ func (p *slotProg) evalBoolRow(e Expr, r []rdf.TermID) (bool, error) {
 		return false, err
 	}
 	return EBV(t)
-}
-
-// materializeRow decodes a slot row into a Binding map (fallback for
-// foreign Expr implementations and the final result materialization).
-func (p *slotProg) materializeRow(r []rdf.TermID) Binding {
-	b := make(Binding, len(p.lay.vars))
-	for i, v := range p.lay.vars {
-		if id := r[i]; id != rdf.NoTerm {
-			b[v] = p.ids.Term(id)
-		}
-	}
-	return b
 }

@@ -1,11 +1,11 @@
 package sparql
 
 import (
+	"context"
 	"sync"
 
 	"alex/internal/obs"
 	"alex/internal/rdf"
-	"alex/internal/store"
 )
 
 // This file holds the data layout of the slot-based evaluator: the
@@ -112,6 +112,22 @@ func (rs *Rows) Push(src []rdf.TermID) []rdf.TermID {
 	return rs.data[(rs.n-1)*rs.w:]
 }
 
+// retain keeps, in place and in order, the rows keep reports true for.
+func (rs *Rows) retain(keep func(r []rdf.TermID) bool) *Rows {
+	out := 0
+	for i := 0; i < rs.n; i++ {
+		if r := rs.Row(i); keep(r) {
+			if out != i {
+				copy(rs.data[out*rs.w:(out+1)*rs.w], r)
+			}
+			out++
+		}
+	}
+	rs.n = out
+	rs.data = rs.data[:out*rs.w]
+	return rs
+}
+
 // pop drops the most recently pushed row (used to retract a row whose
 // same-variable consistency check failed after the copy).
 func (rs *Rows) pop() {
@@ -131,17 +147,23 @@ func (rs *Rows) pushEmpty() []rdf.TermID {
 // Solver is the engine's one data-access seam, at basic-graph-pattern
 // granularity: everything above it (OPTIONAL, UNION, FILTER, aggregates,
 // ORDER BY, DISTINCT …) is the same algebra whether the triples live in one
-// store or behind a federation of sources. The store-backed solver is
-// this package's own; internal/fed implements the second.
+// store or behind a federation of sources. The store-backed solver
+// (StoreSolver) is this package's own; internal/fed implements the second.
 type Solver interface {
 	// Dict is the dictionary whose ids the solver's rows carry.
 	Dict() *rdf.Dict
+	// Registry is where the evaluation records its own instruments (stage
+	// cardinalities, rows materialized); nil records nothing.
+	Registry() *obs.Registry
 	// SolveBGP extends every row of in through the patterns of bgp. Rows
 	// are in.Width() wide: lay's variable slots first, then the
-	// provenance column if the solver has one. in is not modified.
-	SolveBGP(lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error)
-	// SolvePath extends every row of in through a property path.
-	SolvePath(lay *SlotLayout, ids *IDSpace, pp PathPattern, in *Rows) (*Rows, error)
+	// provenance column if the solver has one. in is not modified. ctx is
+	// the evaluation's: a solver returns ctx.Err() once it is done, and
+	// looks often enough that a join cannot outlive its request for long.
+	SolveBGP(ctx context.Context, lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error)
+	// SolvePath extends every row of in through a property path, under
+	// ctx like SolveBGP.
+	SolvePath(ctx context.Context, lay *SlotLayout, ids *IDSpace, pp PathPattern, in *Rows) (*Rows, error)
 	// Provenance reports whether rows carry one hidden trailing column
 	// recording how the solver derived them (fed: the id of the sameAs
 	// link set a row used; rdf.NoTerm for none). The engine copies the
@@ -163,9 +185,11 @@ type slotProg struct {
 	lay    *SlotLayout
 	// hidden is 1 when rows carry the solver's provenance column.
 	hidden int
+	// written is EvalOptions.DisablePlan.
+	written bool
 
-	// Instruments, resolved once per query from the store's registry
-	// (all nil-safe; nil when the solver is not a store).
+	// Instruments, resolved once per query from the solver's registry
+	// (all nil-safe; nil when the solver has none).
 	reg          *obs.Registry
 	materialized *obs.Counter
 	stageHists   map[string]*obs.Histogram
@@ -180,7 +204,7 @@ func (p *slotProg) width() int { return len(p.lay.vars) + p.hidden }
 
 // SlotLayout is the store-independent half of slot compilation: the dense
 // variable -> slot mapping of one parsed query. A layout is immutable
-// after CompileLayout, so a prepared query can share its layout across
+// after Compile, so a prepared query can share its layout across
 // concurrent evaluations against any store — only the id space and row
 // sets are per-evaluation.
 type SlotLayout struct {
@@ -263,32 +287,13 @@ func setSlot(nr []rdf.TermID, slot int, v rdf.TermID) bool {
 	return nr[slot] == v
 }
 
-// newSlotProg binds a compiled layout to a solver for one evaluation.
-func newSlotProg(solver Solver, lay *SlotLayout) *slotProg {
-	p := &slotProg{solver: solver, ids: newIDSpace(solver.Dict()), lay: lay}
-	if solver.Provenance() {
-		p.hidden = 1
-	}
-	return p
-}
-
-// newStoreProg binds a compiled layout to one store for one evaluation,
-// resolving the store registry's instruments.
-func newStoreProg(st *store.Store, lay *SlotLayout, opts EvalOptions) *slotProg {
-	reg := st.Registry()
-	p := newSlotProg(&storeSolver{st: st, opts: opts, reorders: reg.Counter(obs.SparqlPlanReorders)}, lay)
-	p.reg = reg
-	p.materialized = reg.Counter(obs.SparqlRowsMaterialized)
-	return p
-}
-
-// CompileLayout assigns a dense slot index to every variable the query's
+// compile assigns a dense slot index to every variable the query's
 // patterns can bind, and compiles the constant REGEX patterns. Variables
 // that appear only in projections, ORDER BY, GROUP BY or expressions (never
 // bound by a pattern) need no slot: a missing slot reads as unbound
-// everywhere, matching the map engine's missing-key semantics.
-func CompileLayout(q *Query) *SlotLayout {
-	lay := &SlotLayout{slots: map[string]int{}}
+// everywhere, as a missing key does in the reference model's Binding.
+func (lay *SlotLayout) compile(q *Query) {
+	lay.slots = map[string]int{}
 	addVar := func(v string) {
 		if _, ok := lay.slots[v]; !ok {
 			lay.slots[v] = len(lay.vars)
@@ -331,7 +336,6 @@ func CompileLayout(q *Query) *SlotLayout {
 		}
 	}
 	walk(q.Patterns)
-	return lay
 }
 
 // get reads a variable from a row; the zero id means unbound (including
