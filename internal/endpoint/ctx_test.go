@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,47 @@ func TestStoreQueryHonoursCancellation(t *testing.T) {
 
 		ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
 		req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(cross), nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		cancel()
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s: status %d over HTTP, want 504", name, rec.Code)
+		}
+	}
+}
+
+// TestValuesQueryHonoursCancellation: a query built of chained VALUES
+// blocks ends with its request too. Three 200-value blocks join into eight
+// million rows, a few hundred milliseconds of work, against a 20 ms
+// deadline; VALUES used to neither look at the context nor stop short of
+// reserving the whole product up front. Over HTTP the failure is a 504.
+func TestValuesQueryHonoursCancellation(t *testing.T) {
+	st := store.New("values", rdf.NewDict())
+	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/p"), O: rdf.NewInt(0)})
+	var block strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&block, " %d", i)
+	}
+	vals := block.String()
+	query := fmt.Sprintf(`SELECT (COUNT(*) AS ?n) WHERE { VALUES ?a {%s} VALUES ?b {%s} VALUES ?c {%s} }`, vals, vals, vals)
+	for name, h := range map[string]*Handler{
+		"NewHandler":       NewHandler(st),
+		"NewCachedHandler": NewCachedHandler(st, NewQueryCache(DefaultCacheConfig(), st.Generation)),
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		t0 := time.Now()
+		_, err := h.query(ctx, query)
+		took := time.Since(t0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v after %v, want DeadlineExceeded", name, err, took)
+		}
+		if took > time.Second {
+			t.Errorf("%s: deadline not honoured: took %v", name, took)
+		}
+
+		ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+		req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(query), nil).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		cancel()

@@ -125,6 +125,9 @@ func (sp *Space) rescoreSubject(subj rdf.TermID, e entity) {
 		sp.removePair(l)
 	}
 	delete(sp.leftPairs, subj)
+	if sp.sc == nil {
+		sp.sc = newScorer(sp.opt.Theta, memoCells)
+	}
 	scored := sp.sc.scoreSubject(subj, e, sp.right)
 	if len(scored) == 0 {
 		return

@@ -124,6 +124,9 @@ type deltaWorld struct {
 	sp        *Space
 	opt       Options
 	nextID    int
+	// fresh makes randValue mint never-seen literals too, so new ids
+	// reach a scorer whose memo already holds the old ones.
+	fresh bool
 }
 
 // tokenPool is small so blocking tokens collide across entities and the
@@ -131,6 +134,10 @@ type deltaWorld struct {
 var tokenPool = []string{"james", "curry", "durant", "warriors", "lakers", "heat", "golden", "king"}
 
 func (w *deltaWorld) randValue() rdf.Term {
+	if w.fresh && w.rng.Intn(3) == 0 {
+		w.nextID++
+		return rdf.NewString(fmt.Sprintf("novel%d %s", w.nextID, tokenPool[w.rng.Intn(len(tokenPool))]))
+	}
 	switch w.rng.Intn(6) {
 	case 0:
 		return rdf.NewInt(int64(1980 + w.rng.Intn(6)))
@@ -222,15 +229,23 @@ func (w *deltaWorld) step() string {
 
 // TestDeltaPropertyEquivalence runs randomized upsert/remove/object-delta
 // sequences and checks the Build-oracle equivalence after every step.
-// MaxBlockSize is tiny so stopword liveness flips in both directions.
+// MaxBlockSize is tiny so stopword liveness flips in both directions. The
+// -warm runs first fill the space's delta scorer memo with every cell of
+// the built space, and halfway through start interning new literals.
 func TestDeltaPropertyEquivalence(t *testing.T) {
 	steps := 140
 	if testing.Short() {
 		steps = 50
 	}
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	for _, run := range []struct {
+		seed int64
+		warm bool
+	}{{1, false}, {2, false}, {3, false}, {1, true}, {2, true}, {3, true}} {
+		seed, name := run.seed, fmt.Sprintf("seed%d", run.seed)
+		if run.warm {
+			name += "-warm"
+		}
+		t.Run(name, func(t *testing.T) {
 			dict := rdf.NewDict()
 			w := &deltaWorld{
 				t:    t,
@@ -247,7 +262,14 @@ func TestDeltaPropertyEquivalence(t *testing.T) {
 				w.ds2subs = append(w.ds2subs, w.newSubject(w.ds2, "right"))
 			}
 			w.sp = Build(w.ds1, w.partition, w.ds2, w.opt)
+			if run.warm {
+				for _, subj := range w.partition {
+					w.sp.UpsertSubject(w.ds1, subj)
+				}
+				requireEquivalent(t, "warm-up", w.sp, w.ds1, w.partition, w.ds2, w.opt)
+			}
 			for i := 0; i < steps; i++ {
+				w.fresh = run.warm && i >= steps/2
 				op := w.step()
 				if op == "" {
 					continue
@@ -271,5 +293,27 @@ func TestDeltaCountersAndTotals(t *testing.T) {
 	sp.RemoveSubject(subjects[0])
 	if got, want := sp.TotalPairs(), before; got != want {
 		t.Errorf("TotalPairs after remove = %d, want %d", got, want)
+	}
+}
+
+// TestWarmUpsertAllocs pins the delta path's allocations: once the space's
+// delta scorer exists and its memo holds a subject's cells, re-upserting
+// the subject allocates what it did before the memo (measured at the
+// parent of PR 21 on these eight subjects) — a lookup allocates nothing.
+func TestWarmUpsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const parentAllocs = 461
+	p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, 1000))
+	subjects := p.DS1.Subjects()
+	sp := Build(p.DS1, subjects, p.DS2, Options{Theta: 0.3, MaxBlockSize: 64, Workers: 1})
+	total := 0.0
+	for _, subj := range subjects[:8] {
+		sp.UpsertSubject(p.DS1, subj)
+		total += testing.AllocsPerRun(20, func() { sp.UpsertSubject(p.DS1, subj) })
+	}
+	if total > parentAllocs {
+		t.Errorf("warm UpsertSubject of eight subjects: %.0f allocations, parent %d", total, parentAllocs)
 	}
 }

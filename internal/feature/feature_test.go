@@ -336,31 +336,35 @@ func TestNonFiniteLiteralsScoreAsStrings(t *testing.T) {
 // profiles made, scoring the pair derives nothing per value — no parsing,
 // lower-casing, tokenising or rune conversion — and reuses the scorer's
 // buffers (the string kernel's table and bit sets among them), so the only
-// allocations are the returned Set's two slices.
+// allocations are the returned Set's two slices. That holds when every
+// cell is a memo hit (a full-size memo, warm) and when nearly every cell
+// goes to the kernel (a one-entry memo).
 func TestScoreAllocatesOnlyItsSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, 1000))
 	ps := profiles{}
-	sc := scorer{theta: 0.3}
-	checked := 0
-	for _, l := range p.Truth.Links()[:20] {
-		e1, e2 := ps.entity(p.DS1, l.Left), ps.entity(p.DS2, l.Right)
-		want := sc.score(e1, e2) // also grows the buffers to this pair's size
-		if want.Len() == 0 {
-			continue
+	for _, cells := range []int{memoCells, 1} {
+		sc := newScorer(0.3, cells)
+		checked := 0
+		for _, l := range p.Truth.Links()[:20] {
+			e1, e2 := ps.entity(p.DS1, l.Left), ps.entity(p.DS2, l.Right)
+			want := sc.score(e1, e2) // also grows the buffers to this pair's size
+			if want.Len() == 0 {
+				continue
+			}
+			checked++
+			var got Set
+			if allocs := testing.AllocsPerRun(50, func() { got = sc.score(e1, e2) }); allocs > 2 {
+				t.Errorf("%d-cell memo, pair %v (%d×%d attributes): %.0f allocations per score, want <= 2", cells, l, len(e1.objs), len(e2.objs), allocs)
+			}
+			if !sameSet(got, want) {
+				t.Errorf("%d-cell memo, pair %v: rescoring changed the set: %+v vs %+v", cells, l, got, want)
+			}
 		}
-		checked++
-		var got Set
-		if allocs := testing.AllocsPerRun(50, func() { got = sc.score(e1, e2) }); allocs > 2 {
-			t.Errorf("pair %v (%d×%d attributes): %.0f allocations per score, want <= 2", l, len(e1.objs), len(e2.objs), allocs)
+		if checked == 0 {
+			t.Fatal("no truth pair produced a feature set")
 		}
-		if got.Len() != want.Len() {
-			t.Errorf("pair %v: rescoring changed the set: %+v vs %+v", l, got, want)
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no truth pair produced a feature set")
 	}
 }

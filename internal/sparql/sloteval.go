@@ -130,7 +130,7 @@ func (p *slotProg) evalSlotPatterns(ctx context.Context, patterns []Pattern, in 
 		case Union:
 			rows, err = p.evalSlotUnion(ctx, pat, rows, stage)
 		case Values:
-			rows = p.evalSlotValues(pat, rows)
+			rows, err = p.evalSlotValues(ctx, pat, rows)
 		case Exists:
 			rows, err = p.evalSlotExists(ctx, pat, rows, stage)
 		case PathPattern:
@@ -201,11 +201,11 @@ func StoreSolver(st *store.Store) Solver {
 	return &storeSolver{st: st, reorders: st.Registry().Counter(obs.SparqlPlanReorders)}
 }
 
-// cancelStride is how many rows the store solver reads and writes between
-// looks at its context: a request's cancelCtx.Err() takes a mutex, so not
-// every row. Written rows count because one input row of a cross product
-// writes as many as the store has triples; what a single input row writes
-// is the one stretch that is not interrupted.
+// cancelStride is how many rows the store solver (and a VALUES join) reads
+// and writes between looks at its context: a request's cancelCtx.Err()
+// takes a mutex, so not every row. Written rows count because one input
+// row of a cross product writes as many as the store has triples; what a
+// single input row writes is the one stretch that is not interrupted.
 const cancelStride = 1024
 
 func (s *storeSolver) Dict() *rdf.Dict                         { return s.st.Dict() }
@@ -349,7 +349,12 @@ func (p *slotProg) evalSlotUnion(ctx context.Context, u Union, rows *Rows, sp *o
 	return out, nil
 }
 
-func (p *slotProg) evalSlotValues(v Values, rows *Rows) *Rows {
+// evalSlotValues joins each solution with every row of the data block. It
+// looks at ctx on the store solver's stride of rows read plus written, and
+// reserves for the larger of its two inputs, not their product: chained
+// blocks multiply, and what a product would reserve is no bound on what a
+// request may take.
+func (p *slotProg) evalSlotValues(ctx context.Context, v Values, rows *Rows) (*Rows, error) {
 	slots := make([]int, len(v.Vars))
 	for i, name := range v.Vars {
 		slots[i] = p.lay.slots[name]
@@ -365,8 +370,15 @@ func (p *slotProg) evalSlotValues(v Values, rows *Rows) *Rows {
 		}
 		dataIDs[j] = ids
 	}
-	out := NewRows(p.width(), rows.n*len(v.Rows))
+	out := NewRows(p.width(), max(rows.n, len(v.Rows)))
+	due := 0
 	for i := 0; i < rows.n; i++ {
+		if i+out.n >= due {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			due = i + out.n + cancelStride
+		}
 		r := rows.Row(i)
 		for _, data := range dataIDs {
 			nr := out.Push(r)
@@ -390,7 +402,7 @@ func (p *slotProg) evalSlotValues(v Values, rows *Rows) *Rows {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func (p *slotProg) evalSlotExists(ctx context.Context, e Exists, rows *Rows, sp *obs.Span) (*Rows, error) {
