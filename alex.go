@@ -12,7 +12,7 @@
 //	sess := ws.NewSession(dbpedia, nytimes, alex.Options{})
 //	sess.SeedFromPARIS()                              // automatic linking
 //
-//	res, _ := sess.Query(`SELECT ?article WHERE { ... }`) // federated
+//	res, _ := sess.Query(ctx, `SELECT ?article WHERE { ... }`) // federated
 //	sess.Approve(res.Answers[0])                      // feedback on answers
 //	sess.Reject(res.Answers[1])
 //	sess.EndEpisode()                                 // policy improvement
@@ -262,13 +262,8 @@ func (s *Session) SetResilience(r Resilience) { s.fed.SetResilience(r) }
 
 // Query runs a SPARQL SELECT query over both data sets, bridging entities
 // through the current candidate links and recording per-answer provenance.
-func (s *Session) Query(query string) (*QueryResult, error) {
-	return s.QueryContext(context.Background(), query)
-}
-
-// QueryContext is Query with a context: cancellation and deadlines are
-// propagated into every source call.
-func (s *Session) QueryContext(ctx context.Context, query string) (*QueryResult, error) {
+// Cancellation and deadlines on ctx are propagated into every source call.
+func (s *Session) Query(ctx context.Context, query string) (*QueryResult, error) {
 	res, err := s.fed.ExecuteContext(ctx, query)
 	if err != nil {
 		return nil, err

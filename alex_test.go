@@ -2,6 +2,7 @@ package alex
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -43,9 +44,9 @@ func TestSessionEndToEnd(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("seeded %d links", n)
 	}
-	res, err := sess.Query(`SELECT ?article WHERE {
-		?p <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?p .
+	res, err := sess.Query(context.Background(), `SELECT ?article WHERE {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +68,9 @@ func TestSessionEndToEnd(t *testing.T) {
 func TestSessionRejectRemovesLink(t *testing.T) {
 	_, sess := buildSession(t)
 	sess.SeedLinks([]Link{{Left: IRI(dbr + "Kevin_Durant"), Right: IRI(nyr + "lebron_per")}})
-	res, err := sess.Query(`SELECT ?article WHERE {
-		?p <` + dbo + `label> "Kevin Durant" .
-		?article <` + nyo + `about> ?p .
+	res, err := sess.Query(context.Background(), `SELECT ?article WHERE {
+		?p <`+dbo+`label> "Kevin Durant" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +86,9 @@ func TestSessionRejectRemovesLink(t *testing.T) {
 		}
 	}
 	// After removal, the query returns nothing.
-	res, err = sess.Query(`SELECT ?article WHERE {
-		?p <` + dbo + `label> "Kevin Durant" .
-		?article <` + nyo + `about> ?p .
+	res, err = sess.Query(context.Background(), `SELECT ?article WHERE {
+		?p <`+dbo+`label> "Kevin Durant" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +212,9 @@ func TestSessionSaveLoadAndLearnedFeatures(t *testing.T) {
 	_, sess := buildSession(t)
 	sess.SeedLinks([]Link{{Left: IRI(dbr + "LeBron_James"), Right: IRI(nyr + "lebron_per")}})
 	// Give some feedback so there is learned state.
-	res, err := sess.Query(`SELECT ?article WHERE {
-		?p <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?p .
+	res, err := sess.Query(context.Background(), `SELECT ?article WHERE {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?p .
 	}`)
 	if err != nil {
 		t.Fatal(err)

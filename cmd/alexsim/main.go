@@ -11,8 +11,9 @@
 //	alexsim -seed 42 -rounds 300 -report SIM.json -oplog sim.log
 //
 // The op log is byte-identical for the same seed at any -workers setting;
-// CI diffs two runs to enforce it. The JSON report shares cmd/alexbench's
-// result shape, so `alexbench compare` diffs sim latency reports directly.
+// CI diffs two runs to enforce it. The JSON report holds the run totals,
+// each op kind's count and p50/p99 latency, the engine's link quality and
+// any invariant violations; -summary renders it as Markdown.
 //
 // Exit codes: 0 clean, 1 invariant violations, 2 usage or setup error.
 package main
@@ -45,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rounds := fs.Int("rounds", 100, "simulation rounds (the outage schedule's logical clock)")
 	opsPerRound := fs.Int("ops-per-round", 8, "weighted operations per round")
 	workers := fs.Int("workers", 0, "concurrent read-op workers (0 = GOMAXPROCS); does not affect the op log")
-	scale := fs.Float64("scale", 0.25, "data-set scale (1.0 = the alexbench DBpedia/NYTimes scenario)")
+	scale := fs.Float64("scale", 0.25, "data-set scale (1.0 = the paper benchmarks' DBpedia/NYTimes scenario)")
 	sampleEvery := fs.Int("sample-every", 16, "shadow-check every Nth read op (0 disables)")
 	cache := fs.Bool("cache", false, "serve the endpoint through the query caches and admission controller; must not change the op log")
 	stream := fs.Bool("stream", false, "run the streaming loop: POST /feedback ingestion plus live store growth (live_upsert/feedback_http ops); op log stays worker-independent")
@@ -151,9 +152,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		fmt.Fprint(stdout, summary)
 	}
-	if n := len(report.Sim.Violations); n > 0 {
+	if n := len(report.Violations); n > 0 {
 		fmt.Fprintf(stderr, "alexsim: %d invariant violation(s):\n", n)
-		for _, v := range report.Sim.Violations {
+		for _, v := range report.Violations {
 			fmt.Fprintf(stderr, "  %s\n", v)
 		}
 		return 1

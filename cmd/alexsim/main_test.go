@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,26 +125,20 @@ func TestReportAndSummaryFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var parsed struct {
-		Label      string                     `json:"label"`
-		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
-		Sim        struct {
-			Seed int64 `json:"seed"`
-			Ops  int   `json:"ops"`
-		} `json:"sim"`
+		Seed     int64              `json:"seed"`
+		Ops      int                `json:"ops"`
+		OpCounts map[string]int     `json:"op_counts"`
+		P50NS    map[string]float64 `json:"p50_ns"`
+		P99NS    map[string]float64 `json:"p99_ns"`
 	}
 	if err := json.Unmarshal(raw, &parsed); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if parsed.Label != "sim" || parsed.Sim.Seed != 3 || parsed.Sim.Ops != 24 {
-		t.Errorf("report fields = %+v, want label=sim seed=3 ops=24", parsed)
+	if parsed.Seed != 3 || parsed.Ops != 24 {
+		t.Errorf("report fields = %+v, want seed=3 ops=24", parsed)
 	}
-	if len(parsed.Benchmarks) == 0 {
-		t.Error("report has no benchmarks map; alexbench compare would see nothing")
-	}
-	for name := range parsed.Benchmarks {
-		if !strings.HasPrefix(name, "SimOp/") {
-			t.Errorf("benchmark name %q does not use the SimOp/ prefix", name)
-		}
+	if len(parsed.OpCounts) == 0 {
+		t.Error("report has no op_counts")
 	}
 	md, err := os.ReadFile(summary)
 	if err != nil {
@@ -151,6 +146,14 @@ func TestReportAndSummaryFiles(t *testing.T) {
 	}
 	if !strings.Contains(string(md), "### alexsim: seed 3") {
 		t.Errorf("summary missing header:\n%s", md)
+	}
+	for kind, n := range parsed.OpCounts {
+		if parsed.P50NS[kind] <= 0 || parsed.P99NS[kind] < parsed.P50NS[kind] {
+			t.Errorf("op %s: p50 = %g, p99 = %g; want 0 < p50 <= p99", kind, parsed.P50NS[kind], parsed.P99NS[kind])
+		}
+		if row := fmt.Sprintf("| %s | %d | ", kind, n); !strings.Contains(string(md), row) {
+			t.Errorf("summary has no row starting %q:\n%s", row, md)
+		}
 	}
 }
 

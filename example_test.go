@@ -1,6 +1,7 @@
 package alex_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -33,7 +34,7 @@ func Example() {
 		Right: alex.IRI("http://nyt/lebron_per"),
 	}})
 
-	res, err := sess.Query(`SELECT ?article WHERE {
+	res, err := sess.Query(context.Background(), `SELECT ?article WHERE {
 		?p <http://db/award> "NBA MVP 2013" .
 		?article <http://nyt/about> ?p .
 	}`)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -59,7 +60,7 @@ func main() {
 
 	// With the improved links, the motivating query now reaches far more
 	// players than the PARIS seed links allowed.
-	res, err := sess.Query(`SELECT DISTINCT ?player WHERE {
+	res, err := sess.Query(context.Background(), `SELECT DISTINCT ?player WHERE {
 		?player <http://dbpedia.sim/ontology/position> "PG" .
 		?player <http://nytimes.sim/ontology/prefLabel> ?nyname .
 	}`)

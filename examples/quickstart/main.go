@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,9 +50,9 @@ func main() {
 	// The paper's motivating query: "Find all New York Times articles
 	// about the NBA's MVP of 2013." Answering it requires both data sets
 	// and the sameAs link between the two LeBron James entities.
-	res, err := sess.Query(`SELECT ?article WHERE {
-		?player <` + dbo + `award> "NBA MVP 2013" .
-		?article <` + nyo + `about> ?player .
+	res, err := sess.Query(context.Background(), `SELECT ?article WHERE {
+		?player <`+dbo+`award> "NBA MVP 2013" .
+		?article <`+nyo+`about> ?player .
 	} ORDER BY ?article`)
 	if err != nil {
 		log.Fatal(err)

@@ -247,7 +247,7 @@ func TestConfigDefaults(t *testing.T) {
 		c.Partitions != d.Partitions || c.MaxEpisodes != d.MaxEpisodes {
 		t.Errorf("withDefaults = %+v", c)
 	}
-	if !c.Blacklist || !c.Rollback {
+	if c.blacklistOff || c.rollbackOff || c.featurePriorOff {
 		t.Error("optimizations not enabled by default")
 	}
 	if c.SpaceOptions.Theta != c.Theta {
@@ -257,18 +257,25 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestConfigDisableOptimizations(t *testing.T) {
 	c := Defaults().DisableBlacklist().withDefaults()
-	if c.Blacklist {
+	if !c.blacklistOff {
 		t.Error("blacklist still enabled")
 	}
-	if !c.Rollback {
-		t.Error("rollback should stay enabled")
+	if c.rollbackOff || c.featurePriorOff {
+		t.Error("rollback and the feature prior should stay enabled")
 	}
 	c2 := Defaults().DisableRollback().withDefaults()
-	if c2.Rollback {
+	if !c2.rollbackOff {
 		t.Error("rollback still enabled")
 	}
-	if !c2.Blacklist {
-		t.Error("blacklist should stay enabled")
+	if c2.blacklistOff || c2.featurePriorOff {
+		t.Error("the blacklist and the feature prior should stay enabled")
+	}
+	c3 := Defaults().DisableFeaturePrior().withDefaults()
+	if !c3.featurePriorOff {
+		t.Error("feature prior still enabled")
+	}
+	if c3.blacklistOff || c3.rollbackOff {
+		t.Error("the blacklist and rollback should stay enabled")
 	}
 }
 

@@ -30,8 +30,7 @@ const benchQuery = `SELECT ?s ?n WHERE { ?s <http://x/name> ?n . ?s <http://x/ag
 
 // BenchmarkEndpointRepeatQueryCold is the no-cache baseline of the
 // repeat-query pair: every iteration parses, compiles and evaluates.
-// Pinned by the CI bench gate together with the Hit variant — their ratio
-// is the cache's documented win.
+// Its ratio to the Hit variant is the cache's documented win.
 func BenchmarkEndpointRepeatQueryCold(b *testing.B) {
 	query := CachedStoreQueryFunc(benchStore(2000), nil)
 	b.ReportAllocs()
@@ -63,8 +62,8 @@ func BenchmarkEndpointRepeatQueryHit(b *testing.B) {
 
 // BenchmarkEndpointFeedback measures the live-feedback ingestion path
 // end to end: JSON decode, IRI resolution, stream submit, and a forced
-// flush so every request pays the episode-apply cost. Pinned by the CI
-// bench gate — this is the per-request price of the streaming loop.
+// flush so every request pays the episode-apply cost: the per-request
+// price of the streaming loop.
 func BenchmarkEndpointFeedback(b *testing.B) {
 	w := newFeedbackWorld(b, 8)
 	links := w.pair.Truth.Links()

@@ -79,7 +79,7 @@ func loadBenchDoc() string {
 }
 
 // BenchmarkLoadNTriples compares the serial and parallel bulk-load paths on
-// the same ~4 MB document. The bench-gate CI job pins both variants.
+// the same ~4 MB document.
 func BenchmarkLoadNTriples(b *testing.B) {
 	doc := loadBenchDoc()
 	b.Run("serial", func(b *testing.B) {
@@ -121,8 +121,8 @@ func BenchmarkLoadIncremental(b *testing.B) {
 // snapshot — the restart path a durable data directory buys. It rebuilds
 // the exact store that BenchmarkLoadNTriples/serial parses from the same
 // ~4 MB document (bytes/op uses the document length as the denominator so
-// the two throughputs compare directly); the bench-gate CI job pins both,
-// and README's durability section quotes the ratio.
+// the two throughputs compare directly), and README's durability section
+// quotes the ratio.
 func BenchmarkStoreRecover(b *testing.B) {
 	snap, want := buildRecoverFixture(b)
 	b.SetBytes(int64(len(loadBenchDoc())))

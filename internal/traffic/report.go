@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -11,33 +10,9 @@ import (
 	"alex/internal/linkset"
 )
 
-// Report is the machine-readable run summary. Its top level matches the
-// cmd/alexbench result shape — label/environment plus a benchmarks map of
-// per-op-kind latency stats keyed "SimOp/<kind>" — so `alexbench compare`
-// diffs sim reports directly; the sim-specific block rides along under
-// "sim" and is ignored by compare.
+// Report is the machine-readable run summary: run totals, per-op-kind
+// p50/p99 latencies, engine quality, and any invariant violations.
 type Report struct {
-	Label      string            `json:"label"`
-	Go         string            `json:"go"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Count      int               `json:"count"`
-	Benchtime  string            `json:"benchtime"`
-	Benchmarks map[string]*Bench `json:"benchmarks"`
-	Sim        SimStats          `json:"sim"`
-}
-
-// Bench mirrors cmd/alexbench's per-benchmark stats.
-type Bench struct {
-	SamplesNS []float64 `json:"samples_ns"`
-	MeanNS    float64   `json:"mean_ns"`
-	MedianNS  float64   `json:"median_ns"`
-	StddevNS  float64   `json:"stddev_ns"`
-}
-
-// SimStats is the simulator-specific summary.
-type SimStats struct {
 	Seed              int64              `json:"seed"`
 	Rounds            int                `json:"rounds"`
 	OpsPerRound       int                `json:"ops_per_round"`
@@ -65,25 +40,15 @@ type SimStats struct {
 
 // report assembles the final Report from the harness's accounting.
 func (h *harness) report(wall time.Duration) *Report {
-	r := &Report{
-		Label:      "sim",
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Count:      1,
-		Benchtime:  "sim",
-		Benchmarks: make(map[string]*Bench),
+	s := &Report{
+		P50NS: make(map[string]float64),
+		P99NS: make(map[string]float64),
 	}
-	p50 := make(map[string]float64)
-	p99 := make(map[string]float64)
 	for kind, samples := range h.samples {
-		r.Benchmarks["SimOp/"+kind] = benchStats(samples)
-		p50[kind] = percentile(samples, 0.50)
-		p99[kind] = percentile(samples, 0.99)
+		s.P50NS[kind] = percentile(samples, 0.50)
+		s.P99NS[kind] = percentile(samples, 0.99)
 	}
 	q := linkset.Evaluate(h.w.engine.Candidates(), h.w.truth)
-	s := &r.Sim
 	s.Seed = h.cfg.Seed
 	s.Rounds = h.cfg.Rounds
 	s.OpsPerRound = h.cfg.OpsPerRound
@@ -95,8 +60,6 @@ func (h *harness) report(wall time.Duration) *Report {
 	if wall > 0 {
 		s.OpsPerSec = float64(s.Ops) / wall.Seconds()
 	}
-	s.P50NS = p50
-	s.P99NS = p99
 	s.Episodes = h.w.episodes
 	s.Candidates = q.Candidates
 	s.Confirmed = len(h.w.confirmed)
@@ -113,29 +76,7 @@ func (h *harness) report(wall time.Duration) *Report {
 	s.OutageTransitions = h.outageTransitions
 	s.HTTPServed = h.w.server.Served()
 	s.Violations = h.violations
-	return r
-}
-
-func benchStats(samples []float64) *Bench {
-	b := &Bench{SamplesNS: samples}
-	if len(samples) == 0 {
-		return b
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	b.MeanNS = sum / float64(len(samples))
-	b.MedianNS = percentile(samples, 0.50)
-	if len(samples) > 1 {
-		ss := 0.0
-		for _, v := range samples {
-			d := v - b.MeanNS
-			ss += d * d
-		}
-		b.StddevNS = math.Sqrt(ss / float64(len(samples)-1))
-	}
-	return b
+	return s
 }
 
 // percentile returns the q-quantile (nearest-rank) of the samples.
@@ -158,9 +99,8 @@ func percentile(samples []float64, q float64) float64 {
 
 // MarkdownSummary renders the report as a GitHub-flavored Markdown table,
 // for CI step summaries.
-func (r *Report) MarkdownSummary() string {
+func (s *Report) MarkdownSummary() string {
 	var b strings.Builder
-	s := r.Sim
 	fmt.Fprintf(&b, "### alexsim: seed %d, %d rounds × %d ops, %d workers\n\n",
 		s.Seed, s.Rounds, s.OpsPerRound, s.Workers)
 	fmt.Fprintf(&b, "- **ops** %d (%.0f ops/s), errors %d, violations **%d**\n",
@@ -168,19 +108,15 @@ func (r *Report) MarkdownSummary() string {
 	fmt.Fprintf(&b, "- **engine** %d episodes, %d candidates, P %.3f / R %.3f / F1 %.3f, %d/%d partitions converged\n",
 		s.Episodes, s.Candidates, s.Precision, s.Recall, s.FMeasure, s.ConvergedParts, s.Partitions)
 	fmt.Fprintf(&b, "- **resilience** %d outage transitions, %d HTTP requests served\n\n", s.OutageTransitions, s.HTTPServed)
-	b.WriteString("| op | count | mean | p50 | p99 |\n|---|---:|---:|---:|---:|\n")
+	b.WriteString("| op | count | p50 | p99 |\n|---|---:|---:|---:|\n")
 	kinds := make([]string, 0, len(s.OpCounts))
 	for k := range s.OpCounts {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		mean := 0.0
-		if bench := r.Benchmarks["SimOp/"+k]; bench != nil {
-			mean = bench.MeanNS
-		}
-		fmt.Fprintf(&b, "| %s | %d | %s | %s | %s |\n",
-			k, s.OpCounts[k], fmtNS(mean), fmtNS(s.P50NS[k]), fmtNS(s.P99NS[k]))
+		fmt.Fprintf(&b, "| %s | %d | %s | %s |\n",
+			k, s.OpCounts[k], fmtNS(s.P50NS[k]), fmtNS(s.P99NS[k]))
 	}
 	if len(s.Violations) > 0 {
 		b.WriteString("\n**Invariant violations:**\n\n")

@@ -107,7 +107,7 @@ type Config struct {
 	// concurrently. 0 means runtime.GOMAXPROCS(0). The op log is
 	// byte-identical at any setting.
 	Workers int
-	// Scale sizes the generated data-set pair (1.0 = the alexbench
+	// Scale sizes the generated data-set pair (1.0 = the paper benchmarks'
 	// DBpedia/NYTimes scenario). 0 means 0.25.
 	Scale float64
 	// SampleEvery shadow-checks every Nth read-only operation by serial

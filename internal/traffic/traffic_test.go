@@ -36,16 +36,16 @@ func mustRun(t *testing.T, cfg Config) *Report {
 func TestRunCleanAndCounts(t *testing.T) {
 	var log bytes.Buffer
 	rep := mustRun(t, testConfig(7, 4, &log))
-	if n := len(rep.Sim.Violations); n != 0 {
-		t.Fatalf("violations = %d, want 0:\n%v", n, rep.Sim.Violations)
+	if n := len(rep.Violations); n != 0 {
+		t.Fatalf("violations = %d, want 0:\n%v", n, rep.Violations)
 	}
-	if want := 12 * 5; rep.Sim.Ops != want {
-		t.Errorf("ops = %d, want %d", rep.Sim.Ops, want)
+	if want := 12 * 5; rep.Ops != want {
+		t.Errorf("ops = %d, want %d", rep.Ops, want)
 	}
-	if rep.Sim.Episodes == 0 {
+	if rep.Episodes == 0 {
 		t.Error("no feedback episodes ran; weights should include feedback")
 	}
-	if rep.Sim.HTTPServed == 0 {
+	if rep.HTTPServed == 0 {
 		t.Error("no HTTP requests served; endpoint ops did not hit the wire")
 	}
 	for _, line := range []string{"inv drain_clean ok", "inv http_accounting", "# run complete"} {
@@ -66,12 +66,12 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("op logs differ between workers=1 and workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s",
 			firstDiff(log1.String(), log8.String()), "")
 	}
-	if len(rep1.Sim.Violations) != 0 || len(rep8.Sim.Violations) != 0 {
-		t.Fatalf("violations: w1=%v w8=%v", rep1.Sim.Violations, rep8.Sim.Violations)
+	if len(rep1.Violations) != 0 || len(rep8.Violations) != 0 {
+		t.Fatalf("violations: w1=%v w8=%v", rep1.Violations, rep8.Violations)
 	}
-	if rep1.Sim.Candidates != rep8.Sim.Candidates || rep1.Sim.Episodes != rep8.Sim.Episodes {
+	if rep1.Candidates != rep8.Candidates || rep1.Episodes != rep8.Episodes {
 		t.Errorf("outcomes differ: w1 candidates=%d episodes=%d, w8 candidates=%d episodes=%d",
-			rep1.Sim.Candidates, rep1.Sim.Episodes, rep8.Sim.Candidates, rep8.Sim.Episodes)
+			rep1.Candidates, rep1.Episodes, rep8.Candidates, rep8.Episodes)
 	}
 }
 
@@ -91,9 +91,9 @@ func TestRunCacheTransparent(t *testing.T) {
 	cfgOn1 := testConfig(42, 1, &logOn1)
 	cfgOn1.Cache = true
 	repOn1 := mustRun(t, cfgOn1)
-	if len(repOff.Sim.Violations) != 0 || len(repOn.Sim.Violations) != 0 || len(repOn1.Sim.Violations) != 0 {
+	if len(repOff.Violations) != 0 || len(repOn.Violations) != 0 || len(repOn1.Violations) != 0 {
 		t.Fatalf("violations: off=%v on=%v on-w1=%v",
-			repOff.Sim.Violations, repOn.Sim.Violations, repOn1.Sim.Violations)
+			repOff.Violations, repOn.Violations, repOn1.Violations)
 	}
 	if !bytes.Equal(logOff.Bytes(), logOn.Bytes()) {
 		t.Errorf("cache on/off logs differ at %s", firstDiff(logOff.String(), logOn.String()))
@@ -125,8 +125,8 @@ func TestMutateRereadCoherence(t *testing.T) {
 		OpSelectEntity: 20,
 	}
 	rep := mustRun(t, cfg)
-	if n := len(rep.Sim.Violations); n != 0 {
-		t.Fatalf("violations = %d:\n%v", n, rep.Sim.Violations)
+	if n := len(rep.Violations); n != 0 {
+		t.Fatalf("violations = %d:\n%v", n, rep.Violations)
 	}
 	text := log.String()
 	if !strings.Contains(text, "mutate_reread") || !strings.Contains(text, "seen=true") {
@@ -150,8 +150,8 @@ func TestRunDurableCrashRestart(t *testing.T) {
 	cfg.OpsPerRound = 8
 	cfg.DataDir = t.TempDir()
 	rep := mustRun(t, cfg)
-	if n := len(rep.Sim.Violations); n != 0 {
-		t.Fatalf("violations = %d:\n%v", n, rep.Sim.Violations)
+	if n := len(rep.Violations); n != 0 {
+		t.Fatalf("violations = %d:\n%v", n, rep.Violations)
 	}
 	text := log.String()
 	if !strings.Contains(text, "crash_restart") {
@@ -181,8 +181,8 @@ func TestRunDurableDeterministicAcrossWorkers(t *testing.T) {
 	cfg4.DataDir = t.TempDir()
 	rep1 := mustRun(t, cfg1)
 	rep4 := mustRun(t, cfg4)
-	if len(rep1.Sim.Violations) != 0 || len(rep4.Sim.Violations) != 0 {
-		t.Fatalf("violations: w1=%v w4=%v", rep1.Sim.Violations, rep4.Sim.Violations)
+	if len(rep1.Violations) != 0 || len(rep4.Violations) != 0 {
+		t.Fatalf("violations: w1=%v w4=%v", rep1.Violations, rep4.Violations)
 	}
 	if !bytes.Equal(log1.Bytes(), log4.Bytes()) {
 		t.Fatalf("durable op logs differ between workers=1 and workers=4 at %s",
@@ -201,8 +201,8 @@ func TestRunDurableWALSyncModes(t *testing.T) {
 		cfg.DataDir = t.TempDir()
 		cfg.WALSync = mode
 		rep := mustRun(t, cfg)
-		if n := len(rep.Sim.Violations); n != 0 {
-			t.Fatalf("mode %s: violations = %d:\n%v", mode, n, rep.Sim.Violations)
+		if n := len(rep.Violations); n != 0 {
+			t.Fatalf("mode %s: violations = %d:\n%v", mode, n, rep.Violations)
 		}
 		logs[mode] = &log
 	}
@@ -225,8 +225,8 @@ func TestRunStreamDeterministicAcrossWorkers(t *testing.T) {
 	cfg4.Stream = true
 	rep1 := mustRun(t, cfg1)
 	rep4 := mustRun(t, cfg4)
-	if len(rep1.Sim.Violations) != 0 || len(rep4.Sim.Violations) != 0 {
-		t.Fatalf("violations: w1=%v w4=%v", rep1.Sim.Violations, rep4.Sim.Violations)
+	if len(rep1.Violations) != 0 || len(rep4.Violations) != 0 {
+		t.Fatalf("violations: w1=%v w4=%v", rep1.Violations, rep4.Violations)
 	}
 	if !bytes.Equal(log1.Bytes(), log4.Bytes()) {
 		t.Fatalf("streaming op logs differ between workers=1 and workers=4 at %s",
@@ -301,8 +301,8 @@ func TestOutageBreakerRecovery(t *testing.T) {
 		OpLog: &log,
 	}
 	rep := mustRun(t, cfg)
-	if n := len(rep.Sim.Violations); n != 0 {
-		t.Fatalf("violations = %d:\n%v", n, rep.Sim.Violations)
+	if n := len(rep.Violations); n != 0 {
+		t.Fatalf("violations = %d:\n%v", n, rep.Violations)
 	}
 	text := log.String()
 	for _, line := range []string{
@@ -315,8 +315,8 @@ func TestOutageBreakerRecovery(t *testing.T) {
 			t.Errorf("op log missing %q", line)
 		}
 	}
-	if rep.Sim.OutageTransitions < 2 {
-		t.Errorf("outage transitions = %d, want >= 2", rep.Sim.OutageTransitions)
+	if rep.OutageTransitions < 2 {
+		t.Errorf("outage transitions = %d, want >= 2", rep.OutageTransitions)
 	}
 }
 
@@ -340,10 +340,10 @@ func TestHeapBoundViolation(t *testing.T) {
 	cfg.Rounds = 2
 	cfg.MaxHeapBytes = 1
 	rep := mustRun(t, cfg)
-	if len(rep.Sim.Violations) == 0 {
+	if len(rep.Violations) == 0 {
 		t.Fatal("expected heap_bound violations, got none")
 	}
-	for _, v := range rep.Sim.Violations {
+	for _, v := range rep.Violations {
 		if v.Invariant != "heap_bound" {
 			t.Errorf("unexpected violation %v", v)
 		}
