@@ -1000,26 +1000,16 @@ func BenchmarkFedPreparedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPolicy compares the paper's ε-greedy policy against
-// Boltzmann (softmax) action selection.
+// BenchmarkAblationPolicy runs the paper's ε-greedy policy to convergence
+// and reports the quality and episode count it reaches.
 func BenchmarkAblationPolicy(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		policy string
-	}{{"egreedy", "egreedy"}, {"softmax", "softmax"}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := batchCfg()
-			cfg.Policy = tc.policy
-			cfg.Temperature = 0.4
-			var res *experiment.Result
-			for i := 0; i < b.N; i++ {
-				res = experiment.Run(experiment.RunConfig{
-					Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: cfg, Seed: benchSeed,
-				})
-			}
-			b.ReportMetric(res.Final.FMeasure, "final-F")
-			b.ReportMetric(res.Final.Recall, "final-R")
-			b.ReportMetric(float64(len(res.Points)), "episodes")
+	var res *experiment.Result
+	for i := 0; i < b.N; i++ {
+		res = experiment.Run(experiment.RunConfig{
+			Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: batchCfg(), Seed: benchSeed,
 		})
 	}
+	b.ReportMetric(res.Final.FMeasure, "final-F")
+	b.ReportMetric(res.Final.Recall, "final-R")
+	b.ReportMetric(float64(len(res.Points)), "episodes")
 }

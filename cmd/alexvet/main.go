@@ -1,22 +1,17 @@
 // Command alexvet runs the repository's custom static-analysis suite
 // (internal/lint) over a module: obsnames, ctxflow, nodeterminism,
-// errwrap, nopanic, lockdiscipline and genbump. It exits 1 when any
-// diagnostic survives //lint:ignore suppression, 2 on usage or load
-// errors, so CI can fail the build on findings.
+// errwrap, nopanic and lockdiscipline, each one pass over one package.
+// It prints one file:line:col diagnostic per line and exits 1 when any
+// survives //lint:ignore suppression, 2 on usage or load errors, so CI
+// can fail the build on findings.
 //
 // Usage:
 //
-//	alexvet [-json] [-list] [-analyzers a,b] [-graph func] [dir]
+//	alexvet [-list] [-analyzers a,b] [dir]
 //
 // dir defaults to the current directory and must be a module root (the
 // trailing /... of a package pattern is accepted and ignored, so
 // `alexvet ./...` works as expected).
-//
-// -graph prints the module call graph rooted at one function — every
-// resolved callee with its edge kind (static, interface, func-value) and
-// call position — the debugging view of what the interprocedural
-// analyzers traverse. The function is named by substring of its rendered
-// form ("store.(*Store).AddID", or just "AddID").
 package main
 
 import (
@@ -38,10 +33,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("alexvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
-	graph := fs.String("graph", "", "print the call-graph edges of functions matching this substring and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -79,23 +72,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "alexvet: %v\n", err)
 		return 2
 	}
-	if *graph != "" {
-		if err := lint.DescribeGraph(stdout, prog, *graph); err != nil {
-			fmt.Fprintf(stderr, "alexvet: %v\n", err)
-			return 2
-		}
-		return 0
-	}
 	diags := lint.RelativeTo(lint.Run(prog, analyzers), dir)
-	if *jsonOut {
-		if err := lint.EncodeJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "alexvet: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		return 1

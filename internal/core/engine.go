@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"alex/internal/feature"
 	"alex/internal/feedback"
@@ -48,8 +47,9 @@ type Engine struct {
 	lastGen1, lastGen2 uint64
 	knownDS2           map[rdf.TermID]struct{}
 
-	// Observability. obsReg gates the clock reads and per-episode trace;
-	// the instruments themselves are nil-safe no-ops when unset.
+	// Observability. obsReg gates the per-episode trace, whose root span
+	// times the episode; the instruments themselves are nil-safe no-ops
+	// when unset.
 	obsReg      *obs.Registry
 	hEpisodeNS  *obs.Histogram
 	gCandidates *obs.Gauge
@@ -288,7 +288,7 @@ func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.episode++
-	tr, t0 := e.traceEpisode()
+	tr := e.traceEpisode()
 	n := len(e.partitions)
 	share := e.cfg.EpisodeSize / n
 	if share == 0 {
@@ -300,25 +300,24 @@ func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 		p.runEpisode(share, judge)
 		p.endSpan(sp)
 	})
-	return e.finishEpisodeObs(tr, t0)
+	return e.finishEpisodeObs(tr)
 }
 
-// traceEpisode starts the per-episode trace and clock. Both returns are nil
-// zero-values when no observer is attached, so the disabled path reads no
-// clock and allocates nothing.
-func (e *Engine) traceEpisode() (*obs.Trace, time.Time) {
+// traceEpisode starts the per-episode trace. It is nil when no observer is
+// attached, so the disabled path reads no clock and allocates nothing.
+func (e *Engine) traceEpisode() *obs.Trace {
 	if e.obsReg == nil {
-		return nil, time.Time{}
+		return nil
 	}
-	return obs.NewTrace(fmt.Sprintf("episode-%d", e.episode)), time.Now() //lint:ignore nodeterminism episode trace timing only; never feeds episode results
+	return obs.NewTrace(fmt.Sprintf("episode-%d", e.episode))
 }
 
-// finishEpisodeObs aggregates stats and closes out the episode trace.
-func (e *Engine) finishEpisodeObs(tr *obs.Trace, t0 time.Time) EpisodeStats {
+// finishEpisodeObs aggregates stats and closes out the episode trace; the
+// root span's duration is the episode's latency.
+func (e *Engine) finishEpisodeObs(tr *obs.Trace) EpisodeStats {
 	st := e.collectStats()
 	e.gCandidates.Set(int64(st.Candidates))
 	if e.obsReg != nil {
-		e.hEpisodeNS.Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism episode latency histogram only; never feeds episode results
 		root := tr.Root()
 		root.SetInt("feedback", int64(st.Feedback))
 		root.SetInt("positive", int64(st.Positive))
@@ -327,6 +326,7 @@ func (e *Engine) finishEpisodeObs(tr *obs.Trace, t0 time.Time) EpisodeStats {
 		root.SetInt("removed", int64(st.Removed))
 		root.SetInt("candidates", int64(st.Candidates))
 		tr.Finish()
+		e.hEpisodeNS.Observe(root.Duration().Nanoseconds())
 		e.obsReg.AddTrace(tr)
 	}
 	return st
@@ -380,13 +380,13 @@ func (e *Engine) applyEpisodeLocked(items []Feedback) EpisodeStats {
 			perPartition[pi] = append(perPartition[pi], it)
 		}
 	}
-	tr, t0 := e.traceEpisode()
+	tr := e.traceEpisode()
 	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
 		sp := tr.Root().Child("partition")
 		e.partitions[i].applyEpisode(perPartition[i])
 		e.partitions[i].endSpan(sp)
 	})
-	return e.finishEpisodeObs(tr, t0)
+	return e.finishEpisodeObs(tr)
 }
 
 // Converged reports whether every partition has strictly converged (no

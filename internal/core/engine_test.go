@@ -7,6 +7,7 @@ import (
 	"alex/internal/datagen"
 	"alex/internal/feedback"
 	"alex/internal/linkset"
+	"alex/internal/obs"
 	"alex/internal/paris"
 )
 
@@ -331,20 +332,25 @@ func initialLinksOf(p *datagen.Pair) []linkset.Link {
 	return out
 }
 
-func TestEngineSoftmaxPolicy(t *testing.T) {
-	p := testPair(47)
-	cfg := smallConfig(47)
-	cfg.Policy = "softmax"
-	cfg.Temperature = 0.4
-	e := New(p.DS1, p.DS2, cfg)
+// TestEpisodeLatencyRecorded pins core.episode_ns: with a registry
+// attached, an episode run by RunEpisode and one applied by ApplyEpisode
+// each record one positive observation.
+func TestEpisodeLatencyRecorded(t *testing.T) {
+	p := testPair(37)
+	e := New(p.DS1, p.DS2, smallConfig(37))
 	e.SetInitialLinks(initialLinks(p))
-	start := linkset.Evaluate(e.Candidates(), p.Truth)
-	oracle := feedback.NewOracle(p.Truth, 0, rand.New(rand.NewSource(47)))
-	e.Run(oracle.JudgeFunc(), nil)
-	end := linkset.Evaluate(e.Candidates(), p.Truth)
-	t.Logf("softmax: %v -> %v", start, end)
-	if end.FMeasure <= start.FMeasure {
-		t.Errorf("softmax policy did not improve F: %g -> %g", start.FMeasure, end.FMeasure)
+	reg := obs.NewRegistry()
+	e.SetObserver(reg)
+	h := reg.Histogram(obs.CoreEpisodeNS)
+
+	oracle := feedback.NewOracle(p.Truth, 0, rand.New(rand.NewSource(37)))
+	e.RunEpisode(oracle.JudgeFunc())
+	if s := h.Snapshot(); s.Count != 1 || s.Min <= 0 {
+		t.Fatalf("after RunEpisode: %s = %+v, want one positive observation", obs.CoreEpisodeNS, s)
+	}
+	e.ApplyEpisode(truthFeedback(e, p.Truth, 4))
+	if s := h.Snapshot(); s.Count != 2 || s.Min <= 0 {
+		t.Fatalf("after ApplyEpisode: %s = %+v, want two positive observations", obs.CoreEpisodeNS, s)
 	}
 }
 

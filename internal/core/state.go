@@ -97,37 +97,44 @@ func (e *Engine) SaveState(w io.Writer) error {
 			Converged: p.converged,
 			Rollbacks: p.rollbacks,
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		// Every wire slice is filled from a map and sorted here: two
+		// snapshots of the same engine state must be byte-identical so
+		// checkpoints can be compared, deduplicated and tested against
+		// golden files.
 		for l := range p.candidates {
 			ps.Candidates = append(ps.Candidates, wl(l))
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		slices.SortFunc(ps.Candidates, cmpWireLink)
 		for l := range p.blacklist {
 			ps.Blacklist = append(ps.Blacklist, wl(l))
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		slices.SortFunc(ps.Blacklist, cmpWireLink)
 		for l, n := range p.negByLink {
 			ps.NegByLink = append(ps.NegByLink, wireLinkCount{L: wl(l), N: n})
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		slices.SortFunc(ps.NegByLink, func(a, b wireLinkCount) int { return cmpWireLink(a.L, b.L) })
 		for l := range p.posConfirmed {
 			ps.PosConfirmed = append(ps.PosConfirmed, wl(l))
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		slices.SortFunc(ps.PosConfirmed, cmpWireLink)
 		for sa := range p.rolledBack {
 			ps.RolledBack = append(ps.RolledBack, wireSA{S: wl(sa.s), A: wf(sa.a)})
 		}
+		slices.SortFunc(ps.RolledBack, func(a, b wireSA) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
 		for _, qe := range p.q.Entries() {
 			ps.Q = append(ps.Q, wireQ{S: wl(qe.State), A: wf(qe.Action), Sum: qe.Sum, Count: qe.Count})
 		}
+		slices.SortFunc(ps.Q, func(a, b wireQ) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
 		for _, fe := range p.fq.Entries() {
 			ps.FQ = append(ps.FQ, wireFQ{A: wf(fe.Action.f), Bucket: fe.Action.bucket, Sum: fe.Sum, Count: fe.Count})
 		}
-		//lint:ignore nodeterminism sorted by sortPartitionState before encoding
+		slices.SortFunc(ps.FQ, func(a, b wireFQ) int {
+			return cmp.Or(cmpWireFeature(a.A, b.A), cmp.Compare(a.Bucket, b.Bucket))
+		})
 		for s, a := range p.policy.GreedyEntries() {
 			ps.Greedy = append(ps.Greedy, wireGreedy{S: wl(s), A: wf(a)})
 		}
-		sortPartitionState(&ps)
+		slices.SortFunc(ps.Greedy, func(a, b wireGreedy) int { return cmpWireLink(a.S, b.S) })
 		st.Partitions = append(st.Partitions, ps)
 	}
 	if err := gob.NewEncoder(w).Encode(st); err != nil {
@@ -136,31 +143,17 @@ func (e *Engine) SaveState(w io.Writer) error {
 	return nil
 }
 
-// sortPartitionState orders every wire slice, which otherwise inherits map
-// iteration order: two snapshots of the same engine state must be
-// byte-identical so checkpoints can be compared, deduplicated and tested
-// against golden files.
-func sortPartitionState(ps *partitionState) {
-	byLink := func(a, b wireLink) int {
-		return strings.Compare(a.Left+"\x00"+a.Right, b.Left+"\x00"+b.Right)
-	}
-	byFeature := func(a, b wireFeature) int {
-		return strings.Compare(a.P1+"\x00"+a.P2, b.P1+"\x00"+b.P2)
-	}
-	byLinkThenFeature := func(s1 wireLink, a1 wireFeature, s2 wireLink, a2 wireFeature) int {
-		if c := byLink(s1, s2); c != 0 {
-			return c
-		}
-		return byFeature(a1, a2)
-	}
-	slices.SortFunc(ps.Candidates, byLink)
-	slices.SortFunc(ps.Blacklist, byLink)
-	slices.SortFunc(ps.NegByLink, func(a, b wireLinkCount) int { return byLink(a.L, b.L) })
-	slices.SortFunc(ps.PosConfirmed, byLink)
-	slices.SortFunc(ps.RolledBack, func(a, b wireSA) int { return byLinkThenFeature(a.S, a.A, b.S, b.A) })
-	slices.SortFunc(ps.Q, func(a, b wireQ) int { return byLinkThenFeature(a.S, a.A, b.S, b.A) })
-	slices.SortFunc(ps.FQ, func(a, b wireFQ) int { return cmp.Or(byFeature(a.A, b.A), cmp.Compare(a.Bucket, b.Bucket)) })
-	slices.SortFunc(ps.Greedy, func(a, b wireGreedy) int { return byLink(a.S, b.S) })
+func cmpWireLink(a, b wireLink) int {
+	return strings.Compare(a.Left+"\x00"+a.Right, b.Left+"\x00"+b.Right)
+}
+
+func cmpWireFeature(a, b wireFeature) int {
+	return strings.Compare(a.P1+"\x00"+a.P2, b.P1+"\x00"+b.P2)
+}
+
+// cmpWireSA orders state-action pairs by link, then feature.
+func cmpWireSA(s1 wireLink, a1 wireFeature, s2 wireLink, a2 wireFeature) int {
+	return cmp.Or(cmpWireLink(s1, s2), cmpWireFeature(a1, a2))
 }
 
 // LoadState restores state saved by SaveState into an engine built over

@@ -60,7 +60,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 
 func TestSaveStateDeterministicBytes(t *testing.T) {
 	// Regression: the wire slices are collected from maps, so without the
-	// explicit sort in sortPartitionState two snapshots of the same state
+	// explicit sorts in SaveState two snapshots of the same state
 	// would differ byte-for-byte run to run.
 	p := testPair(53)
 	e := New(p.DS1, p.DS2, smallConfig(53))

@@ -147,7 +147,7 @@ func (b *breaker) allow() bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cfg.BreakerCooldown { //lint:ignore nodeterminism breaker cooldown is wall-clock by contract; sims drive it via failure counts, not time
+	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cfg.BreakerCooldown {
 		b.setState(BreakerHalfOpen)
 		b.successes = 0
 	}
@@ -201,7 +201,7 @@ func (b *breaker) onFailure() {
 
 // open transitions into the open state. Caller holds b.mu.
 func (b *breaker) open() {
-	b.openedAt = time.Now() //lint:ignore nodeterminism breaker cooldown is wall-clock by contract; sims drive it via failure counts, not time
+	b.openedAt = time.Now()
 	if b.state != BreakerOpen {
 		b.setState(BreakerOpen)
 		b.cOpens.Inc()
@@ -253,7 +253,7 @@ func (f *Federation) SetResilience(r Resilience) {
 	}
 	seed := r.Seed
 	if seed == 0 {
-		seed = time.Now().UnixNano() //lint:ignore nodeterminism production fallback when no seed given; deterministic runs always set Resilience.Seed
+		seed = time.Now().UnixNano()
 	}
 	f.jitterMu.Lock()
 	f.jitterRNG = rand.New(rand.NewSource(seed))

@@ -13,36 +13,22 @@ import (
 // Two rules:
 //
 //  1. context.Background() / context.TODO() may appear only in package
-//     main, in an explicitly allowed root, or inside a compatibility
-//     wrapper — a function F whose call passes the fresh context straight
-//     into its own Context-suffixed variant FContext (the repo's idiom for
-//     keeping a ctx-free convenience API).
+//     main or in an explicitly allowed root.
 //
 //  2. A function that already receives a context.Context must not call a
 //     method or function M when an MContext variant taking a context
 //     exists — doing so silently drops the caller's deadline and
 //     cancellation.
-//
-//  3. Transitively: a ctx-holding function must not reach such an M
-//     through a chain of ctx-less module helpers either. The first hop
-//     into a helper with no context parameter severs the context for
-//     everything below it; if anything below calls an M whose MContext
-//     variant exists, the caller's deadline silently stops applying. The
-//     diagnostic prints the chain ("g → h → Query (fed.go:42)"). Audited
-//     drops opt out with `//lint:ignore ctxflow <reason>` on the sink
-//     line. Helpers that have their own Context variant are rule 2's
-//     territory (the caller should switch variants) and are not chained
-//     through.
 type CtxFlow struct {
 	// Allow lists fully qualified functions ("pkg/path.FuncName")
-	// permitted to create root contexts outside the wrapper idiom.
+	// permitted to create root contexts.
 	Allow []string
 }
 
 func (a *CtxFlow) Name() string { return "ctxflow" }
 
 func (a *CtxFlow) Doc() string {
-	return "no fresh root contexts outside main/wrappers; don't call ctx-less variants when a Context variant exists"
+	return "no fresh root contexts outside main; don't call ctx-less variants when a Context variant exists"
 }
 
 func (a *CtxFlow) Run(pass *Pass) {
@@ -64,108 +50,6 @@ func (a *CtxFlow) Run(pass *Pass) {
 			return true
 		})
 	}
-	a.checkTransitive(pass)
-}
-
-// checkTransitive applies rule 3: from every ctx-holding function, follow
-// first-hop calls into ctx-less module helpers (that have no Context
-// variant of their own) and report chains reaching a context-droppable
-// call.
-func (a *CtxFlow) checkTransitive(pass *Pass) {
-	facts := pass.Facts()
-	ctxless := func(fn *types.Func) bool {
-		sum := facts.Summary(fn)
-		return sum != nil && !sum.HasCtxParam
-	}
-	firstDrop := func(fn *types.Func) (SinkCall, bool) {
-		sum := facts.Summary(fn)
-		if sum == nil {
-			return SinkCall{}, false
-		}
-		for _, sc := range sum.CtxDrops {
-			if !facts.SinkIgnored(a.Name(), pass.Fset, sc.Pos) {
-				return sc, true
-			}
-		}
-		return SinkCall{}, false
-	}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasContextParam(pass, fd) {
-				continue
-			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			node := facts.Graph.Node(fn)
-			if node == nil {
-				continue
-			}
-			seen := map[*types.Func]bool{}
-			for _, e := range node.Edges {
-				g := e.Callee
-				if seen[g] {
-					continue
-				}
-				seen[g] = true
-				if facts.Graph.Node(g) == nil || !ctxless(g) || contextVariantFor(g) != nil {
-					continue
-				}
-				chain := a.dropChain(facts, pass, g, ctxless, firstDrop)
-				if chain == nil {
-					continue
-				}
-				sc, _ := firstDrop(chain[len(chain)-1].Fn)
-				pos := pass.Fset.Position(sc.Pos)
-				pass.Reportf(e.Pos,
-					"ctx held by %s is severed here: %s → %s (%s:%d) — %s has a Context variant, thread ctx through the chain",
-					fn.Name(), renderChainBare(chain), sc.Name, baseName(pos.Filename), pos.Line, sc.Name)
-			}
-		}
-	}
-}
-
-// dropChain finds the shortest ctx-less chain from g to a function whose
-// summary drops a context-capable call; g itself counts.
-func (a *CtxFlow) dropChain(facts *Facts, pass *Pass, g *types.Func, ctxless func(*types.Func) bool, firstDrop func(*types.Func) (SinkCall, bool)) []ChainStep {
-	if sc, ok := firstDrop(g); ok {
-		return []ChainStep{{Fn: g, Pos: sc.Pos}}
-	}
-	return facts.Graph.FindChain(g, func(callee *types.Func, e Edge, owner *Node) bool {
-		if facts.Graph.Node(callee) == nil || !ctxless(callee) {
-			return false
-		}
-		_, ok := firstDrop(callee)
-		return ok
-	}, func(fn *types.Func) bool { return ctxless(fn) })
-}
-
-// contextVariantFor finds fn's <name>Context sibling from its type alone
-// (no call site needed): a method on the same receiver or a package-level
-// function in the same package, taking a leading context.Context.
-func contextVariantFor(fn *types.Func) *types.Func {
-	if fn.Pkg() == nil {
-		return nil
-	}
-	want := fn.Name() + "Context"
-	var obj types.Object
-	sig := fn.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), want)
-	} else {
-		obj = fn.Pkg().Scope().Lookup(want)
-	}
-	v, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	vsig := v.Type().(*types.Signature)
-	if ps := vsig.Params(); ps.Len() > 0 && isContextType(ps.At(0).Type()) {
-		return v
-	}
-	return nil
 }
 
 // checkRootContext applies rule 1 to one call expression.
@@ -181,41 +65,12 @@ func (a *CtxFlow) checkRootContext(pass *Pass, call *ast.CallExpr, stack []ast.N
 	if fn.Name() != "Background" && fn.Name() != "TODO" {
 		return
 	}
-	fd := enclosingFunc(stack)
-	if fd != nil {
-		if allowed[pass.Pkg.Path+"."+fd.Name.Name] {
-			return
-		}
-		if a.isCompatWrapper(call, stack, fd) {
-			return
-		}
+	if fd := enclosingFunc(stack); fd != nil && allowed[pass.Pkg.Path+"."+fd.Name.Name] {
+		return
 	}
 	pass.Reportf(call.Pos(),
-		"context.%s() outside main or a Context-variant wrapper: accept a ctx parameter and thread it instead",
+		"context.%s() outside main: accept a ctx parameter and thread it instead",
 		fn.Name())
-}
-
-// isCompatWrapper reports whether the fresh-context call is an argument of
-// a call to <enclosing>Context — the convenience-wrapper idiom
-// (func (x T) Query(q) { return x.QueryContext(context.Background(), q) }).
-func (a *CtxFlow) isCompatWrapper(call *ast.CallExpr, stack []ast.Node, fd *ast.FuncDecl) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	parent, ok := stack[len(stack)-1].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	var callee string
-	switch f := unparen(parent.Fun).(type) {
-	case *ast.Ident:
-		callee = f.Name
-	case *ast.SelectorExpr:
-		callee = f.Sel.Name
-	default:
-		return false
-	}
-	return callee == fd.Name.Name+"Context"
 }
 
 // checkDroppedContext applies rule 2 to one call expression.

@@ -5,10 +5,7 @@ package lint
 // guards modulePath/internal/obs, and the determinism policy covers the
 // packages the paper's figures are reproduced from — RL, similarity,
 // experiment harness, data generation and fault injection, where every
-// random draw must come from an explicit seed. The interprocedural
-// analyzers (lockdiscipline, genbump, and the transitive layers of
-// ctxflow/nodeterminism) share one lazily built call graph and summary
-// set per run.
+// random draw must come from an explicit seed.
 func DefaultAnalyzers(modulePath string) []Analyzer {
 	internal := func(p string) string { return modulePath + "/internal/" + p }
 	return []Analyzer{
@@ -32,13 +29,9 @@ func DefaultAnalyzers(modulePath string) []Analyzer {
 				internal("core"),
 				internal("feature"),
 			},
-			// Observability is timing plumbing by design: its clock reads
-			// feed latency metrics, never deterministic outputs.
-			Exempt: []string{internal("obs")},
 		},
 		&ErrWrap{},
 		&NoPanic{},
 		&LockDiscipline{},
-		&GenBump{StorePath: internal("store"), GenField: "Store.gen"},
 	}
 }

@@ -3,38 +3,26 @@
 // (no golang.org/x/tools). It loads every package in the module,
 // type-checks it, and runs a pluggable set of analyzers that enforce
 // repo-specific invariants the compiler cannot see: metric names drawn
-// from the central registry (obsnames), context threaded through every
-// call path (ctxflow), seeded determinism in the RL/simulation packages
+// from the central registry (obsnames), context threaded to the request
+// (ctxflow), seeded determinism in the RL/simulation packages
 // (nodeterminism), error wrapping discipline (errwrap), panic-free
-// library code (nopanic), mutex release on every exit path
-// (lockdiscipline) and generation bumps on every mutating store entry
-// point (genbump).
+// library code (nopanic) and mutex release on every exit path
+// (lockdiscipline).
 //
-// Beyond the per-package AST checks, the driver builds interprocedural
-// facts shared by every analyzer of a run (Pass.Facts): a module-wide
-// call graph (callgraph.go — static calls, interface dispatch expanded
-// to module implementations, conservative function-value edges) and
-// per-function effect summaries (summary.go — lock operations by
-// canonical family, clock/rand sinks, index-field writes, atomic
-// generation bumps, context-dropping calls). lockdiscipline and genbump
-// are built entirely on these facts, and ctxflow/nodeterminism use them
-// to report transitive violations with full call chains
-// ("a → b → time.Now (file.go:12)").
+// Every analyzer is one AST walk over one type-checked package: a Pass
+// hands it that package and nothing else, so no finding depends on code
+// in another package.
 //
-// Diagnostics carry exact positions, can be suppressed with
+// Diagnostics carry exact positions and can be suppressed with
 // `//lint:ignore <analyzer>[,<analyzer>] <reason>` comments (on the
-// offending line or the line above it), and serialize to JSON for CI via
-// EncodeJSON. For the transitive analyzers the directive placed on a
-// sink line sanctions that sink for every chain (Facts.SinkIgnored).
-// cmd/alexvet is the command-line front end; its -graph flag prints the
-// resolved call edges of any module function.
+// offending line or the line above it). cmd/alexvet is the command-line
+// front end.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -67,50 +55,8 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	Pkg      *Package
 	Fset     *token.FileSet
-	Prog     *Program
 	analyzer string
 	diags    *[]Diagnostic
-}
-
-// Facts returns the program-wide interprocedural facts — the module call
-// graph, per-function effect summaries, and the suppression index — built
-// lazily on first use and shared by every analyzer of the run.
-func (p *Pass) Facts() *Facts {
-	return p.Prog.Facts()
-}
-
-// Facts bundles the interprocedural layers analyzers traverse.
-type Facts struct {
-	Graph     *CallGraph
-	Summaries map[*types.Func]*Summary
-	ignores   ignoreSet
-}
-
-// Summary returns fn's effect summary (nil for functions not declared in
-// the module).
-func (f *Facts) Summary(fn *types.Func) *Summary {
-	return f.Summaries[origin(fn)]
-}
-
-// SinkIgnored reports whether an //lint:ignore directive naming analyzer
-// sits on pos's line (or the line above), sanctioning an audited sink
-// that transitive analyses must not chain through.
-func (f *Facts) SinkIgnored(analyzer string, fset *token.FileSet, pos token.Pos) bool {
-	return f.ignores.suppresses(Diagnostic{Analyzer: analyzer, Pos: fset.Position(pos)})
-}
-
-// Facts builds (once) and returns the program's interprocedural facts.
-func (prog *Program) Facts() *Facts {
-	if prog.facts == nil {
-		graph := BuildCallGraph(prog)
-		ignores, _ := collectIgnores(prog)
-		prog.facts = &Facts{
-			Graph:     graph,
-			Summaries: buildSummaries(prog, graph),
-			ignores:   ignores,
-		}
-	}
-	return prog.facts
 }
 
 // Reportf records a diagnostic at pos.
@@ -130,7 +76,7 @@ func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
 		for _, a := range analyzers {
-			pass := &Pass{Pkg: pkg, Fset: prog.Fset, Prog: prog, analyzer: a.Name(), diags: &diags}
+			pass := &Pass{Pkg: pkg, Fset: prog.Fset, analyzer: a.Name(), diags: &diags}
 			a.Run(pass)
 		}
 	}

@@ -47,10 +47,6 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-
-	// facts caches the interprocedural layers (call graph, summaries);
-	// built lazily by Program.Facts on first use.
-	facts *Facts
 }
 
 // Load parses and type-checks every package under cfg.Dir. It is the

@@ -1,44 +1,36 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // LockDiscipline enforces the repo's mutex protocol, which the striped
 // dict/index locks and the serving-layer caches depend on:
 //
 //  1. every Lock()/RLock() is released on all exit paths — by a defer
-//     (direct, in a deferred closure, or via a deferred helper whose
-//     summary releases the lock) or by a straight-line Unlock before
-//     every return;
-//  2. no return (or fall-off-the-end) while a lock is still held;
-//  3. no call, while a named lock family is held, into a function whose
-//     transitive summary re-acquires the same family in a conflicting
-//     mode (write-write or read-write) — the classic self-deadlock the
-//     compiler cannot see across function boundaries.
+//     (direct, or in a deferred closure) or by a straight-line Unlock
+//     before every return;
+//  2. no return (or fall-off-the-end) while a lock is still held.
 //
 // The analysis is block-structured and deliberately conservative in the
 // false-positive direction: at control-flow joins the held set is the
 // intersection of the branch states (a lock held on only some paths is
 // not reported at the join; a later return that must hold it still is),
-// loop bodies must be lock-balanced, and goroutine bodies are analyzed
-// as separate scopes (they run asynchronously). Lock instances are keyed
-// by operand expression ("s.mu"), lock families canonically by
-// "pkg.Type.field" so striped locks on different instances of one family
-// are distinguished from genuine re-entry.
-type LockDiscipline struct {
-	// cache memoizes transitive acquired-family sets per function for
-	// one program's facts.
-	cache      map[*types.Func]map[string]LockMode
-	cacheFacts *Facts
-}
+// and loop bodies must be lock-balanced. Every function literal — a
+// goroutine body, a deferred closure, a callback — is analyzed as a scope
+// of its own that must release what it locks. Lock instances are keyed by
+// operand expression ("s.mu"). Calls are not followed: the unlock must be
+// visible in the function that locks, or in a closure it defers.
+type LockDiscipline struct{}
 
 func (a *LockDiscipline) Name() string { return "lockdiscipline" }
 
 func (a *LockDiscipline) Doc() string {
-	return "locks released on every exit path; no call under a lock into a function re-acquiring the same family"
+	return "locks released on every exit path; no return while a lock is held"
 }
 
 func (a *LockDiscipline) Run(pass *Pass) {
@@ -48,32 +40,26 @@ func (a *LockDiscipline) Run(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			a.checkFunc(pass, fd)
+			checkLocks(pass, fd)
 		}
 	}
 }
 
 // lockInstance identifies one mutex operand within a function.
 type lockInstance struct {
-	key    string // types.ExprString of the operand ("s.mu")
-	family string // canonical family ("store.Store.mu"), "" when local
-	mode   LockMode
-	pos    token.Pos
+	key  string // types.ExprString of the operand ("s.mu")
+	read bool   // RLock/RUnlock
+	pos  token.Pos
 }
 
 // ldState is the abstract lock state at one program point.
 type ldState struct {
-	held             map[string]lockInstance // by instance key
-	deferredKeys     map[string]bool         // instance keys released at exit
-	deferredFamilies map[string]bool         // families released at exit
+	held     map[string]lockInstance // by instance key
+	deferred map[string]bool         // instance keys released at exit
 }
 
 func newLDState() *ldState {
-	return &ldState{
-		held:             map[string]lockInstance{},
-		deferredKeys:     map[string]bool{},
-		deferredFamilies: map[string]bool{},
-	}
+	return &ldState{held: map[string]lockInstance{}, deferred: map[string]bool{}}
 }
 
 func (s *ldState) clone() *ldState {
@@ -81,11 +67,8 @@ func (s *ldState) clone() *ldState {
 	for k, v := range s.held {
 		c.held[k] = v
 	}
-	for k := range s.deferredKeys {
-		c.deferredKeys[k] = true
-	}
-	for k := range s.deferredFamilies {
-		c.deferredFamilies[k] = true
+	for k := range s.deferred {
+		c.deferred[k] = true
 	}
 	return c
 }
@@ -98,57 +81,41 @@ func (s *ldState) intersect(o *ldState) {
 			delete(s.held, k)
 		}
 	}
-	for k := range s.deferredKeys {
-		if !o.deferredKeys[k] {
-			delete(s.deferredKeys, k)
+	for k := range s.deferred {
+		if !o.deferred[k] {
+			delete(s.deferred, k)
 		}
 	}
-	for k := range s.deferredFamilies {
-		if !o.deferredFamilies[k] {
-			delete(s.deferredFamilies, k)
-		}
-	}
-}
-
-// covered reports whether instance inst is released at function exit by a
-// registered defer.
-func (s *ldState) covered(inst lockInstance) bool {
-	if s.deferredKeys[inst.key] {
-		return true
-	}
-	return inst.family != "" && s.deferredFamilies[inst.family]
 }
 
 // ldChecker carries per-function analysis context.
 type ldChecker struct {
-	a        *LockDiscipline
 	pass     *Pass
-	facts    *Facts
 	reported map[string]bool // instance keys already reported (leak dedupe)
-	// subScopes queues closures (go statements, stray literals) analyzed
-	// as independent scopes after the main body.
-	subScopes []ast.Node
+	// subScopes queues function literals analyzed as independent scopes
+	// after the main body.
+	subScopes []*ast.BlockStmt
 }
 
-func (a *LockDiscipline) checkFunc(pass *Pass, fd *ast.FuncDecl) {
-	c := &ldChecker{a: a, pass: pass, facts: pass.Facts(), reported: map[string]bool{}}
-	st := newLDState()
-	terminated := c.stmts(fd.Body.List, st)
-	if !terminated {
-		c.checkExit(st, fd.Body.Rbrace, "function ends")
-	}
-	c.checkNeverReleased(fd, st)
+func checkLocks(pass *Pass, fd *ast.FuncDecl) {
+	c := &ldChecker{pass: pass, reported: map[string]bool{}}
+	c.scope(fd.Body, "function ends")
 	// Closures run in their own dynamic context: balance is checked per
 	// scope. (Queued scopes may queue further scopes.)
 	for len(c.subScopes) > 0 {
 		body := c.subScopes[0]
 		c.subScopes = c.subScopes[1:]
-		sub := newLDState()
-		if block, ok := body.(*ast.BlockStmt); ok {
-			if !c.stmts(block.List, sub) {
-				c.checkExit(sub, block.Rbrace, "goroutine ends")
-			}
-		}
+		c.scope(body, "closure ends")
+	}
+	c.checkNeverReleased(fd)
+}
+
+// scope interprets one function body from an empty lock state and checks
+// what is still held if control falls off its end.
+func (c *ldChecker) scope(body *ast.BlockStmt, what string) {
+	st := newLDState()
+	if !c.stmts(body.List, st) {
+		c.checkExit(st, body.Rbrace, what)
 	}
 }
 
@@ -256,7 +223,7 @@ func (c *ldChecker) loopBody(body *ast.BlockStmt, st *ldState) {
 		return // every path breaks/returns; exit checks already ran
 	}
 	for k, inst := range inner.held {
-		if _, was := entry.held[k]; was || inner.covered(inst) {
+		if _, was := entry.held[k]; was || inner.deferred[k] {
 			continue
 		}
 		c.pass.Reportf(inst.pos,
@@ -340,27 +307,14 @@ func (c *ldChecker) branches(stmt ast.Stmt, st *ldState) bool {
 func (c *ldChecker) deferCall(call *ast.CallExpr, st *ldState) {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		if inst, acquire, ok := c.lockOp(fun); ok {
-			if !acquire {
-				st.deferredKeys[inst.key] = true
-			}
-			return
-		}
-		// defer helper() where the helper's summary releases a family.
-		if fn, ok := c.pass.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			for f := range c.netReleases(fn) {
-				st.deferredFamilies[f] = true
-			}
-		}
-	case *ast.Ident:
-		if fn, ok := c.pass.Pkg.Info.Uses[fun].(*types.Func); ok {
-			for f := range c.netReleases(fn) {
-				st.deferredFamilies[f] = true
-			}
+		if inst, acquire, ok := c.lockOp(fun); ok && !acquire {
+			st.deferred[inst.key] = true
 		}
 	case *ast.FuncLit:
-		// defer func() { ... }(): unlocks of instances not locked inside
-		// the literal release the enclosing function's locks at exit.
+		// defer func() { ... }(): the body is a scope of its own that must
+		// release what it locks, and its unlocks of instances it did not
+		// lock release the enclosing function's locks at exit.
+		c.subScopes = append(c.subScopes, fun.Body)
 		locked := map[string]bool{}
 		ast.Inspect(fun.Body, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -374,7 +328,7 @@ func (c *ldChecker) deferCall(call *ast.CallExpr, st *ldState) {
 			if acquire {
 				locked[inst.key] = true
 			} else if !locked[inst.key] {
-				st.deferredKeys[inst.key] = true
+				st.deferred[inst.key] = true
 			}
 			return true
 		})
@@ -382,8 +336,7 @@ func (c *ldChecker) deferCall(call *ast.CallExpr, st *ldState) {
 }
 
 // expr scans one expression in evaluation-ish (pre-)order, applying lock
-// operations and checking calls made under held locks. Function literals
-// are queued as separate scopes.
+// operations. Function literals are queued as separate scopes.
 func (c *ldChecker) expr(e ast.Expr, st *ldState) {
 	if e == nil {
 		return
@@ -397,11 +350,8 @@ func (c *ldChecker) expr(e ast.Expr, st *ldState) {
 			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok {
 				if inst, acquire, ok := c.lockOp(sel); ok {
 					c.applyLockOp(inst, acquire, st)
-					return true // still scan args (none for Lock)
 				}
 			}
-			c.checkCallUnderLock(n, st)
-			c.applyCalleeNetEffect(n, st)
 		}
 		return true
 	})
@@ -409,18 +359,23 @@ func (c *ldChecker) expr(e ast.Expr, st *ldState) {
 
 // lockOp matches a selector that names a sync.Mutex/RWMutex method and
 // resolves its operand instance.
-func (c *ldChecker) lockOp(sel *ast.SelectorExpr) (lockInstance, bool, bool) {
-	fn, ok := c.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || !mutexMethods[fn.Name()] {
+func (c *ldChecker) lockOp(sel *ast.SelectorExpr) (inst lockInstance, acquire, ok bool) {
+	fn, isFunc := c.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !isFunc || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return lockInstance{}, false, false
 	}
-	inst := lockInstance{
-		key:    types.ExprString(unparen(sel.X)),
-		family: lockFamilyOf(c.pass.Pkg.Info, sel),
-		mode:   lockModeOf(fn.Name()),
-		pos:    sel.Pos(),
+	switch fn.Name() {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+	default:
+		return lockInstance{}, false, false
 	}
-	acquire := fn.Name() == "Lock" || fn.Name() == "RLock"
+	inst = lockInstance{
+		key:  types.ExprString(unparen(sel.X)),
+		read: fn.Name() == "RLock" || fn.Name() == "RUnlock",
+		pos:  sel.Pos(),
+	}
 	return inst, acquire, true
 }
 
@@ -429,7 +384,7 @@ func (c *ldChecker) applyLockOp(inst lockInstance, acquire bool, st *ldState) {
 		delete(st.held, inst.key)
 		return
 	}
-	if prev, dup := st.held[inst.key]; dup && (prev.mode == LockWrite || inst.mode == LockWrite) {
+	if prev, dup := st.held[inst.key]; dup && !(prev.read && inst.read) {
 		c.pass.Reportf(inst.pos,
 			"%s locked again while already held (first at %s): self-deadlock",
 			inst.key, c.shortPos(prev.pos))
@@ -439,84 +394,11 @@ func (c *ldChecker) applyLockOp(inst lockInstance, acquire bool, st *ldState) {
 	st.held[inst.key] = inst
 }
 
-// checkCallUnderLock applies rule 3: while a canonical family is held,
-// calling a function whose transitive summary re-acquires that family in
-// a conflicting mode deadlocks.
-func (c *ldChecker) checkCallUnderLock(call *ast.CallExpr, st *ldState) {
-	if len(st.held) == 0 {
-		return
-	}
-	callee := c.calleeFunc(call)
-	if callee == nil || c.facts.Graph.Node(callee) == nil {
-		return
-	}
-	acq := c.transitiveAcquires(callee)
-	if len(acq) == 0 {
-		return
-	}
-	for _, inst := range st.held {
-		if inst.family == "" {
-			continue
-		}
-		mode, ok := acq[inst.family]
-		if !ok {
-			continue
-		}
-		if inst.mode == LockRead && mode == LockRead {
-			continue // read-read re-entry does not self-deadlock
-		}
-		chain := c.chainToAcquire(callee, inst.family)
-		c.pass.Reportf(call.Pos(),
-			"call while %s (family %s) is held: %s re-acquires the same lock family — deadlock",
-			inst.key, inst.family, chain)
-	}
-}
-
-// applyCalleeNetEffect folds a called helper's unconditional lock effect
-// into the state: a helper that releases a family unlocks the matching
-// held instances (the unlock-in-a-helper idiom); net acquires are tracked
-// under a family-keyed instance.
-func (c *ldChecker) applyCalleeNetEffect(call *ast.CallExpr, st *ldState) {
-	callee := c.calleeFunc(call)
-	if callee == nil {
-		return
-	}
-	sum := c.facts.Summary(callee)
-	if sum == nil {
-		return
-	}
-	acquires, releases := netLockEffect(sum)
-	for f := range releases {
-		for k, inst := range st.held {
-			if inst.family == f {
-				delete(st.held, k)
-			}
-		}
-	}
-	for f, mode := range acquires {
-		key := "<" + f + ">"
-		st.held[key] = lockInstance{key: key, family: f, mode: mode, pos: call.Pos()}
-	}
-}
-
-// calleeFunc resolves a call's static callee, if any.
-func (c *ldChecker) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.Pkg.Info.Uses[fun].(*types.Func)
-		return origin(fn)
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.Pkg.Info.Uses[fun.Sel].(*types.Func)
-		return origin(fn)
-	}
-	return nil
-}
-
 // checkExit reports every lock still held (and not defer-covered) at an
 // exit point.
 func (c *ldChecker) checkExit(st *ldState, pos token.Pos, what string) {
 	for _, inst := range st.held {
-		if st.covered(inst) {
+		if st.deferred[inst.key] {
 			continue
 		}
 		c.pass.Reportf(pos,
@@ -527,30 +409,19 @@ func (c *ldChecker) checkExit(st *ldState, pos token.Pos, what string) {
 }
 
 // checkNeverReleased is the backstop leak check: a Lock whose instance is
-// never unlocked anywhere in the function (directly, deferred, or via a
-// releasing helper) is reported even when conservative joins hid it from
-// the exit checks.
-func (c *ldChecker) checkNeverReleased(fd *ast.FuncDecl, st *ldState) {
+// never unlocked anywhere in the function (directly, deferred, or in a
+// closure) is reported even when conservative joins hid it from the exit
+// checks.
+func (c *ldChecker) checkNeverReleased(fd *ast.FuncDecl) {
 	released := map[string]bool{}
-	families := map[string]bool{}
 	var acquires []lockInstance
 	ast.Inspect(fd, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if inst, acquire, ok := c.lockOp(n); ok {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if inst, acquire, ok := c.lockOp(sel); ok {
 				if acquire {
 					acquires = append(acquires, inst)
 				} else {
 					released[inst.key] = true
-					if inst.family != "" {
-						families[inst.family] = true
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if callee := c.calleeFunc(n); callee != nil {
-				for f := range c.netReleases(callee) {
-					families[f] = true
 				}
 			}
 		}
@@ -560,147 +431,13 @@ func (c *ldChecker) checkNeverReleased(fd *ast.FuncDecl, st *ldState) {
 		if released[inst.key] || c.reported[inst.key] {
 			continue
 		}
-		if inst.family != "" && families[inst.family] {
-			continue
-		}
 		c.pass.Reportf(inst.pos,
 			"%s is locked here but never released in this function: add an unlock or defer", inst.key)
 	}
 }
 
-// netLockEffect computes the unconditional-looking lock effect of one
-// function summary: families acquired but never released (helpers that
-// hand a lock to their caller) and families released but never acquired
-// (unlock helpers).
-func netLockEffect(sum *Summary) (acquires map[string]LockMode, releases map[string]bool) {
-	acquired := map[string]LockMode{}
-	releasedSet := map[string]bool{}
-	for _, op := range sum.LockOps {
-		if op.Family == "" {
-			continue
-		}
-		if op.Acquire {
-			if mode, ok := acquired[op.Family]; !ok || mode == LockRead {
-				acquired[op.Family] = op.Mode
-			}
-		} else {
-			releasedSet[op.Family] = true
-		}
-	}
-	acquires = map[string]LockMode{}
-	releases = map[string]bool{}
-	for f, mode := range acquired {
-		if !releasedSet[f] {
-			acquires[f] = mode
-		}
-	}
-	for f := range releasedSet {
-		if _, ok := acquired[f]; !ok {
-			releases[f] = true
-		}
-	}
-	return acquires, releases
-}
-
-// netReleases returns the families fn releases without acquiring.
-func (c *ldChecker) netReleases(fn *types.Func) map[string]bool {
-	sum := c.facts.Summary(fn)
-	if sum == nil {
-		return nil
-	}
-	_, releases := netLockEffect(sum)
-	return releases
-}
-
-// transitiveAcquires returns every family fn or its module-internal
-// callees acquire, memoized per program.
-func (a *LockDiscipline) transitiveAcquiresImpl(facts *Facts, fn *types.Func) map[string]LockMode {
-	if a.cacheFacts != facts {
-		a.cache = map[*types.Func]map[string]LockMode{}
-		a.cacheFacts = facts
-	}
-	if got, ok := a.cache[fn]; ok {
-		return got
-	}
-	out := map[string]LockMode{}
-	merge := func(sum *Summary) {
-		if sum == nil {
-			return
-		}
-		for f, mode := range sum.AcquiredFamilies() {
-			if prev, ok := out[f]; !ok || prev == LockRead {
-				out[f] = mode
-			}
-		}
-	}
-	merge(facts.Summary(fn))
-	for callee := range facts.Graph.Reachable(fn, nil) {
-		merge(facts.Summary(callee))
-	}
-	a.cache[fn] = out
-	return out
-}
-
-func (c *ldChecker) transitiveAcquires(fn *types.Func) map[string]LockMode {
-	return c.a.transitiveAcquiresImpl(c.facts, fn)
-}
-
-// chainToAcquire renders the shortest chain from callee to the function
-// that performs the conflicting acquire.
-func (c *ldChecker) chainToAcquire(callee *types.Func, family string) string {
-	acquiresFamily := func(fn *types.Func) (token.Pos, bool) {
-		sum := c.facts.Summary(fn)
-		if sum == nil {
-			return token.NoPos, false
-		}
-		for _, op := range sum.LockOps {
-			if op.Acquire && op.Family == family {
-				return op.Pos, true
-			}
-		}
-		return token.NoPos, false
-	}
-	if pos, ok := acquiresFamily(callee); ok {
-		return shortFuncName(callee) + " (" + c.shortPos(pos) + ")"
-	}
-	chain := c.facts.Graph.FindChain(callee, func(target *types.Func, e Edge, owner *Node) bool {
-		_, ok := acquiresFamily(target)
-		return ok
-	}, nil)
-	if chain == nil {
-		return shortFuncName(callee)
-	}
-	if pos, ok := acquiresFamily(chain[len(chain)-1].Fn); ok {
-		chain[len(chain)-1].Pos = pos
-	}
-	return renderChain(c.pass.Fset, chain)
-}
-
 // shortPos renders a position as "file.go:12".
 func (c *ldChecker) shortPos(pos token.Pos) string {
 	p := c.pass.Fset.Position(pos)
-	return baseName(p.Filename) + ":" + itoa(p.Line)
-}
-
-// itoa avoids strconv in this file's hot diagnostic paths.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // NoDeterminism enforces seeded reproducibility in the packages whose
@@ -11,22 +12,14 @@ import (
 // order. Every stochastic choice must flow from an explicitly seeded
 // *rand.Rand so a run is a pure function of its seed.
 //
-// The check is transitive: a covered function that reaches time.Now or a
-// global rand draw through any chain of module calls — helpers in
-// uncovered packages included — is reported with the full chain
-// ("a → b → time.Now (file.go:12)"). Audited sinks (latency metrics
-// recorded outside the deterministic outputs) opt out at the sink line
-// with `//lint:ignore nodeterminism <reason>`, which removes them from
-// every chain at once; packages in Exempt (observability) are never
-// traversed. Sinks inside another covered package are blamed at their
-// own frame by the direct check, so chains stop at covered-package
-// boundaries rather than duplicating reports.
+// The check reads only the covered package's own code: a call into
+// another package is not followed. Clock reads elsewhere (latency
+// metrics in obs, fed, store, endpoint) never feed a covered package's
+// outputs, and the outputs themselves are pinned by the figure goldens
+// and the simulator's byte-identical op logs.
 type NoDeterminism struct {
 	// Packages lists the import paths the determinism policy covers.
 	Packages []string
-	// Exempt lists import paths never traversed or reported against —
-	// observability plumbing whose clock reads are part of its contract.
-	Exempt []string
 }
 
 func (a *NoDeterminism) Name() string { return "nodeterminism" }
@@ -51,14 +44,7 @@ var seededConstructors = map[string]bool{
 }
 
 func (a *NoDeterminism) Run(pass *Pass) {
-	covered := false
-	for _, p := range a.Packages {
-		if pass.Pkg.Path == p {
-			covered = true
-			break
-		}
-	}
-	if !covered {
+	if !slices.Contains(a.Packages, pass.Pkg.Path) {
 		return
 	}
 	for _, file := range pass.Pkg.Files {
@@ -72,90 +58,6 @@ func (a *NoDeterminism) Run(pass *Pass) {
 			return true
 		})
 	}
-	a.checkTransitive(pass)
-}
-
-// checkTransitive reports covered functions that reach a wall-clock or
-// global-rand sink through module call chains. Traversal stays inside
-// uncovered, non-exempt packages: a sink in a covered package is the
-// direct check's report, at its own frame.
-func (a *NoDeterminism) checkTransitive(pass *Pass) {
-	facts := pass.Facts()
-	outside := func(fn *types.Func) bool {
-		if fn.Pkg() == nil {
-			return false
-		}
-		path := fn.Pkg().Path()
-		return !a.pathIn(path, a.Packages) && !a.pathIn(path, a.Exempt)
-	}
-	sink := func(callee *types.Func, e Edge, owner *Node) bool {
-		if !outside(callee) {
-			return false
-		}
-		_, ok := a.firstSink(facts, pass, callee)
-		return ok
-	}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			chain := facts.Graph.FindChain(fn, sink, outside)
-			if chain == nil {
-				continue
-			}
-			last := chain[len(chain)-1].Fn
-			sc, _ := a.firstSink(facts, pass, last)
-			pos := pass.Fset.Position(sc.Pos)
-			pass.Reportf(chain[1].Pos,
-				"%s reaches %s through %s → %s (%s:%d): deterministic packages must not depend on the wall clock or global rand — inject or seed it, or annotate the audited sink",
-				fn.Name(), sc.Name, renderChainBare(chain), sc.Name, baseName(pos.Filename), pos.Line)
-		}
-	}
-}
-
-// firstSink returns callee's first clock/rand sink that is not sanctioned
-// by an //lint:ignore nodeterminism directive at the sink line.
-func (a *NoDeterminism) firstSink(facts *Facts, pass *Pass, callee *types.Func) (SinkCall, bool) {
-	sum := facts.Summary(callee)
-	if sum == nil {
-		return SinkCall{}, false
-	}
-	for _, list := range [][]SinkCall{sum.ClockCalls, sum.RandCalls} {
-		for _, sc := range list {
-			if !facts.SinkIgnored(a.Name(), pass.Fset, sc.Pos) {
-				return sc, true
-			}
-		}
-	}
-	return SinkCall{}, false
-}
-
-func (a *NoDeterminism) pathIn(path string, list []string) bool {
-	for _, p := range list {
-		if path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// renderChainBare joins a chain's function names without a trailing
-// position (the sink's own position is appended by the caller).
-func renderChainBare(chain []ChainStep) string {
-	out := ""
-	for i, step := range chain {
-		if i > 0 {
-			out += " → "
-		}
-		out += shortFuncName(step.Fn)
-	}
-	return out
 }
 
 // checkCall flags wall-clock reads and global math/rand draws.

@@ -8,30 +8,21 @@ import (
 
 type Client struct{}
 
-// Query is the repo's compatibility-wrapper idiom: the fresh root context
-// flows straight into the function's own Context variant.
-func (c *Client) Query(q string) error {
-	return c.QueryContext(context.Background(), q) // ok: compat wrapper
-}
-
-func (c *Client) QueryContext(ctx context.Context, q string) error { return nil }
-
 func (c *Client) Ask(q string) error { return nil }
 
 func (c *Client) AskContext(ctx context.Context, q string) error { return nil }
 
 func fresh() context.Context {
-	return context.Background() // want `context\.Background\(\) outside main or a Context-variant wrapper`
+	return context.Background() // want `context\.Background\(\) outside main`
 }
 
 func todo() context.Context {
-	return context.TODO() // want `context\.TODO\(\) outside main or a Context-variant wrapper`
+	return context.TODO() // want `context\.TODO\(\) outside main`
 }
 
+// A ctx-less wrapper around a Context variant mints a root context too.
 func mintsInsideOtherCall(c *Client, q string) error {
-	// The fresh context feeds AskContext, but this function is named
-	// neither Ask nor AskContext, so it is not the wrapper idiom.
-	return c.AskContext(context.Background(), q) // want `context\.Background\(\) outside main or a Context-variant wrapper`
+	return c.AskContext(context.Background(), q) // want `context\.Background\(\) outside main`
 }
 
 func drops(ctx context.Context, c *Client) error {

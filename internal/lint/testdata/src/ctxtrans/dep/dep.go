@@ -1,5 +1,5 @@
 // Package dep provides a client with paired ctx-less / Context-variant
-// methods, the shape the transitive ctxflow rule guards.
+// methods.
 package dep
 
 import "context"

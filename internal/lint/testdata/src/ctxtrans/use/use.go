@@ -1,6 +1,6 @@
-// Package use exercises the transitive ctxflow rule: a ctx-holding
-// function whose context is severed by a ctx-less helper chain that ends
-// in a call with a Context variant.
+// Package use pins ctxflow's scope: rule 2 looks at one call in the frame
+// that holds the ctx. A ctx-less helper that calls the ctx-less variant
+// further down is not followed.
 package use
 
 import (
@@ -10,34 +10,14 @@ import (
 )
 
 func helper(c dep.Client) int {
-	return c.Query("x")
+	return c.Query("x") // ok: helper holds no ctx to drop
 }
 
-// The severing happens at the first hop: helper has no ctx parameter and
-// something below it calls Query, which has QueryContext.
+// ok: the drop happens below a ctx-less helper, which is not followed.
 func Run(ctx context.Context, c dep.Client) int {
-	return helper(c) // want `ctx held by Run is severed here: use\.helper → Query \(use\.go:\d+\) — Query has a Context variant`
+	return helper(c)
 }
 
-func helperDeep(c dep.Client) int { return helper(c) }
-
-// Two ctx-less hops: the full chain is printed.
-func RunDeep(ctx context.Context, c dep.Client) int {
-	return helperDeep(c) // want `ctx held by RunDeep is severed here: use\.helperDeep → use\.helper → Query`
-}
-
-func helperAudited(c dep.Client) int {
-	return c.Query("x") //lint:ignore ctxflow fire-and-forget by design; result unused
-}
-
-// ok: the sink is annotated at the drop line.
-func RunAudited(ctx context.Context, c dep.Client) int {
-	return helperAudited(c)
-}
-
-// The direct rule (2) still owns same-frame drops; the transitive rule
-// skips callees that have their own Context variant, so exactly one
-// diagnostic fires here.
 func RunDirect(ctx context.Context, c dep.Client) int {
 	return c.Query("x") // want `Query drops the caller's ctx: use QueryContext instead`
 }

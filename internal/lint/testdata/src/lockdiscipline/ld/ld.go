@@ -1,7 +1,7 @@
 // Package ld exercises the lockdiscipline analyzer: leaks, returns while
-// locked, re-entrant calls under a held lock, and the idioms that must
-// stay clean (defers, helper unlocks, early unlock-and-return,
-// goroutine-local locking, read-read nesting).
+// locked, double acquires, closures that lock without releasing, and the
+// idioms that must stay clean (defers, deferred closures, early
+// unlock-and-return, goroutine-local locking).
 package ld
 
 import "sync"
@@ -51,22 +51,6 @@ func (s *S) GoodSwitch(k int) {
 	s.mu.Unlock()
 }
 
-func (s *S) unlock() { s.mu.Unlock() }
-
-// ok: the unlock lives in a deferred helper whose summary releases it.
-func (s *S) GoodHelperUnlock() {
-	s.mu.Lock()
-	defer s.unlock()
-	s.n++
-}
-
-// ok: inline helper unlock.
-func (s *S) GoodHelperUnlockInline() {
-	s.mu.Lock()
-	s.n++
-	s.unlock()
-}
-
 // ok: deferred closure performs the unlock.
 func (s *S) GoodDeferClosure() {
 	s.mu.Lock()
@@ -83,19 +67,6 @@ func (s *S) GoodGoroutine() {
 		defer s.mu.Unlock()
 		s.n++
 	}()
-}
-
-func (s *S) readLocked() int {
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.n
-}
-
-// ok: read-read nesting on an RWMutex does not self-deadlock.
-func (s *S) GoodReadRead() int {
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	return s.readLocked()
 }
 
 // Leak: the lock falls off the end of the function.
@@ -121,42 +92,38 @@ func (s *S) Double() {
 	s.mu.Unlock()
 }
 
+// ok: read-read nesting on an RWMutex does not self-deadlock.
+func (s *S) GoodReadRead() int {
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	return s.n
+}
+
+// A read lock under the write lock of the same RWMutex deadlocks.
+func (s *S) WriteThenRead() int {
+	s.rw.Lock()
+	defer s.rw.Unlock()
+	s.rw.RLock() // want `s\.rw locked again while already held`
+	return s.n
+}
+
+// A deferred closure is a scope of its own: it must release what it locks.
+func (s *S) DeferClosureLeak() {
+	defer func() {
+		s.mu.Lock()
+		s.n--
+	}() // want `closure ends with s\.mu still locked`
+	s.n++
+}
+
 // A loop body that acquires without releasing.
 func (s *S) LoopLeak(xs []int) {
 	for range xs {
 		s.mu.Lock() // want `loop body leaves s\.mu locked`
 		s.n++
 	}
-}
-
-func (s *S) addLocked() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.n++
-}
-
-// Direct call under the lock into a function re-acquiring the family.
-func (s *S) CallUnderLock() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked() // want `call while s\.mu \(family ld\.S\.mu\) is held: ld\.\(\*S\)\.addLocked \(ld\.go:\d+\) re-acquires the same lock family`
-}
-
-func (s *S) viaHelper() { s.addLocked() }
-
-// Transitive: the re-acquisition is two frames down; the chain is printed.
-func (s *S) CallUnderLockChain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.viaHelper() // want `ld\.\(\*S\)\.viaHelper → ld\.\(\*S\)\.addLocked \(ld\.go:\d+\)`
-}
-
-// Write lock held, callee takes a read lock on the same RWMutex: deadlock
-// (Go RWMutex writers block later readers).
-func (s *S) WriteThenRead() int {
-	s.rw.Lock()
-	defer s.rw.Unlock()
-	return s.readLocked() // want `re-acquires the same lock family`
 }
 
 // ok: a local mutex balanced in-function.
@@ -175,5 +142,5 @@ func LocalLeak() {
 // ok: an audited handoff suppressed at the report line.
 func (s *S) Handoff() {
 	s.mu.Lock()
-	//lint:ignore lockdiscipline lock intentionally handed to the caller, released via unlock()
+	//lint:ignore lockdiscipline lock intentionally handed to the caller, which releases it
 }

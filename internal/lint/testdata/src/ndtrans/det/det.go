@@ -1,45 +1,24 @@
-// Package det is covered by the determinism policy; the transitive check
-// must flag chains out of it that reach the wall clock.
+// Package det is covered by the determinism policy. Its calls into an
+// uncovered package are not followed: the policy reads det's own code.
 package det
 
 import (
+	"time"
+
 	"fix/helper"
-	"fix/obs"
 )
 
-// A one-hop chain into an unannotated sink.
+// ok: the clock read is in helper, one call away.
 func Run() int {
-	return helper.Stamp() // want `Run reaches time\.Now through det\.Run → helper\.Stamp → time\.Now \(helper\.go:\d+\)`
+	return helper.Stamp()
 }
 
-// indirect is itself a covered function, so it is blamed at its own
-// frame (the nearest one to the sink) ...
-func indirect() int {
-	return helper.Stamp() // want `indirect reaches time\.Now through det\.indirect → helper\.Stamp → time\.Now`
-}
-
-// ... and its covered callers are NOT re-reported: chains stop at
-// covered-package boundaries instead of duplicating blame upward.
-func RunDeep() int {
-	return indirect()
-}
-
-// ok: the sink is annotated as an audited latency metric.
-func Audited() int {
-	return helper.Metric()
-}
-
-// Interface dispatch: the single module implementation reads the clock.
+// ok: interface dispatch is not followed either.
 func UseSource(s helper.Source) int {
-	return s.Value() // want `UseSource reaches time\.Now through det\.UseSource → helper\.\(WallClock\)\.Value → time\.Now`
+	return s.Value()
 }
 
-// ok: the single implementation of Clean is deterministic.
-func UseClean(c helper.Clean) int {
-	return c.Tick()
-}
-
-// ok: the observability package is exempt.
-func Instrumented() int {
-	return obs.Observe()
+// A clock read in det itself is still reported.
+func Direct() int {
+	return int(time.Now().UnixNano()) // want `time\.Now reads the wall clock`
 }

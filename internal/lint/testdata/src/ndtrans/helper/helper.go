@@ -1,34 +1,15 @@
-// Package helper is an uncovered package the deterministic packages call
-// into; its clock reads are what the transitive check must surface.
+// Package helper is an uncovered package the deterministic package calls
+// into.
 package helper
 
 import "time"
 
-// Stamp reads the wall clock with no annotation: any covered caller
-// reaching it must be reported.
 func Stamp() int {
 	return int(time.Now().UnixNano())
 }
 
-// Metric's clock read is an audited latency-only sink: the annotation
-// removes it from every transitive chain.
-func Metric() int {
-	return int(time.Now().UnixNano()) //lint:ignore nodeterminism audited: latency metric only, never feeds outputs
-}
-
-// Source is dispatched through an interface; the call graph expands it to
-// the module implementations below.
 type Source interface{ Value() int }
 
-// WallClock is the nondeterministic implementation.
 type WallClock struct{}
 
 func (WallClock) Value() int { return int(time.Now().UnixNano()) }
-
-// Clean is an interface whose single module implementation is
-// deterministic — calls through it must stay clean.
-type Clean interface{ Tick() int }
-
-type Fixed struct{}
-
-func (Fixed) Tick() int { return 42 }

@@ -126,7 +126,7 @@ type QEntry[S comparable, A comparable] struct {
 // Entries exports every state-action statistic (unordered), for
 // persistence and introspection. The generic key types are not ordered,
 // so consumers that need stable bytes sort the exported slice themselves
-// (see core.sortPartitionState).
+// (see core.(*Engine).SaveState).
 func (q *QTable[S, A]) Entries() []QEntry[S, A] {
 	out := make([]QEntry[S, A], 0, len(q.count))
 	//lint:ignore nodeterminism documented-unordered export over generic (unsortable) keys; persisting consumers sort

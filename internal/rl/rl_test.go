@@ -8,9 +8,9 @@ import (
 	"testing/quick"
 )
 
-// mustAction consults the policy for a state known to have actions,
+// mustAction consults the ε-greedy policy for a state known to have actions,
 // failing the test on the (impossible there) ErrNoActions.
-func mustAction[S comparable, A comparable](t *testing.T, p Policy[S, A], s S, actions []A) A {
+func mustAction[S comparable, A comparable](t *testing.T, p *EpsilonGreedy[S, A], s S, actions []A) A {
 	t.Helper()
 	a, err := p.Action(s, actions)
 	if err != nil {

@@ -63,7 +63,7 @@ func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	opt = opt.withDefaults()
 	var t0 time.Time
 	if opt.Obs != nil {
-		t0 = time.Now() //lint:ignore nodeterminism load latency metric only; never feeds store contents
+		t0 = time.Now()
 	}
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -88,7 +88,7 @@ func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 		opt.Obs.Counter(obs.LoadParallelTriples).Add(int64(parsed))
 		opt.Obs.Counter(obs.LoadParallelChunks).Add(int64(chunks))
 		opt.Obs.Gauge(obs.LoadParallelWorkers).Set(int64(workers))
-		opt.Obs.Histogram(obs.LoadParallelNS).Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism load latency metric only; never feeds store contents
+		opt.Obs.Histogram(obs.LoadParallelNS).Observe(time.Since(t0).Nanoseconds())
 	}
 	return added, nil
 }
@@ -178,7 +178,7 @@ func LoadTurtle(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	opt = opt.withDefaults()
 	var t0 time.Time
 	if opt.Obs != nil {
-		t0 = time.Now() //lint:ignore nodeterminism load latency metric only; never feeds store contents
+		t0 = time.Now()
 	}
 	tr, err := rdf.NewTurtleReader(r)
 	if err != nil {
@@ -226,8 +226,8 @@ func LoadTurtle(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	if opt.Obs != nil {
 		opt.Obs.Counter(obs.LoadParallelTriples).Add(int64(len(ids)))
 		opt.Obs.Counter(obs.LoadParallelChunks).Add(1)
-		opt.Obs.Gauge(obs.LoadParallelWorkers).Set(2)                               // parser + interner
-		opt.Obs.Histogram(obs.LoadParallelNS).Observe(time.Since(t0).Nanoseconds()) //lint:ignore nodeterminism load latency metric only; never feeds store contents
+		opt.Obs.Gauge(obs.LoadParallelWorkers).Set(2) // parser + interner
+		opt.Obs.Histogram(obs.LoadParallelNS).Observe(time.Since(t0).Nanoseconds())
 	}
 	return added, nil
 }
