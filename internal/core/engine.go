@@ -195,7 +195,8 @@ func (e *Engine) SetInitialLinks(links []linkset.Link) {
 		if !ok {
 			continue
 		}
-		e.partitions[pi].addCandidate(l)
+		p := e.partitions[pi]
+		p.addCandidate(p.intern(l))
 	}
 	e.foldLocked()
 }
@@ -342,7 +343,7 @@ func (e *Engine) collectStats() EpisodeStats {
 		stats.Added += p.episodeAdds
 		stats.Removed += p.episodeRemoves
 		stats.Changed += p.episodeChanged
-		stats.Candidates += len(p.candidates)
+		stats.Candidates += p.candidates
 		stats.Rollbacks += p.rollbacks
 		stats.DroppedConverged += p.droppedConverged
 	}

@@ -308,13 +308,13 @@ func TestEngineInvariantsProperty(t *testing.T) {
 			e.RunEpisode(SerialJudge(judge))
 			for i := 0; i < e.Partitions(); i++ {
 				part := e.partitions[i]
-				for l := range part.candidates {
-					if _, black := part.blacklist[l]; black {
-						t.Fatalf("seed %d: blacklisted link %v still a candidate", seed, l)
+				for id, st := range part.ls {
+					if st.flags&isCandidate != 0 && st.flags&isBlacklisted != 0 {
+						t.Fatalf("seed %d: blacklisted link %v still a candidate", seed, part.links[id])
 					}
 				}
-				for sa, links := range part.genLinks {
-					if _, rolled := part.rolledBack[sa]; rolled && len(links) > 0 {
+				for _, sa := range part.sas {
+					if sa.rolledBack && len(sa.gen) > 0 {
 						t.Fatalf("seed %d: rolled-back pair retains genLinks", seed)
 					}
 				}

@@ -35,11 +35,12 @@ func (e *Engine) FeatureReport(i int, minVisits int) []FeatureQuality {
 	dict := e.ds1.Dict()
 	var out []FeatureQuality
 	for _, k := range p.fqKeys() {
-		visits := p.fq.Visits(struct{}{}, k)
+		id := p.band(k)
+		visits := p.fq.Visits(id)
 		if visits < minVisits {
 			continue
 		}
-		mean, _ := p.fq.Q(struct{}{}, k)
+		mean, _ := p.fq.Q(id)
 		out = append(out, FeatureQuality{
 			Pred1:  dict.Term(k.f.P1).Value,
 			Pred2:  dict.Term(k.f.P2).Value,
@@ -64,34 +65,29 @@ func (e *Engine) FeatureReport(i int, minVisits int) []FeatureQuality {
 }
 
 // fqKeys enumerates the feature/band keys with recorded returns, in
-// deterministic order.
+// (feature, band) order: only the features the space holds now, in the
+// bands scores fall in.
 func (p *partition) fqKeys() []fqKey {
-	seen := map[fqKey]struct{}{}
 	var out []fqKey
-	// The QTable does not expose its keys; reconstruct them from the
-	// feature space: every feature of every candidate pair, bucketed.
-	for _, f := range p.space.Features() {
+	for _, f := range p.space.Features() { // sorted, distinct
 		for bucket := 0; bucket <= 10; bucket++ {
-			k := fqKey{f: f, bucket: bucket}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			if p.fq.Visits(struct{}{}, k) > 0 {
-				seen[k] = struct{}{}
+			if k := (fqKey{f: f, bucket: bucket}); p.fq.Visits(p.band(k)) > 0 {
 				out = append(out, k)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].f.P1 != out[j].f.P1 {
-			return out[i].f.P1 < out[j].f.P1
-		}
-		if out[i].f.P2 != out[j].f.P2 {
-			return out[i].f.P2 < out[j].f.P2
-		}
-		return out[i].bucket < out[j].bucket
-	})
 	return out
+}
+
+// blacklisted counts the partition's blacklisted links.
+func (p *partition) blacklisted() int {
+	n := 0
+	for _, st := range p.ls {
+		if st.flags&isBlacklisted != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // PolicyStats summarizes a partition's learning state.
@@ -118,10 +114,10 @@ func (e *Engine) PartitionPolicyStats(i int) PolicyStats {
 	defer e.mu.RUnlock()
 	p := e.partitions[i]
 	return PolicyStats{
-		States:           len(p.policy.GreedyEntries()),
+		States:           p.policy.Len(),
 		StateActionPairs: p.q.Len(),
-		Candidates:       len(p.candidates),
-		Blacklisted:      len(p.blacklist),
+		Candidates:       p.candidates,
+		Blacklisted:      p.blacklisted(),
 		Rollbacks:        p.rollbacks,
 		Episodes:         p.episodes,
 		Converged:        p.converged,

@@ -49,7 +49,7 @@ func buildTestPartition(t *testing.T, cfg Config) (*partition, *datagen.Pair) {
 
 func TestPartitionAddRemoveCandidate(t *testing.T) {
 	pt, pair := buildTestPartition(t, Defaults())
-	l := pair.Truth.Links()[0]
+	l := pt.intern(pair.Truth.Links()[0])
 	if !pt.addCandidate(l) {
 		t.Error("addCandidate = false")
 	}
@@ -66,10 +66,10 @@ func TestPartitionAddRemoveCandidate(t *testing.T) {
 
 func TestPartitionBlacklistBlocksReAdd(t *testing.T) {
 	pt, pair := buildTestPartition(t, Defaults())
-	l := pair.Truth.Links()[0]
+	l := pt.intern(pair.Truth.Links()[0])
 	pt.addCandidate(l)
 	pt.handleFeedback(l, false) // negative: removed + blacklisted
-	if _, ok := pt.candidates[l]; ok {
+	if pt.isCandidate(l) {
 		t.Fatal("link not removed on negative feedback")
 	}
 	if pt.addCandidate(l) {
@@ -79,7 +79,7 @@ func TestPartitionBlacklistBlocksReAdd(t *testing.T) {
 
 func TestPartitionNoBlacklistAllowsReAdd(t *testing.T) {
 	pt, pair := buildTestPartition(t, Defaults().DisableBlacklist())
-	l := pair.Truth.Links()[0]
+	l := pt.intern(pair.Truth.Links()[0])
 	pt.addCandidate(l)
 	pt.handleFeedback(l, false)
 	if !pt.addCandidate(l) {
@@ -102,18 +102,19 @@ func TestPartitionPositiveFeedbackExplores(t *testing.T) {
 	if !found {
 		t.Fatal("no truth link in space")
 	}
-	pt.addCandidate(l)
-	before := len(pt.candidates)
-	pt.handleFeedback(l, true)
-	if len(pt.candidates) <= before {
+	id := pt.intern(l)
+	pt.addCandidate(id)
+	before := pt.candidates
+	pt.handleFeedback(id, true)
+	if pt.candidates <= before {
 		t.Error("positive feedback explored no links")
 	}
 	// Every explored link carries provenance pointing at l.
-	for cand := range pt.candidates {
+	for cand := range pt.candidateSet() {
 		if cand == l {
 			continue
 		}
-		if len(pt.provenance[cand]) == 0 {
+		if len(pt.ls[pt.ids[cand]].prov) == 0 {
 			t.Errorf("explored link %v has no provenance", cand)
 		}
 	}
@@ -129,15 +130,15 @@ func TestPartitionSampleEmptiness(t *testing.T) {
 func TestPartitionSampleSkipsRemoved(t *testing.T) {
 	pt, pair := buildTestPartition(t, Defaults())
 	links := pair.Truth.Links()
-	pt.addCandidate(links[0])
-	pt.addCandidate(links[1])
-	pt.removeCandidate(links[0])
+	pt.addCandidate(pt.intern(links[0]))
+	pt.addCandidate(pt.intern(links[1]))
+	pt.removeCandidate(pt.intern(links[0]))
 	for i := 0; i < 20; i++ {
 		got, ok := pt.sample()
 		if !ok {
 			t.Fatal("sample failed")
 		}
-		if got == links[0] {
+		if pt.links[got] == links[0] {
 			t.Fatal("sampled a removed link")
 		}
 	}
@@ -154,12 +155,12 @@ func TestPartitionRollback(t *testing.T) {
 			break
 		}
 	}
-	pt.addCandidate(l)
-	pt.handleFeedback(l, true) // explore
-	var generated []linkset.Link
-	for cand := range pt.candidates {
+	pt.addCandidate(pt.intern(l))
+	pt.handleFeedback(pt.intern(l), true) // explore
+	var generated []uint32
+	for cand := range pt.candidateSet() {
 		if cand != l {
-			generated = append(generated, cand)
+			generated = append(generated, pt.intern(cand))
 		}
 	}
 	if len(generated) < 3 {
@@ -182,22 +183,20 @@ func TestPartitionRollback(t *testing.T) {
 	if pt.rollbacks == 0 {
 		t.Fatal("rollback not triggered")
 	}
-	if _, ok := pt.candidates[generated[0]]; !ok {
+	if !pt.isCandidate(generated[0]) {
 		t.Error("positively-confirmed link removed by rollback")
 	}
 	// Unconfirmed generated links are gone.
 	for _, g := range generated[1:] {
-		if _, ok := pt.candidates[g]; ok {
-			if _, confirmed := pt.posConfirmed[g]; !confirmed {
-				t.Errorf("unconfirmed generated link %v survived rollback", g)
-			}
+		if pt.isCandidate(g) && pt.ls[g].flags&isConfirmed == 0 {
+			t.Errorf("unconfirmed generated link %v survived rollback", pt.links[g])
 		}
 	}
 	// Rolled-back links that never got negative feedback are NOT
 	// blacklisted (§6.3) and may be re-added.
 	survivorBlacklisted := 0
 	for _, g := range generated[1:] {
-		if _, black := pt.blacklist[g]; black {
+		if pt.ls[g].flags&isBlacklisted != 0 {
 			survivorBlacklisted++
 		}
 	}
@@ -217,11 +216,11 @@ func TestPartitionRollbackDisabled(t *testing.T) {
 			break
 		}
 	}
-	pt.addCandidate(l)
-	pt.handleFeedback(l, true)
-	for cand := range pt.candidates {
+	pt.addCandidate(pt.intern(l))
+	pt.handleFeedback(pt.intern(l), true)
+	for cand := range pt.candidateSet() {
 		if cand != l {
-			pt.handleFeedback(cand, false)
+			pt.handleFeedback(pt.intern(cand), false)
 			break
 		}
 	}
@@ -239,29 +238,29 @@ func TestPartitionFirstVisitRewardOncePerEpisode(t *testing.T) {
 			break
 		}
 	}
-	pt.addCandidate(l)
-	pt.handleFeedback(l, true) // explore; generated links get provenance
-	var gen linkset.Link
+	pt.addCandidate(pt.intern(l))
+	pt.handleFeedback(pt.intern(l), true) // explore; generated links get provenance
+	var gen uint32
 	ok := false
-	for cand := range pt.candidates {
-		if cand != l && len(pt.provenance[cand]) > 0 {
-			gen, ok = cand, true
+	for cand := range pt.candidateSet() {
+		if id := pt.intern(cand); cand != l && len(pt.ls[id].prov) > 0 {
+			gen, ok = id, true
 			break
 		}
 	}
 	if !ok {
 		t.Skip("no generated link")
 	}
-	sa := pt.provenance[gen][0]
+	sa := pt.ls[gen].prov[0]
 	pt.handleFeedback(gen, true)
-	v1 := pt.q.Visits(sa.s, sa.a)
+	v1 := pt.q.Visits(sa)
 	pt.handleFeedback(gen, true) // second visit same episode: no new return
-	if got := pt.q.Visits(sa.s, sa.a); got != v1 {
+	if got := pt.q.Visits(sa); got != v1 {
 		t.Errorf("second visit added a return: %d -> %d", v1, got)
 	}
 	pt.visits.Reset() // new episode
 	pt.handleFeedback(gen, true)
-	if got := pt.q.Visits(sa.s, sa.a); got != v1+1 {
+	if got := pt.q.Visits(sa); got != v1+1 {
 		t.Errorf("new-episode visit did not add a return: %d -> %d", v1, got)
 	}
 }
@@ -284,16 +283,25 @@ func TestPartitionConvergesWhenNoChanges(t *testing.T) {
 
 func TestPartitionActionsForUnknownState(t *testing.T) {
 	pt, _ := buildTestPartition(t, Defaults())
-	if got := pt.actions(linkset.Link{Left: 1, Right: 2}); got != nil {
+	if got := pt.actions(pt.intern(linkset.Link{Left: 1, Right: 2})); got != nil {
 		t.Errorf("actions for unknown state = %v", got)
 	}
 }
 
 func TestRemoveSA(t *testing.T) {
-	a := stateAction{s: linkset.Link{Left: 1, Right: 1}}
-	b := stateAction{s: linkset.Link{Left: 2, Right: 2}}
-	got := removeSA([]stateAction{a, b, a}, a)
-	if len(got) != 1 || got[0] != b {
+	got := removeSA([]uint32{1, 2, 1}, 1)
+	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("removeSA = %v", got)
 	}
+}
+
+// candidateSet returns the partition's candidates as a set.
+func (p *partition) candidateSet() map[linkset.Link]struct{} {
+	out := make(map[linkset.Link]struct{}, p.candidates)
+	for id, st := range p.ls {
+		if st.flags&isCandidate != 0 {
+			out[p.links[id]] = struct{}{}
+		}
+	}
+	return out
 }

@@ -11,7 +11,6 @@ import (
 	"alex/internal/feature"
 	"alex/internal/linkset"
 	"alex/internal/rdf"
-	"alex/internal/rl"
 )
 
 // This file implements engine state persistence: a long-running linking
@@ -97,43 +96,50 @@ func (e *Engine) SaveState(w io.Writer) error {
 			Converged: p.converged,
 			Rollbacks: p.rollbacks,
 		}
-		// Every wire slice is filled from a map and sorted here: two
-		// snapshots of the same engine state must be byte-identical so
-		// checkpoints can be compared, deduplicated and tested against
-		// golden files.
-		for l := range p.candidates {
-			ps.Candidates = append(ps.Candidates, wl(l))
+		// Every wire slice is sorted by IRI here: two snapshots of the same
+		// engine state must be byte-identical so checkpoints can be
+		// compared, deduplicated and tested against golden files, and ids
+		// follow the order links were first seen in, not their IRIs.
+		for id, ls := range p.ls {
+			l := wl(p.links[id])
+			if ls.flags&isCandidate != 0 {
+				ps.Candidates = append(ps.Candidates, l)
+			}
+			if ls.flags&isBlacklisted != 0 {
+				ps.Blacklist = append(ps.Blacklist, l)
+			}
+			if ls.negs > 0 {
+				ps.NegByLink = append(ps.NegByLink, wireLinkCount{L: l, N: ls.negs})
+			}
+			if ls.flags&isConfirmed != 0 {
+				ps.PosConfirmed = append(ps.PosConfirmed, l)
+			}
 		}
 		slices.SortFunc(ps.Candidates, cmpWireLink)
-		for l := range p.blacklist {
-			ps.Blacklist = append(ps.Blacklist, wl(l))
-		}
 		slices.SortFunc(ps.Blacklist, cmpWireLink)
-		for l, n := range p.negByLink {
-			ps.NegByLink = append(ps.NegByLink, wireLinkCount{L: wl(l), N: n})
-		}
 		slices.SortFunc(ps.NegByLink, func(a, b wireLinkCount) int { return cmpWireLink(a.L, b.L) })
-		for l := range p.posConfirmed {
-			ps.PosConfirmed = append(ps.PosConfirmed, wl(l))
-		}
 		slices.SortFunc(ps.PosConfirmed, cmpWireLink)
-		for sa := range p.rolledBack {
-			ps.RolledBack = append(ps.RolledBack, wireSA{S: wl(sa.s), A: wf(sa.a)})
+		for _, sa := range p.sas {
+			if sa.rolledBack {
+				ps.RolledBack = append(ps.RolledBack, wireSA{S: wl(p.links[sa.s]), A: wf(sa.a)})
+			}
 		}
 		slices.SortFunc(ps.RolledBack, func(a, b wireSA) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
-		for _, qe := range p.q.Entries() {
-			ps.Q = append(ps.Q, wireQ{S: wl(qe.State), A: wf(qe.Action), Sum: qe.Sum, Count: qe.Count})
-		}
+		p.q.Each(func(id uint32, sum float64, count int) {
+			sa := &p.sas[id]
+			ps.Q = append(ps.Q, wireQ{S: wl(p.links[sa.s]), A: wf(sa.a), Sum: sum, Count: count})
+		})
 		slices.SortFunc(ps.Q, func(a, b wireQ) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
-		for _, fe := range p.fq.Entries() {
-			ps.FQ = append(ps.FQ, wireFQ{A: wf(fe.Action.f), Bucket: fe.Action.bucket, Sum: fe.Sum, Count: fe.Count})
-		}
+		p.fq.Each(func(id uint32, sum float64, count int) {
+			k := p.fqByID[id]
+			ps.FQ = append(ps.FQ, wireFQ{A: wf(k.f), Bucket: k.bucket, Sum: sum, Count: count})
+		})
 		slices.SortFunc(ps.FQ, func(a, b wireFQ) int {
 			return cmp.Or(cmpWireFeature(a.A, b.A), cmp.Compare(a.Bucket, b.Bucket))
 		})
-		for s, a := range p.policy.GreedyEntries() {
-			ps.Greedy = append(ps.Greedy, wireGreedy{S: wl(s), A: wf(a)})
-		}
+		p.policy.Each(func(s uint32, a feature.Feature) {
+			ps.Greedy = append(ps.Greedy, wireGreedy{S: wl(p.links[s]), A: wf(a)})
+		})
 		slices.SortFunc(ps.Greedy, func(a, b wireGreedy) int { return cmpWireLink(a.S, b.S) })
 		st.Partitions = append(st.Partitions, ps)
 	}
@@ -191,53 +197,50 @@ func (e *Engine) LoadState(r io.Reader) error {
 		p := e.partitions[i]
 		for _, w := range ps.Candidates {
 			if l, ok := link(w); ok {
-				p.addCandidate(l)
+				p.addCandidate(p.intern(l))
 			}
 		}
 		for _, w := range ps.Blacklist {
 			if l, ok := link(w); ok {
-				p.blacklist[l] = struct{}{}
-				p.removeCandidate(l)
+				id := p.intern(l)
+				p.ls[id].flags |= isBlacklisted
+				p.removeCandidate(id)
 			}
 		}
 		for _, w := range ps.NegByLink {
 			if l, ok := link(w.L); ok {
-				p.negByLink[l] = w.N
+				p.ls[p.intern(l)].negs = w.N
 			}
 		}
 		for _, w := range ps.PosConfirmed {
 			if l, ok := link(w); ok {
-				p.posConfirmed[l] = struct{}{}
+				p.ls[p.intern(l)].flags |= isConfirmed
 			}
 		}
 		for _, w := range ps.RolledBack {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.rolledBack[stateAction{s: l, a: f}] = struct{}{}
+				p.sas[p.internPair(p.intern(l), f)].rolledBack = true
 			}
 		}
 		for _, w := range ps.Q {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.q.Load(rl.QEntry[linkset.Link, feature.Feature]{
-					State: l, Action: f, Sum: w.Sum, Count: w.Count,
-				})
+				p.q.Load(p.internPair(p.intern(l), f), w.Sum, w.Count)
 			}
 		}
 		for _, w := range ps.FQ {
 			if f, ok := feat(w.A); ok {
-				p.fq.Load(rl.QEntry[struct{}, fqKey]{
-					Action: fqKey{f: f, bucket: w.Bucket}, Sum: w.Sum, Count: w.Count,
-				})
+				p.fq.Load(p.internBand(fqKey{f: f, bucket: w.Bucket}), w.Sum, w.Count)
 			}
 		}
 		for _, w := range ps.Greedy {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.policy.Improve(l, f)
+				p.policy.Improve(p.intern(l), f)
 			}
 		}
 		p.episodes = ps.Episodes

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -51,7 +50,7 @@ func symmetricDifference(a, b map[linkset.Link]struct{}) int {
 // and nothing is left in the log.
 func checkView(t *testing.T, when string, p *partition) {
 	t.Helper()
-	if want := sortedKeys(p.candidates); !slices.Equal(p.view, want) {
+	if want := sortedKeys(p.candidateSet()); !slices.Equal(p.view, want) {
 		t.Fatalf("%s: partition %d view has %d links, candidates %d:\nview %v\nwant %v",
 			when, p.id, len(p.view), len(want), p.view, want)
 	}
@@ -68,7 +67,7 @@ func checkView(t *testing.T, when string, p *partition) {
 func TestFoldMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	p := newPartition(0, nil, Defaults().withDefaults(), 1)
-	atLastFold := maps.Clone(p.candidates)
+	atLastFold := p.candidateSet()
 	logged, overflowed := 0, 0
 	for step := 0; step < 2000; step++ {
 		// Mostly a few changes between folds (the log holds), sometimes
@@ -80,9 +79,9 @@ func TestFoldMatchesNaive(t *testing.T) {
 		for ; gap > 0; gap-- {
 			l := linkset.Link{Left: rdf.TermID(rng.Intn(20)), Right: rdf.TermID(rng.Intn(20))}
 			if rng.Intn(5) < 3 {
-				p.addCandidate(l)
+				p.addCandidate(p.intern(l))
 			} else {
-				p.removeCandidate(l)
+				p.removeCandidate(p.intern(l))
 			}
 		}
 		if len(p.touched) > 0 {
@@ -94,10 +93,10 @@ func TestFoldMatchesNaive(t *testing.T) {
 		}
 		got := p.fold()
 		checkView(t, fmt.Sprintf("step %d", step), p)
-		if want := symmetricDifference(atLastFold, p.candidates); got != want {
+		if want := symmetricDifference(atLastFold, p.candidateSet()); got != want {
 			t.Fatalf("step %d: fold reported %d changed links, snapshots differ in %d", step, got, want)
 		}
-		atLastFold = maps.Clone(p.candidates)
+		atLastFold = p.candidateSet()
 	}
 	if logged < 100 || overflowed < 10 {
 		t.Errorf("folds: %d from a complete log, %d from a cut-short one; the test needs plenty of both", logged, overflowed)
@@ -149,7 +148,7 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 	snapshots := func() []map[linkset.Link]struct{} {
 		out := make([]map[linkset.Link]struct{}, len(e.partitions))
 		for i, p := range e.partitions {
-			out[i] = maps.Clone(p.candidates)
+			out[i] = p.candidateSet()
 		}
 		return out
 	}
@@ -158,14 +157,14 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 		n := 0
 		for _, p := range e.partitions {
 			checkView(t, when, p)
-			n += len(p.candidates)
+			n += p.candidates
 			if got := e.PartitionCandidates(p.id); !slices.Equal(got, p.view) {
 				t.Fatalf("%s: PartitionCandidates(%d) differs from the view", when, p.id)
 			}
 		}
 		all := make(map[linkset.Link]struct{}, n)
 		for _, p := range e.partitions {
-			for l := range p.candidates {
+			for l := range p.candidateSet() {
 				all[l] = struct{}{}
 			}
 		}
@@ -180,7 +179,7 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 		t.Helper()
 		total := 0
 		for i, p := range e.partitions {
-			want := symmetricDifference(before[i], p.candidates)
+			want := symmetricDifference(before[i], p.candidateSet())
 			if p.episodeChanged != want {
 				t.Fatalf("%s: partition %d episodeChanged = %d, snapshots differ in %d", when, i, p.episodeChanged, want)
 			}
@@ -265,15 +264,17 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 				l := anyLink()
 				p := e.partitions[e.subjectPartition[l.Left]]
 				if rng.Intn(3) > 0 {
-					p.addCandidate(l)
+					p.addCandidate(p.intern(l))
 				} else {
-					p.removeCandidate(l)
+					p.removeCandidate(p.intern(l))
 				}
 			}
 			for _, p := range e.partitions {
-				for sa := range p.genLinks {
-					p.rollback(sa)
-					break
+				for sa := range p.sas {
+					if len(p.sas[sa].gen) > 0 {
+						p.rollback(uint32(sa))
+						break
+					}
 				}
 				if len(p.touched) > 0 && p.overflowed {
 					overflowed++

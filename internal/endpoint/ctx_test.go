@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +163,79 @@ func TestValuesQueryHonoursCancellation(t *testing.T) {
 		cancel()
 		if rec.Code != http.StatusGatewayTimeout {
 			t.Errorf("%s: status %d over HTTP, want 504", name, rec.Code)
+		}
+	}
+}
+
+// pollDeadline is a context whose deadline passes at an exact point of an
+// evaluation rather than at a time: Err answers nil to its first after
+// looks and DeadlineExceeded from then on. polls counts the looks.
+type pollDeadline struct {
+	context.Context
+	after int64
+	polls atomic.Int64
+}
+
+func (c *pollDeadline) Err() error {
+	if c.polls.Add(1) > c.after {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestOrderByGroupByHonourCancellation: ORDER BY and GROUP BY end with
+// their request too, even when the deadline passes after the patterns are
+// matched. Two 200-value VALUES blocks join into 40,000 rows, which the
+// query then sorts or groups. Each query first runs under a context that
+// never expires, once as written and once without its ORDER BY or GROUP
+// BY, to count how often matching alone looks at the context; run again
+// under a deadline that passes at the first look after that, it must stop
+// with DeadlineExceeded — which a sort or grouping deaf to its context
+// would never reach — and over HTTP answer 504.
+func TestOrderByGroupByHonourCancellation(t *testing.T) {
+	st := store.New("finalize", rdf.NewDict())
+	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/s"), P: rdf.NewIRI("http://x/p"), O: rdf.NewInt(0)})
+	var block strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&block, " %d", i)
+	}
+	where := fmt.Sprintf(`WHERE { VALUES ?a {%s} VALUES ?b {%s} }`, block.String(), block.String())
+	plain := `SELECT ?a ?b ` + where
+	for clause, query := range map[string]string{
+		"ORDER BY": `SELECT ?a ?b ` + where + ` ORDER BY DESC(?b) ?a`,
+		"GROUP BY": `SELECT ?b (COUNT(?a) AS ?n) ` + where + ` GROUP BY ?b`,
+	} {
+		for name, newHandler := range map[string]func() *Handler{
+			"NewHandler":       func() *Handler { return NewHandler(st) },
+			"NewCachedHandler": func() *Handler { return NewCachedHandler(st, NewQueryCache(DefaultCacheConfig(), st.Generation)) },
+		} {
+			// polls runs q on a fresh handler under a context that never
+			// expires and counts its looks.
+			polls := func(q string) int64 {
+				ctx := &pollDeadline{Context: context.Background(), after: 1 << 62}
+				if _, err := newHandler().query(ctx, q); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return ctx.polls.Load()
+			}
+			matching, whole := polls(plain), polls(query)
+			if whole <= matching {
+				t.Errorf("%s, %s: the query looks at its context %d times, matching alone %d: the %s pass never looks",
+					name, clause, whole, matching, clause)
+				continue
+			}
+			ctx := &pollDeadline{Context: context.Background(), after: matching}
+			if _, err := newHandler().query(ctx, query); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s, %s: err = %v, want DeadlineExceeded", name, clause, err)
+			}
+
+			ctx = &pollDeadline{Context: context.Background(), after: matching}
+			req := httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(query), nil).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			newHandler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Errorf("%s, %s: status %d over HTTP, want 504", name, clause, rec.Code)
+			}
 		}
 	}
 }

@@ -99,6 +99,12 @@ func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 		return 0
 	}
 	sp.cObjDeltas.Inc()
+	if sp.tokLeft == nil {
+		sp.tokLeft = make(map[string]map[rdf.TermID]struct{})
+		for subj, toks := range sp.leftTok {
+			sp.indexLeftTokens(subj, toks)
+		}
+	}
 	affected := map[rdf.TermID]struct{}{}
 	for _, tok := range d.tokens {
 		for l := range sp.tokLeft[tok] {
@@ -183,14 +189,16 @@ func (sp *Space) spliceOut(f Feature, score float64, l linkset.Link) {
 	sp.index[f] = entries
 }
 
-// setLeftTokens rewrites the DS1-side token index entries of one
-// partition subject; nil toks removes the subject from the index.
+// setLeftTokens rewrites the DS1-side token entries of one partition
+// subject; nil toks removes the subject from them.
 func (sp *Space) setLeftTokens(subj rdf.TermID, toks []string) {
-	for _, tok := range sp.leftTok[subj] {
-		if set := sp.tokLeft[tok]; set != nil {
-			delete(set, subj)
-			if len(set) == 0 {
-				delete(sp.tokLeft, tok)
+	if sp.tokLeft != nil {
+		for _, tok := range sp.leftTok[subj] {
+			if set := sp.tokLeft[tok]; set != nil {
+				delete(set, subj)
+				if len(set) == 0 {
+					delete(sp.tokLeft, tok)
+				}
 			}
 		}
 	}
@@ -199,6 +207,13 @@ func (sp *Space) setLeftTokens(subj rdf.TermID, toks []string) {
 		return
 	}
 	sp.leftTok[subj] = toks
+	if sp.tokLeft != nil {
+		sp.indexLeftTokens(subj, toks)
+	}
+}
+
+// indexLeftTokens adds one subject's tokens to tokLeft.
+func (sp *Space) indexLeftTokens(subj rdf.TermID, toks []string) {
 	for _, tok := range toks {
 		set := sp.tokLeft[tok]
 		if set == nil {

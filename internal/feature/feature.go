@@ -159,8 +159,11 @@ type Space struct {
 
 	// Incremental-maintenance state (delta.go). members is the
 	// partition's current subject set; leftPairs enumerates each member's
-	// surviving pairs; leftTok/tokLeft are the DS1-side token index used
-	// to find the members a DS2-side delta can touch.
+	// surviving pairs; leftTok holds each member's blocking tokens, and
+	// tokLeft inverts it to find the members a DS2-side delta can touch.
+	// tokLeft is built by the first ApplyObjectDelta, its only reader, and
+	// kept up to date from then on: a space that never sees one never pays
+	// for a map per token.
 	members   map[rdf.TermID]struct{}
 	leftPairs map[rdf.TermID][]linkset.Link
 	leftTok   map[rdf.TermID][]string
@@ -201,7 +204,6 @@ func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Opt
 		members:   make(map[rdf.TermID]struct{}, len(partition)),
 		leftPairs: make(map[rdf.TermID][]linkset.Link),
 		leftTok:   make(map[rdf.TermID][]string, len(partition)),
-		tokLeft:   make(map[string]map[rdf.TermID]struct{}),
 	}
 	// Every profile the scoring below reads is made here, before it fans
 	// out, so the workers share the tables without a lock.
@@ -557,44 +559,50 @@ func (sp *Space) Explore(f Feature, lo, hi float64) []linkset.Link {
 // window can be the entire space) from flooding the candidate set faster
 // than feedback can clean it.
 func (sp *Space) ExploreN(f Feature, v, delta float64, n int) []linkset.Link {
+	return sp.AppendExplore(nil, f, v, delta, n)
+}
+
+// AppendExplore is ExploreN appending its links to dst, so that a caller
+// exploring again and again can reuse one buffer.
+func (sp *Space) AppendExplore(dst []linkset.Link, f Feature, v, delta float64, n int) []linkset.Link {
 	entries := sp.index[f]
 	lo, hi := v-delta, v+delta
 	start := sort.Search(len(entries), func(i int) bool { return entries[i].score >= lo })
 	end := start + sort.Search(len(entries)-start, func(i int) bool { return entries[start+i].score > hi })
 	if n <= 0 || end-start <= n {
-		out := make([]linkset.Link, 0, end-start)
+		dst = slices.Grow(dst, end-start)
 		for i := start; i < end; i++ {
-			out = append(out, entries[i].link)
+			dst = append(dst, entries[i].link)
 		}
-		return out
+		return dst
 	}
 	// Two-pointer walk outward from v.
 	mid := sort.Search(len(entries), func(i int) bool { return entries[i].score >= v })
 	left, right := mid-1, mid
-	out := make([]linkset.Link, 0, n)
-	for len(out) < n {
+	dst = slices.Grow(dst, n)
+	for want := len(dst) + n; len(dst) < want; {
 		leftOK := left >= start
 		rightOK := right < end
 		switch {
 		case leftOK && rightOK:
 			if v-entries[left].score <= entries[right].score-v {
-				out = append(out, entries[left].link)
+				dst = append(dst, entries[left].link)
 				left--
 			} else {
-				out = append(out, entries[right].link)
+				dst = append(dst, entries[right].link)
 				right++
 			}
 		case leftOK:
-			out = append(out, entries[left].link)
+			dst = append(dst, entries[left].link)
 			left--
 		case rightOK:
-			out = append(out, entries[right].link)
+			dst = append(dst, entries[right].link)
 			right++
 		default:
-			return out
+			return dst
 		}
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of θ-filtered candidate pairs in the space.

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,34 @@ func TestBuildSpaceAndExplore(t *testing.T) {
 	// Unknown feature explores nothing.
 	if got := sp.Explore(Feature{9999, 9999}, 0, 1); got != nil {
 		t.Errorf("Explore unknown feature = %v", got)
+	}
+}
+
+// TestAppendExploreAppends checks that exploring into a buffer that
+// already holds links appends exactly what exploring into an empty one
+// returns, on both of ExploreN's paths: the whole window and the n links
+// nearest v.
+func TestAppendExploreAppends(t *testing.T) {
+	p := datagen.GeneratePair(datagen.NBADBpediaNYTimes(0.25, 5))
+	sp := Build(p.DS1, p.DS1.Subjects(), p.DS2, DefaultOptions())
+	prefix := sp.Links()[:3]
+	bounded := 0
+	for _, f := range sp.Features() {
+		for _, v := range []float64{0.35, 0.6, 0.95} {
+			for _, n := range []int{0, 1, 4, 400} {
+				fresh := sp.ExploreN(f, v, 0.2, n)
+				got := sp.AppendExplore(slices.Clone(prefix), f, v, 0.2, n)
+				if want := append(slices.Clone(prefix), fresh...); !slices.Equal(got, want) {
+					t.Fatalf("feature %v v=%g n=%d: appended %v, want %v", f, v, n, got[len(prefix):], fresh)
+				}
+				if n > 0 && len(fresh) == n {
+					bounded++
+				}
+			}
+		}
+	}
+	if bounded == 0 {
+		t.Error("no exploration hit its bound")
 	}
 }
 

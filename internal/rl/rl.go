@@ -4,9 +4,10 @@
 // greedy action but keeps every action's selection probability strictly
 // positive, ensuring continuous exploration (§4.4.1).
 //
-// The package is generic over the state and action types so the learning
-// machinery can be tested in isolation from linking; internal/core
-// instantiates it with links as states and features as actions.
+// The tables are dense: a caller interns its states and state-action pairs
+// into small uint32 ids (internal/core gives each link and each (link,
+// feature) pair one) and every table is a slice indexed by them, grown on
+// first write. An id the table has never seen reads as unvisited.
 package rl
 
 import (
@@ -20,156 +21,157 @@ import (
 // callers must not consult the policy for such states.
 var ErrNoActions = errors.New("rl: no available actions")
 
-// sa is a state-action pair key.
-type sa[S comparable, A comparable] struct {
-	s S
-	a A
-}
+// NoID is an id no table holds a value for: it stands for a state-action
+// pair that was never interned, so that it reads as untried.
+const NoID = ^uint32(0)
 
-// QTable accumulates returns for state-action pairs and exposes their
-// Monte-Carlo action-value estimates Q(s,a) = average return (Algorithm 1,
-// line 16). It is not safe for concurrent use; ALEX gives each partition
-// its own table.
-type QTable[S comparable, A comparable] struct {
-	sum   map[sa[S, A]]float64
-	count map[sa[S, A]]int
-}
-
-// NewQTable returns an empty table.
-func NewQTable[S comparable, A comparable]() *QTable[S, A] {
-	return &QTable[S, A]{
-		sum:   make(map[sa[S, A]]float64),
-		count: make(map[sa[S, A]]int),
+// grow returns s extended with zero values to hold index id.
+func grow[T any](s []T, id uint32) []T {
+	if int(id) < len(s) {
+		return s
 	}
+	n := int(id) + 1
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)[:n]
 }
 
-// Append adds one observed return for (s, a).
-func (q *QTable[S, A]) Append(s S, a A, ret float64) {
-	k := sa[S, A]{s, a}
-	q.sum[k] += ret
-	q.count[k]++
+// QTable accumulates returns for state-action pairs, by id, and exposes
+// their Monte-Carlo action-value estimates Q(s,a) = average return
+// (Algorithm 1, line 16). It is not safe for concurrent use; ALEX gives
+// each partition its own table.
+type QTable struct {
+	sum   []float64
+	count []int
+	n     int // ids with a recorded return
+}
+
+// Append adds one observed return for the pair id.
+func (q *QTable) Append(id uint32, ret float64) {
+	q.sum, q.count = grow(q.sum, id), grow(q.count, id)
+	if q.count[id] == 0 {
+		q.n++
+	}
+	q.sum[id] += ret
+	q.count[id]++
 }
 
 // Q returns the action-value estimate and whether any return has been
 // recorded. Per Algorithm 1 line 4, unvisited pairs are "undefined" —
 // callers must treat ok == false as no knowledge, not as value zero.
-func (q *QTable[S, A]) Q(s S, a A) (float64, bool) {
-	k := sa[S, A]{s, a}
-	n := q.count[k]
+func (q *QTable) Q(id uint32) (float64, bool) {
+	n := q.Visits(id)
 	if n == 0 {
 		return 0, false
 	}
-	return q.sum[k] / float64(n), true
+	return q.sum[id] / float64(n), true
 }
 
-// Visits returns the number of returns recorded for (s, a).
-func (q *QTable[S, A]) Visits(s S, a A) int {
-	return q.count[sa[S, A]{s, a}]
+// Visits returns the number of returns recorded for the pair id.
+func (q *QTable) Visits(id uint32) int {
+	if int(id) >= len(q.count) {
+		return 0
+	}
+	return q.count[id]
 }
 
-// Best returns the greedy action among the candidates: the defined-Q action
-// with maximal estimate (Equation 7). The second return is false when no
-// candidate has a defined value. Ties break toward the earlier candidate,
-// keeping the choice deterministic.
-func (q *QTable[S, A]) Best(s S, candidates []A) (A, bool) {
-	var best A
-	found := false
+// Best returns the index in candidates of the greedy pair: the defined-Q
+// candidate with maximal estimate (Equation 7). The second return is false
+// when no candidate has a defined value. Ties break toward the earlier
+// candidate, keeping the choice deterministic.
+func (q *QTable) Best(candidates []uint32) (int, bool) {
+	best, found := 0, false
 	bestV := 0.0
-	for _, a := range candidates {
-		v, ok := q.Q(s, a)
+	for i, id := range candidates {
+		v, ok := q.Q(id)
 		if !ok {
 			continue
 		}
 		if !found || v > bestV {
-			best, bestV, found = a, v, true
+			best, bestV, found = i, v, true
 		}
 	}
 	return best, found
 }
 
-// BestOptimistic returns the argmax action treating untried actions as
-// having value def. With def = 0 and negative rewards for bad outcomes,
-// a state whose only tried action performed badly switches its greedy
-// choice to an untried alternative instead of being locked onto the bad
-// action — the optimistic initialization that makes Monte-Carlo control
-// abandon catastrophic first choices. Ties break toward earlier candidates.
-func (q *QTable[S, A]) BestOptimistic(s S, candidates []A, def float64) (A, bool) {
-	var best A
+// BestOptimistic returns the argmax index treating untried pairs as having
+// value def. With def = 0 and negative rewards for bad outcomes, a state
+// whose only tried action performed badly switches its greedy choice to an
+// untried alternative instead of being locked onto the bad action — the
+// optimistic initialization that makes Monte-Carlo control abandon
+// catastrophic first choices. Ties break toward earlier candidates.
+func (q *QTable) BestOptimistic(candidates []uint32, def float64) (int, bool) {
 	if len(candidates) == 0 {
-		return best, false
+		return 0, false
 	}
+	best, found := 0, false
 	bestV := 0.0
-	found := false
-	for _, a := range candidates {
-		v, ok := q.Q(s, a)
+	for i, id := range candidates {
+		v, ok := q.Q(id)
 		if !ok {
 			v = def
 		}
 		if !found || v > bestV {
-			best, bestV, found = a, v, true
+			best, bestV, found = i, v, true
 		}
 	}
 	return best, true
 }
 
-// States returns the number of distinct state-action pairs seen.
-func (q *QTable[S, A]) Len() int { return len(q.count) }
+// Len returns the number of pairs with a recorded return.
+func (q *QTable) Len() int { return q.n }
 
-// QEntry is one persisted state-action statistic.
-type QEntry[S comparable, A comparable] struct {
-	State  S
-	Action A
-	Sum    float64
-	Count  int
-}
-
-// Entries exports every state-action statistic (unordered), for
-// persistence and introspection. The generic key types are not ordered,
-// so consumers that need stable bytes sort the exported slice themselves
-// (see core.(*Engine).SaveState).
-func (q *QTable[S, A]) Entries() []QEntry[S, A] {
-	out := make([]QEntry[S, A], 0, len(q.count))
-	//lint:ignore nodeterminism documented-unordered export over generic (unsortable) keys; persisting consumers sort
-	for k, n := range q.count {
-		out = append(out, QEntry[S, A]{State: k.s, Action: k.a, Sum: q.sum[k], Count: n})
+// Each calls fn for every pair with a recorded return, in id order, for
+// persistence and introspection.
+func (q *QTable) Each(fn func(id uint32, sum float64, count int)) {
+	for id, n := range q.count {
+		if n > 0 {
+			fn(uint32(id), q.sum[id], n)
+		}
 	}
-	return out
 }
 
-// Load restores one state-action statistic, replacing any existing value.
-func (q *QTable[S, A]) Load(e QEntry[S, A]) {
-	k := sa[S, A]{e.State, e.Action}
-	q.sum[k] = e.Sum
-	q.count[k] = e.Count
+// Load restores one pair's statistic, replacing any existing value.
+func (q *QTable) Load(id uint32, sum float64, count int) {
+	q.sum, q.count = grow(q.sum, id), grow(q.count, id)
+	if q.count[id] == 0 && count > 0 {
+		q.n++
+	} else if q.count[id] > 0 && count == 0 {
+		q.n--
+	}
+	q.sum[id], q.count[id] = sum, count
 }
 
-// EpsilonGreedy is the paper's ε-greedy policy: with probability 1−ε it
-// takes the greedy action recorded by the last policy-improvement step; with
-// probability ε it explores uniformly among all available actions, so every
-// action keeps probability ≥ ε/|A(s)| (§4.4.1). States never improved yet
-// take a deterministic arbitrary action (Algorithm 1 line 5) chosen on
-// first sight and remembered.
-type EpsilonGreedy[S comparable, A comparable] struct {
+// EpsilonGreedy is the paper's ε-greedy policy over states by id: with
+// probability 1−ε it takes the greedy action recorded by the last
+// policy-improvement step; with probability ε it explores uniformly among
+// all available actions, so every action keeps probability ≥ ε/|A(s)|
+// (§4.4.1). States never improved yet take a deterministic arbitrary
+// action (Algorithm 1 line 5) chosen on first sight and remembered.
+type EpsilonGreedy[A comparable] struct {
 	Epsilon float64
 	rng     *rand.Rand
-	greedy  map[S]A
+	greedy  []A
+	has     []bool
+	n       int
 }
 
 // NewEpsilonGreedy returns a policy with the given exploration rate, using
 // rng for its stochastic choices.
-func NewEpsilonGreedy[S comparable, A comparable](epsilon float64, rng *rand.Rand) *EpsilonGreedy[S, A] {
-	return &EpsilonGreedy[S, A]{Epsilon: epsilon, rng: rng, greedy: make(map[S]A)}
+func NewEpsilonGreedy[A comparable](epsilon float64, rng *rand.Rand) *EpsilonGreedy[A] {
+	return &EpsilonGreedy[A]{Epsilon: epsilon, rng: rng}
 }
 
 // Action selects the action to take at state s among actions (A(s)).
 // It returns ErrNoActions if actions is empty; callers must not consult
 // the policy for states with no available action.
-func (p *EpsilonGreedy[S, A]) Action(s S, actions []A) (A, error) {
+func (p *EpsilonGreedy[A]) Action(s uint32, actions []A) (A, error) {
 	if len(actions) == 0 {
 		var zero A
 		return zero, ErrNoActions
 	}
-	g, improved := p.greedy[s]
+	g, improved := p.Greedy(s)
 	if !improved {
 		// Arbitrary initial action (Algorithm 1 line 5): chosen uniformly
 		// at random on first sight and remembered, so the policy is a
@@ -178,7 +180,7 @@ func (p *EpsilonGreedy[S, A]) Action(s S, actions []A) (A, error) {
 		// states toward one feature, which can be catastrophic when that
 		// feature is indistinct (§4.2's rdf:type example).
 		g = actions[p.rng.Intn(len(actions))]
-		p.greedy[s] = g
+		p.Improve(s, g)
 	}
 	if p.rng.Float64() < p.Epsilon {
 		return actions[p.rng.Intn(len(actions))], nil
@@ -194,22 +196,32 @@ func (p *EpsilonGreedy[S, A]) Action(s S, actions []A) (A, error) {
 }
 
 // Improve records a∗ as the greedy action for s (Algorithm 1 lines 24-33).
-func (p *EpsilonGreedy[S, A]) Improve(s S, best A) { p.greedy[s] = best }
+func (p *EpsilonGreedy[A]) Improve(s uint32, best A) {
+	p.greedy, p.has = grow(p.greedy, s), grow(p.has, s)
+	if !p.has[s] {
+		p.has[s] = true
+		p.n++
+	}
+	p.greedy[s] = best
+}
 
 // Greedy returns the current greedy action for s.
-func (p *EpsilonGreedy[S, A]) Greedy(s S) (A, bool) {
-	a, ok := p.greedy[s]
-	return a, ok
+func (p *EpsilonGreedy[A]) Greedy(s uint32) (A, bool) {
+	if int(s) >= len(p.has) || !p.has[s] {
+		var zero A
+		return zero, false
+	}
+	return p.greedy[s], true
 }
 
 // Prob returns π(s, a): the probability the policy selects a at s given the
 // available action set. Matches the paper's ε-greedy definition: the greedy
 // action has probability 1 − ε + ε/|A(s)|, every other action ε/|A(s)|.
-func (p *EpsilonGreedy[S, A]) Prob(s S, a A, actions []A) float64 {
+func (p *EpsilonGreedy[A]) Prob(s uint32, a A, actions []A) float64 {
 	if len(actions) == 0 {
 		return 0
 	}
-	g, ok := p.greedy[s]
+	g, ok := p.Greedy(s)
 	if !ok {
 		g = actions[0]
 	}
@@ -220,48 +232,63 @@ func (p *EpsilonGreedy[S, A]) Prob(s S, a A, actions []A) float64 {
 	return uniform
 }
 
-// StatesImproved returns the states with a recorded greedy action, sorted
-// order unspecified; Len is the count.
-func (p *EpsilonGreedy[S, A]) Len() int { return len(p.greedy) }
+// Len returns the number of states with a recorded greedy action.
+func (p *EpsilonGreedy[A]) Len() int { return p.n }
 
-// GreedyEntries exports the remembered greedy action of every state
-// (unordered), for persistence.
-func (p *EpsilonGreedy[S, A]) GreedyEntries() map[S]A {
-	out := make(map[S]A, len(p.greedy))
-	for s, a := range p.greedy {
-		out[s] = a
+// Each calls fn for the remembered greedy action of every state, in state
+// order, for persistence.
+func (p *EpsilonGreedy[A]) Each(fn func(s uint32, a A)) {
+	for s, ok := range p.has {
+		if ok {
+			fn(uint32(s), p.greedy[s])
+		}
 	}
-	return out
 }
 
 // FirstVisitTracker implements the paper's first-visit rule (§4.4.1): the
 // return following the first visit of a state within an episode is counted;
 // later visits within the same episode are ignored. Reset clears it at
-// episode boundaries, making the next occurrence a new first visit.
-type FirstVisitTracker[S comparable] struct {
-	seen map[S]struct{}
+// episode boundaries, making the next occurrence a new first visit. A
+// state's visit is an epoch stamp, so Reset costs nothing per state.
+type FirstVisitTracker struct {
+	stamp   []uint32 // by state: the epoch of its last visit
+	epoch   uint32
+	visited []uint32 // this epoch's states, in first-visit order
 }
 
 // NewFirstVisitTracker returns an empty tracker.
-func NewFirstVisitTracker[S comparable]() *FirstVisitTracker[S] {
-	return &FirstVisitTracker[S]{seen: make(map[S]struct{})}
+func NewFirstVisitTracker() *FirstVisitTracker {
+	return &FirstVisitTracker{epoch: 1}
 }
 
 // FirstVisit reports whether this is the first visit of s in the current
 // episode, and records the visit.
-func (t *FirstVisitTracker[S]) FirstVisit(s S) bool {
-	if _, ok := t.seen[s]; ok {
+func (t *FirstVisitTracker) FirstVisit(s uint32) bool {
+	t.stamp = grow(t.stamp, s)
+	if t.stamp[s] == t.epoch {
 		return false
 	}
-	t.seen[s] = struct{}{}
+	t.stamp[s] = t.epoch
+	t.visited = append(t.visited, s)
 	return true
 }
 
 // Reset starts a new episode.
-func (t *FirstVisitTracker[S]) Reset() { t.seen = make(map[S]struct{}) }
+func (t *FirstVisitTracker) Reset() {
+	t.visited = t.visited[:0]
+	if t.epoch++; t.epoch == 0 {
+		// The stamps wrapped: no stale stamp may equal a future epoch.
+		clear(t.stamp)
+		t.epoch = 1
+	}
+}
 
 // Len returns the number of states visited this episode.
-func (t *FirstVisitTracker[S]) Len() int { return len(t.seen) }
+func (t *FirstVisitTracker) Len() int { return len(t.visited) }
+
+// Visited returns the states visited this episode, in first-visit order.
+// The slice is the tracker's own and is valid until the next Reset.
+func (t *FirstVisitTracker) Visited() []uint32 { return t.visited }
 
 // SortedKeys is a test helper exposing deterministic iteration over a map
 // keyed by a sortable type.

@@ -56,7 +56,10 @@ func Infer(t rdf.Term) ValueType {
 			return TypeDate
 		}
 		v := strings.TrimSpace(t.Value)
-		if v == "" {
+		// A number starts with a sign, a digit or a point, a date with a
+		// digit; ParseFloat's words (NaN, Inf) are not numbers here either.
+		// Answering the rest first spares them the parsers' errors.
+		if v == "" || !startsNumber(v[0]) {
 			return TypeString
 		}
 		if _, err := strconv.ParseInt(v, 10, 64); err == nil {
@@ -75,6 +78,8 @@ func Infer(t rdf.Term) ValueType {
 		return TypeString
 	}
 }
+
+func startsNumber(c byte) bool { return c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.' }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -277,8 +279,16 @@ func FuzzGeneric(f *testing.F) {
 			f.Add(kind, v, kind, v)
 		}
 	}
+	for _, v := range []string{"+.5", ".5e3", "-", "+Inf", "\u00a012", "0x1p4", "2020-02-30", "1_000", "\t-0.0"} {
+		f.Add(uint8(6), v, uint8(5), v)
+	}
 	f.Fuzz(func(t *testing.T, ka uint8, va string, kb uint8, vb string) {
 		a, b := fuzzTerm(ka, va), fuzzTerm(kb, vb)
+		for _, x := range []rdf.Term{a, b} {
+			if got, want := Infer(x), inferReference(x); got != want {
+				t.Fatalf("Infer(%v) = %v, reference %v", x, got, want)
+			}
+		}
 		ab, ba := Generic(a, b), Generic(b, a)
 		for _, s := range []float64{ab, ba} {
 			if math.IsNaN(s) || s < 0 || s > 1 {
@@ -297,4 +307,58 @@ func FuzzGeneric(f *testing.F) {
 			t.Fatalf("Generic(%v, %v) = %g but reversed %g", a, b, ab, ba)
 		}
 	})
+}
+
+// inferReference is Infer as it was before it answered TypeString from a
+// value's first byte: every parser tried in turn.
+func inferReference(t rdf.Term) ValueType {
+	switch t.Kind {
+	case rdf.KindIRI, rdf.KindBlank:
+		return TypeIRI
+	case rdf.KindLiteral:
+		switch t.Datatype {
+		case rdf.XSDInteger:
+			return TypeInt
+		case rdf.XSDDouble:
+			return TypeFloat
+		case rdf.XSDDate:
+			return TypeDate
+		}
+		v := strings.TrimSpace(t.Value)
+		if v == "" {
+			return TypeString
+		}
+		if _, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return TypeInt
+		}
+		if f, err := strconv.ParseFloat(v, 64); err == nil && finite(f) {
+			return TypeFloat
+		}
+		if _, err := time.Parse("2006-01-02", v); err == nil {
+			return TypeDate
+		}
+		return TypeString
+	default:
+		return TypeString
+	}
+}
+
+// TestInferMatchesReference compares Infer with the parser cascade it
+// short-cuts, over edge cases and over values built around each possible
+// first byte.
+func TestInferMatchesReference(t *testing.T) {
+	values := []string{"", " ", "nan", "NaN", "+Inf", "-infinity", ".", "+.5", "-.5e-3", "0x1p4", "0b101",
+		"1_000", "2020-01-02", "2020-02-30", " 1984 ", "\u00a012", "\u200b12", "e5", "E5", "_1", "１２"}
+	for c := 0; c < 256; c++ {
+		for _, tail := range []string{"", "1", "5.5", "020-01-02", "nf", "e3"} {
+			values = append(values, string([]byte{byte(c)})+tail)
+		}
+	}
+	for _, v := range values {
+		for _, term := range []rdf.Term{rdf.NewString(v), rdf.NewLangString(v, "en")} {
+			if got, want := Infer(term), inferReference(term); got != want {
+				t.Errorf("Infer(%q) = %v, reference %v", v, got, want)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -51,8 +52,10 @@ func (a *sortKey) compare(b *sortKey) int {
 
 // sortSlots applies ORDER BY: unbound first, numeric when both sides are
 // numeric, stable. Each row's key terms are decoded once, into one flat
-// array of sort keys, and the sort permutes row indexes over it.
-func (p *slotProg) sortSlots(rows *Rows, order []OrderKey, slotOf func(string) int) *Rows {
+// array of sort keys, and the sort permutes row indexes over it. Building
+// the keys looks at ctx every cancelStride rows, so that a request that
+// ends mid-sort stops there with ctx's error.
+func (p *slotProg) sortSlots(ctx context.Context, rows *Rows, order []OrderKey, slotOf func(string) int) (*Rows, error) {
 	w := len(order)
 	keys := make([]sortKey, rows.n*w)
 	for ki, k := range order {
@@ -61,6 +64,11 @@ func (p *slotProg) sortSlots(rows *Rows, order []OrderKey, slotOf func(string) i
 			continue
 		}
 		for i := 0; i < rows.n; i++ {
+			if i%cancelStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			if id := rows.Row(i)[c]; id != rdf.NoTerm {
 				keys[i*w+ki] = newSortKey(p.ids.Term(id))
 			}
@@ -96,5 +104,5 @@ func (p *slotProg) sortSlots(rows *Rows, order []OrderKey, slotOf func(string) i
 	for _, i := range perm {
 		out.Push(rows.Row(i))
 	}
-	return out
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -184,7 +185,10 @@ func TestKeyedSortMatchesNaive(t *testing.T) {
 			keys[i] = OrderKey{Var: vars[rng.Intn(len(vars))], Desc: rng.Intn(2) == 0}
 		}
 		want := naiveSortSlots(p, rows, keys, p.lay.Slot)
-		got := p.sortSlots(rows, keys, p.lay.Slot)
+		got, err := p.sortSlots(context.Background(), rows, keys, p.lay.Slot)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !slices.Equal(got.data, want.data) {
 			t.Fatalf("round %d: ORDER BY %v over %d rows: keyed sort and reference disagree\n got %v\nwant %v",
 				round, keys, n, got.data, want.data)
@@ -215,7 +219,7 @@ func TestSortAllocatesNoPerComparisonGarbage(t *testing.T) {
 	keys := []OrderKey{{Var: "l"}, {Var: "s"}}
 	small, large := build(50), build(800)
 	allocs := func(rows *Rows) float64 {
-		return testing.AllocsPerRun(20, func() { p.sortSlots(rows, keys, p.lay.Slot) })
+		return testing.AllocsPerRun(20, func() { p.sortSlots(context.Background(), rows, keys, p.lay.Slot) })
 	}
 	a50, a800 := allocs(small), allocs(large)
 	if a800 > a50+2 || a50 > 12 {

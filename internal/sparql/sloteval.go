@@ -30,7 +30,7 @@ func (p *slotProg) run(ctx context.Context, q *Query, tr *obs.Trace) (*SlotResul
 	}
 	fin := sp.Child("finalize")
 	fin.SetInt("in", int64(rows.n))
-	res, err := p.finalizeSlots(q, rows)
+	res, err := p.finalizeSlots(ctx, q, rows)
 	if err == nil {
 		res.materialized = p.materialized
 		fin.SetInt("out", int64(res.Len()+len(res.Triples)))
@@ -523,7 +523,7 @@ func (s *storeSolver) resolvePathEnd(lay *SlotLayout, n Node, r []rdf.TermID) (i
 
 // finalizeSlots applies aggregation, ORDER BY, projection, DISTINCT,
 // OFFSET and LIMIT — all still on slot rows.
-func (p *slotProg) finalizeSlots(q *Query, rows *Rows) (*SlotResult, error) {
+func (p *slotProg) finalizeSlots(ctx context.Context, q *Query, rows *Rows) (*SlotResult, error) {
 	if q.Ask {
 		res := &SlotResult{ids: p.ids}
 		if rows.n > 0 {
@@ -538,14 +538,17 @@ func (p *slotProg) finalizeSlots(q *Query, rows *Rows) (*SlotResult, error) {
 		return &SlotResult{Triples: p.instantiateSlots(q.Construct, rows), ids: p.ids}, nil
 	}
 	if len(q.Aggregates) > 0 {
-		return p.aggregateSlots(q, rows)
+		return p.aggregateSlots(ctx, q, rows)
 	}
 	vars := q.Vars
 	if len(vars) == 0 {
 		vars = q.AllVars()
 	}
 	if len(q.OrderBy) > 0 {
-		rows = p.sortSlots(rows, q.OrderBy, p.lay.Slot)
+		var err error
+		if rows, err = p.sortSlots(ctx, rows, q.OrderBy, p.lay.Slot); err != nil {
+			return nil, err
+		}
 	}
 	cols := make([]int, len(vars))
 	for i, v := range vars {
@@ -607,8 +610,9 @@ func sliceSlots(rows *Rows, offset, limit int) *Rows {
 // aggregateSlots groups rows by their GROUP BY slot tuple and evaluates
 // the aggregates per group. Row columns cover the grouping variables plus
 // the aliases; groups are emitted sorted by the stringified group key —
-// the reference model's order, which eval.golden pins row for row.
-func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
+// the reference model's order, which eval.golden pins row for row. The
+// pass that keys rows to groups looks at ctx every cancelStride rows.
+func (p *slotProg) aggregateSlots(ctx context.Context, q *Query, rows *Rows) (*SlotResult, error) {
 	gSlots := make([]int, len(q.GroupBy))
 	for i, v := range q.GroupBy {
 		gSlots[i] = p.lay.Slot(v)
@@ -622,6 +626,11 @@ func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
 	var order []*group
 	key := make([]byte, 4*len(gSlots))
 	for i := 0; i < rows.n; i++ {
+		if i%cancelStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		r := rows.Row(i)
 		for j, s := range gSlots {
 			var id rdf.TermID
@@ -691,12 +700,16 @@ func (p *slotProg) aggregateSlots(q *Query, rows *Rows) (*SlotResult, error) {
 		}
 	}
 	if len(q.OrderBy) > 0 {
-		proj = p.sortSlots(proj, q.OrderBy, func(v string) int {
+		var err error
+		proj, err = p.sortSlots(ctx, proj, q.OrderBy, func(v string) int {
 			if c, ok := cols[v]; ok {
 				return c
 			}
 			return -1
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	proj = sliceSlots(proj, q.Offset, q.Limit)
 	return &SlotResult{Vars: aggregateVars(q), rowVars: rowVars, rows: proj, ids: p.ids}, nil
