@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -26,12 +27,17 @@ import (
 // plans.golden pins the other half: the join order and the sources the
 // optimizer chose for the same queries, recorded at the commit before the
 // greedy ordering loop moved into internal/sparql.
+//
+// wire.golden pins what a served federation puts on the wire: the /sparql
+// reply bytes of every goldenCases query, recorded while the handler still
+// encoded federated replies from materialized Bindings.
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/answers.golden and testdata/plans.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/answers.golden, testdata/plans.golden and testdata/wire.golden")
 
 const (
 	goldenPath      = "testdata/answers.golden"
 	plansGoldenPath = "testdata/plans.golden"
+	wireGoldenPath  = "testdata/wire.golden"
 )
 
 // goldenCase is one recorded query: the fixture it runs against and its text.
@@ -254,6 +260,25 @@ func TestPlansGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, plansGoldenPath, b.String())
+}
+
+// TestWireGolden serves every golden case through the handler a sparqld
+// federation runs behind and pins the reply bytes: SELECT and ASK as
+// results JSON, CONSTRUCT as N-Triples. One more case groups by a variable
+// it does not project: the reply carries it in every row, beside the head's
+// vars.
+func TestWireGolden(t *testing.T) {
+	var b strings.Builder
+	carried := goldenCase{"motivating/aggregate-carried", motivating,
+		`SELECT (COUNT(?article) AS ?n) WHERE { ` + mvpJoin + ` } GROUP BY ?player`}
+	for _, c := range append(append([]goldenCase{}, goldenCases...), carried) {
+		h := endpoint.NewQueryHandler(CachedEndpointQueryFunc(c.fed(t), nil), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(c.query), nil))
+		fmt.Fprintf(&b, "== %s %d\nquery: %s\n", c.name, rec.Code, c.query)
+		b.Write(rec.Body.Bytes())
+	}
+	checkGolden(t, wireGoldenPath, b.String())
 }
 
 // firstDiff names the first line where got and want part.

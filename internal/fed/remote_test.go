@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"alex/internal/endpoint"
+	"alex/internal/faultinject"
 	"alex/internal/linkset"
 	"alex/internal/rdf"
 	"alex/internal/store"
@@ -105,6 +106,33 @@ func TestRemoteEndpointDownSurfacesError(t *testing.T) {
 	// including the dead one; the error must surface, not be swallowed.
 	if _, err := f.ExecuteContext(context.Background(), `SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
 		t.Error("dead endpoint error swallowed")
+	}
+}
+
+// TestRemoteRequestBudget counts the HTTP requests each query sends to the
+// remote fixture, in order on one federation, so later queries find the
+// client's caches warm. The budgets are what the federation sent when its
+// planner probed with ASK, predicate COUNT and size COUNT: a change to the
+// probes may lower them, never raise them.
+func TestRemoteRequestBudget(t *testing.T) {
+	f, rt := faultyRemoteFederation(t, faultinject.Config{})
+	for _, c := range []struct {
+		query  string
+		budget int64
+	}{
+		{motivatingQuery, 5},
+		{motivatingQuery, 2},
+		{`SELECT ?article WHERE { ?article <` + nyo + `about> <` + dbp + `LeBron_James> }`, 2},
+		{`ASK { ?s ?p ?o }`, 2},
+		{`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`, 1},
+	} {
+		before := rt.Calls.Load()
+		if _, err := f.ExecuteContext(context.Background(), c.query); err != nil {
+			t.Fatal(err)
+		}
+		if sent := rt.Calls.Load() - before; sent > c.budget {
+			t.Errorf("%s: %d requests, budget %d", c.query, sent, c.budget)
+		}
 	}
 }
 
