@@ -929,19 +929,20 @@ func BenchmarkFedJoinReorder(b *testing.B) {
 		?p <http://nytimes.sim/ontology/prefLabel> ?name .
 		?p <http://dbpedia.sim/ontology/position> "PG" .
 	}`
+	q, err := sparql.Parse(query)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name    string
-		reorder bool
-	}{{"reordered", true}, {"naive", false}} {
+		name string
+		opts sparql.EvalOptions
+	}{{"reordered", sparql.EvalOptions{}}, {"naive", sparql.EvalOptions{DisablePlan: true}}} {
 		b.Run(tc.name, func(b *testing.B) {
 			federation := fed.New(pair.Dict, pair.DS1, pair.DS2)
 			federation.SetLinks(pair.Truth)
-			if !tc.reorder {
-				federation.DisableReorder()
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := federation.ExecuteContext(context.Background(), query); err != nil {
+				if _, err := federation.EvalContext(context.Background(), sparql.Compile(q), tc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"alex/internal/core"
 	"alex/internal/feedback"
@@ -53,8 +51,14 @@ func main() {
 	}
 
 	dict := rdf.NewDict()
-	ds1 := mustLoad(dict, *left)
-	ds2 := mustLoad(dict, *right)
+	ds1, err := store.NewFromFile(dict, *left, store.LoadOptions{})
+	if err != nil {
+		fatal(err)
+	}
+	ds2, err := store.NewFromFile(dict, *right, store.LoadOptions{})
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Fprintln(os.Stderr, "loaded", ds1.Stats())
 	fmt.Fprintln(os.Stderr, "loaded", ds2.Stats())
 
@@ -92,7 +96,10 @@ func main() {
 	}
 
 	if *truthF != "" {
-		truth := mustLoadLinks(dict, *truthF)
+		truth, err := linkset.LoadSameAs(dict, *truthF)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "truth: %d links; running feedback episodes\n", truth.Len())
 		oracle := feedback.NewOracle(truth, 0, rand.New(rand.NewSource(*seed)))
 		engine.Run(oracle.JudgeFunc(), func(st core.EpisodeStats) {
@@ -156,44 +163,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d links\n", links.Len())
-}
-
-func mustLoad(dict *rdf.Dict, path string) *store.Store {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	st := store.New(name, dict)
-	if ext := strings.ToLower(filepath.Ext(path)); ext == ".ttl" || ext == ".turtle" {
-		_, err = store.LoadTurtle(st, f, store.LoadOptions{})
-	} else {
-		_, err = store.LoadNTriples(st, f, store.LoadOptions{})
-	}
-	if err != nil {
-		fatal(err)
-	}
-	return st
-}
-
-func mustLoadLinks(dict *rdf.Dict, path string) *linkset.Set {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	triples, err := rdf.NewReader(f).ReadAll()
-	if err != nil {
-		fatal(err)
-	}
-	links := linkset.New()
-	for _, t := range triples {
-		if t.P.Value == rdf.OWLSameAs {
-			links.Add(linkset.Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
-		}
-	}
-	return links
 }
 
 func fatal(err error) {

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -82,7 +81,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	dict := rdf.NewDict()
 	var stores []*store.Store
 	for _, path := range dataFiles {
-		st, err := loadStore(dict, path, reg)
+		st, err := store.NewFromFile(dict, path, store.LoadOptions{Obs: reg})
 		if err != nil {
 			fmt.Fprintln(stderr, "fedsparql:", err)
 			return 1
@@ -97,7 +96,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "added remote endpoint %s = %s\n", name, remoteURL)
 	}
 	if *linksFile != "" {
-		links, err := loadLinks(dict, *linksFile)
+		links, err := linkset.LoadSameAs(dict, *linksFile)
 		if err != nil {
 			fmt.Fprintln(stderr, "fedsparql:", err)
 			return 1
@@ -146,45 +145,6 @@ func printMetrics(reg *obs.Registry, stderr io.Writer) {
 	fmt.Fprintf(stderr, "metrics:\n%s\n", raw)
 }
 
-func loadStore(dict *rdf.Dict, path string, reg *obs.Registry) (*store.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	st := store.New(name, dict)
-	if ext := strings.ToLower(filepath.Ext(path)); ext == ".ttl" || ext == ".turtle" {
-		_, err = store.LoadTurtle(st, f, store.LoadOptions{Obs: reg})
-	} else {
-		_, err = store.LoadNTriples(st, f, store.LoadOptions{Obs: reg})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return st, nil
-}
-
-func loadLinks(dict *rdf.Dict, path string) (*linkset.Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	triples, err := rdf.NewReader(f).ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	links := linkset.New()
-	for _, t := range triples {
-		if t.P.Value != rdf.OWLSameAs {
-			continue
-		}
-		links.Add(linkset.Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
-	}
-	return links, nil
-}
-
 func runQuery(federation *fed.Federation, query string, trace bool, stdout, stderr io.Writer) error {
 	q, err := sparql.Parse(query)
 	if err != nil {
@@ -194,7 +154,7 @@ func runQuery(federation *fed.Federation, query string, trace bool, stdout, stde
 	if trace {
 		tr = obs.NewTrace("query")
 	}
-	res, err := federation.EvalContext(context.Background(), sparql.Compile(q), tr)
+	res, err := federation.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{Trace: tr})
 	if tr != nil {
 		// Printed on failure too: the recorded prefix shows how far it got.
 		fmt.Fprintln(stderr, tr.String())

@@ -217,7 +217,7 @@ func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, err
 
 	var stores []*store.Store
 	for _, path := range opts.dataFiles {
-		st, err := load(dict, path, reg)
+		st, err := store.NewFromFile(dict, path, store.LoadOptions{Obs: reg})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -237,7 +237,7 @@ func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, err
 		var links *linkset.Set
 		if opts.linksFile != "" {
 			var err error
-			links, err = loadLinks(dict, opts.linksFile)
+			links, err = linkset.LoadSameAs(dict, opts.linksFile)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -333,7 +333,7 @@ func openDurable(opts options, dict *rdf.Dict, reg *obs.Registry, logw io.Writer
 			name, opts.dataDir, rec.SnapshotTriples, rec.WALRecords, rec.TornBytes)
 		fmt.Fprintf(logw, "loaded %s\n", st.Stats())
 	} else {
-		if err := loadInto(st, path, reg); err != nil {
+		if _, err := store.LoadFile(st, path, store.LoadOptions{Obs: reg}); err != nil {
 			_ = d.Close()
 			return nil, nil, err
 		}
@@ -370,46 +370,4 @@ func openDurable(opts options, dict *rdf.Dict, reg *obs.Registry, logw io.Writer
 		}
 		return d.Close()
 	}, nil
-}
-
-func load(dict *rdf.Dict, path string, reg *obs.Registry) (*store.Store, error) {
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	st := store.New(name, dict)
-	if err := loadInto(st, path, reg); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-func loadInto(st *store.Store, path string, reg *obs.Registry) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if ext := strings.ToLower(filepath.Ext(path)); ext == ".ttl" || ext == ".turtle" {
-		_, err = store.LoadTurtle(st, f, store.LoadOptions{Obs: reg})
-	} else {
-		_, err = store.LoadNTriples(st, f, store.LoadOptions{Obs: reg})
-	}
-	return err
-}
-
-func loadLinks(dict *rdf.Dict, path string) (*linkset.Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	triples, err := rdf.NewReader(f).ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	links := linkset.New()
-	for _, t := range triples {
-		if t.P.Value == rdf.OWLSameAs {
-			links.Add(linkset.Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
-		}
-	}
-	return links, nil
 }

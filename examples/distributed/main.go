@@ -76,7 +76,7 @@ func main() {
 		fmt.Printf("  %d answer(s)\n\n", len(res.Answers))
 	}
 
-	// Source-selection plan against live endpoints (ASK probes over HTTP).
+	// Source-selection plan against live endpoints (COUNT probes over HTTP).
 	plan, err := federation.PlanDescriptionContext(ctx, `SELECT ?p ?name WHERE {
 		?p <http://dbpedia.sim/ontology/position> "C" .
 		?p <http://nytimes.sim/ontology/prefLabel> ?name .
@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("optimizer plan (sources chosen by remote ASK probes):")
+	fmt.Println("optimizer plan (sources chosen by remote COUNT probes):")
 	for _, line := range plan {
 		fmt.Println(" ", line)
 	}

@@ -15,17 +15,16 @@ import (
 	"alex/internal/sparql"
 )
 
-// Client queries a remote SPARQL endpoint. It caches ASK probes and
-// predicate counts, which the federated optimizer consults repeatedly.
-// A Client is safe for concurrent use.
+// Client queries a remote SPARQL endpoint. It caches the COUNT answers
+// CountContext is built from, which the federated planner consults for
+// every pattern of every query. A Client is safe for concurrent use.
 type Client struct {
 	name string
 	base string
 	http *http.Client
 
-	mu         sync.Mutex
-	askCache   map[string]bool
-	countCache map[string]int
+	mu     sync.Mutex
+	counts map[string]int // COUNT query text -> answer
 }
 
 // pooledClient is the default HTTP client: a keep-alive connection pool
@@ -50,21 +49,17 @@ func NewClient(name, base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = pooledClient
 	}
-	return &Client{
-		name:       name,
-		base:       base,
-		http:       httpClient,
-		askCache:   map[string]bool{},
-		countCache: map[string]int{},
-	}
+	return &Client{name: name, base: base, http: httpClient, counts: map[string]int{}}
 }
 
 // Name returns the endpoint's name.
 func (c *Client) Name() string { return c.name }
 
-// Result is a decoded SPARQL result. Triples is set for CONSTRUCT results
-// produced locally by a query engine; the HTTP client does not decode
-// CONSTRUCT responses.
+// Result is a SPARQL result. The Client decodes a reply into Vars and Rows
+// (or IsAsk and Boolean); it does not decode CONSTRUCT responses. A handler
+// serves a Result built by FromSlots: its rows are the evaluator's, still in
+// id space, and Rows stays nil. Triples is set for CONSTRUCT results
+// produced locally by a query engine.
 type Result struct {
 	Vars    []string
 	Rows    []sparql.Binding
@@ -72,9 +67,6 @@ type Result struct {
 	Boolean bool
 	Triples []rdf.Triple
 
-	// slots, when set (single-store handler), holds the result still in id
-	// space; the handler serializes it directly, decoding each term exactly
-	// once at the JSON boundary, and Rows stays nil.
 	slots *sparql.SlotResult
 }
 
@@ -178,84 +170,45 @@ func decodeTerm(d termDocument) (rdf.Term, error) {
 	}
 }
 
-// AskContext runs an ASK query, cached by query text.
-func (c *Client) AskContext(ctx context.Context, query string) (bool, error) {
+// CountContext estimates how many of the endpoint's triples match (s, p,
+// o), zero terms being wildcards. It sends no query of its own for that
+// pattern: it starts from the predicate's COUNT (the endpoint's total COUNT
+// when p is a wildcard), sent once and then cached, and divides it by 16
+// for a constant subject and by 4 for a constant object. It is 0 only when
+// the COUNT is.
+//
+// A cached COUNT is never refreshed: an endpoint that later gains triples
+// of a predicate it once counted 0 of stays counted at 0.
+func (c *Client) CountContext(ctx context.Context, s, p, o rdf.Term) (float64, error) {
+	query := "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }"
+	if !p.IsZero() {
+		query = fmt.Sprintf("SELECT (COUNT(*) AS ?n) WHERE { ?s %s ?o }", p)
+	}
 	c.mu.Lock()
-	if v, ok := c.askCache[query]; ok {
-		c.mu.Unlock()
-		return v, nil
-	}
+	n, ok := c.counts[query]
 	c.mu.Unlock()
-	res, err := c.QueryContext(ctx, query)
-	if err != nil {
-		return false, err
-	}
-	if !res.IsAsk {
-		return false, fmt.Errorf("endpoint %s: expected boolean result", c.name)
-	}
-	c.mu.Lock()
-	c.askCache[query] = res.Boolean
-	c.mu.Unlock()
-	return res.Boolean, nil
-}
-
-// HasPredicateContext probes whether the endpoint holds any triple with
-// the given predicate — the FedX ASK-based source-selection probe, cached.
-func (c *Client) HasPredicateContext(ctx context.Context, pred rdf.Term) (bool, error) {
-	return c.AskContext(ctx, fmt.Sprintf("ASK { ?s %s ?o }", pred))
-}
-
-// PredicateCountContext returns the number of triples with the given
-// predicate, cached. Used by the federated join optimizer's cost model.
-func (c *Client) PredicateCountContext(ctx context.Context, pred rdf.Term) (int, error) {
-	key := pred.String()
-	c.mu.Lock()
-	if v, ok := c.countCache[key]; ok {
-		c.mu.Unlock()
-		return v, nil
-	}
-	c.mu.Unlock()
-	res, err := c.QueryContext(ctx, fmt.Sprintf("SELECT (COUNT(*) AS ?n) WHERE { ?s %s ?o }", pred))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	if len(res.Rows) == 1 {
-		if t, ok := res.Rows[0]["n"]; ok {
-			if v, isInt := t.AsInt(); isInt {
+	if !ok {
+		res, err := c.QueryContext(ctx, query)
+		if err != nil {
+			return 0, err
+		}
+		if len(res.Rows) == 1 {
+			if v, isInt := res.Rows[0]["n"].AsInt(); isInt {
 				n = int(v)
 			}
 		}
-	}
-	c.mu.Lock()
-	c.countCache[key] = n
-	c.mu.Unlock()
-	return n, nil
-}
-
-// SizeContext returns the endpoint's total triple count (from /stats if
-// the base URL ends in /sparql, else via COUNT), cached under the empty key.
-func (c *Client) SizeContext(ctx context.Context) (int, error) {
-	c.mu.Lock()
-	if v, ok := c.countCache[""]; ok {
+		c.mu.Lock()
+		c.counts[query] = n
 		c.mu.Unlock()
-		return v, nil
 	}
-	c.mu.Unlock()
-	res, err := c.QueryContext(ctx, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")
-	if err != nil {
-		return 0, err
+	est := float64(n)
+	if !s.IsZero() {
+		est /= 16
 	}
-	n := 0
-	if len(res.Rows) == 1 {
-		if v, ok := res.Rows[0]["n"].AsInt(); ok {
-			n = int(v)
-		}
+	if !o.IsZero() {
+		est /= 4
 	}
-	c.mu.Lock()
-	c.countCache[""] = n
-	c.mu.Unlock()
-	return n, nil
+	return est, nil
 }
 
 // MatchPatternContext evaluates one triple pattern against the endpoint
@@ -281,11 +234,14 @@ func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePatter
 	}
 	patternTxt := fmt.Sprintf("%s %s %s .", sTxt, pTxt, oTxt)
 	if len(vars) == 0 {
-		ok, err := c.AskContext(ctx, "ASK { "+patternTxt+" }")
+		res, err := c.QueryContext(ctx, "ASK { "+patternTxt+" }")
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if !res.IsAsk {
+			return nil, fmt.Errorf("endpoint %s: expected boolean result", c.name)
+		}
+		if !res.Boolean {
 			return nil, nil
 		}
 		return []sparql.Binding{{}}, nil

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"alex/internal/rdf"
@@ -163,27 +164,68 @@ func TestClientTypedLiteralRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClientAskAndCaches: a fully bound pattern is matched with an ASK,
+// and CountContext answers from one cached COUNT per predicate (or for the
+// whole endpoint), folding constant subjects and objects in: the second
+// round of counts sends no request.
 func TestClientAskAndCaches(t *testing.T) {
-	_, c := newTestServer(t)
-	has, err := c.HasPredicateContext(context.Background(), rdf.NewIRI("http://x/name"))
-	if err != nil || !has {
-		t.Fatalf("HasPredicate = %v, %v", has, err)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		NewHandler(testStore()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := NewClient("people", srv.URL+"/sparql", srv.Client())
+	ctx := context.Background()
+	for pattern, want := range map[[3]string]int{
+		{"http://x/alice", "http://x/name", "Alice"}: 1,
+		{"http://x/alice", "http://x/name", "Bob"}:   0,
+	} {
+		tp := sparql.TriplePattern{S: sparql.TermNode(rdf.NewIRI(pattern[0])), P: sparql.TermNode(rdf.NewIRI(pattern[1])), O: sparql.TermNode(rdf.NewString(pattern[2]))}
+		if rows, err := c.MatchPatternContext(ctx, tp); err != nil || len(rows) != want {
+			t.Errorf("ASK %v = %v, %v; want %d rows", pattern, rows, err, want)
+		}
 	}
-	has, err = c.HasPredicateContext(context.Background(), rdf.NewIRI("http://x/nonexistent"))
-	if err != nil || has {
-		t.Fatalf("HasPredicate absent = %v, %v", has, err)
+	name, alice := rdf.NewIRI("http://x/name"), rdf.NewIRI("http://x/alice")
+	counts := []struct {
+		s, p, o rdf.Term
+		want    float64
+	}{
+		{rdf.Term{}, name, rdf.Term{}, 2},
+		{rdf.Term{}, rdf.NewIRI("http://x/nonexistent"), rdf.Term{}, 0},
+		{rdf.Term{}, rdf.Term{}, rdf.Term{}, 4},
+		{alice, name, rdf.Term{}, 2.0 / 16},
+		{rdf.Term{}, rdf.Term{}, rdf.NewString("Alice"), 4.0 / 4},
+		{alice, rdf.Term{}, rdf.NewString("Alice"), 4.0 / 64},
 	}
-	n, err := c.PredicateCountContext(context.Background(), rdf.NewIRI("http://x/name"))
-	if err != nil || n != 2 {
-		t.Fatalf("PredicateCount = %d, %v", n, err)
+	for round := 0; round < 2; round++ {
+		before := requests.Load()
+		for _, k := range counts {
+			if n, err := c.CountContext(ctx, k.s, k.p, k.o); err != nil || n != k.want {
+				t.Errorf("round %d: Count(%v, %v, %v) = %v, %v; want %v", round, k.s, k.p, k.o, n, err, k.want)
+			}
+		}
+		if sent, want := requests.Load()-before, []int64{3, 0}[round]; sent != want {
+			t.Errorf("round %d: %d requests, want %d", round, sent, want)
+		}
 	}
-	total, err := c.SizeContext(context.Background())
-	if err != nil || total != 4 {
-		t.Fatalf("Size = %d, %v", total, err)
+}
+
+// TestClientBoundMatchSeesNewTriples: the answer to a fully bound pattern
+// is not cached, so a triple the endpoint gains is matched from then on.
+func TestClientBoundMatchSeesNewTriples(t *testing.T) {
+	st := testStore()
+	srv := httptest.NewServer(NewHandler(st))
+	t.Cleanup(srv.Close)
+	c := NewClient("people", srv.URL+"/sparql", srv.Client())
+	a, p, b := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/b")
+	tp := sparql.TriplePattern{S: sparql.TermNode(a), P: sparql.TermNode(p), O: sparql.TermNode(b)}
+	if rows, err := c.MatchPatternContext(context.Background(), tp); err != nil || len(rows) != 0 {
+		t.Fatalf("absent triple: rows %v, err %v", rows, err)
 	}
-	// Cached lookups answer identically.
-	if n2, _ := c.PredicateCountContext(context.Background(), rdf.NewIRI("http://x/name")); n2 != n {
-		t.Errorf("cached count = %d", n2)
+	st.Add(rdf.Triple{S: a, P: p, O: b})
+	if rows, err := c.MatchPatternContext(context.Background(), tp); err != nil || len(rows) != 1 {
+		t.Errorf("after the triple was added: rows %v, err %v; want one", rows, err)
 	}
 }
 

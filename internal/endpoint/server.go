@@ -133,12 +133,20 @@ func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared, tr *
 	if err != nil {
 		return nil, err
 	}
+	return FromSlots(prep, res), nil
+}
+
+// FromSlots adapts an evaluation of prep — against any solver — for the
+// handler, rows still in id space: the reply decodes each term exactly once,
+// at the JSON boundary, and a solver's provenance column never reaches the
+// wire.
+func FromSlots(prep *sparql.Prepared, res *sparql.SlotResult) *Result {
 	out := &Result{Vars: res.Vars, Triples: res.Triples, slots: res}
 	if prep.Query().Ask {
 		out.IsAsk = true
 		out.Boolean = res.AskResult()
 	}
-	return out, nil
+	return out
 }
 
 // BadQueryError marks client errors (malformed queries) so the handler can

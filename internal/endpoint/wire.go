@@ -12,11 +12,11 @@ import (
 )
 
 // This file writes SELECT and ASK replies: W3C results JSON appended
-// straight from the result — id rows decoded through their id space, or
-// Bindings — into a pooled buffer, and handed to the connection in one
-// Write. The bytes are those encoding/json produces for a document of
-// map[string]term rows with HTML escaping off (wire.golden holds them):
-// a row's variables in byte order of their names, unbound ones left out,
+// straight from the evaluator's id rows, each term decoded through its id
+// space, into a pooled buffer, and handed to the connection in one Write.
+// The bytes are those encoding/json produces for a document of
+// map[string]term rows with HTML escaping off (wire.golden holds them): a
+// row's variables in byte order of their names, unbound ones left out,
 // "xml:lang" and "datatype" only when set, one trailing newline.
 
 // wireBufs recycles reply buffers. A reply larger than maxPooledReply is
@@ -25,22 +25,20 @@ var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledReply = 1 << 20
 
-// writeResults encodes a SELECT or ASK result and writes it to w.
+// writeResults encodes a SELECT or ASK result and writes it to w. A SELECT
+// result without id rows — one no evaluation produced — has no solutions.
 func writeResults(w http.ResponseWriter, res *Result) {
 	bp := wireBufs.Get().(*[]byte)
 	b := (*bp)[:0]
-	switch {
-	case res.IsAsk:
+	if res.IsAsk {
 		b = append(b, `{"head":{},"boolean":`...)
 		if res.Boolean {
 			b = append(b, "true}\n"...)
 		} else {
 			b = append(b, "false}\n"...)
 		}
-	case res.slots != nil:
+	} else {
 		b = appendSlotRows(appendHead(b, res.Vars), res.slots)
-	default:
-		b = appendBindingRows(appendHead(b, res.Vars), res.Vars, res.Rows)
 	}
 	_, _ = w.Write(b) // a failed write is the client's disconnect
 	if cap(b) <= maxPooledReply {
@@ -69,8 +67,13 @@ const wireTail = "]}}\n"
 
 // appendSlotRows encodes id rows. The emission order of a row's columns
 // is computed once for the result: sorted by name, a name projected twice
-// (one slot, hence one value) emitted once.
+// (one slot, hence one value) emitted once. Every column is emitted, so an
+// aggregate's grouping variable rides along in its rows beside the head's
+// vars.
 func appendSlotRows(b []byte, sr *sparql.SlotResult) []byte {
+	if sr == nil {
+		return append(b, wireTail...)
+	}
 	names := sr.RowVars()
 	cols := make([]int, len(names))
 	for j := range cols {
@@ -100,55 +103,6 @@ func appendSlotRows(b []byte, sr *sparql.SlotResult) []byte {
 		b = append(b, '}')
 	}
 	return append(b, wireTail...)
-}
-
-// appendBindingRows encodes Binding rows. The order starts as the sorted
-// projection; a row that binds a variable outside it (an aggregate's
-// carried grouping variable) widens the order once and is encoded again.
-func appendBindingRows(b []byte, vars []string, rows []sparql.Binding) []byte {
-	order := slices.Clone(vars)
-	slices.Sort(order)
-	order = slices.Compact(order)
-	for i, row := range rows {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		start := len(b)
-		for {
-			var emitted int
-			b, emitted = appendBinding(b[:start], order, row)
-			if emitted == len(row) {
-				break
-			}
-			for v := range row {
-				if k, found := slices.BinarySearch(order, v); !found {
-					order = slices.Insert(order, k, v)
-				}
-			}
-		}
-	}
-	return append(b, wireTail...)
-}
-
-// appendBinding encodes the variables of order that row binds, and
-// reports how many it found.
-func appendBinding(b []byte, order []string, row sparql.Binding) ([]byte, int) {
-	b = append(b, '{')
-	emitted := 0
-	for _, v := range order {
-		t, ok := row[v]
-		if !ok {
-			continue
-		}
-		if emitted > 0 {
-			b = append(b, ',')
-		}
-		emitted++
-		b = appendString(b, v)
-		b = append(b, ':')
-		b = appendTerm(b, t)
-	}
-	return append(b, '}'), emitted
 }
 
 // appendTerm encodes one RDF term object; decodeTerm is its inverse.

@@ -24,8 +24,9 @@ import (
 // This file pins the /sparql reply bytes. wire.golden was recorded from
 // the reflective encoding/json encoder (a results document of
 // map[string]termDocument rows) before the append-style encoder replaced
-// it; the replacement must reproduce it byte for byte, through both result
-// representations: id rows (NewHandler) and []Binding (NewQueryHandler).
+// it; the replacement must reproduce it byte for byte, through both
+// handlers: the single-store handler (NewHandler, "slots") and the generic
+// one (NewQueryHandler, "rows") that a served federation runs behind.
 //
 // Regenerate with `go test ./internal/endpoint -run TestWireGolden -update`
 // only for an intended change of the wire format.
@@ -90,12 +91,20 @@ var wireQueries = []string{
 	`ASK { <http://w/s1> <http://w/none> ?o }`,
 }
 
-// handResults are []Binding results no evaluator produces but a QueryFunc
-// may: nil and empty shapes, rows carrying variables outside Vars, and a
-// variable name the string escaper has to touch.
+// handResults are results no evaluator produces but a QueryFunc may: nil
+// and empty shapes, and a bare ASK answer.
 var handResults = map[string]*Result{
 	"hand:nil":   {},
-	"hand:empty": {Vars: []string{}, Rows: []sparql.Binding{}},
+	"hand:empty": {Vars: []string{}},
+	"hand:ask":   {IsAsk: true, Boolean: true},
+}
+
+// handDocuments are []Binding results no handler serves any more — rows
+// carrying variables outside Vars, and a variable name the string escaper
+// has to touch — kept in wire.golden as documents the Client decodes. The
+// test writes them with referenceReply, the encoder the file was recorded
+// from.
+var handDocuments = map[string]*Result{
 	"hand:extra": {Vars: []string{"b", "a"}, Rows: []sparql.Binding{
 		{"a": rdf.NewIRI("http://w/a"), "b": rdf.NewBlank("x"), "zz": rdf.NewString("outside Vars"), "B": rdf.NewInt(1)},
 		{},
@@ -105,13 +114,43 @@ var handResults = map[string]*Result{
 	"hand:name": {Vars: []string{"we\"ird<\u2028>"}, Rows: []sparql.Binding{
 		{"we\"ird<\u2028>": rdf.NewString("v")},
 	}},
-	"hand:ask": {IsAsk: true, Boolean: true},
 }
 
-// wireHandlers returns the two representations under test: the slot
-// handler, and a generic handler whose results are materialized Bindings.
+// referenceReply encodes a []Binding result as wire.golden was recorded:
+// encoding/json over a results document, HTML escaping off.
+func referenceReply(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var doc selectDocument
+	doc.Head.Vars = res.Vars
+	for _, row := range res.Rows {
+		b := map[string]termDocument{}
+		for v, term := range row {
+			d := termDocument{Type: "literal", Value: term.Value, Lang: term.Lang, Datatype: term.Datatype}
+			switch term.Kind {
+			case rdf.KindIRI:
+				d = termDocument{Type: "uri", Value: term.Value}
+			case rdf.KindBlank:
+				d = termDocument{Type: "bnode", Value: term.Value}
+			}
+			b[v] = d
+		}
+		doc.Results.Bindings = append(doc.Results.Bindings, b)
+	}
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(doc); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// wireHandlers returns the two handlers under test: the single-store
+// handler, and a generic handler over the store's evaluation adapted by
+// FromSlots — the path a served federation takes — that also serves
+// handResults.
 func wireHandlers(st *store.Store) (slots, rows *Handler) {
-	rows = NewQueryHandler(func(_ context.Context, query string) (*Result, error) {
+	rows = NewQueryHandler(func(ctx context.Context, query string) (*Result, error) {
 		if res, ok := handResults[query]; ok {
 			return res, nil
 		}
@@ -119,11 +158,12 @@ func wireHandlers(st *store.Store) (slots, rows *Handler) {
 		if err != nil {
 			return nil, &BadQueryError{Err: err}
 		}
-		res, err := sparql.Execute(st, query)
+		prep := sparql.Compile(q)
+		res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Vars: res.Vars, Rows: res.Rows, IsAsk: q.Ask, Boolean: q.Ask && res.AskResult()}, nil
+		return FromSlots(prep, res), nil
 	}, nil)
 	return NewHandler(st), rows
 }
@@ -140,19 +180,28 @@ func TestWireGolden(t *testing.T) {
 	for name := range handResults {
 		hands = append(hands, name)
 	}
+	for name := range handDocuments {
+		hands = append(hands, name)
+	}
 	sort.Strings(hands)
 	var got bytes.Buffer
-	record := func(repr string, h *Handler, query string) {
-		code, body := wireReply(h, query)
+	record := func(repr string, code int, query string, body []byte) {
 		fmt.Fprintf(&got, "# %s %d %s\n", repr, code, query)
 		got.Write(body)
 	}
 	for _, q := range wireQueries {
-		record("slots", slots, q)
-		record("rows", rows, q)
+		code, body := wireReply(slots, q)
+		record("slots", code, q, body)
+		code, body = wireReply(rows, q)
+		record("rows", code, q, body)
 	}
 	for _, name := range hands {
-		record("rows", rows, name)
+		if doc, ok := handDocuments[name]; ok {
+			record("rows", 200, name, referenceReply(t, doc))
+			continue
+		}
+		code, body := wireReply(rows, name)
+		record("rows", code, name, body)
 	}
 	if *updateWire {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -47,9 +47,7 @@ type Config struct {
 // rdf and sparql.
 type Target interface {
 	Name() string
-	HasPredicate(ctx context.Context, pred rdf.Term) (bool, error)
-	PredicateCount(ctx context.Context, pred rdf.Term) (int, error)
-	Size(ctx context.Context) (int, error)
+	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
 	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 }
 
@@ -130,25 +128,11 @@ func (s *Source) inject(ctx context.Context, op string) error {
 
 func (s *Source) Name() string { return s.inner.Name() }
 
-func (s *Source) HasPredicate(ctx context.Context, pred rdf.Term) (bool, error) {
-	if err := s.inject(ctx, "ask"); err != nil {
-		return false, err
-	}
-	return s.inner.HasPredicate(ctx, pred)
-}
-
-func (s *Source) PredicateCount(ctx context.Context, pred rdf.Term) (int, error) {
+func (s *Source) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
 	if err := s.inject(ctx, "count"); err != nil {
 		return 0, err
 	}
-	return s.inner.PredicateCount(ctx, pred)
-}
-
-func (s *Source) Size(ctx context.Context) (int, error) {
-	if err := s.inject(ctx, "size"); err != nil {
-		return 0, err
-	}
-	return s.inner.Size(ctx)
+	return s.inner.Count(ctx, ids, sub, pred, obj)
 }
 
 func (s *Source) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {

@@ -16,11 +16,9 @@ import (
 type stubTarget struct{}
 
 func (stubTarget) Name() string { return "stub" }
-func (stubTarget) HasPredicate(context.Context, rdf.Term) (bool, error) {
-	return true, nil
+func (stubTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
+	return 9, nil
 }
-func (stubTarget) PredicateCount(context.Context, rdf.Term) (int, error) { return 3, nil }
-func (stubTarget) Size(context.Context) (int, error)                     { return 9, nil }
 func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	return append(dst, rdf.TripleID{S: s, P: p, O: o}), nil
 }
@@ -28,11 +26,11 @@ func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, s, p, o rdf.TermID
 func TestZeroConfigPassesThrough(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{})
 	ctx := context.Background()
-	if ok, err := s.HasPredicate(ctx, rdf.NewIRI("http://p")); err != nil || !ok {
-		t.Fatalf("HasPredicate = %v, %v", ok, err)
+	if n, err := s.Count(ctx, nil, 0, 1, 0); err != nil || n != 9 {
+		t.Fatalf("Count = %v, %v", n, err)
 	}
-	if n, err := s.Size(ctx); err != nil || n != 9 {
-		t.Fatalf("Size = %d, %v", n, err)
+	if got, err := s.Match(ctx, nil, 1, 2, 3, nil); err != nil || len(got) != 1 {
+		t.Fatalf("Match = %v, %v", got, err)
 	}
 	if s.Failures.Load() != 0 {
 		t.Errorf("failures = %d, want 0", s.Failures.Load())
@@ -47,7 +45,7 @@ func TestErrorRateIsDeterministicPerSeed(t *testing.T) {
 		s := Wrap(stubTarget{}, Config{ErrorRate: 0.5, Seed: 42})
 		out := make([]bool, 40)
 		for i := range out {
-			_, err := s.Size(context.Background())
+			_, err := s.Count(context.Background(), nil, 0, 0, 0)
 			out[i] = err != nil
 		}
 		return out
@@ -80,14 +78,14 @@ func TestInjectedErrorsAreMarked(t *testing.T) {
 func TestHardOutageAndRecovery(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{})
 	s.SetDown(true)
-	if _, err := s.Size(context.Background()); !errors.Is(err, ErrInjected) {
+	if _, err := s.Count(context.Background(), nil, 0, 0, 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("down source err = %v, want ErrInjected", err)
 	}
 	if !s.Down() {
 		t.Error("Down() = false while down")
 	}
 	s.SetDown(false)
-	if _, err := s.Size(context.Background()); err != nil {
+	if _, err := s.Count(context.Background(), nil, 0, 0, 0); err != nil {
 		t.Fatalf("healed source err = %v", err)
 	}
 }
@@ -97,7 +95,7 @@ func TestLatencyRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := s.Size(ctx)
+	_, err := s.Count(ctx, nil, 0, 0, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

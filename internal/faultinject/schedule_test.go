@@ -12,11 +12,9 @@ import (
 type nullTarget struct{ name string }
 
 func (t nullTarget) Name() string { return t.name }
-func (t nullTarget) HasPredicate(context.Context, rdf.Term) (bool, error) {
-	return false, nil
+func (t nullTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
+	return 0, nil
 }
-func (t nullTarget) PredicateCount(context.Context, rdf.Term) (int, error) { return 0, nil }
-func (t nullTarget) Size(context.Context) (int, error)                     { return 0, nil }
 func (t nullTarget) Match(_ context.Context, _ *sparql.IDSpace, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	return dst, nil
 }

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"alex/internal/endpoint"
 	"alex/internal/faultinject"
@@ -34,7 +36,7 @@ const (
 )
 
 // readLines returns the non-comment lines of a testdata file.
-func readLines(t *testing.T, path string) []string {
+func readLines(t testing.TB, path string) []string {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -97,16 +99,6 @@ func hasPath(ps []sparql.Pattern) bool {
 	return false
 }
 
-// canon renders a row multiset order-independently.
-func canon(rows []sparql.Binding) []string {
-	out := make([]string, len(rows))
-	for i, b := range rows {
-		out[i] = renderBinding(b)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func renderBinding(b sparql.Binding) string {
 	vars := make([]string, 0, len(b))
 	for v := range b {
@@ -120,83 +112,130 @@ func renderBinding(b sparql.Binding) string {
 	return sb.String()
 }
 
-// TestSingleStoreIsOneSourceFederation: over the equivalence corpus and the
-// fuzz seeds, a federation of one store and no links answers exactly what
-// the slot engine answers on that store — in the same row order when both
-// planners are off (so both join in written order), as the same multiset
-// (and the same sequence under ORDER BY) when each plans from its own
-// statistics — and no answer claims a link. Property paths are the one
+// TestSingleStoreIsOneSourceFederation: over the equivalence corpus, the
+// fuzz seeds and the query both planners once ordered differently, a
+// federation of one store and no links answers exactly what the slot
+// engine answers on that store, row for row in the same order, with the
+// planner on and off — one cost model over one store's counts orders every
+// BGP alike — and no answer claims a link. Property paths are the one
 // exception: fed rejects them.
 func TestSingleStoreIsOneSourceFederation(t *testing.T) {
-	st := store.New("people", rdf.NewDict())
-	nt, err := os.Open(filepath.Join(sparqlTestdata, "people.nt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nt.Close()
-	if _, err := store.LoadNTriples(st, nt, store.LoadOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	planned, written := New(st.Dict(), st), New(st.Dict(), st)
-	written.DisableReorder()
-
+	st := peopleStore(t)
+	f := New(st.Dict(), st)
 	corpus := readLines(t, filepath.Join(sparqlTestdata, "equiv_corpus.rq"))
 	if len(corpus) < 60 {
 		t.Fatalf("corpus has %d queries, want >= 60", len(corpus))
 	}
-	ctx := context.Background()
+	queries := append(corpus, fuzzSeeds(t)...)
+	queries = append(queries, `SELECT * WHERE { ?s <http://x/knows> ?o . <http://x/alice> ?p ?v }`)
 	checked := 0
-	for _, query := range append(corpus, fuzzSeeds(t)...) {
+	for _, query := range queries {
 		q, err := sparql.Parse(query)
 		if err != nil {
 			continue
 		}
 		if hasPath(q.Patterns) {
-			if _, err := planned.EvalContext(ctx, sparql.Compile(q), nil); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
+			if _, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{}); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
 				t.Errorf("%q: err = %v, want the property-path rejection", query, err)
 			}
 			continue
 		}
 		checked++
-		for _, c := range []struct {
-			f     *Federation
-			opts  sparql.EvalOptions
-			exact bool
-		}{{planned, sparql.EvalOptions{}, len(q.OrderBy) > 0}, {written, sparql.EvalOptions{DisablePlan: true}, true}} {
-			prep := sparql.Compile(q)
-			slots, wantErr := prep.Eval(ctx, sparql.StoreSolver(st), c.opts)
-			got, gotErr := c.f.EvalContext(ctx, prep, nil)
-			if wantErr != nil || gotErr != nil {
-				t.Fatalf("%q: store err %v, fed err %v", query, wantErr, gotErr)
-			}
-			want := slots.Materialize()
-			if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Triples, want.Triples) {
-				t.Errorf("%q: fed vars %v triples %v, store vars %v triples %v", query, got.Vars, got.Triples, want.Vars, want.Triples)
-			}
-			rows := make([]sparql.Binding, len(got.Answers))
-			for i, a := range got.Answers {
-				rows[i] = a.Binding
-				if len(a.Used) != 0 {
-					t.Errorf("%q: answer %d used %v with no links set", query, i, a.Used)
-				}
-			}
-			if len(rows) != len(want.Rows) {
-				t.Fatalf("%q: fed %d rows, store %d", query, len(rows), len(want.Rows))
-			}
-			if c.exact {
-				for i := range rows {
-					if !reflect.DeepEqual(rows[i], want.Rows[i]) {
-						t.Errorf("%q: row %d: fed %v, store %v", query, i, rows[i], want.Rows[i])
-					}
-				}
-			} else if !reflect.DeepEqual(canon(rows), canon(want.Rows)) {
-				t.Errorf("%q: fed rows %v, store rows %v", query, canon(rows), canon(want.Rows))
-			}
+		for _, opts := range []sparql.EvalOptions{{}, {DisablePlan: true}} {
+			assertSameRows(t, f, st, query, q, opts, 0)
 		}
 	}
 	if checked < 50 {
 		t.Fatalf("only %d queries compared", checked)
 	}
+}
+
+// peopleStore loads internal/sparql's people.nt fixture.
+func peopleStore(t testing.TB) *store.Store {
+	t.Helper()
+	st, err := store.NewFromFile(rdf.NewDict(), filepath.Join(sparqlTestdata, "people.nt"), store.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// FuzzFederationMatchesStore is TestSingleStoreIsOneSourceFederation with
+// the fuzzer writing the queries, seeded with FuzzEvalEquivalence's corpus:
+// any input that parses, property paths aside, gives the same rows in the
+// same order from people.nt's store and from a federation of that store
+// alone, planner on and off. Each side runs under a short deadline of its
+// own, so that a fuzzed cross product ends instead of hanging; an input on
+// which a deadline fires is not compared.
+func FuzzFederationMatchesStore(f *testing.F) {
+	st := peopleStore(f)
+	fd := New(st.Dict(), st)
+	for _, query := range readLines(f, filepath.Join(sparqlTestdata, "equiv_corpus.rq")) {
+		f.Add(query)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		q, err := sparql.Parse(in)
+		if err != nil || hasPath(q.Patterns) {
+			return
+		}
+		for _, opts := range []sparql.EvalOptions{{}, {DisablePlan: true}} {
+			assertSameRows(t, fd, st, in, q, opts, 50*time.Millisecond)
+		}
+	})
+}
+
+// assertSameRows evaluates q on st through the store solver and through f,
+// a federation of st alone, and fails unless both fail alike or give the
+// same vars, triples and rows in the same order, no row using a link. A
+// positive limit bounds each side by a deadline of its own; when one fires
+// there is nothing to compare. It returns the federation's result, nil
+// when it has none to compare.
+func assertSameRows(t testing.TB, f *Federation, st *store.Store, query string, q *sparql.Query, opts sparql.EvalOptions, limit time.Duration) *Result {
+	t.Helper()
+	bounded := func(eval func(ctx context.Context) error) error {
+		ctx := context.Background()
+		if limit > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, limit)
+			defer cancel()
+		}
+		return eval(ctx)
+	}
+	prep := sparql.Compile(q)
+	var slots *sparql.SlotResult
+	var got *Result
+	wantErr := bounded(func(ctx context.Context) (err error) {
+		slots, err = prep.Eval(ctx, sparql.StoreSolver(st), opts)
+		return err
+	})
+	gotErr := bounded(func(ctx context.Context) (err error) {
+		got, err = f.EvalContext(ctx, prep, opts)
+		return err
+	})
+	switch {
+	case errors.Is(wantErr, context.DeadlineExceeded) || errors.Is(gotErr, context.DeadlineExceeded):
+		return nil
+	case (wantErr != nil) != (gotErr != nil):
+		t.Fatalf("%q: store err %v, fed err %v", query, wantErr, gotErr)
+	case wantErr != nil:
+		return nil
+	}
+	want := slots.Materialize()
+	if !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Triples, want.Triples) {
+		t.Errorf("%q: fed vars %v triples %v, store vars %v triples %v", query, got.Vars, got.Triples, want.Vars, want.Triples)
+	}
+	if len(got.Answers) != len(want.Rows) {
+		t.Fatalf("%q (DisablePlan=%v): fed %d rows, store %d", query, opts.DisablePlan, len(got.Answers), len(want.Rows))
+	}
+	for i, a := range got.Answers {
+		if len(a.Used) != 0 {
+			t.Errorf("%q: answer %d used %v with no links set", query, i, a.Used)
+		}
+		if !reflect.DeepEqual(a.Binding, want.Rows[i]) {
+			t.Errorf("%q (DisablePlan=%v): row %d: fed %v, store %v", query, opts.DisablePlan, i, a.Binding, want.Rows[i])
+		}
+	}
+	return got
 }
 
 // fedConfig is one way to assemble the two-link federation.
@@ -454,26 +493,11 @@ func driftStore(t *testing.T) (*Federation, *store.Store) {
 
 func assertSameAsStore(t *testing.T, f *Federation, st *store.Store, query string) *Result {
 	t.Helper()
-	want, err := sparql.Execute(st, query)
+	q, err := sparql.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ExecuteContext(context.Background(), query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Answers) != len(want.Rows) {
-		t.Fatalf("%q: fed %d answers, store %d rows", query, len(got.Answers), len(want.Rows))
-	}
-	for i, a := range got.Answers {
-		if !reflect.DeepEqual(a.Binding, want.Rows[i]) {
-			t.Errorf("%q: row %d: fed %v, store %v", query, i, a.Binding, want.Rows[i])
-		}
-	}
-	if !reflect.DeepEqual(got.Triples, want.Triples) {
-		t.Errorf("%q: fed triples %v, store %v", query, got.Triples, want.Triples)
-	}
-	return got
+	return assertSameRows(t, f, st, query, q, sparql.EvalOptions{}, 0)
 }
 
 func TestOrderByIsNumericAware(t *testing.T) {

@@ -5,12 +5,13 @@
 // dictionary, and/or remote HTTP SPARQL endpoints via internal/endpoint),
 // plus a set of owl:sameAs candidate links. Queries are parsed with
 // internal/sparql and evaluated against all member sources: each triple
-// pattern is routed by predicate-probe source selection (local index probe
-// or remote ASK), join order is chosen by a greedy selectivity heuristic,
-// bound joins optionally run in parallel, and bound entity terms are
-// transparently rewritten through sameAs links so a join can cross
-// data-set boundaries. A federation can itself be served as an endpoint
-// (CachedEndpointQueryFunc), enabling hierarchical federation.
+// pattern is routed by predicate-probe source selection (a source's Count
+// of the predicate: a local posting list or a remote, cached COUNT), join
+// order is chosen by the single-store planner's cost model over the
+// members' counts, bound joins optionally run in parallel, and bound
+// entity terms are transparently rewritten through sameAs links so a join
+// can cross data-set boundaries. A federation can itself be served as an
+// endpoint (CachedEndpointQueryFunc), enabling hierarchical federation.
 //
 // There is one SPARQL evaluator: internal/sparql's slot engine. The
 // federation is that engine's second sparql.Solver (solver.go) — it answers
@@ -51,8 +52,6 @@ type Federation struct {
 	// while queries are in flight, and each evaluation loads the snapshot
 	// once, so it sees one consistent link set throughout.
 	links atomic.Pointer[linkSnapshot]
-	// reorder enables greedy selectivity-based join reordering (default).
-	reorder bool
 	// parallel is the worker count for bound joins; 1 disables parallelism.
 	parallel int
 
@@ -175,11 +174,7 @@ func (f *Federation) bindMember(m *member) {
 
 // New returns a federation over the given stores, which must share dict.
 func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
-	f := &Federation{
-		dict:     dict,
-		reorder:  true,
-		parallel: 1,
-	}
+	f := &Federation{dict: dict, parallel: 1}
 	f.links.Store(&linkSnapshot{links: linkset.New()})
 	for _, st := range stores {
 		f.addMember(LocalSource(st))
@@ -218,7 +213,7 @@ func (f *Federation) AddSource(src Source) { f.addMember(src) }
 
 // SetObserver attaches a metrics registry. Federated-query instruments:
 // fed.queries / fed.query_ns (count and latency of Eval calls),
-// fed.source_probes (source-selection predicate probes),
+// fed.source_probes (source-selection Count probes),
 // fed.sameas.rewrites / fed.sameas.rows (sameAs substitutions fired and
 // the rows they produced), fed.boundjoin.batches / fed.boundjoin.rows
 // (bound-join batches and their input cardinalities),
@@ -341,39 +336,53 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return f.EvalContext(ctx, sparql.Compile(q), nil)
+	return f.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
 }
 
-// EvalContext evaluates a compiled query under ctx, recording an
-// EXPLAIN-style span tree into tr: per-pattern spans with source names,
+// EvalContext evaluates a compiled query under ctx. opts.Trace, when set,
+// records an EXPLAIN-style span tree: per-pattern spans with source names,
 // join input/output cardinalities, sameAs rewrites fired, and per-stage
-// durations (nil disables tracing; metrics are still recorded when an
-// observer is set). The recorded prefix survives an evaluation that fails
-// partway — often exactly what one wants to see. With
-// Resilience.PartialResults enabled, skipped sources are annotated on the
-// root span ("partial", "skipped") and returned in Result.Skipped.
-func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*Result, error) {
+// durations (metrics are recorded either way when an observer is set). The
+// recorded prefix survives an evaluation that fails partway — often exactly
+// what one wants to see. opts.DisablePlan runs every BGP in written order,
+// as it does for a single store. With Resilience.PartialResults enabled,
+// skipped sources are annotated on the root span ("partial", "skipped")
+// and returned in Result.Skipped.
+func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*Result, error) {
+	rows, es, skips, err := f.eval(ctx, prep, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Vars: rows.Vars, Triples: rows.Triples, Skipped: skips}
+	// The evaluation is over, so no bound-join worker shares es.sets any
+	// more; the answers share its link sets and must not modify them.
+	if n := rows.Len(); n > 0 {
+		res.Answers = make([]Answer, n)
+		for i := range res.Answers {
+			res.Answers[i] = Answer{Binding: rows.Binding(i), Used: es.sets[rows.Provenance(i)]}
+		}
+	}
+	return res, nil
+}
+
+// eval runs prep against the federation, rows left in id space, and does
+// what every evaluation owes the observer and the trace: the query count
+// and latency, and the partial-result accounting. It returns the rows, the
+// evaluation state their provenance ids refer to, and the skipped sources.
+func (f *Federation) eval(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*sparql.SlotResult, *evalState, []SourceSkip, error) {
 	var t0 time.Time
 	if f.obsReg != nil {
 		t0 = time.Now()
 	}
 	es := f.newEvalState()
-	rows, err := prep.Eval(ctx, es, sparql.EvalOptions{Trace: tr})
+	rows, err := prep.Eval(ctx, es, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	bindings := rows.Materialize()
-	res := &Result{Vars: bindings.Vars, Triples: bindings.Triples}
-	if rows.Len() > 0 {
-		res.Answers = make([]Answer, rows.Len())
-		for i, b := range bindings.Rows {
-			res.Answers[i] = Answer{Binding: b, Used: es.linksOf(rows.Provenance(i))}
-		}
-	}
-	if skips := es.skips(); len(skips) > 0 {
-		res.Skipped = skips
+	skips := es.skips()
+	if len(skips) > 0 {
 		f.cPartial.Inc()
-		sp := tr.Root()
+		sp := opts.Trace.Root()
 		sp.SetInt("partial", 1)
 		names := ""
 		for i, sk := range skips {
@@ -388,7 +397,7 @@ func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, tr 
 	if f.obsReg != nil {
 		f.hQueryNS.Observe(time.Since(t0).Nanoseconds())
 	}
-	return res, nil
+	return rows, es, skips, nil
 }
 
 // SetParallelism sets the bound-join worker count (minimum 1). Parallelism

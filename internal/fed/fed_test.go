@@ -2,11 +2,11 @@ package fed
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"alex/internal/linkset"
 	"alex/internal/rdf"
-	"alex/internal/sparql"
 	"alex/internal/store"
 )
 
@@ -224,32 +224,19 @@ func TestFederatedParseError(t *testing.T) {
 	}
 }
 
+// TestSelectSources: a pattern goes to the sources whose Count of its
+// predicate is not 0, and a variable predicate to every source.
 func TestSelectSources(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	aboutPattern := sparql.TriplePattern{
-		S: sparql.VarNode("a"),
-		P: sparql.TermNode(rdf.NewIRI(nyo + "about")),
-		O: sparql.VarNode("w"),
-	}
-	ctx, es := context.Background(), f.newEvalState()
-	srcs, err := f.selectSources(ctx, es, aboutPattern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(srcs) != 1 || srcs[0].name != "nytimes" {
-		t.Errorf("sources for nyt:about = %v", sourceNames(srcs))
-	}
-	varPred := sparql.TriplePattern{S: sparql.VarNode("s"), P: sparql.VarNode("p"), O: sparql.VarNode("o")}
-	if got, err := f.selectSources(ctx, es, varPred); err != nil || len(got) != 2 {
-		t.Errorf("sources for variable predicate = %d (err %v), want 2", len(got), err)
-	}
-	unknown := sparql.TriplePattern{
-		S: sparql.VarNode("s"),
-		P: sparql.TermNode(rdf.NewIRI("http://never/seen")),
-		O: sparql.VarNode("o"),
-	}
-	if got, err := f.selectSources(ctx, es, unknown); err != nil || len(got) != 0 {
-		t.Errorf("sources for unknown predicate = %d (err %v), want 0", len(got), err)
+	for _, c := range []struct{ pattern, sources string }{
+		{`?a <` + nyo + `about> ?w`, "{nytimes}"},
+		{`?s ?p ?o`, "{dbpedia,nytimes}"},
+		{`?s <http://never/seen> ?o`, "{}"},
+	} {
+		plan, err := f.PlanDescriptionContext(context.Background(), `SELECT * WHERE { `+c.pattern+` }`)
+		if err != nil || len(plan) != 1 || !strings.HasSuffix(strings.TrimSuffix(plan[0], " [exclusive]"), "@ "+c.sources) {
+			t.Errorf("%s: plan %v (err %v), want sources %s", c.pattern, plan, err, c.sources)
+		}
 	}
 }
 

@@ -45,19 +45,9 @@ func (s *recordingSource) note(ctx context.Context, method string) {
 	s.left[method] = append(s.left[method], left)
 }
 
-func (s *recordingSource) HasPredicate(ctx context.Context, pred rdf.Term) (bool, error) {
-	s.note(ctx, "HasPredicate")
-	return s.Source.HasPredicate(ctx, pred)
-}
-
-func (s *recordingSource) PredicateCount(ctx context.Context, pred rdf.Term) (int, error) {
-	s.note(ctx, "PredicateCount")
-	return s.Source.PredicateCount(ctx, pred)
-}
-
-func (s *recordingSource) Size(ctx context.Context) (int, error) {
-	s.note(ctx, "Size")
-	return s.Source.Size(ctx)
+func (s *recordingSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+	s.note(ctx, "Count")
+	return s.Source.Count(ctx, ids, sub, pred, obj)
 }
 
 func (s *recordingSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
@@ -79,24 +69,19 @@ func recordedFederation(t *testing.T) (*Federation, *recordingSource) {
 
 // TestAddedSourceIsTimedPerCall: a source handed to AddSource is one that
 // can wait, so every call to it — bound-join matches and the planner's
-// ASK/COUNT/size probes alike — runs under Resilience.Timeout, and under no
-// deadline at all when the policy has none. The in-process member beside it
-// is never timed; TestHealthyLocalProbeAllocatesNothing shows that.
+// Count probes alike — runs under Resilience.Timeout, and under no deadline
+// at all when the policy has none. The in-process member beside it is never
+// timed; TestHealthyLocalProbeAllocatesNothing shows that.
 func TestAddedSourceIsTimedPerCall(t *testing.T) {
-	// The second query has a variable predicate, whose cost estimate asks
-	// every source for its size.
-	queries := []string{motivatingQuery, `SELECT ?s ?p WHERE { ?s ?p <` + nyt + `lebron_james_per> }`}
 	for _, timeout := range []time.Duration{time.Minute, 0} {
 		f, rec := recordedFederation(t)
 		r := DefaultResilience()
 		r.Timeout = timeout
 		f.SetResilience(r)
-		for _, q := range queries {
-			if _, err := f.ExecuteContext(context.Background(), q); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := f.ExecuteContext(context.Background(), motivatingQuery); err != nil {
+			t.Fatal(err)
 		}
-		for _, method := range []string{"Match", "HasPredicate", "PredicateCount", "Size"} {
+		for _, method := range []string{"Match", "Count"} {
 			calls := rec.left[method]
 			if len(calls) == 0 {
 				t.Errorf("timeout %v: %s never called; the test proves nothing", timeout, method)
@@ -137,8 +122,9 @@ func (p *probeSolver) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids 
 // TestHealthyLocalProbeAllocatesNothing is the invariant the members exist
 // for: under the default policy with no observer, probing healthy
 // in-process sources — per source one base match (nytimes answers it with
-// two rows) and one sameAs rewrite that finds nothing — arms no timer,
-// takes no lock and looks nothing up by name, so it allocates nothing.
+// two rows) and one sameAs rewrite that finds nothing, and the planner's
+// Count of the pattern — arms no timer, takes no lock and looks nothing up
+// by name, so it allocates nothing.
 func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -165,6 +151,17 @@ func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("one healthy probe of two in-process sources allocates %v times, want 0", allocs)
+		}
+		sub, pred, obj := c.Query(in.Row(0))
+		allocs = testing.AllocsPerRun(runs, func() {
+			for _, m := range f.sources {
+				if _, err := f.count(ctx, m, ids, sub, pred, obj); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("one healthy Count of two in-process sources allocates %v times, want 0", allocs)
 		}
 		if out.Len() != 2*(runs+1) {
 			t.Errorf("probes produced %d rows, want %d: the base match no longer answers", out.Len(), 2*(runs+1))
@@ -333,13 +330,19 @@ func TestSkipCountedOncePerSourceUnderParallelism(t *testing.T) {
 	const workers = 4
 	f.AddSource(&matchDownSource{Source: LocalSource(down), together: workers})
 	f.SetParallelism(workers)
-	f.DisableReorder() // p1 first: the second pattern's 64 rows fan out over the workers
 	f.SetResilience(Resilience{PartialResults: true, Seed: 1})
 	reg := obs.NewRegistry()
 	f.SetObserver(reg)
+	q, err := sparql.Parse(`SELECT ?s ?y WHERE { ?s <http://t/p1> ?x . ?s <http://t/p2> ?y }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written order, p1 first: the second pattern's 64 rows fan out over
+	// the workers.
+	written := sparql.EvalOptions{DisablePlan: true}
 	const rounds = 500
 	for i := 0; i < rounds; i++ {
-		res, err := f.ExecuteContext(context.Background(), `SELECT ?s ?y WHERE { ?s <http://t/p1> ?x . ?s <http://t/p2> ?y }`)
+		res, err := f.EvalContext(context.Background(), sparql.Compile(q), written)
 		if err != nil {
 			t.Fatal(err)
 		}

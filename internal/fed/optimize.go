@@ -3,6 +3,7 @@ package fed
 import (
 	"context"
 
+	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 )
@@ -11,13 +12,15 @@ import (
 // substrate relies on (Schwarte et al., ISWC 2011): source selection by
 // predicate probe (selectSources, solver.go) and greedy selectivity-based
 // join reordering, so bound joins touch the smallest intermediate results
-// first. The ordering loop is internal/sparql's, shared with the store
-// solver; the cost model below is the federation's own.
+// first. The ordering loop and the cost model are internal/sparql's, shared
+// with the store solver; what is the federation's own is which sources
+// answer a pattern and how each answers Count.
 
-// plannedPattern is one triple pattern with its selected sources and the
-// cost estimate used for ordering.
+// plannedPattern is one triple pattern, compiled against the evaluation,
+// with its selected sources.
 type plannedPattern struct {
 	tp      sparql.TriplePattern
+	c       sparql.SlotPattern
 	sources []*member
 	// exclusive marks patterns answerable by exactly one source — FedX's
 	// exclusive groups; they never multiply intermediate results across
@@ -26,143 +29,115 @@ type plannedPattern struct {
 }
 
 // planBGP selects the sources of every pattern of a basic graph pattern
-// and orders the patterns by sparql.GreedyOrder over estimateCost: starting
-// from the externally bound variables, the cheapest pattern given what is
-// bound so far runs next. This is the
-// classic variable-counting heuristic FedX uses; it needs no data
-// statistics beyond predicate counts.
-func (f *Federation) planBGP(ctx context.Context, es *evalState, bgp sparql.BGP, bound map[string]bool) ([]plannedPattern, error) {
+// and, for two patterns or more, orders them by sparql.GreedyOrder over
+// sparql.Estimate: starting from the slots bound marks, the cheapest pattern
+// given what is bound so far runs next. A source whose Count fails counts
+// 1<<20 — an estimate it cannot give is assumed expensive.
+func (f *Federation) planBGP(ctx context.Context, es *evalState, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, bound []bool) ([]plannedPattern, error) {
 	written := make([]plannedPattern, 0, len(bgp.Triples))
 	for _, tp := range bgp.Triples {
-		sources, err := f.selectSources(ctx, es, tp)
+		sources, err := f.selectSources(ctx, es, ids, tp)
 		if err != nil {
 			return nil, err
 		}
 		written = append(written, plannedPattern{
 			tp:        tp,
+			c:         lay.Compile(ids, tp),
 			sources:   sources,
 			exclusive: len(sources) == 1,
 		})
 	}
-	if !f.reorder {
+	if len(written) < 2 {
 		return written, nil
-	}
-	boundVars := make(map[string]bool, len(bound))
-	for v := range bound {
-		boundVars[v] = true
 	}
 	ordered := make([]plannedPattern, 0, len(written))
 	sparql.GreedyOrder(len(written),
-		func(i int) float64 { return f.estimateCost(ctx, written[i], boundVars) },
+		func(i int) float64 {
+			sources := written[i].sources
+			return sparql.Estimate(written[i].c, bound, len(sources), func(k int, s, p, o rdf.TermID) float64 {
+				n, err := f.count(ctx, sources[k], ids, s, p, o)
+				if err != nil {
+					return 1 << 20
+				}
+				return n
+			})
+		},
 		func(i int) {
 			ordered = append(ordered, written[i])
 			for _, v := range written[i].tp.Vars() {
-				boundVars[v] = true
+				if sl := lay.Slot(v); sl >= 0 {
+					bound[sl] = true
+				}
 			}
 		})
 	return ordered, nil
 }
 
-// estimateCost scores a pattern given the currently bound variables: lower
-// is more selective. The base is the total triple count for the pattern's
-// predicate across its sources (or all triples for a variable predicate),
-// discounted heavily for a bound subject and moderately for a bound object,
-// with a penalty per candidate source.
-func (f *Federation) estimateCost(ctx context.Context, p plannedPattern, bound map[string]bool) float64 {
-	base := 0.0
-	if !p.tp.P.IsVar() {
-		for _, m := range p.sources {
-			n, err := f.predicateCount(ctx, m, p.tp.P.Term)
-			if err != nil {
-				// Remote estimate unavailable: assume expensive.
-				n = 1 << 20
-			}
-			base += float64(n)
-		}
-	} else {
-		for _, m := range p.sources {
-			n, err := f.sourceSize(ctx, m)
-			if err != nil {
-				n = 1 << 20
-			}
-			base += float64(n)
-		}
-	}
-	if base == 0 {
-		return 0 // empty pattern: run it first, it terminates the join
-	}
-	isBound := func(n sparql.Node) bool {
-		if n.IsVar() {
-			return bound[n.Var]
-		}
-		return !n.Term.IsZero()
-	}
-	if isBound(p.tp.S) {
-		base /= 16
-	}
-	if isBound(p.tp.O) {
-		base /= 4
-	}
-	// Multiple sources multiply the bound-join fan-out.
-	base *= float64(len(p.sources))
-	return base
-}
-
-// predicateCount and sourceSize are the cost model's COUNT probes under
-// the fault-tolerance policy (retries, timeouts, breaker accounting); on
-// a healthy passthrough they are plain source calls.
-
-func (f *Federation) predicateCount(ctx context.Context, m *member, pred rdf.Term) (int, error) {
-	var n int
+// count is the member's Count under the fault-tolerance policy (retries,
+// timeouts, breaker accounting); on a healthy passthrough it is a plain
+// source call.
+func (f *Federation) count(ctx context.Context, m *member, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error) {
+	var n float64
 	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
-		n, err = m.src.PredicateCount(ctx, pred)
+		n, err = m.src.Count(ctx, ids, s, p, o)
 		return err
 	})
 	return n, err
 }
-
-func (f *Federation) sourceSize(ctx context.Context, m *member) (int, error) {
-	var n int
-	err := f.callSource(ctx, m, func(ctx context.Context) error {
-		var err error
-		n, err = m.src.Size(ctx)
-		return err
-	})
-	return n, err
-}
-
-// DisableReorder turns off join reordering (naive written order), for the
-// optimizer ablation benchmark.
-func (f *Federation) DisableReorder() { f.reorder = false }
 
 // PlanDescriptionContext reports, for diagnostics and tests, the evaluation
 // order and per-pattern source names the optimizer chose for a query's
-// first BGP. ctx bounds the cost-model probes (ASK/COUNT against remote
-// sources) that planning can issue.
+// first top-level BGP, planned with nothing bound before it. ctx bounds the
+// Count probes planning issues. No source is matched: the query runs
+// against a describer, which answers every pattern with no rows.
 func (f *Federation) PlanDescriptionContext(ctx context.Context, query string) ([]string, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
+	d := &describer{evalState: f.newEvalState()}
 	for _, p := range q.Patterns {
-		bgp, ok := p.(sparql.BGP)
-		if !ok {
-			continue
+		if bgp, ok := p.(sparql.BGP); ok && len(bgp.Triples) > 0 {
+			d.first = &bgp.Triples[0]
+			break
 		}
-		plan, err := f.planBGP(ctx, f.newEvalState(), bgp, map[string]bool{})
+	}
+	if d.first == nil {
+		return nil, nil
+	}
+	if _, err := sparql.Compile(q).Eval(ctx, d, sparql.EvalOptions{}); err != nil {
+		return nil, err
+	}
+	return d.plan, nil
+}
+
+// describer is the solver PlanDescriptionContext evaluates against: the
+// federation's, except that it plans only the BGP whose first pattern is
+// first, and answers every BGP and path with no rows, so nothing else runs.
+type describer struct {
+	*evalState
+	first *sparql.TriplePattern
+	plan  []string
+}
+
+func (d *describer) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, _ *obs.Span) (*sparql.Rows, error) {
+	if len(bgp.Triples) > 0 && &bgp.Triples[0] == d.first {
+		plan, err := d.f.planBGP(ctx, d.evalState, lay, ids, bgp, make([]bool, in.Width()))
 		if err != nil {
 			return nil, err
 		}
-		out := make([]string, len(plan))
-		for i, pp := range plan {
+		for _, pp := range plan {
 			marker := ""
 			if pp.exclusive {
 				marker = " [exclusive]"
 			}
-			out[i] = pp.tp.String() + " @ {" + sourceNames(pp.sources) + "}" + marker
+			d.plan = append(d.plan, pp.tp.String()+" @ {"+sourceNames(pp.sources)+"}"+marker)
 		}
-		return out, nil
 	}
-	return nil, nil
+	return sparql.NewRows(in.Width(), 0), nil
+}
+
+func (d *describer) SolvePath(_ context.Context, _ *sparql.SlotLayout, _ *sparql.IDSpace, _ sparql.PathPattern, in *sparql.Rows) (*sparql.Rows, error) {
+	return sparql.NewRows(in.Width(), 0), nil
 }

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"alex/internal/obs"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
 	"alex/internal/store"
 )
 
@@ -66,41 +68,50 @@ func TestPlanReordersBySelectivity(t *testing.T) {
 	}
 }
 
-func TestPlanRespectsDisableReorder(t *testing.T) {
+// TestPlanRespectsDisablePlan: under EvalOptions.DisablePlan the BGP runs
+// in written order — the huge pattern first — and with the planner on the
+// rare one runs first.
+func TestPlanRespectsDisablePlan(t *testing.T) {
 	f := skewedFederation(t)
-	f.DisableReorder()
-	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
+	q, err := sparql.Parse(`SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan[0], "common") {
-		t.Errorf("naive order not preserved: %v", plan)
-	}
-	f.reorder = true
-	plan, _ = f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
-		?s <http://x/common> ?v .
-		?s <http://x/rare> "needle" .
-	}`)
-	if !strings.Contains(plan[0], "rare") {
-		t.Errorf("reorder not restored: %v", plan)
+	for _, c := range []struct {
+		opts  sparql.EvalOptions
+		first string
+	}{{sparql.EvalOptions{DisablePlan: true}, "common"}, {sparql.EvalOptions{}, "rare"}} {
+		c.opts.Trace = obs.NewTrace("query")
+		if _, err := f.EvalContext(context.Background(), sparql.Compile(q), c.opts); err != nil {
+			t.Fatal(err)
+		}
+		patterns := c.opts.Trace.Root().FindAll("pattern")
+		if len(patterns) != 2 {
+			t.Fatalf("DisablePlan=%v: %d pattern spans, want 2", c.opts.DisablePlan, len(patterns))
+		}
+		if tp, _ := patterns[0].Str("tp"); !strings.Contains(tp, c.first) {
+			t.Errorf("DisablePlan=%v: first pattern %s, want the %s one", c.opts.DisablePlan, tp, c.first)
+		}
 	}
 }
 
 func TestPlanSameResultsEitherOrder(t *testing.T) {
 	f := skewedFederation(t)
-	q := `SELECT ?s ?v WHERE {
+	q, err := sparql.Parse(`SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
-	}`
-	ordered, err := f.ExecuteContext(context.Background(), q)
+	}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.DisableReorder()
-	naive, err := f.ExecuteContext(context.Background(), q)
+	ordered, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{DisablePlan: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,6 +136,31 @@ func TestRemoteRequestBudget(t *testing.T) {
 	}
 }
 
+// TestRemoteBoundMatchSeesNewTriples: a fully bound pattern sent to a
+// remote source is answered by the endpoint each time, so a triple it gains
+// is found by the next query. (The predicate is one the endpoint already
+// had: a predicate counted 0 stays unselected — its COUNT is cached.)
+func TestRemoteBoundMatchSeesNewTriples(t *testing.T) {
+	remoteStore := store.New("remote", rdf.NewDict())
+	a, p := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p")
+	remoteStore.Add(rdf.Triple{S: a, P: p, O: rdf.NewIRI("http://x/c")})
+	srv := httptest.NewServer(endpoint.NewHandler(remoteStore))
+	t.Cleanup(srv.Close)
+	f := New(rdf.NewDict())
+	f.AddSource(RemoteSource(endpoint.NewClient("remote", srv.URL+"/sparql", srv.Client())))
+	ask := `ASK { <http://x/a> <http://x/p> <http://x/b> }`
+	for _, want := range []bool{false, true} {
+		res, err := f.ExecuteContext(context.Background(), ask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AskResult() != want {
+			t.Errorf("ASK = %v, want %v", res.AskResult(), want)
+		}
+		remoteStore.Add(rdf.Triple{S: a, P: p, O: rdf.NewIRI("http://x/b")})
+	}
+}
+
 func contains(haystack, needle string) bool {
 	return strings.Contains(haystack, needle)
 }

@@ -33,7 +33,7 @@ import (
 // settings. Install with Federation.SetResilience.
 type Resilience struct {
 	// Timeout bounds each individual call to a source that can wait — a
-	// remote endpoint, or any Source handed to AddSource: one ASK/COUNT
+	// remote endpoint, or any Source handed to AddSource: one Count
 	// probe, or one match of one row against one source for one pattern (a
 	// bound join makes rows × sources of them, plus one per sameAs alias).
 	// A call into an in-process store (the sources New builds, LocalSource)

@@ -66,14 +66,6 @@ func (es *evalState) Provenance() bool { return true }
 // (SetObserver), under fed.* names.
 func (es *evalState) Registry() *obs.Registry { return nil }
 
-// linksOf returns the link set a provenance id names. Callers share the
-// slice and must not modify it.
-func (es *evalState) linksOf(set rdf.TermID) []linkset.Link {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	return es.sets[set]
-}
-
 // addSet registers a sorted link set. Caller holds es.mu.
 func (es *evalState) addSet(links []linkset.Link) rdf.TermID {
 	es.sets = append(es.sets, links)
@@ -144,7 +136,7 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := es.f.planBGP(ctx, es, bgp, boundVarsOf(lay, bgp, in))
+	plan, err := es.f.planBGP(ctx, es, lay, ids, bgp, in.Bound())
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +152,7 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 			}
 			psp.SetInt("in", int64(rows.Len()))
 		}
-		next, err := es.extendRows(ctx, lay.Compile(ids, pp.tp), pp.sources, ids, rows, psp)
+		next, err := es.extendRows(ctx, pp.c, pp.sources, ids, rows, psp)
 		if err != nil {
 			psp.End()
 			return nil, err
@@ -173,27 +165,6 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 		}
 	}
 	return rows, nil
-}
-
-// boundVarsOf reports which of the BGP's variables are already bound in
-// any current row — the planner's starting point.
-func boundVarsOf(lay *sparql.SlotLayout, bgp sparql.BGP, rows *sparql.Rows) map[string]bool {
-	out := map[string]bool{}
-	for _, tp := range bgp.Triples {
-		for _, v := range tp.Vars() {
-			if out[v] {
-				continue
-			}
-			slot := lay.Slot(v)
-			for i := 0; i < rows.Len(); i++ {
-				if rows.Row(i)[slot] != rdf.NoTerm {
-					out[v] = true
-					break
-				}
-			}
-		}
-	}
-	return out
 }
 
 // sourceNames renders a source list compactly for span attributes.
@@ -361,14 +332,18 @@ func (f *Federation) timedMatch(ctx context.Context, m *member, ids *sparql.IDSp
 	return out, nil
 }
 
-// selectSources picks the sources that can possibly answer a pattern,
-// using a predicate-presence probe (FedX's ASK-based source selection).
-// Patterns with a variable predicate go to every source. Probe errors from
-// remote sources conservatively keep the source selected — the later
+// selectSources picks the sources that can possibly answer a pattern:
+// those whose Count of its predicate is not 0 (FedX's predicate-probe source
+// selection). Patterns with a variable predicate go to every source. A
+// failed probe conservatively keeps the source selected — the later
 // bound-join call will surface (or degrade) the failure. Sources whose
 // circuit breaker is open, or that were already skipped earlier in this
 // query, are ejected up front.
-func (f *Federation) selectSources(ctx context.Context, es *evalState, tp sparql.TriplePattern) ([]*member, error) {
+func (f *Federation) selectSources(ctx context.Context, es *evalState, ids *sparql.IDSpace, tp sparql.TriplePattern) ([]*member, error) {
+	pred := rdf.NoTerm
+	if !tp.P.IsVar() {
+		pred = ids.ID(tp.P.Term)
+	}
 	var out []*member
 	for _, m := range f.sources {
 		if es.isSkipped(m) {
@@ -381,28 +356,15 @@ func (f *Federation) selectSources(ctx context.Context, es *evalState, tp sparql
 			}
 			continue
 		}
-		if tp.P.IsVar() {
+		if pred == rdf.NoTerm {
 			out = append(out, m)
 			continue
 		}
 		f.cSourceProbes.Inc()
-		has, err := f.hasPredicate(ctx, m, tp.P.Term)
-		if err != nil || has {
+		n, err := f.count(ctx, m, ids, rdf.NoTerm, pred, rdf.NoTerm)
+		if err != nil || n > 0 {
 			out = append(out, m)
 		}
 	}
 	return out, nil
-}
-
-// hasPredicate is the member's HasPredicate under the fault-tolerance
-// policy: the ASK probe gets the same timeout/retry/breaker treatment as
-// bound joins.
-func (f *Federation) hasPredicate(ctx context.Context, m *member, pred rdf.Term) (bool, error) {
-	var has bool
-	err := f.callSource(ctx, m, func(ctx context.Context) error {
-		var err error
-		has, err = m.src.HasPredicate(ctx, pred)
-		return err
-	})
-	return has, err
 }

@@ -20,14 +20,12 @@ import (
 type Source interface {
 	// Name identifies the source in plans and diagnostics.
 	Name() string
-	// HasPredicate reports whether the source can answer patterns with
-	// the predicate — FedX's ASK-style source-selection probe.
-	HasPredicate(ctx context.Context, pred rdf.Term) (bool, error)
-	// PredicateCount estimates the number of triples carrying the
-	// predicate, for the join optimizer's cost model.
-	PredicateCount(ctx context.Context, pred rdf.Term) (int, error)
-	// Size is the source's total triple count.
-	Size(ctx context.Context) (int, error)
+	// Count estimates how many of the source's triples match (s, p, o), with
+	// Match's ids and wildcard. It is 0 only when nothing matches: source
+	// selection keeps a source for a pattern when Count(_, p, _) > 0, and
+	// the planner orders patterns by sparql.Estimate over the counts of
+	// their constants.
+	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
 	// Match appends to dst the triples matching (s, p, o) and returns the
 	// extended slice; rdf.NoTerm is a wildcard. Ids are those of the
 	// evaluation's id space: a source whose triples do not live in the
@@ -47,23 +45,12 @@ func LocalSource(st *store.Store) Source { return localSource{st: st} }
 
 func (s localSource) Name() string { return s.st.Name() }
 
-func (s localSource) HasPredicate(_ context.Context, pred rdf.Term) (bool, error) {
-	id, ok := s.st.Dict().Lookup(pred)
-	if !ok {
-		return false, nil
-	}
-	return s.st.HasPredicate(id), nil
+// Count is the store's own posting-list count — the single-store planner's
+// statistic, so a one-store federation plans exactly as the store does. An
+// id outside the dictionary has no postings and counts 0.
+func (s localSource) Count(_ context.Context, _ *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+	return float64(s.st.Count(sub, pred, obj)), nil
 }
-
-func (s localSource) PredicateCount(_ context.Context, pred rdf.Term) (int, error) {
-	id, ok := s.st.Dict().Lookup(pred)
-	if !ok {
-		return 0, nil
-	}
-	return s.st.PredicateCount(id), nil
-}
-
-func (s localSource) Size(context.Context) (int, error) { return s.st.Len(), nil }
 
 func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	if !ids.InDict(sub) || !ids.InDict(pred) || !ids.InDict(obj) {
@@ -84,34 +71,14 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // evaluated as cached, layout included, and — because cache is expected to
 // be built over f.DataGeneration — whole sameAs-expanded answer sets are
 // served from the result cache until any member store mutates or the link
-// set is swapped. A nil cache prepares and evaluates every request.
+// set is swapped. A nil cache prepares and evaluates every request. Replies
+// are encoded from the evaluator's id rows, as a single store's are.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
 		return cache.Do(query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
-			res, err := f.EvalContext(ctx, prep, nil)
-			if err != nil {
-				return nil, err
-			}
-			return toEndpointResult(prep.Query(), res), nil
+			return f.serve(ctx, prep, nil)
 		})
 	}
-}
-
-// toEndpointResult converts a federated result to the endpoint's wire
-// shape. Link provenance is not representable in the SPARQL results
-// format and is dropped.
-func toEndpointResult(q *sparql.Query, res *Result) *endpoint.Result {
-	out := &endpoint.Result{Triples: res.Triples}
-	if q.Ask {
-		out.IsAsk = true
-		out.Boolean = res.AskResult()
-		return out
-	}
-	out.Vars = res.Vars
-	for _, a := range res.Answers {
-		out.Rows = append(out.Rows, a.Binding)
-	}
-	return out
 }
 
 // EndpointTraceFunc adapts the federation as an endpoint.TraceFunc, backing
@@ -124,12 +91,21 @@ func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 			return nil, nil, &endpoint.BadQueryError{Err: err}
 		}
 		tr := obs.NewTrace("query")
-		res, err := f.EvalContext(ctx, sparql.Compile(q), tr)
-		if err != nil {
-			return nil, tr, err
-		}
-		return toEndpointResult(q, res), tr, nil
+		res, err := f.serve(ctx, sparql.Compile(q), tr)
+		return res, tr, err
 	}
+}
+
+// serve evaluates prep for the endpoint handler: the reply is encoded from
+// the id rows, through the constructor a single store's handler uses, and
+// the links each row used stay in its provenance column, which the results
+// format has no place for.
+func (f *Federation) serve(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*endpoint.Result, error) {
+	rows, _, _, err := f.eval(ctx, prep, sparql.EvalOptions{Trace: tr})
+	if err != nil {
+		return nil, err
+	}
+	return endpoint.FromSlots(prep, rows), nil
 }
 
 // remoteSource adapts an HTTP SPARQL endpoint client.
@@ -142,15 +118,11 @@ func RemoteSource(c *endpoint.Client) Source { return remoteSource{c: c} }
 
 func (s remoteSource) Name() string { return s.c.Name() }
 
-func (s remoteSource) HasPredicate(ctx context.Context, pred rdf.Term) (bool, error) {
-	return s.c.HasPredicateContext(ctx, pred)
+// Count answers from the endpoint's cached predicate or total COUNT, with
+// a constant subject or object folded in (see endpoint.Client.CountContext).
+func (s remoteSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+	return s.c.CountContext(ctx, ids.Term(sub), ids.Term(pred), ids.Term(obj))
 }
-
-func (s remoteSource) PredicateCount(ctx context.Context, pred rdf.Term) (int, error) {
-	return s.c.PredicateCountContext(ctx, pred)
-}
-
-func (s remoteSource) Size(ctx context.Context) (int, error) { return s.c.SizeContext(ctx) }
 
 // Match renders the bound ids as terms into a one-pattern query over ?s ?p
 // ?o and interns the reply's terms back into the evaluation's id space.

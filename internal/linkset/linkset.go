@@ -6,6 +6,7 @@ package linkset
 import (
 	"fmt"
 	"maps"
+	"os"
 	"slices"
 	"sync"
 
@@ -219,4 +220,26 @@ func Evaluate(candidates, truth *Set) Quality {
 		q.FMeasure = 2 * q.Precision * q.Recall / (q.Precision + q.Recall)
 	}
 	return q
+}
+
+// LoadSameAs reads the owl:sameAs triples of the N-Triples file at path as
+// links, interning both ends into dict; the file's other triples are
+// skipped. It is the link reader every command-line tool shares.
+func LoadSameAs(dict *rdf.Dict, path string) (*Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	triples, err := rdf.NewReader(f).ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	links := New()
+	for _, t := range triples {
+		if t.P.Value == rdf.OWLSameAs {
+			links.Add(Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
+		}
+	}
+	return links, nil
 }

@@ -102,7 +102,7 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 				continue
 			}
 			// Frequency of the value on the ds1 side, for symmetry.
-			if c := idx1Count(ds1, ent.Objs[i]); c > cfg.MaxEvidenceFreq {
+			if ds1.Count(rdf.NoTerm, rdf.NoTerm, ent.Objs[i]) > cfg.MaxEvidenceFreq {
 				continue
 			}
 			for _, post := range postings {
@@ -239,12 +239,6 @@ func buildIndex(ds *store.Store, maxFreq int) *valueIndex {
 		}
 	}
 	return idx
-}
-
-// idx1Count counts ds1 triples carrying the object (cheap proxy for the
-// value frequency on the probe side).
-func idx1Count(ds *store.Store, obj rdf.TermID) int {
-	return len(ds.Match(rdf.NoTerm, rdf.NoTerm, obj))
 }
 
 // normalizeValue renders a term as its equality key: lowercase trimmed

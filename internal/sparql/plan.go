@@ -14,9 +14,10 @@ import (
 // chosen. estimate is asked about every unplaced pattern in every round,
 // because placing one changes the others' estimates: place is where the
 // solver marks the pattern's variables bound, which is what makes star
-// joins chain through their selective entry point. What a pattern costs is
-// the solver's own business — the store solver reads exact posting counts,
-// the federation cached COUNT probes across its sources.
+// joins chain through their selective entry point. Both solvers estimate
+// with Estimate, so one cost model orders every BGP — a store is a
+// one-source federation — and neither plans a BGP of fewer than two
+// patterns, which has nothing to order.
 func GreedyOrder(n int, estimate func(i int) float64, place func(i int)) {
 	// A BGP rarely has more patterns than this; one that does pays an
 	// allocation.
@@ -42,16 +43,56 @@ func GreedyOrder(n int, estimate func(i int) float64, place func(i int)) {
 	}
 }
 
-// planBGP returns the evaluation order of a BGP's triple patterns as
-// indexes into tps. bound marks the slots already bound when the BGP
-// starts, and is updated as patterns are placed.
-func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, bound []bool) []int {
-	if len(tps) < 2 {
-		return make([]int, len(tps))
+// Estimate is the one cost model: the cardinality of a compiled pattern
+// over the n sources that answer it, given the slots bound so far. count(k,
+// s, p, o) is source k's Count of the pattern's constants (rdf.NoTerm where
+// a variable stands, bound or not); the estimate is n × Σ count — each of n
+// sources is asked once per bound row — divided by 16 for a subject
+// variable bound earlier, by 4 for an object and by 2 for a predicate
+// (subjects are near-keys in typical RDF data). A pattern some source cannot
+// match at all estimates to 0 from that source, and a pattern no source
+// matches runs first: it ends the join.
+func Estimate(c SlotPattern, bound []bool, n int, count func(k int, s, p, o rdf.TermID) float64) float64 {
+	s, p, o := c.s.constant(), c.p.constant(), c.o.constant()
+	sum := 0.0
+	for k := 0; k < n; k++ {
+		sum += count(k, s, p, o)
 	}
-	order := make([]int, 0, len(tps))
-	GreedyOrder(len(tps),
-		func(i int) float64 { return s.estimatePattern(lay, tps[i], bound) },
+	est := float64(n) * sum
+	if c.s.boundIn(bound) {
+		est /= 16
+	}
+	if c.o.boundIn(bound) {
+		est /= 4
+	}
+	if c.p.boundIn(bound) {
+		est /= 2
+	}
+	return est
+}
+
+// constant is the node's id when the pattern fixes it, else rdf.NoTerm.
+func (n slotNode) constant() rdf.TermID {
+	if n.slot < 0 {
+		return n.id
+	}
+	return rdf.NoTerm
+}
+
+// boundIn reports whether the node is a variable whose slot bound marks.
+func (n slotNode) boundIn(bound []bool) bool { return n.slot >= 0 && bound[n.slot] }
+
+// planBGP returns the evaluation order of a BGP's compiled patterns as
+// indexes into cs. bound marks the slots already bound when the BGP starts,
+// and is updated as patterns are placed.
+func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, cs []SlotPattern, bound []bool) []int {
+	if len(cs) < 2 {
+		return make([]int, len(cs))
+	}
+	count := func(_ int, sub, pred, obj rdf.TermID) float64 { return float64(s.st.Count(sub, pred, obj)) }
+	order := make([]int, 0, len(cs))
+	GreedyOrder(len(cs),
+		func(i int) float64 { return Estimate(cs[i], bound, 1, count) },
 		func(i int) {
 			order = append(order, i)
 			for _, v := range tps[i].Vars() {
@@ -61,64 +102,6 @@ func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, bound []bool
 			}
 		})
 	return order
-}
-
-// estimatePattern estimates the result cardinality of one triple pattern
-// from the store's per-position posting-list sizes: a bound constant
-// position caps the estimate by its exact posting count (0 when the term
-// is not even in the dictionary), and a variable already bound by an
-// earlier pattern discounts it, subject position hardest (subjects are
-// near-keys in typical RDF data).
-func (s *storeSolver) estimatePattern(lay *SlotLayout, tp TriplePattern, bound []bool) float64 {
-	est := float64(s.st.Len())
-	capBy := func(n int) {
-		if float64(n) < est {
-			est = float64(n)
-		}
-	}
-	constID := func(n Node) (rdf.TermID, bool) {
-		if n.IsVar() {
-			return rdf.NoTerm, false
-		}
-		id, ok := s.st.Dict().Lookup(n.Term)
-		if !ok {
-			return rdf.NoTerm, true // unknown constant: zero matches
-		}
-		return id, false
-	}
-	boundVar := func(n Node) bool {
-		if !n.IsVar() {
-			return false
-		}
-		sl := lay.Slot(n.Var)
-		return sl >= 0 && bound[sl]
-	}
-
-	if id, miss := constID(tp.P); miss {
-		return 0
-	} else if id != rdf.NoTerm {
-		capBy(s.st.PredicateCount(id))
-	}
-	if id, miss := constID(tp.S); miss {
-		return 0
-	} else if id != rdf.NoTerm {
-		capBy(s.st.SubjectCount(id))
-	}
-	if id, miss := constID(tp.O); miss {
-		return 0
-	} else if id != rdf.NoTerm {
-		capBy(s.st.ObjectCount(id))
-	}
-	if boundVar(tp.S) {
-		est /= 16
-	}
-	if boundVar(tp.O) {
-		est /= 4
-	}
-	if boundVar(tp.P) {
-		est /= 2
-	}
-	return est
 }
 
 // renderPlan describes a planned order for the trace span, e.g.

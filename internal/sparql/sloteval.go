@@ -96,19 +96,24 @@ func (r *SlotResult) Materialize() *Result {
 	if r.rows == nil {
 		return res
 	}
-	res.Rows = make([]Binding, 0, r.rows.n)
-	for i := 0; i < r.rows.n; i++ {
-		row := r.rows.Row(i)[:len(r.rowVars)]
-		b := make(Binding, len(row))
-		for j, id := range row {
-			if id != rdf.NoTerm {
-				b[r.rowVars[j]] = r.ids.Term(id)
-			}
-		}
-		res.Rows = append(res.Rows, b)
+	res.Rows = make([]Binding, r.rows.n)
+	for i := range res.Rows {
+		res.Rows[i] = r.Binding(i)
 	}
-	r.materialized.Add(int64(r.rows.n))
 	return res
+}
+
+// Binding decodes row i into the public Binding representation.
+func (r *SlotResult) Binding(i int) Binding {
+	row := r.rows.Row(i)[:len(r.rowVars)]
+	b := make(Binding, len(row))
+	for j, id := range row {
+		if id != rdf.NoTerm {
+			b[r.rowVars[j]] = r.ids.Term(id)
+		}
+	}
+	r.materialized.Inc()
+	return b
 }
 
 // evalSlotPatterns folds each group element over the current solution
@@ -213,25 +218,15 @@ func (s *storeSolver) Registry() *obs.Registry                 { return s.st.Reg
 func (s *storeSolver) Provenance() bool                        { return false }
 func (s *storeSolver) MergeProvenance([]rdf.TermID) rdf.TermID { return rdf.NoTerm }
 
-// boundSlots reports which columns are bound in at least one input row —
-// the planner's notion of "already bound" entering a BGP.
-func boundSlots(rows *Rows) []bool {
-	bound := make([]bool, rows.w)
-	for i := 0; i < rows.n; i++ {
-		for j, id := range rows.Row(i) {
-			if id != rdf.NoTerm {
-				bound[j] = true
-			}
-		}
-	}
-	return bound
-}
-
 // SolveBGP extends each solution through every triple pattern in
 // planned order, recording one "pattern" span per triple pattern plus a
 // "plan" span when the planner reordered.
 func (s *storeSolver) SolveBGP(ctx context.Context, lay *SlotLayout, ids *IDSpace, bgp BGP, in *Rows, sp *obs.Span) (*Rows, error) {
-	order := s.planBGP(lay, bgp.Triples, boundSlots(in))
+	cs := make([]SlotPattern, len(bgp.Triples))
+	for i, tp := range bgp.Triples {
+		cs[i] = lay.Compile(ids, tp)
+	}
+	order := s.planBGP(lay, bgp.Triples, cs, in.Bound())
 	if planReordered(order) {
 		s.reorders.Inc()
 		if sp != nil {
@@ -255,7 +250,7 @@ func (s *storeSolver) SolveBGP(ctx context.Context, lay *SlotLayout, ids *IDSpac
 		}
 		next := NewRows(in.w, rows.n)
 		exec.out = next
-		exec.c = lay.Compile(ids, tp)
+		exec.c = cs[j]
 		due := 0 // rows read + written at which to look at ctx next
 		for i := 0; i < rows.n; i++ {
 			if i+next.n >= due {

@@ -104,6 +104,20 @@ func (rs *Rows) Row(i int) []rdf.TermID {
 	return rs.data[i*rs.w : (i+1)*rs.w : (i+1)*rs.w]
 }
 
+// Bound reports, per column, whether any row binds it: what a planner
+// counts as already bound when a BGP starts.
+func (rs *Rows) Bound() []bool {
+	bound := make([]bool, rs.w)
+	for i := 0; i < rs.n; i++ {
+		for j, id := range rs.Row(i) {
+			if id != rdf.NoTerm {
+				bound[j] = true
+			}
+		}
+	}
+	return bound
+}
+
 // Push appends a copy of src (a row of the same width) and returns the
 // appended row for in-place slot writes.
 func (rs *Rows) Push(src []rdf.TermID) []rdf.TermID {

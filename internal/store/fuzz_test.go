@@ -9,8 +9,7 @@ import (
 
 // FuzzReadSnapshot hammers the snapshot decoder with corrupt, truncated
 // and mutated inputs. The decoder must never panic: it either returns an
-// error or yields a store whose re-encoding round-trips, with the segment
-// iterator agreeing on the triple count.
+// error or yields a store whose re-encoding round-trips.
 func FuzzReadSnapshot(f *testing.F) {
 	seed := func(build func(s *Store)) []byte {
 		s := New("seed", rdf.NewDict())
@@ -52,17 +51,6 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		if st2.Len() != st.Len() {
 			t.Fatalf("round-trip changed triple count: %d vs %d", st2.Len(), st.Len())
-		}
-		it, err := OpenSnapshotIterator(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("ReadSnapshot accepted input the iterator rejects: %v", err)
-		}
-		got, err := CollectTriples(it)
-		if err != nil {
-			t.Fatalf("iterator failed on accepted input: %v", err)
-		}
-		if len(got) != st.Len() {
-			t.Fatalf("iterator yielded %d triples, store holds %d", len(got), st.Len())
 		}
 	})
 }

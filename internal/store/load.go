@@ -3,7 +3,10 @@ package store
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +30,37 @@ import (
 // Both loaders are all-or-nothing: on a parse error nothing is inserted
 // and the store is unchanged (the serial Reader's incremental Add loop, by
 // contrast, keeps the triples that preceded the error).
+
+// LoadFile loads the RDF file at path into s — Turtle for a .ttl or
+// .turtle extension, N-Triples otherwise — and returns the number of
+// triples added. It is the loader every command-line tool shares.
+func LoadFile(s *Store, path string, opt LoadOptions) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var n int
+	if ext := strings.ToLower(filepath.Ext(path)); ext == ".ttl" || ext == ".turtle" {
+		n, err = LoadTurtle(s, f, opt)
+	} else {
+		n, err = LoadNTriples(s, f, opt)
+	}
+	if err != nil {
+		return n, fmt.Errorf("%s: %w", path, err)
+	}
+	return n, nil
+}
+
+// NewFromFile is LoadFile into a new store over dict, named after the
+// file: its base name without the extension.
+func NewFromFile(dict *rdf.Dict, path string, opt LoadOptions) (*Store, error) {
+	st := New(strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)), dict)
+	if _, err := LoadFile(st, path, opt); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
 
 // DefaultSerialThreshold is the input size, in bytes, below which
 // LoadNTriples parses serially: goroutine and chunk bookkeeping costs more

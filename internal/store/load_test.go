@@ -244,8 +244,8 @@ func TestAddIDsMatchesAddID(t *testing.T) {
 	}
 	// Index equivalence over every key actually used.
 	for _, p := range one.Predicates() {
-		if g, w := bulk.PredicateCount(p), one.PredicateCount(p); g != w {
-			t.Errorf("PredicateCount(%d) = %d, want %d", p, g, w)
+		if g, w := bulk.Count(rdf.NoTerm, p, rdf.NoTerm), one.Count(rdf.NoTerm, p, rdf.NoTerm); g != w {
+			t.Errorf("Count(_, %d, _) = %d, want %d", p, g, w)
 		}
 	}
 	for _, subj := range one.Subjects() {

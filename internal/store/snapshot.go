@@ -170,10 +170,8 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 	return bw.Flush()
 }
 
-// SnapshotHeader is the decoded snapshot prelude, exposed by the segment
-// iterator so callers can size buffers or route by data-set name before
-// touching any triple.
-type SnapshotHeader struct {
+// snapshotHeader is the decoded snapshot prelude.
+type snapshotHeader struct {
 	Name        string
 	Version     int
 	Generation  uint64
@@ -184,11 +182,10 @@ type SnapshotHeader struct {
 }
 
 // snapDecoder reads and validates the snapshot prelude and then yields
-// raw row segments one at a time. ReadSnapshot and SnapshotIterator share
-// it, so fuzz hardening in one place covers both.
+// raw row segments one at a time, for ReadSnapshot to restore.
 type snapDecoder struct {
 	br        *bufio.Reader
-	hdr       SnapshotHeader
+	hdr       snapshotHeader
 	dictBytes int
 	blockStr  string     // checksummed dict block, decoded lazily
 	terms     []rdf.Term // terms[i] is local id i+1; see decodeTerms
@@ -323,10 +320,10 @@ func (d *snapDecoder) readDict() error {
 	return nil
 }
 
-// decodeTerms materializes the dict block for consumers that need terms
-// one by one — the segment iterator and restores into an already-populated
-// dict. The empty-dict restore fast path (rdf.Dict.BulkInternEncoded)
-// never calls it. Idempotent; validates the block fully.
+// decodeTerms materializes the dict block for restores into an
+// already-populated dict, which intern terms one by one. The empty-dict
+// restore fast path (rdf.Dict.BulkInternEncoded) never calls it.
+// Idempotent; validates the block fully.
 func (d *snapDecoder) decodeTerms() error {
 	if d.terms != nil {
 		return nil

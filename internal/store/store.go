@@ -521,35 +521,26 @@ func (s *Store) Predicates() []rdf.TermID {
 	return out
 }
 
-// HasPredicate reports whether any triple uses the predicate. Federated
-// source selection uses this as its ASK probe.
-func (s *Store) HasPredicate(p rdf.TermID) bool {
+// Count is the cardinality question both query planners ask: how many
+// triples match (subj, pred, obj), rdf.NoTerm being a wildcard as in Match.
+// It answers from the posting-list lengths alone — the shortest list of a
+// bound position, or the store's size when none is bound — so it is exact
+// for at most one bound position, an upper bound otherwise, and 0 only when
+// nothing matches.
+func (s *Store) Count(subj, pred, obj rdf.TermID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ixPred.get(p)) > 0
-}
-
-// PredicateCount returns the number of triples using the predicate.
-func (s *Store) PredicateCount(p rdf.TermID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ixPred.get(p))
-}
-
-// SubjectCount returns the number of triples with the given subject. The
-// SPARQL planner uses the per-position posting-list sizes as its
-// selectivity statistics.
-func (s *Store) SubjectCount(subj rdf.TermID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ixSubj.get(subj))
-}
-
-// ObjectCount returns the number of triples with the given object.
-func (s *Store) ObjectCount(obj rdf.TermID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ixObj.get(obj))
+	n := s.present.Len()
+	if subj != rdf.NoTerm {
+		n = min(n, len(s.ixSubj.get(subj)))
+	}
+	if pred != rdf.NoTerm {
+		n = min(n, len(s.ixPred.get(pred)))
+	}
+	if obj != rdf.NoTerm {
+		n = min(n, len(s.ixObj.get(obj)))
+	}
+	return n
 }
 
 // Registry returns the metrics registry attached with SetObserver, or nil.

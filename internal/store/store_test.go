@@ -160,15 +160,48 @@ func TestStorePredicates(t *testing.T) {
 	if len(preds) != 2 {
 		t.Errorf("Predicates = %d, want 2", len(preds))
 	}
-	pID, _ := s.Dict().Lookup(rdf.NewIRI("http://x/p"))
-	if !s.HasPredicate(pID) {
-		t.Error("HasPredicate(p) = false")
+}
+
+// TestStoreCount: Count reads posting-list lengths — the store's size for
+// the all-wildcard pattern, the exact count for one bound position, the
+// shortest bound list otherwise — and is 0 exactly when a bound term has no
+// triple in that position.
+func TestStoreCount(t *testing.T) {
+	s := New("test", rdf.NewDict())
+	s.Add(tri("a", "p", "1"))
+	s.Add(tri("a", "q", "2"))
+	s.Add(tri("b", "p", "1"))
+	s.Add(tri("c", "p", "3"))
+	id := func(iri string) rdf.TermID {
+		v, ok := s.Dict().Lookup(rdf.NewIRI("http://x/" + iri))
+		if !ok {
+			t.Fatalf("%s not interned", iri)
+		}
+		return v
 	}
-	if s.PredicateCount(pID) != 2 {
-		t.Errorf("PredicateCount(p) = %d, want 2", s.PredicateCount(pID))
+	one, _ := s.Dict().Lookup(rdf.NewString("1"))
+	a, p, q := id("a"), id("p"), id("q")
+	for _, c := range []struct {
+		name    string
+		s, p, o rdf.TermID
+		want    int
+	}{
+		{"all wildcards", rdf.NoTerm, rdf.NoTerm, rdf.NoTerm, 4},
+		{"predicate", rdf.NoTerm, p, rdf.NoTerm, 3},
+		{"subject", a, rdf.NoTerm, rdf.NoTerm, 2},
+		{"object", rdf.NoTerm, rdf.NoTerm, one, 2},
+		{"subject and predicate: the shorter list", a, p, rdf.NoTerm, 2},
+		{"predicate and object", rdf.NoTerm, q, one, 1},
+		{"unknown id", rdf.NoTerm, rdf.TermID(9999), rdf.NoTerm, 0},
+		{"subject used only as an object", one, rdf.NoTerm, rdf.NoTerm, 0},
+	} {
+		if got := s.Count(c.s, c.p, c.o); got != c.want {
+			t.Errorf("%s: Count = %d, want %d", c.name, got, c.want)
+		}
 	}
-	if s.HasPredicate(rdf.TermID(9999)) {
-		t.Error("HasPredicate(unknown) = true")
+	s.Retract(tri("c", "p", "3"))
+	if got := s.Count(rdf.NoTerm, p, rdf.NoTerm); got != 2 {
+		t.Errorf("Count(p) after a retract = %d, want 2", got)
 	}
 }
 
