@@ -259,6 +259,9 @@ type diffRun struct {
 	pool      []linkset.Link
 	salt      uint64
 	newcomers int
+	// arrivals counts new DS2 subjects, edits the DS2 attributes added to
+	// existing ones.
+	arrivals, edits int
 }
 
 func newDiffRun(t testing.TB, pair *datagen.Pair, cfg Config, seed int64) *diffRun {
@@ -368,11 +371,42 @@ func (d *diffRun) upsert() {
 	d.e.UpsertSubjects(subj)
 }
 
+// upsertDS2 grows DS2 while the engine runs, taking turns: a new subject
+// copying an existing one's attributes, which SyncStores finds, then a new
+// attribute on an existing subject, reported through ApplyObjectDeltas
+// (SyncStores does not see in-place edits). Either way every partition
+// subject sharing a blocking token with the DS2 subject is rescored: its
+// pairs are dropped and scored again while the partitions hold state for
+// them, and pairs appear that were outside links before.
+func (d *diffRun) upsertDS2() {
+	objects := d.pair.DS2.Subjects()
+	src, ok := d.pair.DS2.Entity(objects[d.rng.Intn(len(objects))])
+	if !ok {
+		return
+	}
+	if d.arrivals <= d.edits {
+		subj := d.pair.Dict.Intern(rdf.NewIRI(fmt.Sprintf("http://equivalence.test/r%d", d.arrivals)))
+		d.arrivals++
+		for i := range src.Preds {
+			d.pair.DS2.AddID(rdf.TripleID{S: subj, P: src.Preds[i], O: src.Objs[i]})
+		}
+		d.e.SyncStores()
+		return
+	}
+	d.edits++
+	d.pair.DS2.Add(rdf.Triple{
+		S: d.pair.Dict.Term(src.Subject),
+		P: rdf.NewIRI(rdf.RDFSLabel),
+		O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
+	})
+	d.e.ApplyObjectDeltas(src.Subject)
+}
+
 // step applies one operation to both sides and compares them.
 func (d *diffRun) step(i int, op byte) {
 	d.t.Helper()
 	var what string
-	switch op % 6 {
+	switch op % 7 {
 	case 0:
 		what = "RunEpisode"
 		judge := d.judge(uint64(d.rng.Intn(31)))
@@ -402,6 +436,9 @@ func (d *diffRun) step(i int, op byte) {
 		}
 		d.e.SetInitialLinks(links)
 		d.ref.setInitialLinks(links)
+	case 6:
+		what = "DS2 upsert"
+		d.upsertDS2()
 	}
 	d.compare(fmt.Sprintf("step %d (%s)", i, what))
 }
@@ -410,7 +447,8 @@ func (d *diffRun) step(i int, op byte) {
 // model at one and two workers: over link_batch's data sets, run to
 // convergence with a perfect oracle as the benchmark runs them, and over
 // scripts of explicit batches with wrong, repeated and contradictory
-// verdicts, sampled episodes with a noisy judge, and live upserts.
+// verdicts, sampled episodes with a noisy judge, and live upserts on both
+// sides.
 func TestEpisodeMatchesReference(t *testing.T) {
 	seeds := []int64{1000, 1001, 1002, 1003}
 	steps := 400
@@ -447,15 +485,16 @@ func TestEpisodeMatchesReference(t *testing.T) {
 			d.e.SetInitialLinks(initialLinks(pair))
 			d.ref.setInitialLinks(initialLinks(pair))
 			for i := 0; i < steps; i++ {
-				d.step(i, byte(d.rng.Intn(6)))
+				d.step(i, byte(d.rng.Intn(7)))
 			}
 			var rollbacks, blacklisted int
 			for _, p := range d.ref.parts {
 				rollbacks += p.rollbacks
 				blacklisted += len(p.blacklist)
 			}
-			if rollbacks == 0 || blacklisted == 0 || d.newcomers == 0 {
-				t.Errorf("coverage: %d rollbacks, %d blacklisted, %d newcomers; want all non-zero", rollbacks, blacklisted, d.newcomers)
+			if rollbacks == 0 || blacklisted == 0 || d.newcomers == 0 || d.arrivals == 0 || d.edits == 0 {
+				t.Errorf("coverage: %d rollbacks, %d blacklisted, %d newcomers, %d DS2 arrivals, %d DS2 edits; want all non-zero",
+					rollbacks, blacklisted, d.newcomers, d.arrivals, d.edits)
 			}
 		})
 	}
@@ -467,6 +506,8 @@ func FuzzEpisodeEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 1, 3, 0, 2, 4, 1, 3, 0, 5, 1})
 	f.Add(int64(2), []byte{5, 1, 1, 1, 4, 1, 1, 0, 0, 3, 3, 2})
 	f.Add(int64(3), []byte{3, 3, 0, 4, 0, 4, 2, 2, 5, 0, 1})
+	f.Add(int64(4), []byte{1, 1, 6, 1, 6, 2, 0, 6, 1, 3, 6, 1, 2, 6, 1})
+	f.Add(int64(1<<16|5), []byte{5, 1, 6, 6, 1, 2, 4, 6, 0, 6, 1, 1, 6, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 48 {
 			ops = ops[:48]
