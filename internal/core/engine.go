@@ -196,7 +196,7 @@ func (e *Engine) SetInitialLinks(links []linkset.Link) {
 			continue
 		}
 		p := e.partitions[pi]
-		p.addCandidate(p.intern(l))
+		p.addCandidate(p.linkID(l))
 	}
 	e.foldLocked()
 }

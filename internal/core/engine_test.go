@@ -310,7 +310,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 				part := e.partitions[i]
 				for id, st := range part.ls {
 					if st.flags&isCandidate != 0 && st.flags&isBlacklisted != 0 {
-						t.Fatalf("seed %d: blacklisted link %v still a candidate", seed, part.links[id])
+						t.Fatalf("seed %d: blacklisted link %v still a candidate", seed, part.space.Link(uint32(id)))
 					}
 				}
 				for _, sa := range part.sas {

@@ -192,7 +192,7 @@ func (p *partition) learned() learned {
 		Pos: p.posFeedback, Neg: p.negFeedback, Dropped: p.droppedConverged,
 	}
 	for id, ls := range p.ls {
-		l := p.links[id]
+		l := p.space.Link(uint32(id))
 		if ls.flags&isBlacklisted != 0 {
 			st.Blacklist = append(st.Blacklist, l)
 		}
@@ -205,13 +205,13 @@ func (p *partition) learned() learned {
 	}
 	for _, sa := range p.sas {
 		if sa.rolledBack {
-			st.RolledBack = append(st.RolledBack, saRow{p.links[sa.s], sa.a})
+			st.RolledBack = append(st.RolledBack, saRow{p.space.Link(sa.s), sa.a})
 		}
 	}
-	p.policy.Each(func(s uint32, a feature.Feature) { st.Greedy = append(st.Greedy, saRow{p.links[s], a}) })
+	p.policy.Each(func(s uint32, a feature.Feature) { st.Greedy = append(st.Greedy, saRow{p.space.Link(s), a}) })
 	p.q.Each(func(id uint32, sum float64, count int) {
 		sa := p.sas[id]
-		st.Q = append(st.Q, qRow{p.links[sa.s], sa.a, math.Float64bits(sum), count})
+		st.Q = append(st.Q, qRow{p.space.Link(sa.s), sa.a, math.Float64bits(sum), count})
 	})
 	p.fq.Each(func(id uint32, sum float64, count int) {
 		k := p.fqByID[id]

@@ -41,33 +41,13 @@ func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 		perPartition[pi] = append(perPartition[pi], s)
 	}
 	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
+		p := e.partitions[i]
 		for _, s := range perPartition[i] {
-			e.partitions[i].space.UpsertSubject(e.ds1, s)
+			p.space.UpsertSubject(e.ds1, s)
 		}
+		p.grow()
 	})
 	e.lastGen1 = e.ds1.Generation()
-}
-
-// RemoveSubjects retires ds1 subjects from the live feature spaces and
-// the partition routing table. Their learned state (blacklist, policy)
-// stays with the partition; only the candidate pairs disappear.
-func (e *Engine) RemoveSubjects(subjects ...rdf.TermID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	perPartition := make([][]rdf.TermID, len(e.partitions))
-	for _, s := range subjects {
-		pi, ok := e.subjectPartition[s]
-		if !ok {
-			continue
-		}
-		delete(e.subjectPartition, s)
-		perPartition[pi] = append(perPartition[pi], s)
-	}
-	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
-		for _, s := range perPartition[i] {
-			e.partitions[i].space.RemoveSubject(s)
-		}
-	})
 }
 
 // ApplyObjectDeltas rescores every pair a DS2-side change can touch:
@@ -84,7 +64,9 @@ func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 func (e *Engine) applyObjectDeltasLocked(changed []rdf.TermID) {
 	delta := e.right.Apply(e.ds2, changed)
 	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
-		e.partitions[i].space.ApplyObjectDelta(e.ds1, delta)
+		p := e.partitions[i]
+		p.space.ApplyObjectDelta(e.ds1, delta)
+		p.grow()
 	})
 	for _, s := range changed {
 		if _, ok := e.ds2.Entity(s); ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 
@@ -12,14 +13,17 @@ import (
 )
 
 // A partition keeps its learning state in slices indexed by small dense
-// ids instead of in maps keyed by links. Every link it keeps state for —
-// a candidate, a judged link, an explored one, one read from a snapshot —
-// is interned on first sight into a link id, its index in links and ls;
-// ids are never reused, so an id read from any table always names the same
-// link. A state-action pair, a (link, feature) the policy explored, is
-// interned the same way into an sa id, its index in sas and in the value
-// table q. The one map lookup per link is ids, at the boundary: a feedback
-// item, an exploration result, an initial or restored link.
+// ids instead of in maps keyed by links. A link id is the one its feature
+// space issued (feature.Space): every pair of the space has one, and the
+// space interns any other link the partition keeps state for — a PARIS
+// seed, feedback on a non-pair, an entry read from a snapshot. ls is
+// indexed by that id, and the space's ids are never reused, so an id read
+// from any table always names the same link; Space.Link gives it back. An
+// exploration hands over ids, so the episode hashes no link: the one map
+// lookup per link is the space's, at the boundary, for a feedback item or
+// an initial or restored link. A state-action pair, a (link, feature) the
+// policy explored, is interned by the partition into an sa id, its index in
+// sas and in the value table q.
 
 // Link flags (linkState.flags).
 const (
@@ -69,12 +73,10 @@ type partition struct {
 	cfg   Config
 	rng   *rand.Rand
 
-	ids        map[linkset.Link]uint32
-	links      []linkset.Link // by link id
-	ls         []linkState    // by link id
-	sas        []saState      // by sa id
-	candidates int            // links flagged isCandidate
-	order      []uint32       // sampling support: insertion-ordered candidates
+	ls         []linkState // by link id: one for every id the space has issued
+	sas        []saState   // by sa id
+	candidates int         // links flagged isCandidate
+	order      []uint32    // sampling support: insertion-ordered candidates
 
 	// view is the published form of the candidates: the same links as a run
 	// (linkset.Compare order), as of the last fold. touched logs every link
@@ -86,9 +88,10 @@ type partition struct {
 	// reader holding the read lock finds touched empty and view current.
 	// spare is the array the view before this one lived in, reused by the
 	// next fold: views leave the engine only as copies or merged into a new
-	// run.
+	// run. An entry of the log carries the link's sort key, so the fold
+	// sorts it without reading a link.
 	view, spare []linkset.Link
-	touched     []uint32
+	touched     []touch
 	overflowed  bool
 
 	// q holds the returns of each state-action pair (by sa id), policy the
@@ -112,7 +115,7 @@ type partition struct {
 	fqByID []fqKey // by fq id
 
 	// Scratch buffers reused from call to call.
-	explored []linkset.Link
+	explored []uint32
 	pairs    []uint32
 	bands    []uint32
 	untried  []int
@@ -138,30 +141,43 @@ type partition struct {
 	obs *engineObs
 }
 
+// touch is one entry of the fold log: a link whose membership changed, by
+// id and by its linkset.Link.Key.
+type touch struct {
+	key uint64
+	id  uint32
+}
+
 func newPartition(id int, space *feature.Space, cfg Config, seed int64) *partition {
-	return &partition{
+	p := &partition{
 		id:      id,
 		space:   space,
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed)),
-		ids:     make(map[linkset.Link]uint32),
+		ls:      make([]linkState, 0, space.IDs()),
 		policy:  rl.NewEpsilonGreedy[feature.Feature](cfg.Epsilon, rand.New(rand.NewSource(seed+1))),
 		visits:  rl.NewFirstVisitTracker(),
 		visited: rl.NewFirstVisitTracker(),
 		fqIDs:   make(map[fqKey]uint32),
 		obs:     &engineObs{},
 	}
+	p.grow()
+	return p
 }
 
-// intern returns l's link id, assigning the next one on first sight.
-func (p *partition) intern(l linkset.Link) uint32 {
-	if id, ok := p.ids[l]; ok {
-		return id
+// grow gives every id the space has issued since the last call a link
+// state. The space issues ids when a delta scores a new pair and when it
+// interns an outside link (linkID); the partition calls grow after both.
+func (p *partition) grow() {
+	for n := p.space.IDs(); len(p.ls) < n; {
+		p.ls = append(p.ls, linkState{pairs: rl.NoID})
 	}
-	id := uint32(len(p.links))
-	p.ids[l] = id
-	p.links = append(p.links, l)
-	p.ls = append(p.ls, linkState{pairs: rl.NoID})
+}
+
+// linkID returns l's link id, which the space issues on first sight.
+func (p *partition) linkID(l linkset.Link) uint32 {
+	id := p.space.Intern(l)
+	p.grow()
 	return id
 }
 
@@ -223,7 +239,7 @@ func (p *partition) touch(id uint32) {
 		p.overflowed = true
 		return
 	}
-	p.touched = append(p.touched, id)
+	p.touched = append(p.touched, touch{key: p.space.Link(id).Key(), id: id})
 }
 
 // fold brings view up to date with the candidate flags and returns how many
@@ -242,16 +258,16 @@ func (p *partition) fold() int {
 	if p.overflowed {
 		for id, st := range p.ls {
 			if st.flags&isCandidate != 0 {
-				next = append(next, p.links[id])
+				next = append(next, p.space.Link(uint32(id)))
 			}
 		}
 		next = linkset.Sort(next)
 		changed = len(old) + len(next) - 2*intersection(old, next)
 		p.overflowed = false
 	} else {
-		slices.SortFunc(p.touched, func(a, b uint32) int { return linkset.Compare(p.links[a], p.links[b]) })
-		for _, id := range slices.Compact(p.touched) {
-			l := p.links[id]
+		slices.SortFunc(p.touched, func(a, b touch) int { return cmp.Compare(a.key, b.key) })
+		for _, t := range slices.Compact(p.touched) {
+			id, l := t.id, p.space.Link(t.id)
 			at, was := slices.BinarySearchFunc(old, l, linkset.Compare)
 			next = append(next, old[:at]...)
 			old = old[at:]
@@ -290,8 +306,12 @@ func intersection(a, b []linkset.Link) int {
 	return n
 }
 
-// sample picks a uniformly random current candidate for feedback; ok is
-// false when the partition has no candidates.
+// sample picks a random current candidate for feedback; ok is false when
+// the partition has no candidates. The draw is uniform over order, not over
+// the candidates: removeCandidate leaves a link's entry in order until a
+// compaction, so a link removed and added again since the last compaction
+// holds two entries and is drawn twice as often (DESIGN.md, sampling
+// weight). The map-based partition this one replaced drew the same way.
 func (p *partition) sample() (uint32, bool) {
 	// The order slice may contain removed links; retry a few times before
 	// compacting.
@@ -320,11 +340,7 @@ func (p *partition) compactOrder() {
 
 // actions returns A(s): the features of the state's feature set (§4.2).
 func (p *partition) actions(s uint32) []feature.Feature {
-	fs, ok := p.space.FeatureSet(p.links[s])
-	if !ok {
-		return nil
-	}
-	return fs.Features
+	return p.space.SetOf(s).Features
 }
 
 // runEpisode processes n sampled feedback items (policy evaluation,
@@ -341,7 +357,7 @@ func (p *partition) runEpisode(n int, judge feedback.Judge) {
 		if !ok {
 			break
 		}
-		p.handleFeedback(id, judge(p.links[id]))
+		p.handleFeedback(id, judge(p.space.Link(id)))
 	}
 	p.endEpisode()
 }
@@ -361,7 +377,7 @@ func (p *partition) applyEpisode(items []Feedback) {
 	}
 	p.beginEpisode()
 	for _, it := range items {
-		p.handleFeedback(p.intern(it.Link), it.Approved)
+		p.handleFeedback(p.linkID(it.Link), it.Approved)
 	}
 	p.endEpisode()
 }
@@ -453,8 +469,7 @@ func (p *partition) handleFeedback(id uint32, approved bool) {
 // admit every space pair whose score for it lies within ±StepSize of the
 // approved link's value (§4.2).
 func (p *partition) explore(s uint32) {
-	l := p.links[s]
-	fs, _ := p.space.FeatureSet(l)
+	fs := p.space.SetOf(s)
 	actions := fs.Features
 	if len(actions) == 0 {
 		return
@@ -503,12 +518,8 @@ func (p *partition) explore(s uint32) {
 	}
 	p.obs.cExplorations.Inc()
 	p.explored = p.space.AppendExplore(p.explored[:0], a, v, p.cfg.StepSize, p.cfg.MaxExplored)
-	for _, found := range p.explored {
-		if found == l {
-			continue
-		}
-		id := p.intern(found)
-		if !p.addCandidate(id) {
+	for _, id := range p.explored {
+		if id == s || !p.addCandidate(id) {
 			continue
 		}
 		if sa == rl.NoID {
@@ -555,11 +566,7 @@ func (p *partition) internBand(k fqKey) uint32 {
 // the state's feature set scores the action now.
 func (p *partition) bandOf(sa uint32) (fqKey, bool) {
 	x := &p.sas[sa]
-	fs, ok := p.space.FeatureSet(p.links[x.s])
-	if !ok {
-		return fqKey{}, false
-	}
-	v, ok := fs.Score(x.a)
+	v, ok := p.space.SetOf(x.s).Score(x.a)
 	if !ok {
 		return fqKey{}, false
 	}

@@ -202,8 +202,9 @@ func (p *refPartition) fold() int {
 	return changed
 }
 
-// sample picks a uniformly random current candidate for feedback; ok is
-// false when the refPartition has no candidates.
+// sample picks a random current candidate for feedback, weighted by its
+// entries in order as partition.sample is; ok is false when the
+// refPartition has no candidates.
 func (p *refPartition) sample() (linkset.Link, bool) {
 	// The order slice may contain removed links; retry a few times before
 	// compacting.

@@ -99,9 +99,9 @@ func (e *Engine) SaveState(w io.Writer) error {
 		// Every wire slice is sorted by IRI here: two snapshots of the same
 		// engine state must be byte-identical so checkpoints can be
 		// compared, deduplicated and tested against golden files, and ids
-		// follow the order links were first seen in, not their IRIs.
+		// follow the order the feature space issued them in, not IRIs.
 		for id, ls := range p.ls {
-			l := wl(p.links[id])
+			l := wl(p.space.Link(uint32(id)))
 			if ls.flags&isCandidate != 0 {
 				ps.Candidates = append(ps.Candidates, l)
 			}
@@ -121,13 +121,13 @@ func (e *Engine) SaveState(w io.Writer) error {
 		slices.SortFunc(ps.PosConfirmed, cmpWireLink)
 		for _, sa := range p.sas {
 			if sa.rolledBack {
-				ps.RolledBack = append(ps.RolledBack, wireSA{S: wl(p.links[sa.s]), A: wf(sa.a)})
+				ps.RolledBack = append(ps.RolledBack, wireSA{S: wl(p.space.Link(sa.s)), A: wf(sa.a)})
 			}
 		}
 		slices.SortFunc(ps.RolledBack, func(a, b wireSA) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
 		p.q.Each(func(id uint32, sum float64, count int) {
 			sa := &p.sas[id]
-			ps.Q = append(ps.Q, wireQ{S: wl(p.links[sa.s]), A: wf(sa.a), Sum: sum, Count: count})
+			ps.Q = append(ps.Q, wireQ{S: wl(p.space.Link(sa.s)), A: wf(sa.a), Sum: sum, Count: count})
 		})
 		slices.SortFunc(ps.Q, func(a, b wireQ) int { return cmpWireSA(a.S, a.A, b.S, b.A) })
 		p.fq.Each(func(id uint32, sum float64, count int) {
@@ -138,7 +138,7 @@ func (e *Engine) SaveState(w io.Writer) error {
 			return cmp.Or(cmpWireFeature(a.A, b.A), cmp.Compare(a.Bucket, b.Bucket))
 		})
 		p.policy.Each(func(s uint32, a feature.Feature) {
-			ps.Greedy = append(ps.Greedy, wireGreedy{S: wl(p.links[s]), A: wf(a)})
+			ps.Greedy = append(ps.Greedy, wireGreedy{S: wl(p.space.Link(s)), A: wf(a)})
 		})
 		slices.SortFunc(ps.Greedy, func(a, b wireGreedy) int { return cmpWireLink(a.S, b.S) })
 		st.Partitions = append(st.Partitions, ps)
@@ -197,38 +197,38 @@ func (e *Engine) LoadState(r io.Reader) error {
 		p := e.partitions[i]
 		for _, w := range ps.Candidates {
 			if l, ok := link(w); ok {
-				p.addCandidate(p.intern(l))
+				p.addCandidate(p.linkID(l))
 			}
 		}
 		for _, w := range ps.Blacklist {
 			if l, ok := link(w); ok {
-				id := p.intern(l)
+				id := p.linkID(l)
 				p.ls[id].flags |= isBlacklisted
 				p.removeCandidate(id)
 			}
 		}
 		for _, w := range ps.NegByLink {
 			if l, ok := link(w.L); ok {
-				p.ls[p.intern(l)].negs = w.N
+				p.ls[p.linkID(l)].negs = w.N
 			}
 		}
 		for _, w := range ps.PosConfirmed {
 			if l, ok := link(w); ok {
-				p.ls[p.intern(l)].flags |= isConfirmed
+				p.ls[p.linkID(l)].flags |= isConfirmed
 			}
 		}
 		for _, w := range ps.RolledBack {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.sas[p.internPair(p.intern(l), f)].rolledBack = true
+				p.sas[p.internPair(p.linkID(l), f)].rolledBack = true
 			}
 		}
 		for _, w := range ps.Q {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.q.Load(p.internPair(p.intern(l), f), w.Sum, w.Count)
+				p.q.Load(p.internPair(p.linkID(l), f), w.Sum, w.Count)
 			}
 		}
 		for _, w := range ps.FQ {
@@ -240,7 +240,7 @@ func (e *Engine) LoadState(r io.Reader) error {
 			l, ok1 := link(w.S)
 			f, ok2 := feat(w.A)
 			if ok1 && ok2 {
-				p.policy.Improve(p.intern(l), f)
+				p.policy.Improve(p.linkID(l), f)
 			}
 		}
 		p.episodes = ps.Episodes

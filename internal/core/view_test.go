@@ -8,9 +8,11 @@ import (
 	"sort"
 	"testing"
 
+	"alex/internal/feature"
 	"alex/internal/feedback"
 	"alex/internal/linkset"
 	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // The naive reference for the partitions' sorted views: the candidate map
@@ -59,14 +61,17 @@ func checkView(t *testing.T, when string, p *partition) {
 	}
 }
 
-// TestFoldMatchesNaive drives one bare partition through random adds and
-// removes over a small universe, folding at random moments. After every
+// TestFoldMatchesNaive drives one bare partition, over an empty feature
+// space that interns every link, through random adds and removes over a
+// small universe, folding at random moments. After every
 // fold the view must be the candidate map in order and the returned count
 // the symmetric difference against the map as it was at the fold before —
 // on both of fold's routes, the merged log and the cut-short one.
 func TestFoldMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	p := newPartition(0, nil, Defaults().withDefaults(), 1)
+	dict := rdf.NewDict()
+	empty := feature.Build(store.New("a", dict), nil, store.New("b", dict), feature.DefaultOptions())
+	p := newPartition(0, empty, Defaults().withDefaults(), 1)
 	atLastFold := p.candidateSet()
 	logged, overflowed := 0, 0
 	for step := 0; step < 2000; step++ {
@@ -79,9 +84,9 @@ func TestFoldMatchesNaive(t *testing.T) {
 		for ; gap > 0; gap-- {
 			l := linkset.Link{Left: rdf.TermID(rng.Intn(20)), Right: rdf.TermID(rng.Intn(20))}
 			if rng.Intn(5) < 3 {
-				p.addCandidate(p.intern(l))
+				p.addCandidate(p.linkID(l))
 			} else {
-				p.removeCandidate(p.intern(l))
+				p.removeCandidate(p.linkID(l))
 			}
 		}
 		if len(p.touched) > 0 {
@@ -264,9 +269,9 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 				l := anyLink()
 				p := e.partitions[e.subjectPartition[l.Left]]
 				if rng.Intn(3) > 0 {
-					p.addCandidate(p.intern(l))
+					p.addCandidate(p.linkID(l))
 				} else {
-					p.removeCandidate(p.intern(l))
+					p.removeCandidate(p.linkID(l))
 				}
 			}
 			for _, p := range e.partitions {

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"strconv"
 
-	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/store"
@@ -31,7 +30,6 @@ import (
 // without an observer count into nil-safe no-ops.
 func (sp *Space) SetObserver(reg *obs.Registry) {
 	sp.cUpserts = reg.Counter(obs.FeatureDeltaUpserts)
-	sp.cRemoves = reg.Counter(obs.FeatureDeltaRemoves)
 	sp.cObjDeltas = reg.Counter(obs.FeatureDeltaObjectDeltas)
 	sp.cSplices = reg.Counter(obs.FeatureDeltaSplices)
 }
@@ -45,20 +43,6 @@ func (sp *Space) UpsertSubject(ds1 *store.Store, subj rdf.TermID) {
 	e := sp.prof.entity(ds1, subj)
 	sp.setLeftTokens(subj, e.tokens())
 	sp.rescoreSubject(subj, e)
-}
-
-// RemoveSubject drops subj and all its pairs from the partition.
-func (sp *Space) RemoveSubject(subj rdf.TermID) {
-	if _, ok := sp.members[subj]; !ok {
-		return
-	}
-	sp.cRemoves.Inc()
-	delete(sp.members, subj)
-	sp.setLeftTokens(subj, nil)
-	for _, l := range sp.leftPairs[subj] {
-		sp.removePair(l)
-	}
-	delete(sp.leftPairs, subj)
 }
 
 // ObjectDelta is what one RightSide.Apply changed, as far as the spaces
@@ -125,59 +109,65 @@ func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 // rescoreSubject replaces every pair of one partition subject: old pairs
 // are spliced out of the per-feature indexes, the subject is rescored
 // against the right side as it stands, and the surviving pairs spliced
-// back in.
+// back in, each under the id its link already has.
 func (sp *Space) rescoreSubject(subj rdf.TermID, e entity) {
-	for _, l := range sp.leftPairs[subj] {
-		sp.removePair(l)
+	ids := sp.leftPairs[subj]
+	for _, id := range ids {
+		sp.removePair(id)
 	}
-	delete(sp.leftPairs, subj)
 	if sp.sc == nil {
 		sp.sc = newScorer(sp.opt.Theta, memoCells)
 	}
 	scored := sp.sc.scoreSubject(subj, e, sp.right)
-	if len(scored) == 0 {
+	// The old list is spent: its array holds the new one. Build caps each
+	// member's list at its own length, so an append past it reallocates
+	// rather than running into another member's ids.
+	ids = ids[:0]
+	for _, e := range scored {
+		id := sp.Intern(e.link)
+		sp.sets[id] = e.fs
+		sp.pairs++
+		for i, f := range e.fs.Features {
+			sp.spliceIn(f, e.fs.Scores[i], id)
+		}
+		ids = append(ids, id)
+	}
+	if len(ids) == 0 {
+		delete(sp.leftPairs, subj)
 		return
 	}
-	links := make([]linkset.Link, 0, len(scored))
-	for _, e := range scored {
-		sp.pairs[e.link] = e.fs
-		for i, f := range e.fs.Features {
-			sp.spliceIn(f, e.fs.Scores[i], e.link)
-		}
-		links = append(links, e.link)
-	}
-	slices.SortFunc(links, linkset.Compare)
-	sp.leftPairs[subj] = links
+	sp.leftPairs[subj] = ids
 }
 
-// removePair deletes one pair and splices its entries out of every
-// feature index it appears in.
-func (sp *Space) removePair(l linkset.Link) {
-	fs, ok := sp.pairs[l]
-	if !ok {
+// removePair drops link id's pair, keeping the id, and splices its entries
+// out of every feature index it appears in.
+func (sp *Space) removePair(id uint32) {
+	fs := sp.sets[id]
+	if fs.Len() == 0 {
 		return
 	}
-	delete(sp.pairs, l)
+	sp.sets[id] = Set{}
+	sp.pairs--
 	for i, f := range fs.Features {
-		sp.spliceOut(f, fs.Scores[i], l)
+		sp.spliceOut(f, fs.Scores[i], id)
 	}
 }
 
 // spliceIn binary-search-inserts one entry into a feature's score index.
-func (sp *Space) spliceIn(f Feature, score float64, l linkset.Link) {
+func (sp *Space) spliceIn(f Feature, score float64, id uint32) {
 	sp.cSplices.Inc()
-	entries, e := sp.index[f], scoredLink{score: score, link: l}
-	i, _ := slices.BinarySearchFunc(entries, e, compareEntries)
+	entries, e := sp.index[f], scoredLink{score: score, id: id}
+	i, _ := slices.BinarySearchFunc(entries, e, sp.compareEntries)
 	sp.index[f] = slices.Insert(entries, i, e)
 }
 
 // spliceOut binary-search-removes one entry from a feature's score
 // index, deleting the feature key when its last entry goes (Build never
 // materializes an empty index, so Features() stays equivalent).
-func (sp *Space) spliceOut(f Feature, score float64, l linkset.Link) {
+func (sp *Space) spliceOut(f Feature, score float64, id uint32) {
 	sp.cSplices.Inc()
 	entries := sp.index[f]
-	i, found := slices.BinarySearchFunc(entries, scoredLink{score: score, link: l}, compareEntries)
+	i, found := slices.BinarySearchFunc(entries, scoredLink{score: score, id: id}, sp.compareEntries)
 	if !found {
 		return
 	}
@@ -231,9 +221,9 @@ func (sp *Space) indexLeftTokens(subj rdf.TermID, toks []string) {
 // equality means bit-equality.
 func (sp *Space) DumpCanonical(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "space total=%d pairs=%d features=%d\n", sp.TotalPairs(), len(sp.pairs), len(sp.index))
+	fmt.Fprintf(bw, "space total=%d pairs=%d features=%d\n", sp.TotalPairs(), sp.pairs, len(sp.index))
 	for _, l := range sp.Links() {
-		fs := sp.pairs[l]
+		fs := sp.sets[sp.ids[l]]
 		fmt.Fprintf(bw, "pair %d %d", l.Left, l.Right)
 		for i, f := range fs.Features {
 			fmt.Fprintf(bw, " (%d,%d)=%s", f.P1, f.P2, strconv.FormatFloat(fs.Scores[i], 'x', -1, 64))
@@ -243,7 +233,8 @@ func (sp *Space) DumpCanonical(w io.Writer) error {
 	for _, f := range sp.Features() {
 		fmt.Fprintf(bw, "index (%d,%d)", f.P1, f.P2)
 		for _, e := range sp.index[f] {
-			fmt.Fprintf(bw, " %s@%d,%d", strconv.FormatFloat(e.score, 'x', -1, 64), e.link.Left, e.link.Right)
+			l := sp.links[e.id]
+			fmt.Fprintf(bw, " %s@%d,%d", strconv.FormatFloat(e.score, 'x', -1, 64), l.Left, l.Right)
 		}
 		fmt.Fprintln(bw)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"alex/internal/datagen"
+	"alex/internal/linkset"
 	"alex/internal/rdf"
 	"alex/internal/store"
 )
@@ -54,23 +55,6 @@ func TestUpsertSubjectEquivalence(t *testing.T) {
 		sp.UpsertSubject(p.DS1, subj)
 	}
 	requireEquivalent(t, "grow-by-upsert", sp, p.DS1, subjects, p.DS2, opt)
-}
-
-func TestRemoveSubjectEquivalence(t *testing.T) {
-	p := datagen.GeneratePair(datagen.NBADBpediaNYTimes(0.3, 12))
-	subjects := p.DS1.Subjects()
-	opt := Options{Theta: 0.3, MaxBlockSize: 64, Workers: 1}
-	sp := Build(p.DS1, subjects, p.DS2, opt)
-	sp.RemoveSubject(subjects[0])
-	sp.RemoveSubject(subjects[len(subjects)/2])
-	sp.RemoveSubject(subjects[0]) // double remove is a no-op
-	var kept []rdf.TermID
-	for i, s := range subjects {
-		if i != 0 && i != len(subjects)/2 {
-			kept = append(kept, s)
-		}
-	}
-	requireEquivalent(t, "shrink-by-remove", sp, p.DS1, kept, p.DS2, opt)
 }
 
 func TestApplyObjectDeltaEquivalence(t *testing.T) {
@@ -171,8 +155,31 @@ func (w *deltaWorld) newSubject(st *store.Store, side string) rdf.TermID {
 	return id
 }
 
-func (w *deltaWorld) step() string {
-	switch op := w.rng.Intn(6); op {
+// newDeltaWorld builds a world of three subjects a side, over a tiny
+// MaxBlockSize so that stopword liveness flips in both directions.
+func newDeltaWorld(t *testing.T, seed int64) *deltaWorld {
+	dict := rdf.NewDict()
+	w := &deltaWorld{
+		t:    t,
+		rng:  rand.New(rand.NewSource(seed)),
+		dict: dict,
+		ds1:  store.New("left", dict),
+		ds2:  store.New("right", dict),
+		opt:  Options{Theta: 0.3, MaxBlockSize: 3, Workers: 1},
+	}
+	for i := 0; i < 3; i++ {
+		w.partition = append(w.partition, w.newSubject(w.ds1, "left"))
+	}
+	for i := 0; i < 3; i++ {
+		w.ds2subs = append(w.ds2subs, w.newSubject(w.ds2, "right"))
+	}
+	w.sp = Build(w.ds1, w.partition, w.ds2, w.opt)
+	return w
+}
+
+// step applies operation op (0–5) and names it; "" means it did nothing.
+func (w *deltaWorld) step(op int) string {
+	switch op {
 	case 0: // new DS1 subject
 		subj := w.newSubject(w.ds1, "left")
 		w.partition = append(w.partition, subj)
@@ -186,15 +193,14 @@ func (w *deltaWorld) step() string {
 		w.addTriple(w.ds1, w.dict.Term(subj))
 		w.sp.UpsertSubject(w.ds1, subj)
 		return "mutate-left"
-	case 2: // remove a DS1 subject from the partition
-		if len(w.partition) < 2 {
-			return ""
+	case 2: // intern a link between a member and a DS2 subject: a pair, or
+		// an outside link a later delta may make one
+		l := linkset.Link{
+			Left:  w.partition[w.rng.Intn(len(w.partition))],
+			Right: w.ds2subs[w.rng.Intn(len(w.ds2subs))],
 		}
-		i := w.rng.Intn(len(w.partition))
-		subj := w.partition[i]
-		w.partition = append(w.partition[:i], w.partition[i+1:]...)
-		w.sp.RemoveSubject(subj)
-		return "remove-left"
+		w.sp.Intern(l)
+		return "intern"
 	case 3: // new DS2 subject
 		subj := w.newSubject(w.ds2, "right")
 		w.ds2subs = append(w.ds2subs, subj)
@@ -227,11 +233,12 @@ func (w *deltaWorld) step() string {
 	}
 }
 
-// TestDeltaPropertyEquivalence runs randomized upsert/remove/object-delta
-// sequences and checks the Build-oracle equivalence after every step.
-// MaxBlockSize is tiny so stopword liveness flips in both directions. The
-// -warm runs first fill the space's delta scorer memo with every cell of
-// the built space, and halfway through start interning new literals.
+// TestDeltaPropertyEquivalence runs randomized upsert/intern/object-delta
+// sequences and checks the Build-oracle equivalence after every step:
+// interning outside links changes nothing a dump shows. MaxBlockSize is
+// tiny so stopword liveness flips in both directions. The -warm runs first
+// fill the space's delta scorer memo with every cell of the built space,
+// and halfway through start interning new literals.
 func TestDeltaPropertyEquivalence(t *testing.T) {
 	steps := 140
 	if testing.Short() {
@@ -246,22 +253,7 @@ func TestDeltaPropertyEquivalence(t *testing.T) {
 			name += "-warm"
 		}
 		t.Run(name, func(t *testing.T) {
-			dict := rdf.NewDict()
-			w := &deltaWorld{
-				t:    t,
-				rng:  rand.New(rand.NewSource(seed)),
-				dict: dict,
-				ds1:  store.New("left", dict),
-				ds2:  store.New("right", dict),
-				opt:  Options{Theta: 0.3, MaxBlockSize: 3, Workers: 1},
-			}
-			for i := 0; i < 3; i++ {
-				w.partition = append(w.partition, w.newSubject(w.ds1, "left"))
-			}
-			for i := 0; i < 3; i++ {
-				w.ds2subs = append(w.ds2subs, w.newSubject(w.ds2, "right"))
-			}
-			w.sp = Build(w.ds1, w.partition, w.ds2, w.opt)
+			w := newDeltaWorld(t, seed)
 			if run.warm {
 				for _, subj := range w.partition {
 					w.sp.UpsertSubject(w.ds1, subj)
@@ -270,7 +262,7 @@ func TestDeltaPropertyEquivalence(t *testing.T) {
 			}
 			for i := 0; i < steps; i++ {
 				w.fresh = run.warm && i >= steps/2
-				op := w.step()
+				op := w.step(w.rng.Intn(6))
 				if op == "" {
 					continue
 				}
@@ -290,9 +282,12 @@ func TestDeltaCountersAndTotals(t *testing.T) {
 	if got, want := sp.TotalPairs(), before+len(p.DS2.Subjects()); got != want {
 		t.Errorf("TotalPairs after upsert = %d, want %d", got, want)
 	}
-	sp.RemoveSubject(subjects[0])
-	if got, want := sp.TotalPairs(), before; got != want {
-		t.Errorf("TotalPairs after remove = %d, want %d", got, want)
+	novel := rdf.NewIRI("http://delta.test/novel")
+	p.DS2.Add(rdf.Triple{S: novel, P: rdf.NewIRI("http://delta.test/p/name"), O: rdf.NewString("novel")})
+	novelID, _ := p.Dict.Lookup(novel)
+	sp.ApplyObjectDelta(p.DS1, sp.Right().Apply(p.DS2, []rdf.TermID{novelID}))
+	if got, want := sp.TotalPairs(), len(subjects)*len(p.DS2.Subjects()); got != want {
+		t.Errorf("TotalPairs after a new DS2 subject = %d, want %d", got, want)
 	}
 }
 

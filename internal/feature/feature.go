@@ -113,35 +113,62 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// scoredLink is one entry of a per-feature score index.
+// scoredLink is one entry of a per-feature score index: a score and the id
+// of the link that has it.
 type scoredLink struct {
 	score float64
-	link  linkset.Link
+	id    uint32
 }
 
 // compareEntries is the order of a per-feature index: score ascending, then
 // link. A link appears at most once per index, so the order is total and
 // unique — a binary-search splice (delta.go) lands exactly where Build's
 // sort puts the entry.
-func compareEntries(a, b scoredLink) int {
+func (sp *Space) compareEntries(a, b scoredLink) int {
 	switch {
 	case a.score < b.score:
 		return -1
 	case a.score > b.score:
 		return 1
 	}
-	return linkset.Compare(a.link, b.link)
+	return linkset.Compare(sp.links[a.id], sp.links[b.id])
+}
+
+// compareBuilt is compareEntries for a space Build has just made: Build
+// issues ids in link order (insertBuilt), so two ids compare as their links
+// do, without reading them.
+func compareBuilt(a, b scoredLink) int {
+	switch {
+	case a.score < b.score:
+		return -1
+	case a.score > b.score:
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // Space is the pre-processed exploration space of one partition: the
 // feature sets of every candidate pair between the partition's subjects
 // (from data set 1) and all subjects of data set 2. A Space is live: the
-// delta entry points in delta.go (UpsertSubject, RemoveSubject,
-// ApplyObjectDelta) maintain it incrementally under triple upserts, and
-// Build retains per-subject bookkeeping to make those deltas exact.
+// delta entry points in delta.go (UpsertSubject, ApplyObjectDelta) maintain
+// it incrementally under triple upserts, and Build retains per-subject
+// bookkeeping to make those deltas exact.
+//
+// Every link a space names has a link id, a uint32 it issues on first
+// sight: Build to each pair, a rescore to a pair it never had, Intern to
+// any other link a caller asks about. ids is the one map from link to id,
+// and ids are never reused, so an id names one link for the space's
+// lifetime. A pair that a delta drops keeps its id and its set reads as
+// absent (empty); rescored, or an interned outside link that becomes a
+// pair, it is found under its old id. Index entries and AppendExplore
+// carry ids, so a caller keeping state by id never hashes a link the space
+// handed it.
 type Space struct {
 	opt   Options
-	pairs map[linkset.Link]Set
+	ids   map[linkset.Link]uint32
+	links []linkset.Link           // by id
+	sets  []Set                    // by id: the pair's feature set, empty for a link that is no pair now
+	pairs int                      // ids whose set is not empty
 	index map[Feature][]scoredLink // sorted by score asc, then link
 
 	// right is the DS2 side the space scores against. The space only
@@ -158,19 +185,19 @@ type Space struct {
 	sc *scorer
 
 	// Incremental-maintenance state (delta.go). members is the
-	// partition's current subject set; leftPairs enumerates each member's
-	// surviving pairs; leftTok holds each member's blocking tokens, and
-	// tokLeft inverts it to find the members a DS2-side delta can touch.
-	// tokLeft is built by the first ApplyObjectDelta, its only reader, and
-	// kept up to date from then on: a space that never sees one never pays
-	// for a map per token.
+	// partition's current subject set; leftPairs holds the ids of each
+	// member's surviving pairs; leftTok holds each member's blocking
+	// tokens, and tokLeft inverts it to find the members a DS2-side delta
+	// can touch. tokLeft is built by the first ApplyObjectDelta, its only
+	// reader, and kept up to date from then on: a space that never sees
+	// one never pays for a map per token.
 	members   map[rdf.TermID]struct{}
-	leftPairs map[rdf.TermID][]linkset.Link
+	leftPairs map[rdf.TermID][]uint32
 	leftTok   map[rdf.TermID][]string
 	tokLeft   map[string]map[rdf.TermID]struct{}
 
 	// Delta instruments; nil-safe no-ops until SetObserver.
-	cUpserts, cRemoves, cObjDeltas, cSplices *obs.Counter
+	cUpserts, cObjDeltas, cSplices *obs.Counter
 }
 
 // buildParallelThreshold is the partition size below which Build stays
@@ -195,16 +222,7 @@ func Build(ds1 *store.Store, partition []rdf.TermID, ds2 *store.Store, opt Optio
 // Concurrent BuildOn calls on one side are safe: a build only reads it.
 func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Options) *Space {
 	opt = opt.withDefaults()
-	sp := &Space{
-		opt:       opt,
-		pairs:     make(map[linkset.Link]Set),
-		index:     make(map[Feature][]scoredLink),
-		right:     right,
-		prof:      profiles{},
-		members:   make(map[rdf.TermID]struct{}, len(partition)),
-		leftPairs: make(map[rdf.TermID][]linkset.Link),
-		leftTok:   make(map[rdf.TermID][]string, len(partition)),
-	}
+	sp := newSpace(right, opt, len(partition))
 	// Every profile the scoring below reads is made here, before it fans
 	// out, so the workers share the tables without a lock.
 	lefts := make([]entity, len(partition))
@@ -213,48 +231,113 @@ func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Opt
 		lefts[i] = sp.prof.entity(ds1, subj)
 		sp.setLeftTokens(subj, lefts[i].tokens())
 	}
+	results := make([][]scoredPair, len(partition))
 	if opt.Workers > 1 && len(partition) >= buildParallelThreshold {
-		sp.scoreParallel(partition, lefts)
+		sp.scoreParallel(partition, lefts, results)
 	} else {
 		sc := buildScorer(opt.Theta)
 		for i, subj := range partition {
-			for _, e := range sc.scoreSubject(subj, lefts[i], right) {
-				sp.insert(e)
-			}
+			results[i] = sc.scoreSubject(subj, lefts[i], right)
 		}
 		scorers.Put(sc)
 	}
+	sp.insertBuilt(partition, results)
 	for _, entries := range sp.index {
-		slices.SortFunc(entries, compareEntries)
-	}
-	for _, links := range sp.leftPairs {
-		slices.SortFunc(links, linkset.Compare)
+		slices.SortFunc(entries, compareBuilt)
 	}
 	return sp
 }
 
+// newSpace returns an empty space over right for a partition of n subjects.
+func newSpace(right *RightSide, opt Options, n int) *Space {
+	return &Space{
+		opt:       opt,
+		ids:       make(map[linkset.Link]uint32),
+		index:     make(map[Feature][]scoredLink),
+		right:     right,
+		prof:      profiles{},
+		members:   make(map[rdf.TermID]struct{}, n),
+		leftPairs: make(map[rdf.TermID][]uint32),
+		leftTok:   make(map[rdf.TermID][]string, n),
+	}
+}
+
 // scoredPair is one surviving candidate pair with its feature set, produced
-// by scoreSubject and merged into the space by insert.
+// by scoreSubject and merged into the space by insertBuilt or a rescore.
 type scoredPair struct {
 	link linkset.Link
 	fs   Set
 }
 
-// insert adds one scored pair to the space's maps and indexes.
-func (sp *Space) insert(e scoredPair) {
-	sp.pairs[e.link] = e.fs
-	sp.leftPairs[e.link.Left] = append(sp.leftPairs[e.link.Left], e.link)
-	for i, f := range e.fs.Features {
-		sp.index[f] = append(sp.index[f], scoredLink{score: e.fs.Scores[i], link: e.link})
+// insertBuilt adds the scored pairs of a new space, each subject's results
+// at its index in partition. It issues their ids in link order — subjects
+// ascending, each one's pairs by right subject as scoreSubject returns
+// them — so that compareBuilt can sort the indexes by id. The tables are
+// sized once, and the members' id lists share one array.
+func (sp *Space) insertBuilt(partition []rdf.TermID, results [][]scoredPair) {
+	order := make([]int, len(partition))
+	n := 0
+	for i := range order {
+		order[i] = i
+		n += len(results[i])
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(partition[a], partition[b]) })
+	sp.ids = make(map[linkset.Link]uint32, n)
+	sp.links = make([]linkset.Link, 0, n)
+	sp.sets = make([]Set, 0, n)
+	all := make([]uint32, 0, n)
+	for _, i := range order {
+		start := len(all)
+		for _, e := range results[i] {
+			id := sp.Intern(e.link)
+			sp.add(id, e.fs)
+			all = append(all, id)
+		}
+		if len(all) > start {
+			sp.leftPairs[partition[i]] = all[start:len(all):len(all)]
+		}
 	}
 }
 
+// add makes link id a pair with feature set fs and appends its entries to
+// the feature indexes, which the caller sorts.
+func (sp *Space) add(id uint32, fs Set) {
+	sp.sets[id] = fs
+	sp.pairs++
+	for i, f := range fs.Features {
+		sp.index[f] = append(sp.index[f], scoredLink{score: fs.Scores[i], id: id})
+	}
+}
+
+// Intern returns l's link id, issuing the next one on first sight. A link
+// that is no pair of the space reads as absent under its id (SetOf returns
+// the empty set) until a delta makes it one. Intern and the delta entry
+// points are the space's writers: call them from one goroutine.
+func (sp *Space) Intern(l linkset.Link) uint32 {
+	if id, ok := sp.ids[l]; ok {
+		return id
+	}
+	id := uint32(len(sp.links))
+	sp.ids[l] = id
+	sp.links = append(sp.links, l)
+	sp.sets = append(sp.sets, Set{})
+	return id
+}
+
+// IDs returns how many link ids the space has issued; every id is below it.
+func (sp *Space) IDs() int { return len(sp.links) }
+
+// Link returns the link that id names.
+func (sp *Space) Link(id uint32) linkset.Link { return sp.links[id] }
+
+// SetOf returns the feature set of link id: empty unless the link is a pair
+// of the space now.
+func (sp *Space) SetOf(id uint32) Set { return sp.sets[id] }
+
 // scoreParallel fans scoreSubject across opt.Workers goroutines (atomic
-// work-stealing over the subject list, one scorer each) and merges the
-// per-subject slots serially in subject order, giving the exact serial
-// result.
-func (sp *Space) scoreParallel(partition []rdf.TermID, lefts []entity) {
-	results := make([][]scoredPair, len(partition))
+// work-stealing over the subject list, one scorer each), each subject's
+// pairs into its slot of results.
+func (sp *Space) scoreParallel(partition []rdf.TermID, lefts []entity, results [][]scoredPair) {
 	workers := sp.opt.Workers
 	if workers > len(partition) {
 		workers = len(partition)
@@ -277,11 +360,6 @@ func (sp *Space) scoreParallel(partition []rdf.TermID, lefts []entity) {
 		}()
 	}
 	wg.Wait()
-	for _, rs := range results {
-		for _, e := range rs {
-			sp.insert(e)
-		}
-	}
 }
 
 // termProfile is one object term as the feature space sees it: what the
@@ -417,8 +495,9 @@ type bestCell struct {
 
 // scoreSubject scores every blocked candidate of one partition subject —
 // the right subjects sharing at least one blocking key with it — and
-// returns the θ-surviving pairs. It only reads right, so calls for
-// distinct subjects can run concurrently on distinct scorers.
+// returns the θ-surviving pairs, sorted by right subject. It only reads
+// right, so calls for distinct subjects can run concurrently on distinct
+// scorers.
 func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []scoredPair {
 	if sc.seen == nil {
 		sc.seen = map[rdf.TermID]struct{}{}
@@ -442,6 +521,7 @@ func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []s
 			}
 		}
 	}
+	slices.SortFunc(out, func(a, b scoredPair) int { return cmp.Compare(a.link.Right, b.link.Right) })
 	return out
 }
 
@@ -535,36 +615,38 @@ func Compute(dict *rdf.Dict, e1, e2 store.Entity, theta float64) Set {
 
 // FeatureSet returns the pre-computed feature set of a candidate pair.
 func (sp *Space) FeatureSet(l linkset.Link) (Set, bool) {
-	fs, ok := sp.pairs[l]
-	return fs, ok
+	id, ok := sp.ids[l]
+	if !ok {
+		return Set{}, false
+	}
+	fs := sp.SetOf(id)
+	return fs, fs.Len() > 0
 }
 
-// Explore returns every candidate pair whose score for feature f lies in
-// [lo, hi] — the paper's exploration action (§4.2). The result is sorted by
-// score then link.
-func (sp *Space) Explore(f Feature, lo, hi float64) []linkset.Link {
-	entries := sp.index[f]
-	start := sort.Search(len(entries), func(i int) bool { return entries[i].score >= lo })
-	var out []linkset.Link
-	for i := start; i < len(entries) && entries[i].score <= hi; i++ {
-		out = append(out, entries[i].link)
+// ExploreN is the paper's exploration action (§4.2) with a result bound: it
+// returns at most n candidate pairs whose score for feature f lies in
+// [v−δ, v+δ], preferring those whose score is closest to v; n <= 0 returns
+// the whole window, sorted by score then link. Exploration "around" a value
+// naturally radiates outward from it; bounding the result keeps one
+// indistinct feature (the paper's owl:Thing example, §4.2, whose window can
+// be the entire space) from flooding the candidate set faster than feedback
+// can clean it.
+func (sp *Space) ExploreN(f Feature, v, delta float64, n int) []linkset.Link {
+	ids := sp.AppendExplore(nil, f, v, delta, n)
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]linkset.Link, len(ids))
+	for i, id := range ids {
+		out[i] = sp.links[id]
 	}
 	return out
 }
 
-// ExploreN is Explore with a result bound: it returns at most n links from
-// [v−δ, v+δ], preferring those whose score is closest to v. Exploration
-// "around" a value naturally radiates outward from it; bounding the result
-// keeps one indistinct feature (the paper's owl:Thing example, §4.2, whose
-// window can be the entire space) from flooding the candidate set faster
-// than feedback can clean it.
-func (sp *Space) ExploreN(f Feature, v, delta float64, n int) []linkset.Link {
-	return sp.AppendExplore(nil, f, v, delta, n)
-}
-
-// AppendExplore is ExploreN appending its links to dst, so that a caller
-// exploring again and again can reuse one buffer.
-func (sp *Space) AppendExplore(dst []linkset.Link, f Feature, v, delta float64, n int) []linkset.Link {
+// AppendExplore is ExploreN appending the links' ids to dst, so that a
+// caller exploring again and again can reuse one buffer and never hashes a
+// link.
+func (sp *Space) AppendExplore(dst []uint32, f Feature, v, delta float64, n int) []uint32 {
 	entries := sp.index[f]
 	lo, hi := v-delta, v+delta
 	start := sort.Search(len(entries), func(i int) bool { return entries[i].score >= lo })
@@ -572,7 +654,7 @@ func (sp *Space) AppendExplore(dst []linkset.Link, f Feature, v, delta float64, 
 	if n <= 0 || end-start <= n {
 		dst = slices.Grow(dst, end-start)
 		for i := start; i < end; i++ {
-			dst = append(dst, entries[i].link)
+			dst = append(dst, entries[i].id)
 		}
 		return dst
 	}
@@ -586,17 +668,17 @@ func (sp *Space) AppendExplore(dst []linkset.Link, f Feature, v, delta float64, 
 		switch {
 		case leftOK && rightOK:
 			if v-entries[left].score <= entries[right].score-v {
-				dst = append(dst, entries[left].link)
+				dst = append(dst, entries[left].id)
 				left--
 			} else {
-				dst = append(dst, entries[right].link)
+				dst = append(dst, entries[right].id)
 				right++
 			}
 		case leftOK:
-			dst = append(dst, entries[left].link)
+			dst = append(dst, entries[left].id)
 			left--
 		case rightOK:
-			dst = append(dst, entries[right].link)
+			dst = append(dst, entries[right].id)
 			right++
 		default:
 			return dst
@@ -606,7 +688,7 @@ func (sp *Space) AppendExplore(dst []linkset.Link, f Feature, v, delta float64, 
 }
 
 // Len returns the number of θ-filtered candidate pairs in the space.
-func (sp *Space) Len() int { return len(sp.pairs) }
+func (sp *Space) Len() int { return sp.pairs }
 
 // Right returns the DS2 side the space scores against: the one to Apply
 // object deltas to when the space owns it (Build), the shared one
@@ -629,9 +711,11 @@ func (sp *Space) Features() []Feature {
 
 // Links returns all candidate pairs, sorted.
 func (sp *Space) Links() []linkset.Link {
-	out := make([]linkset.Link, 0, len(sp.pairs))
-	for l := range sp.pairs {
-		out = append(out, l)
+	out := make([]linkset.Link, 0, sp.pairs)
+	for id, fs := range sp.sets {
+		if fs.Len() > 0 {
+			out = append(out, sp.links[id])
+		}
 	}
 	slices.SortFunc(out, linkset.Compare)
 	return out

@@ -105,42 +105,45 @@ func TestBuildSpaceAndExplore(t *testing.T) {
 	nameF := Feature{P1: id(t, dict, "http://a/p/label"), P2: id(t, dict, "http://b/p/name")}
 	v, _ := fs.Score(nameF)
 
-	got := sp.Explore(nameF, v-0.05, v+0.05)
-	found := false
-	for _, g := range got {
-		if g == l {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Explore around own score missed the link: %v", got)
+	got := sp.ExploreN(nameF, v, 0.05, 0)
+	if !slices.Contains(got, l) {
+		t.Errorf("ExploreN around own score missed the link: %v", got)
 	}
 	// A window far from the score finds nothing.
-	if got := sp.Explore(nameF, 0.31, 0.35); len(got) != 0 {
-		t.Errorf("Explore in empty window = %v", got)
+	if got := sp.ExploreN(nameF, 0.33, 0.02, 0); len(got) != 0 {
+		t.Errorf("ExploreN in empty window = %v", got)
 	}
 	// Unknown feature explores nothing.
-	if got := sp.Explore(Feature{9999, 9999}, 0, 1); got != nil {
-		t.Errorf("Explore unknown feature = %v", got)
+	if got := sp.ExploreN(Feature{9999, 9999}, 0.5, 0.5, 0); got != nil {
+		t.Errorf("ExploreN unknown feature = %v", got)
 	}
 }
 
 // TestAppendExploreAppends checks that exploring into a buffer that
-// already holds links appends exactly what exploring into an empty one
-// returns, on both of ExploreN's paths: the whole window and the n links
-// nearest v.
+// already holds ids appends exactly what exploring into an empty one
+// returns, and that those are the ids of the links ExploreN returns, on
+// both of ExploreN's paths: the whole window and the n links nearest v.
 func TestAppendExploreAppends(t *testing.T) {
 	p := datagen.GeneratePair(datagen.NBADBpediaNYTimes(0.25, 5))
 	sp := Build(p.DS1, p.DS1.Subjects(), p.DS2, DefaultOptions())
-	prefix := sp.Links()[:3]
+	prefix := []uint32{7, 0, 3}
 	bounded := 0
 	for _, f := range sp.Features() {
 		for _, v := range []float64{0.35, 0.6, 0.95} {
 			for _, n := range []int{0, 1, 4, 400} {
-				fresh := sp.ExploreN(f, v, 0.2, n)
+				fresh := sp.AppendExplore(nil, f, v, 0.2, n)
 				got := sp.AppendExplore(slices.Clone(prefix), f, v, 0.2, n)
 				if want := append(slices.Clone(prefix), fresh...); !slices.Equal(got, want) {
 					t.Fatalf("feature %v v=%g n=%d: appended %v, want %v", f, v, n, got[len(prefix):], fresh)
+				}
+				links := sp.ExploreN(f, v, 0.2, n)
+				if len(links) != len(fresh) {
+					t.Fatalf("feature %v v=%g n=%d: ExploreN returned %d links, AppendExplore %d ids", f, v, n, len(links), len(fresh))
+				}
+				for i, id := range fresh {
+					if sp.Link(id) != links[i] {
+						t.Fatalf("feature %v v=%g n=%d: id %d at %d names %v, ExploreN has %v", f, v, n, id, i, sp.Link(id), links[i])
+					}
 				}
 				if n > 0 && len(fresh) == n {
 					bounded++
@@ -154,8 +157,8 @@ func TestAppendExploreAppends(t *testing.T) {
 }
 
 func TestExploreRangeSemantics(t *testing.T) {
-	// Build a space over a generated scenario and check that Explore
-	// returns exactly the pairs whose score lies in range.
+	// Build a space over a generated scenario and check that an unbounded
+	// ExploreN returns exactly the pairs whose score lies in the window.
 	scale := 0.5
 	if testing.Short() {
 		scale = 0.25
@@ -168,9 +171,10 @@ func TestExploreRangeSemantics(t *testing.T) {
 	}
 	checked := 0
 	for _, f := range feats[:min(5, len(feats))] {
-		lo, hi := 0.6, 0.9
+		v, delta := 0.75, 0.15
+		lo, hi := v-delta, v+delta
 		got := map[linkset.Link]bool{}
-		for _, l := range sp.Explore(f, lo, hi) {
+		for _, l := range sp.ExploreN(f, v, delta, 0) {
 			got[l] = true
 		}
 		for _, l := range sp.Links() {

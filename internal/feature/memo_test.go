@@ -85,18 +85,10 @@ func refBuild(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Op
 }
 
 // buildWith is BuildOn, serial, with score in the shipped scorer's place:
-// the same token blocking over right, candidates met in scoreSubject's
-// order.
+// the same token blocking over right, ids issued in the order candidates
+// are met, and the indexes sorted by reading the links.
 func buildWith(score func(e1, e2 entity) Set, right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Options) *Space {
-	sp := &Space{
-		opt:       opt.withDefaults(),
-		pairs:     map[linkset.Link]Set{},
-		index:     map[Feature][]scoredLink{},
-		right:     right,
-		prof:      profiles{},
-		members:   map[rdf.TermID]struct{}{},
-		leftPairs: map[rdf.TermID][]linkset.Link{},
-	}
+	sp := newSpace(right, opt.withDefaults(), len(partition))
 	for _, subj := range partition {
 		sp.members[subj] = struct{}{}
 		e1 := sp.prof.entity(ds1, subj)
@@ -112,14 +104,14 @@ func buildWith(score func(e1, e2 entity) Set, right *RightSide, ds1 *store.Store
 					}
 					seen[r] = true
 					if fs := score(e1, right.ents[r].entity); fs.Len() > 0 {
-						sp.insert(scoredPair{link: linkset.Link{Left: subj, Right: r}, fs: fs})
+						sp.add(sp.Intern(linkset.Link{Left: subj, Right: r}), fs)
 					}
 				}
 			}
 		}
 	}
 	for _, entries := range sp.index {
-		slices.SortFunc(entries, compareEntries)
+		slices.SortFunc(entries, sp.compareEntries)
 	}
 	return sp
 }

@@ -9,7 +9,7 @@ import (
 
 // TestBuildWorkerCountInvariance: the space a parallel Build produces is
 // structurally identical to a serial one — same pairs, same feature sets,
-// same index order behind Explore.
+// same index order behind ExploreN.
 func TestBuildWorkerCountInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	p := datagen.GeneratePair(datagen.NBADBpediaNYTimes(0.5, 23))
@@ -53,14 +53,14 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 		if f != pFeats[i] {
 			t.Fatalf("feature %d differs: %v vs %v", i, f, pFeats[i])
 		}
-		se := serial.Explore(f, 0, 1)
-		pe := parallel.Explore(f, 0, 1)
+		se := serial.ExploreN(f, 0.5, 0.5, 0)
+		pe := parallel.ExploreN(f, 0.5, 0.5, 0)
 		if len(se) != len(pe) {
-			t.Fatalf("Explore(%v) lengths differ: %d vs %d", f, len(se), len(pe))
+			t.Fatalf("ExploreN(%v) lengths differ: %d vs %d", f, len(se), len(pe))
 		}
 		for j := range se {
 			if se[j] != pe[j] {
-				t.Fatalf("Explore(%v)[%d] differs: %v vs %v", f, j, se[j], pe[j])
+				t.Fatalf("ExploreN(%v)[%d] differs: %v vs %v", f, j, se[j], pe[j])
 			}
 		}
 	}

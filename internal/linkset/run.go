@@ -16,11 +16,11 @@ import (
 // only to the slice they return.
 
 // Compare orders links by (Left, Right): the one order runs are kept in.
-func Compare(a, b Link) int { return cmp.Compare(a.key(), b.key()) }
+func Compare(a, b Link) int { return cmp.Compare(a.Key(), b.Key()) }
 
-// key packs the link into one integer that sorts as Compare does (TermID
+// Key packs the link into one integer that sorts as Compare does (TermID
 // is 32 bits wide).
-func (l Link) key() uint64 { return uint64(l.Left)<<32 | uint64(l.Right) }
+func (l Link) Key() uint64 { return uint64(l.Left)<<32 | uint64(l.Right) }
 
 // Reversed returns the link with its ends swapped. A run of reversed links
 // is the same links in (Right, Left) order, so one order serves lookups
@@ -37,7 +37,7 @@ func Sort(links []Link) []Link {
 	}
 	keys := make([]uint64, len(links))
 	for i, l := range links {
-		keys[i] = l.key()
+		keys[i] = l.Key()
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
@@ -80,7 +80,7 @@ func WithLeft(run []Link, left rdf.TermID) []Link {
 func Diff(prev, next []Link) (added, removed []Link) {
 	i, j := 0, 0
 	for i < len(prev) && j < len(next) {
-		switch kp, kn := prev[i].key(), next[j].key(); {
+		switch kp, kn := prev[i].Key(), next[j].Key(); {
 		case kp < kn:
 			removed = append(removed, prev[i])
 			i++
@@ -120,14 +120,14 @@ func diffCount(a, b []Link) int {
 func Patch(dst, base, add, remove []Link) []Link {
 	i, j := 0, 0 // next of add, of remove
 	for _, l := range base {
-		k := l.key()
-		for ; i < len(add) && add[i].key() < k; i++ {
+		k := l.Key()
+		for ; i < len(add) && add[i].Key() < k; i++ {
 			dst = append(dst, add[i])
 		}
 		if i < len(add) && add[i] == l {
 			i++
 		}
-		for j < len(remove) && remove[j].key() < k {
+		for j < len(remove) && remove[j].Key() < k {
 			j++
 		}
 		if j == len(remove) || remove[j] != l {
@@ -158,7 +158,7 @@ func merge(runs [][]Link) []Link {
 	out := make([]Link, len(a)+len(b))
 	i, j, n := 0, 0, 0
 	for ; i < len(a) && j < len(b); n++ {
-		switch ka, kb := a[i].key(), b[j].key(); {
+		switch ka, kb := a[i].Key(), b[j].Key(); {
 		case ka < kb:
 			out[n] = a[i]
 			i++

@@ -135,9 +135,6 @@ const (
 	// FeatureDeltaUpserts counts partition-subject upserts applied to
 	// live feature spaces.
 	FeatureDeltaUpserts = "feature.delta.upserts"
-	// FeatureDeltaRemoves counts partition-subject removals applied to
-	// live feature spaces.
-	FeatureDeltaRemoves = "feature.delta.removes"
 	// FeatureDeltaObjectDeltas counts DS2-side object-delta batches
 	// applied to live feature spaces.
 	FeatureDeltaObjectDeltas = "feature.delta.object_deltas"
@@ -277,7 +274,6 @@ func MetricNames() []string {
 		EndpointResultInvalidations,
 		EndpointResultMisses,
 		FeatureDeltaObjectDeltas,
-		FeatureDeltaRemoves,
 		FeatureDeltaSplices,
 		FeatureDeltaUpserts,
 		FedBoundJoinBatches,

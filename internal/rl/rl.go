@@ -4,10 +4,11 @@
 // greedy action but keeps every action's selection probability strictly
 // positive, ensuring continuous exploration (§4.4.1).
 //
-// The tables are dense: a caller interns its states and state-action pairs
-// into small uint32 ids (internal/core gives each link and each (link,
-// feature) pair one) and every table is a slice indexed by them, grown on
-// first write. An id the table has never seen reads as unvisited.
+// The tables are dense: a caller names its states and state-action pairs
+// by small uint32 ids (internal/core uses its feature space's link ids for
+// states and interns each (link, feature) pair) and every table is a slice
+// indexed by them, grown on first write. An id the table has never seen
+// reads as unvisited.
 package rl
 
 import (
