@@ -17,16 +17,16 @@
 // SPARQL 1.1 protocol subset implemented in internal/endpoint: SELECT, ASK
 // and CONSTRUCT via GET/POST, JSON / N-Triples results.
 //
-// When serving a federation, -timeout and -partial-ok install the fed
-// fault-tolerance policy (retries, breakers, graceful degradation, and a
-// timeout on each call to a source that can wait — the in-process stores
-// sparqld federates cannot, so their queries are bounded by the request's
-// context alone); request contexts propagate so a disconnected client
-// aborts its query.
+// With -data-dir each -data file is a durable store there, so a restart
+// recovers every member of a federation from disk. A federation runs under
+// fed.DefaultResilience with no flags to tune it: its in-process stores
+// never fail or wait. A disconnected client aborts its query. A usage error
+// exits 2, a load or I/O error 1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,18 +54,18 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// options are the parsed command-line settings buildHandler consumes.
-type options struct {
-	dataFiles []string
-	linksFile string
-	timeout   time.Duration
-	retries   int
-	partialOK bool
+// config is sparqld's command line; parseConfig binds every flag straight
+// into it.
+type config struct {
+	dataFiles    multiFlag
+	linksFile    string
+	addr         string
+	drainTimeout time.Duration
 
-	// Durability (internal/store snapshot.go, wal.go, durable.go): when
-	// dataDir is set, the single served store runs over a snapshot+WAL
-	// pair there — cold starts load the -data file and checkpoint it,
-	// restarts recover from disk and skip the parse entirely.
+	// Durability (internal/store snapshot.go, wal.go, durable.go): with
+	// dataDir set, each -data file is a store over its own snapshot+WAL
+	// pair there — cold starts load the file and checkpoint it, restarts
+	// recover from disk and skip the parse entirely.
 	dataDir       string
 	snapshotBytes int64 // WAL size triggering a background checkpoint; 0 = shutdown only
 	walFsync      string
@@ -86,78 +86,111 @@ type options struct {
 	feedbackQueue int
 }
 
-func main() {
-	fs := flag.NewFlagSet("sparqld", flag.ExitOnError)
-	var dataFiles multiFlag
-	fs.Var(&dataFiles, "data", "N-Triples or Turtle file to serve (repeatable)")
-	linksFile := fs.String("links", "", "owl:sameAs link file (used with multiple -data files)")
-	addr := fs.String("addr", ":8181", "listen address")
-	timeout := fs.Duration("timeout", 10*time.Second, "timeout of each call to a federated source that can wait; in-process stores cannot, their queries are bounded by the request's context (0 disables)")
-	retries := fs.Int("retries", 2, "retries per failed source call for federated serving")
-	partialOK := fs.Bool("partial-ok", false, "federated serving tolerates unavailable sources (partial results)")
-	preparedCache := fs.Int("prepared-cache", 1024, "prepared-query LRU size in entries (0 disables)")
-	resultCache := fs.Int("result-cache", 256, "generation-invalidated result LRU size in entries (0 disables)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "max concurrently executing requests (0 = unlimited)")
-	maxQueue := fs.Int("max-queue", 0, "max requests queued for an execution slot; excess shed with 503")
-	perClient := fs.Int("per-client", 0, "max concurrent requests per client (0 = unlimited)")
-	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 503 responses")
-	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain budget for in-flight requests")
-	feedback := fs.Bool("feedback", false, "enable POST /feedback live link exploration (requires exactly two -data files)")
-	feedbackBatch := fs.Int("feedback-batch", 64, "feedback items per applied episode batch")
-	feedbackQueue := fs.Int("feedback-queue", 1024, "buffered feedback items before shedding")
-	dataDir := fs.String("data-dir", "", "durable data directory (snapshot + write-ahead log); restarts recover from it instead of re-parsing -data")
-	snapshotBytes := fs.Int64("snapshot", 0, "WAL size in bytes that triggers a background checkpoint (0 = checkpoint only at shutdown)")
-	walFsync := fs.String("wal-fsync", "", "WAL fsync policy with -data-dir: batch (default), always, off")
-	_ = fs.Parse(os.Args[1:])
-	if len(dataFiles) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: sparqld -data <file.nt|file.ttl> [-data <file2>] [-links <file>] [-addr :8181]")
-		os.Exit(2)
+// parseConfig parses and validates args, reporting a usage error to
+// stderr.
+func parseConfig(args []string, stderr io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("sparqld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Var(&c.dataFiles, "data", "N-Triples or Turtle file to serve (repeatable)")
+	fs.StringVar(&c.linksFile, "links", "", "owl:sameAs link file (used with multiple -data files)")
+	fs.StringVar(&c.addr, "addr", ":8181", "listen address")
+	fs.IntVar(&c.preparedCache, "prepared-cache", 1024, "prepared-query LRU size in entries (0 disables)")
+	fs.IntVar(&c.resultCache, "result-cache", 256, "generation-invalidated result LRU size in entries (0 disables)")
+	fs.IntVar(&c.maxConcurrent, "max-concurrent", 0, "max concurrently executing requests (0 = unlimited)")
+	fs.IntVar(&c.maxQueue, "max-queue", 0, "max requests queued for an execution slot; excess shed with 503")
+	fs.IntVar(&c.perClient, "per-client", 0, "max concurrent requests per client (0 = unlimited)")
+	fs.DurationVar(&c.retryAfter, "retry-after", time.Second, "Retry-After hint on 503 responses")
+	fs.DurationVar(&c.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget for in-flight requests")
+	fs.BoolVar(&c.feedback, "feedback", false, "enable POST /feedback live link exploration (requires exactly two -data files and no -data-dir)")
+	fs.IntVar(&c.feedbackBatch, "feedback-batch", 64, "feedback items per applied episode batch")
+	fs.IntVar(&c.feedbackQueue, "feedback-queue", 1024, "buffered feedback items before shedding")
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable data directory (a snapshot + write-ahead log per -data file); restarts recover from it instead of re-parsing -data")
+	fs.Int64Var(&c.snapshotBytes, "snapshot", 0, "WAL size in bytes that triggers a background checkpoint (0 = checkpoint only at shutdown)")
+	fs.StringVar(&c.walFsync, "wal-fsync", "", "WAL fsync policy with -data-dir: batch (default), always, off")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
+	if err := c.validate(); err != nil {
+		fmt.Fprintln(stderr, "sparqld:", err)
+		return c, err
+	}
+	return c, nil
+}
 
-	handler, cleanup, err := buildHandler(options{
-		dataFiles:     dataFiles,
-		linksFile:     *linksFile,
-		timeout:       *timeout,
-		retries:       *retries,
-		partialOK:     *partialOK,
-		preparedCache: *preparedCache,
-		resultCache:   *resultCache,
-		maxConcurrent: *maxConcurrent,
-		maxQueue:      *maxQueue,
-		perClient:     *perClient,
-		retryAfter:    *retryAfter,
-		feedback:      *feedback,
-		feedbackBatch: *feedbackBatch,
-		feedbackQueue: *feedbackQueue,
-		dataDir:       *dataDir,
-		snapshotBytes: *snapshotBytes,
-		walFsync:      *walFsync,
-	}, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sparqld:", err)
-		os.Exit(1)
+// validate checks every rule that spans flags.
+func (c config) validate() error {
+	if len(c.dataFiles) == 0 {
+		return errors.New("at least one -data file is required")
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sparqld:", err)
-		os.Exit(1)
+	if c.feedback && (len(c.dataFiles) != 2 || c.dataDir != "") {
+		return errors.New("-feedback requires exactly two -data files and no -data-dir")
 	}
-	fmt.Fprintf(os.Stderr, "listening on %s (endpoint %s/sparql)\n", *addr, *addr)
+	if c.dataDir == "" {
+		return nil
+	}
+	if _, err := store.ParseFsyncMode(c.walFsync); err != nil {
+		return err
+	}
+	// A store's files in dataDir are named after it, so two stores with
+	// one name would recover each other's data.
+	seen := map[string]bool{}
+	for _, path := range c.dataFiles {
+		name := storeName(path)
+		if seen[name] {
+			return fmt.Errorf("-data-dir: two -data files would share the store name %q", name)
+		}
+		seen[name] = true
+	}
+	return nil
+}
+
+// storeName is the name a -data file's store gets: its base name without
+// the extension, as store.NewFromFile names it.
+func storeName(path string) string {
+	return strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is main with its exit status returned: 2 for a usage error, 1 for a
+// load or I/O error. It serves until SIGINT or SIGTERM, then drains and
+// takes the final checkpoint.
+func run(args []string, stderr io.Writer) int {
+	cfg, err := parseConfig(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sparqld:", err)
+		return 1
+	}
+	handler, cleanup, err := buildHandler(cfg, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return fail(errors.Join(err, cleanup()))
+	}
+	fmt.Fprintf(stderr, "listening on %s (endpoint %s/sparql)\n", cfg.addr, cfg.addr)
 	shutdown := make(chan os.Signal, 1)
 	signal.Notify(shutdown, os.Interrupt, syscall.SIGTERM)
 	stop := make(chan struct{})
-	go func() { <-shutdown; fmt.Fprintln(os.Stderr, "draining..."); close(stop) }()
-	if err := runServer(&http.Server{Handler: handler}, ln, stop, *drainTimeout); err != nil {
-		fmt.Fprintln(os.Stderr, "sparqld:", err)
-		os.Exit(1)
+	go func() { <-shutdown; fmt.Fprintln(stderr, "draining..."); close(stop) }()
+	if err := runServer(&http.Server{Handler: handler}, ln, stop, cfg.drainTimeout); err != nil {
+		return fail(errors.Join(err, cleanup()))
 	}
-	// A final checkpoint folds the WAL into the snapshot, so the next
-	// start recovers from the snapshot alone.
+	// A final checkpoint folds each WAL into its snapshot, so the next
+	// start recovers from the snapshots alone.
 	if err := cleanup(); err != nil {
-		fmt.Fprintln(os.Stderr, "sparqld:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Fprintln(os.Stderr, "drained, bye")
+	fmt.Fprintln(stderr, "drained, bye")
+	return 0
 }
 
 // runServer serves on ln until stop is closed, then shuts down gracefully:
@@ -184,50 +217,25 @@ func runServer(srv *http.Server, ln net.Listener, stop <-chan struct{}, drain ti
 
 // buildHandler loads the data and assembles the HTTP handler — everything
 // main does short of binding a socket, so tests can serve it with
-// httptest. The query path runs behind the prepared-query and result
-// caches (sized by opts; zero disables), and the whole handler behind the
+// httptest. One store without -links is served alone, anything else as a
+// federation. The query path runs behind the prepared-query and result
+// caches (sized by cfg; zero disables), and the whole handler behind the
 // admission controller when any ingress limit is set. Progress messages
-// go to logw.
-//
-// The returned cleanup releases whatever the handler holds open — for a
-// durable store it checkpoints and closes the WAL — and is never nil.
-func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, error) {
+// go to logw. The returned cleanup releases whatever the handler holds
+// open — it checkpoints and closes durable stores — and is never nil.
+func buildHandler(cfg config, logw io.Writer) (http.Handler, func() error, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	dict := rdf.NewDict()
 	reg := obs.NewRegistry()
-	cleanup := func() error { return nil }
-	cacheCfg := endpoint.CacheConfig{PreparedSize: opts.preparedCache, ResultSize: opts.resultCache}
-	if opts.feedback && (len(opts.dataFiles) != 2 || opts.dataDir != "") {
-		return nil, nil, fmt.Errorf("-feedback requires exactly two -data files and no -data-dir")
+	stores, cleanup, err := openStores(cfg, dict, reg, logw)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	if opts.dataDir != "" {
-		if len(opts.dataFiles) != 1 || opts.linksFile != "" {
-			return nil, nil, fmt.Errorf("-data-dir durable serving requires exactly one -data file and no -links")
-		}
-		st, cl, err := openDurable(opts, dict, reg, logw)
-		if err != nil {
-			return nil, nil, err
-		}
-		cache := endpoint.NewQueryCache(cacheCfg, st.Generation)
-		cache.SetObserver(reg)
-		handler := endpoint.NewCachedHandler(st, cache)
-		handler.SetObserver(reg)
-		return wrapAdmission(handler, opts, reg), cl, nil
-	}
-
-	var stores []*store.Store
-	for _, path := range opts.dataFiles {
-		st, err := store.NewFromFile(dict, path, store.LoadOptions{Obs: reg})
-		if err != nil {
-			return nil, nil, err
-		}
-		st.SetObserver(reg)
-		fmt.Fprintf(logw, "loaded %s\n", st.Stats())
-		stores = append(stores, st)
-	}
-
+	cacheCfg := endpoint.CacheConfig{PreparedSize: cfg.preparedCache, ResultSize: cfg.resultCache}
 	var handler *endpoint.Handler
-	if len(stores) == 1 && opts.linksFile == "" {
+	if len(stores) == 1 && cfg.linksFile == "" {
 		st := stores[0]
 		cache := endpoint.NewQueryCache(cacheCfg, st.Generation)
 		cache.SetObserver(reg)
@@ -235,20 +243,14 @@ func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, err
 	} else {
 		federation := fed.New(dict, stores...)
 		var links *linkset.Set
-		if opts.linksFile != "" {
-			var err error
-			links, err = linkset.LoadSameAs(dict, opts.linksFile)
-			if err != nil {
-				return nil, nil, err
+		if cfg.linksFile != "" {
+			if links, err = linkset.LoadSameAs(dict, cfg.linksFile); err != nil {
+				return nil, nil, errors.Join(err, cleanup())
 			}
 			fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
 			federation.SetLinks(links)
 		}
-		res := fed.DefaultResilience()
-		res.Timeout = opts.timeout
-		res.MaxRetries = opts.retries
-		res.PartialResults = opts.partialOK
-		federation.SetResilience(res)
+		federation.SetResilience(fed.DefaultResilience())
 		federation.SetObserver(reg)
 		cache := endpoint.NewQueryCache(cacheCfg, federation.DataGeneration)
 		cache.SetObserver(reg)
@@ -261,7 +263,7 @@ func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, err
 		})
 		handler.SetTraceFunc(fed.EndpointTraceFunc(federation))
 		fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))
-		if opts.feedback {
+		if cfg.feedback {
 			// The engine's candidate set becomes the federation's sameAs
 			// links; every applied feedback batch pushes the refreshed set,
 			// which bumps the data generation and invalidates cached
@@ -273,101 +275,125 @@ func buildHandler(opts options, logw io.Writer) (http.Handler, func() error, err
 			}
 			federation.SetLinks(engine.Candidates())
 			stream := engine.FeedbackStream(core.StreamConfig{
-				Capacity:  opts.feedbackQueue,
-				BatchSize: opts.feedbackBatch,
+				Capacity:  cfg.feedbackQueue,
+				BatchSize: cfg.feedbackBatch,
 			})
 			handler.SetFeedbackFunc(endpoint.EngineFeedbackFunc(engine, stream, dict, func(core.EpisodeStats) {
 				federation.SetLinks(engine.Candidates())
 			}))
-			fmt.Fprintf(logw, "live feedback enabled (batch %d, queue %d)\n", opts.feedbackBatch, opts.feedbackQueue)
+			fmt.Fprintf(logw, "live feedback enabled (batch %d, queue %d)\n", cfg.feedbackBatch, cfg.feedbackQueue)
 		}
 	}
 	handler.SetObserver(reg)
-	return wrapAdmission(handler, opts, reg), cleanup, nil
-}
-
-// wrapAdmission puts the handler behind the admission controller when any
-// ingress limit is configured.
-func wrapAdmission(handler *endpoint.Handler, opts options, reg *obs.Registry) http.Handler {
-	if opts.maxConcurrent > 0 || opts.maxQueue > 0 || opts.perClient > 0 {
-		adm := endpoint.NewAdmission(handler, endpoint.AdmissionConfig{
-			MaxConcurrent: opts.maxConcurrent,
-			MaxQueue:      opts.maxQueue,
-			PerClient:     opts.perClient,
-			RetryAfter:    opts.retryAfter,
-		})
-		adm.SetObserver(reg)
-		return adm
+	if cfg.maxConcurrent <= 0 && cfg.maxQueue <= 0 && cfg.perClient <= 0 {
+		return handler, cleanup, nil
 	}
-	return handler
-}
-
-// openDurable opens the single served store over its snapshot+WAL pair in
-// opts.dataDir. A restart recovers entirely from disk; a cold start (or an
-// empty directory) parses the -data file once and checkpoints it. With
-// opts.snapshotBytes > 0 a background goroutine folds the WAL into a fresh
-// snapshot whenever it outgrows that size; the returned cleanup stops it,
-// takes a final checkpoint and closes the log.
-func openDurable(opts options, dict *rdf.Dict, reg *obs.Registry, logw io.Writer) (*store.Store, func() error, error) {
-	fsync, err := store.ParseFsyncMode(opts.walFsync)
-	if err != nil {
-		return nil, nil, err
-	}
-	rotate := opts.snapshotBytes
-	if rotate <= 0 {
-		rotate = math.MaxInt64 // shutdown-only checkpoints
-	}
-	path := opts.dataFiles[0]
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	d, err := store.OpenDurable(name, dict, store.DurableOptions{
-		Dir: opts.dataDir, Fsync: fsync, RotateBytes: rotate, Obs: reg,
+	adm := endpoint.NewAdmission(handler, endpoint.AdmissionConfig{
+		MaxConcurrent: cfg.maxConcurrent,
+		MaxQueue:      cfg.maxQueue,
+		PerClient:     cfg.perClient,
+		RetryAfter:    cfg.retryAfter,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st := d.Store()
-	st.SetObserver(reg)
-	rec := d.RecoveryStats()
-	if rec.SnapshotLoaded || rec.WALRecords > 0 {
-		fmt.Fprintf(logw, "recovered %s from %s: %d snapshot triples + %d wal records (%d torn bytes)\n",
-			name, opts.dataDir, rec.SnapshotTriples, rec.WALRecords, rec.TornBytes)
-		fmt.Fprintf(logw, "loaded %s\n", st.Stats())
-	} else {
-		if _, err := store.LoadFile(st, path, store.LoadOptions{Obs: reg}); err != nil {
-			_ = d.Close()
-			return nil, nil, err
+	adm.SetObserver(reg)
+	return adm, cleanup, nil
+}
+
+// openStores makes one store over dict per -data file, durable under
+// cfg.dataDir. With cfg.snapshotBytes > 0 one goroutine checkpoints every
+// durable store whose WAL outgrows that size. The returned cleanup stops it
+// and closes (checkpoints) every durable store, joining their errors.
+func openStores(cfg config, dict *rdf.Dict, reg *obs.Registry, logw io.Writer) ([]*store.Store, func() error, error) {
+	var stores []*store.Store
+	var durables []*store.Durable
+	closeAll := func() (err error) {
+		for _, d := range durables {
+			err = errors.Join(err, d.Close())
 		}
-		fmt.Fprintf(logw, "loaded %s\n", st.Stats())
-		if err := d.Checkpoint(); err != nil {
-			_ = d.Close()
-			return nil, nil, err
-		}
-		fmt.Fprintf(logw, "checkpointed %s into %s\n", name, opts.dataDir)
+		return err
 	}
-	stopRotate := make(chan struct{})
-	var rotateDone chan struct{}
-	if opts.snapshotBytes > 0 {
-		rotateDone = make(chan struct{})
-		go func() {
-			defer close(rotateDone)
-			t := time.NewTicker(5 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopRotate:
-					return
-				case <-t.C:
+	for _, path := range cfg.dataFiles {
+		if cfg.dataDir == "" {
+			st, err := store.NewFromFile(dict, path, store.LoadOptions{Obs: reg})
+			if err != nil {
+				return nil, nil, err
+			}
+			st.SetObserver(reg)
+			fmt.Fprintf(logw, "loaded %s\n", st.Stats())
+			stores = append(stores, st)
+			continue
+		}
+		d, err := openDurable(cfg, path, dict, reg, logw)
+		if err != nil {
+			return nil, nil, errors.Join(err, closeAll())
+		}
+		durables = append(durables, d)
+		stores = append(stores, d.Store())
+	}
+	if len(durables) == 0 || cfg.snapshotBytes <= 0 {
+		return stores, closeAll, nil
+	}
+	stopRotate, rotateDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rotateDone)
+		t := time.NewTicker(5 * time.Second)
+		defer t.Stop()
+		for {
+			select {
+			case <-stopRotate:
+				return
+			case <-t.C:
+				for _, d := range durables {
 					// Errors are sticky in the WAL and surface at Close.
 					_, _ = d.MaybeRotate()
 				}
 			}
-		}()
-	}
-	return st, func() error {
-		close(stopRotate)
-		if rotateDone != nil {
-			<-rotateDone
 		}
-		return d.Close()
+	}()
+	return stores, func() error {
+		close(stopRotate)
+		<-rotateDone
+		return closeAll()
 	}, nil
+}
+
+// openDurable opens the store for one -data file over its snapshot+WAL
+// pair in cfg.dataDir. A restart recovers entirely from disk; a cold start
+// (or an empty directory) parses the file once and checkpoints it.
+func openDurable(cfg config, path string, dict *rdf.Dict, reg *obs.Registry, logw io.Writer) (*store.Durable, error) {
+	fsync, err := store.ParseFsyncMode(cfg.walFsync)
+	if err != nil {
+		return nil, err
+	}
+	rotate := cfg.snapshotBytes
+	if rotate <= 0 {
+		rotate = math.MaxInt64 // shutdown-only checkpoints
+	}
+	name := storeName(path)
+	d, err := store.OpenDurable(name, dict, store.DurableOptions{
+		Dir: cfg.dataDir, Fsync: fsync, RotateBytes: rotate, Obs: reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := d.Store()
+	st.SetObserver(reg)
+	if rec := d.RecoveryStats(); rec.SnapshotLoaded || rec.WALRecords > 0 {
+		fmt.Fprintf(logw, "recovered %s from %s: %d snapshot triples + %d wal records (%d torn bytes)\n",
+			name, cfg.dataDir, rec.SnapshotTriples, rec.WALRecords, rec.TornBytes)
+		fmt.Fprintf(logw, "loaded %s\n", st.Stats())
+		return d, nil
+	}
+	// A failed cold start takes no checkpoint, or the next start would
+	// recover the empty store instead of parsing the file.
+	if _, err := store.LoadFile(st, path, store.LoadOptions{Obs: reg}); err != nil {
+		d.Kill()
+		return nil, err
+	}
+	fmt.Fprintf(logw, "loaded %s\n", st.Stats())
+	if err := d.Checkpoint(); err != nil {
+		d.Kill()
+		return nil, err
+	}
+	fmt.Fprintf(logw, "checkpointed %s into %s\n", name, cfg.dataDir)
+	return d, nil
 }

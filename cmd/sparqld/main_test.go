@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -51,7 +52,7 @@ func get(t *testing.T, u string) (int, string) {
 func TestSingleStoreServer(t *testing.T) {
 	dbp, _, _ := writeFixtures(t, t.TempDir())
 	var log strings.Builder
-	h, _, err := buildHandler(options{dataFiles: []string{dbp}}, &log)
+	h, _, err := buildHandler(config{dataFiles: []string{dbp}}, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSingleStoreServer(t *testing.T) {
 func TestFederatedServer(t *testing.T) {
 	dbp, nyt, links := writeFixtures(t, t.TempDir())
 	var log strings.Builder
-	h, _, err := buildHandler(options{dataFiles: []string{dbp, nyt}, linksFile: links}, &log)
+	h, _, err := buildHandler(config{dataFiles: []string{dbp, nyt}, linksFile: links}, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestFederatedServer(t *testing.T) {
 func TestFeedbackServer(t *testing.T) {
 	dbp, nyt, links := writeFixtures(t, t.TempDir())
 	var log strings.Builder
-	h, _, err := buildHandler(options{
+	h, _, err := buildHandler(config{
 		dataFiles:     []string{dbp, nyt},
 		linksFile:     links,
 		feedback:      true,
@@ -199,21 +200,21 @@ func TestFeedbackServer(t *testing.T) {
 }
 
 func TestBuildHandlerErrors(t *testing.T) {
-	if _, _, err := buildHandler(options{dataFiles: []string{"/nonexistent.nt"}}, io.Discard); err == nil {
+	if _, _, err := buildHandler(config{dataFiles: []string{"/nonexistent.nt"}}, io.Discard); err == nil {
 		t.Error("missing data file not reported")
 	}
 	dbp, nyt, links := writeFixtures(t, t.TempDir())
-	if _, _, err := buildHandler(options{dataFiles: []string{dbp, nyt}, linksFile: "/nonexistent.nt"}, io.Discard); err == nil {
+	if _, _, err := buildHandler(config{dataFiles: []string{dbp, nyt}, linksFile: "/nonexistent.nt"}, io.Discard); err == nil {
 		t.Error("missing links file not reported")
 	}
 	dir := t.TempDir()
-	if _, _, err := buildHandler(options{dataFiles: []string{dbp, nyt}, linksFile: links, dataDir: dir}, io.Discard); err == nil {
-		t.Error("-data-dir with a federation not rejected")
+	if _, _, err := buildHandler(config{dataFiles: []string{dbp, nyt}, linksFile: links, dataDir: dir, feedback: true}, io.Discard); err == nil {
+		t.Error("-feedback with -data-dir not rejected")
 	}
-	if _, _, err := buildHandler(options{dataFiles: []string{dbp}, feedback: true}, io.Discard); err == nil {
+	if _, _, err := buildHandler(config{dataFiles: []string{dbp}, feedback: true}, io.Discard); err == nil {
 		t.Error("-feedback with one -data file not rejected")
 	}
-	if _, _, err := buildHandler(options{dataFiles: []string{dbp}, dataDir: dir, walFsync: "sometimes"}, io.Discard); err == nil {
+	if _, _, err := buildHandler(config{dataFiles: []string{dbp}, dataDir: dir, walFsync: "sometimes"}, io.Discard); err == nil {
 		t.Error("bad -wal-fsync mode not rejected")
 	}
 }
@@ -232,7 +233,7 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 
 	var log strings.Builder
-	h, cleanup, err := buildHandler(options{dataFiles: []string{dbp}, dataDir: dataDir}, &log)
+	h, cleanup, err := buildHandler(config{dataFiles: []string{dbp}, dataDir: dataDir}, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestDurableServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.Reset()
-	h2, cleanup2, err := buildHandler(options{dataFiles: []string{dbp}, dataDir: dataDir}, &log)
+	h2, cleanup2, err := buildHandler(config{dataFiles: []string{dbp}, dataDir: dataDir}, &log)
 	if err != nil {
 		t.Fatalf("restart over the data dir: %v", err)
 	}
@@ -274,9 +275,113 @@ func TestDurableServerRestart(t *testing.T) {
 	}
 }
 
+// TestDurableFederationRestart: two -data files plus -links under
+// -data-dir are a federation of two durable stores over one dictionary. A
+// restart with both -data files deleted recovers both stores from disk, and
+// the federated joins answer byte for byte as they did cold — and as the
+// same federation answers without -data-dir.
+func TestDurableFederationRestart(t *testing.T) {
+	dir := t.TempDir()
+	dbp, nyt, links := serveFixtures(t, dir)
+	args := []string{"-data", dbp, "-data", nyt, "-links", links, "-data-dir", filepath.Join(dir, "state")}
+	joins := serveQueries[1:3]
+	replies := func(h http.Handler) [][]byte {
+		var out [][]byte
+		for _, q := range joins {
+			code, body := serveReply(h, "GET", "/sparql?query="+url.QueryEscape(q), "")
+			if code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", q, code, body)
+			}
+			out = append(out, body)
+		}
+		return out
+	}
+	start := func() (http.Handler, func() error, string) {
+		t.Helper()
+		cfg, err := parseConfig(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log strings.Builder
+		h, cleanup, err := buildHandler(cfg, &log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, cleanup, log.String()
+	}
+
+	inMemory, _ := serveArgs(t, args[:6]...)
+	want := replies(inMemory)
+
+	h, cleanup, log := start()
+	for _, name := range []string{"dbpedia", "nytimes"} {
+		if !strings.Contains(log, "checkpointed "+name) {
+			t.Errorf("cold start did not checkpoint %s: %q", name, log)
+		}
+	}
+	cold := replies(h)
+	if err := cleanup(); err != nil {
+		t.Fatalf("cleanup: %v", err)
+	}
+
+	for _, path := range []string{dbp, nyt} {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, cleanup, log = start()
+	defer func() {
+		if err := cleanup(); err != nil {
+			t.Errorf("cleanup after restart: %v", err)
+		}
+	}()
+	for _, name := range []string{"dbpedia", "nytimes"} {
+		if !strings.Contains(log, "recovered "+name) {
+			t.Errorf("restart did not recover %s from disk: %q", name, log)
+		}
+	}
+	recovered := replies(h)
+	for i, q := range joins {
+		if !bytes.Equal(cold[i], want[i]) {
+			t.Errorf("%s: cold durable reply differs from the in-memory one:\n%s\n%s", q, cold[i], want[i])
+		}
+		if !bytes.Equal(recovered[i], cold[i]) {
+			t.Errorf("%s: recovered reply differs from the cold one:\n%s\n%s", q, recovered[i], cold[i])
+		}
+	}
+}
+
+// TestFailedColdStartKeepsNoSnapshot: a durable store whose -data file
+// cannot be loaded leaves nothing behind in -data-dir, so the next start
+// loads the file instead of recovering an empty store.
+func TestFailedColdStartKeepsNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	dbp, nyt, _ := writeFixtures(t, dir)
+	missing := filepath.Join(dir, "missing.nt")
+	cfg := config{dataFiles: []string{dbp, missing}, dataDir: filepath.Join(dir, "state")}
+	if _, _, err := buildHandler(cfg, io.Discard); err == nil {
+		t.Fatal("missing -data file not reported")
+	}
+	if err := os.Rename(nyt, missing); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	h, cleanup, err := buildHandler(cfg, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	if !strings.Contains(log.String(), "checkpointed missing") {
+		t.Errorf("second start did not load the file: %q", log.String())
+	}
+	if code, body := serveReply(h, "GET", "/stats", ""); code != http.StatusOK || !strings.Contains(string(body), `"missing":1`) {
+		t.Errorf("/stats = %d: %s, want the loaded triple", code, body)
+	}
+}
+
 func TestBadQueryGets400(t *testing.T) {
 	dbp, _, _ := writeFixtures(t, t.TempDir())
-	h, _, err := buildHandler(options{dataFiles: []string{dbp}}, io.Discard)
+	h, _, err := buildHandler(config{dataFiles: []string{dbp}}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +426,7 @@ func slowQuery(t *testing.T, baseURL string) (finish func(), done <-chan int) {
 // pinned query completes.
 func TestSaturationSheds503(t *testing.T) {
 	dbp, _, _ := writeFixtures(t, t.TempDir())
-	h, _, err := buildHandler(options{
+	h, _, err := buildHandler(config{
 		dataFiles:     []string{dbp},
 		maxConcurrent: 1,
 		retryAfter:    2 * time.Second,
@@ -379,7 +484,7 @@ func TestSaturationSheds503(t *testing.T) {
 // and runServer returns cleanly within the drain budget.
 func TestGracefulDrain(t *testing.T) {
 	dbp, _, _ := writeFixtures(t, t.TempDir())
-	h, _, err := buildHandler(options{dataFiles: []string{dbp}}, io.Discard)
+	h, _, err := buildHandler(config{dataFiles: []string{dbp}}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +553,7 @@ func TestGracefulDrain(t *testing.T) {
 // /metrics carries every serving-at-load series from the obs registry.
 func TestMetricsExposeServingNames(t *testing.T) {
 	dbp, _, _ := writeFixtures(t, t.TempDir())
-	h, _, err := buildHandler(options{
+	h, _, err := buildHandler(config{
 		dataFiles:     []string{dbp},
 		preparedCache: 64,
 		resultCache:   64,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -89,6 +90,20 @@ func serveReply(h http.Handler, method, target, body string) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
+// serveArgs builds the handler sparqld serves for a command line.
+func serveArgs(t *testing.T, args ...string) (http.Handler, func() error) {
+	t.Helper()
+	cfg, err := parseConfig(args, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, cleanup, err := buildHandler(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, cleanup
+}
+
 func TestServeGolden(t *testing.T) {
 	dir := t.TempDir()
 	dbp, nyt, links := serveFixtures(t, dir)
@@ -106,32 +121,22 @@ func TestServeGolden(t *testing.T) {
 		fmt.Fprintf(&got, "# %s /stats %d\n", name, code)
 		got.Write(body)
 	}
-	build := func(opts options) (http.Handler, func() error) {
-		t.Helper()
-		opts.preparedCache, opts.resultCache = 1024, 256
-		h, cleanup, err := buildHandler(opts, &strings.Builder{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h, cleanup
-	}
-
-	h, _ := build(options{dataFiles: []string{dbp}})
+	h, _ := serveArgs(t, "-data", dbp)
 	record("single", h)
 
 	stateDir := filepath.Join(dir, "state")
 	for _, name := range []string{"durable-cold", "durable-restart"} {
-		h, cleanup := build(options{dataFiles: []string{dbp}, dataDir: stateDir})
+		h, cleanup := serveArgs(t, "-data", dbp, "-data-dir", stateDir)
 		record(name, h)
 		if err := cleanup(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	h, _ = build(options{dataFiles: []string{dbp, nyt}, linksFile: links})
+	h, _ = serveArgs(t, "-data", dbp, "-data", nyt, "-links", links)
 	record("federation", h)
 
-	h, _ = build(options{dataFiles: []string{dbp, nyt}, linksFile: links, feedback: true, feedbackBatch: 64, feedbackQueue: 1024})
+	h, _ = serveArgs(t, "-data", dbp, "-data", nyt, "-links", links, "-feedback")
 	record("feedback-before", h)
 	code, body := serveReply(h, "POST", "/feedback", serveGoldenFeedback)
 	fmt.Fprintf(&got, "# feedback /feedback %d\n", code)

@@ -39,7 +39,8 @@ type FeedbackRequest struct {
 // FeedbackResponse reports what happened to a feedback submission.
 type FeedbackResponse struct {
 	// Accepted items entered the stream buffer; Shed were rejected at
-	// capacity; Unknown named IRIs the engine does not know.
+	// capacity; Unknown named IRIs the engine does not know, or a left
+	// entity no partition owns.
 	Accepted int `json:"accepted"`
 	Shed     int `json:"shed"`
 	Unknown  int `json:"unknown"`
@@ -93,18 +94,20 @@ func (h *Handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // EngineFeedbackFunc adapts a core engine + feedback stream to the
 // /feedback route. IRIs are resolved through dict without interning —
 // feedback on unknown entities is counted, not minted into the
-// dictionary. onApplied (optional) observes every applied episode;
-// callers use it to push the refreshed candidate set into the
-// federation, which bumps the data generation and invalidates cached
-// results.
+// dictionary — and so is an item whose left entity no partition owns once
+// the stores are synced, which an episode would drop. onApplied
+// (optional) observes every applied episode; callers use it to push the
+// refreshed candidate set into the federation, which bumps the data
+// generation and invalidates cached results.
 func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf.Dict, onApplied func(core.EpisodeStats)) FeedbackFunc {
 	return func(_ context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
+		eng.SyncStores()
 		items := make([]core.Feedback, 0, len(req.Items))
 		unknown := 0
 		for _, it := range req.Items {
 			left, okL := dict.Lookup(rdf.NewIRI(it.Left))
 			right, okR := dict.Lookup(rdf.NewIRI(it.Right))
-			if !okL || !okR {
+			if _, owned := eng.PartitionOf(left); !okL || !okR || !owned {
 				unknown++
 				continue
 			}

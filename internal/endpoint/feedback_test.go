@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +117,37 @@ func TestFeedbackUnknownIRIs(t *testing.T) {
 	_, resp := w.post(t, body)
 	if resp.Unknown != 1 || resp.Accepted != 0 {
 		t.Fatalf("unknown-IRI submit = %+v, want 1 unknown, 0 accepted", resp)
+	}
+}
+
+// TestFeedbackSwappedLinkIsUnknown: a link given right-to-left names two
+// IRIs the dictionary knows, but its left entity is a ds2 entity that no
+// partition owns, so an episode would drop it. The response must say so
+// (unknown, not accepted), and nothing may be submitted.
+func TestFeedbackSwappedLinkIsUnknown(t *testing.T) {
+	w := newFeedbackWorld(t, 4)
+	l := w.pair.Truth.Links()[0]
+	before := w.engine.Candidates().Links()
+	body, _ := json.Marshal(FeedbackRequest{
+		Items: []FeedbackItem{{
+			Left:     w.pair.Dict.Term(l.Right).Value,
+			Right:    w.pair.Dict.Term(l.Left).Value,
+			Approved: false,
+		}},
+		Flush: true,
+	})
+	_, resp := w.post(t, body)
+	if resp == nil {
+		t.Fatal("request failed")
+	}
+	if resp.Accepted != 0 || resp.Unknown != 1 || resp.Batches != 0 {
+		t.Errorf("swapped-link submit = %+v, want 0 accepted, 1 unknown, 0 batches", resp)
+	}
+	if got := w.stream.Stats(); got.Submitted != 0 {
+		t.Errorf("stream took %d items, want 0", got.Submitted)
+	}
+	if after := w.engine.Candidates().Links(); !slices.Equal(after, before) {
+		t.Errorf("candidate set changed: %d -> %d links", len(before), len(after))
 	}
 }
 

@@ -58,9 +58,6 @@ type Resilience struct {
 	// BreakerCooldown is how long an open breaker rejects calls before
 	// allowing a half-open trial.
 	BreakerCooldown time.Duration
-	// BreakerProbes is the number of consecutive half-open successes
-	// required to close the breaker again (minimum 1).
-	BreakerProbes int
 	// PartialResults degrades gracefully: a source that is unavailable
 	// past its retry budget (or breaker-open) is skipped and recorded in
 	// Result.Skipped instead of failing the whole query.
@@ -83,7 +80,6 @@ func DefaultResilience() Resilience {
 		Jitter:          0.2,
 		BreakerFailures: 5,
 		BreakerCooldown: 10 * time.Second,
-		BreakerProbes:   1,
 	}
 }
 
@@ -127,11 +123,10 @@ type breaker struct {
 	// load each instead of mu. Written under mu.
 	troubled atomic.Bool
 
-	mu        sync.Mutex
-	state     int
-	failures  int // consecutive failures while closed
-	successes int // consecutive successes while half-open
-	openedAt  time.Time
+	mu       sync.Mutex
+	state    int
+	failures int // consecutive failures while closed
+	openedAt time.Time
 
 	gState *obs.Gauge   // 0 closed / 1 open / 2 half-open
 	cOpens *obs.Counter // transitions into open
@@ -149,33 +144,22 @@ func (b *breaker) allow() bool {
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen && time.Since(b.openedAt) >= b.cfg.BreakerCooldown {
 		b.setState(BreakerHalfOpen)
-		b.successes = 0
 	}
 	return b.state != BreakerOpen
 }
 
 // onSuccess records a successful call: it resets the failure streak, and
-// in half-open counts toward closing.
+// closes a half-open breaker.
 func (b *breaker) onSuccess() {
 	if b == nil || !b.troubled.Load() {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerHalfOpen:
-		b.successes++
-		probes := b.cfg.BreakerProbes
-		if probes < 1 {
-			probes = 1
-		}
-		if b.successes >= probes {
-			b.setState(BreakerClosed)
-			b.failures = 0
-		}
-	default:
-		b.failures = 0
+	if b.state == BreakerHalfOpen {
+		b.setState(BreakerClosed)
 	}
+	b.failures = 0
 	b.troubled.Store(b.state != BreakerClosed)
 }
 

@@ -86,7 +86,7 @@ func BenchmarkLoadNTriples(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
 			s := New("bench", rdf.NewDict())
-			if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{Workers: 1}); err != nil {
+			if _, _, err := loadSerial(s, []byte(doc)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func BenchmarkLoadNTriples(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
 			s := New("bench", rdf.NewDict())
-			if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{SerialThreshold: -1}); err != nil {
+			if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func BenchmarkStoreRecover(b *testing.B) {
 func buildRecoverFixture(b *testing.B) ([]byte, int) {
 	b.Helper()
 	src := New("bench", rdf.NewDict())
-	if _, err := LoadNTriples(src, strings.NewReader(loadBenchDoc()), LoadOptions{Workers: 1}); err != nil {
+	if _, err := LoadNTriples(src, strings.NewReader(loadBenchDoc()), LoadOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	var snap bytes.Buffer

@@ -372,8 +372,8 @@ func (d *Durable) Close() error {
 
 // Kill abruptly severs the durable state: no checkpoint, no fsync — the
 // on-disk bytes are left exactly as SIGKILL would leave them. It exists
-// for crash testing (the simulator's crash_restart op); production
-// shutdown uses Close.
+// for crash testing (the simulator's crash_restart op) and for abandoning
+// a store whose cold start failed; production shutdown uses Close.
 func (d *Durable) Kill() {
 	d.mu.Lock()
 	defer d.mu.Unlock()

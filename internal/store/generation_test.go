@@ -117,7 +117,7 @@ func TestGenerationBumps(t *testing.T) {
 			name: "LoadNTriples stream",
 			op: func(s *Store) bool {
 				nt := `<http://x/a> <http://x/p> "1" .` + "\n"
-				n, err := LoadNTriples(s, strings.NewReader(nt), LoadOptions{Workers: 1})
+				n, err := LoadNTriples(s, strings.NewReader(nt), LoadOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

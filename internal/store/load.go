@@ -62,39 +62,22 @@ func NewFromFile(dict *rdf.Dict, path string, opt LoadOptions) (*Store, error) {
 	return st, nil
 }
 
-// DefaultSerialThreshold is the input size, in bytes, below which
-// LoadNTriples parses serially: goroutine and chunk bookkeeping costs more
-// than it saves on small fixtures.
-const DefaultSerialThreshold = 256 << 10
+// serialThreshold is the input size, in bytes, below which LoadNTriples
+// parses serially: goroutine and chunk bookkeeping costs more than it saves
+// on small fixtures.
+const serialThreshold = 256 << 10
 
 // LoadOptions configures the bulk loaders.
 type LoadOptions struct {
-	// Workers bounds the parser/resolver goroutines; 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// SerialThreshold is the input size in bytes below which loading is
-	// serial; 0 means DefaultSerialThreshold, negative disables the
-	// fallback (always parallel — used by tests).
-	SerialThreshold int
 	// Obs receives the load.parallel.* metrics; nil disables them.
 	Obs *obs.Registry
 }
 
-func (o LoadOptions) withDefaults() LoadOptions {
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SerialThreshold == 0 {
-		o.SerialThreshold = DefaultSerialThreshold
-	}
-	return o
-}
-
 // LoadNTriples reads the complete N-Triples document from r into s and
 // returns the number of triples added (after deduplication). On a parse
-// error the store is left unchanged.
+// error the store is left unchanged. Inputs of serialThreshold bytes or
+// more are parsed across runtime.GOMAXPROCS(0) workers.
 func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
-	opt = opt.withDefaults()
 	var t0 time.Time
 	if opt.Obs != nil {
 		t0 = time.Now()
@@ -107,9 +90,9 @@ func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 		added   int
 		parsed  int
 		chunks  = 1
-		workers = opt.Workers
+		workers = runtime.GOMAXPROCS(0)
 	)
-	if workers <= 1 || len(data) < opt.SerialThreshold {
+	if workers <= 1 || len(data) < serialThreshold {
 		workers = 1
 		added, parsed, err = loadSerial(s, data)
 	} else {
@@ -209,7 +192,6 @@ const turtleBatch = 512
 // preserves document order, so the result is deterministic. On a parse
 // error the store is left unchanged.
 func LoadTurtle(s *Store, r io.Reader, opt LoadOptions) (int, error) {
-	opt = opt.withDefaults()
 	var t0 time.Time
 	if opt.Obs != nil {
 		t0 = time.Now()

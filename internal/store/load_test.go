@@ -56,16 +56,15 @@ func snapshotBytes(t *testing.T, s *Store) []byte {
 // subject ids in the same first-sight order (term ids included), and the
 // same stats as a serial load of the same document.
 func TestLoadNTriplesSerialParallelIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	doc := genNTriples(6000, 7)
+	doc := []byte(genNTriples(6000, 7))
 
 	serial := New("ds", rdf.NewDict())
-	nSerial, err := LoadNTriples(serial, strings.NewReader(doc), LoadOptions{Workers: 1})
+	nSerial, _, err := loadSerial(serial, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel := New("ds", rdf.NewDict())
-	nParallel, err := LoadNTriples(parallel, strings.NewReader(doc), LoadOptions{Workers: 8, SerialThreshold: -1})
+	nParallel, _, _, err := loadParallel(parallel, doc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestLoadNTriplesMatchesIncrementalLoad(t *testing.T) {
 	incremental.Load(triples)
 
 	bulk := New("ds", rdf.NewDict())
-	if _, err := LoadNTriples(bulk, strings.NewReader(doc), LoadOptions{Workers: 4, SerialThreshold: -1}); err != nil {
+	if _, _, _, err := loadParallel(bulk, []byte(doc), 4); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := snapshotBytes(t, bulk), snapshotBytes(t, incremental); !bytes.Equal(got, want) {
@@ -129,14 +128,14 @@ func TestLoadNTriplesError(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		opt  LoadOptions
+		load func(s *Store, data []byte) error
 	}{
-		{"serial", LoadOptions{Workers: 1}},
-		{"parallel", LoadOptions{Workers: 4, SerialThreshold: -1}},
+		{"serial", func(s *Store, data []byte) error { _, _, err := loadSerial(s, data); return err }},
+		{"parallel", func(s *Store, data []byte) error { _, _, _, err := loadParallel(s, data, 4); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New("ds", rdf.NewDict())
-			_, err := LoadNTriples(s, strings.NewReader(doc), tc.opt)
+			err := tc.load(s, []byte(doc))
 			if err == nil {
 				t.Fatal("want parse error")
 			}
@@ -188,12 +187,18 @@ x:c x:name "gamma" ; x:age "3"^^<http://www.w3.org/2001/XMLSchema#integer> .
 	}
 }
 
-// TestLoadMetrics: the load.parallel.* instruments are populated.
+// TestLoadMetrics: a load at or above serialThreshold takes the parallel
+// path across GOMAXPROCS workers and populates the load.parallel.*
+// instruments with what that path did.
 func TestLoadMetrics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	reg := obs.NewRegistry()
 	s := New("ds", rdf.NewDict())
-	doc := genNTriples(1000, 5)
-	if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{Workers: 4, SerialThreshold: -1, Obs: reg}); err != nil {
+	doc := genNTriples(6000, 5)
+	if len(doc) < serialThreshold {
+		t.Fatalf("fixture is %d bytes, below the %d-byte serial threshold", len(doc), serialThreshold)
+	}
+	if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	wantParsed := int64(strings.Count(doc, " .\n"))

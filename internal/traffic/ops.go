@@ -162,10 +162,7 @@ func opBulkLoad(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 		fmt.Fprintf(&b, "<http://alexsim.invalid/aux/e%d> <http://alexsim.invalid/aux/name> \"aux entity %d\" .\n", id, id)
 		fmt.Fprintf(&b, "<http://alexsim.invalid/aux/e%d> <http://alexsim.invalid/aux/batch> \"%d\" .\n", id, id%7)
 	}
-	n, err := store.LoadNTriples(w.aux, strings.NewReader(b.String()), store.LoadOptions{
-		Workers: 1,
-		Obs:     w.cfg.Obs,
-	})
+	n, err := store.LoadNTriples(w.aux, strings.NewReader(b.String()), store.LoadOptions{Obs: w.cfg.Obs})
 	if err != nil {
 		return fmt.Sprintf("entities=%d", entities), fmt.Errorf("bulk_load: %w", err)
 	}

@@ -196,7 +196,6 @@ func buildWorld(ctx context.Context, cfg Config) (*world, error) {
 	w.fedn.SetResilience(fed.Resilience{
 		MaxRetries:      1,
 		BreakerFailures: 3,
-		BreakerProbes:   1,
 		PartialResults:  true,
 		Seed:            cfg.Seed,
 	})
