@@ -310,7 +310,7 @@ func TestDurableFederationRestart(t *testing.T) {
 		return h, cleanup, log.String()
 	}
 
-	inMemory, _ := serveArgs(t, args[:6]...)
+	inMemory, _ := serveArgs(t, "-data", dbp, "-data", nyt, "-links", links)
 	want := replies(inMemory)
 
 	h, cleanup, log := start()
