@@ -143,6 +143,100 @@ func TestDictConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
+// TestDictConcurrentBulkAndPoint mixes InternAll batches (overlapping, with
+// in-batch duplicates) with Intern, Lookup and lock-free Term reads, then
+// asserts what racing callers must agree on: one id per term, ids dense in
+// 1..Len, and every id round-tripping through Term (meaningful under -race).
+func TestDictConcurrentBulkAndPoint(t *testing.T) {
+	d := NewDict()
+	const (
+		universe = 600
+		rounds   = 40
+		batch    = 48
+	)
+	term := func(n int) Term {
+		if n%2 == 0 {
+			return NewIRI(fmt.Sprintf("http://x/e%d", n))
+		}
+		return NewString(fmt.Sprintf("e%d", n))
+	}
+	results := make([]map[Term]TermID, 6)
+	var wg sync.WaitGroup
+	for g := range results {
+		got := map[Term]TermID{}
+		results[g] = got
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				switch g % 3 {
+				case 0: // bulk: a window of the universe, every term twice
+					terms := make([]Term, 0, 2*batch)
+					for i := 0; i < batch; i++ {
+						tm := term((g*101 + r*batch + i) % universe)
+						terms = append(terms, tm, tm)
+					}
+					for i, id := range d.InternAll(terms) {
+						got[terms[i]] = id
+					}
+				case 1: // point interns walking the universe backwards
+					for i := 0; i < batch; i++ {
+						tm := term(universe - 1 - (g*37+r*batch+i)%universe)
+						got[tm] = d.Intern(tm)
+					}
+				default: // readers
+					for i := 0; i < batch; i++ {
+						tm := term((g*53 + r*batch + i) % universe)
+						if id, ok := d.Lookup(tm); ok {
+							got[tm] = id
+							if back := d.Term(id); back != tm {
+								t.Errorf("Term(%d) = %v after Lookup(%v)", id, back, tm)
+								return
+							}
+						}
+						if n := d.Len(); n > 0 && d.Term(TermID(i%n+1)).IsZero() {
+							t.Errorf("Term(%d) zero with Len=%d", i%n+1, n)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	canonical := map[Term]TermID{}
+	for g, got := range results {
+		for tm, id := range got {
+			if prev, ok := canonical[tm]; ok && prev != id {
+				t.Fatalf("goroutine %d got id %d for %v, another got %d", g, id, tm, prev)
+			}
+			canonical[tm] = id
+		}
+	}
+	// Readers only see interned terms, so the writers' terms are all of them.
+	if d.Len() != len(canonical) {
+		t.Fatalf("Len = %d, want %d distinct terms", d.Len(), len(canonical))
+	}
+	seen := make([]bool, d.Len()+1)
+	for id := 1; id <= d.Len(); id++ {
+		tm := d.Term(TermID(id))
+		got, ok := d.Lookup(tm)
+		if !ok || got != TermID(id) {
+			t.Fatalf("Lookup(Term(%d)) = %d, %v", id, got, ok)
+		}
+		seen[id] = true
+	}
+	for tm, id := range canonical {
+		if id == NoTerm || int(id) > d.Len() || !seen[id] {
+			t.Fatalf("id %d for %v outside dense range 1..%d", id, tm, d.Len())
+		}
+		if got := d.Term(id); got != tm {
+			t.Fatalf("Term(%d) = %v, want %v", id, got, tm)
+		}
+	}
+}
+
 // BenchmarkDictIntern measures single-goroutine interning over a warm
 // dictionary (the repeat-term fast path: shard read-lock + map hit).
 func BenchmarkDictIntern(b *testing.B) {
