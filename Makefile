@@ -28,15 +28,17 @@ test-short:
 # internal/linkset's TestCompareWhileWritersWait (the lock guarding the
 # Set's sorted view; also its deadlock check), internal/sim's
 # TestJaroMatchesReference (the bit-parallel Jaro kernel against its scalar
-# reference through one long-lived Scratch), and internal/rdf's striped
-# dictionary tests (TestDictParallelInternOverlappingSets,
-# TestDictConcurrentReadersWriters).
+# reference through one long-lived Scratch), internal/rdf's dictionary
+# hammers (TestDictParallelInternOverlappingSets,
+# TestDictConcurrentReadersWriters, TestDictConcurrentBulkAndPoint) and
+# internal/obs's TestHistogramConcurrent.
 race:
 	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
 
 fuzz:
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzNTriples$$' -fuzztime 10s
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzTurtle$$'   -fuzztime 10s
+	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzDict$$'     -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzParse$$'    -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzNormalizeQuery$$' -fuzztime 10s

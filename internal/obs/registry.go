@@ -1,5 +1,5 @@
 // Package obs is the observability substrate: a concurrency-safe metrics
-// registry (atomic counters, gauges, lock-striped latency histograms with
+// registry (atomic counters, gauges, mutex-guarded latency histograms with
 // quantile snapshots) and a lightweight per-query trace recorder (span
 // trees with stage labels, durations and cardinality annotations).
 //
@@ -80,38 +80,18 @@ func (g *Gauge) Value() int64 {
 // so bucket i holds values in [2^(i-1), 2^i). That gives ~constant relative
 // error (< one octave) over the full int64 range — plenty for latencies in
 // nanoseconds and for cardinalities.
-const (
-	histBuckets = 64
-	histStripes = 8 // power of two; see stripeFor
-)
+const histBuckets = 64
 
-// histStripe is one independently locked shard of a histogram. Recording
-// locks a single stripe; only Snapshot visits them all.
-type histStripe struct {
+// Histogram is a histogram of int64 observations (latencies in
+// nanoseconds, cardinalities, sizes) under one mutex. The zero value is
+// ready to use; all methods are no-ops on a nil receiver.
+type Histogram struct {
 	mu      sync.Mutex
 	count   int64
 	sum     int64
 	min     int64
 	max     int64
 	buckets [histBuckets]int64
-	// pad keeps stripes on separate cache lines to avoid false sharing.
-	_ [32]byte
-}
-
-// Histogram is a lock-striped histogram of int64 observations (latencies
-// in nanoseconds, cardinalities, sizes). Writers pick a stripe round-robin
-// and lock only it, so concurrent Observe calls rarely contend. The zero
-// value is ready to use; all methods are no-ops on a nil receiver.
-type Histogram struct {
-	next    atomic.Uint64
-	stripes [histStripes]histStripe
-}
-
-// stripeFor spreads writers over stripes round-robin. A per-call atomic
-// increment is cheaper than hashing goroutine identity and is contention-
-// free (it never blocks, unlike the stripe mutexes it load-balances).
-func (h *Histogram) stripeFor() *histStripe {
-	return &h.stripes[h.next.Add(1)&(histStripes-1)]
 }
 
 // Observe records one value. Negative values are clamped to zero.
@@ -122,18 +102,17 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	s := h.stripeFor()
-	s.mu.Lock()
-	if s.count == 0 || v < s.min {
-		s.min = v
+	h.mu.Lock()
+	if h.count == 0 || v < h.min {
+		h.min = v
 	}
-	if s.count == 0 || v > s.max {
-		s.max = v
+	if h.count == 0 || v > h.max {
+		h.max = v
 	}
-	s.count++
-	s.sum += v
-	s.buckets[bits.Len64(uint64(v))]++
-	s.mu.Unlock()
+	h.count++
+	h.sum += v
+	h.buckets[bits.Len64(uint64(v))]++
+	h.mu.Unlock()
 }
 
 // HistSnapshot is a merged, read-only view of a histogram.
@@ -148,40 +127,24 @@ type HistSnapshot struct {
 	P99   float64 `json:"p99"`
 }
 
-// Snapshot merges all stripes and estimates the p50/p95/p99 quantiles by
+// Snapshot copies the counts and estimates the p50/p95/p99 quantiles by
 // linear interpolation inside the power-of-two bucket containing each
 // rank, clamped to the observed min/max.
 func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	var merged [histBuckets]int64
-	snap := HistSnapshot{}
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		if s.count > 0 {
-			if snap.Count == 0 || s.min < snap.Min {
-				snap.Min = s.min
-			}
-			if snap.Count == 0 || s.max > snap.Max {
-				snap.Max = s.max
-			}
-			snap.Count += s.count
-			snap.Sum += s.sum
-			for b, n := range s.buckets {
-				merged[b] += n
-			}
-		}
-		s.mu.Unlock()
-	}
+	h.mu.Lock()
+	snap := HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	buckets := h.buckets
+	h.mu.Unlock()
 	if snap.Count == 0 {
 		return snap
 	}
 	snap.Mean = float64(snap.Sum) / float64(snap.Count)
-	snap.P50 = quantile(&merged, snap.Count, 0.50, snap.Min, snap.Max)
-	snap.P95 = quantile(&merged, snap.Count, 0.95, snap.Min, snap.Max)
-	snap.P99 = quantile(&merged, snap.Count, 0.99, snap.Min, snap.Max)
+	snap.P50 = quantile(&buckets, snap.Count, 0.50, snap.Min, snap.Max)
+	snap.P95 = quantile(&buckets, snap.Count, 0.95, snap.Min, snap.Max)
+	snap.P99 = quantile(&buckets, snap.Count, 0.99, snap.Min, snap.Max)
 	return snap
 }
 
@@ -322,7 +285,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures every instrument. Safe to call concurrently with
-// recording; counters and each histogram stripe are read atomically but
+// recording; counters and each histogram are read atomically but
 // the snapshot as a whole is not one consistent cut.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{

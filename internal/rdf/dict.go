@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -10,58 +9,34 @@ import (
 // Dict interns Terms to dense TermIDs. IDs start at 1; 0 is reserved for
 // NoTerm. A Dict is safe for concurrent use.
 //
-// The dictionary is built for concurrent loaders: the key → id map is
-// lock-striped across dictShards shards (FNV-1a of the term key picks the
-// shard), so goroutines interning disjoint terms do not serialize on one
-// mutex. Within a shard, check-then-insert is atomic: for any term, exactly
-// one id is ever assigned, even when many goroutines race to intern it —
-// concurrent Intern calls for the same term all return that single id, and
-// a Lookup that observes an id observes the same id every Intern returns.
-// Id values themselves are assigned in first-intern order from a shared
-// append-only term store, so a serial caller sees the same dense 1..N
-// assignment a pre-sharded Dict produced.
+// One RWMutex guards the key → id map and every append to the term store,
+// so check-then-insert is atomic: for any term, exactly one id is ever
+// assigned, even when many goroutines race to intern it — concurrent Intern
+// calls for the same term all return that single id, and a Lookup that
+// observes an id observes the same id every Intern returns. Ids are assigned
+// in first-intern order, InternAll's batches included, so a serial caller
+// gets the same dense 1..N assignment whichever of the two it calls.
 //
 // Term, Len and Materialize read the term store without taking any lock
 // (the store publishes appends with atomics), which keeps the similarity
-// scans that materialize terms in tight loops off the interning locks
+// scans that materialize terms in tight loops off the interning lock
 // entirely.
 //
 // A single Dict is typically shared by all data sets participating in a
 // linking task so that TermIDs are comparable across stores.
 type Dict struct {
-	shards [dictShards]dictShard
-	terms  termStore
-}
-
-// dictShards is the power-of-two shard count of the key map.
-const dictShards = 16
-
-type dictShard struct {
 	mu    sync.RWMutex
 	byKey map[string]TermID
-}
-
-// shardOf picks the owning shard by FNV-1a hash of the intern key.
-func shardOf(key string) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return uint32(h) & (dictShards - 1)
+	terms termStore
 }
 
 // termStore is an append-only id → Term array, stored in fixed-size blocks
-// so readers never observe a reallocating backing array. Appends are
-// serialized by mu; readers are lock-free: an element is written before the
-// length is published, and readers load the length before the element, so
-// the atomics order every read after the write it observes.
+// so readers never observe a reallocating backing array. Appends happen
+// under the owning Dict's write lock; readers are lock-free: an element is
+// written before the length is published, and readers load the length
+// before the element, so the atomics order every read after the write it
+// observes.
 type termStore struct {
-	mu     sync.Mutex
 	blocks atomic.Pointer[[]*termBlock]
 	n      atomic.Int64 // published length, including the slot-0 sentinel
 }
@@ -74,34 +49,11 @@ const (
 
 type termBlock [termBlockSize]Term
 
-// append stores t and returns its index as the assigned id.
-func (ts *termStore) append(t Term) TermID {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	n := ts.n.Load()
+// grow makes room for n more terms past the published length and returns
+// the blocks to write them into.
+func (ts *termStore) grow(n int) []*termBlock {
 	blocks := *ts.blocks.Load()
-	bi := int(n >> termBlockBits)
-	if bi == len(blocks) {
-		grown := make([]*termBlock, len(blocks)+1)
-		copy(grown, blocks)
-		grown[bi] = new(termBlock)
-		ts.blocks.Store(&grown)
-		blocks = grown
-	}
-	blocks[bi][n&termBlockMask] = t
-	ts.n.Store(n + 1)
-	return TermID(n)
-}
-
-// appendAll stores every term under one lock and returns the id assigned
-// to terms[0]; the rest follow consecutively. It grows all needed blocks
-// up front, so the per-term work is one array store.
-func (ts *termStore) appendAll(terms []Term) TermID {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	n := ts.n.Load()
-	blocks := *ts.blocks.Load()
-	need := (int(n) + len(terms) + termBlockMask) >> termBlockBits
+	need := (int(ts.n.Load()) + n + termBlockMask) >> termBlockBits
 	if need > len(blocks) {
 		grown := make([]*termBlock, need)
 		copy(grown, blocks)
@@ -111,11 +63,15 @@ func (ts *termStore) appendAll(terms []Term) TermID {
 		ts.blocks.Store(&grown)
 		blocks = grown
 	}
-	for i := range terms {
-		at := n + int64(i)
-		blocks[at>>termBlockBits][at&termBlockMask] = terms[i]
-	}
-	ts.n.Store(n + int64(len(terms)))
+	return blocks
+}
+
+// append stores t and returns its index as the assigned id. The caller
+// holds the Dict's write lock.
+func (ts *termStore) append(t Term) TermID {
+	n := ts.n.Load()
+	ts.grow(1)[n>>termBlockBits][n&termBlockMask] = t
+	ts.n.Store(n + 1)
 	return TermID(n)
 }
 
@@ -131,10 +87,7 @@ func (ts *termStore) get(id TermID) (Term, bool) {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	d := &Dict{}
-	for i := range d.shards {
-		d.shards[i].byKey = make(map[string]TermID)
-	}
+	d := &Dict{byKey: make(map[string]TermID)}
 	blocks := make([]*termBlock, 0, 8)
 	d.terms.blocks.Store(&blocks)
 	d.terms.append(Term{}) // slot 0 is the zero Term for NoTerm
@@ -142,116 +95,43 @@ func NewDict() *Dict {
 }
 
 // Intern returns the id for t, assigning a fresh id on first sight. The
-// check-then-insert is atomic within the term's shard: racing Intern calls
-// for the same term return one id.
+// check-then-insert is atomic: racing Intern calls for the same term return
+// one id.
 func (d *Dict) Intern(t Term) TermID {
 	k := t.key()
-	sh := &d.shards[shardOf(k)]
-	sh.mu.RLock()
-	id, ok := sh.byKey[k]
-	sh.mu.RUnlock()
+	d.mu.RLock()
+	id, ok := d.byKey[k]
+	d.mu.RUnlock()
 	if ok {
 		return id
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if id, ok = sh.byKey[k]; ok {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if id, ok = d.byKey[k]; ok {
 		return id
 	}
 	id = d.terms.append(t)
-	sh.byKey[k] = id
+	d.byKey[k] = id
 	return id
 }
 
-// Grow pre-sizes the shard key maps for roughly n additional terms so a
-// bulk load does not pay for incremental map rehashing. Only empty shards
-// are resized — Grow never throws away existing entries — so it is a
-// no-op on a dictionary that is already populated.
-func (d *Dict) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	per := n/dictShards + 1
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		if len(sh.byKey) == 0 {
-			sh.byKey = make(map[string]TermID, per)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// InternAll interns every term and returns the assigned ids in input
-// order. It computes each key once and takes each shard lock once for the
-// whole batch, which makes it much cheaper than per-term Intern for large
-// bulk loads (the snapshot restore path). The per-shard check-then-insert
-// discipline is the same as Intern's, so racing callers remain safe.
+// InternAll interns every term under one write lock and returns the ids in
+// input order. It assigns exactly what a sequential Intern loop over terms
+// would: misses take the next ids in input order. Keys are built in one
+// reused buffer, so only the keys of new terms are allocated.
 func (d *Dict) InternAll(terms []Term) []TermID {
 	ids := make([]TermID, len(terms))
-	// All keys are built into one buffer and sliced out of a single string
-	// conversion — two allocations for the batch instead of one per term.
-	// The byKey maps pin the batch string; the interned terms reference the
-	// same field memory anyway, so nothing outlives what must live.
-	size := 0
-	for i := range terms {
-		size += 1 + len(terms[i].Value) + len(terms[i].Datatype) + len(terms[i].Lang) + 15
-	}
-	var b strings.Builder
-	b.Grow(size)
-	scratch := make([]byte, 0, 256)
-	offs := make([]int32, len(terms)+1)
-	for i := range terms {
-		scratch = AppendTermBinary(scratch[:0], terms[i])
-		b.Write(scratch)
-		offs[i+1] = int32(b.Len())
-	}
-	all := b.String()
-	var order [dictShards][]int32
-	for i := range terms {
-		s := shardOf(all[offs[i]:offs[i+1]])
-		order[s] = append(order[s], int32(i))
-	}
-	// Misses are appended to the term store in one bulk call per shard
-	// instead of one mutex acquisition per term. Until the batch's base id
-	// is known, a miss gets a placeholder id (top bit set, encoding its
-	// index in the pending list); an in-batch duplicate finds the
-	// placeholder in byKey, so each distinct term is still assigned exactly
-	// one id. Both maps are fixed up before the shard lock is released.
-	const pendingBit = TermID(1) << 31
-	var pendTerms []Term
-	var pendKeys []string
-	for s := range order {
-		batch := order[s]
-		if len(batch) == 0 {
-			continue
+	var key []byte
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, t := range terms {
+		key = AppendTermBinary(key[:0], t)
+		id, ok := d.byKey[string(key)]
+		if !ok {
+			id = d.terms.append(t)
+			d.byKey[string(key)] = id
 		}
-		pendTerms, pendKeys = pendTerms[:0], pendKeys[:0]
-		sh := &d.shards[s]
-		sh.mu.Lock()
-		for _, i := range batch {
-			k := all[offs[i]:offs[i+1]]
-			id, ok := sh.byKey[k]
-			if !ok {
-				id = pendingBit | TermID(len(pendTerms))
-				sh.byKey[k] = id
-				pendTerms = append(pendTerms, terms[i])
-				pendKeys = append(pendKeys, k)
-			}
-			ids[i] = id
-		}
-		if len(pendTerms) > 0 {
-			base := d.terms.appendAll(pendTerms)
-			for j, k := range pendKeys {
-				sh.byKey[k] = base + TermID(j)
-			}
-			for _, i := range batch {
-				if ids[i]&pendingBit != 0 {
-					ids[i] = base + (ids[i] &^ pendingBit)
-				}
-			}
-		}
-		sh.mu.Unlock()
+		ids[i] = id
 	}
 	return ids
 }
@@ -269,38 +149,14 @@ func (d *Dict) InternAll(terms []Term) []TermID {
 // fully consistent (every published id resolves, every key maps to a
 // published id).
 func (d *Dict) BulkInternEncoded(block string, n int) (bool, error) {
-	// Lock order everywhere is shard (any) → termStore, so holding all
-	// shards here and appending below cannot deadlock with Intern.
-	for i := range d.shards {
-		//lint:ignore lockdiscipline all shards are acquired across iterations on purpose and released together by the deferred unlock loop below
-		d.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range d.shards {
-			d.shards[i].mu.Unlock()
-		}
-	}()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	ts := &d.terms
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	if ts.n.Load() != 1 {
 		return false, nil
 	}
-	per := n/dictShards + 1
-	for i := range d.shards {
-		d.shards[i].byKey = make(map[string]TermID, per)
-	}
-	blocks := *ts.blocks.Load()
-	need := (1 + n + termBlockMask) >> termBlockBits
-	if need > len(blocks) {
-		grown := make([]*termBlock, need)
-		copy(grown, blocks)
-		for i := len(blocks); i < need; i++ {
-			grown[i] = new(termBlock)
-		}
-		ts.blocks.Store(&grown)
-		blocks = grown
-	}
+	d.byKey = make(map[string]TermID, n)
+	blocks := ts.grow(n)
 	off := 0
 	for i := 0; i < n; i++ {
 		t, adv, err := decodeTermAny(block[off:])
@@ -312,10 +168,9 @@ func (d *Dict) BulkInternEncoded(block string, n int) (bool, error) {
 		blocks[at>>termBlockBits][at&termBlockMask] = t
 		k := block[off : off+adv]
 		off += adv
-		sh := &d.shards[shardOf(k)]
-		before := len(sh.byKey)
-		sh.byKey[k] = TermID(at)
-		if len(sh.byKey) == before {
+		before := len(d.byKey)
+		d.byKey[k] = TermID(at)
+		if len(d.byKey) == before {
 			// k now maps to this term's id; publish through it so the
 			// mapping resolves, then reject the block.
 			ts.n.Store(at + 1)
@@ -336,10 +191,9 @@ func (d *Dict) InternIRI(iri string) TermID { return d.Intern(NewIRI(iri)) }
 // when the term has never been interned.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
 	k := t.key()
-	sh := &d.shards[shardOf(k)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	id, ok := sh.byKey[k]
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	id, ok := d.byKey[k]
 	return id, ok
 }
 

@@ -170,51 +170,20 @@ func runDictScript(t *testing.T, script []byte) {
 	}
 }
 
-// checkInternAll interns batch through InternAll and checks the result
-// against the model: a term interned before keeps its id, in-batch
-// duplicates share one id, and the batch's new terms take the next ids,
-// one each. The model then adopts the ids the dictionary assigned.
+// checkInternAll interns batch through InternAll and checks it assigns
+// exactly what a sequential Intern loop over the batch would: a term
+// interned before keeps its id, in-batch duplicates share one id, and the
+// batch's new terms take the next ids in input order.
 func checkInternAll(t *testing.T, d *Dict, ref *refDict, batch []Term) {
 	t.Helper()
-	before := TermID(d.Len())
 	got := d.InternAll(batch)
 	if len(got) != len(batch) {
 		t.Fatalf("InternAll returned %d ids for %d terms", len(got), len(batch))
 	}
-	fresh := map[Term]TermID{}
-	owner := map[TermID]Term{}
 	for i, tm := range batch {
-		if want, known := ref.ids[tm]; known {
-			if got[i] != want {
-				t.Fatalf("InternAll[%d] %v = %d, want its earlier id %d", i, tm, got[i], want)
-			}
-			continue
+		if want := ref.intern(tm); got[i] != want {
+			t.Fatalf("InternAll[%d] %v = %d, want %d as a sequential Intern loop assigns", i, tm, got[i], want)
 		}
-		if id, seen := fresh[tm]; seen {
-			if got[i] != id {
-				t.Fatalf("InternAll[%d] %v = %d, but the batch gave it %d before", i, tm, got[i], id)
-			}
-			continue
-		}
-		if got[i] <= before {
-			t.Fatalf("InternAll[%d] new term %v got old id %d (Len before %d)", i, tm, got[i], before)
-		}
-		if other, taken := owner[got[i]]; taken {
-			t.Fatalf("InternAll gave id %d to both %v and %v", got[i], other, tm)
-		}
-		fresh[tm] = got[i]
-		owner[got[i]] = tm
-	}
-	if d.Len() != int(before)+len(fresh) {
-		t.Fatalf("Len = %d after a batch of %d new terms on %d", d.Len(), len(fresh), before)
-	}
-	ref.terms = append(ref.terms, make([]Term, len(fresh))...)
-	for tm, id := range fresh {
-		if int(id) >= len(ref.terms) {
-			t.Fatalf("InternAll gave %v id %d past Len %d", tm, id, d.Len())
-		}
-		ref.ids[tm] = id
-		ref.terms[id] = tm
 	}
 }
 

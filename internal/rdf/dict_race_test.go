@@ -7,8 +7,7 @@ import (
 )
 
 // TestDictSerialIDOrder pins the id-assignment guarantee the loaders rely
-// on: a serial caller gets dense ids in first-intern order, exactly as the
-// pre-sharded dictionary assigned them.
+// on: a serial caller gets dense ids in first-intern order.
 func TestDictSerialIDOrder(t *testing.T) {
 	d := NewDict()
 	for i := 0; i < 100; i++ {
@@ -28,7 +27,7 @@ func TestDictSerialIDOrder(t *testing.T) {
 	}
 }
 
-// TestDictParallelInternOverlappingSets hammers the sharded dictionary with
+// TestDictParallelInternOverlappingSets hammers the dictionary with
 // goroutines interning overlapping term sets from different starting
 // offsets, then asserts the ids are stable: every term got exactly one id,
 // ids are dense 1..Len, and every id round-trips through Term.
@@ -106,7 +105,7 @@ func TestDictConcurrentReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < terms; i++ {
 				tm := NewIRI(fmt.Sprintf("http://x/%d", (w+i)%terms))
-				// The racy pattern the shard makes atomic: a failed Lookup
+				// The racy pattern the lock makes atomic: a failed Lookup
 				// followed by Intern must still yield one id per term.
 				if id, ok := d.Lookup(tm); ok {
 					if id2 := d.Intern(tm); id2 != id {
@@ -238,7 +237,7 @@ func TestDictConcurrentBulkAndPoint(t *testing.T) {
 }
 
 // BenchmarkDictIntern measures single-goroutine interning over a warm
-// dictionary (the repeat-term fast path: shard read-lock + map hit).
+// dictionary (the repeat-term fast path: read lock + map hit).
 func BenchmarkDictIntern(b *testing.B) {
 	d := NewDict()
 	terms := make([]Term, 1024)
@@ -253,8 +252,8 @@ func BenchmarkDictIntern(b *testing.B) {
 }
 
 // BenchmarkDictInternParallel measures contended interning: every goroutine
-// hammers the same warm term set, which serialized completely on the old
-// single-mutex dictionary and spreads across shards here.
+// hammers the same warm term set, so every call takes the one read lock —
+// a pure-contention microbenchmark of the hit path.
 func BenchmarkDictInternParallel(b *testing.B) {
 	d := NewDict()
 	terms := make([]Term, 1024)

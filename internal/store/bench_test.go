@@ -122,19 +122,48 @@ func BenchmarkLoadIncremental(b *testing.B) {
 // the exact store that BenchmarkLoadNTriples/serial parses from the same
 // ~4 MB document (bytes/op uses the document length as the denominator so
 // the two throughputs compare directly), and README's durability section
-// quotes the ratio.
+// quotes the ratio. "fresh" restores into an empty dictionary (the
+// bulk-intern path); "shared" into one already holding another store's
+// terms, as the second store of a durable federation is (the InternAll
+// path).
 func BenchmarkStoreRecover(b *testing.B) {
 	snap, want := buildRecoverFixture(b)
-	b.SetBytes(int64(len(loadBenchDoc())))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := ReadSnapshot(bytes.NewReader(snap), rdf.NewDict())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Len() != want {
-			b.Fatalf("recovered %d triples, want %d", st.Len(), want)
-		}
+	other := New("other", rdf.NewDict())
+	if _, err := LoadNTriples(other, strings.NewReader(genNTriples(20000, 7)), LoadOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	var otherSnap bytes.Buffer
+	if err := other.WriteSnapshot(&otherSnap); err != nil {
+		b.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		dict func() *rdf.Dict
+	}{
+		{"fresh", rdf.NewDict},
+		{"shared", func() *rdf.Dict {
+			d := rdf.NewDict()
+			if _, err := ReadSnapshot(bytes.NewReader(otherSnap.Bytes()), d); err != nil {
+				b.Fatal(err)
+			}
+			return d
+		}},
+	} {
+		b.Run(run.name, func(b *testing.B) {
+			b.SetBytes(int64(len(loadBenchDoc())))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dict := run.dict()
+				b.StartTimer()
+				st, err := ReadSnapshot(bytes.NewReader(snap), dict)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Len() != want {
+					b.Fatalf("recovered %d triples, want %d", st.Len(), want)
+				}
+			}
+		})
 	}
 }
 

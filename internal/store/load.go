@@ -23,7 +23,7 @@ import (
 // is interned serially in chunk order — assigning exactly the ids a serial
 // loader would — then every chunk resolves its triples to ids in parallel
 // against the now-complete dictionary), and the result is bulk-inserted
-// with Store.AddIDs under the striped index locks. A parallel load is
+// with Store.AddIDs under one store lock. A parallel load is
 // byte-for-byte equivalent to a serial one: same triple order, same term
 // ids, same snapshot.
 //

@@ -216,10 +216,9 @@ func TestLoadMetrics(t *testing.T) {
 	}
 }
 
-// TestAddIDsMatchesAddID: the bulk insert (including its parallel index
-// fill) is behaviorally identical to a serial AddID loop.
+// TestAddIDsMatchesAddID: the bulk insert is behaviorally identical to a
+// serial AddID loop.
 func TestAddIDsMatchesAddID(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	dict := rdf.NewDict()
 	rng := rand.New(rand.NewSource(9))
 	ids := make([]rdf.TripleID, 0, 6000)

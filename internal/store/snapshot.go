@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"alex/internal/rdf"
 )
@@ -407,8 +404,8 @@ func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 // every id into [1, Terms], so the whole store can be assembled with array
 // arithmetic — per-id posting counts, a prefix sum, one shared backing
 // array per index — instead of per-triple hash operations. Only the
-// present map and the final per-key stripe-map installs touch a hash
-// table, which is what makes recovery an order of magnitude faster than
+// present map and the final per-key index installs touch a hash table,
+// which is what makes recovery an order of magnitude faster than
 // re-parsing the source text. The store is not shared yet, so no lock is
 // taken.
 func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
@@ -416,7 +413,7 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	// encoded block directly and assigns ids 1..Terms in block order, so
 	// every local id IS its dict id (ids == nil signals the identity
 	// mapping below). A shared, already-populated dict takes the general
-	// per-term intern path instead.
+	// InternAll path instead.
 	var ids []rdf.TermID
 	bulk, err := dict.BulkInternEncoded(dec.blockStr, dec.hdr.Terms)
 	if err != nil {
@@ -426,7 +423,11 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		if err := dec.decodeTerms(); err != nil {
 			return nil, err
 		}
-		ids = internTerms(dict, dec.terms)
+		// ids[local] is the dict id of 1-based local id local. A cold load
+		// interns in first-use order, which is block order, so interning the
+		// block in order gives every term the id a cold load into this
+		// dictionary would have.
+		ids = append([]rdf.TermID{rdf.NoTerm}, dict.InternAll(dec.terms)...)
 	}
 	s := New(dec.hdr.Name, dict)
 	capHint := minInt(dec.hdr.Triples, maxSnapshotPrealloc)
@@ -488,8 +489,8 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	if s.present.Len() != n {
 		return nil, fmt.Errorf("snapshot contains %d duplicate rows", n-s.present.Len())
 	}
-	for role, ix := range [3]*tripleIndex{s.ixSubj, s.ixPred, s.ixObj} {
-		if err := fillIndex(ix, triples, local, counts[role], ids, role, n); err != nil {
+	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
+		if *ix, err = fillIndex(triples, local, counts[role], ids, role, n); err != nil {
 			return nil, err
 		}
 	}
@@ -501,7 +502,7 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 // over the per-id posting counts carves one shared backing array into the
 // per-key posting lists — sliced with full capacity so a later append to
 // one list reallocates instead of bleeding into its neighbour — which are
-// installed into presized stripe maps. Rows are visited in position
+// installed into one presized map. Rows are visited in position
 // order, so every list is ordered exactly as serial AddID appends would
 // have built it. ids maps local to dict ids; nil means they are identical
 // (the empty-dict fast path), in which case local is also nil and the
@@ -509,7 +510,7 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 // place: counts[id] turns into the fill cursor, and each id's list is
 // recovered afterwards as the span between consecutive cursor ends, so
 // the pass allocates nothing beyond the backing array.
-func fillIndex(ix *tripleIndex, triples []rdf.TripleID, local []uint32, counts []int32, ids []rdf.TermID, role, n int) error {
+func fillIndex(triples []rdf.TripleID, local []uint32, counts []int32, ids []rdf.TermID, role, n int) (tripleIndex, error) {
 	distinct := 0
 	var sum int32
 	for id := 1; id < len(counts); id++ {
@@ -546,9 +547,7 @@ func fillIndex(ix *tripleIndex, triples []rdf.TripleID, local []uint32, counts [
 			}
 		}
 	}
-	for i := range ix.stripes {
-		ix.stripes[i].m = make(map[rdf.TermID][]int32, distinct/indexStripes+1)
-	}
+	ix := make(tripleIndex, distinct)
 	prev := int32(0)
 	for id := 1; id < len(counts); id++ {
 		end := counts[id]
@@ -560,58 +559,18 @@ func fillIndex(ix *tripleIndex, triples []rdf.TripleID, local []uint32, counts [
 		gid := rdf.TermID(id)
 		if ids != nil {
 			gid = ids[id]
-			st := ix.stripe(gid)
-			if _, dup := st.m[gid]; dup {
+			if _, dup := ix[gid]; dup {
 				// The writer assigns each term exactly one local id; two
 				// local ids landing on one dict id means a malformed dict
 				// block, and installing the second list would shadow the
 				// first. With the identity mapping (ids == nil) distinct
 				// local ids are distinct dict ids, so no check is needed.
-				return fmt.Errorf("dict block assigns duplicate local ids to one term")
+				return nil, fmt.Errorf("dict block assigns duplicate local ids to one term")
 			}
-			st.m[gid] = list
-			continue
 		}
-		ix.stripe(gid).m[gid] = list
+		ix[gid] = list
 	}
-	return nil
-}
-
-// internTerms interns the decoded dict block into dict via the bulk
-// InternAll path (keys computed once, one shard-lock acquisition per
-// batch), fanning out across GOMAXPROCS workers for large term sets.
-// ids[local] is the dict id of 1-based local id local.
-func internTerms(dict *rdf.Dict, terms []rdf.Term) []rdf.TermID {
-	dict.Grow(len(terms))
-	ids := make([]rdf.TermID, len(terms)+1)
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || len(terms) < 4096 {
-		copy(ids[1:], dict.InternAll(terms))
-		return ids
-	}
-	const chunk = 1024
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				lo := c * chunk
-				if lo >= len(terms) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(terms) {
-					hi = len(terms)
-				}
-				copy(ids[lo+1:hi+1], dict.InternAll(terms[lo:hi]))
-			}
-		}()
-	}
-	wg.Wait()
-	return ids
+	return ix, nil
 }
 
 func uvarintLen(v uint64) int {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,6 +68,69 @@ func TestSnapshotSharedDict(t *testing.T) {
 	sID, _ := dict.Lookup(rdf.NewIRI("http://x/s"))
 	if _, ok := restored.Entity(sID); !ok {
 		t.Error("restored store does not share ids with the dictionary")
+	}
+}
+
+// TestSharedDictRestoreMatchesColdLoad: two stores cold-loaded into one
+// dictionary, snapshotted, and restored in the same order into a fresh
+// shared dictionary get back every term id the cold load assigned, and
+// re-emit byte-identical snapshots. The first restore takes the empty-dict
+// bulk path, the second the shared-dict InternAll path; the last case has
+// the second store bring more than 4,096 new terms.
+func TestSharedDictRestoreMatchesColdLoad(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		sizes  [2]int // genNTriples statements per store, seeds 1 and 2
+		minNew int    // terms the second store must add
+	}{
+		{[2]int{300, 300}, 1},
+		{[2]int{3000, 3000}, 1},
+		{[2]int{20000, 60000}, 4097},
+	} {
+		t.Run(fmt.Sprintf("%d+%d", tc.sizes[0], tc.sizes[1]), func(t *testing.T) {
+			cold := rdf.NewDict()
+			var snaps [2][]byte
+			firstLen := 0
+			for i, n := range tc.sizes {
+				st := New(fmt.Sprintf("ds%d", i), cold)
+				if _, err := LoadNTriples(st, strings.NewReader(genNTriples(n, int64(i+1))), LoadOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				snaps[i] = snapshotBytes(t, st)
+				if i == 0 {
+					firstLen = cold.Len()
+				}
+			}
+			if added := cold.Len() - firstLen; added < tc.minNew {
+				t.Fatalf("second store adds %d terms, want at least %d", added, tc.minNew)
+			}
+			warm := rdf.NewDict()
+			for i, snap := range snaps {
+				st, err := ReadSnapshot(bytes.NewReader(snap), warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := snapshotBytes(t, st); !bytes.Equal(got, snap) {
+					t.Errorf("store %d: restored snapshot differs from the cold load's", i)
+				}
+			}
+			if warm.Len() != cold.Len() {
+				t.Fatalf("restored dict holds %d terms, cold load %d", warm.Len(), cold.Len())
+			}
+			differ, first := 0, rdf.NoTerm
+			for id := rdf.TermID(1); int(id) <= cold.Len(); id++ {
+				if warm.Term(id) != cold.Term(id) {
+					if differ == 0 {
+						first = id
+					}
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Fatalf("%d of %d ids name a different term than in the cold load; first: id %d is %v, was %v",
+					differ, cold.Len(), first, warm.Term(first), cold.Term(first))
+			}
+		})
 	}
 }
 

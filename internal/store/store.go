@@ -7,16 +7,14 @@
 // attributes of one subject — which is the unit ALEX builds feature sets
 // from, and per-predicate statistics used by the PARIS baseline.
 //
-// Each index is lock-striped: its key space is spread over indexStripes
-// sub-maps, each with its own mutex, so the bulk-load path (AddIDs, used by
-// the parallel loaders in load.go) can populate the three indexes from
-// several goroutines without serializing on one lock. Point queries and
-// single-triple mutation keep the original coarse Store lock semantics.
+// One RWMutex per store guards its triples and all three indexes: reads
+// share it, and every mutation, the loaders' bulk AddIDs included, fills
+// the indexes serially under it. A store being restored from a snapshot is
+// not shared yet and takes no lock.
 package store
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,57 +23,15 @@ import (
 	"alex/internal/rdf"
 )
 
-// indexStripes is the power-of-two stripe count of each triple index.
-const indexStripes = 16
-
-// indexStripe is one lock-striped sub-map of a tripleIndex.
-type indexStripe struct {
-	mu sync.Mutex
-	m  map[rdf.TermID][]int32
-}
-
 // tripleIndex maps a term id to the positions of the triples using it in
-// one position (subject, predicate or object). Keys are spread over
-// indexStripes stripes by their low bits; each stripe has its own lock so
-// concurrent bulk writers on different stripes do not contend.
-//
-// Locking protocol: every mutation of the owning Store happens under
-// Store.mu held in write mode, which excludes all readers — so reads may
-// skip the stripe locks entirely. The stripe locks exist for the writers:
-// AddIDs fans index population across goroutines under the single
-// Store.mu write lock, and the stripe mutex is what serializes two of
-// those workers landing on the same stripe.
-type tripleIndex struct {
-	stripes [indexStripes]indexStripe
-}
-
-func newTripleIndex() *tripleIndex {
-	ix := &tripleIndex{}
-	for i := range ix.stripes {
-		ix.stripes[i].m = make(map[rdf.TermID][]int32)
-	}
-	return ix
-}
-
-func (ix *tripleIndex) stripe(id rdf.TermID) *indexStripe {
-	return &ix.stripes[uint32(id)&(indexStripes-1)]
-}
-
-// add appends pos to id's posting list under the stripe lock.
-func (ix *tripleIndex) add(id rdf.TermID, pos int32) {
-	st := ix.stripe(id)
-	st.mu.Lock()
-	st.m[id] = append(st.m[id], pos)
-	st.mu.Unlock()
-}
+// one position (subject, predicate or object), in insertion order. It is
+// guarded by the owning Store's mu.
+type tripleIndex map[rdf.TermID][]int32
 
 // remove deletes pos from id's posting list, dropping the key entirely
-// when the list empties so keyCount/keys stay exact after retraction.
-func (ix *tripleIndex) remove(id rdf.TermID, pos int32) {
-	st := ix.stripe(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	list := st.m[id]
+// when the list empties so len and keys stay exact after retraction.
+func (ix tripleIndex) remove(id rdf.TermID, pos int32) {
+	list := ix[id]
 	for i, p := range list {
 		if p == pos {
 			list = append(list[:i], list[i+1:]...)
@@ -83,40 +39,23 @@ func (ix *tripleIndex) remove(id rdf.TermID, pos int32) {
 		}
 	}
 	if len(list) == 0 {
-		delete(st.m, id)
+		delete(ix, id)
 		return
 	}
-	st.m[id] = list
-}
-
-// get returns id's posting list. Callers hold Store.mu (read or write),
-// which excludes the bulk writers, so no stripe lock is needed.
-func (ix *tripleIndex) get(id rdf.TermID) []int32 { return ix.stripe(id).m[id] }
-
-// keyCount returns the number of distinct keys.
-func (ix *tripleIndex) keyCount() int {
-	n := 0
-	for i := range ix.stripes {
-		n += len(ix.stripes[i].m)
-	}
-	return n
+	ix[id] = list
 }
 
 // keys returns the distinct keys, unsorted.
-func (ix *tripleIndex) keys() []rdf.TermID {
-	out := make([]rdf.TermID, 0, ix.keyCount())
-	for i := range ix.stripes {
-		for id := range ix.stripes[i].m {
-			out = append(out, id)
-		}
+func (ix tripleIndex) keys() []rdf.TermID {
+	out := make([]rdf.TermID, 0, len(ix))
+	for id := range ix {
+		out = append(out, id)
 	}
 	return out
 }
 
 // Store is an in-memory triple store. All mutation goes through Add/AddID/
-// AddIDs; reads are safe for concurrent use with other reads. Concurrent
-// mutation must be externally synchronized with reads (the linking pipeline
-// loads stores fully before querying them).
+// AddIDs and the retractions; every method is safe for concurrent use.
 type Store struct {
 	name string
 	dict *rdf.Dict
@@ -130,9 +69,9 @@ type Store struct {
 	// present maps each live triple to its position in triples (a flat
 	// open-addressing table; see tripleset.go).
 	present *tripleSet
-	ixSubj  *tripleIndex
-	ixPred  *tripleIndex
-	ixObj   *tripleIndex
+	ixSubj  tripleIndex
+	ixPred  tripleIndex
+	ixObj   tripleIndex
 	// subjects in insertion order, for deterministic iteration
 	subjects []rdf.TermID
 
@@ -169,9 +108,9 @@ func New(name string, dict *rdf.Dict) *Store {
 		name:    name,
 		dict:    dict,
 		present: newTripleSet(0),
-		ixSubj:  newTripleIndex(),
-		ixPred:  newTripleIndex(),
-		ixObj:   newTripleIndex(),
+		ixSubj:  tripleIndex{},
+		ixPred:  tripleIndex{},
+		ixObj:   tripleIndex{},
 	}
 }
 
@@ -227,18 +166,25 @@ func (s *Store) AddID(t rdf.TripleID) bool {
 	if s.wal != nil {
 		s.wal.logOne(walOpAdd, t)
 	}
-	pos := int32(len(s.triples))
-	s.triples = append(s.triples, t)
-	s.present.put(t, pos)
-	if s.ixSubj.get(t.S) == nil {
-		s.subjects = append(s.subjects, t.S)
-	}
-	s.ixSubj.add(t.S, pos)
-	s.ixPred.add(t.P, pos)
-	s.ixObj.add(t.O, pos)
+	s.appendLocked(t)
 	s.gen.Add(1)
 	s.triplesOut.Set(int64(s.present.Len()))
 	return true
+}
+
+// appendLocked inserts t, which is not present, at the end of the log:
+// position, dedup table, subject first sight and the three indexes. The
+// caller holds the write lock and owns the generation bump and gauges.
+func (s *Store) appendLocked(t rdf.TripleID) {
+	pos := int32(len(s.triples))
+	s.triples = append(s.triples, t)
+	s.present.put(t, pos)
+	if s.ixSubj[t.S] == nil {
+		s.subjects = append(s.subjects, t.S)
+	}
+	s.ixSubj[t.S] = append(s.ixSubj[t.S], pos)
+	s.ixPred[t.P] = append(s.ixPred[t.P], pos)
+	s.ixObj[t.O] = append(s.ixObj[t.O], pos)
 }
 
 // Retract interns nothing: it removes the triple if present, reporting
@@ -280,7 +226,7 @@ func (s *Store) RetractID(t rdf.TripleID) bool {
 	s.ixObj.remove(t.O, pos)
 	// Drop the subject from the first-sight list when its last triple
 	// goes, so a later re-add records it exactly once.
-	if s.ixSubj.get(t.S) == nil {
+	if s.ixSubj[t.S] == nil {
 		for i, subj := range s.subjects {
 			if subj == t.S {
 				s.subjects = append(s.subjects[:i], s.subjects[i+1:]...)
@@ -298,17 +244,11 @@ func (s *Store) RetractID(t rdf.TripleID) bool {
 // with a generation is valid iff the generation is unchanged.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// bulkIndexThreshold is the batch size below which AddIDs populates the
-// indexes serially — goroutine fan-out costs more than it saves on small
-// batches.
-const bulkIndexThreshold = 4096
-
 // AddIDs bulk-inserts pre-interned triples in order, skipping duplicates,
 // and returns the number of triples added. It is equivalent to calling
-// AddID for each element but takes the store lock once and, for large
-// batches, populates the three indexes in parallel under their striped
-// locks. The insertion order — and therefore every index posting list and
-// the subject first-sight order — is identical to the serial loop's.
+// AddID for each element — every index posting list and the subject
+// first-sight order come out identical — but takes the store lock once and
+// bumps the generation at most once.
 func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -317,89 +257,19 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 		// inserts — and whether the batch bumps the generation — match.
 		s.wal.logBatch(ids)
 	}
-	added := s.addIDsLocked(ids)
+	added := 0
+	for _, t := range ids {
+		if _, dup := s.present.get(t); !dup {
+			s.appendLocked(t)
+			added++
+		}
+	}
 	if added == 0 {
 		return 0
 	}
 	s.gen.Add(1)
 	s.triplesOut.Set(int64(s.present.Len()))
 	return added
-}
-
-// addIDsLocked is the insertion core of AddIDs: dedup, position
-// assignment, subject first-sight and index population. The caller holds
-// the write lock (or owns the store exclusively, as snapshot restore
-// does) and is responsible for the generation bump and gauges.
-func (s *Store) addIDsLocked(ids []rdf.TripleID) int {
-	base := int32(len(s.triples))
-	// Serial phase: dedup and position assignment, which fix the insertion
-	// order everything downstream (Match order, snapshots) depends on.
-	for _, t := range ids {
-		if _, dup := s.present.get(t); dup {
-			continue
-		}
-		s.present.put(t, int32(len(s.triples)))
-		s.triples = append(s.triples, t)
-	}
-	added := s.triples[base:]
-	if len(added) == 0 {
-		return 0
-	}
-	// Subject first-sight order: pre-batch subjects are known to ixSubj;
-	// in-batch first sights are tracked locally, in position order.
-	inBatch := make(map[rdf.TermID]struct{})
-	for _, t := range added {
-		if _, seen := inBatch[t.S]; seen {
-			continue
-		}
-		inBatch[t.S] = struct{}{}
-		if s.ixSubj.get(t.S) == nil {
-			s.subjects = append(s.subjects, t.S)
-		}
-	}
-	// Index population. Each (index, position-extractor) pair fans out over
-	// stripe groups: worker g of G handles only the keys whose stripe ≡ g
-	// (mod G), so each stripe has exactly one writer per batch and posting
-	// lists stay in position order. The stripe locks still guard the
-	// occasional cross-group collision by construction cost only.
-	indexes := [3]struct {
-		ix  *tripleIndex
-		key func(rdf.TripleID) rdf.TermID
-	}{
-		{s.ixSubj, func(t rdf.TripleID) rdf.TermID { return t.S }},
-		{s.ixPred, func(t rdf.TripleID) rdf.TermID { return t.P }},
-		{s.ixObj, func(t rdf.TripleID) rdf.TermID { return t.O }},
-	}
-	groups := runtime.GOMAXPROCS(0) / len(indexes)
-	if len(added) < bulkIndexThreshold || groups < 2 {
-		for _, x := range indexes {
-			for i, t := range added {
-				x.ix.add(x.key(t), base+int32(i))
-			}
-		}
-	} else {
-		if groups > indexStripes {
-			groups = indexStripes
-		}
-		var wg sync.WaitGroup
-		for _, x := range indexes {
-			for g := 0; g < groups; g++ {
-				wg.Add(1)
-				go func(ix *tripleIndex, key func(rdf.TripleID) rdf.TermID, g int) {
-					defer wg.Done()
-					for i, t := range added {
-						k := key(t)
-						if int(uint32(k)&(indexStripes-1))%groups != g {
-							continue
-						}
-						ix.add(k, base+int32(i))
-					}
-				}(x.ix, x.key, g)
-			}
-		}
-		wg.Wait()
-	}
-	return len(added)
 }
 
 // Len returns the number of live triples.
@@ -438,13 +308,13 @@ func (s *Store) Match(subj, pred, obj rdf.TermID) []rdf.TripleID {
 	switch {
 	case subj != rdf.NoTerm:
 		s.probeSubj.Inc()
-		candidates = s.ixSubj.get(subj)
+		candidates = s.ixSubj[subj]
 	case obj != rdf.NoTerm:
 		s.probeObj.Inc()
-		candidates = s.ixObj.get(obj)
+		candidates = s.ixObj[obj]
 	case pred != rdf.NoTerm:
 		s.probePred.Inc()
-		candidates = s.ixPred.get(pred)
+		candidates = s.ixPred[pred]
 	default:
 		s.probeScan.Inc()
 		out := make([]rdf.TripleID, 0, s.present.Len())
@@ -532,13 +402,13 @@ func (s *Store) Count(subj, pred, obj rdf.TermID) int {
 	defer s.mu.RUnlock()
 	n := s.present.Len()
 	if subj != rdf.NoTerm {
-		n = min(n, len(s.ixSubj.get(subj)))
+		n = min(n, len(s.ixSubj[subj]))
 	}
 	if pred != rdf.NoTerm {
-		n = min(n, len(s.ixPred.get(pred)))
+		n = min(n, len(s.ixPred[pred]))
 	}
 	if obj != rdf.NoTerm {
-		n = min(n, len(s.ixObj.get(obj)))
+		n = min(n, len(s.ixObj[obj]))
 	}
 	return n
 }
@@ -562,13 +432,13 @@ func (s *Store) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
 	switch {
 	case subj != rdf.NoTerm:
 		s.probeSubj.Inc()
-		candidates = s.ixSubj.get(subj)
+		candidates = s.ixSubj[subj]
 	case obj != rdf.NoTerm:
 		s.probeObj.Inc()
-		candidates = s.ixObj.get(obj)
+		candidates = s.ixObj[obj]
 	case pred != rdf.NoTerm:
 		s.probePred.Inc()
-		candidates = s.ixPred.get(pred)
+		candidates = s.ixPred[pred]
 	default:
 		s.probeScan.Inc()
 		for _, t := range s.triples {
@@ -614,7 +484,7 @@ func (e Entity) Len() int { return len(e.Preds) }
 func (s *Store) Entity(subj rdf.TermID) (Entity, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	positions := s.ixSubj.get(subj)
+	positions := s.ixSubj[subj]
 	if len(positions) == 0 {
 		return Entity{}, false
 	}
@@ -647,7 +517,7 @@ func (s *Store) Stats() Stats {
 		Name:       s.name,
 		Triples:    s.present.Len(),
 		Subjects:   len(s.subjects),
-		Predicates: s.ixPred.keyCount(),
+		Predicates: len(s.ixPred),
 	}
 }
 
@@ -679,7 +549,7 @@ func (s *Store) Load(triples []rdf.Triple) {
 func (s *Store) Functionality(p rdf.TermID) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	positions := s.ixPred.get(p)
+	positions := s.ixPred[p]
 	if len(positions) == 0 {
 		return 0
 	}
