@@ -1,12 +1,33 @@
 package rdf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 // Fuzz targets: the parsers must never panic and, where they succeed, must
-// produce triples that re-serialize and re-parse to the same values.
+// produce triples that re-serialize and re-parse to the same values. The
+// chunked N-Triples parser must also agree with refParseNTriples.
+
+// refParseNTriples is the reference N-Triples front end: one line at a
+// time, blank and comment lines skipped, the first malformed line reported
+// with its 1-based number.
+func refParseNTriples(in string) ([]Triple, error) {
+	var out []Triple
+	for i, line := range strings.Split(in, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		t, err := parseNTriplesLine(line)
+		if err != nil {
+			return nil, &ParseError{Line: i + 1, Msg: err.Error()}
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
 
 func FuzzNTriples(f *testing.F) {
 	seeds := []string{
@@ -21,7 +42,16 @@ func FuzzNTriples(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		ts, err := NewReader(strings.NewReader(in)).ReadAll()
+		ts, err := refParseNTriples(in)
+		for _, workers := range []int{1, 4} {
+			got, gotErr := parseNTriplesFlat([]byte(in), workers)
+			if (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
+				t.Fatalf("workers %d: error %v, line loop %v", workers, gotErr, err)
+			}
+			if err == nil && !slices.Equal(got, ts) {
+				t.Fatalf("workers %d: %d triples differ from the line loop's %d", workers, len(got), len(ts))
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -61,4 +91,14 @@ func FuzzTurtle(f *testing.F) {
 		// Must not panic; errors are fine.
 		_, _ = ParseTurtle(strings.NewReader(in))
 	})
+}
+
+// parseNTriplesFlat concatenates the chunked parser's chunks.
+func parseNTriplesFlat(data []byte, workers int) ([]Triple, error) {
+	chunks, err := ParseNTriplesChunks(data, workers)
+	var out []Triple
+	for _, c := range chunks {
+		out = append(out, c.Triples...)
+	}
+	return out, err
 }

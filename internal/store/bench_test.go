@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,9 +68,9 @@ func BenchmarkStoreAdd(b *testing.B) {
 	}
 }
 
-// benchDoc caches the synthetic N-Triples document shared by the loading
-// benchmarks so document generation stays off the clock.
-var benchDoc string
+// benchDoc and benchTurtle cache the synthetic documents shared by the
+// loading benchmarks so document generation stays off the clock.
+var benchDoc, benchTurtle string
 
 func loadBenchDoc() string {
 	if benchDoc == "" {
@@ -78,28 +79,55 @@ func loadBenchDoc() string {
 	return benchDoc
 }
 
-// BenchmarkLoadNTriples compares the serial and parallel bulk-load paths on
-// the same ~4 MB document.
+// loadBenchTurtle renders loadBenchDoc's statements as Turtle.
+func loadBenchTurtle(b *testing.B) string {
+	if benchTurtle == "" {
+		s := New("bench", rdf.NewDict())
+		if _, err := LoadNTriples(s, strings.NewReader(loadBenchDoc()), LoadOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := rdf.NewTurtleWriter(&sb, map[string]string{"x": "http://x/"}).WriteAll(s.MatchTerms(rdf.Term{}, rdf.Term{}, rdf.Term{})); err != nil {
+			b.Fatal(err)
+		}
+		benchTurtle = sb.String()
+	}
+	return benchTurtle
+}
+
+// BenchmarkLoadNTriples loads the same ~4 MB document parsed by one worker
+// (GOMAXPROCS 1) and by GOMAXPROCS workers.
 func BenchmarkLoadNTriples(b *testing.B) {
 	doc := loadBenchDoc()
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			s := New("bench", rdf.NewDict())
-			if _, _, err := loadSerial(s, []byte(doc)); err != nil {
-				b.Fatal(err)
+	for _, run := range []struct {
+		name  string
+		procs int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
+		b.Run(run.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.procs))
+			b.SetBytes(int64(len(doc)))
+			for i := 0; i < b.N; i++ {
+				s := New("bench", rdf.NewDict())
+				if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{}); err != nil {
+					b.Fatal(err)
+				}
 			}
+		})
+	}
+}
+
+// BenchmarkLoadTurtle loads BenchmarkLoadNTriples's statements rendered as
+// Turtle (bytes/op uses the N-Triples length, so the throughputs compare).
+func BenchmarkLoadTurtle(b *testing.B) {
+	doc := loadBenchTurtle(b)
+	b.SetBytes(int64(len(loadBenchDoc())))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New("bench", rdf.NewDict())
+		if _, err := LoadTurtle(s, strings.NewReader(doc), LoadOptions{}); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(doc)))
-		for i := 0; i < b.N; i++ {
-			s := New("bench", rdf.NewDict())
-			if _, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkLoadIncremental is the pre-bulk-loader baseline: the serial

@@ -42,6 +42,145 @@ func genNTriples(n int, seed int64) string {
 	return b.String()
 }
 
+// genTriples returns the statements of subjects synthetic subjects, grouped
+// by subject and, within a subject, by predicate, which is the order
+// rdf.TurtleWriter renders them in. Terms repeat across subjects, some
+// subjects are blank nodes, and every fifth subject repeats a statement
+// beside its first copy.
+func genTriples(subjects int, seed int64) []rdf.Triple {
+	rng := rand.New(rand.NewSource(seed))
+	var out []rdf.Triple
+	for i := 0; i < subjects; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://x/e%d", i))
+		if i%7 == 3 {
+			s = rdf.NewBlank(fmt.Sprintf("b%d", i))
+		}
+		add := func(p string, o rdf.Term) {
+			out = append(out, rdf.Triple{S: s, P: rdf.NewIRI(p), O: o})
+		}
+		add("http://x/name", rdf.NewString(fmt.Sprintf("entity %d", i)))
+		add("http://x/name", rdf.NewLangString(fmt.Sprintf("g%d", rng.Intn(20)), "en"))
+		add("http://x/value", rdf.NewInt(int64(rng.Intn(1000))))
+		add(rdf.RDFType, rdf.NewIRI(fmt.Sprintf("http://x/T%d", rng.Intn(5))))
+		if i%5 == 0 {
+			out = append(out, out[len(out)-1])
+		}
+		add("http://x/knows", rdf.NewIRI(fmt.Sprintf("http://x/e%d", rng.Intn(subjects))))
+	}
+	return out
+}
+
+// TestLoadersMatchAddLoop is the bulk loaders' oracle: loading a document
+// rendered from generated triples, whatever the format, worker count or
+// size, leaves the store and its dictionary exactly as an Add loop over the
+// triples does, in one generation bump. A failed load leaves the store
+// empty and its generation unchanged.
+func TestLoadersMatchAddLoop(t *testing.T) {
+	procs := func(n int, load func() (int, error)) (int, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		return load()
+	}
+	for _, fx := range []struct {
+		name     string
+		subjects int
+		large    bool
+	}{{"small", 60, false}, {"large", 1500, true}} {
+		triples := genTriples(fx.subjects, 1)
+		var nt, ttl strings.Builder
+		if err := rdf.NewWriter(&nt).WriteAll(triples); err != nil {
+			t.Fatal(err)
+		}
+		if err := rdf.NewTurtleWriter(&ttl, map[string]string{"x": "http://x/"}).WriteAll(triples); err != nil {
+			t.Fatal(err)
+		}
+		if large := nt.Len() >= serialThreshold; large != fx.large {
+			t.Fatalf("%s fixture is %d bytes against a %d-byte serial threshold", fx.name, nt.Len(), serialThreshold)
+		}
+		ref := New("ds", rdf.NewDict())
+		wantAdded := 0
+		for _, tr := range triples {
+			if ref.Add(tr) {
+				wantAdded++
+			}
+		}
+		for _, l := range []struct {
+			name string
+			// load loads the fixture, followed by a malformed statement
+			// when bad is set.
+			load func(s *Store, bad bool) (int, error)
+			// parses is false for a loader that takes triples, not a
+			// document, and so cannot fail.
+			parses bool
+		}{
+			{"ntriples/procs1", func(s *Store, bad bool) (int, error) {
+				return procs(1, func() (int, error) {
+					return LoadNTriples(s, strings.NewReader(breakDoc(nt.String(), bad, ntBad)), LoadOptions{})
+				})
+			}, true},
+			{"ntriples/procs4", func(s *Store, bad bool) (int, error) {
+				return procs(4, func() (int, error) {
+					return LoadNTriples(s, strings.NewReader(breakDoc(nt.String(), bad, ntBad)), LoadOptions{})
+				})
+			}, true},
+			{"turtle", func(s *Store, bad bool) (int, error) {
+				return LoadTurtle(s, strings.NewReader(breakDoc(ttl.String(), bad, ttlBad)), LoadOptions{})
+			}, true},
+			{"Load", func(s *Store, bad bool) (int, error) {
+				s.Load(triples)
+				return s.Len(), nil
+			}, false},
+		} {
+			t.Run(fx.name+"/"+l.name, func(t *testing.T) {
+				s := New("ds", rdf.NewDict())
+				n, err := l.load(s, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != wantAdded {
+					t.Errorf("added %d, Add loop added %d", n, wantAdded)
+				}
+				if g := s.Generation(); g != 1 {
+					t.Errorf("generation %d after one load, want 1", g)
+				}
+				if g, w := s.Dict().Len(), ref.Dict().Len(); g != w {
+					t.Fatalf("dictionary holds %d terms, Add loop %d", g, w)
+				}
+				for id := rdf.TermID(1); int(id) <= ref.Dict().Len(); id++ {
+					if g, w := s.Dict().Term(id), ref.Dict().Term(id); g != w {
+						t.Fatalf("term %d is %v, Add loop %v", id, g, w)
+					}
+				}
+				if !bytes.Equal(snapshotBytes(t, s), snapshotBytes(t, ref)) {
+					t.Error("snapshot differs from the Add loop's")
+				}
+				if !l.parses {
+					return
+				}
+				failed := New("ds", rdf.NewDict())
+				if _, err := l.load(failed, true); err == nil {
+					t.Fatal("malformed document loaded without error")
+				}
+				if failed.Len() != 0 || failed.Generation() != 0 {
+					t.Errorf("failed load left %d triples at generation %d, want 0 and 0", failed.Len(), failed.Generation())
+				}
+			})
+		}
+	}
+}
+
+// Malformed statements that breakDoc appends to a fixture.
+const (
+	ntBad  = "<http://x/bad> <http://x/p> .\n"
+	ttlBad = "x:a x:broken\n"
+)
+
+func breakDoc(doc string, bad bool, tail string) string {
+	if bad {
+		return doc + tail
+	}
+	return doc
+}
+
 func snapshotBytes(t *testing.T, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
