@@ -35,6 +35,8 @@ test-short:
 race:
 	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
 
+# Every fuzz target for 10s, and CI's only copy of the target list
+# (.github/workflows/ci.yml calls this target).
 fuzz:
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzNTriples$$' -fuzztime 10s
 	$(GO) test ./internal/rdf/    -run '^$$' -fuzz '^FuzzTurtle$$'   -fuzztime 10s

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -304,7 +305,11 @@ func TestServerConstruct(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/n-triples" {
 		t.Errorf("content type = %s", ct)
 	}
-	triples, err := rdf.NewReader(resp.Body).ReadAll()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triples, _, err := rdf.ParseNTriples(body, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,12 +226,11 @@ func Evaluate(candidates, truth *Set) Quality {
 // links, interning both ends into dict; the file's other triples are
 // skipped. It is the link reader every command-line tool shares.
 func LoadSameAs(dict *rdf.Dict, path string) (*Set, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	triples, err := rdf.NewReader(f).ReadAll()
+	triples, _, err := rdf.ParseNTriples(data, 1)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -150,8 +150,8 @@ const (
 	LoadParallelTriples = "load.parallel.triples"
 	// LoadParallelChunks counts input chunks parsed concurrently.
 	LoadParallelChunks = "load.parallel.chunks"
-	// LoadParallelWorkers gauges the worker count of the last bulk load
-	// (1 when the serial fallback ran).
+	// LoadParallelWorkers gauges the parser goroutines of the last bulk
+	// load (1 for Turtle and for N-Triples below the serial threshold).
 	LoadParallelWorkers = "load.parallel.workers"
 	// LoadParallelNS is the end-to-end bulk-load latency histogram.
 	LoadParallelNS = "load.parallel.ns"

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // refParseNTriples is the reference N-Triples front end: one line at a
 // time, blank and comment lines skipped, the first malformed line reported
 // with its 1-based number.
-func refParseNTriples(in string) ([]Triple, error) {
+func refParseNTriples(in string) ([]Triple, *ParseError) {
 	var out []Triple
 	for i, line := range strings.Split(in, "\n") {
 		line = strings.TrimSpace(line)
@@ -42,17 +43,18 @@ func FuzzNTriples(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		ts, err := refParseNTriples(in)
+		ts, want := refParseNTriples(in)
 		for _, workers := range []int{1, 4} {
-			got, gotErr := parseNTriplesFlat([]byte(in), workers)
-			if (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
-				t.Fatalf("workers %d: error %v, line loop %v", workers, gotErr, err)
+			got, _, err := ParseNTriples([]byte(in), workers)
+			var pe *ParseError
+			if (err == nil) != (want == nil) || (want != nil && (!errors.As(err, &pe) || *pe != *want)) {
+				t.Fatalf("workers %d: error %v, line loop %v", workers, err, want)
 			}
-			if err == nil && !slices.Equal(got, ts) {
+			if want == nil && !slices.Equal(got, ts) {
 				t.Fatalf("workers %d: %d triples differ from the line loop's %d", workers, len(got), len(ts))
 			}
 		}
-		if err != nil {
+		if want != nil {
 			return
 		}
 		// Successful parses must round-trip.
@@ -60,7 +62,7 @@ func FuzzNTriples(f *testing.F) {
 		if err := NewWriter(&sb).WriteAll(ts); err != nil {
 			t.Fatalf("reserialize: %v", err)
 		}
-		back, err := NewReader(strings.NewReader(sb.String())).ReadAll()
+		back, _, err := ParseNTriples([]byte(sb.String()), 1)
 		if err != nil {
 			t.Fatalf("reparse of own output failed: %v\noutput: %q", err, sb.String())
 		}
@@ -91,14 +93,4 @@ func FuzzTurtle(f *testing.F) {
 		// Must not panic; errors are fine.
 		_, _ = ParseTurtle(strings.NewReader(in))
 	})
-}
-
-// parseNTriplesFlat concatenates the chunked parser's chunks.
-func parseNTriplesFlat(data []byte, workers int) ([]Triple, error) {
-	chunks, err := ParseNTriplesChunks(data, workers)
-	var out []Triple
-	for _, c := range chunks {
-		out = append(out, c.Triples...)
-	}
-	return out, err
 }

@@ -8,80 +8,21 @@ import (
 	"unicode/utf8"
 )
 
-// ParseError describes a syntax error with its line number.
+// ParseError describes a syntax error with its line number. The parsers
+// return it wrapped with the format's name: "ntriples: line 3: …" or
+// "turtle: line 3: …".
 type ParseError struct {
 	Line int
 	Msg  string
 }
 
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("ntriples: line %d: %s", e.Line, e.Msg)
-}
-
-// Reader parses the N-Triples serialization line by line.
-type Reader struct {
-	scan *bufio.Scanner
-	line int
-}
-
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 4<<20)
-	return &Reader{scan: sc}
-}
-
-// Read returns the next triple. It returns io.EOF at end of input and a
-// *ParseError on malformed lines. Blank lines and comment lines are skipped.
-func (r *Reader) Read() (Triple, error) {
-	for r.scan.Scan() {
-		r.line++
-		line := strings.TrimSpace(r.scan.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := r.parseLine(line)
-		if err != nil {
-			return Triple{}, err
-		}
-		return t, nil
-	}
-	if err := r.scan.Err(); err != nil {
-		return Triple{}, err
-	}
-	return Triple{}, io.EOF
-}
-
-// ReadAll reads triples until EOF.
-func (r *Reader) ReadAll() ([]Triple, error) {
-	var out []Triple
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-}
-
-func (r *Reader) errf(format string, args ...any) error {
-	return &ParseError{Line: r.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (r *Reader) parseLine(line string) (Triple, error) {
-	t, err := parseNTriplesLine(line)
-	if err != nil {
-		return Triple{}, &ParseError{Line: r.line, Msg: err.Error()}
-	}
-	return t, nil
+	return fmt.Sprintf("line %d: %s", e.Line, e.Msg)
 }
 
 // parseNTriplesLine parses one non-blank, non-comment N-Triples statement.
-// Errors carry no line number; callers (the serial Reader and the chunked
-// parallel parser) attach their own position as a *ParseError.
+// Errors carry no line number; ParseNTriples attaches the position as a
+// *ParseError.
 func parseNTriplesLine(line string) (Triple, error) {
 	p := &lineParser{in: line}
 	s, err := p.term()

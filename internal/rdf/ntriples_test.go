@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -8,9 +9,9 @@ import (
 
 func parseAll(t *testing.T, in string) []Triple {
 	t.Helper()
-	ts, err := NewReader(strings.NewReader(in)).ReadAll()
+	ts, _, err := ParseNTriples([]byte(in), 1)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("ParseNTriples: %v", err)
 	}
 	return ts
 }
@@ -78,37 +79,39 @@ func TestNTriplesErrors(t *testing.T) {
 		`<> <http://x/p> "o" .`,             // empty IRI
 	}
 	for _, in := range bad {
-		_, err := NewReader(strings.NewReader(in)).ReadAll()
+		_, _, err := ParseNTriples([]byte(in), 1)
 		if err == nil {
 			t.Errorf("no error for %q", in)
 			continue
 		}
 		var pe *ParseError
-		if !asParseError(err, &pe) {
+		if !errors.As(err, &pe) {
 			t.Errorf("error for %q is %T, want *ParseError", in, err)
 		}
 	}
 }
 
-func asParseError(err error, target **ParseError) bool {
-	pe, ok := err.(*ParseError)
-	if ok {
-		*target = pe
-	}
-	return ok
-}
-
+// TestParseErrorMessage: each parser names its format and the line.
 func TestParseErrorMessage(t *testing.T) {
-	_, err := NewReader(strings.NewReader("junk line\n")).ReadAll()
-	pe, ok := err.(*ParseError)
-	if !ok {
-		t.Fatalf("err = %T, want *ParseError", err)
-	}
-	if pe.Line != 1 {
-		t.Errorf("Line = %d, want 1", pe.Line)
-	}
-	if !strings.Contains(pe.Error(), "line 1") {
-		t.Errorf("Error() = %q", pe.Error())
+	const doc = "<http://x/s> <http://x/p> <http://x/o> .\njunk line\n"
+	for _, c := range []struct {
+		format string
+		parse  func() error
+	}{
+		{"ntriples", func() error { _, _, err := ParseNTriples([]byte(doc), 1); return err }},
+		{"turtle", func() error { _, err := ParseTurtle(strings.NewReader(doc)); return err }},
+	} {
+		err := c.parse()
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: err = %T, want a *ParseError", c.format, err)
+		}
+		if pe.Line != 2 {
+			t.Errorf("%s: Line = %d, want 2", c.format, pe.Line)
+		}
+		if want := c.format + ": line 2: "; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: Error() = %q, want prefix %q", c.format, err, want)
+		}
 	}
 }
 
@@ -135,10 +138,12 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReaderEOF(t *testing.T) {
-	r := NewReader(strings.NewReader(""))
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("Read on empty input = %v, want io.EOF", err)
+func TestParseNTriplesEmpty(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ts, _, err := ParseNTriples(nil, workers)
+		if len(ts) != 0 || err != nil {
+			t.Errorf("workers %d: empty input = %d triples, %v; want none and no error", workers, len(ts), err)
+		}
 	}
 }
 

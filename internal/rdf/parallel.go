@@ -2,28 +2,18 @@ package rdf
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Chunked parallel N-Triples parsing. The input is split on line boundaries
-// into roughly equal chunks, each chunk is parsed independently on a worker
-// goroutine, and the per-chunk buffers are returned in input order — so the
-// concatenation of all chunks' triples is exactly what the serial Reader
-// would have produced, and the first error reported is the serial reader's
-// first error (earliest line wins).
-
-// ParsedChunk is the result of parsing one input chunk.
-type ParsedChunk struct {
-	// Triples holds the chunk's statements in input order.
-	Triples []Triple
-	// NewTerms holds the distinct terms of the chunk in first-occurrence
-	// order. Interning every chunk's NewTerms list in chunk order assigns
-	// exactly the ids a serial parse-and-intern loop would have assigned,
-	// which is how the bulk loaders keep parallel loading deterministic.
-	NewTerms []Term
-}
+// The N-Triples front end. With more than one worker the input is split on
+// line boundaries into roughly equal chunks, each chunk is parsed on a
+// worker goroutine, and the chunks' triples are concatenated in input
+// order — so the result does not depend on the worker count, and the error
+// reported is the earliest offending line's.
 
 // ntChunk is one line-aligned slice of the input.
 type ntChunk struct {
@@ -56,18 +46,10 @@ func splitNTriples(data []byte, n int) []ntChunk {
 	return out
 }
 
-// parseChunk parses one chunk, mirroring the serial Reader's semantics:
-// blank lines and #-comments are skipped, and errors are *ParseError with
-// the global (whole-input) line number.
-func parseChunk(c ntChunk) (ParsedChunk, error) {
-	var out ParsedChunk
-	seen := make(map[Term]struct{})
-	note := func(t Term) {
-		if _, ok := seen[t]; !ok {
-			seen[t] = struct{}{}
-			out.NewTerms = append(out.NewTerms, t)
-		}
-	}
+// parseChunk parses one chunk: blank lines and #-comments are skipped, and
+// errors are *ParseError with the global (whole-input) line number.
+func parseChunk(c ntChunk) ([]Triple, error) {
+	var out []Triple
 	data := c.data
 	line := c.startLine - 1
 	for len(data) > 0 {
@@ -84,30 +66,26 @@ func parseChunk(c ntChunk) (ParsedChunk, error) {
 		}
 		t, err := parseNTriplesLine(text)
 		if err != nil {
-			return out, &ParseError{Line: line, Msg: err.Error()}
+			return nil, &ParseError{Line: line, Msg: err.Error()}
 		}
-		out.Triples = append(out.Triples, t)
-		note(t.S)
-		note(t.P)
-		note(t.O)
+		out = append(out, t)
 	}
 	return out, nil
 }
 
-// ParseNTriplesChunks parses data on up to workers goroutines and returns
-// the per-chunk results in input order. On a malformed line it returns the
-// error of the earliest offending line (as the serial Reader would) and no
-// chunks. With workers <= 1 it still parses chunk by chunk, serially.
-func ParseNTriplesChunks(data []byte, workers int) ([]ParsedChunk, error) {
-	if workers < 1 {
-		workers = 1
+// ParseNTriples parses a complete N-Triples document on up to workers
+// goroutines and returns its triples in input order, with the number of
+// chunks the input was parsed in (one when workers <= 1). On a malformed
+// line it returns no triples and that line's *ParseError, wrapped as
+// "ntriples: line N: …"; of several malformed lines, the earliest wins.
+func ParseNTriples(data []byte, workers int) ([]Triple, int, error) {
+	chunks := []ntChunk{{data: data, startLine: 1}}
+	if workers > 1 {
+		chunks = splitNTriples(data, workers*4)
 	}
-	chunks := splitNTriples(data, workers*4)
-	results := make([]ParsedChunk, len(chunks))
+	results := make([][]Triple, len(chunks))
 	errs := make([]error, len(chunks))
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
+	workers = max(1, min(workers, len(chunks)))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -126,8 +104,8 @@ func ParseNTriplesChunks(data []byte, workers int) ([]ParsedChunk, error) {
 	wg.Wait()
 	for _, err := range errs { // chunk order = line order: earliest error wins
 		if err != nil {
-			return nil, err
+			return nil, len(chunks), fmt.Errorf("ntriples: %w", err)
 		}
 	}
-	return results, nil
+	return slices.Concat(results...), len(chunks), nil
 }

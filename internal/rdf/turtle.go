@@ -8,100 +8,60 @@ import (
 	"unicode/utf8"
 )
 
-// TurtleReader parses a practical subset of the Turtle serialization:
+// turtleParser parses a practical subset of the Turtle serialization:
 // @prefix and @base directives (and their SPARQL-style PREFIX/BASE forms),
 // prefixed names, the 'a' keyword, predicate-object lists with ';',
 // object lists with ',', numeric/boolean shorthand literals, language tags
 // and datatyped literals, comments, and blank node labels. Collections and
-// anonymous blank nodes '[]' are the notable omissions.
-//
-// Unlike the line-oriented N-Triples Reader, TurtleReader tokenizes the
-// whole input, so statements may span lines.
-type TurtleReader struct {
+// anonymous blank nodes '[]' are the notable omissions. Statements may span
+// lines.
+type turtleParser struct {
 	in       []rune
 	pos      int
 	line     int
 	prefixes map[string]string
 	base     string
-	// queue holds triples produced by one statement (predicate-object
-	// lists expand to several triples).
-	queue []Triple
+	out      []Triple
 }
 
-// NewTurtleReader reads all of r and prepares a parser. Reading the input
-// eagerly keeps the parser simple; Turtle documents in this system are
-// data-set files that fit in memory by design.
-func NewTurtleReader(r io.Reader) (*TurtleReader, error) {
+// ParseTurtle parses a complete Turtle document. Reading the input eagerly
+// keeps the parser simple; Turtle documents in this system are data-set
+// files that fit in memory by design. On a syntax error it returns no
+// triples and a *ParseError wrapped as "turtle: line N: …".
+func ParseTurtle(r io.Reader) ([]Triple, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return &TurtleReader{
-		in:       []rune(string(data)),
-		line:     1,
-		prefixes: map[string]string{},
-	}, nil
-}
-
-// ParseTurtle parses a complete Turtle document.
-func ParseTurtle(r io.Reader) ([]Triple, error) {
-	tr, err := NewTurtleReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Triple
+	p := &turtleParser{in: []rune(string(data)), line: 1, prefixes: map[string]string{}}
 	for {
-		t, err := tr.Read()
-		if err == io.EOF {
-			return out, nil
+		p.skipWS()
+		if p.eof() {
+			return p.out, nil
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-}
-
-// Read returns the next triple, io.EOF at end of input, or *ParseError.
-func (r *TurtleReader) Read() (Triple, error) {
-	if len(r.queue) > 0 {
-		t := r.queue[0]
-		r.queue = r.queue[1:]
-		return t, nil
-	}
-	for {
-		r.skipWS()
-		if r.eof() {
-			return Triple{}, io.EOF
-		}
-		if r.directive() {
+		if p.directive() {
 			continue
 		}
-		if err := r.statement(); err != nil {
-			return Triple{}, err
-		}
-		if len(r.queue) > 0 {
-			t := r.queue[0]
-			r.queue = r.queue[1:]
-			return t, nil
+		if err := p.statement(); err != nil {
+			return nil, fmt.Errorf("turtle: %w", err)
 		}
 	}
 }
 
-func (r *TurtleReader) errf(format string, args ...any) error {
+func (r *turtleParser) errf(format string, args ...any) error {
 	return &ParseError{Line: r.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (r *TurtleReader) eof() bool { return r.pos >= len(r.in) }
+func (r *turtleParser) eof() bool { return r.pos >= len(r.in) }
 
-func (r *TurtleReader) peek() rune {
+func (r *turtleParser) peek() rune {
 	if r.eof() {
 		return 0
 	}
 	return r.in[r.pos]
 }
 
-func (r *TurtleReader) next() rune {
+func (r *turtleParser) next() rune {
 	c := r.in[r.pos]
 	r.pos++
 	if c == '\n' {
@@ -110,7 +70,7 @@ func (r *TurtleReader) next() rune {
 	return c
 }
 
-func (r *TurtleReader) skipWS() {
+func (r *turtleParser) skipWS() {
 	for !r.eof() {
 		c := r.peek()
 		if c == '#' {
@@ -127,7 +87,7 @@ func (r *TurtleReader) skipWS() {
 	}
 }
 
-func (r *TurtleReader) hasKeyword(kw string) bool {
+func (r *turtleParser) hasKeyword(kw string) bool {
 	if r.pos+len(kw) > len(r.in) {
 		return false
 	}
@@ -149,7 +109,7 @@ func (r *TurtleReader) hasKeyword(kw string) bool {
 
 // directive consumes @prefix/@base/PREFIX/BASE; reports whether one was
 // consumed. Malformed directives surface later as statement errors.
-func (r *TurtleReader) directive() bool {
+func (r *turtleParser) directive() bool {
 	atForm := r.peek() == '@'
 	start := r.pos
 	if atForm {
@@ -197,7 +157,7 @@ func (r *TurtleReader) directive() bool {
 	}
 }
 
-func (r *TurtleReader) readUntil(stop rune) string {
+func (r *turtleParser) readUntil(stop rune) string {
 	var b strings.Builder
 	for !r.eof() {
 		c := r.peek()
@@ -209,8 +169,8 @@ func (r *TurtleReader) readUntil(stop rune) string {
 	return b.String()
 }
 
-// statement parses "subject predicateObjectList ." into the queue.
-func (r *TurtleReader) statement() error {
+// statement parses "subject predicateObjectList ." into out.
+func (r *turtleParser) statement() error {
 	subj, err := r.subject()
 	if err != nil {
 		return err
@@ -227,7 +187,7 @@ func (r *TurtleReader) statement() error {
 			if err != nil {
 				return err
 			}
-			r.queue = append(r.queue, Triple{S: subj, P: pred, O: obj})
+			r.out = append(r.out, Triple{S: subj, P: pred, O: obj})
 			r.skipWS()
 			if r.peek() == ',' {
 				r.next()
@@ -254,7 +214,7 @@ func (r *TurtleReader) statement() error {
 	}
 }
 
-func (r *TurtleReader) subject() (Term, error) {
+func (r *turtleParser) subject() (Term, error) {
 	switch {
 	case r.peek() == '<':
 		iri, err := r.iriRef()
@@ -269,7 +229,7 @@ func (r *TurtleReader) subject() (Term, error) {
 	}
 }
 
-func (r *TurtleReader) predicate() (Term, error) {
+func (r *turtleParser) predicate() (Term, error) {
 	if r.hasKeyword("a") {
 		r.next()
 		return NewIRI(RDFType), nil
@@ -284,7 +244,7 @@ func (r *TurtleReader) predicate() (Term, error) {
 	return r.prefixedName()
 }
 
-func (r *TurtleReader) object() (Term, error) {
+func (r *turtleParser) object() (Term, error) {
 	c := r.peek()
 	switch {
 	case c == '<':
@@ -310,7 +270,7 @@ func (r *TurtleReader) object() (Term, error) {
 	}
 }
 
-func (r *TurtleReader) iriRef() (string, error) {
+func (r *turtleParser) iriRef() (string, error) {
 	if r.peek() != '<' {
 		return "", r.errf("expected '<'")
 	}
@@ -335,7 +295,7 @@ func (r *TurtleReader) iriRef() (string, error) {
 	}
 }
 
-func (r *TurtleReader) blankNode() (Term, error) {
+func (r *turtleParser) blankNode() (Term, error) {
 	if r.peek() != '_' {
 		return Term{}, r.errf("expected blank node")
 	}
@@ -358,7 +318,7 @@ func (r *TurtleReader) blankNode() (Term, error) {
 	return NewBlank(b.String()), nil
 }
 
-func (r *TurtleReader) prefixedName() (Term, error) {
+func (r *turtleParser) prefixedName() (Term, error) {
 	var prefix strings.Builder
 	for !r.eof() {
 		c := r.peek()
@@ -395,7 +355,7 @@ func (r *TurtleReader) prefixedName() (Term, error) {
 	return NewIRI(base + name), nil
 }
 
-func (r *TurtleReader) literal() (Term, error) {
+func (r *turtleParser) literal() (Term, error) {
 	quote := r.peek()
 	if quote != '"' && quote != '\'' {
 		return Term{}, r.errf("expected quote")
@@ -513,7 +473,7 @@ func (r *TurtleReader) literal() (Term, error) {
 	}
 }
 
-func (r *TurtleReader) numericLiteral() (Term, error) {
+func (r *turtleParser) numericLiteral() (Term, error) {
 	var b strings.Builder
 	c := r.peek()
 	if c == '+' || c == '-' {

@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -198,31 +197,6 @@ func TestTurtleErrors(t *testing.T) {
 	}
 }
 
-func TestTurtleReaderStreaming(t *testing.T) {
-	in := `@prefix : <http://x/> .
-:a :p "1", "2" .
-:b :q "3" .
-`
-	r, err := NewTurtleReader(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		_, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != 3 {
-		t.Errorf("streamed %d triples, want 3", count)
-	}
-}
-
 func TestTurtleNTriplesCompatible(t *testing.T) {
 	// Every N-Triples document is valid Turtle: round-trip one through
 	// both parsers and compare.
@@ -235,7 +209,7 @@ func TestTurtleNTriplesCompatible(t *testing.T) {
 	if err := NewWriter(&sb).WriteAll(ts); err != nil {
 		t.Fatal(err)
 	}
-	fromNT, err := NewReader(strings.NewReader(sb.String())).ReadAll()
+	fromNT, _, err := ParseNTriples([]byte(sb.String()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,27 +130,12 @@ func BenchmarkLoadTurtle(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadIncremental is the pre-bulk-loader baseline: the serial
-// Reader feeding Store.Add one triple at a time.
-func BenchmarkLoadIncremental(b *testing.B) {
-	doc := loadBenchDoc()
-	b.SetBytes(int64(len(doc)))
-	for i := 0; i < b.N; i++ {
-		s := New("bench", rdf.NewDict())
-		triples, err := rdf.NewReader(strings.NewReader(doc)).ReadAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Load(triples)
-	}
-}
-
 // BenchmarkStoreRecover measures reopening a store from its binary
 // snapshot — the restart path a durable data directory buys. It rebuilds
-// the exact store that BenchmarkLoadNTriples/serial parses from the same
-// ~4 MB document (bytes/op uses the document length as the denominator so
-// the two throughputs compare directly), and README's durability section
-// quotes the ratio. "fresh" restores into an empty dictionary (the
+// the exact store that BenchmarkLoadNTriples loads from the same ~4 MB
+// document (bytes/op uses the document length as the denominator so the
+// throughputs compare directly), and README's durability section quotes
+// the ratio. "fresh" restores into an empty dictionary (the
 // bulk-intern path); "shared" into one already holding another store's
 // terms, as the second store of a durable federation is (the InternAll
 // path).

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -126,8 +127,7 @@ func TestLoadersMatchAddLoop(t *testing.T) {
 				return LoadTurtle(s, strings.NewReader(breakDoc(ttl.String(), bad, ttlBad)), LoadOptions{})
 			}, true},
 			{"Load", func(s *Store, bad bool) (int, error) {
-				s.Load(triples)
-				return s.Len(), nil
+				return s.Load(triples), nil
 			}, false},
 		} {
 			t.Run(fx.name+"/"+l.name, func(t *testing.T) {
@@ -191,22 +191,22 @@ func snapshotBytes(t *testing.T, s *Store) []byte {
 }
 
 // TestLoadNTriplesSerialParallelIdentical is the loader's determinism
-// contract: a parallel load produces a byte-identical snapshot, the same
-// subject ids in the same first-sight order (term ids included), and the
-// same stats as a serial load of the same document.
+// contract: a load parsed by 8 workers produces a byte-identical snapshot,
+// the same subject ids in the same first-sight order (term ids included),
+// and the same stats as one parsed by a single worker.
 func TestLoadNTriplesSerialParallelIdentical(t *testing.T) {
-	doc := []byte(genNTriples(6000, 7))
-
-	serial := New("ds", rdf.NewDict())
-	nSerial, _, err := loadSerial(serial, doc)
-	if err != nil {
-		t.Fatal(err)
+	doc := genNTriples(6000, 7)
+	load := func(procs int) (*Store, int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := New("ds", rdf.NewDict())
+		n, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, n
 	}
-	parallel := New("ds", rdf.NewDict())
-	nParallel, _, _, err := loadParallel(parallel, doc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, nSerial := load(1)
+	parallel, nParallel := load(8)
 	if nSerial != nParallel {
 		t.Fatalf("added counts differ: serial %d, parallel %d", nSerial, nParallel)
 	}
@@ -216,8 +216,8 @@ func TestLoadNTriplesSerialParallelIdentical(t *testing.T) {
 	if got, want := snapshotBytes(t, parallel), snapshotBytes(t, serial); !bytes.Equal(got, want) {
 		t.Error("parallel load snapshot differs from serial load snapshot")
 	}
-	// Term ids are assigned in the serial first-intern order even under the
-	// parallel loader, so the raw id slices must match, not just the terms.
+	// Term ids are assigned in input order whatever the worker count, so
+	// the raw id slices must match, not just the terms.
 	sSubj, pSubj := serial.Subjects(), parallel.Subjects()
 	if len(sSubj) != len(pSubj) {
 		t.Fatalf("subject counts differ: %d vs %d", len(sSubj), len(pSubj))
@@ -235,19 +235,22 @@ func TestLoadNTriplesSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadNTriplesMatchesIncrementalLoad checks the bulk path against the
-// original one-Add-per-triple loop.
+// TestLoadNTriplesMatchesIncrementalLoad checks the bulk path against a
+// one-Add-per-triple loop on a document with comments, blank lines and
+// duplicates far from their first copy.
 func TestLoadNTriplesMatchesIncrementalLoad(t *testing.T) {
-	doc := genNTriples(2000, 11)
-	triples, err := rdf.NewReader(strings.NewReader(doc)).ReadAll()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	doc := genNTriples(8000, 11)
+	triples, _, err := rdf.ParseNTriples([]byte(doc), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	incremental := New("ds", rdf.NewDict())
-	incremental.Load(triples)
-
+	for _, tr := range triples {
+		incremental.Add(tr)
+	}
 	bulk := New("ds", rdf.NewDict())
-	if _, _, _, err := loadParallel(bulk, []byte(doc), 4); err != nil {
+	if _, err := LoadNTriples(bulk, strings.NewReader(doc), LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := snapshotBytes(t, bulk), snapshotBytes(t, incremental); !bytes.Equal(got, want) {
@@ -255,34 +258,28 @@ func TestLoadNTriplesMatchesIncrementalLoad(t *testing.T) {
 	}
 }
 
-// TestLoadNTriplesError: both paths report the serial reader's first error
-// (same line, same message) and leave the store unchanged.
+// TestLoadNTriplesError: at one worker and at four, the load reports the
+// first malformed line with its global line number and leaves the store
+// unchanged.
 func TestLoadNTriplesError(t *testing.T) {
-	doc := genNTriples(400, 3) + "<http://x/bad> <http://x/p> .\n" + genNTriples(400, 4)
-	wantLine := strings.Count(genNTriples(400, 3), "\n") + 1
-
-	_, serialErr := rdf.NewReader(strings.NewReader(doc)).ReadAll()
-	if serialErr == nil {
-		t.Fatal("serial reader accepted malformed input")
+	doc := genNTriples(4000, 3) + "<http://x/bad> <http://x/p> .\n" + genNTriples(4000, 4)
+	wantLine := strings.Count(genNTriples(4000, 3), "\n") + 1
+	if len(doc) < serialThreshold {
+		t.Fatalf("fixture is %d bytes, below the %d-byte serial threshold", len(doc), serialThreshold)
 	}
-	for _, tc := range []struct {
-		name string
-		load func(s *Store, data []byte) error
-	}{
-		{"serial", func(s *Store, data []byte) error { _, _, err := loadSerial(s, data); return err }},
-		{"parallel", func(s *Store, data []byte) error { _, _, _, err := loadParallel(s, data, 4); return err }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		procs int
+	}{{"serial", 1}, {"parallel", 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			s := New("ds", rdf.NewDict())
-			err := tc.load(s, []byte(doc))
+			_, err := LoadNTriples(s, strings.NewReader(doc), LoadOptions{})
 			if err == nil {
 				t.Fatal("want parse error")
 			}
-			if !strings.Contains(err.Error(), serialErr.Error()) {
-				t.Errorf("error %q does not embed the serial reader's %q", err, serialErr)
-			}
-			if !strings.Contains(err.Error(), fmt.Sprintf("line %d", wantLine)) {
-				t.Errorf("error %q lacks global line number %d", err, wantLine)
+			if want := fmt.Sprintf("store: load ds: ntriples: line %d: ", wantLine); !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("error %q, want prefix %q", err, want)
 			}
 			if s.Len() != 0 {
 				t.Errorf("store has %d triples after failed load, want 0", s.Len())
@@ -291,7 +288,44 @@ func TestLoadNTriplesError(t *testing.T) {
 	}
 }
 
-// TestLoadTurtle: the pipelined Turtle loader matches ParseTurtle + Add.
+// TestFailedLoadLeavesDictUnchanged: a document that fails to parse puts
+// no term into the shared dictionary, however many valid statements
+// precede the error.
+func TestFailedLoadLeavesDictUnchanged(t *testing.T) {
+	triples := genTriples(100, 2)
+	if len(triples) <= 512 {
+		t.Fatalf("fixture has %d statements, want more than 512", len(triples))
+	}
+	var nt, ttl strings.Builder
+	if err := rdf.NewWriter(&nt).WriteAll(triples); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdf.NewTurtleWriter(&ttl, map[string]string{"x": "http://x/"}).WriteAll(triples); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		load func(*Store, io.Reader, LoadOptions) (int, error)
+		doc  string
+	}{
+		{"ntriples", LoadNTriples, nt.String() + ntBad},
+		{"turtle", LoadTurtle, ttl.String() + ttlBad},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dict := rdf.NewDict()
+			dict.InternIRI("http://x/already")
+			s := New("ds", dict)
+			if _, err := c.load(s, strings.NewReader(c.doc), LoadOptions{}); err == nil {
+				t.Fatal("want parse error")
+			}
+			if n := dict.Len(); n != 1 {
+				t.Errorf("failed load left %d terms in the dictionary, want 1", n)
+			}
+		})
+	}
+}
+
+// TestLoadTurtle: the Turtle loader matches ParseTurtle + Load.
 func TestLoadTurtle(t *testing.T) {
 	doc := `@prefix x: <http://x/> .
 x:a x:name "alpha" ; x:knows x:b , x:c .

@@ -300,48 +300,11 @@ func (s *Store) Contains(t rdf.Triple) bool {
 }
 
 // Match returns all triples matching the pattern, where rdf.NoTerm in a
-// position acts as a wildcard. The result is in insertion order.
+// position acts as a wildcard: MatchEach collected into a slice, in
+// insertion order.
 func (s *Store) Match(subj, pred, obj rdf.TermID) []rdf.TripleID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var candidates []int32
-	switch {
-	case subj != rdf.NoTerm:
-		s.probeSubj.Inc()
-		candidates = s.ixSubj[subj]
-	case obj != rdf.NoTerm:
-		s.probeObj.Inc()
-		candidates = s.ixObj[obj]
-	case pred != rdf.NoTerm:
-		s.probePred.Inc()
-		candidates = s.ixPred[pred]
-	default:
-		s.probeScan.Inc()
-		out := make([]rdf.TripleID, 0, s.present.Len())
-		for _, t := range s.triples {
-			if t == (rdf.TripleID{}) {
-				continue // retraction tombstone
-			}
-			out = append(out, t)
-		}
-		s.matchRows.Add(int64(len(out)))
-		return out
-	}
 	var out []rdf.TripleID
-	for _, pos := range candidates {
-		t := s.triples[pos]
-		if subj != rdf.NoTerm && t.S != subj {
-			continue
-		}
-		if pred != rdf.NoTerm && t.P != pred {
-			continue
-		}
-		if obj != rdf.NoTerm && t.O != obj {
-			continue
-		}
-		out = append(out, t)
-	}
-	s.matchRows.Add(int64(len(out)))
+	s.MatchEach(subj, pred, obj, func(t rdf.TripleID) { out = append(out, t) })
 	return out
 }
 
@@ -527,18 +490,23 @@ func (st Stats) String() string {
 		st.Name, st.Triples, st.Subjects, st.Predicates)
 }
 
-// Load reads every triple from triples into the store as one batch, so
-// the whole load bumps the generation exactly once.
-func (s *Store) Load(triples []rdf.Triple) {
-	ids := make([]rdf.TripleID, len(triples))
-	for i, t := range triples {
-		ids[i] = rdf.TripleID{
-			S: s.dict.Intern(t.S),
-			P: s.dict.Intern(t.P),
-			O: s.dict.Intern(t.O),
-		}
+// Load inserts triples as one batch and returns the number added. It is
+// the one bulk insert: one Dict.InternAll over the triples' S, P and O
+// terms in input order, which assigns the ids an Add loop would, then one
+// AddIDs, so the batch is one WAL record and bumps the generation at most
+// once. The bulk loaders parse their whole document before calling Load,
+// so a document that fails to parse interns nothing.
+func (s *Store) Load(triples []rdf.Triple) int {
+	terms := make([]rdf.Term, 0, 3*len(triples))
+	for _, t := range triples {
+		terms = append(terms, t.S, t.P, t.O)
 	}
-	s.AddIDs(ids)
+	ids := s.dict.InternAll(terms)
+	batch := make([]rdf.TripleID, len(triples))
+	for i := range batch {
+		batch[i] = rdf.TripleID{S: ids[3*i], P: ids[3*i+1], O: ids[3*i+2]}
+	}
+	return s.AddIDs(batch)
 }
 
 // Functionality returns the functionality of a predicate: the ratio of
