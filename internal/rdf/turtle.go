@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -33,7 +34,16 @@ func ParseTurtle(r io.Reader) ([]Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &turtleParser{in: []rune(string(data)), line: 1, prefixes: map[string]string{}}
+	p := &turtleParser{
+		in:       []rune(string(data)),
+		line:     1,
+		prefixes: map[string]string{},
+		// One triple per line, but at most one per 16 bytes so blank lines
+		// cannot inflate it: regrowing the whole document's triples as they
+		// fill the slice cost more than parsing them. Append grows past a
+		// low estimate.
+		out: make([]Triple, 0, min(bytes.Count(data, []byte{'\n'})+1, len(data)/16+1)),
+	}
 	for {
 		p.skipWS()
 		if p.eof() {
