@@ -38,10 +38,10 @@ func ParseTurtle(r io.Reader) ([]Triple, error) {
 		in:       []rune(string(data)),
 		line:     1,
 		prefixes: map[string]string{},
-		// One triple per line, but at most one per 16 bytes so blank lines
-		// cannot inflate it: regrowing the whole document's triples as they
-		// fill the slice cost more than parsing them. Append grows past a
-		// low estimate.
+		// Room for one triple per line, but at most one per 16 bytes so
+		// blank lines cannot inflate the estimate: regrowing the whole
+		// document's triples as they fill the slice cost more than parsing
+		// them. Append grows past a low estimate.
 		out: make([]Triple, 0, min(bytes.Count(data, []byte{'\n'})+1, len(data)/16+1)),
 	}
 	for {
