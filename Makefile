@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzJaro$$'     -fuzztime 10s
+	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzStringSim$$' -fuzztime 10s
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzScoreMemo$$' -fuzztime 10s
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzSpaceIDs$$' -fuzztime 10s
 	$(GO) test ./internal/core/    -run '^$$' -fuzz '^FuzzEpisodeEquivalence$$' -fuzztime 10s
