@@ -6,6 +6,11 @@
 // picks a metric from the inferred value types, matching the paper's
 // "generic similarity function that depends on the type of the attributes"
 // (§4.1).
+//
+// Every text a profile holds carries a rune signature, so StringSim scores
+// two texts that share no rune (a name against a date, say) 0 without
+// running either kernel; the score is the one the kernels would return,
+// bit for bit (FuzzStringSim).
 package sim
 
 import (
@@ -192,16 +197,29 @@ func tokenJaccard(ta, tb []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// text is a string prepared for StringSim: its runes and its sorted,
-// de-duplicated token set, each derived once.
+// text is a string prepared for StringSim: its runes, its sorted,
+// de-duplicated token set and its rune signature, each derived once.
 type text struct {
 	s      string
 	runes  []rune
 	tokens []string
+	// sig has bit r&127 set for every rune r of runes and of tokens: an
+	// ASCII rune sets its own bit, any other shares one with an ASCII rune.
+	// Two texts whose signatures do not intersect share no rune.
+	sig [2]uint64
 }
 
 func newText(s string) text {
-	return text{s: s, runes: []rune(s), tokens: tokenSet(s)}
+	t := text{s: s, runes: []rune(s), tokens: tokenSet(s)}
+	for _, r := range t.runes {
+		t.sig[r>>6&1] |= 1 << (r & 63)
+	}
+	for _, tok := range t.tokens {
+		for _, r := range tok {
+			t.sig[r>>6&1] |= 1 << (r & 63)
+		}
+	}
+	return t
 }
 
 // StringSim is the default string metric: the maximum of Jaro-Winkler and
@@ -217,10 +235,18 @@ func StringSim(a, b string) float64 {
 	return stringSim(&ta, &tb, &sc)
 }
 
-// stringSim is StringSim over prepared texts.
+// stringSim is StringSim over prepared texts. Two texts that share no
+// rune score 0 without either kernel, unless neither has a token: Jaro
+// pairs off equal runes only, so it finds no match and returns 0; two
+// equal tokens would share their runes, so the token sets are disjoint
+// and, one of them not empty, token Jaccard is 0 too. Without a token on
+// either side token Jaccard is 1, so the kernels run.
 func stringSim(a, b *text, sc *Scratch) float64 {
 	if a.s == b.s {
 		return 1
+	}
+	if a.sig[0]&b.sig[0]|a.sig[1]&b.sig[1] == 0 && len(a.tokens)+len(b.tokens) > 0 {
+		return 0
 	}
 	jw := jaroWinkler(a.runes, b.runes, sc)
 	tj := tokenJaccard(a.tokens, b.tokens)

@@ -76,3 +76,30 @@ func FuzzStringSim(f *testing.F) {
 		checkStringSim(t, &sc, &ta, &tb)
 	})
 }
+
+// TestNoSharedRuneSkipsTheKernels pins the mechanism: two texts with no
+// rune in common and a token between them score 0 without the Jaro kernel
+// loading its table; two texts without tokens still run it, because their
+// token Jaccard is 1.
+func TestNoSharedRuneSkipsTheKernels(t *testing.T) {
+	for _, c := range []struct {
+		a, b   string
+		kernel bool
+	}{
+		{"lebron james", "1984-12-30", false},
+		{"miami heat", "-", false},
+		{"š", "a", true}, // a collision: one kernel call
+		{"-", ".", true},
+		{"miami heat", "heat", true},
+	} {
+		ta, tb := newText(c.a), newText(c.b)
+		var sc Scratch
+		got := stringSim(&ta, &tb, &sc)
+		if ran := sc.table != nil; ran != c.kernel {
+			t.Errorf("stringSim(%q, %q): kernel ran %v, want %v", c.a, c.b, ran, c.kernel)
+		}
+		if !c.kernel && got != 0 {
+			t.Errorf("stringSim(%q, %q) = %g without the kernels, want 0", c.a, c.b, got)
+		}
+	}
+}
