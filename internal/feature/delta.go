@@ -109,7 +109,9 @@ func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 // rescoreSubject replaces every pair of one partition subject: old pairs
 // are spliced out of the per-feature indexes, the subject is rescored
 // against the right side as it stands, and the surviving pairs spliced
-// back in, each under the id its link already has.
+// back in, each under the id its link already has. The subject's pairs
+// share their sets' arrays (scoreSubject), and all of them are replaced
+// at once, so the old arrays are dropped whole.
 func (sp *Space) rescoreSubject(subj rdf.TermID, e entity) {
 	ids := sp.leftPairs[subj]
 	for _, id := range ids {

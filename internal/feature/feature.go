@@ -418,22 +418,36 @@ func (e entity) tokens() []string {
 }
 
 // scorer is one goroutine's pair-scoring state: θ, the similarity memo,
-// and the buffers reused from pair to pair, so that scoring a pair
-// allocates only the Set it returns. Make one with newScorer (or, for a
-// build, buildScorer); the zero buffers are ready to use.
+// and the buffers reused from pair to pair and subject to subject, so that
+// a subject's pairs share one allocation: scoreSubject copies the sets of
+// all of them out of the buffers at once. Make one with newScorer (or, for
+// a build, buildScorer); the zero buffers are ready to use.
 type scorer struct {
 	theta float64
 	// memo is a direct-mapped table of matrix cells: a (ds1 term, ds2
 	// term) key and the kernel's score for it. Its length is a power of
 	// two; a key's cell is the top bits of the key times a Fibonacci
 	// constant, shift = 64 − log2(len(memo)). A miss overwrites the cell.
-	memo    []memoCell
-	shift   uint
-	sim     sim.Scratch
-	feats   []Feature // the pair under way: sorted, one entry per feature
+	memo  []memoCell
+	shift uint
+	sim   sim.Scratch
+	// feats and scores hold the sets of the subject's surviving pairs met
+	// so far, back to back, then the pair under way's from start on:
+	// sorted, one entry per feature.
+	feats   []Feature
 	scores  []float64
+	start   int
+	spans   []pairSpan              // the subject under way: its surviving pairs
 	rowBest []bestCell              // the pair under way, per-row arm: one entry per e1 attribute
 	seen    map[rdf.TermID]struct{} // the subject under way: candidates met
+}
+
+// pairSpan is one surviving pair of the subject under way: its right
+// subject and where its set ends in the scorer's buffers, the previous
+// pair's end being where it starts.
+type pairSpan struct {
+	right rdf.TermID
+	end   int
 }
 
 // memoCells is the length of every scorer memo but Compute's: 2^14 cells,
@@ -495,15 +509,17 @@ type bestCell struct {
 
 // scoreSubject scores every blocked candidate of one partition subject —
 // the right subjects sharing at least one blocking key with it — and
-// returns the θ-surviving pairs, sorted by right subject. It only reads
-// right, so calls for distinct subjects can run concurrently on distinct
-// scorers.
+// returns the θ-surviving pairs, sorted by right subject. The pairs' sets
+// share one array of features and one of scores, each set capped at its
+// own length, so that the subject's pairs take three allocations however
+// many there are. It only reads right, so calls for distinct subjects can
+// run concurrently on distinct scorers.
 func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []scoredPair {
 	if sc.seen == nil {
 		sc.seen = map[rdf.TermID]struct{}{}
 	}
 	clear(sc.seen)
-	var out []scoredPair
+	sc.feats, sc.scores, sc.spans = sc.feats[:0], sc.scores[:0], sc.spans[:0]
 	for _, obj := range e1.objs {
 		for _, tok := range obj.keys {
 			postings := right.byToken[tok]
@@ -515,25 +531,46 @@ func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []s
 					continue
 				}
 				sc.seen[r] = struct{}{}
-				if fs := sc.score(e1, right.ents[r].entity); fs.Len() > 0 {
-					out = append(out, scoredPair{link: linkset.Link{Left: subj, Right: r}, fs: fs})
+				sc.start = len(sc.feats)
+				if sc.fill(e1, right.ents[r].entity); len(sc.feats) > sc.start {
+					sc.spans = append(sc.spans, pairSpan{right: r, end: len(sc.feats)})
 				}
 			}
 		}
+	}
+	if len(sc.spans) == 0 {
+		return nil
+	}
+	feats, scores := slices.Clone(sc.feats), slices.Clone(sc.scores)
+	out := make([]scoredPair, len(sc.spans))
+	lo := 0
+	for i, p := range sc.spans {
+		fs := Set{Features: feats[lo:p.end:p.end], Scores: scores[lo:p.end:p.end]}
+		out[i] = scoredPair{link: linkset.Link{Left: subj, Right: p.right}, fs: fs}
+		lo = p.end
 	}
 	slices.SortFunc(out, func(a, b scoredPair) int { return cmp.Compare(a.link.Right, b.link.Right) })
 	return out
 }
 
-// score builds the θ-filtered feature set of one entity pair (§4.1): a
-// similarity matrix over attribute pairs, then per-row maxima when
-// |e1| > |e2|, per-column maxima otherwise; among equal scores the first
-// cell in row (column) order wins. Duplicate predicates keep the maximal
-// score. Either way the matrix is walked column by column, because the
-// string kernel prepares a table of the e2 value and reuses it for as long
-// as that value stays (sim.Scratch).
+// score builds the θ-filtered feature set of one entity pair (§4.1) on
+// its own: the set fill leaves in the emptied buffers, copied out.
 func (sc *scorer) score(e1, e2 entity) Set {
-	sc.feats, sc.scores = sc.feats[:0], sc.scores[:0]
+	sc.feats, sc.scores, sc.start = sc.feats[:0], sc.scores[:0], 0
+	if sc.fill(e1, e2); len(sc.feats) == 0 {
+		return Set{}
+	}
+	return Set{Features: slices.Clone(sc.feats), Scores: slices.Clone(sc.scores)}
+}
+
+// fill appends the θ-filtered feature set of one entity pair (§4.1) to the
+// buffers, from sc.start on: a similarity matrix over attribute pairs, then
+// per-row maxima when |e1| > |e2|, per-column maxima otherwise; among equal
+// scores the first cell in row (column) order wins. Duplicate predicates
+// keep the maximal score. Either way the matrix is walked column by
+// column, because the string kernel prepares a table of the e2 value and
+// reuses it for as long as that value stays (sim.Scratch).
+func (sc *scorer) fill(e1, e2 entity) {
 	perRow := len(e1.objs) > len(e2.objs)
 	if perRow {
 		sc.rowBest = append(sc.rowBest[:0], make([]bestCell, len(e1.objs))...)
@@ -563,27 +600,21 @@ func (sc *scorer) score(e1, e2 entity) Set {
 			}
 		}
 	}
-	if len(sc.feats) == 0 {
-		return Set{}
-	}
-	return Set{
-		Features: append([]Feature(nil), sc.feats...),
-		Scores:   append([]float64(nil), sc.scores...),
-	}
 }
 
 // record keeps s as feature f's score when it passes θ and beats what the
-// pair already has for f. The buffers stay sorted by feature; a pair has
-// at most a handful of features, so insertion is a short shift.
+// pair under way already has for f. The pair's part of the buffers stays
+// sorted by feature; a pair has at most a handful of features, so
+// insertion is a short shift.
 func (sc *scorer) record(f Feature, s float64) {
 	if s < sc.theta {
 		return
 	}
 	i := len(sc.feats)
-	for i > 0 && compareFeatures(f, sc.feats[i-1]) < 0 {
+	for i > sc.start && compareFeatures(f, sc.feats[i-1]) < 0 {
 		i--
 	}
-	if i > 0 && sc.feats[i-1] == f {
+	if i > sc.start && sc.feats[i-1] == f {
 		if s > sc.scores[i-1] {
 			sc.scores[i-1] = s
 		}

@@ -401,3 +401,43 @@ func TestScoreAllocatesOnlyItsSet(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreSubjectSharesOneSlab pins the mechanism of a subject's scoring:
+// with the memo and the buffers warm, scoring a subject takes three
+// allocations however many pairs survive — the pair list and the one array
+// of features and of scores their sets share — and each set is capped at
+// its own length, so an append to it cannot run into its neighbour's. Each
+// set equals the pair scored on its own.
+func TestScoreSubjectSharesOneSlab(t *testing.T) {
+	p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, 1000))
+	opt := DefaultOptions()
+	right := NewRightSide(p.DS2, opt)
+	ps := profiles{}
+	sc, single := newScorer(opt.Theta, memoCells), newScorer(opt.Theta, memoCells)
+	checked := 0
+	for _, subj := range p.DS1.Subjects()[:40] {
+		e1 := ps.entity(p.DS1, subj)
+		pairs := sc.scoreSubject(subj, e1, right) // also warms the memo and grows the buffers
+		if len(pairs) < 2 {
+			continue
+		}
+		checked++
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(20, func() { sc.scoreSubject(subj, e1, right) }); allocs > 3 {
+				t.Errorf("subject %d (%d pairs): %.0f allocations per scoring, want <= 3", subj, len(pairs), allocs)
+			}
+		}
+		for _, sp := range pairs {
+			fs := sp.fs
+			if cap(fs.Features) != len(fs.Features) || cap(fs.Scores) != len(fs.Scores) {
+				t.Errorf("pair %v: set capacity %d/%d past its length %d", sp.link, cap(fs.Features), cap(fs.Scores), fs.Len())
+			}
+			if want := single.score(e1, right.ents[sp.link.Right].entity); !sameSet(fs, want) {
+				t.Errorf("pair %v: %+v, scored on its own %+v", sp.link, fs, want)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no subject had two surviving pairs")
+	}
+}

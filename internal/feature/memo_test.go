@@ -263,16 +263,30 @@ func sameSet(a, b Set) bool {
 // above it in its column was reused), the distinct cells of each build —
 // what an unbounded memo would call the kernel for — and the memo's misses,
 // the kernel calls it makes now, replaying each build's cells through a
-// memo of the shipped size and hash. PERF.md "PR 21" quotes the figures.
+// memo of the shipped size and hash. Of the misses, it counts those the
+// type dispatch hands to the string metric and those the string metric
+// answers without a kernel, the two texts sharing no rune (stringCell and
+// newCellText restate both rules from package sim). PERF.md "PR 21" and
+// "PR 31" quote the figures.
 func TestLinkBatchMemoShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 32 data set pairs")
 	}
-	var cells, before, distinct, misses int
+	var cells, before, distinct, misses, toString, noRune int
+	var sc sim.Scratch
 	for seed := int64(1000); seed < 1032; seed++ {
 		p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, seed))
 		opt := DefaultOptions()
 		right := NewRightSide(p.DS2, opt)
+		texts := map[string]cellText{}
+		text := func(s string) cellText {
+			c, ok := texts[s]
+			if !ok {
+				c = newCellText(s)
+				texts[s] = c
+			}
+			return c
+		}
 		for _, part := range Partition(p.DS1.Subjects(), 8) {
 			memo := newScorer(opt.Theta, memoCells)
 			seen := map[uint64]bool{}
@@ -287,6 +301,16 @@ func TestLinkBatchMemoShapes(t *testing.T) {
 						if c := memo.slot(k); c.key != k {
 							misses++
 							c.key = k
+							if a, b, ok := stringCell(p.Dict, o1, o2); ok {
+								toString++
+								ta, tb := text(a), text(b)
+								if ta.sig[0]&tb.sig[0]|ta.sig[1]&tb.sig[1] == 0 && (ta.tokens || tb.tokens) {
+									noRune++
+									if s := o1.Sim(o2.Profile, &sc); s != 0 {
+										t.Fatalf("cell (%q, %q) shares no rune but scores %g", a, b, s)
+									}
+								}
+							}
 						}
 						seen[k] = true
 					}
@@ -300,7 +324,78 @@ func TestLinkBatchMemoShapes(t *testing.T) {
 	hit := 1 - float64(misses)/float64(before)
 	t.Logf("link_batch builds: %d cells, %d kernel calls before the memo, %d distinct, %d with it: %.1f %% of kernel calls saved (an unbounded memo: %.1f %%)",
 		cells, before, distinct, misses, 100*hit, 100*(1-float64(distinct)/float64(before)))
+	answered := float64(noRune) / float64(toString)
+	t.Logf("of the memo's misses, %d reach the string metric and %d of those share no rune: %.1f %% scored without a kernel",
+		toString, noRune, 100*answered)
 	if hit < 0.5 {
 		t.Errorf("the memo saves %.1f %% of kernel calls, want >= 50 %%", 100*hit)
 	}
+	if answered < 0.4 {
+		t.Errorf("the string metric answers %.1f %% of its calls without a kernel, want >= 40 %%", 100*answered)
+	}
+}
+
+// stringCell restates sim.Profile.Sim's dispatch for one cell: ok is true
+// when the cell's score is the string metric's, which then compares a and
+// b — the local names, underscores as spaces, of two distinct IRIs, or else
+// the lower-cased lexical forms.
+func stringCell(dict *rdf.Dict, o1, o2 *termProfile) (a, b string, ok bool) {
+	v1, v2 := dict.Term(o1.id).Value, dict.Term(o2.id).Value
+	t1, t2 := o1.Type, o2.Type
+	i1, okI1 := o1.Int()
+	i2, okI2 := o2.Int()
+	_, okF1 := o1.Float()
+	_, okF2 := o2.Float()
+	_, okD1 := o1.Year()
+	_, okD2 := o2.Year()
+	numeric := func(t sim.ValueType) bool { return t == sim.TypeInt || t == sim.TypeFloat }
+	year := func(v int64) bool { return v >= 1000 && v <= 2200 }
+	switch {
+	case t1 == sim.TypeIRI && t2 == sim.TypeIRI:
+		if v1 == v2 {
+			return "", "", false
+		}
+		return localText(v1), localText(v2), true
+	case numeric(t1) && numeric(t2):
+		if okI1 && okI2 && year(i1) && year(i2) || okF1 && okF2 {
+			return "", "", false
+		}
+	case t1 == sim.TypeDate && t2 == sim.TypeDate:
+		if okD1 && okD2 {
+			return "", "", false
+		}
+	case t1 == sim.TypeDate && t2 == sim.TypeInt, t1 == sim.TypeInt && t2 == sim.TypeDate:
+		return "", "", false
+	}
+	return strings.ToLower(v1), strings.ToLower(v2), true
+}
+
+// localText is the text an IRI is compared by: its fragment or last path
+// segment, underscores as spaces.
+func localText(iri string) string {
+	if i := strings.LastIndexByte(iri, '#'); i >= 0 && i+1 < len(iri) {
+		iri = iri[i+1:]
+	} else if i := strings.LastIndexByte(iri, '/'); i >= 0 && i+1 < len(iri) {
+		iri = iri[i+1:]
+	}
+	return strings.ReplaceAll(iri, "_", " ")
+}
+
+// cellText is what the string metric's shortcut reads of a text: bit r&127
+// of sig for every rune of the text and of its tokens, and whether it has
+// a token.
+type cellText struct {
+	sig    [2]uint64
+	tokens bool
+}
+
+func newCellText(s string) cellText {
+	toks := sim.Tokenize(s)
+	c := cellText{tokens: len(toks) > 0}
+	for _, w := range append(toks, s) {
+		for _, r := range w {
+			c.sig[r>>6&1] |= 1 << (r & 63)
+		}
+	}
+	return c
 }
