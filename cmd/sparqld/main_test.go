@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -395,10 +396,14 @@ func TestBadQueryGets400(t *testing.T) {
 // slowQuery starts a POST whose body is an open pipe: the endpoint blocks
 // reading it, deterministically holding one admission slot (and one
 // in-flight request) until the returned finish func writes the query and
-// closes the body. done yields the final status code.
+// closes the body. done yields the final status code. A test that ends
+// before calling finish fails the body in its cleanup, which runs before
+// any cleanup registered earlier: a server the caller closes through
+// t.Cleanup is not left waiting on the pinned request.
 func slowQuery(t *testing.T, baseURL string) (finish func(), done <-chan int) {
 	t.Helper()
 	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.CloseWithError(errors.New("test ended with the query pinned")) })
 	req, err := http.NewRequest(http.MethodPost, baseURL+"/sparql", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +440,9 @@ func TestSaturationSheds503(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
-	defer srv.Close()
+	// Not a defer: deferred calls run before slowQuery's cleanup, and
+	// Close waits for the pinned request.
+	t.Cleanup(srv.Close)
 
 	finish, done := slowQuery(t, srv.URL)
 	// The pinned query holds the only slot as soon as the server accepts
@@ -514,7 +521,11 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	http.DefaultClient.CloseIdleConnections() // idle keep-alives would also be drained
 	finish, done := slowQuery(t, baseURL)
-	<-entered
+	select {
+	case <-entered:
+	case code := <-done:
+		t.Fatalf("pinned query ended with %d before the handler saw it", code)
+	}
 	close(stop)
 
 	// The listener closes promptly on shutdown; poll until new connections
