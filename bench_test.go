@@ -406,16 +406,17 @@ func BenchmarkEvalPlanOrder(b *testing.B) {
 // BenchmarkSimilarityStringSim times the string kernel the way the engine
 // runs it: prebuilt profiles scored through one long-lived Scratch, one cell
 // an op, cycling over the three cell shapes PERF.md counted in a link_batch
-// matrix and one pair of literals past 64 runes (the kernel's second mask
-// word). Consecutive cells differ, so the kernel's table is refilled on
+// matrix, one pair of literals past 64 runes (the kernel's second mask
+// word) and a name against an ISO date, two texts with no rune in common —
+// the commonest string cell of a link_batch build, scored without the
+// kernel. Consecutive cells differ, so the kernel's table is refilled on
 // every call — the worst case; a matrix column refills it once. Scoring
-// must not allocate. (Until PR 19 this timed sim.StringSim(string, string),
-// which prepares both strings per call, a path the engine never runs; the
-// name stays because the gate's baseline pins it.)
+// must not allocate.
 func BenchmarkSimilarityStringSim(b *testing.B) {
 	const long = "Global Pacific Media Group is a fictional publisher of newspapers, magazines and wire stories"
 	profile := sim.NewProfile
 	cells := [][2]*sim.Profile{
+		{profile(rdf.NewString("LeBron James")), profile(rdf.NewTyped("1984-12-30", rdf.XSDDate))},
 		{profile(rdf.NewIRI("http://dbpedia.sim/resource/LeBron_James")), profile(rdf.NewString("James, LeBron"))},
 		{profile(rdf.NewString("University of Waterloo")), profile(rdf.NewString("Univeristy of Waterloo"))},
 		{profile(rdf.NewIRI("http://dbpedia.sim/resource/Miami_Heat")), profile(rdf.NewIRI("http://nytimes.sim/topic/Miami_Heat_(NBA)"))},
