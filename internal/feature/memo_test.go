@@ -266,8 +266,8 @@ func sameSet(a, b Set) bool {
 // memo of the shipped size and hash. Of the misses, it counts those the
 // type dispatch hands to the string metric and those the string metric
 // answers without a kernel, the two texts sharing no rune (stringCell and
-// newCellText restate both rules from package sim). PERF.md "PR 21" and
-// "PR 31" quote the figures.
+// newCellText restate both rules from package sim). PERF.md quotes the
+// figures.
 func TestLinkBatchMemoShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 32 data set pairs")
