@@ -74,9 +74,11 @@ func TestSnapshotSharedDict(t *testing.T) {
 // TestSharedDictRestoreMatchesColdLoad: two stores cold-loaded into one
 // dictionary, snapshotted, and restored in the same order into a fresh
 // shared dictionary get back every term id the cold load assigned, and
-// re-emit byte-identical snapshots. The first restore takes the empty-dict
-// bulk path, the second the shared-dict InternAll path; the last case has
-// the second store bring more than 4,096 new terms.
+// re-emit byte-identical snapshots; the last case has the second store
+// bring more than 4,096 new terms. Then the differential half: a snapshot
+// restored into a fresh dictionary, one holding disjoint terms and one
+// holding some of the snapshot's own terms equals an Add loop of the same
+// triples into a dictionary of the same shape.
 func TestSharedDictRestoreMatchesColdLoad(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, tc := range []struct {
@@ -131,6 +133,127 @@ func TestSharedDictRestoreMatchesColdLoad(t *testing.T) {
 					differ, cold.Len(), first, warm.Term(first), cold.Term(first))
 			}
 		})
+	}
+	// Row counts around the segment size: empty, one row, one full segment,
+	// and a full segment plus a one-row tail.
+	for _, rows := range []int{0, 1, snapshotSegmentSize, snapshotSegmentSize + 1} {
+		triples := restoreTriples(rows, "")
+		foreign := restoreTriples(600, "other/")
+		shapes := []struct {
+			name  string
+			shape func(d *rdf.Dict)
+		}{
+			{"fresh", func(d *rdf.Dict) {}},
+			{"disjoint", func(d *rdf.Dict) { internTriples(d, foreign) }},
+			{"overlapping", func(d *rdf.Dict) {
+				// Every third triple's terms, last first, between foreign
+				// ones: the restore meets hits and misses interleaved.
+				for i := len(triples) - 1; i >= 0; i -= 3 {
+					internTriples(d, foreign[i%len(foreign):i%len(foreign)+1])
+					internTriples(d, triples[i:i+1])
+				}
+			}},
+		}
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("rows=%d/%s", rows, sh.name), func(t *testing.T) {
+				wantDict := rdf.NewDict()
+				sh.shape(wantDict)
+				want := New("diff", wantDict)
+				for _, tr := range triples {
+					want.Add(tr)
+				}
+				snap := snapshotBytes(t, want)
+
+				gotDict := rdf.NewDict()
+				sh.shape(gotDict)
+				got, err := ReadSnapshot(bytes.NewReader(snap), gotDict)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameStore(t, got, want)
+				if again := snapshotBytes(t, got); !bytes.Equal(again, snap) {
+					t.Error("restored store re-encodes to different snapshot bytes")
+				}
+			})
+		}
+	}
+}
+
+// restoreTriples returns n distinct triples over IRI and blank-node
+// subjects and plain, language-tagged, typed and IRI objects, with every
+// position's terms reused across rows. Each row's subject and predicate
+// pair is unique, so no row repeats another.
+func restoreTriples(n int, prefix string) []rdf.Triple {
+	out := make([]rdf.Triple, n)
+	for i := range out {
+		s := rdf.NewIRI(fmt.Sprintf("http://x/%se%d", prefix, i/3))
+		if i%5 == 0 {
+			s = rdf.NewBlank(fmt.Sprintf("%sb%d", prefix, i/7))
+		}
+		p := rdf.NewIRI(fmt.Sprintf("http://x/%sp%d", prefix, i%6))
+		v := fmt.Sprintf("%sv%d", prefix, i%97)
+		var o rdf.Term
+		switch i % 5 {
+		case 0:
+			o = rdf.NewString(v)
+		case 1:
+			o = rdf.NewLangString(v, "en")
+		case 2:
+			o = rdf.NewLangString(v, "fr")
+		case 3:
+			o = rdf.NewTyped(fmt.Sprint(i%89), rdf.XSDInteger)
+		default:
+			o = rdf.NewIRI(fmt.Sprintf("http://x/%se%d", prefix, i%41))
+		}
+		out[i] = rdf.Triple{S: s, P: p, O: o}
+	}
+	return out
+}
+
+func internTriples(d *rdf.Dict, triples []rdf.Triple) {
+	for _, tr := range triples {
+		d.Intern(tr.S)
+		d.Intern(tr.P)
+		d.Intern(tr.O)
+	}
+}
+
+// requireSameStore fails unless got and want, each over its own
+// dictionary, hold the same terms under the same ids, the same subjects in
+// the same order, and the same Count and posting lists in the same order
+// under every key of all three indexes (id 0, the wildcard, is the scan).
+func requireSameStore(t *testing.T, got, want *Store) {
+	t.Helper()
+	gd, wd := got.Dict(), want.Dict()
+	if gd.Len() != wd.Len() {
+		t.Fatalf("dict holds %d terms, want %d", gd.Len(), wd.Len())
+	}
+	for id := rdf.TermID(1); int(id) <= wd.Len(); id++ {
+		if gd.Term(id) != wd.Term(id) {
+			t.Fatalf("id %d is %v, want %v", id, gd.Term(id), wd.Term(id))
+		}
+	}
+	if g, w := got.Subjects(), want.Subjects(); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("Subjects() = %v, want %v", g, w)
+	}
+	patterns := []func(rdf.TermID) (rdf.TermID, rdf.TermID, rdf.TermID){
+		func(id rdf.TermID) (rdf.TermID, rdf.TermID, rdf.TermID) { return id, 0, 0 },
+		func(id rdf.TermID) (rdf.TermID, rdf.TermID, rdf.TermID) { return 0, id, 0 },
+		func(id rdf.TermID) (rdf.TermID, rdf.TermID, rdf.TermID) { return 0, 0, id },
+	}
+	for id := rdf.TermID(0); int(id) <= wd.Len(); id++ {
+		for role, pat := range patterns {
+			s, p, o := pat(id)
+			if g, w := got.Count(s, p, o), want.Count(s, p, o); g != w {
+				t.Fatalf("role %d, id %d: Count = %d, want %d", role, id, g, w)
+			}
+			var g, w []rdf.TripleID
+			got.MatchEach(s, p, o, func(tr rdf.TripleID) { g = append(g, tr) })
+			want.MatchEach(s, p, o, func(tr rdf.TripleID) { w = append(w, tr) })
+			if fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Fatalf("role %d, id %d: postings %v, want %v", role, id, g, w)
+			}
+		}
 	}
 }
 
