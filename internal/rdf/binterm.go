@@ -10,7 +10,8 @@ import (
 // Value always, Datatype and Lang only for literals (mirroring Term.key).
 // It is self-contained — no dictionary required to decode — so a WAL
 // record can be replayed into any dict and a snapshot's dict block can be
-// rebuilt term by term.
+// interned into any dict. Each term has exactly one encoding: the decoder
+// rejects a padded length prefix.
 
 // maxTermFieldBytes bounds any single decoded field so a corrupt length
 // prefix cannot drive a huge allocation.
@@ -41,17 +42,10 @@ func DecodeTermBinary(b []byte) (Term, int, error) {
 	return decodeTermAny(b)
 }
 
-// DecodeTermBinaryString is DecodeTermBinary over a string input. Field
-// strings are substrings of s — no per-field copy — so the terms pin s's
-// backing memory for as long as they live. The snapshot restore path uses
-// this to decode a whole dict block with one allocation.
-func DecodeTermBinaryString(s string) (Term, int, error) {
-	return decodeTermAny(s)
-}
-
 // binInput abstracts the two decode inputs: converting a slice of a
 // string-typed T to string is free (shared backing), of a []byte-typed T
-// a copy — the same code gives zero-copy and owned-copy decoding.
+// a copy — the same code gives zero-copy decoding for Dict.InternEncoded
+// and owned-copy decoding for DecodeTermBinary.
 type binInput interface{ ~[]byte | ~string }
 
 func decodeTermAny[T binInput](b T) (Term, int, error) {
@@ -88,6 +82,11 @@ func decodeBinFieldAny[T binInput](b T) (string, int, error) {
 	l, adv := uvarintAny(b)
 	if adv <= 0 {
 		return "", 0, fmt.Errorf("truncated length prefix")
+	}
+	if adv > 1 && b[adv-1] == 0 {
+		// A padded prefix decodes to the same term under other bytes, and
+		// Dict.InternEncoded keys terms by their bytes.
+		return "", 0, fmt.Errorf("length prefix not minimally encoded")
 	}
 	if l > maxTermFieldBytes {
 		return "", 0, fmt.Errorf("field length %d exceeds limit", l)

@@ -49,6 +49,7 @@ func TestTermBinaryDecodeErrors(t *testing.T) {
 		"invalid kind high": {0x09, 0x01, 'a'},
 		"huge length":       {byte(KindIRI), 0xff, 0xff, 0xff, 0xff, 0x7f},
 		"length past end":   {byte(KindIRI), 0x20, 'a'},
+		"padded length":     {byte(KindIRI), 0x81, 0x00, 'a'},
 	}
 	for name, in := range cases {
 		if _, _, err := DecodeTermBinary(in); err == nil {

@@ -49,28 +49,20 @@ const (
 
 type termBlock [termBlockSize]Term
 
-// grow makes room for n more terms past the published length and returns
-// the blocks to write them into.
-func (ts *termStore) grow(n int) []*termBlock {
+// append stores t and returns its index as the assigned id. The caller
+// holds the Dict's write lock. A full last block is followed by a new one
+// in a copy of the block list, so readers never see the list change.
+func (ts *termStore) append(t Term) TermID {
+	n := ts.n.Load()
 	blocks := *ts.blocks.Load()
-	need := (int(ts.n.Load()) + n + termBlockMask) >> termBlockBits
-	if need > len(blocks) {
-		grown := make([]*termBlock, need)
+	if b := int(n >> termBlockBits); b == len(blocks) {
+		grown := make([]*termBlock, b+1)
 		copy(grown, blocks)
-		for i := len(blocks); i < need; i++ {
-			grown[i] = new(termBlock)
-		}
+		grown[b] = new(termBlock)
 		ts.blocks.Store(&grown)
 		blocks = grown
 	}
-	return blocks
-}
-
-// append stores t and returns its index as the assigned id. The caller
-// holds the Dict's write lock.
-func (ts *termStore) append(t Term) TermID {
-	n := ts.n.Load()
-	ts.grow(1)[n>>termBlockBits][n&termBlockMask] = t
+	blocks[n>>termBlockBits][n&termBlockMask] = t
 	ts.n.Store(n + 1)
 	return TermID(n)
 }
@@ -136,52 +128,42 @@ func (d *Dict) InternAll(terms []Term) []TermID {
 	return ids
 }
 
-// BulkInternEncoded interns a whole block of binary-encoded terms (see
-// AppendTermBinary) into an EMPTY dictionary, assigning ids 1..n in
-// encoding order. It reports false — touching nothing — when the
-// dictionary already holds terms, and the caller falls back to the
-// general path. Because a term's intern key IS its binary encoding,
-// decoding goes straight into the term store and the keys alias block's
-// memory: the whole block costs no per-term allocation and no key
-// lookups. This is what makes snapshot recovery into a fresh dictionary
-// an array-building exercise. A malformed block, a duplicate term or
-// trailing bytes return an error; the already-interned prefix stays
-// fully consistent (every published id resolves, every key maps to a
-// published id).
-func (d *Dict) BulkInternEncoded(block string, n int) (bool, error) {
+// InternEncoded interns a block of n binary-encoded terms (see
+// AppendTermBinary) under one write lock and returns their ids in block
+// order: exactly what InternAll over the decoded terms assigns, into an
+// empty dictionary or a shared one. A term's intern key IS its binary
+// encoding, so the block needs no per-term key or decode allocation: new
+// keys and terms are substrings of block, which the dictionary then pins.
+// A malformed term or trailing bytes return an error; the terms before the
+// fault stay interned, as InternAll over them would have left them.
+func (d *Dict) InternEncoded(block string, n int) ([]TermID, error) {
+	// Every encoded term takes at least two bytes, so a larger n cannot
+	// be met and must not size an allocation.
+	ids := make([]TermID, 0, min(n, len(block)/2))
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ts := &d.terms
-	if ts.n.Load() != 1 {
-		return false, nil
+	if len(d.byKey) == 0 {
+		d.byKey = make(map[string]TermID, cap(ids))
 	}
-	d.byKey = make(map[string]TermID, n)
-	blocks := ts.grow(n)
 	off := 0
 	for i := 0; i < n; i++ {
 		t, adv, err := decodeTermAny(block[off:])
 		if err != nil {
-			ts.n.Store(int64(i) + 1)
-			return true, fmt.Errorf("rdf: bulk intern term %d: %w", i, err)
+			return nil, fmt.Errorf("rdf: intern encoded term %d: %w", i, err)
 		}
-		at := int64(i) + 1
-		blocks[at>>termBlockBits][at&termBlockMask] = t
 		k := block[off : off+adv]
 		off += adv
-		before := len(d.byKey)
-		d.byKey[k] = TermID(at)
-		if len(d.byKey) == before {
-			// k now maps to this term's id; publish through it so the
-			// mapping resolves, then reject the block.
-			ts.n.Store(at + 1)
-			return true, fmt.Errorf("rdf: bulk intern term %d: duplicate term", i)
+		id, ok := d.byKey[k]
+		if !ok {
+			id = d.terms.append(t)
+			d.byKey[k] = id
 		}
+		ids = append(ids, id)
 	}
-	ts.n.Store(int64(n) + 1)
 	if off != len(block) {
-		return true, fmt.Errorf("rdf: bulk intern: %d trailing bytes after %d terms", len(block)-off, n)
+		return nil, fmt.Errorf("rdf: intern encoded: %d trailing bytes after %d terms", len(block)-off, n)
 	}
-	return true, nil
+	return ids, nil
 }
 
 // InternIRI interns an IRI term given its string.

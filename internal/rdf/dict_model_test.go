@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -187,15 +188,120 @@ func checkInternAll(t *testing.T, d *Dict, ref *refDict, batch []Term) {
 	}
 }
 
+// runEncodedScript checks InternEncoded against InternAll on a twin
+// dictionary. The script is a run of batches, each a mode byte (its high
+// nibble is the batch length), then that many terms. The batch is encoded
+// with AppendTermBinary, then spoiled by the mode's low two bits:
+//
+//	0  left whole: same ids, same Len
+//	1  one trailing byte
+//	2  the last byte cut off (a malformed last term)
+//	3  one term more declared than the block holds
+//
+// A spoiled block must return an error and leave interned exactly the
+// terms before the fault, as InternAll over them would. Last, the whole
+// script is read as a raw block: InternEncoded must accept it exactly when
+// it is n terms in their one encoding with no bytes to spare.
+func runEncodedScript(t *testing.T, script []byte) {
+	if len(script) > maxDictScript {
+		script = script[:maxDictScript]
+	}
+	enc, twin := NewDict(), NewDict()
+	for rest := script; len(rest) > 0; {
+		mode := rest[0]
+		k := min(int(mode>>4), len(rest)-1)
+		batch := make([]Term, k)
+		for i, b := range rest[1 : 1+k] {
+			batch[i] = fuzzTerm(b)
+		}
+		rest = rest[1+k:]
+		block, n, kept := encodeTermList(batch), k, batch
+		switch mode & 3 {
+		case 1:
+			block = append(block, 0)
+		case 2:
+			if k == 0 {
+				continue
+			}
+			block, kept = block[:len(block)-1], batch[:k-1]
+		case 3:
+			n++
+		}
+		got, err := enc.InternEncoded(string(block), n)
+		want := twin.InternAll(kept)
+		if mode&3 != 0 {
+			if err == nil {
+				t.Fatalf("InternEncoded accepted a spoiled block (mode %d) of %v", mode&3, batch)
+			}
+		} else if err != nil {
+			t.Fatalf("InternEncoded(%v): %v", batch, err)
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("InternEncoded(%v) = %v, InternAll %v", batch, got, want)
+		}
+		if enc.Len() != twin.Len() {
+			t.Fatalf("after batch %v (mode %d): Len %d, InternAll's twin %d", batch, mode&3, enc.Len(), twin.Len())
+		}
+	}
+	for id := TermID(1); int(id) <= twin.Len(); id++ {
+		if enc.Term(id) != twin.Term(id) {
+			t.Fatalf("Term(%d) = %v, InternAll's twin %v", id, enc.Term(id), twin.Term(id))
+		}
+	}
+
+	// The raw block's reference verdict: decode n terms and require each
+	// to re-encode to the bytes it came from, with none left over.
+	n := 0
+	if len(script) > 0 {
+		n = int(script[0] & 15)
+	}
+	raw := script[min(1, len(script)):]
+	var terms []Term
+	ok := true
+	for off := 0; ok && len(terms) < n; {
+		tm, adv, err := DecodeTermBinary(raw[off:])
+		ok = err == nil && string(AppendTermBinary(nil, tm)) == string(raw[off:off+adv])
+		off += adv
+		terms = append(terms, tm)
+		if len(terms) == n {
+			ok = ok && off == len(raw)
+		}
+	}
+	if n == 0 {
+		ok = len(raw) == 0
+	}
+	enc, twin = NewDict(), NewDict()
+	got, err := enc.InternEncoded(string(raw), n)
+	if (err == nil) != ok {
+		t.Fatalf("InternEncoded(%x, %d): error %v, want accepted %v", raw, n, err, ok)
+	}
+	if ok {
+		if want := twin.InternAll(terms); !slices.Equal(got, want) || enc.Len() != twin.Len() {
+			t.Fatalf("InternEncoded(%x, %d) = %v, InternAll %v", raw, n, got, want)
+		}
+	}
+}
+
+func encodeTermList(terms []Term) []byte {
+	var block []byte
+	for _, tm := range terms {
+		block = AppendTermBinary(block, tm)
+	}
+	return block
+}
+
 // FuzzDict is the differential test of Dict against refDict over scripts
-// of Intern, Lookup, InternAll (with in-batch duplicates), Term and Len.
+// of Intern, Lookup, InternAll (with in-batch duplicates), Term and Len,
+// and of InternEncoded against InternAll on a twin dictionary.
 func FuzzDict(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 1, 2, 1, 2, 9, 4, 1, 5})
 	f.Add([]byte{3, 6, 10, 11, 10, 12, 11, 13, 4, 2, 4, 3, 0, 10, 0, 14})
 	f.Add([]byte{0, 40, 3, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 1, 3, 4, 40, 41, 40, 42, 6, 42, 2, 99})
 	f.Add([]byte{3, 8, 0, 8, 16, 24, 32, 0, 8, 16, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 7, 200, 4, 9})
 	f.Add([]byte{1, 7, 1, 15, 1, 23, 3, 5, 7, 15, 23, 31, 39, 2, 31, 2, 200, 5})
+	f.Add([]byte{0x30, 1, 2, 1, 0x21, 3, 3, 0x22, 9, 10, 0x13, 1, 0x40, 1, 4, 4, 2})
+	f.Add([]byte{2, byte(KindIRI), 1, 'a', byte(KindIRI), 0x81, 0x00, 'a'})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runDictScript(t, script)
+		runEncodedScript(t, script)
 	})
 }

@@ -198,8 +198,8 @@ func quoteLiteral(v string) string {
 // encoding (AppendTermBinary) — a kind discriminator followed by
 // length-prefixed fields, so no choice of field contents (even with
 // embedded separators) can collide. Sharing the codec's byte layout lets
-// Dict.BulkInternEncoded use slices of an encoded term block as
-// ready-made keys. It relies on the constructor invariant that
+// Dict.InternEncoded use slices of an encoded term block as ready-made
+// keys. It relies on the constructor invariant that
 // non-literals carry empty Datatype and Lang (the codec does not encode
 // them).
 func (t Term) key() string {

@@ -135,10 +135,9 @@ func BenchmarkLoadTurtle(b *testing.B) {
 // the exact store that BenchmarkLoadNTriples loads from the same ~4 MB
 // document (bytes/op uses the document length as the denominator so the
 // throughputs compare directly), and README's durability section quotes
-// the ratio. "fresh" restores into an empty dictionary (the
-// bulk-intern path); "shared" into one already holding another store's
-// terms, as the second store of a durable federation is (the InternAll
-// path).
+// the ratio. Both sub-runs take the one restore path: "fresh" into an
+// empty dictionary, "shared" into one already holding another store's
+// terms, as the second store of a durable federation is.
 func BenchmarkStoreRecover(b *testing.B) {
 	snap, want := buildRecoverFixture(b)
 	other := New("other", rdf.NewDict())

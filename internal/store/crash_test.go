@@ -21,7 +21,10 @@ import (
 // cleanup, no Close, exactly the crash the WAL exists for. The parent
 // recovers the directory and requires the result to be byte-identical
 // (WriteSnapshot image) and generation-identical to an in-process
-// reference store that ran the same script. Modes:
+// reference store that ran the same script. It then recovers a copy of
+// the killed directory into a dictionary that already holds another
+// store's terms, as a durable federation's second member is, and requires
+// the same. Modes:
 //
 //	snapshot — child checkpoints after the script: snapshot-only recovery
 //	wal      — child never checkpoints: full replay from an empty store
@@ -119,6 +122,22 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				t.Fatalf("child did not finish its script:\n%s", out)
 			}
 
+			// Copy the directory before the first recovery truncates a
+			// torn tail or otherwise touches it.
+			sharedDir := t.TempDir()
+			for _, name := range []string{"crash.snap", "crash.wal"} {
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if os.IsNotExist(err) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(sharedDir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
 			t0 := time.Now()
 			d, err := OpenDurable("crash", rdf.NewDict(), DurableOptions{Dir: dir})
 			if err != nil {
@@ -138,6 +157,25 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 			if g, w := d.Store().Generation(), ref.Generation(); g != w {
 				t.Errorf("recovered generation %d, want %d", g, w)
+			}
+
+			// The other member's terms overlap the script's (s0, p0, v0)
+			// and add their own, so the recovery meets hits and misses.
+			shared := rdf.NewDict()
+			other := New("other", shared)
+			for i := 0; i < 30; i++ {
+				other.Add(tri(fmt.Sprintf("s%d", i%4), fmt.Sprintf("p%d", i%7), fmt.Sprintf("v%d", 3*i)))
+			}
+			sd, err := OpenDurable("crash", shared, DurableOptions{Dir: sharedDir})
+			if err != nil {
+				t.Fatalf("recovery into a shared dictionary: %v", err)
+			}
+			defer sd.Kill()
+			if got := snapshotBytes(t, sd.Store()); !bytes.Equal(got, want) {
+				t.Errorf("recovered into a shared dictionary, the store is not byte-identical to the reference (%d vs %d snapshot bytes)", len(got), len(want))
+			}
+			if g, w := sd.Store().Generation(), ref.Generation(); g != w {
+				t.Errorf("recovered into a shared dictionary: generation %d, want %d", g, w)
 			}
 			switch mode {
 			case "snapshot":

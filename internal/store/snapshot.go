@@ -184,9 +184,8 @@ type snapDecoder struct {
 	br        *bufio.Reader
 	hdr       snapshotHeader
 	dictBytes int
-	blockStr  string     // checksummed dict block, decoded lazily
-	terms     []rdf.Term // terms[i] is local id i+1; see decodeTerms
-	remaining int        // rows not yet yielded
+	blockStr  string // checksummed dict block, interned by restoreStore
+	remaining int    // rows not yet yielded
 }
 
 func newSnapDecoder(r io.Reader) (*snapDecoder, error) {
@@ -309,35 +308,11 @@ func (d *snapDecoder) readDict() error {
 	if want := binary.LittleEndian.Uint32(crc[:]); got != want {
 		return fmt.Errorf("dict checksum mismatch: got %08x, want %08x", got, want)
 	}
-	// The block is one immutable string; whoever consumes it — the dict's
-	// bulk-intern fast path or decodeTerms — yields terms whose fields are
-	// zero-copy substrings of it. The dict pins the block's memory, which
-	// is fine: the terms collectively reference most of it anyway.
+	// The block is one immutable string; Dict.InternEncoded keys and
+	// stores the new terms as zero-copy substrings of it. The dict pins
+	// the block's memory, which is fine: the terms collectively reference
+	// most of it anyway.
 	d.blockStr = sb.String()
-	return nil
-}
-
-// decodeTerms materializes the dict block for restores into an
-// already-populated dict, which intern terms one by one. The empty-dict
-// restore fast path (rdf.Dict.BulkInternEncoded) never calls it.
-// Idempotent; validates the block fully.
-func (d *snapDecoder) decodeTerms() error {
-	if d.terms != nil {
-		return nil
-	}
-	d.terms = make([]rdf.Term, 0, minInt(d.hdr.Terms, maxSnapshotPrealloc))
-	off := 0
-	for i := 0; i < d.hdr.Terms; i++ {
-		t, n, err := rdf.DecodeTermBinaryString(d.blockStr[off:])
-		if err != nil {
-			return fmt.Errorf("dict term %d: %w", i, err)
-		}
-		d.terms = append(d.terms, t)
-		off += n
-	}
-	if off != len(d.blockStr) {
-		return fmt.Errorf("dict block: %d trailing bytes", len(d.blockStr)-off)
-	}
 	return nil
 }
 
@@ -399,42 +374,19 @@ func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 	return s, nil
 }
 
-// restoreStore builds a Store from a decoded snapshot. Rows keep their
-// LOCAL term ids until the very end: nextSegment has already bounds-checked
-// every id into [1, Terms], so the whole store can be assembled with array
-// arithmetic — per-id posting counts, a prefix sum, one shared backing
-// array per index — instead of per-triple hash operations. Only the
-// present map and the final per-key index installs touch a hash table,
-// which is what makes recovery an order of magnitude faster than
-// re-parsing the source text. The store is not shared yet, so no lock is
-// taken.
+// restoreStore builds a Store from a decoded snapshot, the same way into
+// an empty dictionary or a shared one. Every segment is read and checked
+// before the dict block is interned, so a bad segment interns nothing.
+// Rows keep their LOCAL term ids while the indexes are built: nextSegment
+// has already bounds-checked every id into [1, Terms], so each index is
+// array arithmetic — per-id posting counts, a prefix sum, one shared
+// backing array — instead of per-triple hash operations; only the present
+// set and the final per-key index installs touch a hash table, which is
+// what makes recovery an order of magnitude faster than re-parsing the
+// source text. The rows are remapped to dict ids last. The store is not
+// shared yet, so no lock is taken.
 func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
-	// Empty-dict fast path — the recovery case: the dict bulk-interns the
-	// encoded block directly and assigns ids 1..Terms in block order, so
-	// every local id IS its dict id (ids == nil signals the identity
-	// mapping below). A shared, already-populated dict takes the general
-	// InternAll path instead.
-	var ids []rdf.TermID
-	bulk, err := dict.BulkInternEncoded(dec.blockStr, dec.hdr.Terms)
-	if err != nil {
-		return nil, fmt.Errorf("dict block: %w", err)
-	}
-	if !bulk {
-		if err := dec.decodeTerms(); err != nil {
-			return nil, err
-		}
-		// ids[local] is the dict id of 1-based local id local. A cold load
-		// interns in first-use order, which is block order, so interning the
-		// block in order gives every term the id a cold load into this
-		// dictionary would have.
-		ids = append([]rdf.TermID{rdf.NoTerm}, dict.InternAll(dec.terms)...)
-	}
-	s := New(dec.hdr.Name, dict)
-	capHint := minInt(dec.hdr.Triples, maxSnapshotPrealloc)
-	// Rows are decoded straight into the triple array as LOCAL ids; on the
-	// identity path they already are the final dict ids, so no second copy
-	// of the rows is ever allocated.
-	triples := make([]rdf.TripleID, 0, capHint)
+	triples := make([]rdf.TripleID, 0, minInt(dec.hdr.Triples, maxSnapshotPrealloc))
 	for {
 		raw, rows, err := dec.nextSegment()
 		if err == io.EOF {
@@ -451,66 +403,68 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 			})
 		}
 	}
+	// ids[local-1] is the dict id of 1-based local id local. A cold load
+	// interns in first-use order, which is block order, so every term gets
+	// the id a cold load into this dictionary would have given it.
+	ids, err := dict.InternEncoded(dec.blockStr, dec.hdr.Terms)
+	if err != nil {
+		return nil, fmt.Errorf("dict block: %w", err)
+	}
+	// The writer lists each term once. Two local ids on one dict id would
+	// make the second posting list shadow the first, so a repeat is
+	// rejected, whether or not a row uses it.
+	seen := make([]uint64, dict.Len()/64+1)
+	for local, id := range ids {
+		if seen[id/64]&(1<<(id%64)) != 0 {
+			return nil, fmt.Errorf("dict block: term %d repeats an earlier term", local+1)
+		}
+		seen[id/64] |= 1 << (id % 64)
+	}
+
+	s := New(dec.hdr.Name, dict)
 	n := len(triples)
-	nTerms := dec.hdr.Terms
-	s.triples = triples
-	s.present = newTripleSet(n)
 	var counts [3][]int32
 	for role := range counts {
-		counts[role] = make([]int32, nTerms+1)
+		counts[role] = make([]int32, dec.hdr.Terms+1)
 	}
-	// With a shared dict the rows must be remapped to dict ids, but the
-	// index fill still needs the local ids (counts is indexed by them), so
-	// only this path keeps a flat copy.
-	var local []uint32
-	if ids != nil {
-		local = make([]uint32, 0, 3*n)
-	}
-	// One pass fixes positions, the dedup table, per-role posting counts
-	// and the subject first-sight order (rows arrive in insertion order, so
-	// "first count" is "first sight" — exactly what a serial AddID loop
-	// would have recorded).
-	for r := 0; r < n; r++ {
-		t := triples[r]
-		sL, pL, oL := uint32(t.S), uint32(t.P), uint32(t.O)
-		if ids != nil {
-			local = append(local, sL, pL, oL)
-			t = rdf.TripleID{S: ids[sL], P: ids[pL], O: ids[oL]}
-			triples[r] = t
+	// Rows arrive in insertion order, so a subject's first count is its
+	// first sight — exactly what a serial AddID loop would have recorded.
+	for _, t := range triples {
+		if counts[0][t.S] == 0 {
+			s.subjects = append(s.subjects, ids[t.S-1])
 		}
+		counts[0][t.S]++
+		counts[1][t.P]++
+		counts[2][t.O]++
+	}
+	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
+		*ix = fillIndex(triples, counts[role], ids, role)
+	}
+	s.present = newTripleSet(n)
+	for r, t := range triples {
+		t = rdf.TripleID{S: ids[t.S-1], P: ids[t.P-1], O: ids[t.O-1]}
+		triples[r] = t
 		s.present.put(t, int32(r))
-		if counts[0][sL] == 0 {
-			s.subjects = append(s.subjects, t.S)
-		}
-		counts[0][sL]++
-		counts[1][pL]++
-		counts[2][oL]++
 	}
 	if s.present.Len() != n {
 		return nil, fmt.Errorf("snapshot contains %d duplicate rows", n-s.present.Len())
 	}
-	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
-		if *ix, err = fillIndex(triples, local, counts[role], ids, role, n); err != nil {
-			return nil, err
-		}
-	}
+	s.triples = triples
 	s.gen.Store(dec.hdr.Generation)
 	return s, nil
 }
 
-// fillIndex builds one triple index from the decoded rows. A prefix sum
-// over the per-id posting counts carves one shared backing array into the
-// per-key posting lists — sliced with full capacity so a later append to
-// one list reallocates instead of bleeding into its neighbour — which are
-// installed into one presized map. Rows are visited in position
-// order, so every list is ordered exactly as serial AddID appends would
-// have built it. ids maps local to dict ids; nil means they are identical
-// (the empty-dict fast path), in which case local is also nil and the
-// local ids are read out of triples directly. The prefix sum runs in
-// place: counts[id] turns into the fill cursor, and each id's list is
-// recovered afterwards as the span between consecutive cursor ends, so
-// the pass allocates nothing beyond the backing array.
-func fillIndex(triples []rdf.TripleID, local []uint32, counts []int32, ids []rdf.TermID, role, n int) (tripleIndex, error) {
+// fillIndex builds one triple index from the rows, which still hold local
+// ids. A prefix sum over the per-id posting counts carves one shared
+// backing array into the per-key posting lists — sliced with full capacity
+// so a later append to one list reallocates instead of bleeding into its
+// neighbour — which are installed under their dict ids (ids[local-1]) into
+// one presized map. Rows are visited in position order, so every list is
+// ordered exactly as serial AddID appends would have built it. The prefix
+// sum runs in place: counts[id] turns into the fill cursor, and each id's
+// list is recovered afterwards as the span between consecutive cursor
+// ends, so the pass allocates nothing beyond the backing array.
+func fillIndex(triples []rdf.TripleID, counts []int32, ids []rdf.TermID, role int) tripleIndex {
 	distinct := 0
 	var sum int32
 	for id := 1; id < len(counts); id++ {
@@ -521,30 +475,22 @@ func fillIndex(triples []rdf.TripleID, local []uint32, counts []int32, ids []rdf
 		counts[id] = sum
 		sum += c
 	}
-	backing := make([]int32, n)
-	if local != nil {
-		for r := 0; r < n; r++ {
-			id := local[3*r+role]
-			backing[counts[id]] = int32(r)
-			counts[id]++
+	backing := make([]int32, len(triples))
+	switch role {
+	case 0:
+		for r, t := range triples {
+			backing[counts[t.S]] = int32(r)
+			counts[t.S]++
 		}
-	} else {
-		switch role {
-		case 0:
-			for r := 0; r < n; r++ {
-				backing[counts[triples[r].S]] = int32(r)
-				counts[triples[r].S]++
-			}
-		case 1:
-			for r := 0; r < n; r++ {
-				backing[counts[triples[r].P]] = int32(r)
-				counts[triples[r].P]++
-			}
-		default:
-			for r := 0; r < n; r++ {
-				backing[counts[triples[r].O]] = int32(r)
-				counts[triples[r].O]++
-			}
+	case 1:
+		for r, t := range triples {
+			backing[counts[t.P]] = int32(r)
+			counts[t.P]++
+		}
+	default:
+		for r, t := range triples {
+			backing[counts[t.O]] = int32(r)
+			counts[t.O]++
 		}
 	}
 	ix := make(tripleIndex, distinct)
@@ -554,23 +500,10 @@ func fillIndex(triples []rdf.TripleID, local []uint32, counts []int32, ids []rdf
 		if end == prev {
 			continue
 		}
-		list := backing[prev:end:end]
+		ix[ids[id-1]] = backing[prev:end:end]
 		prev = end
-		gid := rdf.TermID(id)
-		if ids != nil {
-			gid = ids[id]
-			if _, dup := ix[gid]; dup {
-				// The writer assigns each term exactly one local id; two
-				// local ids landing on one dict id means a malformed dict
-				// block, and installing the second list would shadow the
-				// first. With the identity mapping (ids == nil) distinct
-				// local ids are distinct dict ids, so no check is needed.
-				return nil, fmt.Errorf("dict block assigns duplicate local ids to one term")
-			}
-		}
-		ix[gid] = list
 	}
-	return ix, nil
+	return ix
 }
 
 func uvarintLen(v uint64) int {

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -233,7 +236,7 @@ func requireSameStore(t *testing.T, got, want *Store) {
 			t.Fatalf("id %d is %v, want %v", id, gd.Term(id), wd.Term(id))
 		}
 	}
-	if g, w := got.Subjects(), want.Subjects(); fmt.Sprint(g) != fmt.Sprint(w) {
+	if g, w := got.Subjects(), want.Subjects(); !slices.Equal(g, w) {
 		t.Fatalf("Subjects() = %v, want %v", g, w)
 	}
 	patterns := []func(rdf.TermID) (rdf.TermID, rdf.TermID, rdf.TermID){
@@ -250,8 +253,129 @@ func requireSameStore(t *testing.T, got, want *Store) {
 			var g, w []rdf.TripleID
 			got.MatchEach(s, p, o, func(tr rdf.TripleID) { g = append(g, tr) })
 			want.MatchEach(s, p, o, func(tr rdf.TripleID) { w = append(w, tr) })
-			if fmt.Sprint(g) != fmt.Sprint(w) {
+			if !slices.Equal(g, w) {
 				t.Fatalf("role %d, id %d: postings %v, want %v", role, id, g, w)
+			}
+		}
+	}
+}
+
+// encodeTerms is a dict block: the terms' binary encodings back to back.
+func encodeTerms(terms ...rdf.Term) []byte {
+	var block []byte
+	for _, tm := range terms {
+		block = rdf.AppendTermBinary(block, tm)
+	}
+	return block
+}
+
+// forgeSnapshot lays out a v1 snapshot of the given dict block, declared
+// term count and local-id rows with valid lengths and checksums, so a test
+// can build content WriteSnapshot never emits.
+func forgeSnapshot(block []byte, terms int, rows [][3]uint32) []byte {
+	var head []byte
+	head = binary.AppendUvarint(head, uint64(len("forged")))
+	head = append(head, "forged"...)
+	for _, v := range []int{0, 0, terms, len(rows), snapshotSegmentSize, len(block)} {
+		head = binary.AppendUvarint(head, uint64(v))
+	}
+	out := binary.LittleEndian.AppendUint16([]byte(snapshotMagic), snapshotVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(head)))
+	checksummed := func(b []byte) {
+		out = append(out, b...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(b, castagnoli))
+	}
+	checksummed(head)
+	checksummed(block)
+	for len(rows) > 0 {
+		k := min(len(rows), snapshotSegmentSize)
+		seg := binary.AppendUvarint(nil, uint64(k))
+		for _, r := range rows[:k] {
+			for _, id := range r {
+				seg = binary.LittleEndian.AppendUint32(seg, id)
+			}
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(seg)))
+		checksummed(seg)
+		rows = rows[k:]
+	}
+	return out
+}
+
+// TestSnapshotRepeatedTermRejected: a dict block that lists a term twice
+// is rejected whatever the dictionary held before, even when no row uses
+// the second copy and even when the copy's length prefix is padded to a
+// different byte string.
+func TestSnapshotRepeatedTermRejected(t *testing.T) {
+	tr := triIRI("a", "p", "b")
+	s := New("forged", rdf.NewDict())
+	s.Add(tr)
+	if got, want := forgeSnapshot(encodeTerms(tr.S, tr.P, tr.O), 3, [][3]uint32{{1, 2, 3}}), snapshotBytes(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("forgeSnapshot does not lay out what WriteSnapshot writes:\n%x\n%x", got, want)
+	}
+	// The padded copy spells b's value length as a two-byte uvarint.
+	padded := append([]byte{byte(rdf.KindIRI), 0x80 | byte(len(tr.O.Value)), 0x00}, tr.O.Value...)
+	snaps := map[string][]byte{
+		"unused repeat": forgeSnapshot(encodeTerms(tr.S, tr.P, tr.O, tr.O), 4, [][3]uint32{{1, 2, 3}}),
+		"padded repeat": forgeSnapshot(append(encodeTerms(tr.S, tr.P, tr.O), padded...), 4, [][3]uint32{{1, 2, 3}, {1, 2, 4}}),
+	}
+	for name, snap := range snaps {
+		for _, pre := range []struct {
+			name string
+			dict func() *rdf.Dict
+		}{
+			{"fresh", rdf.NewDict},
+			{"shared", func() *rdf.Dict {
+				d := rdf.NewDict()
+				d.Intern(tr.O)
+				d.Intern(rdf.NewIRI("http://x/other"))
+				return d
+			}},
+		} {
+			if _, err := ReadSnapshot(bytes.NewReader(snap), pre.dict()); err == nil {
+				t.Errorf("%s into a %s dictionary: accepted", name, pre.name)
+			}
+		}
+	}
+}
+
+// TestRejectedSnapshotInternsNothing: a snapshot rejected for a bad
+// segment — checksum, length, or a row naming a term the block does not
+// hold — leaves the dictionary it was restored into as it was.
+func TestRejectedSnapshotInternsNothing(t *testing.T) {
+	src := New("ds", rdf.NewDict())
+	for _, tr := range restoreTriples(snapshotSegmentSize+5, "") {
+		src.Add(tr)
+	}
+	good := snapshotBytes(t, src)
+	flip := func(b []byte, at int) []byte {
+		b = append([]byte(nil), b...)
+		b[at] ^= 0x01
+		return b
+	}
+	tr := triIRI("a", "p", "b")
+	snaps := map[string][]byte{
+		"last segment checksum":  flip(good, len(good)-1),
+		"first segment checksum": flip(good, len(good)-5*12-20),
+		"truncated last segment": good[:len(good)-7],
+		"row names term 4 of 3":  forgeSnapshot(encodeTerms(tr.S, tr.P, tr.O), 3, [][3]uint32{{1, 2, 3}, {1, 2, 4}}),
+	}
+	for name, snap := range snaps {
+		for _, pre := range []struct {
+			name  string
+			shape func(d *rdf.Dict)
+		}{
+			{"fresh", func(d *rdf.Dict) {}},
+			{"shared", func(d *rdf.Dict) { internTriples(d, restoreTriples(50, "other/")) }},
+		} {
+			d := rdf.NewDict()
+			pre.shape(d)
+			before := d.Len()
+			if _, err := ReadSnapshot(bytes.NewReader(snap), d); err == nil {
+				t.Errorf("%s into a %s dictionary: accepted", name, pre.name)
+			}
+			if d.Len() != before {
+				t.Errorf("%s into a %s dictionary: rejected restore interned %d terms", name, pre.name, d.Len()-before)
 			}
 		}
 	}
