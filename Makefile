@@ -10,7 +10,7 @@ SIM_ROUNDS ?= 300
 SOAK_ROUNDS ?= 2000
 SOAK_SEED  ?= 1
 
-.PHONY: build test test-short race bench fuzz cover fmt vet lint sim-smoke sim-soak check
+.PHONY: build test test-short race bench fuzz cover fmt vet lint figures sim-smoke sim-soak check
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,13 @@ vet:
 # The repo's own static-analysis suite (internal/lint, cmd/alexvet).
 lint:
 	$(GO) run ./cmd/alexvet ./...
+
+# Regenerate figures/ and the experiments' text-report goldens
+# (internal/experiment/testdata/golden/reports) from one run of every
+# experiment at the default scale and seed; TestCommittedFigures checks
+# both against that run.
+figures:
+	$(GO) test ./internal/experiment/ -run '^TestCommittedFigures$$' -count=1 -update
 
 # The traffic-simulator smoke gate: every run checks the live-world
 # invariants (exit 1 on violation), and the op logs must be byte-identical
