@@ -43,7 +43,9 @@ type Config struct {
 	// exploration, decoupled from the partition count so a machine with
 	// fewer cores than partitions is not oversubscribed). 0 means
 	// runtime.GOMAXPROCS(0); 1 forces serial execution. Results are
-	// identical at any worker count for a fixed Seed.
+	// identical at any worker count for a fixed Seed, provided the judge's
+	// verdicts do not depend on the order it is called in (a
+	// feedback.Oracle with an error rate does).
 	Workers int
 	// MaxEpisodes caps the policy iteration (the paper stops at 100).
 	MaxEpisodes int

@@ -284,7 +284,8 @@ func (s EpisodeStats) String() string {
 // judge supplies verdicts; it is called concurrently and must be safe for
 // concurrent use or wrapped by SerialJudge. Each partition draws from its
 // own seeded generator, so the stats and resulting candidate set are
-// identical at any worker count.
+// identical at any worker count, provided the judge's verdicts do not
+// depend on the order it is called in.
 func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()

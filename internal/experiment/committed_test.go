@@ -64,14 +64,8 @@ func TestCommittedFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at scale 1")
 	}
-	// Fig 9's noisy run shares one error-injecting oracle between
-	// concurrently judging partitions, so its output is not reproducible.
-	const unreproducible = "fig9"
 	rendered := map[string]bool{}
 	for _, e := range Experiments {
-		if e.ID == unreproducible {
-			continue
-		}
 		var buf bytes.Buffer
 		if err := e.Run(&buf, Options{}); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -91,7 +85,7 @@ func TestCommittedFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if !rendered[f.Name()] && f.Name() != unreproducible+".svg" {
+		if !rendered[f.Name()] {
 			t.Errorf("figures/%s is rendered by no experiment; remove it or regenerate with `make figures`", f.Name())
 		}
 	}

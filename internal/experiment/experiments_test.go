@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"bytes"
-
+	"reflect"
 	"strings"
 	"testing"
 
@@ -269,5 +269,21 @@ func TestQualityChartSeriesLengths(t *testing.T) {
 		if len(s.Y) != want {
 			t.Errorf("series %s has %d points, want %d", s.Name, len(s.Y), want)
 		}
+	}
+}
+
+// TestNoisyRunIgnoresWorkers: with incorrect feedback, which verdicts flip
+// depends on the order links are judged in, so the run must come out the
+// same at any worker count.
+func TestNoisyRunIgnoresWorkers(t *testing.T) {
+	run := func(workers int) *Result {
+		cc := batchCore(42)
+		cc.BlacklistNegatives = 3
+		cc.Workers = workers
+		return Run(RunConfig{Spec: datagen.DBpediaNYTimes(0.2, 42), Core: cc, ErrorRate: 0.1, Seed: 42})
+	}
+	serial, parallel := run(1), run(4)
+	if !reflect.DeepEqual(serial.Points, parallel.Points) {
+		t.Errorf("noisy run differs by worker count: %d episodes at 1 worker, %d at 4", len(serial.Points), len(parallel.Points))
 	}
 }

@@ -19,7 +19,10 @@ type Judge func(linkset.Link) bool
 
 // Oracle answers feedback requests from a ground-truth link set. It is
 // safe for concurrent use: the ALEX engine judges links from one goroutine
-// per partition.
+// per partition. With ErrorRate > 0 its verdicts depend on call order —
+// every verdict draws from the one rng — so a run is reproducible from its
+// seed only when links are judged in a fixed order (core.Config.Workers =
+// 1).
 type Oracle struct {
 	truth *linkset.Set
 	// ErrorRate is the probability a verdict is flipped (incorrect
