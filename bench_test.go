@@ -77,9 +77,7 @@ func runQuality(b *testing.B, spec datagen.PairSpec, cfg core.Config) {
 
 func BenchmarkTable1Datasets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := mustExperiment(b, "table1"); err != nil {
-			b.Fatal(err)
-		}
+		mustExperiment(b, "table1")
 	}
 }
 
@@ -824,13 +822,13 @@ func BenchmarkEngineEpisode(b *testing.B) {
 
 // --- helpers ---
 
-func mustExperiment(b *testing.B, id string) error {
+func mustExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, ok := experiment.ByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	return e.Run(io.Discard, experiment.Options{Seed: benchSeed})
+	e.Run(io.Discard, experiment.Options{Seed: benchSeed})
 }
 
 func avgNegShare(res *experiment.Result) float64 {

@@ -67,17 +67,11 @@ func TestCommittedFigures(t *testing.T) {
 	rendered := map[string]bool{}
 	for _, e := range Experiments {
 		var buf bytes.Buffer
-		if err := e.Run(&buf, Options{}); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
+		charts := e.Run(&buf, Options{})
 		checkCommitted(t, filepath.Join("testdata", "golden", "reports", e.ID+".txt"), maskWallClock(buf.Bytes()))
-		figs, err := RenderFigures(e.ID, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		for name, svg := range figs {
+		for name, c := range charts {
 			rendered[name] = true
-			checkCommitted(t, filepath.Join(figuresDir, name), []byte(svg))
+			checkCommitted(t, filepath.Join(figuresDir, name), []byte(c.SVG()))
 		}
 	}
 	files, err := os.ReadDir(figuresDir)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"alex/internal/core"
@@ -10,6 +11,7 @@ import (
 	"alex/internal/feature"
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/plot"
 	"alex/internal/store"
 )
 
@@ -39,7 +41,10 @@ func (o Options) withDefaults() Options {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(w io.Writer, opt Options) error
+	// Run prints the experiment's report to w and returns the charts it
+	// drew from the same runs, keyed by SVG file name (none for table1,
+	// fig5, timing and summary).
+	Run func(w io.Writer, opt Options) map[string]*plot.Chart
 }
 
 // batchCore is the batch-mode configuration (§7.2.1): the paper's episode
@@ -64,26 +69,57 @@ func domainCore(seed int64) core.Config {
 	return c
 }
 
-// qualityExperiment builds a standard quality-curve experiment.
-func qualityExperiment(id, title string, spec func(float64, int64) datagen.PairSpec, batch bool) Experiment {
+// run links spec's pair under cc with perfect feedback.
+func (o Options) run(spec func(float64, int64) datagen.PairSpec, cc core.Config) *Result {
+	return Run(RunConfig{Spec: spec(o.Scale, o.Seed), Core: cc, Seed: o.Seed, Obs: o.Obs})
+}
+
+// qualityRow is one data-set pair's quality-curve figure. Row i is the
+// figure of datagen.Scenarios[i].
+type qualityRow struct {
+	id    string
+	title string
+	// chart is the title drawn on the figure.
+	chart string
+	// batch selects batchCore over domainCore.
+	batch bool
+}
+
+var qualityRows = []qualityRow{
+	{"fig2a", "Fig 2(a): DBpedia - NYTimes (batch)", "Fig 2(a): DBpedia - NYTimes", true},
+	{"fig2b", "Fig 2(b): DBpedia - Drugbank (batch)", "Fig 2(b): DBpedia - Drugbank", true},
+	{"fig2c", "Fig 2(c): DBpedia - Lexvo (batch)", "Fig 2(c): DBpedia - Lexvo", true},
+	{"fig3a", "Fig 3(a): OpenCyc - NYTimes (batch)", "Fig 3(a): OpenCyc - NYTimes", true},
+	{"fig3b", "Fig 3(b): OpenCyc - Drugbank (batch)", "Fig 3(b): OpenCyc - Drugbank", true},
+	{"fig3c", "Fig 3(c): OpenCyc - Lexvo (batch)", "Fig 3(c): OpenCyc - Lexvo", true},
+	{"fig4a", "Fig 4(a): DBpedia - SW Dogfood (specific domain)", "Fig 4(a): DBpedia - SW Dogfood", false},
+	{"fig4b", "Fig 4(b): OpenCyc - SW Dogfood (specific domain)", "Fig 4(b): OpenCyc - SW Dogfood", false},
+	{"fig4c", "Fig 4(c): DBpedia (NBA) - NYTimes (specific domain)", "Fig 4(c): DBpedia (NBA) - NYTimes", false},
+	{"fig4d", "Fig 4(d): OpenCyc (NBA) - NYTimes (specific domain)", "Fig 4(d): OpenCyc (NBA) - NYTimes", false},
+	{"fig8", "Fig 8 (App. B): DBpedia - OpenCyc stress test", "Fig 8: DBpedia - OpenCyc", true},
+}
+
+func (q qualityRow) core(seed int64) core.Config {
+	if q.batch {
+		return batchCore(seed)
+	}
+	return domainCore(seed)
+}
+
+// quality returns the quality-curve experiment of the row with the given
+// id.
+func quality(id string) Experiment {
+	i := slices.IndexFunc(qualityRows, func(q qualityRow) bool { return q.id == id })
+	q, spec := qualityRows[i], datagen.Scenarios[i].Spec
 	return Experiment{
-		ID:    id,
-		Title: title,
-		Run: func(w io.Writer, opt Options) error {
+		ID:    q.id,
+		Title: q.title,
+		Run: func(w io.Writer, opt Options) map[string]*plot.Chart {
 			opt = opt.withDefaults()
-			cc := batchCore(opt.Seed)
-			if !batch {
-				cc = domainCore(opt.Seed)
-			}
-			res := Run(RunConfig{
-				Spec: spec(opt.Scale, opt.Seed),
-				Core: cc,
-				Seed: opt.Seed,
-				Obs:  opt.Obs,
-			})
-			fmt.Fprintf(w, "== %s ==\n", title)
+			res := opt.run(spec, q.core(opt.Seed))
+			fmt.Fprintf(w, "== %s ==\n", q.title)
 			res.PrintCurve(w)
-			return nil
+			return map[string]*plot.Chart{q.id + ".svg": res.QualityChart(q.chart)}
 		},
 	}
 }
@@ -91,20 +127,20 @@ func qualityExperiment(id, title string, spec func(float64, int64) datagen.PairS
 // Experiments lists every reproduced table and figure, in paper order.
 var Experiments = []Experiment{
 	{ID: "table1", Title: "Table 1: data sets used in the experiments", Run: runTable1},
-	qualityExperiment("fig2a", "Fig 2(a): DBpedia - NYTimes (batch)", datagen.DBpediaNYTimes, true),
-	qualityExperiment("fig2b", "Fig 2(b): DBpedia - Drugbank (batch)", datagen.DBpediaDrugbank, true),
-	qualityExperiment("fig2c", "Fig 2(c): DBpedia - Lexvo (batch)", datagen.DBpediaLexvo, true),
-	qualityExperiment("fig3a", "Fig 3(a): OpenCyc - NYTimes (batch)", datagen.OpenCycNYTimes, true),
-	qualityExperiment("fig3b", "Fig 3(b): OpenCyc - Drugbank (batch)", datagen.OpenCycDrugbank, true),
-	qualityExperiment("fig3c", "Fig 3(c): OpenCyc - Lexvo (batch)", datagen.OpenCycLexvo, true),
-	qualityExperiment("fig4a", "Fig 4(a): DBpedia - SW Dogfood (specific domain)", datagen.DBpediaDogfood, false),
-	qualityExperiment("fig4b", "Fig 4(b): OpenCyc - SW Dogfood (specific domain)", datagen.OpenCycDogfood, false),
-	qualityExperiment("fig4c", "Fig 4(c): DBpedia (NBA) - NYTimes (specific domain)", datagen.NBADBpediaNYTimes, false),
-	qualityExperiment("fig4d", "Fig 4(d): OpenCyc (NBA) - NYTimes (specific domain)", datagen.NBAOpenCycNYTimes, false),
+	quality("fig2a"),
+	quality("fig2b"),
+	quality("fig2c"),
+	quality("fig3a"),
+	quality("fig3b"),
+	quality("fig3c"),
+	quality("fig4a"),
+	quality("fig4b"),
+	quality("fig4c"),
+	quality("fig4d"),
 	{ID: "fig5", Title: "Fig 5: filtering to reduce the search space", Run: runFig5},
 	{ID: "fig6", Title: "Fig 6: effect of the blacklist", Run: runFig6},
 	{ID: "fig7", Title: "Fig 7: effect of rollback", Run: runFig7},
-	qualityExperiment("fig8", "Fig 8 (App. B): DBpedia - OpenCyc stress test", datagen.DBpediaOpenCyc, true),
+	quality("fig8"),
 	{ID: "fig9", Title: "Fig 9 (App. C): effect of 10% incorrect feedback", Run: runFig9},
 	{ID: "fig10", Title: "Fig 10 (App. D): sensitivity to step size", Run: runFig10},
 	{ID: "fig11", Title: "Fig 11 (App. D): sensitivity to episode size", Run: runFig11},
@@ -124,18 +160,13 @@ func ByID(id string) (Experiment, bool) {
 
 // runSummary runs every data-set pair and prints a one-line-per-pair
 // reproduction dashboard.
-func runSummary(w io.Writer, opt Options) error {
+func runSummary(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
 	fmt.Fprintf(w, "== Summary: all pairs, start -> end ==\n")
 	fmt.Fprintf(w, "%-22s %7s | %-17s | %-17s | %8s %5s %9s\n",
 		"pair", "truth", "start P/R", "final P/R", "episodes", "new", "F-gain")
-	for _, sc := range datagen.Scenarios {
-		cc := batchCore(opt.Seed)
-		if sc.ID == "dbpedia-dogfood" || sc.ID == "opencyc-dogfood" ||
-			sc.ID == "nba-dbpedia-nytimes" || sc.ID == "nba-opencyc-nytimes" {
-			cc = domainCore(opt.Seed)
-		}
-		res := Run(RunConfig{Spec: sc.Spec(opt.Scale, opt.Seed), Core: cc, Seed: opt.Seed, Obs: opt.Obs})
+	for i, sc := range datagen.Scenarios {
+		res := opt.run(sc.Spec, qualityRows[i].core(opt.Seed))
 		fmt.Fprintf(w, "%-22s %7d | P=%.2f R=%.2f    | P=%.2f R=%.2f    | %8d %5d %+9.2f\n",
 			sc.ID, res.TruthSize,
 			res.Initial.Precision, res.Initial.Recall,
@@ -148,7 +179,7 @@ func runSummary(w io.Writer, opt Options) error {
 
 // runTable1 generates every data set used across the scenarios and prints a
 // Table 1 analog: name, field and triple count.
-func runTable1(w io.Writer, opt Options) error {
+func runTable1(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
 	type row struct {
 		name, field string
@@ -186,7 +217,7 @@ func runTable1(w io.Writer, opt Options) error {
 // runFig5 reports the search-space filtering numbers: the raw cross-product
 // size of partition 1 of DBpedia × NYTimes, the θ-filtered space, and the
 // ground-truth share (Figs 5(a), 5(b)).
-func runFig5(w io.Writer, opt Options) error {
+func runFig5(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(opt.Scale, opt.Seed))
 	parts := feature.Partition(pair.DS1.Subjects(), 8)
@@ -222,21 +253,10 @@ func runFig5(w io.Writer, opt Options) error {
 
 // runFig6 compares ALEX with and without the blacklist: F-measure curves
 // and the per-episode share of negative feedback.
-func runFig6(w io.Writer, opt Options) error {
+func runFig6(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
-	withBL := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: batchCore(opt.Seed),
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
-	cfgNoBL := batchCore(opt.Seed).DisableBlacklist()
-	withoutBL := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: cfgNoBL,
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
+	withBL := opt.run(datagen.DBpediaNYTimes, batchCore(opt.Seed))
+	withoutBL := opt.run(datagen.DBpediaNYTimes, batchCore(opt.Seed).DisableBlacklist())
 	fmt.Fprintf(w, "== Fig 6: effect of the blacklist (DBpedia - NYTimes) ==\n")
 	fmt.Fprintf(w, "%-8s  %-22s  %-22s\n", "episode", "with blacklist", "without blacklist")
 	fmt.Fprintf(w, "%-8s  %-10s %-10s  %-10s %-10s\n", "", "F", "neg%", "F", "neg%")
@@ -255,7 +275,12 @@ func runFig6(w io.Writer, opt Options) error {
 		avgNeg(firstN(withBL.Points, 10))*100, avgNeg(firstN(withoutBL.Points, 10))*100)
 	fmt.Fprintf(w, "total negative feedback to convergence: with=%d without=%d\n",
 		totalNeg(withBL), totalNeg(withoutBL))
-	return nil
+	return map[string]*plot.Chart{
+		"fig6a.svg": compareChart("Fig 6(a): F-measure, blacklist",
+			"with blacklist", fSeries(withBL), "without blacklist", fSeries(withoutBL)),
+		"fig6b.svg": compareChart("Fig 6(b): negative feedback share",
+			"with blacklist", negSeries(withBL), "without blacklist", negSeries(withoutBL)),
+	}
 }
 
 func firstN(pts []Point, n int) []Point {
@@ -277,21 +302,11 @@ func totalNeg(r *Result) int {
 
 // runFig7 contrasts ALEX with rollback (the default, Fig 2(a)) against ALEX
 // without rollback, including per-partition convergence analysis.
-func runFig7(w io.Writer, opt Options) error {
+func runFig7(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
-	withRB := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: batchCore(opt.Seed),
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
+	withRB := opt.run(datagen.DBpediaNYTimes, batchCore(opt.Seed))
 	noRB := batchCore(opt.Seed).DisableRollback()
-	withoutRB := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: noRB,
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
+	withoutRB := opt.run(datagen.DBpediaNYTimes, noRB)
 	fmt.Fprintf(w, "== Fig 7: effect of rollback (DBpedia - NYTimes) ==\n")
 	fmt.Fprintf(w, "(a) without rollback (cap %d episodes):\n", noRB.MaxEpisodes)
 	withoutRB.PrintCurve(w)
@@ -326,30 +341,19 @@ func runFig7(w io.Writer, opt Options) error {
 			po.Partition, po.Quality.Precision, po.Quality.Recall, po.Quality.FMeasure,
 			po.Episodes, po.Converged, marker)
 	}
-	return nil
+	return map[string]*plot.Chart{"fig7a.svg": withoutRB.QualityChart("Fig 7(a): quality without rollback")}
 }
 
 // runFig9 evaluates ALEX with 10% incorrect feedback against the clean run.
-func runFig9(w io.Writer, opt Options) error {
+func runFig9(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
-	clean := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: batchCore(opt.Seed),
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
+	clean := opt.run(datagen.DBpediaNYTimes, batchCore(opt.Seed))
 	noisyCfg := batchCore(opt.Seed)
 	// Under noisy feedback a single erroneous rejection must not destroy a
 	// correct link forever; the noise-tolerant blacklist threshold keeps
 	// recall robust (Config.BlacklistNegatives).
 	noisyCfg.BlacklistNegatives = 3
-	noisy := Run(RunConfig{
-		Spec:      datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core:      noisyCfg,
-		ErrorRate: 0.10,
-		Seed:      opt.Seed,
-		Obs:       opt.Obs,
-	})
+	noisy := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: noisyCfg, ErrorRate: 0.10, Seed: opt.Seed, Obs: opt.Obs})
 	fmt.Fprintf(w, "== Fig 9: effect of 10%% incorrect feedback (DBpedia - NYTimes) ==\n")
 	fmt.Fprintf(w, "(noisy run uses the noise-tolerant blacklist threshold of 3)\n")
 	fmt.Fprintf(w, "%-8s  %-30s  %-30s\n", "episode", "correct feedback", "10% incorrect feedback")
@@ -366,71 +370,55 @@ func runFig9(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintf(w, "final: clean F=%.3f, 10%%-error F=%.3f (degradation should be small)\n",
 		clean.Final.FMeasure, noisy.Final.FMeasure)
-	return nil
+	return map[string]*plot.Chart{"fig9.svg": compareChart("Fig 9: F-measure under 10% incorrect feedback",
+		"correct feedback", fSeries(clean), "10% incorrect", fSeries(noisy))}
 }
 
 // runFig10 sweeps the step size over {0.01, 0.05, 0.1}.
-func runFig10(w io.Writer, opt Options) error {
+func runFig10(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
-	steps := []float64{0.01, 0.05, 0.10}
+	c := fChart("Fig 10: F-measure by step size")
 	fmt.Fprintf(w, "== Fig 10: sensitivity to step size (DBpedia - NYTimes) ==\n")
 	fmt.Fprintf(w, "%-10s %-9s %-9s %-9s %-10s %-10s %-9s\n",
 		"step", "P", "R", "F", "episodes", "avgNeg%", "time(s)")
-	for _, s := range steps {
+	for _, s := range []float64{0.01, 0.05, 0.10} {
 		cc := batchCore(opt.Seed)
 		cc.StepSize = s
-		res := Run(RunConfig{
-			Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-			Core: cc,
-			Seed: opt.Seed,
-			Obs:  opt.Obs,
-		})
+		res := opt.run(datagen.DBpediaNYTimes, cc)
 		fmt.Fprintf(w, "%-10.2f %-9.3f %-9.3f %-9.3f %-10d %-10.1f %-9.2f\n",
 			s, res.Final.Precision, res.Final.Recall, res.Final.FMeasure,
 			len(res.Points), avgNeg(res.Points)*100, res.Duration.Seconds())
+		c.Series = append(c.Series, plot.Series{Name: fmt.Sprintf("step %.2f", s), Y: fSeries(res)})
 	}
-	return nil
+	return map[string]*plot.Chart{"fig10.svg": c}
 }
 
 // runFig11 sweeps the episode size over {50, 100, 150} (the paper's
 // {500, 1000, 1500} scaled to our data sizes).
-func runFig11(w io.Writer, opt Options) error {
+func runFig11(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
 	sizes := []int{50, 100, 150}
+	c := fChart("Fig 11: F-measure by episode size")
 	fmt.Fprintf(w, "== Fig 11: sensitivity to episode size (DBpedia - NYTimes) ==\n")
 	fmt.Fprintf(w, "(paper sizes 500/1000/1500 scaled to data: %v)\n", sizes)
 	fmt.Fprintf(w, "%-10s %-9s %-9s %-9s %-10s\n", "episode_sz", "P", "R", "F", "episodes")
 	for _, es := range sizes {
 		cc := batchCore(opt.Seed)
 		cc.EpisodeSize = es
-		res := Run(RunConfig{
-			Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-			Core: cc,
-			Seed: opt.Seed,
-			Obs:  opt.Obs,
-		})
+		res := opt.run(datagen.DBpediaNYTimes, cc)
 		fmt.Fprintf(w, "%-10d %-9.3f %-9.3f %-9.3f %-10d\n",
 			es, res.Final.Precision, res.Final.Recall, res.Final.FMeasure, len(res.Points))
+		c.Series = append(c.Series, plot.Series{Name: fmt.Sprintf("size %d", es), Y: fSeries(res)})
 	}
-	return nil
+	return map[string]*plot.Chart{"fig11.svg": c}
 }
 
 // runTiming reports wall-clock per episode in batch vs specific-domain
 // settings (§7.3).
-func runTiming(w io.Writer, opt Options) error {
+func runTiming(w io.Writer, opt Options) map[string]*plot.Chart {
 	opt = opt.withDefaults()
-	batch := Run(RunConfig{
-		Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: batchCore(opt.Seed),
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
-	domain := Run(RunConfig{
-		Spec: datagen.NBADBpediaNYTimes(opt.Scale, opt.Seed),
-		Core: domainCore(opt.Seed),
-		Seed: opt.Seed,
-		Obs:  opt.Obs,
-	})
+	batch := opt.run(datagen.DBpediaNYTimes, batchCore(opt.Seed))
+	domain := opt.run(datagen.NBADBpediaNYTimes, domainCore(opt.Seed))
 	fmt.Fprintf(w, "== Sec 7.3: execution time ==\n")
 	print := func(label string, r *Result) {
 		per := time.Duration(0)
@@ -443,17 +431,6 @@ func runTiming(w io.Writer, opt Options) error {
 	print("batch (DBpedia-NYTimes):", batch)
 	print("domain (NBA-NYTimes):", domain)
 	fmt.Fprintf(w, "paper: ~7 min/episode batch, ~1.3 s/episode interactive — shape: batch >> domain\n")
-	return nil
-}
-
-// RunAll executes every experiment in paper order.
-func RunAll(w io.Writer, opt Options) error {
-	for _, e := range Experiments {
-		if err := e.Run(w, opt); err != nil {
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		fmt.Fprintln(w)
-	}
 	return nil
 }
 

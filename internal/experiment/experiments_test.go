@@ -34,6 +34,20 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestQualityRowsFollowScenarios: quality row i draws the figure of
+// datagen.Scenarios[i], whose description names the same figure.
+func TestQualityRowsFollowScenarios(t *testing.T) {
+	if len(qualityRows) != len(datagen.Scenarios) {
+		t.Fatalf("%d quality rows, %d scenarios", len(qualityRows), len(datagen.Scenarios))
+	}
+	for i, sc := range datagen.Scenarios {
+		fig, _, _ := strings.Cut(qualityRows[i].chart, ":")
+		if !strings.HasPrefix(sc.Desc, fig+":") {
+			t.Errorf("quality row %s (%s) is not scenario %s (%s)", qualityRows[i].id, fig, sc.ID, sc.Desc)
+		}
+	}
+}
+
 func TestRunProducesCurve(t *testing.T) {
 	scale := 0.5
 	if testing.Short() {
@@ -142,8 +156,8 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 	for _, id := range []string{"table1", "fig5"} {
 		e, _ := ByID(id)
 		var buf bytes.Buffer
-		if err := e.Run(&buf, Options{Scale: 0.3, Seed: 7}); err != nil {
-			t.Errorf("%s: %v", id, err)
+		if charts := e.Run(&buf, Options{Scale: 0.3, Seed: 7}); len(charts) != 0 {
+			t.Errorf("%s drew %d charts, want none", id, len(charts))
 		}
 		if buf.Len() == 0 {
 			t.Errorf("%s produced no output", id)
@@ -198,55 +212,11 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf, Options{Scale: 0.2, Seed: 11}); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			e.Run(&buf, Options{Scale: 0.2, Seed: 11})
 			if buf.Len() == 0 {
 				t.Errorf("%s produced no output", e.ID)
 			}
 		})
-	}
-}
-
-func TestRunAllSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll sweep skipped in -short mode")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf, Options{Scale: 0.15, Seed: 13}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, e := range Experiments {
-		marker := "== "
-		_ = marker
-		if !strings.Contains(out, e.ID[:3]) && !strings.Contains(out, "Fig") {
-			t.Errorf("output seems to miss experiment %s", e.ID)
-		}
-	}
-}
-
-func TestRenderFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full render pipeline; the golden tests cover series generation in -short")
-	}
-	// A quality figure and a comparison figure render well-formed SVG.
-	figs, err := RenderFigures("fig4c", Options{Scale: 0.3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svg, ok := figs["fig4c.svg"]
-	if !ok || !strings.Contains(svg, "<svg") || !strings.Contains(svg, "Recall") {
-		t.Errorf("fig4c figure malformed: %v", figs)
-	}
-	// Non-graphical experiments render nothing.
-	figs, err = RenderFigures("table1", Options{Scale: 0.2, Seed: 5})
-	if err != nil || len(figs) != 0 {
-		t.Errorf("table1 figures = %v, %v", figs, err)
-	}
-	figs, err = RenderFigures("fig7", Options{Scale: 0.3, Seed: 5})
-	if err != nil || len(figs) != 1 {
-		t.Errorf("fig7 figures = %d, %v", len(figs), err)
 	}
 }
 

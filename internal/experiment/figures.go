@@ -1,31 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"alex/internal/datagen"
-	"alex/internal/plot"
-)
-
-// quality-curve experiment ids and their scenarios, shared with the
-// registry.
-var qualityScenarios = map[string]struct {
-	title string
-	spec  func(float64, int64) datagen.PairSpec
-	batch bool
-}{
-	"fig2a": {"Fig 2(a): DBpedia - NYTimes", datagen.DBpediaNYTimes, true},
-	"fig2b": {"Fig 2(b): DBpedia - Drugbank", datagen.DBpediaDrugbank, true},
-	"fig2c": {"Fig 2(c): DBpedia - Lexvo", datagen.DBpediaLexvo, true},
-	"fig3a": {"Fig 3(a): OpenCyc - NYTimes", datagen.OpenCycNYTimes, true},
-	"fig3b": {"Fig 3(b): OpenCyc - Drugbank", datagen.OpenCycDrugbank, true},
-	"fig3c": {"Fig 3(c): OpenCyc - Lexvo", datagen.OpenCycLexvo, true},
-	"fig4a": {"Fig 4(a): DBpedia - SW Dogfood", datagen.DBpediaDogfood, false},
-	"fig4b": {"Fig 4(b): OpenCyc - SW Dogfood", datagen.OpenCycDogfood, false},
-	"fig4c": {"Fig 4(c): DBpedia (NBA) - NYTimes", datagen.NBADBpediaNYTimes, false},
-	"fig4d": {"Fig 4(d): OpenCyc (NBA) - NYTimes", datagen.NBAOpenCycNYTimes, false},
-	"fig8":  {"Fig 8: DBpedia - OpenCyc", datagen.DBpediaOpenCyc, true},
-}
+import "alex/internal/plot"
 
 // QualityChart renders a run as the paper's standard quality figure:
 // precision, recall and F-measure per episode, with the relaxed-convergence
@@ -56,67 +31,6 @@ func (r *Result) QualityChart(title string) *plot.Chart {
 	return c
 }
 
-// RenderFigures regenerates the paper's figure for the given experiment id
-// as SVG documents, keyed by suggested file name. Experiments without a
-// graphical form (table1, fig5, timing) return an empty map.
-func RenderFigures(id string, opt Options) (map[string]string, error) {
-	opt = opt.withDefaults()
-	out := map[string]string{}
-	if sc, ok := qualityScenarios[id]; ok {
-		cc := batchCore(opt.Seed)
-		if !sc.batch {
-			cc = domainCore(opt.Seed)
-		}
-		res := Run(RunConfig{Spec: sc.spec(opt.Scale, opt.Seed), Core: cc, Seed: opt.Seed})
-		out[id+".svg"] = res.QualityChart(sc.title).SVG()
-		return out, nil
-	}
-	switch id {
-	case "fig6":
-		with := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: batchCore(opt.Seed), Seed: opt.Seed})
-		without := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: batchCore(opt.Seed).DisableBlacklist(), Seed: opt.Seed})
-		out["fig6a.svg"] = compareChart("Fig 6(a): F-measure, blacklist",
-			"with blacklist", fSeries(with), "without blacklist", fSeries(without)).SVG()
-		out["fig6b.svg"] = compareChart("Fig 6(b): negative feedback share",
-			"with blacklist", negSeries(with), "without blacklist", negSeries(without)).SVG()
-		return out, nil
-	case "fig7":
-		noRB := batchCore(opt.Seed).DisableRollback()
-		without := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: noRB, Seed: opt.Seed})
-		out["fig7a.svg"] = without.QualityChart("Fig 7(a): quality without rollback").SVG()
-		return out, nil
-	case "fig9":
-		clean := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: batchCore(opt.Seed), Seed: opt.Seed})
-		noisyCfg := batchCore(opt.Seed)
-		noisyCfg.BlacklistNegatives = 3
-		noisy := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: noisyCfg, ErrorRate: 0.10, Seed: opt.Seed})
-		out["fig9.svg"] = compareChart("Fig 9: F-measure under 10% incorrect feedback",
-			"correct feedback", fSeries(clean), "10% incorrect", fSeries(noisy)).SVG()
-		return out, nil
-	case "fig10":
-		c := &plot.Chart{Title: "Fig 10: F-measure by step size", XLabel: "Episode", YLabel: "F", YMin: 0, YMax: 1}
-		for _, step := range []float64{0.01, 0.05, 0.10} {
-			cc := batchCore(opt.Seed)
-			cc.StepSize = step
-			res := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: cc, Seed: opt.Seed})
-			c.Series = append(c.Series, plot.Series{Name: fmt.Sprintf("step %.2f", step), Y: fSeries(res)})
-		}
-		out["fig10.svg"] = c.SVG()
-		return out, nil
-	case "fig11":
-		c := &plot.Chart{Title: "Fig 11: F-measure by episode size", XLabel: "Episode", YLabel: "F", YMin: 0, YMax: 1}
-		for _, size := range []int{50, 100, 150} {
-			cc := batchCore(opt.Seed)
-			cc.EpisodeSize = size
-			res := Run(RunConfig{Spec: datagen.DBpediaNYTimes(opt.Scale, opt.Seed), Core: cc, Seed: opt.Seed})
-			c.Series = append(c.Series, plot.Series{Name: fmt.Sprintf("size %d", size), Y: fSeries(res)})
-		}
-		out["fig11.svg"] = c.SVG()
-		return out, nil
-	}
-	return out, nil
-}
-
 func fSeries(r *Result) []float64 {
 	out := []float64{r.Initial.FMeasure}
 	for _, p := range r.Points {
@@ -131,6 +45,11 @@ func negSeries(r *Result) []float64 {
 		out = append(out, p.NegShare)
 	}
 	return out
+}
+
+// fChart is an empty F-measure-per-episode chart for a parameter sweep.
+func fChart(title string) *plot.Chart {
+	return &plot.Chart{Title: title, XLabel: "Episode", YLabel: "F", YMin: 0, YMax: 1}
 }
 
 func compareChart(title, nameA string, a []float64, nameB string, b []float64) *plot.Chart {

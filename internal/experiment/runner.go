@@ -2,7 +2,7 @@
 // reproduces every table and figure of the paper's evaluation (§7 and the
 // appendices). Each experiment has an id (table1, fig2a … fig11, timing); the
 // registry in experiments.go maps ids to runners that print the same series
-// the paper plots.
+// the paper plots and return the charts drawn from those same runs.
 package experiment
 
 import (
