@@ -147,12 +147,7 @@ type Session struct {
 	fed      *fed.Federation
 	opt      Options
 
-	pendingFeedback []feedbackItem
-}
-
-type feedbackItem struct {
-	link     linkset.Link
-	approved bool
+	pendingFeedback []core.Feedback
 }
 
 // NewSession builds the linking session. The first data set should be the
@@ -283,14 +278,14 @@ func (s *Session) Query(ctx context.Context, query string) (*QueryResult, error)
 // feedback on every link used to produce the answer.
 func (s *Session) Approve(a Answer) {
 	for _, l := range a.links {
-		s.pendingFeedback = append(s.pendingFeedback, feedbackItem{link: l, approved: true})
+		s.pendingFeedback = append(s.pendingFeedback, core.Feedback{Link: l, Approved: true})
 	}
 }
 
 // Reject marks a query answer incorrect: negative feedback on its links.
 func (s *Session) Reject(a Answer) {
 	for _, l := range a.links {
-		s.pendingFeedback = append(s.pendingFeedback, feedbackItem{link: l, approved: false})
+		s.pendingFeedback = append(s.pendingFeedback, core.Feedback{Link: l, Approved: false})
 	}
 }
 
@@ -301,12 +296,8 @@ func (s *Session) Reject(a Answer) {
 // action, exactly as in the paper (§4, "if no feedback is provided on an
 // answer, this answer will simply not trigger an action").
 func (s *Session) EndEpisode() (changed int) {
-	items := make([]core.Feedback, len(s.pendingFeedback))
-	for i, f := range s.pendingFeedback {
-		items[i] = core.Feedback{Link: f.link, Approved: f.approved}
-	}
+	st := s.engine.ApplyEpisode(s.pendingFeedback)
 	s.pendingFeedback = nil
-	st := s.engine.ApplyEpisode(items)
 	s.fed.SetLinks(s.engine.Candidates())
 	return st.Changed
 }

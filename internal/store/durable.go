@@ -91,15 +91,10 @@ type Durable struct {
 // a crashed process held — insertion order, subject order and generation
 // counter included — with durability attached for subsequent mutations.
 func OpenDurable(name string, dict *rdf.Dict, opts DurableOptions) (*Durable, error) {
-	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		return nil, errors.New("store: OpenDurable requires DurableOptions.Dir")
+	d, err := newDurable("open", name, opts)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: open durable %s: %w", name, err)
-	}
-	d := &Durable{opts: opts, snap: filepath.Join(opts.Dir, name+".snap")}
-	d.resolveInstruments()
 
 	var (
 		s         *Store
@@ -132,32 +127,19 @@ func OpenDurable(name string, dict *rdf.Dict, opts DurableOptions) (*Durable, er
 		return nil, fmt.Errorf("store: open durable %s: %w", name, err)
 	}
 
-	walPath := filepath.Join(opts.Dir, name+".wal")
-	wf, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
+	w, err := d.openWAL(name, dict, 0)
 	if err != nil {
 		return nil, fmt.Errorf("store: open durable %s: %w", name, err)
 	}
-	w := &walWriter{
-		f:     wf,
-		dict:  dict,
-		mode:  opts.Fsync,
-		every: opts.FsyncEvery,
-		buf:   make([]byte, 0, 4096),
-	}
-	if opts.Obs != nil {
-		w.cAppends = opts.Obs.Counter(obs.StoreWALAppends)
-		w.cBytes = opts.Obs.Counter(obs.StoreWALAppendBytes)
-		w.cFsyncs = opts.Obs.Counter(obs.StoreWALFsyncs)
-	}
-	if err := recoverWAL(wf, w, s, snapEpoch, &rec); err != nil {
-		_ = wf.Close()
+	if err := recoverWAL(w.f, w, s, snapEpoch, &rec); err != nil {
+		_ = w.f.Close()
 		return nil, fmt.Errorf("store: open durable %s: %w", name, err)
 	}
-	if opts.Obs != nil {
-		opts.Obs.Counter(obs.StoreWALReplayRecords).Add(int64(rec.WALRecords))
-		opts.Obs.Counter(obs.StoreWALTruncatedBytes).Add(rec.TornBytes)
-		opts.Obs.Counter(obs.StoreSnapshotLoads).Inc()
-		opts.Obs.Counter(obs.StoreSnapshotLoadTriples).Add(int64(rec.SnapshotTriples))
+	if reg := d.opts.Obs; reg != nil {
+		reg.Counter(obs.StoreWALReplayRecords).Add(int64(rec.WALRecords))
+		reg.Counter(obs.StoreWALTruncatedBytes).Add(rec.TornBytes)
+		reg.Counter(obs.StoreSnapshotLoads).Inc()
+		reg.Counter(obs.StoreSnapshotLoadTriples).Add(int64(rec.SnapshotTriples))
 	}
 	s.setWAL(w)
 	d.s, d.wal, d.epoch, d.rec = s, w, snapEpoch, rec
@@ -224,52 +206,58 @@ func recoverWAL(wf *os.File, w *walWriter, s *Store, snapEpoch uint64, rec *Reco
 // checkpoints s into opts.Dir (overwriting any prior state there) and
 // attaches a fresh log, so every later mutation is recoverable.
 func AttachDurable(s *Store, opts DurableOptions) (*Durable, error) {
-	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		return nil, errors.New("store: AttachDurable requires DurableOptions.Dir")
+	d, err := newDurable("attach", s.Name(), opts)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: attach durable %s: %w", s.Name(), err)
-	}
-	d := &Durable{
-		s:    s,
-		opts: opts,
-		snap: filepath.Join(opts.Dir, s.Name()+".snap"),
-	}
-	d.resolveInstruments()
-	walPath := filepath.Join(opts.Dir, s.Name()+".wal")
-	wf, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	d.s = s
+	w, err := d.openWAL(s.Name(), s.Dict(), os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("store: attach durable %s: %w", s.Name(), err)
 	}
-	w := &walWriter{
-		f:     wf,
-		dict:  s.Dict(),
-		mode:  opts.Fsync,
-		every: opts.FsyncEvery,
-		buf:   make([]byte, 0, 4096),
-	}
-	if opts.Obs != nil {
-		w.cAppends = opts.Obs.Counter(obs.StoreWALAppends)
-		w.cBytes = opts.Obs.Counter(obs.StoreWALAppendBytes)
-		w.cFsyncs = opts.Obs.Counter(obs.StoreWALFsyncs)
-	}
 	d.wal = w
 	if err := d.Checkpoint(); err != nil {
-		_ = wf.Close()
+		_ = w.f.Close()
 		return nil, err
 	}
 	s.setWAL(w)
 	return d, nil
 }
 
-func (d *Durable) resolveInstruments() {
-	if d.opts.Obs == nil {
-		return
+// newDurable is the setup OpenDurable and AttachDurable share for the
+// store name: default opts, require and create opts.Dir, and resolve the
+// snapshot instruments. op ("open" or "attach") names the caller in errors.
+func newDurable(op, name string, opts DurableOptions) (*Durable, error) {
+	opts = opts.withDefaults()
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("store: %s durable %s: DurableOptions.Dir is required", op, name)
 	}
-	d.cSnapWrites = d.opts.Obs.Counter(obs.StoreSnapshotWrites)
-	d.cSnapBytes = d.opts.Obs.Counter(obs.StoreSnapshotWriteBytes)
-	d.cRotations = d.opts.Obs.Counter(obs.StoreWALRotations)
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %s durable %s: %w", op, name, err)
+	}
+	d := &Durable{opts: opts, snap: filepath.Join(opts.Dir, name+".snap")}
+	if reg := opts.Obs; reg != nil {
+		d.cSnapWrites = reg.Counter(obs.StoreSnapshotWrites)
+		d.cSnapBytes = reg.Counter(obs.StoreSnapshotWriteBytes)
+		d.cRotations = reg.Counter(obs.StoreWALRotations)
+	}
+	return d, nil
+}
+
+// openWAL opens the log of the store name in d's directory (flag adds to
+// O_RDWR|O_CREATE) behind a writer that encodes terms through dict.
+func (d *Durable) openWAL(name string, dict *rdf.Dict, flag int) (*walWriter, error) {
+	wf, err := os.OpenFile(filepath.Join(d.opts.Dir, name+".wal"), os.O_RDWR|os.O_CREATE|flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	w := &walWriter{f: wf, dict: dict, mode: d.opts.Fsync, every: d.opts.FsyncEvery, buf: make([]byte, 0, 4096)}
+	if reg := d.opts.Obs; reg != nil {
+		w.cAppends = reg.Counter(obs.StoreWALAppends)
+		w.cBytes = reg.Counter(obs.StoreWALAppendBytes)
+		w.cFsyncs = reg.Counter(obs.StoreWALFsyncs)
+	}
+	return w, nil
 }
 
 // Store returns the managed store.
