@@ -30,10 +30,11 @@ test-short:
 # TestJaroMatchesReference (the bit-parallel Jaro kernel against its scalar
 # reference through one long-lived Scratch), internal/rdf's dictionary
 # hammers (TestDictParallelInternOverlappingSets,
-# TestDictConcurrentReadersWriters, TestDictConcurrentBulkAndPoint) and
-# internal/obs's TestHistogramConcurrent.
+# TestDictConcurrentReadersWriters, TestDictConcurrentBulkAndPoint),
+# internal/obs's TestHistogramConcurrent and internal/par's TestDo (the one
+# worker pool: no two goroutines share a worker index).
 race:
-	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/...
+	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/...
 
 # Every fuzz target for 10s, and CI's only copy of the target list
 # (.github/workflows/ci.yml calls this target).

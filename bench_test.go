@@ -1,13 +1,15 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one Benchmark per artifact — see DESIGN.md's per-experiment index), plus
-// micro-benchmarks of the substrates. Run with:
+// (BenchmarkExperiments, one sub-benchmark per artifact — see DESIGN.md's
+// per-experiment index), plus micro-benchmarks of the substrates and the
+// design-choice ablations. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The figure benchmarks execute the complete pipeline (generate data →
-// PARIS → ALEX to convergence) and report the paper's headline metrics as
-// custom benchmark units (final F-measure, episodes to convergence, links
-// discovered) so the series can be read straight off the bench output.
+// PARIS → ALEX to convergence) exactly as cmd/alex does; the ablations
+// report their headline metrics as custom benchmark units (final
+// F-measure, episodes to convergence) so the series can be read straight
+// off the bench output.
 package alex_test
 
 import (
@@ -49,251 +51,18 @@ func batchCfg() core.Config {
 	return c
 }
 
-func domainCfg() core.Config {
-	c := core.Defaults()
-	c.EpisodeSize = 10
-	c.Partitions = 2
-	c.MaxEpisodes = 60
-	c.Seed = benchSeed
-	return c
-}
-
-// runQuality executes one full pipeline per iteration and reports the
-// figure's headline numbers.
-func runQuality(b *testing.B, spec datagen.PairSpec, cfg core.Config) {
-	b.Helper()
-	var res *experiment.Result
-	for i := 0; i < b.N; i++ {
-		res = experiment.Run(experiment.RunConfig{Spec: spec, Core: cfg, Seed: benchSeed})
-	}
-	b.ReportMetric(res.Final.FMeasure, "final-F")
-	b.ReportMetric(res.Final.Recall, "final-R")
-	b.ReportMetric(res.Final.Precision, "final-P")
-	b.ReportMetric(float64(len(res.Points)), "episodes")
-	b.ReportMetric(float64(res.NewCorrect), "new-links")
-}
-
-// --- Table 1 ---
-
-func BenchmarkTable1Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mustExperiment(b, "table1")
-	}
-}
-
-// --- Figure 2: batch mode quality ---
-
-func BenchmarkFig2aDBpediaNYTimes(b *testing.B) {
-	runQuality(b, datagen.DBpediaNYTimes(1, benchSeed), batchCfg())
-}
-
-func BenchmarkFig2bDBpediaDrugbank(b *testing.B) {
-	runQuality(b, datagen.DBpediaDrugbank(1, benchSeed), batchCfg())
-}
-
-func BenchmarkFig2cDBpediaLexvo(b *testing.B) {
-	runQuality(b, datagen.DBpediaLexvo(1, benchSeed), batchCfg())
-}
-
-// --- Figure 3: OpenCyc pairs ---
-
-func BenchmarkFig3aOpenCycNYTimes(b *testing.B) {
-	runQuality(b, datagen.OpenCycNYTimes(1, benchSeed), batchCfg())
-}
-
-func BenchmarkFig3bOpenCycDrugbank(b *testing.B) {
-	runQuality(b, datagen.OpenCycDrugbank(1, benchSeed), batchCfg())
-}
-
-func BenchmarkFig3cOpenCycLexvo(b *testing.B) {
-	runQuality(b, datagen.OpenCycLexvo(1, benchSeed), batchCfg())
-}
-
-// --- Figure 4: specific domains ---
-
-func BenchmarkFig4aDBpediaDogfood(b *testing.B) {
-	runQuality(b, datagen.DBpediaDogfood(1, benchSeed), domainCfg())
-}
-
-func BenchmarkFig4bOpenCycDogfood(b *testing.B) {
-	runQuality(b, datagen.OpenCycDogfood(1, benchSeed), domainCfg())
-}
-
-func BenchmarkFig4cNBADBpediaNYTimes(b *testing.B) {
-	runQuality(b, datagen.NBADBpediaNYTimes(1, benchSeed), domainCfg())
-}
-
-func BenchmarkFig4dNBAOpenCycNYTimes(b *testing.B) {
-	runQuality(b, datagen.NBAOpenCycNYTimes(1, benchSeed), domainCfg())
-}
-
-// --- Figure 5: search-space filtering ---
-
-func BenchmarkFig5SearchSpaceFilter(b *testing.B) {
-	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(1, benchSeed))
-	parts := feature.Partition(pair.DS1.Subjects(), 8)
-	b.ResetTimer()
-	var sp *feature.Space
-	for i := 0; i < b.N; i++ {
-		sp = feature.Build(pair.DS1, parts[0], pair.DS2, feature.DefaultOptions())
-	}
-	b.ReportMetric(float64(sp.TotalPairs()), "total-pairs")
-	b.ReportMetric(float64(sp.Len()), "filtered-pairs")
-	b.ReportMetric(100*float64(sp.Len())/float64(sp.TotalPairs()), "filtered-%")
-}
-
-// --- Figure 6: blacklist ablation ---
-
-func BenchmarkFig6Blacklist(b *testing.B) {
-	b.Run("with", func(b *testing.B) {
-		var res *experiment.Result
-		for i := 0; i < b.N; i++ {
-			res = experiment.Run(experiment.RunConfig{
-				Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: batchCfg(), Seed: benchSeed,
-			})
-		}
-		b.ReportMetric(avgNegShare(res), "avg-neg-%")
-		b.ReportMetric(res.Final.FMeasure, "final-F")
-	})
-	b.Run("without", func(b *testing.B) {
-		var res *experiment.Result
-		for i := 0; i < b.N; i++ {
-			res = experiment.Run(experiment.RunConfig{
-				Spec: datagen.DBpediaNYTimes(1, benchSeed),
-				Core: batchCfg().DisableBlacklist(), Seed: benchSeed,
-			})
-		}
-		b.ReportMetric(avgNegShare(res), "avg-neg-%")
-		b.ReportMetric(res.Final.FMeasure, "final-F")
-	})
-}
-
-// --- Figure 7: rollback ablation ---
-
-func BenchmarkFig7Rollback(b *testing.B) {
-	b.Run("with", func(b *testing.B) {
-		var res *experiment.Result
-		for i := 0; i < b.N; i++ {
-			res = experiment.Run(experiment.RunConfig{
-				Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: batchCfg(), Seed: benchSeed,
-			})
-		}
-		b.ReportMetric(res.Final.FMeasure, "final-F")
-		b.ReportMetric(float64(len(res.Points)), "episodes")
-	})
-	b.Run("without", func(b *testing.B) {
-		var res *experiment.Result
-		for i := 0; i < b.N; i++ {
-			res = experiment.Run(experiment.RunConfig{
-				Spec: datagen.DBpediaNYTimes(1, benchSeed),
-				Core: batchCfg().DisableRollback(), Seed: benchSeed,
-			})
-		}
-		b.ReportMetric(res.Final.FMeasure, "final-F")
-		b.ReportMetric(float64(len(res.Points)), "episodes")
-	})
-}
-
-// --- Figure 8: multi-domain stress test ---
-
-func BenchmarkFig8MultiDomain(b *testing.B) {
-	runQuality(b, datagen.DBpediaOpenCyc(1, benchSeed), batchCfg())
-}
-
-// --- Figure 9: incorrect feedback ---
-
-func BenchmarkFig9IncorrectFeedback(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		rate float64
-		bl   int
-	}{{"clean", 0, 1}, {"err10pct", 0.10, 3}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := batchCfg()
-			// The noisy run uses the noise-tolerant blacklist threshold,
-			// matching the fig9 experiment (see Config.BlacklistNegatives).
-			cfg.BlacklistNegatives = tc.bl
-			var res *experiment.Result
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation: one sub-benchmark per experiment.Experiments entry, run at
+// the default scale and seed, so each figure's configuration is the one
+// its experiment defines. The reports themselves are what cmd/alex prints.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiment.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res = experiment.Run(experiment.RunConfig{
-					Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: cfg,
-					ErrorRate: tc.rate, Seed: benchSeed,
-				})
+				e.Run(io.Discard, experiment.Options{})
 			}
-			b.ReportMetric(res.Final.FMeasure, "final-F")
-			b.ReportMetric(res.Final.Recall, "final-R")
-			b.ReportMetric(res.Final.Precision, "final-P")
 		})
 	}
-}
-
-// --- Figure 10: step-size sensitivity ---
-
-func BenchmarkFig10StepSize(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		step float64
-	}{{"0.01", 0.01}, {"0.05", 0.05}, {"0.10", 0.10}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := batchCfg()
-			cfg.StepSize = tc.step
-			var res *experiment.Result
-			for i := 0; i < b.N; i++ {
-				res = experiment.Run(experiment.RunConfig{
-					Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: cfg, Seed: benchSeed,
-				})
-			}
-			b.ReportMetric(res.Final.FMeasure, "final-F")
-			b.ReportMetric(res.Final.Recall, "final-R")
-			b.ReportMetric(avgNegShare(res), "avg-neg-%")
-		})
-	}
-}
-
-// --- Figure 11: episode-size sensitivity ---
-
-func BenchmarkFig11EpisodeSize(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		size int
-	}{{"50", 50}, {"100", 100}, {"150", 150}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := batchCfg()
-			cfg.EpisodeSize = tc.size
-			var res *experiment.Result
-			for i := 0; i < b.N; i++ {
-				res = experiment.Run(experiment.RunConfig{
-					Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: cfg, Seed: benchSeed,
-				})
-			}
-			b.ReportMetric(res.Final.FMeasure, "final-F")
-			b.ReportMetric(float64(len(res.Points)), "episodes")
-		})
-	}
-}
-
-// --- Section 7.3: execution time ---
-
-func BenchmarkTimingBatch(b *testing.B) {
-	var res *experiment.Result
-	for i := 0; i < b.N; i++ {
-		res = experiment.Run(experiment.RunConfig{
-			Spec: datagen.DBpediaNYTimes(1, benchSeed), Core: batchCfg(), Seed: benchSeed,
-		})
-	}
-	perEpisode := res.Duration.Seconds() / float64(maxInt(1, len(res.Points)))
-	b.ReportMetric(perEpisode*1000, "ms/episode")
-}
-
-func BenchmarkTimingDomain(b *testing.B) {
-	var res *experiment.Result
-	for i := 0; i < b.N; i++ {
-		res = experiment.Run(experiment.RunConfig{
-			Spec: datagen.NBADBpediaNYTimes(1, benchSeed), Core: domainCfg(), Seed: benchSeed,
-		})
-	}
-	perEpisode := res.Duration.Seconds() / float64(maxInt(1, len(res.Points)))
-	b.ReportMetric(perEpisode*1000, "ms/episode")
 }
 
 // --- Substrate micro-benchmarks ---
@@ -804,7 +573,10 @@ func BenchmarkEngineEpisode(b *testing.B) {
 	for i, s := range scored {
 		links[i] = s.Link
 	}
-	cfg := domainCfg()
+	cfg := core.Defaults()
+	cfg.EpisodeSize = 10
+	cfg.Partitions = 2
+	cfg.Seed = benchSeed
 	cfg.MaxEpisodes = 1 << 30 // never converge by cap within the bench
 	judge := func(l linkset.Link) bool { return pair.Truth.Contains(l) }
 	b.ReportAllocs()
@@ -818,35 +590,6 @@ func BenchmarkEngineEpisode(b *testing.B) {
 			engine.RunEpisode(judge)
 		}
 	}
-}
-
-// --- helpers ---
-
-func mustExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiment.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	e.Run(io.Discard, experiment.Options{Seed: benchSeed})
-}
-
-func avgNegShare(res *experiment.Result) float64 {
-	if len(res.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range res.Points {
-		sum += p.NegShare
-	}
-	return 100 * sum / float64(len(res.Points))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Design-choice ablations (see DESIGN.md) ---

@@ -49,9 +49,6 @@ type Config struct {
 	Workers int
 	// MaxEpisodes caps the policy iteration (the paper stops at 100).
 	MaxEpisodes int
-	// PosReward and NegReward are the reward values for approved and
-	// rejected links. The paper allows penalizing negatives harder.
-	PosReward, NegReward float64
 	// BlacklistNegatives is the cumulative negative-feedback count at
 	// which a link is blacklisted (prevented from ever being re-added).
 	// The default of 1 matches the paper's main-body behavior ("when a
@@ -70,14 +67,6 @@ type Config struct {
 	// rollback then spends whole episodes undoing. Set negative for
 	// unlimited.
 	MaxExplored int
-	// RelaxedThreshold is the fraction of changed links below which the
-	// relaxed convergence condition holds (the paper uses 5%).
-	RelaxedThreshold float64
-	// RelaxedConvergence makes partitions STOP at the relaxed condition
-	// (fewer than RelaxedThreshold of links changed in an episode) instead
-	// of requiring a strictly unchanged candidate set — the paper's "more
-	// relaxed convergence condition" (§3.2).
-	RelaxedConvergence bool
 	// Seed drives all stochastic choices; equal seeds reproduce runs.
 	Seed int64
 	// SpaceOptions configures feature-space construction.
@@ -98,12 +87,9 @@ func Defaults() Config {
 		Theta:              0.3,
 		Partitions:         8,
 		MaxEpisodes:        100,
-		PosReward:          1,
-		NegReward:          -1,
 		BlacklistNegatives: 1,
 		RollbackNegatives:  5,
 		MaxExplored:        400,
-		RelaxedThreshold:   0.05,
 		Seed:               1,
 		SpaceOptions:       feature.DefaultOptions(),
 	}
@@ -133,12 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxEpisodes == 0 {
 		c.MaxEpisodes = d.MaxEpisodes
 	}
-	if c.PosReward == 0 {
-		c.PosReward = d.PosReward
-	}
-	if c.NegReward == 0 {
-		c.NegReward = d.NegReward
-	}
 	if c.RollbackNegatives == 0 {
 		c.RollbackNegatives = d.RollbackNegatives
 	}
@@ -147,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlacklistNegatives == 0 {
 		c.BlacklistNegatives = d.BlacklistNegatives
-	}
-	if c.RelaxedThreshold == 0 {
-		c.RelaxedThreshold = d.RelaxedThreshold
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed

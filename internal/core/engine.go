@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"alex/internal/feature"
 	"alex/internal/feedback"
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/par"
 	"alex/internal/rdf"
 	"alex/internal/store"
 )
@@ -107,43 +107,11 @@ func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	}
 	e.lastGen1 = ds1.Generation()
 	e.lastGen2 = ds2.Generation()
-	runBounded(len(parts), cfg.Workers, func(i int) {
+	par.Do(len(parts), cfg.Workers, func(_, i int) {
 		space := feature.BuildOn(e.right, ds1, parts[i], cfg.SpaceOptions)
 		e.partitions[i] = newPartition(i, space, cfg, cfg.Seed+int64(i)*7919)
 	})
 	return e
-}
-
-// runBounded invokes fn(0) … fn(n-1), each exactly once, on at most
-// workers goroutines (atomic work-stealing; serial when workers <= 1).
-// Callers rely on fn being independent per index, so the schedule cannot
-// affect results.
-func runBounded(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Config returns the engine's effective (defaulted) configuration.
@@ -259,7 +227,7 @@ type EpisodeStats struct {
 	// Converged reports strict convergence (no change in any partition).
 	Converged bool
 	// Relaxed reports the paper's relaxed condition: changed links below
-	// RelaxedThreshold of the candidate set.
+	// relaxedThreshold of the candidate set.
 	Relaxed bool
 }
 
@@ -296,7 +264,7 @@ func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 	if share == 0 {
 		share = 1
 	}
-	runBounded(n, e.cfg.Workers, func(i int) {
+	par.Do(n, e.cfg.Workers, func(_, i int) {
 		p := e.partitions[i]
 		sp := tr.Root().Child("partition")
 		p.runEpisode(share, judge)
@@ -350,9 +318,13 @@ func (e *Engine) collectStats() EpisodeStats {
 	}
 	stats.Converged = e.convergedLocked()
 	stats.Relaxed = stats.Candidates > 0 &&
-		float64(stats.Changed) < e.cfg.RelaxedThreshold*float64(stats.Candidates)
+		float64(stats.Changed) < relaxedThreshold*float64(stats.Candidates)
 	return stats
 }
+
+// relaxedThreshold is the paper's relaxed convergence condition (§3.2):
+// fewer than 5% of the candidate links changed in an episode.
+const relaxedThreshold = 0.05
 
 // Feedback is one explicit user verdict on a link.
 type Feedback struct {
@@ -383,7 +355,7 @@ func (e *Engine) applyEpisodeLocked(items []Feedback) EpisodeStats {
 		}
 	}
 	tr := e.traceEpisode()
-	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
+	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
 		sp := tr.Root().Child("partition")
 		e.partitions[i].applyEpisode(perPartition[i])
 		e.partitions[i].endSpan(sp)

@@ -353,27 +353,3 @@ func TestEpisodeLatencyRecorded(t *testing.T) {
 		t.Fatalf("after ApplyEpisode: %s = %+v, want two positive observations", obs.CoreEpisodeNS, s)
 	}
 }
-
-func TestEngineRelaxedConvergence(t *testing.T) {
-	p := testPair(71)
-	strict := smallConfig(71)
-	relaxed := smallConfig(71)
-	relaxed.RelaxedConvergence = true
-
-	run := func(cfg Config) int {
-		e := New(p.DS1, p.DS2, cfg)
-		e.SetInitialLinks(initialLinks(p))
-		oracle := feedback.NewOracle(p.Truth, 0, rand.New(rand.NewSource(71)))
-		e.Run(oracle.JudgeFunc(), nil)
-		if !e.Converged() {
-			t.Fatal("did not converge")
-		}
-		return e.Episode()
-	}
-	strictEp := run(strict)
-	relaxedEp := run(relaxed)
-	t.Logf("strict %d episodes, relaxed %d", strictEp, relaxedEp)
-	if relaxedEp > strictEp {
-		t.Errorf("relaxed convergence took longer (%d) than strict (%d)", relaxedEp, strictEp)
-	}
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"alex/internal/par"
 	"alex/internal/rdf"
 )
 
@@ -40,7 +41,7 @@ func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 		}
 		perPartition[pi] = append(perPartition[pi], s)
 	}
-	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
+	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
 		p := e.partitions[i]
 		for _, s := range perPartition[i] {
 			p.space.UpsertSubject(e.ds1, s)
@@ -63,7 +64,7 @@ func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 
 func (e *Engine) applyObjectDeltasLocked(changed []rdf.TermID) {
 	delta := e.right.Apply(e.ds2, changed)
-	runBounded(len(e.partitions), e.cfg.Workers, func(i int) {
+	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
 		p := e.partitions[i]
 		p.space.ApplyObjectDelta(e.ds1, delta)
 		p.grow()

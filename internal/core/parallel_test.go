@@ -3,32 +3,11 @@ package core
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
 	"alex/internal/feedback"
 	"alex/internal/linkset"
 )
-
-// TestRunBounded: every index runs exactly once at any pool size.
-func TestRunBounded(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		for _, n := range []int{0, 1, 5, 100} {
-			var mu sync.Mutex
-			hits := make([]int, n)
-			runBounded(n, workers, func(i int) {
-				mu.Lock()
-				hits[i]++
-				mu.Unlock()
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
 
 // runToEpisodes drives a fixed seed for a fixed number of episodes at the
 // given worker count and returns the per-episode stats and final links.

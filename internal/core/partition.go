@@ -400,11 +400,7 @@ func (p *partition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	switch {
-	case p.episodeChanged == 0, p.episodes >= p.cfg.MaxEpisodes:
-		p.converged = true
-	case p.cfg.RelaxedConvergence &&
-		float64(p.episodeChanged) < p.cfg.RelaxedThreshold*float64(p.candidates):
+	if p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes {
 		p.converged = true
 	}
 }
@@ -414,9 +410,9 @@ func (p *partition) endEpisode() {
 // — exploration on approval, removal (+blacklist, rollback check) on
 // rejection.
 func (p *partition) handleFeedback(id uint32, approved bool) {
-	reward := p.cfg.NegReward
+	reward := -1.0 // the paper's rewards (§4.3): +1 approved, −1 rejected
 	if approved {
-		reward = p.cfg.PosReward
+		reward = 1
 		p.posFeedback++
 		p.obs.cPos.Inc()
 	} else {

@@ -297,11 +297,7 @@ func (p *refPartition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	switch {
-	case p.episodeChanged == 0, p.episodes >= p.cfg.MaxEpisodes:
-		p.converged = true
-	case p.cfg.RelaxedConvergence &&
-		float64(p.episodeChanged) < p.cfg.RelaxedThreshold*float64(len(p.candidates)):
+	if p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes {
 		p.converged = true
 	}
 }
@@ -311,9 +307,9 @@ func (p *refPartition) endEpisode() {
 // exploration on approval, removal (+blacklist, rollback check) on
 // rejection.
 func (p *refPartition) handleFeedback(l linkset.Link, approved bool) {
-	reward := p.cfg.NegReward
+	reward := -1.0
 	if approved {
-		reward = p.cfg.PosReward
+		reward = 1
 		p.posFeedback++
 		p.obs.cPos.Inc()
 	} else {

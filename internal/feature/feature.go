@@ -44,10 +44,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/par"
 	"alex/internal/rdf"
 	"alex/internal/sim"
 	"alex/internal/store"
@@ -90,8 +90,8 @@ type Options struct {
 	// entities (stopword-like tokens carry no pairing signal). 0 means 64.
 	MaxBlockSize int
 	// Workers bounds the goroutines Build uses to score candidate pairs;
-	// 0 means runtime.GOMAXPROCS(0), 1 forces the serial path. The space
-	// produced is identical at any worker count.
+	// 0 means runtime.GOMAXPROCS(0), 1 scores every pair on the calling
+	// goroutine. The space produced is identical at any worker count.
 	Workers int
 }
 
@@ -232,14 +232,21 @@ func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Opt
 		sp.setLeftTokens(subj, lefts[i].tokens())
 	}
 	results := make([][]scoredPair, len(partition))
-	if opt.Workers > 1 && len(partition) >= buildParallelThreshold {
-		sp.scoreParallel(partition, lefts, results)
-	} else {
-		sc := buildScorer(opt.Theta)
-		for i, subj := range partition {
-			results[i] = sc.scoreSubject(subj, lefts[i], right)
+	workers := 1
+	if len(partition) >= buildParallelThreshold {
+		workers = min(opt.Workers, len(partition))
+	}
+	scs := make([]*scorer, max(workers, 1)) // one pooled scorer per goroutine
+	par.Do(len(partition), workers, func(w, i int) {
+		if scs[w] == nil {
+			scs[w] = buildScorer(opt.Theta)
 		}
-		scorers.Put(sc)
+		results[i] = scs[w].scoreSubject(partition[i], lefts[i], right)
+	})
+	for _, sc := range scs {
+		if sc != nil {
+			scorers.Put(sc)
+		}
 	}
 	sp.insertBuilt(partition, results)
 	for _, entries := range sp.index {
@@ -333,34 +340,6 @@ func (sp *Space) Link(id uint32) linkset.Link { return sp.links[id] }
 // SetOf returns the feature set of link id: empty unless the link is a pair
 // of the space now.
 func (sp *Space) SetOf(id uint32) Set { return sp.sets[id] }
-
-// scoreParallel fans scoreSubject across opt.Workers goroutines (atomic
-// work-stealing over the subject list, one scorer each), each subject's
-// pairs into its slot of results.
-func (sp *Space) scoreParallel(partition []rdf.TermID, lefts []entity, results [][]scoredPair) {
-	workers := sp.opt.Workers
-	if workers > len(partition) {
-		workers = len(partition)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := buildScorer(sp.opt.Theta)
-			defer scorers.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(partition) {
-					return
-				}
-				results[i] = sc.scoreSubject(partition[i], lefts[i], sp.right)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // termProfile is one object term as the feature space sees it: what the
 // similarity function needs of it and the blocking keys it contributes.

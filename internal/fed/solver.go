@@ -10,6 +10,7 @@ import (
 
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/par"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 )
@@ -203,21 +204,13 @@ func (es *evalState) extendRows(ctx context.Context, c sparql.SlotPattern, sourc
 	}
 	chunks := make([]*sparql.Rows, rows.Len())
 	errs := make([]error, rows.Len())
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < rows.Len(); i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			f.gWorkersBusy.Add(1)
-			defer f.gWorkersBusy.Add(-1)
-			chunks[i] = sparql.NewRows(rows.Width(), 1)
-			_, errs[i] = es.matchAcross(ctx, c, sources, ids, rows.Row(i), chunks[i], nil, psp)
-		}(i)
-	}
-	wg.Wait()
+	bufs := make([][]rdf.TripleID, workers) // one match buffer per goroutine
+	par.Do(rows.Len(), workers, func(w, i int) {
+		f.gWorkersBusy.Add(1)
+		defer f.gWorkersBusy.Add(-1)
+		chunks[i] = sparql.NewRows(rows.Width(), 1)
+		bufs[w], errs[i] = es.matchAcross(ctx, c, sources, ids, rows.Row(i), chunks[i], bufs[w], psp)
+	})
 	for i, chunk := range chunks {
 		if errs[i] != nil {
 			return nil, errs[i]

@@ -175,15 +175,6 @@ func (s *Set) Clone() *Set {
 	return &Set{links: maps.Clone(s.links), sorted: s.sorted}
 }
 
-// DiffCount returns the size of the symmetric difference with other.
-// ALEX's convergence test is DiffCount == 0 (strict) or
-// DiffCount < 5% of Len (relaxed). Each set is read under its own lock,
-// one after the other, so any two sets — the same one included — can be
-// compared while writers wait on either.
-func (s *Set) DiffCount(other *Set) int {
-	return diffCount(s.Sorted(), other.Sorted())
-}
-
 // Quality holds the paper's evaluation metrics for one candidate set.
 type Quality struct {
 	Precision float64
@@ -203,8 +194,9 @@ func (q Quality) String() string {
 
 // Evaluate computes precision P = |C∩G|/|C|, recall R = |C∩G|/|G| and
 // F = 2PR/(P+R) of candidates against truth. Empty candidate sets have
-// precision 0 by convention; empty truth has recall 0. Like DiffCount it
-// never holds two sets' locks at once.
+// precision 0 by convention; empty truth has recall 0. Each set is read
+// under its own lock, one after the other, so any two sets — the same one
+// included — can be compared while writers wait on either.
 func Evaluate(candidates, truth *Set) Quality {
 	c, g := candidates.Sorted(), truth.Sorted()
 	q := Quality{Candidates: len(c), Truth: len(g)}

@@ -59,17 +59,6 @@ func TestSetClone(t *testing.T) {
 	}
 }
 
-func TestSetDiffCount(t *testing.T) {
-	a := FromLinks([]Link{lk(1, 1), lk(2, 2), lk(3, 3)})
-	b := FromLinks([]Link{lk(2, 2), lk(3, 3), lk(4, 4), lk(5, 5)})
-	if got := a.DiffCount(b); got != 3 {
-		t.Errorf("DiffCount = %d, want 3", got)
-	}
-	if got := a.DiffCount(a.Clone()); got != 0 {
-		t.Errorf("self DiffCount = %d", got)
-	}
-}
-
 func TestEvaluate(t *testing.T) {
 	truth := FromLinks([]Link{lk(1, 1), lk(2, 2), lk(3, 3), lk(4, 4)})
 	cand := FromLinks([]Link{lk(1, 1), lk(2, 2), lk(9, 9)})

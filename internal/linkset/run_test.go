@@ -131,8 +131,7 @@ func TestReversedRunIsRightOrder(t *testing.T) {
 // TestSortedViewFollowsTheSet drives a Set and a plain map through the
 // same random mutations; at every step Sorted must equal the map's keys in
 // order, a run handed out earlier must still read as it did then, and
-// DiffCount / Evaluate against a second set must agree with counting by
-// hand.
+// Evaluate against a second set must agree with counting by hand.
 func TestSortedViewFollowsTheSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	other := randomLinks(rng, 30)
@@ -166,17 +165,11 @@ func TestSortedViewFollowsTheSet(t *testing.T) {
 		if got := s.Links(); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Links = %v, want %v", step, got, want)
 		}
-		diff, both := 0, 0
+		both := 0
 		for l := range m {
 			if otherMap[l] {
 				both++
-			} else {
-				diff++
 			}
-		}
-		diff += len(otherMap) - both
-		if got := s.DiffCount(otherSet); got != diff {
-			t.Fatalf("step %d: DiffCount = %d, want %d", step, got, diff)
 		}
 		if q := Evaluate(s, otherSet); q.Correct != both || q.Candidates != len(m) || q.Truth != len(otherMap) {
 			t.Fatalf("step %d: Evaluate = %+v, want %d correct of %d / %d", step, q, both, len(m), len(otherMap))
@@ -221,8 +214,8 @@ func TestFromSorted(t *testing.T) {
 	}
 }
 
-// TestCompareWhileWritersWait: DiffCount and Evaluate used to hold both
-// sets' read locks at once, so comparing a set with itself, or two sets in
+// TestCompareWhileWritersWait: Evaluate used to hold both sets' read
+// locks at once, so comparing a set with itself, or two sets in
 // opposite orders from two goroutines, deadlocked as soon as a writer
 // queued between the two acquisitions. Now each set is read under its own
 // lock in turn, and every comparison finishes under a hammering writer.
@@ -261,7 +254,6 @@ func TestCompareWhileWritersWait(t *testing.T) {
 			go func(x, y *Set) {
 				defer readers.Done()
 				for i := 0; i < 4000; i++ {
-					x.DiffCount(y)
 					Evaluate(x, y)
 				}
 			}(pair[0], pair[1])

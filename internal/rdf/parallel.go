@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"alex/internal/par"
 )
 
 // The N-Triples front end. With more than one worker the input is split on
@@ -85,23 +85,9 @@ func ParseNTriples(data []byte, workers int) ([]Triple, int, error) {
 	}
 	results := make([][]Triple, len(chunks))
 	errs := make([]error, len(chunks))
-	workers = max(1, min(workers, len(chunks)))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				results[i], errs[i] = parseChunk(chunks[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.Do(len(chunks), workers, func(_, i int) {
+		results[i], errs[i] = parseChunk(chunks[i])
+	})
 	for _, err := range errs { // chunk order = line order: earliest error wins
 		if err != nil {
 			return nil, len(chunks), fmt.Errorf("ntriples: %w", err)

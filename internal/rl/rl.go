@@ -14,7 +14,6 @@ package rl
 import (
 	"errors"
 	"math/rand"
-	"sort"
 )
 
 // ErrNoActions is returned by a policy's Action when called with an empty
@@ -290,16 +289,3 @@ func (t *FirstVisitTracker) Len() int { return len(t.visited) }
 // Visited returns the states visited this episode, in first-visit order.
 // The slice is the tracker's own and is valid until the next Reset.
 func (t *FirstVisitTracker) Visited() []uint32 { return t.visited }
-
-// SortedKeys is a test helper exposing deterministic iteration over a map
-// keyed by a sortable type.
-func SortedKeys[K interface {
-	~int | ~uint32 | ~uint64 | ~string
-}, V any](m map[K]V) []K {
-	out := make([]K, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -320,14 +320,6 @@ func TestPolicyIterationConvergesOnBandit(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != 1 || keys[2] != 3 {
-		t.Errorf("SortedKeys = %v", keys)
-	}
-}
-
 func TestQTableBestOptimistic(t *testing.T) {
 	var q QTable
 	if _, ok := q.BestOptimistic(nil, 0); ok {

@@ -107,25 +107,20 @@ func opFedAsk(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	return fmt.Sprintf("subj=%d pred=%d ans=%t%s", subj, pred, res.AskResult(), skippedSuffix(res)), nil
 }
 
-// opFeedback samples candidate links, judges them against the ground
-// truth (a pure judge: verdicts never depend on call order), and drives
-// one engine episode; the federation's link set is refreshed afterwards.
-func opFeedback(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", fmt.Errorf("feedback: %w", err)
-	}
+// judgeSample samples 8 to 31 candidate links (all of them when there are
+// fewer), judges each against the ground truth (a pure judge: verdicts
+// never depend on call order) and enters the verdicts in the invariant
+// ledger. It returns the judgements in candidate order, none when there
+// are no candidates, and how many of them approve.
+func (w *world) judgeSample(rng *rand.Rand) (items []core.Feedback, pos int) {
 	cands := w.engine.Candidates().Links()
 	if len(cands) == 0 {
-		return "items=0 noop", nil
+		return nil, 0
 	}
-	k := 8 + rng.Intn(24)
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k := min(8+rng.Intn(24), len(cands))
 	idx := rng.Perm(len(cands))[:k]
 	sort.Ints(idx)
-	items := make([]core.Feedback, 0, k)
-	pos := 0
+	items = make([]core.Feedback, 0, k)
 	for _, i := range idx {
 		l := cands[i]
 		approved := w.truth.Contains(l)
@@ -139,6 +134,21 @@ func opFeedback(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 		if pi, ok := w.engine.PartitionOf(l.Left); ok && !w.engine.PartitionConverged(pi) {
 			w.recordJudgement(l, approved)
 		}
+	}
+	return items, pos
+}
+
+// opFeedback judges a sample of candidate links (judgeSample) and drives
+// one engine episode with the verdicts; the federation's link set is
+// refreshed afterwards.
+func opFeedback(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", fmt.Errorf("feedback: %w", err)
+	}
+	items, pos := w.judgeSample(rng)
+	k := len(items)
+	if k == 0 {
+		return "items=0 noop", nil
 	}
 	st := w.engine.ApplyEpisode(items)
 	w.fedn.SetLinks(w.engine.Candidates())
@@ -334,44 +344,27 @@ func opLiveUpsert(ctx context.Context, w *world, rng *rand.Rand) (string, error)
 		id, part, st.NewSubjects, st.NewObjects, touched, pairs), nil
 }
 
-// opFeedbackHTTP judges sampled candidate links against the ground truth
-// and submits the verdicts over the wire: POST /feedback with flush, so
-// the whole streaming path — JSON, IRI resolution, stream batching,
-// episode apply, federation link refresh — runs before the response. The
-// judging and ledger rules mirror opFeedback exactly; only the transport
-// differs. A serial barrier, and the response fields it logs are pure
+// opFeedbackHTTP judges a sample of candidate links as opFeedback does
+// (judgeSample) and submits the verdicts over the wire: POST /feedback
+// with flush, so the whole streaming path — JSON, IRI resolution, stream
+// batching, episode apply, federation link refresh — runs before the
+// response. A serial barrier, and the response fields it logs are pure
 // functions of world state and seed.
 func opFeedbackHTTP(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", fmt.Errorf("feedback_http: %w", err)
 	}
-	cands := w.engine.Candidates().Links()
-	if len(cands) == 0 {
+	items, pos := w.judgeSample(rng)
+	k := len(items)
+	if k == 0 {
 		return "items=0 noop", nil
 	}
-	k := 8 + rng.Intn(24)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	idx := rng.Perm(len(cands))[:k]
-	sort.Ints(idx)
-	req := endpoint.FeedbackRequest{Flush: true}
-	pos := 0
-	for _, i := range idx {
-		l := cands[i]
-		approved := w.truth.Contains(l)
-		if approved {
-			pos++
-		}
-		req.Items = append(req.Items, endpoint.FeedbackItem{
-			Left:     w.dict.Term(l.Left).Value,
-			Right:    w.dict.Term(l.Right).Value,
-			Approved: approved,
-		})
-		// Same ledger rule as opFeedback: verdicts routed to converged
-		// (frozen) partitions never enter the invariant ledger.
-		if pi, ok := w.engine.PartitionOf(l.Left); ok && !w.engine.PartitionConverged(pi) {
-			w.recordJudgement(l, approved)
+	req := endpoint.FeedbackRequest{Flush: true, Items: make([]endpoint.FeedbackItem, k)}
+	for i, it := range items {
+		req.Items[i] = endpoint.FeedbackItem{
+			Left:     w.dict.Term(it.Link.Left).Value,
+			Right:    w.dict.Term(it.Link.Right).Value,
+			Approved: it.Approved,
 		}
 	}
 	body, err := json.Marshal(req)

@@ -29,12 +29,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"alex/internal/faultinject"
 	"alex/internal/fed"
 	"alex/internal/obs"
+	"alex/internal/par"
 	"alex/internal/store"
 )
 
@@ -474,18 +474,9 @@ func (h *harness) runRound(ctx context.Context, ops []schedOp) {
 // re-executions, so a correct implementation must reproduce each result.
 func (h *harness) runBatch(ctx context.Context, batch []schedOp) {
 	outs := make([]opOutcome, len(batch))
-	sem := make(chan struct{}, h.cfg.Workers)
-	var wg sync.WaitGroup
-	for i := range batch {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			outs[i] = h.execute(ctx, batch[i])
-		}(i)
-	}
-	wg.Wait()
+	par.Do(len(batch), h.cfg.Workers, func(_, i int) {
+		outs[i] = h.execute(ctx, batch[i])
+	})
 	for i := range batch {
 		h.flush(batch[i], outs[i])
 	}
