@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"unicode/utf8"
 )
 
 // ParseError describes a syntax error with its line number. The parsers
@@ -83,177 +82,63 @@ func (p *lineParser) skipWS() {
 	}
 }
 
+// term reads one IRI, blank node or literal. N-Triples' own rules are
+// kept here: IRIs are not empty and strings are short, in double quotes.
 func (p *lineParser) term() (Term, error) {
 	p.skipWS()
+	start := p.pos
 	switch p.peek() {
 	case '<':
-		return p.iri()
+		end, err := ScanIRI(p.in, start)
+		if err != nil {
+			return Term{}, err
+		}
+		p.pos = end
+		if end == start+2 {
+			return Term{}, fmt.Errorf("empty IRI")
+		}
+		return NewIRI(p.in[start+1 : end-1]), nil
 	case '_':
-		return p.blank()
+		end := ScanBlankLabel(p.in, start)
+		if end == start {
+			return Term{}, fmt.Errorf("malformed blank node label")
+		}
+		p.pos = end
+		return NewBlank(p.in[start+2 : end]), nil
 	case '"':
-		return p.literal()
+		if strings.HasPrefix(p.in[start:], `"""`) {
+			return Term{}, fmt.Errorf("long string literal")
+		}
+		lex, end, err := ScanString(p.in, start)
+		if err != nil {
+			return Term{}, err
+		}
+		p.pos = end
+		t := NewString(lex)
+		switch {
+		case p.peek() == '@':
+			end := ScanLangTag(p.in, p.pos)
+			if end == p.pos {
+				return Term{}, fmt.Errorf("malformed language tag")
+			}
+			t.Lang = p.in[p.pos+1 : end]
+			p.pos = end
+		case strings.HasPrefix(p.in[p.pos:], "^^"):
+			p.pos += 2
+			if p.peek() != '<' {
+				return Term{}, fmt.Errorf("expected datatype IRI after ^^")
+			}
+			dt, err := p.term()
+			if err != nil {
+				return Term{}, fmt.Errorf("datatype: %w", err)
+			}
+			t.Datatype = dt.Value
+		}
+		return t, nil
 	case 0:
 		return Term{}, fmt.Errorf("unexpected end of line")
 	default:
 		return Term{}, fmt.Errorf("unexpected character %q", p.in[p.pos])
-	}
-}
-
-func (p *lineParser) iri() (Term, error) {
-	p.pos++ // '<'
-	end := strings.IndexByte(p.in[p.pos:], '>')
-	if end < 0 {
-		return Term{}, fmt.Errorf("unterminated IRI")
-	}
-	iri := p.in[p.pos : p.pos+end]
-	p.pos += end + 1
-	if iri == "" {
-		return Term{}, fmt.Errorf("empty IRI")
-	}
-	if strings.ContainsAny(iri, " \t\"{}|^`\\") {
-		return Term{}, fmt.Errorf("invalid character in IRI %q", iri)
-	}
-	return NewIRI(iri), nil
-}
-
-func (p *lineParser) blank() (Term, error) {
-	if !strings.HasPrefix(p.in[p.pos:], "_:") {
-		return Term{}, fmt.Errorf("expected blank node label")
-	}
-	p.pos += 2
-	start := p.pos
-	for !p.eof() {
-		c := p.in[p.pos]
-		if c == ' ' || c == '\t' {
-			break
-		}
-		p.pos++
-	}
-	label := p.in[start:p.pos]
-	if label == "" {
-		return Term{}, fmt.Errorf("empty blank node label")
-	}
-	return NewBlank(label), nil
-}
-
-func (p *lineParser) literal() (Term, error) {
-	lex, err := p.quotedString()
-	if err != nil {
-		return Term{}, err
-	}
-	t := Term{Kind: KindLiteral, Value: lex}
-	switch {
-	case p.consume('@'):
-		start := p.pos
-		for !p.eof() {
-			c := p.in[p.pos]
-			if !isLangChar(c) {
-				break
-			}
-			p.pos++
-		}
-		t.Lang = p.in[start:p.pos]
-		if t.Lang == "" {
-			return Term{}, fmt.Errorf("empty language tag")
-		}
-	case strings.HasPrefix(p.in[p.pos:], "^^"):
-		p.pos += 2
-		if p.peek() != '<' {
-			return Term{}, fmt.Errorf("expected datatype IRI after ^^")
-		}
-		dt, err := p.iri()
-		if err != nil {
-			return Term{}, fmt.Errorf("datatype: %w", err)
-		}
-		t.Datatype = dt.Value
-	}
-	return t, nil
-}
-
-func isLangChar(c byte) bool {
-	return c == '-' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
-// quotedString parses a double-quoted string with N-Triples escapes.
-func (p *lineParser) quotedString() (string, error) {
-	if !p.consume('"') {
-		return "", fmt.Errorf("expected opening quote")
-	}
-	var b strings.Builder
-	for {
-		if p.eof() {
-			return "", fmt.Errorf("unterminated string literal")
-		}
-		c := p.in[p.pos]
-		switch c {
-		case '"':
-			p.pos++
-			return b.String(), nil
-		case '\\':
-			p.pos++
-			if p.eof() {
-				return "", fmt.Errorf("dangling escape")
-			}
-			e := p.in[p.pos]
-			p.pos++
-			switch e {
-			case 't':
-				b.WriteByte('\t')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case '"':
-				b.WriteByte('"')
-			case '\'':
-				b.WriteByte('\'')
-			case '\\':
-				b.WriteByte('\\')
-			case 'u', 'U':
-				n := 4
-				if e == 'U' {
-					n = 8
-				}
-				if p.pos+n > len(p.in) {
-					return "", fmt.Errorf("truncated \\%c escape", e)
-				}
-				var r rune
-				for i := 0; i < n; i++ {
-					d := hexVal(p.in[p.pos+i])
-					if d < 0 {
-						return "", fmt.Errorf("invalid hex digit in \\%c escape", e)
-					}
-					r = r<<4 | rune(d)
-				}
-				p.pos += n
-				if !utf8.ValidRune(r) {
-					return "", fmt.Errorf("invalid code point in \\%c escape", e)
-				}
-				b.WriteRune(r)
-			default:
-				return "", fmt.Errorf("unknown escape \\%c", e)
-			}
-		default:
-			b.WriteByte(c)
-			p.pos++
-		}
-	}
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	default:
-		return -1
 	}
 }
 

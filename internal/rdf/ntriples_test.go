@@ -159,3 +159,24 @@ func TestWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestNTriplesTermGrammar: a blank-node label does not end with '.', so
+// the statement's '.' may follow it directly, and a language tag's
+// subtags are not empty.
+func TestNTriplesTermGrammar(t *testing.T) {
+	ts := parseAll(t, "<http://x/s> <http://x/p> _:o.\n_:a.b <http://x/p> \"x\"@en-US .\n")
+	if ts[0].O != NewBlank("o") || ts[1].S != NewBlank("a.b") || ts[1].O.Lang != "en-US" {
+		t.Errorf("got %v", ts)
+	}
+	for _, in := range []string{
+		`<http://x/s> <http://x/p> "a"@en-- .`,
+		`<http://x/s> <http://x/p> "a"@en- .`,
+		"<http://x/s> <http://x/p> \"a\rb\" .",
+		`<http://x/s> <http://x/p> """a""" .`,
+		"<http://x/a\x01b> <http://x/p> \"x\" .",
+	} {
+		if _, _, err := ParseNTriples([]byte(in), 1); err == nil {
+			t.Errorf("no error for %q", in)
+		}
+	}
+}

@@ -152,46 +152,22 @@ func (t Term) String() string {
 	case KindBlank:
 		return "_:" + t.Value
 	case KindLiteral:
-		s := quoteLiteral(t.Value)
+		var b strings.Builder
+		b.Grow(len(t.Value) + len(t.Lang) + len(t.Datatype) + 6)
+		WriteQuoted(&b, t.Value)
 		switch {
 		case t.Lang != "":
-			return s + "@" + t.Lang
+			b.WriteByte('@')
+			b.WriteString(t.Lang)
 		case t.Datatype != "" && t.Datatype != XSDString:
-			return s + "^^<" + t.Datatype + ">"
-		default:
-			return s
+			b.WriteString("^^<")
+			b.WriteString(t.Datatype)
+			b.WriteByte('>')
 		}
+		return b.String()
 	default:
 		return "<invalid>"
 	}
-}
-
-// quoteLiteral renders a lexical value as an N-Triples quoted string,
-// escaping only the characters the N-Triples grammar requires. Unlike
-// strconv.Quote it passes all other bytes through verbatim, so values
-// that are not valid UTF-8 still round-trip through serialization.
-func quoteLiteral(v string) string {
-	var b strings.Builder
-	b.Grow(len(v) + 2)
-	b.WriteByte('"')
-	for i := 0; i < len(v); i++ {
-		switch c := v[i]; c {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }
 
 // key returns an injective map key for interning: exactly the binary term

@@ -318,3 +318,27 @@ func TestTurtleWriterGeneratedDatasetRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %d triples, want %d", len(parsed), len(ts))
 	}
 }
+
+// TestTurtleTermGrammar: Turtle reads terms by the grammar N-Triples and
+// SPARQL share.
+func TestTurtleTermGrammar(t *testing.T) {
+	ts := parseTurtle(t, `@prefix : <http://x/> .
+:s :p "a\bb\fc" .
+_:b1.x :p :o.
+`)
+	if ts[0].O != NewString("a\bb\fc") {
+		t.Errorf("escapes = %v", ts[0].O)
+	}
+	if ts[1].S != NewBlank("b1.x") || ts[1].O != NewIRI("http://x/o") {
+		t.Errorf("inner and final dots: %v", ts[1])
+	}
+	for _, in := range []string{
+		`<http://x/{s}> <http://x/p> "x" .`,
+		`<http://x/s> <http://x/p> "a"@en-- .`,
+		`<http://x/s> <http://x/p> "a"@en_US .`,
+	} {
+		if _, err := ParseTurtle(strings.NewReader(in)); err == nil {
+			t.Errorf("no error for %q", in)
+		}
+	}
+}

@@ -121,20 +121,20 @@ func (tw *TurtleWriter) renderPredicate(t Term) string {
 	return tw.renderTerm(t)
 }
 
+// renderTerm writes an IRI under a declared namespace as a prefixed name
+// when the reader's ScanPrefixedName reads that name back whole, integers
+// and booleans in their shorthand, and every other term as Term.String.
 func (tw *TurtleWriter) renderTerm(t Term) string {
 	switch t.Kind {
 	case KindIRI:
 		for _, d := range tw.prefixes {
 			if strings.HasPrefix(t.Value, d.base) {
-				local := t.Value[len(d.base):]
-				if isTurtleLocalName(local) {
-					return d.name + ":" + local
+				name := d.name + ":" + t.Value[len(d.base):]
+				if colon, end := ScanPrefixedName(name, 0); colon == len(d.name) && end == len(name) {
+					return name
 				}
 			}
 		}
-		return "<" + t.Value + ">"
-	case KindBlank:
-		return "_:" + t.Value
 	case KindLiteral:
 		switch t.Datatype {
 		case XSDInteger:
@@ -146,33 +146,6 @@ func (tw *TurtleWriter) renderTerm(t Term) string {
 				return t.Value
 			}
 		}
-		s := quoteLiteral(t.Value)
-		switch {
-		case t.Lang != "":
-			return s + "@" + t.Lang
-		case t.Datatype != "" && t.Datatype != XSDString:
-			return s + "^^<" + t.Datatype + ">"
-		default:
-			return s
-		}
-	default:
-		return "<invalid>"
 	}
-}
-
-// isTurtleLocalName reports whether local is safe to emit as the local part
-// of a prefixed name under this package's (conservative) Turtle subset.
-func isTurtleLocalName(local string) bool {
-	if local == "" || strings.HasSuffix(local, ".") {
-		return false
-	}
-	for _, r := range local {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '-', r == '.':
-		default:
-			return false
-		}
-	}
-	return true
+	return t.String()
 }

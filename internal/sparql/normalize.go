@@ -1,6 +1,10 @@
 package sparql
 
-import "strings"
+import (
+	"strings"
+
+	"alex/internal/rdf"
+)
 
 // NormalizeQuery renders a query's token stream into a canonical string,
 // the cache key of the endpoint's prepared-query cache: two queries that
@@ -37,8 +41,8 @@ func NormalizeQuery(query string) (string, error) {
 // writeNormalToken renders one token in its canonical spelling. Idents are
 // uppercased — the grammar treats every bare identifier (keywords, builtin
 // functions, aggregate names) case-insensitively — and strings are
-// re-escaped from their decoded value, collapsing alternative escape
-// spellings of the same literal.
+// re-quoted from their decoded value by rdf.WriteQuoted, collapsing
+// alternative quote and escape spellings of the same literal.
 func writeNormalToken(b *strings.Builder, tok token) {
 	switch tok.kind {
 	case tokIdent:
@@ -51,7 +55,7 @@ func writeNormalToken(b *strings.Builder, tok token) {
 		b.WriteString(tok.text)
 		b.WriteByte('>')
 	case tokString:
-		writeEscapedString(b, tok.text)
+		rdf.WriteQuoted(b, tok.text)
 	case tokLangTag:
 		b.WriteByte('@')
 		b.WriteString(tok.text)
@@ -74,27 +78,4 @@ func writeASCIIUpper(b *strings.Builder, s string) {
 		}
 		b.WriteByte(c)
 	}
-}
-
-// writeEscapedString quotes s using the lexer's escape set, so the output
-// re-lexes to exactly s.
-func writeEscapedString(b *strings.Builder, s string) {
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
 }

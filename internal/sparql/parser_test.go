@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -285,5 +286,66 @@ func TestTriplePatternHelpers(t *testing.T) {
 	}
 	if VarNode("x").String() != "?x" {
 		t.Error("VarNode String")
+	}
+}
+
+// TestPrefixedNameBeforeDot: a statement's '.' right after a prefixed name
+// ends the triple pattern; it is not part of the local name.
+func TestPrefixedNameBeforeDot(t *testing.T) {
+	st := peopleStore(t)
+	for _, q := range []string{
+		`PREFIX ex: <http://x/> SELECT ?s WHERE { ?s ex:knows ex:bob. }`,
+		`PREFIX ex: <http://x/> SELECT ?s WHERE { ?s ex:knows ex:bob . }`,
+	} {
+		res, err := evalStore(context.Background(), st, mustParse(t, q), EvalOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 1 {
+			t.Errorf("%s: %d rows, want 1", q, len(res.Rows))
+		}
+	}
+}
+
+// TestStringSpellings: SPARQL reads every string form and escape of the
+// shared term grammar, and rejects a raw line break in a short string.
+func TestStringSpellings(t *testing.T) {
+	for in, want := range map[string]string{
+		`"O\'Brien"`:         "O'Brien",
+		`"a\bb"`:             "a\bb",
+		`"a\ff"`:             "a\ff",
+		`"\u00e9\U0001F600"`: "é\U0001F600",
+		`'single'`:           "single",
+		`'it\'s "q"'`:        `it's "q"`,
+		`"""say "hi"."""`:    `say "hi".`,
+		"'''two\nlines'''":   "two\nlines",
+	} {
+		q, err := Parse(`SELECT ?v WHERE { VALUES ?v { ` + in + ` } }`)
+		if err != nil {
+			t.Errorf("%s: %v", in, err)
+			continue
+		}
+		if got := q.Patterns[0].(Values).Rows[0][0]; got != rdf.NewString(want) {
+			t.Errorf("%s = %v, want %q", in, got, want)
+		}
+	}
+	for _, in := range []string{"\"a\nb\"", "'a\rb'"} {
+		if _, err := Parse(`SELECT ?v WHERE { VALUES ?v { ` + in + ` } }`); err == nil {
+			t.Errorf("%q accepted, want a raw line break rejected", in)
+		}
+	}
+}
+
+// TestLangTagSpelling: a language tag is letters, then '-'-joined letter
+// and digit subtags.
+func TestLangTagSpelling(t *testing.T) {
+	for _, in := range []string{`"a"@en--`, `"a"@en_US`, `"a"@en-`, `"a"@1en`} {
+		if _, err := Parse(`SELECT ?v WHERE { VALUES ?v { ` + in + ` } }`); err == nil {
+			t.Errorf("%s accepted", in)
+		}
+	}
+	q := mustParse(t, `SELECT ?v WHERE { VALUES ?v { "a"@en-US-x1 } }`)
+	if got := q.Patterns[0].(Values).Rows[0][0]; got != rdf.NewLangString("a", "en-US-x1") {
+		t.Errorf("got %v", got)
 	}
 }

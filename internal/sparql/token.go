@@ -12,8 +12,9 @@ package sparql
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
+
+	"alex/internal/rdf"
 )
 
 type tokenKind uint8
@@ -72,30 +73,13 @@ func (l *lexer) errf(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.in) {
-		c := l.in[l.pos]
-		if c == '#' {
-			for l.pos < len(l.in) && l.in[l.pos] != '\n' {
-				l.pos++
-			}
-			continue
-		}
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
-			continue
-		}
-		break
-	}
-}
-
 func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
 func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
 }
 
 func (l *lexer) next() (token, error) {
-	l.skipSpace()
+	l.pos = rdf.SkipSpace(l.in, l.pos)
 	start := l.pos
 	if l.pos >= len(l.in) {
 		return token{kind: tokEOF, pos: start}, nil
@@ -148,12 +132,10 @@ func (l *lexer) next() (token, error) {
 			l.pos += 2
 			return token{tokOp, "<=", start}, nil
 		}
-		end := strings.IndexByte(l.in[l.pos:], '>')
-		// Disambiguate IRI from '<' operator: an IRI cannot contain spaces.
-		if end > 0 && !strings.ContainsAny(l.in[l.pos:l.pos+end], " \t\n") {
-			iri := l.in[l.pos+1 : l.pos+end]
-			l.pos += end + 1
-			return token{tokIRI, iri, start}, nil
+		// A '<' that does not start an IRI is the operator.
+		if end, err := rdf.ScanIRI(l.in, start); err == nil {
+			l.pos = end
+			return token{tokIRI, l.in[start+1 : end-1], start}, nil
 		}
 		l.pos++
 		return token{tokOp, "<", start}, nil
@@ -189,15 +171,11 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		return token{tokOp, "|", start}, nil
 	case '@':
-		l.pos++
-		s := l.pos
-		for l.pos < len(l.in) && (isIdentRune(rune(l.in[l.pos]))) {
-			l.pos++
+		l.pos = rdf.ScanLangTag(l.in, start)
+		if l.pos == start {
+			return token{}, l.errf(start, "malformed language tag")
 		}
-		if l.pos == s {
-			return token{}, l.errf(start, "empty language tag")
-		}
-		return token{tokLangTag, l.in[s:l.pos], start}, nil
+		return token{tokLangTag, l.in[start+1 : l.pos], start}, nil
 	case '^':
 		if l.pos+1 < len(l.in) && l.in[l.pos+1] == '^' {
 			l.pos += 2
@@ -206,121 +184,37 @@ func (l *lexer) next() (token, error) {
 		// Single '^' is the inverse-path operator.
 		l.pos++
 		return token{tokOp, "^", start}, nil
-	case '"':
-		return l.stringLit()
-	}
-	if c >= '0' && c <= '9' {
-		return l.number()
-	}
-	if c == '-' {
-		if l.pos+1 < len(l.in) && l.in[l.pos+1] >= '0' && l.in[l.pos+1] <= '9' {
-			return l.number()
+	case '"', '\'':
+		v, end, err := rdf.ScanString(l.in, start)
+		if err != nil {
+			return token{}, l.errf(start, "%v", err)
 		}
-		// Bare '-' is the arithmetic subtraction operator.
-		l.pos++
-		return token{tokOp, "-", start}, nil
+		l.pos = end
+		return token{tokString, v, start}, nil
 	}
-	if c == '+' {
-		if l.pos+1 < len(l.in) && l.in[l.pos+1] >= '0' && l.in[l.pos+1] <= '9' {
-			return l.number()
-		}
-		// Bare '+' is the one-or-more path modifier.
-		l.pos++
-		return token{tokOp, "+", start}, nil
+	// A number, a prefixed name, or else a bare '-' (subtraction) or '+'
+	// (the one-or-more path modifier).
+	if end := rdf.ScanNumber(l.in, start); end > start {
+		l.pos = end
+		return token{tokNumber, l.in[start:end], start}, nil
 	}
-	r := rune(c)
-	if isIdentStart(r) {
-		s := l.pos
+	if _, end := rdf.ScanPrefixedName(l.in, start); end > start {
+		l.pos = end
+		return token{tokPName, l.in[start:end], start}, nil
+	}
+	if c == '-' || c == '+' {
+		l.pos++
+		return token{tokOp, l.in[start:l.pos], start}, nil
+	}
+	if isIdentStart(rune(c)) {
 		for l.pos < len(l.in) && isIdentRune(rune(l.in[l.pos])) {
 			l.pos++
 		}
-		word := l.in[s:l.pos]
-		// prefixed name?
-		if l.pos < len(l.in) && l.in[l.pos] == ':' {
-			l.pos++
-			ls := l.pos
-			for l.pos < len(l.in) && (isIdentRune(rune(l.in[l.pos])) || l.in[l.pos] == '.') {
-				l.pos++
-			}
-			return token{tokPName, word + ":" + l.in[ls:l.pos], start}, nil
-		}
+		word := l.in[start:l.pos]
 		if word == "a" {
 			return token{tokA, "a", start}, nil
 		}
 		return token{tokIdent, word, start}, nil
 	}
-	if c == ':' { // default-prefix name
-		l.pos++
-		ls := l.pos
-		for l.pos < len(l.in) && (isIdentRune(rune(l.in[l.pos])) || l.in[l.pos] == '.') {
-			l.pos++
-		}
-		return token{tokPName, ":" + l.in[ls:l.pos], start}, nil
-	}
 	return token{}, l.errf(start, "unexpected character %q", c)
-}
-
-func (l *lexer) stringLit() (token, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for {
-		if l.pos >= len(l.in) {
-			return token{}, l.errf(start, "unterminated string")
-		}
-		c := l.in[l.pos]
-		switch c {
-		case '"':
-			l.pos++
-			return token{tokString, b.String(), start}, nil
-		case '\\':
-			l.pos++
-			if l.pos >= len(l.in) {
-				return token{}, l.errf(start, "dangling escape")
-			}
-			switch l.in[l.pos] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return token{}, l.errf(l.pos, "unknown escape \\%c", l.in[l.pos])
-			}
-			l.pos++
-		default:
-			b.WriteByte(c)
-			l.pos++
-		}
-	}
-}
-
-func (l *lexer) number() (token, error) {
-	start := l.pos
-	if l.in[l.pos] == '-' || l.in[l.pos] == '+' {
-		l.pos++
-	}
-	digits := 0
-	for l.pos < len(l.in) && l.in[l.pos] >= '0' && l.in[l.pos] <= '9' {
-		l.pos++
-		digits++
-	}
-	if l.pos < len(l.in) && l.in[l.pos] == '.' {
-		// Lookahead: "1." followed by non-digit is number then dot token.
-		if l.pos+1 < len(l.in) && l.in[l.pos+1] >= '0' && l.in[l.pos+1] <= '9' {
-			l.pos++
-			for l.pos < len(l.in) && l.in[l.pos] >= '0' && l.in[l.pos] <= '9' {
-				l.pos++
-			}
-		}
-	}
-	if digits == 0 {
-		return token{}, l.errf(start, "malformed number")
-	}
-	return token{tokNumber, l.in[start:l.pos], start}, nil
 }
