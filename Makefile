@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTokenize$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzNormalizeQuery$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzEvalEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTermSpelling$$' -fuzztime 10s
 	$(GO) test ./internal/fed/    -run '^$$' -fuzz '^FuzzFederationMatchesStore$$' -fuzztime 10s
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s

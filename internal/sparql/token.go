@@ -128,14 +128,14 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{tokVar, l.in[s:l.pos], start}, nil
 	case '<':
-		if l.pos+1 < len(l.in) && l.in[l.pos+1] == '=' {
-			l.pos += 2
-			return token{tokOp, "<=", start}, nil
-		}
-		// A '<' that does not start an IRI is the operator.
+		// A '<' that does not start an IRI is an operator.
 		if end, err := rdf.ScanIRI(l.in, start); err == nil {
 			l.pos = end
 			return token{tokIRI, l.in[start+1 : end-1], start}, nil
+		}
+		if l.pos+1 < len(l.in) && l.in[l.pos+1] == '=' {
+			l.pos += 2
+			return token{tokOp, "<=", start}, nil
 		}
 		l.pos++
 		return token{tokOp, "<", start}, nil
