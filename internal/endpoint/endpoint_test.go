@@ -317,3 +317,18 @@ func TestServerConstruct(t *testing.T) {
 		t.Errorf("triples = %v", triples)
 	}
 }
+
+// TestServerQueryBodyTooLarge: a query body over 1 MiB is answered 413,
+// not run cut short — here the cut would drop the query's LIMIT 0.
+func TestServerQueryBodyTooLarge(t *testing.T) {
+	srv, _ := newTestServer(t)
+	query := `SELECT ?n WHERE { ?s <http://x/name> ?n }` + strings.Repeat(" ", 1<<20) + `LIMIT 0`
+	resp, err := http.Post(srv.URL+"/sparql", "application/sparql-query", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status = %d, want 413", resp.StatusCode)
+	}
+}

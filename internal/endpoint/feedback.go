@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"alex/internal/core"
@@ -72,9 +71,9 @@ func (h *Handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.cFeedback.Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := readBody(r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("reading feedback body: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("reading feedback body: %v", err), requestStatus(err))
 		return
 	}
 	var req FeedbackRequest

@@ -239,3 +239,13 @@ func TestFeedbackShedReported(t *testing.T) {
 		t.Fatalf("overflow submit = %+v, want 2 accepted, 3 shed", resp)
 	}
 }
+
+// TestFeedbackBodyTooLarge: a /feedback body over 1 MiB is answered 413,
+// not decoded cut short.
+func TestFeedbackBodyTooLarge(t *testing.T) {
+	w := newFeedbackWorld(t, 4)
+	rec, _ := w.post(t, append([]byte(`{"items": []}`), bytes.Repeat([]byte(" "), 1<<20)...))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status = %d, want 413", rec.Code)
+	}
+}

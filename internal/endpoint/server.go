@@ -202,7 +202,7 @@ func (w *statusWriter) WriteHeader(code int) {
 func (h *Handler) serveQuery(w http.ResponseWriter, r *http.Request) {
 	query, err := extractQuery(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), requestStatus(err))
 		return
 	}
 	res, err := h.query(r.Context(), query)
@@ -237,7 +237,7 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	query, err := extractQuery(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), requestStatus(err))
 		return
 	}
 	res, tr, err := h.trace(r.Context(), query)
@@ -263,12 +263,38 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.stats())
 }
 
+// maxBody is the longest request body the endpoint reads; a longer one
+// is answered 413.
+const maxBody = 1 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body longer than %d bytes", maxBody)
+
+// readBody reads r's body whole. It reads one byte past maxBody to tell a
+// body of exactly maxBody bytes from a longer one, which is
+// errBodyTooLarge.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	if err == nil && len(body) > maxBody {
+		return nil, errBodyTooLarge
+	}
+	return body, err
+}
+
+// requestStatus is the status for a request that could not be read: 413
+// for a body over maxBody, else 400.
+func requestStatus(err error) int {
+	if errors.Is(err, errBodyTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // extractQuery pulls the query string per the SPARQL protocol: the query
 // URL parameter (GET or POST form), or the raw body for the
 // application/sparql-query content type.
 func extractQuery(r *http.Request) (string, error) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/sparql-query") {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := readBody(r)
 		if err != nil {
 			return "", fmt.Errorf("reading query body: %w", err)
 		}
