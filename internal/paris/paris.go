@@ -4,20 +4,21 @@
 // initial candidate links ALEX starts from are PARIS links with score
 // greater than 0.95.
 //
-// Like the original, this implementation is fully automatic, takes no
-// training data, and combines three signals:
+// Like the original, this implementation is fully automatic and takes no
+// training data. It combines three signals:
 //
 //   - value equality: two entities sharing a literal value is evidence they
 //     are the same individual;
 //   - functionality: evidence through a predicate that has one value per
 //     subject (birthDate) is stronger than through a multi-valued one
 //     (rdf:type);
-//   - relation alignment, learned iteratively: evidence through a pair of
-//     predicates that frequently agrees on already-matched entities is
-//     stronger than through an incidental value collision.
+//   - rarity: a value that more than maxEvidenceFreq entities carry on
+//     either side (a type IRI, a playing position) is no evidence.
 //
+// The original's relation alignment, learned over further passes, is left
+// out: on data sets of this size its estimates can only lower scores.
 // Signals are combined probabilistically: score = 1 − Π(1 − wᵢ), capped so
-// that a single piece of evidence never exceeds EvidenceCap. With the
+// that a single piece of evidence never exceeds evidenceCap. With the
 // paper's 0.95 threshold this means at least two independent pieces of
 // evidence are required — which is exactly what makes PARIS precise but
 // blind to surface-form variation (inverted names, reformatted dates), the
@@ -38,40 +39,24 @@ type Config struct {
 	// Threshold is the minimum score for a link to be emitted. The paper
 	// uses 0.95.
 	Threshold float64
-	// MaxEvidenceFreq drops a shared value as evidence when more than this
-	// many entities on either side carry it (generic values like a type
-	// IRI or a playing position carry no identity signal).
-	MaxEvidenceFreq int
-	// EvidenceCap bounds the weight of a single piece of evidence.
-	EvidenceCap float64
-	// Iterations is the number of scoring passes. Each pass after the
-	// first re-weights evidence by the learned relation alignment (see
-	// estimateAlignment). The default is 1: on small data sets the
-	// alignment estimates are too coarse and can only lower scores, which
-	// starves the candidate set; enable 2+ passes for larger inputs where
-	// the per-predicate-pair statistics are dense enough to be meaningful.
-	Iterations int
 }
 
 // DefaultConfig mirrors the paper's setup.
-func DefaultConfig() Config {
-	return Config{
-		Threshold:       0.95,
-		MaxEvidenceFreq: 5,
-		EvidenceCap:     0.90,
-		Iterations:      1,
-	}
-}
+func DefaultConfig() Config { return Config{Threshold: 0.95} }
 
-// predPair is an aligned predicate pair (p1 from ds1, p2 from ds2).
+const (
+	// maxEvidenceFreq drops a shared value as evidence when more than this
+	// many entities on either side carry it (generic values like a type
+	// IRI or a playing position carry no identity signal).
+	maxEvidenceFreq = 5
+	// evidenceCap bounds the weight of a single piece of evidence.
+	evidenceCap = 0.90
+)
+
+// predPair is a predicate pair (p1 from ds1, p2 from ds2) through which a
+// candidate pair shares a value.
 type predPair struct {
 	p1, p2 rdf.TermID
-}
-
-// evidence is one shared value between a candidate entity pair.
-type evidence struct {
-	pair predPair
-	base float64 // functionality-weighted base strength
 }
 
 // Link aligns ds1 against ds2 and returns every entity pair whose combined
@@ -80,12 +65,13 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 	if cfg.Threshold == 0 {
 		cfg = DefaultConfig()
 	}
-	idx := buildIndex(ds2, cfg.MaxEvidenceFreq)
+	idx := buildIndex(ds2, maxEvidenceFreq)
 	fun1 := funcCache{st: ds1, m: map[rdf.TermID]float64{}}
 	fun2 := funcCache{st: ds2, m: map[rdf.TermID]float64{}}
 
-	// Collect per-pair evidence once; iterations only re-weight it.
-	pairEvidence := map[linkset.Link][]evidence{}
+	// Each pair's evidence: one functionality-weighted strength per
+	// predicate pair through which it shares a value.
+	pairEvidence := map[linkset.Link][]float64{}
 	for _, subj := range ds1.Subjects() {
 		ent, ok := ds1.Entity(subj)
 		if !ok {
@@ -98,11 +84,11 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 				continue
 			}
 			postings := idx.byValue[key]
-			if len(postings) == 0 || len(postings) > cfg.MaxEvidenceFreq {
+			if len(postings) == 0 || len(postings) > maxEvidenceFreq {
 				continue
 			}
 			// Frequency of the value on the ds1 side, for symmetry.
-			if ds1.Count(rdf.NoTerm, rdf.NoTerm, ent.Objs[i]) > cfg.MaxEvidenceFreq {
+			if ds1.Count(rdf.NoTerm, rdf.NoTerm, ent.Objs[i]) > maxEvidenceFreq {
 				continue
 			}
 			for _, post := range postings {
@@ -115,21 +101,12 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 					continue
 				}
 				seen[l][pp] = true
-				base := cfg.EvidenceCap * fun1.get(ent.Preds[i]) * fun2.get(post.pred)
-				pairEvidence[l] = append(pairEvidence[l], evidence{pair: pp, base: base})
+				pairEvidence[l] = append(pairEvidence[l], evidenceCap*fun1.get(ent.Preds[i])*fun2.get(post.pred))
 			}
 		}
 	}
 
-	align := map[predPair]float64{} // empty: alignment factor defaults to 1
-	var scored []linkset.Scored
-	for iter := 0; iter < maxInt(1, cfg.Iterations); iter++ {
-		scored = scorePairs(pairEvidence, align, cfg.Threshold)
-		if iter == cfg.Iterations-1 {
-			break
-		}
-		align = estimateAlignment(pairEvidence, scored)
-	}
+	scored := scorePairs(pairEvidence, cfg.Threshold)
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Score != scored[j].Score {
 			return scored[i].Score > scored[j].Score
@@ -143,17 +120,12 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 }
 
 // scorePairs combines each pair's evidence probabilistically:
-// score = 1 − Π(1 − wᵢ), wᵢ = baseᵢ · (0.5 + 0.5·alignᵢ).
-func scorePairs(pairEvidence map[linkset.Link][]evidence, align map[predPair]float64, threshold float64) []linkset.Scored {
+// score = 1 − Π(1 − wᵢ).
+func scorePairs(pairEvidence map[linkset.Link][]float64, threshold float64) []linkset.Scored {
 	var out []linkset.Scored
-	for l, evs := range pairEvidence {
+	for l, ws := range pairEvidence {
 		miss := 1.0
-		for _, ev := range evs {
-			a, ok := align[ev.pair]
-			if !ok {
-				a = 1
-			}
-			w := ev.base * (0.5 + 0.5*a)
+		for _, w := range ws {
 			miss *= 1 - w
 		}
 		score := 1 - miss
@@ -162,33 +134,6 @@ func scorePairs(pairEvidence map[linkset.Link][]evidence, align map[predPair]flo
 		}
 	}
 	return out
-}
-
-// estimateAlignment computes, for every predicate pair, the fraction of
-// currently-accepted links whose evidence includes that pair, normalized by
-// the pair's total occurrence among candidates. Pairs that only ever
-// co-occur on rejected candidates are down-weighted in the next pass.
-func estimateAlignment(pairEvidence map[linkset.Link][]evidence, accepted []linkset.Scored) map[predPair]float64 {
-	acceptedSet := make(map[linkset.Link]struct{}, len(accepted))
-	for _, s := range accepted {
-		acceptedSet[s.Link] = struct{}{}
-	}
-	hits := map[predPair]float64{}
-	total := map[predPair]float64{}
-	for l, evs := range pairEvidence {
-		_, ok := acceptedSet[l]
-		for _, ev := range evs {
-			total[ev.pair]++
-			if ok {
-				hits[ev.pair]++
-			}
-		}
-	}
-	align := make(map[predPair]float64, len(total))
-	for pp, n := range total {
-		align[pp] = hits[pp] / n
-	}
-	return align
 }
 
 // funcCache memoizes predicate functionality per store.
@@ -257,11 +202,4 @@ func normalizeValue(t rdf.Term) string {
 	default:
 		return ""
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
