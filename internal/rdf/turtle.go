@@ -71,8 +71,6 @@ func (r *turtleParser) peek() byte {
 	return r.in[r.pos]
 }
 
-func (r *turtleParser) skipWS() { r.pos = SkipSpace(r.in, r.pos) }
-
 // hasKeyword reports whether the ASCII keyword kw, in any case, is at the
 // cursor and not followed by a letter or digit.
 func (r *turtleParser) hasKeyword(kw string) bool {
@@ -121,7 +119,7 @@ func (r *turtleParser) directive() bool {
 		r.pos = start
 		return false
 	}
-	r.skipWS()
+	r.pos = SkipSpace(r.in, r.pos)
 	if atForm && r.peek() == '.' {
 		r.pos++
 	}
@@ -140,7 +138,7 @@ func (r *turtleParser) statement() error {
 		return r.errf("subject must not be a literal")
 	}
 	for {
-		r.skipWS()
+		r.pos = SkipSpace(r.in, r.pos)
 		pred := NewIRI(RDFType)
 		if r.hasKeyword("a") {
 			r.pos++
@@ -148,13 +146,13 @@ func (r *turtleParser) statement() error {
 			return err
 		}
 		for {
-			r.skipWS()
+			r.pos = SkipSpace(r.in, r.pos)
 			obj, err := r.term()
 			if err != nil {
 				return err
 			}
 			r.out = append(r.out, Triple{S: subj, P: pred, O: obj})
-			r.skipWS()
+			r.pos = SkipSpace(r.in, r.pos)
 			if r.peek() == ',' {
 				r.pos++
 				continue
@@ -164,7 +162,7 @@ func (r *turtleParser) statement() error {
 		switch r.peek() {
 		case ';':
 			r.pos++
-			r.skipWS()
+			r.pos = SkipSpace(r.in, r.pos)
 			// Tolerate trailing ';' before '.'.
 			if r.peek() == '.' {
 				r.pos++
