@@ -95,7 +95,9 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 // then a generation-checked result lookup, then eval on miss. The
 // generation is snapshotted before eval, so a mutation racing the
 // evaluation leaves the stored entry permanently stale — it can never be
-// served — rather than ever serving a pre-mutation answer as current.
+// served — rather than ever serving a pre-mutation answer as current. A
+// Partial result is served and not stored: a skipped member coming back
+// moves no generation.
 func (c *QueryCache) Do(query string, eval func(*sparql.Prepared) (*Result, error)) (*Result, error) {
 	prep, err := c.Prepare(query)
 	if err != nil {
@@ -112,7 +114,9 @@ func (c *QueryCache) Do(query string, eval func(*sparql.Prepared) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	c.storeResult(prep.Key, gen, res)
+	if !res.Partial {
+		c.storeResult(prep.Key, gen, res)
+	}
 	return res, nil
 }
 

@@ -66,6 +66,9 @@ type Result struct {
 	IsAsk   bool
 	Boolean bool
 	Triples []rdf.Triple
+	// Partial marks an answer computed while a federation member was
+	// skipped; the result cache serves it but never stores it.
+	Partial bool
 
 	slots *sparql.SlotResult
 }

@@ -3,9 +3,13 @@ package fed
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
+	"alex/internal/endpoint"
 	"alex/internal/faultinject"
 	"alex/internal/linkset"
 	"alex/internal/obs"
@@ -459,5 +463,35 @@ func TestSoakMixedFaults(t *testing.T) {
 	}
 	if st := f.BreakerState("dbpedia"); st != BreakerClosed {
 		t.Errorf("final breaker state = %d, want closed", st)
+	}
+}
+
+// TestCachedPartialAnswerNotStored: an answer computed while a member was
+// skipped is served but never stored in the result cache, so the first
+// query after the member comes back reads every member again instead of
+// replaying the partial answer until the data generation moves.
+func TestCachedPartialAnswerNotStored(t *testing.T) {
+	f, fiDBP, _ := faultyFederation(t, faultinject.Config{}, faultinject.Config{})
+	r := fastRetries()
+	r.MaxRetries = 0
+	r.PartialResults = true
+	f.SetResilience(r)
+	cache := endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), f.DataGeneration)
+	h := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, cache), nil)
+	reply := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(motivatingQuery), nil))
+		if rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	fiDBP.SetDown(true)
+	if got := reply(); !strings.Contains(got, `"bindings":[]`) {
+		t.Fatalf("reply with dbpedia down = %s, want no rows", got)
+	}
+	fiDBP.SetDown(false)
+	if got := reply(); strings.Count(got, `"article":{`) != 2 {
+		t.Fatalf("reply after dbpedia is back = %s, want 2 rows", got)
 	}
 }

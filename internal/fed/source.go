@@ -101,11 +101,13 @@ func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 // the links each row used stay in its provenance column, which the results
 // format has no place for.
 func (f *Federation) serve(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*endpoint.Result, error) {
-	rows, _, _, err := f.eval(ctx, prep, sparql.EvalOptions{Trace: tr})
+	rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{Trace: tr})
 	if err != nil {
 		return nil, err
 	}
-	return endpoint.FromSlots(prep, rows), nil
+	res := endpoint.FromSlots(prep, rows)
+	res.Partial = len(skips) > 0
+	return res, nil
 }
 
 // remoteSource adapts an HTTP SPARQL endpoint client.
