@@ -31,10 +31,12 @@ test-short:
 # reference through one long-lived Scratch), internal/rdf's dictionary
 # hammers (TestDictParallelInternOverlappingSets,
 # TestDictConcurrentReadersWriters, TestDictConcurrentBulkAndPoint),
-# internal/obs's TestHistogramConcurrent and internal/par's TestDo (the one
-# worker pool: no two goroutines share a worker index).
+# internal/obs's TestHistogramConcurrent, internal/par's TestDo (the one
+# worker pool: no two goroutines share a worker index) and internal/serve's
+# TestConcurrentQueriesAndFeedback (/sparql readers beside flushed /feedback
+# writers on one served node).
 race:
-	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/...
+	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/... ./internal/serve/...
 
 # Every fuzz target for 10s, and CI's only copy of the target list
 # (.github/workflows/ci.yml calls this target).

@@ -40,6 +40,7 @@ import (
 	"alex/internal/paris"
 	"alex/internal/rdf"
 	"alex/internal/reason"
+	"alex/internal/serve"
 	"alex/internal/store"
 )
 
@@ -143,8 +144,7 @@ type Options struct {
 type Session struct {
 	ws       *Workspace
 	ds1, ds2 *Dataset
-	engine   *core.Engine
-	fed      *fed.Federation
+	node     *serve.Node
 	opt      Options
 
 	pendingFeedback []core.Feedback
@@ -170,17 +170,13 @@ func (w *Workspace) NewSession(ds1, ds2 *Dataset, opt Options) *Session {
 	if opt.Seed != 0 {
 		cfg.Seed = opt.Seed
 	}
-	engine := core.New(ds1.st, ds2.st, cfg)
-	s := &Session{
-		ws:     w,
-		ds1:    ds1,
-		ds2:    ds2,
-		engine: engine,
-		fed:    fed.New(w.dict, ds1.st, ds2.st),
-		opt:    opt,
+	return &Session{
+		ws:   w,
+		ds1:  ds1,
+		ds2:  ds2,
+		node: serve.New(fed.New(w.dict, ds1.st, ds2.st), ds1.st, ds2.st, serve.Config{Engine: &cfg}),
+		opt:  opt,
 	}
-	s.fed.SetLinks(engine.Candidates())
-	return s
 }
 
 // SeedFromPARIS runs the PARIS automatic linker over the two data sets and
@@ -196,8 +192,8 @@ func (s *Session) SeedFromPARIS() int {
 	for i, sc := range scored {
 		links[i] = sc.Link
 	}
-	s.engine.SetInitialLinks(links)
-	s.fed.SetLinks(s.engine.Candidates())
+	s.node.Engine.SetInitialLinks(links)
+	s.node.Republish()
 	return len(links)
 }
 
@@ -213,8 +209,8 @@ func (s *Session) SeedLinks(links []Link) int {
 		}
 		ids = append(ids, linkset.Link{Left: left, Right: right})
 	}
-	s.engine.SetInitialLinks(ids)
-	s.fed.SetLinks(s.engine.Candidates())
+	s.node.Engine.SetInitialLinks(ids)
+	s.node.Republish()
 	return len(ids)
 }
 
@@ -253,13 +249,13 @@ func DefaultResilience() Resilience { return fed.DefaultResilience() }
 // SetResilience installs a fault-tolerance policy on the session's
 // federation. Mostly relevant when remote sources are added; the default
 // in-process session never fails.
-func (s *Session) SetResilience(r Resilience) { s.fed.SetResilience(r) }
+func (s *Session) SetResilience(r Resilience) { s.node.Fed.SetResilience(r) }
 
 // Query runs a SPARQL SELECT query over both data sets, bridging entities
 // through the current candidate links and recording per-answer provenance.
 // Cancellation and deadlines on ctx are propagated into every source call.
 func (s *Session) Query(ctx context.Context, query string) (*QueryResult, error) {
-	res, err := s.fed.ExecuteContext(ctx, query)
+	res, err := s.node.Fed.ExecuteContext(ctx, query)
 	if err != nil {
 		return nil, err
 	}
@@ -277,16 +273,12 @@ func (s *Session) Query(ctx context.Context, query string) (*QueryResult, error)
 // Approve marks a query answer correct. ALEX interprets this as positive
 // feedback on every link used to produce the answer.
 func (s *Session) Approve(a Answer) {
-	for _, l := range a.links {
-		s.pendingFeedback = append(s.pendingFeedback, core.Feedback{Link: l, Approved: true})
-	}
+	s.pendingFeedback = append(s.pendingFeedback, s.node.Judge(a.links, true)...)
 }
 
 // Reject marks a query answer incorrect: negative feedback on its links.
 func (s *Session) Reject(a Answer) {
-	for _, l := range a.links {
-		s.pendingFeedback = append(s.pendingFeedback, core.Feedback{Link: l, Approved: false})
-	}
+	s.pendingFeedback = append(s.pendingFeedback, s.node.Judge(a.links, false)...)
 }
 
 // EndEpisode feeds the collected feedback to the engine as one episode
@@ -296,9 +288,8 @@ func (s *Session) Reject(a Answer) {
 // action, exactly as in the paper (§4, "if no feedback is provided on an
 // answer, this answer will simply not trigger an action").
 func (s *Session) EndEpisode() (changed int) {
-	st := s.engine.ApplyEpisode(s.pendingFeedback)
+	st := s.node.Apply(s.pendingFeedback)
 	s.pendingFeedback = nil
-	s.fed.SetLinks(s.engine.Candidates())
 	return st.Changed
 }
 
@@ -307,19 +298,19 @@ func (s *Session) EndEpisode() (changed int) {
 // receives materialized links.
 func (s *Session) RunSimulated(judge func(Link) bool, maxEpisodes int) int {
 	episodes := 0
-	for !s.engine.Converged() && episodes < maxEpisodes {
-		s.engine.RunEpisode(func(l linkset.Link) bool {
+	for !s.node.Engine.Converged() && episodes < maxEpisodes {
+		s.node.Engine.RunEpisode(func(l linkset.Link) bool {
 			return judge(s.materialize(l))
 		})
 		episodes++
 	}
-	s.fed.SetLinks(s.engine.Candidates())
+	s.node.Republish()
 	return episodes
 }
 
 // Links returns the current candidate sameAs links, materialized.
 func (s *Session) Links() []Link {
-	ids := s.engine.Candidates().Links()
+	ids := s.node.Engine.Candidates().Links()
 	out := make([]Link, len(ids))
 	for i, l := range ids {
 		out[i] = s.materialize(l)
@@ -328,20 +319,20 @@ func (s *Session) Links() []Link {
 }
 
 // Converged reports whether the engine has converged.
-func (s *Session) Converged() bool { return s.engine.Converged() }
+func (s *Session) Converged() bool { return s.node.Engine.Converged() }
 
 // SaveState checkpoints everything the session has learned — candidate
 // links, blacklist, value estimates and policy — so a restarted process can
 // resume with LoadState instead of relearning from scratch.
-func (s *Session) SaveState(w io.Writer) error { return s.engine.SaveState(w) }
+func (s *Session) SaveState(w io.Writer) error { return s.node.Engine.SaveState(w) }
 
 // LoadState restores a checkpoint written by SaveState. The session must
 // have been built over the same data sets with the same partition count.
 func (s *Session) LoadState(r io.Reader) error {
-	if err := s.engine.LoadState(r); err != nil {
+	if err := s.node.Engine.LoadState(r); err != nil {
 		return err
 	}
-	s.fed.SetLinks(s.engine.Candidates())
+	s.node.Republish()
 	return nil
 }
 
@@ -356,8 +347,8 @@ type FeatureQuality = core.FeatureQuality
 // returns are included.
 func (s *Session) LearnedFeatures(minVisits int) []FeatureQuality {
 	var out []FeatureQuality
-	for i := 0; i < s.engine.Partitions(); i++ {
-		out = append(out, s.engine.FeatureReport(i, minVisits)...)
+	for i := 0; i < s.node.Engine.Partitions(); i++ {
+		out = append(out, s.node.Engine.FeatureReport(i, minVisits)...)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Mean != out[b].Mean {
@@ -386,7 +377,7 @@ type Conflict struct {
 // Conflicts audits the current candidate links for functional violations.
 func (s *Session) Conflicts() []Conflict {
 	var out []Conflict
-	for _, c := range linkset.Conflicts(s.engine.Candidates()) {
+	for _, c := range linkset.Conflicts(s.node.Engine.Candidates()) {
 		conflict := Conflict{Entity: s.ws.dict.Term(c.Entity), Side: c.Side}
 		for _, p := range c.Partners {
 			conflict.Partners = append(conflict.Partners, s.ws.dict.Term(p))
@@ -400,7 +391,7 @@ func (s *Session) Conflicts() []Conflict {
 // classes (symmetric-transitive closure): each class lists all entities
 // ALEX currently believes denote one individual.
 func (s *Session) EquivalenceClasses() [][]Term {
-	closure := reason.NewSameAs(s.engine.Candidates())
+	closure := reason.NewSameAs(s.node.Engine.Candidates())
 	var out [][]Term
 	for _, class := range closure.Classes() {
 		terms := make([]Term, len(class))

@@ -3,6 +3,7 @@ package alex
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -239,6 +240,37 @@ func TestSessionSaveLoadAndLearnedFeatures(t *testing.T) {
 	}
 	// LearnedFeatures runs (may be empty at this tiny scale).
 	_ = sess.LearnedFeatures(1)
+}
+
+// TestSessionPathsRepublish: SeedLinks and LoadState change the engine's
+// candidates outside an episode, and each must publish them as the
+// federation's links and move its data generation.
+func TestSessionPathsRepublish(t *testing.T) {
+	check := func(s *Session, before uint64, path string) {
+		t.Helper()
+		got, want := s.node.Fed.Links().Sorted(), s.node.Engine.Candidates().Sorted()
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("after %s: federation serves %v, engine has candidates %v", path, got, want)
+		}
+		if s.node.Fed.DataGeneration() == before {
+			t.Errorf("after %s: data generation did not move", path)
+		}
+	}
+	_, sess := buildSession(t)
+	gen := sess.node.Fed.DataGeneration()
+	sess.SeedLinks([]Link{{Left: IRI(dbr + "LeBron_James"), Right: IRI(nyr + "lebron_per")}})
+	check(sess, gen, "SeedLinks")
+
+	var buf bytes.Buffer
+	if err := sess.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, restored := buildSession(t)
+	gen = restored.node.Fed.DataGeneration()
+	if err := restored.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check(restored, gen, "LoadState")
 }
 
 func TestSessionConflictsAndClasses(t *testing.T) {

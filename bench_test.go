@@ -35,6 +35,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/paris"
 	"alex/internal/rdf"
+	"alex/internal/serve"
 	"alex/internal/sim"
 	"alex/internal/sparql"
 	"alex/internal/store"
@@ -365,17 +366,15 @@ func serveSessions(b *testing.B, h http.Handler, sessions [][]string) {
 }
 
 // feedbackWorld is the feedback_loop workload's stack (bench/w_feedback.go)
-// assembled in process, the way `sparqld -feedback -feedback-batch 16`
-// assembles it: a four-partition engine over the DBpedia–NYTimes pair at
+// assembled in process on a serve.Node, as `sparqld -feedback
+// -feedback-batch 16` assembles it: a four-partition engine over the DBpedia–NYTimes pair at
 // scale 0.5 seeded with the truth links plus one decoy per two (|C| ≈ 2.4 k),
 // its candidates published as the federation's sameAs links, a feedback
 // stream behind POST /feedback and a cached federated /sparql.
 type feedbackWorld struct {
 	pair    *datagen.Pair
-	engine  *core.Engine
-	stream  *core.FeedbackStream
-	fed     *fed.Federation
-	handler *endpoint.Handler
+	node    *serve.Node
+	handler http.Handler
 	oracle  *feedback.Oracle
 	rng     *rand.Rand
 	added   int
@@ -395,35 +394,28 @@ func newFeedbackWorld(seed int64) *feedbackWorld {
 	cfg.Workers = runtime.GOMAXPROCS(0)
 	cfg.EpisodeSize = 16
 	cfg.MaxEpisodes = 1 << 20
-	w.engine = core.New(pair.DS1, pair.DS2, cfg)
-	w.engine.SetInitialLinks(initial)
-	w.fed = fed.New(pair.Dict, pair.DS1, pair.DS2)
-	w.fed.SetResilience(fed.DefaultResilience())
-	w.republish(core.EpisodeStats{})
-	w.stream = w.engine.FeedbackStream(core.StreamConfig{BatchSize: 16})
-	cache := endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), w.fed.DataGeneration)
-	w.handler = endpoint.NewQueryHandler(fed.CachedEndpointQueryFunc(w.fed, cache), nil)
-	w.handler.SetFeedbackFunc(endpoint.EngineFeedbackFunc(w.engine, w.stream, pair.Dict, w.republish))
+	f := fed.New(pair.Dict, pair.DS1, pair.DS2)
+	f.SetResilience(fed.DefaultResilience())
+	w.node = serve.New(f, pair.DS1, pair.DS2, serve.Config{
+		Engine: &cfg, Links: initial, Stream: core.StreamConfig{BatchSize: 16}, Cache: endpoint.DefaultCacheConfig(),
+	})
+	w.handler = w.node.Handler(nil)
 	w.oracle = feedback.NewOracle(pair.Truth, 0.10, rand.New(rand.NewSource(seed+1)))
 	return w
 }
-
-// republish is sparqld's onApplied: the refreshed candidates become the
-// federation's links.
-func (w *feedbackWorld) republish(core.EpisodeStats) { w.fed.SetLinks(w.engine.Candidates()) }
 
 // judgements draws 16 links from the partitions that still take feedback
 // (all of them once every partition has converged) and has the oracle
 // judge them.
 func (w *feedbackWorld) judgements() []core.Feedback {
 	var cands []linkset.Link
-	for pi := 0; pi < w.engine.Partitions(); pi++ {
-		if !w.engine.PartitionConverged(pi) {
-			cands = append(cands, w.engine.PartitionCandidates(pi)...)
+	for pi := 0; pi < w.node.Engine.Partitions(); pi++ {
+		if !w.node.Engine.PartitionConverged(pi) {
+			cands = append(cands, w.node.Engine.PartitionCandidates(pi)...)
 		}
 	}
 	if len(cands) == 0 {
-		cands = w.engine.Candidates().Links()
+		cands = w.node.Engine.Candidates().Links()
 	}
 	items := make([]core.Feedback, 16)
 	for j := range items {
@@ -508,9 +500,9 @@ func BenchmarkRepublish(b *testing.B) {
 		if i%feedbackOpsPerWorld == 0 {
 			w = newFeedbackWorld(benchSeed + int64(i))
 		}
-		w.stream.Submit(w.judgements()...)
+		w.node.Stream.Submit(w.judgements()...)
 		b.StartTimer()
-		w.fed.SetLinks(w.engine.Candidates())
+		w.node.Republish()
 	}
 }
 

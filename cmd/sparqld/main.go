@@ -46,6 +46,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rdf"
+	"alex/internal/serve"
 	"alex/internal/store"
 )
 
@@ -234,68 +235,44 @@ func buildHandler(cfg config, logw io.Writer) (http.Handler, func() error, error
 		return nil, nil, err
 	}
 	cacheCfg := endpoint.CacheConfig{PreparedSize: cfg.preparedCache, ResultSize: cfg.resultCache}
-	var handler *endpoint.Handler
+	admission := endpoint.AdmissionConfig{MaxConcurrent: cfg.maxConcurrent, MaxQueue: cfg.maxQueue,
+		PerClient: cfg.perClient, RetryAfter: cfg.retryAfter}
 	if len(stores) == 1 && cfg.linksFile == "" {
 		st := stores[0]
 		cache := endpoint.NewQueryCache(cacheCfg, st.Generation)
 		cache.SetObserver(reg)
-		handler = endpoint.NewCachedHandler(st, cache)
-	} else {
-		federation := fed.New(dict, stores...)
-		var links *linkset.Set
-		if cfg.linksFile != "" {
-			if links, err = linkset.LoadSameAs(dict, cfg.linksFile); err != nil {
-				return nil, nil, errors.Join(err, cleanup())
-			}
-			fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
-			federation.SetLinks(links)
-		}
-		federation.SetResilience(fed.DefaultResilience())
-		federation.SetObserver(reg)
-		cache := endpoint.NewQueryCache(cacheCfg, federation.DataGeneration)
-		cache.SetObserver(reg)
-		handler = endpoint.NewQueryHandler(fed.CachedEndpointQueryFunc(federation, cache), func() map[string]any {
-			out := map[string]any{"sources": len(stores), "links": federation.Links().Len()}
-			for _, st := range stores {
-				out[st.Name()] = st.Len()
-			}
-			return out
-		})
-		handler.SetTraceFunc(fed.EndpointTraceFunc(federation))
-		fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))
-		if cfg.feedback {
-			// The engine's candidate set becomes the federation's sameAs
-			// links; every applied feedback batch pushes the refreshed set,
-			// which bumps the data generation and invalidates cached
-			// results.
-			engine := core.New(stores[0], stores[1], core.Defaults())
-			engine.SetObserver(reg)
-			if links != nil {
-				engine.SetInitialLinks(links.Links())
-			}
-			federation.SetLinks(engine.Candidates())
-			stream := engine.FeedbackStream(core.StreamConfig{
-				Capacity:  cfg.feedbackQueue,
-				BatchSize: cfg.feedbackBatch,
-			})
-			handler.SetFeedbackFunc(endpoint.EngineFeedbackFunc(engine, stream, dict, func(core.EpisodeStats) {
-				federation.SetLinks(engine.Candidates())
-			}))
-			fmt.Fprintf(logw, "live feedback enabled (batch %d, queue %d)\n", cfg.feedbackBatch, cfg.feedbackQueue)
-		}
+		handler := endpoint.NewCachedHandler(st, cache)
+		handler.SetObserver(reg)
+		return serve.Admit(handler, admission, reg), cleanup, nil
 	}
-	handler.SetObserver(reg)
-	if cfg.maxConcurrent <= 0 && cfg.maxQueue <= 0 && cfg.perClient <= 0 {
-		return handler, cleanup, nil
+	federation := fed.New(dict, stores...)
+	federation.SetResilience(fed.DefaultResilience())
+	scfg := serve.Config{Stream: core.StreamConfig{Capacity: cfg.feedbackQueue, BatchSize: cfg.feedbackBatch},
+		Cache: cacheCfg, Admission: admission, Obs: reg}
+	if cfg.linksFile != "" {
+		links, err := linkset.LoadSameAs(dict, cfg.linksFile)
+		if err != nil {
+			return nil, nil, errors.Join(err, cleanup())
+		}
+		fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
+		scfg.Links = links.Links()
 	}
-	adm := endpoint.NewAdmission(handler, endpoint.AdmissionConfig{
-		MaxConcurrent: cfg.maxConcurrent,
-		MaxQueue:      cfg.maxQueue,
-		PerClient:     cfg.perClient,
-		RetryAfter:    cfg.retryAfter,
-	})
-	adm.SetObserver(reg)
-	return adm, cleanup, nil
+	fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))
+	var left, right *store.Store
+	if cfg.feedback {
+		// The engine's candidate set becomes the federation's sameAs links
+		// and POST /feedback feeds it.
+		engine := core.Defaults()
+		scfg.Engine, left, right = &engine, stores[0], stores[1]
+		fmt.Fprintf(logw, "live feedback enabled (batch %d, queue %d)\n", cfg.feedbackBatch, cfg.feedbackQueue)
+	}
+	return serve.New(federation, left, right, scfg).Handler(func() map[string]any {
+		out := map[string]any{"sources": len(stores), "links": federation.Links().Len()}
+		for _, st := range stores {
+			out[st.Name()] = st.Len()
+		}
+		return out
+	}), cleanup, nil
 }
 
 // openStores makes one store over dict per -data file, durable under

@@ -15,9 +15,9 @@ import (
 // links (the paper's Figure 1 interactive loop, over the wire) and
 // hands them to a FeedbackFunc, normally backed by a core.FeedbackStream.
 // The route shares the handler's admission controller with /sparql, and
-// applied batches run engine episodes that change the candidate set —
-// callers propagate that into federation links (bumping the data
-// generation), which invalidates the result cache.
+// applied batches run engine episodes that change the candidate set;
+// internal/serve republishes it as the federation's links (bumping the
+// data generation), which invalidates the result cache.
 
 // FeedbackItem is one user verdict on a link, by IRI.
 type FeedbackItem struct {
@@ -95,9 +95,9 @@ func (h *Handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // feedback on unknown entities is counted, not minted into the
 // dictionary — and so is an item whose left entity no partition owns once
 // the stores are synced, which an episode would drop. onApplied
-// (optional) observes every applied episode; callers use it to push the
-// refreshed candidate set into the federation, which bumps the data
-// generation and invalidates cached results.
+// (optional) observes every applied episode; internal/serve's node uses it
+// to republish the candidate set as the federation's links, which bumps the
+// data generation and invalidates cached results.
 func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf.Dict, onApplied func(core.EpisodeStats)) FeedbackFunc {
 	return func(_ context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
 		eng.SyncStores()

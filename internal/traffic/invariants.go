@@ -33,7 +33,7 @@ func (h *harness) assertBreakerOpened(source string) {
 		h.logf("inv breaker_open source=%s skipped fed_ops=%d", source, n)
 		return
 	}
-	if st := h.w.fedn.BreakerState(source); st != fed.BreakerOpen {
+	if st := h.w.node.Fed.BreakerState(source); st != fed.BreakerOpen {
 		h.violate("breaker_open", fmt.Sprintf("source %s saw %d fed ops while down but breaker state is %d, want open", source, n, st))
 		return
 	}
@@ -47,11 +47,11 @@ func (h *harness) assertBreakerOpened(source string) {
 // when the breaker had opened.
 func (h *harness) assertRecovery(ctx context.Context, source string) {
 	q := fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", h.w.term(h.w.subjects1[0]))
-	if _, err := h.w.fedn.ExecuteContext(ctx, q); err != nil {
+	if _, err := h.w.node.Fed.ExecuteContext(ctx, q); err != nil {
 		h.violate("breaker_recovery", fmt.Sprintf("source %s: recovery probe failed: %s", source, errClass(err)))
 		return
 	}
-	if st := h.w.fedn.BreakerState(source); st != fed.BreakerClosed {
+	if st := h.w.node.Fed.BreakerState(source); st != fed.BreakerClosed {
 		h.violate("breaker_recovery", fmt.Sprintf("source %s breaker state is %d after recovery probe, want closed", source, st))
 		return
 	}
@@ -82,7 +82,7 @@ func (h *harness) endRound(round int) {
 // reappear (the blacklist), and partition convergence is monotone
 // (converged partitions are frozen).
 func (h *harness) checkLinkset() {
-	cands := h.w.engine.Candidates()
+	cands := h.w.node.Engine.Candidates()
 	lost := 0
 	for _, l := range h.w.confirmed {
 		if !cands.Contains(l) {
@@ -98,8 +98,8 @@ func (h *harness) checkLinkset() {
 		}
 	}
 	converged := 0
-	for i := 0; i < h.w.engine.Partitions(); i++ {
-		if h.w.engine.PartitionConverged(i) {
+	for i := 0; i < h.w.node.Engine.Partitions(); i++ {
+		if h.w.node.Engine.PartitionConverged(i) {
 			converged++
 		}
 	}
@@ -110,7 +110,7 @@ func (h *harness) checkLinkset() {
 	}
 	if lost == 0 && leaked == 0 {
 		h.logf("inv linkset ok confirmed=%d blacklisted=%d converged=%d/%d candidates=%d",
-			len(h.w.confirmed), len(h.w.rejected), converged, h.w.engine.Partitions(), cands.Len())
+			len(h.w.confirmed), len(h.w.rejected), converged, h.w.node.Engine.Partitions(), cands.Len())
 	}
 }
 
@@ -146,11 +146,11 @@ func (h *harness) finish(ctx context.Context) {
 	}
 	// Drain the feedback stream before the endpoint: feedback_http always
 	// flushes, so a non-empty buffer here is itself a bug.
-	if h.w.stream != nil {
-		if applied := h.w.stream.Flush(); len(applied) != 0 {
+	if h.w.cfg.Stream {
+		if applied := h.w.node.Stream.Flush(); len(applied) != 0 {
 			h.violate("stream_drained", fmt.Sprintf("%d batches were still buffered at shutdown", len(applied)))
 		}
-		st := h.w.stream.Stats()
+		st := h.w.node.Stream.Stats()
 		h.logf("inv stream_drained submitted=%d shed=%d batches=%d applied=%d ok",
 			st.Submitted, st.Shed, st.Batches, st.Applied)
 	}

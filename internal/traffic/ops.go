@@ -77,7 +77,7 @@ func opAskEntity(ctx context.Context, w *world, rng *rand.Rand) (string, error) 
 func opFedJoin(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	subj := w.subjects1[rng.Intn(len(w.subjects1))]
 	q := fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", w.term(subj))
-	res, err := w.fedn.ExecuteContext(ctx, q)
+	res, err := w.node.Fed.ExecuteContext(ctx, q)
 	if err != nil {
 		return fmt.Sprintf("subj=%d", subj), fmt.Errorf("fed_join: %w", err)
 	}
@@ -100,7 +100,7 @@ func opFedAsk(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	subj := subjects[rng.Intn(len(subjects))]
 	pred := w.preds1[rng.Intn(len(w.preds1))]
 	q := fmt.Sprintf("ASK { %s %s ?o }", w.term(subj), w.term(pred))
-	res, err := w.fedn.ExecuteContext(ctx, q)
+	res, err := w.node.Fed.ExecuteContext(ctx, q)
 	if err != nil {
 		return fmt.Sprintf("subj=%d", subj), fmt.Errorf("fed_ask: %w", err)
 	}
@@ -113,7 +113,7 @@ func opFedAsk(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 // ledger. It returns the judgements in candidate order, none when there
 // are no candidates, and how many of them approve.
 func (w *world) judgeSample(rng *rand.Rand) (items []core.Feedback, pos int) {
-	cands := w.engine.Candidates().Links()
+	cands := w.node.Engine.Candidates().Links()
 	if len(cands) == 0 {
 		return nil, 0
 	}
@@ -131,7 +131,7 @@ func (w *world) judgeSample(rng *rand.Rand) (items []core.Feedback, pos int) {
 		// Converged partitions are frozen: they ignore feedback, so
 		// verdicts routed to them must not enter the invariant ledger
 		// (a rejection there is legitimately never acted on).
-		if pi, ok := w.engine.PartitionOf(l.Left); ok && !w.engine.PartitionConverged(pi) {
+		if pi, ok := w.node.Engine.PartitionOf(l.Left); ok && !w.node.Engine.PartitionConverged(pi) {
 			w.recordJudgement(l, approved)
 		}
 	}
@@ -150,8 +150,7 @@ func opFeedback(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	if k == 0 {
 		return "items=0 noop", nil
 	}
-	st := w.engine.ApplyEpisode(items)
-	w.fedn.SetLinks(w.engine.Candidates())
+	st := w.node.Apply(items)
 	w.episodes++
 	w.episodeCounter.Inc()
 	return fmt.Sprintf("items=%d pos=%d neg=%d added=%d removed=%d changed=%d candidates=%d",
@@ -326,18 +325,18 @@ func opLiveUpsert(ctx context.Context, w *world, rng *rand.Rand) (string, error)
 			P: rdf.NewIRI("http://alexsim.invalid/live/tag"),
 			O: rdf.NewString(fmt.Sprintf("live tag %d", id)),
 		})
-		w.engine.ApplyObjectDeltas(r)
+		w.node.Engine.ApplyObjectDeltas(r)
 		touched = 1
 	}
-	st := w.engine.SyncStores()
+	st := w.node.Engine.SyncStores()
 	subj, _ := w.dict.Lookup(subjIRI)
-	part, routed := w.engine.PartitionOf(subj)
+	part, routed := w.node.Engine.PartitionOf(subj)
 	if !routed {
 		return fmt.Sprintf("id=%d", id), fmt.Errorf("live_upsert: new subject %d not routed", subj)
 	}
 	pairs := 0
-	for i := 0; i < w.engine.Partitions(); i++ {
-		total, _ := w.engine.SpaceStats(i)
+	for i := 0; i < w.node.Engine.Partitions(); i++ {
+		total, _ := w.node.Engine.SpaceStats(i)
 		pairs += total
 	}
 	return fmt.Sprintf("id=%d part=%d new_subj=%d new_obj=%d ds2_touched=%d pairs=%d",
@@ -390,6 +389,9 @@ func opFeedbackHTTP(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 		return fmt.Sprintf("items=%d", k), fmt.Errorf("feedback_http: %w", err)
 	}
+	// Each applied batch is one feedback episode, as in opFeedback.
+	w.episodes += fr.Batches
+	w.episodeCounter.Add(int64(fr.Batches))
 	return fmt.Sprintf("items=%d pos=%d neg=%d accepted=%d batches=%d dropped_conv=%d candidates=%d",
 		k, pos, k-pos, fr.Accepted, fr.Batches, fr.DroppedConverged, fr.Candidates), nil
 }

@@ -48,7 +48,7 @@ func (h *harness) report(wall time.Duration) *Report {
 		s.P50NS[kind] = percentile(samples, 0.50)
 		s.P99NS[kind] = percentile(samples, 0.99)
 	}
-	q := linkset.Evaluate(h.w.engine.Candidates(), h.w.truth)
+	q := linkset.Evaluate(h.w.node.Engine.Candidates(), h.w.truth)
 	s.Seed = h.cfg.Seed
 	s.Rounds = h.cfg.Rounds
 	s.OpsPerRound = h.cfg.OpsPerRound
@@ -64,12 +64,12 @@ func (h *harness) report(wall time.Duration) *Report {
 	s.Candidates = q.Candidates
 	s.Confirmed = len(h.w.confirmed)
 	s.Blacklisted = len(h.w.rejected)
-	for i := 0; i < h.w.engine.Partitions(); i++ {
-		if h.w.engine.PartitionConverged(i) {
+	for i := 0; i < h.w.node.Engine.Partitions(); i++ {
+		if h.w.node.Engine.PartitionConverged(i) {
 			s.ConvergedParts++
 		}
 	}
-	s.Partitions = h.w.engine.Partitions()
+	s.Partitions = h.w.node.Engine.Partitions()
 	s.Precision = q.Precision
 	s.Recall = q.Recall
 	s.FMeasure = q.FMeasure

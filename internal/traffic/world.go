@@ -16,6 +16,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rdf"
+	"alex/internal/serve"
 	"alex/internal/store"
 )
 
@@ -28,8 +29,9 @@ const (
 )
 
 // world is the live system under test: the generated data-set pair, an
-// HTTP SPARQL endpoint over DS1, a federation whose DS2 and aux members
-// are fault-injected, and an ALEX engine owning the link set.
+// HTTP SPARQL endpoint over DS1, and a served node whose federation's DS2
+// and aux members are fault-injected and whose ALEX engine owns the link
+// set.
 type world struct {
 	cfg  Config
 	dict *rdf.Dict
@@ -37,8 +39,8 @@ type world struct {
 	ds2  *store.Store
 	aux  *store.Store
 
-	truth  *linkset.Set
-	engine *core.Engine
+	truth *linkset.Set
+	node  *serve.Node
 
 	// durable is DS1's snapshot+WAL layer when cfg.DataDir is set; fsync
 	// is the parsed cfg.WALSync policy. crash_restart detaches, recovers
@@ -49,13 +51,11 @@ type world struct {
 	server    *endpoint.Server
 	client    *endpoint.Client
 	httpTr    *http.Transport
-	fedn      *fed.Federation
 	flaky     map[string]*faultinject.Source
 	admission *endpoint.Admission // nil unless cfg.Cache
 
-	// Streaming loop (cfg.Stream): the engine's feedback stream behind the
+	// Streaming loop (cfg.Stream): the node's feedback stream behind the
 	// endpoint's /feedback route, posted to via httpc at feedbackURL.
-	stream      *core.FeedbackStream
 	feedbackURL string
 	httpc       *http.Client
 
@@ -137,9 +137,25 @@ func buildWorld(ctx context.Context, cfg Config) (*world, error) {
 	ecfg.Workers = cfg.Workers
 	ecfg.EpisodeSize = 64
 	ecfg.MaxEpisodes = 1 << 20
-	w.engine = core.New(pair.DS1, pair.DS2, ecfg)
-	w.engine.SetObserver(cfg.Obs)
-	w.engine.SetInitialLinks(initialLinks(pair, cfg.Seed))
+	fedn := fed.New(pair.Dict, pair.DS1)
+	for _, st := range []*store.Store{pair.DS2, w.aux} {
+		src := faultinject.Wrap(fed.LocalSource(st), faultinject.Config{Seed: cfg.Seed})
+		w.flaky[st.Name()] = src
+		fedn.AddSource(src)
+	}
+	// Clock-free resilience: zero backoff and zero cooldown keep retries
+	// and the open->half-open transition independent of wall time, so
+	// breaker behavior is a pure function of the call sequence.
+	fedn.SetResilience(fed.Resilience{
+		MaxRetries:      1,
+		BreakerFailures: 3,
+		PartialResults:  true,
+		Seed:            cfg.Seed,
+	})
+	fedn.SetParallelism(cfg.Workers)
+	w.node = serve.New(fedn, pair.DS1, pair.DS2, serve.Config{
+		Engine: &ecfg, Links: initialLinks(pair, cfg.Seed), Obs: cfg.Obs,
+	})
 
 	var served http.Handler
 	var handler *endpoint.Handler
@@ -164,16 +180,7 @@ func buildWorld(ctx context.Context, cfg Config) (*world, error) {
 		served = handler
 	}
 	if cfg.Stream {
-		w.stream = w.engine.FeedbackStream(core.StreamConfig{})
-		// Every applied batch refreshes the federation's links — the
-		// generation bump that invalidates cached federated results — and
-		// counts as one feedback episode like the in-process op.
-		handler.SetFeedbackFunc(endpoint.EngineFeedbackFunc(w.engine, w.stream, pair.Dict,
-			func(core.EpisodeStats) {
-				w.fedn.SetLinks(w.engine.Candidates())
-				w.episodes++
-				w.episodeCounter.Inc()
-			}))
+		handler.SetFeedbackFunc(w.node.FeedbackFunc())
 	}
 	w.server = endpoint.NewServer(served)
 	if err := w.server.Start(); err != nil {
@@ -183,25 +190,6 @@ func buildWorld(ctx context.Context, cfg Config) (*world, error) {
 	w.client = endpoint.NewClient(dsName1, w.server.SparqlURL(), &http.Client{Transport: w.httpTr})
 	w.feedbackURL = w.server.URL() + "/feedback"
 	w.httpc = &http.Client{Transport: w.httpTr}
-
-	w.fedn = fed.New(pair.Dict, pair.DS1)
-	for _, st := range []*store.Store{pair.DS2, w.aux} {
-		src := faultinject.Wrap(fed.LocalSource(st), faultinject.Config{Seed: cfg.Seed})
-		w.flaky[st.Name()] = src
-		w.fedn.AddSource(src)
-	}
-	// Clock-free resilience: zero backoff and zero cooldown keep retries
-	// and the open->half-open transition independent of wall time, so
-	// breaker behavior is a pure function of the call sequence.
-	w.fedn.SetResilience(fed.Resilience{
-		MaxRetries:      1,
-		BreakerFailures: 3,
-		PartialResults:  true,
-		Seed:            cfg.Seed,
-	})
-	w.fedn.SetParallelism(cfg.Workers)
-	w.fedn.SetObserver(cfg.Obs)
-	w.fedn.SetLinks(w.engine.Candidates())
 	return w, nil
 }
 
