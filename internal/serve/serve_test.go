@@ -140,7 +140,7 @@ func TestConcurrentQueriesAndFeedback(t *testing.T) {
 		bodies[i] = feedbackBody(t, pair, judgements(n, pair, 8*(i+1)))
 	}
 	var wg sync.WaitGroup
-	errs := make(chan string, 64)
+	errs := make(chan string, 4) // one send at most per goroutine
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
