@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // truthFeedback builds explicit feedback items for the first n current
@@ -211,5 +214,143 @@ func TestStreamConcurrentRace(t *testing.T) {
 		}
 	} else {
 		t.Error("new subject not interned")
+	}
+}
+
+// TestStreamMatchesSyncThenEpisode is the oracle for the stream's batch
+// apply. One script of store growth on both sides and judgement
+// submissions, flushed and not, runs against two engines over the same
+// stores: one through a FeedbackStream, the other through the
+// reference sequence SyncStores then ApplyEpisode, batch by batch, as the
+// stream cut them. After every call that applied batches the two must
+// agree on each batch's stats, on the SaveState bytes and on the
+// candidate run, at one worker and at four.
+func TestStreamMatchesSyncThenEpisode(t *testing.T) {
+	var saved [2][]byte
+	for wi, workers := range []int{1, 4} {
+		p := testPair(36)
+		cfg := smallConfig(36)
+		cfg.Partitions = 3
+		cfg.Workers = workers
+		cfg.MaxEpisodes = 1 << 20
+		init := initialLinks(p)
+		streamed, ref := New(p.DS1, p.DS2, cfg), New(p.DS1, p.DS2, cfg)
+		streamed.SetInitialLinks(init)
+		ref.SetInitialLinks(init)
+		const batch = 6
+		s := streamed.FeedbackStream(StreamConfig{Capacity: 512, BatchSize: batch})
+		var pending []Feedback
+		rng := rand.New(rand.NewSource(36))
+		oracle := feedback.NewOracle(p.Truth, 0.2, rand.New(rand.NewSource(37)))
+		subjects1, subjects2 := p.DS1.Subjects(), p.DS2.Subjects()
+		var fresh1, fresh2 []rdf.TermID
+
+		// copyEntity adds a newcomer to ds under a fresh IRI, with the
+		// attributes of one of its entities, so it scores like that one.
+		copyEntity := func(ds interface {
+			Entity(rdf.TermID) (store.Entity, bool)
+			AddID(rdf.TripleID) bool
+		}, from rdf.TermID, name string) rdf.TermID {
+			e, _ := ds.Entity(from)
+			id := p.Dict.InternIRI(name)
+			for i := range e.Preds {
+				ds.AddID(rdf.TripleID{S: id, P: e.Preds[i], O: e.Objs[i]})
+			}
+			return id
+		}
+		// judgements draws n items: mostly current candidates, some links
+		// from a newcomer on either side.
+		judgements := func(n int) []Feedback {
+			cands := streamed.Candidates().Links()
+			out := make([]Feedback, 0, n)
+			for len(out) < n {
+				var l linkset.Link
+				switch k := rng.Intn(5); {
+				case k == 0 && len(fresh1) > 0:
+					l = linkset.Link{Left: fresh1[rng.Intn(len(fresh1))], Right: subjects2[rng.Intn(len(subjects2))]}
+				case k == 1 && len(fresh2) > 0:
+					l = linkset.Link{Left: subjects1[rng.Intn(len(subjects1))], Right: fresh2[rng.Intn(len(fresh2))]}
+				case len(cands) > 0:
+					l = cands[rng.Intn(len(cands))]
+				default:
+					l = linkset.Link{Left: subjects1[rng.Intn(len(subjects1))], Right: subjects2[rng.Intn(len(subjects2))]}
+				}
+				out = append(out, Feedback{Link: l, Approved: oracle.Judge(l)})
+			}
+			return out
+		}
+		// mirror runs the batches the stream just applied on the
+		// reference and compares.
+		mirror := func(step int, applied []EpisodeStats, flushed bool) {
+			t.Helper()
+			for bi, got := range applied {
+				n := batch
+				if flushed && len(pending) < batch {
+					n = len(pending)
+				}
+				ref.SyncStores()
+				want := ref.ApplyEpisode(pending[:n])
+				pending = pending[n:]
+				if got != want {
+					t.Fatalf("workers %d step %d batch %d: stream stats %+v, reference %+v", workers, step, bi, got, want)
+				}
+			}
+			if len(applied) == 0 {
+				return
+			}
+			var a, b bytes.Buffer
+			if err := streamed.SaveState(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.SaveState(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("workers %d step %d: SaveState differs from the reference", workers, step)
+			}
+			if got, want := streamed.Candidates().Links(), ref.Candidates().Links(); !slices.Equal(got, want) {
+				t.Fatalf("workers %d step %d: %d candidates, reference %d", workers, step, len(got), len(want))
+			}
+		}
+
+		batches := 0
+		for step := 0; step < 60; step++ {
+			switch k := rng.Intn(6); {
+			case k == 0:
+				fresh1 = append(fresh1, copyEntity(p.DS1, subjects1[rng.Intn(len(subjects1))], fmt.Sprintf("http://oracle.test/ds1/%d", step)))
+			case k == 1:
+				fresh2 = append(fresh2, copyEntity(p.DS2, subjects2[rng.Intn(len(subjects2))], fmt.Sprintf("http://oracle.test/ds2/%d", step)))
+			default:
+				// A third of the submissions flush, as a flushed POST
+				// /feedback does.
+				items := judgements(1 + rng.Intn(2*batch))
+				pending = append(pending, items...)
+				accepted, applied := s.Submit(items...)
+				if accepted != len(items) {
+					t.Fatalf("step %d: %d of %d items accepted", step, accepted, len(items))
+				}
+				batches += len(applied)
+				mirror(step, applied, false)
+				if k == 2 {
+					applied = s.Flush()
+					batches += len(applied)
+					mirror(step, applied, true)
+				}
+			}
+		}
+		applied := s.Flush()
+		batches += len(applied)
+		mirror(60, applied, true)
+		if batches < 20 || len(fresh1) < 5 || len(fresh2) < 5 {
+			t.Fatalf("workers %d: %d batches, %d ds1 and %d ds2 newcomers; the test needs more", workers, batches, len(fresh1), len(fresh2))
+		}
+		var buf bytes.Buffer
+		if err := streamed.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved[wi] = buf.Bytes()
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Error("the scripted run's state differs between one and four workers")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"alex/internal/datagen"
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/rdf"
 )
 
 // feedbackWorld wires a small engine + stream behind a handler.
@@ -247,5 +248,32 @@ func TestFeedbackBodyTooLarge(t *testing.T) {
 	rec, _ := w.post(t, append([]byte(`{"items": []}`), bytes.Repeat([]byte(" "), 1<<20)...))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", rec.Code)
+	}
+}
+
+// TestFeedbackUnsyncedNewcomerIsAccepted: a judgement on a ds1 subject
+// added after the engine last synced its stores is accepted, not counted
+// unknown — even when the request does not flush, so nothing has routed
+// the subject yet — and the batch that applies it routes the subject.
+func TestFeedbackUnsyncedNewcomerIsAccepted(t *testing.T) {
+	w := newFeedbackWorld(t, 4)
+	l := w.pair.Truth.Links()[0]
+	e, _ := w.pair.DS1.Entity(l.Left)
+	newcomer := w.pair.Dict.InternIRI("http://newcomer.test/e")
+	for i := range e.Preds {
+		w.pair.DS1.AddID(rdf.TripleID{S: newcomer, P: e.Preds[i], O: e.Objs[i]})
+	}
+	_, resp := w.post(t, w.requestFor([]linkset.Link{{Left: newcomer, Right: l.Right}}, false))
+	if resp == nil {
+		t.Fatal("request failed")
+	}
+	if resp.Accepted != 1 || resp.Unknown != 0 || resp.Batches != 0 {
+		t.Fatalf("unflushed submit on a newcomer = %+v, want 1 accepted, 0 unknown, 0 batches", resp)
+	}
+	if _, resp = w.post(t, w.requestFor(nil, true)); resp == nil || resp.Batches != 1 {
+		t.Fatalf("flush = %+v, want 1 batch", resp)
+	}
+	if _, ok := w.engine.PartitionOf(newcomer); !ok {
+		t.Error("the applied batch did not route the newcomer")
 	}
 }
