@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzScoreMemo$$' -fuzztime 10s
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzSpaceIDs$$' -fuzztime 10s
 	$(GO) test ./internal/core/    -run '^$$' -fuzz '^FuzzEpisodeEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/linkset/ -run '^$$' -fuzz '^FuzzSort$$' -fuzztime 10s
 
 cover:
 	$(GO) test -cover ./...

@@ -178,19 +178,19 @@ func (e *Engine) foldLocked() {
 }
 
 // Candidates returns the current global candidate link set: a new set the
-// caller owns, built by merging the partitions' sorted views (each is kept
-// current at episode boundaries), so it costs one pass over the links and
-// no sort, and arrives with its sorted view in place — Sorted, Links,
-// fed.SetLinks and linkset.Evaluate on it do not sort either. For the size
-// alone use CandidateCount.
+// caller owns, built by concatenating the partitions' sorted views (each is
+// kept current at episode boundaries) and sorting them once, in time linear
+// in the links (linkset.Sort). It arrives with its sorted view in place, so
+// Sorted, Links, fed.SetLinks and linkset.Evaluate on it do not sort again.
+// For the size alone use CandidateCount.
 func (e *Engine) Candidates() *linkset.Set {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	runs := make([][]linkset.Link, len(e.partitions))
-	for i, p := range e.partitions {
-		runs[i] = p.view
+	all := make([]linkset.Link, 0, e.candidateCountLocked())
+	for _, p := range e.partitions {
+		all = append(all, p.view...)
 	}
-	return linkset.FromSorted(linkset.Merge(runs...))
+	return linkset.FromSorted(linkset.Sort(all))
 }
 
 // CandidateCount returns the size of the global candidate set — what
@@ -198,6 +198,10 @@ func (e *Engine) Candidates() *linkset.Set {
 func (e *Engine) CandidateCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.candidateCountLocked()
+}
+
+func (e *Engine) candidateCountLocked() int {
 	n := 0
 	for _, p := range e.partitions {
 		n += len(p.view)
@@ -341,12 +345,14 @@ type Feedback struct {
 func (e *Engine) ApplyEpisode(items []Feedback) EpisodeStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applyEpisodeLocked(items)
+	return e.applyEpisodeLocked(items, &storeSync{})
 }
 
-// applyEpisodeLocked is ApplyEpisode under an already-held write lock
-// (the feedback stream applies batches while holding it).
-func (e *Engine) applyEpisodeLocked(items []Feedback) EpisodeStats {
+// applyEpisodeLocked is ApplyEpisode under an already-held write lock. The
+// feedback stream hands in the store catch-up it has planned, which each
+// partition carries out in the episode's fan-out before its share of the
+// episode; the episode's trace then times the catch-up too.
+func (e *Engine) applyEpisodeLocked(items []Feedback, sy *storeSync) EpisodeStats {
 	e.episode++
 	perPartition := make([][]Feedback, len(e.partitions))
 	for _, it := range items {
@@ -356,6 +362,7 @@ func (e *Engine) applyEpisodeLocked(items []Feedback) EpisodeStats {
 	}
 	tr := e.traceEpisode()
 	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
+		sy.apply(e, i)
 		sp := tr.Root().Child("partition")
 		e.partitions[i].applyEpisode(perPartition[i])
 		e.partitions[i].endSpan(sp)
@@ -431,6 +438,31 @@ func (e *Engine) PartitionOf(subject rdf.TermID) (int, bool) {
 	defer e.mu.RUnlock()
 	i, ok := e.subjectPartition[subject]
 	return i, ok
+}
+
+// Judgeable reports whether a judgement on l can reach a partition without
+// interning a link that names no pair: its left end is a ds1 subject the
+// engine owns, or one it will route at its next store sync, and its right
+// end is a ds2 subject — or l is a candidate already, as a seeded link to an
+// entity DS2 holds no triples about can be. The ends are read from the
+// stores, so a newcomer on either side counts before any sync.
+func (e *Engine) Judgeable(l linkset.Link) bool {
+	if l.Left == rdf.NoTerm || l.Right == rdf.NoTerm {
+		return false // a wildcard to Count
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	pi, owned := e.subjectPartition[l.Left]
+	switch {
+	case !owned && e.ds1.Count(l.Left, rdf.NoTerm, rdf.NoTerm) == 0:
+		return false
+	case e.ds2.Count(l.Right, rdf.NoTerm, rdf.NoTerm) > 0:
+		return true
+	case owned:
+		_, found := slices.BinarySearchFunc(e.partitions[pi].view, l, linkset.Compare)
+		return found
+	}
+	return false
 }
 
 // SpaceStats reports the feature-space sizes for the Fig 5 experiment:

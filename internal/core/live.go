@@ -1,6 +1,7 @@
 package core
 
 import (
+	"alex/internal/feature"
 	"alex/internal/par"
 	"alex/internal/rdf"
 )
@@ -10,10 +11,37 @@ import (
 // instead of re-running feature.Build. UpsertSubjects and
 // ApplyObjectDeltas are the explicit entry points for callers that know
 // exactly what changed; SyncStores is the generation-driven catch-up
-// that spots new subjects on either side. In-place modification of an
-// entity the engine already knows is invisible to SyncStores (the
-// generation moves but the subject list does not) — callers performing
-// such edits must report them explicitly.
+// that spots new subjects on either side, and the feedback stream's batch
+// apply runs the same catch-up in the fan-out of its episode. In-place
+// modification of an entity the engine already knows is invisible to
+// SyncStores (the generation moves but the subject list does not) —
+// callers performing such edits must report them explicitly.
+
+// storeSync is one catch-up with the stores, decided under the write lock
+// and carried out by the partitions in the fan-out that follows, before
+// the lock is released: each partition upserts its subjects, then rescores
+// what delta touches. The zero value does nothing.
+type storeSync struct {
+	subjects [][]rdf.TermID // ds1 subjects by partition; nil when none
+	delta    feature.ObjectDelta
+}
+
+// apply is partition i's share of the catch-up.
+func (sy *storeSync) apply(e *Engine, i int) {
+	p := e.partitions[i]
+	if sy.subjects != nil {
+		for _, s := range sy.subjects[i] {
+			p.space.UpsertSubject(e.ds1, s)
+		}
+	}
+	p.space.ApplyObjectDelta(e.ds1, sy.delta)
+	p.grow()
+}
+
+// run carries the catch-up out on its own fan-out.
+func (sy *storeSync) run(e *Engine) {
+	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) { sy.apply(e, i) })
+}
 
 // UpsertSubjects routes ds1 subjects into the live feature spaces. A
 // subject the engine already owns is rescored in its partition; a new
@@ -24,13 +52,17 @@ import (
 func (e *Engine) UpsertSubjects(subjects ...rdf.TermID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.upsertSubjectsLocked(subjects)
-}
-
-func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 	if len(subjects) == 0 {
 		return
 	}
+	sy := storeSync{subjects: e.route(subjects)}
+	sy.run(e)
+	e.lastGen1 = e.ds1.Generation()
+}
+
+// route assigns each subject no partition owns yet to one, by the
+// round-robin rule, and returns the subjects by owning partition.
+func (e *Engine) route(subjects []rdf.TermID) [][]rdf.TermID {
 	perPartition := make([][]rdf.TermID, len(e.partitions))
 	for _, s := range subjects {
 		pi, ok := e.subjectPartition[s]
@@ -41,14 +73,7 @@ func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 		}
 		perPartition[pi] = append(perPartition[pi], s)
 	}
-	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
-		p := e.partitions[i]
-		for _, s := range perPartition[i] {
-			p.space.UpsertSubject(e.ds1, s)
-		}
-		p.grow()
-	})
-	e.lastGen1 = e.ds1.Generation()
+	return perPartition
 }
 
 // ApplyObjectDeltas rescores every pair a DS2-side change can touch:
@@ -59,16 +84,14 @@ func (e *Engine) upsertSubjectsLocked(subjects []rdf.TermID) {
 func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.applyObjectDeltasLocked(changed)
+	sy := storeSync{delta: e.applyRight(changed)}
+	sy.run(e)
+	e.lastGen2 = e.ds2.Generation()
 }
 
-func (e *Engine) applyObjectDeltasLocked(changed []rdf.TermID) {
-	delta := e.right.Apply(e.ds2, changed)
-	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
-		p := e.partitions[i]
-		p.space.ApplyObjectDelta(e.ds1, delta)
-		p.grow()
-	})
+// applyRight applies a DS2 change to the shared DS2 side. It is the side's
+// only writer, and runs between fan-outs.
+func (e *Engine) applyRight(changed []rdf.TermID) feature.ObjectDelta {
 	for _, s := range changed {
 		if _, ok := e.ds2.Entity(s); ok {
 			e.knownDS2[s] = struct{}{}
@@ -76,7 +99,7 @@ func (e *Engine) applyObjectDeltasLocked(changed []rdf.TermID) {
 			delete(e.knownDS2, s)
 		}
 	}
-	e.lastGen2 = e.ds2.Generation()
+	return e.right.Apply(e.ds2, changed)
 }
 
 // SyncStats reports what one SyncStores call ingested.
@@ -99,10 +122,21 @@ type SyncStats struct {
 func (e *Engine) SyncStores() SyncStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.syncStoresLocked()
+	sy, st := e.planSync()
+	if sy.subjects != nil || st.NewObjects > 0 {
+		sy.run(e)
+	}
+	return st
 }
 
-func (e *Engine) syncStoresLocked() SyncStats {
+// planSync routes every ds1 subject the engine has never seen and, when
+// DS2 moved, applies the change to the DS2 side; the partitions' share is
+// left in the returned storeSync for the caller's next fan-out, which must
+// come before the write lock is released. A ds1 newcomer is scored against
+// the DS2 side as it was: when both stores moved, the upserts get a fan-out
+// of their own before the side changes.
+func (e *Engine) planSync() (storeSync, SyncStats) {
+	var sy storeSync
 	var st SyncStats
 	if g := e.ds1.Generation(); g != e.lastGen1 {
 		var fresh []rdf.TermID
@@ -111,7 +145,9 @@ func (e *Engine) syncStoresLocked() SyncStats {
 				fresh = append(fresh, s)
 			}
 		}
-		e.upsertSubjectsLocked(fresh)
+		if len(fresh) > 0 {
+			sy.subjects = e.route(fresh)
+		}
 		e.lastGen1 = g
 		st.NewSubjects = len(fresh)
 	}
@@ -122,9 +158,13 @@ func (e *Engine) syncStoresLocked() SyncStats {
 				fresh = append(fresh, s)
 			}
 		}
-		e.applyObjectDeltasLocked(fresh)
+		if sy.subjects != nil {
+			sy.run(e)
+			sy.subjects = nil
+		}
+		sy.delta = e.applyRight(fresh)
 		e.lastGen2 = g
 		st.NewObjects = len(fresh)
 	}
-	return st
+	return sy, st
 }

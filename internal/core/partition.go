@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 
@@ -79,19 +78,18 @@ type partition struct {
 	order      []uint32    // sampling support: insertion-ordered candidates
 
 	// view is the published form of the candidates: the same links as a run
-	// (linkset.Compare order), as of the last fold. touched logs every link
-	// added or removed since — until the log outgrows the view, when merging
-	// it would save nothing over sorting the set: an episode that floods and
-	// rolls back churns through many times the links it keeps. overflowed
-	// then says the log is incomplete. Every engine entry point that can
-	// change candidates folds before it releases the write lock, so a
-	// reader holding the read lock finds touched empty and view current.
-	// spare is the array the view before this one lived in, reused by the
-	// next fold: views leave the engine only as copies or merged into a new
-	// run. An entry of the log carries the link's sort key, so the fold
-	// sorts it without reading a link.
+	// (linkset.Compare order), as of the last fold. touched logs the sort key
+	// (linkset.Link.Key) of every link added or removed since — until the
+	// log outgrows the view, when merging it would save nothing over sorting
+	// the set: an episode that floods and rolls back churns through many
+	// times the links it keeps. overflowed then says the log is incomplete.
+	// Every engine entry point that can change candidates folds before it
+	// releases the write lock, so a reader holding the read lock finds
+	// touched empty and view current. spare is the array the view before
+	// this one lived in, reused by the next fold: views leave the engine
+	// only as copies or concatenated into a new run.
 	view, spare []linkset.Link
-	touched     []touch
+	touched     []uint64
 	overflowed  bool
 
 	// q holds the returns of each state-action pair (by sa id), policy the
@@ -139,13 +137,6 @@ type partition struct {
 	// obs holds engine-wide instruments; its fields are nil-safe no-ops
 	// until Engine.SetObserver resolves them.
 	obs *engineObs
-}
-
-// touch is one entry of the fold log: a link whose membership changed, by
-// id and by its linkset.Link.Key.
-type touch struct {
-	key uint64
-	id  uint32
 }
 
 func newPartition(id int, space *feature.Space, cfg Config, seed int64) *partition {
@@ -239,16 +230,20 @@ func (p *partition) touch(id uint32) {
 		p.overflowed = true
 		return
 	}
-	p.touched = append(p.touched, touch{key: p.space.Link(id).Key(), id: id})
+	p.touched = append(p.touched, p.space.Link(id).Key())
 }
 
 // fold brings view up to date with the candidate flags and returns how many
 // links the set has gained or lost, net, since the last fold — a link added
 // and removed again cancels out. From a complete log it is one walk: the
-// touched links, sorted, are merged into the old view, each kept or dropped
-// by its flag now; the untouched stretches between them are copied whole.
-// From a cut-short one the new view is the flagged links, sorted, and the
-// count their symmetric difference with the old.
+// log is sorted (linkset.SortKeys) and merged into the old view, and the
+// untouched stretches between its links are copied whole. A link changes
+// membership with every entry it has in the log — addCandidate and
+// removeCandidate log only a flip of the flag — so a link logged an odd
+// number of times is in the new view exactly when it is not in the old one,
+// and one logged an even number of times is where it was. From a cut-short
+// log the new view is the flagged links, sorted, and the count their
+// symmetric difference with the old.
 func (p *partition) fold() int {
 	if len(p.touched) == 0 {
 		return 0
@@ -265,22 +260,25 @@ func (p *partition) fold() int {
 		changed = len(old) + len(next) - 2*intersection(old, next)
 		p.overflowed = false
 	} else {
-		slices.SortFunc(p.touched, func(a, b touch) int { return cmp.Compare(a.key, b.key) })
-		for _, t := range slices.Compact(p.touched) {
-			id, l := t.id, p.space.Link(t.id)
+		linkset.SortKeys(p.touched)
+		for log := p.touched; len(log) > 0; {
+			n := 1
+			for n < len(log) && log[n] == log[0] {
+				n++
+			}
+			l := linkset.FromKey(log[0])
+			if log = log[n:]; n%2 == 0 {
+				continue
+			}
 			at, was := slices.BinarySearchFunc(old, l, linkset.Compare)
 			next = append(next, old[:at]...)
 			old = old[at:]
 			if was {
 				old = old[1:]
-			}
-			now := p.isCandidate(id)
-			if now {
+			} else {
 				next = append(next, l)
 			}
-			if now != was {
-				changed++
-			}
+			changed++
 		}
 		next = append(next, old...)
 	}

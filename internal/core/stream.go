@@ -27,14 +27,17 @@ func (c StreamConfig) withDefaults() StreamConfig {
 }
 
 // FeedbackStream ingests user feedback continuously: items accumulate
-// in a bounded buffer and are applied to the engine in batches, each
-// batch one ApplyEpisode preceded by a store sync (so feedback against
-// freshly upserted entities lands on live feature spaces). Application
-// order is submission order, so results are independent of how
-// submissions were batched — only of their sequence. The stream spawns
-// no goroutines: applies run on the submitting (or flushing) goroutine,
-// keeping the engine's determinism contract and goroutine accounting
-// intact. Safe for concurrent use.
+// in a bounded buffer and are applied to the engine in batches. A batch
+// apply is a store sync followed by an episode (so feedback against
+// freshly upserted entities lands on live feature spaces), with the result
+// of SyncStores then ApplyEpisode but without a fan-out of the sync's own:
+// each partition scores its newcomers, then runs its share of the episode
+// (planSync says when DS2 changes need one more). Application order is
+// submission order, so results are independent of how submissions were
+// batched — only of their sequence. The stream spawns no goroutines:
+// applies run on the submitting (or flushing) goroutine, keeping the
+// engine's determinism contract and goroutine accounting intact. Safe for
+// concurrent use.
 type FeedbackStream struct {
 	mu     sync.Mutex
 	e      *Engine
@@ -119,6 +122,8 @@ func (s *FeedbackStream) Flush() []EpisodeStats {
 
 // applyLocked drains the first n buffered items through one engine
 // episode, syncing the stores first so the episode sees live spaces.
+// Routing the newcomers is serial; scoring them rides the episode's
+// fan-out (planSync).
 func (s *FeedbackStream) applyLocked(n int) EpisodeStats {
 	batch := make([]Feedback, n)
 	copy(batch, s.buf)
@@ -128,8 +133,8 @@ func (s *FeedbackStream) applyLocked(n int) EpisodeStats {
 	s.cBatch.Inc()
 	s.e.mu.Lock()
 	defer s.e.mu.Unlock()
-	s.e.syncStoresLocked()
-	return s.e.applyEpisodeLocked(batch)
+	sy, _ := s.e.planSync()
+	return s.e.applyEpisodeLocked(batch, &sy)
 }
 
 // Pending returns the number of buffered, not yet applied items.

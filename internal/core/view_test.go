@@ -63,38 +63,46 @@ func checkView(t *testing.T, when string, p *partition) {
 
 // TestFoldMatchesNaive drives one bare partition, over an empty feature
 // space that interns every link, through random adds and removes over a
-// small universe, folding at random moments. After every
-// fold the view must be the candidate map in order and the returned count
-// the symmetric difference against the map as it was at the fold before —
-// on both of fold's routes, the merged log and the cut-short one.
+// universe of 3,600 links, folding at random moments. After every fold the
+// view must be the candidate map in order and the returned count the
+// symmetric difference against the map as it was at the fold before — on
+// all of fold's routes: the merged log, short or past linkset.RadixMin
+// entries, and the cut-short one.
 func TestFoldMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	dict := rdf.NewDict()
 	empty := feature.Build(store.New("a", dict), nil, store.New("b", dict), feature.DefaultOptions())
 	p := newPartition(0, empty, Defaults().withDefaults(), 1)
 	atLastFold := p.candidateSet()
-	logged, overflowed := 0, 0
+	logged, radix, overflowed := 0, 0, 0
 	for step := 0; step < 2000; step++ {
 		// Mostly a few changes between folds (the log holds), sometimes
-		// more than the set has links (it does not).
+		// about a thousand (the log holds, and sorts by radix), sometimes
+		// more than the set has links (it does not). About half the
+		// changes flip a link.
 		gap := rng.Intn(6)
-		if rng.Intn(10) == 0 {
-			gap = 600 + rng.Intn(900)
+		switch rng.Intn(20) {
+		case 0, 1:
+			gap = 2*linkset.RadixMin + rng.Intn(2*linkset.RadixMin)
+		case 2:
+			gap = 8000 + rng.Intn(2000)
 		}
 		for ; gap > 0; gap-- {
-			l := linkset.Link{Left: rdf.TermID(rng.Intn(20)), Right: rdf.TermID(rng.Intn(20))}
+			l := linkset.Link{Left: rdf.TermID(rng.Intn(60)), Right: rdf.TermID(rng.Intn(60))}
 			if rng.Intn(5) < 3 {
 				p.addCandidate(p.linkID(l))
 			} else {
 				p.removeCandidate(p.linkID(l))
 			}
 		}
-		if len(p.touched) > 0 {
-			if p.overflowed {
-				overflowed++
-			} else {
-				logged++
-			}
+		switch {
+		case len(p.touched) == 0:
+		case p.overflowed:
+			overflowed++
+		case len(p.touched) >= linkset.RadixMin:
+			radix++
+		default:
+			logged++
 		}
 		got := p.fold()
 		checkView(t, fmt.Sprintf("step %d", step), p)
@@ -103,8 +111,9 @@ func TestFoldMatchesNaive(t *testing.T) {
 		}
 		atLastFold = p.candidateSet()
 	}
-	if logged < 100 || overflowed < 10 {
-		t.Errorf("folds: %d from a complete log, %d from a cut-short one; the test needs plenty of both", logged, overflowed)
+	if logged < 100 || radix < 20 || overflowed < 10 {
+		t.Errorf("folds: %d from a short complete log, %d from one past the radix crossover, %d from a cut-short one; the test needs plenty of each",
+			logged, radix, overflowed)
 	}
 }
 

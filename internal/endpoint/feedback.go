@@ -38,8 +38,9 @@ type FeedbackRequest struct {
 // FeedbackResponse reports what happened to a feedback submission.
 type FeedbackResponse struct {
 	// Accepted items entered the stream buffer; Shed were rejected at
-	// capacity; Unknown named IRIs the engine does not know, or a left
-	// entity no partition owns.
+	// capacity; Unknown named IRIs the dictionary does not know, a left
+	// entity that is no ds1 subject, or a right entity that is no ds2
+	// subject in a link that is no candidate.
 	Accepted int `json:"accepted"`
 	Shed     int `json:"shed"`
 	Unknown  int `json:"unknown"`
@@ -93,27 +94,26 @@ func (h *Handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // EngineFeedbackFunc adapts a core engine + feedback stream to the
 // /feedback route. IRIs are resolved through dict without interning —
 // feedback on unknown entities is counted, not minted into the
-// dictionary — and so is an item whose left entity no partition owns once
-// the stores are synced, which an episode would drop. onApplied
-// (optional) observes every applied episode; internal/serve's node uses it
-// to republish the candidate set as the federation's links, which bumps the
-// data generation and invalidates cached results.
+// dictionary — and so is an item that names no ds1 subject on the left,
+// or on the right no ds2 subject and no current candidate's end
+// (core.Engine.Judgeable): an episode would drop it, or intern it for good. The request does not sync the stores:
+// the batch that applies the items does. onApplied (optional) observes
+// every applied episode; internal/serve's node uses it to republish the
+// candidate set as the federation's links, which bumps the data generation
+// and invalidates cached results.
 func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf.Dict, onApplied func(core.EpisodeStats)) FeedbackFunc {
 	return func(_ context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
-		eng.SyncStores()
 		items := make([]core.Feedback, 0, len(req.Items))
 		unknown := 0
 		for _, it := range req.Items {
 			left, okL := dict.Lookup(rdf.NewIRI(it.Left))
 			right, okR := dict.Lookup(rdf.NewIRI(it.Right))
-			if _, owned := eng.PartitionOf(left); !okL || !okR || !owned {
+			l := linkset.Link{Left: left, Right: right}
+			if !okL || !okR || !eng.Judgeable(l) {
 				unknown++
 				continue
 			}
-			items = append(items, core.Feedback{
-				Link:     linkset.Link{Left: left, Right: right},
-				Approved: it.Approved,
-			})
+			items = append(items, core.Feedback{Link: l, Approved: it.Approved})
 		}
 		accepted, applied := stream.Submit(items...)
 		if req.Flush {

@@ -152,6 +152,35 @@ func TestFeedbackSwappedLinkIsUnknown(t *testing.T) {
 	}
 }
 
+// TestFeedbackRightNotDS2IsUnknown: a link whose right IRI the dictionary
+// knows but that is no ds2 subject — another ds1 subject, or a predicate —
+// is counted unknown, and nothing is submitted: accepted, it would intern
+// a link id in its partition for good.
+func TestFeedbackRightNotDS2IsUnknown(t *testing.T) {
+	w := newFeedbackWorld(t, 4)
+	links := w.pair.Truth.Links()
+	if _, ok := w.pair.Dict.Lookup(rdf.NewIRI(rdf.RDFSLabel)); !ok {
+		t.Fatal("rdfs:label is not in the dictionary")
+	}
+	body, _ := json.Marshal(FeedbackRequest{
+		Items: []FeedbackItem{
+			{Left: w.pair.Dict.Term(links[0].Left).Value, Right: w.pair.Dict.Term(links[1].Left).Value, Approved: true},
+			{Left: w.pair.Dict.Term(links[0].Left).Value, Right: rdf.RDFSLabel, Approved: true},
+		},
+		Flush: true,
+	})
+	_, resp := w.post(t, body)
+	if resp == nil {
+		t.Fatal("request failed")
+	}
+	if resp.Accepted != 0 || resp.Unknown != 2 || resp.Batches != 0 {
+		t.Errorf("right-not-DS2 submit = %+v, want 0 accepted, 2 unknown, 0 batches", resp)
+	}
+	if got := w.stream.Stats(); got.Submitted != 0 {
+		t.Errorf("stream took %d items, want 0", got.Submitted)
+	}
+}
+
 // TestFeedbackCandidatesIsTheCount: resp.Candidates comes from the
 // engine's count accessor, and must equal the size of the set a caller
 // would get from Candidates() whether the request applied a batch (here

@@ -257,34 +257,22 @@ func (f *Federation) Dict() *rdf.Dict { return f.dict }
 // queries run: a query in flight keeps the snapshot it started with.
 //
 // Cost: the set's sorted view (free when the set came from
-// core.Engine.Candidates or linkset.FromSorted, one sort otherwise) is
-// diffed against the published one in a single walk, and only the links
-// that changed are sorted and merged into a newly allocated by-right run —
-// linear in the set, n·log n only in the delta. The published arrays are
-// never written again, and the view of links is taken now: later Add or
-// Remove calls on links show in Links() but reach queries only through the
-// next SetLinks.
+// core.Engine.Candidates or linkset.FromSorted, one sort otherwise), and
+// one linear-time sort of its links reversed into a newly allocated
+// by-right run. The published arrays are never written again, and the
+// view of links is taken now: later Add or Remove calls on links show in
+// Links() but reach queries only through the next SetLinks.
 func (f *Federation) SetLinks(links *linkset.Set) {
-	old, next := f.links.Load(), links.Sorted()
-	added, removed := linkset.Diff(old.byLeft, next)
-	snap := &linkSnapshot{
-		links:   links,
-		byLeft:  next,
-		byRight: linkset.Patch(make([]linkset.Link, 0, len(next)), old.byRight, reversedRun(added), reversedRun(removed)),
+	byLeft := links.Sorted()
+	byRight := make([]linkset.Link, len(byLeft))
+	for i, l := range byLeft {
+		byRight[i] = l.Reversed()
 	}
+	snap := &linkSnapshot{links: links, byLeft: byLeft, byRight: linkset.Sort(byRight)}
 	// Publish before bumping the generation: a result cache that reads the
 	// new generation must never pair it with answers from the old links.
 	f.links.Store(snap)
 	f.linksGen.Add(1)
-}
-
-// reversedRun reverses every link of links in place and returns them as a
-// run.
-func reversedRun(links []linkset.Link) []linkset.Link {
-	for i, l := range links {
-		links[i] = l.Reversed()
-	}
-	return linkset.Sort(links)
 }
 
 // Links returns the active link set — the very set passed to SetLinks, not

@@ -16,10 +16,9 @@ import (
 	"alex/internal/store"
 )
 
-// naiveEdge and naiveEquiv are the from-scratch alias index SetLinks used
-// to build on every call, kept here as the reference the incrementally
-// maintained runs are compared with: sort every link, then append an edge
-// under each end.
+// naiveEdge and naiveEquiv are the alias index SetLinks once built with
+// maps on every call, kept here as the reference its runs are compared
+// with: sort every link, then append an edge under each end.
 type naiveEdge struct {
 	to   rdf.TermID
 	link linkset.Link
@@ -53,17 +52,23 @@ func aliasList(s *linkSnapshot, x rdf.TermID) []naiveEdge {
 
 // TestSetLinksMatchesFromScratchBuild publishes a random sequence of link
 // sets — built every way callers build them, over ids that appear on both
-// sides so chains a~b, b~c and self links occur — and after every SetLinks
-// compares each entity's alias list, order included, with the from-scratch
-// build. The sequence repeats a set, publishes the empty set, and mutates a
-// set after publishing it (the index must not follow until the next
-// SetLinks); every snapshot ever published must still read as it did.
+// sides so chains a~b, b~c and self links occur, one in four with more
+// links than linkset.RadixMin so that the runs are sorted by radix — and
+// after every SetLinks compares each entity's alias list, order included,
+// with the from-scratch build. The sequence repeats a set, publishes the
+// empty set, and mutates a set after publishing it (the index must not
+// follow until the next SetLinks); every snapshot ever published must still
+// read as it did.
 func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
-	const universe = 14
+	const universe = 48
 	rng := rand.New(rand.NewSource(15))
 	f := New(rdf.NewDict())
 	randomLinks := func() []linkset.Link {
-		out := make([]linkset.Link, rng.Intn(40))
+		n := rng.Intn(40)
+		if rng.Intn(4) == 0 {
+			n = linkset.RadixMin + rng.Intn(linkset.RadixMin)
+		}
+		out := make([]linkset.Link, n)
 		for i := range out {
 			out[i] = linkset.Link{Left: rdf.TermID(1 + rng.Intn(universe)), Right: rdf.TermID(1 + rng.Intn(universe))}
 		}
@@ -74,6 +79,7 @@ func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
 		byLeft, byRight []linkset.Link
 	}
 	var history []published
+	radix := 0 // publications whose by-right run was sorted by radix
 	check := func(when string, want []linkset.Link) {
 		t.Helper()
 		snap := f.links.Load()
@@ -89,6 +95,9 @@ func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
 			}
 		}
 		history = append(history, published{snap, slices.Clone(snap.byLeft), slices.Clone(snap.byRight)})
+		if len(snap.byRight) >= linkset.RadixMin {
+			radix++
+		}
 	}
 
 	check("no links yet", nil)
@@ -103,9 +112,10 @@ func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
 			set = linkset.FromLinks(randomLinks())
 		case 3:
 			set = linkset.FromSorted(linkset.Sort(randomLinks()))
-		case 4: // a small change to what is published: the incremental case
+		case 4: // a small change to what is published
 			set = set.Clone()
-			for _, l := range randomLinks()[:rng.Intn(4)] {
+			change := randomLinks()
+			for _, l := range change[:min(len(change), rng.Intn(4))] {
 				if !set.Remove(l) {
 					set.Add(l)
 				}
@@ -129,6 +139,9 @@ func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
 		}
 		f.SetLinks(set)
 		check(when, set.Links())
+	}
+	if radix < 20 {
+		t.Errorf("only %d publications past the radix crossover", radix)
 	}
 }
 

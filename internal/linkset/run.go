@@ -3,17 +3,21 @@ package linkset
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"alex/internal/rdf"
 )
 
 // This file holds the published form of a link set and the operations on
 // it. A run is a []Link in strictly ascending Compare order — sorted, no
-// duplicates. Every layer that publishes links (Set's sorted view, the
-// engine's per-partition candidates, the federation's alias index) keeps a
-// run and brings it up to date by sorting what changed and merging, never
-// by re-sorting the whole set. The helpers read their inputs and write
-// only to the slice they return.
+// duplicates. The layers that publish links (Set's sorted view, the
+// engine's candidates, the federation's alias index) build their runs by
+// Sort, which is linear in the links past RadixMin of them, and not by
+// merging what changed since the last run into it: between two
+// publications of the engine's candidates about a third of the set
+// changes, and sorting and merging that costs more than sorting the whole.
+// Only a partition's view, which an episode may change in a few links,
+// merges its sorted log of changes (core's partition.fold).
 
 // Compare orders links by (Left, Right): the one order runs are kept in.
 func Compare(a, b Link) int { return cmp.Compare(a.Key(), b.Key()) }
@@ -22,29 +26,111 @@ func Compare(a, b Link) int { return cmp.Compare(a.Key(), b.Key()) }
 // is 32 bits wide).
 func (l Link) Key() uint64 { return uint64(l.Left)<<32 | uint64(l.Right) }
 
+// FromKey is Key's inverse: the link k was packed from.
+func FromKey(k uint64) Link { return Link{Left: rdf.TermID(k >> 32), Right: rdf.TermID(uint32(k))} }
+
 // Reversed returns the link with its ends swapped. A run of reversed links
 // is the same links in (Right, Left) order, so one order serves lookups
 // from either end.
 func (l Link) Reversed() Link { return Link{Left: l.Right, Right: l.Left} }
 
 // Sort turns links into a run in place: it sorts them, drops duplicates
-// and returns the shortened slice. Past a handful of links it sorts packed
-// 64-bit keys, whose comparison the sort can inline.
+// and returns the shortened slice. Past a handful of links it sorts their
+// packed keys (SortKeys).
 func Sort(links []Link) []Link {
 	if len(links) <= 16 {
 		slices.SortFunc(links, Compare)
 		return slices.Compact(links)
 	}
-	keys := make([]uint64, len(links))
+	buf := getKeys(len(links))
+	keys := *buf
 	for i, l := range links {
 		keys[i] = l.Key()
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	SortKeys(keys)
+	n := 0
 	for i, k := range keys {
-		links[i] = Link{Left: rdf.TermID(k >> 32), Right: rdf.TermID(uint32(k))}
+		if i == 0 || k != keys[i-1] {
+			links[n] = FromKey(k)
+			n++
+		}
 	}
-	return links[:len(keys)]
+	keyPool.Put(buf)
+	return links[:n]
+}
+
+// RadixMin is the length from which SortKeys sorts by radix instead of by
+// comparison: BenchmarkSort's crossover.
+const RadixMin = 512
+
+// SortKeys sorts keys ascending in place, repeats kept: by comparison
+// below RadixMin keys, by radixSort from there on.
+func SortKeys(keys []uint64) {
+	if len(keys) < RadixMin {
+		slices.Sort(keys)
+		return
+	}
+	radixSort(keys)
+}
+
+// radixSort is a least-significant-digit radix sort over the bytes in which
+// the keys differ: linear in the keys, with one pass to count every byte's
+// digits and one more per byte that varies. Its scratch buffer is reused
+// from call to call.
+func radixSort(keys []uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	var differ uint64
+	var at [8][256]uint32 // by byte and digit: the count, then the next slot
+	for _, k := range keys {
+		differ |= k ^ keys[0]
+		at[0][byte(k)]++
+		at[1][byte(k>>8)]++
+		at[2][byte(k>>16)]++
+		at[3][byte(k>>24)]++
+		at[4][byte(k>>32)]++
+		at[5][byte(k>>40)]++
+		at[6][byte(k>>48)]++
+		at[7][byte(k>>56)]++
+	}
+	buf := getKeys(len(keys))
+	src, dst := keys, *buf
+	for b := range at {
+		shift := 8 * b
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		next := &at[b]
+		var sum uint32
+		for d, n := range next {
+			next[d] = sum
+			sum += n
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+	keyPool.Put(buf)
+}
+
+// keyPool holds the key buffers Sort and SortKeys work in.
+var keyPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// getKeys returns a pooled buffer of n keys.
+func getKeys(n int) *[]uint64 {
+	buf := keyPool.Get().(*[]uint64)
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
 }
 
 func isRun(links []Link) bool {
@@ -75,27 +161,8 @@ func WithLeft(run []Link, left rdf.TermID) []Link {
 	return run[lo:hi]
 }
 
-// Diff walks two runs once and returns what next has that prev lacks
-// (added) and what prev has that next lacks (removed), each a run.
-func Diff(prev, next []Link) (added, removed []Link) {
-	i, j := 0, 0
-	for i < len(prev) && j < len(next) {
-		switch kp, kn := prev[i].Key(), next[j].Key(); {
-		case kp < kn:
-			removed = append(removed, prev[i])
-			i++
-		case kp > kn:
-			added = append(added, next[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return append(added, next[j:]...), append(removed, prev[i:]...)
-}
-
-// diffCount is len(added)+len(removed) of Diff without building either.
+// diffCount is the size of the symmetric difference of two runs: what
+// one has and the other lacks, both ways round.
 func diffCount(a, b []Link) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -111,67 +178,4 @@ func diffCount(a, b []Link) int {
 		}
 	}
 	return n + len(a) - i + len(b) - j
-}
-
-// Patch appends to dst the run base with the links of remove taken out
-// and the links of add put in, and returns it. All three are runs, add and
-// remove share no link, and dst must not overlap base. Patch is Diff's
-// inverse: Patch(nil, prev, added, removed) is next.
-func Patch(dst, base, add, remove []Link) []Link {
-	i, j := 0, 0 // next of add, of remove
-	for _, l := range base {
-		k := l.Key()
-		for ; i < len(add) && add[i].Key() < k; i++ {
-			dst = append(dst, add[i])
-		}
-		if i < len(add) && add[i] == l {
-			i++
-		}
-		for j < len(remove) && remove[j].Key() < k {
-			j++
-		}
-		if j == len(remove) || remove[j] != l {
-			dst = append(dst, l)
-		}
-	}
-	return append(dst, add[i:]...)
-}
-
-// Merge returns the union of runs as one newly allocated run, by merging
-// them pairwise.
-func Merge(runs ...[]Link) []Link {
-	if len(runs) == 1 {
-		return slices.Clone(runs[0])
-	}
-	return merge(runs)
-}
-
-// merge is Merge that may return one of its inputs.
-func merge(runs [][]Link) []Link {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	a, b := merge(runs[:len(runs)/2]), merge(runs[len(runs)/2:])
-	out := make([]Link, len(a)+len(b))
-	i, j, n := 0, 0, 0
-	for ; i < len(a) && j < len(b); n++ {
-		switch ka, kb := a[i].Key(), b[j].Key(); {
-		case ka < kb:
-			out[n] = a[i]
-			i++
-		case ka > kb:
-			out[n] = b[j]
-			j++
-		default:
-			out[n] = a[i]
-			i++
-			j++
-		}
-	}
-	n += copy(out[n:], a[i:])
-	n += copy(out[n:], b[j:])
-	return out[:n]
 }

@@ -1,6 +1,7 @@
 package linkset
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -52,10 +53,48 @@ func asMap(links []Link) map[Link]bool {
 	return m
 }
 
+// refSort is the comparison sort Sort used before its radix path: pack the
+// keys, sort them with the standard library, drop repeats, unpack.
+func refSort(links []Link) []Link {
+	keys := make([]uint64, len(links))
+	for i, l := range links {
+		keys[i] = l.Key()
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for i, k := range keys {
+		links[i] = Link{Left: rdf.TermID(k >> 32), Right: rdf.TermID(uint32(k))}
+	}
+	return links[:len(keys)]
+}
+
+// wideLinks draws n links whose ends have up to bits significant bits, a
+// few of them repeated, so that above 16 bits more than two bytes of each
+// end vary.
+func wideLinks(rng *rand.Rand, n, bits int) []Link {
+	mask := uint32(1<<bits - 1)
+	out := make([]Link, n)
+	for i := range out {
+		if i > 0 && rng.Intn(8) == 0 {
+			out[i] = out[rng.Intn(i)]
+			continue
+		}
+		out[i] = lk(rng.Uint32()&mask, rng.Uint32()&mask)
+	}
+	return out
+}
+
 func TestRunHelpersMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
+	radix := 0
 	for round := 0; round < 500; round++ {
 		a, b := randomLinks(rng, rng.Intn(40)), randomLinks(rng, rng.Intn(40))
+		if round%5 == 0 {
+			// Past the crossover: Sort takes its radix path.
+			n := RadixMin + rng.Intn(2*RadixMin)
+			a, b = wideLinks(rng, n, 1+rng.Intn(32)), wideLinks(rng, n, 1+rng.Intn(32))
+			radix++
+		}
 		ma, mb := asMap(a), asMap(b)
 		ra, rb := naiveRun(ma), naiveRun(mb)
 
@@ -66,43 +105,32 @@ func TestRunHelpersMatchNaive(t *testing.T) {
 			t.Fatalf("isRun wrong on %v", ra)
 		}
 
-		// Diff against set differences; Patch undoes Diff; diffCount counts it.
-		added, removed := Diff(ra, rb)
-		wantAdded, wantRemoved := map[Link]bool{}, map[Link]bool{}
+		// diffCount against the set differences.
+		want := 0
 		for l := range mb {
-			wantAdded[l] = !ma[l]
+			if !ma[l] {
+				want++
+			}
 		}
 		for l := range ma {
-			wantRemoved[l] = !mb[l]
+			if !mb[l] {
+				want++
+			}
 		}
-		if !slices.Equal(added, naiveRun(wantAdded)) || !slices.Equal(removed, naiveRun(wantRemoved)) {
-			t.Fatalf("Diff(%v, %v) = +%v -%v", ra, rb, added, removed)
-		}
-		if got := diffCount(ra, rb); got != len(added)+len(removed) {
-			t.Fatalf("diffCount(%v, %v) = %d, want %d", ra, rb, got, len(added)+len(removed))
-		}
-		keep := slices.Clone(ra)
-		if got := Patch(nil, ra, added, removed); !slices.Equal(got, rb) {
-			t.Fatalf("Patch(%v, +%v, -%v) = %v, want %v", ra, added, removed, got, rb)
-		}
-		if !slices.Equal(ra, keep) {
-			t.Fatalf("Patch wrote to its base")
+		if got := diffCount(ra, rb); got != want {
+			t.Fatalf("diffCount(%v, %v) = %d, want %d", ra, rb, got, want)
 		}
 
-		// Merge of the two plus an empty and a repeated run is the union.
-		union := map[Link]bool{}
-		for l := range ma {
-			union[l] = true
-		}
-		for l := range mb {
-			union[l] = true
-		}
-		if got := Merge(ra, nil, rb, ra); !slices.Equal(got, naiveRun(union)) {
-			t.Fatalf("Merge(%v, %v) = %v", ra, rb, got)
-		}
-
-		// WithLeft, for every id in and just outside the universe.
+		// WithLeft, for every id in and just outside the small universe,
+		// and for the ends of the wide one.
+		lefts := []rdf.TermID{}
 		for left := rdf.TermID(0); left < 14; left++ {
+			lefts = append(lefts, left)
+		}
+		for _, l := range a {
+			lefts = append(lefts, l.Left, l.Left+1)
+		}
+		for _, left := range lefts {
 			want := []Link{}
 			for _, l := range ra {
 				if l.Left == left {
@@ -112,6 +140,65 @@ func TestRunHelpersMatchNaive(t *testing.T) {
 			if got := WithLeft(ra, left); !slices.Equal(got, want) {
 				t.Fatalf("WithLeft(%v, %d) = %v, want %v", ra, left, got, want)
 			}
+		}
+	}
+	if radix < 50 {
+		t.Errorf("only %d rounds past the radix crossover", radix)
+	}
+}
+
+// FuzzSort checks Sort, on either side of the radix crossover, against
+// refSort: n links whose ends have up to bits significant bits, one in
+// every dupEvery repeated.
+func FuzzSort(f *testing.F) {
+	for _, n := range []uint16{0, 1, 17, RadixMin - 1, RadixMin, RadixMin + 1, 3 * RadixMin} {
+		for _, bits := range []uint8{1, 8, 17, 32} {
+			f.Add(int64(n)+int64(bits), n, bits, uint8(4))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, bits, dupEvery uint8) {
+		n %= 4 * RadixMin
+		bits = 1 + bits%32
+		rng := rand.New(rand.NewSource(seed))
+		links := make([]Link, n)
+		mask := uint32(1<<bits - 1)
+		for i := range links {
+			if i > 0 && dupEvery > 0 && rng.Intn(int(dupEvery)) == 0 {
+				links[i] = links[rng.Intn(i)]
+				continue
+			}
+			links[i] = lk(rng.Uint32()&mask, rng.Uint32()&mask)
+		}
+		want := refSort(slices.Clone(links))
+		if got := Sort(links); !slices.Equal(got, want) {
+			t.Fatalf("Sort of %d links (%d bits) = %v, want %v", n, bits, got, want)
+		}
+	})
+}
+
+// BenchmarkSort times the two ways SortKeys sorts, over the keys of 16 to
+// 64 k links whose ends have 16 significant bits, as the ids of the
+// benchmark's workloads do (four bytes of a key vary): RadixMin is the
+// smallest length at which radix is the faster. Each byte more that varies
+// costs radix one pass, and moves the crossover up.
+func BenchmarkSort(b *testing.B) {
+	for n := 16; n <= 64<<10; n *= 2 {
+		src := make([]uint64, n)
+		for i, l := range wideLinks(rand.New(rand.NewSource(int64(n))), n, 16) {
+			src[i] = l.Key()
+		}
+		keys := make([]uint64, n)
+		for _, c := range []struct {
+			name string
+			sort func([]uint64)
+		}{{"radix", radixSort}, {"compare", slices.Sort[[]uint64]}} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(keys, src)
+					c.sort(keys)
+				}
+			})
 		}
 	}
 }
