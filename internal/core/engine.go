@@ -29,7 +29,7 @@ type Engine struct {
 	ds1, ds2   *store.Store
 	partitions []*partition
 	// right is the DS2 side of every partition's feature space: built once,
-	// read by all of them, and written only by applyObjectDeltasLocked,
+	// read by all of them, and written only by applyRight,
 	// under the write lock, before the partitions' rescoring fans out.
 	right *feature.RightSide
 	// subjectPartition routes a ds1 subject to its owning partition.

@@ -63,7 +63,7 @@ func checkView(t *testing.T, when string, p *partition) {
 
 // TestFoldMatchesNaive drives one bare partition, over an empty feature
 // space that interns every link, through random adds and removes over a
-// universe of 3,600 links, folding at random moments. After every fold the
+// universe of 6,400 links, folding at random moments. After every fold the
 // view must be the candidate map in order and the returned count the
 // symmetric difference against the map as it was at the fold before — on
 // all of fold's routes: the merged log, short or past linkset.RadixMin
@@ -85,10 +85,10 @@ func TestFoldMatchesNaive(t *testing.T) {
 		case 0, 1:
 			gap = 2*linkset.RadixMin + rng.Intn(2*linkset.RadixMin)
 		case 2:
-			gap = 8000 + rng.Intn(2000)
+			gap = 12000 + rng.Intn(2000)
 		}
 		for ; gap > 0; gap-- {
-			l := linkset.Link{Left: rdf.TermID(rng.Intn(60)), Right: rdf.TermID(rng.Intn(60))}
+			l := linkset.Link{Left: rdf.TermID(rng.Intn(80)), Right: rdf.TermID(rng.Intn(80))}
 			if rng.Intn(5) < 3 {
 				p.addCandidate(p.linkID(l))
 			} else {

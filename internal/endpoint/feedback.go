@@ -95,12 +95,13 @@ func (h *Handler) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // /feedback route. IRIs are resolved through dict without interning —
 // feedback on unknown entities is counted, not minted into the
 // dictionary — and so is an item that names no ds1 subject on the left,
-// or on the right no ds2 subject and no current candidate's end
-// (core.Engine.Judgeable): an episode would drop it, or intern it for good. The request does not sync the stores:
-// the batch that applies the items does. onApplied (optional) observes
-// every applied episode; internal/serve's node uses it to republish the
-// candidate set as the federation's links, which bumps the data generation
-// and invalidates cached results.
+// or on the right no ds2 subject in a link that is no candidate
+// (core.Engine.Judgeable): an episode would drop it, or intern its link
+// for good. The request does not sync the stores; the batch that applies
+// the items does. onApplied (optional) observes every applied episode;
+// internal/serve's node uses it to republish the candidate set as the
+// federation's links, which bumps the data generation and invalidates
+// cached results.
 func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf.Dict, onApplied func(core.EpisodeStats)) FeedbackFunc {
 	return func(_ context.Context, req FeedbackRequest) (*FeedbackResponse, error) {
 		items := make([]core.Feedback, 0, len(req.Items))

@@ -60,13 +60,13 @@ func aliasList(s *linkSnapshot, x rdf.TermID) []naiveEdge {
 // follow until the next SetLinks); every snapshot ever published must still
 // read as it did.
 func TestSetLinksMatchesFromScratchBuild(t *testing.T) {
-	const universe = 48
+	const universe = 64
 	rng := rand.New(rand.NewSource(15))
 	f := New(rdf.NewDict())
 	randomLinks := func() []linkset.Link {
 		n := rng.Intn(40)
 		if rng.Intn(4) == 0 {
-			n = linkset.RadixMin + rng.Intn(linkset.RadixMin)
+			n = 2*linkset.RadixMin + rng.Intn(linkset.RadixMin)
 		}
 		out := make([]linkset.Link, n)
 		for i := range out {

@@ -61,7 +61,7 @@ func Sort(links []Link) []Link {
 
 // RadixMin is the length from which SortKeys sorts by radix instead of by
 // comparison: BenchmarkSort's crossover.
-const RadixMin = 512
+const RadixMin = 1024
 
 // SortKeys sorts keys ascending in place, repeats kept: by comparison
 // below RadixMin keys, by radixSort from there on.
