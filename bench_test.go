@@ -490,7 +490,7 @@ func BenchmarkFeedbackOp(b *testing.B) {
 }
 
 // BenchmarkRepublish is the judgement-to-visible-link step alone: after
-// one applied 16-judgement batch (untimed), merge the partitions' views
+// one applied 16-judgement batch (untimed), sort the partitions' views
 // into the candidate set and publish it as the federation's links.
 func BenchmarkRepublish(b *testing.B) {
 	var w *feedbackWorld

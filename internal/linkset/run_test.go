@@ -122,12 +122,12 @@ func TestRunHelpersMatchNaive(t *testing.T) {
 		}
 
 		// WithLeft, for every id in and just outside the small universe,
-		// and for the ends of the wide one.
+		// and for some ends of the wide one.
 		lefts := []rdf.TermID{}
 		for left := rdf.TermID(0); left < 14; left++ {
 			lefts = append(lefts, left)
 		}
-		for _, l := range a {
+		for _, l := range a[:min(len(a), 32)] {
 			lefts = append(lefts, l.Left, l.Left+1)
 		}
 		for _, left := range lefts {
