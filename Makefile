@@ -25,6 +25,9 @@ test-short:
 # (.github/workflows/ci.yml calls this target). Among its race checks:
 # internal/core's TestEngineSharesOneDS2Side (8 partitions reading one
 # feature.RightSide while engine-driven deltas update it between fan-outs),
+# internal/core's TestEngineSpacesMatchBuild (every partition's space from
+# one feature.BuildSpaces fan-out, one pooled scorer per worker, against a
+# one-partition Build),
 # internal/linkset's TestCompareWhileWritersWait (the lock guarding the
 # Set's sorted view; also its deadlock check), internal/sim's
 # TestJaroMatchesReference (the bit-parallel Jaro kernel against its scalar
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzStringSim$$' -fuzztime 10s
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzScoreMemo$$' -fuzztime 10s
 	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzSpaceIDs$$' -fuzztime 10s
+	$(GO) test ./internal/feature/ -run '^$$' -fuzz '^FuzzBuildSpaces$$' -fuzztime 10s
 	$(GO) test ./internal/core/    -run '^$$' -fuzz '^FuzzEpisodeEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/linkset/ -run '^$$' -fuzz '^FuzzSort$$' -fuzztime 10s
 

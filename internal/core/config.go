@@ -33,7 +33,8 @@ type Config struct {
 	EpisodeSize int
 	// Epsilon is the ε of the ε-greedy policy.
 	Epsilon float64
-	// Theta is the feature-score threshold θ (§6.1). Paper default: 0.3.
+	// Theta is the feature-score threshold θ (§6.1), the engine's one θ:
+	// it overwrites SpaceOptions.Theta. Paper default: 0.3.
 	Theta float64
 	// Partitions is the number of equal-size partitions of the larger data
 	// set (§6.2). The paper uses 27; the default here is 8.
@@ -69,7 +70,9 @@ type Config struct {
 	MaxExplored int
 	// Seed drives all stochastic choices; equal seeds reproduce runs.
 	Seed int64
-	// SpaceOptions configures feature-space construction.
+	// SpaceOptions configures feature-space construction; a zero field
+	// takes the paper's default. Its Theta is always Config.Theta, and New
+	// builds on Config.Workers whatever its Workers says.
 	SpaceOptions feature.Options
 
 	// The §6.3 blacklist and rollback optimizations and the feature prior
@@ -131,8 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.SpaceOptions.Theta == 0 {
-		c.SpaceOptions = d.SpaceOptions
+	if c.SpaceOptions.MaxBlockSize == 0 {
+		c.SpaceOptions.MaxBlockSize = d.SpaceOptions.MaxBlockSize
 	}
 	c.SpaceOptions.Theta = c.Theta
 	return c

@@ -72,19 +72,13 @@ type engineObs struct {
 // second data set (§3.2). ds1 should be the larger data set, as in the
 // paper. Construction is the expensive pre-processing step: what depends
 // on ds2 alone (its terms' profiles and the blocking index) is built once
-// and shared, then the partitions' spaces are built on a worker pool
-// bounded by Config.Workers, with any surplus workers handed down into
-// the per-partition scans. The result is independent of the worker count.
+// and shared, then feature.BuildSpaces builds every partition's space on
+// one worker pool bounded by Config.Workers. The result is independent of
+// the worker count.
 func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	subjects := ds1.Subjects()
 	parts := feature.Partition(subjects, cfg.Partitions)
-	if cfg.SpaceOptions.Workers == 0 {
-		// Partitions build concurrently already; give each Build an equal
-		// share of the budget so construction never exceeds cfg.Workers.
-		concurrent := min(len(parts), cfg.Workers)
-		cfg.SpaceOptions.Workers = max(1, cfg.Workers/max(1, concurrent))
-	}
 
 	e := &Engine{
 		cfg:              cfg,
@@ -107,10 +101,11 @@ func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	}
 	e.lastGen1 = ds1.Generation()
 	e.lastGen2 = ds2.Generation()
-	par.Do(len(parts), cfg.Workers, func(_, i int) {
-		space := feature.BuildOn(e.right, ds1, parts[i], cfg.SpaceOptions)
+	opt := cfg.SpaceOptions
+	opt.Workers = cfg.Workers
+	for i, space := range feature.BuildSpaces(e.right, ds1, parts, opt) {
 		e.partitions[i] = newPartition(i, space, cfg, cfg.Seed+int64(i)*7919)
-	})
+	}
 	return e
 }
 

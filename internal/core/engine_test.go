@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"alex/internal/datagen"
+	"alex/internal/feature"
 	"alex/internal/feedback"
 	"alex/internal/linkset"
 	"alex/internal/obs"
@@ -253,6 +254,21 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.SpaceOptions.Theta != c.Theta {
 		t.Error("space theta not synchronized")
+	}
+}
+
+// TestConfigKeepsPartialSpaceOptions: withDefaults fills only the zero
+// fields of SpaceOptions, and Theta is Config's.
+func TestConfigKeepsPartialSpaceOptions(t *testing.T) {
+	c := Config{SpaceOptions: feature.Options{MaxBlockSize: 16, Workers: 1}}.withDefaults()
+	want := feature.Options{Theta: Defaults().Theta, MaxBlockSize: 16, Workers: 1}
+	if c.SpaceOptions != want {
+		t.Errorf("withDefaults().SpaceOptions = %+v, want %+v", c.SpaceOptions, want)
+	}
+	c = Config{Theta: 0.5, SpaceOptions: feature.Options{Theta: 0.7}}.withDefaults()
+	want = feature.Options{Theta: 0.5, MaxBlockSize: feature.DefaultOptions().MaxBlockSize}
+	if c.SpaceOptions != want {
+		t.Errorf("withDefaults().SpaceOptions = %+v, want %+v", c.SpaceOptions, want)
 	}
 }
 

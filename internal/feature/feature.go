@@ -15,17 +15,21 @@
 // "find all links whose value for feature f lies within [v−δ, v+δ]" (§4.2)
 // is a binary-searched range scan.
 //
-// The same (ds1 term, ds2 term) cell recurs across a partition's pairs —
-// owl:Thing, class IRIs, positions, team names — so each scorer keeps a
-// fixed-size, direct-mapped memo from the two term ids to the score the
-// similarity kernel returned, and a repeated cell is looked up, not
-// rescored. The memo is exact, not a cache of approximations:
+// The same (ds1 term, ds2 term) cell recurs across a partition's pairs
+// and across partitions — owl:Thing, class IRIs, positions, team names — so
+// each scorer keeps a fixed-size, direct-mapped memo from the two term ids
+// to the score the similarity kernel returned, and a repeated cell is
+// looked up, not rescored. A build (BuildSpaces) gives each of its
+// goroutines one scorer for every partition it scores. The memo is exact,
+// not a cache of approximations:
 //
-//   - Profile.Sim is a pure function of its two terms;
+//   - Profile.Sim is a pure function of its two terms, so two partitions'
+//     profiles of one term score alike;
 //   - an rdf.Dict never reassigns an id, so an id names one term for the
 //     dictionary's lifetime;
-//   - a space scores only its own ds1 terms against its RightSide's ds2
-//     terms, so one scorer sees the ids of one ds1 and one ds2 dictionary;
+//   - one build scores the ds1 terms of one store against the ds2 terms of
+//     one RightSide, so its scorers see the ids of one ds1 and one ds2
+//     dictionary, whichever partitions they serve;
 //   - a build scorer comes from a pool and is cleared before it is handed
 //     out, so no entry outlives the build that filled it; a space's delta
 //     scorer lives and dies with the space.
@@ -89,9 +93,9 @@ type Options struct {
 	// MaxBlockSize skips blocking tokens shared by more than this many
 	// entities (stopword-like tokens carry no pairing signal). 0 means 64.
 	MaxBlockSize int
-	// Workers bounds the goroutines Build uses to score candidate pairs;
-	// 0 means runtime.GOMAXPROCS(0), 1 scores every pair on the calling
-	// goroutine. The space produced is identical at any worker count.
+	// Workers bounds the goroutines Build and BuildSpaces use; 0 means
+	// runtime.GOMAXPROCS(0), 1 builds on the calling goroutine. The spaces
+	// produced are identical at any worker count.
 	Workers int
 }
 
@@ -134,7 +138,7 @@ func (sp *Space) compareEntries(a, b scoredLink) int {
 	return linkset.Compare(sp.links[a.id], sp.links[b.id])
 }
 
-// compareBuilt is compareEntries for a space Build has just made: Build
+// compareBuilt is compareEntries for a space a build has just made: it
 // issues ids in link order (insertBuilt), so two ids compare as their links
 // do, without reading them.
 func compareBuilt(a, b scoredLink) int {
@@ -172,7 +176,7 @@ type Space struct {
 	index map[Feature][]scoredLink // sorted by score asc, then link
 
 	// right is the DS2 side the space scores against. The space only
-	// reads it; Build makes a private one, BuildOn takes a shared one.
+	// reads it; Build makes a private one, BuildSpaces takes a shared one.
 	right *RightSide
 	// prof holds the profiles of the partition's own (DS1) object terms.
 	// It is filled before scoring fans out and extended only by the delta
@@ -200,59 +204,83 @@ type Space struct {
 	cUpserts, cObjDeltas, cSplices *obs.Counter
 }
 
-// buildParallelThreshold is the partition size below which Build stays
-// serial: goroutine bookkeeping beats the pair scoring on tiny partitions.
+// buildParallelThreshold is the number of subjects below which a build
+// scores serially: goroutine bookkeeping beats the pair scoring on tiny
+// partitions.
 const buildParallelThreshold = 32
 
 // Build constructs the space for the given partition subjects of ds1
-// against all of ds2. Candidate pairs are generated by token blocking over
-// literal values (sharing at least one non-generic token), then each
-// candidate's feature set is computed and θ-filtered; pairs with no
-// surviving feature are dropped (§6.1). Pair scoring — the dominant cost —
-// fans out across Options.Workers goroutines; per-subject results are
-// merged back in subject order, so the space is identical to a serial
-// build at any worker count. The space owns a private RightSide; callers
-// building several partitions against one ds2 share one through BuildOn.
+// against all of ds2: BuildSpaces of the one partition over a private
+// RightSide.
 func Build(ds1 *store.Store, partition []rdf.TermID, ds2 *store.Store, opt Options) *Space {
-	return BuildOn(NewRightSide(ds2, opt), ds1, partition, opt)
+	return BuildSpaces(NewRightSide(ds2, opt), ds1, [][]rdf.TermID{partition}, opt)[0]
 }
 
-// BuildOn is Build against a RightSide the caller made, so that many
-// partitions share one. The side's MaxBlockSize applies, not opt's.
-// Concurrent BuildOn calls on one side are safe: a build only reads it.
-func BuildOn(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Options) *Space {
+// BuildSpaces constructs the space of every partition of ds1 subjects in
+// parts against right, the DS2 side they all share; the side's
+// MaxBlockSize applies, not opt's. Candidate pairs are generated by token
+// blocking over literal values (sharing at least one non-generic token),
+// then each candidate's feature set is computed and θ-filtered; pairs with
+// no surviving feature are dropped (§6.1).
+//
+// The build is three fan-outs of at most Options.Workers goroutines: the
+// partitions' own profiles and tokens; pair scoring — the dominant cost —
+// over every (partition, subject) in turn, one pooled scorer per goroutine
+// for all of them, so a cell two partitions share is scored once per
+// goroutine; then each partition's inserts and index sorts. Each subject's
+// results land at its own index, so the spaces are identical to serial
+// builds at any worker count.
+func BuildSpaces(right *RightSide, ds1 *store.Store, parts [][]rdf.TermID, opt Options) []*Space {
 	opt = opt.withDefaults()
-	sp := newSpace(right, opt, len(partition))
-	// Every profile the scoring below reads is made here, before it fans
-	// out, so the workers share the tables without a lock.
-	lefts := make([]entity, len(partition))
-	for i, subj := range partition {
-		sp.members[subj] = struct{}{}
-		lefts[i] = sp.prof.entity(ds1, subj)
-		sp.setLeftTokens(subj, lefts[i].tokens())
+	spaces := make([]*Space, len(parts))
+	lefts := make([][]entity, len(parts))
+	results := make([][][]scoredPair, len(parts))
+	// Every profile the scoring reads is made here, before it fans out, so
+	// the scorers share the tables without a lock.
+	par.Do(len(parts), opt.Workers, func(_, p int) {
+		part := parts[p]
+		sp := newSpace(right, opt, len(part))
+		lefts[p] = make([]entity, len(part))
+		for i, subj := range part {
+			sp.members[subj] = struct{}{}
+			lefts[p][i] = sp.prof.entity(ds1, subj)
+			sp.setLeftTokens(subj, lefts[p][i].tokens())
+		}
+		spaces[p] = sp
+		results[p] = make([][]scoredPair, len(part))
+	})
+	type job struct{ p, i int }
+	var jobs []job
+	for p, part := range parts {
+		for i := range part {
+			jobs = append(jobs, job{p, i})
+		}
 	}
-	results := make([][]scoredPair, len(partition))
 	workers := 1
-	if len(partition) >= buildParallelThreshold {
-		workers = min(opt.Workers, len(partition))
+	if len(jobs) >= buildParallelThreshold {
+		workers = min(opt.Workers, len(jobs))
 	}
-	scs := make([]*scorer, max(workers, 1)) // one pooled scorer per goroutine
-	par.Do(len(partition), workers, func(w, i int) {
+	scs := make([]*scorer, workers) // one pooled scorer per goroutine
+	par.Do(len(jobs), workers, func(w, j int) {
 		if scs[w] == nil {
 			scs[w] = buildScorer(opt.Theta)
 		}
-		results[i] = scs[w].scoreSubject(partition[i], lefts[i], right)
+		p, i := jobs[j].p, jobs[j].i
+		results[p][i] = scs[w].scoreSubject(parts[p][i], lefts[p][i], right)
 	})
 	for _, sc := range scs {
 		if sc != nil {
 			scorers.Put(sc)
 		}
 	}
-	sp.insertBuilt(partition, results)
-	for _, entries := range sp.index {
-		slices.SortFunc(entries, compareBuilt)
-	}
-	return sp
+	par.Do(len(parts), opt.Workers, func(_, p int) {
+		sp := spaces[p]
+		sp.insertBuilt(parts[p], results[p])
+		for _, entries := range sp.index {
+			slices.SortFunc(entries, compareBuilt)
+		}
+	})
+	return spaces
 }
 
 // newSpace returns an empty space over right for a partition of n subjects.
@@ -280,13 +308,29 @@ type scoredPair struct {
 // at its index in partition. It issues their ids in link order — subjects
 // ascending, each one's pairs by right subject as scoreSubject returns
 // them — so that compareBuilt can sort the indexes by id. The tables are
-// sized once, and the members' id lists share one array.
+// sized once, the members' id lists share one array, and so do the
+// feature indexes: each is cut to its exact entry count, its capacity
+// capped there, so a later splice (delta.go) into one reallocates it
+// rather than overwriting the next.
 func (sp *Space) insertBuilt(partition []rdf.TermID, results [][]scoredPair) {
 	order := make([]int, len(partition))
 	n := 0
+	counts := map[Feature]int{}
+	entries := 0
 	for i := range order {
 		order[i] = i
 		n += len(results[i])
+		for _, e := range results[i] {
+			for _, f := range e.fs.Features {
+				counts[f]++
+			}
+			entries += e.fs.Len()
+		}
+	}
+	index := make([]scoredLink, entries)
+	sp.index = make(map[Feature][]scoredLink, len(counts))
+	for f, c := range counts {
+		sp.index[f], index = index[:0:c], index[c:]
 	}
 	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(partition[a], partition[b]) })
 	sp.ids = make(map[linkset.Link]uint32, n)
@@ -416,9 +460,9 @@ type scorer struct {
 	feats   []Feature
 	scores  []float64
 	start   int
-	spans   []pairSpan              // the subject under way: its surviving pairs
-	rowBest []bestCell              // the pair under way, per-row arm: one entry per e1 attribute
-	seen    map[rdf.TermID]struct{} // the subject under way: candidates met
+	spans   []pairSpan   // the subject under way: its surviving pairs
+	rowBest []bestCell   // the pair under way, per-row arm: one entry per e1 attribute
+	cands   []rdf.TermID // the subject under way: its candidates, sorted and distinct
 }
 
 // pairSpan is one surviving pair of the subject under way: its right
@@ -430,9 +474,9 @@ type pairSpan struct {
 }
 
 // memoCells is the length of every scorer memo but Compute's: 2^14 cells,
-// 256 KiB. Over the link_batch data sets it saves 58.7 % of a build's
-// kernel calls, where an unbounded memo would save 61.2 %
-// (TestLinkBatchMemoShapes).
+// 256 KiB. Over the link_batch data sets one per build, at one worker,
+// saves 63.9 % of the kernel calls, where an unbounded memo would save
+// 71.6 % (TestLinkBatchMemoShapes).
 const memoCells = 1 << 14
 
 // memoCell is one memo entry. The zero cell holds no key: NoTerm is never
@@ -487,34 +531,28 @@ type bestCell struct {
 }
 
 // scoreSubject scores every blocked candidate of one partition subject —
-// the right subjects sharing at least one blocking key with it — and
-// returns the θ-surviving pairs, sorted by right subject. The pairs' sets
-// share one array of features and one of scores, each set capped at its
-// own length, so that the subject's pairs take three allocations however
-// many there are. It only reads right, so calls for distinct subjects can
-// run concurrently on distinct scorers.
+// the right subjects sharing at least one blocking key with it — in right
+// subject order, and returns the θ-surviving pairs in that order. The
+// pairs' sets share one array of features and one of scores, each set
+// capped at its own length, so that the subject's pairs take three
+// allocations however many there are. It only reads right, so calls for
+// distinct subjects can run concurrently on distinct scorers.
 func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []scoredPair {
-	if sc.seen == nil {
-		sc.seen = map[rdf.TermID]struct{}{}
-	}
-	clear(sc.seen)
-	sc.feats, sc.scores, sc.spans = sc.feats[:0], sc.scores[:0], sc.spans[:0]
+	sc.cands = sc.cands[:0]
 	for _, obj := range e1.objs {
 		for _, tok := range obj.keys {
-			postings := right.byToken[tok]
-			if len(postings) > right.maxSize {
-				continue
+			if postings := right.byToken[tok]; len(postings) <= right.maxSize {
+				sc.cands = append(sc.cands, postings...)
 			}
-			for _, r := range postings {
-				if _, dup := sc.seen[r]; dup {
-					continue
-				}
-				sc.seen[r] = struct{}{}
-				sc.start = len(sc.feats)
-				if sc.fill(e1, right.ents[r].entity); len(sc.feats) > sc.start {
-					sc.spans = append(sc.spans, pairSpan{right: r, end: len(sc.feats)})
-				}
-			}
+		}
+	}
+	slices.Sort(sc.cands)
+	sc.cands = slices.Compact(sc.cands)
+	sc.feats, sc.scores, sc.spans = sc.feats[:0], sc.scores[:0], sc.spans[:0]
+	for _, r := range sc.cands {
+		sc.start = len(sc.feats)
+		if sc.fill(e1, right.ents[r].entity); len(sc.feats) > sc.start {
+			sc.spans = append(sc.spans, pairSpan{right: r, end: len(sc.feats)})
 		}
 	}
 	if len(sc.spans) == 0 {
@@ -528,7 +566,6 @@ func (sc *scorer) scoreSubject(subj rdf.TermID, e1 entity, right *RightSide) []s
 		out[i] = scoredPair{link: linkset.Link{Left: subj, Right: p.right}, fs: fs}
 		lo = p.end
 	}
-	slices.SortFunc(out, func(a, b scoredPair) int { return cmp.Compare(a.link.Right, b.link.Right) })
 	return out
 }
 
@@ -702,7 +739,7 @@ func (sp *Space) Len() int { return sp.pairs }
 
 // Right returns the DS2 side the space scores against: the one to Apply
 // object deltas to when the space owns it (Build), the shared one
-// otherwise (BuildOn).
+// otherwise (BuildSpaces).
 func (sp *Space) Right() *RightSide { return sp.right }
 
 // TotalPairs returns the unfiltered cross-product size |partition|×|DS2|,
@@ -748,7 +785,7 @@ func Partition(subjects []rdf.TermID, n int) [][]rdf.TermID {
 // alone: the profiles of its object terms, its subjects resolved to those
 // profiles, and the blocking index (token → ds2 subjects) over them.
 // Build makes one per space; an engine makes one with NewRightSide and
-// shares it between its partitions' spaces through BuildOn. Spaces only
+// shares it between its partitions' spaces through BuildSpaces. Spaces only
 // read it, from any number of goroutines. Apply is the one writer: its
 // caller must be the side's single owner and must keep readers out while
 // it runs.

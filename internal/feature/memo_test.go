@@ -78,13 +78,15 @@ func (r *refScorer) score(e1, e2 entity) Set {
 	return fs
 }
 
-// refBuild is BuildOn with the reference scorer, serial.
+// refBuild is one partition's space over right, built serially with the
+// reference scorer.
 func refBuild(right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Options) *Space {
 	ref := &refScorer{theta: opt.withDefaults().Theta}
 	return buildWith(ref.score, right, ds1, partition, opt)
 }
 
-// buildWith is BuildOn, serial, with score in the shipped scorer's place:
+// buildWith is one partition's space over right, serial, with score in the
+// shipped scorer's place:
 // the same token blocking over right, ids issued in the order candidates
 // are met, and the indexes sorted by reading the links.
 func buildWith(score func(e1, e2 entity) Set, right *RightSide, ds1 *store.Store, partition []rdf.TermID, opt Options) *Space {
@@ -132,13 +134,14 @@ func requireSameSpace(t *testing.T, ctx string, got, want *Space) {
 	}
 }
 
-// TestScoreMemoMatchesDirect: every space BuildOn makes over the link_batch
-// data sets (bench/w_link.go: DBpediaNYTimes at scale 0.2, eight
-// partitions) equals the reference build, serial and parallel; so do
-// spaces scored through a one- and a two-entry memo, where nearly every
-// cell evicts another; and two builds back to back over different data
-// sets on one goroutine — ids from two dictionaries that name different
-// terms, a pooled memo between them — each equal theirs.
+// TestScoreMemoMatchesDirect: every space BuildSpaces makes over the
+// link_batch data sets (bench/w_link.go: DBpediaNYTimes at scale 0.2, eight
+// partitions, all built at once) equals the reference build of its
+// partition, serial and parallel; so do spaces scored through a one- and a
+// two-entry memo, where nearly every cell evicts another; and two builds
+// back to back over different data sets on one goroutine — ids from two
+// dictionaries that name different terms, a pooled memo between them —
+// each equal theirs.
 func TestScoreMemoMatchesDirect(t *testing.T) {
 	seeds := []int64{1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007}
 	if testing.Short() {
@@ -155,10 +158,11 @@ func TestScoreMemoMatchesDirect(t *testing.T) {
 			opt := DefaultOptions()
 			opt.Workers = workers
 			right := NewRightSide(p.DS2, opt)
+			spaces := BuildSpaces(right, p.DS1, parts, opt)
 			for i, part := range parts {
 				ctx := fmt.Sprintf("seed %d workers %d partition %d", seed, workers, i)
 				want := refBuild(right, p.DS1, part, opt)
-				requireSameSpace(t, ctx, BuildOn(right, p.DS1, part, opt), want)
+				requireSameSpace(t, ctx, spaces[i], want)
 				if workers == 1 {
 					for _, cells := range []int{1, 2} {
 						got := buildWith(newScorer(opt.Theta, cells).score, right, p.DS1, part, opt)
@@ -174,11 +178,46 @@ func TestScoreMemoMatchesDirect(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, p := range []*datagen.Pair{a, b} {
 			right := NewRightSide(p.DS2, opt)
-			subjects := p.DS1.Subjects()
-			requireSameSpace(t, fmt.Sprintf("back-to-back round %d seed %d", round, p.Spec.Seed),
-				BuildOn(right, p.DS1, subjects, opt), refBuild(right, p.DS1, subjects, opt))
+			parts := Partition(p.DS1.Subjects(), 8)
+			for i, sp := range BuildSpaces(right, p.DS1, parts, opt) {
+				requireSameSpace(t, fmt.Sprintf("back-to-back round %d seed %d partition %d", round, p.Spec.Seed, i),
+					sp, refBuild(right, p.DS1, parts[i], opt))
+			}
 		}
 	}
+}
+
+// FuzzBuildSpaces: over fuzzed entities, split into 1 to 9 partitions and
+// built on 1 to 4 workers, every space BuildSpaces makes equals the
+// reference build of its partition. Each side has up to 16 entities; the
+// left ones repeat under fresh subjects, up to 64 of them, so that
+// partitions share cells and a build can pass the size below which it
+// scores serially.
+func FuzzBuildSpaces(f *testing.F) {
+	f.Add("LeBron James|1984-12-30|Heat;Dwyane Wade|Heat|<Thing;Chris Bosh|1984|Raptors",
+		"James, LeBron|1984|Heat|<Thing;Wade Dwyane|Miami Heat;Bosh|#1984-03-24", uint8(15), uint8(2), uint8(2))
+	f.Add("a|a|b|<x;b|c;c c|a", "a|<x|<x;c|b", uint8(0), uint8(8), uint8(4))
+	f.Add("", "x", uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, left, right string, copies, nparts, workers uint8) {
+		dict := rdf.NewDict()
+		ds1, ds2 := store.New("a", dict), store.New("b", dict)
+		lefts, rights := strings.Split(left, ";"), strings.Split(right, ";")
+		lefts = lefts[:min(len(lefts), 16)]
+		for n := 0; n < min(len(lefts)*(1+int(copies)%48), 64); n++ {
+			fuzzEntity(ds1, strconv.Itoa(n), lefts[n%len(lefts)])
+		}
+		for i, spec := range rights[:min(len(rights), 16)] {
+			fuzzEntity(ds2, strconv.Itoa(i), spec)
+		}
+		opt := DefaultOptions()
+		opt.Workers = 1 + int(workers)%4
+		side := NewRightSide(ds2, opt)
+		parts := Partition(ds1.Subjects(), 1+int(nparts)%9)
+		for i, sp := range BuildSpaces(side, ds1, parts, opt) {
+			requireSameSpace(t, fmt.Sprintf("partition %d of %d, %d workers", i, len(parts), opt.Workers),
+				sp, refBuild(side, ds1, parts[i], opt))
+		}
+	})
 }
 
 // fuzzEntity makes an entity of st from a fuzzed spec: up to 16 values
@@ -257,22 +296,25 @@ func sameSet(a, b Set) bool {
 
 // TestLinkBatchMemoShapes pins what the memo's gain rests on. Over every
 // data set the link_batch workload links (bench/w_link.go: DBpediaNYTimes
-// at scale 0.2, data seeds 1000 to 1031, eight partitions, one build
-// scorer per partition), it counts the matrix cells a build scores, the
-// kernel calls the scorer made before the memo (a cell repeating the one
-// above it in its column was reused), the distinct cells of each build —
-// what an unbounded memo would call the kernel for — and the memo's misses,
-// the kernel calls it makes now, replaying each build's cells through a
-// memo of the shipped size and hash. Of the misses, it counts those the
-// type dispatch hands to the string metric and those the string metric
-// answers without a kernel, the two texts sharing no rune (stringCell and
-// newCellText restate both rules from package sim). PERF.md quotes the
-// figures.
+// at scale 0.2, data seeds 1000 to 1031, eight partitions), it replays the
+// matrix cells of BuildSpaces at one worker — every partition's subjects in
+// turn, each one's candidates by right subject, one memo of the shipped
+// size and hash for the whole build — and counts the cells, the kernel
+// calls the scorer made before the memo (a cell repeating the one above it
+// in its column was reused), the distinct cells of each partition and of
+// each build — what an unbounded memo would call the kernel for — and the
+// memo's misses, the kernel calls it makes now; beside them, the misses of
+// one memo per partition, cleared between partitions. Of the misses, it
+// counts those the type dispatch hands to the string metric, those the
+// string metric answers without a kernel, the two texts sharing no rune,
+// and those it answers without token Jaccard, whose min/max token bound
+// cannot beat Jaro-Winkler (stringCell and newCellText restate the rules
+// from package sim). PERF.md quotes the figures.
 func TestLinkBatchMemoShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 32 data set pairs")
 	}
-	var cells, before, distinct, misses, toString, noRune int
+	var cells, before, distinctPart, distinct, missesPart, misses, toString, noRune, noJaccard int
 	var sc sim.Scratch
 	for seed := int64(1000); seed < 1032; seed++ {
 		p := datagen.GeneratePair(datagen.DBpediaNYTimes(0.2, seed))
@@ -287,52 +329,90 @@ func TestLinkBatchMemoShapes(t *testing.T) {
 			}
 			return c
 		}
+		memo := newScorer(opt.Theta, memoCells)
+		seen := map[uint64]bool{}
 		for _, part := range Partition(p.DS1.Subjects(), 8) {
-			memo := newScorer(opt.Theta, memoCells)
-			seen := map[uint64]bool{}
-			count := func(e1, e2 entity) Set {
-				for _, o2 := range e2.objs {
-					for i, o1 := range e1.objs {
-						cells++
-						if i == 0 || o1 != e1.objs[i-1] {
-							before++
-						}
-						k := memoKey(o1, o2)
-						if c := memo.slot(k); c.key != k {
+			partMemo := newScorer(opt.Theta, memoCells)
+			partSeen := map[uint64]bool{}
+			ps := profiles{}
+			for _, subj := range part {
+				e1 := ps.entity(p.DS1, subj)
+				for _, r := range blockedCandidates(right, e1) {
+					for _, o2 := range right.ents[r].objs {
+						for i, o1 := range e1.objs {
+							cells++
+							if i == 0 || o1 != e1.objs[i-1] {
+								before++
+							}
+							k := memoKey(o1, o2)
+							seen[k], partSeen[k] = true, true
+							if c := partMemo.slot(k); c.key != k {
+								missesPart++
+								c.key = k
+							}
+							c := memo.slot(k)
+							if c.key == k {
+								continue
+							}
 							misses++
 							c.key = k
-							if a, b, ok := stringCell(p.Dict, o1, o2); ok {
-								toString++
-								ta, tb := text(a), text(b)
-								if ta.sig[0]&tb.sig[0]|ta.sig[1]&tb.sig[1] == 0 && (ta.tokens || tb.tokens) {
-									noRune++
-									if s := o1.Sim(o2.Profile, &sc); s != 0 {
-										t.Fatalf("cell (%q, %q) shares no rune but scores %g", a, b, s)
-									}
+							a, b, ok := stringCell(p.Dict, o1, o2)
+							if !ok {
+								continue
+							}
+							if toString++; a == b {
+								continue
+							}
+							ta, tb := text(a), text(b)
+							if ta.sig[0]&tb.sig[0]|ta.sig[1]&tb.sig[1] == 0 && (ta.tokens > 0 || tb.tokens > 0) {
+								noRune++
+								if s := o1.Sim(o2.Profile, &sc); s != 0 {
+									t.Fatalf("cell (%q, %q) shares no rune but scores %g", a, b, s)
 								}
+								continue
+							}
+							lo, hi := min(ta.tokens, tb.tokens), max(ta.tokens, tb.tokens)
+							if hi > 0 && float64(lo)/float64(hi) <= sim.JaroWinkler(a, b) {
+								noJaccard++
 							}
 						}
-						seen[k] = true
 					}
 				}
-				return Set{}
 			}
-			buildWith(count, right, p.DS1, part, opt)
-			distinct += len(seen)
+			distinctPart += len(partSeen)
 		}
+		distinct += len(seen)
 	}
 	hit := 1 - float64(misses)/float64(before)
-	t.Logf("link_batch builds: %d cells, %d kernel calls before the memo, %d distinct, %d with it: %.1f %% of kernel calls saved (an unbounded memo: %.1f %%)",
-		cells, before, distinct, misses, 100*hit, 100*(1-float64(distinct)/float64(before)))
+	t.Logf("link_batch builds: %d cells, %d kernel calls before the memo, %d distinct per partition, %d per build",
+		cells, before, distinctPart, distinct)
+	t.Logf("memo misses: %d with one memo per partition, %d with one per build: %.1f %% of kernel calls saved (an unbounded memo: %.1f %%)",
+		missesPart, misses, 100*hit, 100*(1-float64(distinct)/float64(before)))
 	answered := float64(noRune) / float64(toString)
-	t.Logf("of the memo's misses, %d reach the string metric and %d of those share no rune: %.1f %% scored without a kernel",
-		toString, noRune, 100*answered)
+	t.Logf("of the memo's misses, %d reach the string metric; %d of those share no rune (%.1f %% scored without a kernel), %d more skip token Jaccard (%.1f %%)",
+		toString, noRune, 100*answered, noJaccard, 100*float64(noJaccard)/float64(toString))
 	if hit < 0.5 {
 		t.Errorf("the memo saves %.1f %% of kernel calls, want >= 50 %%", 100*hit)
 	}
 	if answered < 0.4 {
 		t.Errorf("the string metric answers %.1f %% of its calls without a kernel, want >= 40 %%", 100*answered)
 	}
+}
+
+// blockedCandidates restates scoreSubject's candidates of e1: the right
+// subjects sharing a blocking key with it through a list no longer than
+// the cap, sorted and distinct.
+func blockedCandidates(right *RightSide, e1 entity) []rdf.TermID {
+	var out []rdf.TermID
+	for _, obj := range e1.objs {
+		for _, tok := range obj.keys {
+			if postings := right.byToken[tok]; len(postings) <= right.maxSize {
+				out = append(out, postings...)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // stringCell restates sim.Profile.Sim's dispatch for one cell: ok is true
@@ -381,21 +461,23 @@ func localText(iri string) string {
 	return strings.ReplaceAll(iri, "_", " ")
 }
 
-// cellText is what the string metric's shortcut reads of a text: bit r&127
-// of sig for every rune of the text and of its tokens, and whether it has
-// a token.
+// cellText is what the string metric's shortcuts read of a text: bit r&127
+// of sig for every rune of the text and of its tokens, and how many
+// distinct tokens it has.
 type cellText struct {
 	sig    [2]uint64
-	tokens bool
+	tokens int
 }
 
 func newCellText(s string) cellText {
 	toks := sim.Tokenize(s)
-	c := cellText{tokens: len(toks) > 0}
+	var c cellText
 	for _, w := range append(toks, s) {
 		for _, r := range w {
 			c.sig[r>>6&1] |= 1 << (r & 63)
 		}
 	}
+	slices.Sort(toks)
+	c.tokens = len(slices.Compact(toks))
 	return c
 }

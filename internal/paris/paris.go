@@ -59,6 +59,13 @@ type predPair struct {
 	p1, p2 rdf.TermID
 }
 
+// evidenceKey is one candidate pair sharing a value through one predicate
+// pair: each counts once as evidence.
+type evidenceKey struct {
+	link linkset.Link
+	pp   predPair
+}
+
 // Link aligns ds1 against ds2 and returns every entity pair whose combined
 // score passes cfg.Threshold, sorted by descending score then by ids.
 func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
@@ -72,12 +79,15 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 	// Each pair's evidence: one functionality-weighted strength per
 	// predicate pair through which it shares a value.
 	pairEvidence := map[linkset.Link][]float64{}
+	// seen holds the subject under way's (pair, predicate pair)s: one map,
+	// cleared for each subject.
+	seen := map[evidenceKey]struct{}{}
 	for _, subj := range ds1.Subjects() {
 		ent, ok := ds1.Entity(subj)
 		if !ok {
 			continue
 		}
-		seen := map[linkset.Link]map[predPair]bool{}
+		clear(seen)
 		for i := range ent.Preds {
 			key := normalizeValue(ds1.Dict().Term(ent.Objs[i]))
 			if key == "" {
@@ -93,14 +103,11 @@ func Link(ds1, ds2 *store.Store, cfg Config) []linkset.Scored {
 			}
 			for _, post := range postings {
 				l := linkset.Link{Left: subj, Right: post.subject}
-				pp := predPair{p1: ent.Preds[i], p2: post.pred}
-				if seen[l] == nil {
-					seen[l] = map[predPair]bool{}
-				}
-				if seen[l][pp] {
+				k := evidenceKey{l, predPair{p1: ent.Preds[i], p2: post.pred}}
+				if _, dup := seen[k]; dup {
 					continue
 				}
-				seen[l][pp] = true
+				seen[k] = struct{}{}
 				pairEvidence[l] = append(pairEvidence[l], evidenceCap*fun1.get(ent.Preds[i])*fun2.get(post.pred))
 			}
 		}

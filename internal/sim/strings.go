@@ -241,6 +241,12 @@ func StringSim(a, b string) float64 {
 // equal tokens would share their runes, so the token sets are disjoint
 // and, one of them not empty, token Jaccard is 0 too. Without a token on
 // either side token Jaccard is 1, so the kernels run.
+//
+// Token Jaccard is skipped when it cannot beat Jaro-Winkler: the shared
+// tokens number at most min(|A|, |B|) and the union at least max(|A|,
+// |B|), so Jaccard is at most min/max. Division rounds monotonically, so
+// the rounded Jaccard is at most the rounded bound too, and a bound no
+// greater than jw leaves jw the maximum, bit for bit.
 func stringSim(a, b *text, sc *Scratch) float64 {
 	if a.s == b.s {
 		return 1
@@ -249,6 +255,10 @@ func stringSim(a, b *text, sc *Scratch) float64 {
 		return 0
 	}
 	jw := jaroWinkler(a.runes, b.runes, sc)
+	lo, hi := min(len(a.tokens), len(b.tokens)), max(len(a.tokens), len(b.tokens))
+	if hi > 0 && float64(lo)/float64(hi) <= jw {
+		return jw
+	}
 	tj := tokenJaccard(a.tokens, b.tokens)
 	if tj > jw {
 		return tj

@@ -45,7 +45,12 @@ func checkStringSim(t *testing.T, sc *Scratch, a, b *text) {
 // texts without tokens (whose token Jaccard is 1), one side without tokens,
 // the empty text, non-ASCII runes whose low seven bits spell an ASCII rune
 // (š and a, Ţ and b), invalid UTF-8, and runes that lower-case into ASCII
-// (the Kelvin sign into k) or into ASCII plus a combining mark (İ).
+// (the Kelvin sign into k) or into ASCII plus a combining mark (İ). Then
+// the shapes on both sides of the token bound, where token Jaccard is
+// skipped once min/max of the token counts cannot beat Jaro-Winkler: equal
+// token sets in another order (bound 1, Jaccard wins), one token against
+// two (bound 1/2), three against four (bound 3/4), and a text without
+// tokens against one with tokens (bound 0).
 func FuzzStringSim(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"LeBron James", "1984-12-30"},
@@ -65,6 +70,10 @@ func FuzzStringSim(f *testing.F) {
 		{"İstanbul", "i"},
 		{"İ", "I"},
 		{"MARTHA", "MARHTA"},
+		{"anna maria", "maria anna"},
+		{"jordan", "michael jordan"},
+		{"a b c", "c b a d"},
+		{"--", "--ab"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
