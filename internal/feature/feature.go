@@ -35,8 +35,8 @@
 //     scorer lives and dies with the space.
 //
 // A miss overwrites its slot, so a collision costs a rescore, never a wrong
-// score. TestScoreMemoMatchesDirect and FuzzScoreMemo hold every build to a
-// memo-free reference bit for bit.
+// score. TestScoreMemoMatchesDirect, FuzzScoreMemo and FuzzBuildSpaces hold
+// every build to a memo-free reference bit for bit.
 package feature
 
 import (
@@ -226,10 +226,10 @@ func Build(ds1 *store.Store, partition []rdf.TermID, ds2 *store.Store, opt Optio
 // The build is three fan-outs of at most Options.Workers goroutines: the
 // partitions' own profiles and tokens; pair scoring — the dominant cost —
 // over every (partition, subject) in turn, one pooled scorer per goroutine
-// for all of them, so a cell two partitions share is scored once per
-// goroutine; then each partition's inserts and index sorts. Each subject's
-// results land at its own index, so the spaces are identical to serial
-// builds at any worker count.
+// for all of them, so that a cell partitions share is found in the memo
+// rather than scored for each; then each partition's inserts and index
+// sorts. Each subject's results land at its own index, so the spaces are
+// identical to serial builds at any worker count.
 func BuildSpaces(right *RightSide, ds1 *store.Store, parts [][]rdf.TermID, opt Options) []*Space {
 	opt = opt.withDefaults()
 	spaces := make([]*Space, len(parts))
