@@ -39,7 +39,6 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/paris"
 	"alex/internal/rdf"
-	"alex/internal/reason"
 	"alex/internal/serve"
 	"alex/internal/store"
 )
@@ -375,6 +374,10 @@ type Conflict struct {
 }
 
 // Conflicts audits the current candidate links for functional violations.
+// A link is one hop: a query crosses it and never a second link from its
+// far end. So two entities of one data set linked to one counterpart form
+// a chain that is reported here as a conflict and is never composed into
+// one class of three.
 func (s *Session) Conflicts() []Conflict {
 	var out []Conflict
 	for _, c := range linkset.Conflicts(s.node.Engine.Candidates()) {
@@ -383,22 +386,6 @@ func (s *Session) Conflicts() []Conflict {
 			conflict.Partners = append(conflict.Partners, s.ws.dict.Term(p))
 		}
 		out = append(out, conflict)
-	}
-	return out
-}
-
-// EquivalenceClasses composes the current links into full equivalence
-// classes (symmetric-transitive closure): each class lists all entities
-// ALEX currently believes denote one individual.
-func (s *Session) EquivalenceClasses() [][]Term {
-	closure := reason.NewSameAs(s.node.Engine.Candidates())
-	var out [][]Term
-	for _, class := range closure.Classes() {
-		terms := make([]Term, len(class))
-		for i, id := range class {
-			terms[i] = s.ws.dict.Term(id)
-		}
-		out = append(out, terms)
 	}
 	return out
 }

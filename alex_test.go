@@ -289,8 +289,16 @@ func TestSessionConflictsAndClasses(t *testing.T) {
 	if len(conflicts[0].Partners) != 2 {
 		t.Errorf("partners = %v", conflicts[0].Partners)
 	}
-	classes := sess.EquivalenceClasses()
-	if len(classes) != 1 || len(classes[0]) != 3 {
-		t.Errorf("classes = %v", classes)
+	// The chain is never composed into one class: no link joins the two
+	// DBpedia players, so LeBron James does not take Kevin Durant's label.
+	res, err := sess.Query(context.Background(), `SELECT ?p WHERE {
+		?p <`+dbo+`award> "NBA MVP 2013" .
+		?p <`+dbo+`label> "Kevin Durant" .
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) != 0 {
+		t.Errorf("the chain through %s composed: %v", nyr+"lebron_per", res.Answers)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/paris"
 	"alex/internal/rdf"
-	"alex/internal/reason"
 	"alex/internal/store"
 )
 
@@ -42,7 +41,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		thresh   = flag.Float64("paris-threshold", 0.95, "PARIS score threshold for seed links")
 		mutual   = flag.Bool("mutual-best", false, "keep only mutual-best PARIS seed links (1:1 filter)")
-		closure  = flag.Bool("closure", false, "also write the symmetric-transitive closure of the final links")
 	)
 	flag.Parse()
 	if *left == "" || *right == "" {
@@ -133,14 +131,6 @@ func main() {
 	}
 
 	links := engine.Candidates()
-	if *closure {
-		closed := reason.NewSameAs(links)
-		before := links.Len()
-		for _, l := range closed.ClosureLinks() {
-			links.Add(l)
-		}
-		fmt.Fprintf(os.Stderr, "closure added %d links\n", links.Len()-before)
-	}
 
 	w := os.Stdout
 	if *out != "" {

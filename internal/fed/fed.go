@@ -10,8 +10,12 @@
 // order is chosen by the single-store planner's cost model over the
 // members' counts, bound joins optionally run in parallel, and bound
 // entity terms are transparently rewritten through sameAs links so a join
-// can cross data-set boundaries. A federation can itself be served as an
-// endpoint (CachedEndpointQueryFunc), enabling hierarchical federation.
+// can cross data-set boundaries. A link is one hop: a pattern is probed as
+// asked, with its bound subject or its bound object replaced by an alias,
+// and with both replaced by a pair of aliases, one link each, never along
+// a chain a~b, b~c (reference_test.go states this meaning as a
+// materialised store). A federation can itself be served as an endpoint
+// (CachedEndpointQueryFunc), enabling hierarchical federation.
 //
 // There is one SPARQL evaluator: internal/sparql's slot engine. The
 // federation is that engine's second sparql.Solver (solver.go) — it answers

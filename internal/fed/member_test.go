@@ -175,6 +175,43 @@ func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPairProbeAllocatesNothing: a pattern with a link at each end is
+// answered by the pair probe, which walks the two alias runs in place; once
+// the row's provenance set is interned, it allocates nothing either.
+func TestPairProbeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	f := bothEndsFederation()
+	const runs = 100
+	probed := false
+	ctx, es := context.Background(), f.newEvalState()
+	_, err := mustCompile(t, bothEndsQueries[2]).Eval(ctx, &probeSolver{evalState: es, probe: func(lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows) {
+		probed = true
+		c := lay.Compile(ids, bgp.Triples[0])
+		out := sparql.NewRows(in.Width(), runs+1)
+		buf := make([]rdf.TripleID, 0, 8)
+		allocs := testing.AllocsPerRun(runs, func() {
+			var err error
+			if buf, err = es.matchAcross(ctx, c, f.sources, ids, in.Row(0), out, buf, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("one pair probe allocates %v times, want 0", allocs)
+		}
+		if out.Len() != runs+1 {
+			t.Errorf("probes produced %d rows, want %d: the pair probe no longer answers", out.Len(), runs+1)
+		}
+	}}, sparql.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probed {
+		t.Fatal("SolveBGP never called")
+	}
+}
+
 // TestMemberWiringIsOrderIndependent: whichever order AddSource,
 // SetResilience and SetObserver are called in, every member ends up with a
 // breaker bound to its state gauge, its match-latency histogram, and the

@@ -224,19 +224,21 @@ func (es *evalState) extendRows(ctx context.Context, c sparql.SlotPattern, sourc
 }
 
 // matchAcross extends one row through one pattern over the selected
-// sources into out: per source the direct matches, then the matches of
-// every sameAs alias of the bound subject, then of the bound object. An
-// alias is probed by id and the variable re-bound to the original entity
-// (the user sees one entity; the link supplied the alias), with the link
-// added to the row's provenance. Under Resilience.PartialResults a source
-// that fails past its retry budget is skipped for the remainder of the
-// query instead of failing it. buf is scratch for the sources' matches,
-// returned for reuse.
+// sources into out. Per source it probes the pattern as asked, then with
+// the bound subject replaced by each of its sameAs aliases, then the bound
+// object by each of its aliases, then both ends by every (subject alias,
+// object alias) pair. A link is one hop: an alias's own aliases are never
+// probed. A match through an alias re-binds the variable to the original
+// entity (the user sees one entity; the link supplied the alias) and adds
+// the link to the row's provenance, both links for a pair. The alias runs
+// are walked in place, so a probe allocates nothing. Under
+// Resilience.PartialResults a source that fails past its retry budget is
+// skipped for the remainder of the query instead of failing it. buf is
+// scratch for the sources' matches, returned for reuse.
 func (es *evalState) matchAcross(ctx context.Context, c sparql.SlotPattern, sources []*member, ids *sparql.IDSpace, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
 	f := es.f
 	var q [3]rdf.TermID
 	q[0], q[1], q[2] = c.Query(r)
-	prov := r[len(r)-1]
 	// The sameAs aliases of the bound subject and object entities (IRIs
 	// only: a link never stands in for a literal).
 	var alias [3]aliases
@@ -266,37 +268,65 @@ sources:
 		for _, pos := range [2]int{0, 2} {
 			for a := alias[pos]; a.more(); {
 				to, link := a.next()
-				f.cRewrites.Inc()
 				probe := q
 				probe[pos] = to
-				if buf, err = f.timedMatch(ctx, m, ids, probe, buf[:0]); err != nil {
+				if buf, err = es.matchAlias(ctx, c, m, ids, q, probe, link, linkset.Link{}, r, out, buf, psp); err != nil {
 					if err = f.degrade(es, m, err); err != nil {
 						return buf, err
 					}
 					continue sources
 				}
-				if len(buf) == 0 {
-					continue
-				}
-				via, n := es.extend(prov, link), 0
-				for _, t := range buf {
-					// The alias matched; the row keeps the entity asked about.
-					if pos == 0 {
-						t.S = q[0]
-					} else {
-						t.O = q[2]
+			}
+		}
+		for sa := alias[0]; sa.more(); {
+			sTo, sLink := sa.next()
+			for oa := alias[2]; oa.more(); {
+				oTo, oLink := oa.next()
+				probe := [3]rdf.TermID{sTo, q[1], oTo}
+				if buf, err = es.matchAlias(ctx, c, m, ids, q, probe, sLink, oLink, r, out, buf, psp); err != nil {
+					if err = f.degrade(es, m, err); err != nil {
+						return buf, err
 					}
-					if nr := c.Extend(out, r, t); nr != nil {
-						nr[len(nr)-1] = via
-						n++
-					}
-				}
-				if n > 0 {
-					f.cRewriteRows.Add(int64(n))
-					psp.AddInt("rewrites", int64(n))
+					continue sources
 				}
 			}
 		}
+	}
+	return buf, nil
+}
+
+// matchAlias matches probe — the pattern's query q with one end or both
+// replaced by an alias — on m, and extends out with every match re-bound
+// to q's own ends, the row's provenance grown by link and, unless it is
+// the zero Link, by also. An error is m's, for the caller to degrade.
+func (es *evalState) matchAlias(ctx context.Context, c sparql.SlotPattern, m *member, ids *sparql.IDSpace, q, probe [3]rdf.TermID, link, also linkset.Link, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
+	f := es.f
+	f.cRewrites.Inc()
+	buf, err := f.timedMatch(ctx, m, ids, probe, buf[:0])
+	if err != nil || len(buf) == 0 {
+		return buf, err
+	}
+	via := es.extend(r[len(r)-1], link)
+	if also != (linkset.Link{}) {
+		via = es.extend(via, also)
+	}
+	n := 0
+	for _, t := range buf {
+		// The alias matched; the row keeps the entities asked about.
+		if probe[0] != q[0] {
+			t.S = q[0]
+		}
+		if probe[2] != q[2] {
+			t.O = q[2]
+		}
+		if nr := c.Extend(out, r, t); nr != nil {
+			nr[len(nr)-1] = via
+			n++
+		}
+	}
+	if n > 0 {
+		f.cRewriteRows.Add(int64(n))
+		psp.AddInt("rewrites", int64(n))
 	}
 	return buf, nil
 }
