@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzEvalEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz '^FuzzTermSpelling$$' -fuzztime 10s
 	$(GO) test ./internal/fed/    -run '^$$' -fuzz '^FuzzFederationMatchesStore$$' -fuzztime 10s
+	$(GO) test ./internal/fed/    -run '^$$' -fuzz '^FuzzFederationMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzJaro$$'     -fuzztime 10s

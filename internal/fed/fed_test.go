@@ -80,6 +80,34 @@ func TestFederatedNoLinkNoAnswer(t *testing.T) {
 	}
 }
 
+// TestFederatedChainDoesNotCompose pins the one-hop rule: a's name and the
+// article about c are in stores of their own, and a third store holds b.
+// Through the chain a~b, b~c the join that needs both finds nothing; the
+// single link a~c answers it.
+func TestFederatedChainDoesNotCompose(t *testing.T) {
+	triples := []rdf.Triple{
+		{S: iri("a"), P: iri("name"), O: rdf.NewString("A")},
+		{S: iri("b"), P: iri("name"), O: rdf.NewString("B")},
+		{S: iri("article"), P: iri("about"), O: iri("c")},
+	}
+	query := `SELECT ?article WHERE { ?p <` + ex + `name> "A" . ?article <` + ex + `about> ?p }`
+	for _, c := range []struct {
+		links [][2]string
+		want  int
+	}{
+		{[][2]string{{"a", "b"}, {"b", "c"}}, 0},
+		{[][2]string{{"a", "c"}}, 1},
+	} {
+		res, err := smallFederation(triples, c.links...).ExecuteContext(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Answers) != c.want {
+			t.Errorf("links %v: %d answers %v, want %d", c.links, len(res.Answers), res.Answers, c.want)
+		}
+	}
+}
+
 func TestFederatedSingleSourceNoProvenance(t *testing.T) {
 	f, _ := motivatingFederation(t)
 	res, err := f.ExecuteContext(context.Background(), `SELECT ?p WHERE { ?p <`+dbo+`award> "NBA MVP 2013" }`)

@@ -98,28 +98,43 @@ func TestPlanRespectsDisablePlan(t *testing.T) {
 	}
 }
 
+// TestPlanSameResultsEitherOrder: the planned order and the written one
+// give the same answers, up to one link per variable. In the skewed
+// federation no link is published. In the linked one the written order
+// binds both ends of ?x knows ?y before it, so that pattern needs a link
+// at each end, and the two orders keep different ends of a link.
 func TestPlanSameResultsEitherOrder(t *testing.T) {
-	f := skewedFederation(t)
-	q, err := sparql.Parse(`SELECT ?s ?v WHERE {
-		?s <http://x/common> ?v .
-		?s <http://x/rare> "needle" .
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{DisablePlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ordered.Answers) != len(naive.Answers) {
-		t.Fatalf("ordered %d answers, naive %d", len(ordered.Answers), len(naive.Answers))
-	}
-	if len(ordered.Answers) != 1 || ordered.Answers[0].Binding["s"].Value != "http://x/e7" {
-		t.Errorf("answers = %v", ordered.Answers)
+	for _, c := range []struct {
+		name    string
+		f       *Federation
+		query   string
+		planned string // the one answer in planned order, rendered
+	}{
+		{"skewed", skewedFederation(t), `SELECT ?s ?v WHERE {
+			?s <http://x/common> ?v .
+			?s <http://x/rare> "needle" .
+		}`, `?s=<http://x/e7> ?v="v7" `},
+		{"linked", bothEndsFederation(), bothEndsQueries[1], `?x=<http://x/b> ?y=<http://x/c> `},
+	} {
+		prep := mustCompile(t, c.query)
+		ordered, err := c.f.EvalContext(context.Background(), prep, sparql.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := c.f.EvalContext(context.Background(), prep, sparql.EvalOptions{DisablePlan: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ordered.Answers) != 1 || len(naive.Answers) != 1 {
+			t.Fatalf("%s: ordered %v, naive %v, want one answer each", c.name, ordered.Answers, naive.Answers)
+		}
+		a, b := ordered.Answers[0].Binding, naive.Answers[0].Binding
+		if got := renderBinding(a); got != c.planned {
+			t.Errorf("%s: planned answer %s, want %s", c.name, got, c.planned)
+		}
+		if !oneLinkApart(linkedTerms(c.f), a, b) {
+			t.Errorf("%s: ordered %v, naive %v: more than one link apart", c.name, a, b)
+		}
 	}
 }
 
