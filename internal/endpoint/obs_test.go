@@ -2,6 +2,8 @@ package endpoint
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"alex/internal/obs"
+	"alex/internal/store"
 )
 
 func TestServerMetricsAndTrace(t *testing.T) {
@@ -92,5 +95,85 @@ func TestServerTraceNotEnabled(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("/debug/trace without TraceFunc = %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestTraceIsTheServedPath: /debug/trace answers through the handler's own
+// query function. It reports the rows /sparql returns for the same query,
+// a handler over any QueryFunc can be traced, and behind a result cache the
+// trace of a query /sparql has just answered is a cache hit, not a second
+// evaluation.
+func TestTraceIsTheServedPath(t *testing.T) {
+	query := `SELECT ?s ?n WHERE { ?s <http://x/name> ?n }`
+	for _, c := range []struct {
+		name   string
+		cached bool
+		build  func(st *store.Store, reg *obs.Registry) *Handler
+	}{
+		{"NewHandler", false, func(st *store.Store, _ *obs.Registry) *Handler { return NewHandler(st) }},
+		{"NewCachedHandler", true, func(st *store.Store, reg *obs.Registry) *Handler {
+			cache := NewQueryCache(DefaultCacheConfig(), st.Generation)
+			cache.SetObserver(reg)
+			return NewCachedHandler(st, cache)
+		}},
+		{"NewQueryHandler", false, func(st *store.Store, _ *obs.Registry) *Handler {
+			return NewQueryHandler(CachedStoreQueryFunc(st, nil), nil)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			h := c.build(testStore(), reg)
+			h.SetObserver(reg)
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+
+			code, body := fetch(t, srv, query)
+			if code != http.StatusOK {
+				t.Fatalf("/sparql = %d: %s", code, body)
+			}
+			var reply struct {
+				Results struct {
+					Bindings []map[string]any `json:"bindings"`
+				} `json:"results"`
+			}
+			if err := json.Unmarshal([]byte(body), &reply); err != nil {
+				t.Fatal(err)
+			}
+			rows := len(reply.Results.Bindings)
+			if rows == 0 {
+				t.Fatal("/sparql returned no rows; the query tests nothing")
+			}
+
+			hits := reg.Counter(obs.EndpointResultHits).Value()
+			resp, err := http.Get(srv.URL + "/debug/trace?query=" + url.QueryEscape(query))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			trace := string(raw)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/debug/trace = %d: %s", resp.StatusCode, trace)
+			}
+			if want := fmt.Sprintf("%d rows\n", rows); !strings.HasPrefix(trace, want) {
+				t.Errorf("/debug/trace reports %q, /sparql returned %d rows", strings.SplitN(trace, "\n", 2)[0], rows)
+			}
+			if !c.cached {
+				return
+			}
+			if got := reg.Counter(obs.EndpointResultHits).Value() - hits; got != 1 {
+				t.Errorf("/debug/trace moved endpoint.result.hits by %d, want 1", got)
+			}
+			lines := strings.Split(trace, "\n")
+			if len(lines) < 3 || !strings.HasPrefix(lines[2], "query (") || !strings.Contains(lines[2], " cache=hit") {
+				t.Errorf("trace root is not a cache hit:\n%s", trace)
+			}
+			for _, l := range lines[2:] {
+				if strings.HasPrefix(strings.TrimSpace(l), "bgp ") {
+					t.Errorf("a traced cache hit evaluated again:\n%s", trace)
+					break
+				}
+			}
+		})
 	}
 }
