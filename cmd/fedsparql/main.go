@@ -150,11 +150,13 @@ func runQuery(federation *fed.Federation, query string, trace bool, stdout, stde
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	var tr *obs.Trace
 	if trace {
 		tr = obs.NewTrace("query")
+		ctx = obs.WithTrace(ctx, tr)
 	}
-	res, err := federation.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{Trace: tr})
+	res, err := federation.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
 	if tr != nil {
 		// Printed on failure too: the recorded prefix shows how far it got.
 		fmt.Fprintln(stderr, tr.String())

@@ -92,13 +92,15 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 }
 
 // Do answers one query through the cache: normalized-key preparation,
-// then a generation-checked result lookup, then eval on miss. The
+// then a generation-checked result lookup, then eval on miss. With a
+// result cache, the root span of the trace ctx carries reads cache=hit or
+// cache=miss. The
 // generation is snapshotted before eval, so a mutation racing the
 // evaluation leaves the stored entry permanently stale — it can never be
 // served — rather than ever serving a pre-mutation answer as current. A
 // Partial result is served and not stored: a skipped member coming back
 // moves no generation.
-func (c *QueryCache) Do(query string, eval func(*sparql.Prepared) (*Result, error)) (*Result, error) {
+func (c *QueryCache) Do(ctx context.Context, query string, eval func(*sparql.Prepared) (*Result, error)) (*Result, error) {
 	prep, err := c.Prepare(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
@@ -107,10 +109,18 @@ func (c *QueryCache) Do(query string, eval func(*sparql.Prepared) (*Result, erro
 		return eval(prep)
 	}
 	gen := c.gen()
-	if res, ok := c.lookupResult(prep.Key, gen); ok {
+	res, ok := c.lookupResult(prep.Key, gen)
+	if c.results != nil {
+		outcome := "miss"
+		if ok {
+			outcome = "hit"
+		}
+		obs.TraceFrom(ctx).Root().SetStr("cache", outcome)
+	}
+	if ok {
 		return res, nil
 	}
-	res, err := eval(prep)
+	res, err = eval(prep)
 	if err != nil {
 		return nil, err
 	}
@@ -190,8 +200,8 @@ func (c *QueryCache) storeResult(key string, gen uint64, res *Result) {
 // computed at; the cache-off path (nil cache) is answer-identical.
 func CachedStoreQueryFunc(st *store.Store, cache *QueryCache) QueryFunc {
 	return func(ctx context.Context, query string) (*Result, error) {
-		return cache.Do(query, func(prep *sparql.Prepared) (*Result, error) {
-			return storeEval(ctx, st, prep, nil)
+		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*Result, error) {
+			return storeEval(ctx, st, prep)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package endpoint
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,20 +80,6 @@ func TestServerMetricsWithoutObserver(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics without observer = %d, want 200", resp.StatusCode)
-	}
-}
-
-func TestServerTraceNotEnabled(t *testing.T) {
-	h := NewQueryHandler(func(context.Context, string) (*Result, error) { return &Result{}, nil }, nil)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/trace?query=x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/debug/trace without TraceFunc = %d, want 501", resp.StatusCode)
 	}
 }
 

@@ -34,44 +34,38 @@ import (
 // carry a per-request deadline.
 type QueryFunc func(ctx context.Context, query string) (*Result, error)
 
-// TraceFunc answers one SPARQL query and returns its execution trace. It
-// backs the /debug/trace route; see Handler.SetTraceFunc.
-type TraceFunc func(ctx context.Context, query string) (*Result, *obs.Trace, error)
-
 // Handler serves a SPARQL query engine over the protocol. Routes:
 //
 //	GET/POST /sparql        the query endpoint (?query= or form/body)
 //	GET      /stats         JSON statistics
 //	GET      /metrics       JSON metrics snapshot (see SetObserver)
-//	GET/POST /debug/trace   per-query span tree (see SetTraceFunc)
+//	GET/POST /debug/trace   per-query span tree of the served path
 type Handler struct {
 	query    QueryFunc
 	stats    func() map[string]any
 	feedback FeedbackFunc
 	mux      *http.ServeMux
 
-	// Observability. Set both before serving; instruments are nil-safe
-	// no-ops while unset.
+	// Observability. Set before serving; instruments are nil-safe no-ops
+	// while unset.
 	obsReg     *obs.Registry
-	trace      TraceFunc
 	cRequests  *obs.Counter
 	cFeedback  *obs.Counter
 	hRequestNS *obs.Histogram
 }
 
-// NewHandler returns a handler over a single store, with /debug/trace
-// pre-wired to the store's query evaluator. Every request is parsed and
-// compiled afresh — without the normalisation a cache would key on.
+// NewHandler returns a handler over a single store. Every request is
+// parsed and compiled afresh — without the normalisation a cache would key
+// on.
 func NewHandler(st *store.Store) *Handler {
 	return newStoreHandler(st, func(ctx context.Context, query string) (*Result, error) {
-		return storeQuery(ctx, st, query, nil)
+		return storeQuery(ctx, st, query)
 	})
 }
 
-// newStoreHandler serves query over st's statistics, with /debug/trace
-// wired to an uncached, traced evaluation against st.
+// newStoreHandler serves query over st's statistics.
 func newStoreHandler(st *store.Store, query QueryFunc) *Handler {
-	h := NewQueryHandler(query, func() map[string]any {
+	return NewQueryHandler(query, func() map[string]any {
 		s := st.Stats()
 		return map[string]any{
 			"name":       s.Name,
@@ -80,12 +74,6 @@ func newStoreHandler(st *store.Store, query QueryFunc) *Handler {
 			"predicates": s.Predicates,
 		}
 	})
-	h.SetTraceFunc(func(ctx context.Context, query string) (*Result, *obs.Trace, error) {
-		tr := obs.NewTrace("query")
-		res, err := storeQuery(ctx, st, query, tr)
-		return res, tr, err
-	})
-	return h
 }
 
 // NewQueryHandler returns a handler over any query engine. stats may be nil.
@@ -111,25 +99,19 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 	h.hRequestNS = reg.Histogram(obs.EndpointRequestNS)
 }
 
-// SetTraceFunc enables /debug/trace: each request there is answered by fn
-// and the returned span tree is rendered (text by default, JSON with
-// ?format=json). Call before serving.
-func (h *Handler) SetTraceFunc(fn TraceFunc) { h.trace = fn }
-
 // storeQuery parses and compiles a query as written and evaluates it.
-func storeQuery(ctx context.Context, st *store.Store, query string, tr *obs.Trace) (*Result, error) {
+func storeQuery(ctx context.Context, st *store.Store, query string) (*Result, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-	return storeEval(ctx, st, sparql.Compile(q), tr)
+	return storeEval(ctx, st, sparql.Compile(q))
 }
 
 // storeEval evaluates a compiled query against one store under the
-// request's context and adapts the result, rows still in id space; tr, when
-// set, records the evaluation's spans.
-func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared, tr *obs.Trace) (*Result, error) {
-	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{Trace: tr})
+// request's context and adapts the result, rows still in id space.
+func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared) (*Result, error) {
+	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -230,17 +212,20 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.obsReg.Snapshot())
 }
 
+// handleTrace answers a query through the handler's own query function,
+// the one /sparql calls, with a trace attached to the request's context,
+// and serves the span tree: the trace shows the work /sparql would do,
+// cache hits included. The trace is kept in the registry's recent traces.
 func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if h.trace == nil {
-		http.Error(w, "tracing not enabled", http.StatusNotImplemented)
-		return
-	}
 	query, err := extractQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), requestStatus(err))
 		return
 	}
-	res, tr, err := h.trace(r.Context(), query)
+	tr := obs.NewTrace("query")
+	res, err := h.query(obs.WithTrace(r.Context(), tr), query)
+	tr.Finish()
+	h.obsReg.AddTrace(tr)
 	if err != nil {
 		http.Error(w, err.Error(), errorStatus(err))
 		return

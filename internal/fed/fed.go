@@ -331,15 +331,17 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 	return f.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
 }
 
-// EvalContext evaluates a compiled query under ctx. opts.Trace, when set,
-// records an EXPLAIN-style span tree: per-pattern spans with source names,
-// join input/output cardinalities, sameAs rewrites fired, and per-stage
-// durations (metrics are recorded either way when an observer is set). The
-// recorded prefix survives an evaluation that fails partway — often exactly
-// what one wants to see. opts.DisablePlan runs every BGP in written order,
-// as it does for a single store. With Resilience.PartialResults enabled,
-// skipped sources are annotated on the root span ("partial", "skipped")
-// and returned in Result.Skipped.
+// EvalContext evaluates a compiled query under ctx. A trace that ctx
+// carries (obs.WithTrace) records an EXPLAIN-style span tree: per-pattern
+// spans with source names, join input/output cardinalities, sameAs
+// rewrites fired, and per-stage durations (metrics are recorded either way
+// when an observer is set). The served path records the same tree when
+// /debug/trace attaches one. The recorded prefix survives an evaluation
+// that fails partway — often exactly what one wants to see.
+// opts.DisablePlan runs every BGP in written order, as it does for a
+// single store. With Resilience.PartialResults enabled, skipped sources
+// are annotated on the root span ("partial", "skipped") and returned in
+// Result.Skipped.
 func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*Result, error) {
 	rows, es, skips, err := f.eval(ctx, prep, opts)
 	if err != nil {
@@ -374,7 +376,7 @@ func (f *Federation) eval(ctx context.Context, prep *sparql.Prepared, opts sparq
 	skips := es.skips()
 	if len(skips) > 0 {
 		f.cPartial.Inc()
-		sp := opts.Trace.Root()
+		sp := obs.TraceFrom(ctx).Root()
 		sp.SetInt("partial", 1)
 		names := ""
 		for i, sk := range skips {

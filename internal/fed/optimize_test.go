@@ -84,11 +84,11 @@ func TestPlanRespectsDisablePlan(t *testing.T) {
 		opts  sparql.EvalOptions
 		first string
 	}{{sparql.EvalOptions{DisablePlan: true}, "common"}, {sparql.EvalOptions{}, "rare"}} {
-		c.opts.Trace = obs.NewTrace("query")
-		if _, err := f.EvalContext(context.Background(), sparql.Compile(q), c.opts); err != nil {
+		tr := obs.NewTrace("query")
+		if _, err := f.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), c.opts); err != nil {
 			t.Fatal(err)
 		}
-		patterns := c.opts.Trace.Root().FindAll("pattern")
+		patterns := tr.Root().FindAll("pattern")
 		if len(patterns) != 2 {
 			t.Fatalf("DisablePlan=%v: %d pattern spans, want 2", c.opts.DisablePlan, len(patterns))
 		}

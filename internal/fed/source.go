@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"alex/internal/endpoint"
-	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/store"
@@ -75,24 +74,9 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // are encoded from the evaluator's id rows, as a single store's are.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
-		return cache.Do(query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
-			return f.serve(ctx, prep, nil)
+		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
+			return f.serve(ctx, prep)
 		})
-	}
-}
-
-// EndpointTraceFunc adapts the federation as an endpoint.TraceFunc, backing
-// the /debug/trace route of a served federation (see
-// CachedEndpointQueryFunc for the query adapter).
-func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
-	return func(ctx context.Context, query string) (*endpoint.Result, *obs.Trace, error) {
-		q, err := sparql.Parse(query)
-		if err != nil {
-			return nil, nil, &endpoint.BadQueryError{Err: err}
-		}
-		tr := obs.NewTrace("query")
-		res, err := f.serve(ctx, sparql.Compile(q), tr)
-		return res, tr, err
 	}
 }
 
@@ -100,8 +84,8 @@ func EndpointTraceFunc(f *Federation) endpoint.TraceFunc {
 // the id rows, through the constructor a single store's handler uses, and
 // the links each row used stay in its provenance column, which the results
 // format has no place for.
-func (f *Federation) serve(ctx context.Context, prep *sparql.Prepared, tr *obs.Trace) (*endpoint.Result, error) {
-	rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{Trace: tr})
+func (f *Federation) serve(ctx context.Context, prep *sparql.Prepared) (*endpoint.Result, error) {
+	rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -11,10 +12,26 @@ import (
 // Trace is one recorded execution: a tree of spans rooted at the overall
 // operation (a federated query, an ALEX run). Traces are built online
 // while the operation runs and rendered afterwards (fedsparql --trace,
-// sparqld /debug/trace). A nil *Trace is the disabled state; every method
-// is a no-op returning nil, so instrumented code needs no guards.
+// sparqld /debug/trace). A query's trace travels in its context (WithTrace),
+// so a traced request runs the same code as an untraced one. A nil *Trace
+// is the disabled state; every method is a no-op returning nil, so
+// instrumented code needs no guards.
 type Trace struct {
 	root *Span
+}
+
+type traceKey struct{}
+
+// WithTrace returns a copy of ctx that carries tr: every evaluation under
+// it records its spans on tr.
+func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	return context.WithValue(ctx, traceKey{}, tr)
+}
+
+// TraceFrom returns the trace ctx carries, or nil when it carries none.
+func TraceFrom(ctx context.Context) *Trace {
+	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	return tr
 }
 
 // NewTrace starts a trace whose root span has the given name.

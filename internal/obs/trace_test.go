@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -120,5 +121,20 @@ func TestTraceJSON(t *testing.T) {
 	child := dump.Children[0]
 	if child.Ints["rows"] != 3 || child.Strs["src"] != "dbpedia" || child.DurationUS <= 0 {
 		t.Fatalf("child dump = %+v", child)
+	}
+}
+
+func TestTraceInContext(t *testing.T) {
+	if tr := TraceFrom(context.Background()); tr != nil {
+		t.Fatalf("TraceFrom of a bare context = %v, want nil", tr)
+	}
+	tr := NewTrace("query")
+	ctx := WithTrace(context.Background(), tr)
+	if got := TraceFrom(context.WithValue(ctx, struct{}{}, 1)); got != tr {
+		t.Fatal("TraceFrom lost the trace under a derived context")
+	}
+	TraceFrom(ctx).Root().SetStr("cache", "hit")
+	if v, _ := tr.Root().Str("cache"); v != "hit" {
+		t.Errorf("root cache = %q, want hit", v)
 	}
 }

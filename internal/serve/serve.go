@@ -97,7 +97,6 @@ func (n *Node) Handler(stats func() map[string]any) http.Handler {
 	cache := endpoint.NewQueryCache(n.cfg.Cache, n.Fed.DataGeneration)
 	cache.SetObserver(n.cfg.Obs)
 	h := endpoint.NewQueryHandler(fed.CachedEndpointQueryFunc(n.Fed, cache), stats)
-	h.SetTraceFunc(fed.EndpointTraceFunc(n.Fed))
 	if n.Engine != nil {
 		h.SetFeedbackFunc(n.FeedbackFunc())
 	}

@@ -94,8 +94,7 @@ func TestEvalGolden(t *testing.T) {
 		}{{"planned", EvalOptions{}}, {"written", EvalOptions{DisablePlan: true}}} {
 			fmt.Fprintf(&b, "-- %s\n", c.label)
 			tr := obs.NewTrace("query")
-			c.opts.Trace = tr
-			res, err := evalStore(context.Background(), st, q, c.opts)
+			res, err := evalStore(obs.WithTrace(context.Background(), tr), st, q, c.opts)
 			renderEval(&b, res, tr, err)
 		}
 	}

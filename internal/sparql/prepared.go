@@ -59,10 +59,6 @@ type EvalOptions struct {
 	// reordering by estimated selectivity — the ablation switch for
 	// measuring what the planner buys.
 	DisablePlan bool
-	// Trace, when set, receives one span per evaluation stage: per-pattern
-	// match timing, join input/output cardinalities, the planner's chosen
-	// order. The recorded prefix survives an evaluation that fails partway.
-	Trace *obs.Trace
 }
 
 // Eval is the evaluator's one entry point: it runs the prepared query
@@ -70,6 +66,10 @@ type EvalOptions struct {
 // and returns the rows still in id space. ctx reaches the solver with
 // every basic graph pattern and property path, so cancelling it ends the
 // evaluation at the next pattern (or sooner, see Solver) with ctx's error.
+// When ctx carries a trace (obs.WithTrace), it receives one span per
+// evaluation stage: per-pattern match timing, join input/output
+// cardinalities, the planner's chosen order. The recorded prefix survives
+// an evaluation that fails partway.
 func (p *Prepared) Eval(ctx context.Context, s Solver, opts EvalOptions) (*SlotResult, error) {
 	prog := &slotProg{solver: s, ids: newIDSpace(s.Dict()), lay: &p.layout, written: opts.DisablePlan}
 	if s.Provenance() {
@@ -77,7 +77,7 @@ func (p *Prepared) Eval(ctx context.Context, s Solver, opts EvalOptions) (*SlotR
 	}
 	prog.reg = s.Registry()
 	prog.materialized = prog.reg.Counter(obs.SparqlRowsMaterialized)
-	return prog.run(ctx, p.query, opts.Trace)
+	return prog.run(ctx, p.query, obs.TraceFrom(ctx))
 }
 
 // EvalSlots is Eval against one store without a deadline or options: the
