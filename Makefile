@@ -37,7 +37,9 @@ test-short:
 # internal/obs's TestHistogramConcurrent, internal/par's TestDo (the one
 # worker pool: no two goroutines share a worker index) and internal/serve's
 # TestConcurrentQueriesAndFeedback (/sparql readers beside flushed /feedback
-# writers on one served node).
+# writers on one served node; one reader's /debug/trace joins run four
+# bound-join workers that write spans into its trace while the writers'
+# episodes add theirs to the registry).
 race:
 	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/... ./internal/serve/...
 

@@ -68,6 +68,27 @@ func TestServerMetricsAndTrace(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"name":"query"`) {
 		t.Errorf("/debug/trace JSON form wrong (status %d):\n%s", code, body)
 	}
+	// The query as an application/sparql-query body, the format in the URL.
+	resp, err := http.Post(srv.URL+"/debug/trace?format=json", "application/sparql-query", strings.NewReader(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" || !strings.Contains(string(raw), `"name":"query"`) {
+		t.Errorf("POST /debug/trace?format=json with a query body = %d %s:\n%s", resp.StatusCode, ct, raw)
+	}
+
+	// A GET with no query lists the three traces just taken.
+	code, body = get("/debug/trace")
+	if code != http.StatusOK || !strings.HasPrefix(body, "3 traces\n\nquery (") {
+		t.Errorf("GET /debug/trace = %d:\n%s", code, body)
+	}
+	code, body = get("/debug/trace?format=json")
+	var dumps []obs.SpanDump
+	if err := json.Unmarshal([]byte(body), &dumps); code != http.StatusOK || err != nil || len(dumps) != 3 || dumps[0].Name != "query" {
+		t.Errorf("GET /debug/trace?format=json = %d (%v):\n%s", code, err, body)
+	}
 }
 
 func TestServerMetricsWithoutObserver(t *testing.T) {
@@ -80,6 +101,17 @@ func TestServerMetricsWithoutObserver(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics without observer = %d, want 200", resp.StatusCode)
+	}
+	for path, want := range map[string]string{"/debug/trace": "0 traces\n", "/debug/trace?format=json": "[]\n"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Errorf("GET %s without observer = %d %q, want 200 %q", path, resp.StatusCode, body, want)
+		}
 	}
 }
 

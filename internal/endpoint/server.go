@@ -39,7 +39,8 @@ type QueryFunc func(ctx context.Context, query string) (*Result, error)
 //	GET/POST /sparql        the query endpoint (?query= or form/body)
 //	GET      /stats         JSON statistics
 //	GET      /metrics       JSON metrics snapshot (see SetObserver)
-//	GET/POST /debug/trace   per-query span tree of the served path
+//	GET/POST /debug/trace   per-query span tree of the served path; a GET
+//	                        with no query lists the registry's kept traces
 type Handler struct {
 	query    QueryFunc
 	stats    func() map[string]any
@@ -215,8 +216,14 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTrace answers a query through the handler's own query function,
 // the one /sparql calls, with a trace attached to the request's context,
 // and serves the span tree: the trace shows the work /sparql would do,
-// cache hits included. The trace is kept in the registry's recent traces.
+// cache hits included. The trace is kept in the registry's recent traces,
+// which a GET with no query lists. Replies are text, or JSON with
+// ?format=json.
 func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet && r.URL.Query().Get("query") == "" {
+		h.serveTraces(w, r)
+		return
+	}
 	query, err := extractQuery(r)
 	if err != nil {
 		http.Error(w, err.Error(), requestStatus(err))
@@ -230,13 +237,34 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	if r.Form.Get("format") == "json" {
+	if r.FormValue("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		writeJSON(w, tr)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "%d rows\n\n%s", res.rowCount(), tr.String())
+}
+
+// serveTraces lists the traces the registry keeps, oldest first: the
+// queries traced here and the engine's feedback episodes. Without a
+// registry the list is empty.
+func (h *Handler) serveTraces(w http.ResponseWriter, r *http.Request) {
+	traces := h.obsReg.Traces()
+	if r.FormValue("format") == "json" {
+		dumps := make([]obs.SpanDump, 0, len(traces))
+		for _, tr := range traces {
+			dumps = append(dumps, tr.Root().Dump())
+		}
+		w.Header().Set("Content-Type", "application/json")
+		writeJSON(w, dumps)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "%d traces\n", len(traces))
+	for _, tr := range traces {
+		fmt.Fprintf(w, "\n%s", tr.String())
+	}
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {

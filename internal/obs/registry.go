@@ -251,8 +251,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // AddTrace retains a completed trace, keeping the most recent ones (the
-// retention cap defaults to 16). Used by engines that want their recent
-// query/episode traces inspectable after the fact (cmd/alex -trace).
+// retention cap defaults to 16): the engine's episodes and the queries
+// traced through /debug/trace, inspectable after the fact (cmd/alex
+// -trace, and a GET /debug/trace with no query).
 func (r *Registry) AddTrace(tr *Trace) {
 	if r == nil || tr == nil {
 		return

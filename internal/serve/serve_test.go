@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"alex/internal/core"
@@ -16,11 +19,13 @@ import (
 	"alex/internal/endpoint"
 	"alex/internal/fed"
 	"alex/internal/linkset"
+	"alex/internal/obs"
 )
 
 // testNode serves a small generated pair through an engine seeded with the
 // truth links plus as many decoys, so feedback has links to confirm and
-// links to remove. It returns the data generation New started from.
+// links to remove, and records into a registry. It returns the data
+// generation New started from.
 func testNode(t *testing.T) (*Node, *datagen.Pair, uint64) {
 	t.Helper()
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(0.12, 3))
@@ -34,7 +39,7 @@ func testNode(t *testing.T) (*Node, *datagen.Pair, uint64) {
 	f := fed.New(pair.Dict, pair.DS1, pair.DS2)
 	gen := f.DataGeneration()
 	n := New(f, pair.DS1, pair.DS2, Config{
-		Engine: &cfg, Links: links, Stream: core.StreamConfig{BatchSize: 8}, Cache: endpoint.DefaultCacheConfig(),
+		Engine: &cfg, Links: links, Stream: core.StreamConfig{BatchSize: 8}, Cache: endpoint.DefaultCacheConfig(), Obs: obs.NewRegistry(),
 	})
 	return n, pair, gen
 }
@@ -124,17 +129,29 @@ func TestStaticLinks(t *testing.T) {
 	}
 }
 
+// parallelRewrites matches a pattern span's input rows and the sameAs
+// rewrites its bound-join workers counted.
+var parallelRewrites = regexp.MustCompile(` in=(\d+) rewrites=`)
+
 // TestConcurrentQueriesAndFeedback serves /sparql readers and flushed
 // /feedback writers against one handler at once. Run under -race (make
 // race): the writers republish links while the readers evaluate over them
-// and hit the result cache.
+// and hit the result cache. Every other request of one reader goes to
+// /debug/trace, and its query joins two patterns through four bound-join
+// workers, so the workers write spans into the request's trace while the
+// writers' episodes add theirs to the registry.
 func TestConcurrentQueriesAndFeedback(t *testing.T) {
 	n, pair, _ := testNode(t)
+	n.Fed.SetParallelism(4)
 	h := n.Handler(nil)
 	var queries []string
 	for _, l := range n.Engine.Candidates().Links()[:8] {
-		queries = append(queries, "query="+url.QueryEscape(fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", pair.Dict.Term(l.Left))))
+		left := pair.Dict.Term(l.Left)
+		queries = append(queries,
+			"query="+url.QueryEscape(fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", left)),
+			"query="+url.QueryEscape(fmt.Sprintf("SELECT ?q ?v WHERE { %s ?p ?o . %s ?q ?v }", left, left)))
 	}
+	var rewrites atomic.Bool
 	bodies := make([]string, 4)
 	for i := range bodies {
 		bodies[i] = feedbackBody(t, pair, judgements(n, pair, 8*(i+1)))
@@ -146,9 +163,19 @@ func TestConcurrentQueriesAndFeedback(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if rec := post(h, "/sparql", "application/x-www-form-urlencoded", queries[(r+i)%len(queries)]); rec.Code != http.StatusOK {
-					errs <- fmt.Sprintf("/sparql = %d: %s", rec.Code, rec.Body)
+				path, q := "/sparql", queries[2*((r+i)%(len(queries)/2))]
+				if r == 0 && i%2 == 1 {
+					path, q = "/debug/trace", queries[2*((i/2)%(len(queries)/2))+1]
+				}
+				rec := post(h, path, "application/x-www-form-urlencoded", q)
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Sprintf("%s = %d: %s", path, rec.Code, rec.Body)
 					return
+				}
+				for _, m := range parallelRewrites.FindAllStringSubmatch(rec.Body.String(), -1) {
+					if in, _ := strconv.Atoi(m[1]); in >= 8 {
+						rewrites.Store(true)
+					}
 				}
 			}
 		}(r)
@@ -168,5 +195,28 @@ func TestConcurrentQueriesAndFeedback(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+	if !rewrites.Load() {
+		t.Error("no traced pattern of 8 rows or more rewrote through a link; no bound-join worker wrote a span")
+	}
 	checkPublished(t, n, 0, "concurrent feedback")
+}
+
+// TestTraceListHoldsEpisodes: a GET /debug/trace with no query lists the
+// traces the node's registry keeps, and the engine records the episode a
+// flushed POST /feedback applies there.
+func TestTraceListHoldsEpisodes(t *testing.T) {
+	n, pair, _ := testNode(t)
+	h := n.Handler(nil)
+	if rec := post(h, "/feedback", "application/json", feedbackBody(t, pair, judgements(n, pair, 8))); rec.Code != http.StatusOK {
+		t.Fatalf("POST /feedback = %d: %s", rec.Code, rec.Body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/trace?format=json", nil))
+	var dumps []obs.SpanDump
+	if err := json.Unmarshal(rec.Body.Bytes(), &dumps); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /debug/trace = %d (%v): %s", rec.Code, err, rec.Body)
+	}
+	if !slices.ContainsFunc(dumps, func(d obs.SpanDump) bool { return strings.HasPrefix(d.Name, "episode-") }) {
+		t.Errorf("GET /debug/trace lists no episode trace after a flushed /feedback: %s", rec.Body)
+	}
 }
