@@ -150,13 +150,11 @@ func runQuery(federation *fed.Federation, query string, trace bool, stdout, stde
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	var tr *obs.Trace
 	if trace {
 		tr = obs.NewTrace("query")
-		ctx = obs.WithTrace(ctx, tr)
 	}
-	res, err := federation.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
+	res, err := federation.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
 	if tr != nil {
 		// Printed on failure too: the recorded prefix shows how far it got.
 		fmt.Fprintln(stderr, tr.String())

@@ -92,9 +92,7 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 }
 
 // Do answers one query through the cache: normalized-key preparation,
-// then a generation-checked result lookup, then eval on miss. With a
-// result cache, the root span of the trace ctx carries reads cache=hit or
-// cache=miss. The
+// then a generation-checked result lookup, then eval on miss. The
 // generation is snapshotted before eval, so a mutation racing the
 // evaluation leaves the stored entry permanently stale — it can never be
 // served — rather than ever serving a pre-mutation answer as current. A
@@ -109,18 +107,10 @@ func (c *QueryCache) Do(ctx context.Context, query string, eval func(*sparql.Pre
 		return eval(prep)
 	}
 	gen := c.gen()
-	res, ok := c.lookupResult(prep.Key, gen)
-	if c.results != nil {
-		outcome := "miss"
-		if ok {
-			outcome = "hit"
-		}
-		obs.TraceFrom(ctx).Root().SetStr("cache", outcome)
-	}
-	if ok {
+	if res, ok := c.lookupResult(ctx, prep.Key, gen); ok {
 		return res, nil
 	}
-	res, err = eval(prep)
+	res, err := eval(prep)
 	if err != nil {
 		return nil, err
 	}
@@ -162,26 +152,29 @@ func (c *QueryCache) Prepare(query string) (*sparql.Prepared, error) {
 	return prep, nil
 }
 
-func (c *QueryCache) lookupResult(key string, gen uint64) (*Result, bool) {
+// lookupResult returns the result cached for key at gen, and marks the root
+// span of the trace ctx carries cache=hit or cache=miss.
+func (c *QueryCache) lookupResult(ctx context.Context, key string, gen uint64) (*Result, bool) {
 	if c.results == nil {
 		return nil, false
 	}
+	sp := obs.TraceFrom(ctx).Root()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.results.get(key)
-	if !ok {
-		c.rMisses.Inc()
-		return nil, false
-	}
-	e := v.(*resultEntry)
-	if e.gen != gen {
+	if ok && v.(*resultEntry).gen != gen {
 		c.results.remove(key)
 		c.rInval.Inc()
+		ok = false
+	}
+	if !ok {
 		c.rMisses.Inc()
+		sp.SetStr("cache", "miss")
 		return nil, false
 	}
 	c.rHits.Inc()
-	return e.res, true
+	sp.SetStr("cache", "hit")
+	return v.(*resultEntry).res, true
 }
 
 func (c *QueryCache) storeResult(key string, gen uint64, res *Result) {

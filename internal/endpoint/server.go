@@ -56,11 +56,15 @@ type Handler struct {
 }
 
 // NewHandler returns a handler over a single store. Every request is
-// parsed and compiled afresh — without the normalisation a cache would key
-// on.
+// parsed as written and compiled afresh — without the normalisation a cache
+// would key on.
 func NewHandler(st *store.Store) *Handler {
 	return newStoreHandler(st, func(ctx context.Context, query string) (*Result, error) {
-		return storeQuery(ctx, st, query)
+		q, err := sparql.Parse(query)
+		if err != nil {
+			return nil, &BadQueryError{Err: err}
+		}
+		return storeEval(ctx, st, sparql.Compile(q))
 	})
 }
 
@@ -98,15 +102,6 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 	h.cRequests = reg.Counter(obs.EndpointRequests)
 	h.cFeedback = reg.Counter(obs.EndpointFeedbackRequests)
 	h.hRequestNS = reg.Histogram(obs.EndpointRequestNS)
-}
-
-// storeQuery parses and compiles a query as written and evaluates it.
-func storeQuery(ctx context.Context, st *store.Store, query string) (*Result, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, &BadQueryError{Err: err}
-	}
-	return storeEval(ctx, st, sparql.Compile(q))
 }
 
 // storeEval evaluates a compiled query against one store under the
@@ -213,15 +208,18 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.obsReg.Snapshot())
 }
 
-// handleTrace answers a query through the handler's own query function,
-// the one /sparql calls, with a trace attached to the request's context,
-// and serves the span tree: the trace shows the work /sparql would do,
-// cache hits included. The trace is kept in the registry's recent traces,
-// which a GET with no query lists. Replies are text, or JSON with
-// ?format=json.
+// handleTrace answers a query through the query function /sparql calls,
+// with a trace in the request's context, so the span tree shows the work
+// /sparql does, cache hits included, and keeps the trace in the registry.
+// A GET with no query lists the registry's kept traces instead.
 func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && r.URL.Query().Get("query") == "" {
-		h.serveTraces(w, r)
+		traces := append([]*obs.Trace{}, h.obsReg.Traces()...) // JSON [] when none
+		text := fmt.Sprintf("%d traces\n", len(traces))
+		for _, tr := range traces {
+			text += "\n" + tr.String()
+		}
+		writeTrace(w, r, traces, text)
 		return
 	}
 	query, err := extractQuery(r)
@@ -237,34 +235,19 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	if r.FormValue("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, tr)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%d rows\n\n%s", res.rowCount(), tr.String())
+	writeTrace(w, r, tr, fmt.Sprintf("%d rows\n\n%s", res.rowCount(), tr))
 }
 
-// serveTraces lists the traces the registry keeps, oldest first: the
-// queries traced here and the engine's feedback episodes. Without a
-// registry the list is empty.
-func (h *Handler) serveTraces(w http.ResponseWriter, r *http.Request) {
-	traces := h.obsReg.Traces()
+// writeTrace serves v as JSON when the request asks ?format=json, in the
+// URL or the form, else text.
+func writeTrace(w http.ResponseWriter, r *http.Request, v any, text string) {
 	if r.FormValue("format") == "json" {
-		dumps := make([]obs.SpanDump, 0, len(traces))
-		for _, tr := range traces {
-			dumps = append(dumps, tr.Root().Dump())
-		}
 		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, dumps)
+		writeJSON(w, v)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "%d traces\n", len(traces))
-	for _, tr := range traces {
-		fmt.Fprintf(w, "\n%s", tr.String())
-	}
+	_, _ = io.WriteString(w, text)
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -31,6 +31,7 @@ package fed
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -331,17 +332,16 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 	return f.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
 }
 
-// EvalContext evaluates a compiled query under ctx. A trace that ctx
-// carries (obs.WithTrace) records an EXPLAIN-style span tree: per-pattern
-// spans with source names, join input/output cardinalities, sameAs
-// rewrites fired, and per-stage durations (metrics are recorded either way
-// when an observer is set). The served path records the same tree when
-// /debug/trace attaches one. The recorded prefix survives an evaluation
-// that fails partway — often exactly what one wants to see.
-// opts.DisablePlan runs every BGP in written order, as it does for a
-// single store. With Resilience.PartialResults enabled, skipped sources
-// are annotated on the root span ("partial", "skipped") and returned in
-// Result.Skipped.
+// EvalContext evaluates a compiled query under ctx. A trace in ctx
+// (obs.WithTrace; /debug/trace attaches one to the served path) records an
+// EXPLAIN-style span tree: per-pattern spans with source names, join
+// input/output cardinalities, sameAs rewrites fired, and per-stage
+// durations (metrics are recorded either way when an observer is set). The
+// recorded prefix survives an evaluation that fails partway — often
+// exactly what one wants to see. opts.DisablePlan runs every BGP in
+// written order, as it does for a single store. With
+// Resilience.PartialResults enabled, skipped sources are annotated on the
+// root span ("partial", "skipped") and returned in Result.Skipped.
 func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*Result, error) {
 	rows, es, skips, err := f.eval(ctx, prep, opts)
 	if err != nil {
@@ -378,14 +378,11 @@ func (f *Federation) eval(ctx context.Context, prep *sparql.Prepared, opts sparq
 		f.cPartial.Inc()
 		sp := obs.TraceFrom(ctx).Root()
 		sp.SetInt("partial", 1)
-		names := ""
+		names := make([]string, len(skips))
 		for i, sk := range skips {
-			if i > 0 {
-				names += ","
-			}
-			names += sk.Source
+			names[i] = sk.Source
 		}
-		sp.SetStr("skipped", names)
+		sp.SetStr("skipped", strings.Join(names, ","))
 	}
 	f.cQueries.Inc()
 	if f.obsReg != nil {

@@ -71,27 +71,21 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // be built over f.DataGeneration — whole sameAs-expanded answer sets are
 // served from the result cache until any member store mutates or the link
 // set is swapped. A nil cache prepares and evaluates every request. Replies
-// are encoded from the evaluator's id rows, as a single store's are.
+// are encoded from the evaluator's id rows, as a single store's are; the
+// links each row used stay in its provenance column, which the results
+// format has no place for.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
 		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
-			return f.serve(ctx, prep)
+			rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
+			if err != nil {
+				return nil, err
+			}
+			res := endpoint.FromSlots(prep, rows)
+			res.Partial = len(skips) > 0
+			return res, nil
 		})
 	}
-}
-
-// serve evaluates prep for the endpoint handler: the reply is encoded from
-// the id rows, through the constructor a single store's handler uses, and
-// the links each row used stay in its provenance column, which the results
-// format has no place for.
-func (f *Federation) serve(ctx context.Context, prep *sparql.Prepared) (*endpoint.Result, error) {
-	rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
-	if err != nil {
-		return nil, err
-	}
-	res := endpoint.FromSlots(prep, rows)
-	res.Partial = len(skips) > 0
-	return res, nil
 }
 
 // remoteSource adapts an HTTP SPARQL endpoint client.

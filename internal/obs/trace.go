@@ -12,10 +12,10 @@ import (
 // Trace is one recorded execution: a tree of spans rooted at the overall
 // operation (a federated query, an ALEX run). Traces are built online
 // while the operation runs and rendered afterwards (fedsparql --trace,
-// sparqld /debug/trace). A query's trace travels in its context (WithTrace),
-// so a traced request runs the same code as an untraced one. A nil *Trace
-// is the disabled state; every method is a no-op returning nil, so
-// instrumented code needs no guards.
+// sparqld /debug/trace), which carry a query's trace in its context
+// (WithTrace), so a traced query runs the served path. A nil *Trace is the
+// disabled state; every method is a no-op returning nil, so instrumented
+// code needs no guards.
 type Trace struct {
 	root *Span
 }
