@@ -31,7 +31,6 @@ package fed
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -378,11 +377,14 @@ func (f *Federation) eval(ctx context.Context, prep *sparql.Prepared, opts sparq
 		f.cPartial.Inc()
 		sp := obs.TraceFrom(ctx).Root()
 		sp.SetInt("partial", 1)
-		names := make([]string, len(skips))
+		names := ""
 		for i, sk := range skips {
-			names[i] = sk.Source
+			if i > 0 {
+				names += ","
+			}
+			names += sk.Source
 		}
-		sp.SetStr("skipped", strings.Join(names, ","))
+		sp.SetStr("skipped", names)
 	}
 	f.cQueries.Inc()
 	if f.obsReg != nil {
