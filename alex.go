@@ -32,7 +32,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"alex/internal/core"
 	"alex/internal/fed"
@@ -341,20 +341,16 @@ func (s *Session) LoadState(r io.Reader) error {
 type FeatureQuality = core.FeatureQuality
 
 // LearnedFeatures reports what the session has learned about which
-// attribute pairs identify equivalent entities, across all partitions,
-// sorted by mean return. Only entries with at least minVisits supporting
+// attribute pairs identify equivalent entities, across all partitions, in
+// core.CompareFeatures order: by mean return, then evidence, then
+// predicates and band. Only entries with at least minVisits supporting
 // returns are included.
 func (s *Session) LearnedFeatures(minVisits int) []FeatureQuality {
 	var out []FeatureQuality
 	for i := 0; i < s.node.Engine.Partitions(); i++ {
 		out = append(out, s.node.Engine.FeatureReport(i, minVisits)...)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Mean != out[b].Mean {
-			return out[a].Mean > out[b].Mean
-		}
-		return out[a].Visits > out[b].Visits
-	})
+	slices.SortFunc(out, core.CompareFeatures)
 	return out
 }
 

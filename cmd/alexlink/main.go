@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -27,46 +29,59 @@ import (
 	"alex/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with injectable args and streams, so tests can drive the
+// whole command in-process. It returns the exit code: 2 for a usage error,
+// 1 for a load or I/O error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("alexlink", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		left     = flag.String("left", "", "first (larger) data set, N-Triples or Turtle")
-		right    = flag.String("right", "", "second data set")
-		truthF   = flag.String("truth", "", "ground-truth owl:sameAs file (enables feedback simulation)")
-		out      = flag.String("out", "", "output owl:sameAs N-Triples file (default stdout)")
-		stateF   = flag.String("state", "", "checkpoint file: loaded if present, saved after the run")
-		report   = flag.Bool("report", false, "print the learned feature-distinctiveness table")
-		episodes = flag.Int("episodes", 0, "max episodes (default: run to convergence, cap 100)")
-		episode  = flag.Int("episode-size", 100, "feedback items per episode")
-		parts    = flag.Int("partitions", 8, "search-space partitions")
-		seed     = flag.Int64("seed", 1, "random seed")
-		thresh   = flag.Float64("paris-threshold", 0.95, "PARIS score threshold for seed links")
-		mutual   = flag.Bool("mutual-best", false, "keep only mutual-best PARIS seed links (1:1 filter)")
+		left     = flags.String("left", "", "first (larger) data set, N-Triples or Turtle")
+		right    = flags.String("right", "", "second data set")
+		truthF   = flags.String("truth", "", "ground-truth owl:sameAs file (enables feedback simulation)")
+		out      = flags.String("out", "", "output owl:sameAs N-Triples file (default stdout)")
+		stateF   = flags.String("state", "", "checkpoint file: loaded if present, saved after the run")
+		report   = flags.Bool("report", false, "print the learned feature-distinctiveness table")
+		episodes = flags.Int("episodes", 0, "max episodes (default: run to convergence, cap 100)")
+		episode  = flags.Int("episode-size", 100, "feedback items per episode")
+		parts    = flags.Int("partitions", 8, "search-space partitions")
+		seed     = flags.Int64("seed", 1, "random seed")
+		thresh   = flags.Float64("paris-threshold", 0.95, "PARIS score threshold for seed links")
+		mutual   = flags.Bool("mutual-best", false, "keep only mutual-best PARIS seed links (1:1 filter)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 	if *left == "" || *right == "" {
-		fmt.Fprintln(os.Stderr, "usage: alexlink -left <file> -right <file> [-truth <file>] [-out <file>]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: alexlink -left <file> -right <file> [-truth <file>] [-out <file>]")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "alexlink:", err)
+		return 1
 	}
 
 	dict := rdf.NewDict()
 	ds1, err := store.NewFromFile(dict, *left, store.LoadOptions{})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	ds2, err := store.NewFromFile(dict, *right, store.LoadOptions{})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintln(os.Stderr, "loaded", ds1.Stats())
-	fmt.Fprintln(os.Stderr, "loaded", ds2.Stats())
+	fmt.Fprintln(stderr, "loaded", ds1.Stats())
+	fmt.Fprintln(stderr, "loaded", ds2.Stats())
 
 	pcfg := paris.DefaultConfig()
 	pcfg.Threshold = *thresh
 	scored := paris.Link(ds1, ds2, pcfg)
-	fmt.Fprintf(os.Stderr, "PARIS: %d candidate links (threshold %.2f)\n", len(scored), *thresh)
+	fmt.Fprintf(stderr, "PARIS: %d candidate links (threshold %.2f)\n", len(scored), *thresh)
 	if *mutual {
 		scored = linkset.MutualBest(scored)
-		fmt.Fprintf(os.Stderr, "mutual-best filter: %d links remain\n", len(scored))
+		fmt.Fprintf(stderr, "mutual-best filter: %d links remain\n", len(scored))
 	}
 
 	cfg := core.Defaults()
@@ -84,78 +99,81 @@ func main() {
 	engine.SetInitialLinks(init)
 
 	if *stateF != "" {
-		if f, err := os.Open(*stateF); err == nil {
-			if err := engine.LoadState(f); err != nil {
-				fatal(err)
+		// Only a missing checkpoint means "start fresh".
+		f, err := os.Open(*stateF)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+		case err != nil:
+			return fail(err)
+		default:
+			if err := errors.Join(engine.LoadState(f), f.Close()); err != nil {
+				return fail(err)
 			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "restored state from %s (%d links)\n", *stateF, engine.Candidates().Len())
+			fmt.Fprintf(stderr, "restored state from %s (%d links)\n", *stateF, engine.Candidates().Len())
 		}
 	}
 
 	if *truthF != "" {
 		truth, err := linkset.LoadSameAs(dict, *truthF)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "truth: %d links; running feedback episodes\n", truth.Len())
+		fmt.Fprintf(stderr, "truth: %d links; running feedback episodes\n", truth.Len())
 		oracle := feedback.NewOracle(truth, 0, rand.New(rand.NewSource(*seed)))
 		engine.Run(oracle.JudgeFunc(), func(st core.EpisodeStats) {
 			q := linkset.Evaluate(engine.Candidates(), truth)
-			fmt.Fprintf(os.Stderr, "episode %3d: P=%.3f R=%.3f F=%.3f (%d candidates)\n",
+			fmt.Fprintf(stderr, "episode %3d: P=%.3f R=%.3f F=%.3f (%d candidates)\n",
 				st.Episode, q.Precision, q.Recall, q.FMeasure, st.Candidates)
 		})
 	} else {
-		fmt.Fprintln(os.Stderr, "no -truth file: emitting PARIS links unrefined (provide feedback via the library API)")
+		fmt.Fprintln(stderr, "no -truth file: emitting PARIS links unrefined (provide feedback via the library API)")
 	}
 
 	if *stateF != "" {
-		f, err := os.Create(*stateF)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*stateF, engine.SaveState); err != nil {
+			return fail(err)
 		}
-		if err := engine.SaveState(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "saved state to %s\n", *stateF)
+		fmt.Fprintf(stderr, "saved state to %s\n", *stateF)
 	}
 
 	if *report {
-		fmt.Fprintln(os.Stderr, "\nlearned feature distinctiveness:")
+		fmt.Fprintln(stderr, "\nlearned feature distinctiveness:")
 		for i := 0; i < engine.Partitions(); i++ {
 			for _, fq := range engine.FeatureReport(i, 3) {
-				fmt.Fprintf(os.Stderr, "  p%d: %s\n", i, fq)
+				fmt.Fprintf(stderr, "  p%d: %s\n", i, fq)
 			}
 		}
 	}
 
 	links := engine.Candidates()
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	writeLinks := func(w io.Writer) error {
+		writer := rdf.NewWriter(w)
+		sameAs := rdf.NewIRI(rdf.OWLSameAs)
+		for _, l := range links.Links() {
+			if err := writer.Write(rdf.Triple{S: dict.Term(l.Left), P: sameAs, O: dict.Term(l.Right)}); err != nil {
+				return err
+			}
 		}
-		defer f.Close()
-		w = f
+		return writer.Flush()
 	}
-	writer := rdf.NewWriter(w)
-	sameAs := rdf.NewIRI(rdf.OWLSameAs)
-	for _, l := range links.Links() {
-		t := rdf.Triple{S: dict.Term(l.Left), P: sameAs, O: dict.Term(l.Right)}
-		if err := writer.Write(t); err != nil {
-			fatal(err)
-		}
+	if *out == "" {
+		err = writeLinks(stdout)
+	} else {
+		err = writeFile(*out, writeLinks)
 	}
-	if err := writer.Flush(); err != nil {
-		fatal(err)
+	if err != nil {
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %d links\n", links.Len())
+	fmt.Fprintf(stderr, "wrote %d links\n", links.Len())
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "alexlink:", err)
-	os.Exit(1)
+// writeFile creates path and fills it with write. The file's Close error
+// counts: a checkpoint or link file is only written once it is closed.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

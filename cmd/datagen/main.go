@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,77 +28,93 @@ import (
 	"alex/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with injectable args and streams, so tests can drive the
+// whole command in-process. It returns the exit code: 2 for a usage error,
+// 1 for an I/O error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("datagen", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		scenario = flag.String("scenario", "", "scenario id (see -list)")
-		list     = flag.Bool("list", false, "list scenarios")
-		scale    = flag.Float64("scale", 1, "data-set size multiplier")
-		seed     = flag.Int64("seed", 42, "random seed")
-		out      = flag.String("out", ".", "output directory")
-		format   = flag.String("format", "nt", "output format: nt (N-Triples) or ttl (Turtle)")
+		scenario = flags.String("scenario", "", "scenario id (see -list)")
+		list     = flags.Bool("list", false, "list scenarios")
+		scale    = flags.Float64("scale", 1, "data-set size multiplier")
+		seed     = flags.Int64("seed", 42, "random seed")
+		out      = flags.String("out", ".", "output directory")
+		format   = flags.String("format", "nt", "output format: nt (N-Triples) or ttl (Turtle)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list || *scenario == "" {
-		fmt.Println("scenarios:")
+		fmt.Fprintln(stdout, "scenarios:")
 		for _, s := range datagen.Scenarios {
-			fmt.Printf("  %-22s %s\n", s.ID, s.Desc)
+			fmt.Fprintf(stdout, "  %-22s %s\n", s.ID, s.Desc)
 		}
 		if *scenario == "" && !*list {
-			fmt.Fprintln(os.Stderr, "\nusage: datagen -scenario <id> [-out dir]")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "\nusage: datagen -scenario <id> [-out dir]")
+			return 2
 		}
-		return
+		return 0
 	}
 
 	sc, ok := datagen.ScenarioByID(*scenario)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "datagen: unknown scenario %q (try -list)\n", *scenario)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "datagen: unknown scenario %q (try -list)\n", *scenario)
+		return 2
 	}
 	if *format != "nt" && *format != "ttl" {
-		fmt.Fprintf(os.Stderr, "datagen: unknown format %q\n", *format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "datagen: unknown format %q\n", *format)
+		return 2
 	}
 	pair := datagen.GeneratePair(sc.Spec(*scale, *seed))
-	if err := writeStore(*out, pair.DS1, *format); err != nil {
-		fatal(err)
+	err := writeStore(*out, pair.DS1, *format)
+	if err == nil {
+		err = writeStore(*out, pair.DS2, *format)
 	}
-	if err := writeStore(*out, pair.DS2, *format); err != nil {
-		fatal(err)
+	if err == nil {
+		err = writeTruth(*out, pair)
 	}
-	if err := writeTruth(*out, pair); err != nil {
-		fatal(err)
+	if err != nil {
+		fmt.Fprintln(stderr, "datagen:", err)
+		return 1
 	}
-	fmt.Printf("wrote %s (%d triples), %s (%d triples), truth.nt (%d links) to %s\n",
+	fmt.Fprintf(stdout, "wrote %s (%d triples), %s (%d triples), truth.nt (%d links) to %s\n",
 		fileNameExt(pair.DS1, *format), pair.DS1.Len(), fileNameExt(pair.DS2, *format), pair.DS2.Len(),
 		pair.Truth.Len(), *out)
+	return 0
 }
 
 func fileNameExt(s *store.Store, ext string) string {
 	return strings.ToLower(strings.ReplaceAll(s.Name(), " ", "_")) + "." + ext
 }
 
-func writeStore(dir string, s *store.Store, format string) error {
-	f, err := os.Create(filepath.Join(dir, fileNameExt(s, format)))
+// writeFile creates path and fills it with write. The file's Close error
+// counts: a data file is only written once it is closed.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if format == "ttl" {
-		w := rdf.NewTurtleWriter(f, turtlePrefixes(s))
-		for _, t := range s.Match(rdf.NoTerm, rdf.NoTerm, rdf.NoTerm) {
-			w.Write(s.Dict().Materialize(t))
+	return errors.Join(write(f), f.Close())
+}
+
+func writeStore(dir string, s *store.Store, format string) error {
+	return writeFile(filepath.Join(dir, fileNameExt(s, format)), func(f io.Writer) error {
+		triples := s.MatchTerms(rdf.Term{}, rdf.Term{}, rdf.Term{})
+		if format == "ttl" {
+			return rdf.NewTurtleWriter(f, turtlePrefixes(s)).WriteAll(triples)
+		}
+		w := rdf.NewWriter(f)
+		for _, t := range triples {
+			if err := w.Write(t); err != nil {
+				return err
+			}
 		}
 		return w.Flush()
-	}
-	w := rdf.NewWriter(f)
-	for _, t := range s.Match(rdf.NoTerm, rdf.NoTerm, rdf.NoTerm) {
-		if err := w.Write(s.Dict().Materialize(t)); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
+	})
 }
 
 // turtlePrefixes derives prefix declarations from the most common IRI
@@ -147,23 +165,15 @@ func turtlePrefixes(s *store.Store) map[string]string {
 }
 
 func writeTruth(dir string, pair *datagen.Pair) error {
-	f, err := os.Create(filepath.Join(dir, "truth.nt"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := rdf.NewWriter(f)
-	sameAs := rdf.NewIRI(rdf.OWLSameAs)
-	for _, l := range pair.Truth.Links() {
-		t := rdf.Triple{S: pair.Dict.Term(l.Left), P: sameAs, O: pair.Dict.Term(l.Right)}
-		if err := w.Write(t); err != nil {
-			return err
+	return writeFile(filepath.Join(dir, "truth.nt"), func(f io.Writer) error {
+		w := rdf.NewWriter(f)
+		sameAs := rdf.NewIRI(rdf.OWLSameAs)
+		for _, l := range pair.Truth.Links() {
+			t := rdf.Triple{S: pair.Dict.Term(l.Left), P: sameAs, O: pair.Dict.Term(l.Right)}
+			if err := w.Write(t); err != nil {
+				return err
+			}
 		}
-	}
-	return w.Flush()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
+		return w.Flush()
+	})
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FeatureQuality describes what one partition has learned about a feature
@@ -25,9 +26,22 @@ func (f FeatureQuality) String() string {
 	return fmt.Sprintf("(%s, %s) @ %.1f: mean=%+.2f n=%d", f.Pred1, f.Pred2, f.Band, f.Mean, f.Visits)
 }
 
+// CompareFeatures orders feature reports by descending mean return, then
+// descending evidence, then by predicates and band, so that equal-quality
+// entries print in one order.
+func CompareFeatures(a, b FeatureQuality) int {
+	return cmp.Or(
+		cmp.Compare(b.Mean, a.Mean),
+		cmp.Compare(b.Visits, a.Visits),
+		cmp.Compare(a.Pred1, b.Pred1),
+		cmp.Compare(a.Pred2, b.Pred2),
+		cmp.Compare(a.Band, b.Band),
+	)
+}
+
 // FeatureReport returns what partition i has learned about its features,
-// sorted by descending mean return then by evidence. Only bands with at
-// least minVisits returns are included.
+// in CompareFeatures order. Only bands with at least minVisits returns are
+// included.
 func (e *Engine) FeatureReport(i int, minVisits int) []FeatureQuality {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -49,18 +63,7 @@ func (e *Engine) FeatureReport(i int, minVisits int) []FeatureQuality {
 			Visits: visits,
 		})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Mean != out[b].Mean {
-			return out[a].Mean > out[b].Mean
-		}
-		if out[a].Visits != out[b].Visits {
-			return out[a].Visits > out[b].Visits
-		}
-		if out[a].Pred1 != out[b].Pred1 {
-			return out[a].Pred1 < out[b].Pred1
-		}
-		return out[a].Pred2 < out[b].Pred2
-	})
+	slices.SortFunc(out, CompareFeatures)
 	return out
 }
 
