@@ -23,7 +23,7 @@ import (
 // only when an answer, an order or a plan is meant to change, and say why
 // in CHANGES.md.
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/eval.golden and testdata/spelling.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/eval.golden, testdata/spelling.golden and testdata/parse_outcomes.golden")
 
 const evalGoldenPath = "testdata/eval.golden"
 
