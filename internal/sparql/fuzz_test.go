@@ -26,7 +26,7 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzTokenize drives the lexer directly: on any input it must terminate,
-// never panic, and only advance. Token text must come from the input and
+// never panic, only advance, and end the token stream at its first error. Token text must come from the input and
 // positions must be in-bounds, so error offsets in SyntaxError are usable.
 func FuzzTokenize(f *testing.F) {
 	seeds := []string{
@@ -48,18 +48,21 @@ a ; , * ( ) { } <`,
 			if steps > len(in)+1 {
 				t.Fatalf("lexer failed to terminate on %q", in)
 			}
-			tok, err := l.next()
-			if err != nil {
+			tok := l.next()
+			if tok.kind == tokEOF {
+				if l.err == nil {
+					return
+				}
 				var se *SyntaxError
-				if !errors.As(err, &se) {
-					t.Fatalf("non-SyntaxError from lexer: %v", err)
+				if !errors.As(l.err, &se) {
+					t.Fatalf("non-SyntaxError from lexer: %v", l.err)
 				}
 				if se.Pos < 0 || se.Pos > len(in) {
 					t.Fatalf("error offset %d outside input of length %d", se.Pos, len(in))
 				}
-				return
-			}
-			if tok.kind == tokEOF {
+				if l.next().kind != tokEOF {
+					t.Fatalf("lexer produced a token after its error on %q", in)
+				}
 				return
 			}
 			if tok.pos <= prev {

@@ -20,20 +20,14 @@ func NormalizeQuery(query string) (string, error) {
 	l := &lexer{in: query}
 	var b strings.Builder
 	b.Grow(len(query))
-	first := true
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return "", err
-		}
-		if tok.kind == tokEOF {
-			break
-		}
-		if !first {
+	for tok := l.next(); tok.kind != tokEOF; tok = l.next() {
+		if b.Len() > 0 { // every token writes at least one byte
 			b.WriteByte(' ')
 		}
-		first = false
 		writeNormalToken(&b, tok)
+	}
+	if l.err != nil {
+		return "", l.err
 	}
 	return b.String(), nil
 }

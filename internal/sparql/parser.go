@@ -18,37 +18,34 @@ var wellKnownPrefixes = map[string]string{
 
 // Parse parses a SELECT query.
 func Parse(query string) (*Query, error) {
-	p := &parser{lex: &lexer{in: query}, prefixes: map[string]string{}}
+	p := &parser{lex: lexer{in: query}, prefixes: map[string]string{}}
 	for k, v := range wellKnownPrefixes {
 		p.prefixes[k] = v
 	}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
+	p.advance()
 	q, err := p.query()
-	if err != nil {
+	switch {
+	case p.lex.err != nil:
+		// The parser saw only end of input after a lexer error, so
+		// whatever it made of that, the lexer's error comes first.
+		return nil, p.lex.err
+	case err != nil:
 		return nil, err
-	}
-	if p.tok.kind != tokEOF {
+	case p.tok.kind != tokEOF:
 		return nil, p.errf("unexpected %s after query", p.tok)
 	}
 	return q, nil
 }
 
 type parser struct {
-	lex      *lexer
+	lex      lexer
 	tok      token
 	prefixes map[string]string
 }
 
-func (p *parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
+// advance moves to the next token. A lexer error reads as end of input
+// here; Parse reports it.
+func (p *parser) advance() { p.tok = p.lex.next() }
 
 func (p *parser) errf(format string, args ...any) error {
 	return &SyntaxError{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
@@ -63,21 +60,21 @@ func (p *parser) expectKeyword(kw string) error {
 	if !p.keyword(kw) {
 		return p.errf("expected %s, got %s", kw, p.tok)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 func (p *parser) expect(kind tokenKind, what string) error {
 	if p.tok.kind != kind {
 		return p.errf("expected %s, got %s", what, p.tok)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 func (p *parser) query() (*Query, error) {
 	for p.keyword("PREFIX") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if p.tok.kind != tokPName {
 			return nil, p.errf("expected prefix name, got %s", p.tok)
 		}
@@ -85,23 +82,17 @@ func (p *parser) query() (*Query, error) {
 		if i := strings.IndexByte(p.tok.text, ':'); i >= 0 {
 			name = p.tok.text[:i]
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if p.tok.kind != tokIRI {
 			return nil, p.errf("expected IRI in PREFIX, got %s", p.tok)
 		}
 		p.prefixes[name] = p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	q := &Query{Limit: -1}
 	switch {
 	case p.keyword("CONSTRUCT"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		tmpl, err := p.constructTemplate()
 		if err != nil {
 			return nil, err
@@ -112,37 +103,25 @@ func (p *parser) query() (*Query, error) {
 		}
 	case p.keyword("ASK"):
 		q.Ask = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		// WHERE is optional before the group in ASK.
 		if p.keyword("WHERE") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
 	case p.keyword("SELECT"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if p.keyword("DISTINCT") {
 			q.Distinct = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
 		switch {
 		case p.tok.kind == tokStar:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		case p.tok.kind == tokVar || p.tok.kind == tokLParen:
 			for {
 				if p.tok.kind == tokVar {
 					q.Vars = append(q.Vars, p.tok.text)
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
+					p.advance()
 					continue
 				}
 				if p.tok.kind == tokLParen {
@@ -172,17 +151,13 @@ func (p *parser) query() (*Query, error) {
 
 	// Solution modifiers.
 	if p.keyword("GROUP") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
 		for p.tok.kind == tokVar {
 			q.GroupBy = append(q.GroupBy, p.tok.text)
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
 		if len(q.GroupBy) == 0 {
 			return nil, p.errf("empty GROUP BY")
@@ -204,9 +179,7 @@ func (p *parser) query() (*Query, error) {
 		}
 	}
 	if p.keyword("ORDER") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
@@ -215,9 +188,7 @@ func (p *parser) query() (*Query, error) {
 			switch {
 			case p.keyword("ASC") || p.keyword("DESC"):
 				key.Desc = strings.EqualFold(p.tok.text, "DESC")
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 				if err := p.expect(tokLParen, "("); err != nil {
 					return nil, err
 				}
@@ -225,17 +196,13 @@ func (p *parser) query() (*Query, error) {
 					return nil, p.errf("expected variable in ORDER BY, got %s", p.tok)
 				}
 				key.Var = p.tok.text
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 				if err := p.expect(tokRParen, ")"); err != nil {
 					return nil, err
 				}
 			case p.tok.kind == tokVar:
 				key.Var = p.tok.text
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 			default:
 				return nil, p.errf("expected ORDER BY key, got %s", p.tok)
 			}
@@ -247,9 +214,7 @@ func (p *parser) query() (*Query, error) {
 	}
 	for p.keyword("LIMIT") || p.keyword("OFFSET") {
 		isLimit := p.keyword("LIMIT")
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if p.tok.kind != tokNumber {
 			return nil, p.errf("expected number, got %s", p.tok)
 		}
@@ -262,9 +227,7 @@ func (p *parser) query() (*Query, error) {
 		} else {
 			q.Offset = n
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	return q, nil
 }
@@ -286,19 +249,16 @@ func (p *parser) groupGraphPattern() ([]Pattern, error) {
 		switch {
 		case p.tok.kind == tokRBrace:
 			flushBGP()
-			return out, p.advance()
+			p.advance()
+			return out, nil
 		case p.keyword("FILTER"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			// FILTER [NOT] EXISTS { ... } is a group constraint, not an
 			// expression.
 			if p.keyword("EXISTS") || p.keyword("NOT") {
 				not := p.keyword("NOT")
 				if not {
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
+					p.advance()
 				}
 				if err := p.expectKeyword("EXISTS"); err != nil {
 					return nil, err
@@ -318,9 +278,7 @@ func (p *parser) groupGraphPattern() ([]Pattern, error) {
 			flushBGP()
 			out = append(out, Filter{Expr: expr})
 		case p.keyword("BIND"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expect(tokLParen, "("); err != nil {
 				return nil, err
 			}
@@ -335,18 +293,14 @@ func (p *parser) groupGraphPattern() ([]Pattern, error) {
 				return nil, p.errf("expected variable after AS, got %s", p.tok)
 			}
 			name := p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expect(tokRParen, ")"); err != nil {
 				return nil, err
 			}
 			flushBGP()
 			out = append(out, Bind{Expr: expr, As: name})
 		case p.keyword("VALUES"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			v, err := p.valuesBlock()
 			if err != nil {
 				return nil, err
@@ -354,9 +308,7 @@ func (p *parser) groupGraphPattern() ([]Pattern, error) {
 			flushBGP()
 			out = append(out, v)
 		case p.keyword("OPTIONAL"):
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			inner, err := p.groupGraphPattern()
 			if err != nil {
 				return nil, err
@@ -394,9 +346,7 @@ func (p *parser) groupGraphPattern() ([]Pattern, error) {
 			}
 			// Optional dot between triples.
 			if p.tok.kind == tokDot {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 			}
 		}
 	}
@@ -427,17 +377,13 @@ func (p *parser) triplesSameSubject() ([]TriplePattern, []PathPattern, error) {
 				out = append(out, TriplePattern{S: subj, P: pred, O: obj})
 			}
 			if p.tok.kind == tokComma {
-				if err := p.advance(); err != nil {
-					return nil, nil, err
-				}
+				p.advance()
 				continue
 			}
 			break
 		}
 		if p.tok.kind == tokSemi {
-			if err := p.advance(); err != nil {
-				return nil, nil, err
-			}
+			p.advance()
 			// Allow trailing ';' before '.' or '}'.
 			if p.tok.kind == tokDot || p.tok.kind == tokRBrace {
 				break
@@ -455,7 +401,8 @@ func (p *parser) triplesSameSubject() ([]TriplePattern, []PathPattern, error) {
 func (p *parser) predicateOrPath() (Node, Path, error) {
 	if p.tok.kind == tokVar {
 		v := p.tok.text
-		return VarNode(v), nil, p.advance()
+		p.advance()
+		return VarNode(v), nil, nil
 	}
 	path, err := p.pathAlt()
 	if err != nil {
@@ -478,9 +425,7 @@ func (p *parser) pathAlt() (Path, error) {
 	}
 	alts := []Path{first}
 	for p.tok.kind == tokOp && p.tok.text == "|" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		next, err := p.pathSeq()
 		if err != nil {
 			return nil, err
@@ -501,9 +446,7 @@ func (p *parser) pathSeq() (Path, error) {
 	}
 	parts := []Path{first}
 	for p.tok.kind == tokOp && p.tok.text == "/" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		next, err := p.pathElt()
 		if err != nil {
 			return nil, err
@@ -521,35 +464,25 @@ func (p *parser) pathElt() (Path, error) {
 	inverse := false
 	if p.tok.kind == tokOp && p.tok.text == "^" {
 		inverse = true
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	var base Path
 	switch {
 	case p.tok.kind == tokIRI:
 		base = PathIRI{IRI: rdf.NewIRI(p.tok.text)}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	case p.tok.kind == tokPName:
 		t, err := p.expandPName(p.tok.text)
 		if err != nil {
 			return nil, err
 		}
 		base = PathIRI{IRI: t}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	case p.tok.kind == tokA:
 		base = PathIRI{IRI: rdf.NewIRI(rdf.RDFType)}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	case p.tok.kind == tokLParen:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		inner, err := p.pathAlt()
 		if err != nil {
 			return nil, err
@@ -575,9 +508,7 @@ func (p *parser) pathElt() (Path, error) {
 			mod = '?'
 		}
 		if mod != 0 {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			base = PathMod{P: base, Mod: mod}
 		}
 	}
@@ -604,14 +535,10 @@ func (p *parser) constructTemplate() ([]TriplePattern, error) {
 		}
 		out = append(out, tps...)
 		if p.tok.kind == tokDot {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
 	}
-	if err := p.advance(); err != nil { // '}'
-		return nil, err
-	}
+	p.advance() // '}'
 	if len(out) == 0 {
 		return nil, p.errf("empty CONSTRUCT template")
 	}
@@ -633,31 +560,23 @@ func (p *parser) aggregateItem() (Aggregate, error) {
 	default:
 		return agg, p.errf("unknown aggregate %s", agg.Func)
 	}
-	if err := p.advance(); err != nil {
-		return agg, err
-	}
+	p.advance()
 	if err := p.expect(tokLParen, "("); err != nil {
 		return agg, err
 	}
 	if p.keyword("DISTINCT") {
 		agg.Distinct = true
-		if err := p.advance(); err != nil {
-			return agg, err
-		}
+		p.advance()
 	}
 	switch p.tok.kind {
 	case tokStar:
 		if agg.Func != "COUNT" {
 			return agg, p.errf("%s(*) is not supported", agg.Func)
 		}
-		if err := p.advance(); err != nil {
-			return agg, err
-		}
+		p.advance()
 	case tokVar:
 		agg.Var = p.tok.text
-		if err := p.advance(); err != nil {
-			return agg, err
-		}
+		p.advance()
 	default:
 		return agg, p.errf("expected variable or * in aggregate, got %s", p.tok)
 	}
@@ -671,9 +590,7 @@ func (p *parser) aggregateItem() (Aggregate, error) {
 		return agg, p.errf("expected alias variable after AS, got %s", p.tok)
 	}
 	agg.As = p.tok.text
-	if err := p.advance(); err != nil {
-		return agg, err
-	}
+	p.advance()
 	return agg, p.expect(tokRParen, ")")
 }
 
@@ -685,9 +602,7 @@ func (p *parser) valuesBlock() (Values, error) {
 	switch p.tok.kind {
 	case tokVar:
 		v.Vars = []string{p.tok.text}
-		if err := p.advance(); err != nil {
-			return v, err
-		}
+		p.advance()
 		if err := p.expect(tokLBrace, "{"); err != nil {
 			return v, err
 		}
@@ -698,16 +613,11 @@ func (p *parser) valuesBlock() (Values, error) {
 			}
 			v.Rows = append(v.Rows, []rdf.Term{t})
 		}
-		return v, p.advance()
 	case tokLParen:
-		if err := p.advance(); err != nil {
-			return v, err
-		}
+		p.advance()
 		for p.tok.kind == tokVar {
 			v.Vars = append(v.Vars, p.tok.text)
-			if err := p.advance(); err != nil {
-				return v, err
-			}
+			p.advance()
 		}
 		if err := p.expect(tokRParen, ")"); err != nil {
 			return v, err
@@ -730,24 +640,24 @@ func (p *parser) valuesBlock() (Values, error) {
 				}
 				row = append(row, t)
 			}
-			if err := p.advance(); err != nil { // ')'
-				return v, err
-			}
+			p.advance() // ')'
 			if len(row) != len(v.Vars) {
 				return v, p.errf("VALUES row has %d terms, want %d", len(row), len(v.Vars))
 			}
 			v.Rows = append(v.Rows, row)
 		}
-		return v, p.advance()
 	default:
 		return v, p.errf("expected variable or ( after VALUES, got %s", p.tok)
 	}
+	p.advance() // '}'
+	return v, nil
 }
 
 // valuesTerm parses one term of a VALUES block; UNDEF yields a zero Term.
 func (p *parser) valuesTerm() (rdf.Term, error) {
 	if p.keyword("UNDEF") {
-		return rdf.Term{}, p.advance()
+		p.advance()
+		return rdf.Term{}, nil
 	}
 	n, err := p.node()
 	if err != nil {
@@ -761,59 +671,52 @@ func (p *parser) valuesTerm() (rdf.Term, error) {
 
 // node parses a variable, IRI, prefixed name, or literal.
 func (p *parser) node() (Node, error) {
+	var n Node
 	switch p.tok.kind {
 	case tokVar:
-		v := p.tok.text
-		return VarNode(v), p.advance()
+		n = VarNode(p.tok.text)
 	case tokIRI:
-		iri := p.tok.text
-		return TermNode(rdf.NewIRI(iri)), p.advance()
+		n = TermNode(rdf.NewIRI(p.tok.text))
 	case tokPName:
 		t, err := p.expandPName(p.tok.text)
 		if err != nil {
 			return Node{}, err
 		}
-		return TermNode(t), p.advance()
+		n = TermNode(t)
 	case tokString:
 		lex := p.tok.text
-		if err := p.advance(); err != nil {
-			return Node{}, err
-		}
+		p.advance()
 		switch p.tok.kind {
 		case tokLangTag:
-			lang := p.tok.text
-			return TermNode(rdf.NewLangString(lex, lang)), p.advance()
+			n = TermNode(rdf.NewLangString(lex, p.tok.text))
 		case tokDTSep:
-			if err := p.advance(); err != nil {
-				return Node{}, err
-			}
-			if p.tok.kind == tokIRI {
-				dt := p.tok.text
-				return TermNode(rdf.NewTyped(lex, dt)), p.advance()
-			}
-			if p.tok.kind == tokPName {
+			p.advance()
+			switch p.tok.kind {
+			case tokIRI:
+				n = TermNode(rdf.NewTyped(lex, p.tok.text))
+			case tokPName:
 				t, err := p.expandPName(p.tok.text)
 				if err != nil {
 					return Node{}, err
 				}
-				return TermNode(rdf.NewTyped(lex, t.Value)), p.advance()
+				n = TermNode(rdf.NewTyped(lex, t.Value))
+			default:
+				return Node{}, p.errf("expected datatype IRI, got %s", p.tok)
 			}
-			return Node{}, p.errf("expected datatype IRI, got %s", p.tok)
 		default:
 			return TermNode(rdf.NewString(lex)), nil
 		}
 	case tokNumber:
-		text := p.tok.text
-		if err := p.advance(); err != nil {
-			return Node{}, err
+		dt := rdf.XSDInteger
+		if strings.Contains(p.tok.text, ".") {
+			dt = rdf.XSDDouble
 		}
-		if strings.Contains(text, ".") {
-			return TermNode(rdf.NewTyped(text, rdf.XSDDouble)), nil
-		}
-		return TermNode(rdf.NewTyped(text, rdf.XSDInteger)), nil
+		n = TermNode(rdf.NewTyped(p.tok.text, dt))
 	default:
 		return Node{}, p.errf("expected term or variable, got %s", p.tok)
 	}
+	p.advance()
+	return n, nil
 }
 
 func (p *parser) expandPName(pname string) (rdf.Term, error) {
@@ -840,9 +743,7 @@ func (p *parser) orExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokOp && p.tok.text == "||" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		right, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -858,9 +759,7 @@ func (p *parser) andExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.tok.kind == tokOp && p.tok.text == "&&" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		right, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
@@ -879,9 +778,7 @@ func (p *parser) cmpExpr() (Expr, error) {
 		switch p.tok.text {
 		case "=", "!=", "<", ">", "<=", ">=":
 			op := p.tok.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			right, err := p.additiveExpr()
 			if err != nil {
 				return nil, err
@@ -900,9 +797,7 @@ func (p *parser) additiveExpr() (Expr, error) {
 	}
 	for p.tok.kind == tokOp && (p.tok.text == "+" || p.tok.text == "-") {
 		op := p.tok.text[0]
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		right, err := p.multExpr()
 		if err != nil {
 			return nil, err
@@ -923,9 +818,7 @@ func (p *parser) multExpr() (Expr, error) {
 		if p.tok.kind == tokStar {
 			op = '*'
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		right, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -937,9 +830,7 @@ func (p *parser) multExpr() (Expr, error) {
 
 func (p *parser) unaryExpr() (Expr, error) {
 	if p.tok.kind == tokOp && p.tok.text == "!" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		inner, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -952,9 +843,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 func (p *parser) primaryExpr() (Expr, error) {
 	switch p.tok.kind {
 	case tokLParen:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
@@ -965,13 +854,12 @@ func (p *parser) primaryExpr() (Expr, error) {
 		return e, nil
 	case tokVar:
 		name := p.tok.text
-		return VarExpr{Name: name}, p.advance()
+		p.advance()
+		return VarExpr{Name: name}, nil
 	case tokIdent:
 		// Builtin function call.
 		name := strings.ToUpper(p.tok.text)
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expect(tokLParen, "("); err != nil {
 			return nil, err
 		}
@@ -984,9 +872,7 @@ func (p *parser) primaryExpr() (Expr, error) {
 				}
 				args = append(args, a)
 				if p.tok.kind == tokComma {
-					if err := p.advance(); err != nil {
-						return nil, err
-					}
+					p.advance()
 					continue
 				}
 				break
@@ -998,13 +884,15 @@ func (p *parser) primaryExpr() (Expr, error) {
 		return CallExpr{Name: name, Args: args}, nil
 	case tokIRI:
 		iri := p.tok.text
-		return ConstExpr{Term: rdf.NewIRI(iri)}, p.advance()
+		p.advance()
+		return ConstExpr{Term: rdf.NewIRI(iri)}, nil
 	case tokPName:
 		t, err := p.expandPName(p.tok.text)
 		if err != nil {
 			return nil, err
 		}
-		return ConstExpr{Term: t}, p.advance()
+		p.advance()
+		return ConstExpr{Term: t}, nil
 	case tokString:
 		n, err := p.node()
 		if err != nil {
