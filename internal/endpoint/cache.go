@@ -140,7 +140,9 @@ func (c *QueryCache) Prepare(query string) (*sparql.Prepared, error) {
 	c.mu.Unlock()
 	// Parse outside the lock; concurrent misses on one key both prepare
 	// and the loser's insert is a harmless overwrite of an equal value.
-	prep, err := sparql.Prepare(key)
+	// Preparing query, not key, keeps a syntax error in the client's
+	// spelling.
+	prep, err := sparql.Prepare(query)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"alex/internal/linkset"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
+	"alex/internal/store"
 )
 
 // This file pins the federated processor's answers. answers.golden was
@@ -298,4 +300,52 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: got %d lines, want %d", len(g), len(w))
+}
+
+// TestSyntaxErrorsCiteTheQueryAsSent sends malformed queries, spelled with
+// extra whitespace, lower-case keywords, comments and escapes, to every
+// handler a store or federation is served behind. The 400 bodies must be
+// byte-identical: an error cites the offset and spelling of the text the
+// client sent, never of the normalised cache key.
+func TestSyntaxErrorsCiteTheQueryAsSent(t *testing.T) {
+	dict := rdf.NewDict()
+	st := store.New("people", dict)
+	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/alice"), P: rdf.NewIRI("http://x/name"), O: rdf.NewString("Alice")})
+	handlers := []struct {
+		name string
+		h    http.Handler
+	}{
+		{"NewHandler", endpoint.NewHandler(st)},
+		{"NewCachedHandler(nil)", endpoint.NewCachedHandler(st, nil)},
+		{"NewCachedHandler(default)", endpoint.NewCachedHandler(st, endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), st.Generation))},
+		{"CachedEndpointQueryFunc(nil)", endpoint.NewQueryHandler(CachedEndpointQueryFunc(New(dict, st), nil), nil)},
+	}
+	queries := []string{
+		"select  ?x\n  wher { ?x ?p ?o }",
+		"select ?x where { ?x   <http://x/name> 'A\\u006cice' ; }  limit  -1",
+		"SELECT ?x # comment\n WHERE { ?x ?p ?o } ORDER BY desc ( 'x' )",
+		"select ?x where { ?x ?p ?o filter ( ?o = 'a' & ?x ) }",
+		"ask { ?x ?p \"unterminated }",
+		"select   $x where { $x ?p ?o } group by $x",
+	}
+	for _, query := range queries {
+		var first string
+		for _, c := range handlers {
+			for range 2 { // the second request may meet a cached entry
+				rec := httptest.NewRecorder()
+				c.h.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(query), nil))
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("%s: %q answered %d, want 400", c.name, query, rec.Code)
+				}
+				if first == "" {
+					first = rec.Body.String()
+					if query == queries[0] && !strings.Contains(first, `offset 13: expected WHERE, got "wher"`) {
+						t.Errorf("NewHandler answered %q with %s", query, first)
+					}
+				} else if got := rec.Body.String(); got != first {
+					t.Errorf("%s: %q answered\n%s\nwant (NewHandler)\n%s", c.name, query, got, first)
+				}
+			}
+		}
+	}
 }

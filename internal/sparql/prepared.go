@@ -24,16 +24,18 @@ type Prepared struct {
 	layout SlotLayout
 }
 
-// Prepare normalizes, parses and slot-compiles a query once. Two inputs
-// with equal normalized keys yield Prepared values with identical algebra
-// and identical slot layouts (the fuzz target FuzzNormalizeQuery enforces
+// Prepare normalizes, parses and slot-compiles a query once. It parses the
+// query as written, so a syntax error cites the offset and spelling the
+// caller sent; the key only names the cache entry. Two inputs with equal
+// normalized keys yield Prepared values with identical algebra and
+// identical slot layouts (the fuzz target FuzzNormalizeQuery enforces
 // this), which is what makes the normalized key a sound cache key.
 func Prepare(query string) (*Prepared, error) {
 	key, err := NormalizeQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	q, err := Parse(key)
+	q, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
