@@ -160,7 +160,7 @@ var fuzzStore = sync.OnceValue(func() *store.Store {
 
 // FuzzNormalizeQuery is the prepared-cache soundness fuzz target: for any
 // input that parses, normalization must succeed, be idempotent, parse to
-// an evaluable query, compile to the same slot layout, and produce
+// the same algebra, compile to the same slot layout, and produce
 // identical results to the original — otherwise two spellings of one
 // query could collide on a cache key and serve each other's answers.
 func FuzzNormalizeQuery(f *testing.F) {
@@ -189,13 +189,18 @@ func FuzzNormalizeQuery(f *testing.F) {
 		if again != norm {
 			t.Fatalf("not idempotent: %q -> %q -> %q", in, norm, again)
 		}
+		// Prepare parses the text as sent and caches it under norm, so every
+		// spelling of one key must parse to the same algebra, or fail.
 		q, err := Parse(in)
+		qn, nerr := Parse(norm)
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("Parse(%q) = %v but Parse of its normalized form %q = %v", in, err, norm, nerr)
+		}
 		if err != nil {
 			return // lexes but does not parse; nothing to compare
 		}
-		qn, err := Parse(norm)
-		if err != nil {
-			t.Fatalf("original parses but normalized form %q does not: %v", norm, err)
+		if !reflect.DeepEqual(q, qn) {
+			t.Fatalf("algebra differs between %q and %q:\n%#v\n%#v", in, norm, *q, *qn)
 		}
 		if !reflect.DeepEqual(Compile(q).layout, Compile(qn).layout) {
 			t.Fatalf("slot layouts differ between %q and %q", in, norm)
