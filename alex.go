@@ -341,15 +341,31 @@ func (s *Session) LoadState(r io.Reader) error {
 type FeatureQuality = core.FeatureQuality
 
 // LearnedFeatures reports what the session has learned about which
-// attribute pairs identify equivalent entities, across all partitions, in
-// core.CompareFeatures order: by mean return, then evidence, then
-// predicates and band. Only entries with at least minVisits supporting
-// returns are included.
+// attribute pairs identify equivalent entities, in core.CompareFeatures
+// order: by mean return, then evidence, then predicates and band. A feature
+// and band learned by several partitions is one row: their visits summed,
+// its mean their total return over those visits. Only rows with at least
+// minVisits supporting returns are included.
 func (s *Session) LearnedFeatures(minVisits int) []FeatureQuality {
 	var out []FeatureQuality
+	var total []float64             // return behind out[i]
+	row := map[FeatureQuality]int{} // (Pred1, Pred2, Band) -> index in out
 	for i := 0; i < s.node.Engine.Partitions(); i++ {
-		out = append(out, s.node.Engine.FeatureReport(i, minVisits)...)
+		for _, f := range s.node.Engine.FeatureReport(i, 0) {
+			k := FeatureQuality{Pred1: f.Pred1, Pred2: f.Pred2, Band: f.Band}
+			j, ok := row[k]
+			if !ok {
+				row[k] = len(out)
+				out = append(out, f)
+				total = append(total, f.Mean*float64(f.Visits))
+				continue
+			}
+			out[j].Visits += f.Visits
+			total[j] += f.Mean * float64(f.Visits)
+			out[j].Mean = total[j] / float64(out[j].Visits)
+		}
 	}
+	out = slices.DeleteFunc(out, func(f FeatureQuality) bool { return f.Visits < minVisits })
 	slices.SortFunc(out, core.CompareFeatures)
 	return out
 }

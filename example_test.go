@@ -167,18 +167,18 @@ func ExampleSession_LearnedFeatures() {
 	//
 	// what ALEX learned about the features (mean reward per exploration band):
 	// predicate 1              predicate 2              band mean   n
-	// rdf-schema#label         prefLabel                1.0  +0.84  25
-	// rdf-schema#label         prefLabel                1.0  +0.50  8
-	// birthDate                born                     1.0  -0.25  8
-	// height                   height                   1.0  -0.43  14
-	// team                     associatedTeam           1.0  -0.82  11
-	// birthDate                born                     1.0  -1.00  10
+	// rdf-schema#label         prefLabel                1.0  +0.76  33
+	// height                   height                   1.0  -0.58  19
+	// birthDate                born                     1.0  -0.67  18
+	// team                     associatedTeam           1.0  -0.88  16
+	// 22-rdf-syntax-ns#type    22-rdf-syntax-ns#type    1.0  -1.00  20
+	// birthDate                height                   0.5  -1.00  10
+	// birthDate                height                   0.6  -1.00  10
 	// height                   22-rdf-syntax-ns#type    0.5  -1.00  10
-	// 22-rdf-syntax-ns#type    22-rdf-syntax-ns#type    1.0  -1.00  10
-	// 22-rdf-syntax-ns#type    22-rdf-syntax-ns#type    1.0  -1.00  10
-	// birthDate                height                   0.5  -1.00  5
-	// birthDate                height                   0.5  -1.00  5
-	// birthDate                height                   0.6  -1.00  5
+	// position                 position                 1.0  -1.00  10
+	// label                    associatedTeam           0.5  -1.00  5
+	// label                    prefLabel                0.7  -1.00  5
+	// position                 associatedTeam           0.7  -1.00  5
 	// ...
 	//
 	// positive means = distinctive evidence (explore there);
@@ -188,9 +188,9 @@ func ExampleSession_LearnedFeatures() {
 }
 
 // TestLearnedFeaturesOrder: LearnedFeatures merges every partition's report
-// in the documented order — mean descending, then visits descending, then
-// the predicates and the band ascending — so equal-quality rows from
-// different partitions print the same way on every run.
+// into one row per feature and band, in the documented order — mean
+// descending, then visits descending, then the predicates and the band
+// ascending — so rows print the same way on every run.
 func TestLearnedFeaturesOrder(t *testing.T) {
 	w := newNBAWorld(23)
 	sess := w.ws.NewSession(w.dbpedia, w.nytimes, alex.Options{Partitions: 2, EpisodeSize: 20, Seed: 23})
@@ -199,6 +199,17 @@ func TestLearnedFeaturesOrder(t *testing.T) {
 	got := sess.LearnedFeatures(3)
 	if len(got) < 2 {
 		t.Fatalf("LearnedFeatures(3) = %v, want rows to order", got)
+	}
+	seen := map[alex.FeatureQuality]int{}
+	for i, f := range got {
+		k := alex.FeatureQuality{Pred1: f.Pred1, Pred2: f.Pred2, Band: f.Band}
+		if j, ok := seen[k]; ok {
+			t.Errorf("rows %d %v and %d %v share a feature and band", j, got[j], i, f)
+		}
+		seen[k] = i
+		if f.Visits < 3 {
+			t.Errorf("row %d %v has fewer than 3 visits", i, f)
+		}
 	}
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
