@@ -13,7 +13,7 @@ import (
 	"alex/internal/rdf"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.snap from the current writer")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.snap and golden.wal from the current writers")
 
 // goldenStore is the fixed fixture content: every term kind, a retraction
 // (so tombstone compaction is part of the fixture) and a duplicate add.
@@ -79,5 +79,86 @@ func TestSnapshotFormatNote(t *testing.T) {
 	want := fmt.Sprintf("## Version %d", snapshotVersion)
 	if !strings.Contains(string(b), want) {
 		t.Fatalf("FORMAT.md lacks a %q section: document the format before shipping it", want)
+	}
+}
+
+// goldenWALScript is the fixed mutation script behind testdata/golden.wal:
+// single adds over every term kind, a duplicate add (which logs nothing),
+// an AddIDs batch with an in-batch duplicate, and a Load batch holding an
+// already stored triple.
+func goldenWALScript(s *Store) {
+	s.Add(tri("w0", "name", "plain"))
+	s.Add(triIRI("w0", "link", "w1"))
+	s.Add(rdf.Triple{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/label"), O: rdf.NewLangString("eins", "de")})
+	s.Add(rdf.Triple{S: rdf.NewIRI("http://x/w1"), P: rdf.NewIRI("http://x/count"), O: rdf.NewTyped("7", rdf.XSDInteger)})
+	s.Add(tri("w0", "name", "plain")) // duplicate: no record
+	var ids []rdf.TripleID
+	for _, tr := range []rdf.Triple{
+		tri("w2", "name", "zwei"),
+		triIRI("w2", "link", "w0"),
+		tri("w2", "name", "zwei"), // in-batch duplicate
+		{S: rdf.NewIRI("http://x/w2"), P: rdf.NewIRI("http://x/knows"), O: rdf.NewBlank("b0")},
+	} {
+		d := s.Dict()
+		ids = append(ids, rdf.TripleID{S: d.Intern(tr.S), P: d.Intern(tr.P), O: d.Intern(tr.O)})
+	}
+	s.AddIDs(ids)
+	s.Load([]rdf.Triple{
+		tri("w3", "name", "drei"),
+		triIRI("w0", "link", "w1"), // already stored
+		{S: rdf.NewBlank("b1"), P: rdf.NewIRI("http://x/count"), O: rdf.NewTyped("3.5", rdf.XSDDouble)},
+		{S: rdf.NewIRI("http://x/w3"), P: rdf.NewIRI("http://x/label"), O: rdf.NewLangString("three", "en")},
+	})
+}
+
+// TestGoldenWAL is the log's format-compatibility gate: HEAD's writer
+// must produce the committed log byte for byte, and recovering that log
+// alone must reproduce the script's store, generation included. Regenerate
+// with go test ./internal/store/ -run TestGoldenWAL -update, and document
+// the change in FORMAT.md.
+func TestGoldenWAL(t *testing.T) {
+	path := filepath.Join("testdata", "golden.wal")
+	dir := t.TempDir()
+	d, err := OpenDurable("golden", rdf.NewDict(), DurableOptions{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenWALScript(d.Store())
+	wantSnap, wantGen := snapshotBytes(t, d.Store()), d.Store().Generation()
+	d.Kill()
+	got, err := os.ReadFile(filepath.Join(dir, "golden.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("wal encoding changed: writer output (%d bytes) differs from the committed fixture (%d bytes); regenerate with -update and document it in FORMAT.md", len(got), len(want))
+	}
+
+	rdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(rdir, "golden.wal"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDurable("golden", rdf.NewDict(), DurableOptions{Dir: rdir})
+	if err != nil {
+		t.Fatalf("HEAD cannot recover the committed golden log: %v", err)
+	}
+	defer r.Kill()
+	if rec := r.RecoveryStats(); rec.WALRecords != 6 || rec.TornBytes != 0 {
+		t.Errorf("recovery = %+v, want 6 records and no torn tail", rec)
+	}
+	if !bytes.Equal(snapshotBytes(t, r.Store()), wantSnap) {
+		t.Error("recovered store differs from the script's store")
+	}
+	if got := r.Store().Generation(); got != wantGen {
+		t.Errorf("recovered generation %d, want %d", got, wantGen)
 	}
 }
