@@ -77,10 +77,10 @@ func (e *Engine) route(subjects []rdf.TermID) [][]rdf.TermID {
 }
 
 // ApplyObjectDeltas rescores every pair a DS2-side change can touch:
-// changed lists the ds2 subjects whose entities were added, extended or
-// retracted. The engine applies the delta to the shared DS2 side once;
-// every partition then rescores the subjects of its own space the delta
-// can reach (partitions pair their subjects with all of DS2).
+// changed lists the ds2 subjects whose entities were added or extended.
+// The engine applies the delta to the shared DS2 side once; every
+// partition then rescores the subjects of its own space the delta can
+// reach (partitions pair their subjects with all of DS2).
 func (e *Engine) ApplyObjectDeltas(changed ...rdf.TermID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -95,8 +95,6 @@ func (e *Engine) applyRight(changed []rdf.TermID) feature.ObjectDelta {
 	for _, s := range changed {
 		if _, ok := e.ds2.Entity(s); ok {
 			e.knownDS2[s] = struct{}{}
-		} else {
-			delete(e.knownDS2, s)
 		}
 	}
 	return e.right.Apply(e.ds2, changed)

@@ -6,7 +6,8 @@
 // affect. The affected set is derived from token blocking: a pair
 // (l, r) exists only if l and r share a blocking token, so a change to
 // a DS2 subject r can only create, destroy or rescore pairs whose left
-// side shares a token with r's old or new token set. Changed left
+// side shares a token with r's new token set (stores only grow, so it
+// holds the old one). Changed left
 // subjects are rescored wholesale (their candidate set is re-derived
 // from the live blocks), which also covers attribute changes that move
 // no tokens — e.g. an added IRI-valued attribute contributes no
@@ -50,33 +51,31 @@ func (sp *Space) UpsertSubject(ds1 *store.Store, subj rdf.TermID) {
 type ObjectDelta struct {
 	// changed is the number of ds2 subjects the delta reported.
 	changed int
-	// tokens holds every blocking token a changed subject held before the
-	// delta or holds after it (with repeats).
+	// tokens holds every blocking token a changed subject holds after the
+	// delta (with repeats), which includes every token it held before.
 	tokens []string
 }
 
 // Apply ingests DS2-side changes into the side: changed lists the ds2
-// subjects whose entities were added, extended or retracted since the
-// last delta. It re-reads them from ds2 — the store the side was made
+// subjects whose entities were added or extended since the last delta. It re-reads them from ds2 — the store the side was made
 // over — profiles any new object terms and rewrites their posting lists.
 // Every space reading the side must then be handed the returned delta
 // (Space.ApplyObjectDelta) before it is used again. Apply is the side's
 // only writer: call it once per delta, from one goroutine, while no space
 // is scoring against the side.
 func (r *RightSide) Apply(ds2 *store.Store, changed []rdf.TermID) ObjectDelta {
-	r.subjects = len(ds2.Subjects())
+	r.subjects = ds2.Stats().Subjects
 	d := ObjectDelta{changed: len(changed)}
 	for _, subj := range changed {
-		oldToks, newToks := r.set(subj, r.prof.entity(ds2, subj))
-		d.tokens = append(append(d.tokens, oldToks...), newToks...)
+		d.tokens = append(d.tokens, r.set(subj, r.prof.entity(ds2, subj))...)
 	}
 	return d
 }
 
 // ApplyObjectDelta catches the space up with a delta already applied to
 // its right side: it rescores every partition subject sharing a blocking
-// token with a changed ds2 subject's old or new token set — the exact set
-// of lefts whose candidate lists or feature sets can differ. Returns the
+// token with a changed ds2 subject — the exact set of lefts whose
+// candidate lists or feature sets can differ. Returns the
 // number of rescored subjects.
 func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 	if d.changed == 0 {
@@ -181,21 +180,11 @@ func (sp *Space) spliceOut(f Feature, score float64, id uint32) {
 	sp.index[f] = entries
 }
 
-// setLeftTokens rewrites the DS1-side token entries of one partition
-// subject; nil toks removes the subject from them.
+// setLeftTokens records the DS1-side tokens of one partition subject.
+// Stores only grow, so toks holds every token the subject had, and its
+// token entries only gain members.
 func (sp *Space) setLeftTokens(subj rdf.TermID, toks []string) {
-	if sp.tokLeft != nil {
-		for _, tok := range sp.leftTok[subj] {
-			if set := sp.tokLeft[tok]; set != nil {
-				delete(set, subj)
-				if len(set) == 0 {
-					delete(sp.tokLeft, tok)
-				}
-			}
-		}
-	}
 	if len(toks) == 0 {
-		delete(sp.leftTok, subj)
 		return
 	}
 	sp.leftTok[subj] = toks

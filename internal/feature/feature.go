@@ -790,10 +790,10 @@ func Partition(subjects []rdf.TermID, n int) [][]rdf.TermID {
 // caller must be the side's single owner and must keep readers out while
 // it runs.
 //
-// Postings are stored in full; the MaxBlockSize stopword cap is applied at
-// read time in scoreSubject (a list longer than maxSize is dead), so
-// posting lists can be spliced incrementally without losing track of which
-// subjects a token would cover if it came back under the cap.
+// Postings are stored in full and the MaxBlockSize stopword cap is applied
+// at read time in scoreSubject (a list longer than maxSize is dead). Stores
+// only grow, so posting lists only grow: an update appends, and a token
+// whose list went over the cap stays dead.
 type RightSide struct {
 	prof    profiles
 	byToken map[string][]rdf.TermID
@@ -829,48 +829,26 @@ func NewRightSide(ds2 *store.Store, opt Options) *RightSide {
 	return r
 }
 
-// set rewrites one ds2 subject's entry and postings: the subject leaves
-// the blocks of tokens it lost and joins those it gained. Posting order is
-// irrelevant to candidate generation (the result feeds a set) — only
-// membership and length matter. It returns the subject's old and new
-// token sets.
-func (r *RightSide) set(subj rdf.TermID, e entity) (oldToks, newToks []string) {
+// set rewrites one ds2 subject's entry and joins it to the blocks of the
+// tokens it gained. Stores only grow, so the subject keeps every token it
+// had. Posting order is irrelevant to candidate generation (the result
+// feeds a set) — only membership and length matter. It returns the
+// subject's token set.
+func (r *RightSide) set(subj rdf.TermID, e entity) []string {
+	var had []string
 	if old := r.ents[subj]; old != nil {
-		oldToks = old.toks
+		had = old.toks
 	}
-	newToks = e.tokens()
-	old := make(map[string]bool, len(oldToks))
-	for _, tok := range oldToks {
-		old[tok] = true
-	}
-	for _, tok := range newToks {
-		if old[tok] {
-			delete(old, tok) // kept
-			continue
-		}
-		r.byToken[tok] = append(r.byToken[tok], subj)
-	}
-	for _, tok := range oldToks { // lost (kept ones were deleted above)
-		if !old[tok] {
-			continue
-		}
-		postings := r.byToken[tok]
-		for i, s := range postings {
-			if s == subj {
-				r.byToken[tok] = append(postings[:i], postings[i+1:]...)
-				break
-			}
-		}
-		if len(r.byToken[tok]) == 0 {
-			delete(r.byToken, tok)
+	toks := e.tokens()
+	for _, tok := range toks {
+		if _, ok := slices.BinarySearch(had, tok); !ok {
+			r.byToken[tok] = append(r.byToken[tok], subj)
 		}
 	}
-	if len(newToks) == 0 {
-		delete(r.ents, subj)
-	} else {
-		r.ents[subj] = &rightEntity{entity: e, toks: newToks}
+	if len(toks) > 0 {
+		r.ents[subj] = &rightEntity{entity: e, toks: toks}
 	}
-	return oldToks, newToks
+	return toks
 }
 
 // blockingKeys derives the blocking tokens of a term: lowercase word tokens

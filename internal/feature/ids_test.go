@@ -99,7 +99,7 @@ func checkExplore(t *testing.T, when string, sp *Space) {
 	}
 }
 
-// runIDScript drives a delta world through ops (each taken mod 6, see
+// runIDScript drives a delta world through ops (each taken mod 5, see
 // deltaWorld.step) and checks ids, exploration and Build equivalence after
 // every step that did something.
 func runIDScript(t *testing.T, seed int64, ops []byte) *idLedger {
@@ -107,7 +107,7 @@ func runIDScript(t *testing.T, seed int64, ops []byte) *idLedger {
 	g := &idLedger{}
 	g.check(t, "build", w.sp)
 	for i, op := range ops {
-		what := w.step(int(op % 6))
+		what := w.step(int(op % 5))
 		if what == "" {
 			continue
 		}
@@ -150,7 +150,7 @@ func TestSpaceIDsSurviveDeltas(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, steps)
 		for i := range ops {
-			ops[i] = byte(rng.Intn(6))
+			ops[i] = byte(rng.Intn(5))
 		}
 		g := runIDScript(t, seed, ops)
 		comebacks += g.comebacks

@@ -196,8 +196,8 @@ type GenerationSource interface {
 
 // DataGeneration combines the link-set generation and the generation
 // counters of every member source that exposes one into a single value
-// that changes on any mutation of the federation's data: a store add or
-// retract, a bulk load, or a SetLinks swap. Each component is monotonic,
+// that changes on any mutation of the federation's data: a store add, a
+// bulk load, or a SetLinks swap. Each component is monotonic,
 // so the sum strictly increases on every mutation and never revisits a
 // value — result caches keyed on it (endpoint.NewQueryCache) can compare
 // for exact equality. Sources added without the GenerationSource

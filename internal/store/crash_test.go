@@ -32,9 +32,8 @@ import (
 //
 // CRASH_MODE selects a single mode (the CI matrix runs one per job).
 
-// crashOps is the deterministic script: single adds, duplicate adds,
-// bulk batches with in-batch duplicates, and retracts of both present
-// and absent triples.
+// crashOps is the deterministic script: single adds, duplicate adds and
+// bulk batches with in-batch duplicates.
 func crashOps() []func(s *Store) {
 	var ops []func(s *Store)
 	for i := 0; i < 40; i++ {
@@ -55,9 +54,6 @@ func crashOps() []func(s *Store) {
 			}
 			s.AddIDs(ids)
 		},
-		func(s *Store) { s.Retract(tri("s1", "p1", "v1")) },
-		func(s *Store) { s.Retract(tri("absent", "p", "q")) }, // no-op
-		func(s *Store) { s.Retract(triIRI("b2", "link", "t2")) },
 	)
 	for i := 0; i < 20; i++ {
 		i := i

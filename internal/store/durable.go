@@ -56,7 +56,7 @@ func (o DurableOptions) withDefaults() DurableOptions {
 type RecoveryStats struct {
 	// SnapshotLoaded reports whether a snapshot file was restored.
 	SnapshotLoaded bool
-	// SnapshotTriples is the live triple count restored from the snapshot.
+	// SnapshotTriples is the triple count restored from the snapshot.
 	SnapshotTriples int
 	// WALRecords and WALTriples count the replayed log records and the
 	// triples they carried.
@@ -179,8 +179,6 @@ func recoverWAL(wf *os.File, w *walWriter, s *Store, snapEpoch uint64, rec *Reco
 			s.Add(triples[0])
 		case walOpBatch:
 			s.Load(triples)
-		case walOpRetract:
-			s.Retract(triples[0])
 		}
 		return nil
 	})

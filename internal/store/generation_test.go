@@ -9,8 +9,8 @@ import (
 
 // TestGenerationBumps is the invalidation contract of Generation: every
 // mutation path that changes the store bumps the counter exactly once per
-// call, and calls that change nothing (duplicate adds, absent retracts,
-// all-duplicate batches) leave it untouched — so a cached result tagged
+// call, and calls that change nothing (duplicate adds, all-duplicate or
+// empty batches) leave it untouched — so a cached result tagged
 // with a generation stays valid exactly as long as the data it was
 // computed from.
 func TestGenerationBumps(t *testing.T) {
@@ -77,35 +77,6 @@ func TestGenerationBumps(t *testing.T) {
 			bump: 0,
 		},
 		{
-			name: "Retract present triple",
-			prep: func(s *Store) { s.Add(tri("a", "p", "1")) },
-			op:   func(s *Store) bool { return s.Retract(tri("a", "p", "1")) },
-			bump: 1,
-		},
-		{
-			name: "Retract absent triple",
-			prep: func(s *Store) { s.Add(tri("a", "p", "1")) },
-			op:   func(s *Store) bool { return s.Retract(tri("a", "p", "2")) },
-			bump: 0,
-		},
-		{
-			name: "Retract with unknown terms",
-			op:   func(s *Store) bool { return s.Retract(tri("never", "seen", "x")) },
-			bump: 0,
-		},
-		{
-			name: "RetractID present",
-			prep: func(s *Store) { s.Add(tri("a", "p", "1")) },
-			op:   func(s *Store) bool { return s.RetractID(intern(s, tri("a", "p", "1"))) },
-			bump: 1,
-		},
-		{
-			name: "RetractID already retracted",
-			prep: func(s *Store) { s.Add(tri("a", "p", "1")); s.Retract(tri("a", "p", "1")) },
-			op:   func(s *Store) bool { return s.RetractID(intern(s, tri("a", "p", "1"))) },
-			bump: 0,
-		},
-		{
 			name: "Load bulk",
 			op: func(s *Store) bool {
 				s.Load([]rdf.Triple{tri("a", "p", "1"), tri("b", "p", "2")})
@@ -142,7 +113,7 @@ func TestGenerationBumps(t *testing.T) {
 				t.Errorf("changed=%t inconsistent with expected bump %d", changed, tc.bump)
 			}
 			// A second identical call must be a no-op for the idempotent
-			// mutations (duplicate-add and absent-retract rows).
+			// mutations (the duplicate-add and empty-batch rows).
 			if tc.bump == 0 {
 				again := s.Generation()
 				tc.op(s)
@@ -151,68 +122,5 @@ func TestGenerationBumps(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRetractRemovesFromReads pins the tombstone semantics: a retracted
-// triple disappears from Len, Contains, every indexed Match access path,
-// full scans and snapshots, and can be re-added afterwards.
-func TestRetractRemovesFromReads(t *testing.T) {
-	s := New("retract", rdf.NewDict())
-	s.Add(tri("a", "p", "1"))
-	s.Add(tri("a", "q", "2"))
-	s.Add(tri("b", "p", "3"))
-	if !s.Retract(tri("a", "p", "1")) {
-		t.Fatal("Retract returned false for a present triple")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d after retract, want 2", s.Len())
-	}
-	if s.Contains(tri("a", "p", "1")) {
-		t.Error("Contains sees the retracted triple")
-	}
-	id := func(term rdf.Term) rdf.TermID {
-		tid, ok := s.Dict().Lookup(term)
-		if !ok {
-			t.Fatalf("term %v not in dict", term)
-		}
-		return tid
-	}
-	if n := len(s.Match(id(rdf.NewIRI("http://x/a")), rdf.NoTerm, rdf.NoTerm)); n != 1 {
-		t.Errorf("subject-indexed match = %d rows, want 1", n)
-	}
-	if n := len(s.Match(rdf.NoTerm, id(rdf.NewIRI("http://x/p")), rdf.NoTerm)); n != 1 {
-		t.Errorf("predicate-indexed match = %d rows, want 1", n)
-	}
-	if n := len(s.Match(rdf.NoTerm, rdf.NoTerm, id(rdf.NewString("1")))); n != 0 {
-		t.Errorf("object-indexed match = %d rows, want 0", n)
-	}
-	if n := len(s.Match(rdf.NoTerm, rdf.NoTerm, rdf.NoTerm)); n != 2 {
-		t.Errorf("full scan = %d rows, want 2", n)
-	}
-	// Re-adding the retracted triple works and is again visible.
-	if !s.Add(tri("a", "p", "1")) {
-		t.Fatal("re-Add after retract returned false")
-	}
-	if n := len(s.Match(id(rdf.NewIRI("http://x/a")), rdf.NoTerm, rdf.NoTerm)); n != 2 {
-		t.Errorf("subject-indexed match after re-add = %d rows, want 2", n)
-	}
-}
-
-// TestRetractLastSubjectTriple checks the subject first-sight list: when a
-// subject's last triple is retracted the subject leaves Subjects(), and a
-// re-add records it exactly once.
-func TestRetractLastSubjectTriple(t *testing.T) {
-	s := New("subj", rdf.NewDict())
-	s.Add(tri("a", "p", "1"))
-	s.Add(tri("b", "p", "2"))
-	s.Retract(tri("a", "p", "1"))
-	if n := len(s.Subjects()); n != 1 {
-		t.Fatalf("Subjects = %d after retracting a's only triple, want 1", n)
-	}
-	s.Add(tri("a", "q", "3"))
-	s.Add(tri("a", "r", "4"))
-	if n := len(s.Subjects()); n != 2 {
-		t.Fatalf("Subjects = %d after re-add, want 2 (no duplicates)", n)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // The header bytes are uvarint-encoded fields: name (length-prefixed),
 // generation, walEpoch, termCount, tripleCount, segmentSize, dictBytes.
 // Rows are three u32 LE local term ids, 1-based in first-use order over
-// the live triples — local ids make the byte stream canonical for the
+// the triples — local ids make the byte stream canonical for the
 // logical store content no matter how a shared dict assigned TermIDs,
 // which is what lets the crash-recovery gate compare stores byte for
 // byte. Every full segment holds exactly segmentSize rows (the last holds
@@ -54,8 +54,7 @@ const (
 // castagnoli is the CRC-32C table shared by snapshot and WAL checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteSnapshot serializes the live triples (tombstones are compacted
-// away) in insertion order. The snapshot restores into an empty or shared
+// WriteSnapshot serializes the triples in insertion order. The snapshot restores into an empty or shared
 // dictionary via ReadSnapshot.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
@@ -72,15 +71,10 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 
-	// Local term ids: 1-based, in first-use order over the live triples.
-	local := make(map[rdf.TermID]uint32, s.present.Len())
-	order := make([]rdf.TermID, 0, s.present.Len())
-	live := 0
+	// Local term ids: 1-based, in first-use order over the triples.
+	local := make(map[rdf.TermID]uint32, len(s.triples))
+	order := make([]rdf.TermID, 0, len(s.triples))
 	for _, t := range s.triples {
-		if t == (rdf.TripleID{}) {
-			continue
-		}
-		live++
 		for _, id := range [3]rdf.TermID{t.S, t.P, t.O} {
 			if _, ok := local[id]; !ok {
 				local[id] = uint32(len(order) + 1)
@@ -100,7 +94,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 	head = binary.AppendUvarint(head, gen)
 	head = binary.AppendUvarint(head, walEpoch)
 	head = binary.AppendUvarint(head, uint64(len(order)))
-	head = binary.AppendUvarint(head, uint64(live))
+	head = binary.AppendUvarint(head, uint64(len(s.triples)))
 	head = binary.AppendUvarint(head, snapshotSegmentSize)
 	head = binary.AppendUvarint(head, uint64(len(dictBlock)))
 
@@ -149,9 +143,6 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 		return writeChecksummed(block)
 	}
 	for _, t := range s.triples {
-		if t == (rdf.TripleID{}) {
-			continue
-		}
 		seg = binary.LittleEndian.AppendUint32(seg, local[t.S])
 		seg = binary.LittleEndian.AppendUint32(seg, local[t.P])
 		seg = binary.LittleEndian.AppendUint32(seg, local[t.O])

@@ -28,23 +28,6 @@ import (
 // guarded by the owning Store's mu.
 type tripleIndex map[rdf.TermID][]int32
 
-// remove deletes pos from id's posting list, dropping the key entirely
-// when the list empties so len and keys stay exact after retraction.
-func (ix tripleIndex) remove(id rdf.TermID, pos int32) {
-	list := ix[id]
-	for i, p := range list {
-		if p == pos {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(ix, id)
-		return
-	}
-	ix[id] = list
-}
-
 // keys returns the distinct keys, unsorted.
 func (ix tripleIndex) keys() []rdf.TermID {
 	out := make([]rdf.TermID, 0, len(ix))
@@ -54,19 +37,18 @@ func (ix tripleIndex) keys() []rdf.TermID {
 	return out
 }
 
-// Store is an in-memory triple store. All mutation goes through Add/AddID/
-// AddIDs and the retractions; every method is safe for concurrent use.
+// Store is an in-memory, append-only triple store: all mutation goes
+// through Add/AddID/AddIDs, which only insert, so the log, the dedup table,
+// the posting lists and the subject list only grow, and a position names
+// one triple forever. Every method is safe for concurrent use.
 type Store struct {
 	name string
 	dict *rdf.Dict
 
 	mu sync.RWMutex
-	// triples is the insertion-ordered log; retraction overwrites a slot
-	// with the zero TripleID tombstone (no real triple is all-zero: dict
-	// ids start at 1), which index reads never see (their positions are
-	// removed) and full scans skip.
+	// triples is the insertion-ordered log.
 	triples []rdf.TripleID
-	// present maps each live triple to its position in triples (a flat
+	// present maps each triple to its position in triples (a flat
 	// open-addressing table; see tripleset.go).
 	present *tripleSet
 	ixSubj  tripleIndex
@@ -77,8 +59,8 @@ type Store struct {
 
 	// gen counts mutations: it increments exactly once per mutating call
 	// that changed the store (Add/AddID, an AddIDs or Load batch that
-	// added at least one triple, a successful retract). Result caches key
-	// on it to detect any intervening change.
+	// added at least one triple). Result caches key on it to detect any
+	// intervening change.
 	gen atomic.Uint64
 
 	// Observability instruments, pre-resolved by SetObserver. All are
@@ -164,7 +146,7 @@ func (s *Store) AddID(t rdf.TripleID) bool {
 		return false
 	}
 	if s.wal != nil {
-		s.wal.logOne(walOpAdd, t)
+		s.wal.logAdd(t)
 	}
 	s.appendLocked(t)
 	s.gen.Add(1)
@@ -185,58 +167,6 @@ func (s *Store) appendLocked(t rdf.TripleID) {
 	s.ixSubj[t.S] = append(s.ixSubj[t.S], pos)
 	s.ixPred[t.P] = append(s.ixPred[t.P], pos)
 	s.ixObj[t.O] = append(s.ixObj[t.O], pos)
-}
-
-// Retract interns nothing: it removes the triple if present, reporting
-// whether it was. Terms absent from the dictionary cannot be stored.
-func (s *Store) Retract(t rdf.Triple) bool {
-	sID, ok := s.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	pID, ok := s.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oID, ok := s.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return s.RetractID(rdf.TripleID{S: sID, P: pID, O: oID})
-}
-
-// RetractID removes a pre-interned triple, reporting whether it was
-// present. The triple's log slot becomes a tombstone and its positions
-// leave all three indexes, so subsequent reads (indexed or full-scan)
-// never see it. A successful retract bumps the generation exactly once.
-func (s *Store) RetractID(t rdf.TripleID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pos, ok := s.present.get(t)
-	if !ok {
-		return false
-	}
-	if s.wal != nil {
-		s.wal.logOne(walOpRetract, t)
-	}
-	s.present.del(t)
-	s.triples[pos] = rdf.TripleID{}
-	s.ixSubj.remove(t.S, pos)
-	s.ixPred.remove(t.P, pos)
-	s.ixObj.remove(t.O, pos)
-	// Drop the subject from the first-sight list when its last triple
-	// goes, so a later re-add records it exactly once.
-	if s.ixSubj[t.S] == nil {
-		for i, subj := range s.subjects {
-			if subj == t.S {
-				s.subjects = append(s.subjects[:i], s.subjects[i+1:]...)
-				break
-			}
-		}
-	}
-	s.gen.Add(1)
-	s.triplesOut.Set(int64(s.present.Len()))
-	return true
 }
 
 // Generation returns the monotonic mutation counter: it increments exactly
@@ -272,7 +202,7 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	return added
 }
 
-// Len returns the number of live triples.
+// Len returns the number of triples.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -405,12 +335,9 @@ func (s *Store) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
 	default:
 		s.probeScan.Inc()
 		for _, t := range s.triples {
-			if t == (rdf.TripleID{}) {
-				continue // retraction tombstone
-			}
 			fn(t)
 		}
-		s.matchRows.Add(int64(s.present.Len()))
+		s.matchRows.Add(int64(len(s.triples)))
 		return
 	}
 	n := int64(0)

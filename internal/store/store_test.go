@@ -199,10 +199,6 @@ func TestStoreCount(t *testing.T) {
 			t.Errorf("%s: Count = %d, want %d", c.name, got, c.want)
 		}
 	}
-	s.Retract(tri("c", "p", "3"))
-	if got := s.Count(rdf.NoTerm, p, rdf.NoTerm); got != 2 {
-		t.Errorf("Count(p) after a retract = %d, want 2", got)
-	}
 }
 
 func TestStoreStats(t *testing.T) {

@@ -2,7 +2,7 @@ package store
 
 import "alex/internal/rdf"
 
-// tripleSet maps each live triple to its position in the insertion log.
+// tripleSet maps each triple to its position in the insertion log.
 // It replaces a map[rdf.TripleID]int32 on the store's hottest write path:
 // an open-addressing table with linear probing over flat 16-byte slots.
 // The slot array holds no pointers, so the GC never scans it, and inserts
@@ -13,14 +13,12 @@ import "alex/internal/rdf"
 // Concurrency contract is the caller's, same as the map it replaced:
 // every access happens under Store.mu.
 type tripleSet struct {
-	// slots[i].n is 0 for an empty slot, -1 for a tombstone, pos+1 for a
-	// live entry. The zero slot value means empty, so a fresh table needs
-	// no initialization pass. Tombstones zero the triple so no real key
-	// (dict ids start at 1, a live triple is never all-zero) can match one.
+	// slots[i].n is 0 for an empty slot and pos+1 for an entry. The zero
+	// slot value means empty, so a fresh table needs no initialization
+	// pass. Entries are never removed.
 	slots []tripleSlot
 	mask  uint32
-	live  int
-	dead  int // tombstones, reclaimed on the next grow
+	count int
 }
 
 type tripleSlot struct {
@@ -28,7 +26,7 @@ type tripleSlot struct {
 	n int32
 }
 
-// newTripleSet sizes the table so capHint live entries stay under the 3/4
+// newTripleSet sizes the table so capHint entries stay under the 3/4
 // load factor that keeps probe chains short.
 func newTripleSet(capHint int) *tripleSet {
 	size := uint32(16)
@@ -65,27 +63,18 @@ func (ts *tripleSet) get(t rdf.TripleID) (int32, bool) {
 
 // put inserts t at pos, or updates its position when already present.
 func (ts *tripleSet) put(t rdf.TripleID, pos int32) {
-	if (ts.live+ts.dead+1)*4 > len(ts.slots)*3 {
+	if (ts.count+1)*4 > len(ts.slots)*3 {
 		ts.grow()
 	}
 	i := ts.hash(t) & ts.mask
-	firstDead := int32(-1)
 	for {
 		s := &ts.slots[i]
 		if s.n == 0 {
-			if firstDead >= 0 {
-				s = &ts.slots[firstDead]
-				ts.dead--
-			}
 			s.t, s.n = t, pos+1
-			ts.live++
+			ts.count++
 			return
 		}
-		if s.n < 0 {
-			if firstDead < 0 {
-				firstDead = int32(i)
-			}
-		} else if s.t == t {
+		if s.t == t {
 			s.n = pos + 1
 			return
 		}
@@ -93,41 +82,18 @@ func (ts *tripleSet) put(t rdf.TripleID, pos int32) {
 	}
 }
 
-// del removes t, reporting whether it was present.
-func (ts *tripleSet) del(t rdf.TripleID) bool {
-	i := ts.hash(t) & ts.mask
-	for {
-		s := &ts.slots[i]
-		if s.n == 0 {
-			return false
-		}
-		if s.n > 0 && s.t == t {
-			s.t, s.n = rdf.TripleID{}, -1
-			ts.live--
-			ts.dead++
-			return true
-		}
-		i = (i + 1) & ts.mask
-	}
-}
+// Len returns the number of entries.
+func (ts *tripleSet) Len() int { return ts.count }
 
-// Len returns the number of live entries.
-func (ts *tripleSet) Len() int { return ts.live }
-
-// grow rehashes into a table sized for the live entries (doubling when
-// genuinely full), dropping every tombstone.
+// grow rehashes into a table of twice the size.
 func (ts *tripleSet) grow() {
-	size := uint32(len(ts.slots))
-	if (ts.live+1)*2 >= len(ts.slots) {
-		size <<= 1
-	}
 	old := ts.slots
+	size := 2 * uint32(len(old))
 	ts.slots = make([]tripleSlot, size)
 	ts.mask = size - 1
-	ts.dead = 0
 	for i := range old {
 		s := &old[i]
-		if s.n <= 0 {
+		if s.n == 0 {
 			continue
 		}
 		j := ts.hash(s.t) & ts.mask

@@ -8,9 +8,9 @@ import (
 )
 
 // TestTripleSetAgainstMap drives the flat table and a builtin map through
-// the same randomized put/del/update workload and checks they agree after
-// every mutation batch. The key space is kept narrow so deletes hit,
-// re-inserts land on tombstones, and updates collide with live entries.
+// the same randomized insert/update workload and checks they agree after
+// every put. The key space is kept narrow so updates collide with stored
+// entries.
 func TestTripleSetAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts := newTripleSet(0)
@@ -23,20 +23,9 @@ func TestTripleSetAgainstMap(t *testing.T) {
 		}
 	}
 	for step := 0; step < 20000; step++ {
-		k := key()
-		switch rng.Intn(3) {
-		case 0, 1: // insert or update
-			pos := int32(step)
-			ts.put(k, pos)
-			ref[k] = pos
-		case 2:
-			got := ts.del(k)
-			_, want := ref[k]
-			if got != want {
-				t.Fatalf("step %d: del(%v) = %v, map says %v", step, k, got, want)
-			}
-			delete(ref, k)
-		}
+		k, pos := key(), int32(step)
+		ts.put(k, pos)
+		ref[k] = pos
 		if ts.Len() != len(ref) {
 			t.Fatalf("step %d: Len() = %d, map has %d", step, ts.Len(), len(ref))
 		}
@@ -61,8 +50,8 @@ func TestTripleSetAgainstMap(t *testing.T) {
 	}
 }
 
-// TestTripleSetGrowth fills well past the initial table size, then deletes
-// half and re-inserts, exercising grow's tombstone reclamation.
+// TestTripleSetGrowth fills well past the initial table size, then updates
+// half the entries in place: every grow must keep each entry reachable.
 func TestTripleSetGrowth(t *testing.T) {
 	ts := newTripleSet(0)
 	const n = 5000
@@ -76,20 +65,15 @@ func TestTripleSetGrowth(t *testing.T) {
 		t.Fatalf("Len() = %d after %d inserts", ts.Len(), n)
 	}
 	for i := 0; i < n; i += 2 {
-		if !ts.del(at(i)) {
-			t.Fatalf("del(%d) missed", i)
-		}
-	}
-	if ts.Len() != n/2 {
-		t.Fatalf("Len() = %d after deleting half, want %d", ts.Len(), n/2)
-	}
-	for i := 0; i < n; i += 2 {
 		ts.put(at(i), int32(i+n))
+	}
+	if ts.Len() != n {
+		t.Fatalf("Len() = %d after updating half, want %d", ts.Len(), n)
 	}
 	for i := 0; i < n; i++ {
 		pos, ok := ts.get(at(i))
 		if !ok {
-			t.Fatalf("get(%d) missed after re-insert", i)
+			t.Fatalf("get(%d) missed after update", i)
 		}
 		want := int32(i)
 		if i%2 == 0 {

@@ -18,7 +18,7 @@ import (
 //
 //	file header — magic "ALEXWAL1" · version u16 LE · epoch u64 LE
 //	record      — length u32 LE · crc32c u32 LE (over payload) · payload
-//	payload     — op byte (1 add · 2 batch · 3 retract) · uvarint count
+//	payload     — op byte (1 add · 2 batch) · uvarint count
 //	              · count triples as binary terms (S, P, O by value)
 //
 // Every mutating Store entry point appends its record — terms by value,
@@ -72,9 +72,8 @@ const (
 	// DurableOptions.FsyncEvery is unset.
 	defaultFsyncEvery = 64
 
-	walOpAdd     = 1
-	walOpBatch   = 2
-	walOpRetract = 3
+	walOpAdd   = 1
+	walOpBatch = 2
 
 	// maxWALRecordBytes rejects implausible record lengths during replay
 	// before they drive an allocation.
@@ -82,7 +81,7 @@ const (
 )
 
 // walWriter appends checksummed mutation records to the log file. The
-// mutators call logOne/logBatch under Store.mu before applying the index
+// mutators call logAdd/logBatch under Store.mu before applying the index
 // write, so the on-disk log always runs ahead of memory. I/O errors are
 // sticky: the first one is kept (surfaced via Durable.Err) and later
 // appends become no-ops rather than logging a gapped history.
@@ -113,15 +112,15 @@ func walHeader(epoch uint64) []byte {
 	return b
 }
 
-// logOne appends a single-triple record (add or retract).
-func (w *walWriter) logOne(op byte, t rdf.TripleID) {
+// logAdd appends a single-triple add record.
+func (w *walWriter) logAdd(t rdf.TripleID) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil || w.f == nil {
 		return
 	}
 	buf := append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = append(buf, op)
+	buf = append(buf, walOpAdd)
 	buf = binary.AppendUvarint(buf, 1)
 	buf = appendTripleBinary(buf, w.dict, t)
 	w.buf = buf
@@ -353,14 +352,14 @@ func decodeWALPayload(b []byte) (byte, []rdf.Triple, error) {
 		return 0, nil, errors.New("empty payload")
 	}
 	op := b[0]
-	if op != walOpAdd && op != walOpBatch && op != walOpRetract {
+	if op != walOpAdd && op != walOpBatch {
 		return 0, nil, fmt.Errorf("unknown op %d", op)
 	}
 	count, n := binary.Uvarint(b[1:])
 	if n <= 0 {
 		return 0, nil, errors.New("truncated count")
 	}
-	if (op == walOpAdd || op == walOpRetract) && count != 1 {
+	if op == walOpAdd && count != 1 {
 		return 0, nil, fmt.Errorf("op %d with count %d", op, count)
 	}
 	// Each triple needs at least six bytes (three kind+empty-value terms).

@@ -92,8 +92,6 @@ func TestWALReplayAfterSnapshotEqualsFromScratch(t *testing.T) {
 				hook()
 			}
 			switch {
-			case i%7 == 3:
-				s.Retract(tri(fmt.Sprintf("s%d", i-1), "p", fmt.Sprintf("v%d", i-1)))
 			case i%5 == 4:
 				ids := make([]rdf.TripleID, 0, 6)
 				for j := 0; j < 6; j++ {
