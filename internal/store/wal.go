@@ -26,8 +26,8 @@ import (
 // with write(2) before the index mutation: a SIGKILLed process loses
 // nothing (the page cache survives process death), and the fsync policy
 // only governs power-loss durability. Recovery truncates the log at the
-// first torn or corrupt record (a crash mid-append) and replays the rest
-// through the normal entry points, reproducing generation bumps exactly.
+// first torn record (a crash mid-append) and replays the rest through the
+// normal entry points, reproducing generation bumps exactly.
 //
 // The epoch in the file header ties a log to the snapshot it extends:
 // a checkpoint writes the snapshot with epoch E+1, then resets the log to
@@ -285,9 +285,12 @@ func readWALHeader(f *os.File) (epoch uint64, ok bool, err error) {
 
 // replayWAL reads records from f (positioned anywhere; it reads from the
 // header end), applies each complete, checksummed record via apply, and
-// truncates the file after the last valid record when a torn or corrupt
-// tail is found — the tail is a crash mid-append, not data loss, because
-// the corresponding index write never happened either.
+// truncates the file after the last valid record when a record fails its
+// length or checksum test — that tail is a crash mid-append, not data
+// loss, because the corresponding index write never happened either. A
+// checksummed record that does not decode was written whole, by a writer
+// this build does not understand: replay fails and leaves the file as it
+// is.
 func replayWAL(f *os.File, apply func(op byte, triples []rdf.Triple) error) (walReplayStats, error) {
 	var stats walReplayStats
 	st, err := f.Stat()
@@ -327,8 +330,7 @@ func replayWAL(f *os.File, apply func(op byte, triples []rdf.Triple) error) (wal
 		}
 		op, triples, err := decodeWALPayload(payload)
 		if err != nil {
-			torn = true
-			break
+			return stats, fmt.Errorf("store: wal replay: record at offset %d (op %d) does not decode: %w", off, payload[0], err)
 		}
 		if err := apply(op, triples); err != nil {
 			return stats, fmt.Errorf("store: wal replay: %w", err)

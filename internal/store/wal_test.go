@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"alex/internal/rdf"
@@ -78,6 +81,57 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: torn bytes %d, want %d", cut, rec.TornBytes, int64(cut)-bounds[k])
 		}
 		d2.Kill()
+	}
+}
+
+// walRecord frames a single-triple payload under op as one log record
+// with a valid length and checksum.
+func walRecord(op byte, tr rdf.Triple) []byte {
+	payload := []byte{op, 1}
+	for _, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+		payload = rdf.AppendTermBinary(payload, term)
+	}
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, castagnoli))
+	return append(rec, payload...)
+}
+
+// TestWALUndecodableRecordFails: a record whose length and checksum hold
+// but whose payload does not decode cannot come from a crash mid-append,
+// so recovery must fail naming its offset and op, leaving the log as it
+// was, instead of truncating it and the valid records after it. Op 9 was
+// never assigned; op 3 was a retraction, which no build writes.
+func TestWALUndecodableRecordFails(t *testing.T) {
+	for _, op := range []byte{9, 3} {
+		dir := t.TempDir()
+		d, err := OpenDurable("ds", rdf.NewDict(), DurableOptions{Dir: dir, Fsync: FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Store().Add(tri("a", "p", "1"))
+		d.Store().Add(tri("b", "p", "2"))
+		d.Kill()
+		walPath := filepath.Join(dir, "ds.wal")
+		good, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := append(append(good, walRecord(op, tri("a", "p", "1"))...), walRecord(walOpAdd, tri("c", "p", "3"))...)
+		if err := os.WriteFile(walPath, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDurable("ds", rdf.NewDict(), DurableOptions{Dir: dir, Fsync: FsyncOff})
+		if err == nil {
+			r.Kill()
+			t.Errorf("op %d: recovery succeeded with %+v, want an error", op, r.RecoveryStats())
+			continue
+		}
+		if want := fmt.Sprintf("offset %d (op %d)", len(good), op); !strings.Contains(err.Error(), want) {
+			t.Errorf("op %d: error %q does not name %q", op, err, want)
+		}
+		if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, log) {
+			t.Errorf("op %d: failed recovery changed the log (%d bytes, was %d; %v)", op, len(after), len(log), err)
+		}
 	}
 }
 
