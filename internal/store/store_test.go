@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +291,67 @@ func TestStoreMatchConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStoreOnlyGrows states the append-only property that the feature
+// space's incremental maintenance relies on (feature.RightSide.set and
+// Space.setLeftTokens): under a seeded mix of Add, AddID, AddIDs and Load,
+// duplicates included, the previous Subjects() is a prefix of the current
+// one, and each subject's previous Entity is a prefix of its current one
+// in both predicates and objects.
+func TestStoreOnlyGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	s := New("grow", rdf.NewDict())
+	// A narrow term space makes duplicates, within and across calls, common.
+	random := func() rdf.Triple {
+		return tri(fmt.Sprintf("s%d", rng.Intn(16)), fmt.Sprintf("p%d", rng.Intn(3)), fmt.Sprintf("v%d", rng.Intn(10)))
+	}
+	intern := func(tr rdf.Triple) rdf.TripleID {
+		d := s.Dict()
+		return rdf.TripleID{S: d.Intern(tr.S), P: d.Intern(tr.P), O: d.Intern(tr.O)}
+	}
+	isPrefix := func(prev, cur []rdf.TermID) bool {
+		return len(prev) <= len(cur) && slices.Equal(prev, cur[:len(prev)])
+	}
+	var prevSubs []rdf.TermID
+	prevEnts := map[rdf.TermID]Entity{}
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(4); op {
+		case 0:
+			s.Add(random())
+		case 1:
+			s.AddID(intern(random()))
+		default:
+			batch := make([]rdf.Triple, 1+rng.Intn(8))
+			for i := range batch {
+				batch[i] = random()
+			}
+			if op == 3 {
+				s.Load(batch)
+				break
+			}
+			ids := make([]rdf.TripleID, len(batch))
+			for i, tr := range batch {
+				ids[i] = intern(tr)
+			}
+			s.AddIDs(ids)
+		}
+		subs := s.Subjects()
+		if !isPrefix(prevSubs, subs) {
+			t.Fatalf("step %d: subjects %v do not extend %v", step, subs, prevSubs)
+		}
+		for _, subj := range subs {
+			e, _ := s.Entity(subj)
+			prev := prevEnts[subj]
+			if !isPrefix(prev.Preds, e.Preds) || !isPrefix(prev.Objs, e.Objs) {
+				t.Fatalf("step %d: entity %d went from %v/%v to %v/%v", step, subj, prev.Preds, prev.Objs, e.Preds, e.Objs)
+			}
+			prevEnts[subj] = e
+		}
+		prevSubs = subs
+	}
+	if s.Len() == 0 || s.Len() == 16*3*10 {
+		t.Errorf("script left %d triples: it should neither stay empty nor fill the term space", s.Len())
 	}
 }
