@@ -446,21 +446,40 @@ func TestSaturationSheds503(t *testing.T) {
 
 	finish, done := slowQuery(t, srv.URL)
 	// The pinned query holds the only slot as soon as the server accepts
-	// it; until then concurrent GETs may still win the slot, so poll.
-	statsURL := srv.URL + "/stats"
+	// it; until then concurrent polls may still win the slot, so poll. A
+	// poll that holds the slot when the pinned query arrives gets that
+	// query shed, and the shed query is never answered: the server reads
+	// the request body, which is not sent yet, before it replies. So the
+	// loop polls /metrics, whose rejected count shows such a shed, and
+	// pins a new query whenever the count grows.
+	metricsURL := srv.URL + "/metrics"
 	var code int
 	var hdr string
+	var shed int64
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(statsURL)
+		resp, err := http.Get(metricsURL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		code, hdr = resp.StatusCode, resp.Header.Get("Retry-After")
 		if code == http.StatusServiceUnavailable {
 			break
+		}
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("metrics not JSON: %v", err)
+		}
+		if n := snap.Counters["endpoint.admission.rejected"]; n > shed {
+			shed = n
+			finish, done = slowQuery(t, srv.URL)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -478,7 +497,7 @@ func TestSaturationSheds503(t *testing.T) {
 	// Capacity freed: requests flow again.
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if code, _ = get(t, statsURL); code == http.StatusOK {
+		if code, _ = get(t, srv.URL+"/stats"); code == http.StatusOK {
 			return
 		}
 		time.Sleep(time.Millisecond)
