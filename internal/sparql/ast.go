@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"strings"
 
 	"alex/internal/rdf"
 )
@@ -204,24 +203,4 @@ func (q *Query) AllVars() []string {
 	}
 	walk(q.Patterns)
 	return out
-}
-
-func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if q.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	if len(q.Vars) == 0 {
-		b.WriteString("*")
-	} else {
-		for i, v := range q.Vars {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString("?" + v)
-		}
-	}
-	b.WriteString(" WHERE { ... }")
-	return b.String()
 }

@@ -27,7 +27,21 @@ func parseOutcome(in string) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	return fmt.Sprintf("query: %s %#v", q, *q)
+	return fmt.Sprintf("query: %s %#v", queryHead(q), *q)
+}
+
+// queryHead renders the head the outcome digests record for every query
+// form: SELECT [DISTINCT] vars WHERE { ... }.
+func queryHead(q *Query) string {
+	vars := "*"
+	if len(q.Vars) > 0 {
+		vars = "?" + strings.Join(q.Vars, " ?")
+	}
+	distinct := ""
+	if q.Distinct {
+		distinct = "DISTINCT "
+	}
+	return "SELECT " + distinct + vars + " WHERE { ... }"
 }
 
 func TestParseOutcomesGolden(t *testing.T) {

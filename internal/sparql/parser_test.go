@@ -264,17 +264,6 @@ func TestSyntaxErrorMessage(t *testing.T) {
 	}
 }
 
-func TestQueryString(t *testing.T) {
-	q := mustParse(t, `SELECT DISTINCT ?s WHERE { ?s ?p ?o }`)
-	if !strings.Contains(q.String(), "DISTINCT") {
-		t.Errorf("String() = %q", q.String())
-	}
-	star := mustParse(t, `SELECT * WHERE { ?s ?p ?o }`)
-	if !strings.Contains(star.String(), "*") {
-		t.Errorf("String() = %q", star.String())
-	}
-}
-
 func TestTriplePatternHelpers(t *testing.T) {
 	tp := TriplePattern{VarNode("s"), TermNode(rdf.NewIRI("http://x/p")), VarNode("s")}
 	vars := tp.Vars()
