@@ -7,12 +7,11 @@
 // (l, r) exists only if l and r share a blocking token, so a change to
 // a DS2 subject r can only create, destroy or rescore pairs whose left
 // side shares a token with r's new token set (stores only grow, so it
-// holds the old one). Changed left
-// subjects are rescored wholesale (their candidate set is re-derived
-// from the live blocks), which also covers attribute changes that move
-// no tokens — e.g. an added IRI-valued attribute contributes no
-// blocking key but still reshapes the similarity matrix of every
-// existing pair of that subject.
+// holds the old one). Changed left subjects are rescored wholesale (their
+// candidate set is re-derived from the live blocks), which also covers
+// attribute changes that move no tokens — e.g. an added IRI-valued
+// attribute contributes no blocking key but still reshapes the
+// similarity matrix of every existing pair of that subject.
 package feature
 
 import (
@@ -57,8 +56,9 @@ type ObjectDelta struct {
 }
 
 // Apply ingests DS2-side changes into the side: changed lists the ds2
-// subjects whose entities were added or extended since the last delta. It re-reads them from ds2 — the store the side was made
-// over — profiles any new object terms and rewrites their posting lists.
+// subjects whose entities were added or extended since the last delta.
+// It re-reads them from ds2 — the store the side was made over — profiles
+// any new object terms and extends their posting lists.
 // Every space reading the side must then be handed the returned delta
 // (Space.ApplyObjectDelta) before it is used again. Apply is the side's
 // only writer: call it once per delta, from one goroutine, while no space
@@ -75,8 +75,8 @@ func (r *RightSide) Apply(ds2 *store.Store, changed []rdf.TermID) ObjectDelta {
 // ApplyObjectDelta catches the space up with a delta already applied to
 // its right side: it rescores every partition subject sharing a blocking
 // token with a changed ds2 subject — the exact set of lefts whose
-// candidate lists or feature sets can differ. Returns the
-// number of rescored subjects.
+// candidate lists or feature sets can differ. Returns the number of
+// rescored subjects.
 func (sp *Space) ApplyObjectDelta(ds1 *store.Store, d ObjectDelta) int {
 	if d.changed == 0 {
 		return 0

@@ -221,9 +221,9 @@ func (w *deltaWorld) step(op int) string {
 // sequences and checks the Build-oracle equivalence after every step:
 // interning outside links changes nothing a dump shows. MaxBlockSize is
 // tiny so tokens go from live to stopword (stores only grow, so liveness
-// flips one way). The -warm runs first
-// fill the space's delta scorer memo with every cell of the built space,
-// and halfway through start interning new literals.
+// flips one way). The -warm runs first fill the space's delta scorer memo
+// with every cell of the built space, and halfway through start interning
+// new literals.
 func TestDeltaPropertyEquivalence(t *testing.T) {
 	steps := 140
 	if testing.Short() {

@@ -54,8 +54,8 @@ const (
 // castagnoli is the CRC-32C table shared by snapshot and WAL checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteSnapshot serializes the triples in insertion order. The snapshot restores into an empty or shared
-// dictionary via ReadSnapshot.
+// WriteSnapshot serializes the triples in insertion order. The snapshot
+// restores into an empty or shared dictionary via ReadSnapshot.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
