@@ -94,6 +94,7 @@ func goldenWALScript(s *Store) {
 	s.Add(rdf.Triple{S: rdf.NewBlank("b0"), P: rdf.NewIRI("http://x/label"), O: rdf.NewLangString("eins", "de")})
 	s.Add(rdf.Triple{S: rdf.NewIRI("http://x/w1"), P: rdf.NewIRI("http://x/count"), O: rdf.NewTyped("7", rdf.XSDInteger)})
 	s.Add(tri("w0", "name", "plain")) // duplicate: no record
+	d := s.Dict()
 	var ids []rdf.TripleID
 	for _, tr := range []rdf.Triple{
 		tri("w2", "name", "zwei"),
@@ -101,7 +102,6 @@ func goldenWALScript(s *Store) {
 		tri("w2", "name", "zwei"), // in-batch duplicate
 		{S: rdf.NewIRI("http://x/w2"), P: rdf.NewIRI("http://x/knows"), O: rdf.NewBlank("b0")},
 	} {
-		d := s.Dict()
 		ids = append(ids, rdf.TripleID{S: d.Intern(tr.S), P: d.Intern(tr.P), O: d.Intern(tr.O)})
 	}
 	s.AddIDs(ids)
