@@ -524,7 +524,7 @@ func FuzzEpisodeEquivalence(f *testing.F) {
 	})
 }
 
-var updateSaveState = flag.Bool("update", false, "rewrite testdata/savestate.golden from the current engine")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current engine")
 
 // TestSaveStateGolden freezes SaveState's bytes: an engine over
 // NBADBpediaNYTimes(0.25, 5), seeded with PARIS's links and run for ten
@@ -550,7 +550,7 @@ func TestSaveStateGolden(t *testing.T) {
 		fmt.Fprintf(&got, "workers=%d bytes=%d sha256=%x\n", workers, buf.Len(), sha256.Sum256(buf.Bytes()))
 	}
 	path := filepath.Join("testdata", "savestate.golden")
-	if *updateSaveState {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

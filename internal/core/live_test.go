@@ -2,11 +2,19 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"alex/internal/datagen"
 	"alex/internal/feature"
+	"alex/internal/linkset"
 	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // TestUpsertPartitionDeterminism is the regression test for subject-set
@@ -202,4 +210,136 @@ func TestEngineSharesOneDS2Side(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveSyncGolden freezes what live store growth does to the engine:
+// seeded growth of new DS1 subjects, new DS2 subjects and both sides
+// before one sync, caught up by SyncStores or by the feedback stream's
+// batch apply, interleaved with FeedbackStream batches judged by the
+// truth, then flushed. After every step it records the sync's stats, the
+// candidate count and every partition's SpaceStats; at the end the SHA-256
+// of SaveState and of every partition's DumpCanonical. One and four
+// workers must both write the recorded text. Regenerate with:
+// go test ./internal/core -run TestLiveSyncGolden -update
+func TestLiveSyncGolden(t *testing.T) {
+	path := filepath.Join("testdata", "livesync.golden")
+	for _, workers := range []int{1, 4} {
+		got := liveSyncScript(t, workers)
+		if *update && workers == 1 {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden (run with -update to create it): %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gl), len(wl)) {
+				if gl[i] != wl[i] {
+					t.Fatalf("workers %d: livesync.golden differs at line %d:\n got: %s\nwant: %s", workers, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("workers %d: livesync.golden differs in length: %d lines, want %d", workers, len(gl), len(wl))
+		}
+	}
+}
+
+// liveSyncScript runs TestLiveSyncGolden's script and returns its record.
+func liveSyncScript(t *testing.T, workers int) []byte {
+	t.Helper()
+	pair := datagen.GeneratePair(datagen.NBADBpediaNYTimes(0.25, 61))
+	cfg := smallConfig(61)
+	cfg.Partitions = 3
+	cfg.Workers = workers
+	cfg.MaxEpisodes = 1 << 20
+	e := New(pair.DS1, pair.DS2, cfg)
+	e.SetInitialLinks(initialLinks(pair))
+	stream := e.FeedbackStream(StreamConfig{BatchSize: 8})
+	rng := rand.New(rand.NewSource(61))
+	subjects1, subjects2 := pair.DS1.Subjects(), pair.DS2.Subjects()
+	var fresh1, fresh2 []rdf.TermID
+
+	// grow adds a newcomer to ds under a fresh IRI, with the attributes
+	// of one of its original entities, so it scores like that one.
+	grow := func(ds *store.Store, from []rdf.TermID, fresh *[]rdf.TermID, side string) {
+		src, _ := ds.Entity(from[rng.Intn(len(from))])
+		id := pair.Dict.InternIRI(fmt.Sprintf("http://livesync.test/%s/%d", side, len(*fresh)))
+		for i := range src.Preds {
+			ds.AddID(rdf.TripleID{S: id, P: src.Preds[i], O: src.Objs[i]})
+		}
+		*fresh = append(*fresh, id)
+	}
+	// judge submits 1–12 items judged by the truth: mostly candidates,
+	// some links from a newcomer on either side.
+	judge := func() []EpisodeStats {
+		cands := e.Candidates().Links()
+		var items []Feedback
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			var l linkset.Link
+			switch k := rng.Intn(4); {
+			case k == 0 && len(fresh1) > 0:
+				l = linkset.Link{Left: fresh1[rng.Intn(len(fresh1))], Right: subjects2[rng.Intn(len(subjects2))]}
+			case k == 1 && len(fresh2) > 0:
+				l = linkset.Link{Left: subjects1[rng.Intn(len(subjects1))], Right: fresh2[rng.Intn(len(fresh2))]}
+			default:
+				l = cands[rng.Intn(len(cands))]
+			}
+			items = append(items, Feedback{Link: l, Approved: pair.Truth.Contains(l)})
+		}
+		_, applied := stream.Submit(items...)
+		return applied
+	}
+
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "# TestLiveSyncGolden over NBADBpediaNYTimes(0.25, 61), 3 partitions. Regenerate with: go test ./internal/core -run TestLiveSyncGolden -update\n")
+	// fields is an EpisodeStats without its String method, so every
+	// field is recorded.
+	type fields EpisodeStats
+	record := func(step string, st SyncStats, applied []EpisodeStats) {
+		fmt.Fprintf(&out, "%s sync=%+v candidates=%d", step, st, e.CandidateCount())
+		for _, a := range applied {
+			fmt.Fprintf(&out, " applied=%+v", fields(a))
+		}
+		fmt.Fprint(&out, " spaces=")
+		for i := 0; i < e.Partitions(); i++ {
+			total, filtered := e.SpaceStats(i)
+			fmt.Fprintf(&out, " %d/%d", total, filtered)
+		}
+		fmt.Fprintln(&out)
+	}
+	for step := 0; step < 40; step++ {
+		var st SyncStats
+		var applied []EpisodeStats
+		kind := rng.Intn(6)
+		if kind == 0 || kind == 2 || kind == 3 {
+			grow(pair.DS1, subjects1, &fresh1, "ds1")
+		}
+		if kind == 1 || kind == 2 || kind == 3 {
+			grow(pair.DS2, subjects2, &fresh2, "ds2")
+		}
+		if kind < 3 {
+			st = e.SyncStores()
+		} else {
+			applied = judge()
+		}
+		record(fmt.Sprintf("step %d kind %d", step, kind), st, applied)
+	}
+	record("flush", SyncStats{}, stream.Flush())
+
+	var state bytes.Buffer
+	if err := e.SaveState(&state); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&out, "savestate bytes=%d sha256=%x\n", state.Len(), sha256.Sum256(state.Bytes()))
+	for i, p := range e.partitions {
+		var dump bytes.Buffer
+		if err := p.space.DumpCanonical(&dump); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&out, "partition %d dump bytes=%d sha256=%x\n", i, dump.Len(), sha256.Sum256(dump.Bytes()))
+	}
+	return out.Bytes()
 }
