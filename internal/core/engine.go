@@ -29,23 +29,17 @@ type Engine struct {
 	ds1, ds2   *store.Store
 	partitions []*partition
 	// right is the DS2 side of every partition's feature space: built once,
-	// read by all of them, and written only by applyRight,
-	// under the write lock, before the partitions' rescoring fans out.
+	// read by all of them, and written only by planSync, under the write
+	// lock, before the partitions' rescoring fans out.
 	right *feature.RightSide
-	// subjectPartition routes a ds1 subject to its owning partition.
+	// subjectPartition routes a ds1 subject to its owning partition. It
+	// holds one entry per subject ever routed, so its size is also the
+	// round-robin counter new subjects continue (route).
 	subjectPartition map[rdf.TermID]int
-	// assigned counts subjects ever assigned to partitions; new subjects
-	// arriving via UpsertSubjects continue the round-robin rule
-	// (partition = assigned mod |partitions|), so a grown subject set
-	// maps identically regardless of worker count or arrival batching.
-	assigned int
-	episode  int
-	// lastGen1/lastGen2 are the store generations the partitions'
-	// feature spaces last synchronized to; knownDS2 tracks the ds2
-	// subjects already reflected in the spaces, so SyncStores can spot
-	// arrivals without assuming the subject list only grows.
-	lastGen1, lastGen2 uint64
-	knownDS2           map[rdf.TermID]struct{}
+	episode          int
+	// read1/read2 are how far the partitions' feature spaces have read
+	// each store's triple log (planSync).
+	read1, read2 int
 
 	// Observability. obsReg gates the per-episode trace, whose root span
 	// times the episode; the instruments themselves are nil-safe no-ops
@@ -77,6 +71,9 @@ type engineObs struct {
 // the worker count.
 func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
+	// The log positions come first: a triple added while the spaces are
+	// built is read again at the next sync, which is harmless.
+	read1, read2 := ds1.Len(), ds2.Len()
 	subjects := ds1.Subjects()
 	parts := feature.Partition(subjects, cfg.Partitions)
 
@@ -87,20 +84,14 @@ func New(ds1, ds2 *store.Store, cfg Config) *Engine {
 		partitions:       make([]*partition, len(parts)),
 		subjectPartition: make(map[rdf.TermID]int, len(subjects)),
 		right:            feature.NewRightSide(ds2, cfg.SpaceOptions),
+		read1:            read1,
+		read2:            read2,
 	}
 	for i, sub := range parts {
 		for _, s := range sub {
 			e.subjectPartition[s] = i
 		}
 	}
-	e.assigned = len(subjects)
-	ds2subs := ds2.Subjects()
-	e.knownDS2 = make(map[rdf.TermID]struct{}, len(ds2subs))
-	for _, s := range ds2subs {
-		e.knownDS2[s] = struct{}{}
-	}
-	e.lastGen1 = ds1.Generation()
-	e.lastGen2 = ds2.Generation()
 	opt := cfg.SpaceOptions
 	opt.Workers = cfg.Workers
 	for i, space := range feature.BuildSpaces(e.right, ds1, parts, opt) {
@@ -340,13 +331,14 @@ type Feedback struct {
 func (e *Engine) ApplyEpisode(items []Feedback) EpisodeStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applyEpisodeLocked(items, &storeSync{})
+	return e.applyEpisodeLocked(items, nil)
 }
 
 // applyEpisodeLocked is ApplyEpisode under an already-held write lock. The
-// feedback stream hands in the store catch-up it has planned, which each
-// partition carries out in the episode's fan-out before its share of the
-// episode; the episode's trace then times the catch-up too.
+// feedback stream hands in the store catch-up it has planned (nil when
+// neither store grew), which each partition carries out in the episode's
+// fan-out before its share of the episode; the episode's trace then times
+// the catch-up too.
 func (e *Engine) applyEpisodeLocked(items []Feedback, sy *storeSync) EpisodeStats {
 	e.episode++
 	perPartition := make([][]Feedback, len(e.partitions))
@@ -427,7 +419,7 @@ func (e *Engine) PartitionEpisodes(i int) int {
 }
 
 // PartitionOf reports which partition owns a ds1 subject — including
-// subjects assigned after construction by UpsertSubjects/SyncStores.
+// subjects routed after construction by a store sync.
 func (e *Engine) PartitionOf(subject rdf.TermID) (int, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -345,9 +345,10 @@ func (d *diffRun) batch() []Feedback {
 	return items
 }
 
-// upsert grows DS1 while the engine runs: a new subject copying an
-// existing one's attributes (so it pairs with the same DS2 entities), or a
-// new attribute on an existing subject (so its pairs are rescored).
+// upsert grows DS1 while the engine runs, and SyncStores finds the change:
+// a new subject copying an existing one's attributes (so it pairs with the
+// same DS2 entities), or a new attribute on an existing subject (so its
+// pairs are rescored).
 func (d *diffRun) upsert() {
 	subjects := d.pair.DS1.Subjects()
 	src, ok := d.pair.DS1.Entity(subjects[d.rng.Intn(len(subjects))])
@@ -368,13 +369,12 @@ func (d *diffRun) upsert() {
 			O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
 		})
 	}
-	d.e.UpsertSubjects(subj)
+	d.e.SyncStores()
 }
 
 // upsertDS2 grows DS2 while the engine runs, taking turns: a new subject
-// copying an existing one's attributes, which SyncStores finds, then a new
-// attribute on an existing subject, reported through ApplyObjectDeltas
-// (SyncStores does not see in-place edits). Either way every partition
+// copying an existing one's attributes, then a new attribute on an
+// existing subject. SyncStores finds either, and every partition
 // subject sharing a blocking token with the DS2 subject is rescored: its
 // pairs are dropped and scored again while the partitions hold state for
 // them, and pairs appear that were outside links before.
@@ -390,16 +390,15 @@ func (d *diffRun) upsertDS2() {
 		for i := range src.Preds {
 			d.pair.DS2.AddID(rdf.TripleID{S: subj, P: src.Preds[i], O: src.Objs[i]})
 		}
-		d.e.SyncStores()
-		return
+	} else {
+		d.edits++
+		d.pair.DS2.Add(rdf.Triple{
+			S: d.pair.Dict.Term(src.Subject),
+			P: rdf.NewIRI(rdf.RDFSLabel),
+			O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
+		})
 	}
-	d.edits++
-	d.pair.DS2.Add(rdf.Triple{
-		S: d.pair.Dict.Term(src.Subject),
-		P: rdf.NewIRI(rdf.RDFSLabel),
-		O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
-	})
-	d.e.ApplyObjectDeltas(src.Subject)
+	d.e.SyncStores()
 }
 
 // step applies one operation to both sides and compares them.
@@ -418,7 +417,7 @@ func (d *diffRun) step(i int, op byte) {
 		d.e.ApplyEpisode(items)
 		d.ref.applyEpisode(items)
 	case 3:
-		what = "UpsertSubjects"
+		what = "DS1 upsert"
 		d.upsert()
 	case 4:
 		// Strict convergence freezes a partition for good; thaw both sides

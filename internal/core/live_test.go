@@ -18,9 +18,9 @@ import (
 )
 
 // TestUpsertPartitionDeterminism is the regression test for subject-set
-// growth: new subjects arriving via upsert must land in the same
-// partition regardless of worker count and of how arrivals are batched,
-// and must match a from-scratch engine over the grown store.
+// growth: new subjects synced one by one or in one batch must land in the
+// same partition regardless of worker count, and must match a
+// from-scratch engine over the grown store.
 func TestUpsertPartitionDeterminism(t *testing.T) {
 	build := func(workers int, batched bool) (*Engine, []rdf.TermID) {
 		p := testPair(41)
@@ -41,7 +41,7 @@ func TestUpsertPartitionDeterminism(t *testing.T) {
 			}
 			grown = append(grown, id)
 			if !batched {
-				e.UpsertSubjects(id)
+				e.SyncStores()
 			}
 		}
 		if batched {
@@ -136,11 +136,12 @@ func TestSyncStoresDS2Growth(t *testing.T) {
 
 // TestEngineSharesOneDS2Side pins the shared DS2 side: an engine with 8
 // partitions makes one feature.RightSide — one blocking index, one set of
-// DS2 term profiles — that all 8 spaces read, and DS2-side and DS1-side
-// deltas driven through the engine (the side updated once, by the engine,
-// then the partitions rescoring in parallel) leave every partition's space
-// byte-identical to a from-scratch Build over the final stores. Run under
-// -race it also checks that nothing writes the side while partitions read.
+// DS2 term profiles — that all 8 spaces read, and one SyncStores over
+// growth on both sides, in-place edits included (the side updated once, by
+// the engine, then the partitions rescoring in parallel), leaves every
+// partition's space byte-identical to a from-scratch Build over the final
+// stores. Run under -race it also checks that nothing writes the side
+// while partitions read.
 func TestEngineSharesOneDS2Side(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -166,21 +167,18 @@ func TestEngineSharesOneDS2Side(t *testing.T) {
 			p.DS2.Add(rdf.Triple{S: p.Dict.Term(r0), P: rdf.NewIRI("http://share.test/p/seeAlso"), O: rdf.NewIRI("http://share.test/other")})
 			novel := rdf.NewIRI("http://share.test/novel")
 			p.DS2.Add(rdf.Triple{S: novel, P: rdf.NewIRI("http://share.test/p/name"), O: rdf.NewString("los angeles lakers 1984")})
-			novelID, _ := p.Dict.Lookup(novel)
-			e.ApplyObjectDeltas(r0, novelID)
 
-			// DS1: new subjects (one per partition and then some) and an
-			// edit to an existing one.
+			// DS1: an edit to an existing subject and new subjects (one
+			// per partition and then some).
 			ds1subs := p.DS1.Subjects()
-			changed := []rdf.TermID{ds1subs[3]}
 			p.DS1.Add(rdf.Triple{S: p.Dict.Term(ds1subs[3]), P: rdf.NewIRI("http://share.test/p/nick"), O: rdf.NewString("golden state")})
 			for i := 0; i < 11; i++ {
 				iri := rdf.NewIRI(fmt.Sprintf("http://share.test/e%d", i))
 				p.DS1.Add(rdf.Triple{S: iri, P: rdf.NewIRI("http://share.test/p/name"), O: rdf.NewString(fmt.Sprintf("lakers warriors %d", 1980+i))})
-				id, _ := p.Dict.Lookup(iri)
-				changed = append(changed, id)
 			}
-			e.UpsertSubjects(changed...)
+			if st := e.SyncStores(); st != (SyncStats{NewSubjects: 11, NewObjects: 1}) {
+				t.Fatalf("SyncStores ingested %+v, want 11 ds1 and 1 ds2 subjects", st)
+			}
 
 			members := make([][]rdf.TermID, len(e.partitions))
 			for _, s := range p.DS1.Subjects() {
@@ -203,7 +201,7 @@ func TestEngineSharesOneDS2Side(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got.Bytes(), want.Bytes()) {
-						t.Errorf("partition %d: space after engine deltas differs from a fresh Build at %d workers (%d vs %d bytes)",
+						t.Errorf("partition %d: space after SyncStores differs from a fresh Build at %d workers (%d vs %d bytes)",
 							i, w, got.Len(), want.Len())
 					}
 				}

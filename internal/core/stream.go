@@ -31,8 +31,8 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // apply is a store sync followed by an episode (so feedback against
 // freshly upserted entities lands on live feature spaces), with the result
 // of SyncStores then ApplyEpisode but without a fan-out of the sync's own:
-// each partition scores its newcomers, then runs its share of the episode
-// (planSync says when DS2 changes need one more). Application order is
+// each partition catches up with the stores, then runs its share of the
+// episode. Application order is
 // submission order, so results are independent of how submissions were
 // batched — only of their sequence. The stream spawns no goroutines:
 // applies run on the submitting (or flushing) goroutine, keeping the
@@ -122,7 +122,7 @@ func (s *FeedbackStream) Flush() []EpisodeStats {
 
 // applyLocked drains the first n buffered items through one engine
 // episode, syncing the stores first so the episode sees live spaces.
-// Routing the newcomers is serial; scoring them rides the episode's
+// Planning the sync is serial; carrying it out rides the episode's
 // fan-out (planSync).
 func (s *FeedbackStream) applyLocked(n int) EpisodeStats {
 	batch := make([]Feedback, n)
@@ -134,7 +134,7 @@ func (s *FeedbackStream) applyLocked(n int) EpisodeStats {
 	s.e.mu.Lock()
 	defer s.e.mu.Unlock()
 	sy, _ := s.e.planSync()
-	return s.e.applyEpisodeLocked(batch, &sy)
+	return s.e.applyEpisodeLocked(batch, sy)
 }
 
 // Pending returns the number of buffered, not yet applied items.

@@ -259,12 +259,7 @@ func TestViewsFollowEveryEntryPoint(t *testing.T) {
 			subj := rdf.NewIRI(fmt.Sprintf("http://view.test/e%d", newcomers))
 			newcomers++
 			pair.DS1.Add(rdf.Triple{S: subj, P: rdf.NewIRI(rdf.RDFSLabel), O: rdf.NewString(fmt.Sprintf("newcomer %d", newcomers))})
-			if rng.Intn(2) == 0 {
-				e.SyncStores()
-			} else {
-				id, _ := pair.Dict.Lookup(subj)
-				e.UpsertSubjects(id)
-			}
+			e.SyncStores()
 		case 6:
 			// The primitives themselves, then the fold every entry point
 			// owes: many changes on some rounds (the log is cut short), a

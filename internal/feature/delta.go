@@ -50,6 +50,8 @@ func (sp *Space) UpsertSubject(ds1 *store.Store, subj rdf.TermID) {
 type ObjectDelta struct {
 	// changed is the number of ds2 subjects the delta reported.
 	changed int
+	// grew is how many subjects ds2 gained since the previous delta.
+	grew int
 	// tokens holds every blocking token a changed subject holds after the
 	// delta (with repeats), which includes every token it held before.
 	tokens []string
@@ -64,13 +66,18 @@ type ObjectDelta struct {
 // only writer: call it once per delta, from one goroutine, while no space
 // is scoring against the side.
 func (r *RightSide) Apply(ds2 *store.Store, changed []rdf.TermID) ObjectDelta {
-	r.subjects = ds2.Stats().Subjects
-	d := ObjectDelta{changed: len(changed)}
+	n := ds2.Stats().Subjects
+	d := ObjectDelta{changed: len(changed), grew: n - r.subjects}
+	r.subjects = n
 	for _, subj := range changed {
 		d.tokens = append(d.tokens, r.set(subj, r.prof.entity(ds2, subj))...)
 	}
 	return d
 }
+
+// NewSubjects returns how many subjects ds2 gained between the previous
+// delta (or the side's construction) and this one.
+func (d ObjectDelta) NewSubjects() int { return d.grew }
 
 // ApplyObjectDelta catches the space up with a delta already applied to
 // its right side: it rescores every partition subject sharing a blocking

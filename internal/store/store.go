@@ -15,6 +15,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -273,6 +274,16 @@ func (s *Store) Subjects() []rdf.TermID {
 	out := make([]rdf.TermID, len(s.subjects))
 	copy(out, s.subjects)
 	return out
+}
+
+// Since returns a copy of the triple log from position pos on: every
+// triple added after the store held pos triples, in insertion order. The
+// log only grows, so a reader that keeps pos+len(result) as its next pos
+// sees each triple exactly once.
+func (s *Store) Since(pos int) []rdf.TripleID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.triples[pos:])
 }
 
 // Predicates returns the distinct predicates, sorted by id for determinism.

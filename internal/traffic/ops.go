@@ -295,8 +295,8 @@ func opCrashRestart(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 
 // opLiveUpsert grows DS1 with a brand-new subject mid-run, occasionally
 // also extending a DS2 entity, and folds both into the engine's feature
-// spaces through the incremental delta path: ApplyObjectDeltas for the
-// reported DS2 edit, SyncStores for the new subject. The new subject's
+// spaces through the incremental delta path: one SyncStores reads the new
+// subject and the DS2 edit from the stores' logs. The new subject's
 // name copies a sampled DS2 literal, so the newcomer genuinely scores
 // against the right side. A serial barrier; the cursor, the partition
 // routing and the space sizes in the detail are deterministic at any
@@ -325,7 +325,6 @@ func opLiveUpsert(ctx context.Context, w *world, rng *rand.Rand) (string, error)
 			P: rdf.NewIRI("http://alexsim.invalid/live/tag"),
 			O: rdf.NewString(fmt.Sprintf("live tag %d", id)),
 		})
-		w.node.Engine.ApplyObjectDeltas(r)
 		touched = 1
 	}
 	st := w.node.Engine.SyncStores()

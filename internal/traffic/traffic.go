@@ -64,9 +64,8 @@ const (
 	OpCrashRestart = "crash_restart"
 	// OpLiveUpsert grows DS1 with a brand-new subject mid-run (occasionally
 	// also extending a DS2 entity) and folds it into the engine's feature
-	// spaces through the incremental delta path — SyncStores and
-	// ApplyObjectDeltas, never a rebuild. Requires Config.Stream; a serial
-	// barrier.
+	// spaces through the incremental delta path — one SyncStores, never a
+	// rebuild. Requires Config.Stream; a serial barrier.
 	OpLiveUpsert = "live_upsert"
 	// OpFeedbackHTTP judges sampled candidate links and submits the
 	// verdicts over the wire via POST /feedback with flush, exercising the
