@@ -158,6 +158,8 @@ func (a *Admission) leaveQueue() {
 }
 
 // reject sheds one request: 503 with a Retry-After hint, per RFC 9110.
+// The reply closes the connection, so net/http sends it at once instead
+// of first reading whatever of the request body is still to arrive.
 func (a *Admission) reject(w http.ResponseWriter) {
 	retry := a.cfg.RetryAfter
 	if retry <= 0 {
@@ -165,6 +167,7 @@ func (a *Admission) reject(w http.ResponseWriter) {
 	}
 	secs := int((retry + time.Second - 1) / time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Connection", "close")
 	a.rejected.Add(1)
 	a.cRejected.Inc()
 	http.Error(w, "server overloaded, retry later", http.StatusServiceUnavailable)

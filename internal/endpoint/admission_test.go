@@ -1,10 +1,13 @@
 package endpoint
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,6 +280,42 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 		t.Fatalf("queued request = %d, want 200 after slot freed", code)
 	}
 	<-blocked
+}
+
+// TestAdmissionShedsWhileBodyArrives: a shed request whose body is still
+// arriving gets its 503 at once, not after the rest of the body. A POST
+// declares 100 body bytes and sends 6 while a handler holds the only slot;
+// the status line must arrive within 2 s.
+func TestAdmissionShedsWhileBodyArrives(t *testing.T) {
+	inner := newBlockingHandler(1)
+	srv := httptest.NewServer(NewAdmission(inner, AdmissionConfig{MaxConcurrent: 1}))
+	defer srv.Close()
+	defer close(inner.release)
+	go func() {
+		if resp, err := http.Get(srv.URL); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-inner.entered
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: test\r\nContent-Length: 100\r\n\r\nquery="); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no status line within 2 s of a shed request with its body unfinished: %v", err)
+	}
+	if !strings.HasPrefix(status, "HTTP/1.1 503 ") {
+		t.Fatalf("status line %q, want 503", status)
+	}
 }
 
 // waitFor polls cond until true or a generous deadline, failing the test
