@@ -24,7 +24,7 @@ test-short:
 # The race-detector run, and CI's only copy of its package list
 # (.github/workflows/ci.yml calls this target). Among its race checks:
 # internal/core's TestEngineSharesOneDS2Side (8 partitions reading one
-# feature.RightSide while engine-driven deltas update it between fan-outs),
+# feature.RightSide that SyncStores updates before their one fan-out),
 # internal/core's TestEngineSpacesMatchBuild (every partition's space from
 # one feature.BuildSpaces fan-out, one pooled scorer per worker, against a
 # one-partition Build),
@@ -39,9 +39,12 @@ test-short:
 # TestConcurrentQueriesAndFeedback (/sparql readers beside flushed /feedback
 # writers on one served node; one reader's /debug/trace joins run four
 # bound-join workers that write spans into its trace while the writers'
-# episodes add theirs to the registry).
+# episodes add theirs to the registry), internal/traffic's streaming runs
+# (live_upsert and feedback_http ops syncing the stores under the engine
+# lock beside the node's HTTP server) and cmd/sparqld's
+# TestSaturationSheds503 (admission shedding under concurrent polls).
 race:
-	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/... ./internal/serve/...
+	$(GO) test -race ./internal/linkset/... ./internal/sparql/... ./internal/fed/... ./internal/endpoint/... ./internal/core/... ./internal/obs/... ./internal/store/... ./internal/rdf/... ./internal/sim/... ./internal/feature/... ./internal/experiment/... ./internal/par/... ./internal/serve/... ./internal/traffic/... ./cmd/sparqld/...
 
 # Every fuzz target for 10s, and CI's only copy of the target list
 # (.github/workflows/ci.yml calls this target).
