@@ -32,12 +32,11 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // freshly upserted entities lands on live feature spaces), with the result
 // of SyncStores then ApplyEpisode but without a fan-out of the sync's own:
 // each partition catches up with the stores, then runs its share of the
-// episode. Application order is
-// submission order, so results are independent of how submissions were
-// batched — only of their sequence. The stream spawns no goroutines:
-// applies run on the submitting (or flushing) goroutine, keeping the
-// engine's determinism contract and goroutine accounting intact. Safe for
-// concurrent use.
+// episode. Application order is submission order, so results are
+// independent of how submissions were batched — only of their sequence.
+// The stream spawns no goroutines: applies run on the submitting (or
+// flushing) goroutine, keeping the engine's determinism contract and
+// goroutine accounting intact. Safe for concurrent use.
 type FeedbackStream struct {
 	mu     sync.Mutex
 	e      *Engine
