@@ -354,3 +354,82 @@ func TestStreamMatchesSyncThenEpisode(t *testing.T) {
 		t.Error("the scripted run's state differs between one and four workers")
 	}
 }
+
+// TestConvergedPartitionTakesFeedback pins what a judgement does to a
+// partition that has strictly converged: convergence stops the sampling
+// path, not a user. Through ApplyEpisode, a rejection of a candidate
+// removes and blacklists it and reopens its partition, an approval
+// explores, and a batch that changes no candidate is still applied and
+// leaves its partition converged.
+func TestConvergedPartitionTakesFeedback(t *testing.T) {
+	p := testPair(33)
+	cfg := smallConfig(33)
+	cfg.MaxEpisodes = 1 << 20
+	e := New(p.DS1, p.DS2, cfg)
+	e.SetInitialLinks(initialLinks(p))
+	reg := obs.NewRegistry()
+	e.SetObserver(reg)
+	oracle := feedback.NewOracle(p.Truth, 0, rand.New(rand.NewSource(33)))
+	e.Run(SerialJudge(oracle.JudgeFunc()), nil)
+	if !e.Converged() {
+		t.Fatalf("engine did not converge strictly in %d episodes", e.Episode())
+	}
+	// find returns partition pi's first link id that satisfies ok.
+	find := func(pi int, ok func(id uint32, st linkState) bool) (linkset.Link, uint32) {
+		t.Helper()
+		pt := e.partitions[pi]
+		for id, st := range pt.ls {
+			if ok(uint32(id), st) {
+				return pt.space.Link(uint32(id)), uint32(id)
+			}
+		}
+		t.Fatalf("partition %d has no link of the kind wanted", pi)
+		return linkset.Link{}, 0
+	}
+
+	// A rejection of a link that is no candidate and generated nothing
+	// changes no candidate: it is applied, and the partition stays
+	// converged.
+	quiet, _ := find(0, func(_ uint32, st linkState) bool { return st.flags == 0 && len(st.prov) == 0 })
+	st := e.ApplyEpisode([]Feedback{{Link: quiet, Approved: false}})
+	if st.Negative != 1 || st.Changed != 0 {
+		t.Errorf("quiet rejection: %d negative, %d changed; want 1, 0", st.Negative, st.Changed)
+	}
+	if !e.PartitionConverged(0) {
+		t.Error("a batch that changed nothing reopened its partition")
+	}
+
+	// A rejection of a candidate removes and blacklists it, and reopens
+	// the partition.
+	bad, badID := find(0, func(_ uint32, st linkState) bool { return st.flags&isCandidate != 0 })
+	st = e.ApplyEpisode([]Feedback{{Link: bad, Approved: false}})
+	if st.Negative != 1 || st.Removed == 0 {
+		t.Errorf("rejection: %d negative, %d removed; want 1, at least 1", st.Negative, st.Removed)
+	}
+	if e.Candidates().Contains(bad) {
+		t.Error("rejected link is still a candidate")
+	}
+	if e.partitions[0].ls[badID].flags&isBlacklisted == 0 {
+		t.Error("rejected link is not blacklisted")
+	}
+	if e.PartitionConverged(0) {
+		t.Error("a batch that changed the candidates left its partition converged")
+	}
+
+	// An approval explores: the policy picks a feature at the link.
+	pt := e.partitions[1]
+	good, goodID := find(1, func(id uint32, st linkState) bool {
+		return st.flags&isCandidate != 0 && len(pt.actions(id)) > 0
+	})
+	picks := func() int64 {
+		return reg.Counter(obs.CorePickGreedy).Value() + reg.Counter(obs.CorePickExplore).Value()
+	}
+	before := picks()
+	st = e.ApplyEpisode([]Feedback{{Link: good, Approved: true}})
+	if st.Positive != 1 || picks() != before+1 {
+		t.Errorf("approval: %d positive, %d picks; want 1, 1", st.Positive, picks()-before)
+	}
+	if pt.ls[goodID].flags&isConfirmed == 0 {
+		t.Error("approved link is not confirmed")
+	}
+}
