@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -243,6 +244,48 @@ func TestRunStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if cfg1.Obs.Counter(obs.FeatureDeltaUpserts).Value() == 0 {
 		t.Error("streaming run recorded no feature-space upserts")
+	}
+}
+
+// TestStreamRunAppliesEveryJudgement follows the simulator's judgements
+// to the engine: over a streaming run, every item the feedback op applies
+// and every item /feedback accepts for feedback_http reaches an episode,
+// so the engine's positive and negative feedback counters sum to them.
+func TestStreamRunAppliesEveryJudgement(t *testing.T) {
+	var log bytes.Buffer
+	cfg := testConfig(58, 4, &log)
+	cfg.Rounds = 20
+	cfg.Stream = true
+	rep := mustRun(t, cfg)
+	if n := len(rep.Violations); n != 0 {
+		t.Fatalf("violations = %d:\n%v", n, rep.Violations)
+	}
+	submitted := map[string]int{}
+	for _, line := range strings.Split(log.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || f[0] != "op" {
+			continue
+		}
+		field, ok := map[string]string{OpFeedback: "items=", OpFeedbackHTTP: "accepted="}[f[2]]
+		if !ok {
+			continue
+		}
+		for _, kv := range f[3:] {
+			if v, ok := strings.CutPrefix(kv, field); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("op log line %q: %v", line, err)
+				}
+				submitted[f[2]] += n
+			}
+		}
+	}
+	if submitted[OpFeedback] == 0 || submitted[OpFeedbackHTTP] == 0 {
+		t.Fatalf("submitted items by op = %v; want both feedback ops to submit some", submitted)
+	}
+	applied := cfg.Obs.Counter(obs.CoreFeedbackPositive).Value() + cfg.Obs.Counter(obs.CoreFeedbackNegative).Value()
+	if want := int64(submitted[OpFeedback] + submitted[OpFeedbackHTTP]); applied != want {
+		t.Errorf("episodes applied %d judgements, the feedback ops submitted %d (%v)", applied, want, submitted)
 	}
 }
 
