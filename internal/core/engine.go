@@ -52,13 +52,12 @@ type Engine struct {
 // engineObs bundles the instruments shared by every partition. Fields stay
 // nil (no-op) until SetObserver resolves them.
 type engineObs struct {
-	cPos, cNeg        *obs.Counter
-	cAdds, cRemoves   *obs.Counter
-	cExplorations     *obs.Counter
-	cRollbacks        *obs.Counter
-	cPickGreedy       *obs.Counter
-	cPickExplore      *obs.Counter
-	cDroppedConverged *obs.Counter
+	cPos, cNeg      *obs.Counter
+	cAdds, cRemoves *obs.Counter
+	cExplorations   *obs.Counter
+	cRollbacks      *obs.Counter
+	cPickGreedy     *obs.Counter
+	cPickExplore    *obs.Counter
 }
 
 // New builds an engine: it partitions the first data set round-robin
@@ -119,15 +118,14 @@ func (e *Engine) SetObserver(reg *obs.Registry) {
 	e.gCandidates = reg.Gauge(obs.CoreCandidates)
 	reg.Gauge(obs.CoreExploreWorkers).Set(int64(e.cfg.Workers))
 	o := &engineObs{
-		cPos:              reg.Counter(obs.CoreFeedbackPositive),
-		cNeg:              reg.Counter(obs.CoreFeedbackNegative),
-		cAdds:             reg.Counter(obs.CoreLinksAdded),
-		cRemoves:          reg.Counter(obs.CoreLinksRemoved),
-		cExplorations:     reg.Counter(obs.CoreExplorations),
-		cRollbacks:        reg.Counter(obs.CoreRollbacks),
-		cPickGreedy:       reg.Counter(obs.CorePickGreedy),
-		cPickExplore:      reg.Counter(obs.CorePickExplore),
-		cDroppedConverged: reg.Counter(obs.CoreFeedbackDroppedConverged),
+		cPos:          reg.Counter(obs.CoreFeedbackPositive),
+		cNeg:          reg.Counter(obs.CoreFeedbackNegative),
+		cAdds:         reg.Counter(obs.CoreLinksAdded),
+		cRemoves:      reg.Counter(obs.CoreLinksRemoved),
+		cExplorations: reg.Counter(obs.CoreExplorations),
+		cRollbacks:    reg.Counter(obs.CoreRollbacks),
+		cPickGreedy:   reg.Counter(obs.CorePickGreedy),
+		cPickExplore:  reg.Counter(obs.CorePickExplore),
 	}
 	for _, p := range e.partitions {
 		p.obs = o
@@ -211,8 +209,10 @@ type EpisodeStats struct {
 	Candidates int
 	// Rollbacks counts rollback events since the run started.
 	Rollbacks int
-	// DroppedConverged counts feedback items this episode that were
-	// discarded because they routed to an already-converged partition.
+	// DroppedConverged is always zero: every episode applies its items,
+	// converged partitions included. It stays only for bench/'s feedback
+	// workload, which reads it until that workload stops sampling around
+	// converged partitions.
 	DroppedConverged int
 	// Converged reports strict convergence (no change in any partition).
 	Converged bool
@@ -257,7 +257,18 @@ func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 	par.Do(n, e.cfg.Workers, func(_, i int) {
 		p := e.partitions[i]
 		sp := tr.Root().Child("partition")
-		p.runEpisode(share, judge)
+		p.resetEpisodeCounters()
+		// Convergence is where sampling stops; a judgement sent through
+		// ApplyEpisode still acts on a converged partition.
+		if !p.converged {
+			p.episode(func(j int) (uint32, bool, bool) {
+				if j == share {
+					return 0, false, false
+				}
+				id, ok := p.sample()
+				return id, ok && judge(p.space.Link(id)), ok
+			})
+		}
 		p.endSpan(sp)
 	})
 	return e.finishEpisodeObs(tr)
@@ -304,7 +315,6 @@ func (e *Engine) collectStats() EpisodeStats {
 		stats.Changed += p.episodeChanged
 		stats.Candidates += p.candidates
 		stats.Rollbacks += p.rollbacks
-		stats.DroppedConverged += p.droppedConverged
 	}
 	stats.Converged = e.convergedLocked()
 	stats.Relaxed = stats.Candidates > 0 &&
@@ -325,9 +335,11 @@ type Feedback struct {
 // ApplyEpisode runs one episode from an explicit list of feedback items —
 // the interactive path of the paper's Figure 1, where verdicts come from
 // users approving or rejecting federated query answers. Items are routed
-// to the partition owning the link's left entity; partitions that receive
-// no items are untouched (they had no chance to change, so the episode
-// says nothing about their convergence).
+// to the partition owning the link's left entity and applied there, also
+// in a converged partition: convergence stops RunEpisode's sampling, not a
+// user's judgement. Partitions that receive no items are untouched (they
+// had no chance to change, so the episode says nothing about their
+// convergence).
 func (e *Engine) ApplyEpisode(items []Feedback) EpisodeStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -350,9 +362,18 @@ func (e *Engine) applyEpisodeLocked(items []Feedback, sy *storeSync) EpisodeStat
 	tr := e.traceEpisode()
 	par.Do(len(e.partitions), e.cfg.Workers, func(_, i int) {
 		sy.apply(e, i)
+		p, batch := e.partitions[i], perPartition[i]
 		sp := tr.Root().Child("partition")
-		e.partitions[i].applyEpisode(perPartition[i])
-		e.partitions[i].endSpan(sp)
+		p.resetEpisodeCounters()
+		if len(batch) > 0 {
+			p.episode(func(j int) (uint32, bool, bool) {
+				if j == len(batch) {
+					return 0, false, false
+				}
+				return p.linkID(batch[j].Link), batch[j].Approved, true
+			})
+		}
+		p.endSpan(sp)
 	})
 	return e.finishEpisodeObs(tr)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"crypto/sha256"
+	"encoding/gob"
 	"flag"
 	"fmt"
 	"math"
@@ -87,7 +88,7 @@ type learned struct {
 	Episodes, Rollbacks              int
 	Converged                        bool
 	// The last episode's counters.
-	Adds, Removes, Changed, Pos, Neg, Dropped int
+	Adds, Removes, Changed, Pos, Neg int
 }
 
 type linkCount struct {
@@ -151,7 +152,7 @@ func (p *refPartition) learned() learned {
 	st := learned{
 		Episodes: p.episodes, Rollbacks: p.rollbacks, Converged: p.converged,
 		Adds: p.episodeAdds, Removes: p.episodeRemoves, Changed: p.episodeChanged,
-		Pos: p.posFeedback, Neg: p.negFeedback, Dropped: p.droppedConverged,
+		Pos: p.posFeedback, Neg: p.negFeedback,
 	}
 	for l := range p.candidates {
 		st.Candidates = append(st.Candidates, l)
@@ -189,7 +190,7 @@ func (p *partition) learned() learned {
 		Candidates: slices.Clone(p.view),
 		Episodes:   p.episodes, Rollbacks: p.rollbacks, Converged: p.converged,
 		Adds: p.episodeAdds, Removes: p.episodeRemoves, Changed: p.episodeChanged,
-		Pos: p.posFeedback, Neg: p.negFeedback, Dropped: p.droppedConverged,
+		Pos: p.posFeedback, Neg: p.negFeedback,
 	}
 	for id, ls := range p.ls {
 		l := p.space.Link(uint32(id))
@@ -262,6 +263,8 @@ type diffRun struct {
 	// arrivals counts new DS2 subjects, edits the DS2 attributes added to
 	// existing ones.
 	arrivals, edits int
+	// frozen counts the RunEpisode steps taken on a converged engine.
+	frozen int
 }
 
 func newDiffRun(t testing.TB, pair *datagen.Pair, cfg Config, seed int64) *diffRun {
@@ -369,7 +372,7 @@ func (d *diffRun) upsert() {
 			O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
 		})
 	}
-	d.e.SyncStores()
+	d.sync()
 }
 
 // upsertDS2 grows DS2 while the engine runs, taking turns: a new subject
@@ -398,7 +401,64 @@ func (d *diffRun) upsertDS2() {
 			O: rdf.NewString(fmt.Sprintf("alias %d", d.rng.Intn(50))),
 		})
 	}
+	d.sync()
+}
+
+// sync runs SyncStores, which must leave every partition's convergence
+// as it was: a sync rescores the feature space but changes no candidate,
+// so it neither reopens a partition nor converges one.
+func (d *diffRun) sync() {
+	d.t.Helper()
+	before := d.converged()
 	d.e.SyncStores()
+	if after := d.converged(); !slices.Equal(before, after) {
+		d.t.Fatalf("SyncStores moved partition convergence from %v to %v", before, after)
+	}
+}
+
+func (d *diffRun) converged() []bool {
+	out := make([]bool, d.e.Partitions())
+	for i := range out {
+		out[i] = d.e.PartitionConverged(i)
+	}
+	return out
+}
+
+// saved decodes what SaveState records of the engine.
+func (d *diffRun) saved() engineState {
+	d.t.Helper()
+	var buf bytes.Buffer
+	if err := d.e.SaveState(&buf); err != nil {
+		d.t.Fatal(err)
+	}
+	var st engineState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		d.t.Fatal(err)
+	}
+	return st
+}
+
+// runEpisode runs a sampled episode on both sides. On the sampling path,
+// convergence over unchanged stores is absorbing: on a converged engine
+// the episode samples nothing, and the saved state moves by its episode
+// count alone.
+func (d *diffRun) runEpisode(judge func(linkset.Link) bool) {
+	d.t.Helper()
+	frozen := d.e.Converged()
+	var before engineState
+	if frozen {
+		before = d.saved()
+	}
+	d.e.RunEpisode(judge)
+	d.ref.runEpisode(judge)
+	if frozen {
+		after := d.saved()
+		after.Episode--
+		if !reflect.DeepEqual(before, after) {
+			d.t.Fatalf("episode %d: RunEpisode on a converged engine changed its saved state", d.e.Episode())
+		}
+		d.frozen++
+	}
 }
 
 // step applies one operation to both sides and compares them.
@@ -408,9 +468,7 @@ func (d *diffRun) step(i int, op byte) {
 	switch op % 7 {
 	case 0:
 		what = "RunEpisode"
-		judge := d.judge(uint64(d.rng.Intn(31)))
-		d.e.RunEpisode(judge)
-		d.ref.runEpisode(judge)
+		d.runEpisode(d.judge(uint64(d.rng.Intn(31))))
 	case 1, 2:
 		what = "ApplyEpisode"
 		items := d.batch()
@@ -420,8 +478,9 @@ func (d *diffRun) step(i int, op byte) {
 		what = "DS1 upsert"
 		d.upsert()
 	case 4:
-		// Strict convergence freezes a partition for good; thaw both sides
-		// so the script keeps learning.
+		// Strict convergence stops RunEpisode from sampling a partition
+		// until a judgement through ApplyEpisode changes its candidates;
+		// thaw both sides so the sampling path keeps learning too.
 		what = "thaw"
 		for j, p := range d.e.partitions {
 			p.converged = false
@@ -472,6 +531,11 @@ func TestEpisodeMatchesReference(t *testing.T) {
 					d.e.RunEpisode(judge)
 					d.ref.runEpisode(judge)
 					d.compare(fmt.Sprintf("seed %d episode %d", seed, d.e.Episode()))
+				}
+				d.runEpisode(judge)
+				d.compare(fmt.Sprintf("seed %d after convergence", seed))
+				if d.frozen != 1 {
+					t.Errorf("seed %d: engine not converged after %d episodes", seed, d.e.Episode())
 				}
 			}
 

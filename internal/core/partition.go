@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"alex/internal/feature"
-	"alex/internal/feedback"
 	"alex/internal/linkset"
 	"alex/internal/obs"
 	"alex/internal/rl"
@@ -126,13 +125,9 @@ type partition struct {
 	episodeAdds, episodeRemoves int
 	episodeChanged              int
 	negFeedback, posFeedback    int
-	// droppedConverged counts feedback items this episode discarded
-	// because the partition had already converged (frozen partitions
-	// take no further feedback; see Engine.ApplyEpisode).
-	droppedConverged int
-	rollbacks        int
-	converged        bool
-	episodes         int
+	rollbacks                   int
+	converged                   bool
+	episodes                    int
 
 	// obs holds engine-wide instruments; its fields are nil-safe no-ops
 	// until Engine.SetObserver resolves them.
@@ -341,41 +336,20 @@ func (p *partition) actions(s uint32) []feature.Feature {
 	return p.space.SetOf(s).Features
 }
 
-// runEpisode processes n sampled feedback items (policy evaluation,
-// Algorithm 1 lines 11-22) then improves the policy (lines 24-33). judge
-// supplies the user verdicts.
-func (p *partition) runEpisode(n int, judge feedback.Judge) {
-	p.resetEpisodeCounters()
-	if p.converged {
-		return
-	}
-	p.beginEpisode()
-	for i := 0; i < n; i++ {
-		id, ok := p.sample()
+// episode runs one episode: the feedback items next yields, the j-th
+// applied before item j+1 is asked for (policy evaluation, Algorithm 1
+// lines 11-22), then policy improvement (lines 24-33). The sampler and the
+// caller's list of judgements are its two feeders; next reports false when
+// it has no more.
+func (p *partition) episode(next func(j int) (id uint32, approved, ok bool)) {
+	p.visits.Reset()
+	p.visited.Reset()
+	for j := 0; ; j++ {
+		id, approved, ok := next(j)
 		if !ok {
 			break
 		}
-		p.handleFeedback(id, judge(p.space.Link(id)))
-	}
-	p.endEpisode()
-}
-
-// applyEpisode processes an explicit list of user feedback items as one
-// episode — the interactive path, where verdicts come from query-answer
-// approvals rather than sampling.
-func (p *partition) applyEpisode(items []Feedback) {
-	p.resetEpisodeCounters()
-	if p.converged {
-		p.droppedConverged = len(items)
-		p.obs.cDroppedConverged.Add(int64(len(items)))
-		return
-	}
-	if len(items) == 0 {
-		return
-	}
-	p.beginEpisode()
-	for _, it := range items {
-		p.handleFeedback(p.linkID(it.Link), it.Approved)
+		p.handleFeedback(id, approved)
 	}
 	p.endEpisode()
 }
@@ -383,24 +357,19 @@ func (p *partition) applyEpisode(items []Feedback) {
 func (p *partition) resetEpisodeCounters() {
 	p.episodeAdds, p.episodeRemoves, p.episodeChanged = 0, 0, 0
 	p.negFeedback, p.posFeedback = 0, 0
-	p.droppedConverged = 0
-}
-
-func (p *partition) beginEpisode() {
-	p.visits.Reset()
-	p.visited.Reset()
 }
 
 // endEpisode improves the policy and evaluates convergence by comparing
 // the candidate set before and after the episode; links added and rolled
-// back within the same episode cancel out.
+// back within the same episode cancel out. The partition is converged
+// after an episode that changed no candidate, or once it has run
+// MaxEpisodes, and open otherwise: a judgement that changes the candidates
+// of a converged partition reopens it.
 func (p *partition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	if p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes {
-		p.converged = true
-	}
+	p.converged = p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes
 }
 
 // handleFeedback applies one feedback item on link id: reward propagation

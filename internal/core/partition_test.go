@@ -301,18 +301,17 @@ func TestPartitionFirstVisitRewardOncePerEpisode(t *testing.T) {
 }
 
 func TestPartitionConvergesWhenNoChanges(t *testing.T) {
-	pt, pair := buildTestPartition(t, Defaults())
-	_ = pair
-	// Empty partition: an episode with no candidates converges immediately.
-	pt.runEpisode(10, func(linkset.Link) bool { return true })
+	pt, _ := buildTestPartition(t, Defaults())
+	none := func(int) (uint32, bool, bool) { return 0, false, false }
+	// Empty partition: an episode with no feedback converges immediately,
+	// and another that changes nothing leaves it converged.
+	pt.episode(none)
 	if !pt.converged {
 		t.Error("empty partition did not converge")
 	}
-	// Converged partitions ignore further episodes.
-	episodes := pt.episodes
-	pt.runEpisode(10, func(linkset.Link) bool { return true })
-	if pt.episodes != episodes {
-		t.Error("converged partition ran another episode")
+	pt.episode(none)
+	if !pt.converged || pt.episodes != 2 {
+		t.Errorf("after a second empty episode: converged %v, %d episodes; want true, 2", pt.converged, pt.episodes)
 	}
 }
 

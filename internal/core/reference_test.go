@@ -93,13 +93,9 @@ type refPartition struct {
 	episodeAdds, episodeRemoves int
 	episodeChanged              int
 	negFeedback, posFeedback    int
-	// droppedConverged counts feedback items this episode discarded
-	// because the refPartition had already converged (frozen partitions
-	// take no further feedback; see Engine.ApplyEpisode).
-	droppedConverged int
-	rollbacks        int
-	converged        bool
-	episodes         int
+	rollbacks                   int
+	converged                   bool
+	episodes                    int
 
 	// obs holds engine-wide instruments; its fields are nil-safe no-ops
 	// until Engine.SetObserver resolves them.
@@ -261,14 +257,10 @@ func (p *refPartition) runEpisode(n int, judge feedback.Judge) {
 
 // applyEpisode processes an explicit list of user feedback items as one
 // episode — the interactive path, where verdicts come from query-answer
-// approvals rather than sampling.
+// approvals rather than sampling. A converged refPartition applies them
+// too: convergence only stops sampling.
 func (p *refPartition) applyEpisode(items []Feedback) {
 	p.resetEpisodeCounters()
-	if p.converged {
-		p.droppedConverged = len(items)
-		p.obs.cDroppedConverged.Add(int64(len(items)))
-		return
-	}
 	if len(items) == 0 {
 		return
 	}
@@ -282,7 +274,6 @@ func (p *refPartition) applyEpisode(items []Feedback) {
 func (p *refPartition) resetEpisodeCounters() {
 	p.episodeAdds, p.episodeRemoves, p.episodeChanged = 0, 0, 0
 	p.negFeedback, p.posFeedback = 0, 0
-	p.droppedConverged = 0
 }
 
 func (p *refPartition) beginEpisode() {
@@ -292,14 +283,14 @@ func (p *refPartition) beginEpisode() {
 
 // endEpisode improves the policy and evaluates convergence by comparing
 // the candidate set before and after the episode; links added and rolled
-// back within the same episode cancel out.
+// back within the same episode cancel out. An episode that changes the
+// candidates reopens a converged refPartition, unless it has run
+// MaxEpisodes.
 func (p *refPartition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	if p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes {
-		p.converged = true
-	}
+	p.converged = p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes
 }
 
 // handleFeedback applies one feedback item: reward propagation to the

@@ -100,31 +100,6 @@ func TestStreamShedsAtCapacity(t *testing.T) {
 	}
 }
 
-func TestDroppedConvergedSurfaced(t *testing.T) {
-	p := testPair(33)
-	cfg := smallConfig(33)
-	e := New(p.DS1, p.DS2, cfg)
-	e.SetInitialLinks(initialLinks(p))
-	reg := obs.NewRegistry()
-	e.SetObserver(reg)
-	oracle := feedback.NewOracle(p.Truth, 0, rand.New(rand.NewSource(33)))
-	e.Run(SerialJudge(oracle.JudgeFunc()), nil)
-	if !e.Converged() {
-		t.Skip("engine did not converge within MaxEpisodes")
-	}
-	items := truthFeedback(e, p.Truth, 5)
-	if len(items) == 0 {
-		t.Fatal("no candidates to feed back on")
-	}
-	st := e.ApplyEpisode(items)
-	if st.DroppedConverged != len(items) {
-		t.Errorf("DroppedConverged = %d, want %d", st.DroppedConverged, len(items))
-	}
-	if got := reg.Counter(obs.CoreFeedbackDroppedConverged).Value(); got != int64(len(items)) {
-		t.Errorf("%s = %d, want %d", obs.CoreFeedbackDroppedConverged, got, len(items))
-	}
-}
-
 // TestStreamWorkerCountDeterminism drives the identical submission
 // sequence through engines at worker counts 1 and 4: candidate sets and
 // episode accounting must match exactly.

@@ -49,10 +49,8 @@ type FeedbackResponse struct {
 	Pending int `json:"pending"`
 	Batches int `json:"batches"`
 	// Candidates is the engine's candidate count after this request
-	// (unchanged when no batch applied); DroppedConverged counts items
-	// discarded by already-converged partitions in applied batches.
-	Candidates       int `json:"candidates"`
-	DroppedConverged int `json:"dropped_converged"`
+	// (unchanged when no batch applied).
+	Candidates int `json:"candidates"`
 }
 
 // FeedbackFunc ingests one feedback request.
@@ -127,9 +125,8 @@ func EngineFeedbackFunc(eng *core.Engine, stream *core.FeedbackStream, dict *rdf
 			Pending:  stream.Pending(),
 			Batches:  len(applied),
 		}
-		for _, st := range applied {
-			resp.DroppedConverged += st.DroppedConverged
-			if onApplied != nil {
+		if onApplied != nil {
+			for _, st := range applied {
 				onApplied(st)
 			}
 		}

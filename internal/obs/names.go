@@ -108,10 +108,6 @@ const (
 	// (Config.Workers): the bound on goroutines used for space
 	// construction and episode execution.
 	CoreExploreWorkers = "core.explore.workers"
-	// CoreFeedbackDroppedConverged counts feedback items discarded
-	// because they were routed to a partition that had already converged
-	// (frozen partitions take no further feedback).
-	CoreFeedbackDroppedConverged = "core.feedback.dropped_converged"
 )
 
 // Streaming feedback ingestion (internal/core stream.go).
@@ -247,7 +243,6 @@ func MetricNames() []string {
 		CoreEpisodeNS,
 		CoreExplorations,
 		CoreExploreWorkers,
-		CoreFeedbackDroppedConverged,
 		CoreFeedbackNegative,
 		CoreFeedbackPositive,
 		CoreLinksAdded,

@@ -79,8 +79,7 @@ func (h *harness) endRound(round int) {
 // checkLinkset asserts the engine guarantees the simulator's feedback has
 // earned so far: positively-judged links stay in the candidate set
 // (rollback exempts confirmed links), negatively-judged links never
-// reappear (the blacklist), and partition convergence is monotone
-// (converged partitions are frozen).
+// reappear (the blacklist).
 func (h *harness) checkLinkset() {
 	cands := h.w.node.Engine.Candidates()
 	lost := 0
@@ -102,11 +101,6 @@ func (h *harness) checkLinkset() {
 		if h.w.node.Engine.PartitionConverged(i) {
 			converged++
 		}
-	}
-	if converged < h.convergedHigh {
-		h.violate("convergence_monotone", fmt.Sprintf("converged partitions dropped from %d to %d", h.convergedHigh, converged))
-	} else {
-		h.convergedHigh = converged
 	}
 	if lost == 0 && leaked == 0 {
 		h.logf("inv linkset ok confirmed=%d blacklisted=%d converged=%d/%d candidates=%d",

@@ -128,12 +128,7 @@ func (w *world) judgeSample(rng *rand.Rand) (items []core.Feedback, pos int) {
 			pos++
 		}
 		items = append(items, core.Feedback{Link: l, Approved: approved})
-		// Converged partitions are frozen: they ignore feedback, so
-		// verdicts routed to them must not enter the invariant ledger
-		// (a rejection there is legitimately never acted on).
-		if pi, ok := w.node.Engine.PartitionOf(l.Left); ok && !w.node.Engine.PartitionConverged(pi) {
-			w.recordJudgement(l, approved)
-		}
+		w.recordJudgement(l, approved)
 	}
 	return items, pos
 }
@@ -391,8 +386,8 @@ func opFeedbackHTTP(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 	// Each applied batch is one feedback episode, as in opFeedback.
 	w.episodes += fr.Batches
 	w.episodeCounter.Add(int64(fr.Batches))
-	return fmt.Sprintf("items=%d pos=%d neg=%d accepted=%d batches=%d dropped_conv=%d candidates=%d",
-		k, pos, k-pos, fr.Accepted, fr.Batches, fr.DroppedConverged, fr.Candidates), nil
+	return fmt.Sprintf("items=%d pos=%d neg=%d accepted=%d batches=%d candidates=%d",
+		k, pos, k-pos, fr.Accepted, fr.Batches, fr.Candidates), nil
 }
 
 // skippedSuffix renders a partial result's skipped member names (sorted;

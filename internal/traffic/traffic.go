@@ -328,7 +328,6 @@ type harness struct {
 	// op's log line is flushed.
 	pendingRecovery string
 
-	convergedHigh  int // high-water converged-partition count (monotonicity)
 	baseGoroutines int
 
 	samples           map[string][]float64 // op kind -> latency samples (ns)
