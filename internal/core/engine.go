@@ -268,6 +268,8 @@ func (e *Engine) RunEpisode(judge feedback.Judge) EpisodeStats {
 				id, ok := p.sample()
 				return id, ok && judge(p.space.Link(id)), ok
 			})
+			// MaxEpisodes bounds the sampling alone.
+			p.converged = p.converged || p.episodes >= e.cfg.MaxEpisodes
 		}
 		p.endSpan(sp)
 	})

@@ -362,14 +362,14 @@ func (p *partition) resetEpisodeCounters() {
 // endEpisode improves the policy and evaluates convergence by comparing
 // the candidate set before and after the episode; links added and rolled
 // back within the same episode cancel out. The partition is converged
-// after an episode that changed no candidate, or once it has run
-// MaxEpisodes, and open otherwise: a judgement that changes the candidates
-// of a converged partition reopens it.
+// after an episode that changed no candidate and open otherwise: a
+// judgement that changes the candidates of a converged partition reopens
+// it.
 func (p *partition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	p.converged = p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes
+	p.converged = p.episodeChanged == 0
 }
 
 // handleFeedback applies one feedback item on link id: reward propagation

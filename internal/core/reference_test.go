@@ -253,6 +253,7 @@ func (p *refPartition) runEpisode(n int, judge feedback.Judge) {
 		p.handleFeedback(l, judge(l))
 	}
 	p.endEpisode()
+	p.converged = p.converged || p.episodes >= p.cfg.MaxEpisodes
 }
 
 // applyEpisode processes an explicit list of user feedback items as one
@@ -284,13 +285,13 @@ func (p *refPartition) beginEpisode() {
 // endEpisode improves the policy and evaluates convergence by comparing
 // the candidate set before and after the episode; links added and rolled
 // back within the same episode cancel out. An episode that changes the
-// candidates reopens a converged refPartition, unless it has run
-// MaxEpisodes.
+// candidates reopens a converged refPartition; MaxEpisodes stops only
+// runEpisode's sampling.
 func (p *refPartition) endEpisode() {
 	p.improvePolicy()
 	p.episodes++
 	p.episodeChanged = p.fold()
-	p.converged = p.episodeChanged == 0 || p.episodes >= p.cfg.MaxEpisodes
+	p.converged = p.episodeChanged == 0
 }
 
 // handleFeedback applies one feedback item: reward propagation to the

@@ -408,3 +408,29 @@ func TestConvergedPartitionTakesFeedback(t *testing.T) {
 		t.Error("approved link is not confirmed")
 	}
 }
+
+// TestMaxEpisodesCapsOnlySampling pins where MaxEpisodes acts: it stops
+// RunEpisode's sampling of a partition, while a judgement that changes a
+// partition's candidates reopens it however many episodes it has run.
+func TestMaxEpisodesCapsOnlySampling(t *testing.T) {
+	p := testPair(33)
+	cfg := smallConfig(33)
+	cfg.MaxEpisodes = 2
+	e := New(p.DS1, p.DS2, cfg)
+	e.SetInitialLinks(initialLinks(p))
+	for i := 0; i < 4; i++ {
+		cands := e.PartitionCandidates(0)
+		if len(cands) == 0 {
+			t.Fatal("partition 0 has no candidate left to reject")
+		}
+		st := e.ApplyEpisode([]Feedback{{Link: cands[0], Approved: false}})
+		if st.Changed == 0 || e.PartitionConverged(0) {
+			t.Fatalf("rejection %d, partition 0 at %d episodes: %d changed, converged %v; want a change and an open partition",
+				i, e.PartitionEpisodes(0), st.Changed, e.PartitionConverged(0))
+		}
+	}
+	e.RunEpisode(func(linkset.Link) bool { return false })
+	if !e.PartitionConverged(0) {
+		t.Errorf("partition 0 still open after a sampled episode at %d episodes, past MaxEpisodes %d", e.PartitionEpisodes(0), cfg.MaxEpisodes)
+	}
+}
