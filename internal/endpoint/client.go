@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,16 +18,21 @@ import (
 )
 
 // Client queries a remote SPARQL endpoint. It caches the COUNT answers
-// CountContext is built from, which the federated planner consults for
-// every pattern of every query. A Client is safe for concurrent use.
+// Count is built from, which the federated planner consults for every
+// pattern of every query. A Client is safe for concurrent use.
 type Client struct {
 	name string
 	base string
 	http *http.Client
 
 	mu     sync.Mutex
-	counts map[string]int // COUNT query text -> answer
+	counts map[string]int // COUNT query text -> answer, at generation served
+	// served is the last nonzero reply generation; changes counts its changes.
+	served, changes uint64
 }
+
+// generationHeader carries a /sparql reply's Result.Generation.
+const generationHeader = "Data-Generation"
 
 // pooledClient is the default HTTP client: a keep-alive connection pool
 // sized for sustained traffic against a handful of endpoints, instead of
@@ -69,6 +76,9 @@ type Result struct {
 	// Partial marks an answer computed while a federation member was
 	// skipped; the result cache serves it but never stores it.
 	Partial bool
+	// Generation is the data generation read before the evaluation; a
+	// handler sends it in a header, the Client reads it back (0 if none).
+	Generation uint64
 
 	slots *sparql.SlotResult
 }
@@ -81,10 +91,11 @@ func (r *Result) rowCount() int {
 	return len(r.Rows)
 }
 
-// QueryContext sends a SPARQL query and decodes the JSON response. The
-// HTTP request carries ctx, so a caller's deadline or cancellation aborts
-// the in-flight round trip.
-func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error) {
+// Query sends a SPARQL query and decodes the JSON response. The HTTP
+// request carries ctx, so a caller's deadline or cancellation aborts the
+// in-flight round trip. A reply whose generation differs from the last one
+// drops every cached COUNT.
+func (c *Client) Query(ctx context.Context, query string) (*Result, error) {
 	form := url.Values{"query": {query}}.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base, strings.NewReader(form))
 	if err != nil {
@@ -103,6 +114,14 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("endpoint %s: HTTP %d: %s", c.name, resp.StatusCode, strings.TrimSpace(string(body)))
 	}
+	gen, _ := strconv.ParseUint(resp.Header.Get(generationHeader), 10, 64)
+	c.mu.Lock()
+	if gen != 0 && gen != c.served {
+		c.served = gen
+		c.changes++
+		clear(c.counts)
+	}
+	c.mu.Unlock()
 	// ASK and SELECT share the "head" field; sniff for "boolean".
 	var probe struct {
 		Boolean *bool `json:"boolean"`
@@ -111,13 +130,13 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error
 		return nil, fmt.Errorf("endpoint %s: decoding response: %w", c.name, err)
 	}
 	if probe.Boolean != nil {
-		return &Result{IsAsk: true, Boolean: *probe.Boolean}, nil
+		return &Result{IsAsk: true, Boolean: *probe.Boolean, Generation: gen}, nil
 	}
 	var doc selectDocument
 	if err := json.Unmarshal(body, &doc); err != nil {
 		return nil, fmt.Errorf("endpoint %s: decoding bindings: %w", c.name, err)
 	}
-	out := &Result{Vars: doc.Head.Vars}
+	out := &Result{Vars: doc.Head.Vars, Generation: gen}
 	for _, b := range doc.Results.Bindings {
 		row := sparql.Binding{}
 		for v, td := range b {
@@ -130,6 +149,15 @@ func (c *Client) QueryContext(ctx context.Context, query string) (*Result, error
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// Generation counts the replies whose generation differed from the one
+// before, the first included. It only grows, also when the endpoint
+// restarts; an endpoint that sends no generation never moves it.
+func (c *Client) Generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.changes
 }
 
 // Wire documents, as the client decodes them; wire.go writes them.
@@ -173,16 +201,17 @@ func decodeTerm(d termDocument) (rdf.Term, error) {
 	}
 }
 
-// CountContext estimates how many of the endpoint's triples match (s, p,
-// o), zero terms being wildcards. It sends no query of its own for that
-// pattern: it starts from the predicate's COUNT (the endpoint's total COUNT
-// when p is a wildcard), sent once and then cached, and divides it by 16
-// for a constant subject and by 4 for a constant object. It is 0 only when
-// the COUNT is.
+// Count estimates how many of the endpoint's triples match (s, p, o), zero
+// terms being wildcards. It sends no query of its own for that pattern: it
+// starts from the predicate's COUNT (the endpoint's total COUNT when p is a
+// wildcard), sent once and then cached, and divides it by 16 for a
+// constant subject and by 4 for a constant object. It is 0 only when the
+// COUNT is.
 //
-// A cached COUNT is never refreshed: an endpoint that later gains triples
-// of a predicate it once counted 0 of stays counted at 0.
-func (c *Client) CountContext(ctx context.Context, s, p, o rdf.Term) (float64, error) {
+// A reply to any query that carries a new generation drops the cached
+// COUNTs, so a predicate counted 0 is counted again once the endpoint has
+// gained triples and replied.
+func (c *Client) Count(ctx context.Context, s, p, o rdf.Term) (float64, error) {
 	query := "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }"
 	if !p.IsZero() {
 		query = fmt.Sprintf("SELECT (COUNT(*) AS ?n) WHERE { ?s %s ?o }", p)
@@ -191,7 +220,7 @@ func (c *Client) CountContext(ctx context.Context, s, p, o rdf.Term) (float64, e
 	n, ok := c.counts[query]
 	c.mu.Unlock()
 	if !ok {
-		res, err := c.QueryContext(ctx, query)
+		res, err := c.Query(ctx, query)
 		if err != nil {
 			return 0, err
 		}
@@ -201,7 +230,9 @@ func (c *Client) CountContext(ctx context.Context, s, p, o rdf.Term) (float64, e
 			}
 		}
 		c.mu.Lock()
-		c.counts[query] = n
+		if res.Generation == c.served { // no other generation came meanwhile
+			c.counts[query] = n
+		}
 		c.mu.Unlock()
 	}
 	est := float64(n)
@@ -214,10 +245,10 @@ func (c *Client) CountContext(ctx context.Context, s, p, o rdf.Term) (float64, e
 	return est, nil
 }
 
-// MatchPatternContext evaluates one triple pattern against the endpoint
+// MatchPattern evaluates one triple pattern against the endpoint
 // and returns one binding of the pattern's variables per match — what a
 // federation's remote source sends per bound-join row.
-func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePattern) ([]sparql.Binding, error) {
+func (c *Client) MatchPattern(ctx context.Context, tp sparql.TriplePattern) ([]sparql.Binding, error) {
 	render := func(n sparql.Node) (string, string) {
 		if n.IsVar() {
 			return "?" + n.Var, n.Var
@@ -228,16 +259,14 @@ func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePatter
 	pTxt, pVar := render(tp.P)
 	oTxt, oVar := render(tp.O)
 	var vars []string
-	seen := map[string]bool{}
 	for _, v := range []string{sVar, pVar, oVar} {
-		if v != "" && !seen[v] {
-			seen[v] = true
+		if v != "" && !slices.Contains(vars, v) {
 			vars = append(vars, v)
 		}
 	}
 	patternTxt := fmt.Sprintf("%s %s %s .", sTxt, pTxt, oTxt)
 	if len(vars) == 0 {
-		res, err := c.QueryContext(ctx, "ASK { "+patternTxt+" }")
+		res, err := c.Query(ctx, "ASK { "+patternTxt+" }")
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +284,7 @@ func (c *Client) MatchPatternContext(ctx context.Context, tp sparql.TriplePatter
 		sb.WriteString("?" + v + " ")
 	}
 	sb.WriteString("WHERE { " + patternTxt + " }")
-	res, err := c.QueryContext(ctx, sb.String())
+	res, err := c.Query(ctx, sb.String())
 	if err != nil {
 		return nil, err
 	}

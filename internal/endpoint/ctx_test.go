@@ -33,9 +33,9 @@ func TestQueryContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := c.QueryContext(ctx, "SELECT ?s WHERE { ?s ?p ?o }")
+	_, err := c.Query(ctx, "SELECT ?s WHERE { ?s ?p ?o }")
 	if err == nil {
-		t.Fatal("QueryContext returned no error from a hung endpoint")
+		t.Fatal("Query returned no error from a hung endpoint")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded cause", err)
@@ -52,7 +52,7 @@ func TestQueryContextCancel(t *testing.T) {
 	c := NewClient("c", srv.URL, srv.Client())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.QueryContext(ctx, "ASK { ?s ?p ?o }"); !errors.Is(err, context.Canceled) {
+	if _, err := c.Query(ctx, "ASK { ?s ?p ?o }"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled cause", err)
 	}
 }

@@ -138,7 +138,7 @@ func TestServerStats(t *testing.T) {
 
 func TestClientQuery(t *testing.T) {
 	_, c := newTestServer(t)
-	res, err := c.QueryContext(context.Background(), `SELECT ?s ?n WHERE { ?s <http://x/name> ?n } ORDER BY ?s`)
+	res, err := c.Query(context.Background(), `SELECT ?s ?n WHERE { ?s <http://x/name> ?n } ORDER BY ?s`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestClientQuery(t *testing.T) {
 
 func TestClientTypedLiteralRoundTrip(t *testing.T) {
 	_, c := newTestServer(t)
-	res, err := c.QueryContext(context.Background(), `SELECT ?a WHERE { <http://x/alice> <http://x/age> ?a }`)
+	res, err := c.Query(context.Background(), `SELECT ?a WHERE { <http://x/alice> <http://x/age> ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestClientTypedLiteralRoundTrip(t *testing.T) {
 }
 
 // TestClientAskAndCaches: a fully bound pattern is matched with an ASK,
-// and CountContext answers from one cached COUNT per predicate (or for the
+// and Count answers from one cached COUNT per predicate (or for the
 // whole endpoint), folding constant subjects and objects in: the second
 // round of counts sends no request.
 func TestClientAskAndCaches(t *testing.T) {
@@ -183,7 +183,7 @@ func TestClientAskAndCaches(t *testing.T) {
 		{"http://x/alice", "http://x/name", "Bob"}:   0,
 	} {
 		tp := sparql.TriplePattern{S: sparql.TermNode(rdf.NewIRI(pattern[0])), P: sparql.TermNode(rdf.NewIRI(pattern[1])), O: sparql.TermNode(rdf.NewString(pattern[2]))}
-		if rows, err := c.MatchPatternContext(ctx, tp); err != nil || len(rows) != want {
+		if rows, err := c.MatchPattern(ctx, tp); err != nil || len(rows) != want {
 			t.Errorf("ASK %v = %v, %v; want %d rows", pattern, rows, err, want)
 		}
 	}
@@ -202,7 +202,7 @@ func TestClientAskAndCaches(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		before := requests.Load()
 		for _, k := range counts {
-			if n, err := c.CountContext(ctx, k.s, k.p, k.o); err != nil || n != k.want {
+			if n, err := c.Count(ctx, k.s, k.p, k.o); err != nil || n != k.want {
 				t.Errorf("round %d: Count(%v, %v, %v) = %v, %v; want %v", round, k.s, k.p, k.o, n, err, k.want)
 			}
 		}
@@ -221,11 +221,11 @@ func TestClientBoundMatchSeesNewTriples(t *testing.T) {
 	c := NewClient("people", srv.URL+"/sparql", srv.Client())
 	a, p, b := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/b")
 	tp := sparql.TriplePattern{S: sparql.TermNode(a), P: sparql.TermNode(p), O: sparql.TermNode(b)}
-	if rows, err := c.MatchPatternContext(context.Background(), tp); err != nil || len(rows) != 0 {
+	if rows, err := c.MatchPattern(context.Background(), tp); err != nil || len(rows) != 0 {
 		t.Fatalf("absent triple: rows %v, err %v", rows, err)
 	}
 	st.Add(rdf.Triple{S: a, P: p, O: b})
-	if rows, err := c.MatchPatternContext(context.Background(), tp); err != nil || len(rows) != 1 {
+	if rows, err := c.MatchPattern(context.Background(), tp); err != nil || len(rows) != 1 {
 		t.Errorf("after the triple was added: rows %v, err %v; want one", rows, err)
 	}
 }
@@ -234,7 +234,7 @@ func TestClientMatchPattern(t *testing.T) {
 	_, c := newTestServer(t)
 	// Unbound subject/object.
 	tp := mustPattern(t, "?s", "http://x/name", "?n")
-	rows, err := c.MatchPatternContext(context.Background(), tp)
+	rows, err := c.MatchPattern(context.Background(), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestClientMatchPattern(t *testing.T) {
 		t.Fatalf("rows = %v", rows)
 	}
 	// A constant subject is sent as one; only the variable comes back.
-	rows, err = c.MatchPatternContext(context.Background(), mustPattern(t, "http://x/alice", "http://x/name", "?n"))
+	rows, err = c.MatchPattern(context.Background(), mustPattern(t, "http://x/alice", "http://x/name", "?n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestClientMatchPattern(t *testing.T) {
 	}
 	// Fully bound: ASK semantics.
 	full := mustPattern(t, "http://x/alice", "http://x/knows", "http://x/bob")
-	rows, err = c.MatchPatternContext(context.Background(), full)
+	rows, err = c.MatchPattern(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestClientMatchPattern(t *testing.T) {
 		t.Errorf("fully-bound match = %v", rows)
 	}
 	missing := mustPattern(t, "http://x/bob", "http://x/knows", "http://x/alice")
-	rows, err = c.MatchPatternContext(context.Background(), missing)
+	rows, err = c.MatchPattern(context.Background(), missing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestClientMatchPattern(t *testing.T) {
 
 func TestClientServerDown(t *testing.T) {
 	c := NewClient("gone", "http://127.0.0.1:1/sparql", nil)
-	if _, err := c.QueryContext(context.Background(), "SELECT ?s WHERE { ?s ?p ?o }"); err == nil {
+	if _, err := c.Query(context.Background(), "SELECT ?s WHERE { ?s ?p ?o }"); err == nil {
 		t.Error("expected connection error")
 	}
 }

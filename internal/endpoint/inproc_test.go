@@ -33,7 +33,7 @@ func TestServerServesAndCounts(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient("inproc", srv.SparqlURL(), nil)
-	res, err := c.QueryContext(context.Background(), `SELECT ?p ?o WHERE { <http://ex/s> ?p ?o }`)
+	res, err := c.Query(context.Background(), `SELECT ?p ?o WHERE { <http://ex/s> ?p ?o }`)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestServerDrain(t *testing.T) {
 	srv := newInprocServer(t)
 
 	c := NewClient("inproc", srv.SparqlURL(), nil)
-	if _, err := c.QueryContext(context.Background(), `ASK { <http://ex/s> <http://ex/p> ?o }`); err != nil {
+	if _, err := c.Query(context.Background(), `ASK { <http://ex/s> <http://ex/p> ?o }`); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
 

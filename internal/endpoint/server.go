@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -107,19 +108,20 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 // storeEval evaluates a compiled query against one store under the
 // request's context and adapts the result, rows still in id space.
 func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared) (*Result, error) {
+	gen := st.Generation()
 	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return FromSlots(prep, res), nil
+	return FromSlots(prep, res, gen), nil
 }
 
-// FromSlots adapts an evaluation of prep — against any solver — for the
-// handler, rows still in id space: the reply decodes each term exactly once,
-// at the JSON boundary, and a solver's provenance column never reaches the
-// wire.
-func FromSlots(prep *sparql.Prepared, res *sparql.SlotResult) *Result {
-	out := &Result{Vars: res.Vars, Triples: res.Triples, slots: res}
+// FromSlots adapts an evaluation of prep — against any solver, over data at
+// generation gen as read before it — for the handler, rows still in id
+// space: the reply decodes each term exactly once, at the JSON boundary,
+// and a solver's provenance column never reaches the wire.
+func FromSlots(prep *sparql.Prepared, res *sparql.SlotResult, gen uint64) *Result {
+	out := &Result{Vars: res.Vars, Triples: res.Triples, Generation: gen, slots: res}
 	if prep.Query().Ask {
 		out.IsAsk = true
 		out.Boolean = res.AskResult()
@@ -188,6 +190,7 @@ func (h *Handler) serveQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
+	w.Header().Set(generationHeader, strconv.FormatUint(res.Generation, 10))
 	if res.Triples != nil {
 		w.Header().Set("Content-Type", "application/n-triples")
 		nt := rdf.NewWriter(w)

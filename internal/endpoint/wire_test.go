@@ -163,7 +163,7 @@ func wireHandlers(st *store.Store) (slots, rows *Handler) {
 		if err != nil {
 			return nil, err
 		}
-		return FromSlots(prep, res), nil
+		return FromSlots(prep, res, 0), nil
 	}, nil)
 	return NewHandler(st), rows
 }
@@ -239,7 +239,7 @@ func TestWireGoldenDecodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := c.QueryContext(context.Background(), query)
+			got, err := c.Query(context.Background(), query)
 			if err != nil {
 				t.Errorf("%s: %s: %v", name, query, err)
 				continue

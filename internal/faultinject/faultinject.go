@@ -49,6 +49,7 @@ type Target interface {
 	Name() string
 	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
 	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
+	Generation() uint64
 }
 
 // Source wraps a Target, injecting faults per its Config. It satisfies
@@ -82,17 +83,8 @@ func Wrap(target Target, cfg Config) *Source {
 // immediately regardless of ErrorRate.
 func (s *Source) SetDown(down bool) { s.down.Store(down) }
 
-// Generation forwards the wrapped target's data-generation counter when it
-// has one (fed.GenerationSource), so cache invalidation sees through the
-// fault injector; outages and injected errors do not change the data, so
-// they do not affect it. Targets without the capability report 0 forever —
-// a constant contribution that never masks a real mutation.
-func (s *Source) Generation() uint64 {
-	if g, ok := s.inner.(interface{ Generation() uint64 }); ok {
-		return g.Generation()
-	}
-	return 0
-}
+// Generation is the target's: faults do not change the data.
+func (s *Source) Generation() uint64 { return s.inner.Generation() }
 
 // Down reports the hard-outage flag.
 func (s *Source) Down() bool { return s.down.Load() }

@@ -15,7 +15,8 @@ import (
 // stubTarget is a minimal healthy Target.
 type stubTarget struct{}
 
-func (stubTarget) Name() string { return "stub" }
+func (stubTarget) Name() string       { return "stub" }
+func (stubTarget) Generation() uint64 { return 0 }
 func (stubTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 9, nil
 }

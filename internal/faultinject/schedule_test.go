@@ -11,7 +11,8 @@ import (
 
 type nullTarget struct{ name string }
 
-func (t nullTarget) Name() string { return t.name }
+func (t nullTarget) Name() string       { return t.name }
+func (t nullTarget) Generation() uint64 { return 0 }
 func (t nullTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 0, nil
 }

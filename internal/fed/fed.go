@@ -47,9 +47,9 @@ import (
 type Federation struct {
 	dict *rdf.Dict
 	// sources holds one member per source, in the order they were added.
-	// Like genSources it is written only during setup (New, AddSource,
-	// SetResilience, SetObserver), never during query evaluation, so
-	// queries read it without locking.
+	// It is written only during setup (New, AddSource, SetResilience,
+	// SetObserver), never during query evaluation, so queries and
+	// DataGeneration read it without locking.
 	sources []*member
 	// links is the active link set with its alias index, published as one
 	// immutable snapshot: SetLinks may run (the feedback path calls it)
@@ -59,12 +59,8 @@ type Federation struct {
 	// parallel is the worker count for bound joins; 1 disables parallelism.
 	parallel int
 
-	// Data-generation tracking (see DataGeneration). linksGen counts
-	// SetLinks calls; genSources holds the generation counters of every
-	// member source that exposes one. genSources is written only during
-	// setup, never during query evaluation.
-	linksGen   atomic.Uint64
-	genSources []func() uint64
+	// linksGen counts SetLinks calls (see DataGeneration).
+	linksGen atomic.Uint64
 
 	// Fault tolerance (resilience.go). res holds the active policy and
 	// resOn caches whether any of it is enabled; what the policy means for
@@ -162,9 +158,6 @@ type member struct {
 func (f *Federation) addMember(src Source) {
 	m := &member{src: src, name: src.Name(), idx: len(f.sources)}
 	f.sources = append(f.sources, m)
-	if g, ok := src.(GenerationSource); ok {
-		f.genSources = append(f.genSources, g.Generation)
-	}
 	f.applyPolicy(m)
 	f.bindMember(m)
 }
@@ -186,27 +179,17 @@ func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 	return f
 }
 
-// GenerationSource is the optional capability a Source may implement to
-// participate in DataGeneration: a counter that strictly increases on
-// every mutation of the source's data (store.Store.Generation is the
-// canonical implementation; wrappers should forward it).
-type GenerationSource interface {
-	Generation() uint64
-}
-
-// DataGeneration combines the link-set generation and the generation
-// counters of every member source that exposes one into a single value
-// that changes on any mutation of the federation's data: a store add, a
-// bulk load, or a SetLinks swap. Each component is monotonic,
-// so the sum strictly increases on every mutation and never revisits a
-// value — result caches keyed on it (endpoint.NewQueryCache) can compare
-// for exact equality. Sources added without the GenerationSource
-// capability (e.g. remote endpoints) are invisible to this counter;
-// callers federating such sources should not enable result caching.
+// DataGeneration sums the link-set generation and every member's
+// Generation: each is monotonic, so the sum strictly increases on every
+// change to the federation's data and never revisits a value, and result
+// caches keyed on it (endpoint.NewQueryCache) compare for exact equality.
+// A remote member's part moves when a reply from its endpoint carries a new
+// generation, so it is stale at most until the client's next reply from
+// that endpoint. A result-cache hit sends no request.
 func (f *Federation) DataGeneration() uint64 {
 	gen := f.linksGen.Load()
-	for _, g := range f.genSources {
-		gen += g()
+	for _, m := range f.sources {
+		gen += m.src.Generation()
 	}
 	return gen
 }

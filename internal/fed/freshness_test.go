@@ -2,10 +2,15 @@ package fed
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"alex/internal/endpoint"
 	"alex/internal/rdf"
@@ -81,5 +86,85 @@ func TestRemoteCachedAnswerFollowsRemoteStore(t *testing.T) {
 	reply(`ASK { <http://x/a> <http://x/p> <http://x/d> }`)
 	if got := strings.Count(reply(sel), `"o":{`); got != 2 {
 		t.Errorf("after the add and one missed query: %d rows, want 2", got)
+	}
+}
+
+// TestRemoteFreshUnderConcurrentWrites: queries race a remote store's
+// growth, through the federation directly and through a result cache over
+// DataGeneration. Once the writes stop and one query has reached the
+// endpoint, every answer equals the one a local federation over the same
+// triples gives.
+func TestRemoteFreshUnderConcurrentWrites(t *testing.T) {
+	remote, f := freshRemote(t)
+	local := store.New("local", rdf.NewDict())
+	local.Add(rdf.Triple{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/p"), O: rdf.NewIRI("http://x/c")})
+	ref := endpoint.NewQueryHandler(CachedEndpointQueryFunc(New(local.Dict(), local), nil), nil)
+	direct := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, nil), nil)
+	cached := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f,
+		endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), f.DataGeneration)), nil)
+	reply := func(h http.Handler, query string) (string, error) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/sparql?query="+url.QueryEscape(query), nil))
+		if rec.Code != 200 {
+			return "", fmt.Errorf("%s: status %d: %s", query, rec.Code, rec.Body)
+		}
+		return rec.Body.String(), nil
+	}
+	queries := []string{
+		`SELECT ?s ?o WHERE { ?s <http://x/p> ?o } ORDER BY ?s ?o`,
+		// q0 and q1 are counted 0 until the writer adds them.
+		`SELECT ?s ?o WHERE { ?s <http://x/q0> ?o } ORDER BY ?s ?o`,
+		`SELECT ?o WHERE { <http://x/s8> <http://x/q1> ?o }`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`,
+		`ASK { <http://x/s31> <http://x/q0> ?o }`,
+	}
+
+	const writes = 60
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			h := []http.Handler{direct, cached}[r%2]
+			for i := 0; !done.Load() || i < len(queries); i++ {
+				if _, err := reply(h, queries[(r+i)%len(queries)]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < writes; i++ {
+		tr := rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)),
+			P: rdf.NewIRI([]string{"http://x/p", "http://x/q0", "http://x/q1"}[i%3]),
+			O: rdf.NewString(fmt.Sprint(i)),
+		}
+		remote.Add(tr)
+		local.Add(tr)
+		time.Sleep(100 * time.Microsecond)
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if _, err := reply(direct, `ASK { ?s ?p ?o }`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		want, err := reply(ref, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, h := range map[string]http.Handler{"direct": direct, "cached": cached} {
+			if got, err := reply(h, q); err != nil || got != want {
+				t.Errorf("%s %s:\n got %s (%v)\nwant %s", name, q, got, err, want)
+			}
+		}
 	}
 }

@@ -139,7 +139,8 @@ func TestRemoteRequestBudget(t *testing.T) {
 // TestRemoteBoundMatchSeesNewTriples: a fully bound pattern sent to a
 // remote source is answered by the endpoint each time, so a triple it gains
 // is found by the next query. (The predicate is one the endpoint already
-// had: a predicate counted 0 stays unselected — its COUNT is cached.)
+// had; a predicate counted 0 is selected again after the endpoint's next
+// reply, TestRemoteZeroCountRefreshes.)
 func TestRemoteBoundMatchSeesNewTriples(t *testing.T) {
 	remoteStore := store.New("remote", rdf.NewDict())
 	a, p := rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/p")

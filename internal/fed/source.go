@@ -32,6 +32,8 @@ type Source interface {
 	// and back through ids at its wire boundary, and a source that does
 	// can never match an id outside the dictionary.
 	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
+	// Generation moves on every change to the source's data, never back.
+	Generation() uint64
 }
 
 // localSource adapts an in-process store.
@@ -59,8 +61,7 @@ func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, sub, pred, ob
 	return dst, nil
 }
 
-// Generation exposes the backing store's mutation counter, making every
-// local source a GenerationSource for Federation.DataGeneration.
+// Generation is the store's log length.
 func (s localSource) Generation() uint64 { return s.st.Generation() }
 
 // CachedEndpointQueryFunc adapts the federation as an endpoint.QueryFunc,
@@ -69,19 +70,21 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // in front: prepared forms are reused across spellings of one query and
 // evaluated as cached, layout included, and — because cache is expected to
 // be built over f.DataGeneration — whole sameAs-expanded answer sets are
-// served from the result cache until any member store mutates or the link
-// set is swapped. A nil cache prepares and evaluates every request. Replies
-// are encoded from the evaluator's id rows, as a single store's are; the
-// links each row used stay in its provenance column, which the results
-// format has no place for.
+// served from the result cache until a member's generation moves or the
+// link set is swapped. A nil cache prepares and evaluates every request.
+// Replies are encoded from the evaluator's id rows, as a single store's
+// are, and carry f.DataGeneration as read before the evaluation; the links
+// each row used stay in its provenance column, which the results format
+// has no place for.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
 		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
+			gen := f.DataGeneration()
 			rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
 			if err != nil {
 				return nil, err
 			}
-			res := endpoint.FromSlots(prep, rows)
+			res := endpoint.FromSlots(prep, rows, gen)
 			res.Partial = len(skips) > 0
 			return res, nil
 		})
@@ -99,10 +102,13 @@ func RemoteSource(c *endpoint.Client) Source { return remoteSource{c: c} }
 func (s remoteSource) Name() string { return s.c.Name() }
 
 // Count answers from the endpoint's cached predicate or total COUNT, with
-// a constant subject or object folded in (see endpoint.Client.CountContext).
+// a constant subject or object folded in (see endpoint.Client.Count).
 func (s remoteSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
-	return s.c.CountContext(ctx, ids.Term(sub), ids.Term(pred), ids.Term(obj))
+	return s.c.Count(ctx, ids.Term(sub), ids.Term(pred), ids.Term(obj))
 }
+
+// Generation is endpoint.Client.Generation.
+func (s remoteSource) Generation() uint64 { return s.c.Generation() }
 
 // Match renders the bound ids as terms into a one-pattern query over ?s ?p
 // ?o and interns the reply's terms back into the evaluation's id space.
@@ -116,7 +122,7 @@ func (s remoteSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred,
 			nodes[i] = sparql.TermNode(ids.Term(q[i]))
 		}
 	}
-	rows, err := s.c.MatchPatternContext(ctx, sparql.TriplePattern{S: nodes[0], P: nodes[1], O: nodes[2]})
+	rows, err := s.c.MatchPattern(ctx, sparql.TriplePattern{S: nodes[0], P: nodes[1], O: nodes[2]})
 	if err != nil {
 		return dst, err
 	}

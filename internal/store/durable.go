@@ -88,8 +88,8 @@ type Durable struct {
 
 // OpenDurable opens (or creates) the durable store name in opts.Dir,
 // recovering any existing snapshot and log: the result is the exact store
-// a crashed process held — insertion order, subject order and generation
-// counter included — with durability attached for subsequent mutations.
+// a crashed process held — insertion order, subject order and so
+// generation included — with durability attached for subsequent mutations.
 func OpenDurable(name string, dict *rdf.Dict, opts DurableOptions) (*Durable, error) {
 	d, err := newDurable("open", name, opts)
 	if err != nil {
@@ -294,7 +294,7 @@ func (d *Durable) checkpointLocked() error {
 	}
 	cw := &countingWriter{w: f}
 	d.s.mu.RLock()
-	werr := d.s.writeSnapshotLocked(cw, next, d.s.gen.Load())
+	werr := d.s.writeSnapshotLocked(cw, next)
 	if werr == nil {
 		werr = f.Sync()
 	}

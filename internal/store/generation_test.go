@@ -1,18 +1,22 @@
 package store
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"alex/internal/rdf"
 )
 
-// TestGenerationBumps is the invalidation contract of Generation: every
-// mutation path that changes the store bumps the counter exactly once per
-// call, and calls that change nothing (duplicate adds, all-duplicate or
-// empty batches) leave it untouched — so a cached result tagged
-// with a generation stays valid exactly as long as the data it was
-// computed from.
+// TestGenerationBumps is the invalidation contract of Generation: it is
+// the log length, so after every mutation path it equals Len(), and a call
+// that adds nothing (a duplicate add, an all-duplicate or empty batch)
+// leaves it untouched — a cached result tagged with a generation stays
+// valid exactly as long as the data it was computed from.
 func TestGenerationBumps(t *testing.T) {
 	intern := func(s *Store, t_ rdf.Triple) rdf.TripleID {
 		return rdf.TripleID{
@@ -60,7 +64,7 @@ func TestGenerationBumps(t *testing.T) {
 				}
 				return s.AddIDs(batch) > 0
 			},
-			bump: 1, // one bump per batch, not per triple
+			bump: 2, // one per triple added
 		},
 		{
 			name: "AddIDs all duplicates",
@@ -82,7 +86,7 @@ func TestGenerationBumps(t *testing.T) {
 				s.Load([]rdf.Triple{tri("a", "p", "1"), tri("b", "p", "2")})
 				return true
 			},
-			bump: 1, // Load is one AddIDs batch: one bump
+			bump: 2,
 		},
 		{
 			name: "LoadNTriples stream",
@@ -105,9 +109,11 @@ func TestGenerationBumps(t *testing.T) {
 			}
 			before := s.Generation()
 			changed := tc.op(s)
-			got := s.Generation() - before
-			if got != tc.bump {
-				t.Errorf("generation bumped by %d, want %d", got, tc.bump)
+			if got := s.Generation() - before; got != tc.bump {
+				t.Errorf("generation moved by %d, want %d", got, tc.bump)
+			}
+			if g, n := s.Generation(), s.Len(); g != uint64(n) {
+				t.Errorf("generation %d, Len %d", g, n)
 			}
 			if changed != (tc.bump > 0) {
 				t.Errorf("changed=%t inconsistent with expected bump %d", changed, tc.bump)
@@ -118,9 +124,58 @@ func TestGenerationBumps(t *testing.T) {
 				again := s.Generation()
 				tc.op(s)
 				if s.Generation() != again {
-					t.Error("no-op mutation bumped generation on repeat")
+					t.Error("no-op mutation moved the generation on repeat")
 				}
 			}
 		})
+	}
+}
+
+// TestOldCheckpointGenerationIgnored: a checkpoint whose header holds a
+// nonzero generation, as checkpoints kept a mutation counter there, still
+// recovers with Generation() == Len(): the field is read and ignored.
+func TestOldCheckpointGenerationIgnored(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable("ds", rdf.NewDict(), DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		d.Store().Add(tri(fmt.Sprintf("s%d", i), "p", "v"))
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.Store().Add(tri("after", "p", "v")) // replayed from the log
+	d.Kill()
+
+	// Header layout: magic, u16 version, u32 length, then the uvarint
+	// name length, the name and the generation, then the header's CRC.
+	path := filepath.Join(dir, "ds.snap")
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	headAt := len(snapshotMagic) + 2 + 4
+	head := snap[headAt : headAt+int(binary.LittleEndian.Uint32(snap[headAt-4:]))]
+	if head[0] != 2 || string(head[1:3]) != "ds" || head[3] != 0 {
+		t.Fatalf("unexpected header %x", head)
+	}
+	head[3] = 3 // the mutation count an old checkpoint would hold
+	binary.LittleEndian.PutUint32(snap[headAt+len(head):], crc32.Checksum(head, castagnoli))
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenDurable("ds", rdf.NewDict(), DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Kill()
+	if !r.RecoveryStats().SnapshotLoaded {
+		t.Fatal("recovery loaded no snapshot")
+	}
+	if g, n := r.Store().Generation(), r.Store().Len(); n != 7 || g != uint64(n) {
+		t.Errorf("recovered generation %d, Len %d, want 7 and 7", g, n)
 	}
 }

@@ -139,8 +139,8 @@ func TestLoadersMatchAddLoop(t *testing.T) {
 				if n != wantAdded {
 					t.Errorf("added %d, Add loop added %d", n, wantAdded)
 				}
-				if g := s.Generation(); g != 1 {
-					t.Errorf("generation %d after one load, want 1", g)
+				if g := s.Generation(); g != uint64(wantAdded) {
+					t.Errorf("generation %d after one load, want %d", g, wantAdded)
 				}
 				if g, w := s.Dict().Len(), ref.Dict().Len(); g != w {
 					t.Fatalf("dictionary holds %d terms, Add loop %d", g, w)
@@ -418,6 +418,9 @@ func TestAddIDsMatchesAddID(t *testing.T) {
 	}
 	if g, w := bulk.Stats(), one.Stats(); g != w {
 		t.Errorf("stats differ: %v vs %v", g, w)
+	}
+	if g, w := bulk.Generation(), one.Generation(); g != w {
+		t.Errorf("generation %d, AddID loop %d", g, w)
 	}
 	// Index equivalence over every key actually used.
 	for _, p := range one.Predicates() {

@@ -28,14 +28,13 @@ import (
 // byte. Every full segment holds exactly segmentSize rows (the last holds
 // the remainder), so the segmentation is canonical too.
 //
-// All checksums are CRC-32C (Castagnoli). The public WriteSnapshot always
-// writes generation and walEpoch 0: both are runtime history, not store
-// content (a serial AddID loop and one AddIDs batch of the same triples
-// differ in generation but not in content), and pinning them keeps
-// independently built stores with equal content byte-identical — the
-// invariant the crash-recovery gate and TestAddIDsMatchesAddID rely on.
-// Only the checkpoint path (durable.go) embeds the real values, which is
-// how recovery restores the exact pre-crash counter.
+// All checksums are CRC-32C (Castagnoli). The generation field is
+// reserved: it is written 0 and ignored on read, since a store's
+// generation is its triple count. The public WriteSnapshot writes walEpoch
+// 0 too, so independently built stores with equal content are
+// byte-identical — the invariant the crash-recovery gate and
+// TestAddIDsMatchesAddID rely on. Only the checkpoint path (durable.go)
+// embeds the real epoch.
 
 const (
 	snapshotMagic   = "ALEXSNAP"
@@ -59,16 +58,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.writeSnapshotLocked(w, 0, 0); err != nil {
+	if err := s.writeSnapshotLocked(w, 0); err != nil {
 		return fmt.Errorf("store: writing snapshot of %s: %w", s.name, err)
 	}
 	return nil
 }
 
 // writeSnapshotLocked emits the snapshot under a held read lock. The
-// checkpoint path embeds the real walEpoch and generation; every other
-// caller passes 0 for both.
-func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
+// checkpoint path embeds the real walEpoch; every other caller passes 0.
+func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch uint64) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 
 	// Local term ids: 1-based, in first-use order over the triples.
@@ -91,7 +89,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 	var head []byte
 	head = binary.AppendUvarint(head, uint64(len(s.name)))
 	head = append(head, s.name...)
-	head = binary.AppendUvarint(head, gen)
+	head = binary.AppendUvarint(head, 0) // reserved: was the generation
 	head = binary.AppendUvarint(head, walEpoch)
 	head = binary.AppendUvarint(head, uint64(len(order)))
 	head = binary.AppendUvarint(head, uint64(len(s.triples)))
@@ -161,8 +159,6 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch, gen uint64) error {
 // snapshotHeader is the decoded snapshot prelude.
 type snapshotHeader struct {
 	Name        string
-	Version     int
-	Generation  uint64
 	WALEpoch    uint64
 	Terms       int
 	Triples     int
@@ -201,7 +197,6 @@ func newSnapDecoder(r io.Reader) (*snapDecoder, error) {
 		return nil, err
 	}
 	d := &snapDecoder{br: br}
-	d.hdr.Version = int(version)
 	if err := d.parseHeader(head); err != nil {
 		return nil, err
 	}
@@ -242,12 +237,12 @@ func (d *snapDecoder) parseHeader(head []byte) error {
 	}
 	d.hdr.Name = string(head[:nameLen])
 	head = head[nameLen:]
-	gen, ok1 := u()
+	_, ok1 := u() // reserved generation field, ignored
 	epoch, ok2 := u()
 	if !ok1 || !ok2 {
 		return fmt.Errorf("header: truncated")
 	}
-	d.hdr.Generation, d.hdr.WALEpoch = gen, epoch
+	d.hdr.WALEpoch = epoch
 	for _, f := range []*int{&d.hdr.Terms, &d.hdr.Triples, &d.hdr.SegmentSize, &d.dictBytes} {
 		v, ok := u()
 		if !ok || v > 1<<31 {
@@ -350,8 +345,8 @@ func (d *snapDecoder) nextSegment() ([]byte, int, error) {
 
 // ReadSnapshot restores a store from a snapshot written by WriteSnapshot,
 // interning every term into dict (which may be empty or shared). The
-// restored store preserves insertion order, subject first-sight order and
-// the generation counter. Corrupt or truncated input returns an error,
+// restored store preserves insertion order and subject first-sight order,
+// and so its generation. Corrupt or truncated input returns an error,
 // never a panic.
 func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 	dec, err := newSnapDecoder(r)
@@ -441,7 +436,6 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		return nil, fmt.Errorf("snapshot contains %d duplicate rows", n-s.present.Len())
 	}
 	s.triples = triples
-	s.gen.Store(dec.hdr.Generation)
 	return s, nil
 }
 

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"alex/internal/obs"
 	"alex/internal/rdf"
@@ -57,12 +56,6 @@ type Store struct {
 	ixObj   tripleIndex
 	// subjects in insertion order, for deterministic iteration
 	subjects []rdf.TermID
-
-	// gen counts mutations: it increments exactly once per mutating call
-	// that changed the store (Add/AddID, an AddIDs or Load batch that
-	// added at least one triple). Result caches key on it to detect any
-	// intervening change.
-	gen atomic.Uint64
 
 	// Observability instruments, pre-resolved by SetObserver. All are
 	// nil-safe no-ops when unset (the disabled state costs one branch in
@@ -150,14 +143,13 @@ func (s *Store) AddID(t rdf.TripleID) bool {
 		s.wal.logAdd(t)
 	}
 	s.appendLocked(t)
-	s.gen.Add(1)
 	s.triplesOut.Set(int64(s.present.Len()))
 	return true
 }
 
 // appendLocked inserts t, which is not present, at the end of the log:
 // position, dedup table, subject first sight and the three indexes. The
-// caller holds the write lock and owns the generation bump and gauges.
+// caller holds the write lock and owns the gauges.
 func (s *Store) appendLocked(t rdf.TripleID) {
 	pos := int32(len(s.triples))
 	s.triples = append(s.triples, t)
@@ -170,22 +162,21 @@ func (s *Store) appendLocked(t rdf.TripleID) {
 	s.ixObj[t.O] = append(s.ixObj[t.O], pos)
 }
 
-// Generation returns the monotonic mutation counter: it increments exactly
-// once per mutating call that changed the store, so a cached result tagged
-// with a generation is valid iff the generation is unchanged.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
+// Generation returns the log length. The store only grows, so the length
+// changes exactly when the data does, and a cached result tagged with a
+// generation is valid iff the generation is unchanged.
+func (s *Store) Generation() uint64 { return uint64(s.Len()) }
 
 // AddIDs bulk-inserts pre-interned triples in order, skipping duplicates,
 // and returns the number of triples added. It is equivalent to calling
 // AddID for each element — every index posting list and the subject
-// first-sight order come out identical — but takes the store lock once and
-// bumps the generation at most once.
+// first-sight order come out identical — but takes the store lock once.
 func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil && len(ids) > 0 {
 		// Logged pre-dedup: replay re-runs the same dedup, so the effective
-		// inserts — and whether the batch bumps the generation — match.
+		// inserts match.
 		s.wal.logBatch(ids)
 	}
 	added := 0
@@ -198,7 +189,6 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	if added == 0 {
 		return 0
 	}
-	s.gen.Add(1)
 	s.triplesOut.Set(int64(s.present.Len()))
 	return added
 }
@@ -431,9 +421,9 @@ func (st Stats) String() string {
 // Load inserts triples as one batch and returns the number added. It is
 // the one bulk insert: one Dict.InternAll over the triples' S, P and O
 // terms in input order, which assigns the ids an Add loop would, then one
-// AddIDs, so the batch is one WAL record and bumps the generation at most
-// once. The bulk loaders parse their whole document before calling Load,
-// so a document that fails to parse interns nothing.
+// AddIDs, so the batch is one WAL record. The bulk loaders parse their
+// whole document before calling Load, so a document that fails to parse
+// interns nothing.
 func (s *Store) Load(triples []rdf.Triple) int {
 	terms := make([]rdf.Term, 0, 3*len(triples))
 	for _, t := range triples {

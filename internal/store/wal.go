@@ -27,7 +27,7 @@ import (
 // nothing (the page cache survives process death), and the fsync policy
 // only governs power-loss durability. Recovery truncates the log at the
 // first torn record (a crash mid-append) and replays the rest through the
-// normal entry points, reproducing generation bumps exactly.
+// normal entry points.
 //
 // The epoch in the file header ties a log to the snapshot it extends:
 // a checkpoint writes the snapshot with epoch E+1, then resets the log to

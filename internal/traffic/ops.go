@@ -44,7 +44,7 @@ func opSelectEntity(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 	subj := w.subjects1[rng.Intn(len(w.subjects1))]
 	q := fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", w.term(subj))
 	w.httpOps.Add(1)
-	res, err := w.client.QueryContext(ctx, q)
+	res, err := w.client.Query(ctx, q)
 	if err != nil {
 		return fmt.Sprintf("subj=%d", subj), fmt.Errorf("select_entity: %w", err)
 	}
@@ -53,8 +53,8 @@ func opSelectEntity(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 
 // opAskEntity probes entity existence over the endpoint; half the draws
 // use a DS2 subject, which DS1 does not store, so both answers occur.
-// Deliberately uses QueryContext rather than the client's cached Ask path:
-// every op must hit the wire for the served-request reconciliation.
+// Every op must hit the wire for the served-request reconciliation, and
+// this one does: Query caches nothing.
 func opAskEntity(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	subjects := w.subjects1
 	if rng.Intn(2) == 1 {
@@ -63,7 +63,7 @@ func opAskEntity(ctx context.Context, w *world, rng *rand.Rand) (string, error) 
 	subj := subjects[rng.Intn(len(subjects))]
 	q := fmt.Sprintf("ASK { %s ?p ?o }", w.term(subj))
 	w.httpOps.Add(1)
-	res, err := w.client.QueryContext(ctx, q)
+	res, err := w.client.Query(ctx, q)
 	if err != nil {
 		return fmt.Sprintf("subj=%d", subj), fmt.Errorf("ask_entity: %w", err)
 	}
@@ -181,7 +181,7 @@ func opBulkLoad(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 func opRepeatQuery(ctx context.Context, w *world, rng *rand.Rand) (string, error) {
 	qi := rng.Intn(len(w.hotQueries))
 	w.httpOps.Add(1)
-	res, err := w.client.QueryContext(ctx, w.hotQueries[qi])
+	res, err := w.client.Query(ctx, w.hotQueries[qi])
 	if err != nil {
 		return fmt.Sprintf("q=%d", qi), fmt.Errorf("repeat_query: %w", err)
 	}
@@ -207,7 +207,7 @@ func opMutateReread(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 	// rather than a cold miss.
 	warmQ := fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o }", subj)
 	w.httpOps.Add(1)
-	warm, err := w.client.QueryContext(ctx, warmQ)
+	warm, err := w.client.Query(ctx, warmQ)
 	if err != nil {
 		return fmt.Sprintf("id=%d", id), fmt.Errorf("mutate_reread: %w", err)
 	}
@@ -220,7 +220,7 @@ func opMutateReread(ctx context.Context, w *world, rng *rand.Rand) (string, erro
 		})
 	}
 	w.httpOps.Add(1)
-	res, err := w.client.QueryContext(ctx, warmQ)
+	res, err := w.client.Query(ctx, warmQ)
 	if err != nil {
 		return fmt.Sprintf("id=%d", id), fmt.Errorf("mutate_reread: %w", err)
 	}
