@@ -89,7 +89,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer, walEpoch uint64) error {
 	var head []byte
 	head = binary.AppendUvarint(head, uint64(len(s.name)))
 	head = append(head, s.name...)
-	head = binary.AppendUvarint(head, 0) // reserved: was the generation
+	head = binary.AppendUvarint(head, 0) // reserved generation field
 	head = binary.AppendUvarint(head, walEpoch)
 	head = binary.AppendUvarint(head, uint64(len(order)))
 	head = binary.AppendUvarint(head, uint64(len(s.triples)))
