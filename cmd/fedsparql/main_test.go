@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,5 +140,32 @@ func TestRunPartialOKWithDownRemote(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "1 answer(s)") {
 		t.Errorf("partial result missing local answer:\n%s", stdout.String())
+	}
+}
+
+// TestRunTracePrintsPlan: with -trace, stderr holds the federation's plan
+// span, one step per planned pattern in planned order with the sources
+// chosen for it, including the patterns an empty first pattern kept from
+// running.
+func TestRunTracePrintsPlan(t *testing.T) {
+	dbp, nyt, links := writeFixtures(t, t.TempDir())
+	var stdout, stderr strings.Builder
+	query := `SELECT ?article WHERE { ?article <http://nyo/about> ?player . ?player <http://dbo/award> "none" . }`
+	if code := run([]string{"-data", dbp, "-data", nyt, "-links", links, "-trace", "-query", query},
+		strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr.String())
+	}
+	lines := strings.Split(stderr.String(), "\n")
+	at := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(strings.TrimSpace(l), "plan (") })
+	if at < 0 || at+2 >= len(lines) {
+		t.Fatalf("stderr holds no plan span:\n%s", stderr.String())
+	}
+	for i, want := range []string{
+		`tp=?player <http://dbo/award> "none" . sources=dbpedia exclusive=1`,
+		`tp=?article <http://nyo/about> ?player . sources=nytimes exclusive=1`,
+	} {
+		if step := lines[at+1+i]; !strings.HasPrefix(strings.TrimSpace(step), "step ") || !strings.HasSuffix(step, want) {
+			t.Errorf("plan step %d = %q, want a step ending %q\n%s", i, step, want, stderr.String())
+		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"alex/internal/fed"
 	"alex/internal/linkset"
 	"alex/internal/obs"
+	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // testNode serves a small generated pair through an engine seeded with the
@@ -218,5 +220,57 @@ func TestTraceListHoldsEpisodes(t *testing.T) {
 	}
 	if !slices.ContainsFunc(dumps, func(d obs.SpanDump) bool { return strings.HasPrefix(d.Name, "episode-") }) {
 		t.Errorf("GET /debug/trace lists no episode trace after a flushed /feedback: %s", rec.Body)
+	}
+}
+
+// TestServedTraceHoldsThePlan serves a two-store federation and asks
+// /debug/trace about a query whose first planned pattern matches nothing,
+// so no pattern after it runs. The first top-level bgp span must still hold
+// the whole plan: one step per planned pattern, in planned order, with the
+// sources chosen for it and its exclusive mark.
+func TestServedTraceHoldsThePlan(t *testing.T) {
+	dict := rdf.NewDict()
+	left, right := store.New("left", dict), store.New("right", dict)
+	name, award := rdf.NewIRI("http://x/name"), rdf.NewIRI("http://x/award")
+	left.Add(rdf.Triple{S: rdf.NewIRI("http://l/ann"), P: name, O: rdf.NewString("Ann")})
+	left.Add(rdf.Triple{S: rdf.NewIRI("http://l/ann"), P: award, O: rdf.NewString("MVP")})
+	right.Add(rdf.Triple{S: rdf.NewIRI("http://r/bob"), P: name, O: rdf.NewString("Bob")})
+	right.Add(rdf.Triple{S: rdf.NewIRI("http://r/cy"), P: name, O: rdf.NewString("Cy")})
+	n := New(fed.New(dict, left, right), nil, nil, Config{Cache: endpoint.DefaultCacheConfig()})
+
+	// Written order puts the empty pattern last; the planner runs it first.
+	query := `SELECT ?n WHERE { ?p <http://x/name> ?n . ?p <http://x/award> "none" }`
+	rec := httptest.NewRecorder()
+	n.Handler(nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/trace?format=json&query="+url.QueryEscape(query), nil))
+	var root obs.SpanDump
+	if err := json.Unmarshal(rec.Body.Bytes(), &root); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("/debug/trace = %d (%v): %s", rec.Code, err, rec.Body)
+	}
+	want := []string{
+		`?p <http://x/award> "none" . @ {left} [exclusive]`,
+		`?p <http://x/name> ?n . @ {left,right}`,
+	}
+	var got []string
+	for _, stage := range root.Children {
+		if stage.Name != "bgp" {
+			continue
+		}
+		for _, plan := range stage.Children {
+			if plan.Name != "plan" {
+				continue
+			}
+			for _, step := range plan.Children {
+				line := step.Strs["tp"] + " @ {" + step.Strs["sources"] + "}"
+				if step.Ints["exclusive"] == 1 {
+					line += " [exclusive]"
+				}
+				got = append(got, line)
+			}
+			break
+		}
+		break
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("first bgp span's plan = %q, want %q\ntrace: %s", got, want, rec.Body)
 	}
 }
