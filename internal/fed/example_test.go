@@ -10,6 +10,7 @@ import (
 	"alex/internal/endpoint"
 	"alex/internal/fed"
 	"alex/internal/linkset"
+	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/store"
 )
@@ -112,13 +113,21 @@ func ExampleRemoteSource() {
 		printResult(federation, q)
 	}
 
-	plan, err := federation.PlanDescriptionContext(context.Background(), centers)
-	if err != nil {
+	// The plan is read from a traced evaluation: its first bgp span holds
+	// one step per planned pattern, in planned order.
+	tr := obs.NewTrace("query")
+	if _, err := federation.ExecuteContext(obs.WithTrace(context.Background(), tr), centers); err != nil {
 		panic(err)
 	}
 	fmt.Println("optimizer plan (sources chosen by remote COUNT probes):")
-	for _, line := range plan {
-		fmt.Println(" ", line)
+	for _, step := range tr.Find("bgp").Find("plan").Children() {
+		tp, _ := step.Str("tp")
+		sources, _ := step.Str("sources")
+		exclusive := ""
+		if _, ok := step.Int("exclusive"); ok {
+			exclusive = " [exclusive]"
+		}
+		fmt.Printf("  %s @ {%s}%s\n", tp, sources, exclusive)
 	}
 	// Output:
 	// query: SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }

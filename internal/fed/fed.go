@@ -226,15 +226,6 @@ func (f *Federation) SetObserver(reg *obs.Registry) {
 	}
 }
 
-// Sources returns the member sources.
-func (f *Federation) Sources() []Source {
-	out := make([]Source, len(f.sources))
-	for i, m := range f.sources {
-		out[i] = m.src
-	}
-	return out
-}
-
 // Dict returns the shared dictionary.
 func (f *Federation) Dict() *rdf.Dict { return f.dict }
 

@@ -261,16 +261,16 @@ func TestSelectSources(t *testing.T) {
 		{`?s ?p ?o`, "{dbpedia,nytimes}"},
 		{`?s <http://never/seen> ?o`, "{}"},
 	} {
-		plan, err := f.PlanDescriptionContext(context.Background(), `SELECT * WHERE { `+c.pattern+` }`)
-		if err != nil || len(plan) != 1 || !strings.HasSuffix(strings.TrimSuffix(plan[0], " [exclusive]"), "@ "+c.sources) {
-			t.Errorf("%s: plan %v (err %v), want sources %s", c.pattern, plan, err, c.sources)
+		plan := tracedPlan(t, f, `SELECT * WHERE { `+c.pattern+` }`)
+		if len(plan) != 1 || !strings.HasSuffix(strings.TrimSuffix(plan[0], " [exclusive]"), "@ "+c.sources) {
+			t.Errorf("%s: plan %v, want sources %s", c.pattern, plan, c.sources)
 		}
 	}
 }
 
 func TestFederationAccessors(t *testing.T) {
 	f, _ := motivatingFederation(t)
-	if f.Dict() == nil || len(f.Sources()) != 2 || f.Links().Len() != 1 {
+	if f.Dict() == nil || len(f.sources) != 2 || f.Links().Len() != 1 {
 		t.Error("accessors inconsistent")
 	}
 }

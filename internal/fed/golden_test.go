@@ -16,6 +16,7 @@ import (
 	"alex/internal/datagen"
 	"alex/internal/endpoint"
 	"alex/internal/linkset"
+	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/store"
@@ -29,7 +30,8 @@ import (
 //
 // plans.golden pins the other half: the join order and the sources the
 // optimizer chose for the same queries, recorded at the commit before the
-// greedy ordering loop moved into internal/sparql.
+// greedy ordering loop moved into internal/sparql, and read from the plan
+// span each traced evaluation records.
 //
 // wire.golden pins what a served federation puts on the wire: the /sparql
 // reply bytes of every goldenCases query, recorded while the handler still
@@ -252,24 +254,53 @@ func TestAnswersGolden(t *testing.T) {
 }
 
 // TestPlansGolden pins, per golden case, the evaluation order and the
-// sources chosen for the query's first basic graph pattern; a written-order
-// case has no plan to pin.
+// sources chosen for the query's first basic graph pattern, as its traced
+// evaluation records them; a written-order case has no plan to pin.
 func TestPlansGolden(t *testing.T) {
 	var b strings.Builder
 	for _, c := range allGoldenCases(t) {
 		if c.opts().DisablePlan {
 			continue
 		}
-		plan, err := c.fed(t).PlanDescriptionContext(context.Background(), c.query)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
 		fmt.Fprintf(&b, "== %s\nquery: %s\n", c.name, c.query)
-		for _, line := range plan {
+		for _, line := range tracedPlan(t, c.fed(t), c.query) {
 			fmt.Fprintf(&b, "plan: %s\n", line)
 		}
 	}
 	checkGolden(t, plansGoldenPath, b.String())
+}
+
+// tracedPlan evaluates query on f under a trace and returns the plan the
+// federation recorded on the first top-level bgp span: one line per
+// planned pattern, in planned order, naming its sources and, for a single
+// source, marked [exclusive]. A query with no top-level BGP has none.
+func tracedPlan(t *testing.T, f *Federation, query string) []string {
+	t.Helper()
+	q, err := sparql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("query")
+	if _, err := f.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{}); err != nil {
+		t.Fatalf("%s: %v", query, err)
+	}
+	var lines []string
+	for _, stage := range tr.Root().Children() {
+		if stage.Name() != "bgp" {
+			continue
+		}
+		for _, step := range stage.Find("plan").Children() {
+			tp, _ := step.Str("tp")
+			sources, _ := step.Str("sources")
+			line := tp + " @ {" + sources + "}"
+			if _, ok := step.Int("exclusive"); ok {
+				line += " [exclusive]"
+			}
+			lines = append(lines, line)
+		}
+		break
+	}
+	return lines
 }
 
 // TestWireGolden serves every golden case through the handler a sparqld

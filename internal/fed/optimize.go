@@ -3,7 +3,6 @@ package fed
 import (
 	"context"
 
-	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 )
@@ -84,60 +83,4 @@ func (f *Federation) count(ctx context.Context, m *member, ids *sparql.IDSpace, 
 		return err
 	})
 	return n, err
-}
-
-// PlanDescriptionContext reports, for diagnostics and tests, the evaluation
-// order and per-pattern source names the optimizer chose for a query's
-// first top-level BGP, planned with nothing bound before it. ctx bounds the
-// Count probes planning issues. No source is matched: the query runs
-// against a describer, which answers every pattern with no rows.
-func (f *Federation) PlanDescriptionContext(ctx context.Context, query string) ([]string, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	d := &describer{evalState: f.newEvalState()}
-	for _, p := range q.Patterns {
-		if bgp, ok := p.(sparql.BGP); ok && len(bgp.Triples) > 0 {
-			d.first = &bgp.Triples[0]
-			break
-		}
-	}
-	if d.first == nil {
-		return nil, nil
-	}
-	if _, err := sparql.Compile(q).Eval(ctx, d, sparql.EvalOptions{}); err != nil {
-		return nil, err
-	}
-	return d.plan, nil
-}
-
-// describer is the solver PlanDescriptionContext evaluates against: the
-// federation's, except that it plans only the BGP whose first pattern is
-// first, and answers every BGP and path with no rows, so nothing else runs.
-type describer struct {
-	*evalState
-	first *sparql.TriplePattern
-	plan  []string
-}
-
-func (d *describer) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, _ *obs.Span) (*sparql.Rows, error) {
-	if len(bgp.Triples) > 0 && &bgp.Triples[0] == d.first {
-		plan, err := d.f.planBGP(ctx, d.evalState, lay, ids, bgp, make([]bool, in.Width()))
-		if err != nil {
-			return nil, err
-		}
-		for _, pp := range plan {
-			marker := ""
-			if pp.exclusive {
-				marker = " [exclusive]"
-			}
-			d.plan = append(d.plan, pp.tp.String()+" @ {"+sourceNames(pp.sources)+"}"+marker)
-		}
-	}
-	return sparql.NewRows(in.Width(), 0), nil
-}
-
-func (d *describer) SolvePath(_ context.Context, _ *sparql.SlotLayout, _ *sparql.IDSpace, _ sparql.PathPattern, in *sparql.Rows) (*sparql.Rows, error) {
-	return sparql.NewRows(in.Width(), 0), nil
 }

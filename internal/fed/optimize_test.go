@@ -50,13 +50,10 @@ func TestPlanReordersBySelectivity(t *testing.T) {
 	f := skewedFederation(t)
 	// Written order puts the huge pattern first; the optimizer must run
 	// the rare (1-triple) pattern first.
-	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?s ?v WHERE {
+	plan := tracedPlan(t, f, `SELECT ?s ?v WHERE {
 		?s <http://x/common> ?v .
 		?s <http://x/rare> "needle" .
 	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(plan) != 2 {
 		t.Fatalf("plan = %v", plan)
 	}
@@ -140,27 +137,13 @@ func TestPlanSameResultsEitherOrder(t *testing.T) {
 
 func TestEstimateCostBoundPositions(t *testing.T) {
 	f := skewedFederation(t)
-	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?a ?b WHERE {
+	plan := tracedPlan(t, f, `SELECT ?a ?b WHERE {
 		?a <http://x/common> ?b .
 		<http://x/e7> <http://x/common> ?b .
 	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The bound-subject pattern is cheaper and must run first.
 	if !strings.Contains(plan[0], "<http://x/e7>") {
 		t.Errorf("bound-subject pattern not first: %v", plan)
-	}
-}
-
-func TestPlanDescriptionErrors(t *testing.T) {
-	f := skewedFederation(t)
-	if _, err := f.PlanDescriptionContext(context.Background(), "NOT SPARQL"); err == nil {
-		t.Error("expected parse error")
-	}
-	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT * WHERE { FILTER(1 = 1) }`)
-	if err != nil || plan != nil {
-		t.Errorf("no-BGP query: plan=%v err=%v", plan, err)
 	}
 }
 

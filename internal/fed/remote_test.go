@@ -66,10 +66,7 @@ func TestRemoteFederatedJoin(t *testing.T) {
 
 func TestRemoteSourceSelection(t *testing.T) {
 	f, _ := remoteFederation(t)
-	plan, err := f.PlanDescriptionContext(context.Background(), `SELECT ?a WHERE { ?a <`+nyo+`about> ?p }`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := tracedPlan(t, f, `SELECT ?a WHERE { ?a <`+nyo+`about> ?p }`)
 	if len(plan) != 1 {
 		t.Fatalf("plan = %v", plan)
 	}

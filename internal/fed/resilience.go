@@ -245,10 +245,6 @@ func (f *Federation) SetResilience(r Resilience) {
 	f.bindResilienceObs()
 }
 
-// Resilience returns the active fault-tolerance configuration (the zero
-// value when disabled).
-func (f *Federation) Resilience() Resilience { return f.res }
-
 // applyPolicy resolves the active policy for one member: a fresh breaker
 // when the policy has one, and the per-call timeout when the source can
 // wait (see member.timeout).

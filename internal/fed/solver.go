@@ -132,25 +132,32 @@ func (es *evalState) SolvePath(_ context.Context, _ *sparql.SlotLayout, _ *sparq
 // pattern matched against every source selected for it. Patterns run in the
 // order chosen by the selectivity-based optimizer (optimize.go); within a
 // pattern, rows are processed by SetParallelism workers (FedX's "bound
-// joins in parallel"), preserving row order.
+// joins in parallel"), preserving row order. A traced evaluation records
+// the whole plan first, as a "plan" span timing the planning with one
+// "step" child per planned pattern, so the patterns an empty one keeps
+// from running are named too.
 func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	plsp := sp.Child("plan")
 	plan, err := es.f.planBGP(ctx, es, lay, ids, bgp, in.Bound())
 	if err != nil {
+		plsp.End()
 		return nil, err
+	}
+	if plsp != nil {
+		for _, pp := range plan {
+			setPattern(plsp.Child("step"), pp)
+		}
+		plsp.End()
 	}
 	rows := in
 	for _, pp := range plan {
 		var psp *obs.Span
 		if sp != nil {
 			psp = sp.Child("pattern")
-			psp.SetStr("tp", pp.tp.String())
-			psp.SetStr("sources", sourceNames(pp.sources))
-			if pp.exclusive {
-				psp.SetInt("exclusive", 1)
-			}
+			setPattern(psp, pp)
 			psp.SetInt("in", int64(rows.Len()))
 		}
 		next, err := es.extendRows(ctx, pp.c, pp.sources, ids, rows, psp)
@@ -166,6 +173,16 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 		}
 	}
 	return rows, nil
+}
+
+// setPattern labels a span with a planned pattern: its text, its sources
+// and, when it has one source, exclusive=1.
+func setPattern(sp *obs.Span, pp plannedPattern) {
+	sp.SetStr("tp", pp.tp.String())
+	sp.SetStr("sources", sourceNames(pp.sources))
+	if pp.exclusive {
+		sp.SetInt("exclusive", 1)
+	}
 }
 
 // sourceNames renders a source list compactly for span attributes.
