@@ -676,7 +676,7 @@ func BenchmarkFedJoinReorder(b *testing.B) {
 			federation.SetLinks(pair.Truth)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := federation.EvalContext(context.Background(), sparql.Compile(q), tc.opts); err != nil {
+				if _, err := federation.Eval(context.Background(), sparql.Compile(q), tc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -154,7 +154,7 @@ func runQuery(federation *fed.Federation, query string, trace bool, stdout, stde
 	if trace {
 		tr = obs.NewTrace("query")
 	}
-	res, err := federation.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
+	res, err := federation.Eval(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
 	if tr != nil {
 		// Printed on failure too: the recorded prefix shows how far it got.
 		fmt.Fprintln(stderr, tr.String())

@@ -135,7 +135,7 @@ func TestSingleStoreIsOneSourceFederation(t *testing.T) {
 			continue
 		}
 		if hasPath(q.Patterns) {
-			if _, err := f.EvalContext(context.Background(), sparql.Compile(q), sparql.EvalOptions{}); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
+			if _, err := f.Eval(context.Background(), sparql.Compile(q), sparql.EvalOptions{}); err == nil || !strings.Contains(err.Error(), "property paths are not supported") {
 				t.Errorf("%q: err = %v, want the property-path rejection", query, err)
 			}
 			continue
@@ -209,7 +209,7 @@ func assertSameRows(t testing.TB, f *Federation, st *store.Store, query string, 
 		return err
 	})
 	gotErr := bounded(func(ctx context.Context) (err error) {
-		got, err = f.EvalContext(ctx, prep, opts)
+		got, err = f.Eval(ctx, prep, opts)
 		return err
 	})
 	switch {

@@ -302,12 +302,13 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return f.EvalContext(ctx, sparql.Compile(q), sparql.EvalOptions{})
+	return f.Eval(ctx, sparql.Compile(q), sparql.EvalOptions{})
 }
 
-// EvalContext evaluates a compiled query under ctx. A trace in ctx
+// Eval evaluates a compiled query under ctx. A trace in ctx
 // (obs.WithTrace; /debug/trace attaches one to the served path) records an
-// EXPLAIN-style span tree: per-pattern spans with source names, join
+// EXPLAIN-style span tree: each BGP's plan (its patterns in planned
+// order with the sources chosen for each), per-pattern spans with join
 // input/output cardinalities, sameAs rewrites fired, and per-stage
 // durations (metrics are recorded either way when an observer is set). The
 // recorded prefix survives an evaluation that fails partway — often
@@ -315,7 +316,7 @@ func (f *Federation) ExecuteContext(ctx context.Context, query string) (*Result,
 // written order, as it does for a single store. With
 // Resilience.PartialResults enabled, skipped sources are annotated on the
 // root span ("partial", "skipped") and returned in Result.Skipped.
-func (f *Federation) EvalContext(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*Result, error) {
+func (f *Federation) Eval(ctx context.Context, prep *sparql.Prepared, opts sparql.EvalOptions) (*Result, error) {
 	rows, es, skips, err := f.eval(ctx, prep, opts)
 	if err != nil {
 		return nil, err

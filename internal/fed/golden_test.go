@@ -243,7 +243,7 @@ func TestAnswersGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		res, err := f.EvalContext(context.Background(), sparql.Compile(q), c.opts())
+		res, err := f.Eval(context.Background(), sparql.Compile(q), c.opts())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -281,7 +281,7 @@ func tracedPlan(t *testing.T, f *Federation, query string) []string {
 		t.Fatal(err)
 	}
 	tr := obs.NewTrace("query")
-	if _, err := f.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{}); err != nil {
+	if _, err := f.Eval(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{}); err != nil {
 		t.Fatalf("%s: %v", query, err)
 	}
 	var lines []string

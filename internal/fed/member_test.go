@@ -379,7 +379,7 @@ func TestSkipCountedOncePerSourceUnderParallelism(t *testing.T) {
 	written := sparql.EvalOptions{DisablePlan: true}
 	const rounds = 500
 	for i := 0; i < rounds; i++ {
-		res, err := f.EvalContext(context.Background(), sparql.Compile(q), written)
+		res, err := f.Eval(context.Background(), sparql.Compile(q), written)
 		if err != nil {
 			t.Fatal(err)
 		}

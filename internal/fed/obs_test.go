@@ -23,7 +23,7 @@ func executeTrace(f *Federation, query string) (*Result, *obs.Trace, error) {
 		return nil, nil, err
 	}
 	tr := obs.NewTrace("query")
-	res, err := f.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
+	res, err := f.Eval(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
 	return res, tr, err
 }
 

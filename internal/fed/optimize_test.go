@@ -82,7 +82,7 @@ func TestPlanRespectsDisablePlan(t *testing.T) {
 		first string
 	}{{sparql.EvalOptions{DisablePlan: true}, "common"}, {sparql.EvalOptions{}, "rare"}} {
 		tr := obs.NewTrace("query")
-		if _, err := f.EvalContext(obs.WithTrace(context.Background(), tr), sparql.Compile(q), c.opts); err != nil {
+		if _, err := f.Eval(obs.WithTrace(context.Background(), tr), sparql.Compile(q), c.opts); err != nil {
 			t.Fatal(err)
 		}
 		patterns := tr.Root().FindAll("pattern")
@@ -114,11 +114,11 @@ func TestPlanSameResultsEitherOrder(t *testing.T) {
 		{"linked", bothEndsFederation(), bothEndsQueries[1], `?x=<http://x/b> ?y=<http://x/c> `},
 	} {
 		prep := mustCompile(t, c.query)
-		ordered, err := c.f.EvalContext(context.Background(), prep, sparql.EvalOptions{})
+		ordered, err := c.f.Eval(context.Background(), prep, sparql.EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := c.f.EvalContext(context.Background(), prep, sparql.EvalOptions{DisablePlan: true})
+		naive, err := c.f.Eval(context.Background(), prep, sparql.EvalOptions{DisablePlan: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func checkReference(t testing.TB, f *Federation, query string, complete bool) {
 		f.SetParallelism(workers)
 		for _, opts := range []sparql.EvalOptions{{}, {DisablePlan: true}} {
 			mode := fmt.Sprintf("%q (DisablePlan=%v, workers=%d)", query, opts.DisablePlan, workers)
-			res, err := f.EvalContext(ctx, prep, opts)
+			res, err := f.Eval(ctx, prep, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
@@ -155,7 +155,7 @@ func checkLinksDecideAnswers(t testing.TB, f *Federation, query string) {
 	links := f.Links()
 	defer f.SetLinks(links)
 	eval := func() []Answer {
-		res, err := f.EvalContext(ctx, prep, sparql.EvalOptions{})
+		res, err := f.Eval(ctx, prep, sparql.EvalOptions{})
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
