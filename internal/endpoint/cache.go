@@ -36,8 +36,7 @@ func DefaultCacheConfig() CacheConfig {
 }
 
 // QueryCache combines the prepared-query and result caches over one
-// generation source. It is safe for concurrent use. A nil *QueryCache is
-// valid and means "no caching": Do still evaluates, just without reuse.
+// generation source. It is safe for concurrent use.
 type QueryCache struct {
 	cfg CacheConfig
 	gen func() uint64
@@ -77,9 +76,6 @@ func NewQueryCache(cfg CacheConfig, generation func() uint64) *QueryCache {
 // invalidations}. Resolving the counters here makes them visible in
 // /metrics snapshots from the first request, at zero.
 func (c *QueryCache) SetObserver(reg *obs.Registry) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pHits = reg.Counter(obs.EndpointPreparedHits)
@@ -93,24 +89,21 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 
 // Do answers one query through the cache: normalized-key preparation,
 // then a generation-checked result lookup, then eval on miss. The
-// generation is snapshotted before eval, so a mutation racing the
-// evaluation leaves the stored entry permanently stale — it can never be
-// served — rather than ever serving a pre-mutation answer as current. A
-// Partial result is served and not stored: a skipped member coming back
-// moves no generation.
-func (c *QueryCache) Do(ctx context.Context, query string, eval func(*sparql.Prepared) (*Result, error)) (*Result, error) {
+// generation is read once, before eval, and handed to it to tag the
+// reply with, so a mutation racing the evaluation leaves the stored entry
+// permanently stale — it can never be served — rather than ever serving a
+// pre-mutation answer as current. A Partial result is served and not
+// stored: a skipped member coming back moves no generation.
+func (c *QueryCache) Do(ctx context.Context, query string, eval func(prep *sparql.Prepared, gen uint64) (*Result, error)) (*Result, error) {
 	prep, err := c.Prepare(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
-	}
-	if c == nil {
-		return eval(prep)
 	}
 	gen := c.gen()
 	if res, ok := c.lookupResult(ctx, prep.Key, gen); ok {
 		return res, nil
 	}
-	res, err := eval(prep)
+	res, err := eval(prep, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +116,7 @@ func (c *QueryCache) Do(ctx context.Context, query string, eval func(*sparql.Pre
 // Prepare returns the cached prepared form of query, preparing and
 // inserting it on miss.
 func (c *QueryCache) Prepare(query string) (*sparql.Prepared, error) {
-	if c == nil || c.prepared == nil {
+	if c.prepared == nil {
 		return sparql.Prepare(query)
 	}
 	key, err := sparql.NormalizeQuery(query)
@@ -194,9 +187,12 @@ func (c *QueryCache) storeResult(key string, gen uint64, res *Result) {
 // Cached results are served only at the exact store generation they were
 // computed at; the cache-off path (nil cache) is answer-identical.
 func CachedStoreQueryFunc(st *store.Store, cache *QueryCache) QueryFunc {
+	if cache == nil {
+		cache = NewQueryCache(CacheConfig{}, st.Generation)
+	}
 	return func(ctx context.Context, query string) (*Result, error) {
-		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*Result, error) {
-			return storeEval(ctx, st, prep)
+		return cache.Do(ctx, query, func(prep *sparql.Prepared, gen uint64) (*Result, error) {
+			return storeEval(ctx, st, prep, gen)
 		})
 	}
 }

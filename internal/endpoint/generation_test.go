@@ -88,3 +88,33 @@ func TestClientCountsFollowGeneration(t *testing.T) {
 		srv.Close()
 	}
 }
+
+// TestOneGenerationReadPerRequest: a request reads the data generation
+// once, whether it misses the result cache, hits it or meets a disabled
+// cache, and its reply carries the generation the cache read. The cache's
+// generation source is offset from the store's, so a reply tagged by a
+// second read of the store shows.
+func TestOneGenerationReadPerRequest(t *testing.T) {
+	st := testStore()
+	var reads int
+	gen := func() uint64 { reads++; return 1000 + st.Generation() }
+	query := "/sparql?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
+	for _, c := range []struct {
+		name string
+		cfg  CacheConfig
+	}{{"miss", DefaultCacheConfig()}, {"hit", DefaultCacheConfig()}, {"no cache", CacheConfig{}}} {
+		h := NewCachedHandler(st, NewQueryCache(c.cfg, gen))
+		if c.name == "hit" {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", query, nil))
+		}
+		reads = 0
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", query, nil))
+		if want := strconv.FormatUint(1000+st.Generation(), 10); rec.Code != 200 || rec.Header().Get(generationHeader) != want {
+			t.Errorf("%s: status %d, generation %q, want %s", c.name, rec.Code, rec.Header().Get(generationHeader), want)
+		}
+		if reads != 1 {
+			t.Errorf("%s: %d generation reads, want 1", c.name, reads)
+		}
+	}
+}

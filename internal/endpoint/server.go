@@ -65,7 +65,7 @@ func NewHandler(st *store.Store) *Handler {
 		if err != nil {
 			return nil, &BadQueryError{Err: err}
 		}
-		return storeEval(ctx, st, sparql.Compile(q))
+		return storeEval(ctx, st, sparql.Compile(q), st.Generation())
 	})
 }
 
@@ -106,9 +106,9 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 }
 
 // storeEval evaluates a compiled query against one store under the
-// request's context and adapts the result, rows still in id space.
-func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared) (*Result, error) {
-	gen := st.Generation()
+// request's context and adapts the result, rows still in id space, tagged
+// with the store's generation gen as read before the evaluation.
+func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared, gen uint64) (*Result, error) {
 	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
 	if err != nil {
 		return nil, err

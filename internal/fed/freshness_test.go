@@ -168,3 +168,43 @@ func TestRemoteFreshUnderConcurrentWrites(t *testing.T) {
 		}
 	}
 }
+
+// genCounter is a member that counts the reads of its generation.
+type genCounter struct {
+	Source
+	reads atomic.Int64
+}
+
+func (g *genCounter) Generation() uint64 {
+	g.reads.Add(1)
+	return g.Source.Generation()
+}
+
+// TestOneGenerationReadPerRequest: a served federated request reads each
+// member's generation once, whether it misses the result cache, hits it
+// or is served with no cache.
+func TestOneGenerationReadPerRequest(t *testing.T) {
+	dict := rdf.NewDict()
+	st := store.New("people", dict)
+	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/p"), O: rdf.NewIRI("http://x/c")})
+	member := &genCounter{Source: LocalSource(st)}
+	f := New(dict)
+	f.AddSource(member)
+	query := "/sparql?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
+	cached := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), f.DataGeneration)), nil)
+	uncached := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, nil), nil)
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+	}{{"miss", cached}, {"hit", cached}, {"no cache", uncached}} {
+		member.reads.Store(0)
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, query, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, rec.Code, rec.Body)
+		}
+		if n := member.reads.Load(); n != 1 {
+			t.Errorf("%s: %d generation reads, want 1", c.name, n)
+		}
+	}
+}

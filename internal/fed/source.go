@@ -73,13 +73,15 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // served from the result cache until a member's generation moves or the
 // link set is swapped. A nil cache prepares and evaluates every request.
 // Replies are encoded from the evaluator's id rows, as a single store's
-// are, and carry f.DataGeneration as read before the evaluation; the links
-// each row used stay in its provenance column, which the results format
-// has no place for.
+// are, and carry the generation the cache read before the evaluation; the
+// links each row used stay in its provenance column, which the results
+// format has no place for.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
+	if cache == nil {
+		cache = endpoint.NewQueryCache(endpoint.CacheConfig{}, f.DataGeneration)
+	}
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
-		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
-			gen := f.DataGeneration()
+		return cache.Do(ctx, query, func(prep *sparql.Prepared, gen uint64) (*endpoint.Result, error) {
 			rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
 			if err != nil {
 				return nil, err
