@@ -14,8 +14,10 @@
 //	curl 'http://localhost:8181/debug/trace?query=SELECT+?s+WHERE+{?s+?p+?o}+LIMIT+3'
 //	curl  http://localhost:8181/debug/trace
 //
-// /debug/trace runs a query as /sparql does, caches included; a GET with
-// no query lists the node's kept traces, feedback episodes among them.
+// /debug/trace runs a query as /sparql does, caches included, and answers
+// with its span tree; on a federation each bgp span holds the plan, one
+// step per planned pattern with the sources chosen for it. A GET with no
+// query lists the node's kept traces, feedback episodes among them.
 //
 // Turtle files (.ttl) are detected by extension. The server speaks the
 // SPARQL 1.1 protocol subset implemented in internal/endpoint: SELECT, ASK
