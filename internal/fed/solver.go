@@ -142,15 +142,14 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 	}
 	plsp := sp.Child("plan")
 	plan, err := es.f.planBGP(ctx, es, lay, ids, bgp, in.Bound())
-	if err != nil {
-		plsp.End()
-		return nil, err
-	}
 	if plsp != nil {
 		for _, pp := range plan {
 			setPattern(plsp.Child("step"), pp)
 		}
-		plsp.End()
+	}
+	plsp.End()
+	if err != nil {
+		return nil, err
 	}
 	rows := in
 	for _, pp := range plan {
