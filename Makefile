@@ -28,8 +28,8 @@ test-short:
 # internal/core's TestEngineSpacesMatchBuild (every partition's space from
 # one feature.BuildSpaces fan-out, one pooled scorer per worker, against a
 # one-partition Build),
-# internal/linkset's TestCompareWhileWritersWait (the lock guarding the
-# Set's sorted view; also its deadlock check), internal/sim's
+# internal/linkset's TestSetConcurrency (readers only: reading a Set must
+# never write it, so no lazily built form hides in it), internal/sim's
 # TestJaroMatchesReference (the bit-parallel Jaro kernel against its scalar
 # reference through one long-lived Scratch), internal/rdf's dictionary
 # hammers (TestDictParallelInternOverlappingSets,

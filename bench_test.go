@@ -298,12 +298,13 @@ func BenchmarkFedSameasOp(b *testing.B) {
 	const dbo, nyt = "http://dbpedia.sim/ontology/", "http://nytimes.sim/ontology/"
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(4, 1))
 	ds1, dict := pair.DS1, pair.Dict
-	links := linkset.FromLinks(pair.Truth.Links())
+	all := pair.Truth.Links()
 	s1, s2 := ds1.Subjects(), pair.DS2.Subjects()
 	rng := rand.New(rand.NewSource(benchSeed))
 	for i := pair.Truth.Len() / 2; i > 0; i-- {
-		links.Add(linkset.Link{Left: s1[rng.Intn(len(s1))], Right: s2[rng.Intn(len(s2))]})
+		all = append(all, linkset.Link{Left: s1[rng.Intn(len(s1))], Right: s2[rng.Intn(len(s2))]})
 	}
+	links := linkset.FromLinks(all)
 	linked := map[rdf.TermID]bool{}
 	for _, l := range pair.Truth.Links() {
 		linked[l.Left] = true

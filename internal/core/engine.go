@@ -164,9 +164,9 @@ func (e *Engine) foldLocked() {
 // Candidates returns the current global candidate link set: a new set the
 // caller owns, built by concatenating the partitions' sorted views (each is
 // kept current at episode boundaries) and sorting them once, in time linear
-// in the links (linkset.Sort). It arrives with its sorted view in place, so
-// Sorted, Links, fed.SetLinks and linkset.Evaluate on it do not sort again.
-// For the size alone use CandidateCount.
+// in the links (linkset.Sort). A set is its run and never changes, so
+// Sorted, Links, fed.SetLinks and linkset.Evaluate on it do not sort
+// again. For the size alone use CandidateCount.
 func (e *Engine) Candidates() *linkset.Set {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

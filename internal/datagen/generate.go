@@ -165,7 +165,6 @@ func GeneratePair(spec PairSpec) *Pair {
 	dict := rdf.NewDict()
 	ds1 := store.New(spec.Name1, dict)
 	ds2 := store.New(spec.Name2, dict)
-	truth := linkset.New()
 
 	shared := universe(r, spec.Shared, spec.Domains)
 	nextID := spec.Shared
@@ -196,10 +195,11 @@ func GeneratePair(spec PairSpec) *Pair {
 		nextID++
 	}
 
-	for _, e := range shared {
+	truth := make([]linkset.Link, len(shared))
+	for i, e := range shared {
 		iri1 := projectEntity(r, ds1, spec.Style1, e, spec.Noise1)
 		iri2 := projectEntity(r, ds2, spec.Style2, e, spec.Noise2)
-		truth.Add(linkset.Link{Left: dict.InternIRI(iri1), Right: dict.InternIRI(iri2)})
+		truth[i] = linkset.Link{Left: dict.InternIRI(iri1), Right: dict.InternIRI(iri2)}
 	}
 	for _, e := range only1 {
 		projectEntity(r, ds1, spec.Style1, e, spec.Noise1)
@@ -213,7 +213,7 @@ func GeneratePair(spec PairSpec) *Pair {
 	for _, e := range distract2 {
 		projectEntity(r, ds2, spec.Style2, e, spec.Noise2)
 	}
-	return &Pair{Spec: spec, Dict: dict, DS1: ds1, DS2: ds2, Truth: truth}
+	return &Pair{Spec: spec, Dict: dict, DS1: ds1, DS2: ds2, Truth: linkset.FromLinks(truth)}
 }
 
 // projectEntity renders an entity into a store under a style and noise

@@ -161,21 +161,17 @@ func Run(cfg RunConfig) *Result {
 	// Per-partition outcomes: each partition's candidates are evaluated
 	// against the slice of the ground truth whose left entity the
 	// partition owns.
-	truthByLeft := map[linkset.Link]struct{}{}
-	for _, l := range pair.Truth.Links() {
-		truthByLeft[l] = struct{}{}
-	}
 	for i := 0; i < engine.Partitions(); i++ {
-		cand := linkset.FromLinks(engine.PartitionCandidates(i))
-		owned := linkset.New()
-		for l := range truthByLeft {
+		cand := linkset.FromSorted(engine.PartitionCandidates(i))
+		var owned []linkset.Link
+		for _, l := range pair.Truth.Sorted() {
 			if pi, ok := engine.PartitionOf(l.Left); ok && pi == i {
-				owned.Add(l)
+				owned = append(owned, l)
 			}
 		}
 		res.Partitions = append(res.Partitions, PartitionOutcome{
 			Partition: i,
-			Quality:   linkset.Evaluate(cand, owned),
+			Quality:   linkset.Evaluate(cand, linkset.FromSorted(owned)),
 			Episodes:  engine.PartitionEpisodes(i),
 			Converged: engine.PartitionConverged(i),
 		})

@@ -270,11 +270,10 @@ func twoLinkFederation(t *testing.T, cfg fedConfig) (*Federation, [2]linkset.Lin
 	// Links first, so their ids do not depend on which dictionary the
 	// Times triples are interned into.
 	var links [2]linkset.Link
-	ls := linkset.New()
 	for i, p := range players {
 		links[i] = linkset.Link{Left: dict.Intern(p[0]), Right: dict.Intern(p[1])}
-		ls.Add(links[i])
 	}
+	ls := linkset.FromLinks(links[:])
 	for i, p := range players {
 		dbpedia.Add(rdf.Triple{S: p[0], P: award, O: rdf.NewString("MVP")})
 		dbpedia.Add(rdf.Triple{S: p[0], P: rdf.NewIRI(rdf.RDFSLabel), O: rdf.NewString(p[0].Value[len(dbp):])})
@@ -422,10 +421,7 @@ func TestAskProvenanceIsDeterministic(t *testing.T) {
 // bound join has exactly as many answers as that set's links have articles.
 func TestSetLinksDuringQueries(t *testing.T) {
 	f, links := twoLinkFederation(t, fedConfig{kind: "local", res: true, workers: 1})
-	one, both := linkset.New(), linkset.New()
-	one.Add(links[1])
-	both.Add(links[0])
-	both.Add(links[1])
+	one, both := linkset.FromLinks(links[1:]), linkset.FromLinks(links[:])
 	articles := map[linkset.Link]int{links[0]: 2, links[1]: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())

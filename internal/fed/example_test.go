@@ -97,11 +97,11 @@ func ExampleRemoteSource() {
 		defer srv.Close()
 		federation.AddSource(fed.RemoteSource(endpoint.NewClient(side.name, srv.URL+"/sparql", srv.Client())))
 	}
-	links := linkset.New()
-	for _, l := range pair.Truth.Links() {
-		links.Add(linkset.Link{Left: dict.Intern(pair.Dict.Term(l.Left)), Right: dict.Intern(pair.Dict.Term(l.Right))})
+	links := pair.Truth.Links()
+	for i, l := range links {
+		links[i] = linkset.Link{Left: dict.Intern(pair.Dict.Term(l.Left)), Right: dict.Intern(pair.Dict.Term(l.Right))}
 	}
-	federation.SetLinks(links)
+	federation.SetLinks(linkset.FromLinks(links))
 	federation.SetParallelism(4)
 
 	const centers = `SELECT ?p ?name WHERE {

@@ -234,12 +234,9 @@ func (f *Federation) Dict() *rdf.Dict { return f.dict }
 // the alias index (ALEX does this after every episode). Safe to call while
 // queries run: a query in flight keeps the snapshot it started with.
 //
-// Cost: the set's sorted view (free when the set came from
-// core.Engine.Candidates or linkset.FromSorted, one sort otherwise), and
-// one linear-time sort of its links reversed into a newly allocated
-// by-right run. The published arrays are never written again, and the
-// view of links is taken now: later Add or Remove calls on links show in
-// Links() but reach queries only through the next SetLinks.
+// Cost: one linear-time sort of the set's links reversed into a newly
+// allocated by-right run; the by-left run is the set's own. A set never
+// changes, and neither run is written again.
 func (f *Federation) SetLinks(links *linkset.Set) {
 	byLeft := links.Sorted()
 	byRight := make([]linkset.Link, len(byLeft))
@@ -254,8 +251,7 @@ func (f *Federation) SetLinks(links *linkset.Set) {
 }
 
 // Links returns the active link set — the very set passed to SetLinks, not
-// a copy. Treat it as read-only: queries run against the snapshot SetLinks
-// took, so changing the set changes what Links reports and nothing else.
+// a copy; a set never changes.
 func (f *Federation) Links() *linkset.Set { return f.links.Load().links }
 
 // Answer is one solution row with the links used to produce it, sorted by

@@ -40,9 +40,7 @@ func motivatingFederation(t *testing.T) (*Federation, linkset.Link) {
 
 	f := New(dict, dbpedia, times)
 	link := linkset.Link{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)}
-	ls := linkset.New()
-	ls.Add(link)
-	f.SetLinks(ls)
+	f.SetLinks(linkset.FromLinks([]linkset.Link{link}))
 	return f, link
 }
 

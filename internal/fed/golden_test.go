@@ -123,14 +123,14 @@ var goldenCases = []goldenCase{
 func sameAsFederation(t *testing.T) (*Federation, *datagen.Pair) {
 	t.Helper()
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(0.25, 1))
-	links := linkset.FromLinks(pair.Truth.Links())
+	links := pair.Truth.Links()
 	s1, s2 := pair.DS1.Subjects(), pair.DS2.Subjects()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < pair.Truth.Len()/2; i++ {
-		links.Add(linkset.Link{Left: s1[rng.Intn(len(s1))], Right: s2[rng.Intn(len(s2))]})
+		links = append(links, linkset.Link{Left: s1[rng.Intn(len(s1))], Right: s2[rng.Intn(len(s2))]})
 	}
 	f := New(pair.Dict, pair.DS1, pair.DS2)
-	f.SetLinks(links)
+	f.SetLinks(linkset.FromLinks(links))
 	f.SetResilience(DefaultResilience())
 	return f, pair
 }

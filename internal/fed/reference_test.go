@@ -172,16 +172,13 @@ func checkLinksDecideAnswers(t testing.TB, f *Federation, query string) {
 		return strings.Join(slices.Compact(out), "\n")
 	}
 	all := eval()
-	used := linkset.New()
+	var used []linkset.Link
 	for _, a := range all {
-		for _, l := range a.Used {
-			used.Add(l)
-		}
+		used = append(used, a.Used...)
 	}
-	for _, l := range used.Links() {
-		less := links.Clone()
-		less.Remove(l)
-		f.SetLinks(less)
+	for _, l := range linkset.Sort(used) {
+		less := slices.DeleteFunc(links.Links(), func(m linkset.Link) bool { return m == l })
+		f.SetLinks(linkset.FromSorted(less))
 		got := keys(eval(), func(Answer) bool { return true })
 		if want := keys(all, func(a Answer) bool { return !slices.Contains(a.Used, l) }); got != want {
 			t.Errorf("%q without %v:\n%s\nwant the answers that did not use it:\n%s", query, l, got, want)
@@ -204,11 +201,11 @@ func smallFederation(triples []rdf.Triple, links ...[2]string) *Federation {
 		stores[i].Add(tr)
 	}
 	f := New(dict, stores...)
-	set := linkset.New()
-	for _, l := range links {
-		set.Add(linkset.Link{Left: dict.Intern(iri(l[0])), Right: dict.Intern(iri(l[1]))})
+	set := make([]linkset.Link, len(links))
+	for i, l := range links {
+		set[i] = linkset.Link{Left: dict.Intern(iri(l[0])), Right: dict.Intern(iri(l[1]))}
 	}
-	f.SetLinks(set)
+	f.SetLinks(linkset.FromLinks(set))
 	return f
 }
 
@@ -264,13 +261,16 @@ func referenceWorld(seed int64, chained bool) (*Federation, []string) {
 	}
 	f := New(dict, stores...)
 
-	set := linkset.New()
+	var links []linkset.Link
+	linked := map[linkset.Link]bool{}
 	degree := make([]int, len(entities))
 	link := func(a, b int) {
 		if home[a] > home[b] {
 			a, b = b, a
 		}
-		if set.Add(linkset.Link{Left: dict.Intern(entities[a]), Right: dict.Intern(entities[b])}) {
+		if l := (linkset.Link{Left: dict.Intern(entities[a]), Right: dict.Intern(entities[b])}); !linked[l] {
+			linked[l] = true
+			links = append(links, l)
 			degree[a]++
 			degree[b]++
 		}
@@ -292,6 +292,7 @@ func referenceWorld(seed int64, chained bool) (*Federation, []string) {
 		link(a, b)
 		link(b, 3*home[a]+(a+1)%3)
 	}
+	set := linkset.FromLinks(links)
 	f.SetLinks(set)
 
 	// A pattern is drawn at random or, half the time, copied from a stored

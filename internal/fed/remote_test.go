@@ -36,9 +36,7 @@ func remoteFederation(t *testing.T) (*Federation, linkset.Link) {
 	f.AddSource(RemoteSource(endpoint.NewClient("nytimes-remote", srv.URL+"/sparql", srv.Client())))
 
 	link := linkset.Link{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)}
-	ls := linkset.New()
-	ls.Add(link)
-	f.SetLinks(ls)
+	f.SetLinks(linkset.FromLinks([]linkset.Link{link}))
 	return f, link
 }
 

@@ -36,9 +36,7 @@ func faultyRemoteFederation(t *testing.T, cfg faultinject.Config) (*Federation, 
 	f := New(dict, dbpedia)
 	f.AddSource(RemoteSource(endpoint.NewClient("nytimes-remote", srv.URL+"/sparql", client)))
 
-	ls := linkset.New()
-	ls.Add(linkset.Link{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)})
-	f.SetLinks(ls)
+	f.SetLinks(linkset.FromLinks([]linkset.Link{{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)}}))
 	return f, rt
 }
 

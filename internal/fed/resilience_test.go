@@ -38,9 +38,7 @@ func faultyFederation(t *testing.T, dbpCfg, nytCfg faultinject.Config) (*Federat
 	fiNYT := faultinject.Wrap(LocalSource(times), nytCfg)
 	f.AddSource(fiDBP)
 	f.AddSource(fiNYT)
-	ls := linkset.New()
-	ls.Add(linkset.Link{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)})
-	f.SetLinks(ls)
+	f.SetLinks(linkset.FromLinks([]linkset.Link{{Left: dict.Intern(lebronDBP), Right: dict.Intern(lebronNYT)}}))
 	return f, fiDBP, fiNYT
 }
 

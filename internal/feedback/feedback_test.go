@@ -10,11 +10,11 @@ import (
 )
 
 func truthSet() *linkset.Set {
-	s := linkset.New()
-	for i := 1; i <= 50; i++ {
-		s.Add(linkset.Link{Left: rdf.TermID(i * 10), Right: rdf.TermID(i * 10)})
+	links := make([]linkset.Link, 50)
+	for i := range links {
+		links[i] = linkset.Link{Left: rdf.TermID((i + 1) * 10), Right: rdf.TermID((i + 1) * 10)}
 	}
-	return s
+	return linkset.FromLinks(links)
 }
 
 func TestOraclePerfectFeedback(t *testing.T) {

@@ -2,6 +2,10 @@ package linkset
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,27 +16,15 @@ import (
 func lk(a, b uint32) Link { return Link{Left: rdf.TermID(a), Right: rdf.TermID(b)} }
 
 func TestSetAddRemoveContains(t *testing.T) {
-	s := New()
-	if !s.Add(lk(1, 2)) {
-		t.Error("first Add = false")
-	}
-	if s.Add(lk(1, 2)) {
-		t.Error("duplicate Add = true")
-	}
+	s := FromLinks([]Link{lk(1, 2), lk(1, 2)})
 	if !s.Contains(lk(1, 2)) {
 		t.Error("Contains = false")
 	}
+	if s.Contains(lk(2, 1)) || New().Contains(lk(1, 2)) {
+		t.Error("Contains absent = true")
+	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
-	}
-	if !s.Remove(lk(1, 2)) {
-		t.Error("Remove present = false")
-	}
-	if s.Remove(lk(1, 2)) {
-		t.Error("Remove absent = true")
-	}
-	if s.Contains(lk(1, 2)) {
-		t.Error("Contains after Remove = true")
 	}
 }
 
@@ -47,15 +39,6 @@ func TestSetLinksSorted(t *testing.T) {
 		if ls[i] != want[i] {
 			t.Errorf("Links[%d] = %v, want %v", i, ls[i], want[i])
 		}
-	}
-}
-
-func TestSetClone(t *testing.T) {
-	s := FromLinks([]Link{lk(1, 1), lk(2, 2)})
-	c := s.Clone()
-	c.Add(lk(3, 3))
-	if s.Len() != 2 || c.Len() != 3 {
-		t.Errorf("clone not independent: s=%d c=%d", s.Len(), c.Len())
 	}
 }
 
@@ -92,7 +75,7 @@ func TestEvaluateEdgeCases(t *testing.T) {
 	if q.Precision != 0 || q.Recall != 0 {
 		t.Errorf("empty truth: %+v", q)
 	}
-	q = Evaluate(truth.Clone(), truth)
+	q = Evaluate(FromLinks(truth.Links()), truth)
 	if q.Precision != 1 || q.Recall != 1 || q.FMeasure != 1 {
 		t.Errorf("perfect: %+v", q)
 	}
@@ -100,14 +83,14 @@ func TestEvaluateEdgeCases(t *testing.T) {
 
 func TestEvaluateProperties(t *testing.T) {
 	prop := func(cs, ts []uint16) bool {
-		cand, truth := New(), New()
-		for _, c := range cs {
-			cand.Add(lk(uint32(c%50)+1, uint32(c%50)+1))
+		diagonal := func(ids []uint16) *Set {
+			links := make([]Link, len(ids))
+			for i, id := range ids {
+				links[i] = lk(uint32(id%50)+1, uint32(id%50)+1)
+			}
+			return FromLinks(links)
 		}
-		for _, g := range ts {
-			truth.Add(lk(uint32(g%50)+1, uint32(g%50)+1))
-		}
-		q := Evaluate(cand, truth)
+		q := Evaluate(diagonal(cs), diagonal(ts))
 		if q.Precision < 0 || q.Precision > 1 || q.Recall < 0 || q.Recall > 1 {
 			return false
 		}
@@ -125,26 +108,73 @@ func TestEvaluateProperties(t *testing.T) {
 	}
 }
 
+// TestSetConcurrency hammers shared sets with readers only, under -race:
+// reading a set must never write it, so no lazily built form may creep back
+// into Set.
 func TestSetConcurrency(t *testing.T) {
-	s := New()
+	links := make([]Link, 100)
+	for i := range links {
+		links[i] = lk(uint32(i%40), uint32(i))
+	}
+	sets := []*Set{New(), FromLinks(links), FromSorted(Sort(slices.Clone(links)))}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l := lk(uint32(i), uint32(i))
-				s.Add(l)
-				s.Contains(l)
-				if g%2 == 0 {
-					s.Len()
+			s := sets[g%len(sets)]
+			for i := 0; i < 200; i++ {
+				l := links[i%len(links)]
+				if s.Contains(l) != (s.Len() > 0) {
+					t.Errorf("set of %d: Contains(%v) wrong", s.Len(), l)
+					return
+				}
+				if len(s.Sorted()) != s.Len() {
+					t.Errorf("Sorted has %d links, Len %d", len(s.Sorted()), s.Len())
+					return
+				}
+				if q := Evaluate(s, s); q.Correct != s.Len() {
+					t.Errorf("Evaluate(s, s) = %+v", q)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Len() != 100 {
-		t.Errorf("Len = %d, want 100", s.Len())
+}
+
+// TestLoadSameAs reads a file with a repeated sameAs link and a triple of
+// another predicate: one link, the other triple skipped. A malformed file
+// fails with an error that names it.
+func TestLoadSameAs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "links.nt")
+	const sameAs = " <" + rdf.OWLSameAs + "> "
+	nt := "<http://a/x>" + sameAs + "<http://b/x> .\n" +
+		"<http://a/x> <http://a/name> \"x\" .\n" +
+		"<http://a/x>" + sameAs + "<http://b/x> .\n"
+	if err := os.WriteFile(path, []byte(nt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dict := rdf.NewDict()
+	s, err := LoadSameAs(dict, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Link{Left: dict.InternIRI("http://a/x"), Right: dict.InternIRI("http://b/x")}
+	if got := s.Sorted(); !slices.Equal(got, []Link{want}) {
+		t.Errorf("LoadSameAs = %v, want [%v]", got, want)
+	}
+	if _, ok := dict.Lookup(rdf.NewString("x")); ok {
+		t.Error("the object of a skipped triple was interned")
+	}
+
+	bad := filepath.Join(dir, "bad.nt")
+	if err := os.WriteFile(bad, []byte("<http://a/x>"+sameAs+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSameAs(rdf.NewDict(), bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("malformed file: err = %v, want one naming %s", err, bad)
 	}
 }
 

@@ -116,11 +116,11 @@ func TestMutualBestResolvesAllConflicts(t *testing.T) {
 		sc(3, 12, 0.5), sc(4, 12, 0.6),
 	}
 	out := MutualBest(scored)
-	set := New()
-	for _, s := range out {
-		set.Add(s.Link)
+	links := make([]Link, len(out))
+	for i, s := range out {
+		links[i] = s.Link
 	}
-	if got := Conflicts(set); len(got) != 0 {
+	if got := Conflicts(FromLinks(links)); len(got) != 0 {
 		t.Errorf("MutualBest output still has conflicts: %v", got)
 	}
 }

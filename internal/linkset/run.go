@@ -10,12 +10,12 @@ import (
 
 // This file holds the published form of a link set and the operations on
 // it. A run is a []Link in strictly ascending Compare order — sorted, no
-// duplicates. The layers that publish links (Set's sorted view, the
-// engine's candidates, the federation's alias index) build their runs by
-// Sort, which is linear in the links past RadixMin of them, and not by
-// merging what changed since the last run into it: between two
-// publications of the engine's candidates about a third of the set
-// changes, and sorting and merging that costs more than sorting the whole.
+// duplicates. The layers that publish links (a Set, the engine's
+// candidates, the federation's alias index) build their runs by Sort,
+// which is linear in the links past RadixMin of them, and not by merging
+// what changed since the last run into it: between two publications of
+// the engine's candidates about a third of the set changes, and sorting
+// and merging that costs more than sorting the whole.
 // Only a partition's view, which an episode may change in a few links,
 // merges its sorted log of changes (core's partition.fold).
 

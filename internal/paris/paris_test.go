@@ -114,16 +114,21 @@ func TestLinkDefaultConfigApplied(t *testing.T) {
 	}
 }
 
+// candidates is the set of links scored.
+func candidates(scored []linkset.Scored) *linkset.Set {
+	links := make([]linkset.Link, len(scored))
+	for i, s := range scored {
+		links[i] = s.Link
+	}
+	return linkset.FromLinks(links)
+}
+
 // Regime tests: PARIS over the generated scenarios must land in the
 // starting quality regimes the paper reports for its real data sets.
 func TestParisRegimeDBpediaNYTimes(t *testing.T) {
 	p := datagen.GeneratePair(datagen.DBpediaNYTimes(1, 42))
 	scored := Link(p.DS1, p.DS2, DefaultConfig())
-	cand := linkset.New()
-	for _, s := range scored {
-		cand.Add(s.Link)
-	}
-	q := linkset.Evaluate(cand, p.Truth)
+	q := linkset.Evaluate(candidates(scored), p.Truth)
 	t.Logf("DBpedia-NYTimes start: %v", q)
 	if q.Recall > 0.5 {
 		t.Errorf("recall = %g, want low (paper ~0.2)", q.Recall)
@@ -139,11 +144,7 @@ func TestParisRegimeDBpediaNYTimes(t *testing.T) {
 func TestParisRegimeDBpediaDrugbank(t *testing.T) {
 	p := datagen.GeneratePair(datagen.DBpediaDrugbank(1, 42))
 	scored := Link(p.DS1, p.DS2, DefaultConfig())
-	cand := linkset.New()
-	for _, s := range scored {
-		cand.Add(s.Link)
-	}
-	q := linkset.Evaluate(cand, p.Truth)
+	q := linkset.Evaluate(candidates(scored), p.Truth)
 	t.Logf("DBpedia-Drugbank start: %v", q)
 	if q.Recall < 0.8 {
 		t.Errorf("recall = %g, want high (paper >0.95)", q.Recall)
@@ -156,11 +157,7 @@ func TestParisRegimeDBpediaDrugbank(t *testing.T) {
 func TestParisRegimeDBpediaLexvo(t *testing.T) {
 	p := datagen.GeneratePair(datagen.DBpediaLexvo(1, 42))
 	scored := Link(p.DS1, p.DS2, DefaultConfig())
-	cand := linkset.New()
-	for _, s := range scored {
-		cand.Add(s.Link)
-	}
-	q := linkset.Evaluate(cand, p.Truth)
+	q := linkset.Evaluate(candidates(scored), p.Truth)
 	t.Logf("DBpedia-Lexvo start: %v", q)
 	if q.Recall > 0.75 {
 		t.Errorf("recall = %g, want moderate/low", q.Recall)
