@@ -81,8 +81,9 @@ func TestObsFederatedQuery(t *testing.T) {
 		}
 	}
 
-	// The span tree: a bgp stage with one span per pattern, each naming its
-	// sources and carrying join input/output cardinalities.
+	// The span tree: a bgp stage with a plan step per pattern naming its
+	// sources, and one span per executed pattern carrying join
+	// input/output cardinalities.
 	bgp := tr.Find("bgp")
 	if bgp == nil {
 		t.Fatalf("no bgp span in trace:\n%s", tr.String())
@@ -90,6 +91,15 @@ func TestObsFederatedQuery(t *testing.T) {
 	patterns := bgp.FindAll("pattern")
 	if len(patterns) != 2 {
 		t.Fatalf("pattern spans = %d, want 2:\n%s", len(patterns), tr.String())
+	}
+	steps := bgp.FindAll("step")
+	if len(steps) != 2 {
+		t.Fatalf("plan steps = %d, want 2:\n%s", len(steps), tr.String())
+	}
+	for _, s := range steps {
+		if src, ok := s.Str("sources"); !ok || src == "" {
+			t.Errorf("plan step missing source names: %s", tr.String())
+		}
 	}
 	var rewrites int64
 	for _, p := range patterns {
@@ -100,9 +110,6 @@ func TestObsFederatedQuery(t *testing.T) {
 		out, ok := p.Int("out")
 		if !ok || out < 1 {
 			t.Errorf("pattern span missing sane 'out': %s", tr.String())
-		}
-		if src, ok := p.Str("sources"); !ok || src == "" {
-			t.Errorf("pattern span missing source names: %s", tr.String())
 		}
 		if n, ok := p.Int("rewrites"); ok {
 			rewrites += n

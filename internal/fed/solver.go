@@ -135,7 +135,8 @@ func (es *evalState) SolvePath(_ context.Context, _ *sparql.SlotLayout, _ *sparq
 // joins in parallel"), preserving row order. A traced evaluation records
 // the whole plan first, as a "plan" span timing the planning with one
 // "step" child per planned pattern, so the patterns an empty one keeps
-// from running are named too.
+// from running are named too. Each executed pattern's span then names the
+// pattern and its row counts; the sources chosen stay on its step.
 func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *sparql.IDSpace, bgp sparql.BGP, in *sparql.Rows, sp *obs.Span) (*sparql.Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -144,7 +145,7 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 	plan, err := es.f.planBGP(ctx, es, lay, ids, bgp, in.Bound())
 	if plsp != nil {
 		for _, pp := range plan {
-			setPattern(plsp.Child("step"), pp)
+			setStep(plsp.Child("step"), pp)
 		}
 	}
 	plsp.End()
@@ -156,7 +157,7 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 		var psp *obs.Span
 		if sp != nil {
 			psp = sp.Child("pattern")
-			setPattern(psp, pp)
+			psp.SetStr("tp", pp.tp.String())
 			psp.SetInt("in", int64(rows.Len()))
 		}
 		next, err := es.extendRows(ctx, pp.c, pp.sources, ids, rows, psp)
@@ -174,9 +175,9 @@ func (es *evalState) SolveBGP(ctx context.Context, lay *sparql.SlotLayout, ids *
 	return rows, nil
 }
 
-// setPattern labels a span with a planned pattern: its text, its sources
-// and, when it has one source, exclusive=1.
-func setPattern(sp *obs.Span, pp plannedPattern) {
+// setStep labels a plan step with its planned pattern: its text, its
+// sources and, when it has one source, exclusive=1.
+func setStep(sp *obs.Span, pp plannedPattern) {
 	sp.SetStr("tp", pp.tp.String())
 	sp.SetStr("sources", sourceNames(pp.sources))
 	if pp.exclusive {

@@ -60,7 +60,9 @@ func (t *Trace) Finish() {
 //
 //	query (1.8ms) answers=12
 //	  bgp (1.7ms)
-//	    pattern ?p <pos> "PG" (0.4ms) in=1 out=40 sources=dbpedia
+//	    plan (12µs)
+//	      step (-) tp=?p <pos> "PG" . sources=dbpedia exclusive=1
+//	    pattern (0.4ms) tp=?p <pos> "PG" . in=1 out=40
 func (t *Trace) String() string {
 	if t == nil || t.root == nil {
 		return ""
