@@ -89,8 +89,8 @@ var ErrCircuitOpen = errors.New("circuit breaker open")
 
 // SourceUnavailableError reports that a member source could not answer a
 // call after exhausting its retry budget (or was quarantined by its
-// breaker). With PartialResults enabled it never escapes Execute — the
-// source is skipped instead.
+// breaker). With PartialResults enabled it never escapes Federation.Eval —
+// the source is skipped instead.
 type SourceUnavailableError struct {
 	Source string
 	Err    error
