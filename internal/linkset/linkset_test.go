@@ -75,7 +75,7 @@ func TestEvaluateEdgeCases(t *testing.T) {
 	if q.Precision != 0 || q.Recall != 0 {
 		t.Errorf("empty truth: %+v", q)
 	}
-	q = Evaluate(FromLinks(truth.Links()), truth)
+	q = Evaluate(FromLinks(truth.Sorted()), truth)
 	if q.Precision != 1 || q.Recall != 1 || q.FMeasure != 1 {
 		t.Errorf("perfect: %+v", q)
 	}
