@@ -95,7 +95,7 @@ func BenchmarkSPARQLParse(b *testing.B) {
 // evalStore is one single-store evaluation as the benchmarks below time it:
 // compile the parsed query, evaluate, decode the rows.
 func evalStore(st *store.Store, q *sparql.Query, opts sparql.EvalOptions) (*sparql.Result, error) {
-	res, err := sparql.Compile(q).Eval(context.Background(), sparql.StoreSolver(st), opts)
+	res, err := sparql.Compile(q).Eval(context.Background(), sparql.StoreSolver(st.Now()), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -49,14 +49,6 @@ type QueryCache struct {
 	rHits, rMisses, rEvict, rInval *obs.Counter
 }
 
-// resultEntry tags a cached result with the generation it was computed
-// at. Lookups compare against the live generation; any mismatch means a
-// mutation intervened and the entry is dropped.
-type resultEntry struct {
-	gen uint64
-	res *Result
-}
-
 // NewQueryCache builds a cache over generation, which must return a value
 // that changes on every mutation of the underlying data (store.Generation
 // for a single store, Federation.DataGeneration for the federated path).
@@ -88,27 +80,28 @@ func (c *QueryCache) SetObserver(reg *obs.Registry) {
 }
 
 // Do answers one query through the cache: normalized-key preparation,
-// then a generation-checked result lookup, then eval on miss. The
-// generation is read once, before eval, and handed to it to tag the
-// reply with, so a mutation racing the evaluation leaves the stored entry
-// permanently stale — it can never be served — rather than ever serving a
-// pre-mutation answer as current. A Partial result is served and not
-// stored: a skipped member coming back moves no generation.
-func (c *QueryCache) Do(ctx context.Context, query string, eval func(prep *sparql.Prepared, gen uint64) (*Result, error)) (*Result, error) {
+// then, with the result cache on, a lookup at the generation gen reads now,
+// then eval on miss. eval pins the state it reads and tags its result with
+// that state's generation, which is where the result is stored: a mutation
+// that lands between the lookup and the pin is in the rows, the reply and
+// the entry alike. A Partial result is served and not stored: a skipped
+// member coming back moves no generation.
+func (c *QueryCache) Do(ctx context.Context, query string, eval func(prep *sparql.Prepared) (*Result, error)) (*Result, error) {
 	prep, err := c.Prepare(query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-	gen := c.gen()
-	if res, ok := c.lookupResult(ctx, prep.Key, gen); ok {
-		return res, nil
+	if c.results != nil {
+		if res, ok := c.lookupResult(ctx, prep.Key, c.gen()); ok {
+			return res, nil
+		}
 	}
-	res, err := eval(prep, gen)
+	res, err := eval(prep)
 	if err != nil {
 		return nil, err
 	}
 	if !res.Partial {
-		c.storeResult(prep.Key, gen, res)
+		c.storeResult(prep.Key, res)
 	}
 	return res, nil
 }
@@ -150,14 +143,11 @@ func (c *QueryCache) Prepare(query string) (*sparql.Prepared, error) {
 // lookupResult returns the result cached for key at gen, and marks the root
 // span of the trace ctx carries cache=hit or cache=miss.
 func (c *QueryCache) lookupResult(ctx context.Context, key string, gen uint64) (*Result, bool) {
-	if c.results == nil {
-		return nil, false
-	}
 	sp := obs.TraceFrom(ctx).Root()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.results.get(key)
-	if ok && v.(*resultEntry).gen != gen {
+	if ok && v.(*Result).Generation != gen {
 		c.results.remove(key)
 		c.rInval.Inc()
 		ok = false
@@ -169,16 +159,17 @@ func (c *QueryCache) lookupResult(ctx context.Context, key string, gen uint64) (
 	}
 	c.rHits.Inc()
 	sp.SetStr("cache", "hit")
-	return v.(*resultEntry).res, true
+	return v.(*Result), true
 }
 
-func (c *QueryCache) storeResult(key string, gen uint64, res *Result) {
+// storeResult caches res for key at the generation it carries.
+func (c *QueryCache) storeResult(key string, res *Result) {
 	if c.results == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.results.add(key, &resultEntry{gen: gen, res: res}) {
+	if c.results.add(key, res) {
 		c.rEvict.Inc()
 	}
 }
@@ -191,8 +182,8 @@ func CachedStoreQueryFunc(st *store.Store, cache *QueryCache) QueryFunc {
 		cache = NewQueryCache(CacheConfig{}, st.Generation)
 	}
 	return func(ctx context.Context, query string) (*Result, error) {
-		return cache.Do(ctx, query, func(prep *sparql.Prepared, gen uint64) (*Result, error) {
-			return storeEval(ctx, st, prep, gen)
+		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*Result, error) {
+			return storeEval(ctx, st, prep)
 		})
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 
+	"alex/internal/obs"
 	"alex/internal/rdf"
 )
 
@@ -89,32 +91,59 @@ func TestClientCountsFollowGeneration(t *testing.T) {
 	}
 }
 
-// TestOneGenerationReadPerRequest: a request reads the data generation
-// once, whether it misses the result cache, hits it or meets a disabled
-// cache, and its reply carries the generation the cache read. The cache's
-// generation source is offset from the store's, so a reply tagged by a
-// second read of the store shows.
+// TestOneGenerationReadPerRequest: a request reads the cache's generation
+// once, and only to look up a result: a hit evaluates nothing, a miss pins
+// the store once, a disabled cache never reads it. The reply carries the
+// generation the evaluation read, so a write that lands between the lookup
+// and the pin is in the rows and in the header alike, and the entry is
+// then served at that generation.
 func TestOneGenerationReadPerRequest(t *testing.T) {
 	st := testStore()
+	reg := obs.NewRegistry()
+	st.SetObserver(reg)
+	evals := reg.Counter(obs.StoreProbeScan("people"))
 	var reads int
-	gen := func() uint64 { reads++; return 1000 + st.Generation() }
+	var inject *rdf.Triple // added by the next read, after it
+	gen := func() uint64 {
+		reads++
+		g := st.Generation()
+		if inject != nil {
+			st.Add(*inject)
+			inject = nil
+		}
+		return g
+	}
+	carol := rdf.Triple{S: rdf.NewIRI("http://x/carol"), P: rdf.NewIRI("http://x/name"), O: rdf.NewString("Carol")}
 	query := "/sparql?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
+	cached := NewCachedHandler(st, NewQueryCache(DefaultCacheConfig(), gen))
+	written := NewCachedHandler(st, NewQueryCache(DefaultCacheConfig(), gen))
 	for _, c := range []struct {
-		name string
-		cfg  CacheConfig
-	}{{"miss", DefaultCacheConfig()}, {"hit", DefaultCacheConfig()}, {"no cache", CacheConfig{}}} {
-		h := NewCachedHandler(st, NewQueryCache(c.cfg, gen))
-		if c.name == "hit" {
-			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", query, nil))
+		name         string
+		h            *Handler
+		write        bool
+		reads, evals int
+	}{
+		{"miss", cached, false, 1, 1},
+		{"hit", cached, false, 1, 0},
+		{"no cache", NewCachedHandler(st, NewQueryCache(CacheConfig{}, gen)), false, 0, 1},
+		{"write after the lookup", written, true, 1, 1},
+		{"hit after the write", written, false, 1, 0},
+	} {
+		if c.write {
+			inject = &carol
 		}
 		reads = 0
+		before := evals.Value()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", query, nil))
-		if want := strconv.FormatUint(1000+st.Generation(), 10); rec.Code != 200 || rec.Header().Get(generationHeader) != want {
+		c.h.ServeHTTP(rec, httptest.NewRequest("GET", query, nil))
+		if want := strconv.FormatUint(st.Generation(), 10); rec.Code != 200 || rec.Header().Get(generationHeader) != want {
 			t.Errorf("%s: status %d, generation %q, want %s", c.name, rec.Code, rec.Header().Get(generationHeader), want)
 		}
-		if reads != 1 {
-			t.Errorf("%s: %d generation reads, want 1", c.name, reads)
+		if got := strings.Count(rec.Body.String(), `"http://x/`); got != st.Len() {
+			t.Errorf("%s: %d rows, want the store's %d", c.name, got, st.Len())
+		}
+		if reads != c.reads || evals.Value()-before != int64(c.evals) {
+			t.Errorf("%s: %d generation reads and %d evaluations, want %d and %d", c.name, reads, evals.Value()-before, c.reads, c.evals)
 		}
 	}
 }

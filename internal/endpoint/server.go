@@ -65,7 +65,7 @@ func NewHandler(st *store.Store) *Handler {
 		if err != nil {
 			return nil, &BadQueryError{Err: err}
 		}
-		return storeEval(ctx, st, sparql.Compile(q), st.Generation())
+		return storeEval(ctx, st, sparql.Compile(q))
 	})
 }
 
@@ -105,19 +105,20 @@ func (h *Handler) SetObserver(reg *obs.Registry) {
 	h.hRequestNS = reg.Histogram(obs.EndpointRequestNS)
 }
 
-// storeEval evaluates a compiled query against one store under the
-// request's context and adapts the result, rows still in id space, tagged
-// with the store's generation gen as read before the evaluation.
-func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared, gen uint64) (*Result, error) {
-	res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
+// storeEval evaluates a compiled query against one store as it is now
+// under the request's context and adapts the result, rows still in id
+// space, tagged with the generation it read.
+func storeEval(ctx context.Context, st *store.Store, prep *sparql.Prepared) (*Result, error) {
+	v := st.Now()
+	res, err := prep.Eval(ctx, sparql.StoreSolver(v), sparql.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return FromSlots(prep, res, gen), nil
+	return FromSlots(prep, res, v.Generation()), nil
 }
 
 // FromSlots adapts an evaluation of prep — against any solver, over data at
-// generation gen as read before it — for the handler, rows still in id
+// generation gen, the one it read — for the handler, rows still in id
 // space: the reply decodes each term exactly once, at the JSON boundary,
 // and a solver's provenance column never reaches the wire.
 func FromSlots(prep *sparql.Prepared, res *sparql.SlotResult, gen uint64) *Result {

@@ -159,7 +159,7 @@ func wireHandlers(st *store.Store) (slots, rows *Handler) {
 			return nil, &BadQueryError{Err: err}
 		}
 		prep := sparql.Compile(q)
-		res, err := prep.Eval(ctx, sparql.StoreSolver(st), sparql.EvalOptions{})
+		res, err := prep.Eval(ctx, sparql.StoreSolver(st.Now()), sparql.EvalOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ type Config struct {
 type Target interface {
 	Name() string
 	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
-	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
+	Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 	Generation() uint64
 }
 
@@ -127,11 +127,11 @@ func (s *Source) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj 
 	return s.inner.Count(ctx, ids, sub, pred, obj)
 }
 
-func (s *Source) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (s *Source) Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	if err := s.inject(ctx, "match"); err != nil {
 		return dst, err
 	}
-	return s.inner.Match(ctx, ids, sub, pred, obj, dst)
+	return s.inner.Match(ctx, ids, gen, sub, pred, obj, dst)
 }
 
 // RoundTripper wraps an http.RoundTripper with the same fault model, for

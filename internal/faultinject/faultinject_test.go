@@ -20,7 +20,7 @@ func (stubTarget) Generation() uint64 { return 0 }
 func (stubTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 9, nil
 }
-func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	return append(dst, rdf.TripleID{S: s, P: p, O: o}), nil
 }
 
@@ -30,7 +30,7 @@ func TestZeroConfigPassesThrough(t *testing.T) {
 	if n, err := s.Count(ctx, nil, 0, 1, 0); err != nil || n != 9 {
 		t.Fatalf("Count = %v, %v", n, err)
 	}
-	if got, err := s.Match(ctx, nil, 1, 2, 3, nil); err != nil || len(got) != 1 {
+	if got, err := s.Match(ctx, nil, 0, 1, 2, 3, nil); err != nil || len(got) != 1 {
 		t.Fatalf("Match = %v, %v", got, err)
 	}
 	if s.Failures.Load() != 0 {
@@ -67,7 +67,7 @@ func TestErrorRateIsDeterministicPerSeed(t *testing.T) {
 
 func TestInjectedErrorsAreMarked(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{ErrorRate: 1, Seed: 1})
-	_, err := s.Match(context.Background(), nil, 0, 0, 0, nil)
+	_, err := s.Match(context.Background(), nil, 0, 0, 0, 0, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

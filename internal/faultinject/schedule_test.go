@@ -16,7 +16,7 @@ func (t nullTarget) Generation() uint64 { return 0 }
 func (t nullTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 0, nil
 }
-func (t nullTarget) Match(_ context.Context, _ *sparql.IDSpace, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (t nullTarget) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	return dst, nil
 }
 
@@ -71,7 +71,7 @@ func TestScheduleApplyDrivesSources(t *testing.T) {
 		if got := src.Down(); got != wantDown {
 			t.Fatalf("tick %d: Down() = %v, want %v", tick, got, wantDown)
 		}
-		_, err := src.Match(ctx, nil, 0, 0, 0, nil)
+		_, err := src.Match(ctx, nil, 0, 0, 0, 0, nil)
 		if wantDown && !errors.Is(err, ErrInjected) {
 			t.Fatalf("tick %d: Match err = %v, want injected outage", tick, err)
 		}

@@ -205,7 +205,7 @@ func assertSameRows(t testing.TB, f *Federation, st *store.Store, query string, 
 	var slots *sparql.SlotResult
 	var got *Result
 	wantErr := bounded(func(ctx context.Context) (err error) {
-		slots, err = prep.Eval(ctx, sparql.StoreSolver(st), opts)
+		slots, err = prep.Eval(ctx, sparql.StoreSolver(st.Now()), opts)
 		return err
 	})
 	gotErr := bounded(func(ctx context.Context) (err error) {

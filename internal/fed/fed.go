@@ -59,9 +59,6 @@ type Federation struct {
 	// parallel is the worker count for bound joins; 1 disables parallelism.
 	parallel int
 
-	// linksGen counts SetLinks calls (see DataGeneration).
-	linksGen atomic.Uint64
-
 	// Fault tolerance (resilience.go). res holds the active policy and
 	// resOn caches whether any of it is enabled; what the policy means for
 	// one source — its per-call timeout, its breaker — lives in that
@@ -101,10 +98,11 @@ type Federation struct {
 // search. byLeft holds the links as they are — it is the set's own sorted
 // view — and byRight holds every link reversed, so the entities linked to x
 // are the Right ends of linkset.WithLeft(run, x) in both. Neither array is
-// written after SetLinks stores the snapshot.
+// written after SetLinks stores the snapshot. gen counts SetLinks calls.
 type linkSnapshot struct {
 	links           *linkset.Set
 	byLeft, byRight []linkset.Link
+	gen             uint64
 }
 
 // aliases lists the links that mention one entity, as sub-slices of a
@@ -183,11 +181,13 @@ func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 // Generation: each is monotonic, so the sum strictly increases on every
 // change to the federation's data and never revisits a value, and result
 // caches keyed on it (endpoint.NewQueryCache) compare for exact equality.
-// A remote member's part moves when a reply from its endpoint carries a new
-// generation, so it is stale at most until the client's next reply from
-// that endpoint. A result-cache hit sends no request.
+// An evaluation pins the same parts once and tags its reply with their sum
+// (evalState.gen). A remote member's part moves when a reply from its
+// endpoint carries a new generation, so it is stale at most until the
+// client's next reply from that endpoint. A result-cache hit sends no
+// request.
 func (f *Federation) DataGeneration() uint64 {
-	gen := f.linksGen.Load()
+	gen := f.links.Load().gen
 	for _, m := range f.sources {
 		gen += m.src.Generation()
 	}
@@ -244,10 +244,13 @@ func (f *Federation) SetLinks(links *linkset.Set) {
 		byRight[i] = l.Reversed()
 	}
 	snap := &linkSnapshot{links: links, byLeft: byLeft, byRight: linkset.Sort(byRight)}
-	// Publish before bumping the generation: a result cache that reads the
-	// new generation must never pair it with answers from the old links.
-	f.links.Store(snap)
-	f.linksGen.Add(1)
+	// Swapping against the snapshot gen was counted from keeps concurrent
+	// calls' generations strictly increasing.
+	for old := f.links.Load(); ; old = f.links.Load() {
+		if snap.gen = old.gen + 1; f.links.CompareAndSwap(old, snap) {
+			return
+		}
+	}
 }
 
 // Links returns the active link set — the very set passed to SetLinks, not

@@ -14,6 +14,7 @@ import (
 
 	"alex/internal/endpoint"
 	"alex/internal/rdf"
+	"alex/internal/sparql"
 	"alex/internal/store"
 )
 
@@ -169,10 +170,11 @@ func TestRemoteFreshUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// genCounter is a member that counts the reads of its generation.
+// genCounter is a member that counts the reads of its generation and its
+// matches.
 type genCounter struct {
 	Source
-	reads atomic.Int64
+	reads, matches atomic.Int64
 }
 
 func (g *genCounter) Generation() uint64 {
@@ -180,31 +182,69 @@ func (g *genCounter) Generation() uint64 {
 	return g.Source.Generation()
 }
 
+func (g *genCounter) Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	g.matches.Add(1)
+	return g.Source.Match(ctx, ids, gen, sub, pred, obj, dst)
+}
+
 // TestOneGenerationReadPerRequest: a served federated request reads each
-// member's generation once, whether it misses the result cache, hits it
-// or is served with no cache.
+// member's generation once to look up a result and once to pin the state
+// it evaluates: a hit reads once and matches nothing, a miss reads twice,
+// a request with no cache once. A write that lands between the lookup and
+// the pin is in the rows and in the reply's generation alike, and the
+// entry is then served at that generation.
 func TestOneGenerationReadPerRequest(t *testing.T) {
 	dict := rdf.NewDict()
 	st := store.New("people", dict)
-	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/a"), P: rdf.NewIRI("http://x/p"), O: rdf.NewIRI("http://x/c")})
+	p := rdf.NewIRI("http://x/p")
+	st.Add(rdf.Triple{S: rdf.NewIRI("http://x/a"), P: p, O: rdf.NewIRI("http://x/c")})
 	member := &genCounter{Source: LocalSource(st)}
 	f := New(dict)
 	f.AddSource(member)
+	var inject *rdf.Triple // added by the next lookup, after it reads
+	gen := func() uint64 {
+		g := f.DataGeneration()
+		if inject != nil {
+			st.Add(*inject)
+			inject = nil
+		}
+		return g
+	}
 	query := "/sparql?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
-	cached := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, endpoint.NewQueryCache(endpoint.DefaultCacheConfig(), f.DataGeneration)), nil)
-	uncached := endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, nil), nil)
+	handler := func(cfg endpoint.CacheConfig) http.Handler {
+		return endpoint.NewQueryHandler(CachedEndpointQueryFunc(f, endpoint.NewQueryCache(cfg, gen)), nil)
+	}
+	cached, written := handler(endpoint.DefaultCacheConfig()), handler(endpoint.DefaultCacheConfig())
 	for _, c := range []struct {
-		name string
-		h    http.Handler
-	}{{"miss", cached}, {"hit", cached}, {"no cache", uncached}} {
+		name           string
+		h              http.Handler
+		write          bool
+		reads, matches int64
+	}{
+		{"miss", cached, false, 2, 1},
+		{"hit", cached, false, 1, 0},
+		{"no cache", handler(endpoint.CacheConfig{}), false, 1, 1},
+		{"write after the lookup", written, true, 2, 1},
+		{"hit after the write", written, false, 1, 0},
+	} {
+		if c.write {
+			inject = &rdf.Triple{S: rdf.NewIRI("http://x/b"), P: p, O: rdf.NewIRI("http://x/c")}
+		}
 		member.reads.Store(0)
+		member.matches.Store(0)
 		rec := httptest.NewRecorder()
 		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, query, nil))
+		if r, m := member.reads.Load(), member.matches.Load(); r != c.reads || m != c.matches {
+			t.Errorf("%s: %d generation reads and %d matches, want %d and %d", c.name, r, m, c.reads, c.matches)
+		}
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", c.name, rec.Code, rec.Body)
 		}
-		if n := member.reads.Load(); n != 1 {
-			t.Errorf("%s: %d generation reads, want 1", c.name, n)
+		if got, want := rec.Header().Get("Data-Generation"), fmt.Sprint(f.DataGeneration()); got != want {
+			t.Errorf("%s: generation %s, want %s", c.name, got, want)
+		}
+		if got := strings.Count(rec.Body.String(), `"s":{`); got != st.Len() {
+			t.Errorf("%s: %d rows, want the store's %d", c.name, got, st.Len())
 		}
 	}
 }

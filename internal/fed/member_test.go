@@ -50,9 +50,9 @@ func (s *recordingSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, p
 	return s.Source.Count(ctx, ids, sub, pred, obj)
 }
 
-func (s *recordingSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (s *recordingSource) Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	s.note(ctx, "Match")
-	return s.Source.Match(ctx, ids, sub, pred, obj, dst)
+	return s.Source.Match(ctx, ids, gen, sub, pred, obj, dst)
 }
 
 // recordedFederation is the motivating federation with dbpedia in process
@@ -330,7 +330,7 @@ type matchDownSource struct {
 	release chan struct{}
 }
 
-func (s *matchDownSource) Match(_ context.Context, _ *sparql.IDSpace, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (s *matchDownSource) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	s.mu.Lock()
 	if s.release == nil {
 		s.release = make(chan struct{})

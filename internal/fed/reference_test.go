@@ -103,7 +103,7 @@ func mustCompile(t testing.TB, query string) *sparql.Prepared {
 func checkReference(t testing.TB, f *Federation, query string, complete bool) {
 	t.Helper()
 	ctx, prep := context.Background(), mustCompile(t, query)
-	slots, err := prep.Eval(ctx, sparql.StoreSolver(referenceStore(f)), sparql.EvalOptions{})
+	slots, err := prep.Eval(ctx, sparql.StoreSolver(referenceStore(f).Now()), sparql.EvalOptions{})
 	if err != nil {
 		t.Fatalf("%q: reference: %v", query, err)
 	}

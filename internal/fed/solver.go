@@ -22,14 +22,18 @@ import (
 // engine's fixed-width []rdf.TermID rows plus one trailing provenance
 // column: the id of the interned, sorted set of links the row has used.
 
-// evalState is one query evaluation: the link snapshot it runs against,
-// the link sets its rows have used and its graceful-degradation
-// bookkeeping. It implements sparql.Solver; the evaluation's context
-// arrives with every SolveBGP call. mu guards sets and withLink, which
-// parallel bound-join workers share.
+// evalState is one query evaluation: the link snapshot and member
+// generations it pinned, the link sets its rows have used and its
+// graceful-degradation bookkeeping. It implements sparql.Solver; the
+// evaluation's context arrives with every SolveBGP call. mu guards sets
+// and withLink, which parallel bound-join workers share.
 type evalState struct {
 	f     *Federation
 	links *linkSnapshot
+	// gens[i] is member i's Generation, which it matches at; gen is the
+	// DataGeneration of the pinned state.
+	gens []uint64
+	gen  uint64
 
 	mu sync.Mutex
 	// sets[i] is the link set with provenance id i, sorted by (Left,
@@ -51,9 +55,15 @@ type setLink struct {
 	link linkset.Link
 }
 
-// newEvalState starts an evaluation against the links published now.
+// newEvalState starts an evaluation against the links published now and
+// every member's data as it is now.
 func (f *Federation) newEvalState() *evalState {
-	es := &evalState{f: f, links: f.links.Load(), sets: make([][]linkset.Link, 1)}
+	es := &evalState{f: f, links: f.links.Load(), gens: make([]uint64, len(f.sources)), sets: make([][]linkset.Link, 1)}
+	es.gen = es.links.gen
+	for i, m := range f.sources {
+		es.gens[i] = m.src.Generation()
+		es.gen += es.gens[i]
+	}
 	if f.res.PartialResults {
 		es.skipped = make([]atomic.Uint32, len(f.sources))
 	}
@@ -273,7 +283,7 @@ sources:
 			continue
 		}
 		var err error
-		if buf, err = f.timedMatch(ctx, m, ids, q, buf[:0]); err != nil {
+		if buf, err = es.timedMatch(ctx, m, ids, q, buf[:0]); err != nil {
 			if err = f.degrade(es, m, err); err != nil {
 				return buf, err
 			}
@@ -319,7 +329,7 @@ sources:
 func (es *evalState) matchAlias(ctx context.Context, c sparql.SlotPattern, m *member, ids *sparql.IDSpace, q, probe [3]rdf.TermID, link, also linkset.Link, r []rdf.TermID, out *sparql.Rows, buf []rdf.TripleID, psp *obs.Span) ([]rdf.TripleID, error) {
 	f := es.f
 	f.cRewrites.Inc()
-	buf, err := f.timedMatch(ctx, m, ids, probe, buf[:0])
+	buf, err := es.timedMatch(ctx, m, ids, probe, buf[:0])
 	if err != nil || len(buf) == 0 {
 		return buf, err
 	}
@@ -348,10 +358,12 @@ func (es *evalState) matchAlias(ctx context.Context, c sparql.SlotPattern, m *me
 	return buf, nil
 }
 
-// timedMatch is the member's Match under the fault-tolerance policy
-// (callSource) plus the per-source latency histogram. The clock is only
-// read when an observer is attached. Matches are appended to dst.
-func (f *Federation) timedMatch(ctx context.Context, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+// timedMatch is the member's Match at its pinned generation under the
+// fault-tolerance policy (callSource) plus the per-source latency
+// histogram. The clock is only read when an observer is attached. Matches
+// are appended to dst.
+func (es *evalState) timedMatch(ctx context.Context, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+	f := es.f
 	var t0 time.Time
 	if m.matchNS != nil {
 		t0 = time.Now()
@@ -360,7 +372,7 @@ func (f *Federation) timedMatch(ctx context.Context, m *member, ids *sparql.IDSp
 	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		// Every attempt appends to dst, not out: a retry starts over.
-		out, err = m.src.Match(ctx, ids, q[0], q[1], q[2], dst)
+		out, err = m.src.Match(ctx, ids, es.gens[m.idx], q[0], q[1], q[2], dst)
 		return err
 	})
 	if m.matchNS != nil {

@@ -30,8 +30,10 @@ type Source interface {
 	// evaluation's id space: a source whose triples do not live in the
 	// federation's dictionary (a remote endpoint) converts ids to terms
 	// and back through ids at its wire boundary, and a source that does
-	// can never match an id outside the dictionary.
-	Match(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
+	// can never match an id outside the dictionary. gen is the source's
+	// Generation as its evaluation pinned it: a local source matches its
+	// data as it was then, a remote one ignores it (DESIGN.md row 24).
+	Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 	// Generation moves on every change to the source's data, never back.
 	Generation() uint64
 }
@@ -53,11 +55,11 @@ func (s localSource) Count(_ context.Context, _ *sparql.IDSpace, sub, pred, obj 
 	return float64(s.st.Count(sub, pred, obj)), nil
 }
 
-func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	if !ids.InDict(sub) || !ids.InDict(pred) || !ids.InDict(obj) {
 		return dst, nil
 	}
-	s.st.MatchEach(sub, pred, obj, func(t rdf.TripleID) { dst = append(dst, t) })
+	s.st.At(gen).MatchEach(sub, pred, obj, func(t rdf.TripleID) { dst = append(dst, t) })
 	return dst, nil
 }
 
@@ -73,7 +75,7 @@ func (s localSource) Generation() uint64 { return s.st.Generation() }
 // served from the result cache until a member's generation moves or the
 // link set is swapped. A nil cache prepares and evaluates every request.
 // Replies are encoded from the evaluator's id rows, as a single store's
-// are, and carry the generation the cache read before the evaluation; the
+// are, and carry the generation of the state the evaluation pinned; the
 // links each row used stay in its provenance column, which the results
 // format has no place for.
 func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint.QueryFunc {
@@ -81,12 +83,12 @@ func CachedEndpointQueryFunc(f *Federation, cache *endpoint.QueryCache) endpoint
 		cache = endpoint.NewQueryCache(endpoint.CacheConfig{}, f.DataGeneration)
 	}
 	return func(ctx context.Context, query string) (*endpoint.Result, error) {
-		return cache.Do(ctx, query, func(prep *sparql.Prepared, gen uint64) (*endpoint.Result, error) {
-			rows, _, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
+		return cache.Do(ctx, query, func(prep *sparql.Prepared) (*endpoint.Result, error) {
+			rows, es, skips, err := f.eval(ctx, prep, sparql.EvalOptions{})
 			if err != nil {
 				return nil, err
 			}
-			res := endpoint.FromSlots(prep, rows, gen)
+			res := endpoint.FromSlots(prep, rows, es.gen)
 			res.Partial = len(skips) > 0
 			return res, nil
 		})
@@ -114,7 +116,7 @@ func (s remoteSource) Generation() uint64 { return s.c.Generation() }
 
 // Match renders the bound ids as terms into a one-pattern query over ?s ?p
 // ?o and interns the reply's terms back into the evaluation's id space.
-func (s remoteSource) Match(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
+func (s remoteSource) Match(ctx context.Context, ids *sparql.IDSpace, _ uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	q := [3]rdf.TermID{sub, pred, obj}
 	var nodes [3]sparql.Node
 	for i, name := range [3]string{"s", "p", "o"} {

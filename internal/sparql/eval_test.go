@@ -29,7 +29,7 @@ func peopleStore(t testing.TB) *store.Store {
 // evalStore evaluates a parsed query over one store through the one entry
 // point and decodes the rows.
 func evalStore(ctx context.Context, st *store.Store, q *Query, opts EvalOptions) (*Result, error) {
-	res, err := Compile(q).Eval(ctx, StoreSolver(st), opts)
+	res, err := Compile(q).Eval(ctx, StoreSolver(st.Now()), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +39,7 @@ func evalStore(ctx context.Context, st *store.Store, q *Query, opts EvalOptions)
 // storeProg binds a layout to one store the way (*Prepared).Eval does, for
 // tests that look inside an evaluation.
 func storeProg(st *store.Store, lay *SlotLayout) *slotProg {
-	return &slotProg{solver: StoreSolver(st), ids: newIDSpace(st.Dict()), lay: lay}
+	return &slotProg{solver: StoreSolver(st.Now()), ids: newIDSpace(st.Dict()), lay: lay}
 }
 
 // evalExpr evaluates e under b through the engine's expression evaluator —

@@ -78,25 +78,23 @@ type PathPattern struct {
 
 func (PathPattern) pattern() {}
 
-// pathTargets returns the nodes reachable from `from` along the path
+// pathTargets returns the nodes reachable from `from` along the path in st
 // (deduplicated, deterministic order). inverse=true walks the path
 // backwards (used when only the object end is bound).
-func pathTargets(st *store.Store, p Path, from rdf.TermID, inverse bool) []rdf.TermID {
+func pathTargets(st store.View, p Path, from rdf.TermID, inverse bool) []rdf.TermID {
 	switch p := p.(type) {
 	case PathIRI:
-		id, ok := st.Dict().Lookup(p.IRI)
+		id, ok := st.Store().Dict().Lookup(p.IRI)
 		if !ok {
 			return nil
 		}
-		var matched []rdf.TripleID
+		q := [3]rdf.TermID{from, id, rdf.NoTerm}
 		if inverse {
-			matched = st.Match(rdf.NoTerm, id, from)
-		} else {
-			matched = st.Match(from, id, rdf.NoTerm)
+			q[0], q[2] = rdf.NoTerm, from
 		}
-		out := make([]rdf.TermID, 0, len(matched))
+		var out []rdf.TermID
 		seen := map[rdf.TermID]struct{}{}
-		for _, t := range matched {
+		st.MatchEach(q[0], q[1], q[2], func(t rdf.TripleID) {
 			v := t.O
 			if inverse {
 				v = t.S
@@ -105,7 +103,7 @@ func pathTargets(st *store.Store, p Path, from rdf.TermID, inverse bool) []rdf.T
 				seen[v] = struct{}{}
 				out = append(out, v)
 			}
-		}
+		})
 		return out
 	case PathInverse:
 		return pathTargets(st, p.P, from, !inverse)

@@ -487,7 +487,7 @@ func matchPattern(st *store.Store, tp TriplePattern, binding Binding) []Binding 
 		return nil
 	}
 	var out []Binding
-	st.MatchEach(sID, pID, oID, func(t rdf.TripleID) {
+	st.Now().MatchEach(sID, pID, oID, func(t rdf.TripleID) {
 		// Same variable twice in one pattern (e.g. ?x ?p ?x): the matched
 		// positions must agree. Id equality is term equality.
 		if sVar != "" && (sVar == pVar && t.S != t.P || sVar == oVar && t.S != t.O) {
@@ -700,7 +700,7 @@ func matchPath(st *store.Store, pp PathPattern, row Binding) []Binding {
 	}
 	switch {
 	case sID != rdf.NoTerm:
-		targets := pathTargets(st, pp.P, sID, false)
+		targets := pathTargets(st.Now(), pp.P, sID, false)
 		for _, o := range targets {
 			if oID != rdf.NoTerm && o != oID {
 				continue
@@ -708,14 +708,14 @@ func matchPath(st *store.Store, pp PathPattern, row Binding) []Binding {
 			emit(sID, o)
 		}
 	case oID != rdf.NoTerm:
-		sources := pathTargets(st, pp.P, oID, true)
+		sources := pathTargets(st.Now(), pp.P, oID, true)
 		for _, s := range sources {
 			emit(s, oID)
 		}
 	default:
 		// Both ends unbound: start from every subject in the store.
 		for _, s := range st.Subjects() {
-			for _, o := range pathTargets(st, pp.P, s, false) {
+			for _, o := range pathTargets(st.Now(), pp.P, s, false) {
 				emit(s, o)
 			}
 		}

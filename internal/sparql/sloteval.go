@@ -194,16 +194,17 @@ func (p *slotProg) solveBGP(ctx context.Context, bgp BGP, rows *Rows, sp *obs.Sp
 }
 
 // storeSolver answers basic graph patterns and property paths from one
-// store's indexes: the single-store Solver.
+// store's indexes, read through one view: the single-store Solver.
 type storeSolver struct {
-	st       *store.Store
+	v        store.View
 	reorders *obs.Counter
 }
 
-// StoreSolver returns the Solver that answers from st's indexes, recording
-// into st's registry.
-func StoreSolver(st *store.Store) Solver {
-	return &storeSolver{st: st, reorders: st.Registry().Counter(obs.SparqlPlanReorders)}
+// StoreSolver returns the Solver that answers from v, so that every
+// pattern of an evaluation reads the store at v's generation, recording
+// into the store's registry.
+func StoreSolver(v store.View) Solver {
+	return &storeSolver{v: v, reorders: v.Store().Registry().Counter(obs.SparqlPlanReorders)}
 }
 
 // cancelStride is how many rows the store solver (and a VALUES join) reads
@@ -213,8 +214,8 @@ func StoreSolver(st *store.Store) Solver {
 // single input row writes is the one stretch that is not interrupted.
 const cancelStride = 1024
 
-func (s *storeSolver) Dict() *rdf.Dict                         { return s.st.Dict() }
-func (s *storeSolver) Registry() *obs.Registry                 { return s.st.Registry() }
+func (s *storeSolver) Dict() *rdf.Dict                         { return s.v.Store().Dict() }
+func (s *storeSolver) Registry() *obs.Registry                 { return s.v.Store().Registry() }
 func (s *storeSolver) Provenance() bool                        { return false }
 func (s *storeSolver) MergeProvenance([]rdf.TermID) rdf.TermID { return rdf.NoTerm }
 
@@ -267,7 +268,7 @@ func (s *storeSolver) SolveBGP(ctx context.Context, lay *SlotLayout, ids *IDSpac
 				continue
 			}
 			exec.r = r
-			s.st.MatchEach(sQ, pQ, oQ, emit)
+			s.v.MatchEach(sQ, pQ, oQ, emit)
 		}
 		rows = next
 		psp.SetInt("out", int64(rows.n))
@@ -473,19 +474,19 @@ func (s *storeSolver) SolvePath(ctx context.Context, lay *SlotLayout, _ *IDSpace
 		}
 		switch {
 		case sID != rdf.NoTerm:
-			for _, o := range pathTargets(s.st, pp.P, sID, false) {
+			for _, o := range pathTargets(s.v, pp.P, sID, false) {
 				if oID != rdf.NoTerm && o != oID {
 					continue
 				}
 				emit(sID, o)
 			}
 		case oID != rdf.NoTerm:
-			for _, sub := range pathTargets(s.st, pp.P, oID, true) {
+			for _, sub := range pathTargets(s.v, pp.P, oID, true) {
 				emit(sub, oID)
 			}
 		default:
-			for _, sub := range s.st.Subjects() {
-				for _, o := range pathTargets(s.st, pp.P, sub, false) {
+			for _, sub := range s.v.Subjects() {
+				for _, o := range pathTargets(s.v, pp.P, sub, false) {
 					emit(sub, o)
 				}
 			}
@@ -509,7 +510,7 @@ func (s *storeSolver) resolvePathEnd(lay *SlotLayout, n Node, r []rdf.TermID) (i
 		}
 		return rdf.NoTerm, sl, true
 	}
-	cid, cok := s.st.Dict().Lookup(n.Term)
+	cid, cok := s.v.Store().Dict().Lookup(n.Term)
 	if !cok {
 		return rdf.NoTerm, -1, false
 	}

@@ -251,8 +251,8 @@ func requireSameStore(t *testing.T, got, want *Store) {
 				t.Fatalf("role %d, id %d: Count = %d, want %d", role, id, g, w)
 			}
 			var g, w []rdf.TripleID
-			got.MatchEach(s, p, o, func(tr rdf.TripleID) { g = append(g, tr) })
-			want.MatchEach(s, p, o, func(tr rdf.TripleID) { w = append(w, tr) })
+			got.Now().MatchEach(s, p, o, func(tr rdf.TripleID) { g = append(g, tr) })
+			want.Now().MatchEach(s, p, o, func(tr rdf.TripleID) { w = append(w, tr) })
 			if !slices.Equal(g, w) {
 				t.Fatalf("role %d, id %d: postings %v, want %v", role, id, g, w)
 			}

@@ -221,11 +221,11 @@ func (s *Store) Contains(t rdf.Triple) bool {
 }
 
 // Match returns all triples matching the pattern, where rdf.NoTerm in a
-// position acts as a wildcard: MatchEach collected into a slice, in
-// insertion order.
+// position acts as a wildcard: the view now's MatchEach collected into a
+// slice, in insertion order.
 func (s *Store) Match(subj, pred, obj rdf.TermID) []rdf.TripleID {
 	var out []rdf.TripleID
-	s.MatchEach(subj, pred, obj, func(t rdf.TripleID) { out = append(out, t) })
+	s.Now().MatchEach(subj, pred, obj, func(t rdf.TripleID) { out = append(out, t) })
 	return out
 }
 
@@ -257,14 +257,9 @@ func (s *Store) MatchTerms(subj, pred, obj rdf.Term) []rdf.Triple {
 	return out
 }
 
-// Subjects returns the distinct subjects in first-insertion order.
-func (s *Store) Subjects() []rdf.TermID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]rdf.TermID, len(s.subjects))
-	copy(out, s.subjects)
-	return out
-}
+// Subjects returns a copy of the distinct subjects in first-insertion
+// order.
+func (s *Store) Subjects() []rdf.TermID { return slices.Clone(s.Now().Subjects()) }
 
 // Since returns a copy of the triple log from position pos on: every
 // triple added after the store held pos triples, in insertion order. The
@@ -315,11 +310,38 @@ func (s *Store) Registry() *obs.Registry {
 	return s.reg
 }
 
-// MatchEach calls fn for each triple matching the pattern, in insertion
-// order, without materializing a result slice — the allocation-free
-// counterpart of Match for hot query loops. fn must not call back into the
-// store (the read lock is held across the iteration).
-func (s *Store) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
+// View is a store as it was when it held its first n triples. The store
+// only grows and every posting list holds ascending log positions, so a
+// view's match stops at the first position at or past n, and every read of
+// one view sees the same triples however many are added meanwhile.
+type View struct {
+	s *Store
+	n int
+}
+
+// At returns the store as it was at generation gen, when it held gen
+// triples; a gen past the log is clamped to its length.
+func (s *Store) At(gen uint64) View {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return View{s: s, n: int(min(gen, uint64(len(s.triples))))}
+}
+
+// Now returns the store as it is now.
+func (s *Store) Now() View { return s.At(^uint64(0)) }
+
+// Store returns the viewed store: its dictionary, registry and Count.
+func (v View) Store() *Store { return v.s }
+
+// Generation returns the generation the view reads.
+func (v View) Generation() uint64 { return uint64(v.n) }
+
+// MatchEach calls fn for each triple of the view matching the pattern,
+// rdf.NoTerm being a wildcard, in insertion order: the store's one match
+// loop. fn must not call back into the store (the read lock is held across
+// the iteration).
+func (v View) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
+	s := v.s
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var candidates []int32
@@ -335,14 +357,17 @@ func (s *Store) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
 		candidates = s.ixPred[pred]
 	default:
 		s.probeScan.Inc()
-		for _, t := range s.triples {
+		for _, t := range s.triples[:v.n] {
 			fn(t)
 		}
-		s.matchRows.Add(int64(len(s.triples)))
+		s.matchRows.Add(int64(v.n))
 		return
 	}
 	n := int64(0)
 	for _, pos := range candidates {
+		if int(pos) >= v.n {
+			break
+		}
 		t := s.triples[pos]
 		if subj != rdf.NoTerm && t.S != subj {
 			continue
@@ -357,6 +382,17 @@ func (s *Store) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
 		fn(t)
 	}
 	s.matchRows.Add(n)
+}
+
+// Subjects returns the view's distinct subjects in first-insertion order,
+// a shared prefix of the store's list the caller must not modify: those
+// whose first posting is below n.
+func (v View) Subjects() []rdf.TermID {
+	s := v.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	k := sort.Search(len(s.subjects), func(i int) bool { return int(s.ixSubj[s.subjects[i]][0]) >= v.n })
+	return s.subjects[:k:k]
 }
 
 // Entity is the attribute view of one subject: parallel slices of predicate

@@ -299,7 +299,10 @@ func TestStoreMatchConsistencyProperty(t *testing.T) {
 // Space.setLeftTokens): under a seeded mix of Add, AddID, AddIDs and Load,
 // duplicates included, the previous Subjects() is a prefix of the current
 // one, and each subject's previous Entity is a prefix of its current one
-// in both predicates and objects.
+// in both predicates and objects. It is also what a View relies on: after
+// each step, the view taken before it and At(previous length) match what a
+// fresh store loaded with that log prefix matches, for every pattern shape,
+// and list its subjects.
 func TestStoreOnlyGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	s := New("grow", rdf.NewDict())
@@ -314,9 +317,38 @@ func TestStoreOnlyGrows(t *testing.T) {
 	isPrefix := func(prev, cur []rdf.TermID) bool {
 		return len(prev) <= len(cur) && slices.Equal(prev, cur[:len(prev)])
 	}
+	// checkView compares v with a fresh store holding the log's first n
+	// triples, for each bound/unbound shape over random terms.
+	checkView := func(step int, what string, v View, n int) {
+		t.Helper()
+		fresh := New("fresh", s.Dict())
+		fresh.AddIDs(s.Since(0)[:n])
+		if v.Generation() != uint64(n) || !slices.Equal(v.Subjects(), fresh.Subjects()) {
+			t.Fatalf("step %d, %s: generation %d, subjects %v; want %d, %v", step, what, v.Generation(), v.Subjects(), n, fresh.Subjects())
+		}
+		for shape := 0; shape < 8; shape++ {
+			q := intern(random())
+			if shape&1 == 0 {
+				q.S = rdf.NoTerm
+			}
+			if shape&2 == 0 {
+				q.P = rdf.NoTerm
+			}
+			if shape&4 == 0 {
+				q.O = rdf.NoTerm
+			}
+			var got []rdf.TripleID
+			v.MatchEach(q.S, q.P, q.O, func(t rdf.TripleID) { got = append(got, t) })
+			if want := fresh.Match(q.S, q.P, q.O); !slices.Equal(got, want) {
+				t.Fatalf("step %d, %s: match %v = %v, want %v", step, what, q, got, want)
+			}
+		}
+	}
 	var prevSubs []rdf.TermID
 	prevEnts := map[rdf.TermID]Entity{}
+	prevView := s.Now()
 	for step := 0; step < 300; step++ {
+		prevLen := s.Len()
 		switch op := rng.Intn(4); op {
 		case 0:
 			s.Add(random())
@@ -350,6 +382,12 @@ func TestStoreOnlyGrows(t *testing.T) {
 			prevEnts[subj] = e
 		}
 		prevSubs = subs
+		checkView(step, "view before the step", prevView, prevLen)
+		checkView(step, "At(previous length)", s.At(uint64(prevLen)), prevLen)
+		prevView = s.Now()
+	}
+	if g := s.At(^uint64(0)).Generation(); g != uint64(s.Len()) {
+		t.Errorf("At past the log reads generation %d, want the length %d", g, s.Len())
 	}
 	if s.Len() == 0 || s.Len() == 16*3*10 {
 		t.Errorf("script left %d triples: it should neither stay empty nor fill the term space", s.Len())
