@@ -261,7 +261,11 @@ func buildHandler(cfg config, logw io.Writer) (http.Handler, func() error, error
 			return nil, nil, errors.Join(err, cleanup())
 		}
 		fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
-		scfg.Links = links.Links()
+		if cfg.feedback {
+			scfg.Links = links.Sorted() // the engine's initial candidates
+		} else {
+			federation.SetLinks(links)
+		}
 	}
 	fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))
 	var left, right *store.Store

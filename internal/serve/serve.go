@@ -18,8 +18,9 @@ import (
 )
 
 // Config is what the callers of New set differently. A nil Engine serves
-// Links as static sameAs links; otherwise Links are the initial candidates
-// of an engine over New's left and right stores.
+// the links the caller set on the federation as static sameAs links;
+// otherwise Links are the initial candidates of an engine over New's left
+// and right stores.
 type Config struct {
 	Engine    *core.Config
 	Links     []linkset.Link
@@ -38,16 +39,13 @@ type Node struct {
 	cfg    Config
 }
 
-// New builds the loop over f, whose members the caller has added and
-// whose resilience and parallelism the caller has set, and publishes the
-// initial links.
+// New builds the loop over f, whose members (and, without an engine,
+// links) the caller has set, as its resilience and parallelism, and
+// publishes an engine's initial links.
 func New(f *fed.Federation, left, right *store.Store, cfg Config) *Node {
 	n := &Node{Fed: f, cfg: cfg}
 	f.SetObserver(cfg.Obs)
 	if cfg.Engine == nil {
-		if cfg.Links != nil {
-			f.SetLinks(linkset.FromLinks(cfg.Links))
-		}
 		return n
 	}
 	n.Engine = core.New(left, right, *cfg.Engine)

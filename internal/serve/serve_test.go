@@ -119,7 +119,9 @@ func TestEveryPathRepublishes(t *testing.T) {
 
 func TestStaticLinks(t *testing.T) {
 	pair := datagen.GeneratePair(datagen.DBpediaNYTimes(0.12, 3))
-	n := New(fed.New(pair.Dict, pair.DS1, pair.DS2), nil, nil, Config{Links: pair.Truth.Links()})
+	f := fed.New(pair.Dict, pair.DS1, pair.DS2)
+	f.SetLinks(pair.Truth)
+	n := New(f, nil, nil, Config{})
 	if n.Engine != nil || n.Stream != nil {
 		t.Fatal("a node without an engine config built an engine")
 	}
