@@ -168,12 +168,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeFile creates path and fills it with write. The file's Close error
-// counts: a checkpoint or link file is only written once it is closed.
+// writeFile fills path with write as store.Durable writes a checkpoint:
+// into a temporary file, synced, closed and renamed over path. A write that
+// fails, or a crash, leaves the file that was there whole.
 func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	return errors.Join(write(f), f.Close())
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: the old file is what counts
+	}
+	return err
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -87,6 +89,55 @@ func TestStateRestoredOnSecondRun(t *testing.T) {
 	}
 	if want := "restored state from " + state + " (" + wrote[1] + " links)"; !strings.Contains(log, want) {
 		t.Errorf("second run does not report %q:\n%s", want, log)
+	}
+}
+
+// failAfter is a writer that takes n bytes and then fails.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k, _ := f.w.Write(p[:f.n])
+		f.n -= k
+		return k, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return f.w.Write(p)
+}
+
+// TestFailedSaveKeepsCheckpoint: a checkpoint save that fails after half
+// its bytes leaves the old checkpoint as it was, and the next run restores
+// it.
+func TestFailedSaveKeepsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	left, right, truth := writePair(t, dir)
+	state := filepath.Join(dir, "alex.state")
+	args := []string{"-left", left, "-right", right, "-truth", truth, "-state", state, "-out", filepath.Join(dir, "links.nt")}
+	if code, log := alexlink(args...); code != 0 {
+		t.Fatalf("first run: exit %d\n%s", code, log)
+	}
+	old, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = writeFile(state, func(w io.Writer) error {
+		_, err := (&failAfter{w: w, n: len(old) / 2}).Write(old)
+		return err
+	})
+	if err == nil {
+		t.Fatal("a save whose writer fails reported no error")
+	}
+	if now, err := os.ReadFile(state); err != nil || !bytes.Equal(now, old) {
+		t.Fatalf("after the failed save the checkpoint is %d bytes (%v), want the old %d", len(now), err, len(old))
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 5 {
+		t.Errorf("the failed save left files behind: %v", entries)
+	}
+	if code, log := alexlink(args...); code != 0 || !strings.Contains(log, "restored state from "+state) {
+		t.Errorf("second run: exit %d, want the old checkpoint restored:\n%s", code, log)
 	}
 }
 
