@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *stateF != "" {
-		if err := writeFile(*stateF, engine.SaveState); err != nil {
+		if err := store.WriteFile(*stateF, engine.SaveState); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "saved state to %s\n", *stateF)
@@ -159,36 +159,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out == "" {
 		err = writeLinks(stdout)
 	} else {
-		err = writeFile(*out, writeLinks)
+		err = store.WriteFile(*out, writeLinks)
 	}
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stderr, "wrote %d links\n", links.Len())
 	return 0
-}
-
-// writeFile fills path with write as store.Durable writes a checkpoint:
-// into a temporary file, synced, closed and renamed over path. A write that
-// fails, or a crash, leaves the file that was there whole.
-func writeFile(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp) // best effort: the old file is what counts
-	}
-	return err
 }

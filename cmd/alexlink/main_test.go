@@ -13,6 +13,7 @@ import (
 
 	"alex/internal/datagen"
 	"alex/internal/rdf"
+	"alex/internal/store"
 )
 
 // writePair writes a small generated DBpedia/NYTimes pair and its ground
@@ -123,7 +124,7 @@ func TestFailedSaveKeepsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = writeFile(state, func(w io.Writer) error {
+	err = store.WriteFile(state, func(w io.Writer) error {
 		_, err := (&failAfter{w: w, n: len(old) / 2}).Write(old)
 		return err
 	})

@@ -287,35 +287,48 @@ func (d *Durable) Checkpoint() error {
 
 func (d *Durable) checkpointLocked() error {
 	next := d.epoch + 1
-	tmp := d.snap + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint %s: %w", d.s.Name(), err)
-	}
-	cw := &countingWriter{w: f}
+	var cw countingWriter
 	d.s.mu.RLock()
-	werr := d.s.writeSnapshotLocked(cw, next)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, d.snap)
-	}
-	if werr == nil {
-		werr = d.wal.reset(next)
+	err := WriteFile(d.snap, func(w io.Writer) error {
+		cw.w = w
+		return d.s.writeSnapshotLocked(&cw, next)
+	})
+	if err == nil {
+		err = d.wal.reset(next)
 	}
 	d.s.mu.RUnlock()
-	if werr != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint %s: %w", d.s.Name(), werr)
+	if err != nil {
+		return fmt.Errorf("store: checkpoint %s: %w", d.s.Name(), err)
 	}
 	d.epoch = next
 	d.cSnapWrites.Inc()
 	d.cSnapBytes.Add(cw.n)
 	return nil
+}
+
+// WriteFile replaces path with what write writes, crash-safely: into
+// path+".tmp", synced, closed and renamed over path. On any failure the
+// temporary file is removed and path is left whole, as it was.
+func WriteFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: path is what counts
+	}
+	return err
 }
 
 // MaybeRotate checkpoints when the log has grown past RotateBytes,
