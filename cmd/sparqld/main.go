@@ -261,11 +261,8 @@ func buildHandler(cfg config, logw io.Writer) (http.Handler, func() error, error
 			return nil, nil, errors.Join(err, cleanup())
 		}
 		fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
-		if cfg.feedback {
-			scfg.Links = links.Sorted() // the engine's initial candidates
-		} else {
-			federation.SetLinks(links)
-		}
+		federation.SetLinks(links)
+		scfg.Links = links.Sorted() // an engine's initial candidates
 	}
 	fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))
 	var left, right *store.Store
