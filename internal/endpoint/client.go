@@ -76,9 +76,8 @@ type Result struct {
 	// Partial marks an answer computed while a federation member was
 	// skipped; the result cache serves it but never stores it.
 	Partial bool
-	// Generation is the data generation the evaluation read, and the one
-	// the result cache stores it under; a handler sends it in a header, the
-	// Client reads it back (0 if none).
+	// Generation is the data generation the evaluation read; a handler
+	// sends it in a header, the Client reads it back (0 if none).
 	Generation uint64
 
 	slots *sparql.SlotResult

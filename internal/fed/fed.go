@@ -181,11 +181,10 @@ func New(dict *rdf.Dict, stores ...*store.Store) *Federation {
 // Generation: each is monotonic, so the sum strictly increases on every
 // change to the federation's data and never revisits a value, and result
 // caches keyed on it (endpoint.NewQueryCache) compare for exact equality.
-// An evaluation pins the same parts once and tags its reply with their sum
-// (evalState.gen). A remote member's part moves when a reply from its
-// endpoint carries a new generation, so it is stale at most until the
-// client's next reply from that endpoint. A result-cache hit sends no
-// request.
+// An evaluation pins the same parts once and tags its reply with their sum.
+// A remote member's part moves when a reply from its endpoint carries a new
+// generation, so it is stale at most until the client's next reply from
+// that endpoint. A result-cache hit sends no request.
 func (f *Federation) DataGeneration() uint64 {
 	gen := f.links.Load().gen
 	for _, m := range f.sources {

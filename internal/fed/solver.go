@@ -55,8 +55,7 @@ type setLink struct {
 	link linkset.Link
 }
 
-// newEvalState starts an evaluation against the links published now and
-// every member's data as it is now.
+// newEvalState pins the links and every member's generation as they are now.
 func (f *Federation) newEvalState() *evalState {
 	es := &evalState{f: f, links: f.links.Load(), gens: make([]uint64, len(f.sources)), sets: make([][]linkset.Link, 1)}
 	es.gen = es.links.gen
@@ -359,9 +358,8 @@ func (es *evalState) matchAlias(ctx context.Context, c sparql.SlotPattern, m *me
 }
 
 // timedMatch is the member's Match at its pinned generation under the
-// fault-tolerance policy (callSource) plus the per-source latency
-// histogram. The clock is only read when an observer is attached. Matches
-// are appended to dst.
+// fault-tolerance policy (callSource) plus the per-source latency histogram,
+// read only with an observer attached. Matches are appended to dst.
 func (es *evalState) timedMatch(ctx context.Context, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
 	f := es.f
 	var t0 time.Time

@@ -83,8 +83,7 @@ func (p *Prepared) Eval(ctx context.Context, s Solver, opts EvalOptions) (*SlotR
 }
 
 // EvalSlots is Eval against one store as it is now, without a deadline or
-// options: the shorthand for callers that have no request to take a
-// context from.
+// options: for callers that have no request to take a context from.
 func (p *Prepared) EvalSlots(st *store.Store) (*SlotResult, error) {
 	return p.Eval(context.Background(), StoreSolver(st.Now()), EvalOptions{})
 }

@@ -200,9 +200,8 @@ type storeSolver struct {
 	reorders *obs.Counter
 }
 
-// StoreSolver returns the Solver that answers from v, so that every
-// pattern of an evaluation reads the store at v's generation, recording
-// into the store's registry.
+// StoreSolver returns the Solver that answers every pattern from v, the
+// store at one generation, recording into the store's registry.
 func StoreSolver(v store.View) Solver {
 	return &storeSolver{v: v, reorders: v.Store().Registry().Counter(obs.SparqlPlanReorders)}
 }

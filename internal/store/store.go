@@ -257,8 +257,7 @@ func (s *Store) MatchTerms(subj, pred, obj rdf.Term) []rdf.Triple {
 	return out
 }
 
-// Subjects returns a copy of the distinct subjects in first-insertion
-// order.
+// Subjects returns a copy of the view now's subjects.
 func (s *Store) Subjects() []rdf.TermID { return slices.Clone(s.Now().Subjects()) }
 
 // Since returns a copy of the triple log from position pos on: every
@@ -321,11 +320,7 @@ type View struct {
 
 // At returns the store as it was at generation gen, when it held gen
 // triples; a gen past the log is clamped to its length.
-func (s *Store) At(gen uint64) View {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return View{s: s, n: int(min(gen, uint64(len(s.triples))))}
-}
+func (s *Store) At(gen uint64) View { return View{s: s, n: int(min(gen, uint64(s.Len())))} }
 
 // Now returns the store as it is now.
 func (s *Store) Now() View { return s.At(^uint64(0)) }
