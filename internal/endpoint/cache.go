@@ -50,8 +50,9 @@ type QueryCache struct {
 }
 
 // NewQueryCache builds a cache over generation, which must return a value
-// that changes on every mutation of the underlying data (store.Generation
-// for a single store, Federation.DataGeneration for the federated path).
+// that changes on every mutation of the underlying data and is the
+// Generation a result evaluated now carries (store.Generation for a single
+// store, Federation.DataGeneration for the federated path).
 func NewQueryCache(cfg CacheConfig, generation func() uint64) *QueryCache {
 	c := &QueryCache{cfg: cfg, gen: generation}
 	if cfg.PreparedSize > 0 {

@@ -218,7 +218,9 @@ func TestNodeReplyIsTheStateItNames(t *testing.T) {
 		return f, New(f, nil, nil, Config{Cache: cache}).Handler(nil)
 	}
 	queries := append(slices.Clone(storeQueries[:3]),
-		stateQuery{`SELECT ?e ?l WHERE { ?e <http://x/name> ?n . ?e <http://y/label> ?l }`, false},
+		// ?e is not projected: a sameAs join binds it to the end the plan
+		// reached first, and the plan follows the live counts.
+		stateQuery{`SELECT ?n ?l WHERE { ?e <http://x/name> ?n . ?e <http://y/label> ?l }`, false},
 		stateQuery{`SELECT ?s ?o WHERE { ?s <http://x/name> ?o } ORDER BY ?s ?o`, true})
 	f, cached := node(people, endpoint.DefaultCacheConfig())
 	_, uncached := node(people, endpoint.CacheConfig{})
