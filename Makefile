@@ -39,7 +39,10 @@ test-short:
 # TestConcurrentQueriesAndFeedback (/sparql readers beside flushed /feedback
 # writers on one served node; one reader's /debug/trace joins run four
 # bound-join workers that write spans into its trace while the writers'
-# episodes add theirs to the registry), internal/traffic's streaming runs
+# episodes add theirs to the registry) and its TestStoreReplyIsTheStateItNames
+# and TestNodeReplyIsTheStateItNames (readers of one store and of a
+# two-store node beside a writer's Add and AddIDs: every reply equals the
+# log prefix its Data-Generation names), internal/traffic's streaming runs
 # (live_upsert and feedback_http ops syncing the stores under the engine
 # lock beside the node's HTTP server) and cmd/sparqld's
 # TestSaturationSheds503 (admission shedding under concurrent polls).
