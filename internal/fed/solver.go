@@ -30,8 +30,7 @@ import (
 type evalState struct {
 	f     *Federation
 	links *linkSnapshot
-	// gens[i] is member i's Generation, which it matches at; gen is the
-	// DataGeneration of the pinned state.
+	// gens[i] is member i's pinned Generation, gen the pinned DataGeneration.
 	gens []uint64
 	gen  uint64
 
@@ -361,13 +360,12 @@ func (es *evalState) matchAlias(ctx context.Context, c sparql.SlotPattern, m *me
 // fault-tolerance policy (callSource) plus the per-source latency histogram,
 // read only with an observer attached. Matches are appended to dst.
 func (es *evalState) timedMatch(ctx context.Context, m *member, ids *sparql.IDSpace, q [3]rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
-	f := es.f
 	var t0 time.Time
 	if m.matchNS != nil {
 		t0 = time.Now()
 	}
 	out := dst
-	err := f.callSource(ctx, m, func(ctx context.Context) error {
+	err := es.f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
 		// Every attempt appends to dst, not out: a retry starts over.
 		out, err = m.src.Match(ctx, ids, es.gens[m.idx], q[0], q[1], q[2], dst)

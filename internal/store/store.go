@@ -231,25 +231,18 @@ func (s *Store) Match(subj, pred, obj rdf.TermID) []rdf.TripleID {
 
 // MatchTerms is Match over materialized terms; zero Terms are wildcards.
 func (s *Store) MatchTerms(subj, pred, obj rdf.Term) []rdf.Triple {
-	lookup := func(t rdf.Term) (rdf.TermID, bool) {
+	var q [3]rdf.TermID // a zero term stays rdf.NoTerm, the wildcard
+	for i, t := range [3]rdf.Term{subj, pred, obj} {
 		if t.IsZero() {
-			return rdf.NoTerm, true
+			continue
 		}
-		return s.dict.Lookup(t)
+		id, ok := s.dict.Lookup(t)
+		if !ok {
+			return nil
+		}
+		q[i] = id
 	}
-	sID, ok := lookup(subj)
-	if !ok {
-		return nil
-	}
-	pID, ok := lookup(pred)
-	if !ok {
-		return nil
-	}
-	oID, ok := lookup(obj)
-	if !ok {
-		return nil
-	}
-	ids := s.Match(sID, pID, oID)
+	ids := s.Match(q[0], q[1], q[2])
 	out := make([]rdf.Triple, len(ids))
 	for i, id := range ids {
 		out[i] = s.dict.Materialize(id)
@@ -318,12 +311,12 @@ type View struct {
 	n int
 }
 
-// At returns the store as it was at generation gen, when it held gen
-// triples; a gen past the log is clamped to its length.
-func (s *Store) At(gen uint64) View { return View{s: s, n: int(min(gen, uint64(s.Len())))} }
+// At returns the store as it was when it held gen triples, without a
+// lock: gen must be at most Generation, as a pinned one always is.
+func (s *Store) At(gen uint64) View { return View{s: s, n: int(gen)} }
 
 // Now returns the store as it is now.
-func (s *Store) Now() View { return s.At(^uint64(0)) }
+func (s *Store) Now() View { return View{s: s, n: s.Len()} }
 
 // Store returns the viewed store: its dictionary, registry and Count.
 func (v View) Store() *Store { return v.s }

@@ -386,9 +386,6 @@ func TestStoreOnlyGrows(t *testing.T) {
 		checkView(step, "At(previous length)", s.At(uint64(prevLen)), prevLen)
 		prevView = s.Now()
 	}
-	if g := s.At(^uint64(0)).Generation(); g != uint64(s.Len()) {
-		t.Errorf("At past the log reads generation %d, want the length %d", g, s.Len())
-	}
 	if s.Len() == 0 || s.Len() == 16*3*10 {
 		t.Errorf("script left %d triples: it should neither stay empty nor fill the term space", s.Len())
 	}
