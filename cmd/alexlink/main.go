@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *stateF != "" {
-		if err := store.WriteFile(*stateF, engine.SaveState); err != nil {
+		if err := saveState(*stateF, engine.SaveState); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "saved state to %s\n", *stateF)
@@ -159,11 +159,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out == "" {
 		err = writeLinks(stdout)
 	} else {
-		err = store.WriteFile(*out, writeLinks)
+		err = writeFile(*out, writeLinks)
 	}
 	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(stderr, "wrote %d links\n", links.Len())
 	return 0
+}
+
+// saveState replaces the -state checkpoint: a failed save leaves the old.
+var saveState = store.WriteFile
+
+// writeFile creates path and fills it with write. The file's Close error
+// counts: a checkpoint or link file is only written once it is closed.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

@@ -13,7 +13,6 @@ import (
 
 	"alex/internal/datagen"
 	"alex/internal/rdf"
-	"alex/internal/store"
 )
 
 // writePair writes a small generated DBpedia/NYTimes pair and its ground
@@ -109,9 +108,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	return f.w.Write(p)
 }
 
-// TestFailedSaveKeepsCheckpoint: a checkpoint save that fails after half
-// its bytes leaves the old checkpoint as it was, and the next run restores
-// it.
+// TestFailedSaveKeepsCheckpoint: a -state save (run's saveState) that
+// fails after half its bytes leaves the old checkpoint as it was and no
+// temporary file, and the next run restores it.
 func TestFailedSaveKeepsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	left, right, truth := writePair(t, dir)
@@ -124,7 +123,7 @@ func TestFailedSaveKeepsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = store.WriteFile(state, func(w io.Writer) error {
+	err = saveState(state, func(w io.Writer) error {
 		_, err := (&failAfter{w: w, n: len(old) / 2}).Write(old)
 		return err
 	})
@@ -134,8 +133,8 @@ func TestFailedSaveKeepsCheckpoint(t *testing.T) {
 	if now, err := os.ReadFile(state); err != nil || !bytes.Equal(now, old) {
 		t.Fatalf("after the failed save the checkpoint is %d bytes (%v), want the old %d", len(now), err, len(old))
 	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 5 {
-		t.Errorf("the failed save left files behind: %v", entries)
+	if _, err := os.Stat(state + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the failed save left its temporary file behind (%v)", err)
 	}
 	if code, log := alexlink(args...); code != 0 || !strings.Contains(log, "restored state from "+state) {
 		t.Errorf("second run: exit %d, want the old checkpoint restored:\n%s", code, log)
