@@ -261,7 +261,9 @@ func buildHandler(cfg config, logw io.Writer) (http.Handler, func() error, error
 			return nil, nil, errors.Join(err, cleanup())
 		}
 		fmt.Fprintf(logw, "loaded %d sameAs links\n", links.Len())
-		federation.SetLinks(links)
+		if !cfg.feedback {
+			federation.SetLinks(links)
+		}
 		scfg.Links = links.Sorted() // an engine's initial candidates
 	}
 	fmt.Fprintf(logw, "serving a federation of %d sources\n", len(stores))

@@ -17,10 +17,9 @@ import (
 	"alex/internal/store"
 )
 
-// Config is what the callers of New set differently. A nil Engine serves
-// the links the caller set on the federation as static sameAs links;
-// otherwise Links are the initial candidates of an engine over New's left
-// and right stores.
+// Config is what the callers of New set differently. Links are the initial
+// candidates of an engine over New's left and right stores; with a nil
+// Engine, New serves the static links the caller set on the federation.
 type Config struct {
 	Engine    *core.Config
 	Links     []linkset.Link

@@ -319,10 +319,7 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	if err == nil {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
+	if err = errors.Join(err, f.Close()); err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
