@@ -231,18 +231,25 @@ func (s *Store) Match(subj, pred, obj rdf.TermID) []rdf.TripleID {
 
 // MatchTerms is Match over materialized terms; zero Terms are wildcards.
 func (s *Store) MatchTerms(subj, pred, obj rdf.Term) []rdf.Triple {
-	var q [3]rdf.TermID // a zero term stays rdf.NoTerm, the wildcard
-	for i, t := range [3]rdf.Term{subj, pred, obj} {
+	lookup := func(t rdf.Term) (rdf.TermID, bool) {
 		if t.IsZero() {
-			continue
+			return rdf.NoTerm, true
 		}
-		id, ok := s.dict.Lookup(t)
-		if !ok {
-			return nil
-		}
-		q[i] = id
+		return s.dict.Lookup(t)
 	}
-	ids := s.Match(q[0], q[1], q[2])
+	sID, ok := lookup(subj)
+	if !ok {
+		return nil
+	}
+	pID, ok := lookup(pred)
+	if !ok {
+		return nil
+	}
+	oID, ok := lookup(obj)
+	if !ok {
+		return nil
+	}
+	ids := s.Match(sID, pID, oID)
 	out := make([]rdf.Triple, len(ids))
 	for i, id := range ids {
 		out[i] = s.dict.Materialize(id)
