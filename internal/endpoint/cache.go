@@ -92,17 +92,22 @@ func (c *QueryCache) Do(ctx context.Context, query string, eval func(prep *sparq
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-	if c.results != nil {
-		if res, ok := c.lookupResult(ctx, prep.Key, c.gen()); ok {
-			return res, nil
-		}
+	if c.results == nil {
+		return eval(prep)
+	}
+	if res, ok := c.lookupResult(ctx, prep.Key, c.gen()); ok {
+		return res, nil
 	}
 	res, err := eval(prep)
 	if err != nil {
 		return nil, err
 	}
 	if !res.Partial {
-		c.storeResult(prep.Key, res)
+		c.mu.Lock()
+		if c.results.add(prep.Key, res) {
+			c.rEvict.Inc()
+		}
+		c.mu.Unlock()
 	}
 	return res, nil
 }
@@ -161,18 +166,6 @@ func (c *QueryCache) lookupResult(ctx context.Context, key string, gen uint64) (
 	c.rHits.Inc()
 	sp.SetStr("cache", "hit")
 	return v.(*Result), true
-}
-
-// storeResult caches res for key at the generation it carries.
-func (c *QueryCache) storeResult(key string, res *Result) {
-	if c.results == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.results.add(key, res) {
-		c.rEvict.Inc()
-	}
 }
 
 // CachedStoreQueryFunc returns a QueryFunc over st that consults cache.
