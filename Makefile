@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/fed/    -run '^$$' -fuzz '^FuzzFederationMatchesStore$$' -fuzztime 10s
 	$(GO) test ./internal/fed/    -run '^$$' -fuzz '^FuzzFederationMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzReadSnapshot$$'  -fuzztime 10s
+	$(GO) test ./internal/store/  -run '^$$' -fuzz '^FuzzStoreModel$$' -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzGeneric$$'  -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzJaro$$'     -fuzztime 10s
 	$(GO) test ./internal/sim/    -run '^$$' -fuzz '^FuzzStringSim$$' -fuzztime 10s
