@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"alex/internal/endpoint"
+	"alex/internal/obs"
 	"alex/internal/rdf"
 	"alex/internal/sparql"
 	"alex/internal/store"
@@ -245,6 +246,87 @@ func TestOneGenerationReadPerRequest(t *testing.T) {
 		}
 		if got := strings.Count(rec.Body.String(), `"s":{`); got != st.Len() {
 			t.Errorf("%s: %d rows, want the store's %d", c.name, got, st.Len())
+		}
+	}
+}
+
+// writeAfterPin is a member whose next generation read, the one an
+// evaluation pins, is followed by a write to its store.
+type writeAfterPin struct {
+	Source
+	st    *store.Store
+	write []rdf.Triple
+}
+
+func (w *writeAfterPin) Generation() uint64 {
+	g := w.Source.Generation()
+	w.st.Load(w.write)
+	w.write = nil
+	return g
+}
+
+// TestPinnedFederationPlansByItsCounts: a federated evaluation selects
+// sources and orders patterns by the counts of the generation it pinned,
+// so a write that lands after the pin changes neither its plan nor its
+// rows: both equal those of a federation over a fresh store of the prefix.
+func TestPinnedFederationPlansByItsCounts(t *testing.T) {
+	triple := func(s, p, o string) rdf.Triple {
+		return rdf.Triple{S: rdf.NewIRI("http://x/" + s), P: rdf.NewIRI("http://x/" + p), O: rdf.NewString(o)}
+	}
+	var prefix, later []rdf.Triple
+	for i := 0; i < 5; i++ {
+		prefix = append(prefix, triple(fmt.Sprint("e", i), "q", fmt.Sprint("q", i)))
+	}
+	for i := 0; i < 14; i++ {
+		tr := triple(fmt.Sprint("e", i), "p", fmt.Sprint("p", i))
+		if i < 2 {
+			prefix = append(prefix, tr)
+		} else {
+			later = append(later, tr, triple(fmt.Sprint("e", i), "r", "late"))
+		}
+	}
+	run := func(f *Federation, query string) string {
+		t.Helper()
+		q, err := sparql.Parse(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("query")
+		res, err := f.Eval(obs.WithTrace(context.Background(), tr), sparql.Compile(q), sparql.EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, sp := range tr.Root().FindAll("plan") {
+			for _, step := range sp.Children() {
+				tp, _ := step.Str("tp")
+				sources, _ := step.Str("sources")
+				fmt.Fprintf(&b, "step: %s @ {%s}\n", tp, sources)
+			}
+		}
+		renderResult(&b, f, res)
+		return b.String()
+	}
+	for _, query := range []string{
+		`SELECT ?x ?y ?z WHERE { ?x <http://x/q> ?z . ?x <http://x/p> ?y }`,
+		`SELECT ?x ?y ?z WHERE { ?x <http://x/p> ?y . ?x <http://x/q> ?z }`,
+		`SELECT ?x ?w WHERE { ?x <http://x/p> ?y . ?x <http://x/r> ?w }`,
+	} {
+		freshDict := rdf.NewDict()
+		fresh := store.New("people", freshDict)
+		fresh.Load(prefix)
+		want := run(New(freshDict, fresh), query)
+
+		dict := rdf.NewDict()
+		grown := store.New("people", dict)
+		grown.Load(prefix)
+		f := New(dict)
+		f.AddSource(&writeAfterPin{Source: LocalSource(grown), st: grown, write: later})
+		if got := run(f, query); got != want {
+			t.Errorf("%s\npinned evaluation:\n%s\nfresh federation of the prefix:\n%s", query, got, want)
+		}
+		if grown.Len() != len(prefix)+len(later) {
+			t.Fatalf("the write after the pin did not land: %d triples", grown.Len())
 		}
 	}
 }
