@@ -180,3 +180,28 @@ func TestNTriplesTermGrammar(t *testing.T) {
 		}
 	}
 }
+
+// TestParseNTriplesCopiesNoLine: parsing at one worker allocates as many
+// objects for 2,000 statements as for 1,000. Terms are slices of the
+// document's one copy, and the triples go into one slice sized by the line
+// count. (A literal with an escape is unescaped into a string of its own;
+// the fixture has none.)
+func TestParseNTriplesCopiesNoLine(t *testing.T) {
+	block := `<http://x/s> <http://x/p> <http://x/o> .
+_:b1 <http://x/p> "lit"@en .
+<http://x/s> <http://x/q> "5"^^<` + XSDInteger + `> .
+# a comment
+
+`
+	allocs := func(blocks int) float64 {
+		doc := []byte(strings.Repeat(block, blocks))
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := ParseNTriples(doc, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000/3), allocs(2000/3); small != large {
+		t.Errorf("ParseNTriples allocates %v objects for ~1,000 statements and %v for ~2,000", small, large)
+	}
+}
