@@ -309,11 +309,11 @@ func TestServerConstruct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	triples, _, err := rdf.ParseNTriples(body, 1)
+	chunks, err := rdf.ParseNTriples(body, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(triples) != 2 {
+	if triples := chunks[0]; len(triples) != 2 {
 		t.Errorf("triples = %v", triples)
 	}
 }

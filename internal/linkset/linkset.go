@@ -120,14 +120,16 @@ func LoadSameAs(dict *rdf.Dict, path string) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	triples, _, err := rdf.ParseNTriples(data, 1)
+	chunks, err := rdf.ParseNTriples(data, 1)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	var links []Link
-	for _, t := range triples {
-		if t.P.Value == rdf.OWLSameAs {
-			links = append(links, Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
+	for _, ts := range chunks {
+		for _, t := range ts {
+			if t.P.Value == rdf.OWLSameAs {
+				links = append(links, Link{Left: dict.Intern(t.S), Right: dict.Intern(t.O)})
+			}
 		}
 	}
 	return FromLinks(links), nil

@@ -3,11 +3,13 @@ package rdf
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Binary term codec shared by the store's snapshot and WAL formats. The
 // encoding is a kind byte followed by uvarint-length-prefixed fields:
-// Value always, Datatype and Lang only for literals (mirroring Term.key).
+// Value always, Datatype and Lang only for literals. It is also the
+// dictionary's key for a term.
 // It is self-contained — no dictionary required to decode — so a WAL
 // record can be replayed into any dict and a snapshot's dict block can be
 // interned into any dict. Each term has exactly one encoding: the decoder
@@ -28,6 +30,26 @@ func AppendTermBinary(buf []byte, t Term) []byte {
 	}
 	return buf
 }
+
+// termIn returns t with its strings cut from k, t's binary encoding, so the
+// returned term shares its bytes with k alone.
+func termIn(k string, t Term) Term {
+	off := 1
+	field := func(n int) string {
+		off += uvarintLen(uint64(n))
+		off += n
+		return k[off-n : off]
+	}
+	out := Term{Kind: t.Kind, Value: field(len(t.Value))}
+	if t.Kind == KindLiteral {
+		out.Datatype = field(len(t.Datatype))
+		out.Lang = field(len(t.Lang))
+	}
+	return out
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func appendBinField(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

@@ -14,7 +14,7 @@ import (
 // assigned, even when many goroutines race to intern it — concurrent Intern
 // calls for the same term all return that single id, and a Lookup that
 // observes an id observes the same id every Intern returns. Ids are assigned
-// in first-intern order, InternAll's batches included, so a serial caller
+// in first-intern order, InternTriples' batches included, so a serial caller
 // gets the same dense 1..N assignment whichever of the two it calls.
 //
 // Term, Len and Materialize read the term store without taking any lock
@@ -86,56 +86,67 @@ func NewDict() *Dict {
 	return d
 }
 
+// keyBufSize is the stack buffer a term's intern key is built in; only a
+// longer key is built on the heap.
+const keyBufSize = 256
+
 // Intern returns the id for t, assigning a fresh id on first sight. The
 // check-then-insert is atomic: racing Intern calls for the same term return
-// one id.
+// one id. A hit allocates nothing.
 func (d *Dict) Intern(t Term) TermID {
-	k := t.key()
+	var buf [keyBufSize]byte
+	key := AppendTermBinary(buf[:0], t)
 	d.mu.RLock()
-	id, ok := d.byKey[k]
+	id, ok := d.byKey[string(key)]
 	d.mu.RUnlock()
 	if ok {
 		return id
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if id, ok = d.byKey[k]; ok {
+	return d.internLocked(key, t)
+}
+
+// InternTriples interns the S, P and O terms of every triple of every
+// chunk, in order, under one write lock, and appends the triples' ids to
+// dst: exactly what an Intern loop over the terms would assign. No string
+// the dictionary keeps points into the chunks: a new term is stored as one
+// copy of its key.
+func (d *Dict) InternTriples(dst []TripleID, chunks ...[]Triple) []TripleID {
+	var buf [keyBufSize]byte
+	id := func(t Term) TermID { return d.internLocked(AppendTermBinary(buf[:0], t), t) }
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, ts := range chunks {
+		for _, t := range ts {
+			dst = append(dst, TripleID{S: id(t.S), P: id(t.P), O: id(t.O)})
+		}
+	}
+	return dst
+}
+
+// internLocked returns the id of t, whose key is key, assigning the next id
+// on first sight. The caller holds the write lock. A new term costs one
+// allocation: a copy of key, which becomes the map key and, sliced, the
+// stored term's strings, so the dictionary shares no bytes with t.
+func (d *Dict) internLocked(key []byte, t Term) TermID {
+	if id, ok := d.byKey[string(key)]; ok {
 		return id
 	}
-	id = d.terms.append(t)
+	k := string(key)
+	id := d.terms.append(termIn(k, t))
 	d.byKey[k] = id
 	return id
 }
 
-// InternAll interns every term under one write lock and returns the ids in
-// input order. It assigns exactly what a sequential Intern loop over terms
-// would: misses take the next ids in input order. Keys are built in one
-// reused buffer, so only the keys of new terms are allocated.
-func (d *Dict) InternAll(terms []Term) []TermID {
-	ids := make([]TermID, len(terms))
-	var key []byte
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i, t := range terms {
-		key = AppendTermBinary(key[:0], t)
-		id, ok := d.byKey[string(key)]
-		if !ok {
-			id = d.terms.append(t)
-			d.byKey[string(key)] = id
-		}
-		ids[i] = id
-	}
-	return ids
-}
-
 // InternEncoded interns a block of n binary-encoded terms (see
 // AppendTermBinary) under one write lock and returns their ids in block
-// order: exactly what InternAll over the decoded terms assigns, into an
+// order: exactly what an Intern loop over the decoded terms assigns, into an
 // empty dictionary or a shared one. A term's intern key IS its binary
 // encoding, so the block needs no per-term key or decode allocation: new
 // keys and terms are substrings of block, which the dictionary then pins.
 // A malformed term or trailing bytes return an error; the terms before the
-// fault stay interned, as InternAll over them would have left them.
+// fault stay interned, as an Intern loop over them would have left them.
 func (d *Dict) InternEncoded(block string, n int) ([]TermID, error) {
 	// Every encoded term takes at least two bytes, so a larger n cannot
 	// be met and must not size an allocation.
@@ -170,12 +181,13 @@ func (d *Dict) InternEncoded(block string, n int) ([]TermID, error) {
 func (d *Dict) InternIRI(iri string) TermID { return d.Intern(NewIRI(iri)) }
 
 // Lookup returns the id for t without interning. The second return is false
-// when the term has never been interned.
+// when the term has never been interned. It allocates nothing.
 func (d *Dict) Lookup(t Term) (TermID, bool) {
-	k := t.key()
+	var buf [keyBufSize]byte
+	key := AppendTermBinary(buf[:0], t)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	id, ok := d.byKey[k]
+	id, ok := d.byKey[string(key)]
 	return id, ok
 }
 

@@ -73,7 +73,9 @@ const maxDictScript = 256
 //
 //	0, 1  Intern(term)
 //	2     Lookup(term)
-//	3     InternAll(batch): a length byte (mod 16), then that many terms
+//	3     InternTriples(batch): a length byte, then (length mod 8) triples
+//	      of three terms; the length's high nibble (mod the batch length
+//	      plus one) is where the batch splits into two chunks
 //	4     Term(id) for an id byte, which may run past Len
 //	5     Len
 //	6, 7  Intern then Term of the returned id
@@ -133,15 +135,16 @@ func runDictScript(t *testing.T, script []byte) {
 			if !ok {
 				break
 			}
-			batch := make([]Term, 0, n&15)
-			for i := 0; i < int(n&15); i++ {
-				b, ok := next()
-				if !ok {
-					break
+			batch := make([]Triple, 0, n&7)
+			for i := 0; i < int(n&7); i++ {
+				var tr [3]Term
+				for j := range tr {
+					b, _ := next()
+					tr[j] = fuzzTerm(b)
 				}
-				batch = append(batch, fuzzTerm(b))
+				batch = append(batch, Triple{S: tr[0], P: tr[1], O: tr[2]})
 			}
-			checkInternAll(t, d, ref, batch)
+			checkInternTriples(t, d, ref, batch, int(n>>4)%(len(batch)+1))
 		case 4:
 			b, ok := next()
 			if !ok {
@@ -171,24 +174,36 @@ func runDictScript(t *testing.T, script []byte) {
 	}
 }
 
-// checkInternAll interns batch through InternAll and checks it assigns
-// exactly what a sequential Intern loop over the batch would: a term
-// interned before keeps its id, in-batch duplicates share one id, and the
-// batch's new terms take the next ids in input order.
-func checkInternAll(t *testing.T, d *Dict, ref *refDict, batch []Term) {
+// checkInternTriples interns batch through InternTriples, split into two
+// chunks at cut, and checks it appends to dst exactly what a sequential
+// Intern loop over the batch's terms would assign: a term interned before
+// keeps its id, in-batch duplicates share one id, and the batch's new terms
+// take the next ids in input order.
+func checkInternTriples(t *testing.T, d *Dict, ref *refDict, batch []Triple, cut int) {
 	t.Helper()
-	got := d.InternAll(batch)
-	if len(got) != len(batch) {
-		t.Fatalf("InternAll returned %d ids for %d terms", len(got), len(batch))
+	dst := []TripleID{{S: 1, P: 2, O: 3}}
+	got := d.InternTriples(dst, batch[:cut], batch[cut:])
+	if len(got) != 1+len(batch) || got[0] != dst[0] {
+		t.Fatalf("InternTriples appended %v to %v for %d triples", got, dst, len(batch))
 	}
-	for i, tm := range batch {
-		if want := ref.intern(tm); got[i] != want {
-			t.Fatalf("InternAll[%d] %v = %d, want %d as a sequential Intern loop assigns", i, tm, got[i], want)
+	for i, tr := range batch {
+		want := TripleID{S: ref.intern(tr.S), P: ref.intern(tr.P), O: ref.intern(tr.O)}
+		if got[1+i] != want {
+			t.Fatalf("InternTriples[%d] %v = %v, want %v as a sequential Intern loop assigns", i, tr, got[1+i], want)
 		}
 	}
 }
 
-// runEncodedScript checks InternEncoded against InternAll on a twin
+// internEach is a sequential Intern loop over terms.
+func internEach(d *Dict, terms []Term) []TermID {
+	ids := make([]TermID, len(terms))
+	for i, tm := range terms {
+		ids[i] = d.Intern(tm)
+	}
+	return ids
+}
+
+// runEncodedScript checks InternEncoded against an Intern loop on a twin
 // dictionary. The script is a run of batches, each a mode byte (its high
 // nibble is the batch length), then that many terms. The batch is encoded
 // with AppendTermBinary, then spoiled by the mode's low two bits:
@@ -199,7 +214,7 @@ func checkInternAll(t *testing.T, d *Dict, ref *refDict, batch []Term) {
 //	3  one term more declared than the block holds
 //
 // A spoiled block must return an error and leave interned exactly the
-// terms before the fault, as InternAll over them would. Last, the whole
+// terms before the fault, as an Intern loop over them would. Last, the whole
 // script is read as a raw block: InternEncoded must accept it exactly when
 // it is n terms in their one encoding with no bytes to spare.
 func runEncodedScript(t *testing.T, script []byte) {
@@ -228,7 +243,7 @@ func runEncodedScript(t *testing.T, script []byte) {
 			n++
 		}
 		got, err := enc.InternEncoded(string(block), n)
-		want := twin.InternAll(kept)
+		want := internEach(twin, kept)
 		if mode&3 != 0 {
 			if err == nil {
 				t.Fatalf("InternEncoded accepted a spoiled block (mode %d) of %v", mode&3, batch)
@@ -236,15 +251,15 @@ func runEncodedScript(t *testing.T, script []byte) {
 		} else if err != nil {
 			t.Fatalf("InternEncoded(%v): %v", batch, err)
 		} else if !slices.Equal(got, want) {
-			t.Fatalf("InternEncoded(%v) = %v, InternAll %v", batch, got, want)
+			t.Fatalf("InternEncoded(%v) = %v, an Intern loop %v", batch, got, want)
 		}
 		if enc.Len() != twin.Len() {
-			t.Fatalf("after batch %v (mode %d): Len %d, InternAll's twin %d", batch, mode&3, enc.Len(), twin.Len())
+			t.Fatalf("after batch %v (mode %d): Len %d, the Intern loop's twin %d", batch, mode&3, enc.Len(), twin.Len())
 		}
 	}
 	for id := TermID(1); int(id) <= twin.Len(); id++ {
 		if enc.Term(id) != twin.Term(id) {
-			t.Fatalf("Term(%d) = %v, InternAll's twin %v", id, enc.Term(id), twin.Term(id))
+			t.Fatalf("Term(%d) = %v, the Intern loop's twin %v", id, enc.Term(id), twin.Term(id))
 		}
 	}
 
@@ -275,8 +290,8 @@ func runEncodedScript(t *testing.T, script []byte) {
 		t.Fatalf("InternEncoded(%x, %d): error %v, want accepted %v", raw, n, err, ok)
 	}
 	if ok {
-		if want := twin.InternAll(terms); !slices.Equal(got, want) || enc.Len() != twin.Len() {
-			t.Fatalf("InternEncoded(%x, %d) = %v, InternAll %v", raw, n, got, want)
+		if want := internEach(twin, terms); !slices.Equal(got, want) || enc.Len() != twin.Len() {
+			t.Fatalf("InternEncoded(%x, %d) = %v, an Intern loop %v", raw, n, got, want)
 		}
 	}
 }
@@ -290,8 +305,8 @@ func encodeTermList(terms []Term) []byte {
 }
 
 // FuzzDict is the differential test of Dict against refDict over scripts
-// of Intern, Lookup, InternAll (with in-batch duplicates), Term and Len,
-// and of InternEncoded against InternAll on a twin dictionary.
+// of Intern, Lookup, InternTriples (with in-batch duplicates), Term and
+// Len, and of InternEncoded against an Intern loop on a twin dictionary.
 func FuzzDict(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 1, 2, 1, 2, 9, 4, 1, 5})
 	f.Add([]byte{3, 6, 10, 11, 10, 12, 11, 13, 4, 2, 4, 3, 0, 10, 0, 14})

@@ -142,7 +142,7 @@ func TestDictConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
-// TestDictConcurrentBulkAndPoint mixes InternAll batches (overlapping, with
+// TestDictConcurrentBulkAndPoint mixes InternTriples batches (overlapping, with
 // in-batch duplicates) with Intern, Lookup and lock-free Term reads, then
 // asserts what racing callers must agree on: one id per term, ids dense in
 // 1..Len, and every id round-tripping through Term (meaningful under -race).
@@ -169,14 +169,18 @@ func TestDictConcurrentBulkAndPoint(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				switch g % 3 {
-				case 0: // bulk: a window of the universe, every term twice
-					terms := make([]Term, 0, 2*batch)
+				case 0: // bulk: a window of the universe in two chunks, every term thrice
+					triples := make([]Triple, 0, batch)
 					for i := 0; i < batch; i++ {
 						tm := term((g*101 + r*batch + i) % universe)
-						terms = append(terms, tm, tm)
+						triples = append(triples, Triple{S: tm, P: tm, O: tm})
 					}
-					for i, id := range d.InternAll(terms) {
-						got[terms[i]] = id
+					for i, ids := range d.InternTriples(nil, triples[:batch/2], triples[batch/2:]) {
+						if ids.S != ids.P || ids.P != ids.O {
+							t.Errorf("one term interned as %v", ids)
+							return
+						}
+						got[triples[i].S] = ids.S
 					}
 				case 1: // point interns walking the universe backwards
 					for i := 0; i < batch; i++ {

@@ -108,3 +108,21 @@ func TestDictConcurrentIntern(t *testing.T) {
 		t.Errorf("Len = %d, want %d", d.Len(), perG)
 	}
 }
+
+// TestDictHitAllocatesNothing: a Lookup hit, a Lookup miss and an Intern
+// hit build the term's key on the stack and allocate nothing.
+func TestDictHitAllocatesNothing(t *testing.T) {
+	d := NewDict()
+	known := NewLangString("a label of some length", "en")
+	d.Intern(known)
+	unknown := NewTyped("42", XSDInteger)
+	for name, op := range map[string]func(){
+		"Lookup hit":  func() { d.Lookup(known) },
+		"Lookup miss": func() { d.Lookup(unknown) },
+		"Intern hit":  func() { d.Intern(known) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, allocs)
+		}
+	}
+}

@@ -45,7 +45,8 @@ func FuzzNTriples(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		ts, want := refParseNTriples(in)
 		for _, workers := range []int{1, 4} {
-			got, _, err := ParseNTriples([]byte(in), workers)
+			chunks, err := ParseNTriples([]byte(in), workers)
+			got := slices.Concat(chunks...)
 			var pe *ParseError
 			if (err == nil) != (want == nil) || (want != nil && (!errors.As(err, &pe) || *pe != *want)) {
 				t.Fatalf("workers %d: error %v, line loop %v", workers, err, want)
@@ -62,10 +63,11 @@ func FuzzNTriples(f *testing.F) {
 		if err := NewWriter(&sb).WriteAll(ts); err != nil {
 			t.Fatalf("reserialize: %v", err)
 		}
-		back, _, err := ParseNTriples([]byte(sb.String()), 1)
+		chunks, err := ParseNTriples([]byte(sb.String()), 1)
 		if err != nil {
 			t.Fatalf("reparse of own output failed: %v\noutput: %q", err, sb.String())
 		}
+		back := chunks[0]
 		if len(back) != len(ts) {
 			t.Fatalf("round trip changed triple count: %d -> %d", len(ts), len(back))
 		}
@@ -109,10 +111,11 @@ func FuzzTurtle(f *testing.F) {
 		if err := NewWriter(&sb).WriteAll(ts); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		back, _, err := ParseNTriples([]byte(sb.String()), 1)
+		chunks, err := ParseNTriples([]byte(sb.String()), 1)
 		if err != nil {
 			t.Fatalf("N-Triples rejects the written Turtle triples: %v\noutput: %q", err, sb.String())
 		}
+		back := chunks[0]
 		if len(back) != len(ts) {
 			t.Fatalf("round trip changed triple count: %d -> %d", len(ts), len(back))
 		}

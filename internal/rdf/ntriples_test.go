@@ -3,17 +3,18 @@ package rdf
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func parseAll(t *testing.T, in string) []Triple {
 	t.Helper()
-	ts, _, err := ParseNTriples([]byte(in), 1)
+	chunks, err := ParseNTriples([]byte(in), 1)
 	if err != nil {
 		t.Fatalf("ParseNTriples: %v", err)
 	}
-	return ts
+	return chunks[0]
 }
 
 func TestNTriplesBasic(t *testing.T) {
@@ -79,7 +80,7 @@ func TestNTriplesErrors(t *testing.T) {
 		`<> <http://x/p> "o" .`,             // empty IRI
 	}
 	for _, in := range bad {
-		_, _, err := ParseNTriples([]byte(in), 1)
+		_, err := ParseNTriples([]byte(in), 1)
 		if err == nil {
 			t.Errorf("no error for %q", in)
 			continue
@@ -98,7 +99,7 @@ func TestParseErrorMessage(t *testing.T) {
 		format string
 		parse  func() error
 	}{
-		{"ntriples", func() error { _, _, err := ParseNTriples([]byte(doc), 1); return err }},
+		{"ntriples", func() error { _, err := ParseNTriples([]byte(doc), 1); return err }},
 		{"turtle", func() error { _, err := ParseTurtle(strings.NewReader(doc)); return err }},
 	} {
 		err := c.parse()
@@ -140,8 +141,8 @@ func TestNTriplesRoundTrip(t *testing.T) {
 
 func TestParseNTriplesEmpty(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		ts, _, err := ParseNTriples(nil, workers)
-		if len(ts) != 0 || err != nil {
+		chunks, err := ParseNTriples(nil, workers)
+		if ts := slices.Concat(chunks...); len(ts) != 0 || err != nil {
 			t.Errorf("workers %d: empty input = %d triples, %v; want none and no error", workers, len(ts), err)
 		}
 	}
@@ -175,7 +176,7 @@ func TestNTriplesTermGrammar(t *testing.T) {
 		`<http://x/s> <http://x/p> """a""" .`,
 		"<http://x/a\x01b> <http://x/p> \"x\" .",
 	} {
-		if _, _, err := ParseNTriples([]byte(in), 1); err == nil {
+		if _, err := ParseNTriples([]byte(in), 1); err == nil {
 			t.Errorf("no error for %q", in)
 		}
 	}
@@ -196,7 +197,7 @@ _:b1 <http://x/p> "lit"@en .
 	allocs := func(blocks int) float64 {
 		doc := []byte(strings.Repeat(block, blocks))
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := ParseNTriples(doc, 1); err != nil {
+			if _, err := ParseNTriples(doc, 1); err != nil {
 				t.Fatal(err)
 			}
 		})

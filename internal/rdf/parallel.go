@@ -3,22 +3,23 @@ package rdf
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 
 	"alex/internal/par"
 )
 
 // The N-Triples front end. With more than one worker the input is split on
-// line boundaries into roughly equal chunks, each chunk is parsed on a
-// worker goroutine, and the chunks' triples are concatenated in input
-// order — so the result does not depend on the worker count, and the error
-// reported is the earliest offending line's.
+// line boundaries into roughly equal chunks, and each chunk is parsed on a
+// worker goroutine. Each chunk is copied once, into one string, and its
+// terms are substrings of that string. The chunks' triples come back in
+// input order, one slice per chunk, so the result does not depend on the
+// worker count, and the error reported is the earliest offending line's.
 
 // ntChunk is one line-aligned slice of the input.
 type ntChunk struct {
 	data      []byte
 	startLine int // 1-based line number of the chunk's first line
+	newlines  int // '\n' bytes in data
 }
 
 // splitNTriples cuts data into at most n line-aligned chunks and records
@@ -39,32 +40,31 @@ func splitNTriples(data []byte, n int) []ntChunk {
 		} else {
 			end = len(data)
 		}
-		out = append(out, ntChunk{data: data[start:end], startLine: line})
-		line += bytes.Count(data[start:end], []byte{'\n'})
+		newlines := bytes.Count(data[start:end], []byte{'\n'})
+		out = append(out, ntChunk{data: data[start:end], startLine: line, newlines: newlines})
+		line += newlines
 		start = end
 	}
 	return out
 }
 
 // parseChunk parses one chunk: blank lines and #-comments are skipped, and
-// errors are *ParseError with the global (whole-input) line number.
+// errors are *ParseError with the global (whole-input) line number. The
+// chunk is copied into one string; the lines and terms are slices of it,
+// and the triples go into one slice sized by the line count.
 func parseChunk(c ntChunk) ([]Triple, error) {
-	var out []Triple
-	data := c.data
+	text := string(c.data)
+	out := make([]Triple, 0, c.newlines+1)
 	line := c.startLine - 1
-	for len(data) > 0 {
-		var raw []byte
-		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-			raw, data = data[:nl], data[nl+1:]
-		} else {
-			raw, data = data, nil
-		}
+	for len(text) > 0 {
+		var raw string
+		raw, text, _ = strings.Cut(text, "\n")
 		line++
-		text := strings.TrimSpace(string(raw))
-		if text == "" || strings.HasPrefix(text, "#") {
+		raw = strings.TrimSpace(raw)
+		if raw == "" || raw[0] == '#' {
 			continue
 		}
-		t, err := parseNTriplesLine(text)
+		t, err := parseNTriplesLine(raw)
 		if err != nil {
 			return nil, &ParseError{Line: line, Msg: err.Error()}
 		}
@@ -74,12 +74,13 @@ func parseChunk(c ntChunk) ([]Triple, error) {
 }
 
 // ParseNTriples parses a complete N-Triples document on up to workers
-// goroutines and returns its triples in input order, with the number of
-// chunks the input was parsed in (one when workers <= 1). On a malformed
+// goroutines and returns its triples in input order, one slice per chunk
+// the input was parsed in (one chunk when workers <= 1). The terms of a
+// chunk's triples share that chunk's one copy of the text. On a malformed
 // line it returns no triples and that line's *ParseError, wrapped as
 // "ntriples: line N: …"; of several malformed lines, the earliest wins.
-func ParseNTriples(data []byte, workers int) ([]Triple, int, error) {
-	chunks := []ntChunk{{data: data, startLine: 1}}
+func ParseNTriples(data []byte, workers int) ([][]Triple, error) {
+	chunks := []ntChunk{{data: data, startLine: 1, newlines: bytes.Count(data, []byte{'\n'})}}
 	if workers > 1 {
 		chunks = splitNTriples(data, workers*4)
 	}
@@ -90,8 +91,8 @@ func ParseNTriples(data []byte, workers int) ([]Triple, int, error) {
 	})
 	for _, err := range errs { // chunk order = line order: earliest error wins
 		if err != nil {
-			return nil, len(chunks), fmt.Errorf("ntriples: %w", err)
+			return nil, fmt.Errorf("ntriples: %w", err)
 		}
 	}
-	return slices.Concat(results...), len(chunks), nil
+	return results, nil
 }

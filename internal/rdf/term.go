@@ -170,19 +170,6 @@ func (t Term) String() string {
 	}
 }
 
-// key returns an injective map key for interning: exactly the binary term
-// encoding (AppendTermBinary) — a kind discriminator followed by
-// length-prefixed fields, so no choice of field contents (even with
-// embedded separators) can collide. Sharing the codec's byte layout lets
-// Dict.InternEncoded use slices of an encoded term block as ready-made
-// keys. It relies on the constructor invariant that
-// non-literals carry empty Datatype and Lang (the codec does not encode
-// them).
-func (t Term) key() string {
-	buf := make([]byte, 0, len(t.Value)+len(t.Datatype)+len(t.Lang)+16)
-	return string(AppendTermBinary(buf, t))
-}
-
 // Triple is a subject-predicate-object statement over materialized terms.
 // It is used at API boundaries; internally triples are TripleIDs.
 type Triple struct {

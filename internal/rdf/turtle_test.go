@@ -209,10 +209,11 @@ func TestTurtleNTriplesCompatible(t *testing.T) {
 	if err := NewWriter(&sb).WriteAll(ts); err != nil {
 		t.Fatal(err)
 	}
-	fromNT, _, err := ParseNTriples([]byte(sb.String()), 1)
+	chunks, err := ParseNTriples([]byte(sb.String()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromNT := chunks[0]
 	fromTTL := parseTurtle(t, sb.String())
 	if len(fromNT) != len(fromTTL) {
 		t.Fatalf("NT %d vs TTL %d triples", len(fromNT), len(fromTTL))

@@ -80,10 +80,11 @@ func spellTerm(t rdf.Term) string {
 
 // readNTriples reads in as the object of one N-Triples statement.
 func readNTriples(in string) (rdf.Term, error) {
-	ts, _, err := rdf.ParseNTriples([]byte("<http://x/s> <http://x/p> "+in+" ."), 1)
+	chunks, err := rdf.ParseNTriples([]byte("<http://x/s> <http://x/p> "+in+" ."), 1)
 	if err != nil {
 		return rdf.Term{}, err
 	}
+	ts := chunks[0]
 	if len(ts) != 1 {
 		return rdf.Term{}, fmt.Errorf("%d triples", len(ts))
 	}

@@ -21,14 +21,14 @@ func TestLoadedTermsOwnTheirBytes(t *testing.T) {
 	}
 	fields := func(tm rdf.Term) []string { return []string{tm.Value, tm.Datatype, tm.Lang} }
 	for _, workers := range []int{1, 4} {
-		triples, _, err := rdf.ParseNTriples(doc, workers)
+		chunks, err := rdf.ParseNTriples(doc, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// parsed holds the byte ranges of the parse's strings, merged into
 		// disjoint ranges in address order.
 		var parsed [][2]uintptr
-		for _, tr := range triples {
+		for _, tr := range slices.Concat(chunks...) {
 			for _, tm := range []rdf.Term{tr.S, tr.P, tr.O} {
 				for _, f := range fields(tm) {
 					if f != "" {
@@ -47,7 +47,7 @@ func TestLoadedTermsOwnTheirBytes(t *testing.T) {
 			merged = append(merged, r)
 		}
 		s := New("ds", rdf.NewDict())
-		s.Load(triples)
+		s.Load(chunks...)
 		d := s.Dict()
 		for id := rdf.TermID(1); int(id) <= d.Len(); id++ {
 			for _, f := range fields(d.Term(id)) {

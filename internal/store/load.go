@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -67,7 +68,7 @@ type LoadOptions struct {
 // error the store is left unchanged.
 func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	t0 := time.Now()
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return 0, fmt.Errorf("store: load %s: %w", s.name, err)
 	}
@@ -75,11 +76,34 @@ func LoadNTriples(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	if len(data) < serialThreshold {
 		workers = 1
 	}
-	triples, chunks, err := rdf.ParseNTriples(data, workers)
+	chunks, err := rdf.ParseNTriples(data, workers)
 	if err != nil {
 		return 0, fmt.Errorf("store: load %s: %w", s.name, err)
 	}
-	return loadObserved(s, triples, chunks, workers, t0, opt.Obs), nil
+	return loadObserved(s, chunks, workers, t0, opt.Obs), nil
+}
+
+// readAll reads r to its end into one buffer, sized up front when r tells
+// its length: Len, as a bytes or strings reader does, or Stat of a regular
+// *os.File, as LoadFile passes. Otherwise it is io.ReadAll.
+func readAll(r io.Reader) ([]byte, error) {
+	size := -1
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	// MinRead spare bytes let the read that finds the end go without
+	// growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // LoadTurtle reads the complete Turtle document from r into s and returns
@@ -92,16 +116,20 @@ func LoadTurtle(s *Store, r io.Reader, opt LoadOptions) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: load %s: %w", s.name, err)
 	}
-	return loadObserved(s, triples, 1, 1, t0, opt.Obs), nil
+	return loadObserved(s, [][]rdf.Triple{triples}, 1, t0, opt.Obs), nil
 }
 
-// loadObserved is s.Load(triples) reporting the load.parallel.* metrics to
-// reg, when it is not nil, for a load that started at t0.
-func loadObserved(s *Store, triples []rdf.Triple, chunks, workers int, t0 time.Time, reg *obs.Registry) int {
-	added := s.Load(triples)
+// loadObserved is s.Load(chunks...) reporting the load.parallel.* metrics
+// to reg, when it is not nil, for a load that started at t0.
+func loadObserved(s *Store, chunks [][]rdf.Triple, workers int, t0 time.Time, reg *obs.Registry) int {
+	added := s.Load(chunks...)
 	if reg != nil {
-		reg.Counter(obs.LoadParallelTriples).Add(int64(len(triples)))
-		reg.Counter(obs.LoadParallelChunks).Add(int64(chunks))
+		n := 0
+		for _, c := range chunks {
+			n += len(c)
+		}
+		reg.Counter(obs.LoadParallelTriples).Add(int64(n))
+		reg.Counter(obs.LoadParallelChunks).Add(int64(len(chunks)))
 		reg.Gauge(obs.LoadParallelWorkers).Set(int64(workers))
 		reg.Histogram(obs.LoadParallelNS).Observe(time.Since(t0).Nanoseconds())
 	}

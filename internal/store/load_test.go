@@ -241,12 +241,12 @@ func TestLoadNTriplesSerialParallelIdentical(t *testing.T) {
 func TestLoadNTriplesMatchesIncrementalLoad(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	doc := genNTriples(8000, 11)
-	triples, _, err := rdf.ParseNTriples([]byte(doc), 1)
+	chunks, err := rdf.ParseNTriples([]byte(doc), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	incremental := New("ds", rdf.NewDict())
-	for _, tr := range triples {
+	for _, tr := range chunks[0] {
 		incremental.Add(tr)
 	}
 	bulk := New("ds", rdf.NewDict())

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 
 	"alex/internal/rdf"
@@ -366,10 +367,8 @@ func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 // Rows keep their LOCAL term ids while the indexes are built: nextSegment
 // has already bounds-checked every id into [1, Terms], so each index is
 // array arithmetic — per-id posting counts, a prefix sum, one shared
-// backing array — instead of per-triple hash operations; only the present
-// set and the final per-key index installs touch a hash table, which is
-// what makes recovery an order of magnitude faster than re-parsing the
-// source text. The rows are remapped to dict ids last. The store is not
+// backing array — instead of per-triple appends; only the present set
+// touches a hash table. The rows are remapped to dict ids last. The store is not
 // shared yet, so no lock is taken.
 func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	triples := make([]rdf.TripleID, 0, minInt(dec.hdr.Triples, maxSnapshotPrealloc))
@@ -423,8 +422,12 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		counts[1][t.P]++
 		counts[2][t.O]++
 	}
+	top := 0
+	if len(ids) > 0 {
+		top = int(slices.Max(ids))
+	}
 	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
-		*ix = fillIndex(triples, counts[role], ids, role)
+		*ix = fillIndex(triples, counts[role], ids, top, role)
 	}
 	s.present = newTripleSet(n)
 	for r, t := range triples {
@@ -443,20 +446,16 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 // ids. A prefix sum over the per-id posting counts carves one shared
 // backing array into the per-key posting lists — sliced with full capacity
 // so a later append to one list reallocates instead of bleeding into its
-// neighbour — which are installed under their dict ids (ids[local-1]) into
-// one presized map. Rows are visited in position order, so every list is
-// ordered exactly as serial AddID appends would have built it. The prefix
-// sum runs in place: counts[id] turns into the fill cursor, and each id's
-// list is recovered afterwards as the span between consecutive cursor
-// ends, so the pass allocates nothing beyond the backing array.
-func fillIndex(triples []rdf.TripleID, counts []int32, ids []rdf.TermID, role int) tripleIndex {
-	distinct := 0
+// neighbour — which are installed under their dict ids (ids[local-1]) in a
+// list slice sized for top, the largest of them. Rows are visited in
+// position order, so every list is ordered exactly as serial AddID appends
+// would have built it. The prefix sum runs in place: counts[id] turns into
+// the fill cursor, and each id's list is recovered afterwards as the span
+// between consecutive cursor ends.
+func fillIndex(triples []rdf.TripleID, counts []int32, ids []rdf.TermID, top, role int) tripleIndex {
 	var sum int32
 	for id := 1; id < len(counts); id++ {
 		c := counts[id]
-		if c > 0 {
-			distinct++
-		}
 		counts[id] = sum
 		sum += c
 	}
@@ -478,14 +477,15 @@ func fillIndex(triples []rdf.TripleID, counts []int32, ids []rdf.TermID, role in
 			counts[t.O]++
 		}
 	}
-	ix := make(tripleIndex, distinct)
+	ix := tripleIndex{lists: make([][]int32, top+1)}
 	prev := int32(0)
 	for id := 1; id < len(counts); id++ {
 		end := counts[id]
 		if end == prev {
 			continue
 		}
-		ix[ids[id-1]] = backing[prev:end:end]
+		ix.lists[ids[id-1]] = backing[prev:end:end]
+		ix.keys++
 		prev = end
 	}
 	return ix

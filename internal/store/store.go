@@ -1,8 +1,9 @@
 // Package store implements an in-memory indexed RDF triple store.
 //
-// A Store holds triples over a shared rdf.Dict and maintains three hash
-// indexes (by subject, by predicate, by object) so that any triple pattern
-// with at least one bound position is answered without a full scan. The
+// A Store holds triples over a shared rdf.Dict and maintains three indexes
+// (by subject, by predicate, by object), each a posting list per term id,
+// so that any triple pattern with at least one bound position is answered
+// without a full scan. The
 // store also exposes an Entity view — the set of (predicate, object)
 // attributes of one subject — which is the unit ALEX builds feature sets
 // from, and per-predicate statistics used by the PARIS baseline.
@@ -23,18 +24,45 @@ import (
 	"alex/internal/rdf"
 )
 
-// tripleIndex maps a term id to the positions of the triples using it in
-// one position (subject, predicate or object), in insertion order. It is
-// guarded by the owning Store's mu.
-type tripleIndex map[rdf.TermID][]int32
+// tripleIndex holds, for each term id, the positions of the triples using
+// it in one position (subject, predicate or object), ascending: lists[id]
+// is id's posting list. The slice grows on the first use of an id past its
+// end, so it costs 24 bytes per id up to the largest id the store uses. It
+// is guarded by the owning Store's mu.
+type tripleIndex struct {
+	lists [][]int32
+	keys  int // ids with a non-empty list
+}
 
-// keys returns the distinct keys, unsorted.
-func (ix tripleIndex) keys() []rdf.TermID {
-	out := make([]rdf.TermID, 0, len(ix))
-	for id := range ix {
-		out = append(out, id)
+// get returns id's posting list.
+func (ix *tripleIndex) get(id rdf.TermID) []int32 {
+	if int(id) < len(ix.lists) {
+		return ix.lists[id]
 	}
-	return out
+	return nil
+}
+
+// add appends pos to id's posting list and reports whether it is id's
+// first.
+func (ix *tripleIndex) add(id rdf.TermID, pos int32) bool {
+	if n := int(id) + 1; n > len(ix.lists) {
+		ix.lists = slices.Grow(ix.lists, n-len(ix.lists))[:n]
+	}
+	first := len(ix.lists[id]) == 0
+	if first {
+		ix.keys++
+	}
+	ix.lists[id] = append(ix.lists[id], pos)
+	return first
+}
+
+// below returns how many positions of the ascending list are below n.
+func below(list []int32, n int) int {
+	if k := len(list); k == 0 || int(list[k-1]) < n {
+		return k
+	}
+	i, _ := slices.BinarySearch(list, int32(n))
+	return i
 }
 
 // Store is an in-memory, append-only triple store: all mutation goes
@@ -80,14 +108,7 @@ type Store struct {
 // New returns an empty store named name over dict. The name identifies the
 // data set in federated queries and diagnostics.
 func New(name string, dict *rdf.Dict) *Store {
-	return &Store{
-		name:    name,
-		dict:    dict,
-		present: newTripleSet(0),
-		ixSubj:  tripleIndex{},
-		ixPred:  tripleIndex{},
-		ixObj:   tripleIndex{},
-	}
+	return &Store{name: name, dict: dict, present: newTripleSet(0)}
 }
 
 // Name returns the data-set name.
@@ -154,12 +175,11 @@ func (s *Store) appendLocked(t rdf.TripleID) {
 	pos := int32(len(s.triples))
 	s.triples = append(s.triples, t)
 	s.present.put(t, pos)
-	if s.ixSubj[t.S] == nil {
+	if s.ixSubj.add(t.S, pos) {
 		s.subjects = append(s.subjects, t.S)
 	}
-	s.ixSubj[t.S] = append(s.ixSubj[t.S], pos)
-	s.ixPred[t.P] = append(s.ixPred[t.P], pos)
-	s.ixObj[t.O] = append(s.ixObj[t.O], pos)
+	s.ixPred.add(t.P, pos)
+	s.ixObj.add(t.O, pos)
 }
 
 // Generation returns the log length. The store only grows, so the length
@@ -170,14 +190,23 @@ func (s *Store) Generation() uint64 { return uint64(s.Len()) }
 // AddIDs bulk-inserts pre-interned triples in order, skipping duplicates,
 // and returns the number of triples added. It is equivalent to calling
 // AddID for each element — every index posting list and the subject
-// first-sight order come out identical — but takes the store lock once.
+// first-sight order come out identical — but takes the store lock once,
+// and into an empty store sizes the log and the dedup table for the batch
+// up front.
 func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal != nil && len(ids) > 0 {
+	if len(ids) == 0 {
+		return 0
+	}
+	if s.wal != nil {
 		// Logged pre-dedup: replay re-runs the same dedup, so the effective
 		// inserts match.
 		s.wal.logBatch(ids)
+	}
+	if len(s.triples) == 0 {
+		s.triples = make([]rdf.TripleID, 0, len(ids))
+		s.present = newTripleSet(len(ids))
 	}
 	added := 0
 	for _, t := range ids {
@@ -274,31 +303,36 @@ func (s *Store) Since(pos int) []rdf.TripleID {
 func (s *Store) Predicates() []rdf.TermID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := s.ixPred.keys()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]rdf.TermID, 0, s.ixPred.keys)
+	for id, list := range s.ixPred.lists {
+		if len(list) > 0 {
+			out = append(out, rdf.TermID(id))
+		}
+	}
 	return out
 }
 
-// Count is the cardinality question both query planners ask: how many
-// triples match (subj, pred, obj), rdf.NoTerm being a wildcard as in Match.
-// It answers from the posting-list lengths alone — the shortest list of a
-// bound position, or the store's size when none is bound — so it is exact
-// for at most one bound position, an upper bound otherwise, and 0 only when
-// nothing matches.
+// Count is View.Count of the store as it is now.
 func (s *Store) Count(subj, pred, obj rdf.TermID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.present.Len()
+	return s.countLocked(len(s.triples), subj, pred, obj)
+}
+
+// countLocked counts the postings below n of each bound position and
+// returns the least, or n when none is bound. The caller holds the lock.
+func (s *Store) countLocked(n int, subj, pred, obj rdf.TermID) int {
+	c := n
 	if subj != rdf.NoTerm {
-		n = min(n, len(s.ixSubj[subj]))
+		c = min(c, below(s.ixSubj.get(subj), n))
 	}
 	if pred != rdf.NoTerm {
-		n = min(n, len(s.ixPred[pred]))
+		c = min(c, below(s.ixPred.get(pred), n))
 	}
 	if obj != rdf.NoTerm {
-		n = min(n, len(s.ixObj[obj]))
+		c = min(c, below(s.ixObj.get(obj), n))
 	}
-	return n
+	return c
 }
 
 // Registry returns the metrics registry attached with SetObserver, or nil.
@@ -325,11 +359,24 @@ func (s *Store) At(gen uint64) View { return View{s: s, n: int(gen)} }
 // Now returns the store as it is now.
 func (s *Store) Now() View { return View{s: s, n: s.Len()} }
 
-// Store returns the viewed store: its dictionary, registry and Count.
+// Store returns the viewed store: its dictionary and registry.
 func (v View) Store() *Store { return v.s }
 
 // Generation returns the generation the view reads.
 func (v View) Generation() uint64 { return uint64(v.n) }
+
+// Count is the cardinality question both query planners ask: how many of
+// the view's triples match (subj, pred, obj), rdf.NoTerm being a wildcard
+// as in MatchEach. It answers from the posting lists alone — of each bound
+// position, the postings below the view's length, found by binary search;
+// the least of those, or the view's length when none is bound — so it is
+// exact for at most one bound position, an upper bound otherwise, and 0
+// only when nothing matches.
+func (v View) Count(subj, pred, obj rdf.TermID) int {
+	v.s.mu.RLock()
+	defer v.s.mu.RUnlock()
+	return v.s.countLocked(v.n, subj, pred, obj)
+}
 
 // MatchEach calls fn for each triple of the view matching the pattern,
 // rdf.NoTerm being a wildcard, in insertion order: the store's one match
@@ -343,13 +390,13 @@ func (v View) MatchEach(subj, pred, obj rdf.TermID, fn func(rdf.TripleID)) {
 	switch {
 	case subj != rdf.NoTerm:
 		s.probeSubj.Inc()
-		candidates = s.ixSubj[subj]
+		candidates = s.ixSubj.get(subj)
 	case obj != rdf.NoTerm:
 		s.probeObj.Inc()
-		candidates = s.ixObj[obj]
+		candidates = s.ixObj.get(obj)
 	case pred != rdf.NoTerm:
 		s.probePred.Inc()
-		candidates = s.ixPred[pred]
+		candidates = s.ixPred.get(pred)
 	default:
 		s.probeScan.Inc()
 		for _, t := range s.triples[:v.n] {
@@ -386,7 +433,7 @@ func (v View) Subjects() []rdf.TermID {
 	s := v.s
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	k := sort.Search(len(s.subjects), func(i int) bool { return int(s.ixSubj[s.subjects[i]][0]) >= v.n })
+	k := sort.Search(len(s.subjects), func(i int) bool { return int(s.ixSubj.get(s.subjects[i])[0]) >= v.n })
 	return s.subjects[:k:k]
 }
 
@@ -406,7 +453,7 @@ func (e Entity) Len() int { return len(e.Preds) }
 func (s *Store) Entity(subj rdf.TermID) (Entity, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	positions := s.ixSubj[subj]
+	positions := s.ixSubj.get(subj)
 	if len(positions) == 0 {
 		return Entity{}, false
 	}
@@ -439,7 +486,7 @@ func (s *Store) Stats() Stats {
 		Name:       s.name,
 		Triples:    s.present.Len(),
 		Subjects:   len(s.subjects),
-		Predicates: len(s.ixPred),
+		Predicates: s.ixPred.keys,
 	}
 }
 
@@ -449,23 +496,18 @@ func (st Stats) String() string {
 		st.Name, st.Triples, st.Subjects, st.Predicates)
 }
 
-// Load inserts triples as one batch and returns the number added. It is
-// the one bulk insert: one Dict.InternAll over the triples' S, P and O
-// terms in input order, which assigns the ids an Add loop would, then one
-// AddIDs, so the batch is one WAL record. The bulk loaders parse their
-// whole document before calling Load, so a document that fails to parse
-// interns nothing.
-func (s *Store) Load(triples []rdf.Triple) int {
-	terms := make([]rdf.Term, 0, 3*len(triples))
-	for _, t := range triples {
-		terms = append(terms, t.S, t.P, t.O)
+// Load inserts the triples of every chunk, in order, as one batch and
+// returns the number added. It is the one bulk insert: one
+// Dict.InternTriples straight from the chunks, which assigns the ids an
+// Add loop would, then one AddIDs, so the batch is one WAL record. The
+// bulk loaders parse their whole document before calling Load, so a
+// document that fails to parse interns nothing.
+func (s *Store) Load(chunks ...[]rdf.Triple) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
 	}
-	ids := s.dict.InternAll(terms)
-	batch := make([]rdf.TripleID, len(triples))
-	for i := range batch {
-		batch[i] = rdf.TripleID{S: ids[3*i], P: ids[3*i+1], O: ids[3*i+2]}
-	}
-	return s.AddIDs(batch)
+	return s.AddIDs(s.dict.InternTriples(make([]rdf.TripleID, 0, n), chunks...))
 }
 
 // Functionality returns the functionality of a predicate: the ratio of
@@ -476,7 +518,7 @@ func (s *Store) Load(triples []rdf.Triple) int {
 func (s *Store) Functionality(p rdf.TermID) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	positions := s.ixPred[p]
+	positions := s.ixPred.get(p)
 	if len(positions) == 0 {
 		return 0
 	}
