@@ -47,7 +47,7 @@ type Config struct {
 // rdf and sparql.
 type Target interface {
 	Name() string
-	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
+	Count(ctx context.Context, ids *sparql.IDSpace, gen uint64, s, p, o rdf.TermID) (float64, error)
 	Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error)
 	Generation() uint64
 }
@@ -120,11 +120,11 @@ func (s *Source) inject(ctx context.Context, op string) error {
 
 func (s *Source) Name() string { return s.inner.Name() }
 
-func (s *Source) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+func (s *Source) Count(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID) (float64, error) {
 	if err := s.inject(ctx, "count"); err != nil {
 		return 0, err
 	}
-	return s.inner.Count(ctx, ids, sub, pred, obj)
+	return s.inner.Count(ctx, ids, gen, sub, pred, obj)
 }
 
 func (s *Source) Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {

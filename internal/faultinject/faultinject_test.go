@@ -17,7 +17,7 @@ type stubTarget struct{}
 
 func (stubTarget) Name() string       { return "stub" }
 func (stubTarget) Generation() uint64 { return 0 }
-func (stubTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
+func (stubTarget) Count(context.Context, *sparql.IDSpace, uint64, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 9, nil
 }
 func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, s, p, o rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
@@ -27,7 +27,7 @@ func (stubTarget) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, s, p, o 
 func TestZeroConfigPassesThrough(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{})
 	ctx := context.Background()
-	if n, err := s.Count(ctx, nil, 0, 1, 0); err != nil || n != 9 {
+	if n, err := s.Count(ctx, nil, 0, 0, 1, 0); err != nil || n != 9 {
 		t.Fatalf("Count = %v, %v", n, err)
 	}
 	if got, err := s.Match(ctx, nil, 0, 1, 2, 3, nil); err != nil || len(got) != 1 {
@@ -46,7 +46,7 @@ func TestErrorRateIsDeterministicPerSeed(t *testing.T) {
 		s := Wrap(stubTarget{}, Config{ErrorRate: 0.5, Seed: 42})
 		out := make([]bool, 40)
 		for i := range out {
-			_, err := s.Count(context.Background(), nil, 0, 0, 0)
+			_, err := s.Count(context.Background(), nil, 0, 0, 0, 0)
 			out[i] = err != nil
 		}
 		return out
@@ -79,14 +79,14 @@ func TestInjectedErrorsAreMarked(t *testing.T) {
 func TestHardOutageAndRecovery(t *testing.T) {
 	s := Wrap(stubTarget{}, Config{})
 	s.SetDown(true)
-	if _, err := s.Count(context.Background(), nil, 0, 0, 0); !errors.Is(err, ErrInjected) {
+	if _, err := s.Count(context.Background(), nil, 0, 0, 0, 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("down source err = %v, want ErrInjected", err)
 	}
 	if !s.Down() {
 		t.Error("Down() = false while down")
 	}
 	s.SetDown(false)
-	if _, err := s.Count(context.Background(), nil, 0, 0, 0); err != nil {
+	if _, err := s.Count(context.Background(), nil, 0, 0, 0, 0); err != nil {
 		t.Fatalf("healed source err = %v", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestLatencyRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := s.Count(ctx, nil, 0, 0, 0)
+	_, err := s.Count(ctx, nil, 0, 0, 0, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

@@ -13,7 +13,7 @@ type nullTarget struct{ name string }
 
 func (t nullTarget) Name() string       { return t.name }
 func (t nullTarget) Generation() uint64 { return 0 }
-func (t nullTarget) Count(context.Context, *sparql.IDSpace, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
+func (t nullTarget) Count(context.Context, *sparql.IDSpace, uint64, rdf.TermID, rdf.TermID, rdf.TermID) (float64, error) {
 	return 0, nil
 }
 func (t nullTarget) Match(_ context.Context, _ *sparql.IDSpace, _ uint64, _, _, _ rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {

@@ -45,9 +45,9 @@ func (s *recordingSource) note(ctx context.Context, method string) {
 	s.left[method] = append(s.left[method], left)
 }
 
-func (s *recordingSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+func (s *recordingSource) Count(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID) (float64, error) {
 	s.note(ctx, "Count")
-	return s.Source.Count(ctx, ids, sub, pred, obj)
+	return s.Source.Count(ctx, ids, gen, sub, pred, obj)
 }
 
 func (s *recordingSource) Match(ctx context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
@@ -155,7 +155,7 @@ func TestHealthyLocalProbeAllocatesNothing(t *testing.T) {
 		sub, pred, obj := c.Query(in.Row(0))
 		allocs = testing.AllocsPerRun(runs, func() {
 			for _, m := range f.sources {
-				if _, err := f.count(ctx, m, ids, sub, pred, obj); err != nil {
+				if _, err := f.count(ctx, es, m, ids, sub, pred, obj); err != nil {
 					t.Fatal(err)
 				}
 			}

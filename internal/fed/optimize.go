@@ -54,7 +54,7 @@ func (f *Federation) planBGP(ctx context.Context, es *evalState, lay *sparql.Slo
 		func(i int) float64 {
 			sources := written[i].sources
 			return sparql.Estimate(written[i].c, bound, len(sources), func(k int, s, p, o rdf.TermID) float64 {
-				n, err := f.count(ctx, sources[k], ids, s, p, o)
+				n, err := f.count(ctx, es, sources[k], ids, s, p, o)
 				if err != nil {
 					return 1 << 20
 				}
@@ -72,14 +72,14 @@ func (f *Federation) planBGP(ctx context.Context, es *evalState, lay *sparql.Slo
 	return ordered, nil
 }
 
-// count is the member's Count under the fault-tolerance policy (retries,
-// timeouts, breaker accounting); on a healthy passthrough it is a plain
-// source call.
-func (f *Federation) count(ctx context.Context, m *member, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error) {
+// count is the member's Count at the generation es pinned, under the
+// fault-tolerance policy (retries, timeouts, breaker accounting); on a
+// healthy passthrough it is a plain source call.
+func (f *Federation) count(ctx context.Context, es *evalState, m *member, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error) {
 	var n float64
 	err := f.callSource(ctx, m, func(ctx context.Context) error {
 		var err error
-		n, err = m.src.Count(ctx, ids, s, p, o)
+		n, err = m.src.Count(ctx, ids, es.gens[m.idx], s, p, o)
 		return err
 	})
 	return n, err

@@ -409,7 +409,7 @@ func (f *Federation) selectSources(ctx context.Context, es *evalState, ids *spar
 			continue
 		}
 		f.cSourceProbes.Inc()
-		n, err := f.count(ctx, m, ids, rdf.NoTerm, pred, rdf.NoTerm)
+		n, err := f.count(ctx, es, m, ids, rdf.NoTerm, pred, rdf.NoTerm)
 		if err != nil || n > 0 {
 			out = append(out, m)
 		}

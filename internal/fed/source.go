@@ -20,11 +20,11 @@ type Source interface {
 	// Name identifies the source in plans and diagnostics.
 	Name() string
 	// Count estimates how many of the source's triples match (s, p, o), with
-	// Match's ids and wildcard. It is 0 only when nothing matches: source
-	// selection keeps a source for a pattern when Count(_, p, _) > 0, and
-	// the planner orders patterns by sparql.Estimate over the counts of
-	// their constants.
-	Count(ctx context.Context, ids *sparql.IDSpace, s, p, o rdf.TermID) (float64, error)
+	// Match's ids, wildcard and pinned generation gen. It is 0 only when
+	// nothing matches: source selection keeps a source for a pattern when
+	// Count(_, p, _) > 0, and the planner orders patterns by
+	// sparql.Estimate over the counts of their constants.
+	Count(ctx context.Context, ids *sparql.IDSpace, gen uint64, s, p, o rdf.TermID) (float64, error)
 	// Match appends to dst the triples matching (s, p, o) and returns the
 	// extended slice; rdf.NoTerm is a wildcard. Ids are those of the
 	// evaluation's id space: a source whose triples do not live in the
@@ -48,11 +48,12 @@ func LocalSource(st *store.Store) Source { return localSource{st: st} }
 
 func (s localSource) Name() string { return s.st.Name() }
 
-// Count is the store's own posting-list count — the single-store planner's
-// statistic, so a one-store federation plans exactly as the store does. An
-// id outside the dictionary has no postings and counts 0.
-func (s localSource) Count(_ context.Context, _ *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
-	return float64(s.st.Count(sub, pred, obj)), nil
+// Count is the store's own posting-list count at the pinned generation —
+// the single-store planner's statistic, so a one-store federation plans
+// exactly as the store does. An id outside the dictionary has no postings
+// and counts 0.
+func (s localSource) Count(_ context.Context, _ *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID) (float64, error) {
+	return float64(s.st.At(gen).Count(sub, pred, obj)), nil
 }
 
 func (s localSource) Match(_ context.Context, ids *sparql.IDSpace, gen uint64, sub, pred, obj rdf.TermID, dst []rdf.TripleID) ([]rdf.TripleID, error) {
@@ -106,8 +107,9 @@ func RemoteSource(c *endpoint.Client) Source { return remoteSource{c: c} }
 func (s remoteSource) Name() string { return s.c.Name() }
 
 // Count answers from the endpoint's cached predicate or total COUNT, with
-// a constant subject or object folded in (see endpoint.Client.Count).
-func (s remoteSource) Count(ctx context.Context, ids *sparql.IDSpace, sub, pred, obj rdf.TermID) (float64, error) {
+// a constant subject or object folded in (see endpoint.Client.Count). It
+// ignores the pin, as Match does.
+func (s remoteSource) Count(ctx context.Context, ids *sparql.IDSpace, _ uint64, sub, pred, obj rdf.TermID) (float64, error) {
 	return s.c.Count(ctx, ids.Term(sub), ids.Term(pred), ids.Term(obj))
 }
 

@@ -89,7 +89,7 @@ func (s *storeSolver) planBGP(lay *SlotLayout, tps []TriplePattern, cs []SlotPat
 	if len(cs) < 2 {
 		return make([]int, len(cs))
 	}
-	count := func(_ int, sub, pred, obj rdf.TermID) float64 { return float64(s.v.Store().Count(sub, pred, obj)) }
+	count := func(_ int, sub, pred, obj rdf.TermID) float64 { return float64(s.v.Count(sub, pred, obj)) }
 	order := make([]int, 0, len(cs))
 	GreedyOrder(len(cs),
 		func(i int) float64 { return Estimate(cs[i], bound, 1, count) },

@@ -228,7 +228,8 @@ func modelDoc(triples []rdf.Triple, workers int, tail string) string {
 // checkStoreModel compares s with the model: the dictionary with ref, and
 // Len, Generation, Stats, Subjects, Predicates, and every Match shape,
 // Count and Entity for each probe (the step's triples and one triple the
-// log may not hold), now and at every earlier generation in gens.
+// log may not hold), now and, for matches, counts and subjects, at every
+// earlier generation in gens.
 func checkStoreModel(t *testing.T, s *Store, ref *rdf.Dict, m *storeModel, gens []int, step []rdf.Triple) {
 	t.Helper()
 	d := s.Dict()
@@ -325,6 +326,9 @@ func checkStoreModel(t *testing.T, s *Store, ref *rdf.Dict, m *storeModel, gens 
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("At(%d).MatchEach%v = %v, want %v", g, pat, got, want)
+				}
+				if got, want := s.At(uint64(g)).Count(sID, pID, oID), m.count(g, pat); got != want {
+					t.Fatalf("At(%d).Count%v = %d, want %d", g, pat, got, want)
 				}
 			}
 		}
