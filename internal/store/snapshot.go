@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"strings"
 
 	"alex/internal/rdf"
@@ -364,12 +363,10 @@ func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 // restoreStore builds a Store from a decoded snapshot, the same way into
 // an empty dictionary or a shared one. Every segment is read and checked
 // before the dict block is interned, so a bad segment interns nothing.
-// Rows keep their LOCAL term ids while the indexes are built: nextSegment
-// has already bounds-checked every id into [1, Terms], so each index is
-// array arithmetic — per-id posting counts, a prefix sum, one shared
-// backing array — instead of per-triple appends; only the present set
-// touches a hash table. The rows are remapped to dict ids last. The store is not
-// shared yet, so no lock is taken.
+// The rows are remapped from local to dict ids, then the indexes are built
+// from the whole log at once (Store.index): array arithmetic instead of
+// per-triple appends, so only the present set touches a hash table. The
+// store is not shared yet, so no lock is taken.
 func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	triples := make([]rdf.TripleID, 0, minInt(dec.hdr.Triples, maxSnapshotPrealloc))
 	for {
@@ -396,8 +393,8 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		return nil, fmt.Errorf("dict block: %w", err)
 	}
 	// The writer lists each term once. Two local ids on one dict id would
-	// make the second posting list shadow the first, so a repeat is
-	// rejected, whether or not a row uses it.
+	// merge their posting lists, so a repeat is rejected, whether or not a
+	// row uses it.
 	seen := make([]uint64, dict.Len()/64+1)
 	for local, id := range ids {
 		if seen[id/64]&(1<<(id%64)) != 0 {
@@ -408,27 +405,6 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 
 	s := New(dec.hdr.Name, dict)
 	n := len(triples)
-	var counts [3][]int32
-	for role := range counts {
-		counts[role] = make([]int32, dec.hdr.Terms+1)
-	}
-	// Rows arrive in insertion order, so a subject's first count is its
-	// first sight — exactly what a serial AddID loop would have recorded.
-	for _, t := range triples {
-		if counts[0][t.S] == 0 {
-			s.subjects = append(s.subjects, ids[t.S-1])
-		}
-		counts[0][t.S]++
-		counts[1][t.P]++
-		counts[2][t.O]++
-	}
-	top := 0
-	if len(ids) > 0 {
-		top = int(slices.Max(ids))
-	}
-	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
-		*ix = fillIndex(triples, counts[role], ids, top, role)
-	}
 	s.present = newTripleSet(n)
 	for r, t := range triples {
 		t = rdf.TripleID{S: ids[t.S-1], P: ids[t.P-1], O: ids[t.O-1]}
@@ -439,56 +415,8 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		return nil, fmt.Errorf("snapshot contains %d duplicate rows", n-s.present.Len())
 	}
 	s.triples = triples
+	s.index()
 	return s, nil
-}
-
-// fillIndex builds one triple index from the rows, which still hold local
-// ids. A prefix sum over the per-id posting counts carves one shared
-// backing array into the per-key posting lists — sliced with full capacity
-// so a later append to one list reallocates instead of bleeding into its
-// neighbour — which are installed under their dict ids (ids[local-1]) in a
-// list slice sized for top, the largest of them. Rows are visited in
-// position order, so every list is ordered exactly as serial AddID appends
-// would have built it. The prefix sum runs in place: counts[id] turns into
-// the fill cursor, and each id's list is recovered afterwards as the span
-// between consecutive cursor ends.
-func fillIndex(triples []rdf.TripleID, counts []int32, ids []rdf.TermID, top, role int) tripleIndex {
-	var sum int32
-	for id := 1; id < len(counts); id++ {
-		c := counts[id]
-		counts[id] = sum
-		sum += c
-	}
-	backing := make([]int32, len(triples))
-	switch role {
-	case 0:
-		for r, t := range triples {
-			backing[counts[t.S]] = int32(r)
-			counts[t.S]++
-		}
-	case 1:
-		for r, t := range triples {
-			backing[counts[t.P]] = int32(r)
-			counts[t.P]++
-		}
-	default:
-		for r, t := range triples {
-			backing[counts[t.O]] = int32(r)
-			counts[t.O]++
-		}
-	}
-	ix := tripleIndex{lists: make([][]int32, top+1)}
-	prev := int32(0)
-	for id := 1; id < len(counts); id++ {
-		end := counts[id]
-		if end == prev {
-			continue
-		}
-		ix.lists[ids[id-1]] = backing[prev:end:end]
-		ix.keys++
-		prev = end
-	}
-	return ix
 }
 
 func uvarintLen(v uint64) int {

@@ -182,6 +182,76 @@ func (s *Store) appendLocked(t rdf.TripleID) {
 	s.ixObj.add(t.O, pos)
 }
 
+// index builds the subject list and the three indexes of a store whose
+// log holds triples that neither holds yet: per-id posting counts, then
+// one backing array per index carved into the posting lists (fillIndex).
+// Triples are visited in position order, so the lists and the subject
+// first-sight order are exactly what appendLocked over the log would have
+// built, and each index's list slice ends at the largest id in its
+// position, as appends would have grown it.
+func (s *Store) index() {
+	var top rdf.TripleID
+	for _, t := range s.triples {
+		top = rdf.TripleID{S: max(top.S, t.S), P: max(top.P, t.P), O: max(top.O, t.O)}
+	}
+	counts := [3][]int32{make([]int32, top.S+1), make([]int32, top.P+1), make([]int32, top.O+1)}
+	for _, t := range s.triples {
+		if counts[0][t.S] == 0 {
+			s.subjects = append(s.subjects, t.S)
+		}
+		counts[0][t.S]++
+		counts[1][t.P]++
+		counts[2][t.O]++
+	}
+	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
+		*ix = fillIndex(s.triples, counts[role], role)
+	}
+}
+
+// fillIndex builds one triple index from the log and counts, the number of
+// postings of each id in the role's position. A prefix sum over the counts
+// carves one shared backing array into the posting lists — sliced with
+// full capacity so a later append to one list reallocates instead of
+// bleeding into its neighbour. The prefix sum runs in place: counts[id]
+// turns into the fill cursor, and each id's list is recovered afterwards
+// as the span between consecutive cursor ends.
+func fillIndex(triples []rdf.TripleID, counts []int32, role int) tripleIndex {
+	var sum int32
+	for id, c := range counts {
+		counts[id] = sum
+		sum += c
+	}
+	backing := make([]int32, len(triples))
+	switch role {
+	case 0:
+		for r, t := range triples {
+			backing[counts[t.S]] = int32(r)
+			counts[t.S]++
+		}
+	case 1:
+		for r, t := range triples {
+			backing[counts[t.P]] = int32(r)
+			counts[t.P]++
+		}
+	default:
+		for r, t := range triples {
+			backing[counts[t.O]] = int32(r)
+			counts[t.O]++
+		}
+	}
+	ix := tripleIndex{lists: make([][]int32, len(counts))}
+	prev := int32(0)
+	for id, end := range counts {
+		if end == prev {
+			continue
+		}
+		ix.lists[id] = backing[prev:end:end]
+		ix.keys++
+		prev = end
+	}
+	return ix
+}
+
 // Generation returns the log length. The store only grows, so the length
 // changes exactly when the data does, and a cached result tagged with a
 // generation is valid iff the generation is unchanged.
@@ -192,7 +262,7 @@ func (s *Store) Generation() uint64 { return uint64(s.Len()) }
 // AddID for each element — every index posting list and the subject
 // first-sight order come out identical — but takes the store lock once,
 // and into an empty store sizes the log and the dedup table for the batch
-// up front.
+// and builds the indexes in one pass (index) instead of by appends.
 func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -204,15 +274,26 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 		// inserts match.
 		s.wal.logBatch(ids)
 	}
+	added := 0
 	if len(s.triples) == 0 {
+		// Into an empty store: the log and the dedup table sized for the
+		// batch, then the indexes built from the whole log at once.
 		s.triples = make([]rdf.TripleID, 0, len(ids))
 		s.present = newTripleSet(len(ids))
-	}
-	added := 0
-	for _, t := range ids {
-		if _, dup := s.present.get(t); !dup {
-			s.appendLocked(t)
-			added++
+		for _, t := range ids {
+			if _, dup := s.present.get(t); !dup {
+				s.present.put(t, int32(len(s.triples)))
+				s.triples = append(s.triples, t)
+			}
+		}
+		s.index()
+		added = len(s.triples)
+	} else {
+		for _, t := range ids {
+			if _, dup := s.present.get(t); !dup {
+				s.appendLocked(t)
+				added++
+			}
 		}
 	}
 	if added == 0 {
