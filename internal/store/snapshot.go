@@ -404,15 +404,14 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	}
 
 	s := New(dec.hdr.Name, dict)
-	n := len(triples)
-	s.present = newTripleSet(n)
+	s.present = newTripleSet(len(triples))
 	for r, t := range triples {
 		t = rdf.TripleID{S: ids[t.S-1], P: ids[t.P-1], O: ids[t.O-1]}
 		triples[r] = t
-		s.present.put(t, int32(r))
-	}
-	if s.present.Len() != n {
-		return nil, fmt.Errorf("snapshot contains %d duplicate rows", n-s.present.Len())
+		if first, dup := s.present.get(t, triples); dup {
+			return nil, fmt.Errorf("snapshot row %d repeats row %d", r+1, first+1)
+		}
+		s.present.add(t, int32(r), triples)
 	}
 	s.triples = triples
 	s.index()

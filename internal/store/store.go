@@ -157,7 +157,7 @@ func (s *Store) Add(t rdf.Triple) bool {
 func (s *Store) AddID(t rdf.TripleID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.present.get(t); dup {
+	if _, dup := s.present.get(t, s.triples); dup {
 		return false
 	}
 	if s.wal != nil {
@@ -174,7 +174,7 @@ func (s *Store) AddID(t rdf.TripleID) bool {
 func (s *Store) appendLocked(t rdf.TripleID) {
 	pos := int32(len(s.triples))
 	s.triples = append(s.triples, t)
-	s.present.put(t, pos)
+	s.present.add(t, pos, s.triples)
 	if s.ixSubj.add(t.S, pos) {
 		s.subjects = append(s.subjects, t.S)
 	}
@@ -281,16 +281,16 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 		s.triples = make([]rdf.TripleID, 0, len(ids))
 		s.present = newTripleSet(len(ids))
 		for _, t := range ids {
-			if _, dup := s.present.get(t); !dup {
-				s.present.put(t, int32(len(s.triples)))
+			if _, dup := s.present.get(t, s.triples); !dup {
 				s.triples = append(s.triples, t)
+				s.present.add(t, int32(len(s.triples)-1), s.triples)
 			}
 		}
 		s.index()
 		added = len(s.triples)
 	} else {
 		for _, t := range ids {
-			if _, dup := s.present.get(t); !dup {
+			if _, dup := s.present.get(t, s.triples); !dup {
 				s.appendLocked(t)
 				added++
 			}
@@ -326,7 +326,7 @@ func (s *Store) Contains(t rdf.Triple) bool {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, found := s.present.get(rdf.TripleID{S: sID, P: pID, O: oID})
+	_, found := s.present.get(rdf.TripleID{S: sID, P: pID, O: oID}, s.triples)
 	return found
 }
 

@@ -4,26 +4,22 @@ import "alex/internal/rdf"
 
 // tripleSet maps each triple to its position in the insertion log.
 // It replaces a map[rdf.TripleID]int32 on the store's hottest write path:
-// an open-addressing table with linear probing over flat 16-byte slots.
-// The slot array holds no pointers, so the GC never scans it, and inserts
-// touch one cache line instead of the builtin map's group metadata —
-// snapshot recovery and bulk load spend a large share of their time on
-// exactly this dedup/position table.
+// an open-addressing table with linear probing over flat 4-byte slots that
+// hold log positions, not triples — a probe compares the log's triple at
+// the slot's position, so the table costs 4 bytes a slot. The slot array
+// holds no pointers, so the GC never scans it — snapshot recovery and bulk
+// load spend a large share of their time on exactly this dedup table.
 //
-// Concurrency contract is the caller's, same as the map it replaced:
-// every access happens under Store.mu.
+// Every method takes the log the positions index. Concurrency contract is
+// the caller's, same as the map it replaced: every access happens under
+// Store.mu.
 type tripleSet struct {
-	// slots[i].n is 0 for an empty slot and pos+1 for an entry. The zero
+	// slots[i] is 0 for an empty slot and pos+1 for an entry. The zero
 	// slot value means empty, so a fresh table needs no initialization
 	// pass. Entries are never removed.
-	slots []tripleSlot
+	slots []int32
 	mask  uint32
 	count int
-}
-
-type tripleSlot struct {
-	t rdf.TripleID
-	n int32
 }
 
 // newTripleSet sizes the table so capHint entries stay under the 3/4
@@ -33,7 +29,7 @@ func newTripleSet(capHint int) *tripleSet {
 	for int(size)*3 < capHint*4 {
 		size <<= 1
 	}
-	return &tripleSet{slots: make([]tripleSlot, size), mask: size - 1}
+	return &tripleSet{slots: make([]int32, size), mask: size - 1}
 }
 
 // hash mixes the three term ids; the multiply-xor finalizer avalanches
@@ -46,60 +42,49 @@ func (ts *tripleSet) hash(t rdf.TripleID) uint32 {
 	return uint32(h)
 }
 
-// get returns the position of t and whether it is present.
-func (ts *tripleSet) get(t rdf.TripleID) (int32, bool) {
-	i := ts.hash(t) & ts.mask
-	for {
-		s := &ts.slots[i]
-		if s.n == 0 {
+// get returns the position of t in log and whether the set holds it.
+func (ts *tripleSet) get(t rdf.TripleID, log []rdf.TripleID) (int32, bool) {
+	for i := ts.hash(t) & ts.mask; ; i = (i + 1) & ts.mask {
+		n := ts.slots[i]
+		if n == 0 {
 			return 0, false
 		}
-		if s.t == t {
-			return s.n - 1, true
+		if log[n-1] == t {
+			return n - 1, true
 		}
-		i = (i + 1) & ts.mask
 	}
 }
 
-// put inserts t at pos, or updates its position when already present.
-func (ts *tripleSet) put(t rdf.TripleID, pos int32) {
+// add records that log[pos] is t, which the set does not hold yet.
+func (ts *tripleSet) add(t rdf.TripleID, pos int32, log []rdf.TripleID) {
 	if (ts.count+1)*4 > len(ts.slots)*3 {
-		ts.grow()
+		ts.grow(log)
 	}
-	i := ts.hash(t) & ts.mask
-	for {
-		s := &ts.slots[i]
-		if s.n == 0 {
-			s.t, s.n = t, pos+1
-			ts.count++
-			return
-		}
-		if s.t == t {
-			s.n = pos + 1
-			return
-		}
+	ts.insert(ts.hash(t), pos)
+	ts.count++
+}
+
+// insert puts pos in the first empty slot from h on.
+func (ts *tripleSet) insert(h uint32, pos int32) {
+	i := h & ts.mask
+	for ts.slots[i] != 0 {
 		i = (i + 1) & ts.mask
 	}
+	ts.slots[i] = pos + 1
 }
 
 // Len returns the number of entries.
 func (ts *tripleSet) Len() int { return ts.count }
 
 // grow rehashes into a table of twice the size.
-func (ts *tripleSet) grow() {
+func (ts *tripleSet) grow(log []rdf.TripleID) {
 	old := ts.slots
 	size := 2 * uint32(len(old))
-	ts.slots = make([]tripleSlot, size)
+	ts.slots = make([]int32, size)
 	ts.mask = size - 1
-	for i := range old {
-		s := &old[i]
-		if s.n == 0 {
-			continue
+	for _, n := range old {
+		if n != 0 {
+			ts.insert(ts.hash(log[n-1]), n-1)
 		}
-		j := ts.hash(s.t) & ts.mask
-		for ts.slots[j].n != 0 {
-			j = (j + 1) & ts.mask
-		}
-		ts.slots[j] = *s
 	}
 }

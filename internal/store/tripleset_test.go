@@ -8,13 +8,14 @@ import (
 )
 
 // TestTripleSetAgainstMap drives the flat table and a builtin map through
-// the same randomized insert/update workload and checks they agree after
-// every put. The key space is kept narrow so updates collide with stored
-// entries.
+// the same randomized workload of inserts, each appended to a log unless
+// the set already holds it, and checks they agree after every step. The
+// key space is kept narrow so most inserts find their triple already held.
 func TestTripleSetAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts := newTripleSet(0)
 	ref := make(map[rdf.TripleID]int32)
+	var log []rdf.TripleID
 	key := func() rdf.TripleID {
 		return rdf.TripleID{
 			S: rdf.TermID(rng.Intn(40) + 1),
@@ -23,15 +24,23 @@ func TestTripleSetAgainstMap(t *testing.T) {
 		}
 	}
 	for step := 0; step < 20000; step++ {
-		k, pos := key(), int32(step)
-		ts.put(k, pos)
-		ref[k] = pos
+		k := key()
+		pos, held := ts.get(k, log)
+		want, inRef := ref[k]
+		if held != inRef || pos != want {
+			t.Fatalf("step %d: get(%v) = (%d, %v), map has (%d, %v)", step, k, pos, held, want, inRef)
+		}
+		if !held {
+			log = append(log, k)
+			ts.add(k, int32(len(log)-1), log)
+			ref[k] = int32(len(log) - 1)
+		}
 		if ts.Len() != len(ref) {
 			t.Fatalf("step %d: Len() = %d, map has %d", step, ts.Len(), len(ref))
 		}
 	}
 	for k, want := range ref {
-		pos, ok := ts.get(k)
+		pos, ok := ts.get(k, log)
 		if !ok || pos != want {
 			t.Fatalf("get(%v) = (%d, %v), want (%d, true)", k, pos, ok, want)
 		}
@@ -43,44 +52,29 @@ func TestTripleSetAgainstMap(t *testing.T) {
 			if _, inRef := ref[k]; inRef {
 				continue
 			}
-			if _, ok := ts.get(k); ok {
+			if _, ok := ts.get(k, log); ok {
 				t.Fatalf("get(%v) hit, want miss", k)
 			}
 		}
 	}
 }
 
-// TestTripleSetGrowth fills well past the initial table size, then updates
-// half the entries in place: every grow must keep each entry reachable.
+// TestTripleSetGrowth fills well past the initial table size: every grow
+// must keep each entry reachable at its position.
 func TestTripleSetGrowth(t *testing.T) {
 	ts := newTripleSet(0)
 	const n = 5000
-	at := func(i int) rdf.TripleID {
-		return rdf.TripleID{S: rdf.TermID(i + 1), P: 1, O: rdf.TermID(i*7 + 1)}
-	}
+	var log []rdf.TripleID
 	for i := 0; i < n; i++ {
-		ts.put(at(i), int32(i))
+		log = append(log, rdf.TripleID{S: rdf.TermID(i + 1), P: 1, O: rdf.TermID(i*7 + 1)})
+		ts.add(log[i], int32(i), log)
 	}
 	if ts.Len() != n {
 		t.Fatalf("Len() = %d after %d inserts", ts.Len(), n)
 	}
-	for i := 0; i < n; i += 2 {
-		ts.put(at(i), int32(i+n))
-	}
-	if ts.Len() != n {
-		t.Fatalf("Len() = %d after updating half, want %d", ts.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		pos, ok := ts.get(at(i))
-		if !ok {
-			t.Fatalf("get(%d) missed after update", i)
-		}
-		want := int32(i)
-		if i%2 == 0 {
-			want = int32(i + n)
-		}
-		if pos != want {
-			t.Fatalf("get(%d) = %d, want %d", i, pos, want)
+	for i, k := range log {
+		if pos, ok := ts.get(k, log); !ok || pos != int32(i) {
+			t.Fatalf("get(%v) = (%d, %v), want (%d, true)", k, pos, ok, i)
 		}
 	}
 }
@@ -92,8 +86,10 @@ func TestTripleSetPresize(t *testing.T) {
 	const n = 10000
 	ts := newTripleSet(n)
 	size := len(ts.slots)
+	var log []rdf.TripleID
 	for i := 0; i < n; i++ {
-		ts.put(rdf.TripleID{S: rdf.TermID(i + 1), P: 1, O: 1}, int32(i))
+		log = append(log, rdf.TripleID{S: rdf.TermID(i + 1), P: 1, O: 1})
+		ts.add(log[i], int32(i), log)
 	}
 	if len(ts.slots) != size {
 		t.Fatalf("table grew from %d to %d slots under its own capHint", size, len(ts.slots))
