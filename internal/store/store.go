@@ -3,10 +3,10 @@
 // A Store holds triples over a shared rdf.Dict and maintains three indexes
 // (by subject, by predicate, by object), each a posting list per term id,
 // so that any triple pattern with at least one bound position is answered
-// without a full scan. The
-// store also exposes an Entity view — the set of (predicate, object)
-// attributes of one subject — which is the unit ALEX builds feature sets
-// from, and per-predicate statistics used by the PARIS baseline.
+// without a full scan. The store also exposes an Entity view — the set of
+// (predicate, object) attributes of one subject — which is the unit ALEX
+// builds feature sets from, and per-predicate statistics used by the PARIS
+// baseline.
 //
 // One RWMutex per store guards its triples and all three indexes: reads
 // share it, and every mutation, the loaders' bulk AddIDs included, fills
@@ -27,8 +27,8 @@ import (
 // tripleIndex holds, for each term id, the positions of the triples using
 // it in one position (subject, predicate or object), ascending: lists[id]
 // is id's posting list. The slice grows on the first use of an id past its
-// end, so it costs 24 bytes per id up to the largest id the store uses. It
-// is guarded by the owning Store's mu.
+// end, so it costs 24 bytes per id up to the largest id the store uses in
+// that position. It is guarded by the owning Store's mu.
 type tripleIndex struct {
 	lists [][]int32
 	keys  int // ids with a non-empty list
