@@ -3,7 +3,6 @@ package rdf
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // Binary term codec shared by the store's snapshot and WAL formats. The
@@ -30,26 +29,6 @@ func AppendTermBinary(buf []byte, t Term) []byte {
 	}
 	return buf
 }
-
-// termIn returns t with its strings cut from k, t's binary encoding, so the
-// returned term shares its bytes with k alone.
-func termIn(k string, t Term) Term {
-	off := 1
-	field := func(n int) string {
-		off += uvarintLen(uint64(n))
-		off += n
-		return k[off-n : off]
-	}
-	out := Term{Kind: t.Kind, Value: field(len(t.Value))}
-	if t.Kind == KindLiteral {
-		out.Datatype = field(len(t.Datatype))
-		out.Lang = field(len(t.Lang))
-	}
-	return out
-}
-
-// uvarintLen is the length of v's uvarint encoding.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func appendBinField(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

@@ -104,7 +104,7 @@ func (d *Dict) Intern(t Term) TermID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.internLocked(key, t)
+	return d.internLocked(key)
 }
 
 // InternTriples interns the S, P and O terms of every triple of every
@@ -114,7 +114,7 @@ func (d *Dict) Intern(t Term) TermID {
 // copy of its key.
 func (d *Dict) InternTriples(dst []TripleID, chunks ...[]Triple) []TripleID {
 	var buf [keyBufSize]byte
-	id := func(t Term) TermID { return d.internLocked(AppendTermBinary(buf[:0], t), t) }
+	id := func(t Term) TermID { return d.internLocked(AppendTermBinary(buf[:0], t)) }
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, ts := range chunks {
@@ -125,16 +125,19 @@ func (d *Dict) InternTriples(dst []TripleID, chunks ...[]Triple) []TripleID {
 	return dst
 }
 
-// internLocked returns the id of t, whose key is key, assigning the next id
-// on first sight. The caller holds the write lock. A new term costs one
-// allocation: a copy of key, which becomes the map key and, sliced, the
-// stored term's strings, so the dictionary shares no bytes with t.
-func (d *Dict) internLocked(key []byte, t Term) TermID {
+// internLocked returns the id of the term whose key is key, assigning the
+// next id on first sight. The caller holds the write lock. A new term costs
+// one allocation: a copy of key, which becomes the map key and, decoded in
+// place, the stored term's strings, so the dictionary shares no bytes with
+// the caller's.
+func (d *Dict) internLocked(key []byte) TermID {
 	if id, ok := d.byKey[string(key)]; ok {
 		return id
 	}
 	k := string(key)
-	id := d.terms.append(termIn(k, t))
+	// k is an encoding this package just wrote, so it decodes.
+	nt, _, _ := decodeTermAny(k)
+	id := d.terms.append(nt)
 	d.byKey[k] = id
 	return id
 }
