@@ -363,10 +363,11 @@ func ReadSnapshot(r io.Reader, dict *rdf.Dict) (*Store, error) {
 // restoreStore builds a Store from a decoded snapshot, the same way into
 // an empty dictionary or a shared one. Every segment is read and checked
 // before the dict block is interned, so a bad segment interns nothing.
-// The rows are remapped from local to dict ids, then the indexes are built
-// from the whole log at once (Store.index): array arithmetic instead of
-// per-triple appends, so only the present set touches a hash table. The
-// store is not shared yet, so no lock is taken.
+// The rows are remapped from local to dict ids, then the dedup table and
+// the indexes are built from the whole log at once (Store.index): array
+// arithmetic instead of per-triple appends, so only the dedup table touches
+// a hash table, and a repeated row is an error. The store is not shared
+// yet, so no lock is taken.
 func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 	triples := make([]rdf.TripleID, 0, minInt(dec.hdr.Triples, maxSnapshotPrealloc))
 	for {
@@ -403,18 +404,13 @@ func restoreStore(dec *snapDecoder, dict *rdf.Dict) (*Store, error) {
 		seen[id/64] |= 1 << (id % 64)
 	}
 
-	s := New(dec.hdr.Name, dict)
-	s.present = newTripleSet(len(triples))
 	for r, t := range triples {
-		t = rdf.TripleID{S: ids[t.S-1], P: ids[t.P-1], O: ids[t.O-1]}
-		triples[r] = t
-		if first, dup := s.present.get(t, triples); dup {
-			return nil, fmt.Errorf("snapshot row %d repeats row %d", r+1, first+1)
-		}
-		s.present.add(t, int32(r), triples)
+		triples[r] = rdf.TripleID{S: ids[t.S-1], P: ids[t.P-1], O: ids[t.O-1]}
 	}
-	s.triples = triples
-	s.index()
+	s := New(dec.hdr.Name, dict)
+	if r, first := s.index(triples); r >= 0 {
+		return nil, fmt.Errorf("snapshot row %d repeats row %d", r+1, first+1)
+	}
 	return s, nil
 }
 

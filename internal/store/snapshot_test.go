@@ -339,6 +339,17 @@ func TestSnapshotRepeatedTermRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotRepeatedRowRejected: a snapshot that lists a row twice is
+// rejected, naming the repeat and the row it repeats.
+func TestSnapshotRepeatedRowRejected(t *testing.T) {
+	tr := triIRI("a", "p", "b")
+	snap := forgeSnapshot(encodeTerms(tr.S, tr.P, tr.O), 3, [][3]uint32{{1, 2, 3}, {3, 2, 1}, {1, 2, 3}})
+	_, err := ReadSnapshot(bytes.NewReader(snap), rdf.NewDict())
+	if err == nil || !strings.Contains(err.Error(), "row 3 repeats row 1") {
+		t.Fatalf("err = %v, want row 3 repeats row 1", err)
+	}
+}
+
 // TestRejectedSnapshotInternsNothing: a snapshot rejected for a bad
 // segment — checksum, length, or a row naming a term the block does not
 // hold — leaves the dictionary it was restored into as it was.

@@ -182,18 +182,34 @@ func (s *Store) appendLocked(t rdf.TripleID) {
 	s.ixObj.add(t.O, pos)
 }
 
-// index builds the subject list and the three indexes of a store whose
-// log holds triples that neither holds yet: per-id posting counts, then
-// one backing array per index carved into the posting lists (fillIndex).
-// Triples are visited in position order, so the lists and the subject
-// first-sight order are exactly what appendLocked over the log would have
-// built, and each index's list slice ends at the largest id in its
-// position, as appends would have grown it.
-func (s *Store) index() {
+// index makes log, which it takes over, the log of an empty store and
+// builds the rest from it at once instead of by appends: the dedup table,
+// keeping the first of any repeated triples and compacting log in place,
+// then the subject list and per-id posting counts, then one backing array
+// per index carved into the posting lists (fillIndex). Triples are visited
+// in position order, so the lists and the subject first-sight order are
+// exactly what appendLocked over the log would have built, and each
+// index's list slice ends at the largest id in its position, as appends
+// would have grown it. It returns the first repeat's position in log and
+// the position of the triple it repeats, or -1 and -1.
+func (s *Store) index(log []rdf.TripleID) (repeat, first int) {
+	repeat, first = -1, -1
+	s.present = newTripleSet(len(log))
+	n := 0
 	var top rdf.TripleID
-	for _, t := range s.triples {
+	for r, t := range log {
+		if at, dup := s.present.get(t, log); dup {
+			if repeat < 0 {
+				repeat, first = r, int(at)
+			}
+			continue
+		}
+		log[n] = t
+		s.present.add(t, int32(n), log)
+		n++
 		top = rdf.TripleID{S: max(top.S, t.S), P: max(top.P, t.P), O: max(top.O, t.O)}
 	}
+	s.triples = log[:n]
 	counts := [3][]int32{make([]int32, top.S+1), make([]int32, top.P+1), make([]int32, top.O+1)}
 	for _, t := range s.triples {
 		if counts[0][t.S] == 0 {
@@ -206,6 +222,7 @@ func (s *Store) index() {
 	for role, ix := range [3]*tripleIndex{&s.ixSubj, &s.ixPred, &s.ixObj} {
 		*ix = fillIndex(s.triples, counts[role], role)
 	}
+	return repeat, first
 }
 
 // fillIndex builds one triple index from the log and counts, the number of
@@ -261,8 +278,8 @@ func (s *Store) Generation() uint64 { return uint64(s.Len()) }
 // and returns the number of triples added. It is equivalent to calling
 // AddID for each element — every index posting list and the subject
 // first-sight order come out identical — but takes the store lock once,
-// and into an empty store sizes the log and the dedup table for the batch
-// and builds the indexes in one pass (index) instead of by appends.
+// and into an empty store builds the log, the dedup table and the indexes
+// in one pass (index) instead of by appends.
 func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,17 +293,7 @@ func (s *Store) AddIDs(ids []rdf.TripleID) int {
 	}
 	added := 0
 	if len(s.triples) == 0 {
-		// Into an empty store: the log and the dedup table sized for the
-		// batch, then the indexes built from the whole log at once.
-		s.triples = make([]rdf.TripleID, 0, len(ids))
-		s.present = newTripleSet(len(ids))
-		for _, t := range ids {
-			if _, dup := s.present.get(t, s.triples); !dup {
-				s.triples = append(s.triples, t)
-				s.present.add(t, int32(len(s.triples)-1), s.triples)
-			}
-		}
-		s.index()
+		s.index(slices.Clone(ids))
 		added = len(s.triples)
 	} else {
 		for _, t := range ids {
